@@ -1,7 +1,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: build vet test race fuzz farm check bench bench-parallel bench-commit verify
+.PHONY: build vet test race fuzz farm check bench bench-e2e bench-parallel bench-commit verify
 
 build:
 	$(GO) build ./...
@@ -13,20 +13,21 @@ test:
 	$(GO) test ./...
 
 # Race lane: the packages that fan work out across goroutines — the
-# prover worker pool, the segmented (continuation) proving crew, the
-# parallel fold tree, the epoch pipeline, the retrying remote
-# dispatcher, the metrics registry, the HTTP layer, the sharded UDP
+# shared fan-out helpers, the prover's block-commit crew, the
+# segmented (continuation) proving crew, the parallel fold tree, the
+# epoch pipeline, the retrying remote dispatcher, the metrics registry, the HTTP layer, the sharded UDP
 # ingest pipeline, the checkpointing ledger plus the light-client
 # sync that reads it, and the STARK math kernel (shared twiddle/ladder
 # caches, pooled scratch, chunk-parallel LDE/composition/FRI).
 race:
-	$(GO) test -race ./internal/zkvm ./internal/fold ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
+	$(GO) test -race ./internal/par ./internal/zkvm ./internal/fold ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
 
 # Fuzz lane: each network/storage-facing decoder gets a short
 # randomized run on top of its committed seed + regression corpus,
 # plus the NTT round-trip property (the vectorized kernel against the
-# retained serial reference). `go test -fuzz` takes one target per
-# invocation, so this is nine runs; budget with FUZZTIME (default 10s
+# retained serial reference) and the linear memory-log sort against
+# the comparison sort it replaced. `go test -fuzz` takes one target per
+# invocation, so this is ten runs; budget with FUZZTIME (default 10s
 # each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
@@ -35,6 +36,7 @@ fuzz:
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzDecodeProgram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzUnmarshalReceipt -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzSortedMemLog -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fold -run='^$$' -fuzz=FuzzUnmarshalFolded -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
@@ -52,13 +54,20 @@ check: build vet test race farm fuzz
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
-# The worker-pool / pipeline benchmarks behind the determinism tests.
+# The repository's reference benchmark (BENCHMARK.json): the four
+# datagram -> verified-receipt workloads, 20 s measured each. See
+# bench/README.md for -trace 1 (layer budget), -sets and -json.
+bench-e2e:
+	$(GO) run ./bench
+
+# The prover-crew / pipeline benchmarks behind the determinism tests.
 bench-parallel:
 	$(GO) test -bench='ProveParallel|PipelinedAggregation' -run=^$$ .
 
 # Commit-path benchmarks with allocation counts: the zero-allocation
-# hash kernel, the Merkle arena build, the NTT kernel, and the fused
-# prover pipeline. Compare against the allocs/op recorded in
+# hash kernel, the seal's block commit (salt + encode + leaf-hash +
+# reduce one 1024-leaf block), the Merkle arena build, the NTT kernel,
+# and the whole prover. Compare against the allocs/op recorded in
 # EXPERIMENTS.md E14. Finishes by regenerating the committed benchmark
 # baseline (BENCH_PR10.json: E1 sweep + stage split + E15 continuation
 # sweep + E16 ingest throughput sweep + E17 light-client sync + E18
@@ -66,6 +75,7 @@ bench-parallel:
 # against it with `zkflow-benchdiff BENCH_PR10.json fresh.json`.
 bench-commit:
 	$(GO) test -bench='HashLevel|Leaf2' -benchmem -run=^$$ ./internal/hashk
+	$(GO) test -bench='CommitBlock' -benchmem -run=^$$ ./internal/zkvm
 	$(GO) test -bench='BuildHashes|Build1024' -benchmem -run=^$$ ./internal/merkle
 	$(GO) test -bench='NTTInto|Butterflies' -benchmem -run=^$$ ./internal/poly ./internal/field
 	$(GO) test -bench='ProveParallel/parallelism=1' -benchmem -run=^$$ .

@@ -131,23 +131,8 @@ func BenchmarkReceiptSize(b *testing.B) {
 	}
 }
 
-// BenchmarkSegmentedProving is E5/§7 proof parallelization.
-func BenchmarkSegmentedProving(b *testing.B) {
-	in := genesisInput(5, 500)
-	words := in.Words()
-	for _, segs := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("segments=%d", segs), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := zkvm.Prove(guest.AggregationProgram(), words, zkvm.ProveOptions{Segments: segs}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkProveParallel measures the prover's worker pool: the same
-// single-segment aggregation proof at pool widths 1 (fully serial),
+// BenchmarkProveParallel is E5/§7 proof parallelization: the same
+// single-segment aggregation proof at crew widths 1 (fully serial),
 // 2, 4, and GOMAXPROCS. Receipts are byte-identical at every width
 // (asserted by TestParallelProveDeterminism); this benchmark shows the
 // wall-clock side of that trade.

@@ -4,7 +4,7 @@
 //	-exp fig4         Figure 4: proof generation latency vs. #records
 //	-exp table1       Table 1: proof/journal/receipt sizes
 //	-exp tamper       §6 tamper experiment
-//	-exp parallel     §7 proof parallelization (segment + worker-pool fan-out)
+//	-exp parallel     §7 proof parallelization (prover crew width)
 //	-exp pipeline     epoch pipelining (witness N+1 overlaps seal N)
 //	-exp specialized  §7 specialized prover vs. zkVM hash throughput
 //	-exp ingest       E16: sustained UDP/inject collector throughput (flows/sec)
@@ -297,7 +297,7 @@ func expTamper(checks int) {
 }
 
 func expParallel(checks int) {
-	fmt.Println("=== E5 / §7 proof parallelization: segments vs. proving time ===")
+	fmt.Println("=== E5 / §7 proof parallelization: crew width vs. proving time ===")
 	in := genesisInput(5, 1000)
 	words := in.Words()
 	// Warm-up run so the first measured row does not absorb one-time
@@ -306,28 +306,12 @@ func expParallel(checks int) {
 		log.Fatal(err)
 	}
 	if runtime.GOMAXPROCS(0) == 1 {
-		fmt.Println("note: single-CPU host — segment fan-out cannot show wall-clock speedup here")
+		fmt.Println("note: single-CPU host — the crew cannot show wall-clock speedup here")
 	}
-	fmt.Printf("%10s  %14s  %8s\n", "segments", "agg proof", "speedup")
-	var base float64
-	for _, segs := range []int{1, 2, 4, 8, runtime.GOMAXPROCS(0)} {
-		t0 := time.Now()
-		_, err := zkvm.Prove(guest.AggregationProgram(), words, zkvm.ProveOptions{Checks: checks, Segments: segs})
-		if err != nil {
-			log.Fatal(err)
-		}
-		d := ms(time.Since(t0))
-		if base == 0 {
-			base = d
-		}
-		fmt.Printf("%10d  %12.0f ms  %7.2fx\n", segs, d, base/d)
-	}
-	fmt.Println()
-
-	// Worker-pool width: the same single-segment proof with the
-	// prover's internal table/tree commitment work fanned out.
+	// The same single-segment proof with the prover's block commit
+	// fanned out across a crew of the given width.
 	fmt.Printf("%11s  %14s  %8s  (single segment)\n", "parallelism", "agg proof", "speedup")
-	base = 0
+	var base float64
 	for _, w := range []int{1, 2, 4, runtime.GOMAXPROCS(0)} {
 		t0 := time.Now()
 		_, err := zkvm.Prove(guest.AggregationProgram(), words, zkvm.ProveOptions{Checks: checks, Parallelism: w})

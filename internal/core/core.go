@@ -50,10 +50,8 @@ type ProveFunc func(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) 
 type Options struct {
 	// Checks is the zkVM sampled-check count (0 = zkvm default).
 	Checks int
-	// Segments is the parallel proving fan-out (0 = GOMAXPROCS).
-	Segments int
-	// Parallelism bounds the zkVM prover's worker pool (see
-	// zkvm.ProveOptions.Parallelism; 0 = NumCPU, 1 = serial).
+	// Parallelism is the width of the zkVM prover's crew (see
+	// zkvm.ProveOptions.Parallelism; 0 = GOMAXPROCS, 1 = serial).
 	Parallelism int
 	// SegmentCycles, when positive, proves aggregations as continuation
 	// chains: execution is sliced every SegmentCycles cycles and the
@@ -92,8 +90,7 @@ type Options struct {
 
 func (o Options) proveOptions() zkvm.ProveOptions {
 	po := zkvm.ProveOptions{
-		Checks: o.Checks, Segments: o.Segments,
-		Parallelism: o.Parallelism, SegmentCycles: o.SegmentCycles,
+		Checks: o.Checks, Parallelism: o.Parallelism, SegmentCycles: o.SegmentCycles,
 	}
 	if o.Metrics != nil {
 		po.Observer = obs.NewStageRecorder(o.Metrics, "prover.stage.")

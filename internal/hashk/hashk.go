@@ -1,24 +1,25 @@
-// Package hashk is the zero-allocation SHA-256 commitment kernel for
-// the sealing hot path. E13 (EXPERIMENTS.md) measured Merkle
-// commitment at ~58% of aggregation proving time and the table encode
-// at another ~6%; profiling showed the cost was split between the
-// hash arithmetic itself and allocator/GC traffic from the
-// one-allocation-per-node idiom (`sha256.New()` escapes, and every
-// leaf payload was materialized as its own []byte). This package
-// removes the allocator from that loop:
+// Package hashk is the zero-allocation SHA-256 kernel under every
+// Merkle commitment in the repo. Node hashing is about half of a zkVM
+// seal and leaf hashing most of the rest (EXPERIMENTS.md E21), so the
+// kernel's one job is to keep everything but the compression function
+// out of that loop:
 //
-//   - Node/HashLevel hash internal tree nodes through fixed-size stack
-//     buffers and sha256.Sum256, which the compiler keeps off the heap
-//     — zero allocations per node at any tree size.
-//   - Leaf/Leaf2/Leaf3 hash domain-prefixed leaf payloads the same way
-//     for payloads up to ScratchBytes (every committed table row in
-//     this repo is far below that), falling back to a streaming hash
-//     only for oversized leaves.
-//   - Hasher is reusable digest state for callers that genuinely need
-//     streaming (unbounded payloads) without a per-hash allocation.
-//   - Arena is a grow-once scratch buffer for encode-then-hash
-//     pipelines that need a reusable byte slab rather than a stack
-//     array.
+//   - Node/HashLevel hash internal tree nodes through a fixed-size
+//     stack buffer and sha256.Sum256, which the compiler keeps off the
+//     heap — zero allocations per node at any tree size. HashLevel
+//     reduces a whole level (or a block's slice of one) per call, so
+//     the buffer and its prefix byte are set up once per level.
+//   - Leaf/Leaf2 hash a domain-prefixed leaf payload, in one or two
+//     parts, the same way: payloads under 128 bytes — every committed
+//     table row in the repo — go through a 128-byte stack buffer,
+//     payloads up to ScratchBytes through a 512-byte one (Go zeroes a
+//     stack buffer at every declaration, so the small tier saves ~400
+//     bytes of memclr per leaf), and only oversized leaves fall back
+//     to a streaming hash.
+//
+// The zkVM's block commit assembles its (prefix || salt || row)
+// message in place and calls sha256.Sum256 itself; Leaf2 is the same
+// hash for callers holding the two parts separately (the verifier).
 //
 // The functions are generic over ~[32]byte so merkle.Hash (and any
 // other 32-byte digest type) flows through without copies or import
@@ -27,10 +28,7 @@
 // tests pin that.
 package hashk
 
-import (
-	"crypto/sha256"
-	"hash"
-)
+import "crypto/sha256"
 
 // Domain-separation prefixes of the merkle package's tree convention:
 // a leaf hash is SHA-256(0x00 || payload), an internal node is
@@ -44,14 +42,11 @@ const (
 // ScratchBytes is the stack scratch size of the leaf fast path: leaf
 // payloads up to this size (after the domain prefix) hash with zero
 // allocations. The largest committed leaf in the repo (a salted
-// execution-trace row) is ~100 bytes; STARK LDE rows are 8*cols.
+// execution-trace row) is 96 bytes; STARK LDE rows are 8*cols.
 const ScratchBytes = 512
 
-// smallScratchBytes is the first scratch tier. Go zeroes a stack
-// buffer at every declaration, so hashing a ~100-byte leaf through a
-// 512-byte scratch pays ~400 wasted bytes of memclr per leaf — at
-// millions of leaves per proof that is real memory traffic. Every
-// committed leaf in this repo fits the small tier.
+// smallScratchBytes is the first scratch tier (see the package
+// comment); every committed leaf in this repo fits it.
 const smallScratchBytes = 128
 
 // Node hashes two child digests with the node domain prefix:
@@ -98,7 +93,7 @@ func Leaf[H ~[32]byte](data []byte) H {
 		n := copy(buf[1:], data)
 		return H(sha256.Sum256(buf[:1+n]))
 	}
-	return leafStream[H](data, nil, nil)
+	return leafStream[H](data, nil)
 }
 
 // Leaf2 hashes the concatenation of two payload parts under the leaf
@@ -120,102 +115,16 @@ func Leaf2[H ~[32]byte](a, b []byte) H {
 		n += copy(buf[n:], b)
 		return H(sha256.Sum256(buf[:n]))
 	}
-	return leafStream[H](a, b, nil)
-}
-
-// Leaf3 is Leaf2 with a third part.
-func Leaf3[H ~[32]byte](a, b, c []byte) H {
-	if len(a)+len(b)+len(c) < smallScratchBytes {
-		var buf [smallScratchBytes]byte
-		buf[0] = LeafPrefix
-		n := 1 + copy(buf[1:], a)
-		n += copy(buf[n:], b)
-		n += copy(buf[n:], c)
-		return H(sha256.Sum256(buf[:n]))
-	}
-	if len(a)+len(b)+len(c) < ScratchBytes {
-		var buf [ScratchBytes]byte
-		buf[0] = LeafPrefix
-		n := 1 + copy(buf[1:], a)
-		n += copy(buf[n:], b)
-		n += copy(buf[n:], c)
-		return H(sha256.Sum256(buf[:n]))
-	}
-	return leafStream[H](a, b, c)
-}
-
-// SumAssembled hashes a message the caller has already assembled with
-// its domain prefix at msg[0]. It exists for encode-into-place
-// pipelines (zkvm.commitStream) that serialise a row directly into a
-// persistent prefixed buffer: hashing it here skips both Leaf's
-// scratch zeroing and the payload copy. Callers own the prefix byte;
-// merkle's conventions are SHA-256(0x00||payload) for leaves.
-func SumAssembled[H ~[32]byte](msg []byte) H {
-	return H(sha256.Sum256(msg))
+	return leafStream[H](a, b)
 }
 
 // leafStream is the slow path for oversized leaves.
-func leafStream[H ~[32]byte](a, b, c []byte) H {
+func leafStream[H ~[32]byte](a, b []byte) H {
 	d := sha256.New()
 	d.Write([]byte{LeafPrefix})
 	d.Write(a)
-	if b != nil {
-		d.Write(b)
-	}
-	if c != nil {
-		d.Write(c)
-	}
+	d.Write(b)
 	var out H
 	d.Sum(out[:0])
 	return out
-}
-
-// Hasher is reusable SHA-256 digest state: one allocation at
-// construction, zero per hash. Use it where payloads are unbounded or
-// arrive in many fragments; for fixed-shape leaves the stack-buffer
-// functions above are simpler and just as fast.
-type Hasher struct {
-	d hash.Hash
-	// prefix lives in the struct (not a local) so the Write through the
-	// hash.Hash interface does not force a per-call escape allocation.
-	prefix [1]byte
-}
-
-// NewHasher allocates the reusable digest state.
-func NewHasher() *Hasher { return &Hasher{d: sha256.New()} }
-
-// Reset restarts the hasher and absorbs the domain prefix.
-func (h *Hasher) Reset(prefix byte) {
-	h.d.Reset()
-	h.prefix[0] = prefix
-	h.d.Write(h.prefix[:])
-}
-
-// Write absorbs payload bytes.
-func (h *Hasher) Write(p []byte) { h.d.Write(p) }
-
-// Sum finalizes into dst without allocating. The hasher state is
-// unchanged (matching hash.Hash.Sum semantics), so further Writes
-// continue the stream.
-func (h *Hasher) Sum(dst *[32]byte) { h.d.Sum(dst[:0]) }
-
-// Arena is a grow-once byte slab for encode-then-hash pipelines:
-// Bytes returns a length-n slice backed by the same allocation on
-// every call (growing only when n exceeds the high-water mark), so a
-// per-row "encode into scratch, hash scratch" loop allocates at most
-// once for the whole table instead of once per row.
-type Arena struct {
-	buf []byte
-}
-
-// NewArena preallocates capacity n.
-func NewArena(n int) *Arena { return &Arena{buf: make([]byte, n)} }
-
-// Bytes returns a zero-filled-on-growth slice of length n, reusing the
-// arena's backing store. Contents of previous calls are clobbered.
-func (a *Arena) Bytes(n int) []byte {
-	if n > len(a.buf) {
-		a.buf = make([]byte, n)
-	}
-	return a.buf[:n]
 }

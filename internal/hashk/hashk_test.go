@@ -71,15 +71,11 @@ func TestHashLevelRejectsRaggedInput(t *testing.T) {
 func TestLeafVariantsMatchReference(t *testing.T) {
 	a := bytes.Repeat([]byte{0xaa}, 16)
 	b := bytes.Repeat([]byte{0xbb}, 80)
-	c := bytes.Repeat([]byte{0xcc}, 7)
 	if got, want := Leaf[digest](b), refLeaf(b); got != want {
 		t.Fatalf("Leaf = %x, want %x", got, want)
 	}
 	if got, want := Leaf2[digest](a, b), refLeaf(a, b); got != want {
 		t.Fatalf("Leaf2 = %x, want %x", got, want)
-	}
-	if got, want := Leaf3[digest](a, b, c), refLeaf(a, b, c); got != want {
-		t.Fatalf("Leaf3 = %x, want %x", got, want)
 	}
 	// Empty payload and empty parts.
 	if got, want := Leaf[digest](nil), refLeaf(nil); got != want {
@@ -107,56 +103,6 @@ func TestLeafSlowPathMatchesFastPath(t *testing.T) {
 	}
 }
 
-func TestHasherStreamsWithoutPerHashAllocs(t *testing.T) {
-	h := NewHasher()
-	payload := bytes.Repeat([]byte{9}, 300)
-	var out digest
-	h.Reset(LeafPrefix)
-	h.Write(payload)
-	h.Sum(&out)
-	if want := refLeaf(payload); out != want {
-		t.Fatalf("Hasher sum = %x, want %x", out, want)
-	}
-	// Reuse after Reset must be independent of prior state.
-	h.Reset(NodePrefix)
-	h.Write(payload[:10])
-	var out2 digest
-	h.Sum(&out2)
-	ref := sha256.New()
-	ref.Write([]byte{NodePrefix})
-	ref.Write(payload[:10])
-	var want2 digest
-	ref.Sum(want2[:0])
-	if out2 != want2 {
-		t.Fatalf("Hasher after Reset = %x, want %x", out2, want2)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		h.Reset(LeafPrefix)
-		h.Write(payload)
-		h.Sum(&out)
-	})
-	if allocs != 0 {
-		t.Fatalf("Hasher reuse allocates %v per hash, want 0", allocs)
-	}
-}
-
-func TestArenaReusesBacking(t *testing.T) {
-	a := NewArena(64)
-	b1 := a.Bytes(32)
-	b2 := a.Bytes(48)
-	if &b1[0] != &b2[0] {
-		t.Fatal("arena reallocated under its capacity")
-	}
-	big := a.Bytes(1024)
-	if len(big) != 1024 {
-		t.Fatalf("grown arena length %d", len(big))
-	}
-	allocs := testing.AllocsPerRun(100, func() { _ = a.Bytes(1024) })
-	if allocs != 0 {
-		t.Fatalf("steady-state arena allocates %v per call, want 0", allocs)
-	}
-}
-
 // TestKernelZeroAllocs is the allocation-regression gate for the
 // kernel itself: node hashing, whole-level hashing, and the leaf fast
 // paths must not touch the allocator.
@@ -173,7 +119,6 @@ func TestKernelZeroAllocs(t *testing.T) {
 		{"HashLevel", func() { HashLevel(dst, d) }},
 		{"Leaf", func() { _ = Leaf[digest](row) }},
 		{"Leaf2", func() { _ = Leaf2[digest](salt, row) }},
-		{"Leaf3", func() { _ = Leaf3[digest](salt, row, salt) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {

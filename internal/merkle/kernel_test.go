@@ -37,28 +37,73 @@ func refTree(leafHashes []Hash) [][]Hash {
 	return levels
 }
 
-// TestArenaBuildMatchesReference pins that the flat-arena build with
-// padding-subtree skipping is node-for-node identical to hashing
-// every node the old way, across awkward leaf counts (just above a
-// power of two maximizes skipped padding subtrees).
-func TestArenaBuildMatchesReference(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 4, 5, 9, 17, 33, 100, 129, 1000, 1025} {
-		hs := make([]Hash, n)
-		for i := range hs {
-			hs[i] = sha256.Sum256([]byte{byte(i), byte(i >> 8), 0x7f})
+// sameNodes fails the test unless got is node-for-node want.
+func sameNodes(t *testing.T, n int, got *Tree, want [][]Hash) {
+	t.Helper()
+	if len(got.levels) != len(want) {
+		t.Fatalf("n=%d: %d levels, want %d", n, len(got.levels), len(want))
+	}
+	for lvl := range want {
+		if len(got.levels[lvl]) != len(want[lvl]) {
+			t.Fatalf("n=%d: level %d has %d nodes, want %d", n, lvl, len(got.levels[lvl]), len(want[lvl]))
 		}
-		got := BuildHashesParallel(hs, 1)
-		want := refTree(hs)
-		if len(got.levels) != len(want) {
-			t.Fatalf("n=%d: %d levels, want %d", n, len(got.levels), len(want))
-		}
-		for lvl := range want {
-			for i := range want[lvl] {
-				if got.levels[lvl][i] != want[lvl][i] {
-					t.Fatalf("n=%d: node (%d,%d) differs", n, lvl, i)
-				}
+		for i := range want[lvl] {
+			if got.levels[lvl][i] != want[lvl][i] {
+				t.Fatalf("n=%d: node (%d,%d) differs", n, lvl, i)
 			}
 		}
+	}
+}
+
+func testHashes(n int) []Hash {
+	hs := make([]Hash, n)
+	for i := range hs {
+		hs[i] = sha256.Sum256([]byte{byte(i), byte(i >> 8), byte(i >> 16), 0x7f})
+	}
+	return hs
+}
+
+// TestBlockBuildMatchesReference pins that the block-fused arena build
+// with padding-subtree skipping is node-for-node identical to hashing
+// every node level by level, serially and on a crew, at the leaf
+// counts where the block arithmetic can go wrong: nothing, one leaf,
+// either side of one block, either side of a power of two (just above
+// one maximizes skipped padding subtrees and all-padding blocks), and
+// the exec-trace size of a 1000-record epoch.
+func TestBlockBuildMatchesReference(t *testing.T) {
+	const block = 1 << blockLog
+	for _, n := range []int{0, 1, 2, 3, 5, 100, block - 1, block, block + 1, 1 << 13, 1<<13 + 1, 397_547} {
+		hs := testHashes(n)
+		want := refTree(hs)
+		for _, workers := range []int{1, 3} {
+			got := BuildHashesParallel(hs, workers)
+			sameNodes(t, n, got, want)
+			got.Release()
+		}
+	}
+}
+
+// TestBuilderBlocks drives a Builder the way the zkVM seal does —
+// blocks filled and reduced out of order, each straight after its own
+// fill — and checks the block geometry it reports.
+func TestBuilderBlocks(t *testing.T) {
+	const block = 1 << blockLog
+	for _, n := range []int{0, 7, block, 2*block + 1, 5*block + 9} {
+		hs := testHashes(n)
+		b := NewBuilder(n)
+		covered := 0
+		for i := b.Blocks() - 1; i >= 0; i-- {
+			first, leaves := b.Leaves(i)
+			if first != i*min(block, len(b.t.levels[0])) {
+				t.Fatalf("n=%d: block %d starts at leaf %d", n, i, first)
+			}
+			covered += copy(leaves, hs[min(first, n):])
+			b.Reduce(i)
+		}
+		if covered != n {
+			t.Fatalf("n=%d: blocks expose %d real leaves", n, covered)
+		}
+		sameNodes(t, n, b.Finish(), refTree(hs))
 	}
 }
 
@@ -91,45 +136,40 @@ func TestHashZeroAllocs(t *testing.T) {
 }
 
 // TestBuildHashesConstantAllocs gates the arena build: a whole tree
-// costs a fixed handful of allocations (arena, level index, tree),
-// not O(leaves) or O(levels).
+// costs a fixed handful of allocations (tree, level index, builder,
+// the two closures handed to the crew, at most one arena when the pool
+// has none), not O(leaves), O(levels) or O(blocks): sixteen times the
+// leaves may cost one allocation more (an arena pool miss), not 60.
 func TestBuildHashesConstantAllocs(t *testing.T) {
-	hs := make([]Hash, 4096)
-	for i := range hs {
-		hs[i] = sha256.Sum256([]byte{byte(i), byte(i >> 8)})
+	var small, large float64
+	for _, c := range []struct {
+		n      int
+		allocs *float64
+	}{{4096, &small}, {1 << 16, &large}} {
+		hs := testHashes(c.n)
+		*c.allocs = testing.AllocsPerRun(10, func() { BuildHashesParallel(hs, 1).Release() })
 	}
-	allocs := testing.AllocsPerRun(10, func() { _ = BuildHashesParallel(hs, 1) })
-	if allocs > 4 {
-		t.Fatalf("serial 4096-leaf build allocates %v per run, want <= 4", allocs)
+	if small > 6 || large > small+1 {
+		t.Fatalf("serial build allocates %v per run at 4096 leaves and %v at 65536, want <= 6 and no growth", small, large)
 	}
 }
 
 // TestReleasedArenaReuse pins the Release contract: a build on a
 // dirty recycled arena (larger previous tree, arbitrary stale nodes)
 // is node-for-node identical to a fresh build, across sizes that
-// exercise both the padding-fill and real-node paths.
+// exercise the padding-fill, all-padding-block and real-node paths.
 func TestReleasedArenaReuse(t *testing.T) {
 	// Seed the pool with a large dirty arena.
-	big := make([]Hash, 2048)
+	big := make([]Hash, 1<<14)
 	for i := range big {
-		big[i] = sha256.Sum256([]byte{byte(i), 0xee})
+		big[i] = sha256.Sum256([]byte{byte(i), byte(i >> 8), 0xee})
 	}
 	BuildHashesParallel(big, 1).Release()
 
-	for _, n := range []int{1, 2, 5, 100, 129, 1000, 1025} {
-		hs := make([]Hash, n)
-		for i := range hs {
-			hs[i] = sha256.Sum256([]byte{byte(i), byte(i >> 8), byte(n)})
-		}
+	for _, n := range []int{1, 2, 5, 100, 129, 1000, 1025, 1<<12 + 1, 1<<13 + 3} {
+		hs := testHashes(n)
 		got := BuildHashesParallel(hs, 1) // likely reuses the dirty arena
-		want := refTree(hs)
-		for lvl := range want {
-			for i := range want[lvl] {
-				if got.levels[lvl][i] != want[lvl][i] {
-					t.Fatalf("n=%d: node (%d,%d) differs on recycled arena", n, lvl, i)
-				}
-			}
-		}
+		sameNodes(t, n, got, refTree(hs))
 		got.Release()
 		got.Release() // double release is a no-op
 	}

@@ -19,10 +19,10 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"runtime"
 	"sync"
 
 	"zkflow/internal/hashk"
+	"zkflow/internal/par"
 )
 
 // Hash is a SHA-256 digest.
@@ -107,23 +107,23 @@ type Tree struct {
 	arena []Hash
 }
 
-// arenaPool recycles node arenas across tree builds. A build writes
-// every arena slot (real nodes are hashed or copied in, padding nodes
-// come from the padding table), so a dirty recycled arena produces a
+// arenaPools recycles node arenas across tree builds, one pool per
+// tree depth (an arena is the 2^(depth+1)-1 nodes of a full tree), so
+// a build always gets back an arena of exactly its size and a seal's
+// large and small trees never evict each other. A build writes every
+// arena slot (real nodes are hashed or copied in, padding nodes come
+// from the padding table), so a dirty recycled arena produces a
 // node-for-node identical tree — TestReleasedArenaReuse pins that.
 // Large proofs build tens of MB of tree per seal; reusing the arena
 // keeps that out of the allocator and skips the runtime's zeroing of
 // fresh large objects.
-var arenaPool sync.Pool
+var arenaPools [maxDepth + 1]sync.Pool
 
-func getArena(n int) []Hash {
-	if v := arenaPool.Get(); v != nil {
-		a := *v.(*[]Hash)
-		if cap(a) >= n {
-			return a[:n]
-		}
+func getArena(depth int) []Hash {
+	if v := arenaPools[depth].Get(); v != nil {
+		return *v.(*[]Hash)
 	}
-	return make([]Hash, n)
+	return make([]Hash, 2<<depth-1)
 }
 
 // Release returns the tree's node storage to an internal pool for
@@ -134,20 +134,15 @@ func (t *Tree) Release() {
 	if t.arena == nil {
 		return
 	}
-	a := t.arena
+	a, depth := t.arena, t.Depth()
 	t.arena = nil
 	t.levels = nil
-	arenaPool.Put(&a)
+	arenaPools[depth].Put(&a)
 }
 
-// parallelThreshold is the per-level node count below which tree
-// building stays serial: narrow levels are cheaper to hash inline
-// than to fan out.
-const parallelThreshold = 2048
-
 // Build constructs a tree over raw leaves (hashed with LeafHash).
-// Large trees are built with a parallel fan-out across GOMAXPROCS
-// workers; use BuildParallel to control the worker count.
+// Large trees are built across GOMAXPROCS workers; use BuildParallel
+// to control the worker count.
 func Build(leaves [][]byte) *Tree { return BuildParallel(leaves, 0) }
 
 // BuildParallel is Build with an explicit worker bound: 0 means
@@ -155,31 +150,21 @@ func Build(leaves [][]byte) *Tree { return BuildParallel(leaves, 0) }
 // identical to the serial one — hashing is deterministic and workers
 // only split index ranges.
 func BuildParallel(leaves [][]byte, workers int) *Tree {
-	hashes := make([]Hash, len(leaves))
-	forChunks(len(leaves), workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			hashes[i] = LeafHash(leaves[i])
-		}
+	return BuildLeavesParallel(len(leaves), workers, func(hashes []Hash) {
+		par.ForChunks(workers, len(leaves), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hashes[i] = LeafHash(leaves[i])
+			}
+		})
 	})
-	return BuildHashesParallel(hashes, workers)
 }
 
 // BuildHashes constructs a tree over precomputed leaf hashes.
 // An empty input produces a one-leaf tree over the empty hash.
-// Large trees are built level-by-level with a parallel chunked
-// fan-out; use BuildHashesParallel to control the worker count.
 func BuildHashes(leafHashes []Hash) *Tree { return BuildHashesParallel(leafHashes, 0) }
 
 // BuildHashesParallel is BuildHashes with an explicit worker bound:
 // 0 means GOMAXPROCS, 1 forces the serial path.
-//
-// All node storage comes from one flat arena (2*size-1 hashes), so a
-// whole tree build costs a small constant number of allocations
-// regardless of leaf count (asserted by TestBuildHashesConstantAllocs).
-// Nodes whose subtree is entirely padding are filled from the
-// precomputed padding table instead of being hashed; the resulting
-// tree is node-for-node identical to hashing them (padHashes is
-// exactly that fixpoint), which the golden receipt vector pins.
 func BuildHashesParallel(leafHashes []Hash, workers int) *Tree {
 	return BuildLeavesParallel(len(leafHashes), workers, func(leaves []Hash) {
 		copy(leaves, leafHashes)
@@ -187,79 +172,104 @@ func BuildHashesParallel(leafHashes []Hash, workers int) *Tree {
 }
 
 // BuildLeavesParallel constructs a tree over n leaf hashes that fill
-// writes directly into the tree's arena-backed leaf level. It exists
-// for streaming commit pipelines (zkvm.commitStream): hashing leaves
-// straight into the arena skips the intermediate []Hash table and its
-// copy entirely. fill may fan out across goroutines; it must fill all
-// n entries before returning. The tree is identical to
-// BuildHashesParallel over the same hashes.
+// writes directly into the tree's arena-backed leaf level (fill may
+// fan out across goroutines; it must fill all n entries before
+// returning), then reduces the blocks on a crew of workers. Callers
+// that can produce leaves block by block drive a Builder themselves
+// and skip the separate fill pass.
 func BuildLeavesParallel(n, workers int, fill func(leaves []Hash)) *Tree {
-	size := 1
-	depth := 0
+	b := NewBuilder(n)
+	fill(b.t.levels[0][:n])
+	par.Each(workers, b.Blocks(), b.Reduce)
+	return b.Finish()
+}
+
+// blockLog is log2 of the leaves in one build block. A 1024-leaf block
+// is 32 KB of leaf hashes and as much again of internal nodes: small
+// enough that a worker reduces it to its subtree root while the leaves
+// it has just written are still in its cache, large enough that the
+// levels above the block roots — the only serial part of a build — are
+// a thousandth of the tree.
+const blockLog = 10
+
+// Builder assembles a tree out of aligned power-of-two leaf blocks.
+// Fill the slots Leaves(i) returns, then Reduce(i); distinct blocks
+// touch disjoint arena ranges, so any number of goroutines may work
+// on distinct blocks at once. Finish hashes the few levels above the
+// block roots and hands the tree over.
+//
+// All node storage comes from one flat arena (2*size-1 hashes), so a
+// whole build costs a small constant number of allocations at any
+// leaf count (TestBuildHashesConstantAllocs). Nodes whose subtree is
+// entirely padding are filled from the padding table instead of being
+// hashed; the tree is node-for-node what hashing them would give
+// (padHashes is exactly that fixpoint), which
+// TestBlockBuildMatchesReference and the golden receipt pin.
+type Builder struct {
+	t        *Tree
+	blockLog int // log2 leaves per block; the tree depth when smaller
+}
+
+// NewBuilder starts a tree over n leaves. An n of zero gives the
+// one-leaf tree over the empty hash.
+func NewBuilder(n int) *Builder {
+	size, depth := 1, 0
 	for size < n {
 		size <<= 1
 		depth++
 	}
-	arena := getArena(2*size - 1)
-	level := arena[:size]
-	fill(level[:n])
-	for i := n; i < size; i++ {
-		level[i] = emptyHash
+	t := &Tree{nLeaves: n, levels: make([][]Hash, depth+1), arena: getArena(depth)}
+	off := 0
+	for l := range t.levels {
+		t.levels[l] = t.arena[off : off+size>>l]
+		off += size >> l
 	}
-	t := &Tree{nLeaves: n, levels: make([][]Hash, 1, depth+1), arena: arena}
-	t.levels[0] = level
-	off := size
-	filled := n // nodes of the current level with a non-padding subtree
-	for lvl := 1; len(level) > 1; lvl++ {
-		next := arena[off : off+len(level)/2]
-		off += len(level) / 2
-		src := level
-		// Only nodes with at least one real child need hashing; the
-		// rest are roots of all-padding subtrees. Narrow/serial levels
-		// hash inline — building the fan-out closure would itself
-		// allocate once per level.
-		nf := (filled + 1) / 2
-		if workers == 1 || nf < parallelThreshold {
-			hashk.HashLevel(next[:nf], src[:2*nf])
-		} else {
-			forChunks(nf, workers, func(lo, hi int) {
-				hashk.HashLevel(next[lo:hi], src[2*lo:2*hi])
-			})
-		}
-		for i := nf; i < len(next); i++ {
-			next[i] = padHashes[lvl]
-		}
-		filled = nf
-		t.levels = append(t.levels, next)
-		level = next
+	return &Builder{t: t, blockLog: min(blockLog, depth)}
+}
+
+// Blocks returns the number of blocks, all-padding ones included:
+// every block must be reduced before Finish.
+func (b *Builder) Blocks() int { return len(b.t.levels[b.blockLog]) }
+
+// Leaves returns the index of block i's first leaf and the slots of
+// its real leaves (none for an all-padding block).
+func (b *Builder) Leaves(i int) (first int, leaves []Hash) {
+	first = i << b.blockLog
+	return first, b.t.levels[0][min(first, b.t.nLeaves):min(first+1<<b.blockLog, b.t.nLeaves)]
+}
+
+// Reduce pads block i's leaf range and hashes it up to its subtree
+// root.
+func (b *Builder) Reduce(i int) {
+	level := b.t.levels[0]
+	for j := max(i<<b.blockLog, b.t.nLeaves); j < (i+1)<<b.blockLog; j++ {
+		level[j] = emptyHash
 	}
+	b.t.reduce(0, b.blockLog, i)
+}
+
+// Finish hashes the levels above the block roots and returns the
+// tree. The builder must not be used afterwards.
+func (b *Builder) Finish() *Tree {
+	t := b.t
+	b.t = nil
+	t.reduce(b.blockLog, t.Depth(), 0)
 	return t
 }
 
-// forChunks runs fn over [0,n) split into contiguous chunks, one per
-// worker, in parallel. Small inputs and workers<=1 run inline.
-func forChunks(n, workers int, fn func(lo, hi int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers == 1 || n < parallelThreshold {
-		fn(0, n)
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+// reduce fills levels from+1..to of the subtree whose root is node
+// idx of level to; the subtree's nodes on level from must be in place.
+// Only nodes above at least one real leaf are hashed, the rest are
+// roots of all-padding subtrees.
+func (t *Tree) reduce(from, to, idx int) {
+	for l := from + 1; l <= to; l++ {
+		lo, hi := idx<<(to-l), (idx+1)<<(to-l)
+		filled := min(max((t.nLeaves+1<<l-1)>>l, lo), hi)
+		hashk.HashLevel(t.levels[l][lo:filled], t.levels[l-1][2*lo:2*filled])
+		for i := filled; i < hi; i++ {
+			t.levels[l][i] = padHashes[l]
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
 	}
-	wg.Wait()
 }
 
 // Root returns the Merkle root.

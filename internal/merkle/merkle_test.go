@@ -265,10 +265,10 @@ func BenchmarkProveVerify(b *testing.B) {
 	}
 }
 
-// TestParallelBuildMatchesSerial asserts the chunked fan-out produces
+// TestParallelBuildMatchesSerial asserts the block crew produces
 // byte-identical trees: every level, every node, every proof.
 func TestParallelBuildMatchesSerial(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 3, 255, 1024, parallelThreshold, parallelThreshold + 1, 3*parallelThreshold + 7} {
+	for _, n := range []int{0, 1, 2, 3, 255, 1<<blockLog - 1, 1 << blockLog, 1<<blockLog + 1, 3<<blockLog + 7} {
 		ls := leaves(n)
 		serial := BuildParallel(ls, 1)
 		for _, workers := range []int{2, 3, 8, 64} {

@@ -1,16 +1,19 @@
 // Package par provides the tiny deterministic fan-out helpers shared
-// by the STARK math kernel (internal/poly, internal/fri,
-// internal/stark). The design contract mirrors the zkvm worker pool:
-// a width of 1 runs everything inline in submission order, so the
-// serial path is the degenerate case of the parallel one, and chunk
-// boundaries depend only on (n, workers) — never on scheduling — so
-// any write pattern indexed by position is deterministic and the
-// emitted bytes are identical at every width.
+// by every prover in the repo: the zkVM seal (internal/zkvm), the
+// Merkle builder (internal/merkle) and the STARK math kernel
+// (internal/poly, internal/fri, internal/stark). Width is resolved in
+// one place (Workers, from GOMAXPROCS). A width of 1 runs everything
+// inline in submission order, so the serial path is the degenerate
+// case of the parallel one, and task and chunk boundaries depend only
+// on (n, workers) — never on scheduling — so any write pattern indexed
+// by position is deterministic and the emitted bytes are identical at
+// every width.
 package par
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a parallelism knob: n <= 0 means GOMAXPROCS, and
@@ -25,35 +28,32 @@ func Workers(n int) int {
 	return n
 }
 
-// Do runs the tasks concurrently across at most workers goroutines
-// and waits for all of them. With one worker the tasks run inline in
-// submission order.
-func Do(workers int, tasks ...func()) {
-	workers = Workers(workers)
-	if workers == 1 || len(tasks) == 1 {
-		for _, t := range tasks {
-			t()
+// Each runs fn(i) for every i in [0, n) on a crew of at most workers
+// goroutines that claim indices in ascending order, and waits for all
+// of them. Claim-by-index keeps the crew busy whatever the tasks cost,
+// so uneven work balances without tuning chunk sizes; which goroutine
+// runs which index is scheduling-dependent, so fn must only write
+// state owned by its index. With one worker the indices run inline in
+// order.
+func Each(workers, n int, fn func(i int)) {
+	workers = min(Workers(workers), n)
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
 		}
 		return
 	}
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	next := make(chan func())
+	var next atomic.Int64
 	var wg sync.WaitGroup
+	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for t := range next {
-				t()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				fn(i)
 			}
 		}()
 	}
-	for _, t := range tasks {
-		next <- t
-	}
-	close(next)
 	wg.Wait()
 }
 

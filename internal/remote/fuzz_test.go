@@ -12,7 +12,7 @@ import (
 // never panic — and checks accept implies exact re-encode (the
 // framing is canonical).
 func FuzzDecodeRequest(f *testing.F) {
-	valid := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6, Segments: 2})
+	valid := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[:16])
@@ -121,7 +121,7 @@ func FuzzReadFrame(f *testing.F) {
 func TestDecodeRequestRoundTrip(t *testing.T) {
 	prog := simpleProgram()
 	input := []uint32{7, 35, 0xffffffff}
-	opts := zkvm.ProveOptions{Checks: 48, Segments: 4}
+	opts := zkvm.ProveOptions{Checks: 48}
 	gotProg, gotInput, gotOpts, err := DecodeRequest(EncodeRequest(prog, input, opts))
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestDecodeRequestRoundTrip(t *testing.T) {
 			t.Fatalf("input[%d] = %d, want %d", i, gotInput[i], input[i])
 		}
 	}
-	if gotOpts.Checks != opts.Checks || gotOpts.Segments != opts.Segments {
+	if gotOpts.Checks != opts.Checks {
 		t.Fatalf("options = %+v, want %+v", gotOpts, opts)
 	}
 }

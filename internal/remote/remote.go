@@ -27,8 +27,11 @@ import (
 	"zkflow/internal/zkvm"
 )
 
-// reqMagic versions the request framing. v1 carries (Checks,
-// Segments); v2 appends SegmentCycles for continuation proving.
+// reqMagic versions the request framing. v1 carries (Checks, a
+// reserved word); v2 appends SegmentCycles for continuation proving.
+// The reserved word held ProveOptions.Segments until that knob was
+// removed (no client ever set it): it must be zero, so the layout did
+// not move and the framing stays canonical.
 // EncodeRequest emits v1 whenever SegmentCycles is zero so upgraded
 // clients keep working against v1 workers, and the worker accepts
 // both.
@@ -50,7 +53,7 @@ func EncodeRequest(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) [
 		out = binary.LittleEndian.AppendUint32(out, reqMagic)
 	}
 	out = binary.LittleEndian.AppendUint32(out, uint32(opts.Checks))
-	out = binary.LittleEndian.AppendUint32(out, uint32(opts.Segments))
+	out = binary.LittleEndian.AppendUint32(out, 0) // reserved
 	if opts.SegmentCycles > 0 {
 		out = binary.LittleEndian.AppendUint32(out, uint32(opts.SegmentCycles))
 	}
@@ -86,7 +89,9 @@ func DecodeRequest(data []byte) (*zkvm.Program, []uint32, zkvm.ProveOptions, err
 		return nil, nil, opts, ErrBadRequest
 	}
 	opts.Checks = int(binary.LittleEndian.Uint32(data[4:]))
-	opts.Segments = int(binary.LittleEndian.Uint32(data[8:]))
+	if binary.LittleEndian.Uint32(data[8:]) != 0 {
+		return nil, nil, opts, ErrBadRequest
+	}
 	progLen := binary.LittleEndian.Uint32(data[off-4:])
 	// Length checks are done in int (64-bit): comparing in uint32 lets
 	// a huge count wrap (4*nIn overflows) and walk past the buffer.

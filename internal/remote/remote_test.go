@@ -75,7 +75,7 @@ func TestRemoteTrapSurfaces(t *testing.T) {
 func TestRequestRoundTrip(t *testing.T) {
 	prog := simpleProgram()
 	input := []uint32{1, 2, 3}
-	opts := zkvm.ProveOptions{Checks: 9, Segments: 2}
+	opts := zkvm.ProveOptions{Checks: 9}
 	p2, in2, o2, err := DecodeRequest(EncodeRequest(prog, input, opts))
 	if err != nil {
 		t.Fatal(err)
@@ -86,7 +86,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if len(in2) != 3 || in2[2] != 3 {
 		t.Fatal("input lost")
 	}
-	if o2.Checks != 9 || o2.Segments != 2 {
+	if o2.Checks != 9 {
 		t.Fatal("options lost")
 	}
 }
@@ -100,6 +100,10 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 	good := EncodeRequest(simpleProgram(), []uint32{1}, zkvm.ProveOptions{})
 	if _, _, _, err := DecodeRequest(good[:len(good)-2]); err == nil {
 		t.Fatal("truncated request accepted")
+	}
+	good[8] = 2 // the reserved word that used to carry ProveOptions.Segments
+	if _, _, _, err := DecodeRequest(good); err == nil {
+		t.Fatal("nonzero reserved word accepted: the framing is no longer canonical")
 	}
 }
 
@@ -151,13 +155,13 @@ func TestOffPathTamperStillAborts(t *testing.T) {
 
 func TestRequestRoundTripV2(t *testing.T) {
 	prog := simpleProgram()
-	opts := zkvm.ProveOptions{Checks: 9, Segments: 2, SegmentCycles: 4096}
+	opts := zkvm.ProveOptions{Checks: 9, SegmentCycles: 4096}
 	req := EncodeRequest(prog, []uint32{7}, opts)
 	_, _, o2, err := DecodeRequest(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o2.SegmentCycles != 4096 || o2.Checks != 9 || o2.Segments != 2 {
+	if o2.SegmentCycles != 4096 || o2.Checks != 9 {
 		t.Fatalf("options lost: %+v", o2)
 	}
 	// SegmentCycles == 0 emits the v1 frame so old workers still parse.

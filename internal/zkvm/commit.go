@@ -1,0 +1,266 @@
+package zkvm
+
+import (
+	"crypto/aes"
+	"crypto/cipher"
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
+	"sort"
+
+	"zkflow/internal/field"
+	"zkflow/internal/hashk"
+	"zkflow/internal/merkle"
+	"zkflow/internal/par"
+	"zkflow/internal/transcript"
+)
+
+// salter derives the per-leaf blinding salts. Each committed leaf is
+// salted so that unopened leaves reveal nothing about the trace
+// (hiding commitment under SHA-256). The salts are a prover-private
+// PRF of the leaf's position: AES-256 keyed by the 32-byte salt seed,
+// evaluated on the counter block (tree label || 0^7 || big-endian leaf
+// index) — AES-CTR, so consecutive leaves of a tree are consecutive
+// keystream blocks. To anyone without the seed the salts are
+// independent uniform strings, opened ones included; the verifier
+// only ever sees a salt as the opaque 16 bytes of an Opening.
+type salter struct{ block cipher.Block }
+
+func newSalter(seed *[32]byte) salter {
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		panic(err) // 32 bytes is an AES key length
+	}
+	return salter{block}
+}
+
+// put writes the salt of leaf index of tree label into dst[:saltBytes].
+// dst is the cipher's input and output, so it has to be heap memory
+// for the call not to allocate.
+func (s salter) put(dst []byte, label byte, index int) {
+	dst = dst[:saltBytes]
+	binary.BigEndian.PutUint64(dst, uint64(label)<<56)
+	binary.BigEndian.PutUint64(dst[8:], uint64(index))
+	s.block.Encrypt(dst, dst)
+}
+
+// deriveSalt is the salt of one leaf, for the ~k openings.
+func (s salter) deriveSalt(label byte, index int) [saltBytes]byte {
+	salt := make([]byte, saltBytes)
+	s.put(salt, label, index)
+	return [saltBytes]byte(salt)
+}
+
+// table is one committed column of a seal: n leaves, leaf i being
+// SHA-256(0x00 || salt_i || encode(i)). No payload table is ever
+// materialized — the commit encodes each row into stack scratch and
+// the ~k openings re-encode theirs; encoding is deterministic, so the
+// re-encoded bytes are exactly what was hashed into the leaf.
+type table struct {
+	salts     salter
+	label     byte // salt domain; also says which column below is set
+	n         int
+	leafBytes int
+
+	rows  []Row        // treeExec
+	mem   []MemEntry   // treeMemProg, treeMemSort
+	prods []field.Elem // treeProdProg, treeProdSort
+	img   []imagePair  // treeBoundary
+
+	builder   *merkle.Builder // while commitTables runs
+	firstTask int             // of this table's blocks in the crew's task list
+	tree      *merkle.Tree
+}
+
+func rowTable(salts salter, rows []Row) *table {
+	return &table{salts: salts, label: treeExec, n: len(rows), leafBytes: rowBytes, rows: rows}
+}
+
+func memTable(salts salter, label byte, log []MemEntry) *table {
+	return &table{salts: salts, label: label, n: len(log), leafBytes: memBytes, mem: log}
+}
+
+func prodTable(salts salter, label byte, col []field.Elem) *table {
+	return &table{salts: salts, label: label, n: len(col), leafBytes: prodBytes, prods: col}
+}
+
+func imageTable(salts salter, img []imagePair) *table {
+	return &table{salts: salts, label: treeBoundary, n: len(img), leafBytes: imgBytes, img: img}
+}
+
+// encode serialises leaf i into dst (len >= leafBytes). The calls are
+// static so that commitBlock's scratch stays on its stack.
+func (t *table) encode(i int, dst []byte) {
+	switch t.label {
+	case treeExec:
+		encodeRowInto(dst, &t.rows[i])
+	case treeMemProg, treeMemSort:
+		encodeMemEntryInto(dst, &t.mem[i])
+	case treeProdProg, treeProdSort:
+		encodeProdInto(dst, t.prods[i])
+	case treeBoundary:
+		encodeImagePairInto(dst, t.img[i])
+	}
+}
+
+// commitTables commits every table of one challenge phase on a single
+// crew of width workers. Each table is cut into the Merkle builder's
+// aligned leaf blocks and the workers claim (table, block) tasks by
+// index from one list, so a large table's blocks fill in around the
+// small ones and no worker idles while another reduces a tree alone;
+// only the levels above the block roots are hashed serially. Tasks
+// write disjoint arena ranges, so the trees are the same at any width.
+func commitTables(width int, tabs ...*table) {
+	tasks := 0
+	for _, t := range tabs {
+		t.builder = merkle.NewBuilder(t.n)
+		t.firstTask = tasks
+		tasks += t.builder.Blocks()
+	}
+	par.Each(width, tasks, func(k int) {
+		t := tabs[sort.Search(len(tabs), func(i int) bool { return tabs[i].firstTask > k })-1]
+		t.commitBlock(k - t.firstTask)
+	})
+	for _, t := range tabs {
+		t.tree, t.builder = t.builder.Finish(), nil
+	}
+}
+
+// commitBlock salts, encodes and leaf-hashes one block and reduces it
+// to its subtree root while it is still in cache. The block's salts
+// are generated in one run, parked in the arena slots their leaf
+// hashes then overwrite.
+func (t *table) commitBlock(block int) {
+	first, leaves := t.builder.Leaves(block)
+	for i := range leaves {
+		t.salts.put(leaves[i][:], t.label, first+i)
+	}
+	var buf [1 + saltBytes + maxLeafBytes]byte
+	buf[0] = hashk.LeafPrefix
+	msg := buf[:1+saltBytes+t.leafBytes]
+	for i := range leaves {
+		copy(msg[1:], leaves[i][:saltBytes])
+		t.encode(first+i, msg[1+saltBytes:])
+		leaves[i] = sha256.Sum256(msg)
+	}
+	t.builder.Reduce(block)
+}
+
+// open opens leaf idx. Indices are derived from committed lengths, so
+// one out of range is a prover bug.
+func (t *table) open(idx int) Opening {
+	proof, err := t.tree.Prove(idx)
+	if err != nil {
+		panic(fmt.Sprintf("zkvm: opening leaf %d: %v", idx, err))
+	}
+	data := make([]byte, t.leafBytes)
+	t.encode(idx, data)
+	return Opening{Index: idx, Salt: t.salts.deriveSalt(t.label, idx), Data: data, Path: proof.Path}
+}
+
+// sealTables is the committed core every seal shares: the execution
+// rows, the memory log in program and address order, and the two
+// running-product columns.
+type sealTables struct {
+	ex                                         *Execution
+	sorted                                     []MemEntry
+	exec, memProg, memSort, prodProg, prodSort *table
+}
+
+// commitTrace commits the tables of ex under salts, binding their
+// roots into s and tr and drawing the memory-check challenges between
+// the two phases. The caller has absorbed its public statement into tr
+// and releases the tables once its openings are done.
+func commitTrace(ex *Execution, salts salter, width int, obs StageObserver, tr *transcript.Transcript, s *Seal) *sealTables {
+	sortDone := stageTimer(obs, StageMemSort)
+	sorted := sortedMemLog(ex.MemLog)
+	sortDone()
+
+	c := &sealTables{ex: ex, sorted: sorted,
+		exec:    rowTable(salts, ex.Rows),
+		memProg: memTable(salts, treeMemProg, ex.MemLog),
+		memSort: memTable(salts, treeMemSort, sorted),
+	}
+	commitDone := stageTimer(obs, StageMerkleCommit)
+	commitTables(width, c.exec, c.memProg, c.memSort)
+	commitDone()
+	s.ExecRoot = c.exec.tree.Root()
+	s.MemProgRoot = c.memProg.tree.Root()
+	s.MemSortRoot = c.memSort.tree.Root()
+	tr.Append("exec-root", s.ExecRoot[:])
+	tr.Append("memprog-root", s.MemProgRoot[:])
+	tr.Append("memsort-root", s.MemSortRoot[:])
+	alpha := tr.ChallengeElem("alpha")
+	gamma := tr.ChallengeElem("gamma")
+
+	// The product columns are kept as field elements (8 bytes/row) for
+	// the openings. The two scans are independent, so they share the
+	// width; their trees then commit on one crew.
+	prodDone := stageTimer(obs, StageGrandProduct)
+	logs := [2][]MemEntry{ex.MemLog, sorted}
+	var prods [2][]field.Elem
+	par.Each(width, 2, func(i int) {
+		prods[i] = runningProducts(logs[i], alpha, gamma, max(1, width/2))
+	})
+	c.prodProg = prodTable(salts, treeProdProg, prods[0])
+	c.prodSort = prodTable(salts, treeProdSort, prods[1])
+	commitTables(width, c.prodProg, c.prodSort)
+	prodDone()
+	s.ProdProgRoot = c.prodProg.tree.Root()
+	s.ProdSortRoot = c.prodSort.tree.Root()
+	tr.Append("prodprog-root", s.ProdProgRoot[:])
+	tr.Append("prodsort-root", s.ProdSortRoot[:])
+	return c
+}
+
+// openChecks fills in the boundary openings and the exec, prod and
+// sort check families, in the exact order the verifier derives them.
+func (c *sealTables) openChecks(tr *transcript.Transcript, checks int, s *Seal) {
+	rows := c.ex.Rows
+	nRows, nMem := len(rows), len(c.sorted)
+	s.FirstRow = c.exec.open(0)
+	s.LastRow = c.exec.open(nRows - 1)
+	if nMem > 0 {
+		s.MemProgFirst = c.memProg.open(0)
+		s.MemSortFirst = c.memSort.open(0)
+		s.ProdProgFirst = c.prodProg.open(0)
+		s.ProdSortFirst = c.prodSort.open(0)
+		s.ProdProgLast = c.prodProg.open(nMem - 1)
+		s.ProdSortLast = c.prodSort.open(nMem - 1)
+	}
+	if nRows >= 2 {
+		for _, i := range tr.ChallengeIndices("exec", checks, nRows-1) {
+			chk := ExecCheck{RowI: c.exec.open(i), RowJ: c.exec.open(i + 1)}
+			for m := rows[i].MemPtr; m < rows[i+1].MemPtr; m++ {
+				chk.Mem = append(chk.Mem, c.memProg.open(int(m)))
+			}
+			s.ExecChecks = append(s.ExecChecks, chk)
+		}
+	}
+	if nMem >= 2 {
+		for _, i := range tr.ChallengeIndices("prod", checks, nMem-1) {
+			s.ProdChecks = append(s.ProdChecks, ProdCheck{
+				Entry: c.memProg.open(i + 1),
+				ProdI: c.prodProg.open(i),
+				ProdJ: c.prodProg.open(i + 1),
+			})
+		}
+		for _, i := range tr.ChallengeIndices("sort", checks, nMem-1) {
+			s.SortChecks = append(s.SortChecks, SortCheck{
+				EntryI: c.memSort.open(i),
+				EntryJ: c.memSort.open(i + 1),
+				ProdI:  c.prodSort.open(i),
+				ProdJ:  c.prodSort.open(i + 1),
+			})
+		}
+	}
+}
+
+// release recycles the scratch tables: everything a receipt keeps —
+// roots and openings — was copied out of them.
+func (c *sealTables) release() {
+	putMemSlab(c.sorted)
+	for _, t := range []*table{c.exec, c.memProg, c.memSort, c.prodProg, c.prodSort} {
+		t.tree.Release()
+	}
+}

@@ -1,0 +1,90 @@
+package zkvm
+
+import (
+	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
+	"encoding/binary"
+	"testing"
+
+	"zkflow/internal/merkle"
+)
+
+// ctrStream is the salt PRF written the textbook way: the stdlib's
+// AES-CTR keystream under the seed, starting at the counter block
+// (label || 0^7 || big-endian first).
+func ctrStream(seed *[32]byte, label byte, first uint64, blocks int) []byte {
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		panic(err)
+	}
+	iv := make([]byte, aes.BlockSize)
+	iv[0] = label
+	binary.BigEndian.PutUint64(iv[8:], first)
+	out := make([]byte, blocks*saltBytes)
+	cipher.NewCTR(block, iv).XORKeyStream(out, out)
+	return out
+}
+
+// TestSaltsAreAESCTR pins the construction: deriveSalt(label, i) — what
+// an opening carries — is block i of the AES-CTR keystream of its
+// tree, from any starting index, and the salts parked in a block's
+// leaf slots by the bulk pass are that same stream, whatever block
+// boundaries it is cut at.
+func TestSaltsAreAESCTR(t *testing.T) {
+	seed := &[32]byte{1, 2, 3, 31: 0xfe}
+	salts := newSalter(seed)
+	for _, first := range []int{0, 1, 1023, 1024, 397_546, 1<<32 - 2} {
+		want := ctrStream(seed, treeMemSort, uint64(first), 5)
+		for j := 0; j < 5; j++ {
+			got := salts.deriveSalt(treeMemSort, first+j)
+			if !bytes.Equal(got[:], want[j*saltBytes:(j+1)*saltBytes]) {
+				t.Fatalf("deriveSalt(%d) is not keystream block %d from %d", first+j, j, first)
+			}
+		}
+	}
+	// The bulk pass, over a table whose last block is partial.
+	const n = 2*1024 + 77
+	stream := ctrStream(seed, treeExec, 0, n)
+	b := merkle.NewBuilder(n)
+	for blk := 0; blk < b.Blocks(); blk++ {
+		first, leaves := b.Leaves(blk)
+		for i := range leaves {
+			salts.put(leaves[i][:], treeExec, first+i)
+			if !bytes.Equal(leaves[i][:saltBytes], stream[(first+i)*saltBytes:][:saltBytes]) {
+				t.Fatalf("bulk salt of leaf %d (block %d) is not keystream block %d", first+i, blk, first+i)
+			}
+		}
+		b.Reduce(blk)
+	}
+	b.Finish().Release()
+}
+
+// TestSaltDomains checks that no two committed leaves share a salt
+// input: salts differ across tree labels, across the derived sub-seeds
+// of a segmented run, and across indices.
+func TestSaltDomains(t *testing.T) {
+	master := [32]byte{9}
+	seen := map[[saltBytes]byte]string{}
+	note := func(salt [saltBytes]byte, what string) {
+		t.Helper()
+		if prev, dup := seen[salt]; dup {
+			t.Fatalf("salt of %s repeats that of %s", what, prev)
+		}
+		seen[salt] = what
+	}
+	seeds := map[string][32]byte{
+		"master": master,
+		"seg 0":  deriveSubSeed(&master, "seg", 0),
+		"seg 1":  deriveSubSeed(&master, "seg", 1),
+		"bnd 1":  deriveSubSeed(&master, "bnd", 1),
+	}
+	for name, seed := range seeds {
+		salts := newSalter(&seed)
+		for _, label := range []byte{treeExec, treeMemProg, treeMemSort, treeProdProg, treeProdSort, treeBoundary} {
+			for _, i := range []int{0, 1, 255, 256, 1 << 20} {
+				note(salts.deriveSalt(label, i), name)
+			}
+		}
+	}
+}

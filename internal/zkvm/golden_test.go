@@ -10,7 +10,13 @@ import (
 
 var updateGolden = flag.Bool("update", false, "regenerate golden receipt vectors")
 
-const goldenReceiptFile = "receipt_v1.bin"
+const (
+	goldenReceiptFile = "receipt_v1.bin"
+	// presaltReceiptFile is the golden vector as the prover emitted it
+	// while salts were SHA-256(seed || label || index). It is never
+	// regenerated: it stands for every receipt already in the field.
+	presaltReceiptFile = "receipt_v1_presalt.bin"
+)
 
 // goldenReceipt proves the sum program over a fixed input with a
 // fixed transcript seed, so the receipt bytes are fully deterministic
@@ -64,18 +70,41 @@ func TestGoldenReceipt(t *testing.T) {
 	// The stored vector must also stand on its own: decode it and
 	// verify it against the program, so the golden file is a valid
 	// receipt and not just stable bytes.
-	r, err := UnmarshalReceipt(want)
+	verifyStoredReceipt(t, want)
+}
+
+// TestPresaltReceiptStillVerifies makes "the salt PRF changed, the wire
+// format and the verifier did not" a test: a receipt sealed before the
+// change — whose salts the current prover would never derive — still
+// decodes, verifies and re-encodes canonically, because a salt is
+// opaque bytes to everything but the prover that drew it.
+func TestPresaltReceiptStillVerifies(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", presaltReceiptFile))
 	if err != nil {
-		t.Fatalf("golden vector does not decode: %v", err)
+		t.Fatal(err)
+	}
+	if bytes.Equal(old, goldenReceipt(t)) {
+		t.Fatal("pre-change vector equals the current golden receipt: it no longer tests anything")
+	}
+	verifyStoredReceipt(t, old)
+}
+
+// verifyStoredReceipt decodes a stored vector, verifies it against the
+// sum program and checks that re-encoding reproduces its bytes.
+func verifyStoredReceipt(t *testing.T, stored []byte) {
+	t.Helper()
+	r, err := UnmarshalReceipt(stored)
+	if err != nil {
+		t.Fatalf("stored vector does not decode: %v", err)
 	}
 	if err := Verify(sumProgram(), r, VerifyOptions{}); err != nil {
-		t.Fatalf("golden vector does not verify: %v", err)
+		t.Fatalf("stored vector does not verify: %v", err)
 	}
 	reenc, err := r.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(reenc, want) {
-		t.Fatal("golden vector is not canonical: decode+re-encode changed bytes")
+	if !bytes.Equal(reenc, stored) {
+		t.Fatal("stored vector is not canonical: decode+re-encode changed bytes")
 	}
 }

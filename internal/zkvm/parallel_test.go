@@ -55,8 +55,7 @@ func TestParallelProveDeterminism(t *testing.T) {
 	ex := parallelTestExecution(t, 96)
 	seed := [32]byte{7: 1, 13: 0xee, 31: 9}
 
-	serialOpts := ProveOptions{Checks: 12, Segments: 1, Parallelism: 1}
-	serial, err := proveExecutionSeeded(ex, serialOpts, &seed)
+	serial, err := proveExecutionSeeded(ex, ProveOptions{Checks: 12, Parallelism: 1}, &seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,9 +63,8 @@ func TestParallelProveDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 3, 4, 8, 32} {
-		opts := ProveOptions{Checks: 12, Segments: par, Parallelism: par}
-		r, err := proveExecutionSeeded(ex, opts, &seed)
+	for _, par := range []int{2, 3, 4, 7, 32} {
+		r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 12, Parallelism: par}, &seed)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -84,7 +82,7 @@ func TestParallelProveDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelProveVerifies proves with default (NumCPU) parallelism
+// TestParallelProveVerifies proves with default (GOMAXPROCS) parallelism
 // through the public API and checks the receipt.
 func TestParallelProveVerifies(t *testing.T) {
 	ex := parallelTestExecution(t, 64)
@@ -111,36 +109,12 @@ func TestRunningProductsParallelScan(t *testing.T) {
 		}
 	}
 	alpha, gamma := field.New(12345), field.New(987654321)
-	want := runningProducts(log, alpha, gamma, newWorkerPool(1))
+	want := runningProducts(log, alpha, gamma, 1)
 	for _, w := range []int{2, 3, 5, 16, 1024} {
-		got := runningProducts(log, alpha, gamma, newWorkerPool(w))
+		got := runningProducts(log, alpha, gamma, w)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("workers %d: product[%d] = %v, want %v", w, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestWorkerPoolChunking checks forChunks covers [0,n) exactly once
-// regardless of width.
-func TestWorkerPoolChunking(t *testing.T) {
-	for _, n := range []int{0, 1, 7, 64, 1000} {
-		for _, w := range []int{1, 2, 3, 8, 200} {
-			seen := make([]int32, n)
-			var mu chan struct{} = make(chan struct{}, 1)
-			mu <- struct{}{}
-			newWorkerPool(w).forChunks(n, func(lo, hi int) {
-				<-mu
-				for i := lo; i < hi; i++ {
-					seen[i]++
-				}
-				mu <- struct{}{}
-			})
-			for i, c := range seen {
-				if c != 1 {
-					t.Fatalf("n=%d w=%d: index %d covered %d times", n, w, i, c)
-				}
 			}
 		}
 	}

@@ -4,8 +4,7 @@ import (
 	"crypto/rand"
 	"fmt"
 
-	"zkflow/internal/field"
-	"zkflow/internal/merkle"
+	"zkflow/internal/par"
 	"zkflow/internal/transcript"
 )
 
@@ -18,16 +17,14 @@ const DefaultChecks = 48
 type ProveOptions struct {
 	// Checks is the sampled-check count per family (default DefaultChecks).
 	Checks int
-	// Segments is the parallel commitment fan-out (default GOMAXPROCS).
-	Segments int
-	// Parallelism bounds the prover's worker pool: the committed
+	// Parallelism is the width of the prover's crew: the committed
 	// tables (execution-trace rows, the two memory-log orderings —
 	// which include the hash-precompile's memory rows — and the two
-	// running-product columns) are encoded and committed concurrently,
-	// and Merkle levels are built with a chunked fan-out. 0 means
-	// runtime.NumCPU(); 1 forces the fully serial path. Every width
-	// produces byte-identical receipts (asserted by
-	// TestParallelProveDeterminism).
+	// running-product columns) are cut into leaf blocks that the crew
+	// salts, encodes, hashes and reduces, and segments of a segmented
+	// run are sealed side by side. 0 means GOMAXPROCS; 1 is the fully
+	// serial path. Every width produces byte-identical receipts
+	// (asserted by TestParallelProveDeterminism).
 	Parallelism int
 	// SegmentCycles, when positive, enables continuation-style
 	// segmented proving (ProveSegmented / ProveAny): the execution is
@@ -92,192 +89,37 @@ func ProveExecution(ex *Execution, opts ProveOptions) (*Receipt, error) {
 	return proveExecutionSeeded(ex, opts, &seed)
 }
 
+// checks resolves the sampled-check count per family.
+func (o ProveOptions) checks() int {
+	if o.Checks <= 0 {
+		return DefaultChecks
+	}
+	return o.Checks
+}
+
 // proveExecutionSeeded is the deterministic core of ProveExecution:
 // given the same execution, options, and salt seed it emits the same
 // receipt byte-for-byte at any Parallelism — all concurrency below is
 // index-partitioned over committed tables, never order-dependent.
 func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Receipt, error) {
-	checks := opts.Checks
-	if checks <= 0 {
-		checks = DefaultChecks
-	}
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = defaultSegments()
-	}
-	pool := newWorkerPool(opts.Parallelism)
-
-	nRows := len(ex.Rows)
-	if nRows == 0 {
+	if len(ex.Rows) == 0 {
 		return nil, fmt.Errorf("zkvm: empty execution trace")
 	}
-	nMem := len(ex.MemLog)
-
-	// Address-order the memory log up front so the sort cost is
-	// attributed to its own stage and the three encode tasks below are
-	// symmetric.
-	sortDone := stageTimer(opts.Observer, StageMemSort)
-	sorted := sortedMemLog(ex.MemLog)
-	sortDone()
-
-	// Phase 1 commitments (before the memory challenges): three
-	// independent trees, committed concurrently. Encoding is fused into
-	// the commit — commitStream serialises each row into per-goroutine
-	// scratch and hashes it straight into the salted leaf, so no
-	// payload table is ever materialized; openings below re-encode
-	// their rows on demand.
-	var execTree, memProgTree, memSortTree *merkle.Tree
-	commitDone := stageTimer(opts.Observer, StageMerkleCommit)
-	com := pool.split(3)
-	pool.do(
-		func() {
-			execTree = commitStream(seed, treeExec, nRows, rowBytes, segments, com,
-				func(i int, dst []byte) { encodeRowInto(dst, &ex.Rows[i]) })
-		},
-		func() {
-			memProgTree = commitStream(seed, treeMemProg, nMem, memBytes, segments, com,
-				func(i int, dst []byte) { encodeMemEntryInto(dst, &ex.MemLog[i]) })
-		},
-		func() {
-			memSortTree = commitStream(seed, treeMemSort, nMem, memBytes, segments, com,
-				func(i int, dst []byte) { encodeMemEntryInto(dst, &sorted[i]) })
-		},
-	)
-	commitDone()
-
 	receipt := &Receipt{
 		ImageID:  ex.Program.ID(),
 		ExitCode: ex.ExitCode,
 		Journal:  append([]uint32(nil), ex.Journal...),
 	}
 	s := &receipt.Seal
-	s.NumRows = uint32(nRows)
-	s.NumMem = uint32(nMem)
-	s.ExecRoot = execTree.Root()
-	s.MemProgRoot = memProgTree.Root()
-	s.MemSortRoot = memSortTree.Root()
-
+	s.NumRows = uint32(len(ex.Rows))
+	s.NumMem = uint32(len(ex.MemLog))
 	tr := transcript.New("zkvm-seal-v1")
 	absorbPublic(tr, receipt)
-	tr.Append("exec-root", s.ExecRoot[:])
-	tr.Append("memprog-root", s.MemProgRoot[:])
-	tr.Append("memsort-root", s.MemSortRoot[:])
-	alpha := tr.ChallengeElem("alpha")
-	gamma := tr.ChallengeElem("gamma")
+	tabs := commitTrace(ex, newSalter(seed), par.Workers(opts.Parallelism), opts.Observer, tr, s)
 
-	// Phase 2: running products under (alpha, gamma). The two product
-	// columns are independent; each is scanned (parallel prefix
-	// product) and committed on half the pool. The field-element
-	// columns are kept (8 bytes/row) for the openings; the encoded
-	// leaf payloads are not.
-	var prodProg, prodSort []field.Elem
-	var prodProgTree, prodSortTree *merkle.Tree
-	prodDone := stageTimer(opts.Observer, StageGrandProduct)
-	p2 := pool.split(2)
-	pool.do(
-		func() {
-			prodProg = runningProducts(ex.MemLog, alpha, gamma, p2)
-			prodProgTree = commitStream(seed, treeProdProg, nMem, prodBytes, segments, p2,
-				func(i int, dst []byte) { encodeProdInto(dst, prodProg[i]) })
-		},
-		func() {
-			prodSort = runningProducts(sorted, alpha, gamma, p2)
-			prodSortTree = commitStream(seed, treeProdSort, nMem, prodBytes, segments, p2,
-				func(i int, dst []byte) { encodeProdInto(dst, prodSort[i]) })
-		},
-	)
-	prodDone()
-	s.ProdProgRoot = prodProgTree.Root()
-	s.ProdSortRoot = prodSortTree.Root()
-	tr.Append("prodprog-root", s.ProdProgRoot[:])
-	tr.Append("prodsort-root", s.ProdSortRoot[:])
-
-	sealDone := stageTimer(opts.Observer, StageSeal)
-	defer sealDone()
-
-	// Openings re-encode their rows on demand: the commit streamed the
-	// payloads through scratch buffers, so only the ~k opened rows ever
-	// get a heap payload. Encoding is deterministic, so the re-encoded
-	// bytes are exactly what was hashed into the committed leaf.
-	encRow := func(i int) []byte { return encodeRow(&ex.Rows[i]) }
-	encMemProg := func(i int) []byte { return encodeMemEntry(&ex.MemLog[i]) }
-	encMemSort := func(i int) []byte { return encodeMemEntry(&sorted[i]) }
-	encProdProg := func(i int) []byte { return encodeProd(prodProg[i]) }
-	encProdSort := func(i int) []byte { return encodeProd(prodSort[i]) }
-
-	open := func(t *merkle.Tree, label byte, enc func(int) []byte, idx int) (Opening, error) {
-		proof, err := t.Prove(idx)
-		if err != nil {
-			return Opening{}, fmt.Errorf("zkvm: opening leaf %d: %w", idx, err)
-		}
-		return Opening{
-			Index: idx,
-			Salt:  deriveSalt(seed, label, idx),
-			Data:  enc(idx),
-			Path:  proof.Path,
-		}, nil
-	}
-	mustOpen := func(t *merkle.Tree, label byte, enc func(int) []byte, idx int) Opening {
-		o, err := open(t, label, enc, idx)
-		if err != nil {
-			panic(err) // indices are derived from committed lengths
-		}
-		return o
-	}
-
-	// Boundary openings.
-	s.FirstRow = mustOpen(execTree, treeExec, encRow, 0)
-	s.LastRow = mustOpen(execTree, treeExec, encRow, nRows-1)
-	if nMem > 0 {
-		s.MemProgFirst = mustOpen(memProgTree, treeMemProg, encMemProg, 0)
-		s.MemSortFirst = mustOpen(memSortTree, treeMemSort, encMemSort, 0)
-		s.ProdProgFirst = mustOpen(prodProgTree, treeProdProg, encProdProg, 0)
-		s.ProdSortFirst = mustOpen(prodSortTree, treeProdSort, encProdSort, 0)
-		s.ProdProgLast = mustOpen(prodProgTree, treeProdProg, encProdProg, nMem-1)
-		s.ProdSortLast = mustOpen(prodSortTree, treeProdSort, encProdSort, nMem-1)
-	}
-
-	// Sampled checks, in the exact order the verifier will derive.
-	if nRows >= 2 {
-		for _, i := range tr.ChallengeIndices("exec", checks, nRows-1) {
-			c := ExecCheck{
-				RowI: mustOpen(execTree, treeExec, encRow, i),
-				RowJ: mustOpen(execTree, treeExec, encRow, i+1),
-			}
-			lo := ex.Rows[i].MemPtr
-			hi := ex.Rows[i+1].MemPtr
-			for m := lo; m < hi; m++ {
-				c.Mem = append(c.Mem, mustOpen(memProgTree, treeMemProg, encMemProg, int(m)))
-			}
-			s.ExecChecks = append(s.ExecChecks, c)
-		}
-	}
-	if nMem >= 2 {
-		for _, i := range tr.ChallengeIndices("prod", checks, nMem-1) {
-			s.ProdChecks = append(s.ProdChecks, ProdCheck{
-				Entry: mustOpen(memProgTree, treeMemProg, encMemProg, i+1),
-				ProdI: mustOpen(prodProgTree, treeProdProg, encProdProg, i),
-				ProdJ: mustOpen(prodProgTree, treeProdProg, encProdProg, i+1),
-			})
-		}
-		for _, i := range tr.ChallengeIndices("sort", checks, nMem-1) {
-			s.SortChecks = append(s.SortChecks, SortCheck{
-				EntryI: mustOpen(memSortTree, treeMemSort, encMemSort, i),
-				EntryJ: mustOpen(memSortTree, treeMemSort, encMemSort, i+1),
-				ProdI:  mustOpen(prodSortTree, treeProdSort, encProdSort, i),
-				ProdJ:  mustOpen(prodSortTree, treeProdSort, encProdSort, i+1),
-			})
-		}
-	}
-
-	// Everything below the roots and openings is copied into the
-	// receipt, so the scratch tables can be recycled for the next proof.
-	putMemSlab(sorted)
-	execTree.Release()
-	memProgTree.Release()
-	memSortTree.Release()
-	prodProgTree.Release()
-	prodSortTree.Release()
+	defer stageTimer(opts.Observer, StageSeal)()
+	tabs.openChecks(tr, opts.checks(), s)
+	tabs.release()
 	return receipt, nil
 }
 

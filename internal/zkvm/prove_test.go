@@ -318,15 +318,15 @@ func TestSaltsHideUnopenedRows(t *testing.T) {
 	}
 }
 
-func TestSegmentedProvingMatches(t *testing.T) {
+func TestProveVerifiesAtEveryWidth(t *testing.T) {
 	prog := sumProgram()
-	for _, segs := range []int{1, 2, 4, 8} {
-		r, err := Prove(prog, sumInput(32), ProveOptions{Checks: 4, Segments: segs})
+	for _, width := range []int{1, 2, 4, 8} {
+		r, err := Prove(prog, sumInput(32), ProveOptions{Checks: 4, Parallelism: width})
 		if err != nil {
-			t.Fatalf("segments=%d: %v", segs, err)
+			t.Fatalf("parallelism=%d: %v", width, err)
 		}
 		if err := Verify(prog, r, VerifyOptions{}); err != nil {
-			t.Fatalf("segments=%d verify: %v", segs, err)
+			t.Fatalf("parallelism=%d verify: %v", width, err)
 		}
 	}
 }

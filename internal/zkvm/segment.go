@@ -115,12 +115,6 @@ func encodeImagePairInto(b []byte, p imagePair) {
 	binary.LittleEndian.PutUint32(b[4:], p.Val)
 }
 
-func encodeImagePair(p imagePair) []byte {
-	b := make([]byte, imgBytes)
-	encodeImagePairInto(b, p)
-	return b
-}
-
 func decodeImagePair(b []byte) (imagePair, error) {
 	var p imagePair
 	if len(b) != imgBytes {

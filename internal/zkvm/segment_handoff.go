@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sync"
 
-	"zkflow/internal/merkle"
+	"zkflow/internal/par"
 )
 
 // This file is the distributed-proving surface of the zkVM: everything
@@ -84,9 +84,12 @@ type SegmentRun struct {
 	opts ProveOptions
 	seed [32]byte
 
-	segs     []*segmentExecution
-	bndSeeds [][32]byte
-	bndTrees []*merkle.Tree
+	segs []*segmentExecution
+	// bnd[k] commits boundary image k — segs[k]'s entry image, which is
+	// segs[k-1]'s exit image — under its own sub-seed; both adjacent
+	// segment proofs open leaves of the same tree. The run's two ends
+	// have no image: bnd[0] and bnd[len(segs)] stay nil.
+	bnd []*table
 
 	releaseOnce sync.Once
 }
@@ -120,21 +123,15 @@ func NewSegmentRun(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 	}
 
 	r := &SegmentRun{prog: prog, opts: opts, seed: seed, segs: segs}
-	pool := newWorkerPool(opts.Parallelism)
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = defaultSegments()
-	}
 	bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
-	r.bndSeeds = make([][32]byte, len(segs))
-	r.bndTrees = make([]*merkle.Tree, len(segs))
+	r.bnd = make([]*table, len(segs)+1)
 	for k := 1; k < len(segs); k++ {
-		img := segs[k].entryImg
-		r.bndSeeds[k] = deriveSubSeed(&seed, "bnd", k)
-		bs := &r.bndSeeds[k]
-		r.bndTrees[k] = commitStream(bs, treeBoundary, len(img), imgBytes, segments, pool,
-			func(i int, dst []byte) { encodeImagePairInto(dst, img[i]) })
-		root := r.bndTrees[k].Root()
+		sub := deriveSubSeed(&seed, "bnd", k)
+		r.bnd[k] = imageTable(newSalter(&sub), segs[k].entryImg)
+	}
+	commitTables(par.Workers(opts.Parallelism), r.bnd[1:len(segs)]...)
+	for k := 1; k < len(segs); k++ {
+		root := r.bnd[k].tree.Root()
 		segs[k].entry.MemRoot = root
 		segs[k-1].exit.MemRoot = root
 	}
@@ -153,26 +150,21 @@ func (r *SegmentRun) ProveSegment(index int) (*SegmentReceipt, error) {
 	if index < 0 || index >= len(r.segs) {
 		return nil, fmt.Errorf("zkvm: segment index %d out of range [0,%d)", index, len(r.segs))
 	}
+	return r.proveSegment(index, par.Workers(r.opts.Parallelism))
+}
+
+// proveSegment seals segment index on a crew of width workers.
+func (r *SegmentRun) proveSegment(index, width int) (*SegmentReceipt, error) {
 	segSeed := deriveSubSeed(&r.seed, "seg", index)
-	var entrySeed, exitSeed *[32]byte
-	var entryTree, exitTree *merkle.Tree
-	if index > 0 {
-		entrySeed, entryTree = &r.bndSeeds[index], r.bndTrees[index]
-	}
-	if index+1 < len(r.segs) {
-		exitSeed, exitTree = &r.bndSeeds[index+1], r.bndTrees[index+1]
-	}
-	pool := newWorkerPool(r.opts.Parallelism)
-	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed,
-		entrySeed, entryTree, exitSeed, exitTree, pool)
+	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed, r.bnd[index], r.bnd[index+1], width)
 }
 
 // Release returns the run's trace slabs and boundary trees to their
 // pools. Idempotent; the run must not be used afterwards.
 func (r *SegmentRun) Release() {
 	r.releaseOnce.Do(func() {
-		for k := 1; k < len(r.bndTrees); k++ {
-			r.bndTrees[k].Release()
+		for _, b := range r.bnd[1:len(r.segs)] {
+			b.tree.Release()
 		}
 		for _, s := range r.segs {
 			putRowSlab(s.ex.Rows)

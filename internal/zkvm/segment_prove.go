@@ -4,13 +4,9 @@ import (
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
-	"zkflow/internal/field"
-	"zkflow/internal/merkle"
+	"zkflow/internal/par"
 	"zkflow/internal/transcript"
 )
 
@@ -52,101 +48,23 @@ func ProveAny(prog *Program, input []uint32, opts ProveOptions) (AnyReceipt, err
 	return Prove(prog, input, opts)
 }
 
-// proveSegmentedSeeded is the deterministic core of ProveSegmented.
+// proveSegmentedSeeded is the deterministic core of ProveSegmented: a
+// SegmentRun whose segments are sealed side by side. A crew claims
+// them by index, each sealed under its own derived sub-seed with an
+// even share of the width, so receipt bytes never depend on widths or
+// scheduling (asserted by the determinism tests).
 func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed *[32]byte) (*CompositeReceipt, error) {
-	execDone := stageTimer(opts.Observer, StageExecute)
-	segs, err := executeSegmented(prog, input, ExecOptions{MaxSteps: opts.MaxSteps}, opts.SegmentCycles)
-	execDone()
+	run, err := NewSegmentRun(prog, input, opts, *seed)
 	if err != nil {
 		return nil, err
 	}
-	releaseSegs := func() {
-		for _, s := range segs {
-			putRowSlab(s.ex.Rows)
-			putMemSlab(s.ex.MemLog)
-			s.ex.Rows, s.ex.MemLog = nil, nil
-		}
-	}
-	last := segs[len(segs)-1]
-	if last.ex.ExitCode != 0 && !opts.AllowNonZeroExit {
-		journal := make([]uint32, 0)
-		for _, s := range segs {
-			journal = append(journal, s.ex.Journal...)
-		}
-		releaseSegs()
-		return nil, &GuestAbortError{ExitCode: last.ex.ExitCode, Journal: journal}
-	}
-
-	parallelism := opts.Parallelism
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	pool := newWorkerPool(parallelism)
-
-	// Boundary-image trees: boundary k is segment k's entry image ==
-	// segment k-1's exit image; both adjacent segment proofs open
-	// leaves of the same tree under the same boundary sub-seed.
-	bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
-	bndSeeds := make([][32]byte, len(segs))
-	bndTrees := make([]*merkle.Tree, len(segs)) // bndTrees[k] commits segs[k].entryImg
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = defaultSegments()
-	}
-	for k := 1; k < len(segs); k++ {
-		img := segs[k].entryImg
-		bndSeeds[k] = deriveSubSeed(seed, "bnd", k)
-		bs := &bndSeeds[k]
-		bndTrees[k] = commitStream(bs, treeBoundary, len(img), imgBytes, segments, pool,
-			func(i int, dst []byte) { encodeImagePairInto(dst, img[i]) })
-		root := bndTrees[k].Root()
-		segs[k].entry.MemRoot = root
-		segs[k-1].exit.MemRoot = root
-	}
-	bndDone()
-
-	// Prove segments concurrently: a bounded crew of claim-by-index
-	// workers, each segment sealed under its own derived sub-seed with
-	// an even share of the pool. Receipt bytes never depend on worker
-	// widths or scheduling (asserted by the determinism tests).
-	inner := pool.split(len(segs))
-	receipts := make([]*SegmentReceipt, len(segs))
-	errs := make([]error, len(segs))
-	var next atomic.Int64
-	next.Store(-1)
-	crew := parallelism
-	if crew > len(segs) {
-		crew = len(segs)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < crew; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(segs) {
-					return
-				}
-				segSeed := deriveSubSeed(seed, "seg", i)
-				var entrySeed, exitSeed *[32]byte
-				var entryTree, exitTree *merkle.Tree
-				if i > 0 {
-					entrySeed, entryTree = &bndSeeds[i], bndTrees[i]
-				}
-				if i+1 < len(segs) {
-					exitSeed, exitTree = &bndSeeds[i+1], bndTrees[i+1]
-				}
-				receipts[i], errs[i] = proveSegmentSeeded(segs[i], opts, &segSeed,
-					entrySeed, entryTree, exitSeed, exitTree, inner)
-			}
-		}()
-	}
-	wg.Wait()
-	for k := 1; k < len(bndTrees); k++ {
-		bndTrees[k].Release()
-	}
-	releaseSegs()
+	defer run.Release()
+	n, width := run.Segments(), par.Workers(opts.Parallelism)
+	receipts := make([]*SegmentReceipt, n)
+	errs := make([]error, n)
+	par.Each(width, n, func(i int) {
+		receipts[i], errs[i] = run.proveSegment(i, max(1, width/n))
+	})
 	for _, e := range errs {
 		if e != nil {
 			return nil, e
@@ -158,50 +76,13 @@ func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed
 // proveSegmentSeeded seals one segment. It is proveExecutionSeeded
 // with the continuation deltas: a "zkvm-seg-v1" transcript that binds
 // the entry/exit states, and the import/exit/cover sampled-check
-// families over the shared boundary-image trees.
-func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte,
-	entrySeed *[32]byte, entryTree *merkle.Tree,
-	exitSeed *[32]byte, exitTree *merkle.Tree,
-	pool *workerPool) (*SegmentReceipt, error) {
-
+// families over the shared boundary-image tables (entry is nil for the
+// first segment, exit for the final one).
+func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte, entry, exit *table, width int) (*SegmentReceipt, error) {
 	ex := seg.ex
-	checks := opts.Checks
-	if checks <= 0 {
-		checks = DefaultChecks
-	}
-	segments := opts.Segments
-	if segments <= 0 {
-		segments = defaultSegments()
-	}
-	nRows := len(ex.Rows)
-	if nRows == 0 {
+	if len(ex.Rows) == 0 {
 		return nil, fmt.Errorf("zkvm: empty segment trace")
 	}
-	nMem := len(ex.MemLog)
-
-	sortDone := stageTimer(opts.Observer, StageMemSort)
-	sorted := sortedMemLog(ex.MemLog)
-	sortDone()
-
-	var execTree, memProgTree, memSortTree *merkle.Tree
-	commitDone := stageTimer(opts.Observer, StageMerkleCommit)
-	com := pool.split(3)
-	pool.do(
-		func() {
-			execTree = commitStream(seed, treeExec, nRows, rowBytes, segments, com,
-				func(i int, dst []byte) { encodeRowInto(dst, &ex.Rows[i]) })
-		},
-		func() {
-			memProgTree = commitStream(seed, treeMemProg, nMem, memBytes, segments, com,
-				func(i int, dst []byte) { encodeMemEntryInto(dst, &ex.MemLog[i]) })
-		},
-		func() {
-			memSortTree = commitStream(seed, treeMemSort, nMem, memBytes, segments, com,
-				func(i int, dst []byte) { encodeMemEntryInto(dst, &sorted[i]) })
-		},
-	)
-	commitDone()
-
 	sr := &SegmentReceipt{
 		ImageID:  ex.Program.ID(),
 		Index:    uint32(seg.index),
@@ -212,138 +93,42 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 		Exit:     seg.exit,
 	}
 	s := &sr.Seal
-	s.NumRows = uint32(nRows)
-	s.NumMem = uint32(nMem)
-	s.ExecRoot = execTree.Root()
-	s.MemProgRoot = memProgTree.Root()
-	s.MemSortRoot = memSortTree.Root()
-
+	s.NumRows = uint32(len(ex.Rows))
+	s.NumMem = uint32(len(ex.MemLog))
 	tr := transcript.New("zkvm-seg-v1")
 	absorbSegmentPublic(tr, sr)
-	tr.Append("exec-root", s.ExecRoot[:])
-	tr.Append("memprog-root", s.MemProgRoot[:])
-	tr.Append("memsort-root", s.MemSortRoot[:])
-	alpha := tr.ChallengeElem("alpha")
-	gamma := tr.ChallengeElem("gamma")
+	tabs := commitTrace(ex, newSalter(seed), width, opts.Observer, tr, s)
 
-	var prodProg, prodSort []field.Elem
-	var prodProgTree, prodSortTree *merkle.Tree
-	prodDone := stageTimer(opts.Observer, StageGrandProduct)
-	p2 := pool.split(2)
-	pool.do(
-		func() {
-			prodProg = runningProducts(ex.MemLog, alpha, gamma, p2)
-			prodProgTree = commitStream(seed, treeProdProg, nMem, prodBytes, segments, p2,
-				func(i int, dst []byte) { encodeProdInto(dst, prodProg[i]) })
-		},
-		func() {
-			prodSort = runningProducts(sorted, alpha, gamma, p2)
-			prodSortTree = commitStream(seed, treeProdSort, nMem, prodBytes, segments, p2,
-				func(i int, dst []byte) { encodeProdInto(dst, prodSort[i]) })
-		},
-	)
-	prodDone()
-	s.ProdProgRoot = prodProgTree.Root()
-	s.ProdSortRoot = prodSortTree.Root()
-	tr.Append("prodprog-root", s.ProdProgRoot[:])
-	tr.Append("prodsort-root", s.ProdSortRoot[:])
-
-	sealDone := stageTimer(opts.Observer, StageSeal)
-	defer sealDone()
-
-	encRow := func(i int) []byte { return encodeRow(&ex.Rows[i]) }
-	encMemProg := func(i int) []byte { return encodeMemEntry(&ex.MemLog[i]) }
-	encMemSort := func(i int) []byte { return encodeMemEntry(&sorted[i]) }
-	encProdProg := func(i int) []byte { return encodeProd(prodProg[i]) }
-	encProdSort := func(i int) []byte { return encodeProd(prodSort[i]) }
-
-	mustOpen := func(t *merkle.Tree, sd *[32]byte, label byte, enc func(int) []byte, idx int) Opening {
-		proof, err := t.Prove(idx)
-		if err != nil {
-			panic(fmt.Sprintf("zkvm: opening leaf %d: %v", idx, err))
-		}
-		return Opening{
-			Index: idx,
-			Salt:  deriveSalt(sd, label, idx),
-			Data:  enc(idx),
-			Path:  proof.Path,
-		}
-	}
-	open := func(t *merkle.Tree, label byte, enc func(int) []byte, idx int) Opening {
-		return mustOpen(t, seed, label, enc, idx)
-	}
-
-	s.FirstRow = open(execTree, treeExec, encRow, 0)
-	s.LastRow = open(execTree, treeExec, encRow, nRows-1)
-	if nMem > 0 {
-		s.MemProgFirst = open(memProgTree, treeMemProg, encMemProg, 0)
-		s.MemSortFirst = open(memSortTree, treeMemSort, encMemSort, 0)
-		s.ProdProgFirst = open(prodProgTree, treeProdProg, encProdProg, 0)
-		s.ProdSortFirst = open(prodSortTree, treeProdSort, encProdSort, 0)
-		s.ProdProgLast = open(prodProgTree, treeProdProg, encProdProg, nMem-1)
-		s.ProdSortLast = open(prodSortTree, treeProdSort, encProdSort, nMem-1)
-	}
-
-	// Sampled checks, in the exact family order the verifier derives.
-	if nRows >= 2 {
-		for _, i := range tr.ChallengeIndices("exec", checks, nRows-1) {
-			c := ExecCheck{
-				RowI: open(execTree, treeExec, encRow, i),
-				RowJ: open(execTree, treeExec, encRow, i+1),
-			}
-			lo := ex.Rows[i].MemPtr
-			hi := ex.Rows[i+1].MemPtr
-			for m := lo; m < hi; m++ {
-				c.Mem = append(c.Mem, open(memProgTree, treeMemProg, encMemProg, int(m)))
-			}
-			s.ExecChecks = append(s.ExecChecks, c)
-		}
-	}
-	if nMem >= 2 {
-		for _, i := range tr.ChallengeIndices("prod", checks, nMem-1) {
-			s.ProdChecks = append(s.ProdChecks, ProdCheck{
-				Entry: open(memProgTree, treeMemProg, encMemProg, i+1),
-				ProdI: open(prodProgTree, treeProdProg, encProdProg, i),
-				ProdJ: open(prodProgTree, treeProdProg, encProdProg, i+1),
-			})
-		}
-		for _, i := range tr.ChallengeIndices("sort", checks, nMem-1) {
-			s.SortChecks = append(s.SortChecks, SortCheck{
-				EntryI: open(memSortTree, treeMemSort, encMemSort, i),
-				EntryJ: open(memSortTree, treeMemSort, encMemSort, i+1),
-				ProdI:  open(prodSortTree, treeProdSort, encProdSort, i),
-				ProdJ:  open(prodSortTree, treeProdSort, encProdSort, i+1),
-			})
-		}
-	}
+	defer stageTimer(opts.Observer, StageSeal)()
+	checks := opts.checks()
+	tabs.openChecks(tr, checks, s)
+	sorted, nMem := tabs.sorted, len(tabs.sorted)
 
 	// Continuation families. Import: entry-image pair i materialised as
 	// the i-th program-order log entry.
 	if sr.Entry.MemLen > 0 {
-		encImg := func(i int) []byte { return encodeImagePair(seg.entryImg[i]) }
 		for _, i := range tr.ChallengeIndices("import", checks, int(sr.Entry.MemLen)) {
 			sr.ImportChecks = append(sr.ImportChecks, ImportCheck{
-				MemProg: open(memProgTree, treeMemProg, encMemProg, i),
-				Img:     mustOpen(entryTree, entrySeed, treeBoundary, encImg, i),
+				MemProg: tabs.memProg.open(i),
+				Img:     entry.open(i),
 			})
 		}
 	}
 	// Exit: every exit-image pair is the last sorted-log access of its
 	// address with the same (nonzero) value.
 	if !seg.final && sr.Exit.MemLen > 0 {
-		encImg := func(i int) []byte { return encodeImagePair(seg.exitImg[i]) }
 		for _, j := range tr.ChallengeIndices("exit", checks, int(sr.Exit.MemLen)) {
 			addr := seg.exitImg[j].Addr
 			// Last sorted position with this address.
 			p := sort.Search(len(sorted), func(i int) bool { return sorted[i].Addr > addr }) - 1
 			ec := ExitCheck{
-				Img:   mustOpen(exitTree, exitSeed, treeBoundary, encImg, j),
+				Img:   exit.open(j),
 				Pos:   uint32(p),
-				SortP: open(memSortTree, treeMemSort, encMemSort, p),
+				SortP: tabs.memSort.open(p),
 			}
 			if p+1 < nMem {
 				ec.HasP1 = true
-				ec.SortP1 = open(memSortTree, treeMemSort, encMemSort, p+1)
+				ec.SortP1 = tabs.memSort.open(p + 1)
 			}
 			sr.ExitChecks = append(sr.ExitChecks, ec)
 		}
@@ -351,13 +136,12 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	// Cover: every last access that leaves a nonzero value appears in
 	// the exit image.
 	if !seg.final && nMem > 0 {
-		encImg := func(i int) []byte { return encodeImagePair(seg.exitImg[i]) }
 		for _, i := range tr.ChallengeIndices("cover", checks, nMem) {
-			cc := CoverCheck{EntryI: open(memSortTree, treeMemSort, encMemSort, i)}
+			cc := CoverCheck{EntryI: tabs.memSort.open(i)}
 			isLast := i+1 == nMem
 			if !isLast {
 				cc.HasJ = true
-				cc.EntryJ = open(memSortTree, treeMemSort, encMemSort, i+1)
+				cc.EntryJ = tabs.memSort.open(i + 1)
 				isLast = sorted[i+1].Addr != sorted[i].Addr
 			}
 			if isLast && sorted[i].Val != 0 {
@@ -365,18 +149,12 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 				j := sort.Search(len(seg.exitImg), func(k int) bool { return seg.exitImg[k].Addr >= addr })
 				cc.HasImg = true
 				cc.ExitIdx = uint32(j)
-				cc.Img = mustOpen(exitTree, exitSeed, treeBoundary, encImg, j)
+				cc.Img = exit.open(j)
 			}
 			sr.CoverChecks = append(sr.CoverChecks, cc)
 		}
 	}
-
-	putMemSlab(sorted)
-	execTree.Release()
-	memProgTree.Release()
-	memSortTree.Release()
-	prodProgTree.Release()
-	prodSortTree.Release()
+	tabs.release()
 	return sr, nil
 }
 

@@ -154,7 +154,7 @@ func TestSegmentedDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want []byte
-			for _, par := range []int{1, 4} {
+			for _, par := range []int{1, 2, 3, 4, 7} {
 				r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 8, Parallelism: par}, &segTestSeed)
 				if err != nil {
 					t.Fatal(err)
@@ -174,7 +174,7 @@ func TestSegmentedDeterminism(t *testing.T) {
 		}
 		var want []byte
 		var wantSegs int
-		for _, par := range []int{1, 4} {
+		for _, par := range []int{1, 2, 3, 4, 7} {
 			c := mustComposite(t, prog, input,
 				ProveOptions{Checks: 8, SegmentCycles: segCycles, Parallelism: par})
 			got, err := c.MarshalBinary()

@@ -1,17 +1,13 @@
 package zkvm
 
 import (
-	"cmp"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"runtime"
-	"slices"
-	"sync"
 
 	"zkflow/internal/field"
 	"zkflow/internal/hashk"
 	"zkflow/internal/merkle"
+	"zkflow/internal/par"
 )
 
 // Serialized sizes of committed leaves.
@@ -20,14 +16,12 @@ const (
 	memBytes  = 4 + 4 + 4 + 4 + 1         // Addr, Val, Seq, Step, IsWrite
 	prodBytes = 8                         // one field element
 	saltBytes = 16
-	// maxLeafBytes bounds every committed leaf payload; commitStream
-	// sizes its per-goroutine stack scratch with it.
+	// maxLeafBytes bounds every committed leaf payload; commitBlock
+	// sizes its stack scratch with it.
 	maxLeafBytes = rowBytes
 )
 
 // encodeRowInto serialises a trace row into b (len >= rowBytes).
-// Allocation-free so the commit pipeline can stream rows through a
-// reused scratch buffer.
 func encodeRowInto(b []byte, r *Row) {
 	binary.LittleEndian.PutUint32(b[0:], r.PC)
 	for i, v := range r.Regs {
@@ -37,14 +31,6 @@ func encodeRowInto(b []byte, r *Row) {
 	binary.LittleEndian.PutUint32(b[off:], r.MemPtr)
 	binary.LittleEndian.PutUint32(b[off+4:], r.InPtr)
 	binary.LittleEndian.PutUint32(b[off+8:], r.JPtr)
-}
-
-// encodeRow serialises a trace row into a fresh buffer (used only for
-// the ~k opened rows, re-encoded on demand).
-func encodeRow(r *Row) []byte {
-	b := make([]byte, rowBytes)
-	encodeRowInto(b, r)
-	return b
 }
 
 // decodeRow parses a serialised trace row.
@@ -65,7 +51,7 @@ func decodeRow(b []byte) (Row, error) {
 }
 
 // encodeMemEntryInto serialises a memory-log entry into b
-// (len >= memBytes), allocation-free.
+// (len >= memBytes).
 func encodeMemEntryInto(b []byte, e *MemEntry) {
 	binary.LittleEndian.PutUint32(b[0:], e.Addr)
 	binary.LittleEndian.PutUint32(b[4:], e.Val)
@@ -76,14 +62,6 @@ func encodeMemEntryInto(b []byte, e *MemEntry) {
 	} else {
 		b[16] = 0
 	}
-}
-
-// encodeMemEntry serialises a memory-log entry into a fresh buffer
-// (openings only).
-func encodeMemEntry(e *MemEntry) []byte {
-	b := make([]byte, memBytes)
-	encodeMemEntryInto(b, e)
-	return b
 }
 
 // decodeMemEntry parses a serialised memory-log entry.
@@ -104,17 +82,9 @@ func decodeMemEntry(b []byte) (MemEntry, error) {
 }
 
 // encodeProdInto serialises a running-product element into b
-// (len >= prodBytes), allocation-free.
+// (len >= prodBytes).
 func encodeProdInto(b []byte, p field.Elem) {
 	binary.LittleEndian.PutUint64(b, uint64(p))
-}
-
-// encodeProd serialises a running-product element into a fresh buffer
-// (openings only).
-func encodeProd(p field.Elem) []byte {
-	b := make([]byte, prodBytes)
-	encodeProdInto(b, p)
-	return b
 }
 
 // decodeProd parses a running-product element.
@@ -127,20 +97,6 @@ func decodeProd(b []byte) (field.Elem, error) {
 		return 0, fmt.Errorf("zkvm: non-canonical product element")
 	}
 	return field.Elem(v), nil
-}
-
-// deriveSalt computes the per-leaf blinding salt. Each committed leaf
-// is salted so that unopened leaves reveal nothing about the trace
-// (hiding commitment under SHA-256).
-func deriveSalt(seed *[32]byte, treeLabel byte, index int) [saltBytes]byte {
-	var buf [32 + 1 + 8]byte
-	copy(buf[:32], seed[:])
-	buf[32] = treeLabel
-	binary.LittleEndian.PutUint64(buf[33:], uint64(index))
-	h := sha256.Sum256(buf[:])
-	var salt [saltBytes]byte
-	copy(salt[:], h[:saltBytes])
-	return salt
 }
 
 // saltedLeafHash is the committed hash of (salt || payload), hashed
@@ -159,107 +115,44 @@ const (
 	treeProdSort
 )
 
-// commitStream builds a salted Merkle tree over n leaves without ever
-// materializing the leaf payload table: encode(i, dst) serialises row
-// i into a per-goroutine scratch buffer and the (salt || payload) leaf
-// hash streams straight out of it. This fuses the old trace_encode
-// stage into the commit — the only payload bytes that outlive the call
-// are the ~k Fiat–Shamir-opened rows, re-encoded on demand by the
-// opening path.
-//
-// Leaf hashing fans out across segments goroutines (the §7 "partition
-// the workload, merge partial proofs" path: each segment's subtree is
-// a partial commitment merged by the upper tree levels), and the
-// tree's internal levels are built with pool-wide chunked fan-out.
-// Chunking is purely index-partitioned, so the tree is byte-identical
-// at any segment count.
-func commitStream(seed *[32]byte, label byte, n, leafBytes, segments int, pool *workerPool, encode func(i int, dst []byte)) *merkle.Tree {
-	return merkle.BuildLeavesParallel(n, pool.workers, func(hashes []merkle.Hash) {
-		hashLeaves(seed, label, leafBytes, segments, hashes, encode)
-	})
-}
-
-// hashLeaves fills hashes[i] with the salted leaf hash of row i,
-// fanning out across segments goroutines.
-func hashLeaves(seed *[32]byte, label byte, leafBytes, segments int, hashes []merkle.Hash, encode func(i int, dst []byte)) {
-	n := len(hashes)
-	hashSeg := func(lo, hi int) {
-		// Both hash inputs are assembled once per segment and patched
-		// per row: the salt preimage (seed || label || index) only
-		// changes in its index bytes, and the leaf message
-		// (0x00 || salt || payload) is encoded into in place. The
-		// resulting bytes are exactly deriveSalt + saltedLeafHash —
-		// TestCommitStreamConstantAllocs pins the equivalence — but
-		// with no per-row scratch zeroing or payload copies.
-		var saltPre [32 + 1 + 8]byte
-		copy(saltPre[:32], seed[:])
-		saltPre[32] = label
-		var leafMsg [1 + saltBytes + maxLeafBytes]byte
-		leafMsg[0] = hashk.LeafPrefix
-		msg := leafMsg[: 1+saltBytes+leafBytes : 1+saltBytes+maxLeafBytes]
-		for i := lo; i < hi; i++ {
-			binary.LittleEndian.PutUint64(saltPre[33:], uint64(i))
-			salt := sha256.Sum256(saltPre[:])
-			copy(msg[1:1+saltBytes], salt[:saltBytes])
-			encode(i, msg[1+saltBytes:])
-			hashes[i] = hashk.SumAssembled[merkle.Hash](msg)
-		}
-	}
-	if segments <= 1 || n < 2*segments {
-		hashSeg(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + segments - 1) / segments
-	for s := 0; s < segments; s++ {
-		lo := s * chunk
-		hi := lo + chunk
-		if lo >= n {
-			break
-		}
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			hashSeg(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// defaultSegments picks the proving fan-out from the host CPU count.
-func defaultSegments() int {
-	n := runtime.GOMAXPROCS(0)
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
 // sortedMemLog returns the memory log ordered by (Addr, Seq) — the
-// layout the memory-consistency rules are checked on. Seq is unique,
-// so the (Addr, Seq) key is a strict total order and the result is the
-// same permutation under any correct sort; slices.SortFunc is used
-// over sort.Slice to keep reflection-based swaps out of the hot path.
-// The copy comes from the slab pool; the caller releases it with
-// putMemSlab once the openings are done.
+// layout the memory-consistency rules are checked on. The log arrives
+// in program order, Seq == index, so a stable sort on Addr alone gives
+// that strict total order: an LSD radix sort, one byte of the address
+// per pass, O(n). A pass whose byte is the same in every address moves
+// nothing and is skipped (guest memory is a few dense regions, so the
+// high bytes usually are). The result comes from the slab pool; the
+// caller releases it with putMemSlab once the openings are done.
 func sortedMemLog(log []MemEntry) []MemEntry {
-	out := getMemSlab()
-	if cap(out) < len(log) {
-		out = make([]MemEntry, len(log))
-	} else {
-		out = out[:len(log)]
+	n := len(log)
+	var counts [4][256]int
+	for i := range log {
+		a := log[i].Addr
+		counts[0][byte(a)]++
+		counts[1][byte(a>>8)]++
+		counts[2][byte(a>>16)]++
+		counts[3][byte(a>>24)]++
 	}
-	copy(out, log)
-	slices.SortFunc(out, func(a, b MemEntry) int {
-		if a.Addr != b.Addr {
-			return cmp.Compare(a.Addr, b.Addr)
+	src, dst := getMemSlabSized(n)[:n], getMemSlabSized(n)[:n]
+	copy(src, log)
+	for pass := range counts {
+		c, shift := &counts[pass], 8*uint(pass)
+		if n == 0 || c[byte(log[0].Addr>>shift)] == n {
+			continue
 		}
-		return cmp.Compare(a.Seq, b.Seq)
-	})
-	return out
+		next := 0
+		for d, k := range c {
+			c[d], next = next, next+k
+		}
+		for i := range src {
+			d := byte(src[i].Addr >> shift)
+			dst[c[d]] = src[i]
+			c[d]++
+		}
+		src, dst = dst, src
+	}
+	putMemSlab(dst)
+	return src
 }
 
 // fingerprint maps a memory entry to a field element under the
@@ -281,67 +174,38 @@ func fingerprint(e *MemEntry, alpha field.Elem) field.Elem {
 }
 
 // runningProducts returns P with P[i] = prod_{j<=i} (gamma - f(e_j)).
-// Wide pools use a three-phase parallel prefix scan: per-chunk local
-// products, a serial pass over the (few) chunk totals, then a
-// parallel rescale. Field multiplication is exactly associative, so
+// At width > 1 it is a three-phase parallel prefix scan: per-chunk
+// local products, the (few) chunk totals multiplied up serially, then
+// a parallel rescale. Field multiplication is exactly associative, so
 // the result is bit-identical to the serial scan.
-func runningProducts(log []MemEntry, alpha, gamma field.Elem, pool *workerPool) []field.Elem {
+func runningProducts(log []MemEntry, alpha, gamma field.Elem, width int) []field.Elem {
 	n := len(log)
 	out := make([]field.Elem, n)
-	if pool.workers == 1 || n < 2*pool.workers {
+	chunks := width
+	if n < 2*width {
+		chunks = 1
+	}
+	chunk := (n + chunks - 1) / chunks
+	totals := make([]field.Elem, chunks)
+	par.Each(width, chunks, func(c int) {
 		acc := field.One
-		for i := range log {
+		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
 			acc = field.Mul(acc, field.Sub(gamma, fingerprint(&log[i], alpha)))
 			out[i] = acc
 		}
-		return out
-	}
-	chunk := (n + pool.workers - 1) / pool.workers
-	var bounds [][2]int
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+		totals[c] = acc
+	})
+	par.Each(width, chunks, func(c int) {
+		before := field.One // product of everything ahead of chunk c
+		for _, t := range totals[:c] {
+			before = field.Mul(before, t)
 		}
-		bounds = append(bounds, [2]int{lo, hi})
-	}
-	totals := make([]field.Elem, len(bounds))
-	local := make([]func(), len(bounds))
-	for c := range bounds {
-		c := c
-		local[c] = func() {
-			lo, hi := bounds[c][0], bounds[c][1]
-			acc := field.One
-			for i := lo; i < hi; i++ {
-				acc = field.Mul(acc, field.Sub(gamma, fingerprint(&log[i], alpha)))
-				out[i] = acc
-			}
-			totals[c] = acc
+		if before == field.One {
+			return
 		}
-	}
-	pool.do(local...)
-	// Exclusive prefix of chunk totals, then rescale each chunk by
-	// the product of everything before it.
-	prefix := make([]field.Elem, len(bounds))
-	acc := field.One
-	for c := range bounds {
-		prefix[c] = acc
-		acc = field.Mul(acc, totals[c])
-	}
-	rescale := make([]func(), len(bounds))
-	for c := range bounds {
-		c := c
-		rescale[c] = func() {
-			lo, hi := bounds[c][0], bounds[c][1]
-			p := prefix[c]
-			if p == field.One {
-				return
-			}
-			for i := lo; i < hi; i++ {
-				out[i] = field.Mul(out[i], p)
-			}
+		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
+			out[i] = field.Mul(out[i], before)
 		}
-	}
-	pool.do(rescale...)
+	})
 	return out
 }
