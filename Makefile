@@ -1,5 +1,8 @@
 GO ?= go
 FUZZTIME ?= 10s
+# The receipt targets mutate 15-50 KB inputs; minimizing each new-coverage
+# input for go's default 60 s would eat the whole FUZZTIME.
+FUZZMINIMIZE ?= 20x
 
 .PHONY: build vet test race fuzz farm check bench bench-e2e bench-parallel bench-commit verify
 
@@ -26,16 +29,18 @@ race:
 # randomized run on top of its committed seed + regression corpus,
 # plus the NTT round-trip property (the vectorized kernel against the
 # retained serial reference) and the linear memory-log sort against
-# the comparison sort it replaced. `go test -fuzz` takes one target per
-# invocation, so this is ten runs; budget with FUZZTIME (default 10s
-# each).
+# the comparison sort it replaced, plus the verify-level target: no
+# mutation of a valid v2 receipt or composite may panic or verify.
+# `go test -fuzz` takes one target per invocation, so this is eleven
+# runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzFarmFrames -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzDecodeProgram -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzUnmarshalReceipt -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzUnmarshalReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
+	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzVerifyMutatedReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzSortedMemLog -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fold -run='^$$' -fuzz=FuzzUnmarshalFolded -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
@@ -66,8 +71,10 @@ bench-parallel:
 
 # Commit-path benchmarks with allocation counts: the zero-allocation
 # hash kernel, the seal's block commit (salt + encode + leaf-hash +
-# reduce one 1024-leaf block), the Merkle arena build, the NTT kernel,
-# and the whole prover. Compare against the allocs/op recorded in
+# reduce one 1024-leaf, 4096-record block; one sub-benchmark per record
+# shape — exec/mem/prod/image — with SHA-256 compressions and bytes
+# hashed per record next to ns/record), the Merkle arena build, the NTT
+# kernel, and the whole prover. Compare against the allocs/op recorded in
 # EXPERIMENTS.md E14. Finishes by regenerating the committed benchmark
 # baseline (BENCH_PR10.json: E1 sweep + stage split + E15 continuation
 # sweep + E16 ingest throughput sweep + E17 light-client sync + E18

@@ -2,8 +2,13 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
+
+	"zkflow/internal/zkvm"
 )
 
 func TestProverCheckpointResumesChain(t *testing.T) {
@@ -133,5 +138,54 @@ func TestLoadVerifierRejectsGarbage(t *testing.T) {
 	bad := make([]byte, 76)
 	if _, err := LoadVerifier(bytes.NewReader(bad), nil); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestV1CheckpointStillLoads: testdata/checkpoint_v1.bin was written by
+// the prover while it sealed format-v1 receipts (one record per leaf;
+// seed 23, two rounds of 4×6 records at Checks 6). It must still load,
+// its receipt history must still verify — through the same verifier,
+// at a block of one — and the restored prover must extend the chain
+// with a receipt of the current format.
+func TestV1CheckpointStillLoads(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.bin"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, _, v := pipeline(t, 23, 3, 6)
+	restored, err := LoadProver(bytes.NewReader(old), sim.Store, sim.Ledger, testOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if restored.Round() != 2 {
+		t.Fatalf("restored %d rounds, want 2", restored.Round())
+	}
+	for _, res := range restored.history {
+		r := res.Receipt.(*zkvm.Receipt)
+		if r.Seal.Format != zkvm.FormatV1 {
+			t.Fatalf("epoch %d: checkpointed receipt decoded as format %d", res.Epoch, r.Seal.Format)
+		}
+		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
+			t.Fatalf("epoch %d: v1 history does not verify: %v", res.Epoch, err)
+		}
+	}
+	res, err := restored.AggregateEpoch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Receipt.(*zkvm.Receipt).Seal.Format != zkvm.FormatV2 {
+		t.Fatal("restored prover did not seal in the current format")
+	}
+	if _, err := v.VerifyAggregation(res.Receipt); err != nil {
+		t.Fatalf("chain broken after restoring a v1 checkpoint: %v", err)
+	}
+	// Saving again keeps each receipt in the format it was sealed in.
+	var buf bytes.Buffer
+	if err := restored.SaveCheckpoint(&buf); err != nil {
+		t.Fatal(err)
+	}
+	first := 12 + 16 + int(binary.LittleEndian.Uint64(old[12+8:])) // header, then the first round's epoch, size and receipt
+	if !bytes.Equal(buf.Bytes()[12:first], old[12:first]) {
+		t.Fatal("re-saved checkpoint does not carry the first v1 receipt byte for byte")
 	}
 }

@@ -15,8 +15,8 @@ import (
 )
 
 // foldMagic tags the folded receipt wire format ("zkf4"; zkf1..zkf3
-// are the single, composite, and standalone-segment receipt kinds in
-// internal/zkvm).
+// and zkf5..zkf7 are the single, composite, and standalone-segment
+// receipt kinds of internal/zkvm's two seal formats).
 const foldMagic = 0x7a6b6634
 
 var errTruncated = errors.New("fold: truncated receipt")

@@ -53,12 +53,11 @@ import (
 	"errors"
 	"fmt"
 	"math/big"
-	"runtime"
-	"sync"
 
 	"zkflow/internal/fastagg"
 	"zkflow/internal/field"
 	"zkflow/internal/gperm"
+	"zkflow/internal/par"
 	"zkflow/internal/stark"
 	"zkflow/internal/transcript"
 	"zkflow/internal/zkvm"
@@ -202,35 +201,13 @@ func checkChain(c *zkvm.CompositeReceipt) error {
 // order regardless of completion order, so the fold root — and hence
 // the receipt bytes — are identical at any parallelism.
 func localLeaves(prog *zkvm.Program, segs []*zkvm.SegmentReceipt, opts Options) ([]gperm.Digest, error) {
-	workers := opts.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(segs) {
-		workers = len(segs)
-	}
 	leaves := make([]gperm.Digest, len(segs))
 	errs := make([]error, len(segs))
-	var wg sync.WaitGroup
-	next := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				if err := zkvm.VerifySegment(prog, segs[i], opts.Verify); err != nil {
-					errs[i] = err
-					continue
-				}
-				leaves[i], errs[i] = LeafDigest(segs[i])
-			}
-		}()
-	}
-	for i := range segs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	par.Each(opts.Parallelism, len(segs), func(i int) {
+		if errs[i] = zkvm.VerifySegment(prog, segs[i], opts.Verify); errs[i] == nil {
+			leaves[i], errs[i] = LeafDigest(segs[i])
+		}
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("%w: segment %d: %v", ErrReject, i, err)

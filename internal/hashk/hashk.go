@@ -10,14 +10,15 @@
 //     reduces a whole level (or a block's slice of one) per call, so
 //     the buffer and its prefix byte are set up once per level.
 //   - Leaf/Leaf2 hash a domain-prefixed leaf payload, in one or two
-//     parts, the same way: payloads under 128 bytes — every committed
-//     table row in the repo — go through a 128-byte stack buffer,
-//     payloads up to ScratchBytes through a 512-byte one (Go zeroes a
-//     stack buffer at every declaration, so the small tier saves ~400
-//     bytes of memclr per leaf), and only oversized leaves fall back
-//     to a streaming hash.
+//     parts, the same way: payloads under 128 bytes — the seal's
+//     four-record leaves of 17- and 8-byte records, STARK rows of up to
+//     15 columns — go through a 128-byte stack buffer, payloads up to
+//     ScratchBytes (a leaf of four exec rows) through a 512-byte one
+//     (Go zeroes a stack buffer at every declaration, so the small tier
+//     saves ~400 bytes of memclr per leaf), and only oversized leaves
+//     fall back to a streaming hash.
 //
-// The zkVM's block commit assembles its (prefix || salt || row)
+// The zkVM's block commit assembles its (prefix || salt || records)
 // message in place and calls sha256.Sum256 itself; Leaf2 is the same
 // hash for callers holding the two parts separately (the verifier).
 //
@@ -41,8 +42,9 @@ const (
 
 // ScratchBytes is the stack scratch size of the leaf fast path: leaf
 // payloads up to this size (after the domain prefix) hash with zero
-// allocations. The largest committed leaf in the repo (a salted
-// execution-trace row) is 96 bytes; STARK LDE rows are 8*cols.
+// allocations. The largest committed leaf in the repo (a salted block
+// of four 80-byte execution-trace rows) is 336 bytes; STARK LDE rows
+// are 8*cols.
 const ScratchBytes = 512
 
 // smallScratchBytes is the first scratch tier (see the package
@@ -98,8 +100,8 @@ func Leaf[H ~[32]byte](data []byte) H {
 
 // Leaf2 hashes the concatenation of two payload parts under the leaf
 // prefix: SHA-256(0x00 || a || b). This is the salted-leaf shape of
-// the zkVM commitment (salt || row) hashed without materializing the
-// concatenation. Zero allocations on the fast path.
+// the zkVM commitment (salt || records) hashed without materializing
+// the concatenation. Zero allocations on the fast path.
 func Leaf2[H ~[32]byte](a, b []byte) H {
 	if len(a)+len(b) < smallScratchBytes {
 		var buf [smallScratchBytes]byte

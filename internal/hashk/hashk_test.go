@@ -111,6 +111,7 @@ func TestKernelZeroAllocs(t *testing.T) {
 	dst := make([]digest, 128)
 	salt := make([]byte, 16)
 	row := make([]byte, 80)
+	rows := make([]byte, 4*80) // the widest committed leaf: a block of four exec rows
 	cases := []struct {
 		name string
 		fn   func()
@@ -119,6 +120,7 @@ func TestKernelZeroAllocs(t *testing.T) {
 		{"HashLevel", func() { HashLevel(dst, d) }},
 		{"Leaf", func() { _ = Leaf[digest](row) }},
 		{"Leaf2", func() { _ = Leaf2[digest](salt, row) }},
+		{"Leaf2/block", func() { _ = Leaf2[digest](salt, rows) }},
 	}
 	for _, tc := range cases {
 		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {

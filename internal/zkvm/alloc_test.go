@@ -45,72 +45,131 @@ func TestCommitTablesConstantAllocs(t *testing.T) {
 
 // TestCommitBlockZeroAllocs gates the per-leaf hot path: salting,
 // encoding, leaf-hashing and reducing a block never touches the
-// allocator.
+// allocator — the scratch that holds a whole leaf (four exec rows, 337
+// bytes) stays on commitBlock's stack.
 func TestCommitBlockZeroAllocs(t *testing.T) {
-	tab := execTable(&[32]byte{7}, 3000)
-	tab.builder = merkle.NewBuilder(tab.n)
+	tab := execTable(&[32]byte{7}, 3000*leafRecords)
+	tab.builder = merkle.NewBuilder(tab.leaves())
 	if allocs := testing.AllocsPerRun(20, func() { tab.commitBlock(1) }); allocs != 0 {
 		t.Fatalf("block commit allocates %v per run, want 0", allocs)
 	}
 }
 
+// recordBytes is record i of a table, encoded on its own.
+func recordBytes(tab *table, i int) []byte {
+	b := make([]byte, tab.recBytes)
+	switch tab.label {
+	case treeExec:
+		encodeRowInto(b, &tab.rows[i])
+	case treeMemProg, treeMemSort:
+		encodeMemEntryInto(b, &tab.mem[i])
+	case treeProdProg, treeProdSort:
+		encodeProdInto(b, tab.prods[i])
+	case treeBoundary:
+		encodeImagePairInto(b, tab.img[i])
+	}
+	return b
+}
+
+// unfusedLeaf is leaf j of a table written out longhand: one
+// deriveSalt, one encode per record, one salted leaf hash.
+func unfusedLeaf(tab *table, j int) merkle.Hash {
+	var payload []byte
+	for i := j * leafRecords; i < min((j+1)*leafRecords, tab.n); i++ {
+		payload = append(payload, recordBytes(tab, i)...)
+	}
+	return saltedLeafHash(tab.salts.deriveSalt(tab.label, j), payload)
+}
+
+// shapeTables is one table of each committed record shape over n
+// synthetic records.
+func shapeTables(seed *[32]byte, n int) map[string]*table {
+	salts := newSalter(seed)
+	mem := make([]MemEntry, n)
+	prods := make([]field.Elem, n)
+	img := make([]imagePair, n)
+	for i := range mem {
+		mem[i] = MemEntry{Addr: uint32(i % 61), Val: uint32(i * 7), Seq: uint32(i), Step: uint32(i * 3), IsWrite: i%3 == 0}
+		prods[i] = field.New(uint64(i) * 0x9e3779b97f4a7c15)
+		img[i] = imagePair{Addr: uint32(i), Val: uint32(i)*2654435761 + 1}
+	}
+	return map[string]*table{
+		"exec":  execTable(seed, n),
+		"mem":   memTable(salts, treeMemSort, mem),
+		"prod":  prodTable(salts, treeProdProg, prods),
+		"image": imageTable(salts, img),
+	}
+}
+
 // TestCommitTablesMatchUnfused pins what the crew commits: at every
 // width, and with several tables sharing one crew, each tree is
-// leaf-for-leaf the unfused formulation — one deriveSalt, one encode
-// and one salted leaf hash per row — over the plain builder, across
-// sizes on either side of a block and of a power of two.
+// leaf-for-leaf the unfused formulation — ceil(n/4) leaves, leaf j the
+// salted hash of records 4j..4j+3, the last one short — over the plain
+// builder, across record counts on either side of a leaf, of a builder
+// block and of a power of two, for every record shape.
 func TestCommitTablesMatchUnfused(t *testing.T) {
 	seed := &[32]byte{42}
 	for _, width := range []int{1, 2, 3, 7} {
 		var tabs []*table
-		for _, n := range []int{0, 1, 1023, 1024, 1025, 4096, 4097, 10_000} {
+		for _, n := range []int{0, 1, 3, 4, 5, 4095, 4096, 4097, 4100, 16384, 16387, 40_000} {
 			tabs = append(tabs, execTable(seed, n))
+		}
+		for _, tab := range shapeTables(seed, 4099) {
+			tabs = append(tabs, tab)
 		}
 		commitTables(width, tabs...)
 		for _, tab := range tabs {
-			hashes := make([]merkle.Hash, tab.n)
-			for i := range hashes {
-				row := make([]byte, rowBytes)
-				tab.encode(i, row)
-				hashes[i] = saltedLeafHash(tab.salts.deriveSalt(treeExec, i), row)
-				if got, _ := tab.tree.Leaf(i); got != hashes[i] {
-					t.Fatalf("width %d, %d rows: leaf %d differs from the unfused leaf", width, tab.n, i)
+			if got, want := tab.tree.Len(), (tab.n+leafRecords-1)/leafRecords; got != want {
+				t.Fatalf("width %d, %d records: %d leaves, want %d", width, tab.n, got, want)
+			}
+			hashes := make([]merkle.Hash, tab.tree.Len())
+			for j := range hashes {
+				hashes[j] = unfusedLeaf(tab, j)
+				if got, _ := tab.tree.Leaf(j); got != hashes[j] {
+					t.Fatalf("width %d, label %d, %d records: leaf %d differs from the unfused leaf", width, tab.label, tab.n, j)
 				}
 			}
 			want := merkle.BuildHashesParallel(hashes, 1)
 			if tab.tree.Root() != want.Root() {
-				t.Fatalf("width %d, %d rows: fused commit root differs from unfused reference", width, tab.n)
+				t.Fatalf("width %d, %d records: fused commit root differs from unfused reference", width, tab.n)
 			}
 			tab.tree.Release()
 		}
 	}
 }
 
+// sha256Blocks is the number of compression-function calls SHA-256
+// spends on a message of n bytes (padding: one 0x80 byte and the
+// 8-byte length).
+func sha256Blocks(n int) int { return (n + 9 + 63) / 64 }
+
 // BenchmarkCommitBlock times the seal's unit of work — salt, encode,
-// leaf-hash and reduce one 1024-leaf block — for the widest committed
-// leaf (an exec row, two compressions) and the narrowest (a running
-// product, one). ns/leaf covers the leaf and its share of the block's
-// internal nodes.
+// leaf-hash and reduce one 1024-leaf (4096-record) builder block — for
+// each committed record shape, and reports next to ns/record what the
+// format fixes: SHA-256 compressions and bytes hashed per record,
+// leaves plus the block's internal nodes (65-byte preimages, two
+// compressions each). At one record per leaf (format v1) the same
+// count is 4 compressions per exec row and 3 per 17- or 8-byte record.
 func BenchmarkCommitBlock(b *testing.B) {
 	const n = 1 << 15
-	prods := make([]field.Elem, n)
-	for i := range prods {
-		prods[i] = field.New(uint64(i) * 0x9e3779b97f4a7c15)
-	}
-	salts := newSalter(&[32]byte{7})
-	for _, c := range []struct {
-		name string
-		tab  *table
-	}{{"exec-rows", execTable(&[32]byte{7}, n)}, {"products", prodTable(salts, treeProdProg, prods)}} {
-		b.Run(c.name, func(b *testing.B) {
-			c.tab.builder = merkle.NewBuilder(n)
-			blocks := c.tab.builder.Blocks()
+	tabs := shapeTables(&[32]byte{7}, n)
+	for _, name := range []string{"exec", "mem", "prod", "image"} {
+		tab := tabs[name]
+		b.Run(name, func(b *testing.B) {
+			tab.builder = merkle.NewBuilder(tab.leaves())
+			blocks := tab.builder.Blocks()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.tab.commitBlock(i % blocks)
+				tab.commitBlock(i % blocks)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n/blocks), "ns/leaf")
+			b.StopTimer()
+			leaves := tab.leaves() / blocks
+			recs := float64(leaves * leafRecords)
+			leafMsg, nodes := 1+saltBytes+leafRecords*tab.recBytes, leaves-1
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*recs), "ns/record")
+			b.ReportMetric(float64(leaves*sha256Blocks(leafMsg)+nodes*sha256Blocks(65))/recs, "compressions/record")
+			b.ReportMetric(float64(leaves*leafMsg+nodes*65)/recs, "hashedB/record")
 		})
 	}
 }

@@ -1,0 +1,404 @@
+package zkvm
+
+import (
+	"bytes"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"zkflow/internal/merkle"
+)
+
+// This file tests the blocked-leaf shape of seal format v2 from the
+// verifier's side: what a column accepts as a leaf, how many openings an
+// adjacent pair or a run may carry, and that no mutation of a valid
+// receipt — of either kind — verifies.
+
+// committedRows commits n synthetic exec rows and returns the table and
+// the verifier's view of it.
+func committedRows(t *testing.T, n int) (*table, column) {
+	t.Helper()
+	tab := execTable(&[32]byte{3}, n)
+	commitTables(1, tab)
+	t.Cleanup(tab.tree.Release)
+	return tab, column{root: tab.tree.Root(), n: n, recBytes: rowBytes, block: leafRecords}
+}
+
+// TestColumnLeafShape: the committed record count fixes the shape of
+// every leaf — ceil(n/B) leaves, hence the path length; B records to a
+// leaf, fewer only in the last — and an opening of any other shape is
+// rejected even when its hash chain reaches the root.
+func TestColumnLeafShape(t *testing.T) {
+	const n = 10 // leaves of 4, 4 and 2 rows
+	tab, col := committedRows(t, n)
+	for i := 0; i < n; i++ {
+		o := tab.openRecord(i)
+		got, err := col.record(&o, i)
+		if err != nil {
+			t.Fatalf("record %d: %v", i, err)
+		}
+		if !bytes.Equal(got, recordBytes(tab, i)) {
+			t.Fatalf("record %d: wrong bytes out of leaf %d", i, o.Index)
+		}
+	}
+
+	// A different record count means a different leaf count: the same
+	// openings no longer fit.
+	tail := tab.open(2)
+	for _, claimed := range []int{8, 9, 11, 12, 13, 16, 17} {
+		c := col
+		c.n = claimed
+		if err := c.leaf(&tail, 2); err == nil {
+			t.Errorf("two-row tail leaf accepted in a table claiming %d rows", claimed)
+		}
+	}
+	// ... even when the attacker really committed that other tree: a
+	// tree over the 10 rows one per leaf has its own root, and its
+	// openings are not leaves of a blocked column.
+	perRow := make([]merkle.Hash, n)
+	for i := range perRow {
+		perRow[i] = saltedLeafHash(tab.salts.deriveSalt(treeExec, i), recordBytes(tab, i))
+	}
+	v1Tree := merkle.BuildHashesParallel(perRow, 1)
+	proof, _ := v1Tree.Prove(2)
+	v1Opening := Opening{Index: 2, Salt: tab.salts.deriveSalt(treeExec, 2), Data: recordBytes(tab, 2), Path: proof.Path}
+	v1Col := column{root: v1Tree.Root(), n: n, recBytes: rowBytes, block: 1}
+	if _, err := v1Col.record(&v1Opening, 2); err != nil {
+		t.Fatalf("the per-row opening is not even valid at a block of one: %v", err)
+	}
+	blockedOverV1 := v1Col
+	blockedOverV1.block = leafRecords
+	if err := blockedOverV1.leaf(&v1Opening, 2); err == nil {
+		t.Error("a 10-leaf tree accepted as the 3-leaf tree of a blocked 10-row column")
+	}
+
+	mutants := map[string]func(o *Opening){
+		"short block before the tail": func(o *Opening) { *o = tab.open(0); o.Data = o.Data[:3*rowBytes] },
+		"tail padded to a full block": func(o *Opening) { *o = tab.open(2); o.Data = append(o.Data, make([]byte, 2*rowBytes)...) },
+		"payload not whole records":   func(o *Opening) { *o = tab.open(1); o.Data = o.Data[:len(o.Data)-1] },
+		"empty payload":               func(o *Opening) { *o = tab.open(1); o.Data = nil },
+		"extra path level":            func(o *Opening) { *o = tab.open(1); o.Path = append(o.Path, merkle.PaddingHash(2)) },
+		"missing path level":          func(o *Opening) { *o = tab.open(1); o.Path = o.Path[:1] },
+		"index of another leaf":       func(o *Opening) { *o = tab.open(1); o.Index = 0 },
+		"flipped salt":                func(o *Opening) { *o = tab.open(1); o.Salt[0] ^= 1 },
+		"flipped unused record":       func(o *Opening) { *o = tab.open(1); o.Data[3*rowBytes] ^= 1 },
+	}
+	for name, mutate := range mutants {
+		var o Opening
+		mutate(&o)
+		idx := o.Index
+		if name == "index of another leaf" {
+			idx = 1
+		}
+		if err := col.leaf(&o, idx); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if err := col.leaf(&tail, 3); err == nil {
+		t.Error("leaf index past the last leaf accepted")
+	}
+	if _, err := col.record(&tail, n); err == nil {
+		t.Error("record index past the table accepted")
+	}
+}
+
+// TestSpanOpeningCounts: a run of records carries each distinct leaf
+// exactly once — an adjacent pair one opening, two only when it
+// straddles a block — and one too many or too few is an error.
+func TestSpanOpeningCounts(t *testing.T) {
+	const n = 14
+	tab, col := committedRows(t, n)
+	for i := 0; i+1 < n; i++ {
+		span := tab.openSpan(i, i+2)
+		want := 1
+		if i%leafRecords == leafRecords-1 {
+			want = 2
+		}
+		if len(span) != want {
+			t.Fatalf("pair (%d,%d): prover opened %d leaves, want %d", i, i+1, len(span), want)
+		}
+		recs, err := col.records(span, i, i+2)
+		if err != nil {
+			t.Fatalf("pair (%d,%d): %v", i, i+1, err)
+		}
+		if !bytes.Equal(recs[0], recordBytes(tab, i)) || !bytes.Equal(recs[1], recordBytes(tab, i+1)) {
+			t.Fatalf("pair (%d,%d): wrong records", i, i+1)
+		}
+		// Extra: the leaf again, and the next leaf.
+		for _, extra := range []int{span[len(span)-1].Index, min(span[len(span)-1].Index+1, tab.leaves()-1)} {
+			if _, err := col.records(append(span[:len(span):len(span)], tab.open(extra)), i, i+2); err == nil {
+				t.Errorf("pair (%d,%d): extra opening of leaf %d accepted", i, i+1, extra)
+			}
+		}
+		// Missing.
+		if _, err := col.records(span[:len(span)-1], i, i+2); err == nil {
+			t.Errorf("pair (%d,%d): missing opening accepted", i, i+1)
+		}
+		// The two leaves of a straddling pair in the wrong order.
+		if want == 2 {
+			if _, err := col.records([]Opening{span[1], span[0]}, i, i+2); err == nil {
+				t.Errorf("pair (%d,%d): swapped openings accepted", i, i+1)
+			}
+		}
+	}
+	// Longer runs, as an exec check's memory entries: every leaf once.
+	for _, run := range [][2]int{{0, 0}, {5, 5}, {2, 3}, {1, 9}, {0, n}, {4, 8}, {3, 5}} {
+		span := tab.openSpan(run[0], run[1])
+		recs, err := col.records(span, run[0], run[1])
+		if err != nil || len(recs) != run[1]-run[0] {
+			t.Fatalf("run %v: %d records, err %v", run, len(recs), err)
+		}
+		if _, err := col.records(append(span, tab.open(0)), run[0], run[1]); err == nil {
+			t.Errorf("run %v: extra opening accepted", run)
+		}
+	}
+	if _, err := col.records(nil, 3, 2); err == nil {
+		t.Error("backwards run accepted")
+	}
+	if _, err := col.records(tab.openSpan(12, 14), 12, 15); err == nil {
+		t.Error("run past the table accepted")
+	}
+}
+
+// blockFixtures are a mono and a composite receipt sealed under fixed
+// seeds, so their bytes are the same in every run.
+type blockFixtures struct {
+	prog, segProg *Program
+	mono          *Receipt
+	comp          *CompositeReceipt
+	monoBytes     []byte
+	compBytes     []byte
+}
+
+func newBlockFixtures(t testing.TB) *blockFixtures {
+	t.Helper()
+	fx := &blockFixtures{prog: sumProgram(), segProg: segTestProgram(t)}
+	ex, err := Execute(fx.prog, sumInput(24), ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fx.mono, err = proveExecutionSeeded(ex, ProveOptions{Checks: 12, Parallelism: 1}, &[32]byte{0xb1, 0x0c}); err != nil {
+		t.Fatal(err)
+	}
+	fx.comp = mustComposite(t, fx.segProg, []uint32{120, 7}, ProveOptions{Checks: 6, SegmentCycles: 512, Parallelism: 1})
+	if fx.monoBytes, err = fx.mono.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	if fx.compBytes, err = fx.comp.MarshalBinary(); err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// mustNotVerify requires that data, which is not one of the fixtures'
+// own encodings, either does not decode or does not verify — under
+// either program.
+func (fx *blockFixtures) mustNotVerify(t *testing.T, what string, data []byte) {
+	t.Helper()
+	if bytes.Equal(data, fx.monoBytes) || bytes.Equal(data, fx.compBytes) {
+		return
+	}
+	r, err := UnmarshalAnyReceipt(data)
+	if err != nil {
+		return
+	}
+	for _, prog := range []*Program{fx.prog, fx.segProg} {
+		if err := VerifyAny(prog, r, VerifyOptions{}); err == nil {
+			t.Fatalf("%s: a receipt that is not the one the prover sealed verified", what)
+		}
+	}
+}
+
+// spanMutants returns the malformed variants of a valid span: with the
+// last opening dropped (only if that leaves one) and with one opening
+// more.
+func spanMutants(span []Opening) [][]Opening {
+	more := append(span[:len(span):len(span)], span[len(span)-1])
+	if len(span) == 1 {
+		return [][]Opening{more}
+	}
+	return [][]Opening{span[:len(span)-1], more}
+}
+
+// blockBoundaryMutants are receipts that differ from the fixtures only
+// in how many openings one span carries: every straddling pair one
+// short, every span one over, in every check family. The in-memory form
+// must not verify; whatever of it can be encoded (a pair of three has
+// no encoding) is returned.
+func (fx *blockFixtures) blockBoundaryMutants(t testing.TB) [][]byte {
+	t.Helper()
+	type spanField struct {
+		family string
+		span   *[]Opening
+		in     AnyReceipt
+		prog   *Program
+	}
+	var fields []spanField
+	mono := func(family string, span *[]Opening) {
+		fields = append(fields, spanField{family, span, fx.mono, fx.prog})
+	}
+	s := &fx.mono.Seal
+	straddling := 0
+	for i := range s.ExecChecks {
+		straddling += len(s.ExecChecks[i].Rows) - 1
+		mono("exec rows", &s.ExecChecks[i].Rows)
+		if len(s.ExecChecks[i].Mem) > 0 {
+			mono("exec mem", &s.ExecChecks[i].Mem)
+		}
+	}
+	if straddling == 0 || straddling == len(s.ExecChecks) {
+		t.Fatalf("fixture has %d straddling exec pairs of %d: need both kinds", straddling, len(s.ExecChecks))
+	}
+	for i := range s.ProdChecks {
+		mono("prod", &s.ProdChecks[i].Prods)
+	}
+	for i := range s.SortChecks {
+		mono("sort entries", &s.SortChecks[i].Entries)
+		mono("sort prods", &s.SortChecks[i].Prods)
+	}
+	exits, covers := 0, 0
+	for _, sr := range fx.comp.Segments {
+		for i := range sr.ExitChecks {
+			exits++
+			fields = append(fields, spanField{"exit", &sr.ExitChecks[i].Sort, fx.comp, fx.segProg})
+		}
+		for i := range sr.CoverChecks {
+			covers++
+			fields = append(fields, spanField{"cover", &sr.CoverChecks[i].Entries, fx.comp, fx.segProg})
+		}
+	}
+	if exits == 0 || covers == 0 {
+		t.Fatalf("composite fixture has %d exit and %d cover checks: need both", exits, covers)
+	}
+
+	var out [][]byte
+	for _, f := range fields {
+		orig := *f.span
+		for _, m := range spanMutants(orig) {
+			*f.span = m
+			if err := VerifyAny(f.prog, f.in, VerifyOptions{}); err == nil {
+				t.Fatalf("%s check with %d openings where %d belong: verified", f.family, len(m), len(orig))
+			}
+			if b, err := f.in.MarshalBinary(); err == nil {
+				out = append(out, b)
+			}
+		}
+		*f.span = orig
+	}
+	if err := VerifyAny(fx.prog, fx.mono, VerifyOptions{}); err != nil {
+		t.Fatalf("mono fixture no longer verifies after restoring it: %v", err)
+	}
+	if err := VerifyAny(fx.segProg, fx.comp, VerifyOptions{}); err != nil {
+		t.Fatalf("composite fixture no longer verifies after restoring it: %v", err)
+	}
+	return out
+}
+
+// TestMiscountedSpansRejected: an extra or a missing opening in any
+// check family, mono or composite, is rejected by the verifier, and
+// again after a trip through the codec.
+func TestMiscountedSpansRejected(t *testing.T) {
+	fx := newBlockFixtures(t)
+	mutants := fx.blockBoundaryMutants(t)
+	if len(mutants) == 0 {
+		t.Fatal("no encodable mutants")
+	}
+	for _, m := range mutants {
+		fx.mustNotVerify(t, "encoded miscounted span", m)
+	}
+	// Format v1 has no way to say "one opening": its pairs are always two.
+	old, err := os.ReadFile(filepath.Join("testdata", v1ReceiptFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := UnmarshalReceipt(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1.Seal.ExecChecks[0].Rows = v1.Seal.ExecChecks[0].Rows[:1]
+	if err := Verify(sumProgram(), v1, VerifyOptions{}); err == nil {
+		t.Fatal("v1 receipt with half a pair verified")
+	}
+	if _, err := v1.MarshalBinary(); err == nil {
+		t.Fatal("v1 receipt with half a pair encoded")
+	}
+}
+
+// TestMutatedReceiptsNeverVerify is the deterministic slice of
+// FuzzVerifyMutatedReceipt: random byte flips, every coarse
+// truncation, and extensions of both fixtures.
+func TestMutatedReceiptsNeverVerify(t *testing.T) {
+	fx := newBlockFixtures(t)
+	rng := rand.New(rand.NewSource(13))
+	for _, valid := range [][]byte{fx.monoBytes, fx.compBytes} {
+		for trial := 0; trial < 400; trial++ {
+			mut := bytes.Clone(valid)
+			mut[rng.Intn(len(mut))] ^= byte(1 << rng.Intn(8))
+			fx.mustNotVerify(t, "bit flip", mut)
+		}
+		for cut := 0; cut < len(valid); cut += len(valid)/150 + 1 {
+			fx.mustNotVerify(t, "truncation", valid[:cut])
+		}
+		fx.mustNotVerify(t, "extension", append(bytes.Clone(valid), 0))
+		fx.mustNotVerify(t, "doubling", append(bytes.Clone(valid), valid...))
+	}
+}
+
+// FuzzVerifyMutatedReceipt is the verify-level hostile-input target:
+// whatever the fuzzer makes of a valid v2 receipt or composite — flips,
+// truncations, extensions, splices — must neither panic the decoder or
+// the verifier nor verify. The corpus starts from the two valid
+// encodings, the block-boundary mutants (a pair one opening short or
+// over), and the v1 vectors, which must not verify against these
+// programs' other fixtures either.
+func FuzzVerifyMutatedReceipt(f *testing.F) {
+	fx := newBlockFixtures(f)
+	f.Add(fx.monoBytes)
+	f.Add(fx.compBytes)
+	for _, m := range fx.blockBoundaryMutants(f) {
+		f.Add(m)
+	}
+	f.Add(fx.monoBytes[:len(fx.monoBytes)-1])
+	f.Add(append(bytes.Clone(fx.compBytes), 0))
+	for _, name := range []string{v1ReceiptFile, v1CompositeFile} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			f.Fatal(err)
+		}
+		// Flipped, so that the untouched vector — which does verify — is
+		// not itself in the corpus.
+		old[len(old)/2] ^= 1
+		f.Add(old)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fx.mustNotVerify(t, "fuzzed receipt", data)
+	})
+}
+
+// TestReceiptSizesMatchEncoding pins the arithmetic Size and SealSize
+// against the bytes MarshalBinary writes, for both kinds and both
+// formats.
+func TestReceiptSizesMatchEncoding(t *testing.T) {
+	fx := newBlockFixtures(t)
+	if got := fx.mono.Size(); got != len(fx.monoBytes) {
+		t.Errorf("mono Size() = %d, encoding has %d bytes", got, len(fx.monoBytes))
+	}
+	if got := fx.comp.Size(); got != len(fx.compBytes) {
+		t.Errorf("composite Size() = %d, encoding has %d bytes", got, len(fx.compBytes))
+	}
+	old, err := os.ReadFile(filepath.Join("testdata", v1CompositeFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := UnmarshalComposite(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := c.Size(); got != len(old) {
+		t.Errorf("v1 composite Size() = %d, encoding has %d bytes", got, len(old))
+	}
+	if c.SealSize() >= c.Size() || fx.comp.SealSize() >= fx.comp.Size() {
+		t.Error("SealSize is not smaller than Size")
+	}
+}

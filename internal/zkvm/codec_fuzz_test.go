@@ -2,6 +2,8 @@ package zkvm
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -34,7 +36,13 @@ func FuzzUnmarshalReceipt(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:4])
 	f.Add([]byte{})
-	f.Add([]byte{0x31, 0x66, 0x6b, 0x7a}) // magic alone
+	f.Add([]byte{0x35, 0x66, 0x6b, 0x7a}) // magic alone
+	f.Add([]byte{0x31, 0x66, 0x6b, 0x7a}) // the v1 magic alone
+	if v1, err := os.ReadFile(filepath.Join("testdata", v1ReceiptFile)); err == nil {
+		f.Add(v1) // the other format the decoder reads
+	} else {
+		f.Fatal(err)
+	}
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/3] ^= 0xff
 	f.Add(mut)

@@ -51,16 +51,17 @@ func (s salter) deriveSalt(label byte, index int) [saltBytes]byte {
 	return [saltBytes]byte(salt)
 }
 
-// table is one committed column of a seal: n leaves, leaf i being
-// SHA-256(0x00 || salt_i || encode(i)). No payload table is ever
-// materialized — the commit encodes each row into stack scratch and
-// the ~k openings re-encode theirs; encoding is deterministic, so the
-// re-encoded bytes are exactly what was hashed into the leaf.
+// table is one committed column of a seal: n records, leafRecords of
+// them to a leaf, leaf j being SHA-256(0x00 || salt_j || its records).
+// No payload table is ever materialized — the commit encodes each leaf
+// into stack scratch and the ~k openings re-encode theirs; encoding is
+// deterministic, so the re-encoded bytes are exactly what was hashed
+// into the leaf.
 type table struct {
-	salts     salter
-	label     byte // salt domain; also says which column below is set
-	n         int
-	leafBytes int
+	salts    salter
+	label    byte // salt domain; also says which column below is set
+	n        int  // records
+	recBytes int
 
 	rows  []Row        // treeExec
 	mem   []MemEntry   // treeMemProg, treeMemSort
@@ -73,34 +74,49 @@ type table struct {
 }
 
 func rowTable(salts salter, rows []Row) *table {
-	return &table{salts: salts, label: treeExec, n: len(rows), leafBytes: rowBytes, rows: rows}
+	return &table{salts: salts, label: treeExec, n: len(rows), recBytes: rowBytes, rows: rows}
 }
 
 func memTable(salts salter, label byte, log []MemEntry) *table {
-	return &table{salts: salts, label: label, n: len(log), leafBytes: memBytes, mem: log}
+	return &table{salts: salts, label: label, n: len(log), recBytes: memBytes, mem: log}
 }
 
 func prodTable(salts salter, label byte, col []field.Elem) *table {
-	return &table{salts: salts, label: label, n: len(col), leafBytes: prodBytes, prods: col}
+	return &table{salts: salts, label: label, n: len(col), recBytes: prodBytes, prods: col}
 }
 
 func imageTable(salts salter, img []imagePair) *table {
-	return &table{salts: salts, label: treeBoundary, n: len(img), leafBytes: imgBytes, img: img}
+	return &table{salts: salts, label: treeBoundary, n: len(img), recBytes: imgBytes, img: img}
 }
 
-// encode serialises leaf i into dst (len >= leafBytes). The calls are
-// static so that commitBlock's scratch stays on its stack.
-func (t *table) encode(i int, dst []byte) {
+// leaves is the number of committed leaves.
+func (t *table) leaves() int { return (t.n + leafRecords - 1) / leafRecords }
+
+// encodeLeaf serialises the records of leaf j back to back into dst and
+// returns their length. The calls are static so that commitBlock's
+// scratch stays on its stack.
+func (t *table) encodeLeaf(j int, dst []byte) int {
+	lo := j * leafRecords
+	hi := min(lo+leafRecords, t.n)
 	switch t.label {
 	case treeExec:
-		encodeRowInto(dst, &t.rows[i])
+		for i := lo; i < hi; i++ {
+			encodeRowInto(dst[(i-lo)*rowBytes:], &t.rows[i])
+		}
 	case treeMemProg, treeMemSort:
-		encodeMemEntryInto(dst, &t.mem[i])
+		for i := lo; i < hi; i++ {
+			encodeMemEntryInto(dst[(i-lo)*memBytes:], &t.mem[i])
+		}
 	case treeProdProg, treeProdSort:
-		encodeProdInto(dst, t.prods[i])
+		for i := lo; i < hi; i++ {
+			encodeProdInto(dst[(i-lo)*prodBytes:], t.prods[i])
+		}
 	case treeBoundary:
-		encodeImagePairInto(dst, t.img[i])
+		for i := lo; i < hi; i++ {
+			encodeImagePairInto(dst[(i-lo)*imgBytes:], t.img[i])
+		}
 	}
+	return (hi - lo) * t.recBytes
 }
 
 // commitTables commits every table of one challenge phase on a single
@@ -113,7 +129,7 @@ func (t *table) encode(i int, dst []byte) {
 func commitTables(width int, tabs ...*table) {
 	tasks := 0
 	for _, t := range tabs {
-		t.builder = merkle.NewBuilder(t.n)
+		t.builder = merkle.NewBuilder(t.leaves())
 		t.firstTask = tasks
 		tasks += t.builder.Blocks()
 	}
@@ -126,36 +142,48 @@ func commitTables(width int, tabs ...*table) {
 	}
 }
 
-// commitBlock salts, encodes and leaf-hashes one block and reduces it
-// to its subtree root while it is still in cache. The block's salts
-// are generated in one run, parked in the arena slots their leaf
-// hashes then overwrite.
+// commitBlock salts, encodes and leaf-hashes one builder block and
+// reduces it to its subtree root while it is still in cache. The
+// block's salts are generated in one run, parked in the arena slots
+// their leaf hashes then overwrite.
 func (t *table) commitBlock(block int) {
 	first, leaves := t.builder.Leaves(block)
 	for i := range leaves {
 		t.salts.put(leaves[i][:], t.label, first+i)
 	}
-	var buf [1 + saltBytes + maxLeafBytes]byte
+	var buf [1 + saltBytes + leafRecords*maxRecBytes]byte
 	buf[0] = hashk.LeafPrefix
-	msg := buf[:1+saltBytes+t.leafBytes]
 	for i := range leaves {
-		copy(msg[1:], leaves[i][:saltBytes])
-		t.encode(first+i, msg[1+saltBytes:])
-		leaves[i] = sha256.Sum256(msg)
+		copy(buf[1:], leaves[i][:saltBytes])
+		n := t.encodeLeaf(first+i, buf[1+saltBytes:])
+		leaves[i] = sha256.Sum256(buf[:1+saltBytes+n])
 	}
 	t.builder.Reduce(block)
 }
 
-// open opens leaf idx. Indices are derived from committed lengths, so
+// open opens leaf j. Indices are derived from committed lengths, so
 // one out of range is a prover bug.
-func (t *table) open(idx int) Opening {
-	proof, err := t.tree.Prove(idx)
+func (t *table) open(j int) Opening {
+	proof, err := t.tree.Prove(j)
 	if err != nil {
-		panic(fmt.Sprintf("zkvm: opening leaf %d: %v", idx, err))
+		panic(fmt.Sprintf("zkvm: opening leaf %d: %v", j, err))
 	}
-	data := make([]byte, t.leafBytes)
-	t.encode(idx, data)
-	return Opening{Index: idx, Salt: t.salts.deriveSalt(t.label, idx), Data: data, Path: proof.Path}
+	data := make([]byte, leafRecords*t.recBytes)
+	data = data[:t.encodeLeaf(j, data)]
+	return Opening{Index: j, Salt: t.salts.deriveSalt(t.label, j), Data: data, Path: proof.Path}
+}
+
+// openRecord opens the leaf holding record i.
+func (t *table) openRecord(i int) Opening { return t.open(i / leafRecords) }
+
+// openSpan opens the leaves holding records [lo, hi), each once: the
+// prover's side of column.records.
+func (t *table) openSpan(lo, hi int) []Opening {
+	var span []Opening
+	for j := lo / leafRecords; lo < hi && j <= (hi-1)/leafRecords; j++ {
+		span = append(span, t.open(j))
+	}
+	return span
 }
 
 // sealTables is the committed core every seal shares: the execution
@@ -215,42 +243,40 @@ func commitTrace(ex *Execution, salts salter, width int, obs StageObserver, tr *
 
 // openChecks fills in the boundary openings and the exec, prod and
 // sort check families, in the exact order the verifier derives them.
+// The sampled indices are record indices; an adjacent pair opens the
+// one leaf it lies in, or the two it straddles.
 func (c *sealTables) openChecks(tr *transcript.Transcript, checks int, s *Seal) {
 	rows := c.ex.Rows
 	nRows, nMem := len(rows), len(c.sorted)
-	s.FirstRow = c.exec.open(0)
-	s.LastRow = c.exec.open(nRows - 1)
+	s.FirstRow = c.exec.openRecord(0)
+	s.LastRow = c.exec.openRecord(nRows - 1)
 	if nMem > 0 {
-		s.MemProgFirst = c.memProg.open(0)
-		s.MemSortFirst = c.memSort.open(0)
-		s.ProdProgFirst = c.prodProg.open(0)
-		s.ProdSortFirst = c.prodSort.open(0)
-		s.ProdProgLast = c.prodProg.open(nMem - 1)
-		s.ProdSortLast = c.prodSort.open(nMem - 1)
+		s.MemProgFirst = c.memProg.openRecord(0)
+		s.MemSortFirst = c.memSort.openRecord(0)
+		s.ProdProgFirst = c.prodProg.openRecord(0)
+		s.ProdSortFirst = c.prodSort.openRecord(0)
+		s.ProdProgLast = c.prodProg.openRecord(nMem - 1)
+		s.ProdSortLast = c.prodSort.openRecord(nMem - 1)
 	}
 	if nRows >= 2 {
 		for _, i := range tr.ChallengeIndices("exec", checks, nRows-1) {
-			chk := ExecCheck{RowI: c.exec.open(i), RowJ: c.exec.open(i + 1)}
-			for m := rows[i].MemPtr; m < rows[i+1].MemPtr; m++ {
-				chk.Mem = append(chk.Mem, c.memProg.open(int(m)))
-			}
-			s.ExecChecks = append(s.ExecChecks, chk)
+			s.ExecChecks = append(s.ExecChecks, ExecCheck{
+				Rows: c.exec.openSpan(i, i+2),
+				Mem:  c.memProg.openSpan(int(rows[i].MemPtr), int(rows[i+1].MemPtr)),
+			})
 		}
 	}
 	if nMem >= 2 {
 		for _, i := range tr.ChallengeIndices("prod", checks, nMem-1) {
 			s.ProdChecks = append(s.ProdChecks, ProdCheck{
-				Entry: c.memProg.open(i + 1),
-				ProdI: c.prodProg.open(i),
-				ProdJ: c.prodProg.open(i + 1),
+				Entry: c.memProg.openRecord(i + 1),
+				Prods: c.prodProg.openSpan(i, i+2),
 			})
 		}
 		for _, i := range tr.ChallengeIndices("sort", checks, nMem-1) {
 			s.SortChecks = append(s.SortChecks, SortCheck{
-				EntryI: c.memSort.open(i),
-				EntryJ: c.memSort.open(i + 1),
-				ProdI:  c.prodSort.open(i),
-				ProdJ:  c.prodSort.open(i + 1),
+				Entries: c.memSort.openSpan(i, i+2),
+				Prods:   c.prodSort.openSpan(i, i+2),
 			})
 		}
 	}

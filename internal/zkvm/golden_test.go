@@ -11,11 +11,16 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate golden receipt vectors")
 
 const (
-	goldenReceiptFile = "receipt_v1.bin"
-	// presaltReceiptFile is the golden vector as the prover emitted it
-	// while salts were SHA-256(seed || label || index). It is never
-	// regenerated: it stands for every receipt already in the field.
-	presaltReceiptFile = "receipt_v1_presalt.bin"
+	goldenReceiptFile = "receipt_v2.bin"
+	// The format-v1 vectors (one record per leaf) are never regenerated
+	// — no prover emits that format any more. They stand for every
+	// receipt already in the field: the golden vector as of the PRF
+	// salts, the one from before them (salts SHA-256(seed || label ||
+	// index)), and a four-segment composite, which carries every
+	// continuation check family.
+	v1ReceiptFile        = "receipt_v1.bin"
+	v1PresaltReceiptFile = "receipt_v1_presalt.bin"
+	v1CompositeFile      = "composite_v1.bin"
 )
 
 // goldenReceipt proves the sum program over a fixed input with a
@@ -27,7 +32,7 @@ func goldenReceipt(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed := &[32]byte{0x5a, 0x6b, 0x76, 0x31} // "Zkv1"
+	seed := &[32]byte{0x5a, 0x6b, 0x76, 0x31} // "Zkv1": the seed of the v1 vector too
 	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 8}, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -41,7 +46,7 @@ func goldenReceipt(t *testing.T) []byte {
 
 // TestGoldenReceipt pins the receipt wire format: any change to the
 // trace layout, transcript schedule, Merkle arity, or seal encoding
-// shows up as a byte diff against testdata/receipt_v1.bin. Regenerate
+// shows up as a byte diff against testdata/receipt_v2.bin. Regenerate
 // deliberately with `go test ./internal/zkvm -run TestGoldenReceipt
 // -update` and review the diff as a format change.
 func TestGoldenReceipt(t *testing.T) {
@@ -73,25 +78,67 @@ func TestGoldenReceipt(t *testing.T) {
 	verifyStoredReceipt(t, want)
 }
 
-// TestPresaltReceiptStillVerifies makes "the salt PRF changed, the wire
-// format and the verifier did not" a test: a receipt sealed before the
-// change — whose salts the current prover would never derive — still
-// decodes, verifies and re-encodes canonically, because a salt is
-// opaque bytes to everything but the prover that drew it.
-func TestPresaltReceiptStillVerifies(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("testdata", presaltReceiptFile))
+// TestV1ReceiptsStillVerify makes "format v1 is the same verifier at a
+// block of one" a test: receipts no current prover would emit — sealed
+// one record per leaf, under the v1 transcript labels, one of them with
+// salts from before the PRF — still decode by their magic, verify, and
+// re-encode to the bytes they came from.
+func TestV1ReceiptsStillVerify(t *testing.T) {
+	current := goldenReceipt(t)
+	for _, name := range []string{v1ReceiptFile, v1PresaltReceiptFile} {
+		old, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(old, current) {
+			t.Fatalf("%s equals the current golden receipt: it no longer tests anything", name)
+		}
+		if r := verifyStoredReceipt(t, old); r.Seal.Format != FormatV1 {
+			t.Fatalf("%s decoded as format %d, want v1", name, r.Seal.Format)
+		}
+	}
+
+	old, err := os.ReadFile(filepath.Join("testdata", v1CompositeFile))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bytes.Equal(old, goldenReceipt(t)) {
-		t.Fatal("pre-change vector equals the current golden receipt: it no longer tests anything")
+	any, err := UnmarshalAnyReceipt(old)
+	if err != nil {
+		t.Fatalf("v1 composite does not decode: %v", err)
 	}
-	verifyStoredReceipt(t, old)
+	c := any.(*CompositeReceipt)
+	if len(c.Segments) != 4 || c.Segments[3].Seal.Format != FormatV1 {
+		t.Fatalf("v1 composite decoded as %d segments of format %d", len(c.Segments), c.Segments[0].Seal.Format)
+	}
+	if err := VerifyAny(segTestProgram(t), c, VerifyOptions{}); err != nil {
+		t.Fatalf("v1 composite does not verify: %v", err)
+	}
+	if reenc, err := c.MarshalBinary(); err != nil || !bytes.Equal(reenc, old) {
+		t.Fatalf("v1 composite is not canonical: decode+re-encode changed bytes (err %v)", err)
+	}
+	// A standalone v1 segment keeps its own magic too (the fold digests
+	// that encoding).
+	seg, err := MarshalSegmentReceipt(c.Segments[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := UnmarshalSegmentReceipt(seg); err != nil || back.Seal.Format != FormatV1 {
+		t.Fatalf("standalone v1 segment does not round-trip: %v", err)
+	}
+	// One format per composite: a chain mixing the two cannot be encoded
+	// and does not verify.
+	c.Segments[2].Seal.Format = FormatV2
+	if _, err := c.MarshalBinary(); err == nil {
+		t.Fatal("mixed-format composite encoded")
+	}
+	if err := VerifyComposite(segTestProgram(t), c, VerifyOptions{}); err == nil {
+		t.Fatal("mixed-format composite verified")
+	}
 }
 
 // verifyStoredReceipt decodes a stored vector, verifies it against the
 // sum program and checks that re-encoding reproduces its bytes.
-func verifyStoredReceipt(t *testing.T, stored []byte) {
+func verifyStoredReceipt(t *testing.T, stored []byte) *Receipt {
 	t.Helper()
 	r, err := UnmarshalReceipt(stored)
 	if err != nil {
@@ -107,4 +154,8 @@ func verifyStoredReceipt(t *testing.T, stored []byte) {
 	if !bytes.Equal(reenc, stored) {
 		t.Fatal("stored vector is not canonical: decode+re-encode changed bytes")
 	}
+	if r.Size() != len(stored) {
+		t.Fatalf("Size() = %d, encoding has %d bytes", r.Size(), len(stored))
+	}
+	return r
 }

@@ -5,12 +5,13 @@ package zkvm
 // memory-log entries to the verifier. A FRI-compiled STARK (as used by
 // the paper's RISC Zero backend) reveals none; this report makes our
 // substitution's leakage explicit and measurable. Unopened leaves
-// reveal nothing — every committed leaf is individually salted.
+// reveal nothing — every committed leaf is individually salted. An
+// opened leaf reveals its whole block of records.
 type LeakageReport struct {
 	// TotalRows and TotalMemEntries are the committed table sizes.
 	TotalRows       int
 	TotalMemEntries int
-	// OpenedRows and OpenedMemEntries count distinct revealed leaves.
+	// OpenedRows and OpenedMemEntries count distinct revealed records.
 	OpenedRows       int
 	OpenedMemEntries int
 	// RowFraction and MemFraction are the revealed fractions.
@@ -18,35 +19,54 @@ type LeakageReport struct {
 	MemFraction float64
 }
 
-// Leakage computes the report for a receipt.
-func Leakage(r *Receipt) LeakageReport {
-	rows := map[int]bool{r.Seal.FirstRow.Index: true, r.Seal.LastRow.Index: true}
-	mems := map[int]bool{}
-	if r.Seal.NumMem > 0 {
-		mems[r.Seal.MemProgFirst.Index] = true
-		// Sorted-log openings reveal the same underlying accesses in a
-		// different order; count them in the same pool.
-		mems[int(r.Seal.NumMem)+r.Seal.MemSortFirst.Index] = true
+// reveal marks the records the opened leaf o holds, numbering record i
+// of its table base+i.
+func reveal(seen map[int]bool, base int, o *Opening, block, recBytes int) {
+	for k := range len(o.Data) / recBytes {
+		seen[base+o.Index*block+k] = true
 	}
-	for i := range r.Seal.ExecChecks {
-		c := &r.Seal.ExecChecks[i]
-		rows[c.RowI.Index] = true
-		rows[c.RowJ.Index] = true
+}
+
+// Leakage computes the report for a receipt. It counts records, not
+// leaves: an opened leaf reveals every record of its block, the ones
+// the check did not ask for included.
+func Leakage(r *Receipt) LeakageReport {
+	s := &r.Seal
+	block := s.Format.block()
+	rows, mems := map[int]bool{}, map[int]bool{}
+	row := func(o *Opening) { reveal(rows, 0, o, block, rowBytes) }
+	prog := func(o *Opening) { reveal(mems, 0, o, block, memBytes) }
+	// Sorted-log openings reveal the same underlying accesses in a
+	// different order; count them in the same pool.
+	sorted := func(o *Opening) { reveal(mems, int(s.NumMem), o, block, memBytes) }
+
+	row(&s.FirstRow)
+	row(&s.LastRow)
+	if s.NumMem > 0 {
+		prog(&s.MemProgFirst)
+		sorted(&s.MemSortFirst)
+	}
+	for i := range s.ExecChecks {
+		c := &s.ExecChecks[i]
+		for j := range c.Rows {
+			row(&c.Rows[j])
+		}
 		for j := range c.Mem {
-			mems[c.Mem[j].Index] = true
+			prog(&c.Mem[j])
 		}
 	}
-	for i := range r.Seal.ProdChecks {
-		mems[r.Seal.ProdChecks[i].Entry.Index] = true
+	for i := range s.ProdChecks {
+		prog(&s.ProdChecks[i].Entry)
 	}
-	for i := range r.Seal.SortChecks {
-		c := &r.Seal.SortChecks[i]
-		mems[int(r.Seal.NumMem)+c.EntryI.Index] = true
-		mems[int(r.Seal.NumMem)+c.EntryJ.Index] = true
+	for i := range s.SortChecks {
+		c := &s.SortChecks[i]
+		for j := range c.Entries {
+			sorted(&c.Entries[j])
+		}
 	}
 	rep := LeakageReport{
-		TotalRows:        int(r.Seal.NumRows),
-		TotalMemEntries:  int(r.Seal.NumMem),
+		TotalRows:        int(s.NumRows),
+		TotalMemEntries:  int(s.NumMem),
 		OpenedRows:       len(rows),
 		OpenedMemEntries: len(mems),
 	}

@@ -113,7 +113,7 @@ func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Re
 	s := &receipt.Seal
 	s.NumRows = uint32(len(ex.Rows))
 	s.NumMem = uint32(len(ex.MemLog))
-	tr := transcript.New("zkvm-seal-v1")
+	tr := transcript.New(s.Format.wire().sealLabel)
 	absorbPublic(tr, receipt)
 	tabs := commitTrace(ex, newSalter(seed), par.Workers(opts.Parallelism), opts.Observer, tr, s)
 

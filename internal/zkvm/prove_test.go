@@ -2,6 +2,8 @@ package zkvm
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -108,7 +110,7 @@ func TestVerifyRejectsTamperedOpening(t *testing.T) {
 	if len(r.Seal.ExecChecks) == 0 {
 		t.Fatal("no exec checks")
 	}
-	r.Seal.ExecChecks[0].RowI.Data[4]++ // mutate a register byte
+	r.Seal.ExecChecks[0].Rows[0].Data[4]++ // mutate a register byte
 	if err := Verify(prog, r, VerifyOptions{}); err == nil {
 		t.Fatal("tampered opening accepted")
 	}
@@ -275,17 +277,65 @@ func TestJournalGrowsLinearly(t *testing.T) {
 	}
 }
 
+// TestLeakageReport pins what the report counts: revealed records. An
+// opened leaf gives away its whole block, so the count is the records
+// of the distinct opened leaves — more than the number of leaves, which
+// is what deduplicating on Opening.Index used to report — and in
+// format v1, where a leaf is a record, the two coincide.
 func TestLeakageReport(t *testing.T) {
 	_, r := proveSum(t, 32)
 	rep := Leakage(r)
-	if rep.OpenedRows == 0 || rep.OpenedRows > rep.TotalRows {
-		t.Fatalf("opened rows %d of %d", rep.OpenedRows, rep.TotalRows)
+	if rep.TotalRows != int(r.Seal.NumRows) || rep.TotalMemEntries != int(r.Seal.NumMem) {
+		t.Fatalf("totals %d/%d, seal has %d/%d", rep.TotalRows, rep.TotalMemEntries, r.Seal.NumRows, r.Seal.NumMem)
 	}
-	if rep.RowFraction <= 0 || rep.RowFraction > 1 {
+	// Row openings, recounted by hand: FirstRow, LastRow, and each exec
+	// check's one or two leaves.
+	opened := []*Opening{&r.Seal.FirstRow, &r.Seal.LastRow}
+	for i := range r.Seal.ExecChecks {
+		for j := range r.Seal.ExecChecks[i].Rows {
+			opened = append(opened, &r.Seal.ExecChecks[i].Rows[j])
+		}
+	}
+	leafRows := map[int]int{}
+	for _, o := range opened {
+		leafRows[o.Index] = len(o.Data) / rowBytes
+	}
+	want := 0
+	for _, n := range leafRows {
+		want += n
+	}
+	if rep.OpenedRows != want {
+		t.Fatalf("opened rows %d, the %d distinct opened leaves hold %d", rep.OpenedRows, len(leafRows), want)
+	}
+	if rep.OpenedRows <= len(leafRows) || rep.OpenedRows > leafRecords*len(leafRows) {
+		t.Fatalf("opened rows %d from %d leaves of up to %d rows", rep.OpenedRows, len(leafRows), leafRecords)
+	}
+	if rep.OpenedRows > rep.TotalRows || rep.OpenedMemEntries > 2*rep.TotalMemEntries {
+		t.Fatalf("opened %d/%d of %d/%d", rep.OpenedRows, rep.OpenedMemEntries, rep.TotalRows, 2*rep.TotalMemEntries)
+	}
+	if rep.RowFraction != float64(rep.OpenedRows)/float64(rep.TotalRows) {
 		t.Fatalf("row fraction %f", rep.RowFraction)
 	}
 	if rep.MemFraction <= 0 || rep.MemFraction > 1 {
 		t.Fatalf("mem fraction %f", rep.MemFraction)
+	}
+
+	old, err := os.ReadFile(filepath.Join("testdata", v1ReceiptFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, err := UnmarshalReceipt(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := map[int]bool{v1.Seal.FirstRow.Index: true, v1.Seal.LastRow.Index: true}
+	for i := range v1.Seal.ExecChecks {
+		for j := range v1.Seal.ExecChecks[i].Rows {
+			rows[v1.Seal.ExecChecks[i].Rows[j].Index] = true
+		}
+	}
+	if got := Leakage(v1).OpenedRows; got != len(rows) {
+		t.Fatalf("v1 receipt: opened rows %d, distinct opened leaves %d", got, len(rows))
 	}
 }
 

@@ -4,12 +4,81 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"zkflow/internal/merkle"
 )
 
-// Opening is one authenticated leaf revealed by the seal: the leaf
-// payload, its blinding salt, and the Merkle path to the tree root.
+// leafRecords is B, the number of consecutive records of a table that
+// one committed Merkle leaf holds: leaf j of a table is
+// SHA-256(0x00 || salt_j || rec[Bj] || … || rec[Bj+B-1]), the last leaf
+// short. It is a constant of the seal format, not an option: 4 is the
+// largest block at which opening one record of the 17-byte tables costs
+// no more bytes than it did at one record per leaf (51 more payload
+// bytes against two 32-byte path levels fewer).
+const leafRecords = 4
+
+// Format is the wire format of a seal. The prover emits FormatV2 only.
+// FormatV1 — one record per leaf — is what receipts sealed before the
+// blocked leaves carry; it is decoded and verified by the same code at
+// a block of one, selected by the receipt's magic.
+type Format uint8
+
+const (
+	FormatV2 Format = iota // leafRecords records per leaf
+	FormatV1               // one record per leaf; verify-only
+)
+
+// receiptKind indexes the three encodings a format has a magic for.
+type receiptKind int
+
+const (
+	kindReceipt   receiptKind = iota // Receipt
+	kindComposite                    // CompositeReceipt
+	kindSegment                      // one SegmentReceipt, standalone
+)
+
+// formatWire holds what differs between the formats besides the block:
+// the magics of the three encodings and the transcript labels.
+type formatWire struct {
+	magic               [3]uint32
+	sealLabel, segLabel string
+}
+
+var formatWires = [...]formatWire{
+	FormatV2: {[3]uint32{0x7a6b6635, 0x7a6b6636, 0x7a6b6637}, "zkvm-seal-v2", "zkvm-seg-v2"}, // "zkf5".."zkf7"
+	FormatV1: {[3]uint32{0x7a6b6631, 0x7a6b6632, 0x7a6b6633}, "zkvm-seal-v1", "zkvm-seg-v1"}, // "zkf1".."zkf3"
+}
+
+func (f Format) wire() *formatWire { return &formatWires[f] }
+
+// block is the number of records per committed leaf.
+func (f Format) block() int {
+	if f == FormatV1 {
+		return 1
+	}
+	return leafRecords
+}
+
+// pairsFlagged reports whether an adjacent pair says on the wire if a
+// second opening follows. At a block of one every pair straddles, so
+// format v1 always carried both and has no flag.
+func (f Format) pairsFlagged() bool { return f.block() > 1 }
+
+// formatOf returns the format whose encoding of kind k starts with
+// magic.
+func formatOf(magic uint32, k receiptKind) (Format, bool) {
+	for f := range formatWires {
+		if formatWires[f].magic[k] == magic {
+			return Format(f), true
+		}
+	}
+	return 0, false
+}
+
+// Opening is one authenticated leaf revealed by the seal: its index in
+// the tree, the payload (the leaf's records, concatenated), the
+// blinding salt, and the Merkle path to the tree root.
 type Opening struct {
 	Index int
 	Salt  [saltBytes]byte
@@ -17,45 +86,113 @@ type Opening struct {
 	Path  []merkle.Hash
 }
 
-// verify checks the opening against root at the expected index with
-// the expected payload length.
-func (o *Opening) verify(root merkle.Hash, wantIndex, wantLen int) error {
-	if o.Index != wantIndex {
-		return fmt.Errorf("opening at index %d, want %d", o.Index, wantIndex)
-	}
-	if len(o.Data) != wantLen {
-		return fmt.Errorf("opening payload %d bytes, want %d", len(o.Data), wantLen)
-	}
-	leaf := saltedLeafHash(o.Salt, o.Data)
-	if !merkle.Verify(root, leaf, merkle.Proof{Index: o.Index, Path: o.Path}) {
-		return fmt.Errorf("merkle path invalid for leaf %d", o.Index)
-	}
-	return nil
-}
-
 // size returns the encoded byte size of the opening.
 func (o *Opening) size() int {
 	return 4 + saltBytes + 4 + len(o.Data) + 4 + 32*len(o.Path)
 }
 
-// ExecCheck is a sampled execution-transition check: rows i and i+1
-// plus the program-order memory-log entries the step consumed.
+func openingsSize(os []Opening) int {
+	n := 0
+	for i := range os {
+		n += os[i].size()
+	}
+	return n
+}
+
+// column is one committed table as the verifier sees it: the root, the
+// number of records, their size, and how many share a leaf.
+type column struct {
+	root     merkle.Hash
+	n        int
+	recBytes int
+	block    int
+}
+
+// leaf authenticates o as leaf idx of the column. Everything about the
+// leaf's shape follows from the committed record count: the tree has
+// ceil(n/block) leaves, so the path has exactly that tree's depth, and
+// the payload is exactly the leaf's records — block of them, fewer only
+// in the last leaf.
+func (c column) leaf(o *Opening, idx int) error {
+	leaves := (c.n + c.block - 1) / c.block
+	if idx < 0 || idx >= leaves {
+		return fmt.Errorf("leaf %d outside a %d-leaf tree", idx, leaves)
+	}
+	if o.Index != idx {
+		return fmt.Errorf("opening at leaf %d, want %d", o.Index, idx)
+	}
+	if want := min(c.block, c.n-idx*c.block) * c.recBytes; len(o.Data) != want {
+		return fmt.Errorf("leaf %d payload %d bytes, want %d", idx, len(o.Data), want)
+	}
+	if depth := bits.Len(uint(leaves - 1)); len(o.Path) != depth {
+		return fmt.Errorf("leaf %d path has %d levels, a %d-leaf tree has %d", idx, len(o.Path), leaves, depth)
+	}
+	if !merkle.Verify(c.root, saltedLeafHash(o.Salt, o.Data), merkle.Proof{Index: idx, Path: o.Path}) {
+		return fmt.Errorf("merkle path invalid for leaf %d", idx)
+	}
+	return nil
+}
+
+// record authenticates o as the leaf holding record i and returns that
+// record's bytes.
+func (c column) record(o *Opening, i int) ([]byte, error) {
+	recs, err := c.records([]Opening{*o}, i, i+1)
+	if err != nil {
+		return nil, err
+	}
+	return recs[0], nil
+}
+
+// records authenticates span as the leaves holding records [lo, hi) —
+// each distinct leaf exactly once, in order, so a run inside one block
+// is one opening and one that straddles a block boundary is two — and
+// returns the hi-lo records' bytes. An extra or a missing opening is an
+// error, never ignored.
+func (c column) records(span []Opening, lo, hi int) ([][]byte, error) {
+	if lo < 0 || hi < lo || hi > c.n {
+		return nil, fmt.Errorf("records [%d,%d) outside a %d-record table", lo, hi, c.n)
+	}
+	first, want := lo/c.block, 0
+	if hi > lo {
+		want = (hi-1)/c.block - first + 1
+	}
+	if len(span) != want {
+		return nil, fmt.Errorf("%d openings for records [%d,%d), want %d", len(span), lo, hi, want)
+	}
+	for k := range span {
+		if err := c.leaf(&span[k], first+k); err != nil {
+			return nil, err
+		}
+	}
+	recs := make([][]byte, hi-lo)
+	for i := lo; i < hi; i++ {
+		off := i % c.block * c.recBytes
+		recs[i-lo] = span[i/c.block-first].Data[off : off+c.recBytes]
+	}
+	return recs, nil
+}
+
+// ExecCheck is a sampled execution-transition check of rows i and i+1.
 type ExecCheck struct {
-	RowI, RowJ Opening
-	Mem        []Opening
+	// Rows are the leaves holding rows i and i+1: one, or two when the
+	// pair straddles a block.
+	Rows []Opening
+	// Mem are the leaves holding the program-order memory-log entries
+	// the step consumed, each leaf once.
+	Mem []Opening
 }
 
 // ProdCheck is a sampled program-order running-product step check.
 type ProdCheck struct {
-	Entry        Opening // memProg[i+1]
-	ProdI, ProdJ Opening // products at i and i+1
+	Entry Opening   // the leaf holding memProg[i+1]
+	Prods []Opening // the leaves holding products i and i+1
 }
 
 // SortCheck is a sampled address-sorted adjacency check: ordering,
 // read-consistency, and the sorted running-product step.
 type SortCheck struct {
-	EntryI, EntryJ Opening
-	ProdI, ProdJ   Opening
+	Entries []Opening // the leaves holding memSort[i] and memSort[i+1]
+	Prods   []Opening // the leaves holding sorted products i and i+1
 }
 
 // Seal is the cryptographic proof of correct guest execution: tree
@@ -64,6 +201,10 @@ type SortCheck struct {
 // openings of log-depth paths) — see EXPERIMENTS.md for how this
 // compares with the paper's constant-size Groth16-wrapped proofs.
 type Seal struct {
+	// Format is the leaf layout the trees were committed under; the
+	// zero value is the one the prover emits.
+	Format Format
+
 	NumRows uint32
 	NumMem  uint32
 
@@ -73,6 +214,7 @@ type Seal struct {
 	ProdProgRoot merkle.Hash
 	ProdSortRoot merkle.Hash
 
+	// The leaves holding the first and the last row.
 	FirstRow Opening
 	LastRow  Opening
 
@@ -89,6 +231,16 @@ type Seal struct {
 	SortChecks []SortCheck
 }
 
+// The five committed tables of a seal, as the verifier addresses them.
+func (s *Seal) column(root merkle.Hash, n uint32, recBytes int) column {
+	return column{root: root, n: int(n), recBytes: recBytes, block: s.Format.block()}
+}
+func (s *Seal) execCol() column     { return s.column(s.ExecRoot, s.NumRows, rowBytes) }
+func (s *Seal) memProgCol() column  { return s.column(s.MemProgRoot, s.NumMem, memBytes) }
+func (s *Seal) memSortCol() column  { return s.column(s.MemSortRoot, s.NumMem, memBytes) }
+func (s *Seal) prodProgCol() column { return s.column(s.ProdProgRoot, s.NumMem, prodBytes) }
+func (s *Seal) prodSortCol() column { return s.column(s.ProdSortRoot, s.NumMem, prodBytes) }
+
 // Size returns the encoded seal size in bytes.
 func (s *Seal) Size() int {
 	n := 8 + 5*32 + s.FirstRow.size() + s.LastRow.size()
@@ -98,20 +250,21 @@ func (s *Seal) Size() int {
 			s.ProdProgLast.size() + s.ProdSortLast.size()
 	}
 	n += 12 // check counts
+	pairFlag := 0
+	if s.Format.pairsFlagged() {
+		pairFlag = 1
+	}
 	for i := range s.ExecChecks {
 		c := &s.ExecChecks[i]
-		n += 4 + c.RowI.size() + c.RowJ.size()
-		for j := range c.Mem {
-			n += c.Mem[j].size()
-		}
+		n += pairFlag + openingsSize(c.Rows) + 4 + openingsSize(c.Mem)
 	}
 	for i := range s.ProdChecks {
 		c := &s.ProdChecks[i]
-		n += c.Entry.size() + c.ProdI.size() + c.ProdJ.size()
+		n += c.Entry.size() + pairFlag + openingsSize(c.Prods)
 	}
 	for i := range s.SortChecks {
 		c := &s.SortChecks[i]
-		n += c.EntryI.size() + c.EntryJ.size() + c.ProdI.size() + c.ProdJ.size()
+		n += 2*pairFlag + openingsSize(c.Entries) + openingsSize(c.Prods)
 	}
 	return n
 }
@@ -128,13 +281,7 @@ type Receipt struct {
 
 // JournalBytes serialises the journal words little-endian; this is
 // the byte string other protocols (aggregation chaining) hash.
-func (r *Receipt) JournalBytes() []byte {
-	out := make([]byte, 4*len(r.Journal))
-	for i, w := range r.Journal {
-		binary.LittleEndian.PutUint32(out[4*i:], w)
-	}
-	return out
-}
+func (r *Receipt) JournalBytes() []byte { return wordsToBytes(r.Journal) }
 
 // JournalSize returns the journal size in bytes.
 func (r *Receipt) JournalSize() int { return 4 * len(r.Journal) }
@@ -143,19 +290,17 @@ func (r *Receipt) JournalSize() int { return 4 * len(r.Journal) }
 func (r *Receipt) SealSize() int { return r.Seal.Size() }
 
 // Size returns the full encoded receipt size in bytes.
-func (r *Receipt) Size() int { return len(mustMarshalReceipt(r)) }
-
-func mustMarshalReceipt(r *Receipt) []byte {
-	b, err := r.MarshalBinary()
-	if err != nil {
-		panic(err) // encoding is infallible for in-memory receipts
-	}
-	return b
-}
+func (r *Receipt) Size() int { return 4 + 32 + 4 + 4 + r.JournalSize() + r.Seal.Size() }
 
 // --- binary encoding ---
 
-type bwriter struct{ buf []byte }
+// bwriter appends the little-endian encoding. The only thing that can
+// go wrong is a receipt assembled by hand with a span no format can
+// carry; err keeps the first such.
+type bwriter struct {
+	buf []byte
+	err error
+}
 
 func (w *bwriter) u8(v uint8)   { w.buf = append(w.buf, v) }
 func (w *bwriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
@@ -165,6 +310,19 @@ func (w *bwriter) bytes(b []byte) {
 	w.raw(b)
 }
 func (w *bwriter) hash(h merkle.Hash) { w.raw(h[:]) }
+func (w *bwriter) words(ws []uint32) {
+	w.u32(uint32(len(ws)))
+	for _, v := range ws {
+		w.u32(v)
+	}
+}
+func (w *bwriter) flag(b bool) {
+	if b {
+		w.u8(1)
+	} else {
+		w.u8(0)
+	}
+}
 func (w *bwriter) opening(o *Opening) {
 	w.u32(uint32(o.Index))
 	w.raw(o.Salt[:])
@@ -172,6 +330,34 @@ func (w *bwriter) opening(o *Opening) {
 	w.u32(uint32(len(o.Path)))
 	for _, h := range o.Path {
 		w.hash(h)
+	}
+}
+
+// openings writes a counted run of openings.
+func (w *bwriter) openings(os []Opening) {
+	w.u32(uint32(len(os)))
+	for i := range os {
+		w.opening(&os[i])
+	}
+}
+
+// span writes the one or two openings of an adjacent pair: the first,
+// a flag, and the second if the flag is set. flagged is false where
+// the format always carries both and so has no flag on the wire
+// (Format.pairsFlagged).
+func (w *bwriter) span(os []Opening, flagged bool) {
+	if len(os) < 1 || len(os) > 2 || (!flagged && len(os) != 2) {
+		if w.err == nil {
+			w.err = fmt.Errorf("zkvm: cannot encode a pair of %d openings", len(os))
+		}
+		return
+	}
+	w.opening(&os[0])
+	if flagged {
+		w.flag(len(os) == 2)
+	}
+	if len(os) == 2 {
+		w.opening(&os[1])
 	}
 }
 
@@ -187,7 +373,7 @@ func (r *breader) need(n int) bool {
 	if r.err != nil {
 		return false
 	}
-	if r.off+n > len(r.buf) {
+	if n > len(r.buf)-r.off {
 		r.err = errTruncated
 		return false
 	}
@@ -212,6 +398,20 @@ func (r *breader) u32() uint32 {
 	return v
 }
 
+// count reads the length of a run of items of at least itemBytes
+// each, so a hostile count cannot make the decoder allocate more than
+// the bytes that are actually left could fill.
+func (r *breader) count(itemBytes int) int {
+	n := r.u32()
+	if r.err == nil && uint64(n)*uint64(itemBytes) > uint64(len(r.buf)-r.off) {
+		r.err = errTruncated
+	}
+	if r.err != nil {
+		return 0
+	}
+	return int(n)
+}
+
 func (r *breader) raw(n int) []byte {
 	if !r.need(n) {
 		return nil
@@ -221,52 +421,65 @@ func (r *breader) raw(n int) []byte {
 	return b
 }
 
-func (r *breader) bytes() []byte {
-	n := r.u32()
-	if n > uint32(len(r.buf)) {
-		r.err = errTruncated
-		return nil
-	}
-	return r.raw(int(n))
-}
-
 func (r *breader) hash() merkle.Hash {
 	var h merkle.Hash
 	copy(h[:], r.raw(32))
 	return h
 }
 
+func (r *breader) words() []uint32 {
+	ws := make([]uint32, r.count(4))
+	for i := range ws {
+		ws[i] = r.u32()
+	}
+	return ws
+}
+
+func (r *breader) flag() bool {
+	v := r.u8()
+	if v > 1 && r.err == nil {
+		r.err = errors.New("zkvm: bad flag byte")
+	}
+	return v == 1
+}
+
+// minOpeningBytes is the encoding of an opening with no payload and no
+// path.
+const minOpeningBytes = 4 + saltBytes + 4 + 4
+
 func (r *breader) opening() Opening {
 	var o Opening
 	o.Index = int(r.u32())
 	copy(o.Salt[:], r.raw(saltBytes))
-	o.Data = append([]byte(nil), r.bytes()...)
-	n := r.u32()
-	if n > uint32(len(r.buf)) {
-		r.err = errTruncated
-		return o
-	}
-	o.Path = make([]merkle.Hash, n)
+	o.Data = append([]byte(nil), r.raw(r.count(1))...)
+	o.Path = make([]merkle.Hash, r.count(32))
 	for i := range o.Path {
 		o.Path[i] = r.hash()
 	}
 	return o
 }
 
-// receiptMagic versions the encoding.
-const receiptMagic = 0x7a6b6631 // "zkf1"
-
-// MarshalBinary encodes the receipt.
-func (r *Receipt) MarshalBinary() ([]byte, error) {
-	w := &bwriter{}
-	w.u32(receiptMagic)
-	w.raw(r.ImageID[:])
-	w.u32(r.ExitCode)
-	w.u32(uint32(len(r.Journal)))
-	for _, j := range r.Journal {
-		w.u32(j)
+func (r *breader) openings() []Opening {
+	os := make([]Opening, r.count(minOpeningBytes))
+	for i := range os {
+		os[i] = r.opening()
 	}
-	s := &r.Seal
+	return os
+}
+
+// span reads what bwriter.span wrote.
+func (r *breader) span(flagged bool) []Opening {
+	os := []Opening{r.opening()}
+	if !flagged || r.flag() {
+		os = append(os, r.opening())
+	}
+	return os
+}
+
+// writeSeal appends a seal. The layout is the same in both formats but
+// for the pair flag.
+func writeSeal(w *bwriter, s *Seal) {
+	flagged := s.Format.pairsFlagged()
 	w.u32(s.NumRows)
 	w.u32(s.NumMem)
 	w.hash(s.ExecRoot)
@@ -287,49 +500,27 @@ func (r *Receipt) MarshalBinary() ([]byte, error) {
 	w.u32(uint32(len(s.ExecChecks)))
 	for i := range s.ExecChecks {
 		c := &s.ExecChecks[i]
-		w.opening(&c.RowI)
-		w.opening(&c.RowJ)
-		w.u32(uint32(len(c.Mem)))
-		for j := range c.Mem {
-			w.opening(&c.Mem[j])
-		}
+		w.span(c.Rows, flagged)
+		w.openings(c.Mem)
 	}
 	w.u32(uint32(len(s.ProdChecks)))
 	for i := range s.ProdChecks {
 		c := &s.ProdChecks[i]
 		w.opening(&c.Entry)
-		w.opening(&c.ProdI)
-		w.opening(&c.ProdJ)
+		w.span(c.Prods, flagged)
 	}
 	w.u32(uint32(len(s.SortChecks)))
 	for i := range s.SortChecks {
 		c := &s.SortChecks[i]
-		w.opening(&c.EntryI)
-		w.opening(&c.EntryJ)
-		w.opening(&c.ProdI)
-		w.opening(&c.ProdJ)
+		w.span(c.Entries, flagged)
+		w.span(c.Prods, flagged)
 	}
-	return w.buf, nil
 }
 
-// UnmarshalReceipt decodes a receipt produced by MarshalBinary.
-func UnmarshalReceipt(data []byte) (*Receipt, error) {
-	rd := &breader{buf: data}
-	if rd.u32() != receiptMagic {
-		return nil, errors.New("zkvm: bad receipt magic")
-	}
-	var r Receipt
-	copy(r.ImageID[:], rd.raw(32))
-	r.ExitCode = rd.u32()
-	nj := rd.u32()
-	if nj > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	r.Journal = make([]uint32, nj)
-	for i := range r.Journal {
-		r.Journal[i] = rd.u32()
-	}
-	s := &r.Seal
+// readSeal decodes a seal of format f.
+func readSeal(rd *breader, f Format) Seal {
+	flagged := f.pairsFlagged()
+	s := Seal{Format: f}
 	s.NumRows = rd.u32()
 	s.NumMem = rd.u32()
 	s.ExecRoot = rd.hash()
@@ -347,47 +538,51 @@ func UnmarshalReceipt(data []byte) (*Receipt, error) {
 		s.ProdProgLast = rd.opening()
 		s.ProdSortLast = rd.opening()
 	}
-	ne := rd.u32()
-	if ne > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	s.ExecChecks = make([]ExecCheck, ne)
+	s.ExecChecks = make([]ExecCheck, rd.count(minOpeningBytes))
 	for i := range s.ExecChecks {
 		c := &s.ExecChecks[i]
-		c.RowI = rd.opening()
-		c.RowJ = rd.opening()
-		nm := rd.u32()
-		if nm > uint32(len(data)) {
-			return nil, errTruncated
-		}
-		c.Mem = make([]Opening, nm)
-		for j := range c.Mem {
-			c.Mem[j] = rd.opening()
-		}
+		c.Rows = rd.span(flagged)
+		c.Mem = rd.openings()
 	}
-	np := rd.u32()
-	if np > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	s.ProdChecks = make([]ProdCheck, np)
+	s.ProdChecks = make([]ProdCheck, rd.count(minOpeningBytes))
 	for i := range s.ProdChecks {
 		c := &s.ProdChecks[i]
 		c.Entry = rd.opening()
-		c.ProdI = rd.opening()
-		c.ProdJ = rd.opening()
+		c.Prods = rd.span(flagged)
 	}
-	ns := rd.u32()
-	if ns > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	s.SortChecks = make([]SortCheck, ns)
+	s.SortChecks = make([]SortCheck, rd.count(minOpeningBytes))
 	for i := range s.SortChecks {
 		c := &s.SortChecks[i]
-		c.EntryI = rd.opening()
-		c.EntryJ = rd.opening()
-		c.ProdI = rd.opening()
-		c.ProdJ = rd.opening()
+		c.Entries = rd.span(flagged)
+		c.Prods = rd.span(flagged)
 	}
+	return s
+}
+
+// MarshalBinary encodes the receipt in its seal's format.
+func (r *Receipt) MarshalBinary() ([]byte, error) {
+	w := &bwriter{buf: make([]byte, 0, r.Size())}
+	w.u32(r.Seal.Format.wire().magic[kindReceipt])
+	w.raw(r.ImageID[:])
+	w.u32(r.ExitCode)
+	w.words(r.Journal)
+	writeSeal(w, &r.Seal)
+	return w.buf, w.err
+}
+
+// UnmarshalReceipt decodes a receipt produced by MarshalBinary, of
+// either format.
+func UnmarshalReceipt(data []byte) (*Receipt, error) {
+	rd := &breader{buf: data}
+	f, ok := formatOf(rd.u32(), kindReceipt)
+	if !ok {
+		return nil, errors.New("zkvm: bad receipt magic")
+	}
+	var r Receipt
+	copy(r.ImageID[:], rd.raw(32))
+	r.ExitCode = rd.u32()
+	r.Journal = rd.words()
+	r.Seal = readSeal(rd, f)
 	if rd.err != nil {
 		return nil, rd.err
 	}

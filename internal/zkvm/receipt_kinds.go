@@ -23,9 +23,10 @@ func RegisterReceiptKind(magic uint32, decode func([]byte) (AnyReceipt, error)) 
 	if decode == nil {
 		panic("zkvm: RegisterReceiptKind with nil decoder")
 	}
-	switch magic {
-	case receiptMagic, compositeMagic, segMagic:
-		panic("zkvm: receipt magic collides with a builtin kind")
+	for k := range formatWires[0].magic {
+		if _, builtin := formatOf(magic, receiptKind(k)); builtin {
+			panic("zkvm: receipt magic collides with a builtin kind")
+		}
 	}
 	kindMu.Lock()
 	defer kindMu.Unlock()

@@ -177,7 +177,8 @@ func (r *SegmentRun) Release() {
 // AssembleComposite orders independently proved segment receipts by
 // index and checks they form one coherent chain: contiguous indices
 // from zero, exactly one receipt per index, one final segment at the
-// end, a single image ID, and exit(i) == entry(i+1) linkage. It does
+// end, a single image ID and seal format, and exit(i) == entry(i+1)
+// linkage. It does
 // NOT verify the seals — callers that need cryptographic assurance run
 // VerifyComposite on the result.
 func AssembleComposite(receipts []*SegmentReceipt) (*CompositeReceipt, error) {
@@ -211,145 +212,37 @@ func AssembleComposite(receipts []*SegmentReceipt) (*CompositeReceipt, error) {
 			return nil, fmt.Errorf("zkvm: assemble: boundary %d entry/exit mismatch", i)
 		}
 	}
-	return &CompositeReceipt{Segments: ordered}, nil
+	c := &CompositeReceipt{Segments: ordered}
+	if _, err := c.format(); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
-// segMagic versions the standalone segment-receipt encoding — the unit
-// a farm worker ships back to the coordinator.
-const segMagic = 0x7a6b6633 // "zkf3"
-
-// MarshalSegmentReceipt encodes one segment receipt standalone. The
-// body layout is exactly the per-segment section of
-// CompositeReceipt.MarshalBinary, so an assembled composite carries the
-// same segment bytes the workers produced.
+// MarshalSegmentReceipt encodes one segment receipt standalone — the
+// unit a farm worker ships back to the coordinator: the format's
+// segment magic, then exactly the segment's section of
+// CompositeReceipt.MarshalBinary.
 func MarshalSegmentReceipt(sr *SegmentReceipt) ([]byte, error) {
 	w := &bwriter{}
-	w.u32(segMagic)
-	writeSegmentBody(w, sr)
-	return w.buf, nil
-}
-
-func writeSegmentBody(w *bwriter, sr *SegmentReceipt) {
-	w.raw(sr.ImageID[:])
-	w.u32(sr.Index)
-	w.flag(sr.Final)
-	w.u32(sr.ExitCode)
-	w.u32(uint32(len(sr.Journal)))
-	for _, j := range sr.Journal {
-		w.u32(j)
-	}
-	w.state(&sr.Entry)
-	w.state(&sr.Exit)
-	writeSeal(w, &sr.Seal)
-	w.u32(uint32(len(sr.ImportChecks)))
-	for i := range sr.ImportChecks {
-		w.opening(&sr.ImportChecks[i].MemProg)
-		w.opening(&sr.ImportChecks[i].Img)
-	}
-	w.u32(uint32(len(sr.ExitChecks)))
-	for i := range sr.ExitChecks {
-		e := &sr.ExitChecks[i]
-		w.opening(&e.Img)
-		w.u32(e.Pos)
-		w.opening(&e.SortP)
-		w.flag(e.HasP1)
-		if e.HasP1 {
-			w.opening(&e.SortP1)
-		}
-	}
-	w.u32(uint32(len(sr.CoverChecks)))
-	for i := range sr.CoverChecks {
-		cc := &sr.CoverChecks[i]
-		w.opening(&cc.EntryI)
-		w.flag(cc.HasJ)
-		if cc.HasJ {
-			w.opening(&cc.EntryJ)
-		}
-		w.flag(cc.HasImg)
-		if cc.HasImg {
-			w.u32(cc.ExitIdx)
-			w.opening(&cc.Img)
-		}
-	}
+	w.u32(sr.Seal.Format.wire().magic[kindSegment])
+	writeSegment(w, sr)
+	return w.buf, w.err
 }
 
 // UnmarshalSegmentReceipt decodes a standalone segment receipt.
 func UnmarshalSegmentReceipt(data []byte) (*SegmentReceipt, error) {
 	rd := &breader{buf: data}
-	if rd.u32() != segMagic {
+	f, ok := formatOf(rd.u32(), kindSegment)
+	if !ok {
 		return nil, errors.New("zkvm: bad segment receipt magic")
 	}
-	sr, err := readSegmentBody(rd, data)
-	if err != nil {
-		return nil, err
+	sr := readSegment(rd, f)
+	if rd.err != nil {
+		return nil, rd.err
 	}
 	if rd.off != len(data) {
 		return nil, errors.New("zkvm: trailing bytes after segment receipt")
-	}
-	return sr, nil
-}
-
-func readSegmentBody(rd *breader, data []byte) (*SegmentReceipt, error) {
-	sr := &SegmentReceipt{}
-	copy(sr.ImageID[:], rd.raw(32))
-	sr.Index = rd.u32()
-	sr.Final = rd.flag()
-	sr.ExitCode = rd.u32()
-	nj := rd.u32()
-	if nj > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	sr.Journal = make([]uint32, nj)
-	for i := range sr.Journal {
-		sr.Journal[i] = rd.u32()
-	}
-	sr.Entry = rd.state()
-	sr.Exit = rd.state()
-	readSeal(rd, &sr.Seal)
-	ni := rd.u32()
-	if ni > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	sr.ImportChecks = make([]ImportCheck, ni)
-	for i := range sr.ImportChecks {
-		sr.ImportChecks[i].MemProg = rd.opening()
-		sr.ImportChecks[i].Img = rd.opening()
-	}
-	ne := rd.u32()
-	if ne > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	sr.ExitChecks = make([]ExitCheck, ne)
-	for i := range sr.ExitChecks {
-		e := &sr.ExitChecks[i]
-		e.Img = rd.opening()
-		e.Pos = rd.u32()
-		e.SortP = rd.opening()
-		e.HasP1 = rd.flag()
-		if e.HasP1 {
-			e.SortP1 = rd.opening()
-		}
-	}
-	nc := rd.u32()
-	if nc > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	sr.CoverChecks = make([]CoverCheck, nc)
-	for i := range sr.CoverChecks {
-		cc := &sr.CoverChecks[i]
-		cc.EntryI = rd.opening()
-		cc.HasJ = rd.flag()
-		if cc.HasJ {
-			cc.EntryJ = rd.opening()
-		}
-		cc.HasImg = rd.flag()
-		if cc.HasImg {
-			cc.ExitIdx = rd.u32()
-			cc.Img = rd.opening()
-		}
-	}
-	if rd.err != nil {
-		return nil, rd.err
 	}
 	return sr, nil
 }

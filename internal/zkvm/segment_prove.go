@@ -16,9 +16,9 @@ const treeBoundary byte = 6
 
 // wordsToBytes serialises journal words little-endian.
 func wordsToBytes(words []uint32) []byte {
-	out := make([]byte, 4*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(out[4*i:], w)
+	out := make([]byte, 0, 4*len(words))
+	for _, w := range words {
+		out = binary.LittleEndian.AppendUint32(out, w)
 	}
 	return out
 }
@@ -74,7 +74,7 @@ func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed
 }
 
 // proveSegmentSeeded seals one segment. It is proveExecutionSeeded
-// with the continuation deltas: a "zkvm-seg-v1" transcript that binds
+// with the continuation deltas: a segment transcript that binds
 // the entry/exit states, and the import/exit/cover sampled-check
 // families over the shared boundary-image tables (entry is nil for the
 // first segment, exit for the final one).
@@ -95,7 +95,7 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	s := &sr.Seal
 	s.NumRows = uint32(len(ex.Rows))
 	s.NumMem = uint32(len(ex.MemLog))
-	tr := transcript.New("zkvm-seg-v1")
+	tr := transcript.New(s.Format.wire().segLabel)
 	absorbSegmentPublic(tr, sr)
 	tabs := commitTrace(ex, newSalter(seed), width, opts.Observer, tr, s)
 
@@ -109,8 +109,8 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	if sr.Entry.MemLen > 0 {
 		for _, i := range tr.ChallengeIndices("import", checks, int(sr.Entry.MemLen)) {
 			sr.ImportChecks = append(sr.ImportChecks, ImportCheck{
-				MemProg: tabs.memProg.open(i),
-				Img:     entry.open(i),
+				MemProg: tabs.memProg.openRecord(i),
+				Img:     entry.openRecord(i),
 			})
 		}
 	}
@@ -121,35 +121,24 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 			addr := seg.exitImg[j].Addr
 			// Last sorted position with this address.
 			p := sort.Search(len(sorted), func(i int) bool { return sorted[i].Addr > addr }) - 1
-			ec := ExitCheck{
-				Img:   exit.open(j),
-				Pos:   uint32(p),
-				SortP: tabs.memSort.open(p),
-			}
-			if p+1 < nMem {
-				ec.HasP1 = true
-				ec.SortP1 = tabs.memSort.open(p + 1)
-			}
-			sr.ExitChecks = append(sr.ExitChecks, ec)
+			sr.ExitChecks = append(sr.ExitChecks, ExitCheck{
+				Img:  exit.openRecord(j),
+				Pos:  uint32(p),
+				Sort: tabs.memSort.openSpan(p, min(p+2, nMem)),
+			})
 		}
 	}
 	// Cover: every last access that leaves a nonzero value appears in
 	// the exit image.
 	if !seg.final && nMem > 0 {
 		for _, i := range tr.ChallengeIndices("cover", checks, nMem) {
-			cc := CoverCheck{EntryI: tabs.memSort.open(i)}
-			isLast := i+1 == nMem
-			if !isLast {
-				cc.HasJ = true
-				cc.EntryJ = tabs.memSort.open(i + 1)
-				isLast = sorted[i+1].Addr != sorted[i].Addr
-			}
-			if isLast && sorted[i].Val != 0 {
+			cc := CoverCheck{Entries: tabs.memSort.openSpan(i, min(i+2, nMem))}
+			if isLast := i+1 == nMem || sorted[i+1].Addr != sorted[i].Addr; isLast && sorted[i].Val != 0 {
 				addr := sorted[i].Addr
 				j := sort.Search(len(seg.exitImg), func(k int) bool { return seg.exitImg[k].Addr >= addr })
 				cc.HasImg = true
 				cc.ExitIdx = uint32(j)
-				cc.Img = exit.open(j)
+				cc.Img = exit.openRecord(j)
 			}
 			sr.CoverChecks = append(sr.CoverChecks, cc)
 		}

@@ -9,21 +9,19 @@ import (
 // ImportCheck is a sampled entry-image import check: program-order log
 // entry i must be a synthetic import write of entry-image pair i.
 type ImportCheck struct {
-	MemProg Opening // memProg[i]
-	Img     Opening // entry-image leaf i
+	MemProg Opening // the leaf holding memProg[i]
+	Img     Opening // the leaf holding entry-image pair i
 }
 
-// ExitCheck is a sampled exit-image membership check: exit-image leaf
+// ExitCheck is a sampled exit-image membership check: exit-image pair
 // j must equal the value after the last sorted-log access of its
 // address. Pos is the prover-supplied sorted-log position of that last
-// access; the opening of position Pos+1 (when it exists) proves
-// last-ness, given the separately-sampled sorted-order invariant.
+// access; the entry at Pos+1 (when it exists) proves last-ness, given
+// the separately-sampled sorted-order invariant.
 type ExitCheck struct {
-	Img    Opening // exit-image leaf j
-	Pos    uint32  // last-access position in the sorted log
-	SortP  Opening // memSort[Pos]
-	HasP1  bool
-	SortP1 Opening // memSort[Pos+1], present iff Pos+1 < NumMem
+	Img  Opening   // the leaf holding exit-image pair j
+	Pos  uint32    // last-access position in the sorted log
+	Sort []Opening // the leaves holding memSort[Pos] and, if Pos+1 < NumMem, memSort[Pos+1]
 }
 
 // CoverCheck is the converse sampled check: if sorted-log entry i is
@@ -32,12 +30,10 @@ type ExitCheck struct {
 // ExitIdx. Together with ExitCheck this pins the exit image to exactly
 // the live nonzero words (up to sampling soundness).
 type CoverCheck struct {
-	EntryI  Opening // memSort[i]
-	HasJ    bool
-	EntryJ  Opening // memSort[i+1], present iff i+1 < NumMem
+	Entries []Opening // the leaves holding memSort[i] and, if i+1 < NumMem, memSort[i+1]
 	HasImg  bool
 	ExitIdx uint32
-	Img     Opening // exit-image leaf ExitIdx, present iff last and val != 0
+	Img     Opening // the leaf holding exit-image pair ExitIdx, present iff last and val != 0
 }
 
 // SegmentReceipt proves one bounded-cycle slice of a guest run. Its
@@ -127,171 +123,66 @@ func (c *CompositeReceipt) JournalWords() []uint32 {
 }
 
 // JournalBytes implements AnyReceipt.
-func (c *CompositeReceipt) JournalBytes() []byte {
-	words := c.JournalWords()
-	out := make([]byte, 4*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(out[4*i:], w)
+func (c *CompositeReceipt) JournalBytes() []byte { return wordsToBytes(c.JournalWords()) }
+
+// sealSize is the segment's proof size: the seal, the continuation
+// checks, both boundary states and the journal slice.
+func (sr *SegmentReceipt) sealSize() int {
+	n := sr.Seal.Size() + 2*stateBytes + 4*len(sr.Journal)
+	for i := range sr.ImportChecks {
+		n += sr.ImportChecks[i].MemProg.size() + sr.ImportChecks[i].Img.size()
 	}
-	return out
+	for i := range sr.ExitChecks {
+		e := &sr.ExitChecks[i]
+		n += e.Img.size() + 4 + 1 + openingsSize(e.Sort)
+	}
+	for i := range sr.CoverChecks {
+		cc := &sr.CoverChecks[i]
+		n += 1 + openingsSize(cc.Entries) + 1
+		if cc.HasImg {
+			n += 4 + cc.Img.size()
+		}
+	}
+	return n
 }
 
 // SealSize implements AnyReceipt: the sum of the segment proof sizes.
 func (c *CompositeReceipt) SealSize() int {
 	n := 0
 	for _, sr := range c.Segments {
-		n += sr.Seal.Size()
-		for i := range sr.ImportChecks {
-			n += sr.ImportChecks[i].MemProg.size() + sr.ImportChecks[i].Img.size()
-		}
-		for i := range sr.ExitChecks {
-			e := &sr.ExitChecks[i]
-			n += e.Img.size() + 4 + e.SortP.size()
-			if e.HasP1 {
-				n += e.SortP1.size()
-			}
-		}
-		for i := range sr.CoverChecks {
-			cc := &sr.CoverChecks[i]
-			n += cc.EntryI.size()
-			if cc.HasJ {
-				n += cc.EntryJ.size()
-			}
-			if cc.HasImg {
-				n += 4 + cc.Img.size()
-			}
-		}
-		n += 2*stateBytes + 4*len(sr.Journal)
+		n += sr.sealSize()
 	}
 	return n
 }
 
 // Size implements AnyReceipt.
 func (c *CompositeReceipt) Size() int {
-	b, err := c.MarshalBinary()
-	if err != nil {
-		panic(err) // encoding is infallible for in-memory receipts
+	n := 8
+	for _, sr := range c.Segments {
+		// What sealSize leaves out of a segment's encoding: image ID,
+		// index, final flag, exit code, the journal and three check
+		// counts.
+		n += 32 + 4 + 1 + 4 + 4 + 3*4 + sr.sealSize()
 	}
-	return len(b)
+	return n
 }
 
 // NumSegments returns the segment count.
 func (c *CompositeReceipt) NumSegments() int { return len(c.Segments) }
 
-// compositeMagic versions the composite-receipt encoding.
-const compositeMagic = 0x7a6b6632 // "zkf2"
-
-// writeSeal appends a seal in exactly the layout Receipt.MarshalBinary
-// uses for its seal section.
-func writeSeal(w *bwriter, s *Seal) {
-	w.u32(s.NumRows)
-	w.u32(s.NumMem)
-	w.hash(s.ExecRoot)
-	w.hash(s.MemProgRoot)
-	w.hash(s.MemSortRoot)
-	w.hash(s.ProdProgRoot)
-	w.hash(s.ProdSortRoot)
-	w.opening(&s.FirstRow)
-	w.opening(&s.LastRow)
-	if s.NumMem > 0 {
-		w.opening(&s.MemProgFirst)
-		w.opening(&s.MemSortFirst)
-		w.opening(&s.ProdProgFirst)
-		w.opening(&s.ProdSortFirst)
-		w.opening(&s.ProdProgLast)
-		w.opening(&s.ProdSortLast)
+// format is the format a composite is encoded in: that of its
+// segments, which all share one.
+func (c *CompositeReceipt) format() (Format, error) {
+	if len(c.Segments) == 0 {
+		return FormatV2, nil
 	}
-	w.u32(uint32(len(s.ExecChecks)))
-	for i := range s.ExecChecks {
-		c := &s.ExecChecks[i]
-		w.opening(&c.RowI)
-		w.opening(&c.RowJ)
-		w.u32(uint32(len(c.Mem)))
-		for j := range c.Mem {
-			w.opening(&c.Mem[j])
+	f := c.Segments[0].Seal.Format
+	for i, sr := range c.Segments {
+		if sr.Seal.Format != f {
+			return f, fmt.Errorf("zkvm: segment %d is sealed in a different format from segment 0", i)
 		}
 	}
-	w.u32(uint32(len(s.ProdChecks)))
-	for i := range s.ProdChecks {
-		c := &s.ProdChecks[i]
-		w.opening(&c.Entry)
-		w.opening(&c.ProdI)
-		w.opening(&c.ProdJ)
-	}
-	w.u32(uint32(len(s.SortChecks)))
-	for i := range s.SortChecks {
-		c := &s.SortChecks[i]
-		w.opening(&c.EntryI)
-		w.opening(&c.EntryJ)
-		w.opening(&c.ProdI)
-		w.opening(&c.ProdJ)
-	}
-}
-
-// readSeal decodes a seal written by writeSeal.
-func readSeal(rd *breader, s *Seal) {
-	s.NumRows = rd.u32()
-	s.NumMem = rd.u32()
-	s.ExecRoot = rd.hash()
-	s.MemProgRoot = rd.hash()
-	s.MemSortRoot = rd.hash()
-	s.ProdProgRoot = rd.hash()
-	s.ProdSortRoot = rd.hash()
-	s.FirstRow = rd.opening()
-	s.LastRow = rd.opening()
-	if s.NumMem > 0 {
-		s.MemProgFirst = rd.opening()
-		s.MemSortFirst = rd.opening()
-		s.ProdProgFirst = rd.opening()
-		s.ProdSortFirst = rd.opening()
-		s.ProdProgLast = rd.opening()
-		s.ProdSortLast = rd.opening()
-	}
-	ne := rd.u32()
-	if ne > uint32(len(rd.buf)) {
-		rd.err = errTruncated
-		return
-	}
-	s.ExecChecks = make([]ExecCheck, ne)
-	for i := range s.ExecChecks {
-		c := &s.ExecChecks[i]
-		c.RowI = rd.opening()
-		c.RowJ = rd.opening()
-		nm := rd.u32()
-		if nm > uint32(len(rd.buf)) {
-			rd.err = errTruncated
-			return
-		}
-		c.Mem = make([]Opening, nm)
-		for j := range c.Mem {
-			c.Mem[j] = rd.opening()
-		}
-	}
-	np := rd.u32()
-	if np > uint32(len(rd.buf)) {
-		rd.err = errTruncated
-		return
-	}
-	s.ProdChecks = make([]ProdCheck, np)
-	for i := range s.ProdChecks {
-		c := &s.ProdChecks[i]
-		c.Entry = rd.opening()
-		c.ProdI = rd.opening()
-		c.ProdJ = rd.opening()
-	}
-	ns := rd.u32()
-	if ns > uint32(len(rd.buf)) {
-		rd.err = errTruncated
-		return
-	}
-	s.SortChecks = make([]SortCheck, ns)
-	for i := range s.SortChecks {
-		c := &s.SortChecks[i]
-		c.EntryI = rd.opening()
-		c.EntryJ = rd.opening()
-		c.ProdI = rd.opening()
-		c.ProdJ = rd.opening()
-	}
+	return f, nil
 }
 
 func (w *bwriter) state(s *SegmentState) { w.raw(encodeState(s)) }
@@ -308,144 +199,106 @@ func (rd *breader) state() SegmentState {
 	return s
 }
 
-func (w *bwriter) flag(b bool) {
-	if b {
-		w.u8(1)
-	} else {
-		w.u8(0)
+// writeSegment appends one segment receipt: the unit a composite
+// repeats and a farm worker ships standalone, so an assembled composite
+// carries the same segment bytes the workers produced.
+func writeSegment(w *bwriter, sr *SegmentReceipt) {
+	w.raw(sr.ImageID[:])
+	w.u32(sr.Index)
+	w.flag(sr.Final)
+	w.u32(sr.ExitCode)
+	w.words(sr.Journal)
+	w.state(&sr.Entry)
+	w.state(&sr.Exit)
+	writeSeal(w, &sr.Seal)
+	w.u32(uint32(len(sr.ImportChecks)))
+	for i := range sr.ImportChecks {
+		w.opening(&sr.ImportChecks[i].MemProg)
+		w.opening(&sr.ImportChecks[i].Img)
+	}
+	// Whether the sorted log has an entry after the one a check looks at
+	// depends on the position, so these pairs carry their flag in both
+	// formats.
+	w.u32(uint32(len(sr.ExitChecks)))
+	for i := range sr.ExitChecks {
+		e := &sr.ExitChecks[i]
+		w.opening(&e.Img)
+		w.u32(e.Pos)
+		w.span(e.Sort, true)
+	}
+	w.u32(uint32(len(sr.CoverChecks)))
+	for i := range sr.CoverChecks {
+		cc := &sr.CoverChecks[i]
+		w.span(cc.Entries, true)
+		w.flag(cc.HasImg)
+		if cc.HasImg {
+			w.u32(cc.ExitIdx)
+			w.opening(&cc.Img)
+		}
 	}
 }
 
-func (rd *breader) flag() bool {
-	v := rd.u8()
-	if v > 1 {
-		rd.err = errors.New("zkvm: bad flag byte")
+// readSegment decodes what writeSegment wrote, in format f.
+func readSegment(rd *breader, f Format) *SegmentReceipt {
+	sr := &SegmentReceipt{}
+	copy(sr.ImageID[:], rd.raw(32))
+	sr.Index = rd.u32()
+	sr.Final = rd.flag()
+	sr.ExitCode = rd.u32()
+	sr.Journal = rd.words()
+	sr.Entry = rd.state()
+	sr.Exit = rd.state()
+	sr.Seal = readSeal(rd, f)
+	sr.ImportChecks = make([]ImportCheck, rd.count(minOpeningBytes))
+	for i := range sr.ImportChecks {
+		sr.ImportChecks[i].MemProg = rd.opening()
+		sr.ImportChecks[i].Img = rd.opening()
 	}
-	return v == 1
+	sr.ExitChecks = make([]ExitCheck, rd.count(minOpeningBytes))
+	for i := range sr.ExitChecks {
+		e := &sr.ExitChecks[i]
+		e.Img = rd.opening()
+		e.Pos = rd.u32()
+		e.Sort = rd.span(true)
+	}
+	sr.CoverChecks = make([]CoverCheck, rd.count(minOpeningBytes))
+	for i := range sr.CoverChecks {
+		cc := &sr.CoverChecks[i]
+		cc.Entries = rd.span(true)
+		cc.HasImg = rd.flag()
+		if cc.HasImg {
+			cc.ExitIdx = rd.u32()
+			cc.Img = rd.opening()
+		}
+	}
+	return sr
 }
 
-// MarshalBinary encodes the composite receipt.
+// MarshalBinary encodes the composite receipt in its segments' format.
 func (c *CompositeReceipt) MarshalBinary() ([]byte, error) {
-	w := &bwriter{}
-	w.u32(compositeMagic)
+	f, err := c.format()
+	if err != nil {
+		return nil, err
+	}
+	w := &bwriter{buf: make([]byte, 0, c.Size())}
+	w.u32(f.wire().magic[kindComposite])
 	w.u32(uint32(len(c.Segments)))
 	for _, sr := range c.Segments {
-		w.raw(sr.ImageID[:])
-		w.u32(sr.Index)
-		w.flag(sr.Final)
-		w.u32(sr.ExitCode)
-		w.u32(uint32(len(sr.Journal)))
-		for _, j := range sr.Journal {
-			w.u32(j)
-		}
-		w.state(&sr.Entry)
-		w.state(&sr.Exit)
-		writeSeal(w, &sr.Seal)
-		w.u32(uint32(len(sr.ImportChecks)))
-		for i := range sr.ImportChecks {
-			w.opening(&sr.ImportChecks[i].MemProg)
-			w.opening(&sr.ImportChecks[i].Img)
-		}
-		w.u32(uint32(len(sr.ExitChecks)))
-		for i := range sr.ExitChecks {
-			e := &sr.ExitChecks[i]
-			w.opening(&e.Img)
-			w.u32(e.Pos)
-			w.opening(&e.SortP)
-			w.flag(e.HasP1)
-			if e.HasP1 {
-				w.opening(&e.SortP1)
-			}
-		}
-		w.u32(uint32(len(sr.CoverChecks)))
-		for i := range sr.CoverChecks {
-			cc := &sr.CoverChecks[i]
-			w.opening(&cc.EntryI)
-			w.flag(cc.HasJ)
-			if cc.HasJ {
-				w.opening(&cc.EntryJ)
-			}
-			w.flag(cc.HasImg)
-			if cc.HasImg {
-				w.u32(cc.ExitIdx)
-				w.opening(&cc.Img)
-			}
-		}
+		writeSegment(w, sr)
 	}
-	return w.buf, nil
+	return w.buf, w.err
 }
 
-// UnmarshalComposite decodes a composite receipt.
+// UnmarshalComposite decodes a composite receipt of either format.
 func UnmarshalComposite(data []byte) (*CompositeReceipt, error) {
 	rd := &breader{buf: data}
-	if rd.u32() != compositeMagic {
+	f, ok := formatOf(rd.u32(), kindComposite)
+	if !ok {
 		return nil, errors.New("zkvm: bad composite receipt magic")
 	}
-	n := rd.u32()
-	if n > uint32(len(data)) {
-		return nil, errTruncated
-	}
-	c := &CompositeReceipt{Segments: make([]*SegmentReceipt, n)}
+	c := &CompositeReceipt{Segments: make([]*SegmentReceipt, rd.count(minOpeningBytes))}
 	for si := range c.Segments {
-		sr := &SegmentReceipt{}
-		copy(sr.ImageID[:], rd.raw(32))
-		sr.Index = rd.u32()
-		sr.Final = rd.flag()
-		sr.ExitCode = rd.u32()
-		nj := rd.u32()
-		if nj > uint32(len(data)) {
-			return nil, errTruncated
-		}
-		sr.Journal = make([]uint32, nj)
-		for i := range sr.Journal {
-			sr.Journal[i] = rd.u32()
-		}
-		sr.Entry = rd.state()
-		sr.Exit = rd.state()
-		readSeal(rd, &sr.Seal)
-		ni := rd.u32()
-		if ni > uint32(len(data)) {
-			return nil, errTruncated
-		}
-		sr.ImportChecks = make([]ImportCheck, ni)
-		for i := range sr.ImportChecks {
-			sr.ImportChecks[i].MemProg = rd.opening()
-			sr.ImportChecks[i].Img = rd.opening()
-		}
-		ne := rd.u32()
-		if ne > uint32(len(data)) {
-			return nil, errTruncated
-		}
-		sr.ExitChecks = make([]ExitCheck, ne)
-		for i := range sr.ExitChecks {
-			e := &sr.ExitChecks[i]
-			e.Img = rd.opening()
-			e.Pos = rd.u32()
-			e.SortP = rd.opening()
-			e.HasP1 = rd.flag()
-			if e.HasP1 {
-				e.SortP1 = rd.opening()
-			}
-		}
-		nc := rd.u32()
-		if nc > uint32(len(data)) {
-			return nil, errTruncated
-		}
-		sr.CoverChecks = make([]CoverCheck, nc)
-		for i := range sr.CoverChecks {
-			cc := &sr.CoverChecks[i]
-			cc.EntryI = rd.opening()
-			cc.HasJ = rd.flag()
-			if cc.HasJ {
-				cc.EntryJ = rd.opening()
-			}
-			cc.HasImg = rd.flag()
-			if cc.HasImg {
-				cc.ExitIdx = rd.u32()
-				cc.Img = rd.opening()
-			}
-		}
-		c.Segments[si] = sr
+		c.Segments[si] = readSegment(rd, f)
 		if rd.err != nil {
 			return nil, rd.err
 		}
@@ -466,17 +319,17 @@ func UnmarshalAnyReceipt(data []byte) (AnyReceipt, error) {
 	if len(data) < 4 {
 		return nil, errTruncated
 	}
-	switch magic := binary.LittleEndian.Uint32(data); magic {
-	case receiptMagic:
+	magic := binary.LittleEndian.Uint32(data)
+	if _, ok := formatOf(magic, kindReceipt); ok {
 		return UnmarshalReceipt(data)
-	case compositeMagic:
-		return UnmarshalComposite(data)
-	default:
-		if decode := lookupReceiptKind(magic); decode != nil {
-			return decode(data)
-		}
-		return nil, fmt.Errorf("zkvm: unknown receipt magic %#x", magic)
 	}
+	if _, ok := formatOf(magic, kindComposite); ok {
+		return UnmarshalComposite(data)
+	}
+	if decode := lookupReceiptKind(magic); decode != nil {
+		return decode(data)
+	}
+	return nil, fmt.Errorf("zkvm: unknown receipt magic %#x", magic)
 }
 
 // VerifyAny verifies any receipt form against the guest program.

@@ -33,6 +33,9 @@ func VerifyComposite(prog *Program, c *CompositeReceipt, opts VerifyOptions) err
 			return vErr("segment %d final flag %v in a %d-segment chain", i, sr.Final, n)
 		}
 	}
+	if _, err := c.format(); err != nil {
+		return vErr("%v", err)
+	}
 	if c.Segments[0].Entry != GenesisState() {
 		return vErr("segment 0 does not enter at the genesis state")
 	}
@@ -88,7 +91,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 		return vErr("entry image larger than the memory log")
 	}
 
-	tr := transcript.New("zkvm-seg-v1")
+	tr := transcript.New(s.Format.wire().segLabel)
 	absorbSegmentPublic(tr, sr)
 	tr.Append("exec-root", s.ExecRoot[:])
 	tr.Append("memprog-root", s.MemProgRoot[:])
@@ -100,10 +103,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 
 	// --- Boundary rows: entry binding replaces the initial-state rule,
 	// exit binding (or the halt rule) replaces the final-state rule. ---
-	if err := s.FirstRow.verify(s.ExecRoot, 0, rowBytes); err != nil {
-		return vErr("first row: %v", err)
-	}
-	first, err := decodeRow(s.FirstRow.Data)
+	first, err := opened(s.execCol(), &s.FirstRow, 0, decodeRow)
 	if err != nil {
 		return vErr("first row: %v", err)
 	}
@@ -116,10 +116,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	if first.InPtr != 0 || first.JPtr != 0 {
 		return vErr("first row cursors not rebased to the segment")
 	}
-	if err := s.LastRow.verify(s.ExecRoot, nRows-1, rowBytes); err != nil {
-		return vErr("last row: %v", err)
-	}
-	last, err := decodeRow(s.LastRow.Data)
+	last, err := opened(s.execCol(), &s.LastRow, nRows-1, decodeRow)
 	if err != nil {
 		return vErr("last row: %v", err)
 	}
@@ -232,7 +229,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 			return err
 		}
 		for n, j := range tr.ChallengeIndices("exit", len(sr.ExitChecks), int(sr.Exit.MemLen)) {
-			if err := verifyExitCheck(sr, &sr.ExitChecks[n], j, nMem); err != nil {
+			if err := verifyExitCheck(sr, &sr.ExitChecks[n], j); err != nil {
 				return vErr("exit check %d (image word %d): %v", n, j, err)
 			}
 		}
@@ -245,7 +242,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 			return err
 		}
 		for n, i := range tr.ChallengeIndices("cover", len(sr.CoverChecks), nMem) {
-			if err := verifyCoverCheck(sr, &sr.CoverChecks[n], i, nMem); err != nil {
+			if err := verifyCoverCheck(sr, &sr.CoverChecks[n], i); err != nil {
 				return vErr("cover check %d (sorted entry %d): %v", n, i, err)
 			}
 		}
@@ -255,20 +252,20 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	return nil
 }
 
+// imageCol is the boundary memory image st commits, as a column of the
+// segment's format.
+func (sr *SegmentReceipt) imageCol(st *SegmentState) column {
+	return sr.Seal.column(st.MemRoot, st.MemLen, imgBytes)
+}
+
 // verifyImportCheck: program-order log entry i must be the synthetic
 // import write of entry-image pair i.
 func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
-	if err := c.MemProg.verify(sr.Seal.MemProgRoot, i, memBytes); err != nil {
-		return err
-	}
-	if err := c.Img.verify(sr.Entry.MemRoot, i, imgBytes); err != nil {
-		return err
-	}
-	e, err := decodeMemEntry(c.MemProg.Data)
+	e, err := opened(sr.Seal.memProgCol(), &c.MemProg, i, decodeMemEntry)
 	if err != nil {
 		return err
 	}
-	p, err := decodeImagePair(c.Img.Data)
+	p, err := opened(sr.imageCol(&sr.Entry), &c.Img, i, decodeImagePair)
 	if err != nil {
 		return err
 	}
@@ -288,11 +285,8 @@ func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
 // last sorted-log access of its address (and nonzero). Last-ness
 // follows from the opened successor having a different address, given
 // the sorted-order invariant sampled by the sort family.
-func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j, nMem int) error {
-	if err := c.Img.verify(sr.Exit.MemRoot, j, imgBytes); err != nil {
-		return err
-	}
-	p, err := decodeImagePair(c.Img.Data)
+func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j int) error {
+	p, err := opened(sr.imageCol(&sr.Exit), &c.Img, j, decodeImagePair)
 	if err != nil {
 		return err
 	}
@@ -300,76 +294,35 @@ func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j, nMem int) error {
 		return vErr("exit image holds a zero value")
 	}
 	pos := int(c.Pos)
-	if pos >= nMem {
+	if pos >= int(sr.Seal.NumMem) {
 		return vErr("witness position %d outside the log", pos)
 	}
-	if err := c.SortP.verify(sr.Seal.MemSortRoot, pos, memBytes); err != nil {
-		return err
-	}
-	e, err := decodeMemEntry(c.SortP.Data)
+	e, next, hasNext, err := sortedWithSuccessor(&sr.Seal, c.Sort, pos)
 	if err != nil {
 		return err
 	}
 	if e.Addr != p.Addr || e.Val != p.Val {
 		return vErr("witness access does not match the exit image")
 	}
-	if pos+1 < nMem {
-		if !c.HasP1 {
-			return vErr("missing successor opening")
-		}
-		if err := c.SortP1.verify(sr.Seal.MemSortRoot, pos+1, memBytes); err != nil {
-			return err
-		}
-		e1, err := decodeMemEntry(c.SortP1.Data)
-		if err != nil {
-			return err
-		}
-		if e1.Addr == e.Addr {
-			return vErr("witness access is not the last access of its address")
-		}
-	} else if c.HasP1 {
-		return vErr("unexpected successor opening")
+	if hasNext && next.Addr == e.Addr {
+		return vErr("witness access is not the last access of its address")
 	}
 	return nil
 }
 
 // verifyCoverCheck: if sorted-log entry i is the last access of its
 // address and leaves a nonzero value, the exit image must contain it.
-func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i, nMem int) error {
-	if err := c.EntryI.verify(sr.Seal.MemSortRoot, i, memBytes); err != nil {
-		return err
-	}
-	ei, err := decodeMemEntry(c.EntryI.Data)
+func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i int) error {
+	ei, ej, hasNext, err := sortedWithSuccessor(&sr.Seal, c.Entries, i)
 	if err != nil {
 		return err
 	}
-	isLast := i+1 == nMem
-	if !isLast {
-		if !c.HasJ {
-			return vErr("missing successor opening")
-		}
-		if err := c.EntryJ.verify(sr.Seal.MemSortRoot, i+1, memBytes); err != nil {
-			return err
-		}
-		ej, err := decodeMemEntry(c.EntryJ.Data)
-		if err != nil {
-			return err
-		}
-		isLast = ej.Addr != ei.Addr
-	} else if c.HasJ {
-		return vErr("unexpected successor opening")
-	}
+	isLast := !hasNext || ej.Addr != ei.Addr
 	if isLast && ei.Val != 0 {
 		if !c.HasImg {
 			return vErr("live word %d missing from the exit image", ei.Addr)
 		}
-		if int(c.ExitIdx) >= int(sr.Exit.MemLen) {
-			return vErr("exit index %d outside the image", c.ExitIdx)
-		}
-		if err := c.Img.verify(sr.Exit.MemRoot, int(c.ExitIdx), imgBytes); err != nil {
-			return err
-		}
-		p, err := decodeImagePair(c.Img.Data)
+		p, err := opened(sr.imageCol(&sr.Exit), &c.Img, int(c.ExitIdx), decodeImagePair)
 		if err != nil {
 			return err
 		}

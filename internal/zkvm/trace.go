@@ -10,15 +10,15 @@ import (
 	"zkflow/internal/par"
 )
 
-// Serialized sizes of committed leaves.
+// Serialized sizes of committed records.
 const (
 	rowBytes  = 4 + 4*NumRegs + 4 + 4 + 4 // PC, regs, MemPtr, InPtr, JPtr
 	memBytes  = 4 + 4 + 4 + 4 + 1         // Addr, Val, Seq, Step, IsWrite
 	prodBytes = 8                         // one field element
 	saltBytes = 16
-	// maxLeafBytes bounds every committed leaf payload; commitBlock
-	// sizes its stack scratch with it.
-	maxLeafBytes = rowBytes
+	// maxRecBytes bounds every committed record; commitBlock sizes its
+	// stack scratch with it.
+	maxRecBytes = rowBytes
 )
 
 // encodeRowInto serialises a trace row into b (len >= rowBytes).

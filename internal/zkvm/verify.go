@@ -59,7 +59,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 
 	// Re-derive the Fiat–Shamir challenges from the public statement
 	// and the commitments, in the prover's exact order.
-	tr := transcript.New("zkvm-seal-v1")
+	tr := transcript.New(s.Format.wire().sealLabel)
 	absorbPublic(tr, r)
 	tr.Append("exec-root", s.ExecRoot[:])
 	tr.Append("memprog-root", s.MemProgRoot[:])
@@ -70,10 +70,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 	tr.Append("prodsort-root", s.ProdSortRoot[:])
 
 	// --- Boundary checks ---
-	if err := s.FirstRow.verify(s.ExecRoot, 0, rowBytes); err != nil {
-		return vErr("first row: %v", err)
-	}
-	first, err := decodeRow(s.FirstRow.Data)
+	first, err := opened(s.execCol(), &s.FirstRow, 0, decodeRow)
 	if err != nil {
 		return vErr("first row: %v", err)
 	}
@@ -85,10 +82,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 			return vErr("first row register r%d = %d, want 0", i, v)
 		}
 	}
-	if err := s.LastRow.verify(s.ExecRoot, nRows-1, rowBytes); err != nil {
-		return vErr("last row: %v", err)
-	}
-	last, err := decodeRow(s.LastRow.Data)
+	last, err := opened(s.execCol(), &s.LastRow, nRows-1, decodeRow)
 	if err != nil {
 		return vErr("last row: %v", err)
 	}
@@ -158,24 +152,66 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 	return nil
 }
 
+// opened authenticates o as the leaf holding record i of a column and
+// decodes that record.
+func opened[T any](c column, o *Opening, i int, decode func([]byte) (T, error)) (T, error) {
+	b, err := c.record(o, i)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return decode(b)
+}
+
+// sortedWithSuccessor authenticates span as the leaves holding
+// sorted-log entry i and, when i is not the last, entry i+1, and
+// decodes them; hasNext says whether there is a successor.
+func sortedWithSuccessor(s *Seal, span []Opening, i int) (e, next MemEntry, hasNext bool, err error) {
+	recs, err := s.memSortCol().records(span, i, min(i+2, int(s.NumMem)))
+	if err != nil {
+		return e, next, false, err
+	}
+	if e, err = decodeMemEntry(recs[0]); err != nil || len(recs) == 1 {
+		return e, next, false, err
+	}
+	next, err = decodeMemEntry(recs[1])
+	return e, next, true, err
+}
+
+// productStep authenticates span as the leaves holding running products
+// i and i+1 and checks P[i+1] = P[i] * (gamma - f(e)), e being entry
+// i+1 of the log the column runs over.
+func productStep(c column, span []Opening, i int, e *MemEntry, alpha, gamma field.Elem) error {
+	recs, err := c.records(span, i, i+2)
+	if err != nil {
+		return err
+	}
+	pi, err := decodeProd(recs[0])
+	if err != nil {
+		return err
+	}
+	pj, err := decodeProd(recs[1])
+	if err != nil {
+		return err
+	}
+	if pj != field.Mul(pi, field.Sub(gamma, fingerprint(e, alpha))) {
+		return fmt.Errorf("product step incorrect")
+	}
+	return nil
+}
+
 // verifyMemBoundary checks the always-open memory-log boundary leaves:
 // the first program-order product, the sorted-log first-read rule, and
 // the grand-product equality that establishes multiset equivalence.
 func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
-	if err := s.MemProgFirst.verify(s.MemProgRoot, 0, memBytes); err != nil {
-		return vErr("memprog first: %v", err)
-	}
-	e0, err := decodeMemEntry(s.MemProgFirst.Data)
+	e0, err := opened(s.memProgCol(), &s.MemProgFirst, 0, decodeMemEntry)
 	if err != nil {
 		return vErr("memprog first: %v", err)
 	}
 	if e0.Seq != 0 {
 		return vErr("first program-order entry has seq %d", e0.Seq)
 	}
-	if err := s.ProdProgFirst.verify(s.ProdProgRoot, 0, prodBytes); err != nil {
-		return vErr("prodprog first: %v", err)
-	}
-	p0, err := decodeProd(s.ProdProgFirst.Data)
+	p0, err := opened(s.prodProgCol(), &s.ProdProgFirst, 0, decodeProd)
 	if err != nil {
 		return vErr("prodprog first: %v", err)
 	}
@@ -183,20 +219,14 @@ func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
 		return vErr("first program-order product incorrect")
 	}
 
-	if err := s.MemSortFirst.verify(s.MemSortRoot, 0, memBytes); err != nil {
-		return vErr("memsort first: %v", err)
-	}
-	s0, err := decodeMemEntry(s.MemSortFirst.Data)
+	s0, err := opened(s.memSortCol(), &s.MemSortFirst, 0, decodeMemEntry)
 	if err != nil {
 		return vErr("memsort first: %v", err)
 	}
 	if !s0.IsWrite && s0.Val != 0 {
 		return vErr("first sorted access reads %d from fresh memory", s0.Val)
 	}
-	if err := s.ProdSortFirst.verify(s.ProdSortRoot, 0, prodBytes); err != nil {
-		return vErr("prodsort first: %v", err)
-	}
-	q0, err := decodeProd(s.ProdSortFirst.Data)
+	q0, err := opened(s.prodSortCol(), &s.ProdSortFirst, 0, decodeProd)
 	if err != nil {
 		return vErr("prodsort first: %v", err)
 	}
@@ -204,17 +234,11 @@ func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
 		return vErr("first sorted product incorrect")
 	}
 
-	if err := s.ProdProgLast.verify(s.ProdProgRoot, nMem-1, prodBytes); err != nil {
-		return vErr("prodprog last: %v", err)
-	}
-	if err := s.ProdSortLast.verify(s.ProdSortRoot, nMem-1, prodBytes); err != nil {
-		return vErr("prodsort last: %v", err)
-	}
-	pl, err := decodeProd(s.ProdProgLast.Data)
+	pl, err := opened(s.prodProgCol(), &s.ProdProgLast, nMem-1, decodeProd)
 	if err != nil {
 		return vErr("prodprog last: %v", err)
 	}
-	ql, err := decodeProd(s.ProdSortLast.Data)
+	ql, err := opened(s.prodSortCol(), &s.ProdSortLast, nMem-1, decodeProd)
 	if err != nil {
 		return vErr("prodsort last: %v", err)
 	}
@@ -294,30 +318,31 @@ func (e *replayEnv) writeJournal(val uint32) error {
 	return nil
 }
 
-// verifyExecCheck re-executes the transition rowIdx -> rowIdx+1.
+// verifyExecCheck re-executes the transition rowIdx -> rowIdx+1 over
+// the memory-log entries between the two rows' MemPtr cursors.
 func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal []uint32) error {
-	if err := c.RowI.verify(s.ExecRoot, rowIdx, rowBytes); err != nil {
-		return err
-	}
-	if err := c.RowJ.verify(s.ExecRoot, rowIdx+1, rowBytes); err != nil {
-		return err
-	}
-	rowI, err := decodeRow(c.RowI.Data)
+	rows, err := s.execCol().records(c.Rows, rowIdx, rowIdx+2)
 	if err != nil {
 		return err
 	}
-	rowJ, err := decodeRow(c.RowJ.Data)
+	rowI, err := decodeRow(rows[0])
 	if err != nil {
 		return err
 	}
-	for n := range c.Mem {
-		if err := c.Mem[n].verify(s.MemProgRoot, int(rowI.MemPtr)+n, memBytes); err != nil {
-			return fmt.Errorf("mem opening %d: %v", n, err)
-		}
+	rowJ, err := decodeRow(rows[1])
+	if err != nil {
+		return err
 	}
-	entries := make([]MemEntry, len(c.Mem))
-	for n := range c.Mem {
-		if entries[n], err = decodeMemEntry(c.Mem[n].Data); err != nil {
+	if rowJ.MemPtr < rowI.MemPtr {
+		return fmt.Errorf("MemPtr runs backwards: %d after %d", rowJ.MemPtr, rowI.MemPtr)
+	}
+	mem, err := s.memProgCol().records(c.Mem, int(rowI.MemPtr), int(rowJ.MemPtr))
+	if err != nil {
+		return fmt.Errorf("mem openings: %v", err)
+	}
+	entries := make([]MemEntry, len(mem))
+	for n := range mem {
+		if entries[n], err = decodeMemEntry(mem[n]); err != nil {
 			return err
 		}
 	}
@@ -360,56 +385,20 @@ func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal [
 // verifyProdCheck checks one program-order running-product step:
 // P[i+1] = P[i] * (gamma - f(e[i+1])).
 func verifyProdCheck(s *Seal, c *ProdCheck, i int, alpha, gamma field.Elem) error {
-	if err := c.Entry.verify(s.MemProgRoot, i+1, memBytes); err != nil {
-		return err
-	}
-	if err := c.ProdI.verify(s.ProdProgRoot, i, prodBytes); err != nil {
-		return err
-	}
-	if err := c.ProdJ.verify(s.ProdProgRoot, i+1, prodBytes); err != nil {
-		return err
-	}
-	e, err := decodeMemEntry(c.Entry.Data)
+	e, err := opened(s.memProgCol(), &c.Entry, i+1, decodeMemEntry)
 	if err != nil {
 		return err
 	}
 	if e.Seq != uint32(i+1) {
 		return fmt.Errorf("program-order entry %d has seq %d", i+1, e.Seq)
 	}
-	pi, err := decodeProd(c.ProdI.Data)
-	if err != nil {
-		return err
-	}
-	pj, err := decodeProd(c.ProdJ.Data)
-	if err != nil {
-		return err
-	}
-	if pj != field.Mul(pi, field.Sub(gamma, fingerprint(&e, alpha))) {
-		return fmt.Errorf("product step incorrect")
-	}
-	return nil
+	return productStep(s.prodProgCol(), c.Prods, i, &e, alpha, gamma)
 }
 
 // verifySortCheck checks sorted-log adjacency i, i+1: ordering,
 // read-consistency, and the sorted running-product step.
 func verifySortCheck(s *Seal, c *SortCheck, i int, alpha, gamma field.Elem) error {
-	if err := c.EntryI.verify(s.MemSortRoot, i, memBytes); err != nil {
-		return err
-	}
-	if err := c.EntryJ.verify(s.MemSortRoot, i+1, memBytes); err != nil {
-		return err
-	}
-	if err := c.ProdI.verify(s.ProdSortRoot, i, prodBytes); err != nil {
-		return err
-	}
-	if err := c.ProdJ.verify(s.ProdSortRoot, i+1, prodBytes); err != nil {
-		return err
-	}
-	ei, err := decodeMemEntry(c.EntryI.Data)
-	if err != nil {
-		return err
-	}
-	ej, err := decodeMemEntry(c.EntryJ.Data)
+	ei, ej, _, err := sortedWithSuccessor(s, c.Entries, i) // i+1 < NumMem: the successor exists
 	if err != nil {
 		return err
 	}
@@ -426,16 +415,5 @@ func verifySortCheck(s *Seal, c *SortCheck, i int, alpha, gamma field.Elem) erro
 	} else if !ej.IsWrite && ej.Val != 0 {
 		return fmt.Errorf("first access to %d reads %d from fresh memory", ej.Addr, ej.Val)
 	}
-	pi, err := decodeProd(c.ProdI.Data)
-	if err != nil {
-		return err
-	}
-	pj, err := decodeProd(c.ProdJ.Data)
-	if err != nil {
-		return err
-	}
-	if pj != field.Mul(pi, field.Sub(gamma, fingerprint(&ej, alpha))) {
-		return fmt.Errorf("sorted product step incorrect")
-	}
-	return nil
+	return productStep(s.prodSortCol(), c.Prods, i, &ej, alpha, gamma)
 }
