@@ -30,8 +30,10 @@ race:
 # plus the NTT round-trip property (the vectorized kernel against the
 # retained serial reference) and the linear memory-log sort against
 # the comparison sort it replaced, plus the verify-level target: no
-# mutation of a valid v2 receipt or composite may panic or verify.
-# `go test -fuzz` takes one target per invocation, so this is eleven
+# mutation of a valid v2 receipt or composite may panic or verify,
+# plus the emulator core against the map-backed loops it replaced
+# (fuzzed programs: same trace, same trap, in every mode).
+# `go test -fuzz` takes one target per invocation, so this is twelve
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
@@ -42,6 +44,7 @@ fuzz:
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzUnmarshalReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzVerifyMutatedReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzSortedMemLog -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExecuteMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fold -run='^$$' -fuzz=FuzzUnmarshalFolded -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
@@ -73,8 +76,9 @@ bench-parallel:
 # hash kernel, the seal's block commit (salt + encode + leaf-hash +
 # reduce one 1024-leaf, 4096-record block; one sub-benchmark per record
 # shape — exec/mem/prod/image — with SHA-256 compressions and bytes
-# hashed per record next to ns/record), the Merkle arena build, the NTT
-# kernel, and the whole prover. Compare against the allocs/op recorded in
+# hashed per record next to ns/record), the emulator alone (mono /
+# segmented / count-only, ns per trace row), the Merkle arena build, the
+# NTT kernel, and the whole prover. Compare against the allocs/op recorded in
 # EXPERIMENTS.md E14. Finishes by regenerating the committed benchmark
 # baseline (BENCH_PR10.json: E1 sweep + stage split + E15 continuation
 # sweep + E16 ingest throughput sweep + E17 light-client sync + E18
@@ -82,7 +86,7 @@ bench-parallel:
 # against it with `zkflow-benchdiff BENCH_PR10.json fresh.json`.
 bench-commit:
 	$(GO) test -bench='HashLevel|Leaf2' -benchmem -run=^$$ ./internal/hashk
-	$(GO) test -bench='CommitBlock' -benchmem -run=^$$ ./internal/zkvm
+	$(GO) test -bench='CommitBlock|Execute' -benchmem -run=^$$ ./internal/zkvm
 	$(GO) test -bench='BuildHashes|Build1024' -benchmem -run=^$$ ./internal/merkle
 	$(GO) test -bench='NTTInto|Butterflies' -benchmem -run=^$$ ./internal/poly ./internal/field
 	$(GO) test -bench='ProveParallel/parallelism=1' -benchmem -run=^$$ .

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -193,6 +194,21 @@ func TestRemoteSegmentedProve(t *testing.T) {
 	}
 	if comp.JournalWords()[0] != 42 {
 		t.Fatalf("journal %v", comp.JournalWords())
+	}
+}
+
+// TestRemoteHostileSegmentCycles: SegmentCycles is a raw uint32 of the
+// v2 request. The largest one over a five-instruction guest must cost
+// the worker a five-row trace, not a slab sized by the cut.
+func TestRemoteHostileSegmentCycles(t *testing.T) {
+	c := worker(t)
+	prog := simpleProgram()
+	receipt, err := c.Prove(prog, []uint32{20, 22}, zkvm.ProveOptions{Checks: 6, SegmentCycles: math.MaxUint32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{}); err != nil {
+		t.Fatal(err)
 	}
 }
 

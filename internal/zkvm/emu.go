@@ -159,243 +159,191 @@ func releaseExecution(ex *Execution) {
 	ex.Rows, ex.MemLog = nil, nil
 }
 
-// appendDoubling is append with capacity-doubling growth. The runtime
-// grows large slices by only ~1.25x, so an N-row trace built with bare
-// append memmoves ~4N bytes through growslice; doubling bounds the
-// total copy traffic at N. Trace and memory logs reach tens of MB, so
-// this is a measurable slice of serial proving time (E14).
-func appendDoubling[T any](s []T, v T) []T {
-	if len(s) == cap(s) {
-		newCap := 2 * cap(s)
-		if newCap < 1024 {
-			newCap = 1024
-		}
-		grown := make([]T, len(s), newCap)
-		copy(grown, s)
-		s = grown
-	}
-	return append(s, v)
+// growDoubling returns s moved into a slab of twice the capacity (at
+// least 1024). The runtime grows large slices by only ~1.25x, so an
+// N-row trace built with bare append memmoves ~4N bytes through
+// growslice; doubling bounds the total copy traffic at N. Trace and
+// memory logs reach tens of MB, so this is a measurable slice of
+// serial proving time (E14).
+func growDoubling[T any](s []T) []T {
+	grown := make([]T, len(s), max(2*cap(s), 1024))
+	copy(grown, s)
+	return grown
 }
 
 // execEnv supplies the step function with its value sources. The
-// emulator backs it with real memory and the input tape; the verifier
-// backs it with the opened memory-log entries and journal.
+// emulator backs it with the machine's paged memory and input tape;
+// the verifier backs it with the opened memory-log entries and journal.
 type execEnv interface {
 	load(addr uint32) (uint32, error)
 	store(addr, val uint32) error
 	readInput() (uint32, error)
 	inputLen() (uint32, error)
 	writeJournal(val uint32) error
+	// hashScratch returns n bytes SysHash may pack its message into;
+	// they are dead once step returns.
+	hashScratch(n int) []byte
 }
 
-// ioCounts tallies the side effects of one step, used to check the
-// MemPtr/InPtr/JPtr continuity between adjacent rows.
-type ioCounts struct {
-	mem, in, journal uint32
-}
-
-// step executes the instruction at row.PC against env and returns the
-// successor machine state. It is the single source of truth for
-// TinyRISC semantics: the emulator and the seal verifier both call it.
-func step(prog *Program, row *Row, env execEnv) (nextPC uint32, nextRegs [NumRegs]uint32, counts ioCounts, halted bool, err error) {
-	if row.PC >= uint32(len(prog.Instrs)) {
-		return 0, nextRegs, counts, false, fmt.Errorf("pc %d outside program of %d instructions", row.PC, len(prog.Instrs))
+// step executes the instruction at cur.PC against env and writes the
+// successor machine state into next: pc, registers, and the cursors
+// advanced by the step's memory accesses, input reads and journal
+// writes. It is the single source of truth for TinyRISC semantics: the
+// emulator points next at the following row of its trace slab, the
+// seal verifier at a scratch row it compares with the committed one.
+// cur and next must not alias; on halt or error next is unspecified.
+func step(prog *Program, cur, next *Row, env execEnv) (halted bool, err error) {
+	pc := cur.PC
+	if pc >= uint32(len(prog.Instrs)) {
+		return false, fmt.Errorf("pc %d outside program of %d instructions", pc, len(prog.Instrs))
 	}
-	in := prog.Instrs[row.PC]
-	regs := row.Regs
-	nextPC = row.PC + 1
+	in := &prog.Instrs[pc]
+	next.PC = pc + 1
+	next.Regs = cur.Regs
+	next.MemPtr, next.InPtr, next.JPtr = cur.MemPtr, cur.InPtr, cur.JPtr
+	rs1, rs2 := cur.Regs[in.Rs1], cur.Regs[in.Rs2]
 
-	setRd := func(v uint32) {
-		if in.Rd != 0 {
-			regs[in.Rd] = v
-		}
-	}
-	rs1, rs2 := regs[in.Rs1], regs[in.Rs2]
-
+	// Cases that produce a value for rd leave it in v and fall out of
+	// the switch; the rest write what they change and return.
+	var v uint32
 	switch in.Op {
 	case OpAdd:
-		setRd(rs1 + rs2)
+		v = rs1 + rs2
 	case OpSub:
-		setRd(rs1 - rs2)
+		v = rs1 - rs2
 	case OpMul:
-		setRd(rs1 * rs2)
+		v = rs1 * rs2
 	case OpDivu:
-		if rs2 == 0 {
-			setRd(0xffffffff)
-		} else {
-			setRd(rs1 / rs2)
+		v = 0xffffffff
+		if rs2 != 0 {
+			v = rs1 / rs2
 		}
 	case OpRemu:
-		if rs2 == 0 {
-			setRd(rs1)
-		} else {
-			setRd(rs1 % rs2)
+		v = rs1
+		if rs2 != 0 {
+			v = rs1 % rs2
 		}
 	case OpAnd:
-		setRd(rs1 & rs2)
+		v = rs1 & rs2
 	case OpOr:
-		setRd(rs1 | rs2)
+		v = rs1 | rs2
 	case OpXor:
-		setRd(rs1 ^ rs2)
+		v = rs1 ^ rs2
 	case OpSll:
-		setRd(rs1 << (rs2 & 31))
+		v = rs1 << (rs2 & 31)
 	case OpSrl:
-		setRd(rs1 >> (rs2 & 31))
+		v = rs1 >> (rs2 & 31)
 	case OpSltu:
 		if rs1 < rs2 {
-			setRd(1)
-		} else {
-			setRd(0)
+			v = 1
 		}
 	case OpAddi:
-		setRd(rs1 + in.Imm)
+		v = rs1 + in.Imm
 	case OpAndi:
-		setRd(rs1 & in.Imm)
+		v = rs1 & in.Imm
 	case OpOri:
-		setRd(rs1 | in.Imm)
+		v = rs1 | in.Imm
 	case OpXori:
-		setRd(rs1 ^ in.Imm)
+		v = rs1 ^ in.Imm
 	case OpSlli:
-		setRd(rs1 << (in.Imm & 31))
+		v = rs1 << (in.Imm & 31)
 	case OpSrli:
-		setRd(rs1 >> (in.Imm & 31))
+		v = rs1 >> (in.Imm & 31)
 	case OpSltiu:
 		if rs1 < in.Imm {
-			setRd(1)
-		} else {
-			setRd(0)
+			v = 1
 		}
 	case OpLi:
-		setRd(in.Imm)
+		v = in.Imm
 	case OpLw:
-		v, lerr := env.load(rs1 + in.Imm)
-		if lerr != nil {
-			return 0, regs, counts, false, lerr
+		if v, err = env.load(rs1 + in.Imm); err != nil {
+			return false, err
 		}
-		counts.mem++
-		setRd(v)
+		next.MemPtr++
 	case OpSw:
-		if serr := env.store(rs1+in.Imm, rs2); serr != nil {
-			return 0, regs, counts, false, serr
-		}
-		counts.mem++
+		next.MemPtr++
+		return false, env.store(rs1+in.Imm, rs2)
 	case OpBeq:
 		if rs1 == rs2 {
-			nextPC = in.Imm
+			next.PC = in.Imm
 		}
+		return false, nil
 	case OpBne:
 		if rs1 != rs2 {
-			nextPC = in.Imm
+			next.PC = in.Imm
 		}
+		return false, nil
 	case OpBltu:
 		if rs1 < rs2 {
-			nextPC = in.Imm
+			next.PC = in.Imm
 		}
+		return false, nil
 	case OpBgeu:
 		if rs1 >= rs2 {
-			nextPC = in.Imm
+			next.PC = in.Imm
 		}
+		return false, nil
 	case OpJal:
-		setRd(row.PC + 1)
-		nextPC = in.Imm
+		v, next.PC = pc+1, in.Imm
 	case OpJalr:
-		setRd(row.PC + 1)
-		nextPC = rs1 + in.Imm
+		v, next.PC = pc+1, rs1+in.Imm
 	case OpEcall:
-		switch in.Imm {
-		case SysRead:
-			v, rerr := env.readInput()
-			if rerr != nil {
-				return 0, regs, counts, false, rerr
-			}
-			counts.in++
-			regs[R1] = v
-		case SysJournal:
-			if jerr := env.writeJournal(regs[R1]); jerr != nil {
-				return 0, regs, counts, false, jerr
-			}
-			counts.journal++
-		case SysHash:
-			addr, n, dst := regs[R1], regs[R2], regs[R3]
-			if n > maxHashWords {
-				return 0, regs, counts, false, fmt.Errorf("sys_hash length %d exceeds limit", n)
-			}
-			buf := make([]byte, 4*n)
-			for i := uint32(0); i < n; i++ {
-				v, lerr := env.load(addr + i)
-				if lerr != nil {
-					return 0, regs, counts, false, lerr
-				}
-				counts.mem++
-				binary.LittleEndian.PutUint32(buf[4*i:], v)
-			}
-			digest := sha256.Sum256(buf)
-			for j := uint32(0); j < 8; j++ {
-				w := binary.LittleEndian.Uint32(digest[4*j:])
-				if serr := env.store(dst+j, w); serr != nil {
-					return 0, regs, counts, false, serr
-				}
-				counts.mem++
-			}
-		case SysInputLen:
-			v, rerr := env.inputLen()
-			if rerr != nil {
-				return 0, regs, counts, false, rerr
-			}
-			regs[R1] = v
-		default:
-			return 0, regs, counts, false, fmt.Errorf("unknown ecall %d", in.Imm)
-		}
+		return false, ecall(in.Imm, cur, next, env)
 	case OpHalt:
-		return row.PC, regs, counts, true, nil
+		return true, nil
 	default:
-		return 0, regs, counts, false, fmt.Errorf("invalid opcode %v", in.Op)
+		return false, fmt.Errorf("invalid opcode %v", in.Op)
 	}
-	regs[0] = 0 // r0 is hardwired
-	return nextPC, regs, counts, false, nil
+	next.Regs[in.Rd] = v
+	next.Regs[0] = 0 // r0 is hardwired
+	return false, nil
 }
 
-// emuEnv is the concrete environment used during real execution.
-type emuEnv struct {
-	mem     map[uint32]uint32
-	memLog  []MemEntry
-	step    uint32
-	input   []uint32
-	inPtr   int
-	journal []uint32
-}
-
-func (e *emuEnv) load(addr uint32) (uint32, error) {
-	v := e.mem[addr]
-	e.memLog = appendDoubling(e.memLog, MemEntry{Addr: addr, Val: v, Seq: uint32(len(e.memLog)), Step: e.step})
-	return v, nil
-}
-
-func (e *emuEnv) store(addr, val uint32) error {
-	e.mem[addr] = val
-	e.memLog = appendDoubling(e.memLog, MemEntry{Addr: addr, Val: val, Seq: uint32(len(e.memLog)), Step: e.step, IsWrite: true})
-	return nil
-}
-
-// errInputExhausted is shared by the traced and count-only emulator
-// environments so a starved guest traps with the same message on both.
-var errInputExhausted = errors.New("input tape exhausted")
-
-func (e *emuEnv) readInput() (uint32, error) {
-	if e.inPtr >= len(e.input) {
-		return 0, errInputExhausted
+// ecall is step's host-service half: it runs service sys for the
+// instruction at cur and records its effects in next.
+func ecall(sys uint32, cur, next *Row, env execEnv) error {
+	switch sys {
+	case SysRead:
+		v, err := env.readInput()
+		if err != nil {
+			return err
+		}
+		next.InPtr++
+		next.Regs[R1] = v
+	case SysJournal:
+		if err := env.writeJournal(cur.Regs[R1]); err != nil {
+			return err
+		}
+		next.JPtr++
+	case SysHash:
+		addr, n, dst := cur.Regs[R1], cur.Regs[R2], cur.Regs[R3]
+		if n > maxHashWords {
+			return fmt.Errorf("sys_hash length %d exceeds limit", n)
+		}
+		buf := env.hashScratch(int(4 * n))
+		for i := uint32(0); i < n; i++ {
+			v, err := env.load(addr + i)
+			if err != nil {
+				return err
+			}
+			binary.LittleEndian.PutUint32(buf[4*i:], v)
+		}
+		digest := sha256.Sum256(buf)
+		for j := uint32(0); j < 8; j++ {
+			if err := env.store(dst+j, binary.LittleEndian.Uint32(digest[4*j:])); err != nil {
+				return err
+			}
+		}
+		next.MemPtr += n + 8
+	case SysInputLen:
+		v, err := env.inputLen()
+		if err != nil {
+			return err
+		}
+		next.Regs[R1] = v
+	default:
+		return fmt.Errorf("unknown ecall %d", sys)
 	}
-	v := e.input[e.inPtr]
-	e.inPtr++
-	return v, nil
-}
-
-func (e *emuEnv) inputLen() (uint32, error) {
-	return uint32(len(e.input) - e.inPtr), nil
-}
-
-func (e *emuEnv) writeJournal(val uint32) error {
-	e.journal = append(e.journal, val)
 	return nil
 }
 
@@ -413,42 +361,9 @@ const DefaultMaxSteps = 1 << 26
 // unknown ecall, cycle budget) returns a *TrapError or ErrStepLimit;
 // no proof can be generated for a trapped run.
 func Execute(prog *Program, input []uint32, opts ExecOptions) (*Execution, error) {
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
+	m := newMachine(prog, input, neverCut, true)
+	if err := m.run(opts.MaxSteps); err != nil {
+		return nil, err
 	}
-	hintRows, hintMem := prog.traceSizeHint()
-	env := &emuEnv{mem: make(map[uint32]uint32), input: input, memLog: getMemSlabSized(hintMem)}
-	var (
-		pc   uint32
-		regs [NumRegs]uint32
-	)
-	rows := getRowSlabSized(hintRows)
-	for stepNo := 0; ; stepNo++ {
-		if stepNo >= maxSteps {
-			putRowSlab(rows)
-			putMemSlab(env.memLog)
-			return nil, ErrStepLimit
-		}
-		row := Row{PC: pc, Regs: regs, MemPtr: uint32(len(env.memLog)), InPtr: uint32(env.inPtr), JPtr: uint32(len(env.journal))}
-		rows = appendDoubling(rows, row)
-		env.step = uint32(stepNo)
-		nextPC, nextRegs, _, halted, err := step(prog, &row, env)
-		if err != nil {
-			putRowSlab(rows)
-			putMemSlab(env.memLog)
-			return nil, &TrapError{PC: pc, Step: stepNo, Reason: err.Error()}
-		}
-		if halted {
-			prog.noteTraceSize(len(rows), len(env.memLog))
-			return &Execution{
-				Program:  prog,
-				Rows:     rows,
-				MemLog:   env.memLog,
-				Journal:  env.journal,
-				ExitCode: regs[R1],
-			}, nil
-		}
-		pc, regs = nextPC, nextRegs
-	}
+	return m.segs[0].ex, nil
 }

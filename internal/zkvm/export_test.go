@@ -1,0 +1,26 @@
+package zkvm
+
+// Test-only exports for package zkvm_test, which — unlike the
+// in-package tests — can import internal/guest without a cycle.
+
+// RunMachine runs one use of the emulator to completion, releases
+// whatever it traced, and reports the segments cut. cut == 0 is the
+// monolithic run; traced == false is the planner.
+func RunMachine(prog *Program, input []uint32, cut int, traced bool) (segs int, err error) {
+	if cut == 0 {
+		cut = neverCut
+	}
+	m := newMachine(prog, input, cut, traced)
+	if err := m.run(0); err != nil {
+		return 0, err
+	}
+	releaseSegments(m.segs)
+	return m.nsegs, nil
+}
+
+// CheckAgainstReference exposes the differential check of
+// machine_test.go.
+var CheckAgainstReference = checkAgainstReference
+
+// ReferenceCuts are the segment lengths the differential tests sweep.
+var ReferenceCuts = referenceCuts

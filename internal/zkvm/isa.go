@@ -183,12 +183,13 @@ type Program struct {
 	// first callers both compute the same digest and one store wins.
 	id atomic.Pointer[ImageID]
 
-	// traceHint memoizes the largest trace this program has produced
-	// (rows in the high 32 bits, memory-log entries in the low 32) so
-	// Execute can presize the slabs instead of paying capacity-doubling
-	// regrowth — the dominant term in the cold-start proving cliff (E15
-	// in EXPERIMENTS.md). A running max updated by CAS; stale or zero
-	// hints only cost growth, never correctness.
+	// traceHint memoizes the largest trace this program has produced,
+	// whole run or one segment of a cut run (rows in the high 32 bits,
+	// memory-log entries in the low 32) so the machine can presize the
+	// slabs instead of paying capacity-doubling regrowth — the dominant
+	// term in the cold-start proving cliff (E15 in EXPERIMENTS.md). A
+	// running max updated by CAS; stale or zero hints only cost growth,
+	// never correctness.
 	traceHint atomic.Uint64
 }
 

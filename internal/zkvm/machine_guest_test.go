@@ -1,0 +1,123 @@
+package zkvm_test
+
+import (
+	"fmt"
+	"testing"
+
+	"zkflow/internal/clog"
+	"zkflow/internal/guest"
+	"zkflow/internal/ledger"
+	"zkflow/internal/netflow"
+	"zkflow/internal/query"
+	"zkflow/internal/sketch"
+	"zkflow/internal/trafficgen"
+	"zkflow/internal/vmtree"
+	"zkflow/internal/zkvm"
+)
+
+// aggregationEpoch is one round of the paper's 4-router topology over
+// records flow records.
+func aggregationEpoch(records int) *guest.AggInput {
+	const routers = 4
+	gens := trafficgen.PerRouter(trafficgen.Config{Seed: int64(records), NumFlows: records, Routers: routers, LossRate: 0.02})
+	in := &guest.AggInput{}
+	for i, g := range gens {
+		n := records / routers
+		if i == routers-1 {
+			n = records - n*(routers-1)
+		}
+		recs := g.Batch(uint32(i), 0, n)
+		in.Routers = append(in.Routers, guest.RouterBatch{
+			ID: uint32(i), Commitment: vmtree.FromBytes(ledger.CommitRecords(recs)), Records: recs,
+		})
+	}
+	return in
+}
+
+// TestMachineMatchesReference runs every guest program of
+// internal/guest, at several sizes, through the differential check of
+// machine_test.go: monolithic, segmented at the floor, mid-loop and
+// longer-than-most cuts, and count-only, each identical to the retained
+// map-backed loops in rows, memory log, journal, exit code, cuts,
+// boundary states and images, and PlanSegments count.
+func TestMachineMatchesReference(t *testing.T) {
+	type run struct {
+		name  string
+		prog  *zkvm.Program
+		input []uint32
+	}
+	var runs []run
+	for _, n := range []int{8, 60, 250} {
+		in := aggregationEpoch(n)
+		runs = append(runs, run{fmt.Sprintf("aggregate/%d", n), guest.AggregationProgram(), in.Words()})
+		c := clog.New()
+		for _, b := range in.Routers {
+			c.MergeBatch(b.Records)
+		}
+		q := query.MustParse(`SELECT SUM(hop_count) FROM clogs WHERE src_ip = "1.1.1.1" AND dst_ip = "9.9.9.9";`)
+		runs = append(runs, run{fmt.Sprintf("query/%d", n), guest.QueryProgram(q), guest.QueryInput(c.Entries())})
+	}
+	// A tampered batch: the guest aborts with a nonzero exit code.
+	bad := aggregationEpoch(40)
+	bad.Routers[1].Records[3].Bytes++
+	runs = append(runs, run{"aggregate/tampered", guest.AggregationProgram(), bad.Words()})
+
+	for _, routers := range []int{1, 3} {
+		const depth, width = 4, 128
+		var batches []guest.SketchBatch
+		for r := 0; r < routers; r++ {
+			s := sketch.MustNew(depth, width)
+			for i := uint32(0); i < 200; i++ {
+				s.Add(netflow.FlowKey{SrcIP: i % 61, DstIP: i * 3, SrcPort: uint16(i), DstPort: 80, Proto: 17}, 1+i%9)
+			}
+			batches = append(batches, guest.SketchBatch{ID: uint32(r), Commitment: guest.CommitSketch(s), Sketch: s})
+		}
+		queries := []netflow.FlowKey{{SrcIP: 5, DstIP: 15, SrcPort: 5, DstPort: 80, Proto: 17}}
+		runs = append(runs, run{fmt.Sprintf("sketch/%d", routers), guest.SketchMergeProgram(depth, width), guest.SketchInput(batches, queries)})
+	}
+	block := [16]uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
+	for _, iters := range []uint32{1, 3} {
+		runs = append(runs, run{fmt.Sprintf("soft-sha/%d", iters), guest.SoftSHA256ChainProgram(), guest.SoftSHA256Input(iters, block)})
+	}
+	for _, iters := range []uint32{1, 50, 700} {
+		runs = append(runs, run{fmt.Sprintf("hash-chain/%d", iters), guest.PrecompileHashChainProgram(), guest.SoftSHA256Input(iters, block)})
+	}
+
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			if err := zkvm.CheckAgainstReference(r.prog, r.input, zkvm.ExecOptions{}, zkvm.ReferenceCuts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkExecute times the emulator alone on the 1000-record
+// aggregation guest in its three uses: the monolithic trace, the trace
+// cut every 2^17 rows (the epoch-4k-seg setting) with its boundary
+// images and import writes, and the planner's count-only pass over the
+// same cuts. Slabs are released every iteration, so the steady state
+// measures the loop over pooled slabs, not mallocgc.
+func BenchmarkExecute(b *testing.B) {
+	prog, input := guest.AggregationProgram(), aggregationEpoch(1000).Words()
+	ex, err := zkvm.Execute(prog, input, zkvm.ExecOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := len(ex.Rows) // of the monolithic trace, whatever the mode
+	for _, mode := range []struct {
+		name   string
+		cut    int
+		traced bool
+	}{{"mono", 0, true}, {"segmented", 1 << 17, true}, {"count", 1 << 17, false}} {
+		b.Run(mode.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := zkvm.RunMachine(prog, input, mode.cut, mode.traced); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(rows)), "ns/row")
+		})
+	}
+}

@@ -22,15 +22,13 @@ func TestCountSegmentsMatchesTraced(t *testing.T) {
 			wantJournal = append(wantJournal, s.ex.Journal...)
 		}
 		wantN, wantExit := len(segs), segs[len(segs)-1].ex.ExitCode
-		for _, s := range segs {
-			putRowSlab(s.ex.Rows)
-			putMemSlab(s.ex.MemLog)
-		}
+		releaseSegments(segs)
 
-		n, exit, journal, err := countSegments(prog, input, ExecOptions{}, minSegmentCycles)
-		if err != nil {
+		m := newMachine(prog, input, minSegmentCycles, false)
+		if err := m.run(0); err != nil {
 			t.Fatalf("loops=%d: count: %v", loops, err)
 		}
+		n, exit, journal := m.nsegs, m.exitCode(), m.journal
 		if n != wantN || exit != wantExit {
 			t.Fatalf("loops=%d: count (%d segs, exit %d), traced (%d segs, exit %d)",
 				loops, n, exit, wantN, wantExit)

@@ -58,33 +58,28 @@ func (e *GuestAbortError) Error() string {
 	return fmt.Sprintf("zkvm: guest aborted with exit code %d", e.ExitCode)
 }
 
-// Prove executes the guest over the private input and generates a
-// receipt. Trapped or aborted executions return an error and no
-// receipt — tampered telemetry cannot be proven.
+// Prove is ProveWithSeed under a fresh random salt seed.
 func Prove(prog *Program, input []uint32, opts ProveOptions) (*Receipt, error) {
-	execDone := stageTimer(opts.Observer, StageExecute)
-	ex, err := Execute(prog, input, ExecOptions{MaxSteps: opts.MaxSteps})
-	execDone()
+	seed, err := newSeed()
 	if err != nil {
 		return nil, err
 	}
-	if ex.ExitCode != 0 && !opts.AllowNonZeroExit {
-		abort := &GuestAbortError{ExitCode: ex.ExitCode, Journal: ex.Journal}
-		releaseExecution(ex)
-		return nil, abort
+	return ProveWithSeed(prog, input, opts, seed)
+}
+
+// newSeed draws a salt seed from the system's randomness.
+func newSeed() (seed [32]byte, err error) {
+	if _, err = rand.Read(seed[:]); err != nil {
+		err = fmt.Errorf("zkvm: salt seed: %w", err)
 	}
-	receipt, err := ProveExecution(ex, opts)
-	// The execution was created here and the receipt does not alias its
-	// trace slices, so their slabs can go back to the pool.
-	releaseExecution(ex)
-	return receipt, err
+	return seed, err
 }
 
 // ProveExecution seals an already-traced execution.
 func ProveExecution(ex *Execution, opts ProveOptions) (*Receipt, error) {
-	var seed [32]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, fmt.Errorf("zkvm: salt seed: %w", err)
+	seed, err := newSeed()
+	if err != nil {
+		return nil, err
 	}
 	return proveExecutionSeeded(ex, opts, &seed)
 }

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"sync"
 
 	"zkflow/internal/merkle"
@@ -154,125 +153,14 @@ type segmentExecution struct {
 	exitImg  []imagePair
 }
 
-// liveImage canonicalises the current memory map: address-sorted
-// (addr, val) pairs with val != 0.
-func liveImage(mem map[uint32]uint32) []imagePair {
-	img := make([]imagePair, 0, len(mem))
-	for a, v := range mem {
-		if v != 0 {
-			img = append(img, imagePair{Addr: a, Val: v})
-		}
-	}
-	sort.Slice(img, func(i, j int) bool { return img[i].Addr < img[j].Addr })
-	return img
-}
-
 // executeSegmented runs the guest like Execute but cuts the trace
-// every segmentCycles steps. Each non-final segment executes exactly
-// segmentCycles steps and carries one extra boundary row (the
-// pre-state of the next segment's first step); the final segment ends
-// on the halt row. maxSteps bounds the *total* cycle count.
+// every segmentCycles steps (floored to minSegmentCycles).
 func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCycles int) ([]*segmentExecution, error) {
-	if segmentCycles < minSegmentCycles {
-		segmentCycles = minSegmentCycles
+	m := newMachine(prog, input, segmentCycles, true)
+	if err := m.run(opts.MaxSteps); err != nil {
+		return nil, err
 	}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	env := &emuEnv{mem: make(map[uint32]uint32), input: input}
-	var (
-		pc       uint32
-		regs     [NumRegs]uint32
-		segs     []*segmentExecution
-		globalIn int // input cursor at segment entry
-		globalJ  int // journal words written before this segment
-	)
-	release := func() {
-		for _, s := range segs {
-			putRowSlab(s.ex.Rows)
-			putMemSlab(s.ex.MemLog)
-		}
-	}
-	// newSegment starts segment index with the given entry image,
-	// synthesising one import write per live pair.
-	newSegment := func(index int, img []imagePair) *segmentExecution {
-		s := &segmentExecution{
-			index:    index,
-			entryImg: img,
-			entry: SegmentState{
-				PC: pc, Regs: regs,
-				InPtr:  uint32(globalIn),
-				JPtr:   uint32(globalJ),
-				MemLen: uint32(len(img)),
-			},
-			ex: &Execution{Program: prog, Rows: getRowSlab(), MemLog: getMemSlab()},
-		}
-		if index == 0 {
-			s.entry.MemRoot = genesisRoot()
-		}
-		for k, p := range img {
-			s.ex.MemLog = appendDoubling(s.ex.MemLog, MemEntry{
-				Addr: p.Addr, Val: p.Val, Seq: uint32(k), Step: importStep, IsWrite: true,
-			})
-		}
-		env.memLog = s.ex.MemLog
-		env.journal = nil
-		return s
-	}
-	seg := newSegment(0, nil)
-	for stepNo := 0; ; stepNo++ {
-		if stepNo >= maxSteps {
-			seg.ex.MemLog = env.memLog
-			segs = append(segs, seg)
-			release()
-			return nil, ErrStepLimit
-		}
-		if len(seg.ex.Rows) == segmentCycles {
-			// Cut: the boundary row below closes this segment and opens
-			// the next. Snapshot the live image first.
-			img := liveImage(env.mem)
-			row := Row{PC: pc, Regs: regs,
-				MemPtr: uint32(len(env.memLog)),
-				InPtr:  uint32(env.inPtr - globalIn),
-				JPtr:   uint32(len(env.journal))}
-			seg.ex.Rows = appendDoubling(seg.ex.Rows, row)
-			seg.ex.MemLog = env.memLog
-			seg.ex.Journal = env.journal
-			globalIn = env.inPtr
-			globalJ += len(env.journal)
-			seg.exit = SegmentState{
-				PC: pc, Regs: regs,
-				InPtr:  uint32(globalIn),
-				JPtr:   uint32(globalJ),
-				MemLen: uint32(len(img)),
-			}
-			seg.exitImg = img
-			segs = append(segs, seg)
-			seg = newSegment(len(segs), img)
-		}
-		row := Row{PC: pc, Regs: regs,
-			MemPtr: uint32(len(env.memLog)),
-			InPtr:  uint32(env.inPtr - globalIn),
-			JPtr:   uint32(len(env.journal))}
-		seg.ex.Rows = appendDoubling(seg.ex.Rows, row)
-		env.step = uint32(len(seg.ex.Rows) - 1)
-		nextPC, nextRegs, _, halted, err := step(prog, &row, env)
-		seg.ex.MemLog = env.memLog
-		if err != nil {
-			segs = append(segs, seg)
-			release()
-			return nil, &TrapError{PC: pc, Step: stepNo, Reason: err.Error()}
-		}
-		if halted {
-			seg.final = true
-			seg.ex.Journal = env.journal
-			seg.ex.ExitCode = regs[R1]
-			segs = append(segs, seg)
-			return segs, nil
-		}
-		pc, regs = nextPC, nextRegs
-	}
+	return m.segs, nil
 }
 
 // deriveSubSeed expands the composite salt seed into an independent

@@ -31,10 +31,12 @@ func ProveSegmentedWithSeed(prog *Program, input []uint32, opts ProveOptions, se
 	return proveSegmentedSeeded(prog, input, opts, &seed)
 }
 
-// ProveWithSeed is Prove under a caller-supplied salt seed — the
-// whole-run (non-segmented) deterministic counterpart of
-// ProveSegmentedWithSeed, used for farm jobs small enough to dispatch
-// as a single unit.
+// ProveWithSeed executes the guest over the private input and seals
+// the run under a caller-supplied salt seed — byte-deterministic, the
+// whole-run counterpart of ProveSegmentedWithSeed, used for farm jobs
+// small enough to dispatch as a single unit. Trapped or aborted
+// executions return an error and no receipt: tampered telemetry cannot
+// be proven.
 func ProveWithSeed(prog *Program, input []uint32, opts ProveOptions, seed [32]byte) (*Receipt, error) {
 	execDone := stageTimer(opts.Observer, StageExecute)
 	ex, err := Execute(prog, input, ExecOptions{MaxSteps: opts.MaxSteps})
@@ -42,35 +44,38 @@ func ProveWithSeed(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 	if err != nil {
 		return nil, err
 	}
+	// The execution was created here and neither the receipt nor the
+	// abort aliases its trace slabs, so they can go back to the pool.
+	defer releaseExecution(ex)
 	if ex.ExitCode != 0 && !opts.AllowNonZeroExit {
-		abort := &GuestAbortError{ExitCode: ex.ExitCode, Journal: ex.Journal}
-		releaseExecution(ex)
-		return nil, abort
+		return nil, &GuestAbortError{ExitCode: ex.ExitCode, Journal: ex.Journal}
 	}
-	receipt, err := proveExecutionSeeded(ex, opts, &seed)
-	releaseExecution(ex)
-	return receipt, err
+	return proveExecutionSeeded(ex, opts, &seed)
 }
 
 // PlanSegments executes the guest (emulation only, no tracing, no
 // sealing) and returns the number of segments a segmented prove with
-// these options would produce. A coordinator calls this once per job to
-// know how many segment indices to dispatch; it runs on the count-only
-// emulator (plan.go), so it costs raw execution speed rather than the
-// full traced run a prover pays. Guest aborts, traps and step-limit
-// errors surface exactly as they would from ProveSegmented.
+// these options would produce. A farm coordinator calls this once per
+// dispatched epoch just to learn how many segment indices to hand out;
+// paying the full traced execution for that — materialising tens of
+// millions of Rows and MemEntries plus a boundary image per cut, all
+// immediately discarded — made planning cost a large serial fraction
+// of a farmed prove (E18). So the machine runs its one loop on the
+// exact cut schedule of a traced run but records nothing: no trace
+// rows, no memory log, no boundary images. Only guest memory, the
+// input cursor and the journal (needed for guest-abort parity) are
+// kept, so planning runs at raw emulation speed and allocates almost
+// nothing. Guest aborts, traps and step-limit errors surface exactly
+// as they would from ProveSegmented.
 func PlanSegments(prog *Program, input []uint32, opts ProveOptions) (int, error) {
-	n, exitCode, journal, err := countSegments(prog, input, ExecOptions{MaxSteps: opts.MaxSteps}, opts.SegmentCycles)
-	if err != nil {
+	m := newMachine(prog, input, opts.SegmentCycles, false)
+	if err := m.run(opts.MaxSteps); err != nil {
 		return 0, err
 	}
-	if exitCode != 0 && !opts.AllowNonZeroExit {
-		if journal == nil {
-			journal = []uint32{}
-		}
-		return 0, &GuestAbortError{ExitCode: exitCode, Journal: journal}
+	if code := m.exitCode(); code != 0 && !opts.AllowNonZeroExit {
+		return 0, &GuestAbortError{ExitCode: code, Journal: append([]uint32{}, m.journal...)}
 	}
-	return n, nil
+	return m.nsegs, nil
 }
 
 // SegmentRun is a traced, boundary-committed guest run from which
@@ -105,20 +110,13 @@ func NewSegmentRun(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 	if err != nil {
 		return nil, err
 	}
-	releaseSegs := func() {
-		for _, s := range segs {
-			putRowSlab(s.ex.Rows)
-			putMemSlab(s.ex.MemLog)
-			s.ex.Rows, s.ex.MemLog = nil, nil
-		}
-	}
 	last := segs[len(segs)-1]
 	if last.ex.ExitCode != 0 && !opts.AllowNonZeroExit {
 		journal := make([]uint32, 0)
 		for _, s := range segs {
 			journal = append(journal, s.ex.Journal...)
 		}
-		releaseSegs()
+		releaseSegments(segs)
 		return nil, &GuestAbortError{ExitCode: last.ex.ExitCode, Journal: journal}
 	}
 
@@ -166,11 +164,7 @@ func (r *SegmentRun) Release() {
 		for _, b := range r.bnd[1:len(r.segs)] {
 			b.tree.Release()
 		}
-		for _, s := range r.segs {
-			putRowSlab(s.ex.Rows)
-			putMemSlab(s.ex.MemLog)
-			s.ex.Rows, s.ex.MemLog = nil, nil
-		}
+		releaseSegments(r.segs)
 	})
 }
 

@@ -1,7 +1,6 @@
 package zkvm
 
 import (
-	"crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -31,9 +30,9 @@ func wordsToBytes(words []uint32) []byte {
 // because every segment and boundary derives an independent sub-seed
 // by index.
 func ProveSegmented(prog *Program, input []uint32, opts ProveOptions) (*CompositeReceipt, error) {
-	var seed [32]byte
-	if _, err := rand.Read(seed[:]); err != nil {
-		return nil, fmt.Errorf("zkvm: salt seed: %w", err)
+	seed, err := newSeed()
+	if err != nil {
+		return nil, err
 	}
 	return proveSegmentedSeeded(prog, input, opts, &seed)
 }

@@ -12,16 +12,6 @@ const (
 	StageExecute = "execute"
 	// StageMemSort is the address-ordered re-sort of the memory log.
 	StageMemSort = "mem_sort"
-	// StageTraceEncode is the label of the retired standalone
-	// serialisation stage. The fused pipeline streams each row through
-	// an encode scratch buffer directly into its leaf hasher, so encode
-	// time is now part of StageMerkleCommit (phase-1 tables) and
-	// StageGrandProduct (product columns). The constant is kept so old
-	// dashboards keyed on the label still parse; it is no longer in
-	// Stages and never reported.
-	//
-	// Deprecated: folded into StageMerkleCommit / StageGrandProduct.
-	StageTraceEncode = "trace_encode"
 	// StageMerkleCommit encodes and commits the three phase-1 tables
 	// (trace rows and both memory-log orderings): rows stream through
 	// per-segment scratch buffers into salted leaf hashes and the trees

@@ -156,19 +156,29 @@ func sortedMemLog(log []MemEntry) []MemEntry {
 }
 
 // fingerprint maps a memory entry to a field element under the
-// Fiat–Shamir challenge alpha. Two logs are multiset-equal iff the
-// products of (gamma - fingerprint) agree (w.h.p. over alpha, gamma).
+// Fiat–Shamir challenge alpha: addr + α·val + α²·seq + α³·step +
+// α⁴·isWrite. Two logs are multiset-equal iff the products of
+// (gamma - fingerprint) agree (w.h.p. over alpha, gamma).
 func fingerprint(e *MemEntry, alpha field.Elem) field.Elem {
+	p := alphaPowers(alpha)
+	return fingerprintAt(e, &p)
+}
+
+// alphaPowers returns α, α², α³, α⁴ — computed once per column by the
+// prover, whose runningProducts fingerprints every log entry.
+func alphaPowers(alpha field.Elem) [4]field.Elem {
+	a2 := field.Mul(alpha, alpha)
+	return [4]field.Elem{alpha, a2, field.Mul(a2, alpha), field.Mul(a2, a2)}
+}
+
+// fingerprintAt is fingerprint given the powers of alpha.
+func fingerprintAt(e *MemEntry, p *[4]field.Elem) field.Elem {
 	acc := field.New(uint64(e.Addr))
-	a := alpha
-	acc = field.Add(acc, field.Mul(a, field.New(uint64(e.Val))))
-	a = field.Mul(a, alpha)
-	acc = field.Add(acc, field.Mul(a, field.New(uint64(e.Seq))))
-	a = field.Mul(a, alpha)
-	acc = field.Add(acc, field.Mul(a, field.New(uint64(e.Step))))
-	a = field.Mul(a, alpha)
+	acc = field.Add(acc, field.Mul(p[0], field.New(uint64(e.Val))))
+	acc = field.Add(acc, field.Mul(p[1], field.New(uint64(e.Seq))))
+	acc = field.Add(acc, field.Mul(p[2], field.New(uint64(e.Step))))
 	if e.IsWrite {
-		acc = field.Add(acc, a)
+		acc = field.Add(acc, p[3])
 	}
 	return acc
 }
@@ -187,10 +197,11 @@ func runningProducts(log []MemEntry, alpha, gamma field.Elem, width int) []field
 	}
 	chunk := (n + chunks - 1) / chunks
 	totals := make([]field.Elem, chunks)
+	powers := alphaPowers(alpha)
 	par.Each(width, chunks, func(c int) {
 		acc := field.One
 		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
-			acc = field.Mul(acc, field.Sub(gamma, fingerprint(&log[i], alpha)))
+			acc = field.Mul(acc, field.Sub(gamma, fingerprintAt(&log[i], &powers)))
 			out[i] = acc
 		}
 		totals[c] = acc
