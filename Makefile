@@ -30,10 +30,13 @@ race:
 # plus the NTT round-trip property (the vectorized kernel against the
 # retained serial reference) and the linear memory-log sort against
 # the comparison sort it replaced, plus the verify-level target: no
-# mutation of a valid v2 receipt or composite may panic or verify,
+# mutation of a valid receipt or composite may panic or verify,
 # plus the emulator core against the map-backed loops it replaced
-# (fuzzed programs: same trace, same trap, in every mode).
-# `go test -fuzz` takes one target per invocation, so this is twelve
+# (fuzzed programs: same trace, same trap, in every mode), plus the
+# expansion of an opened exec leaf (arbitrary bytes under every guest
+# program: no panic, no allocation to speak of, only canonical leaves
+# expand).
+# `go test -fuzz` takes one target per invocation, so this is thirteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
@@ -45,6 +48,7 @@ fuzz:
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzVerifyMutatedReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzSortedMemLog -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExecuteMatchesReference -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExpandExecLeaf -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fold -run='^$$' -fuzz=FuzzUnmarshalFolded -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)

@@ -141,14 +141,25 @@ func TestLoadVerifierRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestV1CheckpointStillLoads: testdata/checkpoint_v1.bin was written by
-// the prover while it sealed format-v1 receipts (one record per leaf;
-// seed 23, two rounds of 4×6 records at Checks 6). It must still load,
-// its receipt history must still verify — through the same verifier,
-// at a block of one — and the restored prover must extend the chain
-// with a receipt of the current format.
+// TestV1CheckpointStillLoads and TestV2CheckpointStillLoads: each
+// testdata/checkpoint_vN.bin was written by the prover while it sealed
+// format-vN receipts (v1: one record per leaf; v2: four whole records
+// per leaf, exec leaves included; seed 23, two rounds of 4×6 records at
+// Checks 6). It must still load, its receipt history must still verify
+// — through the same verifier, reading the leaf layout its magic names
+// — and the restored prover must extend the chain with a receipt of the
+// current format.
 func TestV1CheckpointStillLoads(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v1.bin"))
+	oldCheckpointStillLoads(t, "checkpoint_v1.bin", zkvm.FormatV1)
+}
+
+func TestV2CheckpointStillLoads(t *testing.T) {
+	oldCheckpointStillLoads(t, "checkpoint_v2.bin", zkvm.FormatV2)
+}
+
+func oldCheckpointStillLoads(t *testing.T, name string, format zkvm.Format) {
+	t.Helper()
+	old, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,30 +173,33 @@ func TestV1CheckpointStillLoads(t *testing.T) {
 	}
 	for _, res := range restored.history {
 		r := res.Receipt.(*zkvm.Receipt)
-		if r.Seal.Format != zkvm.FormatV1 {
+		if r.Seal.Format != format {
 			t.Fatalf("epoch %d: checkpointed receipt decoded as format %d", res.Epoch, r.Seal.Format)
 		}
 		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
-			t.Fatalf("epoch %d: v1 history does not verify: %v", res.Epoch, err)
+			t.Fatalf("epoch %d: stored history does not verify: %v", res.Epoch, err)
 		}
 	}
 	res, err := restored.AggregateEpoch(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Receipt.(*zkvm.Receipt).Seal.Format != zkvm.FormatV2 {
+	if res.Receipt.(*zkvm.Receipt).Seal.Format != zkvm.FormatV3 {
 		t.Fatal("restored prover did not seal in the current format")
 	}
 	if _, err := v.VerifyAggregation(res.Receipt); err != nil {
-		t.Fatalf("chain broken after restoring a v1 checkpoint: %v", err)
+		t.Fatalf("chain broken after restoring an old checkpoint: %v", err)
 	}
 	// Saving again keeps each receipt in the format it was sealed in.
 	var buf bytes.Buffer
 	if err := restored.SaveCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	first := 12 + 16 + int(binary.LittleEndian.Uint64(old[12+8:])) // header, then the first round's epoch, size and receipt
-	if !bytes.Equal(buf.Bytes()[12:first], old[12:first]) {
-		t.Fatal("re-saved checkpoint does not carry the first v1 receipt byte for byte")
+	stored := 12 // header, then each stored round's epoch, size and receipt
+	for range 2 {
+		stored += 16 + int(binary.LittleEndian.Uint64(old[stored+8:]))
+	}
+	if !bytes.Equal(buf.Bytes()[12:stored], old[12:stored]) {
+		t.Fatal("re-saved checkpoint does not carry the stored receipts byte for byte")
 	}
 }

@@ -10,13 +10,15 @@
 //     reduces a whole level (or a block's slice of one) per call, so
 //     the buffer and its prefix byte are set up once per level.
 //   - Leaf/Leaf2 hash a domain-prefixed leaf payload, in one or two
-//     parts, the same way: payloads under 128 bytes — the seal's
-//     four-record leaves of 17- and 8-byte records, STARK rows of up to
-//     15 columns — go through a 128-byte stack buffer, payloads up to
-//     ScratchBytes (a leaf of four exec rows) through a 512-byte one
-//     (Go zeroes a stack buffer at every declaration, so the small tier
-//     saves ~400 bytes of memclr per leaf), and only oversized leaves
-//     fall back to a streaming hash.
+//     parts, the same way: payloads under 128 bytes — every leaf the
+//     zkVM prover commits (an exec leaf's row and three witness words,
+//     108 bytes salted, is the widest), STARK rows of up to 15 columns —
+//     go through a 128-byte stack buffer, payloads up to ScratchBytes
+//     (the four whole exec rows of a format-v2 leaf, which verifiers
+//     still meet) through a 512-byte one (Go zeroes a stack buffer at
+//     every declaration, so the small tier saves ~400 bytes of memclr
+//     per leaf), and only oversized leaves fall back to a streaming
+//     hash.
 //
 // The zkVM's block commit assembles its (prefix || salt || records)
 // message in place and calls sha256.Sum256 itself; Leaf2 is the same
@@ -42,13 +44,13 @@ const (
 
 // ScratchBytes is the stack scratch size of the leaf fast path: leaf
 // payloads up to this size (after the domain prefix) hash with zero
-// allocations. The largest committed leaf in the repo (a salted block
-// of four 80-byte execution-trace rows) is 336 bytes; STARK LDE rows
-// are 8*cols.
+// allocations. The largest leaf anything in the repo hashes is the one a
+// verifier of format-v2 seals opens — a salted block of four 80-byte
+// execution-trace rows, 336 bytes; STARK LDE rows are 8*cols.
 const ScratchBytes = 512
 
 // smallScratchBytes is the first scratch tier (see the package
-// comment); every committed leaf in this repo fits it.
+// comment); every leaf committed in this repo fits it.
 const smallScratchBytes = 128
 
 // Node hashes two child digests with the node domain prefix:

@@ -1,20 +1,41 @@
 package zkvm
 
 import (
+	"encoding/binary"
+	"sync"
 	"testing"
 
 	"zkflow/internal/field"
 	"zkflow/internal/merkle"
 )
 
-// execTable is a committed exec-row table over synthetic rows.
+// loopProgram reads a count and runs that many turns of a five-step
+// loop — a load, an add, a store, an increment, a branch — so any number
+// of trace rows can be had from it, every leaf of them with a witness
+// word that is not zero.
+var loopProgram = sync.OnceValue(func() *Program {
+	return asm(func(a *Assembler) {
+		a.ReadInput(R3)
+		a.Li(R2, 0)
+		a.Label("loop")
+		a.Lw(R4, R0, 100)
+		a.Add(R4, R4, R2)
+		a.Sw(R4, R0, 100)
+		a.Addi(R2, R2, 1)
+		a.Bltu(R2, R3, "loop")
+		a.HaltCode(0)
+	})
+})
+
+// execTable is an exec-row table over the first n rows of a real trace:
+// an exec leaf commits to its rows through the program that derives
+// them, so made-up rows would not be a leaf of anything.
 func execTable(seed *[32]byte, n int) *table {
-	rows := make([]Row, n)
-	for i := range rows {
-		rows[i].PC = uint32(i)
-		rows[i].Regs[1] = uint32(i * 3)
+	ex, err := Execute(loopProgram(), []uint32{uint32(n/5 + 1)}, ExecOptions{})
+	if err != nil {
+		panic(err)
 	}
-	return rowTable(newSalter(seed), rows)
+	return rowTable(newSalter(seed), ex.Program, ex.Rows[:n])
 }
 
 // TestCommitTablesConstantAllocs is the allocation-regression gate for
@@ -45,8 +66,8 @@ func TestCommitTablesConstantAllocs(t *testing.T) {
 
 // TestCommitBlockZeroAllocs gates the per-leaf hot path: salting,
 // encoding, leaf-hashing and reducing a block never touches the
-// allocator — the scratch that holds a whole leaf (four exec rows, 337
-// bytes) stays on commitBlock's stack.
+// allocator — the scratch that holds a whole leaf (at most an exec
+// leaf's 109 bytes, salted) stays on commitBlock's stack.
 func TestCommitBlockZeroAllocs(t *testing.T) {
 	tab := execTable(&[32]byte{7}, 3000*leafRecords)
 	tab.builder = merkle.NewBuilder(tab.leaves())
@@ -72,11 +93,17 @@ func recordBytes(tab *table, i int) []byte {
 }
 
 // unfusedLeaf is leaf j of a table written out longhand: one
-// deriveSalt, one encode per record, one salted leaf hash.
+// deriveSalt, one encode per record — of an exec leaf's rows after the
+// first, the witness word alone — and one salted leaf hash.
 func unfusedLeaf(tab *table, j int) merkle.Hash {
-	var payload []byte
-	for i := j * leafRecords; i < min((j+1)*leafRecords, tab.n); i++ {
-		payload = append(payload, recordBytes(tab, i)...)
+	lo := j * leafRecords
+	payload := recordBytes(tab, lo)
+	for i := lo + 1; i < min(lo+leafRecords, tab.n); i++ {
+		if tab.label == treeExec {
+			payload = binary.LittleEndian.AppendUint32(payload, witnessWord(tab.prog, &tab.rows[i-1], &tab.rows[i]))
+		} else {
+			payload = append(payload, recordBytes(tab, i)...)
+		}
 	}
 	return saltedLeafHash(tab.salts.deriveSalt(tab.label, j), payload)
 }
@@ -104,7 +131,8 @@ func shapeTables(seed *[32]byte, n int) map[string]*table {
 // TestCommitTablesMatchUnfused pins what the crew commits: at every
 // width, and with several tables sharing one crew, each tree is
 // leaf-for-leaf the unfused formulation — ceil(n/4) leaves, leaf j the
-// salted hash of records 4j..4j+3, the last one short — over the plain
+// salted hash of records 4j..4j+3 (of exec row 4j and the three witness
+// words after it), the last one short — over the plain
 // builder, across record counts on either side of a leaf, of a builder
 // block and of a power of two, for every record shape.
 func TestCommitTablesMatchUnfused(t *testing.T) {
@@ -148,8 +176,11 @@ func sha256Blocks(n int) int { return (n + 9 + 63) / 64 }
 // each committed record shape, and reports next to ns/record what the
 // format fixes: SHA-256 compressions and bytes hashed per record,
 // leaves plus the block's internal nodes (65-byte preimages, two
-// compressions each). At one record per leaf (format v1) the same
-// count is 4 compressions per exec row and 3 per 17- or 8-byte record.
+// compressions each), from the length of the message the leaf really
+// hashes: an exec leaf is 109 bytes, two compressions for four rows. At
+// one record per leaf (format v1) the same count is 4 compressions per
+// exec row and 3 per 17- or 8-byte record; at four whole rows per exec
+// leaf (format v2), 2 per row.
 func BenchmarkCommitBlock(b *testing.B) {
 	const n = 1 << 15
 	tabs := shapeTables(&[32]byte{7}, n)
@@ -166,7 +197,8 @@ func BenchmarkCommitBlock(b *testing.B) {
 			b.StopTimer()
 			leaves := tab.leaves() / blocks
 			recs := float64(leaves * leafRecords)
-			leafMsg, nodes := 1+saltBytes+leafRecords*tab.recBytes, leaves-1
+			var scratch [maxLeafBytes]byte
+			leafMsg, nodes := 1+saltBytes+tab.encodeLeaf(0, scratch[:]), leaves-1
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*recs), "ns/record")
 			b.ReportMetric(float64(leaves*sha256Blocks(leafMsg)+nodes*sha256Blocks(65))/recs, "compressions/record")
 			b.ReportMetric(float64(leaves*leafMsg+nodes*65)/recs, "hashedB/record")

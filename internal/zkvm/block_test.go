@@ -10,19 +10,48 @@ import (
 	"zkflow/internal/merkle"
 )
 
-// This file tests the blocked-leaf shape of seal format v2 from the
-// verifier's side: what a column accepts as a leaf, how many openings an
-// adjacent pair or a run may carry, and that no mutation of a valid
-// receipt — of either kind — verifies.
+// This file tests the blocked-leaf shape of a seal from the verifier's
+// side: what a column accepts as a leaf — whole records, or a format-v3
+// exec leaf's head row and witness words — how many openings an adjacent
+// pair or a run may carry, and that no mutation of a valid receipt — of
+// either kind — verifies.
 
-// committedRows commits n synthetic exec rows and returns the table and
-// the verifier's view of it.
-func committedRows(t *testing.T, n int) (*table, column) {
+// leafShape is one of the two leaf layouts a column can have, with a
+// committed table of n records of it.
+type leafShape struct {
+	name string
+	tab  *table
+	col  column
+	// tailBytes is what a record after the first adds to a leaf.
+	tailBytes int
+	// get is the column's accessor: the records [lo, hi) out of span,
+	// each in its own encoding.
+	get func(span []Opening, lo, hi int) ([][]byte, error)
+}
+
+// leafShapes commits n exec rows (witnessed leaves, what format v3
+// seals) and n memory entries (whole records: every other column, and
+// the exec column of format v2).
+func leafShapes(t *testing.T, n int) []*leafShape {
 	t.Helper()
-	tab := execTable(&[32]byte{3}, n)
-	commitTables(1, tab)
-	t.Cleanup(tab.tree.Release)
-	return tab, column{root: tab.tree.Root(), n: n, recBytes: rowBytes, block: leafRecords}
+	exec, mem := execTable(&[32]byte{3}, n), shapeTables(&[32]byte{3}, n)["mem"]
+	commitTables(1, exec, mem)
+	t.Cleanup(exec.tree.Release)
+	t.Cleanup(mem.tree.Release)
+	execCol := column{root: exec.tree.Root(), n: n, recBytes: rowBytes, block: leafRecords, witnessed: true}
+	memCol := column{root: mem.tree.Root(), n: n, recBytes: memBytes, block: leafRecords}
+	return []*leafShape{
+		{"witnessed", exec, execCol, 4, func(span []Opening, lo, hi int) ([][]byte, error) {
+			rows, err := execCol.rows(exec.prog, span, lo, hi)
+			recs := make([][]byte, len(rows))
+			for i := range rows {
+				recs[i] = make([]byte, rowBytes)
+				encodeRowInto(recs[i], &rows[i])
+			}
+			return recs, err
+		}},
+		{"whole", mem, memCol, memBytes, memCol.records},
+	}
 }
 
 // TestColumnLeafShape: the committed record count fixes the shape of
@@ -30,76 +59,98 @@ func committedRows(t *testing.T, n int) (*table, column) {
 // leaf, fewer only in the last — and an opening of any other shape is
 // rejected even when its hash chain reaches the root.
 func TestColumnLeafShape(t *testing.T) {
-	const n = 10 // leaves of 4, 4 and 2 rows
-	tab, col := committedRows(t, n)
-	for i := 0; i < n; i++ {
-		o := tab.openRecord(i)
-		got, err := col.record(&o, i)
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if !bytes.Equal(got, recordBytes(tab, i)) {
-			t.Fatalf("record %d: wrong bytes out of leaf %d", i, o.Index)
-		}
+	const n = 10 // leaves of 4, 4 and 2 records
+	for _, sh := range leafShapes(t, n) {
+		t.Run(sh.name, func(t *testing.T) {
+			tab, col := sh.tab, sh.col
+			for i := 0; i < n; i++ {
+				got, err := sh.get([]Opening{tab.openRecord(i)}, i, i+1)
+				if err != nil {
+					t.Fatalf("record %d: %v", i, err)
+				}
+				if !bytes.Equal(got[0], recordBytes(tab, i)) {
+					t.Fatalf("record %d: wrong bytes out of leaf %d", i, i/leafRecords)
+				}
+			}
+			if full, tail := len(tab.open(0).Data), len(tab.open(2).Data); full != tab.recBytes+3*sh.tailBytes || tail != tab.recBytes+sh.tailBytes {
+				t.Fatalf("leaf payloads of %d and %d bytes", full, tail)
+			}
+
+			// A different record count means a different leaf count: the same
+			// openings no longer fit.
+			tail := tab.open(2)
+			for _, claimed := range []int{8, 9, 11, 12, 13, 16, 17} {
+				c := col
+				c.n = claimed
+				if err := c.leaf(&tail, 2); err == nil {
+					t.Errorf("two-record tail leaf accepted in a table claiming %d records", claimed)
+				}
+			}
+			// ... even when the attacker really committed that other tree: a
+			// tree over the 10 records one per leaf has its own root, and its
+			// openings are not leaves of a blocked column.
+			perRecord := make([]merkle.Hash, n)
+			for i := range perRecord {
+				perRecord[i] = saltedLeafHash(tab.salts.deriveSalt(tab.label, i), recordBytes(tab, i))
+			}
+			v1Tree := merkle.BuildHashesParallel(perRecord, 1)
+			proof, _ := v1Tree.Prove(2)
+			v1Opening := Opening{Index: 2, Salt: tab.salts.deriveSalt(tab.label, 2), Data: recordBytes(tab, 2), Path: proof.Path}
+			v1Col := column{root: v1Tree.Root(), n: n, recBytes: tab.recBytes, block: 1}
+			if _, err := v1Col.record(&v1Opening, 2); err != nil {
+				t.Fatalf("the per-record opening is not even valid at a block of one: %v", err)
+			}
+			blockedOverV1 := col
+			blockedOverV1.root = v1Tree.Root()
+			if err := blockedOverV1.leaf(&v1Opening, 2); err == nil {
+				t.Error("a 10-leaf tree accepted as the 3-leaf tree of a blocked 10-record column")
+			}
+
+			mutants := map[string]func(o *Opening){
+				"short block before the tail": func(o *Opening) { *o = tab.open(0); o.Data = o.Data[:len(o.Data)-sh.tailBytes] },
+				"tail padded to a full block": func(o *Opening) { *o = tab.open(2); o.Data = append(o.Data, make([]byte, 2*sh.tailBytes)...) },
+				"payload not whole records":   func(o *Opening) { *o = tab.open(1); o.Data = o.Data[:len(o.Data)-1] },
+				"empty payload":               func(o *Opening) { *o = tab.open(1); o.Data = nil },
+				"extra path level":            func(o *Opening) { *o = tab.open(1); o.Path = append(o.Path, merkle.PaddingHash(2)) },
+				"missing path level":          func(o *Opening) { *o = tab.open(1); o.Path = o.Path[:1] },
+				"index of another leaf":       func(o *Opening) { *o = tab.open(1); o.Index = 0 },
+				"flipped salt":                func(o *Opening) { *o = tab.open(1); o.Salt[0] ^= 1 },
+				"flipped unused record":       func(o *Opening) { *o = tab.open(1); o.Data[len(o.Data)-1] ^= 1 },
+			}
+			for name, mutate := range mutants {
+				var o Opening
+				mutate(&o)
+				idx := o.Index
+				if name == "index of another leaf" {
+					idx = 1
+				}
+				if err := col.leaf(&o, idx); err == nil {
+					t.Errorf("%s: accepted", name)
+				}
+			}
+			if err := col.leaf(&tail, 3); err == nil {
+				t.Error("leaf index past the last leaf accepted")
+			}
+			if _, err := sh.get([]Opening{tail}, n, n+1); err == nil {
+				t.Error("record index past the table accepted")
+			}
+		})
 	}
 
-	// A different record count means a different leaf count: the same
-	// openings no longer fit.
-	tail := tab.open(2)
-	for _, claimed := range []int{8, 9, 11, 12, 13, 16, 17} {
-		c := col
-		c.n = claimed
-		if err := c.leaf(&tail, 2); err == nil {
-			t.Errorf("two-row tail leaf accepted in a table claiming %d rows", claimed)
-		}
+	// The two layouts are not each other's: whole rows are no leaf of a
+	// witnessed column, head and words none of a whole-record one.
+	exec := leafShapes(t, n)[0]
+	whole := exec.col
+	whole.witnessed = false
+	o := exec.tab.open(0)
+	if err := whole.leaf(&o, 0); err == nil {
+		t.Error("a head row and three words accepted as four whole rows")
 	}
-	// ... even when the attacker really committed that other tree: a
-	// tree over the 10 rows one per leaf has its own root, and its
-	// openings are not leaves of a blocked column.
-	perRow := make([]merkle.Hash, n)
-	for i := range perRow {
-		perRow[i] = saltedLeafHash(tab.salts.deriveSalt(treeExec, i), recordBytes(tab, i))
+	for i := 1; i < leafRecords; i++ {
+		o.Data = append(o.Data[:i*rowBytes], recordBytes(exec.tab, i)...)
 	}
-	v1Tree := merkle.BuildHashesParallel(perRow, 1)
-	proof, _ := v1Tree.Prove(2)
-	v1Opening := Opening{Index: 2, Salt: tab.salts.deriveSalt(treeExec, 2), Data: recordBytes(tab, 2), Path: proof.Path}
-	v1Col := column{root: v1Tree.Root(), n: n, recBytes: rowBytes, block: 1}
-	if _, err := v1Col.record(&v1Opening, 2); err != nil {
-		t.Fatalf("the per-row opening is not even valid at a block of one: %v", err)
-	}
-	blockedOverV1 := v1Col
-	blockedOverV1.block = leafRecords
-	if err := blockedOverV1.leaf(&v1Opening, 2); err == nil {
-		t.Error("a 10-leaf tree accepted as the 3-leaf tree of a blocked 10-row column")
-	}
-
-	mutants := map[string]func(o *Opening){
-		"short block before the tail": func(o *Opening) { *o = tab.open(0); o.Data = o.Data[:3*rowBytes] },
-		"tail padded to a full block": func(o *Opening) { *o = tab.open(2); o.Data = append(o.Data, make([]byte, 2*rowBytes)...) },
-		"payload not whole records":   func(o *Opening) { *o = tab.open(1); o.Data = o.Data[:len(o.Data)-1] },
-		"empty payload":               func(o *Opening) { *o = tab.open(1); o.Data = nil },
-		"extra path level":            func(o *Opening) { *o = tab.open(1); o.Path = append(o.Path, merkle.PaddingHash(2)) },
-		"missing path level":          func(o *Opening) { *o = tab.open(1); o.Path = o.Path[:1] },
-		"index of another leaf":       func(o *Opening) { *o = tab.open(1); o.Index = 0 },
-		"flipped salt":                func(o *Opening) { *o = tab.open(1); o.Salt[0] ^= 1 },
-		"flipped unused record":       func(o *Opening) { *o = tab.open(1); o.Data[3*rowBytes] ^= 1 },
-	}
-	for name, mutate := range mutants {
-		var o Opening
-		mutate(&o)
-		idx := o.Index
-		if name == "index of another leaf" {
-			idx = 1
-		}
-		if err := col.leaf(&o, idx); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-	if err := col.leaf(&tail, 3); err == nil {
-		t.Error("leaf index past the last leaf accepted")
-	}
-	if _, err := col.record(&tail, n); err == nil {
-		t.Error("record index past the table accepted")
+	if err := exec.col.leaf(&o, 0); err == nil {
+		t.Error("four whole rows accepted as a head row and three words")
 	}
 }
 
@@ -108,56 +159,65 @@ func TestColumnLeafShape(t *testing.T) {
 // straddles a block — and one too many or too few is an error.
 func TestSpanOpeningCounts(t *testing.T) {
 	const n = 14
-	tab, col := committedRows(t, n)
-	for i := 0; i+1 < n; i++ {
-		span := tab.openSpan(i, i+2)
-		want := 1
-		if i%leafRecords == leafRecords-1 {
-			want = 2
-		}
-		if len(span) != want {
-			t.Fatalf("pair (%d,%d): prover opened %d leaves, want %d", i, i+1, len(span), want)
-		}
-		recs, err := col.records(span, i, i+2)
-		if err != nil {
-			t.Fatalf("pair (%d,%d): %v", i, i+1, err)
-		}
-		if !bytes.Equal(recs[0], recordBytes(tab, i)) || !bytes.Equal(recs[1], recordBytes(tab, i+1)) {
-			t.Fatalf("pair (%d,%d): wrong records", i, i+1)
-		}
-		// Extra: the leaf again, and the next leaf.
-		for _, extra := range []int{span[len(span)-1].Index, min(span[len(span)-1].Index+1, tab.leaves()-1)} {
-			if _, err := col.records(append(span[:len(span):len(span)], tab.open(extra)), i, i+2); err == nil {
-				t.Errorf("pair (%d,%d): extra opening of leaf %d accepted", i, i+1, extra)
+	for _, sh := range leafShapes(t, n) {
+		t.Run(sh.name, func(t *testing.T) {
+			tab := sh.tab
+			for i := 0; i+1 < n; i++ {
+				span := tab.openSpan(i, i+2)
+				want := 1
+				if i%leafRecords == leafRecords-1 {
+					want = 2
+				}
+				if len(span) != want {
+					t.Fatalf("pair (%d,%d): prover opened %d leaves, want %d", i, i+1, len(span), want)
+				}
+				recs, err := sh.get(span, i, i+2)
+				if err != nil {
+					t.Fatalf("pair (%d,%d): %v", i, i+1, err)
+				}
+				if !bytes.Equal(recs[0], recordBytes(tab, i)) || !bytes.Equal(recs[1], recordBytes(tab, i+1)) {
+					t.Fatalf("pair (%d,%d): wrong records", i, i+1)
+				}
+				// Extra: the leaf again, and the next leaf.
+				for _, extra := range []int{span[len(span)-1].Index, min(span[len(span)-1].Index+1, tab.leaves()-1)} {
+					if _, err := sh.get(append(span[:len(span):len(span)], tab.open(extra)), i, i+2); err == nil {
+						t.Errorf("pair (%d,%d): extra opening of leaf %d accepted", i, i+1, extra)
+					}
+				}
+				// Missing.
+				if _, err := sh.get(span[:len(span)-1], i, i+2); err == nil {
+					t.Errorf("pair (%d,%d): missing opening accepted", i, i+1)
+				}
+				// The two leaves of a straddling pair in the wrong order.
+				if want == 2 {
+					if _, err := sh.get([]Opening{span[1], span[0]}, i, i+2); err == nil {
+						t.Errorf("pair (%d,%d): swapped openings accepted", i, i+1)
+					}
+				}
 			}
-		}
-		// Missing.
-		if _, err := col.records(span[:len(span)-1], i, i+2); err == nil {
-			t.Errorf("pair (%d,%d): missing opening accepted", i, i+1)
-		}
-		// The two leaves of a straddling pair in the wrong order.
-		if want == 2 {
-			if _, err := col.records([]Opening{span[1], span[0]}, i, i+2); err == nil {
-				t.Errorf("pair (%d,%d): swapped openings accepted", i, i+1)
+			// Longer runs, as an exec check's memory entries: every leaf once.
+			for _, run := range [][2]int{{0, 0}, {5, 5}, {2, 3}, {1, 9}, {0, n}, {4, 8}, {3, 5}} {
+				span := tab.openSpan(run[0], run[1])
+				recs, err := sh.get(span, run[0], run[1])
+				if err != nil || len(recs) != run[1]-run[0] {
+					t.Fatalf("run %v: %d records, err %v", run, len(recs), err)
+				}
+				for k, rec := range recs {
+					if !bytes.Equal(rec, recordBytes(tab, run[0]+k)) {
+						t.Fatalf("run %v: wrong record %d", run, run[0]+k)
+					}
+				}
+				if _, err := sh.get(append(span, tab.open(0)), run[0], run[1]); err == nil {
+					t.Errorf("run %v: extra opening accepted", run)
+				}
 			}
-		}
-	}
-	// Longer runs, as an exec check's memory entries: every leaf once.
-	for _, run := range [][2]int{{0, 0}, {5, 5}, {2, 3}, {1, 9}, {0, n}, {4, 8}, {3, 5}} {
-		span := tab.openSpan(run[0], run[1])
-		recs, err := col.records(span, run[0], run[1])
-		if err != nil || len(recs) != run[1]-run[0] {
-			t.Fatalf("run %v: %d records, err %v", run, len(recs), err)
-		}
-		if _, err := col.records(append(span, tab.open(0)), run[0], run[1]); err == nil {
-			t.Errorf("run %v: extra opening accepted", run)
-		}
-	}
-	if _, err := col.records(nil, 3, 2); err == nil {
-		t.Error("backwards run accepted")
-	}
-	if _, err := col.records(tab.openSpan(12, 14), 12, 15); err == nil {
-		t.Error("run past the table accepted")
+			if _, err := sh.get(nil, 3, 2); err == nil {
+				t.Error("backwards run accepted")
+			}
+			if _, err := sh.get(tab.openSpan(12, 14), 12, 15); err == nil {
+				t.Error("run past the table accepted")
+			}
+		})
 	}
 }
 
@@ -188,7 +248,71 @@ func newBlockFixtures(t testing.TB) *blockFixtures {
 	if fx.compBytes, err = fx.comp.MarshalBinary(); err != nil {
 		t.Fatal(err)
 	}
+	straddling := 0
+	for i := range fx.mono.Seal.ExecChecks {
+		straddling += len(fx.mono.Seal.ExecChecks[i].Rows) - 1
+	}
+	if straddling == 0 || straddling == len(fx.mono.Seal.ExecChecks) {
+		t.Fatalf("fixture has %d straddling exec pairs of %d: need both kinds", straddling, len(fx.mono.Seal.ExecChecks))
+	}
 	return fx
+}
+
+// v2BlockFixtures are the stored format-v2 vectors, exec leaves of whole
+// rows, which no prover in the tree emits any more.
+func v2BlockFixtures(t testing.TB) *blockFixtures {
+	t.Helper()
+	fx := &blockFixtures{prog: sumProgram(), segProg: segTestProgram(t)}
+	var err error
+	if fx.monoBytes, err = os.ReadFile(filepath.Join("testdata", v2ReceiptFile)); err != nil {
+		t.Fatal(err)
+	}
+	if fx.compBytes, err = os.ReadFile(filepath.Join("testdata", v2CompositeFile)); err != nil {
+		t.Fatal(err)
+	}
+	if fx.mono, err = UnmarshalReceipt(fx.monoBytes); err != nil {
+		t.Fatal(err)
+	}
+	if fx.comp, err = UnmarshalComposite(fx.compBytes); err != nil {
+		t.Fatal(err)
+	}
+	return fx
+}
+
+// execLeafMutants are encodings of the mono fixture with the payload of
+// one opened exec leaf changed the ways only a witnessed leaf can be: a
+// witness word set on a step that takes none, a word short, a word over,
+// and the leaf's rows written out whole, as format v2 would. None is
+// what the prover committed, so none verifies; what expansion makes of
+// such leaves when they *are* committed is TestStrictExecLeaves.
+func (fx *blockFixtures) execLeafMutants(t testing.TB) [][]byte {
+	t.Helper()
+	o := &fx.mono.Seal.ExecChecks[0].Rows[0]
+	orig := o.Data
+	rows := make([]Row, 1+(len(orig)-rowBytes)/4)
+	if err := expandExecLeaf(fx.prog, orig, rows); err != nil {
+		t.Fatal(err)
+	}
+	whole := make([]byte, len(rows)*rowBytes)
+	for i := range rows {
+		encodeRowInto(whole[i*rowBytes:], &rows[i])
+	}
+	word := bytes.Clone(orig)
+	word[rowBytes] ^= 1
+	var out [][]byte
+	for _, data := range [][]byte{word, orig[:len(orig)-4], append(bytes.Clone(orig), 0, 0, 0, 0), whole} {
+		o.Data = data
+		if err := Verify(fx.prog, fx.mono, VerifyOptions{}); err == nil {
+			t.Fatalf("exec leaf payload of %d bytes where %d were committed: verified", len(data), len(orig))
+		}
+		b, err := fx.mono.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, b)
+	}
+	o.Data = orig
+	return out
 }
 
 // mustNotVerify requires that data, which is not one of the fixtures'
@@ -239,16 +363,11 @@ func (fx *blockFixtures) blockBoundaryMutants(t testing.TB) [][]byte {
 		fields = append(fields, spanField{family, span, fx.mono, fx.prog})
 	}
 	s := &fx.mono.Seal
-	straddling := 0
 	for i := range s.ExecChecks {
-		straddling += len(s.ExecChecks[i].Rows) - 1
 		mono("exec rows", &s.ExecChecks[i].Rows)
 		if len(s.ExecChecks[i].Mem) > 0 {
 			mono("exec mem", &s.ExecChecks[i].Mem)
 		}
-	}
-	if straddling == 0 || straddling == len(s.ExecChecks) {
-		t.Fatalf("fixture has %d straddling exec pairs of %d: need both kinds", straddling, len(s.ExecChecks))
 	}
 	for i := range s.ProdChecks {
 		mono("prod", &s.ProdChecks[i].Prods)
@@ -299,13 +418,14 @@ func (fx *blockFixtures) blockBoundaryMutants(t testing.TB) [][]byte {
 // check family, mono or composite, is rejected by the verifier, and
 // again after a trip through the codec.
 func TestMiscountedSpansRejected(t *testing.T) {
-	fx := newBlockFixtures(t)
-	mutants := fx.blockBoundaryMutants(t)
-	if len(mutants) == 0 {
-		t.Fatal("no encodable mutants")
-	}
-	for _, m := range mutants {
-		fx.mustNotVerify(t, "encoded miscounted span", m)
+	for _, fx := range []*blockFixtures{newBlockFixtures(t), v2BlockFixtures(t)} {
+		mutants := fx.blockBoundaryMutants(t)
+		if len(mutants) == 0 {
+			t.Fatal("no encodable mutants")
+		}
+		for _, m := range mutants {
+			fx.mustNotVerify(t, "encoded miscounted span", m)
+		}
 	}
 	// Format v1 has no way to say "one opening": its pairs are always two.
 	old, err := os.ReadFile(filepath.Join("testdata", v1ReceiptFile))
@@ -326,10 +446,13 @@ func TestMiscountedSpansRejected(t *testing.T) {
 }
 
 // TestMutatedReceiptsNeverVerify is the deterministic slice of
-// FuzzVerifyMutatedReceipt: random byte flips, every coarse
-// truncation, and extensions of both fixtures.
+// FuzzVerifyMutatedReceipt: the exec-leaf payload mutants, random byte
+// flips, every coarse truncation, and extensions of both fixtures.
 func TestMutatedReceiptsNeverVerify(t *testing.T) {
 	fx := newBlockFixtures(t)
+	for _, m := range fx.execLeafMutants(t) {
+		fx.mustNotVerify(t, "exec leaf payload", m)
+	}
 	rng := rand.New(rand.NewSource(13))
 	for _, valid := range [][]byte{fx.monoBytes, fx.compBytes} {
 		for trial := 0; trial < 400; trial++ {
@@ -346,12 +469,12 @@ func TestMutatedReceiptsNeverVerify(t *testing.T) {
 }
 
 // FuzzVerifyMutatedReceipt is the verify-level hostile-input target:
-// whatever the fuzzer makes of a valid v2 receipt or composite — flips,
+// whatever the fuzzer makes of a valid receipt or composite — flips,
 // truncations, extensions, splices — must neither panic the decoder or
 // the verifier nor verify. The corpus starts from the two valid
 // encodings, the block-boundary mutants (a pair one opening short or
-// over), and the v1 vectors, which must not verify against these
-// programs' other fixtures either.
+// over), the exec-leaf payload mutants, and the v1 and v2 vectors, which
+// must not verify against these programs' other fixtures either.
 func FuzzVerifyMutatedReceipt(f *testing.F) {
 	fx := newBlockFixtures(f)
 	f.Add(fx.monoBytes)
@@ -359,9 +482,12 @@ func FuzzVerifyMutatedReceipt(f *testing.F) {
 	for _, m := range fx.blockBoundaryMutants(f) {
 		f.Add(m)
 	}
+	for _, m := range fx.execLeafMutants(f) {
+		f.Add(m)
+	}
 	f.Add(fx.monoBytes[:len(fx.monoBytes)-1])
 	f.Add(append(bytes.Clone(fx.compBytes), 0))
-	for _, name := range []string{v1ReceiptFile, v1CompositeFile} {
+	for _, name := range []string{v1ReceiptFile, v1CompositeFile, v2ReceiptFile, v2CompositeFile} {
 		old, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
@@ -377,15 +503,17 @@ func FuzzVerifyMutatedReceipt(f *testing.F) {
 }
 
 // TestReceiptSizesMatchEncoding pins the arithmetic Size and SealSize
-// against the bytes MarshalBinary writes, for both kinds and both
+// against the bytes MarshalBinary writes, for both kinds and all three
 // formats.
 func TestReceiptSizesMatchEncoding(t *testing.T) {
 	fx := newBlockFixtures(t)
-	if got := fx.mono.Size(); got != len(fx.monoBytes) {
-		t.Errorf("mono Size() = %d, encoding has %d bytes", got, len(fx.monoBytes))
-	}
-	if got := fx.comp.Size(); got != len(fx.compBytes) {
-		t.Errorf("composite Size() = %d, encoding has %d bytes", got, len(fx.compBytes))
+	for _, fx := range []*blockFixtures{fx, v2BlockFixtures(t)} {
+		if got := fx.mono.Size(); got != len(fx.monoBytes) {
+			t.Errorf("format %d: mono Size() = %d, encoding has %d bytes", fx.mono.Seal.Format, got, len(fx.monoBytes))
+		}
+		if got := fx.comp.Size(); got != len(fx.compBytes) {
+			t.Errorf("format %d: composite Size() = %d, encoding has %d bytes", fx.mono.Seal.Format, got, len(fx.compBytes))
+		}
 	}
 	old, err := os.ReadFile(filepath.Join("testdata", v1CompositeFile))
 	if err != nil {

@@ -1,6 +1,7 @@
 package zkvm
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
@@ -52,11 +53,12 @@ func (s salter) deriveSalt(label byte, index int) [saltBytes]byte {
 }
 
 // table is one committed column of a seal: n records, leafRecords of
-// them to a leaf, leaf j being SHA-256(0x00 || salt_j || its records).
-// No payload table is ever materialized — the commit encodes each leaf
-// into stack scratch and the ~k openings re-encode theirs; encoding is
-// deterministic, so the re-encoded bytes are exactly what was hashed
-// into the leaf.
+// them to a leaf, leaf j being SHA-256(0x00 || salt_j || its records) —
+// for exec rows, the first of them and a witness word for each of the
+// rest (encodeExecLeafInto). No payload table is ever materialized — the
+// commit encodes each leaf into stack scratch and the ~k openings
+// re-encode theirs; encoding is deterministic, so the re-encoded bytes
+// are exactly what was hashed into the leaf.
 type table struct {
 	salts    salter
 	label    byte // salt domain; also says which column below is set
@@ -64,6 +66,7 @@ type table struct {
 	recBytes int
 
 	rows  []Row        // treeExec
+	prog  *Program     // treeExec: what derives a leaf's rows from its first
 	mem   []MemEntry   // treeMemProg, treeMemSort
 	prods []field.Elem // treeProdProg, treeProdSort
 	img   []imagePair  // treeBoundary
@@ -73,8 +76,8 @@ type table struct {
 	tree      *merkle.Tree
 }
 
-func rowTable(salts salter, rows []Row) *table {
-	return &table{salts: salts, label: treeExec, n: len(rows), recBytes: rowBytes, rows: rows}
+func rowTable(salts salter, prog *Program, rows []Row) *table {
+	return &table{salts: salts, label: treeExec, n: len(rows), recBytes: rowBytes, rows: rows, prog: prog}
 }
 
 func memTable(salts salter, label byte, log []MemEntry) *table {
@@ -100,9 +103,7 @@ func (t *table) encodeLeaf(j int, dst []byte) int {
 	hi := min(lo+leafRecords, t.n)
 	switch t.label {
 	case treeExec:
-		for i := lo; i < hi; i++ {
-			encodeRowInto(dst[(i-lo)*rowBytes:], &t.rows[i])
-		}
+		return encodeExecLeafInto(dst, t.prog, t.rows[lo:hi])
 	case treeMemProg, treeMemSort:
 		for i := lo; i < hi; i++ {
 			encodeMemEntryInto(dst[(i-lo)*memBytes:], &t.mem[i])
@@ -151,7 +152,7 @@ func (t *table) commitBlock(block int) {
 	for i := range leaves {
 		t.salts.put(leaves[i][:], t.label, first+i)
 	}
-	var buf [1 + saltBytes + leafRecords*maxRecBytes]byte
+	var buf [1 + saltBytes + maxLeafBytes]byte
 	buf[0] = hashk.LeafPrefix
 	for i := range leaves {
 		copy(buf[1:], leaves[i][:saltBytes])
@@ -168,8 +169,8 @@ func (t *table) open(j int) Opening {
 	if err != nil {
 		panic(fmt.Sprintf("zkvm: opening leaf %d: %v", j, err))
 	}
-	data := make([]byte, leafRecords*t.recBytes)
-	data = data[:t.encodeLeaf(j, data)]
+	var buf [maxLeafBytes]byte
+	data := bytes.Clone(buf[:t.encodeLeaf(j, buf[:])])
 	return Opening{Index: j, Salt: t.salts.deriveSalt(t.label, j), Data: data, Path: proof.Path}
 }
 
@@ -205,7 +206,7 @@ func commitTrace(ex *Execution, salts salter, width int, obs StageObserver, tr *
 	sortDone()
 
 	c := &sealTables{ex: ex, sorted: sorted,
-		exec:    rowTable(salts, ex.Rows),
+		exec:    rowTable(salts, ex.Program, ex.Rows),
 		memProg: memTable(salts, treeMemProg, ex.MemLog),
 		memSort: memTable(salts, treeMemSort, sorted),
 	}

@@ -63,7 +63,8 @@ const maxHashWords = 1 << 24
 // aggregation trace is ~400k rows (~32 MB); allocating it fresh per
 // proof costs the runtime a full zeroing pass plus append-growth
 // copies. Prove recycles the slabs of executions it created itself
-// (releaseExecution); externally-supplied executions are never pooled.
+// (releaseExecution); an execution handed to an external caller
+// (Execute) neither comes from the pool nor returns to it.
 var (
 	rowSlabPool sync.Pool // *[]Row
 	memSlabPool sync.Pool // *[]MemEntry
@@ -180,9 +181,29 @@ type execEnv interface {
 	readInput() (uint32, error)
 	inputLen() (uint32, error)
 	writeJournal(val uint32) error
-	// hashScratch returns n bytes SysHash may pack its message into;
-	// they are dead once step returns.
-	hashScratch(n int) []byte
+	// hash is the SysHash service: load n words from addr, store the
+	// eight words of their SHA-256 at dst. It lives behind the env so
+	// that step holds no loop a register sets the length of.
+	hash(addr, n, dst uint32) error
+}
+
+// hashWords is the SysHash service over an env's own loads and stores,
+// packing the message into buf (4*n bytes).
+func hashWords(env execEnv, buf []byte, addr, n, dst uint32) error {
+	for i := uint32(0); i < n; i++ {
+		v, err := env.load(addr + i)
+		if err != nil {
+			return err
+		}
+		binary.LittleEndian.PutUint32(buf[4*i:], v)
+	}
+	digest := sha256.Sum256(buf)
+	for j := uint32(0); j < 8; j++ {
+		if err := env.store(dst+j, binary.LittleEndian.Uint32(digest[4*j:])); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // step executes the instruction at cur.PC against env and writes the
@@ -316,23 +337,12 @@ func ecall(sys uint32, cur, next *Row, env execEnv) error {
 		}
 		next.JPtr++
 	case SysHash:
-		addr, n, dst := cur.Regs[R1], cur.Regs[R2], cur.Regs[R3]
+		n := cur.Regs[R2]
 		if n > maxHashWords {
 			return fmt.Errorf("sys_hash length %d exceeds limit", n)
 		}
-		buf := env.hashScratch(int(4 * n))
-		for i := uint32(0); i < n; i++ {
-			v, err := env.load(addr + i)
-			if err != nil {
-				return err
-			}
-			binary.LittleEndian.PutUint32(buf[4*i:], v)
-		}
-		digest := sha256.Sum256(buf)
-		for j := uint32(0); j < 8; j++ {
-			if err := env.store(dst+j, binary.LittleEndian.Uint32(digest[4*j:])); err != nil {
-				return err
-			}
+		if err := env.hash(cur.Regs[R1], n, cur.Regs[R3]); err != nil {
+			return err
 		}
 		next.MemPtr += n + 8
 	case SysInputLen:
@@ -345,6 +355,40 @@ func ecall(sys uint32, cur, next *Row, env execEnv) error {
 		return fmt.Errorf("unknown ecall %d", sys)
 	}
 	return nil
+}
+
+// witnessEnv is the env a committed exec leaf is expanded under. The
+// one word a step can take from outside the machine state — the value
+// Lw loads, or what SysRead or SysInputLen puts in r1 — is the leaf's
+// witness word; what the step puts out (stores, journal words, a hash)
+// is not judged. Whether the memory log, the input tape and the journal
+// agree with the rows this yields is what the sampled replay decides
+// (replayEnv), so every service returns at once.
+type witnessEnv struct{ word uint32 }
+
+func (e *witnessEnv) load(uint32) (uint32, error)       { return e.word, nil }
+func (e *witnessEnv) store(uint32, uint32) error        { return nil }
+func (e *witnessEnv) readInput() (uint32, error)        { return e.word, nil }
+func (e *witnessEnv) inputLen() (uint32, error)         { return e.word, nil }
+func (e *witnessEnv) writeJournal(uint32) error         { return nil }
+func (e *witnessEnv) hash(uint32, uint32, uint32) error { return nil }
+
+// witnessWord is the word a committed exec leaf carries for the step
+// cur -> next: the successor's value of the register the step loads
+// into from outside the machine state, zero for a step that loads
+// nothing. Lw into r0 discards its word, so its witness is r0: zero.
+func witnessWord(prog *Program, cur, next *Row) uint32 {
+	if cur.PC >= uint32(len(prog.Instrs)) {
+		return 0
+	}
+	in := &prog.Instrs[cur.PC]
+	if in.Op == OpLw {
+		return next.Regs[in.Rd]
+	}
+	if in.Op == OpEcall && (in.Imm == SysRead || in.Imm == SysInputLen) {
+		return next.Regs[R1]
+	}
+	return 0
 }
 
 // ExecOptions configures guest execution.
@@ -361,7 +405,16 @@ const DefaultMaxSteps = 1 << 26
 // unknown ecall, cycle budget) returns a *TrapError or ErrStepLimit;
 // no proof can be generated for a trapped run.
 func Execute(prog *Program, input []uint32, opts ExecOptions) (*Execution, error) {
+	return execute(prog, input, opts, false)
+}
+
+// execute is Execute. pooled says the caller hands the execution back
+// (releaseExecution), so the trace may be built on the pooled slabs; an
+// execution that leaves the package never comes back, and taking the
+// warm slabs for it would send the next Prove to freshly faulted pages.
+func execute(prog *Program, input []uint32, opts ExecOptions, pooled bool) (*Execution, error) {
 	m := newMachine(prog, input, neverCut, true)
+	m.unpooled = !pooled
 	if err := m.run(opts.MaxSteps); err != nil {
 		return nil, err
 	}

@@ -24,3 +24,16 @@ var CheckAgainstReference = checkAgainstReference
 
 // ReferenceCuts are the segment lengths the differential tests sweep.
 var ReferenceCuts = referenceCuts
+
+// CheckExecLeaves exposes the exec-leaf round trip of execleaf_test.go.
+func CheckExecLeaves(prog *Program, input []uint32, cut int) error {
+	_, err := checkExecLeaves(prog, input, cut)
+	return err
+}
+
+// ExecLeaves and CheckHostileExecLeaf are the seeds and the property of
+// FuzzExpandExecLeaf.
+var (
+	ExecLeaves           = execLeaves
+	CheckHostileExecLeaf = checkHostileExecLeaf
+)

@@ -112,7 +112,9 @@ func TestRandomProgramsProveAndVerify(t *testing.T) {
 
 // TestRandomTraceTamperRejected flips one field of one random trace
 // row or memory entry and re-seals with enough checks that sampling
-// catches it.
+// catches it. The row is one that heads a leaf: the rest of a leaf's
+// rows are not committed but derived, so a flipped register in one of
+// them is a lie the format cannot tell (TestTamperedWitnessCaught).
 func TestRandomTraceTamperRejected(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	prog := sumProgram()
@@ -122,7 +124,7 @@ func TestRandomTraceTamperRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		if rng.Intn(2) == 0 {
-			i := 1 + rng.Intn(len(ex.Rows)-2)
+			i := leafRecords * (1 + rng.Intn((len(ex.Rows)-2)/leafRecords))
 			ex.Rows[i].Regs[1+rng.Intn(NumRegs-1)] ^= 1 << rng.Intn(32)
 		} else {
 			i := rng.Intn(len(ex.MemLog))

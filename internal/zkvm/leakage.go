@@ -19,11 +19,12 @@ type LeakageReport struct {
 	MemFraction float64
 }
 
-// reveal marks the records the opened leaf o holds, numbering record i
-// of its table base+i.
-func reveal(seen map[int]bool, base int, o *Opening, block, recBytes int) {
-	for k := range len(o.Data) / recBytes {
-		seen[base+o.Index*block+k] = true
+// reveal marks the records the opened leaf o of column c holds — for a
+// witnessed exec leaf, the rows it expands to — numbering record i of
+// the table base+i.
+func reveal(seen map[int]bool, base int, o *Opening, c column) {
+	for k := range c.count(o.Index) { // none for a leaf past the table
+		seen[base+o.Index*c.block+k] = true
 	}
 }
 
@@ -32,13 +33,12 @@ func reveal(seen map[int]bool, base int, o *Opening, block, recBytes int) {
 // the check did not ask for included.
 func Leakage(r *Receipt) LeakageReport {
 	s := &r.Seal
-	block := s.Format.block()
 	rows, mems := map[int]bool{}, map[int]bool{}
-	row := func(o *Opening) { reveal(rows, 0, o, block, rowBytes) }
-	prog := func(o *Opening) { reveal(mems, 0, o, block, memBytes) }
+	row := func(o *Opening) { reveal(rows, 0, o, s.execCol()) }
+	prog := func(o *Opening) { reveal(mems, 0, o, s.memProgCol()) }
 	// Sorted-log openings reveal the same underlying accesses in a
 	// different order; count them in the same pool.
-	sorted := func(o *Opening) { reveal(mems, int(s.NumMem), o, block, memBytes) }
+	sorted := func(o *Opening) { reveal(mems, int(s.NumMem), o, s.memSortCol()) }
 
 	row(&s.FirstRow)
 	row(&s.LastRow)

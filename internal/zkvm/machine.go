@@ -151,8 +151,9 @@ type machine struct {
 	mem     pagedMem
 	scratch []byte // SysHash message buffer, grown to the largest request
 
-	cut    int  // steps per segment; neverCut for a monolithic run
-	traced bool // false: the planner, which counts segments and records nothing
+	cut      int  // steps per segment; neverCut for a monolithic run
+	traced   bool // false: the planner, which counts segments and records nothing
+	unpooled bool // the trace outlives the package (Execute): build it on fresh slabs
 
 	// The open segment. rows is fully sliced (len == cap) and row n is
 	// the machine's current state; step writes row n+1 in place. The
@@ -210,9 +211,12 @@ func (m *machine) openSegment(b *Row, img []imagePair, room int) {
 		if m.cut != neverCut {
 			mem = len(img) + rows/2
 		}
-		m.rows = getRowSlabSized(rows)
+		if m.unpooled {
+			m.rows, m.log = make([]Row, 0, rows), make([]MemEntry, 0, mem)
+		} else {
+			m.rows, m.log = getRowSlabSized(rows), getMemSlabSized(mem)
+		}
 		m.rows = m.rows[:cap(m.rows)]
-		m.log = getMemSlabSized(mem)
 		for k, p := range img {
 			m.log = append(m.log, MemEntry{Addr: p.Addr, Val: p.Val, Seq: uint32(k), Step: importStep, IsWrite: true})
 		}
@@ -343,9 +347,9 @@ func (m *machine) writeJournal(val uint32) error {
 	return nil
 }
 
-func (m *machine) hashScratch(n int) []byte {
-	if cap(m.scratch) < n {
-		m.scratch = make([]byte, n)
+func (m *machine) hash(addr, n, dst uint32) error {
+	if cap(m.scratch) < int(4*n) {
+		m.scratch = make([]byte, 4*n)
 	}
-	return m.scratch[:n]
+	return hashWords(m, m.scratch[:4*n], addr, n, dst)
 }

@@ -34,33 +34,30 @@ func aggregationEpoch(records int) *guest.AggInput {
 	return in
 }
 
-// TestMachineMatchesReference runs every guest program of
-// internal/guest, at several sizes, through the differential check of
-// machine_test.go: monolithic, segmented at the floor, mid-loop and
-// longer-than-most cuts, and count-only, each identical to the retained
-// map-backed loops in rows, memory log, journal, exit code, cuts,
-// boundary states and images, and PlanSegments count.
-func TestMachineMatchesReference(t *testing.T) {
-	type run struct {
-		name  string
-		prog  *zkvm.Program
-		input []uint32
-	}
-	var runs []run
+// guestRun is one guest program of internal/guest over one input.
+type guestRun struct {
+	name  string
+	prog  *zkvm.Program
+	input []uint32
+}
+
+// guestRuns is every guest program of internal/guest, at several sizes.
+func guestRuns() []guestRun {
+	var runs []guestRun
 	for _, n := range []int{8, 60, 250} {
 		in := aggregationEpoch(n)
-		runs = append(runs, run{fmt.Sprintf("aggregate/%d", n), guest.AggregationProgram(), in.Words()})
+		runs = append(runs, guestRun{fmt.Sprintf("aggregate/%d", n), guest.AggregationProgram(), in.Words()})
 		c := clog.New()
 		for _, b := range in.Routers {
 			c.MergeBatch(b.Records)
 		}
 		q := query.MustParse(`SELECT SUM(hop_count) FROM clogs WHERE src_ip = "1.1.1.1" AND dst_ip = "9.9.9.9";`)
-		runs = append(runs, run{fmt.Sprintf("query/%d", n), guest.QueryProgram(q), guest.QueryInput(c.Entries())})
+		runs = append(runs, guestRun{fmt.Sprintf("query/%d", n), guest.QueryProgram(q), guest.QueryInput(c.Entries())})
 	}
 	// A tampered batch: the guest aborts with a nonzero exit code.
 	bad := aggregationEpoch(40)
 	bad.Routers[1].Records[3].Bytes++
-	runs = append(runs, run{"aggregate/tampered", guest.AggregationProgram(), bad.Words()})
+	runs = append(runs, guestRun{"aggregate/tampered", guest.AggregationProgram(), bad.Words()})
 
 	for _, routers := range []int{1, 3} {
 		const depth, width = 4, 128
@@ -73,23 +70,77 @@ func TestMachineMatchesReference(t *testing.T) {
 			batches = append(batches, guest.SketchBatch{ID: uint32(r), Commitment: guest.CommitSketch(s), Sketch: s})
 		}
 		queries := []netflow.FlowKey{{SrcIP: 5, DstIP: 15, SrcPort: 5, DstPort: 80, Proto: 17}}
-		runs = append(runs, run{fmt.Sprintf("sketch/%d", routers), guest.SketchMergeProgram(depth, width), guest.SketchInput(batches, queries)})
+		runs = append(runs, guestRun{fmt.Sprintf("sketch/%d", routers), guest.SketchMergeProgram(depth, width), guest.SketchInput(batches, queries)})
 	}
 	block := [16]uint32{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16}
 	for _, iters := range []uint32{1, 3} {
-		runs = append(runs, run{fmt.Sprintf("soft-sha/%d", iters), guest.SoftSHA256ChainProgram(), guest.SoftSHA256Input(iters, block)})
+		runs = append(runs, guestRun{fmt.Sprintf("soft-sha/%d", iters), guest.SoftSHA256ChainProgram(), guest.SoftSHA256Input(iters, block)})
 	}
 	for _, iters := range []uint32{1, 50, 700} {
-		runs = append(runs, run{fmt.Sprintf("hash-chain/%d", iters), guest.PrecompileHashChainProgram(), guest.SoftSHA256Input(iters, block)})
+		runs = append(runs, guestRun{fmt.Sprintf("hash-chain/%d", iters), guest.PrecompileHashChainProgram(), guest.SoftSHA256Input(iters, block)})
 	}
+	return runs
+}
 
-	for _, r := range runs {
+// TestMachineMatchesReference runs every guest program of
+// internal/guest, at several sizes, through the differential check of
+// machine_test.go: monolithic, segmented at the floor, mid-loop and
+// longer-than-most cuts, and count-only, each identical to the retained
+// map-backed loops in rows, memory log, journal, exit code, cuts,
+// boundary states and images, and PlanSegments count.
+func TestMachineMatchesReference(t *testing.T) {
+	for _, r := range guestRuns() {
 		t.Run(r.name, func(t *testing.T) {
 			if err := zkvm.CheckAgainstReference(r.prog, r.input, zkvm.ExecOptions{}, zkvm.ReferenceCuts); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
+}
+
+// TestGuestExecLeavesRoundTrip: for every guest, mono and on the
+// differential tests' cuts, each exec leaf the prover encodes expands
+// back to exactly the rows it stood for.
+func TestGuestExecLeavesRoundTrip(t *testing.T) {
+	for _, r := range guestRuns() {
+		t.Run(r.name, func(t *testing.T) {
+			for _, cut := range append([]int{0}, zkvm.ReferenceCuts...) {
+				if err := zkvm.CheckExecLeaves(r.prog, r.input, cut); err != nil {
+					t.Fatalf("cut %d: %v", cut, err)
+				}
+			}
+		})
+	}
+}
+
+// FuzzExpandExecLeaf: an opened exec leaf is bytes off the wire that
+// the verifier runs the guest program on. Whatever they are — the corpus
+// starts from real leaves of every guest — expanding them under any
+// guest neither panics nor allocates beyond an error message, and
+// succeeds only for the one encoding of rows that follow from each other
+// (zkvm.CheckHostileExecLeaf).
+func FuzzExpandExecLeaf(f *testing.F) {
+	var progs []*zkvm.Program
+	seen := map[zkvm.ImageID]bool{}
+	for _, r := range guestRuns() {
+		if seen[r.prog.ID()] {
+			continue
+		}
+		seen[r.prog.ID()] = true
+		leaves, err := zkvm.ExecLeaves(r.prog, r.input, 97)
+		if err != nil {
+			f.Fatal(err)
+		}
+		for _, leaf := range leaves {
+			f.Add(uint8(len(progs)), leaf)
+		}
+		progs = append(progs, r.prog)
+	}
+	f.Fuzz(func(t *testing.T, which uint8, leaf []byte) {
+		if err := zkvm.CheckHostileExecLeaf(progs[int(which)%len(progs)], leaf); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // BenchmarkExecute times the emulator alone on the 1000-record

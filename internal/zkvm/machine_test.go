@@ -348,20 +348,10 @@ func TestExecuteConstantAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("slab pool misses are random under the race detector")
 	}
-	prog := asm(func(a *Assembler) {
-		a.ReadInput(R3)
-		a.Li(R2, 0)
-		a.Label("loop")
-		a.Lw(R4, R0, 100)
-		a.Add(R4, R4, R2)
-		a.Sw(R4, R0, 100)
-		a.Addi(R2, R2, 1)
-		a.Bltu(R2, R3, "loop")
-		a.HaltCode(0)
-	})
+	prog := loopProgram()
 	allocs := func(loops uint32) float64 {
 		return testing.AllocsPerRun(5, func() {
-			ex, err := Execute(prog, []uint32{loops}, ExecOptions{})
+			ex, err := execute(prog, []uint32{loops}, ExecOptions{}, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -371,14 +361,13 @@ func TestExecuteConstantAllocs(t *testing.T) {
 	large := allocs(40_000) // first, so the pooled slabs fit both sizes
 	// Sized by the program's trace hint, a rerun fits the pooled slabs —
 	// successor slot of the halt row included — and allocates neither.
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	ex, err := Execute(prog, []uint32{40_000}, ExecOptions{})
-	runtime.ReadMemStats(&after)
+	var ex *Execution
+	var err error
+	grown := allocatedBytes(1, func() { ex, err = execute(prog, []uint32{40_000}, ExecOptions{}, true) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	if grown := after.TotalAlloc - before.TotalAlloc; grown > 64<<10 {
+	if grown > 64<<10 {
 		t.Fatalf("a hinted, pooled %d-row run allocated %d bytes", len(ex.Rows), grown)
 	}
 	releaseExecution(ex)

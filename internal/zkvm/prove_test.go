@@ -278,37 +278,23 @@ func TestJournalGrowsLinearly(t *testing.T) {
 }
 
 // TestLeakageReport pins what the report counts: revealed records. An
-// opened leaf gives away its whole block, so the count is the records
-// of the distinct opened leaves — more than the number of leaves, which
-// is what deduplicating on Opening.Index used to report — and in
-// format v1, where a leaf is a record, the two coincide.
+// opened leaf gives away its whole block — a format-v3 exec leaf, every
+// row it expands to, not the one row it carries whole — so the count is
+// the records of the distinct opened leaves: what format v2 exposed with
+// the same leaves opened, and in format v1, where a leaf is a record,
+// the number of leaves.
 func TestLeakageReport(t *testing.T) {
 	_, r := proveSum(t, 32)
 	rep := Leakage(r)
 	if rep.TotalRows != int(r.Seal.NumRows) || rep.TotalMemEntries != int(r.Seal.NumMem) {
 		t.Fatalf("totals %d/%d, seal has %d/%d", rep.TotalRows, rep.TotalMemEntries, r.Seal.NumRows, r.Seal.NumMem)
 	}
-	// Row openings, recounted by hand: FirstRow, LastRow, and each exec
-	// check's one or two leaves.
-	opened := []*Opening{&r.Seal.FirstRow, &r.Seal.LastRow}
-	for i := range r.Seal.ExecChecks {
-		for j := range r.Seal.ExecChecks[i].Rows {
-			opened = append(opened, &r.Seal.ExecChecks[i].Rows[j])
-		}
-	}
-	leafRows := map[int]int{}
-	for _, o := range opened {
-		leafRows[o.Index] = len(o.Data) / rowBytes
-	}
-	want := 0
-	for _, n := range leafRows {
-		want += n
-	}
+	leaves, want := openedRowLeaves(&r.Seal, func(o *Opening) int { return 1 + (len(o.Data)-rowBytes)/4 })
 	if rep.OpenedRows != want {
-		t.Fatalf("opened rows %d, the %d distinct opened leaves hold %d", rep.OpenedRows, len(leafRows), want)
+		t.Fatalf("opened rows %d, the %d distinct opened leaves expand to %d", rep.OpenedRows, leaves, want)
 	}
-	if rep.OpenedRows <= len(leafRows) || rep.OpenedRows > leafRecords*len(leafRows) {
-		t.Fatalf("opened rows %d from %d leaves of up to %d rows", rep.OpenedRows, len(leafRows), leafRecords)
+	if rep.OpenedRows <= 2*leaves || rep.OpenedRows > leafRecords*leaves {
+		t.Fatalf("opened rows %d from %d leaves of up to %d rows", rep.OpenedRows, leaves, leafRecords)
 	}
 	if rep.OpenedRows > rep.TotalRows || rep.OpenedMemEntries > 2*rep.TotalMemEntries {
 		t.Fatalf("opened %d/%d of %d/%d", rep.OpenedRows, rep.OpenedMemEntries, rep.TotalRows, 2*rep.TotalMemEntries)
@@ -320,23 +306,42 @@ func TestLeakageReport(t *testing.T) {
 		t.Fatalf("mem fraction %f", rep.MemFraction)
 	}
 
-	old, err := os.ReadFile(filepath.Join("testdata", v1ReceiptFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := UnmarshalReceipt(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := map[int]bool{v1.Seal.FirstRow.Index: true, v1.Seal.LastRow.Index: true}
-	for i := range v1.Seal.ExecChecks {
-		for j := range v1.Seal.ExecChecks[i].Rows {
-			rows[v1.Seal.ExecChecks[i].Rows[j].Index] = true
+	for name, perLeaf := range map[string]func(o *Opening) int{
+		v2ReceiptFile: func(o *Opening) int { return len(o.Data) / rowBytes },
+		v1ReceiptFile: func(*Opening) int { return 1 },
+	} {
+		stored, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, err := UnmarshalReceipt(stored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if leaves, want := openedRowLeaves(&old.Seal, perLeaf); Leakage(old).OpenedRows != want {
+			t.Fatalf("%s: opened rows %d, the %d distinct opened leaves hold %d", name, Leakage(old).OpenedRows, leaves, want)
 		}
 	}
-	if got := Leakage(v1).OpenedRows; got != len(rows) {
-		t.Fatalf("v1 receipt: opened rows %d, distinct opened leaves %d", got, len(rows))
+}
+
+// openedRowLeaves recounts a seal's row openings by hand — FirstRow,
+// LastRow, and each exec check's one or two leaves — and returns the
+// number of distinct leaves and the rows they hold at perLeaf each.
+func openedRowLeaves(s *Seal, perLeaf func(*Opening) int) (leaves, rows int) {
+	opened := []*Opening{&s.FirstRow, &s.LastRow}
+	for i := range s.ExecChecks {
+		for j := range s.ExecChecks[i].Rows {
+			opened = append(opened, &s.ExecChecks[i].Rows[j])
+		}
 	}
+	leafRows := map[int]int{}
+	for _, o := range opened {
+		leafRows[o.Index] = perLeaf(o)
+	}
+	for _, n := range leafRows {
+		rows += n
+	}
+	return len(leafRows), rows
 }
 
 func TestSaltsHideUnopenedRows(t *testing.T) {

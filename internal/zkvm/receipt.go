@@ -12,20 +12,25 @@ import (
 // leafRecords is B, the number of consecutive records of a table that
 // one committed Merkle leaf holds: leaf j of a table is
 // SHA-256(0x00 || salt_j || rec[Bj] || … || rec[Bj+B-1]), the last leaf
-// short. It is a constant of the seal format, not an option: 4 is the
+// short — and of the exec table, SHA-256(0x00 || salt_j || row[Bj] ||
+// w[Bj] || … || w[Bj+B-2]), w[i] being the witness word of step i
+// (witnessWord): the rows after the first follow from it and the
+// program. It is a constant of the seal format, not an option: 4 is the
 // largest block at which opening one record of the 17-byte tables costs
 // no more bytes than it did at one record per leaf (51 more payload
 // bytes against two 32-byte path levels fewer).
 const leafRecords = 4
 
-// Format is the wire format of a seal. The prover emits FormatV2 only.
-// FormatV1 — one record per leaf — is what receipts sealed before the
-// blocked leaves carry; it is decoded and verified by the same code at
-// a block of one, selected by the receipt's magic.
+// Format is the wire format of a seal. The prover emits FormatV3 only.
+// FormatV2 — exec leaves of leafRecords whole rows — and FormatV1 — one
+// record per leaf — are what receipts sealed before carry; they are
+// decoded and verified by the same code, selected by the receipt's
+// magic.
 type Format uint8
 
 const (
-	FormatV2 Format = iota // leafRecords records per leaf
+	FormatV3 Format = iota // leafRecords records per leaf, exec leaves witnessed
+	FormatV2               // leafRecords whole records per leaf; verify-only
 	FormatV1               // one record per leaf; verify-only
 )
 
@@ -38,14 +43,15 @@ const (
 	kindSegment                      // one SegmentReceipt, standalone
 )
 
-// formatWire holds what differs between the formats besides the block:
-// the magics of the three encodings and the transcript labels.
+// formatWire holds what differs between the formats besides the leaf
+// layout: the magics of the three encodings and the transcript labels.
 type formatWire struct {
 	magic               [3]uint32
 	sealLabel, segLabel string
 }
 
 var formatWires = [...]formatWire{
+	FormatV3: {[3]uint32{0x7a6b6638, 0x7a6b6639, 0x7a6b6662}, "zkvm-seal-v3", "zkvm-seg-v3"}, // "zkf8", "zkf9", "zkfb" ("zkfa" frames the farm's wire)
 	FormatV2: {[3]uint32{0x7a6b6635, 0x7a6b6636, 0x7a6b6637}, "zkvm-seal-v2", "zkvm-seg-v2"}, // "zkf5".."zkf7"
 	FormatV1: {[3]uint32{0x7a6b6631, 0x7a6b6632, 0x7a6b6633}, "zkvm-seal-v1", "zkvm-seg-v1"}, // "zkf1".."zkf3"
 }
@@ -59,6 +65,11 @@ func (f Format) block() int {
 	}
 	return leafRecords
 }
+
+// witnessedExec reports whether an exec leaf is its first row and one
+// witness word per further row (column.witnessed) rather than whole
+// rows.
+func (f Format) witnessedExec() bool { return f == FormatV3 }
 
 // pairsFlagged reports whether an adjacent pair says on the wire if a
 // second opening follows. At a block of one every pair straddles, so
@@ -106,13 +117,29 @@ type column struct {
 	n        int
 	recBytes int
 	block    int
+	// witnessed marks the exec column of format v3. Its leaf carries the
+	// first of its rows whole and, for each further row, the one 32-bit
+	// word the step into it takes from outside the machine state
+	// (witnessWord); rows expands it by running the program.
+	witnessed bool
 }
+
+// leafBytes is the payload size of a leaf of count records.
+func (c column) leafBytes(count int) int {
+	if c.witnessed {
+		return execLeafBytes(count)
+	}
+	return count * c.recBytes
+}
+
+// count is the number of records leaf idx holds: block of them, fewer
+// only in the last leaf.
+func (c column) count(idx int) int { return min(c.block, c.n-idx*c.block) }
 
 // leaf authenticates o as leaf idx of the column. Everything about the
 // leaf's shape follows from the committed record count: the tree has
 // ceil(n/block) leaves, so the path has exactly that tree's depth, and
-// the payload is exactly the leaf's records — block of them, fewer only
-// in the last leaf.
+// the payload is exactly the leaf's records.
 func (c column) leaf(o *Opening, idx int) error {
 	leaves := (c.n + c.block - 1) / c.block
 	if idx < 0 || idx >= leaves {
@@ -121,7 +148,7 @@ func (c column) leaf(o *Opening, idx int) error {
 	if o.Index != idx {
 		return fmt.Errorf("opening at leaf %d, want %d", o.Index, idx)
 	}
-	if want := min(c.block, c.n-idx*c.block) * c.recBytes; len(o.Data) != want {
+	if want := c.leafBytes(c.count(idx)); len(o.Data) != want {
 		return fmt.Errorf("leaf %d payload %d bytes, want %d", idx, len(o.Data), want)
 	}
 	if depth := bits.Len(uint(leaves - 1)); len(o.Path) != depth {
@@ -143,26 +170,36 @@ func (c column) record(o *Opening, i int) ([]byte, error) {
 	return recs[0], nil
 }
 
-// records authenticates span as the leaves holding records [lo, hi) —
+// cover authenticates span as the leaves holding records [lo, hi) —
 // each distinct leaf exactly once, in order, so a run inside one block
 // is one opening and one that straddles a block boundary is two — and
-// returns the hi-lo records' bytes. An extra or a missing opening is an
+// returns the index of the first. An extra or a missing opening is an
 // error, never ignored.
-func (c column) records(span []Opening, lo, hi int) ([][]byte, error) {
+func (c column) cover(span []Opening, lo, hi int) (first int, err error) {
 	if lo < 0 || hi < lo || hi > c.n {
-		return nil, fmt.Errorf("records [%d,%d) outside a %d-record table", lo, hi, c.n)
+		return 0, fmt.Errorf("records [%d,%d) outside a %d-record table", lo, hi, c.n)
 	}
 	first, want := lo/c.block, 0
 	if hi > lo {
 		want = (hi-1)/c.block - first + 1
 	}
 	if len(span) != want {
-		return nil, fmt.Errorf("%d openings for records [%d,%d), want %d", len(span), lo, hi, want)
+		return 0, fmt.Errorf("%d openings for records [%d,%d), want %d", len(span), lo, hi, want)
 	}
 	for k := range span {
 		if err := c.leaf(&span[k], first+k); err != nil {
-			return nil, err
+			return 0, err
 		}
+	}
+	return first, nil
+}
+
+// records authenticates span as the leaves holding records [lo, hi)
+// (cover) and returns the hi-lo records' bytes.
+func (c column) records(span []Opening, lo, hi int) ([][]byte, error) {
+	first, err := c.cover(span, lo, hi)
+	if err != nil {
+		return nil, err
 	}
 	recs := make([][]byte, hi-lo)
 	for i := lo; i < hi; i++ {
@@ -170,6 +207,41 @@ func (c column) records(span []Opening, lo, hi int) ([][]byte, error) {
 		recs[i-lo] = span[i/c.block-first].Data[off : off+c.recBytes]
 	}
 	return recs, nil
+}
+
+// rows authenticates span as the leaves holding rows [lo, hi) of an
+// exec column (cover) and returns the rows. A witnessed leaf is expanded
+// whole, whichever of its rows are asked for: one that does not expand
+// to exactly its rows is not a leaf of any trace.
+func (c column) rows(prog *Program, span []Opening, lo, hi int) ([]Row, error) {
+	if !c.witnessed {
+		recs, err := c.records(span, lo, hi)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]Row, len(recs))
+		for i := range recs {
+			if rows[i], err = decodeRow(recs[i]); err != nil {
+				return nil, err
+			}
+		}
+		return rows, nil
+	}
+	first, err := c.cover(span, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	rows := make([]Row, 0, hi-lo)
+	var leaf [leafRecords]Row
+	for k := range span {
+		base := (first + k) * c.block
+		got := leaf[:c.count(first+k)]
+		if err := expandExecLeaf(prog, span[k].Data, got); err != nil {
+			return nil, fmt.Errorf("leaf %d: %v", first+k, err)
+		}
+		rows = append(rows, got[max(lo, base)-base:min(hi, base+len(got))-base]...)
+	}
+	return rows, nil
 }
 
 // ExecCheck is a sampled execution-transition check of rows i and i+1.
@@ -235,7 +307,11 @@ type Seal struct {
 func (s *Seal) column(root merkle.Hash, n uint32, recBytes int) column {
 	return column{root: root, n: int(n), recBytes: recBytes, block: s.Format.block()}
 }
-func (s *Seal) execCol() column     { return s.column(s.ExecRoot, s.NumRows, rowBytes) }
+func (s *Seal) execCol() column {
+	c := s.column(s.ExecRoot, s.NumRows, rowBytes)
+	c.witnessed = s.Format.witnessedExec()
+	return c
+}
 func (s *Seal) memProgCol() column  { return s.column(s.MemProgRoot, s.NumMem, memBytes) }
 func (s *Seal) memSortCol() column  { return s.column(s.MemSortRoot, s.NumMem, memBytes) }
 func (s *Seal) prodProgCol() column { return s.column(s.ProdProgRoot, s.NumMem, prodBytes) }
@@ -476,7 +552,7 @@ func (r *breader) span(flagged bool) []Opening {
 	return os
 }
 
-// writeSeal appends a seal. The layout is the same in both formats but
+// writeSeal appends a seal. The layout is the same in every format but
 // for the pair flag.
 func writeSeal(w *bwriter, s *Seal) {
 	flagged := s.Format.pairsFlagged()
@@ -571,7 +647,7 @@ func (r *Receipt) MarshalBinary() ([]byte, error) {
 }
 
 // UnmarshalReceipt decodes a receipt produced by MarshalBinary, of
-// either format.
+// any format.
 func UnmarshalReceipt(data []byte) (*Receipt, error) {
 	rd := &breader{buf: data}
 	f, ok := formatOf(rd.u32(), kindReceipt)

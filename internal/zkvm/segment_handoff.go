@@ -39,7 +39,7 @@ func ProveSegmentedWithSeed(prog *Program, input []uint32, opts ProveOptions, se
 // be proven.
 func ProveWithSeed(prog *Program, input []uint32, opts ProveOptions, seed [32]byte) (*Receipt, error) {
 	execDone := stageTimer(opts.Observer, StageExecute)
-	ex, err := Execute(prog, input, ExecOptions{MaxSteps: opts.MaxSteps})
+	ex, err := execute(prog, input, ExecOptions{MaxSteps: opts.MaxSteps}, true)
 	execDone()
 	if err != nil {
 		return nil, err

@@ -174,7 +174,7 @@ func (c *CompositeReceipt) NumSegments() int { return len(c.Segments) }
 // segments, which all share one.
 func (c *CompositeReceipt) format() (Format, error) {
 	if len(c.Segments) == 0 {
-		return FormatV2, nil
+		return FormatV3, nil
 	}
 	f := c.Segments[0].Seal.Format
 	for i, sr := range c.Segments {
@@ -217,8 +217,8 @@ func writeSegment(w *bwriter, sr *SegmentReceipt) {
 		w.opening(&sr.ImportChecks[i].Img)
 	}
 	// Whether the sorted log has an entry after the one a check looks at
-	// depends on the position, so these pairs carry their flag in both
-	// formats.
+	// depends on the position, so these pairs carry their flag in every
+	// format.
 	w.u32(uint32(len(sr.ExitChecks)))
 	for i := range sr.ExitChecks {
 		e := &sr.ExitChecks[i]
@@ -289,7 +289,7 @@ func (c *CompositeReceipt) MarshalBinary() ([]byte, error) {
 	return w.buf, w.err
 }
 
-// UnmarshalComposite decodes a composite receipt of either format.
+// UnmarshalComposite decodes a composite receipt of any format.
 func UnmarshalComposite(data []byte) (*CompositeReceipt, error) {
 	rd := &breader{buf: data}
 	f, ok := formatOf(rd.u32(), kindComposite)

@@ -103,7 +103,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 
 	// --- Boundary rows: entry binding replaces the initial-state rule,
 	// exit binding (or the halt rule) replaces the final-state rule. ---
-	first, err := opened(s.execCol(), &s.FirstRow, 0, decodeRow)
+	first, err := s.execRow(prog, &s.FirstRow, 0)
 	if err != nil {
 		return vErr("first row: %v", err)
 	}
@@ -116,7 +116,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	if first.InPtr != 0 || first.JPtr != 0 {
 		return vErr("first row cursors not rebased to the segment")
 	}
-	last, err := opened(s.execCol(), &s.LastRow, nRows-1, decodeRow)
+	last, err := s.execRow(prog, &s.LastRow, nRows-1)
 	if err != nil {
 		return vErr("last row: %v", err)
 	}

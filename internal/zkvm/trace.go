@@ -16,10 +16,17 @@ const (
 	memBytes  = 4 + 4 + 4 + 4 + 1         // Addr, Val, Seq, Step, IsWrite
 	prodBytes = 8                         // one field element
 	saltBytes = 16
-	// maxRecBytes bounds every committed record; commitBlock sizes its
-	// stack scratch with it.
-	maxRecBytes = rowBytes
+	// maxLeafBytes bounds the payload of every leaf the prover commits —
+	// the widest is an exec leaf — and sizes commitBlock's stack scratch.
+	maxLeafBytes = rowBytes + 4*(leafRecords-1)
 )
+
+// execLeafBytes is the payload size of a format-v3 exec leaf of count
+// rows: the first whole, a witness word for each of the rest.
+func execLeafBytes(count int) int { return rowBytes + 4*(count-1) }
+
+// No other leaf outgrows the exec leaf (the index would be negative).
+var _ [maxLeafBytes - leafRecords*memBytes]struct{}
 
 // encodeRowInto serialises a trace row into b (len >= rowBytes).
 func encodeRowInto(b []byte, r *Row) {
@@ -48,6 +55,48 @@ func decodeRow(b []byte) (Row, error) {
 	r.InPtr = binary.LittleEndian.Uint32(b[off+4:])
 	r.JPtr = binary.LittleEndian.Uint32(b[off+8:])
 	return r, nil
+}
+
+// encodeExecLeafInto serialises consecutive trace rows as one format-v3
+// exec leaf — the first row whole, then one witness word per further
+// row — into b (len >= maxLeafBytes) and returns the payload length.
+func encodeExecLeafInto(b []byte, prog *Program, rows []Row) int {
+	encodeRowInto(b, &rows[0])
+	n := rowBytes
+	for k := 1; k < len(rows); k++ {
+		binary.LittleEndian.PutUint32(b[n:], witnessWord(prog, &rows[k-1], &rows[k]))
+		n += 4
+	}
+	return n
+}
+
+// expandExecLeaf is the inverse: it decodes the head row of an exec
+// leaf into rows[0] and derives each further row from its predecessor
+// by running step under the leaf's witness word. A leaf is accepted only
+// if it is exactly what encodeExecLeafInto writes for the rows it
+// expands to: a step that traps or halts inside the leaf, or a word
+// other than the one that step takes (zero if it takes none), is
+// rejected. The cost is one step per row whatever the leaf holds.
+func expandExecLeaf(prog *Program, b []byte, rows []Row) error {
+	if len(rows) == 0 || len(b) != execLeafBytes(len(rows)) {
+		return fmt.Errorf("zkvm: exec leaf of %d rows has %d bytes", len(rows), len(b))
+	}
+	rows[0], _ = decodeRow(b[:rowBytes])
+	var env witnessEnv
+	for k := 1; k < len(rows); k++ {
+		env.word = binary.LittleEndian.Uint32(b[rowBytes+4*(k-1):])
+		halted, err := step(prog, &rows[k-1], &rows[k], &env)
+		if err != nil {
+			return fmt.Errorf("zkvm: exec leaf row %d: %v", k, err)
+		}
+		if halted {
+			return fmt.Errorf("zkvm: exec leaf row %d follows a halt", k)
+		}
+		if want := witnessWord(prog, &rows[k-1], &rows[k]); env.word != want {
+			return fmt.Errorf("zkvm: exec leaf row %d: witness word %d, the step takes %d", k, env.word, want)
+		}
+	}
+	return nil
 }
 
 // encodeMemEntryInto serialises a memory-log entry into b

@@ -70,7 +70,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 	tr.Append("prodsort-root", s.ProdSortRoot[:])
 
 	// --- Boundary checks ---
-	first, err := opened(s.execCol(), &s.FirstRow, 0, decodeRow)
+	first, err := s.execRow(prog, &s.FirstRow, 0)
 	if err != nil {
 		return vErr("first row: %v", err)
 	}
@@ -82,7 +82,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 			return vErr("first row register r%d = %d, want 0", i, v)
 		}
 	}
-	last, err := opened(s.execCol(), &s.LastRow, nRows-1, decodeRow)
+	last, err := s.execRow(prog, &s.LastRow, nRows-1)
 	if err != nil {
 		return vErr("last row: %v", err)
 	}
@@ -161,6 +161,16 @@ func opened[T any](c column, o *Opening, i int, decode func([]byte) (T, error)) 
 		return zero, err
 	}
 	return decode(b)
+}
+
+// execRow authenticates o as the leaf holding row i of the trace and
+// returns that row.
+func (s *Seal) execRow(prog *Program, o *Opening, i int) (Row, error) {
+	rows, err := s.execCol().rows(prog, []Opening{*o}, i, i+1)
+	if err != nil {
+		return Row{}, err
+	}
+	return rows[0], nil
 }
 
 // sortedWithSuccessor authenticates span as the leaves holding
@@ -307,8 +317,14 @@ func (e *replayEnv) readInput() (uint32, error) { return e.nextRegs[R1], nil }
 
 func (e *replayEnv) inputLen() (uint32, error) { return e.nextRegs[R1], nil }
 
-// hashScratch allocates: a verifier replays a handful of sampled steps.
-func (e *replayEnv) hashScratch(n int) []byte { return make([]byte, n) }
+// hash allocates its message buffer — a verifier replays a handful of
+// sampled steps — but never more than the opened entries could fill.
+func (e *replayEnv) hash(addr, n, dst uint32) error {
+	if uint64(n)+8 > uint64(len(e.entries)-e.idx) {
+		return fmt.Errorf("sys_hash of %d words over %d opened memory entries", n, len(e.entries)-e.idx)
+	}
+	return hashWords(e, make([]byte, 4*n), addr, n, dst)
+}
 
 func (e *replayEnv) writeJournal(val uint32) error {
 	if int(e.jptr) >= len(e.journal) {
@@ -324,18 +340,11 @@ func (e *replayEnv) writeJournal(val uint32) error {
 // verifyExecCheck re-executes the transition rowIdx -> rowIdx+1 over
 // the memory-log entries between the two rows' MemPtr cursors.
 func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal []uint32) error {
-	rows, err := s.execCol().records(c.Rows, rowIdx, rowIdx+2)
+	rows, err := s.execCol().rows(prog, c.Rows, rowIdx, rowIdx+2)
 	if err != nil {
 		return err
 	}
-	rowI, err := decodeRow(rows[0])
-	if err != nil {
-		return err
-	}
-	rowJ, err := decodeRow(rows[1])
-	if err != nil {
-		return err
-	}
+	rowI, rowJ := rows[0], rows[1]
 	if rowJ.MemPtr < rowI.MemPtr {
 		return fmt.Errorf("MemPtr runs backwards: %d after %d", rowJ.MemPtr, rowI.MemPtr)
 	}
