@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # input for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
-.PHONY: build vet test race fuzz farm check bench bench-e2e bench-parallel bench-commit verify
+.PHONY: build vet test race fuzz farm check bench bench-e2e bench-parallel bench-commit guest-profile verify
 
 build:
 	$(GO) build ./...
@@ -35,8 +35,10 @@ race:
 # (fuzzed programs: same trace, same trap, in every mode), plus the
 # expansion of an opened exec leaf (arbitrary bytes under every guest
 # program: no panic, no allocation to speak of, only canonical leaves
-# expand).
-# `go test -fuzz` takes one target per invocation, so this is thirteen
+# expand), plus the aggregation guest against the host reference
+# (seeded rounds of every merge shape, monolithic and cut: the journal
+# is ReferenceAggregate's, word for word, and the retired image's).
+# `go test -fuzz` takes one target per invocation, so this is fourteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
@@ -49,6 +51,7 @@ fuzz:
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzSortedMemLog -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExecuteMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExpandExecLeaf -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/guest -run='^$$' -fuzz=FuzzAggregationMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/fold -run='^$$' -fuzz=FuzzUnmarshalFolded -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
@@ -71,6 +74,14 @@ bench:
 # bench/README.md for -trace 1 (layer budget), -sets and -json.
 bench-e2e:
 	$(GO) run ./bench
+
+# What the guests cost the seal, phase by phase: trace rows, memory-log
+# entries and n + 3.5m compressions per record for the aggregation guest
+# on the benchmark's steady-state round, and per CLog entry for the six
+# query shapes. Exact counts, the same on every host; the tests that
+# print them are the tier-1 budget gate (EXPERIMENTS.md E25).
+guest-profile:
+	$(GO) test ./internal/guest -run='CostBudget' -count=1 -v
 
 # The prover-crew / pipeline benchmarks behind the determinism tests.
 bench-parallel:

@@ -563,17 +563,26 @@ func expProfile() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	prof := zkvm.Profile(ex, guest.AggregationRegions())
-	fmt.Print(zkvm.FormatProfile(prof))
-	var hashMem, totalMem int
-	for _, e := range prof {
-		totalMem += e.MemOps
-		if e.Name == "leafhashes" || e.Name == "reduce" {
-			hashMem += e.MemOps
+	fmt.Print(zkvm.FormatProfile(zkvm.Profile(ex, guest.AggregationRegions())))
+	// Merkle work is every SysHash outside the routers' commitment
+	// checks. Leaves are hashed inline where entries are read or emitted,
+	// so the rows are picked by instruction, not by phase.
+	var router zkvm.Region
+	for _, r := range guest.AggregationRegions() {
+		if r.Name == "router" {
+			router = r
 		}
 	}
-	fmt.Printf("\nMerkle tree work (leafhashes+reduce): %.0f%% of all memory traffic\n",
-		100*float64(hashMem)/float64(totalMem))
+	var hashMem, hashRows int
+	for i := 0; i+1 < len(ex.Rows); i++ {
+		pc := int(ex.Rows[i].PC)
+		if in := ex.Program.Instrs[pc]; in.Op == zkvm.OpEcall && in.Imm == zkvm.SysHash && (pc < router.Start || pc >= router.End) {
+			hashMem += int(ex.Rows[i+1].MemPtr - ex.Rows[i].MemPtr)
+			hashRows++
+		}
+	}
+	fmt.Printf("\nMerkle tree work (%d leaf and node hashes): %.0f%% of all memory traffic\n",
+		hashRows, 100*float64(hashMem)/float64(len(ex.MemLog)))
 	// Re-cost the same run for a zkVM WITHOUT a hash precompile (the
 	// paper's guests hash in software): each 16-word block costs
 	// ~5181 cycles (measured by TestSoftSHA256CycleCount).

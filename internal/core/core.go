@@ -414,8 +414,8 @@ func (v *Verifier) VerifyAggregation(receipt zkvm.AnyReceipt) (*guest.AggJournal
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
-	prog := guest.AggregationProgram()
-	if receipt.Image() != prog.ID() {
+	prog := guest.AggregationImage(receipt.Image())
+	if prog == nil {
 		return nil, fmt.Errorf("%w: image %v", ErrWrongProgram, receipt.Image())
 	}
 	if err := zkvm.VerifyAny(prog, receipt, v.verifyOpts); err != nil {

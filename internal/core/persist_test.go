@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"zkflow/internal/guest"
 	"zkflow/internal/zkvm"
 )
 
@@ -176,6 +177,11 @@ func oldCheckpointStillLoads(t *testing.T, name string, format zkvm.Format) {
 		if r.Seal.Format != format {
 			t.Fatalf("epoch %d: checkpointed receipt decoded as format %d", res.Epoch, r.Seal.Format)
 		}
+		// The checkpoint predates the guest's rewrite: its receipts are
+		// bound to the image embedded in internal/guest, not today's.
+		if img := guest.AggregationImage(r.ImageID); img == nil || img == guest.AggregationProgram() {
+			t.Fatalf("epoch %d: checkpointed receipt is bound to %v, not the retired image", res.Epoch, r.ImageID)
+		}
 		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
 			t.Fatalf("epoch %d: stored history does not verify: %v", res.Epoch, err)
 		}
@@ -184,8 +190,15 @@ func oldCheckpointStillLoads(t *testing.T, name string, format zkvm.Format) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Receipt.(*zkvm.Receipt).Seal.Format != zkvm.FormatV3 {
-		t.Fatal("restored prover did not seal in the current format")
+	if r := res.Receipt.(*zkvm.Receipt); r.Seal.Format != zkvm.FormatV3 || r.ImageID != guest.AggregationProgram().ID() {
+		t.Fatal("restored prover did not seal in the current format under the current image")
+	}
+	// Only the two known images verify: the same receipt under any other
+	// image ID is refused before its seal is looked at.
+	forged := *res.Receipt.(*zkvm.Receipt)
+	forged.ImageID[0] ^= 1
+	if _, err := v.VerifyAggregation(&forged); !errors.Is(err, ErrWrongProgram) {
+		t.Fatalf("receipt bound to an unknown image: %v, want ErrWrongProgram", err)
 	}
 	if _, err := v.VerifyAggregation(res.Receipt); err != nil {
 		t.Fatalf("chain broken after restoring an old checkpoint: %v", err)

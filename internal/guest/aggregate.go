@@ -11,9 +11,20 @@
 // new Merkle tree in-VM (the dominant cost, as the paper reports), and
 // journals the public outputs: the chained previous-journal hash, the
 // old and new roots, the router commitments, and the new leaf digests.
+//
+// What a guest costs the prover is its trace rows and, three and a half
+// times dearer each, its memory-log entries (EXPERIMENTS.md E25), so
+// the guests move no word they need not. Every fixed-width move and
+// compare is straight-line code at immediate offsets. The aggregation
+// guest merges by index: it reads the host's sort permutation one index
+// at a time and folds record perm[i] from where the ingest left it,
+// into an entry held in registers until it is complete; previous
+// entries are hashed where they lie. The query guests hash, filter and
+// aggregate each entry as it streams in, the predicate in registers.
 package guest
 
 import (
+	_ "embed"
 	"errors"
 	"fmt"
 	"sort"
@@ -33,8 +44,8 @@ const (
 	// AbortCountMismatch: per-router record counts do not sum to the
 	// declared total.
 	AbortCountMismatch = 2
-	// AbortBadPermutation: the host's sort hint is not a permutation
-	// or does not produce key-sorted records.
+	// AbortBadPermutation: the host's sort hint is not the permutation
+	// that puts the records in (key, index) order.
 	AbortBadPermutation = 3
 	// AbortPrevUnsorted: the previous CLog is not strictly key-sorted.
 	AbortPrevUnsorted = 4
@@ -44,25 +55,25 @@ const (
 )
 
 // Guest memory map (word addresses). Low memory holds scratch and
-// globals; bulk regions are laid out from recBase by the guest itself
-// once it knows the input sizes.
+// globals; the bulk regions follow recBase in tape order — records,
+// previous entries, previous leaf digests, new leaf digests — and the
+// guest lays them out itself once it knows the input sizes. Records and
+// previous entries are read where they land: nothing is copied, and the
+// entry being built lives in registers until it is hashed from memOpen.
 const (
 	memCommit   = 64  // 8w: current router's claimed commitment
 	memDigest   = 72  // 8w: SysHash output buffer
 	memPrevRoot = 120 // 8w: claimed previous CLog root
+	memOpen     = 136 // 13w: the open entry, stored to be hashed
 
 	gM        = 100 // total record count
 	gPrev     = 101 // previous CLog entry count
 	gNR       = 102 // number of routers
-	gBaseRec  = 103
-	gBasePerm = 104
-	gBaseFlag = 105
-	gBaseSort = 106
-	gBaseNew  = 107
-	gBasePrev = 108
-	gBaseDig1 = 109
-	gBaseDig2 = 110
-	gNewCount = 111
+	gBasePrev = 103
+	gBaseDig1 = 104 // previous leaf digests; also the end of the previous entries
+	gBaseDig2 = 105 // new leaf digests
+	gPrevCur  = 106 // merge: the next previous entry not yet passed
+	gDigCur   = 107 // merge: the next new leaf digest
 
 	recBase = 4096
 )
@@ -70,6 +81,16 @@ const (
 const (
 	recW   = netflow.RecordWords
 	entryW = clog.EntryWords
+	keyW   = netflow.KeyWords
+)
+
+// Registers of the merge. The open entry's key and its words 4..10 stay
+// in registers across the records the entry absorbs; its jitter maximum
+// and count, which no register is left for, stay in memOpen.
+const (
+	rKey  = zkvm.R4  // r4..r7
+	rAgg  = zkvm.R8  // r8..r14: entry words 4..10
+	rLeft = zkvm.R15 // records not yet absorbed
 )
 
 var (
@@ -95,180 +116,127 @@ func AggregationRegions() []zkvm.Region {
 	return aggRegions
 }
 
-// emitSubroutines appends the shared leaf subroutines. Contract: args
-// and scratch in r1-r7 (caller-saved), r8-r14 preserved, r15 link.
-func emitSubroutines(a *zkvm.Assembler) {
-	// cmp8(r4=A, r5=B) -> r6 = 1 if the 8-word blocks are equal else 0.
-	a.Label("cmp8")
-	a.Li(zkvm.R6, 1)
-	a.Li(zkvm.R7, 0)
-	a.Label("cmp8.loop")
-	a.Li(zkvm.R2, 8)
-	a.Beq(zkvm.R7, zkvm.R2, "cmp8.ret")
-	a.Lw(zkvm.R2, zkvm.R4, 0)
-	a.Lw(zkvm.R3, zkvm.R5, 0)
-	a.Bne(zkvm.R2, zkvm.R3, "cmp8.ne")
-	a.Addi(zkvm.R4, zkvm.R4, 1)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("cmp8.loop")
-	a.Label("cmp8.ne")
-	a.Li(zkvm.R6, 0)
-	a.Label("cmp8.ret")
-	a.Ret()
+// retiredAggregation is AggregationProgram().Encode() of the last
+// commit before the guest's data movement was rewritten. Receipts in
+// checkpoints and on chains older than that are bound to it; nothing
+// proves with it any more (DESIGN.md §8 says when it is dropped).
+//
+//go:embed aggregation_pr15.img
+var retiredAggregation []byte
 
-	// keycmp(r4=A, r5=B) -> r6 = 0 equal, 1 if A<B, 2 if A>B
-	// (lexicographic over the 4 key words).
-	a.Label("keycmp")
-	a.Li(zkvm.R7, 0)
-	a.Label("keycmp.loop")
-	a.Li(zkvm.R2, netflow.KeyWords)
-	a.Beq(zkvm.R7, zkvm.R2, "keycmp.eq")
-	a.Lw(zkvm.R2, zkvm.R4, 0)
-	a.Lw(zkvm.R3, zkvm.R5, 0)
-	a.Bltu(zkvm.R2, zkvm.R3, "keycmp.lt")
-	a.Bltu(zkvm.R3, zkvm.R2, "keycmp.gt")
-	a.Addi(zkvm.R4, zkvm.R4, 1)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("keycmp.loop")
-	a.Label("keycmp.eq")
-	a.Li(zkvm.R6, 0)
-	a.Ret()
-	a.Label("keycmp.lt")
-	a.Li(zkvm.R6, 1)
-	a.Ret()
-	a.Label("keycmp.gt")
-	a.Li(zkvm.R6, 2)
-	a.Ret()
-
-	// copy13(r4=src, r5=dst) copies one record/entry-sized block.
-	a.Label("copy13")
-	a.Li(zkvm.R7, 0)
-	a.Label("copy13.loop")
-	a.Li(zkvm.R2, recW)
-	a.Beq(zkvm.R7, zkvm.R2, "copy13.ret")
-	a.Lw(zkvm.R2, zkvm.R4, 0)
-	a.Sw(zkvm.R2, zkvm.R5, 0)
-	a.Addi(zkvm.R4, zkvm.R4, 1)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("copy13.loop")
-	a.Label("copy13.ret")
-	a.Ret()
-
-	// initentry(r4=record, r5=entry) copies the key and zeroes the
-	// nine aggregate counters.
-	a.Label("initentry")
-	a.Li(zkvm.R7, 0)
-	a.Label("initentry.key")
-	a.Li(zkvm.R2, netflow.KeyWords)
-	a.Beq(zkvm.R7, zkvm.R2, "initentry.zero")
-	a.Lw(zkvm.R2, zkvm.R4, 0)
-	a.Sw(zkvm.R2, zkvm.R5, 0)
-	a.Addi(zkvm.R4, zkvm.R4, 1)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("initentry.key")
-	a.Label("initentry.zero")
-	a.Li(zkvm.R7, 0)
-	a.Label("initentry.zloop")
-	a.Li(zkvm.R2, entryW-netflow.KeyWords)
-	a.Beq(zkvm.R7, zkvm.R2, "initentry.ret")
-	a.Sw(zkvm.R0, zkvm.R5, 0)
-	a.Addi(zkvm.R5, zkvm.R5, 1)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("initentry.zloop")
-	a.Label("initentry.ret")
-	a.Ret()
-
-	// mergerec(r4=record, r5=entry) folds one record into an entry
-	// under the canonical policy (must mirror clog.Entry.Merge).
-	a.Label("mergerec")
-	// Additive counters: packets, bytes, dropped, hop_count.
-	for off := uint32(4); off < 8; off++ {
-		a.Lw(zkvm.R2, zkvm.R4, off)
-		a.Lw(zkvm.R3, zkvm.R5, off)
-		a.Add(zkvm.R3, zkvm.R3, zkvm.R2)
-		a.Sw(zkvm.R3, zkvm.R5, off)
+var retiredProg = sync.OnceValue(func() *zkvm.Program {
+	p, err := zkvm.DecodeProgram(retiredAggregation)
+	if err != nil {
+		panic(err)
 	}
-	// RTT: entry[8] += rec[8]; entry[9] = max(entry[9], rec[8]).
-	a.Lw(zkvm.R2, zkvm.R4, 8)
-	a.Lw(zkvm.R3, zkvm.R5, 8)
-	a.Add(zkvm.R3, zkvm.R3, zkvm.R2)
-	a.Sw(zkvm.R3, zkvm.R5, 8)
-	a.Lw(zkvm.R3, zkvm.R5, 9)
-	a.Bgeu(zkvm.R3, zkvm.R2, "mergerec.jit")
-	a.Sw(zkvm.R2, zkvm.R5, 9)
-	a.Label("mergerec.jit")
-	// Jitter: entry[10] += rec[9]; entry[11] = max(entry[11], rec[9]).
-	a.Lw(zkvm.R2, zkvm.R4, 9)
-	a.Lw(zkvm.R3, zkvm.R5, 10)
-	a.Add(zkvm.R3, zkvm.R3, zkvm.R2)
-	a.Sw(zkvm.R3, zkvm.R5, 10)
-	a.Lw(zkvm.R3, zkvm.R5, 11)
-	a.Bgeu(zkvm.R3, zkvm.R2, "mergerec.cnt")
-	a.Sw(zkvm.R2, zkvm.R5, 11)
-	a.Label("mergerec.cnt")
-	a.Lw(zkvm.R3, zkvm.R5, 12)
-	a.Addi(zkvm.R3, zkvm.R3, 1)
-	a.Sw(zkvm.R3, zkvm.R5, 12)
-	a.Ret()
+	return p
+})
 
-	// leafhashes(r4=entries, r5=count, r6=digests): digest[i] =
-	// SHA256(entry i), via the precompile.
-	a.Label("leafhashes")
-	a.Li(zkvm.R7, 0)
-	a.Label("leafhashes.loop")
-	a.Beq(zkvm.R7, zkvm.R5, "leafhashes.ret")
-	a.Mov(zkvm.R1, zkvm.R4)
-	a.Li(zkvm.R2, entryW)
-	a.Mov(zkvm.R3, zkvm.R6)
-	a.Ecall(zkvm.SysHash)
-	a.Addi(zkvm.R4, zkvm.R4, entryW)
-	a.Addi(zkvm.R6, zkvm.R6, 8)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("leafhashes.loop")
-	a.Label("leafhashes.ret")
-	a.Ret()
+// AggregationImage returns the aggregation guest a receipt bound to id
+// verifies under — the current program or the retired one, whose
+// journals have the same layout — and nil for any other image.
+func AggregationImage(id zkvm.ImageID) *zkvm.Program {
+	for _, p := range []*zkvm.Program{AggregationProgram(), retiredProg()} {
+		if p.ID() == id {
+			return p
+		}
+	}
+	return nil
+}
 
-	// reduce(r4=digests, r5=count): folds leaf digests in place to the
-	// root at digests[0..8), padding with the zeros of fresh memory —
-	// the vmtree convention.
+// emitRead reads n input words into mem[base+off...]. Straight-line,
+// like every fixed-width move below: a counted loop spends three rows
+// per word on its counter, branch and address.
+func emitRead(a *zkvm.Assembler, base int, off, n uint32) {
+	for k := uint32(0); k < n; k++ {
+		a.Ecall(zkvm.SysRead)
+		a.Sw(zkvm.R1, base, off+k)
+	}
+}
+
+// emitJournal journals the n words at mem[base+off...].
+func emitJournal(a *zkvm.Assembler, base int, off, n uint32) {
+	for k := uint32(0); k < n; k++ {
+		a.Lw(zkvm.R1, base, off+k)
+		a.Ecall(zkvm.SysJournal)
+	}
+}
+
+// emitCmp8 branches to ne unless the digests at mem[baseA+offA...] and
+// mem[baseB+offB...] are equal. Scratch: r2, r3.
+func emitCmp8(a *zkvm.Assembler, baseA int, offA uint32, baseB int, offB uint32, ne string) {
+	for k := uint32(0); k < 8; k++ {
+		a.Lw(zkvm.R2, baseA, offA+k)
+		a.Lw(zkvm.R3, baseB, offB+k)
+		a.Bne(zkvm.R2, zkvm.R3, ne)
+	}
+}
+
+// emitReduce appends reduce(r4 = digests, r5 = count), which folds the
+// leaf digests at r4 in place to the root at r4[0..8) under the vmtree
+// convention: every level padded to a power of two with zero digests.
+// Only pairs that hold a real node are hashed; where a level is odd,
+// the missing sibling is the root of an all-padding subtree, a constant
+// per level that reduce.zpad writes into the slot after the last node
+// (so the region is count+1 digests long). Preserves r4 and r8-r14.
+func emitReduce(a *zkvm.Assembler) {
+	const padW = 2*8 + 1 // one reduce.zpad stub
+	a.Label("reduce.zpad")
+	zpad, z := a.PC(), vmtree.Zero
+	for level := 0; level < 32; level++ {
+		for k, w := range z {
+			a.Li(zkvm.R2, w)
+			a.Sw(zkvm.R2, zkvm.R7, uint32(k))
+		}
+		a.J("reduce.padded")
+		z = vmtree.Node(z, z)
+	}
+
 	a.Label("reduce")
-	a.Beq(zkvm.R5, zkvm.R0, "reduce.ret")
-	a.Li(zkvm.R6, 1) // size
-	a.Label("reduce.size")
-	a.Bgeu(zkvm.R6, zkvm.R5, "reduce.levels")
-	a.Slli(zkvm.R6, zkvm.R6, 1)
-	a.J("reduce.size")
-	a.Label("reduce.levels")
-	a.Li(zkvm.R7, 1)
-	a.Beq(zkvm.R6, zkvm.R7, "reduce.ret")
-	a.Srli(zkvm.R5, zkvm.R6, 1) // half
-	a.Li(zkvm.R7, 0)            // i
-	a.Label("reduce.pair")
-	a.Beq(zkvm.R7, zkvm.R5, "reduce.next")
-	a.Slli(zkvm.R1, zkvm.R7, 4) // 16*i
-	a.Add(zkvm.R1, zkvm.R1, zkvm.R4)
+	a.Li(zkvm.R6, 0) // level * padW
+	a.Label("reduce.level")
+	a.Sltiu(zkvm.R7, zkvm.R5, 2)
+	a.Bne(zkvm.R7, zkvm.R0, "reduce.ret")
+	a.Andi(zkvm.R7, zkvm.R5, 1)
+	a.Beq(zkvm.R7, zkvm.R0, "reduce.pairs")
+	a.Slli(zkvm.R7, zkvm.R5, 3)
+	a.Add(zkvm.R7, zkvm.R7, zkvm.R4)
+	a.Jalr(zkvm.R0, zkvm.R6, uint32(zpad))
+	a.Label("reduce.padded")
+	a.Addi(zkvm.R5, zkvm.R5, 1)
+	a.Label("reduce.pairs")
+	a.Srli(zkvm.R5, zkvm.R5, 1)
+	a.Mov(zkvm.R1, zkvm.R4)
 	a.Li(zkvm.R2, 16)
-	a.Slli(zkvm.R3, zkvm.R7, 3) // 8*i
-	a.Add(zkvm.R3, zkvm.R3, zkvm.R4)
+	a.Mov(zkvm.R3, zkvm.R4)
+	a.Slli(zkvm.R7, zkvm.R5, 3)
+	a.Add(zkvm.R7, zkvm.R7, zkvm.R4) // end of the level being written
+	a.Label("reduce.pair")
 	a.Ecall(zkvm.SysHash)
-	a.Addi(zkvm.R7, zkvm.R7, 1)
-	a.J("reduce.pair")
-	a.Label("reduce.next")
-	a.Mov(zkvm.R6, zkvm.R5)
-	a.J("reduce.levels")
+	a.Addi(zkvm.R1, zkvm.R1, 16)
+	a.Addi(zkvm.R3, zkvm.R3, 8)
+	a.Bne(zkvm.R3, zkvm.R7, "reduce.pair")
+	a.Addi(zkvm.R6, zkvm.R6, padW)
+	a.J("reduce.level")
 	a.Label("reduce.ret")
 	a.Ret()
+}
+
+// emitNextRecord reads the next index of the sort permutation and
+// leaves that record's offset from recBase in r1. Scratch: r2.
+func emitNextRecord(a *zkvm.Assembler) {
+	a.Ecall(zkvm.SysRead)
+	a.Lw(zkvm.R2, zkvm.R0, gM)
+	a.Bgeu(zkvm.R1, zkvm.R2, "abort.perm")
+	a.Li(zkvm.R2, recW)
+	a.Mul(zkvm.R1, zkvm.R1, zkvm.R2)
 }
 
 // buildAggregation assembles the Algorithm 1 guest.
 func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a := zkvm.NewAssembler()
 
-	// --- Phase A: header ---
+	// --- Header ---
 	a.Comment("journal the chained previous-journal hash")
 	for k := 0; k < 8; k++ {
 		a.Ecall(zkvm.SysRead)
@@ -291,35 +259,25 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a.Comment("compute region bases from the declared sizes")
 	a.Lw(zkvm.R4, zkvm.R0, gM)
 	a.Li(zkvm.R5, recW)
-	a.Mul(zkvm.R5, zkvm.R4, zkvm.R5) // 13m
-	a.Li(zkvm.R6, recBase)
-	a.Sw(zkvm.R6, zkvm.R0, gBaseRec)
-	a.Add(zkvm.R6, zkvm.R6, zkvm.R5)
-	a.Sw(zkvm.R6, zkvm.R0, gBasePerm)
-	a.Add(zkvm.R6, zkvm.R6, zkvm.R4)
-	a.Sw(zkvm.R6, zkvm.R0, gBaseFlag)
-	a.Add(zkvm.R6, zkvm.R6, zkvm.R4)
-	a.Sw(zkvm.R6, zkvm.R0, gBaseSort)
-	a.Add(zkvm.R6, zkvm.R6, zkvm.R5)
-	a.Sw(zkvm.R6, zkvm.R0, gBaseNew)
-	a.Lw(zkvm.R7, zkvm.R0, gPrev)
-	a.Li(zkvm.R2, entryW)
-	a.Mul(zkvm.R7, zkvm.R7, zkvm.R2) // 13p
-	a.Add(zkvm.R6, zkvm.R6, zkvm.R5)
-	a.Add(zkvm.R6, zkvm.R6, zkvm.R7) // new region holds ≤ m+p entries
+	a.Mul(zkvm.R6, zkvm.R4, zkvm.R5)
+	a.Addi(zkvm.R6, zkvm.R6, recBase)
 	a.Sw(zkvm.R6, zkvm.R0, gBasePrev)
-	a.Add(zkvm.R6, zkvm.R6, zkvm.R7)
+	a.Sw(zkvm.R6, zkvm.R0, gPrevCur)
+	a.Lw(zkvm.R7, zkvm.R0, gPrev)
+	a.Mul(zkvm.R5, zkvm.R7, zkvm.R5)
+	a.Add(zkvm.R6, zkvm.R6, zkvm.R5)
 	a.Sw(zkvm.R6, zkvm.R0, gBaseDig1)
-	a.Lw(zkvm.R4, zkvm.R0, gPrev)
-	a.Slli(zkvm.R4, zkvm.R4, 4) // 16p ≥ 8 * pow2(p)
-	a.Add(zkvm.R6, zkvm.R6, zkvm.R4)
-	a.Addi(zkvm.R6, zkvm.R6, 16)
+	a.Slli(zkvm.R7, zkvm.R7, 3)
+	a.Add(zkvm.R6, zkvm.R6, zkvm.R7)
+	a.Addi(zkvm.R6, zkvm.R6, 8) // reduce's padding slot
 	a.Sw(zkvm.R6, zkvm.R0, gBaseDig2)
+	a.Sw(zkvm.R6, zkvm.R0, gDigCur)
 
-	// --- Phase B: per-router ingest + commitment verification ---
+	// --- Per-router ingest + commitment verification ---
+	a.Label("router")
 	a.Comment("ingest per-router batches and verify hash commitments")
 	a.Li(zkvm.R8, 0) // router index
-	a.Lw(zkvm.R9, zkvm.R0, gBaseRec)
+	a.Li(zkvm.R9, recBase)
 	a.Li(zkvm.R10, 0) // records ingested
 	a.Label("router.loop")
 	a.Lw(zkvm.R4, zkvm.R0, gNR)
@@ -332,226 +290,218 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 		a.Sw(zkvm.R1, zkvm.R0, memCommit+k)
 	}
 	a.Ecall(zkvm.SysRead) // record count
-	a.Mov(zkvm.R11, zkvm.R1)
+	a.Add(zkvm.R10, zkvm.R10, zkvm.R1)
 	a.Mov(zkvm.R12, zkvm.R9) // region start
 	a.Li(zkvm.R13, recW)
-	a.Mul(zkvm.R13, zkvm.R11, zkvm.R13)
+	a.Mul(zkvm.R13, zkvm.R1, zkvm.R13)
 	a.Add(zkvm.R13, zkvm.R13, zkvm.R9) // region end
-	a.Label("router.words")
 	a.Beq(zkvm.R9, zkvm.R13, "router.hash")
-	a.Ecall(zkvm.SysRead)
-	a.Sw(zkvm.R1, zkvm.R9, 0)
-	a.Addi(zkvm.R9, zkvm.R9, 1)
-	a.J("router.words")
+	a.Label("router.rec")
+	emitRead(a, zkvm.R9, 0, recW)
+	a.Addi(zkvm.R9, zkvm.R9, recW)
+	a.Bne(zkvm.R9, zkvm.R13, "router.rec")
 	a.Label("router.hash")
-	a.Add(zkvm.R10, zkvm.R10, zkvm.R11)
 	a.Mov(zkvm.R1, zkvm.R12)
 	a.Sub(zkvm.R2, zkvm.R13, zkvm.R12)
 	a.Li(zkvm.R3, memDigest)
 	a.Ecall(zkvm.SysHash)
-	a.Li(zkvm.R4, memCommit)
-	a.Li(zkvm.R5, memDigest)
-	a.Call("cmp8")
-	a.Beq(zkvm.R6, zkvm.R0, "abort.commit")
+	emitCmp8(a, zkvm.R0, memCommit, zkvm.R0, memDigest, "abort.commit")
 	a.Addi(zkvm.R8, zkvm.R8, 1)
 	a.J("router.loop")
 	a.Label("router.done")
 	a.Lw(zkvm.R4, zkvm.R0, gM)
 	a.Bne(zkvm.R10, zkvm.R4, "abort.count")
 
-	// --- Phase C: read the sort-permutation hint ---
-	a.Comment("read the host's sort permutation")
-	a.Lw(zkvm.R9, zkvm.R0, gBasePerm)
-	a.Lw(zkvm.R13, zkvm.R0, gBaseFlag) // = perm end
-	a.Label("perm.read")
-	a.Beq(zkvm.R9, zkvm.R13, "perm.done")
-	a.Ecall(zkvm.SysRead)
-	a.Sw(zkvm.R1, zkvm.R9, 0)
-	a.Addi(zkvm.R9, zkvm.R9, 1)
-	a.J("perm.read")
-	a.Label("perm.done")
-
-	// --- Phase D: apply + verify the permutation ---
-	a.Comment("apply the permutation; verify bijectivity and sortedness")
-	a.Li(zkvm.R8, 0) // i
-	a.Lw(zkvm.R14, zkvm.R0, gM)
-	a.Label("sortcopy.loop")
-	a.Beq(zkvm.R8, zkvm.R14, "sortcopy.done")
-	a.Lw(zkvm.R2, zkvm.R0, gBasePerm)
-	a.Add(zkvm.R2, zkvm.R2, zkvm.R8)
-	a.Lw(zkvm.R9, zkvm.R2, 0) // p = perm[i]
-	a.Bgeu(zkvm.R9, zkvm.R14, "abort.perm")
-	a.Lw(zkvm.R2, zkvm.R0, gBaseFlag)
-	a.Add(zkvm.R2, zkvm.R2, zkvm.R9)
-	a.Lw(zkvm.R3, zkvm.R2, 0)
-	a.Bne(zkvm.R3, zkvm.R0, "abort.perm") // index reused
-	a.Li(zkvm.R3, 1)
-	a.Sw(zkvm.R3, zkvm.R2, 0)
-	// src = rec base + 13p; dst = sort base + 13i.
-	a.Li(zkvm.R4, recW)
-	a.Mul(zkvm.R4, zkvm.R4, zkvm.R9)
-	a.Lw(zkvm.R2, zkvm.R0, gBaseRec)
-	a.Add(zkvm.R4, zkvm.R4, zkvm.R2)
-	a.Li(zkvm.R5, recW)
-	a.Mul(zkvm.R5, zkvm.R5, zkvm.R8)
-	a.Lw(zkvm.R2, zkvm.R0, gBaseSort)
-	a.Add(zkvm.R5, zkvm.R5, zkvm.R2)
-	a.Call("copy13")
-	// Sortedness: key(sort[i-1]) must not exceed key(sort[i]).
-	a.Beq(zkvm.R8, zkvm.R0, "sortcopy.next")
-	a.Li(zkvm.R5, recW)
-	a.Mul(zkvm.R5, zkvm.R5, zkvm.R8)
-	a.Lw(zkvm.R2, zkvm.R0, gBaseSort)
-	a.Add(zkvm.R5, zkvm.R5, zkvm.R2)
-	a.Addi(zkvm.R4, zkvm.R5, 0)
-	a.Li(zkvm.R2, recW)
-	a.Sub(zkvm.R4, zkvm.R4, zkvm.R2)
-	a.Call("keycmp")
-	a.Li(zkvm.R2, 2)
-	a.Beq(zkvm.R6, zkvm.R2, "abort.perm")
-	a.Label("sortcopy.next")
-	a.Addi(zkvm.R8, zkvm.R8, 1)
-	a.J("sortcopy.loop")
-	a.Label("sortcopy.done")
-
-	// --- Phase E: read + verify the previous CLog ---
-	a.Comment("read the previous CLog; verify strict key order")
+	// --- Previous CLog: read, strict key order, leaf digests, root ---
+	a.Label("prev")
+	a.Comment("read the previous CLog, each key above the last, and hash its leaves")
 	a.Lw(zkvm.R9, zkvm.R0, gBasePrev)
-	a.Lw(zkvm.R13, zkvm.R0, gBaseDig1) // = prev end
-	a.Label("prev.read")
-	a.Beq(zkvm.R9, zkvm.R13, "prev.sorted")
-	a.Ecall(zkvm.SysRead)
-	a.Sw(zkvm.R1, zkvm.R9, 0)
-	a.Addi(zkvm.R9, zkvm.R9, 1)
-	a.J("prev.read")
-	a.Label("prev.sorted")
-	a.Li(zkvm.R8, 1)
-	a.Lw(zkvm.R14, zkvm.R0, gPrev)
-	a.Label("prev.order")
-	a.Bgeu(zkvm.R8, zkvm.R14, "prev.root")
-	a.Li(zkvm.R5, entryW)
-	a.Mul(zkvm.R5, zkvm.R5, zkvm.R8)
-	a.Lw(zkvm.R2, zkvm.R0, gBasePrev)
-	a.Add(zkvm.R5, zkvm.R5, zkvm.R2)
-	a.Addi(zkvm.R4, zkvm.R5, 0)
+	a.Lw(zkvm.R13, zkvm.R0, gBaseDig1)
 	a.Li(zkvm.R2, entryW)
-	a.Sub(zkvm.R4, zkvm.R4, zkvm.R2)
-	a.Call("keycmp")
-	a.Li(zkvm.R2, 1)
-	a.Bne(zkvm.R6, zkvm.R2, "abort.prevsort")
-	a.Addi(zkvm.R8, zkvm.R8, 1)
-	a.J("prev.order")
-
-	// --- Phase F: authenticate the previous root (in-VM rebuild) ---
+	a.Mov(zkvm.R3, zkvm.R13)
+	a.Beq(zkvm.R9, zkvm.R13, "prev.root")
+	emitRead(a, zkvm.R9, 0, 1) // the first entry has no predecessor
+	a.J("prev.above0")
+	// The predecessor's key is in r4..r7. Key words compare as they
+	// arrive, down to the first that differs; from there on they replace
+	// the predecessor's.
+	a.Label("prev.entry")
+	for k := 0; k < keyW; k++ {
+		emitRead(a, zkvm.R9, uint32(k), 1)
+		a.Bltu(rKey+k, zkvm.R1, fmt.Sprintf("prev.above%d", k))
+		a.Bne(rKey+k, zkvm.R1, "abort.prevsort")
+	}
+	a.J("abort.prevsort") // the same key twice
+	for k := 0; k < keyW; k++ {
+		a.Label(fmt.Sprintf("prev.above%d", k))
+		a.Mov(rKey+k, zkvm.R1)
+		emitRead(a, zkvm.R9, uint32(k+1), 1)
+	}
+	emitRead(a, zkvm.R9, keyW+1, entryW-keyW-1)
+	a.Mov(zkvm.R1, zkvm.R9)
+	a.Ecall(zkvm.SysHash)
+	a.Addi(zkvm.R3, zkvm.R3, 8)
+	a.Addi(zkvm.R9, zkvm.R9, entryW)
+	a.Bne(zkvm.R9, zkvm.R13, "prev.entry")
 	a.Label("prev.root")
-	a.Comment("rebuild the previous Merkle tree in-VM")
-	a.Lw(zkvm.R4, zkvm.R0, gBasePrev)
-	a.Lw(zkvm.R5, zkvm.R0, gPrev)
-	a.Lw(zkvm.R6, zkvm.R0, gBaseDig1)
-	a.Call("leafhashes")
-	a.Lw(zkvm.R4, zkvm.R0, gBaseDig1)
+	a.Comment("rebuild the previous Merkle root in-VM")
+	a.Mov(zkvm.R4, zkvm.R13)
 	a.Lw(zkvm.R5, zkvm.R0, gPrev)
 	a.Call("reduce")
-	a.Li(zkvm.R4, memPrevRoot)
-	a.Lw(zkvm.R5, zkvm.R0, gBaseDig1)
-	a.Call("cmp8")
-	a.Beq(zkvm.R6, zkvm.R0, "abort.prevroot")
+	emitCmp8(a, zkvm.R0, memPrevRoot, zkvm.R4, 0, "abort.prevroot")
 
-	// --- Phase G: merge-join (Algorithm 1 lines 13-23) ---
-	a.Comment("merge-join sorted records with the previous CLog")
-	a.Li(zkvm.R8, 0)  // i: sorted record index
-	a.Li(zkvm.R10, 0) // p: prev entry index
-	a.Li(zkvm.R12, 0) // n: new entry count
-	a.Lw(zkvm.R9, zkvm.R0, gBaseSort)
-	a.Lw(zkvm.R11, zkvm.R0, gBasePrev)
-	a.Lw(zkvm.R13, zkvm.R0, gBaseNew)
-	a.Lw(zkvm.R14, zkvm.R0, gM)
-	a.Label("merge.loop")
-	a.Bne(zkvm.R8, zkvm.R14, "merge.haverec")
-	a.Lw(zkvm.R7, zkvm.R0, gPrev)
-	a.Beq(zkvm.R10, zkvm.R7, "merge.done")
-	a.J("merge.takeprev")
-	a.Label("merge.haverec")
-	a.Lw(zkvm.R7, zkvm.R0, gPrev)
-	a.Beq(zkvm.R10, zkvm.R7, "merge.takerec")
-	a.Mov(zkvm.R4, zkvm.R9)
-	a.Mov(zkvm.R5, zkvm.R11)
-	a.Call("keycmp")
-	a.Li(zkvm.R2, 1)
-	a.Beq(zkvm.R6, zkvm.R2, "merge.takerec")
-	a.Li(zkvm.R2, 2)
-	a.Beq(zkvm.R6, zkvm.R2, "merge.takeprev")
-	// Equal keys: copy the prev entry, then absorb matching records.
-	a.Mov(zkvm.R4, zkvm.R11)
-	a.Mov(zkvm.R5, zkvm.R13)
-	a.Call("copy13")
-	a.Addi(zkvm.R10, zkvm.R10, 1)
-	a.Addi(zkvm.R11, zkvm.R11, entryW)
-	a.J("merge.absorb")
-	a.Label("merge.takeprev")
-	a.Mov(zkvm.R4, zkvm.R11)
-	a.Mov(zkvm.R5, zkvm.R13)
-	a.Call("copy13")
-	a.Addi(zkvm.R10, zkvm.R10, 1)
-	a.Addi(zkvm.R11, zkvm.R11, entryW)
-	a.J("merge.emit")
-	a.Label("merge.takerec")
-	a.Mov(zkvm.R4, zkvm.R9)
-	a.Mov(zkvm.R5, zkvm.R13)
-	a.Call("initentry")
-	a.Label("merge.absorb")
-	a.Beq(zkvm.R8, zkvm.R14, "merge.emit")
-	a.Mov(zkvm.R4, zkvm.R9)
-	a.Mov(zkvm.R5, zkvm.R13)
-	a.Call("keycmp")
-	a.Bne(zkvm.R6, zkvm.R0, "merge.emit")
-	a.Mov(zkvm.R4, zkvm.R9)
-	a.Mov(zkvm.R5, zkvm.R13)
-	a.Call("mergerec")
-	a.Addi(zkvm.R8, zkvm.R8, 1)
-	a.Addi(zkvm.R9, zkvm.R9, recW)
-	a.J("merge.absorb")
-	a.Label("merge.emit")
-	a.Addi(zkvm.R12, zkvm.R12, 1)
-	a.Addi(zkvm.R13, zkvm.R13, entryW)
-	a.J("merge.loop")
-	a.Label("merge.done")
-	a.Sw(zkvm.R12, zkvm.R0, gNewCount)
+	// --- Merge-join (Algorithm 1 lines 13-23) ---
+	//
+	// Records arrive in the order of the host's sort permutation, read
+	// one index at a time and addressed where phase B left them. The
+	// (key, index) pairs must strictly increase: that makes the order
+	// key-sorted and the indices distinct, and m distinct indices below
+	// m are every record exactly once.
+	a.Label("merge")
+	a.Comment("merge-join the records, in permutation order, with the previous CLog")
+	a.Lw(rLeft, zkvm.R0, gM)
+	a.Lw(zkvm.R3, zkvm.R0, gDigCur)
+	a.Beq(rLeft, zkvm.R0, "tail")
+	emitNextRecord(a)
+	a.Mov(rAgg, zkvm.R1)
+	a.J("open")
 
-	// --- Phase H: new tree + journal ---
-	a.Comment("hash new leaves; journal count, digests, then the root")
-	a.Lw(zkvm.R1, zkvm.R0, gNewCount)
-	a.Ecall(zkvm.SysJournal)
-	a.Lw(zkvm.R4, zkvm.R0, gBaseNew)
-	a.Lw(zkvm.R5, zkvm.R0, gNewCount)
-	a.Lw(zkvm.R6, zkvm.R0, gBaseDig2)
-	a.Call("leafhashes")
-	a.Li(zkvm.R8, 0)
-	a.Lw(zkvm.R14, zkvm.R0, gNewCount)
-	a.Slli(zkvm.R14, zkvm.R14, 3) // n*8 digest words
-	a.Lw(zkvm.R9, zkvm.R0, gBaseDig2)
-	a.Label("jdig.loop")
-	a.Beq(zkvm.R8, zkvm.R14, "jdig.done")
-	a.Add(zkvm.R2, zkvm.R9, zkvm.R8)
-	a.Lw(zkvm.R1, zkvm.R2, 0)
-	a.Ecall(zkvm.SysJournal)
-	a.Addi(zkvm.R8, zkvm.R8, 1)
-	a.J("jdig.loop")
-	a.Label("jdig.done")
+	// absorb: one record into the open entry. r3 is the last record
+	// absorbed, then this one.
+	a.Label("absorb")
+	emitNextRecord(a)
+	for k := 0; k < keyW; k++ {
+		a.Lw(zkvm.R2, zkvm.R1, recBase+uint32(k))
+		a.Bne(zkvm.R2, rKey+k, fmt.Sprintf("absorb.ne%d", k))
+	}
+	a.Bgeu(zkvm.R3, zkvm.R1, "abort.perm")
+	a.Mov(zkvm.R3, zkvm.R1)
+	a.Label("absorb.fold")   // must mirror clog.Entry.Merge
+	for k := 0; k < 4; k++ { // packets, bytes, dropped, hop_count
+		a.Lw(zkvm.R2, zkvm.R3, recBase+4+uint32(k))
+		a.Add(rAgg+k, rAgg+k, zkvm.R2)
+	}
+	a.Lw(zkvm.R2, zkvm.R3, recBase+8) // RTT: sum in entry[8], max in entry[9]
+	a.Add(rAgg+4, rAgg+4, zkvm.R2)
+	a.Bgeu(rAgg+5, zkvm.R2, "absorb.jitter")
+	a.Mov(rAgg+5, zkvm.R2)
+	a.Label("absorb.jitter")
+	a.Lw(zkvm.R2, zkvm.R3, recBase+9) // jitter: sum in entry[10], max in entry[11]
+	a.Add(rAgg+6, rAgg+6, zkvm.R2)
+	a.Lw(zkvm.R1, zkvm.R0, memOpen+11)
+	a.Bgeu(zkvm.R1, zkvm.R2, "absorb.next")
+	a.Sw(zkvm.R2, zkvm.R0, memOpen+11)
+	a.Label("absorb.next")
+	a.Addi(rLeft, rLeft, ^uint32(0))
+	a.Bne(rLeft, zkvm.R0, "absorb")
+	a.J("emit")
+	for k := 0; k < keyW; k++ { // the record's key differs at word k: it must be the greater
+		a.Label(fmt.Sprintf("absorb.ne%d", k))
+		a.Bltu(zkvm.R2, rKey+k, "abort.perm")
+		if k < keyW-1 {
+			a.J("emit")
+		}
+	}
+
+	// emit: the open entry is complete. Its count was stored as its base
+	// plus the records left when it opened; r1 is the record that opens
+	// the next entry, if any is left.
+	a.Label("emit")
+	for k := uint32(0); k < entryW-2; k++ {
+		a.Sw(rKey+int(k), zkvm.R0, memOpen+k)
+	}
+	a.Lw(zkvm.R2, zkvm.R0, memOpen+12)
+	a.Sub(zkvm.R2, zkvm.R2, rLeft)
+	a.Sw(zkvm.R2, zkvm.R0, memOpen+12)
+	a.Mov(rAgg, zkvm.R1)
+	a.Li(zkvm.R1, memOpen)
+	a.Li(zkvm.R2, entryW)
+	a.Lw(zkvm.R3, zkvm.R0, gDigCur)
+	a.Ecall(zkvm.SysHash)
+	a.Addi(zkvm.R3, zkvm.R3, 8)
+	a.Beq(rLeft, zkvm.R0, "tail")
+
+	// open: start the entry of record r8's key, from the previous entry
+	// of that key if there is one. Previous entries below the key carry
+	// over unchanged: their leaves are hashed where they lie. r3 is the
+	// digest cursor.
+	a.Label("open")
+	for k := 0; k < keyW; k++ {
+		a.Lw(rKey+k, rAgg, recBase+uint32(k))
+	}
+	a.Lw(zkvm.R1, zkvm.R0, gPrevCur)
+	a.Lw(zkvm.R10, zkvm.R0, gBaseDig1)
+	a.Label("open.scan")
+	a.Beq(zkvm.R1, zkvm.R10, "open.fresh")
+	for k := 0; k < keyW; k++ {
+		a.Lw(zkvm.R2, zkvm.R1, uint32(k))
+		a.Bne(zkvm.R2, rKey+k, fmt.Sprintf("open.ne%d", k))
+	}
+	a.Lw(zkvm.R2, zkvm.R1, 11)
+	a.Sw(zkvm.R2, zkvm.R0, memOpen+11)
+	a.Lw(zkvm.R2, zkvm.R1, 12)
+	a.Add(zkvm.R2, zkvm.R2, rLeft)
+	a.Sw(zkvm.R2, zkvm.R0, memOpen+12)
+	a.Sw(zkvm.R3, zkvm.R0, gDigCur)
+	a.Mov(zkvm.R3, rAgg)
+	for k := 0; k < 7; k++ {
+		a.Lw(rAgg+k, zkvm.R1, 4+uint32(k))
+	}
+	a.Addi(zkvm.R1, zkvm.R1, entryW)
+	a.Sw(zkvm.R1, zkvm.R0, gPrevCur)
+	a.J("absorb.fold")
+	for k := 0; k < keyW; k++ {
+		a.Label(fmt.Sprintf("open.ne%d", k))
+		a.Bltu(rKey+k, zkvm.R2, "open.fresh")
+		if k < keyW-1 {
+			a.J("open.carry")
+		}
+	}
+	a.Label("open.carry")
+	a.Li(zkvm.R2, entryW)
+	a.Ecall(zkvm.SysHash)
+	a.Addi(zkvm.R3, zkvm.R3, 8)
+	a.Addi(zkvm.R1, zkvm.R1, entryW)
+	a.J("open.scan")
+	a.Label("open.fresh")
+	a.Sw(zkvm.R1, zkvm.R0, gPrevCur)
+	a.Sw(zkvm.R0, zkvm.R0, memOpen+11)
+	a.Sw(rLeft, zkvm.R0, memOpen+12)
+	a.Sw(zkvm.R3, zkvm.R0, gDigCur)
+	a.Mov(zkvm.R3, rAgg)
+	for k := 0; k < 7; k++ {
+		a.Li(rAgg+k, 0)
+	}
+	a.J("absorb.fold")
+
+	// tail: no record is left; the rest of the previous CLog carries over.
+	a.Label("tail")
+	a.Lw(zkvm.R1, zkvm.R0, gPrevCur)
+	a.Lw(zkvm.R10, zkvm.R0, gBaseDig1)
+	a.Li(zkvm.R2, entryW)
+	a.Beq(zkvm.R1, zkvm.R10, "journal")
+	a.Label("tail.carry")
+	a.Ecall(zkvm.SysHash)
+	a.Addi(zkvm.R3, zkvm.R3, 8)
+	a.Addi(zkvm.R1, zkvm.R1, entryW)
+	a.Bne(zkvm.R1, zkvm.R10, "tail.carry")
+
+	// --- New tree + journal ---
+	a.Label("journal")
+	a.Comment("journal the new count, the leaf digests, then the root")
 	a.Lw(zkvm.R4, zkvm.R0, gBaseDig2)
-	a.Lw(zkvm.R5, zkvm.R0, gNewCount)
+	a.Sub(zkvm.R5, zkvm.R3, zkvm.R4)
+	a.Srli(zkvm.R5, zkvm.R5, 3)
+	a.WriteJournal(zkvm.R5)
+	a.Mov(zkvm.R9, zkvm.R4)
+	a.Beq(zkvm.R9, zkvm.R3, "journal.root")
+	a.Label("journal.leaf")
+	emitJournal(a, zkvm.R9, 0, 8)
+	a.Addi(zkvm.R9, zkvm.R9, 8)
+	a.Bne(zkvm.R9, zkvm.R3, "journal.leaf")
+	a.Label("journal.root")
 	a.Call("reduce")
-	a.Li(zkvm.R8, 0)
-	a.Li(zkvm.R14, 8)
-	a.Lw(zkvm.R9, zkvm.R0, gBaseDig2)
-	a.Label("jroot.loop")
-	a.Beq(zkvm.R8, zkvm.R14, "jroot.done")
-	a.Add(zkvm.R2, zkvm.R9, zkvm.R8)
-	a.Lw(zkvm.R1, zkvm.R2, 0)
-	a.Ecall(zkvm.SysJournal)
-	a.Addi(zkvm.R8, zkvm.R8, 1)
-	a.J("jroot.loop")
-	a.Label("jroot.done")
+	emitJournal(a, zkvm.R4, 0, 8)
 	a.HaltCode(0)
 
 	// --- Aborts ---
@@ -566,7 +516,7 @@ func buildAggregation() (*zkvm.Program, []zkvm.Region) {
 	a.Label("abort.prevroot")
 	a.HaltCode(AbortPrevRootMismatch)
 
-	emitSubroutines(a)
+	emitReduce(a)
 	return a.MustAssemble(), a.Regions()
 }
 
@@ -587,7 +537,9 @@ type AggInput struct {
 }
 
 // Words serialises the input tape, computing the sort-permutation
-// hint over the concatenated records.
+// hint over the concatenated records: stable, so that equal keys keep
+// their index order, which the guest insists on. The permutation comes
+// last because the merge consumes it an index at a time.
 func (in *AggInput) Words() []uint32 {
 	var recs []netflow.Record
 	for _, r := range in.Routers {
@@ -613,10 +565,10 @@ func (in *AggInput) Words() []uint32 {
 		out = append(out, uint32(len(r.Records)))
 		out = append(out, netflow.BatchWords(r.Records)...)
 	}
+	out = append(out, clog.EntriesWords(in.PrevEntries)...)
 	for _, p := range perm {
 		out = append(out, uint32(p))
 	}
-	out = append(out, clog.EntriesWords(in.PrevEntries)...)
 	return out
 }
 

@@ -9,204 +9,212 @@ import (
 	"zkflow/internal/zkvm"
 )
 
-// Query guest memory map: the evaluation stack for predicate codegen
-// lives in low scratch memory; entries are read to recBase and leaf
+// Query guest memory map: entries are read to recBase and their leaf
 // digests land just past them.
 const (
-	qStackBase = 200 // predicate evaluation stack (words)
 	qCount     = 100 // global: entry count
-	qBaseDig   = 101 // global: digest region base
+	qStackBase = 200 // predicate operands no register is left for
 )
+
+// queryRegs are the registers a query program is free to assign: the
+// first few to the predicate's evaluation stack, the rest to entry
+// words the query reads, caught as the entry streams in.
+var queryRegs = []int{zkvm.R4, zkvm.R5, zkvm.R6, zkvm.R7, zkvm.R9, zkvm.R10, zkvm.R15}
+
+// maxEvalRegs bounds the evaluation stack's share of queryRegs.
+const maxEvalRegs = 4
+
+// queryGen is the codegen state of one query program.
+type queryGen struct {
+	a    *zkvm.Assembler
+	eval []int       // evaluation stack: operand d is in eval[min(d, len-1)]
+	held map[int]int // entry word -> the register that holds it
+}
 
 // QueryProgram compiles a parsed query into a dedicated guest
 // program. The query's constants are embedded in the instruction
 // stream, so the program's image ID cryptographically identifies the
 // query: a verifier recompiles the query and compares image IDs.
 //
-// The guest reads the CLog snapshot, rebuilds its Merkle root in-VM
-// (binding the result to the aggregation chain), evaluates the
-// predicate over every entry, and journals the entry count, the root,
-// the matched count, and the 64-bit aggregate.
+// The guest reads the CLog snapshot one entry at a time — hashing its
+// leaf, evaluating the predicate and folding the aggregate while the
+// entry's words are at hand — rebuilds the Merkle root in-VM (binding
+// the result to the aggregation chain), and journals the entry count,
+// the root, the matched count, and the 64-bit aggregate.
 func QueryProgram(q *query.Query) *zkvm.Program {
+	prog, _ := buildQuery(q)
+	return prog
+}
+
+// buildQuery assembles q's program and its phase regions.
+func buildQuery(q *query.Query) (*zkvm.Program, []zkvm.Region) {
 	a := zkvm.NewAssembler()
-	labels := 0
-	fresh := func(prefix string) string {
-		labels++
-		return fmt.Sprintf("%s.%d", prefix, labels)
+	g := &queryGen{a: a, held: map[int]int{}}
+	var words []int // entry words in order of first use
+	depth := exprWords(q.Where, &words)
+	if q.Agg != query.AggCount {
+		words = append(words, q.Field.Word)
+	}
+	g.eval = queryRegs[:min(depth, maxEvalRegs)]
+	for _, w := range words {
+		if _, ok := g.held[w]; !ok && len(g.eval)+len(g.held) < len(queryRegs) {
+			g.held[w] = queryRegs[len(g.eval)+len(g.held)]
+		}
 	}
 
 	a.Comment("read + journal the CLog entry count")
 	a.Ecall(zkvm.SysRead)
 	a.Ecall(zkvm.SysJournal)
 	a.Sw(zkvm.R1, zkvm.R0, qCount)
-	a.Li(zkvm.R2, entryW)
-	a.Mul(zkvm.R2, zkvm.R2, zkvm.R1)
-	a.Li(zkvm.R3, recBase)
-	a.Add(zkvm.R2, zkvm.R2, zkvm.R3)
-	a.Sw(zkvm.R2, zkvm.R0, qBaseDig)
-
-	a.Comment("read the CLog snapshot")
-	a.Li(zkvm.R9, recBase)
-	a.Lw(zkvm.R13, zkvm.R0, qBaseDig)
-	a.Label("read.loop")
-	a.Beq(zkvm.R9, zkvm.R13, "read.done")
-	a.Ecall(zkvm.SysRead)
-	a.Sw(zkvm.R1, zkvm.R9, 0)
-	a.Addi(zkvm.R9, zkvm.R9, 1)
-	a.J("read.loop")
-	a.Label("read.done")
-
-	a.Comment("rebuild the Merkle root in-VM and journal it")
-	a.Li(zkvm.R4, recBase)
-	a.Lw(zkvm.R5, zkvm.R0, qCount)
-	a.Lw(zkvm.R6, zkvm.R0, qBaseDig)
-	a.Call("leafhashes")
-	a.Lw(zkvm.R4, zkvm.R0, qBaseDig)
-	a.Lw(zkvm.R5, zkvm.R0, qCount)
-	a.Call("reduce")
-	a.Li(zkvm.R8, 0)
-	a.Li(zkvm.R14, 8)
-	a.Lw(zkvm.R9, zkvm.R0, qBaseDig)
-	a.Label("jroot.loop")
-	a.Beq(zkvm.R8, zkvm.R14, "jroot.done")
-	a.Add(zkvm.R2, zkvm.R9, zkvm.R8)
-	a.Lw(zkvm.R1, zkvm.R2, 0)
-	a.Ecall(zkvm.SysJournal)
-	a.Addi(zkvm.R8, zkvm.R8, 1)
-	a.J("jroot.loop")
-	a.Label("jroot.done")
-
-	a.Comment("filter + aggregate")
-	a.Li(zkvm.R8, recBase)            // entry cursor
-	a.Lw(zkvm.R14, zkvm.R0, qBaseDig) // end
-	a.Li(zkvm.R9, qStackBase)         // eval stack pointer
-	a.Li(zkvm.R11, 0)                 // matched
+	a.Li(zkvm.R2, entryW) // for every leaf hash
+	a.Li(zkvm.R8, recBase)
+	a.Mul(zkvm.R14, zkvm.R1, zkvm.R2)
+	a.Add(zkvm.R14, zkvm.R14, zkvm.R8) // end of the entries, base of the digests
+	a.Mov(zkvm.R3, zkvm.R14)
+	a.Li(zkvm.R11, 0) // matched
+	a.Li(zkvm.R12, 0) // accumulator low
 	if q.Agg == query.AggMin {
 		a.Li(zkvm.R12, 0xffffffff)
-	} else {
-		a.Li(zkvm.R12, 0) // accumulator low
 	}
 	a.Li(zkvm.R13, 0) // accumulator high
-	a.Label("agg.loop")
-	a.Beq(zkvm.R8, zkvm.R14, "agg.done")
-	emitPredicate(a, q.Where)
-	a.Addi(zkvm.R9, zkvm.R9, ^uint32(0)) // pop
-	a.Lw(zkvm.R4, zkvm.R9, 0)
-	a.Beq(zkvm.R4, zkvm.R0, "agg.skip")
-	a.Addi(zkvm.R11, zkvm.R11, 1)
-	switch q.Agg {
-	case query.AggCount:
-		// matched counter is the result
-	case query.AggSum, query.AggAvg:
-		emitFieldLoad(a, q.Field)
-		a.Add(zkvm.R3, zkvm.R12, zkvm.R2)
-		a.Sltu(zkvm.R4, zkvm.R3, zkvm.R2) // carry out
-		a.Add(zkvm.R13, zkvm.R13, zkvm.R4)
-		a.Mov(zkvm.R12, zkvm.R3)
-	case query.AggMin:
-		emitFieldLoad(a, q.Field)
-		skip := fresh("min.skip")
-		a.Bgeu(zkvm.R2, zkvm.R12, skip)
-		a.Mov(zkvm.R12, zkvm.R2)
-		a.Label(skip)
-	case query.AggMax:
-		emitFieldLoad(a, q.Field)
-		skip := fresh("max.skip")
-		a.Bgeu(zkvm.R12, zkvm.R2, skip)
-		a.Mov(zkvm.R12, zkvm.R2)
-		a.Label(skip)
+	a.Beq(zkvm.R8, zkvm.R14, "root")
+
+	a.Label("scan")
+	a.Comment("per entry: read, hash the leaf, filter, aggregate")
+	for k := 0; k < entryW; k++ {
+		emitRead(a, zkvm.R8, uint32(k), 1)
+		if r, ok := g.held[k]; ok {
+			a.Mov(r, zkvm.R1)
+		}
 	}
-	a.Label("agg.skip")
+	a.Mov(zkvm.R1, zkvm.R8)
+	a.Ecall(zkvm.SysHash)
+	a.Addi(zkvm.R3, zkvm.R3, 8)
+	if q.Where != nil {
+		g.predicate(q.Where, 0)
+		a.Beq(g.eval[0], zkvm.R0, "scan.next")
+	}
+	a.Addi(zkvm.R11, zkvm.R11, 1)
+	if q.Agg != query.AggCount { // COUNT's result is the matched counter
+		v := g.field(zkvm.R1, q.Field)
+		switch q.Agg {
+		case query.AggSum, query.AggAvg:
+			a.Add(zkvm.R12, zkvm.R12, v)
+			a.Sltu(zkvm.R1, zkvm.R12, v) // carry out
+			a.Add(zkvm.R13, zkvm.R13, zkvm.R1)
+		case query.AggMin:
+			a.Bgeu(v, zkvm.R12, "scan.next")
+			a.Mov(zkvm.R12, v)
+		case query.AggMax:
+			a.Bgeu(zkvm.R12, v, "scan.next")
+			a.Mov(zkvm.R12, v)
+		}
+	}
+	a.Label("scan.next")
 	a.Addi(zkvm.R8, zkvm.R8, entryW)
-	a.J("agg.loop")
-	a.Label("agg.done")
+	a.Bne(zkvm.R8, zkvm.R14, "scan")
+
+	a.Label("root")
+	a.Comment("rebuild the Merkle root in-VM and journal it")
+	a.Mov(zkvm.R4, zkvm.R14)
+	a.Lw(zkvm.R5, zkvm.R0, qCount)
+	a.Call("reduce")
+	emitJournal(a, zkvm.R4, 0, 8)
+	a.Comment("journal matched count and the 64-bit aggregate")
 	if q.Agg == query.AggCount {
 		// COUNT's result is the matched counter itself; mirror it into
 		// the accumulator so Result() is uniform across aggregates.
 		a.Mov(zkvm.R12, zkvm.R11)
 	}
-
-	a.Comment("journal matched count and the 64-bit aggregate")
-	a.Mov(zkvm.R1, zkvm.R11)
-	a.Ecall(zkvm.SysJournal)
-	a.Mov(zkvm.R1, zkvm.R12)
-	a.Ecall(zkvm.SysJournal)
-	a.Mov(zkvm.R1, zkvm.R13)
-	a.Ecall(zkvm.SysJournal)
+	for _, r := range []int{zkvm.R11, zkvm.R12, zkvm.R13} {
+		a.WriteJournal(r)
+	}
 	a.HaltCode(0)
 
-	emitSubroutines(a)
-	return a.MustAssemble()
+	emitReduce(a)
+	return a.MustAssemble(), a.Regions()
 }
 
-// emitFieldLoad loads the aggregate field of the entry at r8 into r2.
-func emitFieldLoad(a *zkvm.Assembler, f query.Field) {
-	a.Lw(zkvm.R2, zkvm.R8, uint32(f.Word))
+// exprWords appends the entry words e reads to words and returns the
+// evaluation-stack depth e needs (see predicate).
+func exprWords(e query.Expr, words *[]int) int {
+	switch v := e.(type) {
+	case *query.Cmp:
+		*words = append(*words, v.Field.Word)
+		return 1
+	case *query.And:
+		return max(exprWords(v.L, words), 1+exprWords(v.R, words))
+	case *query.Or:
+		return max(exprWords(v.L, words), 1+exprWords(v.R, words))
+	case *query.Not:
+		return exprWords(v.E, words)
+	}
+	return 0
+}
+
+// field returns a register holding field f of the entry at r8: the
+// register the word was caught in when that is the value as it stands,
+// rd otherwise.
+func (g *queryGen) field(rd int, f query.Field) int {
+	src, ok := g.held[f.Word]
+	if !ok {
+		g.a.Lw(rd, zkvm.R8, uint32(f.Word))
+		src = rd
+	}
 	if f.Shift != 0 {
-		a.Srli(zkvm.R2, zkvm.R2, f.Shift)
+		g.a.Srli(rd, src, f.Shift)
+		src = rd
 	}
 	if f.Mask != 0 {
-		a.Andi(zkvm.R2, zkvm.R2, f.Mask)
+		g.a.Andi(rd, src, f.Mask)
+		src = rd
 	}
+	return src
 }
 
-// emitPredicate compiles the predicate to stack-machine code: the
-// entry address is in r8, the evaluation stack pointer in r9, and the
-// boolean result (0/1) is left on the stack. Scratch: r2-r4.
-func emitPredicate(a *zkvm.Assembler, e query.Expr) {
-	push := func() { // push r2
-		a.Sw(zkvm.R2, zkvm.R9, 0)
-		a.Addi(zkvm.R9, zkvm.R9, 1)
-	}
-	pop := func(reg int) {
-		a.Addi(zkvm.R9, zkvm.R9, ^uint32(0))
-		a.Lw(reg, zkvm.R9, 0)
+// predicate leaves e's truth value (0/1) of the entry at r8 in operand
+// d of the evaluation stack. Operands past the stack's registers share
+// the last one, the earlier value waiting in memory. Scratch: r1.
+func (g *queryGen) predicate(e query.Expr, d int) {
+	a, rd := g.a, g.eval[min(d, len(g.eval)-1)]
+	binary := func(l, r query.Expr, op func(rd, rs1, rs2 int)) {
+		g.predicate(l, d)
+		if d+1 < len(g.eval) {
+			g.predicate(r, d+1)
+			op(rd, rd, g.eval[d+1])
+			return
+		}
+		a.Sw(rd, zkvm.R0, qStackBase+uint32(d))
+		g.predicate(r, d+1)
+		a.Lw(zkvm.R1, zkvm.R0, qStackBase+uint32(d))
+		op(rd, rd, zkvm.R1)
 	}
 	switch v := e.(type) {
-	case nil:
-		a.Li(zkvm.R2, 1)
-		push()
 	case *query.Cmp:
-		emitFieldLoad(a, v.Field)
-		a.Li(zkvm.R3, v.Value)
+		src, bound := g.field(rd, v.Field), v.Value
 		switch v.Op {
-		case query.OpEq:
-			a.Xor(zkvm.R2, zkvm.R2, zkvm.R3)
-			a.Sltiu(zkvm.R2, zkvm.R2, 1)
-		case query.OpNe:
-			a.Xor(zkvm.R2, zkvm.R2, zkvm.R3)
-			a.Sltu(zkvm.R2, zkvm.R0, zkvm.R2)
-		case query.OpLt:
-			a.Sltu(zkvm.R2, zkvm.R2, zkvm.R3)
-		case query.OpGe:
-			a.Sltu(zkvm.R2, zkvm.R2, zkvm.R3)
-			a.Xori(zkvm.R2, zkvm.R2, 1)
-		case query.OpGt:
-			a.Sltu(zkvm.R2, zkvm.R3, zkvm.R2)
-		case query.OpLe:
-			a.Sltu(zkvm.R2, zkvm.R3, zkvm.R2)
-			a.Xori(zkvm.R2, zkvm.R2, 1)
+		case query.OpEq, query.OpNe:
+			a.Xori(rd, src, bound)
+			a.Sltiu(rd, rd, 1)
+		case query.OpLe, query.OpGt: // field <= bound is field < bound+1, unless that wraps
+			if bound++; bound == 0 {
+				a.Li(rd, 1)
+				break
+			}
+			fallthrough
+		default:
+			a.Sltiu(rd, src, bound)
 		}
-		push()
+		if v.Op == query.OpNe || v.Op == query.OpGe || v.Op == query.OpGt {
+			a.Xori(rd, rd, 1)
+		}
 	case *query.And:
-		emitPredicate(a, v.L)
-		emitPredicate(a, v.R)
-		pop(zkvm.R3)
-		pop(zkvm.R2)
-		a.And(zkvm.R2, zkvm.R2, zkvm.R3)
-		push()
+		binary(v.L, v.R, a.And)
 	case *query.Or:
-		emitPredicate(a, v.L)
-		emitPredicate(a, v.R)
-		pop(zkvm.R3)
-		pop(zkvm.R2)
-		a.Or(zkvm.R2, zkvm.R2, zkvm.R3)
-		push()
+		binary(v.L, v.R, a.Or)
 	case *query.Not:
-		emitPredicate(a, v.E)
-		pop(zkvm.R2)
-		a.Xori(zkvm.R2, zkvm.R2, 1)
-		push()
+		g.predicate(v.E, d)
+		a.Xori(rd, rd, 1)
 	default:
 		panic(fmt.Sprintf("guest: unknown expression %T", e))
 	}

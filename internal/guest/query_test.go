@@ -178,3 +178,35 @@ func TestQueryGuestDeepPredicate(t *testing.T) {
 		"(proto = 17 AND bytes > 0)) AND NOT dropped > 1000) OR count >= 1)"
 	differential(t, entries, sql)
 }
+
+// TestQueryGuestCodegenEdges drives the compiler's branches against
+// query.Eval: every operator on whole, shifted and masked fields;
+// bounds at both ends of the range, where <= and > cannot be rewritten
+// as < bound+1; a predicate nested past the evaluation stack's
+// registers, both ways round; and one that reads more entry words than
+// there are registers to catch them in.
+func TestQueryGuestCodegenEdges(t *testing.T) {
+	entries := sampleCLog(6, 80)
+	entries[3].Packets, entries[5].Packets, entries[7].Dropped = 0xffffffff, 0, 0xffffffff
+	var sqls []string
+	for _, f := range []string{"packets", "src_port", "dst_port"} {
+		for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
+			for _, v := range []string{"0", "443", "4294967295"} {
+				sqls = append(sqls, "SELECT COUNT(*) FROM clogs WHERE "+f+" "+op+" "+v)
+			}
+		}
+	}
+	right := "proto = 6 OR (packets > 3 AND (dropped = 0 OR (hop_count < 90 AND (count >= 2 OR (rtt_max > 10 AND (src_port != 80 OR bytes > 700))))))"
+	left := "((((((bytes > 700 OR src_port != 80) AND rtt_max > 10) OR count >= 2) AND hop_count < 90) OR dropped = 0) AND packets > 3) OR proto = 6"
+	sqls = append(sqls,
+		// Every spilled operand decides the result: true AND (true AND (... proto = 6)).
+		"SELECT COUNT(*) FROM clogs WHERE count >= 1 AND (packets >= 0 AND (count >= 1 AND (packets >= 0 AND (count >= 1 AND (packets >= 0 AND proto = 6)))))",
+		"SELECT COUNT(*) FROM clogs WHERE count < 1 OR (NOT packets >= 0 OR (count < 1 OR (NOT packets >= 0 OR (count < 1 OR (count < 1 OR proto = 6)))))",
+		"SELECT MIN(bytes) FROM clogs WHERE "+right,
+		"SELECT MAX(dst_port) FROM clogs WHERE "+left,
+		"SELECT SUM(src_port) FROM clogs WHERE NOT ("+right+") OR ("+left+")",
+		"SELECT AVG(jitter_max) FROM clogs WHERE src_ip != \"0.0.0.0\" AND dst_ip != \"0.0.0.0\" AND dst_port >= 0 AND proto < 255 "+
+			"AND packets >= 0 AND bytes >= 0 AND dropped >= 0 AND hop_count >= 0 AND rtt_sum >= 0 AND jitter_sum >= 0 AND count > 0",
+	)
+	differential(t, entries, sqls...)
+}

@@ -74,10 +74,7 @@ func SketchMergeProgram(depth, width int) *zkvm.Program {
 	a.Li(zkvm.R2, sketchWords)
 	a.Li(zkvm.R3, skDigest)
 	a.Ecall(zkvm.SysHash)
-	a.Li(zkvm.R4, skCommit)
-	a.Li(zkvm.R5, skDigest)
-	a.Call("cmp8")
-	a.Beq(zkvm.R6, zkvm.R0, "abort.commit")
+	emitCmp8(a, zkvm.R0, skCommit, zkvm.R0, skDigest, "abort.commit")
 	// Shape check: declared dims must match the compiled dims.
 	a.Lw(zkvm.R2, zkvm.R0, bufBase)
 	a.Li(zkvm.R3, uint32(depth))
@@ -157,7 +154,6 @@ func SketchMergeProgram(depth, width int) *zkvm.Program {
 	a.Label("abort.shape")
 	a.HaltCode(SketchAbortShape)
 
-	emitSubroutines(a)
 	return a.MustAssemble()
 }
 

@@ -259,9 +259,8 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr count
 		rng.Shuffle(len(candidates), func(i, j int) {
 			candidates[i], candidates[j] = candidates[j], candidates[i]
 		})
-		prog := guest.AggregationProgram()
 		for _, h := range candidates[:n] {
-			mode, err := verifyRound(ctx, c, prog, h, verified, opts)
+			mode, err := verifyRound(ctx, c, h, verified, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -314,12 +313,13 @@ const (
 // against the chain-verified ledger entries. Folded rounds escalate
 // to the audit artifact (see the package comment's step 3); the
 // returned mode records which path accepted the round.
-func verifyRound(ctx context.Context, c *api.Client, prog *zkvm.Program, h api.ReceiptHint, verified map[entryKey]merkle.Hash, opts Options) (string, error) {
+func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified map[entryKey]merkle.Hash, opts Options) (string, error) {
 	receipt, err := c.AggregationReceipt(ctx, h.Round)
 	if err != nil {
 		return "", fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
 	}
-	if receipt.Image() != prog.ID() {
+	prog := guest.AggregationImage(receipt.Image())
+	if prog == nil {
 		return "", fmt.Errorf("%w: round %d bound to image %v", ErrReceipt, h.Round, receipt.Image())
 	}
 	vopts := zkvm.VerifyOptions{MinChecks: opts.MinChecks}

@@ -54,6 +54,23 @@ func guestRuns() []guestRun {
 		q := query.MustParse(`SELECT SUM(hop_count) FROM clogs WHERE src_ip = "1.1.1.1" AND dst_ip = "9.9.9.9";`)
 		runs = append(runs, guestRun{fmt.Sprintf("query/%d", n), guest.QueryProgram(q), guest.QueryInput(c.Entries())})
 	}
+	// A second round: records meet, miss and pass the entries of a
+	// previous CLog whose count is no power of two, so the merge takes
+	// every path and reduce pads odd levels by computed jump.
+	first, second := aggregationEpoch(60), aggregationEpoch(60)
+	second.Routers = second.Routers[1:]
+	var batches [][]netflow.Record
+	for _, b := range first.Routers {
+		batches = append(batches, b.Records)
+	}
+	second.PrevEntries = guest.ReferenceAggregate(nil, batches...)
+	second.PrevEntries = second.PrevEntries[:(len(second.PrevEntries)-1)|1]
+	second.PrevRoot = vmtree.Root(guest.EntryWordsOf(second.PrevEntries))
+	runs = append(runs, guestRun{"aggregate/second-round", guest.AggregationProgram(), second.Words()})
+	// A predicate nested past the registers of the query guest's
+	// evaluation stack, so operands wait in memory.
+	nested := query.MustParse(`SELECT MIN(bytes) FROM clogs WHERE proto = 6 OR (packets > 3 AND (dropped = 0 OR (hop_count < 9 AND (count >= 2 OR (rtt_max > 10 AND src_port != 80)))));`)
+	runs = append(runs, guestRun{"query/nested", guest.QueryProgram(nested), guest.QueryInput(second.PrevEntries)})
 	// A tampered batch: the guest aborts with a nonzero exit code.
 	bad := aggregationEpoch(40)
 	bad.Routers[1].Records[3].Bytes++

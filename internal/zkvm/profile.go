@@ -69,28 +69,36 @@ type ProfileEntry struct {
 
 // Profile attributes an execution's cycles and memory operations to
 // regions. Cycles at instruction indices not covered by any region
-// are reported under "(unattributed)".
+// are reported under "(unattributed)"; where regions overlap, the
+// first listed wins.
 func Profile(ex *Execution, regions []Region) []ProfileEntry {
-	byName := map[string]*ProfileEntry{}
-	order := []string{}
-	find := func(pc int) *ProfileEntry {
-		name := "(unattributed)"
-		for i := range regions {
-			if pc >= regions[i].Start && pc < regions[i].End {
-				name = regions[i].Name
-				break
+	// Entry 0 is the unattributed bucket; byPC maps an instruction
+	// index to its entry, so a row costs one lookup however many
+	// regions there are.
+	entries := []ProfileEntry{{Name: "(unattributed)"}}
+	byName := map[string]int{}
+	var byPC []int
+	for _, r := range regions {
+		e, ok := byName[r.Name]
+		if !ok {
+			e = len(entries)
+			byName[r.Name] = e
+			entries = append(entries, ProfileEntry{Name: r.Name})
+		}
+		if r.End > len(byPC) {
+			byPC = append(byPC, make([]int, r.End-len(byPC))...)
+		}
+		for pc := max(r.Start, 0); pc < r.End; pc++ {
+			if byPC[pc] == 0 {
+				byPC[pc] = e
 			}
 		}
-		e, ok := byName[name]
-		if !ok {
-			e = &ProfileEntry{Name: name}
-			byName[name] = e
-			order = append(order, name)
-		}
-		return e
 	}
 	for i := range ex.Rows {
-		e := find(int(ex.Rows[i].PC))
+		e := &entries[0]
+		if pc := int(ex.Rows[i].PC); pc < len(byPC) {
+			e = &entries[byPC[pc]]
+		}
 		e.Cycles++
 		if i+1 < len(ex.Rows) {
 			e.MemOps += int(ex.Rows[i+1].MemPtr - ex.Rows[i].MemPtr)
@@ -98,16 +106,14 @@ func Profile(ex *Execution, regions []Region) []ProfileEntry {
 			e.MemOps += len(ex.MemLog) - int(ex.Rows[i].MemPtr)
 		}
 	}
-	total := len(ex.Rows)
-	out := make([]ProfileEntry, 0, len(order))
-	for _, name := range order {
-		e := byName[name]
-		if total > 0 {
-			e.CyclePct = 100 * float64(e.Cycles) / float64(total)
+	out := entries[:0]
+	for _, e := range entries {
+		if e.Cycles > 0 {
+			e.CyclePct = 100 * float64(e.Cycles) / float64(len(ex.Rows))
+			out = append(out, e)
 		}
-		out = append(out, *e)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Cycles > out[j].Cycles })
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Cycles > out[j].Cycles })
 	return out
 }
 

@@ -86,3 +86,26 @@ func TestProfileUnattributed(t *testing.T) {
 		t.Fatalf("pct = %f", prof[0].CyclePct)
 	}
 }
+
+// TestProfileRegionTable: regions that share a name share an entry,
+// the first region listed wins an overlap, and rows past every region
+// are unattributed.
+func TestProfileRegionTable(t *testing.T) {
+	a := NewAssembler()
+	for i := 0; i < 6; i++ {
+		a.Li(R2, uint32(i))
+	}
+	a.HaltCode(0) // instructions 6 and 7
+	ex, err := Execute(a.MustAssemble(), nil, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := Profile(ex, []Region{{"a", 0, 2}, {"b", 1, 4}, {"a", 4, 6}})
+	got := map[string]int{}
+	for _, e := range prof {
+		got[e.Name] = e.Cycles
+	}
+	if len(prof) != 3 || got["a"] != 4 || got["b"] != 2 || got["(unattributed)"] != 2 {
+		t.Fatalf("profile: %+v", prof)
+	}
+}
