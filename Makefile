@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # input for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
-.PHONY: build vet test race fuzz farm check bench bench-e2e bench-parallel bench-commit guest-profile verify
+.PHONY: build vet test race fuzz farm check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,8 @@ test:
 # Race lane: the packages that fan work out across goroutines — the
 # shared fan-out helpers, the prover's block-commit crew, the
 # segmented (continuation) proving crew, the parallel fold tree, the
-# epoch pipeline, the retrying remote dispatcher, the metrics registry, the HTTP layer, the sharded UDP
-# ingest pipeline, the checkpointing ledger plus the light-client
+# epoch pipeline, the prover farm, the metrics registry, the HTTP layer,
+# the sharded UDP ingest pipeline, the checkpointing ledger plus the light-client
 # sync that reads it, and the STARK math kernel (shared twiddle/ladder
 # caches, pooled scratch, chunk-parallel LDE/composition/FRI).
 race:
@@ -66,6 +66,8 @@ farm:
 # deterministic checks fail fast.
 check: build vet test race farm fuzz
 
+# The paper's figures and the DESIGN §5 ablations, one pass each (the
+# table at the head of EXPERIMENTS.md maps entries to functions).
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=^$$ .
 
@@ -94,17 +96,16 @@ bench-parallel:
 # hashed per record next to ns/record), the emulator alone (mono /
 # segmented / count-only, ns per trace row), the Merkle arena build, the
 # NTT kernel, and the whole prover. Compare against the allocs/op recorded in
-# EXPERIMENTS.md E14. Finishes by regenerating the committed benchmark
-# baseline (BENCH_PR10.json: E1 sweep + stage split + E15 continuation
-# sweep + E16 ingest throughput sweep + E17 light-client sync + E18
-# prover farm + E19 recursive fold + E20 math kernel); gate a branch
-# against it with `zkflow-benchdiff BENCH_PR10.json fresh.json`.
+# EXPERIMENTS.md E14.
 bench-commit:
 	$(GO) test -bench='HashLevel|Leaf2' -benchmem -run=^$$ ./internal/hashk
 	$(GO) test -bench='CommitBlock|Execute' -benchmem -run=^$$ ./internal/zkvm
 	$(GO) test -bench='BuildHashes|Build1024' -benchmem -run=^$$ ./internal/merkle
 	$(GO) test -bench='NTTInto|Butterflies' -benchmem -run=^$$ ./internal/poly ./internal/field
 	$(GO) test -bench='ProveParallel/parallelism=1' -benchmem -run=^$$ .
-	$(GO) run ./cmd/zkflow-bench -json BENCH_PR10.json
+
+# Non-test Go lines, by the one definition ROADMAP item 4 counts with.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 
 verify: build vet test race

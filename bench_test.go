@@ -1,9 +1,11 @@
 package zkflow_test
 
 // Benchmarks regenerating the paper's evaluation artifacts (one per
-// table/figure; see DESIGN.md §4 for the experiment index). Paper
-// sizes run up to 3000 records via cmd/zkflow-bench; the testing.B
-// variants default to a ladder that keeps `go test -bench=.` fast.
+// table/figure; see DESIGN.md §4 for the experiment index and the table
+// at the head of EXPERIMENTS.md for which function regenerates which
+// entry). The size ladder ends at the paper's 3000 records. These are
+// the figures' generators, not the repository's reference benchmark:
+// that is `go run ./bench` (BENCHMARK.json).
 
 import (
 	"context"
@@ -27,7 +29,7 @@ import (
 	"zkflow/internal/zkvm"
 )
 
-var benchSizes = []int{50, 100, 500, 1000}
+var benchSizes = []int{50, 100, 500, 1000, 3000}
 
 // genesisInput mirrors the paper's 4-router topology for one round.
 func genesisInput(seed int64, records int) *guest.AggInput {

@@ -38,8 +38,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		flows    = flag.Int("flows", 256, "flow population size")
 		loss     = flag.Float64("loss", 0.02, "packet loss rate")
-		worker   = flag.String("worker", "", "off-path proving worker URL (empty = prove locally)")
-		farmAddr = flag.String("farm-addr", "", "prover-farm coordinator listen address (empty = no farm); workers dial in with zkflow-worker -farm-addr")
+		farmAddr = flag.String("farm-addr", "", "prover-farm coordinator listen address (empty = prove locally); workers dial in with zkflow-worker -farm-addr, and one worker is an off-path prover")
 		farmWait = flag.Int("workers", 0, "with -farm-addr: wait for this many farm workers before the first epoch")
 		pipeline = flag.Int("pipeline", 0, "pipeline depth: overlap witness generation with up to N in-flight seals (0 = serial)")
 		workers  = flag.Int("parallelism", 0, "prover worker-pool width (0 = all CPUs, 1 = serial)")
@@ -66,11 +65,7 @@ func main() {
 	if *foldRcpt && *segCyc <= 0 {
 		log.Printf("warning: -fold has no effect without -segment-cycles")
 	}
-	switch {
-	case *worker != "":
-		opts.Prove = remote.NewClient(*worker, nil).Prove
-		log.Printf("proving off-path via %s", *worker)
-	case *farmAddr != "":
+	if *farmAddr != "" {
 		coord := remote.NewCoordinator(remote.FarmConfig{Metrics: reg})
 		if err := coord.Start(*farmAddr); err != nil {
 			log.Fatalf("farm coordinator: %v", err)

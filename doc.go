@@ -11,6 +11,7 @@
 //
 // Start with examples/quickstart, then see DESIGN.md for the system
 // inventory and EXPERIMENTS.md for the paper-versus-measured results.
-// The benchmarks in bench_test.go and the cmd/zkflow-bench harness
-// regenerate every table and figure of the paper's evaluation.
+// The benchmarks in bench_test.go regenerate the tables and figures of
+// the paper's evaluation; `go run ./bench` is the reference benchmark
+// every change is measured by (BENCHMARK.json).
 package zkflow

@@ -39,11 +39,12 @@ import (
 	"zkflow/internal/zkvm"
 )
 
-// ProveFunc generates a receipt for a guest run. The default is
-// local zkvm.ProveAny; remote.Client.Prove plugs in here for off-path
-// proving (paper §7). With opts.SegmentCycles > 0 the returned
-// receipt is a *zkvm.CompositeReceipt (continuation chain), otherwise
-// a single *zkvm.Receipt.
+// ProveFunc generates a receipt for a guest run. The default is local
+// zkvm.ProveAny; what plugs in here is a wrapper around it, such as the
+// benchmark's tracing hook (off-path proving, paper §7, is
+// Options.Farm). With opts.SegmentCycles > 0 the returned receipt is a
+// *zkvm.CompositeReceipt (continuation chain), otherwise a single
+// *zkvm.Receipt.
 type ProveFunc func(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error)
 
 // Options configures proof generation.

@@ -2,11 +2,10 @@ package core
 
 import (
 	"context"
-	"runtime"
-	"sync"
 
 	"zkflow/internal/clog"
 	"zkflow/internal/gperm"
+	"zkflow/internal/par"
 	"zkflow/internal/vmtree"
 	"zkflow/internal/zkvm"
 )
@@ -47,27 +46,16 @@ const entriesRootParallelMin = 2048
 // grow.
 func entriesRoot(entries []clog.Entry) vmtree.Digest {
 	n := len(entries)
-	shards := runtime.GOMAXPROCS(0)
+	shards := par.Workers(0)
 	if shards <= 1 || n < entriesRootParallelMin {
 		return clog.MergeSubTreeRoots(clog.SubTreeRoots(entries, 1))
 	}
 	digests := make([]vmtree.Digest, n)
-	chunk := (n + shards - 1) / shards
-	var wg sync.WaitGroup
-	for off := 0; off < n; off += chunk {
-		end := off + chunk
-		if end > n {
-			end = n
+	par.ForChunks(shards, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			w := entries[i].Words()
+			digests[i] = vmtree.HashWords(w[:])
 		}
-		wg.Add(1)
-		go func(off, end int) {
-			defer wg.Done()
-			for i := off; i < end; i++ {
-				w := entries[i].Words()
-				digests[i] = vmtree.HashWords(w[:])
-			}
-		}(off, end)
-	}
-	wg.Wait()
+	})
 	return vmtree.MergeRoots(vmtree.SubRoots(digests, shards))
 }

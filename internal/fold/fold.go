@@ -2,7 +2,7 @@
 // bounded-size FoldedReceipt with O(1) verification, independent of
 // how many segments the prover (or the prover farm) used.
 //
-// BENCH_PR5.json measures the problem: receipt size and verify time
+// EXPERIMENTS.md E15 measures the problem: receipt size and verify time
 // are linear in segment count — 305 KB / 2.3 ms for a monolithic
 // receipt versus 5342 KB / 34 ms at 12 segments. A light client that
 // downloads the composite pays for every segment. The fold step runs

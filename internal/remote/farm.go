@@ -1,3 +1,16 @@
+// Package remote implements off-path proof generation (paper §2.2 and
+// §7: routers and collectors are resource-constrained, so "proof
+// generation [is] performed on an off-path compute environment,
+// decoupled from the data collection process") as a prover farm: a
+// Coordinator beside the collector, and workers that dial in over TCP
+// and prove what it dispatches. The paper's single off-path prover is a
+// farm of one worker; its proof parallelisation is the same farm with
+// more.
+//
+// Trust model: a worker is the operator's own compute node — it sees
+// private inputs (like the paper's off-path prover) but cannot forge
+// results, because the coordinator re-checks every returned receipt's
+// seal and the eventual verifiers check it again.
 package remote
 
 import (
@@ -160,8 +173,7 @@ func (w *farmWorker) expectedScore(prior float64, extra int) float64 {
 
 // Coordinator accepts worker registrations and dispatches proving
 // jobs. It implements core.Backend (ProveContext) and core.ProveFunc
-// (Prove), so it drops into core.Options beside the local prover and
-// the HTTP client.
+// (Prove), so it drops into core.Options in place of the local prover.
 type Coordinator struct {
 	cfg FarmConfig
 
@@ -858,8 +870,8 @@ func (c *Coordinator) FoldLeaves(ctx context.Context, prog *zkvm.Program, segs [
 	return leaves, nil
 }
 
-// checkReceipt locally re-verifies a farm-assembled receipt before
-// handing it to the caller — same trust stance as Client.check: a
+// checkReceipt locally re-verifies a receipt a worker returned, or one
+// assembled from workers' segments, before handing it to the caller: a
 // buggy or compromised worker cannot slip an invalid receipt into the
 // aggregation chain. AcceptProverTrusted stays off: a worker has no
 // business returning a prover-trusted kind (e.g. a folded receipt)

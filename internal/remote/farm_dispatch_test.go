@@ -78,8 +78,8 @@ func TestFarmDispatchOverhead(t *testing.T) {
 			snap := reg.Snapshot()
 			t.Logf("wall=%v ideal=%v overhead=%v (requeued=%d dead=%d)",
 				wall, ideal, overhead, snap.Counters["farm.jobs_requeued"], snap.Counters["farm.workers_dead"])
-			if overhead > 2*time.Second {
-				t.Fatalf("dispatch overhead %v beyond the 2s bound (wall %v, ideal %v)", overhead, wall, ideal)
+			if overhead > dispatchOverheadBound {
+				t.Fatalf("dispatch overhead %v beyond the %v bound (wall %v, ideal %v)", overhead, dispatchOverheadBound, wall, ideal)
 			}
 			if got := snap.Counters["farm.results_duplicate"]; got != 0 {
 				t.Fatalf("%d duplicate results in a churn-free run", got)

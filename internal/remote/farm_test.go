@@ -4,11 +4,19 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"zkflow/internal/core"
+	"zkflow/internal/ledger"
+	"zkflow/internal/netflow"
 	"zkflow/internal/obs"
+	"zkflow/internal/router"
+	"zkflow/internal/store"
+	"zkflow/internal/trafficgen"
 	"zkflow/internal/zkvm"
 )
 
@@ -99,6 +107,140 @@ func TestFarmWholeJobByteIdentical(t *testing.T) {
 	wb, _ := want.MarshalBinary()
 	if !bytes.Equal(gb, wb) {
 		t.Fatal("farm whole-job receipt differs from local prover")
+	}
+}
+
+// TestFarmOfOneIsTheOffPathProver: one worker behind the coordinator is
+// the paper's off-path prover. What it cannot prove surfaces as its
+// error and no receipt; what it returns is checked before anyone else
+// sees it.
+func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
+	abort := zkvm.NewAssembler()
+	abort.HaltCode(3)
+	trap := zkvm.NewAssembler()
+	trap.ReadInput(zkvm.R2) // no input: traps
+	trap.HaltCode(0)
+	// A worker that proves some other program, and one whose receipt
+	// lost a bit on the way: both produce well-formed results.
+	otherImage := func(_ context.Context, job *WorkerJob) ([]byte, error) {
+		prog, input := loopProgram()
+		r, err := zkvm.ProveWithSeed(prog, input, job.Opts, job.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return r.MarshalBinary()
+	}
+	flippedSeal := func(_ context.Context, job *WorkerJob) ([]byte, error) {
+		r, err := zkvm.ProveWithSeed(job.Prog, job.Input, job.Opts, job.Seed)
+		if err != nil {
+			return nil, err
+		}
+		r.Seal.ExecRoot[0] ^= 1
+		return r.MarshalBinary()
+	}
+	for _, tc := range []struct {
+		name    string
+		prog    *zkvm.Program
+		input   []uint32
+		opts    zkvm.ProveOptions
+		prove   ProveJobFunc // nil = the worker's own prover
+		wantErr string       // "" = a receipt that verifies
+	}{
+		{name: "whole job", prog: simpleProgram(), input: []uint32{20, 22}, opts: zkvm.ProveOptions{Checks: 6}},
+		{name: "guest abort", prog: abort.MustAssemble(), opts: zkvm.ProveOptions{Checks: 4}, wantErr: "exit code 3"},
+		{name: "guest trap", prog: trap.MustAssemble(), opts: zkvm.ProveOptions{Checks: 4}, wantErr: "worker w1"},
+		// SegmentCycles is a raw uint32 of the job frame. The largest one
+		// over a five-instruction guest must cost the worker a five-row
+		// trace, not a slab sized by the cut.
+		{name: "hostile SegmentCycles", prog: simpleProgram(), input: []uint32{20, 22},
+			opts: zkvm.ProveOptions{Checks: 6, SegmentCycles: math.MaxUint32}},
+		{name: "receipt for another image", prog: simpleProgram(), input: []uint32{20, 22},
+			opts: zkvm.ProveOptions{Checks: 6}, prove: otherImage, wantErr: "receipt for image"},
+		{name: "flipped seal byte", prog: simpleProgram(), input: []uint32{20, 22},
+			opts: zkvm.ProveOptions{Checks: 6}, prove: flippedSeal, wantErr: "receipt invalid"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := testFarm(t, nil)
+			startWorker(t, c.Addr(), WorkerConfig{Name: "w1", Prove: tc.prove})
+			waitWorkers(t, c, 1)
+			receipt, err := c.Prove(tc.prog, tc.input, tc.opts)
+			if tc.wantErr != "" {
+				if receipt != nil || !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("got receipt %v, error %v; want no receipt and ErrRemote mentioning %q", receipt, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := zkvm.VerifyAny(tc.prog, receipt, zkvm.VerifyOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			if receipt.JournalWords()[0] != 42 {
+				t.Fatalf("journal %v", receipt.JournalWords())
+			}
+		})
+	}
+}
+
+// TestFarmOfOneAggregationPipeline is the full §7 scenario: the
+// operator's prover dispatches all proving to one off-path worker and
+// the auditor notices nothing — except that tampered telemetry still
+// fails to prove, and the chain goes on from the last honest round.
+func TestFarmOfOneAggregationPipeline(t *testing.T) {
+	c := testFarm(t, nil)
+	startWorker(t, c.Addr(), WorkerConfig{})
+	waitWorkers(t, c, 1)
+
+	st := store.Open(0)
+	lg := ledger.New()
+	sim := router.NewSim(trafficgen.Config{Seed: 9, NumFlows: 24, Routers: 2}, st, lg)
+	if err := sim.RunEpochs(context.Background(), 0, 3, 8); err != nil {
+		t.Fatal(err)
+	}
+	st.Append(1, 0, []netflow.Record{{Key: netflow.FlowKey{SrcIP: 1}, Packets: 1, StartUnix: 1, EndUnix: 2}})
+	prover := core.NewProver(st, lg, core.Options{Checks: 6, Farm: c})
+	verifier := core.NewVerifier(lg)
+	for epoch := uint64(0); epoch < 3; epoch++ {
+		res, err := prover.AggregateEpoch(epoch)
+		if epoch == 1 {
+			if err == nil {
+				t.Fatal("tampered store proven off-path")
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("off-path aggregate %d: %v", epoch, err)
+		}
+		if _, err := verifier.VerifyAggregation(res.Receipt); err != nil {
+			t.Fatalf("verify %d: %v", epoch, err)
+		}
+	}
+	qr, err := prover.Query("SELECT SUM(packets) FROM clogs;")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := verifier.VerifyQuery(qr.SQL, qr.Receipt); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFarmWorkerMetersItsJobs: a worker's registry is the only place its
+// operator can see what it did.
+func TestFarmWorkerMetersItsJobs(t *testing.T) {
+	c := testFarm(t, nil)
+	reg := obs.NewRegistry()
+	startWorker(t, c.Addr(), WorkerConfig{Metrics: reg})
+	waitWorkers(t, c, 1)
+	if _, err := c.Prove(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6}); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	if got := snap.Counters["farmworker.jobs"]; got != 1 {
+		t.Fatalf("farmworker.jobs = %d, want 1", got)
+	}
+	if got := snap.Histograms["prover.stage.seal_seconds"].Count; got != 1 {
+		t.Fatalf("%d prover.stage.seal observations, want 1", got)
 	}
 }
 

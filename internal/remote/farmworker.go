@@ -28,7 +28,9 @@ type WorkerConfig struct {
 	// Capacity is the number of jobs the worker proves concurrently
 	// (default 1).
 	Capacity int
-	// Metrics receives worker-side counters (nil = private registry).
+	// Metrics receives the worker's farmworker.* counters and, from the
+	// default job prover, the per-stage prover breakdown
+	// (prover.stage.*_seconds); nil = a private registry.
 	Metrics *obs.Registry
 	// Prove overrides job proving — the fault-injection hook. nil uses
 	// the default local prover.
@@ -180,9 +182,11 @@ func (rc *runCache) drain() {
 // defaultProveJob proves a job locally: segment jobs through the
 // shared run cache, whole jobs via the deterministic seeded provers,
 // fold-leaf jobs by verifying the carried segment receipt and
-// returning its fold-tree digest.
-func defaultProveJob(cache *runCache) ProveJobFunc {
+// returning its fold-tree digest. Proving stages are timed into stages.
+func defaultProveJob(cache *runCache, stages zkvm.StageObserver) ProveJobFunc {
 	return func(_ context.Context, job *WorkerJob) ([]byte, error) {
+		opts := job.Opts
+		opts.Observer = stages
 		if job.FoldLeaf {
 			sr, err := zkvm.UnmarshalSegmentReceipt(job.LeafReceipt)
 			if err != nil {
@@ -203,7 +207,7 @@ func defaultProveJob(cache *runCache) ProveJobFunc {
 		if job.Segment {
 			key := runCacheKey(EncodeRequest(job.Prog, job.Input, job.Opts), job.Seed)
 			run, err := cache.acquire(key, func() (*zkvm.SegmentRun, error) {
-				return zkvm.NewSegmentRun(job.Prog, job.Input, job.Opts, job.Seed)
+				return zkvm.NewSegmentRun(job.Prog, job.Input, opts, job.Seed)
 			})
 			if err != nil {
 				return nil, err
@@ -215,14 +219,14 @@ func defaultProveJob(cache *runCache) ProveJobFunc {
 			}
 			return zkvm.MarshalSegmentReceipt(sr)
 		}
-		if job.Opts.SegmentCycles > 0 {
-			comp, err := zkvm.ProveSegmentedWithSeed(job.Prog, job.Input, job.Opts, job.Seed)
+		if opts.SegmentCycles > 0 {
+			comp, err := zkvm.ProveSegmentedWithSeed(job.Prog, job.Input, opts, job.Seed)
 			if err != nil {
 				return nil, err
 			}
 			return comp.MarshalBinary()
 		}
-		r, err := zkvm.ProveWithSeed(job.Prog, job.Input, job.Opts, job.Seed)
+		r, err := zkvm.ProveWithSeed(job.Prog, job.Input, opts, job.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +332,7 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 	defer cache.drain()
 	prove := cfg.Prove
 	if prove == nil {
-		prove = defaultProveJob(cache)
+		prove = defaultProveJob(cache, obs.NewStageRecorder(reg, "prover.stage."))
 	}
 
 	// Read loop: dispatches spawn prover goroutines bounded by the

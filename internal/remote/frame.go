@@ -12,10 +12,7 @@ import (
 )
 
 // Farm wire protocol: length-prefixed frames over one long-lived TCP
-// connection per worker. The dispatch payload reuses the existing
-// EncodeRequest v1/v2 body (program + input + prove options), so the
-// farm shares its job encoding — and its fuzz corpus — with the HTTP
-// worker path.
+// connection per worker.
 //
 //	frame := magic u32 | type u8 | len u32 | payload[len]
 //
@@ -35,12 +32,21 @@ const (
 // frameHeader is the fixed prefix size (magic + type + length).
 const frameHeader = 9
 
-// maxFrame bounds a frame payload. Job frames embed a full proving
-// request, so the bound matches the HTTP path's request cap.
-const maxFrame = maxRequest
+// maxFrame bounds a frame payload: a job frame carries a program and
+// the whole private input of an epoch, a result frame a whole receipt.
+const maxFrame = 512 << 20
+
+// frameChunk is what readFrame reserves on a header's say-so. Frames up
+// to it — heartbeats, a 1000-record epoch's job, most segment receipts —
+// are read into one exact allocation.
+const frameChunk = 512 << 10
 
 // ErrBadFrame reports an unparseable farm frame.
 var ErrBadFrame = errors.New("remote: malformed farm frame")
+
+// ErrRemote wraps worker-side failures: a job the worker could not
+// prove, or a result the coordinator will not accept.
+var ErrRemote = errors.New("remote: proving failed")
 
 // writeFrame writes one frame. Callers serialise writes per
 // connection.
@@ -56,7 +62,13 @@ func writeFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
-// readFrame reads one frame, bounding the payload at maxFrame.
+// readFrame reads one frame, bounding the payload at maxFrame. The
+// length in the header is a claim — the coordinator reads it from a peer
+// that has not registered yet — so it reserves at most frameChunk by
+// itself: a longer payload is read in stages of n/8ᵏ, …, n/8, n bytes,
+// each reserved only once the one before it has filled with bytes that
+// actually arrived. A large frame costs at most a seventh more than its
+// size to receive; a claim with nothing behind it costs frameChunk.
 func readFrame(r io.Reader) (byte, []byte, error) {
 	hdr := make([]byte, frameHeader)
 	if _, err := io.ReadFull(r, hdr); err != nil {
@@ -66,15 +78,87 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 		return 0, nil, ErrBadFrame
 	}
 	typ := hdr[4]
-	n := binary.LittleEndian.Uint32(hdr[5:])
-	if int64(n) > maxFrame {
+	claim := binary.LittleEndian.Uint32(hdr[5:])
+	if claim > maxFrame {
 		return 0, nil, ErrBadFrame
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
+	n := int(claim)
+	shift := 0
+	for n>>shift > frameChunk {
+		shift += 3
 	}
-	return typ, payload, nil
+	payload := make([]byte, 0, n>>shift)
+	for {
+		if _, err := io.ReadFull(r, payload[len(payload):cap(payload)]); err != nil {
+			return 0, nil, fmt.Errorf("%w: truncated payload: %v", ErrBadFrame, err)
+		}
+		payload = payload[:cap(payload)]
+		if shift == 0 {
+			return typ, payload, nil
+		}
+		shift -= 3
+		payload = append(make([]byte, 0, n>>shift), payload...)
+	}
+}
+
+// reqMagic opens a proving request, the body of every job frame.
+const reqMagic = 0x7a6b7732 // "zkw2"
+
+// EncodeRequest frames a proving request: what to run (program, private
+// input) and the two prove options that change the receipt (Checks,
+// SegmentCycles). The word after Checks is reserved and zero.
+func EncodeRequest(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) []byte {
+	progBytes := prog.Encode()
+	out := make([]byte, 0, 24+len(progBytes)+4*len(input))
+	out = binary.LittleEndian.AppendUint32(out, reqMagic)
+	out = binary.LittleEndian.AppendUint32(out, uint32(opts.Checks))
+	out = binary.LittleEndian.AppendUint32(out, 0) // reserved
+	out = binary.LittleEndian.AppendUint32(out, uint32(opts.SegmentCycles))
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(progBytes)))
+	out = append(out, progBytes...)
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(input)))
+	for _, w := range input {
+		out = binary.LittleEndian.AppendUint32(out, w)
+	}
+	return out
+}
+
+// ErrBadRequest reports an unparseable proving request.
+var ErrBadRequest = errors.New("remote: malformed proving request")
+
+// DecodeRequest inverts EncodeRequest. The framing is canonical: what
+// decodes re-encodes to the same bytes.
+func DecodeRequest(data []byte) (*zkvm.Program, []uint32, zkvm.ProveOptions, error) {
+	var opts zkvm.ProveOptions
+	const off = 20
+	if len(data) < off+4 || binary.LittleEndian.Uint32(data) != reqMagic || binary.LittleEndian.Uint32(data[8:]) != 0 {
+		return nil, nil, opts, ErrBadRequest
+	}
+	opts.Checks = int(binary.LittleEndian.Uint32(data[4:]))
+	opts.SegmentCycles = int(binary.LittleEndian.Uint32(data[12:]))
+	// Length checks are done in int64: comparing in uint32 (or a 32-bit
+	// int) lets a huge count wrap (4*nIn overflows) and walk past the
+	// buffer.
+	progLen64 := int64(binary.LittleEndian.Uint32(data[16:]))
+	if int64(len(data)-off-4) < progLen64 {
+		return nil, nil, opts, ErrBadRequest
+	}
+	progLen := int(progLen64)
+	prog, err := zkvm.DecodeProgram(data[off : off+progLen])
+	if err != nil {
+		return nil, nil, opts, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	rest := data[off+progLen:]
+	nIn := int64(binary.LittleEndian.Uint32(rest))
+	rest = rest[4:]
+	if int64(len(rest)) != 4*nIn {
+		return nil, nil, opts, ErrBadRequest
+	}
+	input := make([]uint32, nIn)
+	for i := range input {
+		input[i] = binary.LittleEndian.Uint32(rest[4*i:])
+	}
+	return prog, input, opts, nil
 }
 
 // helloMsg registers a worker: a display name and its proving

@@ -2,24 +2,28 @@ package remote
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"runtime"
 	"testing"
 
 	"zkflow/internal/zkvm"
 )
 
 // FuzzDecodeRequest drives the proving-request decoder over arbitrary
-// bytes — this is the worker's network-facing parser, so it must
-// never panic — and checks accept implies exact re-encode (the
+// bytes — it parses the body of every job frame a worker is sent, so it
+// must never panic — and checks accept implies exact re-encode (the
 // framing is canonical).
 func FuzzDecodeRequest(f *testing.F) {
 	valid := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6})
 	f.Add(valid)
 	f.Add(valid[:len(valid)-3])
-	f.Add(valid[:16])
+	f.Add(valid[:20])
 	f.Add([]byte{})
-	f.Add([]byte{0x77, 0x72, 0x6b, 0x7a}) // magic alone
+	f.Add([]byte{0x32, 0x77, 0x6b, 0x7a}) // magic alone
+	f.Add(EncodeRequest(simpleProgram(), nil, zkvm.ProveOptions{Checks: 6, SegmentCycles: 0xffffffff}))
 	huge := append([]byte(nil), valid...)
-	huge[12], huge[13], huge[14], huge[15] = 0xff, 0xff, 0xff, 0xff // program length lie
+	huge[16], huge[17], huge[18], huge[19] = 0xff, 0xff, 0xff, 0xff // program length lie
 	f.Add(huge)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		prog, input, opts, err := DecodeRequest(data)
@@ -97,6 +101,7 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(good.Bytes()[:good.Len()-2])
 	f.Add([]byte{})
 	f.Add([]byte{0x61, 0x66, 0x6b, 0x7a}) // magic alone
+	f.Add(maxClaimHeader())               // the largest payload a header may claim, none of it sent
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		consumed := 0
@@ -116,28 +121,50 @@ func FuzzReadFrame(f *testing.F) {
 	})
 }
 
-// TestDecodeRequestRoundTrip pins decode(encode(x)) == x on a valid
-// request (the fuzz target only checks the reverse composition).
-func TestDecodeRequestRoundTrip(t *testing.T) {
-	prog := simpleProgram()
-	input := []uint32{7, 35, 0xffffffff}
-	opts := zkvm.ProveOptions{Checks: 48}
-	gotProg, gotInput, gotOpts, err := DecodeRequest(EncodeRequest(prog, input, opts))
-	if err != nil {
-		t.Fatal(err)
+// maxClaimHeader is a frame header claiming a maxFrame payload.
+func maxClaimHeader() []byte {
+	hdr := make([]byte, frameHeader)
+	binary.LittleEndian.PutUint32(hdr, frameMagic)
+	hdr[4] = frameHello
+	binary.LittleEndian.PutUint32(hdr[5:], maxFrame)
+	return hdr
+}
+
+// TestReadFrameReservesNothingOnAClaim: the coordinator reads frames
+// from peers that have not registered. A nine-byte header claiming the
+// largest payload, followed by nothing, must cost what nine bytes cost.
+func TestReadFrameReservesNothingOnAClaim(t *testing.T) {
+	hdr := maxClaimHeader()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := readFrame(bytes.NewReader(hdr))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("got %v, want ErrBadFrame", err)
 	}
-	if gotProg.ID() != prog.ID() {
-		t.Fatal("program did not round-trip")
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("a %d-byte header made readFrame allocate %d bytes", len(hdr), got)
 	}
-	if len(gotInput) != len(input) {
-		t.Fatalf("input length %d, want %d", len(gotInput), len(input))
+	binary.LittleEndian.PutUint32(hdr[5:], maxFrame+1)
+	if _, _, err := readFrame(bytes.NewReader(hdr)); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("payload over the bound: got %v, want ErrBadFrame", err)
 	}
-	for i := range input {
-		if gotInput[i] != input[i] {
-			t.Fatalf("input[%d] = %d, want %d", i, gotInput[i], input[i])
+}
+
+// TestReadFrameStagedRoundTrip: payloads on both sides of every point
+// where readFrame moves to a larger buffer come back byte for byte.
+func TestReadFrameStagedRoundTrip(t *testing.T) {
+	for _, n := range []int{0, 1, frameChunk, frameChunk + 1, 8 * frameChunk, 8*frameChunk + 7, 9*frameChunk + 3} {
+		want := make([]byte, n)
+		for i := range want {
+			want[i] = byte(i * 131 >> 3)
 		}
-	}
-	if gotOpts.Checks != opts.Checks {
-		t.Fatalf("options = %+v, want %+v", gotOpts, opts)
+		var buf bytes.Buffer
+		writeFrame(&buf, frameJob, want)
+		buf.WriteByte(0xee) // the next frame's first byte must stay unread
+		typ, got, err := readFrame(&buf)
+		if err != nil || typ != frameJob || !bytes.Equal(got, want) || buf.Len() != 1 {
+			t.Fatalf("n=%d: typ=%#x err=%v equal=%v left=%d", n, typ, err, bytes.Equal(got, want), buf.Len())
+		}
 	}
 }

@@ -8,10 +8,10 @@ package router
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"zkflow/internal/ledger"
 	"zkflow/internal/netflow"
+	"zkflow/internal/par"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
 )
@@ -50,29 +50,24 @@ func NewSim(cfg trafficgen.Config, st *store.Store, lg *ledger.Ledger) *Sim {
 func (s *Sim) RunEpoch(ctx context.Context, epoch uint64, recordsPerRouter int) ([][]netflow.Record, error) {
 	batches := make([][]netflow.Record, len(s.Routers))
 	errs := make([]error, len(s.Routers))
-	var wg sync.WaitGroup
-	for i, r := range s.Routers {
-		wg.Add(1)
-		go func(i int, r *Router) {
-			defer wg.Done()
-			if ctx.Err() != nil {
-				errs[i] = ctx.Err()
-				return
-			}
-			recs := r.Gen.Batch(r.ID, epoch, recordsPerRouter)
-			if dropped, err := s.Store.Append(epoch, r.ID, recs); err != nil {
-				errs[i] = fmt.Errorf("router %d: %d records refused: %w", r.ID, dropped, err)
-				return
-			}
-			_, err := s.Ledger.Publish(r.ID, epoch, ledger.CommitRecords(recs))
-			if err != nil {
-				errs[i] = fmt.Errorf("router %d: %w", r.ID, err)
-				return
-			}
-			batches[i] = recs
-		}(i, r)
-	}
-	wg.Wait()
+	par.Each(len(s.Routers), len(s.Routers), func(i int) {
+		r := s.Routers[i]
+		if ctx.Err() != nil {
+			errs[i] = ctx.Err()
+			return
+		}
+		recs := r.Gen.Batch(r.ID, epoch, recordsPerRouter)
+		if dropped, err := s.Store.Append(epoch, r.ID, recs); err != nil {
+			errs[i] = fmt.Errorf("router %d: %d records refused: %w", r.ID, dropped, err)
+			return
+		}
+		_, err := s.Ledger.Publish(r.ID, epoch, ledger.CommitRecords(recs))
+		if err != nil {
+			errs[i] = fmt.Errorf("router %d: %w", r.ID, err)
+			return
+		}
+		batches[i] = recs
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -4,7 +4,7 @@ import "time"
 
 // Prover substages, in execution order. Names are stable identifiers:
 // they key metric series (obs.StageRecorder prefixes them into e.g.
-// stark.stage.lde_ms) and the zkflow-bench stage tables.
+// stark.stage.lde_seconds) and EXPERIMENTS.md E20's stage table.
 const (
 	// StageLDE is the per-column interpolate + coset-evaluate low
 	// degree extension of the trace.

@@ -12,8 +12,8 @@ import (
 // in process, the generator encodes them as NetFlow v9 export packets
 // or sFlow v5 datagrams and sends them to a collector socket — the
 // same wire format internal/ingest decodes. This is the load source
-// for end-to-end ingest tests, the zkflow-bench ingest lane, and for
-// driving a live zkflowd without router hardware.
+// for end-to-end ingest tests, the benchmark's ingest-udp workload, and
+// for driving a live zkflowd without router hardware.
 
 // Replay protocols.
 const (

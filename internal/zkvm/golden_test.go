@@ -12,6 +12,9 @@ var updateGolden = flag.Bool("update", false, "regenerate golden receipt vectors
 
 const (
 	goldenReceiptFile = "receipt_v3.bin"
+	// The segmented sealer's vector: four segments, so every continuation
+	// check family and both kinds of boundary are in it.
+	goldenCompositeFile = "composite_v3.bin"
 	// The format-v2 vectors (four whole records per leaf, exec leaves
 	// included) are what the parent of format v3 sealed: its golden
 	// vector and a four-segment composite. Like the v1 ones below they
@@ -53,35 +56,63 @@ func goldenReceipt(t *testing.T) []byte {
 // TestGoldenReceipt pins the receipt wire format: any change to the
 // trace layout, transcript schedule, Merkle arity, or seal encoding
 // shows up as a byte diff against testdata/receipt_v3.bin. Regenerate
-// deliberately with `go test ./internal/zkvm -run TestGoldenReceipt
-// -update` and review the diff as a format change.
+// deliberately with `go test ./internal/zkvm -run TestGolden -update`
+// and review the diff as a format change.
 func TestGoldenReceipt(t *testing.T) {
-	path := filepath.Join("testdata", goldenReceiptFile)
-	got := goldenReceipt(t)
-
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %d-byte golden receipt to %s", len(got), path)
-	}
-
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("reading golden vector (run with -update to generate): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("receipt bytes diverged from golden vector: %d bytes generated, %d golden; "+
-			"if the format change is intentional, regenerate with -update", len(got), len(want))
-	}
+	want := checkGolden(t, goldenReceiptFile, goldenReceipt(t))
 
 	// The stored vector must also stand on its own: decode it and
 	// verify it against the program, so the golden file is a valid
 	// receipt and not just stable bytes.
 	verifyStoredReceipt(t, want)
+}
+
+// TestGoldenComposite pins the segmented sealer the same way: the
+// monolithic vector alone would let the two drift apart in everything a
+// segment has and a whole run does not (sub-seeds, boundary images, the
+// import, exit and cover families).
+func TestGoldenComposite(t *testing.T) {
+	prog := segTestProgram(t)
+	c, err := ProveSegmentedWithSeed(prog, []uint32{300, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 10}, segTestSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, err := UnmarshalComposite(checkGolden(t, goldenCompositeFile, got))
+	if err != nil {
+		t.Fatalf("stored vector does not decode: %v", err)
+	}
+	if len(stored.Segments) != 4 {
+		t.Fatalf("stored vector has %d segments, want 4", len(stored.Segments))
+	}
+	if err := VerifyComposite(prog, stored, VerifyOptions{MinChecks: 8}); err != nil {
+		t.Fatalf("stored vector does not verify: %v", err)
+	}
+}
+
+// checkGolden compares got with the stored vector (rewriting it first
+// under -update) and returns the stored bytes.
+func checkGolden(t *testing.T, name string, got []byte) []byte {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *updateGolden {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("wrote %d-byte golden vector to %s", len(got), path)
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading golden vector (run with -update to generate): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: bytes diverged from golden vector: %d bytes generated, %d golden; "+
+			"if the format change is intentional, regenerate with -update", name, len(got), len(want))
+	}
+	return want
 }
 
 // TestV1ReceiptsStillVerify and TestV2ReceiptsStillVerify make "the

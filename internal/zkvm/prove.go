@@ -95,35 +95,35 @@ func (o ProveOptions) checks() int {
 // proveExecutionSeeded is the deterministic core of ProveExecution:
 // given the same execution, options, and salt seed it emits the same
 // receipt byte-for-byte at any Parallelism — all concurrency below is
-// index-partitioned over committed tables, never order-dependent.
+// index-partitioned over committed tables, never order-dependent. A
+// whole run is the segment that enters at genesis and is final, so it
+// has no boundary image to import or to leave; what a monolithic receipt
+// keeps of its own is its statement binding and its encoding.
 func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Receipt, error) {
-	if len(ex.Rows) == 0 {
-		return nil, fmt.Errorf("zkvm: empty execution trace")
+	seg := &segmentExecution{ex: ex, final: true, entry: GenesisState()}
+	sr, err := proveSegmentSeeded(seg, opts, seed, nil, nil, par.Workers(opts.Parallelism), monoStatement)
+	if err != nil {
+		return nil, err
 	}
-	receipt := &Receipt{
-		ImageID:  ex.Program.ID(),
-		ExitCode: ex.ExitCode,
-		Journal:  append([]uint32(nil), ex.Journal...),
-	}
-	s := &receipt.Seal
-	s.NumRows = uint32(len(ex.Rows))
-	s.NumMem = uint32(len(ex.MemLog))
-	tr := transcript.New(s.Format.wire().sealLabel)
-	absorbPublic(tr, receipt)
-	tabs := commitTrace(ex, newSalter(seed), par.Workers(opts.Parallelism), opts.Observer, tr, s)
-
-	defer stageTimer(opts.Observer, StageSeal)()
-	tabs.openChecks(tr, opts.checks(), s)
-	tabs.release()
-	return receipt, nil
+	return &Receipt{ImageID: sr.ImageID, ExitCode: sr.ExitCode, Journal: sr.Journal, Seal: sr.Seal}, nil
 }
 
-// absorbPublic binds the receipt's public statement into the
-// transcript: image ID, exit code, journal, and table lengths.
-func absorbPublic(tr *transcript.Transcript, r *Receipt) {
-	tr.Append("image-id", r.ImageID[:])
-	tr.AppendUint64("exit-code", uint64(r.ExitCode))
-	tr.Append("journal", r.JournalBytes())
-	tr.AppendUint64("num-rows", uint64(r.Seal.NumRows))
-	tr.AppendUint64("num-mem", uint64(r.Seal.NumMem))
+// statement opens the transcript of a seal over sr with its public
+// statement absorbed. There are two: a monolithic receipt's and a
+// segment's. They are separate domains — different labels re-derive
+// every sampled index — so a seal made under one never verifies as the
+// other.
+type statement func(sr *SegmentReceipt) *transcript.Transcript
+
+// monoStatement is the statement of a monolithic receipt, given as the
+// final segment entered at genesis: image ID, exit code, journal, and
+// table lengths.
+func monoStatement(sr *SegmentReceipt) *transcript.Transcript {
+	tr := transcript.New(sr.Seal.Format.wire().sealLabel)
+	tr.Append("image-id", sr.ImageID[:])
+	tr.AppendUint64("exit-code", uint64(sr.ExitCode))
+	tr.Append("journal", wordsToBytes(sr.Journal))
+	tr.AppendUint64("num-rows", uint64(sr.Seal.NumRows))
+	tr.AppendUint64("num-mem", uint64(sr.Seal.NumMem))
+	return tr
 }

@@ -75,5 +75,5 @@ type ProverTrusted interface {
 // fold leaf stage applies them centrally and fans the per-segment
 // seal checks out to farm workers through this entry point.
 func VerifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error {
-	return verifySegment(prog, sr, opts)
+	return verifySegment(prog, sr, opts, segmentStatement)
 }

@@ -154,7 +154,7 @@ func (r *SegmentRun) ProveSegment(index int) (*SegmentReceipt, error) {
 // proveSegment seals segment index on a crew of width workers.
 func (r *SegmentRun) proveSegment(index, width int) (*SegmentReceipt, error) {
 	segSeed := deriveSubSeed(&r.seed, "seg", index)
-	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed, r.bnd[index], r.bnd[index+1], width)
+	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed, r.bnd[index], r.bnd[index+1], width, segmentStatement)
 }
 
 // Release returns the run's trace slabs and boundary trees to their

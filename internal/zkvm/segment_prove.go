@@ -72,15 +72,15 @@ func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed
 	return &CompositeReceipt{Segments: receipts}, nil
 }
 
-// proveSegmentSeeded seals one segment. It is proveExecutionSeeded
-// with the continuation deltas: a segment transcript that binds
-// the entry/exit states, and the import/exit/cover sampled-check
-// families over the shared boundary-image tables (entry is nil for the
-// first segment, exit for the final one).
-func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte, entry, exit *table, width int) (*SegmentReceipt, error) {
+// proveSegmentSeeded seals one execution — the only function that
+// does: the trace commitment and its sampled checks under the statement
+// bind opens, then the import/exit/cover families over the shared
+// boundary-image tables (entry is nil for a segment entered at genesis,
+// exit for a final one; a whole run is both).
+func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte, entry, exit *table, width int, bind statement) (*SegmentReceipt, error) {
 	ex := seg.ex
 	if len(ex.Rows) == 0 {
-		return nil, fmt.Errorf("zkvm: empty segment trace")
+		return nil, fmt.Errorf("zkvm: empty execution trace")
 	}
 	sr := &SegmentReceipt{
 		ImageID:  ex.Program.ID(),
@@ -94,8 +94,7 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	s := &sr.Seal
 	s.NumRows = uint32(len(ex.Rows))
 	s.NumMem = uint32(len(ex.MemLog))
-	tr := transcript.New(s.Format.wire().segLabel)
-	absorbSegmentPublic(tr, sr)
+	tr := bind(sr)
 	tabs := commitTrace(ex, newSalter(seed), width, opts.Observer, tr, s)
 
 	defer stageTimer(opts.Observer, StageSeal)()
@@ -146,12 +145,13 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	return sr, nil
 }
 
-// absorbSegmentPublic binds a segment receipt's public statement into
-// the transcript: image, position and role in the chain, journal
-// slice, and both boundary states. Splicing a segment into a different
-// chain position, run, or journal therefore re-derives every sampled
-// index and invalidates the openings.
-func absorbSegmentPublic(tr *transcript.Transcript, sr *SegmentReceipt) {
+// segmentStatement is the statement of a segment of a composite: image,
+// position and role in the chain, journal slice, and both boundary
+// states. Splicing a segment into a different chain position, run, or
+// journal therefore re-derives every sampled index and invalidates the
+// openings.
+func segmentStatement(sr *SegmentReceipt) *transcript.Transcript {
+	tr := transcript.New(sr.Seal.Format.wire().segLabel)
 	tr.Append("image-id", sr.ImageID[:])
 	tr.AppendUint64("seg-index", uint64(sr.Index))
 	final := uint64(0)
@@ -165,4 +165,5 @@ func absorbSegmentPublic(tr *transcript.Transcript, sr *SegmentReceipt) {
 	tr.Append("exit-state", encodeState(&sr.Exit))
 	tr.AppendUint64("num-rows", uint64(sr.Seal.NumRows))
 	tr.AppendUint64("num-mem", uint64(sr.Seal.NumMem))
+	return tr
 }

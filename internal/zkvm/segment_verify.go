@@ -1,9 +1,5 @@
 package zkvm
 
-import (
-	"zkflow/internal/transcript"
-)
-
 // VerifyComposite checks a chained continuation proof. On success the
 // caller knows (up to sampling soundness, per segment) that running
 // prog over *some* private input produced exactly the concatenated
@@ -45,7 +41,7 @@ func VerifyComposite(prog *Program, c *CompositeReceipt, opts VerifyOptions) err
 		}
 	}
 	for i, sr := range c.Segments {
-		if err := verifySegment(prog, sr, opts); err != nil {
+		if err := verifySegment(prog, sr, opts, segmentStatement); err != nil {
 			return vErr("segment %d: %v", i, err)
 		}
 	}
@@ -53,10 +49,12 @@ func VerifyComposite(prog *Program, c *CompositeReceipt, opts VerifyOptions) err
 }
 
 // verifySegment checks one segment receipt in isolation: its seal
-// binds the committed trace to the entry/exit states it declares.
-// Chain-level rules (genesis, linkage, indices) live in
+// binds the committed trace to the entry/exit states it declares, under
+// the statement bind opens. It is the only walk over a seal's boundary
+// rows and sampled-check families; Verify runs a monolithic receipt
+// through it. Chain-level rules (genesis, linkage, indices) live in
 // VerifyComposite.
-func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error {
+func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind statement) error {
 	if prog.ID() != sr.ImageID {
 		return vErr("image ID mismatch: receipt %v, program %v", sr.ImageID, prog.ID())
 	}
@@ -91,8 +89,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 		return vErr("entry image larger than the memory log")
 	}
 
-	tr := transcript.New(s.Format.wire().segLabel)
-	absorbSegmentPublic(tr, sr)
+	tr := bind(sr)
 	tr.Append("exec-root", s.ExecRoot[:])
 	tr.Append("memprog-root", s.MemProgRoot[:])
 	tr.Append("memsort-root", s.MemSortRoot[:])

@@ -4,8 +4,8 @@ import "time"
 
 // Prover stage names, in pipeline order. These are the labels a
 // StageObserver receives and the histogram suffixes internal/obs
-// publishes (prover.stage.<name>_seconds); EXPERIMENTS.md records the
-// breakdown printed by `zkflow-bench -stages`.
+// publishes (prover.stage.<name>_seconds); `go run ./bench -trace 1`
+// prints the breakdown EXPERIMENTS.md records.
 const (
 	// StageExecute is guest execution + trace recording (Prove only;
 	// ProveExecution starts from an already-traced run).

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"zkflow/internal/field"
-	"zkflow/internal/transcript"
 )
 
 // VerifyOptions configures receipt verification.
@@ -44,112 +43,22 @@ func vErr(format string, args ...any) error {
 // comment) that running prog over *some* private input produced
 // exactly this journal and exit code.
 func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
-	if prog.ID() != r.ImageID {
-		return vErr("image ID mismatch: receipt %v, program %v", r.ImageID, prog.ID())
-	}
-	if r.ExitCode != 0 && !opts.AllowNonZeroExit {
-		return vErr("guest exit code %d", r.ExitCode)
-	}
-	s := &r.Seal
-	nRows := int(s.NumRows)
-	nMem := int(s.NumMem)
-	if nRows < 1 {
-		return vErr("empty trace")
-	}
+	return verifySegment(prog, r.asSegment(), opts, monoStatement)
+}
 
-	// Re-derive the Fiat–Shamir challenges from the public statement
-	// and the commitments, in the prover's exact order.
-	tr := transcript.New(s.Format.wire().sealLabel)
-	absorbPublic(tr, r)
-	tr.Append("exec-root", s.ExecRoot[:])
-	tr.Append("memprog-root", s.MemProgRoot[:])
-	tr.Append("memsort-root", s.MemSortRoot[:])
-	alpha := tr.ChallengeElem("alpha")
-	gamma := tr.ChallengeElem("gamma")
-	tr.Append("prodprog-root", s.ProdProgRoot[:])
-	tr.Append("prodsort-root", s.ProdSortRoot[:])
-
-	// --- Boundary checks ---
-	first, err := s.execRow(prog, &s.FirstRow, 0)
-	if err != nil {
-		return vErr("first row: %v", err)
+// asSegment is the segment a monolithic receipt is, but for its
+// statement binding: index 0, final, entered at genesis. It has no
+// boundary image on either side, so none of the continuation families
+// apply.
+func (r *Receipt) asSegment() *SegmentReceipt {
+	return &SegmentReceipt{
+		ImageID:  r.ImageID,
+		Final:    true,
+		ExitCode: r.ExitCode,
+		Journal:  r.Journal,
+		Entry:    GenesisState(),
+		Seal:     r.Seal,
 	}
-	if first.PC != 0 || first.MemPtr != 0 || first.InPtr != 0 || first.JPtr != 0 {
-		return vErr("first row not the initial state")
-	}
-	for i, v := range first.Regs {
-		if v != 0 {
-			return vErr("first row register r%d = %d, want 0", i, v)
-		}
-	}
-	last, err := s.execRow(prog, &s.LastRow, nRows-1)
-	if err != nil {
-		return vErr("last row: %v", err)
-	}
-	if last.PC >= uint32(len(prog.Instrs)) {
-		return vErr("last row pc %d outside program", last.PC)
-	}
-	if prog.Instrs[last.PC].Op != OpHalt {
-		return vErr("last row is not a halt instruction")
-	}
-	if last.Regs[R1] != r.ExitCode {
-		return vErr("exit code %d does not match halting r1 %d", r.ExitCode, last.Regs[R1])
-	}
-	if int(last.JPtr) != len(r.Journal) {
-		return vErr("journal length %d does not match final JPtr %d", len(r.Journal), last.JPtr)
-	}
-	if int(last.MemPtr) != nMem {
-		return vErr("memory log length %d does not match final MemPtr %d", nMem, last.MemPtr)
-	}
-
-	if nMem > 0 {
-		if err := verifyMemBoundary(s, alpha, gamma, nMem); err != nil {
-			return err
-		}
-	}
-
-	// --- Sampled checks ---
-	checks := 0
-	if nRows >= 2 {
-		checks = len(s.ExecChecks)
-		if checks == 0 {
-			return vErr("no execution checks for a %d-row trace", nRows)
-		}
-		if checks < opts.MinChecks {
-			return vErr("seal has %d sampled checks, verifier requires %d", checks, opts.MinChecks)
-		}
-		idxs := tr.ChallengeIndices("exec", checks, nRows-1)
-		for n, i := range idxs {
-			if err := verifyExecCheck(prog, s, &s.ExecChecks[n], i, r.Journal); err != nil {
-				return vErr("exec check %d (row %d): %v", n, i, err)
-			}
-		}
-	} else if len(s.ExecChecks) != 0 {
-		return vErr("unexpected execution checks")
-	}
-
-	if nMem >= 2 {
-		// The prover uses a single k across families; a memory log of
-		// two or more entries implies at least one executed step, so
-		// checks (from the exec family) is the authoritative count.
-		if len(s.ProdChecks) != checks || len(s.SortChecks) != checks {
-			return vErr("inconsistent check counts: exec=%d prod=%d sort=%d",
-				checks, len(s.ProdChecks), len(s.SortChecks))
-		}
-		for n, i := range tr.ChallengeIndices("prod", checks, nMem-1) {
-			if err := verifyProdCheck(s, &s.ProdChecks[n], i, alpha, gamma); err != nil {
-				return vErr("product check %d (entry %d): %v", n, i, err)
-			}
-		}
-		for n, i := range tr.ChallengeIndices("sort", checks, nMem-1) {
-			if err := verifySortCheck(s, &s.SortChecks[n], i, alpha, gamma); err != nil {
-				return vErr("sorted check %d (entry %d): %v", n, i, err)
-			}
-		}
-	} else if len(s.ProdChecks) != 0 || len(s.SortChecks) != 0 {
-		return vErr("unexpected memory checks")
-	}
-	return nil
 }
 
 // opened authenticates o as the leaf holding record i of a column and
