@@ -17,13 +17,14 @@ test:
 
 # Race lane: the packages that fan work out across goroutines — the
 # shared fan-out helpers, the prover's block-commit crew, the
-# segmented (continuation) proving crew, the parallel fold tree, the
-# epoch pipeline, the prover farm, the metrics registry, the HTTP layer,
-# the sharded UDP ingest pipeline, the checkpointing ledger plus the light-client
-# sync that reads it, and the STARK math kernel (shared twiddle/ladder
-# caches, pooled scratch, chunk-parallel LDE/composition/FRI).
+# segmented (continuation) proving crew, the epoch pipeline, the prover
+# farm, the metrics registry, the HTTP layer, the sharded UDP ingest
+# pipeline, the checkpointing ledger plus the light-client sync that
+# reads it, and the STARK math kernel of the §7 ablation (shared
+# twiddle/ladder caches, pooled scratch, chunk-parallel
+# LDE/composition/FRI).
 race:
-	$(GO) test -race ./internal/par ./internal/zkvm ./internal/fold ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
+	$(GO) test -race ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
 
 # Fuzz lane: each network/storage-facing decoder gets a short
 # randomized run on top of its committed seed + regression corpus,
@@ -38,7 +39,7 @@ race:
 # expand), plus the aggregation guest against the host reference
 # (seeded rounds of every merge shape, monolithic and cut: the journal
 # is ReferenceAggregate's, word for word, and the retired image's).
-# `go test -fuzz` takes one target per invocation, so this is fourteen
+# `go test -fuzz` takes one target per invocation, so this is thirteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
@@ -52,7 +53,6 @@ fuzz:
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExecuteMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExpandExecLeaf -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/guest -run='^$$' -fuzz=FuzzAggregationMatchesReference -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/fold -run='^$$' -fuzz=FuzzUnmarshalFolded -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
 

@@ -40,7 +40,6 @@ func main() {
 		seed      = flag.Int64("seed", 0, "sampling seed (0 = random)")
 		minChecks = flag.Int("min-checks", 0, "minimum sampled checks a receipt seal must carry")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request HTTP timeout")
-		trustFold = flag.Bool("trust-folded", false, "accept sampled folded rounds on their prover-trusted binding when the operator retained no audit composite")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -62,10 +61,9 @@ func main() {
 	}
 
 	rep, err := lightsync.Sync(ctx, client, st, lightsync.Options{
-		Samples:     *samples,
-		Seed:        *seed,
-		MinChecks:   *minChecks,
-		TrustFolded: *trustFold,
+		Samples:   *samples,
+		Seed:      *seed,
+		MinChecks: *minChecks,
 	})
 	if err != nil {
 		log.Fatalf("SYNC FAILED: %v", err)
@@ -81,12 +79,6 @@ func main() {
 	fmt.Printf("SYNC VERIFIED: epoch %d -> %d (%d new entries across %d epochs)\n",
 		rep.From.Epoch, rep.To.Epoch, rep.NewEntries, len(rep.NewEpochs))
 	fmt.Printf("  receipts spot-verified: %d (rounds %v)\n", len(rep.SampledRounds), rep.SampledRounds)
-	if len(rep.AuditedRounds) > 0 {
-		fmt.Printf("  folded rounds audited via composite: %d (rounds %v)\n", len(rep.AuditedRounds), rep.AuditedRounds)
-	}
-	if len(rep.TrustedRounds) > 0 {
-		fmt.Printf("  folded rounds accepted on OPERATOR TRUST: %d (rounds %v)\n", len(rep.TrustedRounds), rep.TrustedRounds)
-	}
 	fmt.Printf("  inclusion proofs checked: %d\n", rep.ProofsChecked)
 	fmt.Printf("  transfer: %d bytes (%d cache revalidations)\n", rep.Bytes, rep.CacheHits)
 	d := rep.To.Digest()

@@ -1,4 +1,4 @@
-// Command zkflow-verify is the client/auditor CLI: it connects to a
+// Command zkflow-verify is the client (auditor) CLI: it connects to a
 // zkflowd operator, downloads the public commitment ledger and every
 // aggregation receipt, verifies the entire chain locally, and then —
 // optionally — submits a query and verifies the proven answer against
@@ -21,52 +21,15 @@ import (
 
 	"zkflow/internal/api"
 	"zkflow/internal/core"
-	"zkflow/internal/fold"
-	"zkflow/internal/guest"
 	"zkflow/internal/zkvm"
 )
 
-// verifyFolded establishes a folded round soundly: a folded receipt
-// is only a prover-trusted binding, so the auditor fetches the
-// round's audit artifact (the pre-fold composite), verifies it in
-// full — the journals are bit-identical, so the chain advances
-// exactly as it would from the folded form — and cross-checks it
-// against the folded statement with fold.AuditBinding. Only when the
-// operator retained no composite, and only under -trust-folded, is
-// the folded receipt accepted on its binding alone.
-func verifyFolded(ctx context.Context, client *api.Client, verifier *core.Verifier, round int, fr *fold.FoldedReceipt, trust bool) (*guest.AggJournal, string, error) {
-	audit, err := client.AggregationAudit(ctx, round)
-	if err == nil {
-		comp, ok := audit.(*zkvm.CompositeReceipt)
-		if !ok {
-			return nil, "", fmt.Errorf("audit artifact is %T, want the pre-fold composite", audit)
-		}
-		j, verr := verifier.VerifyAggregation(comp)
-		if verr != nil {
-			return nil, "", verr
-		}
-		if berr := fold.AuditBinding(fr, comp); berr != nil {
-			return nil, "", berr
-		}
-		return j, fmt.Sprintf("folded, %d segments, audited via composite", fr.Stmt.Segments), nil
-	}
-	if !trust {
-		return nil, "", fmt.Errorf("folded round's audit composite is unavailable (%v); a folded receipt alone only proves what the operator asserts — rerun with -trust-folded to accept it on operator trust", err)
-	}
-	j, verr := verifier.VerifyAggregation(fr)
-	if verr != nil {
-		return nil, "", verr
-	}
-	return j, fmt.Sprintf("folded, %d segments, operator-trusted", fr.Stmt.Segments), nil
-}
-
 func main() {
 	var (
-		serverURL   = flag.String("server", "http://127.0.0.1:8471", "zkflowd base URL")
-		sql         = flag.String("query", "", "SQL query to prove and verify (optional)")
-		timeout     = flag.Duration("timeout", 2*time.Minute, "per-request HTTP timeout")
-		stateFile   = flag.String("state", "", "auditor state file: resume a verified chain and persist progress")
-		trustFolded = flag.Bool("trust-folded", false, "accept folded rounds on their prover-trusted binding when the operator retained no audit composite (explicit operator trust)")
+		serverURL = flag.String("server", "http://127.0.0.1:8471", "zkflowd base URL")
+		sql       = flag.String("query", "", "SQL query to prove and verify (optional)")
+		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request HTTP timeout")
+		stateFile = flag.String("state", "", "auditor state file: resume a verified chain and persist progress")
 	)
 	flag.Parse()
 	log.SetFlags(0)
@@ -100,26 +63,17 @@ func main() {
 			fmt.Printf("resuming from persisted state: %d rounds already verified\n", verifier.Rounds())
 		}
 	}
-	if *trustFolded {
-		verifier.SetAcceptProverTrusted(true)
-	}
 	for round := verifier.Rounds(); round < status.Rounds; round++ {
 		receipt, err := client.AggregationReceipt(ctx, round)
 		if err != nil {
 			log.Fatalf("receipt %d: %v", round, err)
 		}
 		t0 := time.Now()
-		var j *guest.AggJournal
 		form := "single-segment"
-		switch r := receipt.(type) {
-		case *zkvm.CompositeReceipt:
-			form = fmt.Sprintf("%d-segment composite", r.NumSegments())
-			j, err = verifier.VerifyAggregation(receipt)
-		case *fold.FoldedReceipt:
-			j, form, err = verifyFolded(ctx, client, verifier, round, r, *trustFolded)
-		default:
-			j, err = verifier.VerifyAggregation(receipt)
+		if c, ok := receipt.(*zkvm.CompositeReceipt); ok {
+			form = fmt.Sprintf("%d-segment composite", c.NumSegments())
 		}
+		j, err := verifier.VerifyAggregation(receipt)
 		if err != nil {
 			log.Fatalf("round %d verification FAILED: %v", round, err)
 		}

@@ -43,7 +43,6 @@ func main() {
 		pipeline = flag.Int("pipeline", 0, "pipeline depth: overlap witness generation with up to N in-flight seals (0 = serial)")
 		workers  = flag.Int("parallelism", 0, "prover worker-pool width (0 = all CPUs, 1 = serial)")
 		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = single-segment)")
-		foldRcpt = flag.Bool("fold", false, "with -segment-cycles: fold each composite into one bounded-size receipt (O(1) verify regardless of segment count)")
 
 		debugAddr    = flag.String("debug-addr", "", "operator-only pprof+metrics listen address (empty = off; keep it loopback)")
 		metricsEvery = flag.Duration("metrics-every", 0, "log a metrics summary line at this interval (0 = off)")
@@ -61,10 +60,7 @@ func main() {
 	// One registry carries the whole daemon: zkVM stage timings,
 	// scheduler gauges, and the HTTP layer, served at /api/v1/metrics.
 	reg := obs.NewRegistry()
-	opts := core.Options{Checks: *checks, Parallelism: *workers, SegmentCycles: *segCyc, Fold: *foldRcpt, PipelineDepth: *pipeline, Metrics: reg}
-	if *foldRcpt && *segCyc <= 0 {
-		log.Printf("warning: -fold has no effect without -segment-cycles")
-	}
+	opts := core.Options{Checks: *checks, Parallelism: *workers, SegmentCycles: *segCyc, PipelineDepth: *pipeline, Metrics: reg}
 	if *farmAddr != "" {
 		coord := remote.NewCoordinator(remote.FarmConfig{Metrics: reg})
 		if err := coord.Start(*farmAddr); err != nil {

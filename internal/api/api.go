@@ -12,9 +12,7 @@
 // and an appropriate status; every route enforces its method. Sealed
 // artifacts (receipts, by-epoch checkpoints, pinned proofs) carry an
 // ETag and an immutable Cache-Control so consumer-scale fan-out can
-// ride HTTP caches; If-None-Match revalidation costs one 304. The
-// pre-v1 unversioned /api/* routes are retired: they return 410 Gone
-// with a Link header naming the v1 successor.
+// ride HTTP caches; If-None-Match revalidation costs one 304.
 package api
 
 import (
@@ -31,7 +29,6 @@ import (
 	"time"
 
 	"zkflow/internal/core"
-	"zkflow/internal/fold"
 	"zkflow/internal/ledger"
 	"zkflow/internal/merkle"
 	"zkflow/internal/obs"
@@ -95,11 +92,10 @@ type EpochProofResponse struct {
 
 // ReceiptHint names one aggregation round a light client may sample:
 // the round index to fetch, the epoch it sealed, its wire size, and
-// the receipt kind — "single" (one-segment zkvm receipt), "composite"
-// (continuation chain, size grows with segment count), or "folded"
-// (recursive aggregate, bounded size and O(1) verify regardless of
-// segment count). Clients budgeting a sampling pass use Kind+Bytes;
-// verification itself dispatches on the receipt's own magic.
+// the receipt kind — "single" (one-segment zkvm receipt) or "composite"
+// (continuation chain, size grows with segment count). Clients
+// budgeting a sampling pass use Kind+Bytes; verification itself
+// dispatches on the receipt's own magic.
 type ReceiptHint struct {
 	Round int    `json:"round"`
 	Epoch uint64 `json:"epoch"`
@@ -111,22 +107,14 @@ type ReceiptHint struct {
 const (
 	ReceiptKindSingle    = "single"
 	ReceiptKindComposite = "composite"
-	ReceiptKindFolded    = "folded"
-	ReceiptKindOther     = "other" // future registered kinds
 )
 
 // receiptKindOf labels a receipt for the hints surface.
 func receiptKindOf(r zkvm.AnyReceipt) string {
-	switch r.(type) {
-	case *zkvm.Receipt:
-		return ReceiptKindSingle
-	case *zkvm.CompositeReceipt:
+	if _, ok := r.(*zkvm.CompositeReceipt); ok {
 		return ReceiptKindComposite
-	case *fold.FoldedReceipt:
-		return ReceiptKindFolded
-	default:
-		return ReceiptKindOther
 	}
+	return ReceiptKindSingle
 }
 
 // SyncHints is GET /api/v1/sync/hints: what a spot-checking client
@@ -168,7 +156,6 @@ const (
 	CodeMethodNotAllowed  = "method_not_allowed" // wrong HTTP method
 	CodeNotFound          = "not_found"          // no such endpoint/round/epoch
 	CodeCheckpointUnknown = "checkpoint_unknown" // checkpoint selector matches no sealed checkpoint
-	CodeGone              = "gone"               // retired pre-v1 route; Link names the successor
 	CodeInternal          = "internal"           // operator-side failure
 )
 
@@ -176,23 +163,16 @@ const (
 // conformance test asserts responses stay within it.
 var AllErrorCodes = []string{
 	CodeBadRequest, CodeInvalidQuery, CodeMethodNotAllowed,
-	CodeNotFound, CodeCheckpointUnknown, CodeGone, CodeInternal,
+	CodeNotFound, CodeCheckpointUnknown, CodeInternal,
 }
 
 // servedReceipt is one sealed aggregation round: its wire bytes, the
 // epoch it covered, and the strong ETag the immutable route serves.
-// audit is the round's self-sound form — for folded rounds the
-// retained pre-fold composite, otherwise the receipt bytes themselves
-// (a single or composite receipt is its own audit artifact); nil when
-// a folded round was registered without its composite, in which case
-// the audit route answers 404 and sound auditors cannot escalate.
 type servedReceipt struct {
-	epoch     uint64
-	bin       []byte
-	etag      string
-	kind      string
-	audit     []byte
-	auditEtag string
+	epoch uint64
+	bin   []byte
+	etag  string
+	kind  string
 }
 
 // Server serves the operator's public artifacts.
@@ -219,55 +199,22 @@ func NewServer(p *core.Prover, lg *ledger.Ledger) *Server {
 // Must be called before Handler.
 func (s *Server) UseRegistry(reg *obs.Registry) { s.metrics = reg }
 
-// AddAggregation registers a completed round's receipt for serving —
-// single-segment, a continuation composite, or a folded aggregate;
-// the wire format is the receipt's own magic-tagged binary encoding
-// either way, served under a strong ETag with immutable caching.
-// epoch is the epoch the round sealed (AggregationResult.Epoch); it
-// keys the sync-hint and sampling surface.
-func (s *Server) AddAggregation(epoch uint64, r zkvm.AnyReceipt) error {
-	return s.addAggregation(epoch, r, nil)
-}
-
-// AddAggregationResult registers a completed round from its full
-// AggregationResult, retaining the pre-fold composite (when present)
-// as the round's audit artifact at
-// /api/v1/receipts/agg/{round}/audit. Operators serving folded
-// receipts should prefer this over AddAggregation so sound auditors
-// can escalate a folded round to full composite verification; a
-// folded round registered without its composite serves 404 on the
-// audit route and can only be accepted by clients that opted into
-// trusting the operator.
+// AddAggregationResult registers a completed round's receipt for
+// serving — single-segment or a continuation composite; the wire format
+// is the receipt's own magic-tagged binary encoding either way, served
+// under a strong ETag with immutable caching. The round's epoch keys
+// the sync-hint and sampling surface.
 func (s *Server) AddAggregationResult(res *core.AggregationResult) error {
-	return s.addAggregation(res.Epoch, res.Receipt, res.Composite)
-}
-
-func (s *Server) addAggregation(epoch uint64, r zkvm.AnyReceipt, comp *zkvm.CompositeReceipt) error {
-	bin, err := r.MarshalBinary()
+	bin, err := res.Receipt.MarshalBinary()
 	if err != nil {
 		return err
 	}
 	sum := sha256.Sum256(bin)
 	rec := servedReceipt{
-		epoch: epoch,
+		epoch: res.Epoch,
 		bin:   bin,
 		etag:  `"agg-` + hex.EncodeToString(sum[:12]) + `"`,
-		kind:  receiptKindOf(r),
-	}
-	switch {
-	case comp != nil:
-		audit, err := comp.MarshalBinary()
-		if err != nil {
-			return err
-		}
-		asum := sha256.Sum256(audit)
-		rec.audit = audit
-		rec.auditEtag = `"aud-` + hex.EncodeToString(asum[:12]) + `"`
-	case rec.kind != ReceiptKindFolded:
-		// A single or composite receipt is already self-sound: it is
-		// its own audit form.
-		rec.audit = bin
-		rec.auditEtag = `"aud-` + hex.EncodeToString(sum[:12]) + `"`
+		kind:  receiptKindOf(res.Receipt),
 	}
 	s.mu.Lock()
 	s.receipts = append(s.receipts, rec)
@@ -284,17 +231,14 @@ type RouteInfo struct {
 	Method string
 	// Pattern is the mux registration pattern.
 	Pattern string
-	// Probe is a concrete path expected to succeed (2xx unless Gone)
-	// against the conformance fixture: a server with 2 routers and at
+	// Probe is a concrete path expected to succeed (2xx) against the
+	// conformance fixture: a server with 2 routers and at
 	// least one aggregated, checkpointed epoch.
 	Probe string
 	// CacheProbe, when non-empty, is a concrete path (same fixture)
 	// whose 200 response must carry a strong ETag and an immutable
 	// Cache-Control, and answer If-None-Match with 304.
 	CacheProbe string
-	// Gone marks a retired legacy alias: Probe must return 410 with a
-	// successor Link header.
-	Gone bool
 }
 
 // route pairs the public description with the handler.
@@ -303,40 +247,22 @@ type route struct {
 	h    http.HandlerFunc
 }
 
-// routes is the v1 surface plus the retired aliases, in registration
-// order. Handler and RouteTable both derive from it.
+// routes is the v1 surface, in registration order. Handler and
+// RouteTable both derive from it.
 func (s *Server) routes() []route {
-	v1 := []route{
+	return []route{
 		{RouteInfo{Name: "status", Method: http.MethodGet, Pattern: "/api/v1/status", Probe: "/api/v1/status"}, s.handleStatus},
 		{RouteInfo{Name: "ledger", Method: http.MethodGet, Pattern: "/api/v1/ledger", Probe: "/api/v1/ledger"}, s.handleLedgerV1},
 		{RouteInfo{Name: "ledger_proof", Method: http.MethodGet, Pattern: "/api/v1/ledger/{epoch}/proof", Probe: "/api/v1/ledger/0/proof", CacheProbe: "/api/v1/ledger/0/proof?checkpoint=2"}, s.handleEpochProof},
 		{RouteInfo{Name: "checkpoints", Method: http.MethodGet, Pattern: "/api/v1/checkpoints", Probe: "/api/v1/checkpoints", CacheProbe: "/api/v1/checkpoints?epoch=0"}, s.handleCheckpoints},
 		{RouteInfo{Name: "sync_hints", Method: http.MethodGet, Pattern: "/api/v1/sync/hints", Probe: "/api/v1/sync/hints"}, s.handleSyncHints},
 		{RouteInfo{Name: "receipts_agg", Method: http.MethodGet, Pattern: "/api/v1/receipts/agg/{round}", Probe: "/api/v1/receipts/agg/0", CacheProbe: "/api/v1/receipts/agg/0"}, s.handleReceipt},
-		{RouteInfo{Name: "receipts_agg_audit", Method: http.MethodGet, Pattern: "/api/v1/receipts/agg/{round}/audit", Probe: "/api/v1/receipts/agg/0/audit", CacheProbe: "/api/v1/receipts/agg/0/audit"}, s.handleReceiptAudit},
 		{RouteInfo{Name: "query", Method: http.MethodPost, Pattern: "/api/v1/query"}, s.handleQuery},
 		{RouteInfo{Name: "metrics", Method: http.MethodGet, Pattern: "/api/v1/metrics", Probe: "/api/v1/metrics"}, s.handleMetrics},
 		{RouteInfo{Name: "other", Pattern: "/api/v1/"}, func(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, CodeNotFound, "no such endpoint: "+r.URL.Path)
 		}},
 	}
-	// Retired pre-v1 aliases: 410 Gone, any method, successor in Link.
-	for _, g := range []struct{ old, succ string }{
-		{"/api/status", "/api/v1/status"},
-		{"/api/ledger", "/api/v1/ledger"},
-		{"/api/receipts/agg/", "/api/v1/receipts/agg/"},
-		{"/api/query", "/api/v1/query"},
-	} {
-		succ := g.succ
-		v1 = append(v1, route{
-			RouteInfo{Name: "legacy_gone", Pattern: g.old, Probe: strings.TrimSuffix(g.old, "/"), Gone: true},
-			func(w http.ResponseWriter, r *http.Request) {
-				w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", succ))
-				writeError(w, http.StatusGone, CodeGone, "retired endpoint; use "+succ)
-			},
-		})
-	}
-	return v1
 }
 
 // RouteTable exposes the registered routes for conformance testing
@@ -369,28 +295,33 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// statusRecorder captures the response status and body size for the
-// metrics middleware.
+// statusRecorder counts a response in its status class the moment the
+// status is set, before any byte of it can reach the client: a client
+// that has read a response always finds its request counted.
 type statusRecorder struct {
 	http.ResponseWriter
-	status int
-	bytes  int
+	classes *[5]*obs.Counter // 1xx..5xx
+	status  int
+}
+
+func (r *statusRecorder) setStatus(code int) {
+	if r.status != 0 {
+		return
+	}
+	r.status = code
+	if cls := code/100 - 1; cls >= 0 && cls < len(r.classes) {
+		r.classes[cls].Inc()
+	}
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
-	if r.status == 0 {
-		r.status = code
-	}
+	r.setStatus(code)
 	r.ResponseWriter.WriteHeader(code)
 }
 
 func (r *statusRecorder) Write(b []byte) (int, error) {
-	if r.status == 0 {
-		r.status = http.StatusOK
-	}
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += n
-	return n, err
+	r.setStatus(http.StatusOK)
+	return r.ResponseWriter.Write(b)
 }
 
 // instrument wraps a route with per-route metrics: request counters
@@ -405,17 +336,11 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	}
 	lat := s.metrics.Histogram("http.latency_seconds."+route, obs.DefaultLatencyBuckets)
 	return func(w http.ResponseWriter, r *http.Request) {
-		rec := &statusRecorder{ResponseWriter: w}
+		rec := &statusRecorder{ResponseWriter: w, classes: &classes}
 		t0 := time.Now()
 		h(rec, r)
 		lat.Observe(time.Since(t0).Seconds())
-		status := rec.status
-		if status == 0 {
-			status = http.StatusOK // handler wrote nothing
-		}
-		if cls := status/100 - 1; cls >= 0 && cls < len(classes) {
-			classes[cls].Inc()
-		}
+		rec.setStatus(http.StatusOK) // a handler that wrote nothing answered 200
 	}
 }
 
@@ -667,47 +592,13 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
-	written, err := w.Write(rec.bin)
-	if err != nil {
+	// Counted before the body goes out, for the same reason as the
+	// status class: whoever has read the receipt must see it counted.
+	if s.receiptBytes != nil {
+		s.receiptBytes.Add(uint64(len(rec.bin)))
+	}
+	if _, err := w.Write(rec.bin); err != nil {
 		log.Printf("api: writing receipt %d: %v", n, err)
-	}
-	if s.receiptBytes != nil {
-		s.receiptBytes.Add(uint64(written))
-	}
-}
-
-// handleReceiptAudit serves a round's self-sound audit artifact: the
-// pre-fold composite for folded rounds, the receipt bytes themselves
-// otherwise. 404 when the round exists but the operator did not
-// retain a folded round's composite.
-func (s *Server) handleReceiptAudit(w http.ResponseWriter, r *http.Request) {
-	n, err := strconv.Atoi(r.PathValue("round"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, CodeBadRequest, "round index must be an integer")
-		return
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n < 0 || n >= len(s.receipts) {
-		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("round %d not aggregated yet", n))
-		return
-	}
-	rec := s.receipts[n]
-	if rec.audit == nil {
-		writeError(w, http.StatusNotFound, CodeNotFound,
-			fmt.Sprintf("round %d has no audit artifact: the operator did not retain the pre-fold composite", n))
-		return
-	}
-	if s.immutable(w, r, rec.auditEtag) {
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	written, err := w.Write(rec.audit)
-	if err != nil {
-		log.Printf("api: writing audit artifact %d: %v", n, err)
-	}
-	if s.receiptBytes != nil {
-		s.receiptBytes.Add(uint64(written))
 	}
 }
 

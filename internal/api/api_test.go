@@ -32,7 +32,7 @@ func newTestServer(t *testing.T, epochs int) (*httptest.Server, *Server) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := srv.AddAggregation(uint64(e), res.Receipt); err != nil {
+		if err := srv.AddAggregationResult(res); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -282,32 +282,6 @@ func TestLedgerPagination(t *testing.T) {
 	}
 	if _, n := lg.Head(); n != 4 {
 		t.Fatalf("client synced %d entries", n)
-	}
-}
-
-// TestLegacyAliasesGone checks the retired unversioned paths answer
-// 410 Gone with the v1 successor in the Link header, for any method.
-func TestLegacyAliasesGone(t *testing.T) {
-	ts, _ := newTestServer(t, 1)
-	for _, tc := range []struct{ method, path, succ string }{
-		{http.MethodGet, "/api/status", "/api/v1/status"},
-		{http.MethodGet, "/api/ledger", "/api/v1/ledger"},
-		{http.MethodGet, "/api/receipts/agg/0", "/api/v1/receipts/agg/"},
-		{http.MethodPost, "/api/query", "/api/v1/query"},
-		{http.MethodDelete, "/api/status", "/api/v1/status"},
-	} {
-		req, err := http.NewRequest(tc.method, ts.URL+tc.path, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if link := resp.Header.Get("Link"); !strings.Contains(link, tc.succ) || !strings.Contains(link, "successor-version") {
-			t.Fatalf("%s %s: Link %q does not name successor %s", tc.method, tc.path, link, tc.succ)
-		}
-		decodeEnvelope(t, resp, http.StatusGone, CodeGone)
 	}
 }
 

@@ -348,25 +348,9 @@ func (c *Client) SyncHints(ctx context.Context, from int64) (*SyncHints, error) 
 
 // AggregationReceipt fetches round n's receipt: a *zkvm.Receipt for
 // single-segment rounds, a *zkvm.CompositeReceipt for continuation
-// rounds, a *fold.FoldedReceipt for folded rounds — dispatched on the
-// receipt magic.
+// rounds — dispatched on the receipt magic.
 func (c *Client) AggregationReceipt(ctx context.Context, n int) (zkvm.AnyReceipt, error) {
 	data, err := c.get(ctx, fmt.Sprintf("/api/v1/receipts/agg/%d", n))
-	if err != nil {
-		return nil, err
-	}
-	return zkvm.UnmarshalAnyReceipt(data)
-}
-
-// AggregationAudit fetches round n's self-sound audit artifact: for a
-// folded round the pre-fold composite the operator retained, for a
-// single or composite round the receipt itself. A folded receipt is
-// only a prover-trusted binding, so sound auditors verify the audit
-// artifact in full and cross-check it against the folded statement
-// with fold.AuditBinding. Returns the server's not_found error when
-// the operator did not retain a folded round's composite.
-func (c *Client) AggregationAudit(ctx context.Context, n int) (zkvm.AnyReceipt, error) {
-	data, err := c.get(ctx, fmt.Sprintf("/api/v1/receipts/agg/%d/audit", n))
 	if err != nil {
 		return nil, err
 	}

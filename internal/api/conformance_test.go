@@ -13,9 +13,9 @@ import (
 // TestV1Conformance walks the registered route table and enforces the
 // API-wide invariants every route must satisfy: method rejection with
 // an Allow header and the stable error envelope, probe success,
-// immutable cache headers with working If-None-Match revalidation,
-// and 410 + successor Link on retired aliases. New routes inherit the
-// whole suite by being added to the table.
+// and immutable cache headers with working If-None-Match
+// revalidation. New routes inherit the whole suite by being added to
+// the table.
 func TestV1Conformance(t *testing.T) {
 	ts, srv := newTestServer(t, 2)
 	table := srv.RouteTable()
@@ -50,27 +50,6 @@ func TestV1Conformance(t *testing.T) {
 	for _, rt := range table {
 		rt := rt
 		t.Run(rt.Name+rt.Pattern, func(t *testing.T) {
-			if rt.Gone {
-				for _, m := range []string{http.MethodGet, http.MethodPost, http.MethodDelete} {
-					req, _ := http.NewRequest(m, ts.URL+rt.Probe, nil)
-					resp, err := ts.Client().Do(req)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if resp.StatusCode != http.StatusGone {
-						t.Fatalf("%s %s: status %d, want 410", m, rt.Probe, resp.StatusCode)
-					}
-					link := resp.Header.Get("Link")
-					if !strings.Contains(link, "successor-version") || !strings.Contains(link, "/api/v1/") {
-						t.Fatalf("Link %q does not advertise a v1 successor", link)
-					}
-					if e := requireEnvelope(t, resp); e.Code != CodeGone {
-						t.Fatalf("code %q, want %q", e.Code, CodeGone)
-					}
-				}
-				return
-			}
-
 			// Method rejection: a method the route does not serve gets
 			// 405 + Allow + envelope.
 			if rt.Method != "" {

@@ -34,7 +34,7 @@ func newMeteredServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.AddAggregation(0, res.Receipt); err != nil {
+	if err := srv.AddAggregationResult(res); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv.Handler())

@@ -27,8 +27,6 @@ import (
 	"time"
 
 	"zkflow/internal/clog"
-	"zkflow/internal/fold"
-	"zkflow/internal/gperm"
 	"zkflow/internal/guest"
 	"zkflow/internal/ledger"
 	"zkflow/internal/obs"
@@ -65,15 +63,6 @@ type Options struct {
 	// keeps in flight: witness generation for epoch N+1 overlaps the
 	// seal computation of epoch N. 0 or 1 means no pipelining.
 	PipelineDepth int
-	// Fold, when set together with SegmentCycles, folds each
-	// aggregation round's composite receipt: the prover verifies every
-	// segment seal and the continuation linkage chain, then emits one
-	// bounded-size *fold.FoldedReceipt in its place. Auditors verify a
-	// folded round in O(1) — one fixed-size chain STARK — regardless of
-	// how many segments the round was proved in. When Farm also
-	// implements FoldBackend, the per-segment leaf verification fans
-	// out across the farm workers.
-	Fold bool
 	// Prove overrides the proving backend (nil = local zkvm.ProveAny).
 	// Takes precedence over Farm.
 	Prove ProveFunc
@@ -113,60 +102,13 @@ func (o Options) prove(prog *zkvm.Program, input []uint32) (zkvm.AnyReceipt, err
 	return o.proveWith(prog, input, o.proveOptions())
 }
 
-// maybeFold replaces a segmented composite receipt with its folded
-// form when Options.Fold is set, returning both the folded receipt
-// and the composite it was folded from — the composite is the round's
-// self-sound audit artifact (served at /api/v1/receipts/agg/{round}/
-// audit), since the folded form alone is only a prover-trusted
-// binding. Single-segment receipts (and foreign receipt kinds) pass
-// through untouched with a nil composite. The leaf verification stage
-// runs on the farm when the configured Farm backend supports it,
-// otherwise locally with the prover's parallelism. The inner seal
-// checks are held to the prover's own configured check policy, so the
-// fold never accepts seals weaker than what the operator asked its
-// prover to produce.
-func (p *Prover) maybeFold(prog *zkvm.Program, receipt zkvm.AnyReceipt) (zkvm.AnyReceipt, *zkvm.CompositeReceipt, error) {
-	comp, ok := receipt.(*zkvm.CompositeReceipt)
-	if !p.opts.Fold || !ok {
-		return receipt, nil, nil
-	}
-	span := p.met.span("fold")
-	defer span.End()
-	minChecks := p.opts.Checks
-	if minChecks <= 0 {
-		minChecks = zkvm.DefaultChecks
-	}
-	fopts := fold.Options{
-		Verify:      zkvm.VerifyOptions{MinChecks: minChecks},
-		Parallelism: p.opts.Parallelism,
-	}
-	if p.opts.Metrics != nil {
-		fopts.Observer = obs.NewStageRecorder(p.opts.Metrics, "stark.stage.")
-	}
-	if fb, ok := p.opts.Farm.(FoldBackend); ok && p.opts.Prove == nil {
-		fopts.Leaves = func(pr *zkvm.Program, segs []*zkvm.SegmentReceipt) ([]gperm.Digest, error) {
-			return fb.FoldLeaves(context.Background(), pr, segs, fopts.Verify)
-		}
-	}
-	fr, err := fold.Fold(prog, comp, fopts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return fr, comp, nil
-}
-
 // AggregationResult is one completed aggregation round. Receipt is a
-// *zkvm.Receipt in single-segment mode, a *zkvm.CompositeReceipt
-// when Options.SegmentCycles is set, and a *fold.FoldedReceipt when
-// Options.Fold is set as well. For folded rounds Composite retains
-// the pre-fold composite receipt — the self-sound artifact auditors
-// escalate to (fold.AuditBinding), since the folded form on its own
-// is only a prover-trusted binding; it is nil otherwise.
+// *zkvm.Receipt in single-segment mode and a *zkvm.CompositeReceipt
+// when Options.SegmentCycles is set.
 type AggregationResult struct {
-	Epoch     uint64
-	Receipt   zkvm.AnyReceipt
-	Composite *zkvm.CompositeReceipt
-	Journal   *guest.AggJournal
+	Epoch   uint64
+	Receipt zkvm.AnyReceipt
+	Journal *guest.AggJournal
 }
 
 // QueryResult is a proven query response: what the prover hands the
@@ -278,10 +220,6 @@ func (p *Prover) AggregateEpoch(epoch uint64) (res *AggregationResult, err error
 	if err != nil {
 		return nil, fmt.Errorf("core: aggregation proof for epoch %d: %w", epoch, err)
 	}
-	receipt, comp, err := p.maybeFold(guest.AggregationProgram(), receipt)
-	if err != nil {
-		return nil, fmt.Errorf("core: fold for epoch %d: %w", epoch, err)
-	}
 	j, err := guest.ParseAggJournal(receipt.JournalWords())
 	if err != nil {
 		return nil, fmt.Errorf("core: aggregation journal: %w", err)
@@ -293,7 +231,7 @@ func (p *Prover) AggregateEpoch(epoch uint64) (res *AggregationResult, err error
 		return nil, fmt.Errorf("core: internal error: guest root %v, host root %v", j.NewRoot.Bytes(), got.Bytes())
 	}
 	p.entries = next
-	res = &AggregationResult{Epoch: epoch, Receipt: receipt, Composite: comp, Journal: j}
+	res = &AggregationResult{Epoch: epoch, Receipt: receipt, Journal: j}
 	p.history = append(p.history, res)
 	return res, nil
 }
@@ -354,7 +292,7 @@ var (
 	ErrWrongProgram = errors.New("core: receipt bound to unexpected guest program")
 )
 
-// Verifier is the client/auditor side. It never sees RLogs or CLogs —
+// Verifier is the client (auditor) side. It never sees RLogs or CLogs —
 // only receipts, the public ledger, and the guest programs it
 // recompiles itself.
 type Verifier struct {
@@ -379,19 +317,6 @@ func (v *Verifier) SetMinChecks(k int) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.verifyOpts.MinChecks = k
-}
-
-// SetAcceptProverTrusted opts in to prover-trusted receipt kinds
-// (folded receipts): VerifyAggregation will then accept a folded
-// round on its integrity binding alone, trusting the operator to have
-// verified the inner seals. Off by default — sound auditors instead
-// fetch the round's audit composite (api.Client.AggregationAudit),
-// verify it in full, and cross-check it against the folded statement
-// with fold.AuditBinding.
-func (v *Verifier) SetAcceptProverTrusted(ok bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.verifyOpts.AcceptProverTrusted = ok
 }
 
 // TrustedRoot returns the currently trusted CLog root.

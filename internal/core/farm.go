@@ -4,7 +4,6 @@ import (
 	"context"
 
 	"zkflow/internal/clog"
-	"zkflow/internal/gperm"
 	"zkflow/internal/par"
 	"zkflow/internal/vmtree"
 	"zkflow/internal/zkvm"
@@ -18,18 +17,6 @@ import (
 // beside the in-process pool.
 type Backend interface {
 	ProveContext(ctx context.Context, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error)
-}
-
-// FoldBackend is a Backend that can also run the fold leaf stage
-// remotely: verify each segment receipt's seal and return its
-// fold-tree leaf digest, in segment order. remote.Coordinator
-// implements it, dispatching one fold-leaf job per segment across the
-// farm. Folding stays sound with an untrusted backend — fold.Fold
-// re-derives every leaf digest locally and rejects mismatches, so a
-// lying worker can fail a fold but never corrupt its root.
-type FoldBackend interface {
-	Backend
-	FoldLeaves(ctx context.Context, prog *zkvm.Program, segs []*zkvm.SegmentReceipt, vopts zkvm.VerifyOptions) ([]gperm.Digest, error)
 }
 
 // entriesRootParallelMin is the snapshot size below which sharded

@@ -125,7 +125,7 @@ func TestFarmStressWorkerChurn(t *testing.T) {
 		if err != nil {
 			t.Fatalf("epoch %d (workers=%d): %v", e, coord.Workers(), err)
 		}
-		if err := srv.AddAggregation(e, res.Receipt); err != nil {
+		if err := srv.AddAggregationResult(res); err != nil {
 			t.Fatal(err)
 		}
 	}

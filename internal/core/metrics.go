@@ -15,7 +15,7 @@
 //	sched.epochs_failed                     counter, witness/seal/commit failures
 //	sched.epochs_discarded                  counter, poisoned by an earlier failure
 //	sched.epoch_seconds                     histogram, witness-start → commit
-//	trace.witness_seconds / trace.seal_seconds / trace.fold_seconds  tracer spans via obs.RegistrySink
+//	trace.witness_seconds / trace.seal_seconds  tracer spans via obs.RegistrySink
 //	prover.stage.<stage>_seconds            zkvm stage breakdown (see zkvm.Stages)
 package core
 

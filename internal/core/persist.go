@@ -95,11 +95,11 @@ func LoadProver(r io.Reader, st *store.Store, lg *ledger.Ledger, opts Options) (
 		if _, err := io.ReadFull(r, bin); err != nil {
 			return nil, fmt.Errorf("%w: receipt %d: %v", ErrCheckpoint, i, err)
 		}
-		receipt, err := zkvm.UnmarshalReceipt(bin)
+		receipt, err := zkvm.UnmarshalAnyReceipt(bin)
 		if err != nil {
 			return nil, fmt.Errorf("%w: receipt %d: %v", ErrCheckpoint, i, err)
 		}
-		j, err := guest.ParseAggJournal(receipt.Journal)
+		j, err := guest.ParseAggJournal(receipt.JournalWords())
 		if err != nil {
 			return nil, fmt.Errorf("%w: receipt %d journal: %v", ErrCheckpoint, i, err)
 		}

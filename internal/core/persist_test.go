@@ -13,35 +13,51 @@ import (
 )
 
 func TestProverCheckpointResumesChain(t *testing.T) {
-	sim, p, v := pipeline(t, 20, 3, 8)
-	// Two rounds, checkpoint, restore, third round: the chain must
-	// continue seamlessly for the verifier.
-	for epoch := uint64(0); epoch < 2; epoch++ {
-		res, err := p.AggregateEpoch(epoch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
-			t.Fatal(err)
-		}
-	}
-	var buf bytes.Buffer
-	if err := p.SaveCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadProver(&buf, sim.Store, sim.Ledger, testOpts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.Round() != 2 || restored.CLogLen() != p.CLogLen() {
-		t.Fatalf("restored rounds=%d flows=%d", restored.Round(), restored.CLogLen())
-	}
-	res, err := restored.AggregateEpoch(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.VerifyAggregation(res.Receipt); err != nil {
-		t.Fatalf("chain broken after restore: %v", err)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"single", testOpts},
+		// A segmented prover's history holds composite receipts, which the
+		// checkpoint must read back as such.
+		{"segmented", Options{Checks: testOpts.Checks, SegmentCycles: 1 << 10}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sim, _, v := pipeline(t, 20, 3, 8)
+			p := NewProver(sim.Store, sim.Ledger, tc.opts)
+			// Two rounds, checkpoint, restore, third round: the chain must
+			// continue seamlessly for the verifier.
+			for epoch := uint64(0); epoch < 2; epoch++ {
+				res, err := p.AggregateEpoch(epoch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, composite := res.Receipt.(*zkvm.CompositeReceipt); composite != (tc.opts.SegmentCycles > 0) {
+					t.Fatalf("epoch %d sealed a %T", epoch, res.Receipt)
+				}
+				if _, err := v.VerifyAggregation(res.Receipt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var buf bytes.Buffer
+			if err := p.SaveCheckpoint(&buf); err != nil {
+				t.Fatal(err)
+			}
+			restored, err := LoadProver(&buf, sim.Store, sim.Ledger, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if restored.Round() != 2 || restored.CLogLen() != p.CLogLen() {
+				t.Fatalf("restored rounds=%d flows=%d", restored.Round(), restored.CLogLen())
+			}
+			res, err := restored.AggregateEpoch(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := v.VerifyAggregation(res.Receipt); err != nil {
+				t.Fatalf("chain broken after restore: %v", err)
+			}
+		})
 	}
 }
 

@@ -47,9 +47,8 @@ type pendingEpoch struct {
 }
 
 type sealOutcome struct {
-	receipt   zkvm.AnyReceipt
-	composite *zkvm.CompositeReceipt // pre-fold audit artifact; nil unless folded
-	err       error
+	receipt zkvm.AnyReceipt
+	err     error
 }
 
 // Scheduler pipelines epoch aggregations over a Prover: witness
@@ -161,9 +160,9 @@ func (s *Scheduler) witnessLoop() {
 				<-sealSlots
 			}()
 			span := s.p.met.span("seal")
-			receipt, comp, err := s.p.sealWitness(ex, pe.words)
+			receipt, err := s.p.sealWitness(ex, pe.words)
 			span.End()
-			pe.sealed <- sealOutcome{receipt: receipt, composite: comp, err: err}
+			pe.sealed <- sealOutcome{receipt: receipt, err: err}
 		}(pe, ex)
 		s.pending <- pe
 	}
@@ -245,7 +244,7 @@ func (s *Scheduler) commitLoop() {
 			s.results <- SchedulerResult{Epoch: pe.epoch, Err: commitFailed}
 			continue
 		}
-		res := &AggregationResult{Epoch: pe.epoch, Receipt: out.receipt, Composite: out.composite, Journal: pe.parsed}
+		res := &AggregationResult{Epoch: pe.epoch, Receipt: out.receipt, Journal: pe.parsed}
 		s.p.mu.Lock()
 		s.p.entries = pe.next
 		s.p.history = append(s.p.history, res)
@@ -263,26 +262,16 @@ func (s *Scheduler) commitLoop() {
 // witness execution cannot be re-cut after the fact — trading one
 // cheap emulator pass (a few percent of seal time) for a composite
 // receipt whose slices seal concurrently.
-func (p *Prover) sealWitness(ex *zkvm.Execution, words []uint32) (zkvm.AnyReceipt, *zkvm.CompositeReceipt, error) {
+func (p *Prover) sealWitness(ex *zkvm.Execution, words []uint32) (zkvm.AnyReceipt, error) {
 	po := p.opts.proveOptions()
-	var (
-		receipt zkvm.AnyReceipt
-		err     error
-	)
 	switch {
 	case p.opts.Prove != nil:
-		receipt, err = p.opts.Prove(guest.AggregationProgram(), words, po)
+		return p.opts.Prove(guest.AggregationProgram(), words, po)
 	case po.SegmentCycles > 0:
-		receipt, err = zkvm.ProveSegmented(guest.AggregationProgram(), words, po)
+		return zkvm.ProveSegmented(guest.AggregationProgram(), words, po)
 	default:
-		receipt, err = zkvm.ProveExecution(ex, po)
+		return zkvm.ProveExecution(ex, po)
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	// Folding rides in the concurrent seal stage, so its cost overlaps
-	// the next epochs' witness and seal work like sealing itself does.
-	return p.maybeFold(guest.AggregationProgram(), receipt)
 }
 
 // AggregateEpochs pipelines the given epochs (in chain order) through

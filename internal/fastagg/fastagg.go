@@ -199,18 +199,12 @@ func buildTrace(input gperm.State, n int) [][]field.Elem {
 	return trace
 }
 
-// absorbStatement binds the chain statement into tr. Callers that
-// wrap the chain in a larger protocol (internal/fold) absorb their
-// own public statement first, so one transcript covers both layers.
-func absorbStatement(tr *transcript.Transcript, stmt Statement) {
+// statementTranscript opens a transcript bound to the chain statement.
+func statementTranscript(stmt Statement) *transcript.Transcript {
+	tr := transcript.New("fastagg-chain-v1")
 	tr.AppendElems("input", stmt.Input[:]...)
 	tr.AppendElems("output", stmt.Output[:]...)
 	tr.AppendUint64("n", uint64(stmt.N))
-}
-
-func statementTranscript(stmt Statement) *transcript.Transcript {
-	tr := transcript.New("fastagg-chain-v1")
-	absorbStatement(tr, stmt)
 	return tr
 }
 
@@ -232,26 +226,6 @@ func Prove(input gperm.State, n int, params stark.Params) (*Proof, error) {
 	return &Proof{Stmt: stmt, Stark: sp}, nil
 }
 
-// ProveChain is Prove with a caller-supplied transcript: tr must
-// already hold the caller's public statement, and the chain statement
-// is absorbed on top before proving. Any mutation of either statement
-// invalidates the Fiat–Shamir challenges.
-func ProveChain(input gperm.State, n int, params stark.Params, tr *transcript.Transcript) (*Proof, error) {
-	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("fastagg: trace length %d must be a power of two >= 2", n)
-	}
-	output := ChainOutput(input, n-1)
-	stmt := Statement{Input: input, Output: output, N: n}
-	absorbStatement(tr, stmt)
-	a := newChainAIR(input, output)
-	trace := buildTrace(input, n)
-	sp, err := stark.Prove(a, trace, tr, params)
-	if err != nil {
-		return nil, err
-	}
-	return &Proof{Stmt: stmt, Stark: sp}, nil
-}
-
 // ErrReject wraps verification failures.
 var ErrReject = errors.New("fastagg: proof rejected")
 
@@ -262,21 +236,6 @@ func Verify(p *Proof, params stark.Params) error {
 	}
 	a := newChainAIR(p.Stmt.Input, p.Stmt.Output)
 	if err := stark.Verify(a, p.Stark, statementTranscript(p.Stmt), params); err != nil {
-		return fmt.Errorf("%w: %v", ErrReject, err)
-	}
-	return nil
-}
-
-// VerifyChain is Verify with a caller-supplied transcript, the dual
-// of ProveChain: tr must hold the caller's public statement in the
-// same order the prover absorbed it.
-func VerifyChain(p *Proof, params stark.Params, tr *transcript.Transcript) error {
-	if p.Stmt.N != p.Stark.N {
-		return fmt.Errorf("%w: statement length %d, proof length %d", ErrReject, p.Stmt.N, p.Stark.N)
-	}
-	absorbStatement(tr, p.Stmt)
-	a := newChainAIR(p.Stmt.Input, p.Stmt.Output)
-	if err := stark.Verify(a, p.Stark, tr, params); err != nil {
 		return fmt.Errorf("%w: %v", ErrReject, err)
 	}
 	return nil

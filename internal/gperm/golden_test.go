@@ -21,8 +21,4 @@ func TestGoldenVectors(t *testing.T) {
 	if got, want := uint64(s[0]), uint64(0xd0d54cff81871985); got != want {
 		t.Errorf("Permute([1,0,...])[0] = %#x, want %#x", got, want)
 	}
-	d := Hash(field.New(1), field.New(2), field.New(3))
-	if got, want := uint64(d[0]), uint64(0xa13bb5c32d8a35a5); got != want {
-		t.Errorf("Hash(1,2,3)[0] = %#x, want %#x", got, want)
-	}
 }

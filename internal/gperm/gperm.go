@@ -1,4 +1,4 @@
-// Package gperm implements an algebraic sponge permutation over the
+// Package gperm implements an algebraic permutation over the
 // Goldilocks field, in the style of Rescue-Prime/Poseidon: a width-12
 // state transformed by R full rounds of (x^7 S-box, MDS mix, round
 // constant addition). Unlike SHA-256, every round is a low-degree
@@ -6,7 +6,7 @@
 // with one trace row per round — this is exactly the "specialized proof
 // system" speed-up path discussed in §7 of the paper.
 //
-// Parameters are demonstration-grade (8 full rounds, capacity 4): they
+// Parameters are demonstration-grade (8 full rounds): they
 // give the right cost model and interfaces for the ablation benchmarks
 // but have not been cryptanalysed for production use. Round constants
 // are derived from SHA-256 ("nothing up my sleeve"); the MDS matrix is a
@@ -24,27 +24,12 @@ import (
 const (
 	// Width is the number of field elements in the permutation state.
 	Width = 12
-	// Rate is the number of state elements absorbed/squeezed per block.
-	Rate = 8
-	// Capacity = Width - Rate elements are never directly exposed.
-	Capacity = Width - Rate
 	// Rounds is the number of full S-box rounds.
 	Rounds = 8
-	// DigestLen is the number of field elements in a sponge digest.
-	DigestLen = 4
 )
 
 // State is the permutation state.
 type State [Width]field.Elem
-
-// Digest is a 4-element (≈256-bit) sponge output.
-type Digest [DigestLen]field.Elem
-
-// String implements fmt.Stringer.
-func (d Digest) String() string {
-	return fmt.Sprintf("%016x%016x%016x%016x",
-		uint64(d[0]), uint64(d[1]), uint64(d[2]), uint64(d[3]))
-}
 
 // RoundConstants[r][i] is the constant added to state element i after
 // the mix layer of round r.
@@ -89,89 +74,4 @@ func (s *State) Permute() {
 	for r := 0; r < Rounds; r++ {
 		s.Round(r)
 	}
-}
-
-// Sponge is an incremental absorb/squeeze hasher over field elements.
-// The zero value is ready to use.
-type Sponge struct {
-	state    State
-	buf      [Rate]field.Elem
-	bufLen   int
-	squeezed bool
-}
-
-// Absorb feeds field elements into the sponge. Absorb after Squeeze
-// panics: this sponge is single-phase, matching in-circuit usage.
-func (sp *Sponge) Absorb(xs ...field.Elem) {
-	if sp.squeezed {
-		panic("gperm: absorb after squeeze")
-	}
-	for _, x := range xs {
-		sp.buf[sp.bufLen] = x
-		sp.bufLen++
-		if sp.bufLen == Rate {
-			sp.flush()
-		}
-	}
-}
-
-func (sp *Sponge) flush() {
-	for i := 0; i < Rate; i++ {
-		sp.state[i] = field.Add(sp.state[i], sp.buf[i])
-		sp.buf[i] = 0
-	}
-	sp.state.Permute()
-	sp.bufLen = 0
-}
-
-// Squeeze pads (10*) and returns the digest. It is idempotent.
-func (sp *Sponge) Squeeze() Digest {
-	if !sp.squeezed {
-		// 10* padding: a single One then zeros completes the block.
-		sp.buf[sp.bufLen] = field.One
-		sp.bufLen++
-		for sp.bufLen < Rate {
-			sp.buf[sp.bufLen] = 0
-			sp.bufLen++
-		}
-		sp.flush()
-		sp.squeezed = true
-	}
-	var d Digest
-	copy(d[:], sp.state[:DigestLen])
-	return d
-}
-
-// Hash absorbs xs into a fresh sponge and squeezes a digest.
-func Hash(xs ...field.Elem) Digest {
-	var sp Sponge
-	sp.Absorb(xs...)
-	return sp.Squeeze()
-}
-
-// HashTwo compresses two digests into one — the Merkle node function
-// for algebraic trees.
-func HashTwo(a, b Digest) Digest {
-	var sp Sponge
-	sp.Absorb(a[:]...)
-	sp.Absorb(b[:]...)
-	return sp.Squeeze()
-}
-
-// HashBytes maps arbitrary bytes into field elements (7 bytes per
-// element so every element is canonical) and hashes them. Used to bind
-// non-field data (flow keys, roots) into algebraic digests.
-func HashBytes(data []byte) Digest {
-	var sp Sponge
-	sp.Absorb(field.New(uint64(len(data))))
-	for off := 0; off < len(data); off += 7 {
-		end := off + 7
-		if end > len(data) {
-			end = len(data)
-		}
-		var chunk [8]byte
-		copy(chunk[:7], data[off:end])
-		sp.Absorb(field.Elem(binary.LittleEndian.Uint64(chunk[:])))
-	}
-	return sp.Squeeze()
 }

@@ -54,91 +54,6 @@ func TestMDSIsInvertibleOnBasis(t *testing.T) {
 	}
 }
 
-func TestHashDeterministicAndSensitive(t *testing.T) {
-	a := Hash(field.New(1), field.New(2), field.New(3))
-	b := Hash(field.New(1), field.New(2), field.New(3))
-	c := Hash(field.New(1), field.New(2), field.New(4))
-	if a != b {
-		t.Fatal("hash not deterministic")
-	}
-	if a == c {
-		t.Fatal("hash insensitive to input change")
-	}
-}
-
-func TestHashLengthExtensionDomainSep(t *testing.T) {
-	// (1,2) and (1,2,0) must differ thanks to 10* padding.
-	a := Hash(field.New(1), field.New(2))
-	b := Hash(field.New(1), field.New(2), field.Zero)
-	if a == b {
-		t.Fatal("padding fails to separate trailing zeros")
-	}
-}
-
-func TestHashEmptyInput(t *testing.T) {
-	d := Hash()
-	var zero Digest
-	if d == zero {
-		t.Fatal("empty hash is zero digest")
-	}
-}
-
-func TestHashMultiBlock(t *testing.T) {
-	xs := make([]field.Elem, Rate*3+1)
-	for i := range xs {
-		xs[i] = field.New(uint64(i * 31))
-	}
-	a := Hash(xs...)
-	xs[len(xs)-1] = field.Add(xs[len(xs)-1], field.One)
-	b := Hash(xs...)
-	if a == b {
-		t.Fatal("last element of multi-block input ignored")
-	}
-}
-
-func TestAbsorbAfterSqueezePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	var sp Sponge
-	sp.Absorb(field.One)
-	sp.Squeeze()
-	sp.Absorb(field.One)
-}
-
-func TestSqueezeIdempotent(t *testing.T) {
-	var sp Sponge
-	sp.Absorb(field.New(7))
-	if sp.Squeeze() != sp.Squeeze() {
-		t.Fatal("squeeze not idempotent")
-	}
-}
-
-func TestHashTwoOrderMatters(t *testing.T) {
-	a := Hash(field.New(1))
-	b := Hash(field.New(2))
-	if HashTwo(a, b) == HashTwo(b, a) {
-		t.Fatal("HashTwo symmetric — Merkle positions would be forgeable")
-	}
-}
-
-func TestHashBytes(t *testing.T) {
-	a := HashBytes([]byte("hello world"))
-	b := HashBytes([]byte("hello worle"))
-	if a == b {
-		t.Fatal("byte hash insensitive")
-	}
-	// Length binding: "ab" + "" vs "a" + "b" style ambiguity guard.
-	if HashBytes([]byte{0}) == HashBytes([]byte{0, 0}) {
-		t.Fatal("byte hash ignores length")
-	}
-	if HashBytes(nil) == HashBytes([]byte{0}) {
-		t.Fatal("empty vs single zero byte collide")
-	}
-}
-
 func TestRoundMatchesPermute(t *testing.T) {
 	f := func(seed uint64) bool {
 		var a, b State
@@ -160,14 +75,5 @@ func BenchmarkPermute(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Permute()
-	}
-}
-
-func BenchmarkHashTwo(b *testing.B) {
-	x := Hash(field.New(1))
-	y := Hash(field.New(2))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		x = HashTwo(x, y)
 	}
 }

@@ -18,15 +18,7 @@
 //     (client-side randomness; the server's sync hints only say what
 //     exists) and verify each receipt from scratch: guest image,
 //     proof seal, and the journal's router commitments against the
-//     chain-verified delta entries. A folded receipt is only a
-//     prover-trusted binding (it cannot be verified from scratch —
-//     see internal/fold's soundness model), so sampled folded rounds
-//     escalate: the client fetches the round's audit artifact (the
-//     pre-fold composite), verifies it in full, and cross-checks it
-//     against the folded statement with fold.AuditBinding. Only when
-//     the operator did not retain the composite — and the client
-//     explicitly opted in with Options.TrustFolded — is a folded
-//     round accepted on its binding alone.
+//     chain-verified delta entries.
 //  4. Spot-check the server's inclusion-proof surface for one sampled
 //     epoch against the new checkpoint.
 //
@@ -45,7 +37,6 @@ import (
 	mrand "math/rand"
 
 	"zkflow/internal/api"
-	"zkflow/internal/fold"
 	"zkflow/internal/guest"
 	"zkflow/internal/ledger"
 	"zkflow/internal/merkle"
@@ -114,14 +105,6 @@ type Options struct {
 	Seed int64
 	// MinChecks is the receipt soundness floor (zkvm.VerifyOptions).
 	MinChecks int
-	// TrustFolded accepts a sampled folded round on its prover-trusted
-	// binding alone when the operator did not retain its audit
-	// composite. Off by default: without the audit artifact a folded
-	// round cannot be verified from scratch, and the sync fails rather
-	// than silently downgrade. Setting this is an explicit statement
-	// of operator trust for such rounds; Report.TrustedRounds records
-	// each use.
-	TrustFolded bool
 	// SkipProofCheck disables step 4 (the inclusion-proof spot check).
 	SkipProofCheck bool
 	// Metrics, when set, receives lightsync.* counters.
@@ -134,8 +117,6 @@ type Report struct {
 	NewEntries    int      // delta entries fetched and chain-verified
 	NewEpochs     []uint64 // epochs newly covered by the sync
 	SampledRounds []int    // aggregation rounds spot-verified
-	AuditedRounds []int    // folded rounds escalated to full composite audit
-	TrustedRounds []int    // folded rounds accepted on operator trust (TrustFolded)
 	ProofsChecked int      // inclusion proofs verified in step 4
 	Bytes         uint64   // response bytes this sync read off the wire
 	CacheHits     uint64   // requests satisfied by 304 revalidation
@@ -150,7 +131,7 @@ type entryKey struct {
 
 // counters bundles the obs instrumentation.
 type counters struct {
-	epochs, entries, receipts, audited, trusted, proofs, failures *obs.Counter
+	epochs, entries, receipts, proofs, failures *obs.Counter
 }
 
 func newCounters(reg *obs.Registry) counters {
@@ -161,8 +142,6 @@ func newCounters(reg *obs.Registry) counters {
 		epochs:   reg.Counter("lightsync.epochs_synced"),
 		entries:  reg.Counter("lightsync.entries_verified"),
 		receipts: reg.Counter("lightsync.receipts_verified"),
-		audited:  reg.Counter("lightsync.rounds_audited"),
-		trusted:  reg.Counter("lightsync.rounds_trusted"),
 		proofs:   reg.Counter("lightsync.proofs_checked"),
 		failures: reg.Counter("lightsync.sync_failures"),
 	}
@@ -260,20 +239,11 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr count
 			candidates[i], candidates[j] = candidates[j], candidates[i]
 		})
 		for _, h := range candidates[:n] {
-			mode, err := verifyRound(ctx, c, h, verified, opts)
-			if err != nil {
+			if err := verifyRound(ctx, c, h, verified, opts); err != nil {
 				return nil, err
 			}
 			rep.SampledRounds = append(rep.SampledRounds, h.Round)
 			ctr.add(ctr.receipts, 1)
-			switch mode {
-			case roundAudited:
-				rep.AuditedRounds = append(rep.AuditedRounds, h.Round)
-				ctr.add(ctr.audited, 1)
-			case roundTrusted:
-				rep.TrustedRounds = append(rep.TrustedRounds, h.Round)
-				ctr.add(ctr.trusted, 1)
-			}
 		}
 
 		// Step 4: inclusion-proof spot check against the new head, on
@@ -301,95 +271,40 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr count
 	return rep, nil
 }
 
-// How a sampled round was accepted.
-const (
-	roundVerified = "verified" // self-sound receipt, verified from scratch
-	roundAudited  = "audited"  // folded: audit composite verified + binding cross-checked
-	roundTrusted  = "trusted"  // folded: accepted on operator trust (Options.TrustFolded)
-)
-
 // verifyRound fetches and fully re-verifies one sampled aggregation
 // round: guest image, proof seal, and the journal's commitments
-// against the chain-verified ledger entries. Folded rounds escalate
-// to the audit artifact (see the package comment's step 3); the
-// returned mode records which path accepted the round.
-func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified map[entryKey]merkle.Hash, opts Options) (string, error) {
+// against the chain-verified ledger entries.
+func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified map[entryKey]merkle.Hash, opts Options) error {
 	receipt, err := c.AggregationReceipt(ctx, h.Round)
 	if err != nil {
-		return "", fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
+		return fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
 	}
 	prog := guest.AggregationImage(receipt.Image())
 	if prog == nil {
-		return "", fmt.Errorf("%w: round %d bound to image %v", ErrReceipt, h.Round, receipt.Image())
+		return fmt.Errorf("%w: round %d bound to image %v", ErrReceipt, h.Round, receipt.Image())
 	}
-	vopts := zkvm.VerifyOptions{MinChecks: opts.MinChecks}
-	mode := roundVerified
-	if pt, ok := receipt.(zkvm.ProverTrusted); ok && pt.ProverTrusted() {
-		mode, err = auditFoldedRound(ctx, c, prog, h, receipt, opts)
-		if err != nil {
-			return "", err
-		}
-		// The binding (or the explicit trust decision) covers what
-		// VerifyAny alone cannot; the integrity check below still runs.
-		vopts.AcceptProverTrusted = true
-	}
-	if err := zkvm.VerifyAny(prog, receipt, vopts); err != nil {
-		return "", fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
+	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{MinChecks: opts.MinChecks}); err != nil {
+		return fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
 	}
 	j, err := guest.ParseAggJournal(receipt.JournalWords())
 	if err != nil {
-		return "", fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
+		return fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
 	}
 	if uint64(j.Epoch) != h.Epoch {
-		return "", fmt.Errorf("%w: round %d proves epoch %d, hint said %d", ErrReceipt, h.Round, j.Epoch, h.Epoch)
+		return fmt.Errorf("%w: round %d proves epoch %d, hint said %d", ErrReceipt, h.Round, j.Epoch, h.Epoch)
 	}
 	// Every router commitment the guest consumed must be the one the
 	// hash chain authenticated for that (router, epoch).
 	for i, id := range j.RouterIDs {
 		hash, ok := verified[entryKey{id, uint64(j.Epoch)}]
 		if !ok {
-			return "", fmt.Errorf("%w: round %d: router %d epoch %d not on the verified chain", ErrReceipt, h.Round, id, j.Epoch)
+			return fmt.Errorf("%w: round %d: router %d epoch %d not on the verified chain", ErrReceipt, h.Round, id, j.Epoch)
 		}
 		if vmtree.FromBytes(hash) != j.Commitments[i] {
-			return "", fmt.Errorf("%w: round %d: router %d epoch %d commitment mismatch", ErrReceipt, h.Round, id, j.Epoch)
+			return fmt.Errorf("%w: round %d: router %d epoch %d commitment mismatch", ErrReceipt, h.Round, id, j.Epoch)
 		}
 	}
-	return mode, nil
-}
-
-// auditFoldedRound establishes soundness for a prover-trusted folded
-// receipt: fetch the round's audit artifact (the pre-fold composite),
-// verify it in full, and cross-check it against the folded statement
-// with fold.AuditBinding. When the operator retained no audit
-// artifact, the round is accepted only under Options.TrustFolded.
-func auditFoldedRound(ctx context.Context, c *api.Client, prog *zkvm.Program, h api.ReceiptHint, receipt zkvm.AnyReceipt, opts Options) (string, error) {
-	fr, ok := receipt.(*fold.FoldedReceipt)
-	if !ok {
-		// An unknown prover-trusted kind has no audit protocol here.
-		return "", fmt.Errorf("%w: round %d: prover-trusted receipt kind %T is not auditable", ErrReceipt, h.Round, receipt)
-	}
-	audit, err := c.AggregationAudit(ctx, h.Round)
-	if err != nil {
-		if !opts.TrustFolded {
-			return "", fmt.Errorf("%w: round %d is folded and its audit composite is unavailable (%v); "+
-				"rerun with TrustFolded to accept it on operator trust", ErrReceipt, h.Round, err)
-		}
-		return roundTrusted, nil
-	}
-	comp, ok := audit.(*zkvm.CompositeReceipt)
-	if !ok {
-		return "", fmt.Errorf("%w: round %d: audit artifact is %T, want the pre-fold composite", ErrReceipt, h.Round, audit)
-	}
-	if comp.Image() != prog.ID() {
-		return "", fmt.Errorf("%w: round %d: audit composite bound to image %v", ErrReceipt, h.Round, comp.Image())
-	}
-	if err := zkvm.VerifyAny(prog, comp, zkvm.VerifyOptions{MinChecks: opts.MinChecks}); err != nil {
-		return "", fmt.Errorf("%w: round %d: audit composite: %v", ErrReceipt, h.Round, err)
-	}
-	if err := fold.AuditBinding(fr, comp); err != nil {
-		return "", fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
-	}
-	return roundAudited, nil
+	return nil
 }
 
 // spotCheckProofs pulls the server's inclusion proofs for one epoch,

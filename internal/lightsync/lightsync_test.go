@@ -161,7 +161,7 @@ func TestSyncRejectsTamperedEntry(t *testing.T) {
 		// The operator still serves its honest receipts — those are
 		// what bind it to the true commitments.
 		for _, res := range op.prover.History() {
-			if err := tampered.AddAggregation(res.Epoch, res.Receipt); err != nil {
+			if err := tampered.AddAggregationResult(res); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -316,17 +316,15 @@ func TestSyncCacheRevalidation(t *testing.T) {
 	}
 }
 
-// TestSyncFoldedReceipts: a light client syncs an operator that folds
-// its segmented rounds — sampled rounds arrive as bounded-size folded
-// receipts and, because a folded receipt is only a prover-trusted
-// binding, each one escalates to the round's audit composite: the
-// composite verifies under the MinChecks floor and AuditBinding ties
-// it to the folded statement before the pin advances.
-func TestSyncFoldedReceipts(t *testing.T) {
+// TestSyncCompositeReceipts: a light client syncs an operator that
+// proves its rounds as continuation chains — sampled rounds arrive as
+// composite receipts, labelled so in the hints, and each verifies in
+// full under the MinChecks floor before the pin advances.
+func TestSyncCompositeReceipts(t *testing.T) {
 	st := store.Open(0)
 	lg := ledger.New()
 	sim := router.NewSim(trafficgen.Config{Seed: 11, NumFlows: 32, Routers: 2}, st, lg)
-	prover := core.NewProver(st, lg, core.Options{Checks: 6, SegmentCycles: 1 << 12, Fold: true})
+	prover := core.NewProver(st, lg, core.Options{Checks: 6, SegmentCycles: 1 << 10})
 	srv := api.NewServer(prover, lg)
 	op := &operator{sim: sim, prover: prover, srv: srv, lg: lg}
 	op.ts = httptest.NewServer(srv.Handler())
@@ -342,8 +340,8 @@ func TestSyncFoldedReceipts(t *testing.T) {
 		t.Fatalf("hints list %d rounds, want 3", len(hints.Receipts))
 	}
 	for _, h := range hints.Receipts {
-		if h.Kind != api.ReceiptKindFolded {
-			t.Fatalf("round %d kind %q, want folded", h.Round, h.Kind)
+		if h.Kind != api.ReceiptKindComposite {
+			t.Fatalf("round %d kind %q, want composite", h.Round, h.Kind)
 		}
 	}
 
@@ -355,62 +353,7 @@ func TestSyncFoldedReceipts(t *testing.T) {
 	if len(rep.SampledRounds) != 2 {
 		t.Fatalf("sampled %v", rep.SampledRounds)
 	}
-	if len(rep.AuditedRounds) != 2 || len(rep.TrustedRounds) != 0 {
-		t.Fatalf("audited %v trusted %v, want every folded sample audited", rep.AuditedRounds, rep.TrustedRounds)
-	}
 	if pin.Checkpoint.Epoch != 2 {
-		t.Fatalf("pin not advanced: %+v", pin.Checkpoint)
-	}
-}
-
-// TestSyncFoldedNoAuditRequiresTrust: when the operator serves folded
-// receipts without retaining their audit composites, a default sync
-// refuses the prover-trusted evidence; only the explicit TrustFolded
-// opt-in accepts it, and the report flags those rounds.
-func TestSyncFoldedNoAuditRequiresTrust(t *testing.T) {
-	st := store.Open(0)
-	lg := ledger.New()
-	sim := router.NewSim(trafficgen.Config{Seed: 17, NumFlows: 32, Routers: 2}, st, lg)
-	prover := core.NewProver(st, lg, core.Options{Checks: 6, SegmentCycles: 1 << 12, Fold: true})
-	srv := api.NewServer(prover, lg)
-	op := &operator{sim: sim, prover: prover, srv: srv, lg: lg}
-	op.ts = httptest.NewServer(srv.Handler())
-	t.Cleanup(op.ts.Close)
-	for i := 0; i < 2; i++ {
-		e := op.epochs
-		if _, err := op.sim.RunEpoch(context.Background(), e, 8); err != nil {
-			t.Fatal(err)
-		}
-		res, err := op.prover.AggregateEpoch(e)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Receipt only — the composite is dropped, so no audit artifact.
-		if err := op.srv.AddAggregation(e, res.Receipt); err != nil {
-			t.Fatal(err)
-		}
-		op.epochs++
-	}
-
-	c := op.client()
-	pin := op.pinAt(t, 0)
-	before := pin.Checkpoint.Digest()
-	if _, err := Sync(context.Background(), c, pin, Options{Samples: 1, Seed: 3}); err == nil {
-		t.Fatal("default sync accepted a folded round with no audit composite")
-	}
-	if pin.Checkpoint.Digest() != before {
-		t.Fatal("pin moved despite failed sync")
-	}
-
-	pin = op.pinAt(t, 0)
-	rep, err := Sync(context.Background(), c, pin, Options{Samples: 1, Seed: 3, TrustFolded: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.TrustedRounds) != 1 || len(rep.AuditedRounds) != 0 {
-		t.Fatalf("audited %v trusted %v, want the sample flagged operator-trusted", rep.AuditedRounds, rep.TrustedRounds)
-	}
-	if pin.Checkpoint.Epoch != 1 {
 		t.Fatalf("pin not advanced: %+v", pin.Checkpoint)
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"zkflow/internal/gperm"
 	"zkflow/internal/obs"
 	"zkflow/internal/zkvm"
 )
@@ -83,7 +82,6 @@ type farmJob struct {
 	segIndex uint32
 	seed     [32]byte
 	req      []byte
-	aux      []byte // fold-leaf payload
 
 	home         uint32 // planned worker at enqueue time (0 = none yet)
 	attempts     int
@@ -523,8 +521,8 @@ func (c *Coordinator) handleResult(w *farmWorker, res resultMsg) {
 	if res.OK {
 		c.cResultsOK.Inc()
 		// Segment completions feed the throughput EWMA the dispatcher
-		// scores workers by. Whole runs and fold leaves have a
-		// different cost scale, so they do not pollute the estimate.
+		// scores workers by. Whole runs have a different cost scale, so
+		// they do not pollute the estimate.
 		if j.mode == jobSegment && !j.dispatchedAt.IsZero() {
 			// len(w.inflight) is post-delete, so +1 counts this job in
 			// the worker's concurrent occupancy at completion time.
@@ -604,7 +602,7 @@ func (c *Coordinator) dispatchLoop() {
 		c.mu.Unlock()
 
 		if err := c.send(w, frameJob, encodeJob(jobMsg{
-			JobID: j.id, Mode: j.mode, SegIndex: j.segIndex, Seed: j.seed, Req: j.req, Aux: j.aux,
+			JobID: j.id, Mode: j.mode, SegIndex: j.segIndex, Seed: j.seed, Req: j.req,
 		})); err != nil {
 			c.killWorker(w, "job write failed")
 		}
@@ -699,7 +697,7 @@ func (c *Coordinator) monitorLoop() {
 // workers and no faults the steal count stays near zero, and it grows
 // exactly when throughput imbalance or failover makes the central
 // queue earn its keep.
-func (c *Coordinator) enqueue(mode byte, segIndex uint32, seed [32]byte, req, aux []byte) (*farmJob, error) {
+func (c *Coordinator) enqueue(mode byte, segIndex uint32, seed [32]byte, req []byte) (*farmJob, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -707,7 +705,7 @@ func (c *Coordinator) enqueue(mode byte, segIndex uint32, seed [32]byte, req, au
 	}
 	c.nextJID++
 	j := &farmJob{
-		id: c.nextJID, mode: mode, segIndex: segIndex, seed: seed, req: req, aux: aux,
+		id: c.nextJID, mode: mode, segIndex: segIndex, seed: seed, req: req,
 		done: make(chan jobOutcome, 1),
 	}
 	prior := c.meanRateLocked()
@@ -772,7 +770,7 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 		}
 		jobs := make([]*farmJob, n)
 		for i := 0; i < n; i++ {
-			j, err := c.enqueue(jobSegment, uint32(i), seed, req, nil)
+			j, err := c.enqueue(jobSegment, uint32(i), seed, req)
 			if err != nil {
 				return nil, err
 			}
@@ -798,7 +796,7 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 		}
 		return c.checkReceipt(prog, comp, opts)
 	}
-	j, err := c.enqueue(jobWhole, 0, seed, req, nil)
+	j, err := c.enqueue(jobWhole, 0, seed, req)
 	if err != nil {
 		return nil, err
 	}
@@ -824,59 +822,10 @@ func (c *Coordinator) abandonJobs(jobs []*farmJob) {
 	c.mu.Unlock()
 }
 
-// FoldLeaves fans the fold leaf stage out across the farm: each
-// segment receipt is dispatched as one jobFoldLeaf — the worker
-// verifies the receipt's seal under vopts and returns its fold-tree
-// leaf digest. The returned digests are in segment order, compatible
-// with fold.Options.Leaves.
-//
-// Trust stance: the digest cross-check in fold.Fold protects the fold
-// root's *integrity* (a lying worker cannot corrupt it), but the
-// digest is a cheap hash of the receipt bytes — it cannot prove the
-// worker actually ran zkvm.VerifySegment, which is the only expensive
-// part and the whole point of the job. A compromised worker can
-// return correct digests while skipping seal verification entirely.
-// Farmed leaf stages therefore require workers trusted to do the
-// work; fold.Options.SpotChecks re-verifies a random sample of seals
-// locally to bound the risk of a silently skipping worker.
-func (c *Coordinator) FoldLeaves(ctx context.Context, prog *zkvm.Program, segs []*zkvm.SegmentReceipt, vopts zkvm.VerifyOptions) ([]gperm.Digest, error) {
-	req := EncodeRequest(prog, nil, zkvm.ProveOptions{})
-	jobs := make([]*farmJob, len(segs))
-	for i, sr := range segs {
-		raw, err := zkvm.MarshalSegmentReceipt(sr)
-		if err != nil {
-			return nil, fmt.Errorf("remote: fold leaf %d: %w", i, err)
-		}
-		j, err := c.enqueue(jobFoldLeaf, uint32(i), [32]byte{}, req, encodeFoldLeaf(vopts, raw))
-		if err != nil {
-			return nil, err
-		}
-		jobs[i] = j
-	}
-	leaves := make([]gperm.Digest, len(segs))
-	for i, j := range jobs {
-		payload, err := c.await(ctx, j)
-		if err != nil {
-			c.abandonJobs(jobs[i+1:])
-			return nil, fmt.Errorf("remote: fold leaf %d: %w", i, err)
-		}
-		d, err := decodeLeafDigest(payload)
-		if err != nil {
-			c.abandonJobs(jobs[i+1:])
-			return nil, fmt.Errorf("%w: fold leaf %d: %v", ErrRemote, i, err)
-		}
-		leaves[i] = d
-	}
-	return leaves, nil
-}
-
 // checkReceipt locally re-verifies a receipt a worker returned, or one
 // assembled from workers' segments, before handing it to the caller: a
 // buggy or compromised worker cannot slip an invalid receipt into the
-// aggregation chain. AcceptProverTrusted stays off: a worker has no
-// business returning a prover-trusted kind (e.g. a folded receipt)
-// whose verification would not re-establish the execution, so
-// VerifyAny rejecting those by default is exactly right here.
+// aggregation chain.
 func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
 	if receipt.Image() != prog.ID() {
 		return nil, fmt.Errorf("%w: farm returned a receipt for image %v", ErrRemote, receipt.Image())

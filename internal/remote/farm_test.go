@@ -110,6 +110,26 @@ func TestFarmWholeJobByteIdentical(t *testing.T) {
 	}
 }
 
+// TestFarmWorkerRefusesSegmentedWholeJob: the coordinator cuts every
+// segmented run into segment jobs itself, so a whole job asking for
+// segments did not come from it. The worker answers with an error and
+// proves nothing.
+func TestFarmWorkerRefusesSegmentedWholeJob(t *testing.T) {
+	c := testFarm(t, nil)
+	startWorker(t, c.Addr(), WorkerConfig{Name: "w1"})
+	waitWorkers(t, c, 1)
+
+	prog, input := loopProgram()
+	j, err := c.enqueue(jobWhole, 0, [32]byte{5}, EncodeRequest(prog, input, farmOpts()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := c.await(context.Background(), j)
+	if payload != nil || !errors.Is(err, ErrRemote) || !strings.Contains(err.Error(), "segments") {
+		t.Fatalf("got %d payload bytes, error %v; want no payload and ErrRemote naming segments", len(payload), err)
+	}
+}
+
 // TestFarmOfOneIsTheOffPathProver: one worker behind the coordinator is
 // the paper's off-path prover. What it cannot prove surfaces as its
 // error and no receipt; what it returns is checked before anyone else

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"zkflow/internal/fold"
 	"zkflow/internal/obs"
 	"zkflow/internal/zkvm"
 )
@@ -50,17 +49,11 @@ type WorkerConfig struct {
 type WorkerJob struct {
 	ID       uint64
 	Segment  bool // one segment of a continuation chain
-	FoldLeaf bool // verify a segment receipt and digest it
 	SegIndex int
 	Seed     [32]byte
 	Prog     *zkvm.Program
 	Input    []uint32
 	Opts     zkvm.ProveOptions
-
-	// Fold-leaf payload: the verification policy and the marshalled
-	// segment receipt to verify.
-	VerifyOpts  zkvm.VerifyOptions
-	LeafReceipt []byte
 }
 
 // ProveJobFunc proves one job, returning the wire payload (a
@@ -180,30 +173,14 @@ func (rc *runCache) drain() {
 }
 
 // defaultProveJob proves a job locally: segment jobs through the
-// shared run cache, whole jobs via the deterministic seeded provers,
-// fold-leaf jobs by verifying the carried segment receipt and
-// returning its fold-tree digest. Proving stages are timed into stages.
+// shared run cache, whole jobs via the deterministic seeded prover.
+// The coordinator cuts every segmented run into segment jobs itself, so
+// a whole job that asks for segments is refused rather than proved.
+// Proving stages are timed into stages.
 func defaultProveJob(cache *runCache, stages zkvm.StageObserver) ProveJobFunc {
 	return func(_ context.Context, job *WorkerJob) ([]byte, error) {
 		opts := job.Opts
 		opts.Observer = stages
-		if job.FoldLeaf {
-			sr, err := zkvm.UnmarshalSegmentReceipt(job.LeafReceipt)
-			if err != nil {
-				return nil, err
-			}
-			if int(sr.Index) != job.SegIndex {
-				return nil, fmt.Errorf("remote: fold leaf %d carries segment index %d", job.SegIndex, sr.Index)
-			}
-			if err := zkvm.VerifySegment(job.Prog, sr, job.VerifyOpts); err != nil {
-				return nil, err
-			}
-			d, err := fold.LeafDigest(sr)
-			if err != nil {
-				return nil, err
-			}
-			return encodeLeafDigest(d), nil
-		}
 		if job.Segment {
 			key := runCacheKey(EncodeRequest(job.Prog, job.Input, job.Opts), job.Seed)
 			run, err := cache.acquire(key, func() (*zkvm.SegmentRun, error) {
@@ -220,11 +197,7 @@ func defaultProveJob(cache *runCache, stages zkvm.StageObserver) ProveJobFunc {
 			return zkvm.MarshalSegmentReceipt(sr)
 		}
 		if opts.SegmentCycles > 0 {
-			comp, err := zkvm.ProveSegmentedWithSeed(job.Prog, job.Input, opts, job.Seed)
-			if err != nil {
-				return nil, err
-			}
-			return comp.MarshalBinary()
+			return nil, fmt.Errorf("remote: whole job %d asks for %d-cycle segments", job.ID, opts.SegmentCycles)
 		}
 		r, err := zkvm.ProveWithSeed(job.Prog, job.Input, opts, job.Seed)
 		if err != nil {
@@ -388,16 +361,13 @@ readLoop:
 				inFlight.Done()
 			}()
 			job := &WorkerJob{
-				ID:          dj.msg.JobID,
-				Segment:     dj.msg.Mode == jobSegment,
-				FoldLeaf:    dj.msg.Mode == jobFoldLeaf,
-				SegIndex:    int(dj.msg.SegIndex),
-				Seed:        dj.msg.Seed,
-				Prog:        dj.prog,
-				Input:       dj.input,
-				Opts:        dj.opts,
-				VerifyOpts:  dj.verifyOpts,
-				LeafReceipt: dj.leafReceipt,
+				ID:       dj.msg.JobID,
+				Segment:  dj.msg.Mode == jobSegment,
+				SegIndex: int(dj.msg.SegIndex),
+				Seed:     dj.msg.Seed,
+				Prog:     dj.prog,
+				Input:    dj.input,
+				Opts:     dj.opts,
 			}
 			out, err := prove(wctx, job)
 			if err != nil {

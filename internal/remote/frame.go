@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 
-	"zkflow/internal/field"
-	"zkflow/internal/gperm"
 	"zkflow/internal/zkvm"
 )
 
@@ -231,43 +229,33 @@ func decodeHeartbeat(p []byte) (heartbeatMsg, error) {
 	return heartbeatMsg{InFlight: binary.LittleEndian.Uint32(p)}, nil
 }
 
-// Job modes: a whole guest run proved as one unit, one segment of a
-// deterministic continuation chain, or one fold leaf (verify a
-// segment receipt and return its fold-tree digest).
+// Job modes: a whole guest run proved as one unit, or one segment of a
+// deterministic continuation chain.
 const (
-	jobWhole    = 0x00
-	jobSegment  = 0x01
-	jobFoldLeaf = 0x02
+	jobWhole   = 0x00
+	jobSegment = 0x01
 )
 
 // jobMsg dispatches one proving job. Req is an EncodeRequest body
 // (program, input, prove options); Seed is the master salt seed the
 // job must be proved under, which is what makes independently proved
-// segments reassemble byte-identically. Fold-leaf jobs additionally
-// carry an Aux payload: the verification policy plus the marshalled
-// segment receipt to verify.
+// segments reassemble byte-identically.
 type jobMsg struct {
 	JobID    uint64
 	Mode     byte
 	SegIndex uint32
 	Seed     [32]byte
 	Req      []byte
-	Aux      []byte // jobFoldLeaf only
 }
 
 func encodeJob(m jobMsg) []byte {
-	out := make([]byte, 0, 53+len(m.Req)+len(m.Aux))
+	out := make([]byte, 0, 49+len(m.Req))
 	out = binary.LittleEndian.AppendUint64(out, m.JobID)
 	out = append(out, m.Mode)
 	out = binary.LittleEndian.AppendUint32(out, m.SegIndex)
 	out = append(out, m.Seed[:]...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(m.Req)))
-	out = append(out, m.Req...)
-	if m.Mode == jobFoldLeaf {
-		out = binary.LittleEndian.AppendUint32(out, uint32(len(m.Aux)))
-		out = append(out, m.Aux...)
-	}
-	return out
+	return append(out, m.Req...)
 }
 
 func decodeJob(p []byte) (jobMsg, error) {
@@ -277,79 +265,16 @@ func decodeJob(p []byte) (jobMsg, error) {
 	}
 	m.JobID = binary.LittleEndian.Uint64(p)
 	m.Mode = p[8]
-	if m.Mode != jobWhole && m.Mode != jobSegment && m.Mode != jobFoldLeaf {
+	if m.Mode != jobWhole && m.Mode != jobSegment {
 		return m, ErrBadFrame
 	}
 	m.SegIndex = binary.LittleEndian.Uint32(p[9:])
 	copy(m.Seed[:], p[13:45])
-	reqLen := binary.LittleEndian.Uint32(p[45:])
-	rest := p[49:]
-	if int64(reqLen) > int64(len(rest)) {
+	if int64(binary.LittleEndian.Uint32(p[45:])) != int64(len(p)-49) {
 		return m, ErrBadFrame
 	}
-	m.Req = rest[:reqLen]
-	rest = rest[reqLen:]
-	if m.Mode == jobFoldLeaf {
-		if len(rest) < 4 {
-			return m, ErrBadFrame
-		}
-		auxLen := binary.LittleEndian.Uint32(rest)
-		if len(rest)-4 != int(auxLen) {
-			return m, ErrBadFrame
-		}
-		m.Aux = rest[4:]
-	} else if len(rest) != 0 {
-		return m, ErrBadFrame
-	}
+	m.Req = p[49:]
 	return m, nil
-}
-
-// Fold-leaf aux payload: verification policy + marshalled segment
-// receipt.
-func encodeFoldLeaf(opts zkvm.VerifyOptions, receipt []byte) []byte {
-	out := make([]byte, 0, 5+len(receipt))
-	flag := byte(0)
-	if opts.AllowNonZeroExit {
-		flag = 1
-	}
-	out = append(out, flag)
-	out = binary.LittleEndian.AppendUint32(out, uint32(opts.MinChecks))
-	return append(out, receipt...)
-}
-
-func decodeFoldLeaf(p []byte) (zkvm.VerifyOptions, []byte, error) {
-	if len(p) < 5 || p[0] > 1 {
-		return zkvm.VerifyOptions{}, nil, ErrBadFrame
-	}
-	opts := zkvm.VerifyOptions{
-		AllowNonZeroExit: p[0] == 1,
-		MinChecks:        int(binary.LittleEndian.Uint32(p[1:])),
-	}
-	return opts, p[5:], nil
-}
-
-// Fold-leaf result payload: one gperm digest, 8 bytes per element.
-func encodeLeafDigest(d gperm.Digest) []byte {
-	out := make([]byte, 0, 8*len(d))
-	for _, e := range d {
-		out = binary.LittleEndian.AppendUint64(out, uint64(e))
-	}
-	return out
-}
-
-func decodeLeafDigest(p []byte) (gperm.Digest, error) {
-	var d gperm.Digest
-	if len(p) != 8*len(d) {
-		return d, ErrBadFrame
-	}
-	for i := range d {
-		v := binary.LittleEndian.Uint64(p[8*i:])
-		if v >= field.Modulus {
-			return d, ErrBadFrame
-		}
-		d[i] = field.Elem(v)
-	}
-	return d, nil
 }
 
 // resultMsg returns a finished job. OK results carry receipt bytes
@@ -400,10 +325,6 @@ type decodedJob struct {
 	prog  *zkvm.Program
 	input []uint32
 	opts  zkvm.ProveOptions
-
-	// Fold-leaf fields (msg.Mode == jobFoldLeaf).
-	verifyOpts  zkvm.VerifyOptions
-	leafReceipt []byte
 }
 
 func parseJob(m jobMsg) (*decodedJob, error) {
@@ -411,12 +332,5 @@ func parseJob(m jobMsg) (*decodedJob, error) {
 	if err != nil {
 		return nil, err
 	}
-	dj := &decodedJob{msg: m, prog: prog, input: input, opts: opts}
-	if m.Mode == jobFoldLeaf {
-		dj.verifyOpts, dj.leafReceipt, err = decodeFoldLeaf(m.Aux)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return dj, nil
+	return &decodedJob{msg: m, prog: prog, input: input, opts: opts}, nil
 }

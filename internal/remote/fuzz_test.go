@@ -47,6 +47,9 @@ func FuzzFarmFrames(f *testing.F) {
 	f.Add(byte(frameHeartbeat), encodeHeartbeat(heartbeatMsg{InFlight: 2}))
 	req := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6})
 	f.Add(byte(frameJob), encodeJob(jobMsg{JobID: 9, Mode: jobSegment, SegIndex: 3, Seed: [32]byte{1}, Req: req}))
+	f.Add(byte(frameJob), foldLeafFrame(req))
+	segmentedReq := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6, SegmentCycles: 64})
+	f.Add(byte(frameJob), encodeJob(jobMsg{JobID: 9, Mode: jobWhole, Seed: [32]byte{1}, Req: segmentedReq}))
 	f.Add(byte(frameResult), encodeResult(resultMsg{JobID: 9, OK: true, Payload: []byte("x")}))
 	f.Add(byte(frameResult), encodeResult(resultMsg{JobID: 9, OK: false, Payload: []byte("boom")}))
 	f.Add(byte(0xff), []byte{})
@@ -87,6 +90,35 @@ func FuzzFarmFrames(f *testing.F) {
 			}
 		}
 	})
+}
+
+// foldLeafFrame is a job payload in the retired fold-leaf layout: mode
+// 0x02 and, after Req, a length-prefixed payload (a verification policy
+// and a segment receipt).
+func foldLeafFrame(req []byte) []byte {
+	p := encodeJob(jobMsg{JobID: 9, Mode: jobSegment, Seed: [32]byte{1}, Req: req})
+	p[8] = 0x02
+	aux := []byte{0, 6, 0, 0, 0, 0x62, 0x66, 0x6b, 0x7a}
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(aux)))
+	return append(p, aux...)
+}
+
+// TestDecodeJobOneLayout: a job frame is its fixed header and Req,
+// nothing else, in one of the two modes.
+func TestDecodeJobOneLayout(t *testing.T) {
+	req := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6})
+	good := encodeJob(jobMsg{JobID: 9, Mode: jobWhole, Seed: [32]byte{1}, Req: req})
+	if _, err := decodeJob(good); err != nil {
+		t.Fatal(err)
+	}
+	trailing := append(append([]byte(nil), good...), 0)
+	mode2 := append([]byte(nil), good...)
+	mode2[8] = 0x02
+	for name, p := range map[string][]byte{"fold-leaf frame": foldLeafFrame(req), "trailing byte": trailing, "mode 0x02": mode2} {
+		if _, err := decodeJob(p); !errors.Is(err, ErrBadFrame) {
+			t.Fatalf("%s: got %v, want ErrBadFrame", name, err)
+		}
+	}
 }
 
 // FuzzReadFrame drives the stream-level frame reader: arbitrary byte

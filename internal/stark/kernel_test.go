@@ -2,28 +2,10 @@ package stark
 
 import (
 	"reflect"
-	"sync"
 	"testing"
-	"time"
 
 	"zkflow/internal/transcript"
 )
-
-// stageCollector records observed substages (mutex-guarded: pipelined
-// provers report concurrently).
-type stageCollector struct {
-	mu   sync.Mutex
-	seen map[string]time.Duration
-}
-
-func (c *stageCollector) ObserveStage(stage string, d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.seen == nil {
-		c.seen = map[string]time.Duration{}
-	}
-	c.seen[stage] += d
-}
 
 // TestProveByteDeterministicAcrossParallelism pins the whole prover —
 // column-parallel LDE, parallel commit, chunked composition, parallel
@@ -51,29 +33,6 @@ func TestProveByteDeterministicAcrossParallelism(t *testing.T) {
 	}
 	if err := Verify(a, base, transcript.New("fib-par"), DefaultParams); err != nil {
 		t.Fatalf("verify: %v", err)
-	}
-}
-
-// TestProveReportsAllStages checks the substage observer hook: one
-// prove must report every stage in Stages with a nonnegative duration,
-// and a nil observer must not be called (it would panic).
-func TestProveReportsAllStages(t *testing.T) {
-	trace, final := fibTrace(64)
-	a := &fibAIR{final: final}
-	copy(a.start[:], trace[0])
-	col := &stageCollector{}
-	params := DefaultParams
-	params.Observer = col
-	if _, err := Prove(a, trace, transcript.New("fib-stages"), params); err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range Stages {
-		if _, ok := col.seen[s]; !ok {
-			t.Fatalf("stage %q not reported (got %v)", s, col.seen)
-		}
-	}
-	if len(col.seen) != len(Stages) {
-		t.Fatalf("unexpected extra stages: %v", col.seen)
 	}
 }
 

@@ -44,10 +44,6 @@ type Params struct {
 	// and EvalTransition are called from multiple goroutines and must
 	// be safe for concurrent use.
 	Parallelism int
-	// Observer, when non-nil, receives per-substage wall times from
-	// Prove (see Stages). Prover-side telemetry only; it does not
-	// touch the transcript or the proof.
-	Observer StageObserver
 }
 
 // DefaultParams are demo-grade parameters.
@@ -123,7 +119,6 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 	// is pooled scratch: the column coefficients are interpolated in
 	// place and the coset evaluation lands straight in the pooled
 	// domain-size slice the column keeps until the proof is assembled.
-	finish := stageTimer(params.Observer, StageLDE)
 	lde := make([][]field.Elem, cols) // lde[c][i]
 	par.ForChunks(workers, cols, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
@@ -138,13 +133,11 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 			poly.PutBuf(col)
 		}
 	})
-	finish()
 
 	// Row-wise commitment. Rows are serialised into per-chunk scratch
 	// and hashed straight into the tree's arena leaf level — no per-row
 	// []field.Elem or []byte intermediates survive the loop (fresh
 	// buffers are only built below for the ~q opened query rows).
-	finish = stageTimer(params.Observer, StageCommit)
 	rowVals := func(i int) []field.Elem {
 		out := make([]field.Elem, cols)
 		for c := 0; c < cols; c++ {
@@ -164,7 +157,6 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 		})
 	})
 	root := traceTree.Root()
-	finish()
 
 	tr.Append("trace-root", root[:])
 	tr.AppendUint64("trace-n", uint64(n))
@@ -173,17 +165,13 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 	alphas := tr.ChallengeElems("alphas", nLocal+nTrans+len(bnds))
 
 	// Composition evaluation over the LDE domain.
-	finish = stageTimer(params.Observer, StageComposition)
 	comp := composition(a, n, domain, step, alphas, bnds, lde, workers)
-	finish()
 
-	finish = stageTimer(params.Observer, StageFRI)
 	friParams := params.FriParams
 	if friParams.Parallelism == 0 {
 		friParams.Parallelism = params.Parallelism
 	}
 	friProof, err := fri.Prove(comp, bound, shift, tr, friParams)
-	finish()
 	if err != nil {
 		poly.PutBuf(comp)
 		return nil, fmt.Errorf("stark: fri: %w", err)

@@ -29,7 +29,8 @@ func fuzzReceiptBytes(f *testing.F) []byte {
 // FuzzUnmarshalReceipt drives the receipt decoder over arbitrary
 // bytes: it must never panic, and anything it accepts must re-encode
 // to exactly the input (the encoding is canonical, so accept +
-// re-encode is the round-trip identity).
+// re-encode is the round-trip identity). The magic-dispatching
+// UnmarshalAnyReceipt must not panic on the same bytes either.
 func FuzzUnmarshalReceipt(f *testing.F) {
 	valid := fuzzReceiptBytes(f)
 	f.Add(valid)
@@ -38,6 +39,8 @@ func FuzzUnmarshalReceipt(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0x35, 0x66, 0x6b, 0x7a}) // magic alone
 	f.Add([]byte{0x31, 0x66, 0x6b, 0x7a}) // the v1 magic alone
+	// The retired folded-receipt magic "zkf4" over a valid receipt's body.
+	f.Add(append([]byte{0x34, 0x66, 0x6b, 0x7a}, valid[4:]...))
 	if v1, err := os.ReadFile(filepath.Join("testdata", v1ReceiptFile)); err == nil {
 		f.Add(v1) // the other format the decoder reads
 	} else {
@@ -47,6 +50,7 @@ func FuzzUnmarshalReceipt(f *testing.F) {
 	mut[len(mut)/3] ^= 0xff
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, data []byte) {
+		UnmarshalAnyReceipt(data)
 		r, err := UnmarshalReceipt(data)
 		if err != nil {
 			return // rejected; the only requirement is no panic

@@ -172,8 +172,8 @@ func oldFormatStillVerifies(t *testing.T, f Format, monos []string, composite st
 	if c.Size() != len(old) {
 		t.Fatalf("%s: Size() = %d, encoding has %d bytes", composite, c.Size(), len(old))
 	}
-	// A standalone segment keeps its format's own magic too (the fold
-	// digests that encoding).
+	// A standalone segment keeps its format's own magic too (the farm
+	// ships segments in that encoding).
 	seg, err := MarshalSegmentReceipt(c.Segments[1])
 	if err != nil {
 		t.Fatal(err)

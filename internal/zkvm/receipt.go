@@ -45,6 +45,10 @@ const (
 
 // formatWire holds what differs between the formats besides the leaf
 // layout: the magics of the three encodings and the transcript labels.
+// "zkf4" (0x7a6b6634) is retired: it tagged the folded receipt, a
+// prover-trusted binding rather than a proof, which no code decodes any
+// more. It must never be assigned again, so that no byte string ever
+// read as a folded receipt can be read as anything else.
 type formatWire struct {
 	magic               [3]uint32
 	sealLabel, segLabel string

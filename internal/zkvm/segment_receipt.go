@@ -312,9 +312,8 @@ func UnmarshalComposite(data []byte) (*CompositeReceipt, error) {
 	return c, nil
 }
 
-// UnmarshalAnyReceipt decodes any receipt form by its magic: the two
-// builtin kinds directly, everything else through the registered
-// receipt-kind decoders (see RegisterReceiptKind).
+// UnmarshalAnyReceipt decodes a receipt or a composite receipt of any
+// format by its magic.
 func UnmarshalAnyReceipt(data []byte) (AnyReceipt, error) {
 	if len(data) < 4 {
 		return nil, errTruncated
@@ -326,28 +325,17 @@ func UnmarshalAnyReceipt(data []byte) (AnyReceipt, error) {
 	if _, ok := formatOf(magic, kindComposite); ok {
 		return UnmarshalComposite(data)
 	}
-	if decode := lookupReceiptKind(magic); decode != nil {
-		return decode(data)
-	}
 	return nil, fmt.Errorf("zkvm: unknown receipt magic %#x", magic)
 }
 
-// VerifyAny verifies any receipt form against the guest program.
-// Externally registered kinds verify themselves via SelfVerifier;
-// kinds that are only sound under a trusted prover (ProverTrusted)
-// are rejected unless opts.AcceptProverTrusted is set.
+// VerifyAny verifies a receipt or a composite receipt against the guest
+// program.
 func VerifyAny(prog *Program, r AnyReceipt, opts VerifyOptions) error {
 	switch t := r.(type) {
 	case *Receipt:
 		return Verify(prog, t, opts)
 	case *CompositeReceipt:
 		return VerifyComposite(prog, t, opts)
-	case SelfVerifier:
-		if pt, ok := t.(ProverTrusted); ok && pt.ProverTrusted() && !opts.AcceptProverTrusted {
-			return vErr("receipt kind %T is sound only under a trusted prover; "+
-				"audit its self-sound form instead, or opt in with VerifyOptions.AcceptProverTrusted", r)
-		}
-		return t.VerifyReceipt(prog, opts)
 	default:
 		return vErr("unknown receipt type %T", r)
 	}

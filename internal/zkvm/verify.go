@@ -18,17 +18,6 @@ type VerifyOptions struct {
 	// specific soundness level MUST set this (e.g. DefaultChecks);
 	// zero accepts any k ≥ 1.
 	MinChecks int
-	// AcceptProverTrusted opts in to receipt kinds whose verification
-	// does not independently re-establish the guest execution — kinds
-	// that report ProverTrusted() == true, such as fold.FoldedReceipt,
-	// where the verifier checks an integrity binding over a
-	// prover-asserted statement rather than the seals themselves. Off
-	// by default: VerifyAny rejects such receipts so a caller cannot
-	// silently downgrade from cryptographic verification to trusting
-	// the prover. Callers that set this must obtain soundness elsewhere
-	// (audit the underlying composite, or explicitly trust the
-	// operator).
-	AcceptProverTrusted bool
 }
 
 // ErrVerify is wrapped by every verification failure.
