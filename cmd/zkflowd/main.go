@@ -11,6 +11,7 @@ package main
 import (
 	"context"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"strings"
@@ -40,7 +41,7 @@ func main() {
 		loss     = flag.Float64("loss", 0.02, "packet loss rate")
 		farmAddr = flag.String("farm-addr", "", "prover-farm coordinator listen address (empty = prove locally); workers dial in with zkflow-worker -farm-addr, and one worker is an off-path prover")
 		farmWait = flag.Int("workers", 0, "with -farm-addr: wait for this many farm workers before the first epoch")
-		pipeline = flag.Int("pipeline", 0, "pipeline depth: overlap witness generation with up to N in-flight seals (0 = serial)")
+		pipeline = flag.Int("pipeline", 1, "pipeline depth: epochs sealed at once while later ones are witnessed (1 = no overlap)")
 		workers  = flag.Int("parallelism", 0, "prover worker-pool width (0 = all CPUs, 1 = serial)")
 		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = single-segment)")
 
@@ -60,14 +61,14 @@ func main() {
 	// One registry carries the whole daemon: zkVM stage timings,
 	// scheduler gauges, and the HTTP layer, served at /api/v1/metrics.
 	reg := obs.NewRegistry()
-	opts := core.Options{Checks: *checks, Parallelism: *workers, SegmentCycles: *segCyc, PipelineDepth: *pipeline, Metrics: reg}
+	opts := core.Options{Checks: *checks, Parallelism: *workers, SegmentCycles: *segCyc, Metrics: reg}
 	if *farmAddr != "" {
 		coord := remote.NewCoordinator(remote.FarmConfig{Metrics: reg})
 		if err := coord.Start(*farmAddr); err != nil {
 			log.Fatalf("farm coordinator: %v", err)
 		}
 		defer coord.Close()
-		opts.Farm = coord
+		opts.Prove = coord.Prove
 		log.Printf("farm coordinator listening on %s", coord.Addr())
 		if *farmWait > 0 {
 			log.Printf("waiting for %d farm workers", *farmWait)
@@ -114,16 +115,37 @@ func main() {
 		}()
 	}
 
-	logRound := func(res *core.AggregationResult, d time.Duration) {
-		log.Printf("epoch %d: %d records -> %d flows, proof %.0f ms, receipt %d B, root %v",
-			res.Epoch, res.Journal.NumRecords, res.Journal.NewCount,
-			d.Seconds()*1000, res.Receipt.Size(), res.Journal.NewRoot.Bytes())
+	// One epoch loop for both collection modes: every sealed or
+	// simulated epoch is submitted to one Scheduler, which commits rounds
+	// in strict submission order, and one goroutine serves its results.
+	sched, err := core.NewScheduler(prover, *pipeline)
+	if err != nil {
+		log.Fatalf("scheduler: %v", err)
 	}
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		for r := range sched.Results() {
+			if r.Err != nil {
+				log.Printf("epoch %d failed: %v", r.Epoch, r.Err)
+				continue
+			}
+			if err := srv.AddAggregationResult(r.Result); err != nil {
+				log.Printf("epoch %d: serving receipt: %v", r.Epoch, err)
+				continue
+			}
+			res := r.Result
+			log.Printf("epoch %d: %d records -> %d flows, receipt %d B, root %v",
+				res.Epoch, res.Journal.NumRecords, res.Journal.NewCount, res.Receipt.Size(), res.Journal.NewRoot.Bytes())
+		}
+	}()
 
-	// Ingest mode: real UDP collection replaces the simulated tier.
-	// The pipeline seals epochs on a timer; each sealed epoch with
-	// records is aggregated and served exactly like a simulated one.
+	mode := fmt.Sprintf("%d routers, %d records/epoch", *routers, *records)
 	if *ingestAddr != "" {
+		// Ingest mode: real UDP collection replaces the simulated tier.
+		// The pipeline seals epochs on a timer; each sealed epoch with
+		// records is aggregated and served exactly like a simulated one.
+		mode = "ingest mode"
 		sealed := make(chan ingest.Seal, 64)
 		pl, err := ingest.New(st, lg, ingest.Config{
 			Addr:          *ingestAddr,
@@ -152,20 +174,9 @@ func main() {
 				if s.Dropped > 0 {
 					log.Printf("epoch %d: %d records dropped at commit (see ingest.records_dropped.* metrics)", s.Epoch, s.Dropped)
 				}
-				if s.Records == 0 {
-					continue
+				if s.Records > 0 {
+					sched.Submit(s.Epoch)
 				}
-				t0 := time.Now()
-				res, err := prover.AggregateEpoch(s.Epoch)
-				if err != nil {
-					log.Printf("epoch %d aggregation failed: %v", s.Epoch, err)
-					continue
-				}
-				if err := srv.AddAggregationResult(res); err != nil {
-					log.Printf("epoch %d: serving receipt: %v", s.Epoch, err)
-					continue
-				}
-				logRound(res, time.Since(t0))
 			}
 		}()
 		if *replayRecords > 0 {
@@ -189,101 +200,31 @@ func main() {
 			}()
 		}
 		log.Printf("ingest collector on udp://%s (%d sockets, %d shards, sealing every %v)", *ingestAddr, pl.Sockets(), *ingestShards, *epochInterval)
-		log.Printf("zkflowd listening on http://%s (ingest mode)", *listen)
-		httpSrv := &http.Server{
-			Addr:         *listen,
-			Handler:      srv.Handler(),
-			ReadTimeout:  10 * time.Second,
-			WriteTimeout: 120 * time.Second,
-		}
-		log.Fatal(httpSrv.ListenAndServe())
-	}
-
-	sim := router.NewSim(trafficgen.Config{
-		Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss,
-	}, st, lg)
-
-	runEpoch := func(epoch uint64) error {
-		if _, err := sim.RunEpoch(context.Background(), epoch, *records); err != nil {
-			return err
-		}
-		t0 := time.Now()
-		res, err := prover.AggregateEpoch(epoch)
-		if err != nil {
-			return err
-		}
-		if err := srv.AddAggregationResult(res); err != nil {
-			return err
-		}
-		logRound(res, time.Since(t0))
-		return nil
-	}
-
-	// runPipelined overlaps collection + witness generation with proof
-	// sealing: the Scheduler commits rounds in strict epoch order, so
-	// the served receipt chain is identical to the serial one.
-	runPipelined := func() {
-		sched, err := core.NewScheduler(prover, *pipeline)
-		if err != nil {
-			log.Printf("pipeline: %v", err)
-			return
-		}
-		drained := make(chan struct{})
+	} else {
+		sim := router.NewSim(trafficgen.Config{
+			Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss,
+		}, st, lg)
 		go func() {
-			defer close(drained)
-			t0 := time.Now()
-			for r := range sched.Results() {
-				if r.Err != nil {
-					log.Printf("epoch %d failed: %v", r.Epoch, r.Err)
-					continue
+			for epoch := uint64(0); ; epoch++ {
+				if _, err := sim.RunEpoch(context.Background(), epoch, *records); err != nil {
+					log.Printf("epoch %d collection failed: %v", epoch, err)
+					break
 				}
-				if err := srv.AddAggregationResult(r.Result); err != nil {
-					log.Printf("epoch %d: serving receipt: %v", r.Epoch, err)
-					continue
+				sched.Submit(epoch)
+				if *epochs > 0 && epoch+1 >= uint64(*epochs) {
+					break
 				}
-				logRound(r.Result, time.Since(t0))
-				t0 = time.Now()
+				if *epochs == 0 {
+					time.Sleep(*interval)
+				}
 			}
+			sched.Close()
+			<-drained
+			log.Printf("finished after %d rounds; serving", prover.Round())
 		}()
-		for epoch := uint64(0); ; epoch++ {
-			if _, err := sim.RunEpoch(context.Background(), epoch, *records); err != nil {
-				log.Printf("epoch %d collection failed: %v", epoch, err)
-				break
-			}
-			sched.Submit(epoch)
-			if *epochs > 0 && epoch+1 >= uint64(*epochs) {
-				break
-			}
-			if *epochs == 0 {
-				time.Sleep(*interval)
-			}
-		}
-		sched.Close()
-		<-drained
-		log.Printf("pipeline drained after %d rounds; serving", prover.Round())
 	}
 
-	go func() {
-		if *pipeline > 0 {
-			runPipelined()
-			return
-		}
-		for epoch := uint64(0); ; epoch++ {
-			if err := runEpoch(epoch); err != nil {
-				log.Printf("epoch %d failed: %v", epoch, err)
-				return
-			}
-			if *epochs > 0 && epoch+1 >= uint64(*epochs) {
-				log.Printf("finished %d epochs; serving", *epochs)
-				return
-			}
-			if *epochs == 0 {
-				time.Sleep(*interval)
-			}
-		}
-	}()
-
-	log.Printf("zkflowd listening on http://%s (%d routers, %d records/epoch)", *listen, *routers, *records)
+	log.Printf("zkflowd listening on http://%s (%s)", *listen, mode)
 	httpSrv := &http.Server{
 		Addr:         *listen,
 		Handler:      srv.Handler(),

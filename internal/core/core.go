@@ -19,7 +19,6 @@
 package core
 
 import (
-	"context"
 	"crypto/sha256"
 	"errors"
 	"fmt"
@@ -31,16 +30,16 @@ import (
 	"zkflow/internal/ledger"
 	"zkflow/internal/obs"
 	"zkflow/internal/query"
-	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/vmtree"
 	"zkflow/internal/zkvm"
 )
 
-// ProveFunc generates a receipt for a guest run. The default is local
-// zkvm.ProveAny; what plugs in here is a wrapper around it, such as the
-// benchmark's tracing hook (off-path proving, paper §7, is
-// Options.Farm). With opts.SegmentCycles > 0 the returned receipt is a
+// ProveFunc generates a receipt for a guest run. It is the one proving
+// hook: the default is local zkvm.ProveAny, and what plugs in here is
+// off-path proving (remote.Coordinator.Prove, paper §7) or a wrapper
+// around ProveAny, such as the benchmark's tracing hook. With
+// opts.SegmentCycles > 0 the returned receipt is a
 // *zkvm.CompositeReceipt (continuation chain), otherwise a single
 // *zkvm.Receipt.
 type ProveFunc func(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error)
@@ -59,18 +58,8 @@ type Options struct {
 	// receipts. Query proofs always stay single-segment — they are
 	// small and latency-bound.
 	SegmentCycles int
-	// PipelineDepth is the number of epoch aggregations a Scheduler
-	// keeps in flight: witness generation for epoch N+1 overlaps the
-	// seal computation of epoch N. 0 or 1 means no pipelining.
-	PipelineDepth int
 	// Prove overrides the proving backend (nil = local zkvm.ProveAny).
-	// Takes precedence over Farm.
 	Prove ProveFunc
-	// Farm, when non-nil and Prove is nil, dispatches proofs to a
-	// prover-farm backend (remote.Coordinator implements it): segmented
-	// jobs fan out one segment per worker and reassemble byte-identical
-	// composites; whole jobs go to a single worker.
-	Farm Backend
 	// Metrics, when non-nil, receives the prover's observability
 	// stream: round/query counters and latencies, scheduler pipeline
 	// gauges, and the per-stage zkVM prover breakdown (see metrics.go
@@ -91,9 +80,6 @@ func (o Options) proveOptions() zkvm.ProveOptions {
 func (o Options) proveWith(prog *zkvm.Program, input []uint32, po zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
 	if o.Prove != nil {
 		return o.Prove(prog, input, po)
-	}
-	if o.Farm != nil {
-		return o.Farm.ProveContext(context.Background(), prog, input, po)
 	}
 	return zkvm.ProveAny(prog, input, po)
 }
@@ -124,8 +110,9 @@ func (r *QueryResult) Result() uint64 { return r.Journal.Result() }
 
 // Prover is the service-provider side: it owns the private telemetry
 // (store) and produces receipts. Safe for concurrent queries;
-// aggregation rounds are serialised (or pipelined via a Scheduler).
+// aggregation rounds run through a Scheduler, one at a time.
 type Prover struct {
+	aggMu      sync.Mutex // serialises AggregateEpoch calls
 	mu         sync.Mutex
 	store      *store.Store
 	ledger     *ledger.Ledger
@@ -163,77 +150,21 @@ func (p *Prover) History() []*AggregationResult {
 	return p.history
 }
 
-// prevJournalHash returns the chain hash of the last round (zeros at
-// genesis).
-func (p *Prover) prevJournalHash() vmtree.Digest {
-	if len(p.history) == 0 {
-		return vmtree.Digest{}
-	}
-	last := p.history[len(p.history)-1].Receipt
-	return vmtree.FromBytes(sha256.Sum256(last.JournalBytes()))
-}
-
-// buildAggInput assembles one round's guest input from the epoch's
-// store contents and ledger commitments, chaining from the given
-// CLog snapshot and journal hash.
-func (p *Prover) buildAggInput(epoch uint64, prevEntries []clog.Entry, prevHash vmtree.Digest) (*guest.AggInput, *router.EpochInputs, error) {
-	in, err := router.CollectEpoch(p.store, p.ledger, epoch)
-	if err != nil {
-		return nil, nil, fmt.Errorf("core: collecting epoch %d: %w", epoch, err)
-	}
-	agg := &guest.AggInput{
-		PrevJournalHash: prevHash,
-		PrevRoot:        entriesRoot(prevEntries),
-		Epoch:           uint32(epoch),
-		PrevEntries:     prevEntries,
-	}
-	for i, id := range in.Routers {
-		agg.Routers = append(agg.Routers, guest.RouterBatch{
-			ID:         id,
-			Commitment: vmtree.FromBytes(in.Commitments[i].Hash),
-			Records:    in.Batches[i],
-		})
-	}
-	return agg, in, nil
-}
-
 // AggregateEpoch runs one Algorithm 1 round over the given epoch's
-// store contents and ledger commitments, producing a receipt and
-// advancing the prover's CLog. Tampered inputs make the guest abort,
-// so no receipt can be produced — the error carries the abort code.
-// While a Scheduler is open it owns aggregation and this returns
+// store contents and ledger commitments through a depth-1 Scheduler,
+// producing a receipt and advancing the prover's CLog. Tampered inputs
+// make the guest abort, so no receipt can be produced — the error
+// carries the abort code. Concurrent calls run one after another;
+// while a Scheduler is open it owns aggregation and this returns
 // ErrPipelineActive.
-func (p *Prover) AggregateEpoch(epoch uint64) (res *AggregationResult, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pipelining {
-		return nil, ErrPipelineActive
-	}
-	t0 := time.Now()
-	defer func() { p.met.aggDone(time.Since(t0).Seconds(), err) }()
-
-	agg, in, err := p.buildAggInput(epoch, p.entries, p.prevJournalHash())
+func (p *Prover) AggregateEpoch(epoch uint64) (*AggregationResult, error) {
+	p.aggMu.Lock()
+	defer p.aggMu.Unlock()
+	res, err := p.AggregateEpochs([]uint64{epoch}, 1)
 	if err != nil {
 		return nil, err
 	}
-	receipt, err := p.opts.prove(guest.AggregationProgram(), agg.Words())
-	if err != nil {
-		return nil, fmt.Errorf("core: aggregation proof for epoch %d: %w", epoch, err)
-	}
-	j, err := guest.ParseAggJournal(receipt.JournalWords())
-	if err != nil {
-		return nil, fmt.Errorf("core: aggregation journal: %w", err)
-	}
-	// Advance the private CLog with the reference merge and
-	// cross-check the guest agreed.
-	next := guest.ReferenceAggregate(p.entries, in.Batches...)
-	if got := entriesRoot(next); got != j.NewRoot {
-		return nil, fmt.Errorf("core: internal error: guest root %v, host root %v", j.NewRoot.Bytes(), got.Bytes())
-	}
-	p.entries = next
-	res = &AggregationResult{Epoch: epoch, Receipt: receipt, Journal: j}
-	p.history = append(p.history, res)
-	return res, nil
+	return res[0], nil
 }
 
 // Query compiles, executes, and proves a SQL query over the current

@@ -103,7 +103,7 @@ func TestFarmStressWorkerChurn(t *testing.T) {
 		Checks:        6,
 		Parallelism:   1,
 		SegmentCycles: 4096,
-		Farm:          coord,
+		Prove:         coord.Prove,
 	})
 	srv := api.NewServer(prover, lg)
 	ts := httptest.NewServer(srv.Handler())

@@ -5,16 +5,13 @@
 //
 // Metric names (served by GET /api/v1/metrics):
 //
-//	core.agg_rounds / core.agg_failures     counters, serial + pipelined rounds
-//	core.agg_seconds                        histogram, whole-round latency
+//	core.agg_rounds / core.agg_failures     counters, committed / failed rounds
+//	core.agg_seconds                        histogram, witness start → commit
 //	core.query_total / core.query_failures  counters
 //	core.query_seconds                      histogram
 //	sched.queue_depth                       gauge, submitted-not-yet-committed epochs
 //	sched.inflight_seals                    gauge, seal goroutines holding a slot
-//	sched.epochs_committed                  counter
-//	sched.epochs_failed                     counter, witness/seal/commit failures
 //	sched.epochs_discarded                  counter, poisoned by an earlier failure
-//	sched.epoch_seconds                     histogram, witness-start → commit
 //	trace.witness_seconds / trace.seal_seconds  tracer spans via obs.RegistrySink
 //	prover.stage.<stage>_seconds            zkvm stage breakdown (see zkvm.Stages)
 package core
@@ -37,10 +34,7 @@ type metrics struct {
 
 	queueDepth    *obs.Gauge
 	inflightSeals *obs.Gauge
-	committed     *obs.Counter
-	failed        *obs.Counter
 	discarded     *obs.Counter
-	epochSeconds  *obs.Histogram
 }
 
 // newMetrics pre-registers every prover metric so snapshots expose
@@ -63,10 +57,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 
 		queueDepth:    reg.Gauge("sched.queue_depth"),
 		inflightSeals: reg.Gauge("sched.inflight_seals"),
-		committed:     reg.Counter("sched.epochs_committed"),
-		failed:        reg.Counter("sched.epochs_failed"),
 		discarded:     reg.Counter("sched.epochs_discarded"),
-		epochSeconds:  reg.Histogram("sched.epoch_seconds", obs.DefaultLatencyBuckets),
 	}
 }
 
@@ -115,24 +106,6 @@ func (m *metrics) sealInFlight(delta int64) {
 	if m != nil {
 		m.inflightSeals.Add(delta)
 	}
-}
-
-func (m *metrics) epochCommitted(seconds float64) {
-	if m == nil {
-		return
-	}
-	m.committed.Inc()
-	m.aggRounds.Inc()
-	m.epochSeconds.Observe(seconds)
-	m.aggSeconds.Observe(seconds)
-}
-
-func (m *metrics) epochFailed() {
-	if m == nil {
-		return
-	}
-	m.failed.Inc()
-	m.aggFailures.Inc()
 }
 
 func (m *metrics) epochDiscarded() {

@@ -14,7 +14,7 @@ import (
 func TestPipelineMetrics(t *testing.T) {
 	const epochs = 3
 	reg := obs.NewRegistry()
-	p, _ := pipelineWithOpts(t, 5, epochs, 8, Options{Checks: 6, PipelineDepth: 2, Metrics: reg})
+	p, _ := pipelineWithOpts(t, 5, epochs, 8, Options{Checks: 6, Metrics: reg})
 
 	stop := make(chan struct{})
 	var reader sync.WaitGroup
@@ -38,20 +38,17 @@ func TestPipelineMetrics(t *testing.T) {
 			}
 		}
 	}()
-	if _, err := p.AggregateEpochs([]uint64{0, 1, 2}); err != nil {
+	if _, err := p.AggregateEpochs([]uint64{0, 1, 2}, 2); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
 	reader.Wait()
 
 	s := reg.Snapshot()
-	if got := s.Counters["sched.epochs_committed"]; got != epochs {
-		t.Fatalf("epochs_committed = %d, want %d", got, epochs)
-	}
 	if got := s.Counters["core.agg_rounds"]; got != epochs {
 		t.Fatalf("agg_rounds = %d, want %d", got, epochs)
 	}
-	if got := s.Counters["sched.epochs_failed"] + s.Counters["sched.epochs_discarded"]; got != 0 {
+	if got := s.Counters["core.agg_failures"] + s.Counters["sched.epochs_discarded"]; got != 0 {
 		t.Fatalf("failed+discarded = %d, want 0", got)
 	}
 	if got := s.Gauges["sched.queue_depth"]; got != 0 {
@@ -60,13 +57,14 @@ func TestPipelineMetrics(t *testing.T) {
 	if got := s.Gauges["sched.inflight_seals"]; got != 0 {
 		t.Fatalf("inflight_seals = %d after drain, want 0", got)
 	}
-	if h := s.Histograms["sched.epoch_seconds"]; h.Count != epochs {
-		t.Fatalf("epoch_seconds count = %d, want %d", h.Count, epochs)
+	if h := s.Histograms["core.agg_seconds"]; h.Count != epochs {
+		t.Fatalf("agg_seconds count = %d, want %d", h.Count, epochs)
 	}
 	// Per-stage prover breakdown flows through ProveOptions.Observer:
-	// every sealed epoch reports the non-execute stages. (trace_encode
-	// is gone — encoding is fused into merkle_commit/grand_product.)
-	for _, stage := range []string{zkvm.StageMemSort, zkvm.StageMerkleCommit, zkvm.StageGrandProduct, zkvm.StageSeal} {
+	// the guest executes inside the prover on every path, so every
+	// sealed epoch reports execute too. (trace_encode is gone —
+	// encoding is fused into merkle_commit/grand_product.)
+	for _, stage := range []string{zkvm.StageExecute, zkvm.StageMemSort, zkvm.StageMerkleCommit, zkvm.StageGrandProduct, zkvm.StageSeal} {
 		if h := s.Histograms["prover.stage."+stage+"_seconds"]; h.Count < epochs {
 			t.Fatalf("prover stage %q observed %d times, want >= %d", stage, h.Count, epochs)
 		}

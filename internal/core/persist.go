@@ -123,7 +123,7 @@ func LoadProver(r io.Reader, st *store.Store, lg *ledger.Ledger, opts Options) (
 	if n := len(p.history); n > 0 {
 		wantRoot = p.history[n-1].Journal.NewRoot
 	}
-	if got := entriesRoot(p.entries); got != wantRoot {
+	if got := vmtree.Root(guest.EntryWordsOf(p.entries)); got != wantRoot {
 		return nil, fmt.Errorf("%w: restored CLog root %v does not match receipt chain %v",
 			ErrCheckpoint, got.Bytes(), wantRoot.Bytes())
 	}

@@ -13,9 +13,9 @@ import (
 // assertion is under `make race`: concurrent ID() hits on the shared
 // program must be clean.
 func TestPipelineSharedProgramCache(t *testing.T) {
-	p, v := pipelineWithOpts(t, 11, 4, 8, Options{Checks: 6, PipelineDepth: 3})
+	p, v := pipelineWithOpts(t, 11, 4, 8, Options{Checks: 6})
 	want := guest.AggregationProgram().ID()
-	results, err := p.AggregateEpochs([]uint64{0, 1, 2, 3})
+	results, err := p.AggregateEpochs([]uint64{0, 1, 2, 3}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

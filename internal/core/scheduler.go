@@ -1,14 +1,16 @@
-// Epoch-pipelined aggregation. Sealing a round (committing every
-// execution-trace table under Merkle trees) is by far the dominant
-// cost and is independent across rounds once the journal chain value
-// is known — and the journal is a product of *executing* the guest,
-// not of sealing it. The Scheduler exploits that: a serial witness
-// stage executes each epoch's guest and advances a speculative CLog +
-// journal-hash chain, a bounded seal stage proves executions
-// concurrently, and an ordered commit stage appends results to the
-// prover's history in strict submission order, so the journal hash
-// chain and the served receipt sequence are identical to the serial
-// prover's.
+// The epoch path. Every aggregation round, serial or pipelined, runs
+// through a Scheduler's three stages. Round N+1's guest input needs
+// round N's journal, and the host can compute that journal without
+// executing the guest: a serial witness stage builds each epoch's input
+// against a speculative CLog + journal chain and derives the reference
+// journal (guest.ReferenceAggregate + guest.ReferenceJournal). A
+// bounded seal stage proves the epochs through the one proving hook
+// (Options.Prove, or local zkvm.ProveAny), where the guest executes
+// exactly once. An ordered commit stage requires each receipt to
+// journal the reference journal word for word and appends results to
+// the prover's history in strict submission order, so the journal hash
+// chain and the served receipt sequence are the same at any depth.
+// AggregateEpoch is the depth-1 case.
 
 package core
 
@@ -17,11 +19,14 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zkflow/internal/clog"
 	"zkflow/internal/guest"
+	"zkflow/internal/router"
 	"zkflow/internal/vmtree"
 	"zkflow/internal/zkvm"
 )
@@ -37,13 +42,12 @@ type SchedulerResult struct {
 // pendingEpoch travels from the witness stage to the commit stage.
 type pendingEpoch struct {
 	epoch   uint64
-	start   time.Time         // witness start, for sched.epoch_seconds
-	words   []uint32          // guest input tape (for remote sealing)
-	journal []uint32          // journal words from the witness execution
+	start   time.Time         // witness start, for core.agg_seconds
+	journal []uint32          // the host's reference journal
 	parsed  *guest.AggJournal // parsed form of journal
 	next    []clog.Entry      // speculative CLog after this epoch
 	sealed  chan sealOutcome  // buffered(1); nil when err is set
-	err     error             // witness-stage failure
+	err     error             // witness-stage failure, or discarded unsealed
 }
 
 type sealOutcome struct {
@@ -68,32 +72,23 @@ type Scheduler struct {
 	closeOnce sync.Once
 	done      chan struct{}
 
-	// Witness-stage speculative state (single goroutine).
+	// Witness-stage speculative state (single goroutine): the CLog and
+	// the journal chain after the last witnessed epoch.
 	specEntries []clog.Entry
 	specHash    vmtree.Digest
-	failed      error
+	specRoot    vmtree.Digest
 }
 
-// NewScheduler opens a pipeline over p. depth <= 0 uses
-// p.opts.PipelineDepth; a depth of 1 still overlaps one seal with the
-// next witness. Only one Scheduler may be open per Prover.
+// NewScheduler opens a pipeline over p with at most depth seals in
+// flight (depth < 1 is 1). Only one Scheduler may be open per Prover.
 func NewScheduler(p *Prover, depth int) (*Scheduler, error) {
-	if depth <= 0 {
-		depth = p.opts.PipelineDepth
-	}
-	if depth <= 0 {
-		depth = 1
-	}
+	depth = max(depth, 1)
 	p.mu.Lock()
 	if p.pipelining {
 		p.mu.Unlock()
 		return nil, ErrPipelineActive
 	}
 	p.pipelining = true
-	entries := p.entries
-	prevHash := p.prevJournalHash()
-	p.mu.Unlock()
-
 	s := &Scheduler{
 		p:           p,
 		depth:       depth,
@@ -101,9 +96,15 @@ func NewScheduler(p *Prover, depth int) (*Scheduler, error) {
 		pending:     make(chan *pendingEpoch, depth),
 		results:     make(chan SchedulerResult),
 		done:        make(chan struct{}),
-		specEntries: entries,
-		specHash:    prevHash,
+		specEntries: p.entries,
 	}
+	if n := len(p.history); n > 0 {
+		last := p.history[n-1]
+		s.specHash = journalHash(last.Receipt.JournalWords())
+		s.specRoot = last.Journal.NewRoot
+	}
+	p.mu.Unlock()
+
 	go s.witnessLoop()
 	go s.commitLoop()
 	return s, nil
@@ -128,86 +129,90 @@ func (s *Scheduler) Close() {
 	<-s.done
 }
 
-// witnessLoop is the serial stage: it executes each epoch's guest
-// against the speculative chain state, advances that state from the
-// execution's journal, and hands the execution to a bounded pool of
-// sealers.
+// witnessLoop is the serial stage: it witnesses each epoch against the
+// speculative chain state, advances that state, and hands the epoch's
+// tape to a bounded pool of sealers. After a witness or seal failure
+// every later epoch is discarded without a seal.
 func (s *Scheduler) witnessLoop() {
 	defer close(s.pending)
 	sealSlots := make(chan struct{}, s.depth)
+	var sealFailed atomic.Bool
+	failed := false
 	for epoch := range s.submit {
-		if s.failed != nil {
-			s.pending <- &pendingEpoch{
-				epoch: epoch,
-				err:   fmt.Errorf("%w (epoch %d failed: %v)", ErrPipelineAborted, epoch, s.failed),
-			}
+		if failed {
+			s.pending <- &pendingEpoch{epoch: epoch, err: ErrPipelineAborted}
 			continue
 		}
-		pe, ex := s.witness(epoch)
+		pe, words := s.witness(epoch)
+		if pe.err == nil {
+			sealSlots <- struct{}{} // at most depth seals in flight
+			if sealFailed.Load() {
+				<-sealSlots
+				pe.err = ErrPipelineAborted
+			}
+		}
 		if pe.err != nil {
-			s.failed = pe.err
+			failed = true
 			s.pending <- pe
 			continue
 		}
-		s.specEntries = pe.next
-		s.specHash = journalHash(pe.journal)
-		sealSlots <- struct{}{} // at most depth seals in flight
+		s.specEntries, s.specHash, s.specRoot = pe.next, journalHash(pe.journal), pe.parsed.NewRoot
 		s.p.met.sealInFlight(1)
 		pe.sealed = make(chan sealOutcome, 1)
-		go func(pe *pendingEpoch, ex *zkvm.Execution) {
+		go func() {
 			defer func() {
 				s.p.met.sealInFlight(-1)
 				<-sealSlots
 			}()
 			span := s.p.met.span("seal")
-			receipt, err := s.p.sealWitness(ex, pe.words)
+			receipt, err := s.p.opts.prove(guest.AggregationProgram(), words)
 			span.End()
+			if err != nil {
+				sealFailed.Store(true) // before the slot frees
+			}
 			pe.sealed <- sealOutcome{receipt: receipt, err: err}
-		}(pe, ex)
+		}()
 		s.pending <- pe
 	}
 }
 
-// witness executes one epoch's guest against the speculative state.
-func (s *Scheduler) witness(epoch uint64) (*pendingEpoch, *zkvm.Execution) {
+// witness builds one epoch's guest input from the store and the
+// ledger, chained to the speculative state, and derives the CLog and
+// the journal the guest must produce — without executing it.
+func (s *Scheduler) witness(epoch uint64) (*pendingEpoch, []uint32) {
 	span := s.p.met.span("witness")
 	defer span.End()
 	pe := &pendingEpoch{epoch: epoch, start: time.Now()}
-	agg, in, err := s.p.buildAggInput(epoch, s.specEntries, s.specHash)
+	in, err := router.CollectEpoch(s.p.store, s.p.ledger, epoch)
 	if err != nil {
-		pe.err = err
+		pe.err = fmt.Errorf("core: collecting epoch %d: %w", epoch, err)
 		return pe, nil
 	}
-	words := agg.Words()
-	ex, err := zkvm.Execute(guest.AggregationProgram(), words, zkvm.ExecOptions{})
-	if err != nil {
-		pe.err = fmt.Errorf("core: witness for epoch %d: %w", epoch, err)
+	agg := &guest.AggInput{
+		PrevJournalHash: s.specHash,
+		PrevRoot:        s.specRoot,
+		Epoch:           uint32(epoch),
+		PrevEntries:     s.specEntries,
+	}
+	for i, id := range in.Routers {
+		agg.Routers = append(agg.Routers, guest.RouterBatch{
+			ID:         id,
+			Commitment: vmtree.FromBytes(in.Commitments[i].Hash),
+			Records:    in.Batches[i],
+		})
+	}
+	pe.next = guest.ReferenceAggregate(s.specEntries, in.Batches...)
+	pe.journal = guest.ReferenceJournal(agg, pe.next)
+	if pe.parsed, err = guest.ParseAggJournal(pe.journal); err != nil {
+		pe.err = fmt.Errorf("core: reference journal for epoch %d: %w", epoch, err)
 		return pe, nil
 	}
-	if ex.ExitCode != 0 {
-		// Same signal as the serial path: tampered telemetry aborts
-		// the guest before any sealing work is spent on it.
-		pe.err = fmt.Errorf("core: aggregation proof for epoch %d: %w", epoch,
-			&zkvm.GuestAbortError{ExitCode: ex.ExitCode, Journal: ex.Journal})
-		return pe, nil
-	}
-	j, err := guest.ParseAggJournal(ex.Journal)
-	if err != nil {
-		pe.err = fmt.Errorf("core: aggregation journal: %w", err)
-		return pe, nil
-	}
-	next := guest.ReferenceAggregate(s.specEntries, in.Batches...)
-	if got := entriesRoot(next); got != j.NewRoot {
-		pe.err = fmt.Errorf("core: internal error: guest root %v, host root %v", j.NewRoot.Bytes(), got.Bytes())
-		return pe, nil
-	}
-	pe.words, pe.journal, pe.parsed, pe.next = words, ex.Journal, j, next
-	return pe, ex
+	return pe, agg.Words()
 }
 
 // commitLoop is the ordered commit stage: results are appended to the
 // prover's history in submission order, never out of order, so the
-// receipt sequence served to auditors is exactly the serial one.
+// receipt sequence served to auditors is the same at any depth.
 func (s *Scheduler) commitLoop() {
 	defer close(s.done)
 	defer func() {
@@ -216,70 +221,53 @@ func (s *Scheduler) commitLoop() {
 		s.p.mu.Unlock()
 	}()
 	defer close(s.results)
-	var commitFailed error
+	var failed error // the first failure; every later epoch is discarded
 	for pe := range s.pending {
-		if pe.err == nil && commitFailed != nil {
-			pe.err = fmt.Errorf("%w (epoch %d failed: %v)", ErrPipelineAborted, pe.epoch, commitFailed)
-		}
-		if pe.err != nil {
-			if errors.Is(pe.err, ErrPipelineAborted) {
-				s.p.met.epochDiscarded()
-			} else {
-				s.p.met.epochFailed()
+		var res *AggregationResult
+		var err error
+		if failed != nil {
+			if pe.sealed != nil {
+				<-pe.sealed // no seal outlives Close
 			}
-			s.p.met.epochQueued(-1)
-			s.results <- SchedulerResult{Epoch: pe.epoch, Err: pe.err}
-			continue
+			err = fmt.Errorf("%w (%v)", ErrPipelineAborted, failed)
+			s.p.met.epochDiscarded()
+		} else {
+			res, err = s.commit(pe)
+			s.p.met.aggDone(time.Since(pe.start).Seconds(), err)
+			failed = err
 		}
-		out := <-pe.sealed
-		if out.err == nil && !journalWordsEqual(out.receipt.JournalWords(), pe.journal) {
-			// A remote sealer re-executes the guest; its journal must
-			// match the witness execution bit-for-bit.
-			out.err = fmt.Errorf("core: sealed journal differs from witness for epoch %d", pe.epoch)
-		}
-		if out.err != nil {
-			commitFailed = fmt.Errorf("core: aggregation proof for epoch %d: %w", pe.epoch, out.err)
-			s.p.met.epochFailed()
-			s.p.met.epochQueued(-1)
-			s.results <- SchedulerResult{Epoch: pe.epoch, Err: commitFailed}
-			continue
-		}
-		res := &AggregationResult{Epoch: pe.epoch, Receipt: out.receipt, Journal: pe.parsed}
-		s.p.mu.Lock()
-		s.p.entries = pe.next
-		s.p.history = append(s.p.history, res)
-		s.p.mu.Unlock()
-		s.p.met.epochCommitted(time.Since(pe.start).Seconds())
 		s.p.met.epochQueued(-1)
-		s.results <- SchedulerResult{Epoch: pe.epoch, Result: res}
+		s.results <- SchedulerResult{Epoch: pe.epoch, Result: res, Err: err}
 	}
 }
 
-// sealWitness turns a witnessed execution into a receipt: locally by
-// sealing the already-traced execution, or via the configured remote
-// ProveFunc (which re-executes on the worker). With SegmentCycles set
-// the local path re-executes through the segmenting tracer — the
-// witness execution cannot be re-cut after the fact — trading one
-// cheap emulator pass (a few percent of seal time) for a composite
-// receipt whose slices seal concurrently.
-func (p *Prover) sealWitness(ex *zkvm.Execution, words []uint32) (zkvm.AnyReceipt, error) {
-	po := p.opts.proveOptions()
-	switch {
-	case p.opts.Prove != nil:
-		return p.opts.Prove(guest.AggregationProgram(), words, po)
-	case po.SegmentCycles > 0:
-		return zkvm.ProveSegmented(guest.AggregationProgram(), words, po)
-	default:
-		return zkvm.ProveExecution(ex, po)
+// commit waits for pe's seal, requires the receipt to journal the
+// reference journal, and appends the round to the prover's history.
+func (s *Scheduler) commit(pe *pendingEpoch) (*AggregationResult, error) {
+	if pe.err != nil {
+		return nil, pe.err
 	}
+	out := <-pe.sealed
+	if out.err == nil && !slices.Equal(out.receipt.JournalWords(), pe.journal) {
+		out.err = errors.New("the receipt's journal differs from the reference journal")
+	}
+	if out.err != nil {
+		return nil, fmt.Errorf("core: aggregation proof for epoch %d: %w", pe.epoch, out.err)
+	}
+	res := &AggregationResult{Epoch: pe.epoch, Receipt: out.receipt, Journal: pe.parsed}
+	s.p.mu.Lock()
+	s.p.entries = pe.next
+	s.p.history = append(s.p.history, res)
+	s.p.mu.Unlock()
+	return res, nil
 }
 
 // AggregateEpochs pipelines the given epochs (in chain order) through
-// a Scheduler with the prover's configured PipelineDepth and returns
-// the ordered results. The first error is returned after the pipeline
-// drains; results[i] is nil for failed or discarded epochs.
-func (p *Prover) AggregateEpochs(epochs []uint64) ([]*AggregationResult, error) {
-	s, err := NewScheduler(p, 0)
+// a Scheduler of the given depth and returns the ordered results. The
+// first error is returned after the pipeline drains; results[i] is nil
+// for failed or discarded epochs.
+func (p *Prover) AggregateEpochs(epochs []uint64, depth int) ([]*AggregationResult, error) {
+	s, err := NewScheduler(p, depth)
 	if err != nil {
 		return nil, err
 	}
@@ -309,16 +297,4 @@ func journalHash(words []uint32) vmtree.Digest {
 		binary.LittleEndian.PutUint32(b[4*i:], w)
 	}
 	return vmtree.FromBytes(sha256.Sum256(b))
-}
-
-func journalWordsEqual(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

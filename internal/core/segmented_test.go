@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"zkflow/internal/ledger"
@@ -64,8 +65,8 @@ func TestSegmentedAggregationEndToEnd(t *testing.T) {
 // continuations commits the same journal chain as the serial
 // segmented prover, and every composite verifies in order.
 func TestSegmentedSchedulerMatchesSerial(t *testing.T) {
-	opts := Options{Checks: 6, SegmentCycles: 1 << 12, PipelineDepth: 2}
-	serialP, _ := segPipeline(t, 32, 3, 10, Options{Checks: 6, SegmentCycles: 1 << 12})
+	opts := Options{Checks: 6, SegmentCycles: 1 << 12}
+	serialP, _ := segPipeline(t, 32, 3, 10, opts)
 	var serial []*AggregationResult
 	for epoch := uint64(0); epoch < 3; epoch++ {
 		res, err := serialP.AggregateEpoch(epoch)
@@ -76,7 +77,7 @@ func TestSegmentedSchedulerMatchesSerial(t *testing.T) {
 	}
 
 	p, v := segPipeline(t, 32, 3, 10, opts)
-	results, err := p.AggregateEpochs([]uint64{0, 1, 2})
+	results, err := p.AggregateEpochs([]uint64{0, 1, 2}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestSegmentedSchedulerMatchesSerial(t *testing.T) {
 		if _, ok := res.Receipt.(*zkvm.CompositeReceipt); !ok {
 			t.Fatalf("round %d receipt is %T, want composite", i, res.Receipt)
 		}
-		if !journalWordsEqual(res.Receipt.JournalWords(), serial[i].Receipt.JournalWords()) {
+		if !slices.Equal(res.Receipt.JournalWords(), serial[i].Receipt.JournalWords()) {
 			t.Fatalf("round %d: pipelined journal differs from serial", i)
 		}
 		if _, err := v.VerifyAggregation(res.Receipt); err != nil {

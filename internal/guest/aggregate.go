@@ -27,6 +27,7 @@ import (
 	_ "embed"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -673,6 +674,30 @@ func ReferenceAggregate(prev []clog.Entry, batches ...[]netflow.Record) []clog.E
 	out := make([]clog.Entry, len(c.Entries()))
 	copy(out, c.Entries())
 	return out
+}
+
+// ReferenceJournal is the journal the aggregation guest produces for
+// in, word for word, where next is ReferenceAggregate over in's previous
+// entries and batches. The host computes it without executing the
+// guest; a receipt whose journal differs is the wrong round.
+func ReferenceJournal(in *AggInput, next []clog.Entry) []uint32 {
+	records := 0
+	for _, r := range in.Routers {
+		records += len(r.Records)
+	}
+	out := slices.Concat(in.PrevJournalHash[:], in.PrevRoot[:],
+		[]uint32{in.Epoch, uint32(len(in.Routers)), uint32(records), uint32(len(in.PrevEntries))})
+	for _, r := range in.Routers {
+		out = append(out, r.ID)
+		out = append(out, r.Commitment[:]...)
+	}
+	digests := clog.LeafDigests(next)
+	out = append(out, uint32(len(digests)))
+	for _, d := range digests {
+		out = append(out, d[:]...)
+	}
+	root := vmtree.RootFromDigests(digests)
+	return append(out, root[:]...)
 }
 
 // EntryWordsOf flattens entries for vmtree hashing.

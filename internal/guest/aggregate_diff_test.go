@@ -7,7 +7,6 @@ import (
 
 	"zkflow/internal/clog"
 	"zkflow/internal/netflow"
-	"zkflow/internal/vmtree"
 	"zkflow/internal/zkvm"
 )
 
@@ -15,36 +14,22 @@ import (
 // count: after two digests, the epoch and the router count.
 const mWord = 18
 
-// wantJournal is the journal the aggregation guest must produce for in,
-// word for word, computed on the host from ReferenceAggregate and vmtree.
-func wantJournal(in *AggInput) []uint32 {
+// referenceJournalOf is ReferenceJournal over the CLog
+// ReferenceAggregate computes for in.
+func referenceJournalOf(in *AggInput) []uint32 {
 	var batches [][]netflow.Record
-	records := 0
 	for _, r := range in.Routers {
 		batches = append(batches, r.Records)
-		records += len(r.Records)
 	}
-	out := slices.Concat(in.PrevJournalHash[:], in.PrevRoot[:],
-		[]uint32{in.Epoch, uint32(len(in.Routers)), uint32(records), uint32(len(in.PrevEntries))})
-	for _, r := range in.Routers {
-		out = append(out, r.ID)
-		out = append(out, r.Commitment[:]...)
-	}
-	digests := vmtree.LeafDigests(EntryWordsOf(ReferenceAggregate(in.PrevEntries, batches...)))
-	out = append(out, uint32(len(digests)))
-	for _, d := range digests {
-		out = append(out, d[:]...)
-	}
-	root := vmtree.RootFromDigests(digests)
-	return append(out, root[:]...)
+	return ReferenceJournal(in, ReferenceAggregate(in.PrevEntries, batches...))
 }
 
 // checkAggregation runs the guest over in, monolithic and cut every
-// cut rows for each of cuts, and requires wantJournal each time — of
-// the retired image as well.
+// cut rows for each of cuts, and requires the reference journal each
+// time — of the retired image as well.
 func checkAggregation(t testing.TB, in *AggInput, cuts ...int) {
 	t.Helper()
-	want, words := wantJournal(in), in.Words()
+	want, words := referenceJournalOf(in), in.Words()
 	ex, err := zkvm.Execute(AggregationProgram(), words, zkvm.ExecOptions{})
 	if err != nil {
 		t.Fatalf("execute: %v", err)

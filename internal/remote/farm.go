@@ -170,8 +170,8 @@ func (w *farmWorker) expectedScore(prior float64, extra int) float64 {
 }
 
 // Coordinator accepts worker registrations and dispatches proving
-// jobs. It implements core.Backend (ProveContext) and core.ProveFunc
-// (Prove), so it drops into core.Options in place of the local prover.
+// jobs. Its Prove method is a core.ProveFunc, so it drops into
+// core.Options.Prove in place of the local prover.
 type Coordinator struct {
 	cfg FarmConfig
 
@@ -839,8 +839,8 @@ func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt, 
 	return receipt, nil
 }
 
-// ProveContext implements core.Backend under a fresh random master
-// seed per job.
+// ProveContext proves one guest run on the farm under a fresh random
+// master seed.
 func (c *Coordinator) ProveContext(ctx context.Context, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
 	var seed [32]byte
 	if _, err := rand.Read(seed[:]); err != nil {

@@ -207,41 +207,70 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 // operator's prover dispatches all proving to one off-path worker and
 // the auditor notices nothing — except that tampered telemetry still
 // fails to prove, and the chain goes on from the last honest round.
+// Serial and pipelined rounds both reach the farm: one dispatched job
+// per epoch proved.
 func TestFarmOfOneAggregationPipeline(t *testing.T) {
-	c := testFarm(t, nil)
-	startWorker(t, c.Addr(), WorkerConfig{})
-	waitWorkers(t, c, 1)
+	for _, tc := range []struct {
+		name      string
+		aggregate func(p *core.Prover, epochs []uint64) ([]*core.AggregationResult, error)
+	}{
+		{"serial", func(p *core.Prover, epochs []uint64) ([]*core.AggregationResult, error) {
+			var out []*core.AggregationResult
+			for _, e := range epochs {
+				res, err := p.AggregateEpoch(e)
+				if err != nil {
+					return out, err
+				}
+				out = append(out, res)
+			}
+			return out, nil
+		}},
+		{"depth=2", func(p *core.Prover, epochs []uint64) ([]*core.AggregationResult, error) {
+			return p.AggregateEpochs(epochs, 2)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := obs.NewRegistry()
+			c := testFarm(t, reg)
+			startWorker(t, c.Addr(), WorkerConfig{})
+			waitWorkers(t, c, 1)
 
-	st := store.Open(0)
-	lg := ledger.New()
-	sim := router.NewSim(trafficgen.Config{Seed: 9, NumFlows: 24, Routers: 2}, st, lg)
-	if err := sim.RunEpochs(context.Background(), 0, 3, 8); err != nil {
-		t.Fatal(err)
-	}
-	st.Append(1, 0, []netflow.Record{{Key: netflow.FlowKey{SrcIP: 1}, Packets: 1, StartUnix: 1, EndUnix: 2}})
-	prover := core.NewProver(st, lg, core.Options{Checks: 6, Farm: c})
-	verifier := core.NewVerifier(lg)
-	for epoch := uint64(0); epoch < 3; epoch++ {
-		res, err := prover.AggregateEpoch(epoch)
-		if epoch == 1 {
-			if err == nil {
+			st := store.Open(0)
+			lg := ledger.New()
+			sim := router.NewSim(trafficgen.Config{Seed: 9, NumFlows: 24, Routers: 2}, st, lg)
+			if err := sim.RunEpochs(context.Background(), 0, 5, 8); err != nil {
+				t.Fatal(err)
+			}
+			st.Append(3, 0, []netflow.Record{{Key: netflow.FlowKey{SrcIP: 1}, Packets: 1, StartUnix: 1, EndUnix: 2}})
+			prover := core.NewProver(st, lg, core.Options{Checks: 6, Prove: c.Prove})
+			verifier := core.NewVerifier(lg)
+			results, err := tc.aggregate(prover, []uint64{0, 1, 2})
+			if err != nil {
+				t.Fatalf("off-path aggregation: %v", err)
+			}
+			if n := reg.Counter("farm.jobs_dispatched").Value(); n != 3 {
+				t.Fatalf("%d jobs dispatched for 3 epochs proved", n)
+			}
+			if _, err := prover.AggregateEpoch(3); err == nil {
 				t.Fatal("tampered store proven off-path")
 			}
-			continue
-		}
-		if err != nil {
-			t.Fatalf("off-path aggregate %d: %v", epoch, err)
-		}
-		if _, err := verifier.VerifyAggregation(res.Receipt); err != nil {
-			t.Fatalf("verify %d: %v", epoch, err)
-		}
-	}
-	qr, err := prover.Query("SELECT SUM(packets) FROM clogs;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := verifier.VerifyQuery(qr.SQL, qr.Receipt); err != nil {
-		t.Fatal(err)
+			res, err := prover.AggregateEpoch(4)
+			if err != nil {
+				t.Fatalf("off-path aggregate after the tampered epoch: %v", err)
+			}
+			for _, res := range append(results, res) {
+				if _, err := verifier.VerifyAggregation(res.Receipt); err != nil {
+					t.Fatalf("verify epoch %d: %v", res.Epoch, err)
+				}
+			}
+			qr, err := prover.Query("SELECT SUM(packets) FROM clogs;")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := verifier.VerifyQuery(qr.SQL, qr.Receipt); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
