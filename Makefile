@@ -38,7 +38,8 @@ race:
 # program: no panic, no allocation to speak of, only canonical leaves
 # expand), plus the aggregation guest against the host reference
 # (seeded rounds of every merge shape, monolithic and cut: the journal
-# is ReferenceAggregate's, word for word, and the retired image's).
+# is ReferenceAggregate's, word for word, and that of the independently
+# written guest kept as a test reference in internal/guest/testdata).
 # `go test -fuzz` takes one target per invocation, so this is thirteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:

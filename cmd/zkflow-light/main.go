@@ -29,6 +29,7 @@ import (
 
 	"zkflow/internal/api"
 	"zkflow/internal/lightsync"
+	"zkflow/internal/zkvm"
 )
 
 func main() {
@@ -38,7 +39,7 @@ func main() {
 		pinEpoch  = flag.Int64("pin-epoch", -1, "on first run, pin the checkpoint sealed for this epoch (-1 = latest)")
 		samples   = flag.Int("samples", 0, "aggregation rounds to spot-verify (0 = server suggestion, -1 = none)")
 		seed      = flag.Int64("seed", 0, "sampling seed (0 = random)")
-		minChecks = flag.Int("min-checks", 0, "minimum sampled checks a receipt seal must carry")
+		minChecks = flag.Int("min-checks", zkvm.DefaultChecks, "minimum sampled checks a receipt seal must carry")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request HTTP timeout")
 	)
 	flag.Parse()

@@ -63,6 +63,8 @@ func main() {
 			fmt.Printf("resuming from persisted state: %d rounds already verified\n", verifier.Rounds())
 		}
 	}
+	// The state file carries no floor: set it on a loaded verifier too.
+	verifier.SetMinChecks(zkvm.DefaultChecks)
 	for round := verifier.Rounds(); round < status.Rounds; round++ {
 		receipt, err := client.AggregationReceipt(ctx, round)
 		if err != nil {

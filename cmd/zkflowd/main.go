@@ -26,6 +26,7 @@ import (
 	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
+	"zkflow/internal/zkvm"
 )
 
 func main() {
@@ -35,14 +36,13 @@ func main() {
 		records  = flag.Int("records", 50, "records per router per epoch")
 		epochs   = flag.Int("epochs", 3, "epochs to run (0 = continuous)")
 		interval = flag.Duration("interval", router.EpochSeconds*time.Second, "epoch interval in continuous mode")
-		checks   = flag.Int("checks", 32, "zkVM sampled checks per proof")
+		checks   = flag.Int("checks", zkvm.DefaultChecks, "zkVM sampled checks per proof")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		flows    = flag.Int("flows", 256, "flow population size")
 		loss     = flag.Float64("loss", 0.02, "packet loss rate")
 		farmAddr = flag.String("farm-addr", "", "prover-farm coordinator listen address (empty = prove locally); workers dial in with zkflow-worker -farm-addr, and one worker is an off-path prover")
 		farmWait = flag.Int("workers", 0, "with -farm-addr: wait for this many farm workers before the first epoch")
 		pipeline = flag.Int("pipeline", 1, "pipeline depth: epochs sealed at once while later ones are witnessed (1 = no overlap)")
-		workers  = flag.Int("parallelism", 0, "prover worker-pool width (0 = all CPUs, 1 = serial)")
 		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = single-segment)")
 
 		debugAddr    = flag.String("debug-addr", "", "operator-only pprof+metrics listen address (empty = off; keep it loopback)")
@@ -61,7 +61,7 @@ func main() {
 	// One registry carries the whole daemon: zkVM stage timings,
 	// scheduler gauges, and the HTTP layer, served at /api/v1/metrics.
 	reg := obs.NewRegistry()
-	opts := core.Options{Checks: *checks, Parallelism: *workers, SegmentCycles: *segCyc, Metrics: reg}
+	opts := core.Options{Checks: *checks, SegmentCycles: *segCyc, Metrics: reg}
 	if *farmAddr != "" {
 		coord := remote.NewCoordinator(remote.FarmConfig{Metrics: reg})
 		if err := coord.Start(*farmAddr); err != nil {

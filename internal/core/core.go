@@ -48,9 +48,6 @@ type ProveFunc func(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) 
 type Options struct {
 	// Checks is the zkVM sampled-check count (0 = zkvm default).
 	Checks int
-	// Parallelism is the width of the zkVM prover's crew (see
-	// zkvm.ProveOptions.Parallelism; 0 = GOMAXPROCS, 1 = serial).
-	Parallelism int
 	// SegmentCycles, when positive, proves aggregations as continuation
 	// chains: execution is sliced every SegmentCycles cycles and the
 	// slices are sealed concurrently into a composite receipt (see
@@ -68,9 +65,7 @@ type Options struct {
 }
 
 func (o Options) proveOptions() zkvm.ProveOptions {
-	po := zkvm.ProveOptions{
-		Checks: o.Checks, Parallelism: o.Parallelism, SegmentCycles: o.SegmentCycles,
-	}
+	po := zkvm.ProveOptions{Checks: o.Checks, SegmentCycles: o.SegmentCycles}
 	if o.Metrics != nil {
 		po.Observer = obs.NewStageRecorder(o.Metrics, "prover.stage.")
 	}
@@ -271,9 +266,9 @@ func (v *Verifier) VerifyAggregation(receipt zkvm.AnyReceipt) (*guest.AggJournal
 	v.mu.Lock()
 	defer v.mu.Unlock()
 
-	prog := guest.AggregationImage(receipt.Image())
-	if prog == nil {
-		return nil, fmt.Errorf("%w: image %v", ErrWrongProgram, receipt.Image())
+	prog := guest.AggregationProgram()
+	if receipt.Image() != prog.ID() {
+		return nil, fmt.Errorf("%w: aggregation receipt image %v", ErrWrongProgram, receipt.Image())
 	}
 	if err := zkvm.VerifyAny(prog, receipt, v.verifyOpts); err != nil {
 		return nil, err

@@ -101,7 +101,6 @@ func TestFarmStressWorkerChurn(t *testing.T) {
 	sim := router.NewSim(trafficgen.Config{Seed: 7, NumFlows: 32, Routers: 2}, st, lg)
 	prover := core.NewProver(st, lg, core.Options{
 		Checks:        6,
-		Parallelism:   1,
 		SegmentCycles: 4096,
 		Prove:         coord.Prove,
 	})

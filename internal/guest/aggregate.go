@@ -24,7 +24,6 @@
 package guest
 
 import (
-	_ "embed"
 	"errors"
 	"fmt"
 	"slices"
@@ -115,34 +114,6 @@ func AggregationProgram() *zkvm.Program {
 func AggregationRegions() []zkvm.Region {
 	AggregationProgram()
 	return aggRegions
-}
-
-// retiredAggregation is AggregationProgram().Encode() of the last
-// commit before the guest's data movement was rewritten. Receipts in
-// checkpoints and on chains older than that are bound to it; nothing
-// proves with it any more (DESIGN.md §8 says when it is dropped).
-//
-//go:embed aggregation_pr15.img
-var retiredAggregation []byte
-
-var retiredProg = sync.OnceValue(func() *zkvm.Program {
-	p, err := zkvm.DecodeProgram(retiredAggregation)
-	if err != nil {
-		panic(err)
-	}
-	return p
-})
-
-// AggregationImage returns the aggregation guest a receipt bound to id
-// verifies under — the current program or the retired one, whose
-// journals have the same layout — and nil for any other image.
-func AggregationImage(id zkvm.ImageID) *zkvm.Program {
-	for _, p := range []*zkvm.Program{AggregationProgram(), retiredProg()} {
-		if p.ID() == id {
-			return p
-		}
-	}
-	return nil
 }
 
 // emitRead reads n input words into mem[base+off...]. Straight-line,

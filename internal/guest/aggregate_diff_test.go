@@ -1,8 +1,10 @@
 package guest
 
 import (
+	_ "embed"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"zkflow/internal/clog"
@@ -13,6 +15,22 @@ import (
 // mWord is where the tape and the journal carry the declared record
 // count: after two digests, the epoch and the router count.
 const mWord = 18
+
+// retiredAggregation is AggregationProgram().Encode() of the last
+// commit before the guest's data movement was rewritten: a second,
+// independently written guest for the same journal, kept as a test
+// reference only. No verifier accepts its image.
+//
+//go:embed testdata/aggregation_pr15.img
+var retiredAggregation []byte
+
+var retiredProg = sync.OnceValue(func() *zkvm.Program {
+	p, err := zkvm.DecodeProgram(retiredAggregation)
+	if err != nil {
+		panic(err)
+	}
+	return p
+})
 
 // referenceJournalOf is ReferenceJournal over the CLog
 // ReferenceAggregate computes for in.

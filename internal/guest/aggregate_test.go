@@ -1,8 +1,6 @@
 package guest
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"errors"
 	"testing"
 
@@ -330,24 +328,5 @@ func TestReferenceAggregateMatchesCLog(t *testing.T) {
 		if ref[i] != es[i] {
 			t.Fatalf("entry %d: %+v vs %+v", i, ref[i], es[i])
 		}
-	}
-}
-
-// TestAggregationImage: receipts resolve to the program they were
-// proved under — the current guest, or the embedded one that checkpoints
-// and chains from before the rewrite are bound to — and to nothing else.
-func TestAggregationImage(t *testing.T) {
-	cur := AggregationProgram()
-	if AggregationImage(cur.ID()) != cur {
-		t.Fatal("the current image does not resolve to the current program")
-	}
-	retired := AggregationImage(zkvm.ImageID(sha256.Sum256(retiredAggregation)))
-	if retired == nil || retired == cur || !bytes.Equal(retired.Encode(), retiredAggregation) {
-		t.Fatalf("the retired image resolves to %v", retired)
-	}
-	unknown := cur.ID()
-	unknown[0] ^= 1
-	if p := AggregationImage(unknown); p != nil {
-		t.Fatalf("an unknown image resolves to a program of %d instructions", len(p.Instrs))
 	}
 }

@@ -14,11 +14,9 @@
 //     zkVM prover commits (an exec leaf's row and three witness words,
 //     108 bytes salted, is the widest), STARK rows of up to 15 columns —
 //     go through a 128-byte stack buffer, payloads up to ScratchBytes
-//     (the four whole exec rows of a format-v2 leaf, which verifiers
-//     still meet) through a 512-byte one (Go zeroes a stack buffer at
-//     every declaration, so the small tier saves ~400 bytes of memclr
-//     per leaf), and only oversized leaves fall back to a streaming
-//     hash.
+//     through a 512-byte one (Go zeroes a stack buffer at every
+//     declaration, so the small tier saves ~400 bytes of memclr per
+//     leaf), and only oversized leaves fall back to a streaming hash.
 //
 // The zkVM's block commit assembles its (prefix || salt || records)
 // message in place and calls sha256.Sum256 itself; Leaf2 is the same
@@ -44,9 +42,8 @@ const (
 
 // ScratchBytes is the stack scratch size of the leaf fast path: leaf
 // payloads up to this size (after the domain prefix) hash with zero
-// allocations. The largest leaf anything in the repo hashes is the one a
-// verifier of format-v2 seals opens — a salted block of four 80-byte
-// execution-trace rows, 336 bytes; STARK LDE rows are 8*cols.
+// allocations: STARK LDE rows (8*cols bytes) of up to 63 columns, for
+// one.
 const ScratchBytes = 512
 
 // smallScratchBytes is the first scratch tier (see the package

@@ -279,8 +279,8 @@ func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified
 	if err != nil {
 		return fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
 	}
-	prog := guest.AggregationImage(receipt.Image())
-	if prog == nil {
+	prog := guest.AggregationProgram()
+	if receipt.Image() != prog.ID() {
 		return fmt.Errorf("%w: round %d bound to image %v", ErrReceipt, h.Round, receipt.Image())
 	}
 	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{MinChecks: opts.MinChecks}); err != nil {

@@ -1,26 +1,20 @@
 package lightsync
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 
 	"zkflow/internal/api"
 	"zkflow/internal/core"
-	"zkflow/internal/guest"
 	"zkflow/internal/ledger"
 	"zkflow/internal/obs"
 	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
-	"zkflow/internal/zkvm"
 )
 
 // operator is a full in-process operator the light client syncs from.
@@ -265,33 +259,37 @@ func newOperatorSeed(t *testing.T, seed int64) *operator {
 
 // TestSyncRejectsTamperedReceipt: receipts corrupted in flight (a
 // tampering middlebox, or an operator swapping artifacts) fail the
-// sampled verification.
+// sampled verification — one bound to any image but the aggregation
+// guest's before its seal is looked at.
 func TestSyncRejectsTamperedReceipt(t *testing.T) {
 	op := newOperator(t)
 	op.advance(t, 3)
-	st := op.pinAt(t, 0)
-
 	inner := op.srv.Handler()
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if !strings.HasPrefix(r.URL.Path, "/api/v1/receipts/agg/") {
-			inner.ServeHTTP(w, r)
-			return
+	for _, at := range []int{4, 200} { // a byte of the image ID, of the journal
+		st := op.pinAt(t, 0)
+		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if !strings.HasPrefix(r.URL.Path, "/api/v1/receipts/agg/") {
+				inner.ServeHTTP(w, r)
+				return
+			}
+			rec := httptest.NewRecorder()
+			inner.ServeHTTP(rec, r)
+			body := rec.Body.Bytes()
+			if len(body) > at {
+				body[at] ^= 0xff
+			}
+			w.WriteHeader(rec.Code)
+			w.Write(body)
+		}))
+		// Sample every round past the pin so a corrupted receipt is hit.
+		_, err := Sync(context.Background(), api.New(proxy.URL, api.WithHTTPClient(proxy.Client())), st, Options{Samples: 2, Seed: 5})
+		proxy.Close()
+		if !errors.Is(err, ErrReceipt) {
+			t.Fatalf("byte %d flipped: got %v", at, err)
 		}
-		rec := httptest.NewRecorder()
-		inner.ServeHTTP(rec, r)
-		body := rec.Body.Bytes()
-		if len(body) > 200 {
-			body[200] ^= 0xff
+		if at == 4 && !strings.Contains(err.Error(), "bound to image") {
+			t.Fatalf("image ID flipped: refused for another reason: %v", err)
 		}
-		w.WriteHeader(rec.Code)
-		w.Write(body)
-	}))
-	defer proxy.Close()
-
-	// Sample every round past the pin so a corrupted receipt is hit.
-	_, err := Sync(context.Background(), api.New(proxy.URL, api.WithHTTPClient(proxy.Client())), st, Options{Samples: 2, Seed: 5})
-	if !errors.Is(err, ErrReceipt) {
-		t.Fatalf("got %v", err)
 	}
 }
 
@@ -355,57 +353,5 @@ func TestSyncCompositeReceipts(t *testing.T) {
 	}
 	if pin.Checkpoint.Epoch != 2 {
 		t.Fatalf("pin not advanced: %+v", pin.Checkpoint)
-	}
-}
-
-// TestSyncAcrossGuestImages: a chain whose first rounds were proved by
-// the aggregation guest an upgrade retired, and whose later rounds by
-// the current one, syncs with every round re-verified under the image
-// it names. The old rounds are core's checkpoint fixture (seed 23, two
-// rounds of 4x6 records, written before the guest's rewrite).
-func TestSyncAcrossGuestImages(t *testing.T) {
-	old, err := os.ReadFile(filepath.Join("..", "core", "testdata", "checkpoint_v2.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, lg := store.Open(0), ledger.New()
-	sim := router.NewSim(trafficgen.Config{Seed: 23, NumFlows: 48, Routers: 4, LossRate: 0.02}, st, lg)
-	if err := sim.RunEpochs(context.Background(), 0, 4, 6); err != nil {
-		t.Fatal(err)
-	}
-	prover, err := core.LoadProver(bytes.NewReader(old), st, lg, core.Options{Checks: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for e := uint64(2); e < 4; e++ {
-		if _, err := prover.AggregateEpoch(e); err != nil {
-			t.Fatal(err)
-		}
-	}
-	srv := api.NewServer(prover, lg)
-	images := map[zkvm.ImageID]int{}
-	for _, res := range prover.History() {
-		if err := srv.AddAggregationResult(res); err != nil {
-			t.Fatal(err)
-		}
-		images[res.Receipt.Image()]++
-	}
-	if len(images) != 2 || images[guest.AggregationProgram().ID()] != 2 {
-		t.Fatalf("the chain does not straddle two images: %v", images)
-	}
-	op := &operator{sim: sim, prover: prover, srv: srv, lg: lg, epochs: 4}
-	op.ts = httptest.NewServer(srv.Handler())
-	t.Cleanup(op.ts.Close)
-
-	pin := op.pinAt(t, 0)
-	rep, err := Sync(context.Background(), op.client(), pin, Options{Samples: 4, Seed: 1, MinChecks: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rounds 1..3 lie past the pin; round 1 is under the retired image.
-	got := slices.Clone(rep.SampledRounds)
-	slices.Sort(got)
-	if !slices.Equal(got, []int{1, 2, 3}) {
-		t.Fatalf("re-verified rounds %v, want 1 2 3", got)
 	}
 }

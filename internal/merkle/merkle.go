@@ -1,5 +1,5 @@
-// Package merkle implements SHA-256 Merkle trees with inclusion proofs,
-// contiguous range proofs, and O(log n) incremental updates.
+// Package merkle implements SHA-256 Merkle trees with inclusion proofs
+// and O(log n) incremental updates.
 //
 // Trees are the authenticated data structure at the heart of the system
 // (paper §4.1): CLog entries are leaves, the root is a compact
@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/bits"
 	"sync"
 
 	"zkflow/internal/hashk"
@@ -129,7 +128,7 @@ func getArena(depth int) []Hash {
 // Release returns the tree's node storage to an internal pool for
 // reuse by later builds and leaves the tree unusable (any further
 // method call panics). Call it only when nothing aliases the tree's
-// hashes; proofs are safe — Prove, ProveRange, and Leaf all copy.
+// hashes; proofs are safe — Prove and Leaf copy.
 func (t *Tree) Release() {
 	if t.arena == nil {
 		return
@@ -345,88 +344,4 @@ func (t *Tree) Update(i int, leafHash Hash) error {
 		idx = parent
 	}
 	return nil
-}
-
-// RangeProof authenticates the contiguous leaf range [Lo, Hi): it
-// carries exactly the off-range subtree hashes needed to recompute the
-// root from the range's leaf hashes.
-type RangeProof struct {
-	Lo, Hi int // half-open leaf interval
-	Hashes []Hash
-}
-
-// Size returns the encoded size of the proof in bytes.
-func (p RangeProof) Size() int { return 16 + 32*len(p.Hashes) }
-
-// ProveRange returns a proof for leaves [lo, hi).
-func (t *Tree) ProveRange(lo, hi int) (RangeProof, error) {
-	if lo < 0 || hi > t.nLeaves || lo >= hi {
-		return RangeProof{}, ErrIndexOutOfRange
-	}
-	p := RangeProof{Lo: lo, Hi: hi}
-	t.collectRange(len(t.levels)-1, 0, lo, hi, &p.Hashes)
-	return p, nil
-}
-
-// collectRange walks the tree from the root down, appending hashes of
-// maximal subtrees disjoint from [lo, hi) in deterministic DFS order.
-func (t *Tree) collectRange(lvl, idx, lo, hi int, out *[]Hash) {
-	nodeLo := idx << lvl
-	nodeHi := nodeLo + (1 << lvl)
-	if nodeHi <= lo || nodeLo >= hi {
-		*out = append(*out, t.levels[lvl][idx])
-		return
-	}
-	if lvl == 0 {
-		return // in-range leaf: supplied by the verifier
-	}
-	t.collectRange(lvl-1, 2*idx, lo, hi, out)
-	t.collectRange(lvl-1, 2*idx+1, lo, hi, out)
-}
-
-// VerifyRange checks that leafHashes occupy [p.Lo, p.Hi) under root.
-// totalLeaves must be the unpadded leaf count of the committed tree.
-func VerifyRange(root Hash, totalLeaves int, leafHashes []Hash, p RangeProof) bool {
-	if p.Lo < 0 || p.Hi > totalLeaves || p.Lo >= p.Hi || p.Hi-p.Lo != len(leafHashes) {
-		return false
-	}
-	size := 1
-	for size < totalLeaves {
-		size <<= 1
-	}
-	depth := bits.TrailingZeros(uint(size))
-	hi := 0 // cursor into p.Hashes
-	li := 0 // cursor into leafHashes
-	h, ok := rebuildRange(depth, 0, p.Lo, p.Hi, p.Hashes, leafHashes, &hi, &li)
-	return ok && hi == len(p.Hashes) && li == len(leafHashes) && h == root
-}
-
-func rebuildRange(lvl, idx, lo, hi int, proofHashes, leafHashes []Hash, pi, li *int) (Hash, bool) {
-	nodeLo := idx << lvl
-	nodeHi := nodeLo + (1 << lvl)
-	if nodeHi <= lo || nodeLo >= hi {
-		if *pi >= len(proofHashes) {
-			return Hash{}, false
-		}
-		h := proofHashes[*pi]
-		*pi++
-		return h, true
-	}
-	if lvl == 0 {
-		if *li >= len(leafHashes) {
-			return Hash{}, false
-		}
-		h := leafHashes[*li]
-		*li++
-		return h, true
-	}
-	l, ok := rebuildRange(lvl-1, 2*idx, lo, hi, proofHashes, leafHashes, pi, li)
-	if !ok {
-		return Hash{}, false
-	}
-	r, ok := rebuildRange(lvl-1, 2*idx+1, lo, hi, proofHashes, leafHashes, pi, li)
-	if !ok {
-		return Hash{}, false
-	}
-	return NodeHash(l, r), true
 }

@@ -143,78 +143,6 @@ func TestEmptyTree(t *testing.T) {
 	}
 }
 
-func TestRangeProofAllRanges(t *testing.T) {
-	for _, n := range []int{1, 2, 5, 8, 13, 16} {
-		tree := Build(leaves(n))
-		root := tree.Root()
-		for lo := 0; lo < n; lo++ {
-			for hi := lo + 1; hi <= n; hi++ {
-				p, err := tree.ProveRange(lo, hi)
-				if err != nil {
-					t.Fatalf("n=%d [%d,%d): %v", n, lo, hi, err)
-				}
-				lhs := make([]Hash, 0, hi-lo)
-				for i := lo; i < hi; i++ {
-					h, _ := tree.Leaf(i)
-					lhs = append(lhs, h)
-				}
-				if !VerifyRange(root, n, lhs, p) {
-					t.Fatalf("n=%d [%d,%d): valid range proof rejected", n, lo, hi)
-				}
-			}
-		}
-	}
-}
-
-func TestRangeProofRejectsTamper(t *testing.T) {
-	tree := Build(leaves(16))
-	p, _ := tree.ProveRange(4, 9)
-	lhs := make([]Hash, 0, 5)
-	for i := 4; i < 9; i++ {
-		h, _ := tree.Leaf(i)
-		lhs = append(lhs, h)
-	}
-	lhs[2][0] ^= 1
-	if VerifyRange(tree.Root(), 16, lhs, p) {
-		t.Fatal("tampered range leaf accepted")
-	}
-}
-
-func TestRangeProofRejectsWrongWindow(t *testing.T) {
-	tree := Build(leaves(16))
-	p, _ := tree.ProveRange(4, 9)
-	lhs := make([]Hash, 0, 5)
-	for i := 5; i < 10; i++ { // shifted window, same length
-		h, _ := tree.Leaf(i)
-		lhs = append(lhs, h)
-	}
-	if VerifyRange(tree.Root(), 16, lhs, p) {
-		t.Fatal("shifted window accepted")
-	}
-}
-
-func TestRangeProofRejectsBadBounds(t *testing.T) {
-	tree := Build(leaves(8))
-	if _, err := tree.ProveRange(3, 3); err == nil {
-		t.Fatal("empty range accepted")
-	}
-	if _, err := tree.ProveRange(-1, 2); err == nil {
-		t.Fatal("negative lo accepted")
-	}
-	if _, err := tree.ProveRange(2, 9); err == nil {
-		t.Fatal("hi beyond leaves accepted")
-	}
-}
-
-func TestRangeProofLengthMismatch(t *testing.T) {
-	tree := Build(leaves(8))
-	p, _ := tree.ProveRange(2, 5)
-	lhs := make([]Hash, 2) // wrong length
-	if VerifyRange(tree.Root(), 8, lhs, p) {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 func TestProofSize(t *testing.T) {
 	tree := Build(leaves(1024))
 	p, _ := tree.Prove(0)

@@ -177,10 +177,8 @@ func sha256Blocks(n int) int { return (n + 9 + 63) / 64 }
 // format fixes: SHA-256 compressions and bytes hashed per record,
 // leaves plus the block's internal nodes (65-byte preimages, two
 // compressions each), from the length of the message the leaf really
-// hashes: an exec leaf is 109 bytes, two compressions for four rows. At
-// one record per leaf (format v1) the same count is 4 compressions per
-// exec row and 3 per 17- or 8-byte record; at four whole rows per exec
-// leaf (format v2), 2 per row.
+// hashes: an exec leaf is 109 bytes, two compressions for four rows
+// (EXPERIMENTS.md E24 has the counts of the retired leaf layouts).
 func BenchmarkCommitBlock(b *testing.B) {
 	const n = 1 << 15
 	tabs := shapeTables(&[32]byte{7}, n)

@@ -11,8 +11,8 @@ import (
 )
 
 // This file tests the blocked-leaf shape of a seal from the verifier's
-// side: what a column accepts as a leaf — whole records, or a format-v3
-// exec leaf's head row and witness words — how many openings an adjacent
+// side: what a column accepts as a leaf — whole records, or an exec
+// leaf's head row and witness words — how many openings an adjacent
 // pair or a run may carry, and that no mutation of a valid receipt — of
 // either kind — verifies.
 
@@ -29,17 +29,16 @@ type leafShape struct {
 	get func(span []Opening, lo, hi int) ([][]byte, error)
 }
 
-// leafShapes commits n exec rows (witnessed leaves, what format v3
-// seals) and n memory entries (whole records: every other column, and
-// the exec column of format v2).
+// leafShapes commits n exec rows (witnessed leaves) and n memory
+// entries (whole records, as in every other column).
 func leafShapes(t *testing.T, n int) []*leafShape {
 	t.Helper()
 	exec, mem := execTable(&[32]byte{3}, n), shapeTables(&[32]byte{3}, n)["mem"]
 	commitTables(1, exec, mem)
 	t.Cleanup(exec.tree.Release)
 	t.Cleanup(mem.tree.Release)
-	execCol := column{root: exec.tree.Root(), n: n, recBytes: rowBytes, block: leafRecords, witnessed: true}
-	memCol := column{root: mem.tree.Root(), n: n, recBytes: memBytes, block: leafRecords}
+	execCol := column{root: exec.tree.Root(), n: n, recBytes: rowBytes, witnessed: true}
+	memCol := column{root: mem.tree.Root(), n: n, recBytes: memBytes}
 	return []*leafShape{
 		{"witnessed", exec, execCol, 4, func(span []Opening, lo, hi int) ([][]byte, error) {
 			rows, err := execCol.rows(exec.prog, span, lo, hi)
@@ -93,16 +92,15 @@ func TestColumnLeafShape(t *testing.T) {
 			for i := range perRecord {
 				perRecord[i] = saltedLeafHash(tab.salts.deriveSalt(tab.label, i), recordBytes(tab, i))
 			}
-			v1Tree := merkle.BuildHashesParallel(perRecord, 1)
-			proof, _ := v1Tree.Prove(2)
-			v1Opening := Opening{Index: 2, Salt: tab.salts.deriveSalt(tab.label, 2), Data: recordBytes(tab, 2), Path: proof.Path}
-			v1Col := column{root: v1Tree.Root(), n: n, recBytes: tab.recBytes, block: 1}
-			if _, err := v1Col.record(&v1Opening, 2); err != nil {
-				t.Fatalf("the per-record opening is not even valid at a block of one: %v", err)
+			perRecordTree := merkle.BuildHashesParallel(perRecord, 1)
+			proof, _ := perRecordTree.Prove(2)
+			perRecordOpening := Opening{Index: 2, Salt: tab.salts.deriveSalt(tab.label, 2), Data: recordBytes(tab, 2), Path: proof.Path}
+			if !merkle.Verify(perRecordTree.Root(), saltedLeafHash(perRecordOpening.Salt, perRecordOpening.Data), proof) {
+				t.Fatal("the per-record opening is not even valid in its own tree")
 			}
-			blockedOverV1 := col
-			blockedOverV1.root = v1Tree.Root()
-			if err := blockedOverV1.leaf(&v1Opening, 2); err == nil {
+			blockedOverPerRecord := col
+			blockedOverPerRecord.root = perRecordTree.Root()
+			if err := blockedOverPerRecord.leaf(&perRecordOpening, 2); err == nil {
 				t.Error("a 10-leaf tree accepted as the 3-leaf tree of a blocked 10-record column")
 			}
 
@@ -137,15 +135,9 @@ func TestColumnLeafShape(t *testing.T) {
 		})
 	}
 
-	// The two layouts are not each other's: whole rows are no leaf of a
-	// witnessed column, head and words none of a whole-record one.
+	// Whole rows are no leaf of an exec column.
 	exec := leafShapes(t, n)[0]
-	whole := exec.col
-	whole.witnessed = false
 	o := exec.tab.open(0)
-	if err := whole.leaf(&o, 0); err == nil {
-		t.Error("a head row and three words accepted as four whole rows")
-	}
 	for i := 1; i < leafRecords; i++ {
 		o.Data = append(o.Data[:i*rowBytes], recordBytes(exec.tab, i)...)
 	}
@@ -258,31 +250,10 @@ func newBlockFixtures(t testing.TB) *blockFixtures {
 	return fx
 }
 
-// v2BlockFixtures are the stored format-v2 vectors, exec leaves of whole
-// rows, which no prover in the tree emits any more.
-func v2BlockFixtures(t testing.TB) *blockFixtures {
-	t.Helper()
-	fx := &blockFixtures{prog: sumProgram(), segProg: segTestProgram(t)}
-	var err error
-	if fx.monoBytes, err = os.ReadFile(filepath.Join("testdata", v2ReceiptFile)); err != nil {
-		t.Fatal(err)
-	}
-	if fx.compBytes, err = os.ReadFile(filepath.Join("testdata", v2CompositeFile)); err != nil {
-		t.Fatal(err)
-	}
-	if fx.mono, err = UnmarshalReceipt(fx.monoBytes); err != nil {
-		t.Fatal(err)
-	}
-	if fx.comp, err = UnmarshalComposite(fx.compBytes); err != nil {
-		t.Fatal(err)
-	}
-	return fx
-}
-
 // execLeafMutants are encodings of the mono fixture with the payload of
 // one opened exec leaf changed the ways only a witnessed leaf can be: a
 // witness word set on a step that takes none, a word short, a word over,
-// and the leaf's rows written out whole, as format v2 would. None is
+// and the leaf's rows written out whole. None is
 // what the prover committed, so none verifies; what expansion makes of
 // such leaves when they *are* committed is TestStrictExecLeaves.
 func (fx *blockFixtures) execLeafMutants(t testing.TB) [][]byte {
@@ -418,30 +389,13 @@ func (fx *blockFixtures) blockBoundaryMutants(t testing.TB) [][]byte {
 // check family, mono or composite, is rejected by the verifier, and
 // again after a trip through the codec.
 func TestMiscountedSpansRejected(t *testing.T) {
-	for _, fx := range []*blockFixtures{newBlockFixtures(t), v2BlockFixtures(t)} {
-		mutants := fx.blockBoundaryMutants(t)
-		if len(mutants) == 0 {
-			t.Fatal("no encodable mutants")
-		}
-		for _, m := range mutants {
-			fx.mustNotVerify(t, "encoded miscounted span", m)
-		}
+	fx := newBlockFixtures(t)
+	mutants := fx.blockBoundaryMutants(t)
+	if len(mutants) == 0 {
+		t.Fatal("no encodable mutants")
 	}
-	// Format v1 has no way to say "one opening": its pairs are always two.
-	old, err := os.ReadFile(filepath.Join("testdata", v1ReceiptFile))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := UnmarshalReceipt(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1.Seal.ExecChecks[0].Rows = v1.Seal.ExecChecks[0].Rows[:1]
-	if err := Verify(sumProgram(), v1, VerifyOptions{}); err == nil {
-		t.Fatal("v1 receipt with half a pair verified")
-	}
-	if _, err := v1.MarshalBinary(); err == nil {
-		t.Fatal("v1 receipt with half a pair encoded")
+	for _, m := range mutants {
+		fx.mustNotVerify(t, "encoded miscounted span", m)
 	}
 }
 
@@ -473,8 +427,8 @@ func TestMutatedReceiptsNeverVerify(t *testing.T) {
 // truncations, extensions, splices — must neither panic the decoder or
 // the verifier nor verify. The corpus starts from the two valid
 // encodings, the block-boundary mutants (a pair one opening short or
-// over), the exec-leaf payload mutants, and the v1 and v2 vectors, which
-// must not verify against these programs' other fixtures either.
+// over), the exec-leaf payload mutants, and the golden vectors with one
+// bit flipped in the seal, at two places each.
 func FuzzVerifyMutatedReceipt(f *testing.F) {
 	fx := newBlockFixtures(f)
 	f.Add(fx.monoBytes)
@@ -487,15 +441,18 @@ func FuzzVerifyMutatedReceipt(f *testing.F) {
 	}
 	f.Add(fx.monoBytes[:len(fx.monoBytes)-1])
 	f.Add(append(bytes.Clone(fx.compBytes), 0))
-	for _, name := range []string{v1ReceiptFile, v1CompositeFile, v2ReceiptFile, v2CompositeFile} {
-		old, err := os.ReadFile(filepath.Join("testdata", name))
+	for _, name := range []string{goldenReceiptFile, goldenCompositeFile} {
+		stored, err := os.ReadFile(filepath.Join("testdata", name))
 		if err != nil {
 			f.Fatal(err)
 		}
 		// Flipped, so that the untouched vector — which does verify — is
 		// not itself in the corpus.
-		old[len(old)/2] ^= 1
-		f.Add(old)
+		for _, at := range []int{len(stored) / 3, len(stored) / 2} {
+			mut := bytes.Clone(stored)
+			mut[at] ^= 1
+			f.Add(mut)
+		}
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fx.mustNotVerify(t, "fuzzed receipt", data)
@@ -503,30 +460,16 @@ func FuzzVerifyMutatedReceipt(f *testing.F) {
 }
 
 // TestReceiptSizesMatchEncoding pins the arithmetic Size and SealSize
-// against the bytes MarshalBinary writes, for both kinds and all three
-// formats.
+// against the bytes MarshalBinary writes, for both kinds.
 func TestReceiptSizesMatchEncoding(t *testing.T) {
 	fx := newBlockFixtures(t)
-	for _, fx := range []*blockFixtures{fx, v2BlockFixtures(t)} {
-		if got := fx.mono.Size(); got != len(fx.monoBytes) {
-			t.Errorf("format %d: mono Size() = %d, encoding has %d bytes", fx.mono.Seal.Format, got, len(fx.monoBytes))
-		}
-		if got := fx.comp.Size(); got != len(fx.compBytes) {
-			t.Errorf("format %d: composite Size() = %d, encoding has %d bytes", fx.mono.Seal.Format, got, len(fx.compBytes))
-		}
+	if got := fx.mono.Size(); got != len(fx.monoBytes) {
+		t.Errorf("mono Size() = %d, encoding has %d bytes", got, len(fx.monoBytes))
 	}
-	old, err := os.ReadFile(filepath.Join("testdata", v1CompositeFile))
-	if err != nil {
-		t.Fatal(err)
+	if got := fx.comp.Size(); got != len(fx.compBytes) {
+		t.Errorf("composite Size() = %d, encoding has %d bytes", got, len(fx.compBytes))
 	}
-	c, err := UnmarshalComposite(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Size(); got != len(old) {
-		t.Errorf("v1 composite Size() = %d, encoding has %d bytes", got, len(old))
-	}
-	if c.SealSize() >= c.Size() || fx.comp.SealSize() >= fx.comp.Size() {
+	if fx.mono.SealSize() >= fx.mono.Size() || fx.comp.SealSize() >= fx.comp.Size() {
 		t.Error("SealSize is not smaller than Size")
 	}
 }

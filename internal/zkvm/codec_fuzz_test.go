@@ -2,8 +2,6 @@ package zkvm
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -37,14 +35,10 @@ func FuzzUnmarshalReceipt(f *testing.F) {
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:4])
 	f.Add([]byte{})
-	f.Add([]byte{0x35, 0x66, 0x6b, 0x7a}) // magic alone
-	f.Add([]byte{0x31, 0x66, 0x6b, 0x7a}) // the v1 magic alone
-	// The retired folded-receipt magic "zkf4" over a valid receipt's body.
-	f.Add(append([]byte{0x34, 0x66, 0x6b, 0x7a}, valid[4:]...))
-	if v1, err := os.ReadFile(filepath.Join("testdata", v1ReceiptFile)); err == nil {
-		f.Add(v1) // the other format the decoder reads
-	} else {
-		f.Fatal(err)
+	// Every retired magic — the folded receipt's "zkf4" and formats v1
+	// and v2's "zkf1"–"zkf3", "zkf5"–"zkf7" — over a valid receipt's body.
+	for _, m := range retiredMagics {
+		f.Add(append([]byte{m, 'f', 'k', 'z'}, valid[4:]...))
 	}
 	mut := append([]byte(nil), valid...)
 	mut[len(mut)/3] ^= 0xff

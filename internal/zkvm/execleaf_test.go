@@ -339,7 +339,7 @@ func TestStrictExecLeaves(t *testing.T) {
 	tree := merkle.BuildHashesParallel(hashes, 1)
 	proof, _ := tree.Prove(j)
 	o := Opening{Index: j, Salt: tab.salts.deriveSalt(treeExec, j), Data: forged, Path: proof.Path}
-	col := column{root: tree.Root(), n: len(rows), recBytes: rowBytes, block: leafRecords, witnessed: true}
+	col := column{root: tree.Root(), n: len(rows), recBytes: rowBytes, witnessed: true}
 	if err := col.leaf(&o, j); err != nil {
 		t.Fatalf("the forged leaf is not even committed: %v", err)
 	}

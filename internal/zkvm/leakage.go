@@ -19,12 +19,12 @@ type LeakageReport struct {
 	MemFraction float64
 }
 
-// reveal marks the records the opened leaf o of column c holds — for a
-// witnessed exec leaf, the rows it expands to — numbering record i of
-// the table base+i.
+// reveal marks the records the opened leaf o of column c holds — for an
+// exec leaf, the rows it expands to — numbering record i of the table
+// base+i.
 func reveal(seen map[int]bool, base int, o *Opening, c column) {
 	for k := range c.count(o.Index) { // none for a leaf past the table
-		seen[base+o.Index*c.block+k] = true
+		seen[base+o.Index*leafRecords+k] = true
 	}
 }
 

@@ -119,7 +119,7 @@ type statement func(sr *SegmentReceipt) *transcript.Transcript
 // final segment entered at genesis: image ID, exit code, journal, and
 // table lengths.
 func monoStatement(sr *SegmentReceipt) *transcript.Transcript {
-	tr := transcript.New(sr.Seal.Format.wire().sealLabel)
+	tr := transcript.New(sealLabel)
 	tr.Append("image-id", sr.ImageID[:])
 	tr.AppendUint64("exit-code", uint64(sr.ExitCode))
 	tr.Append("journal", wordsToBytes(sr.Journal))

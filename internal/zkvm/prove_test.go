@@ -2,8 +2,6 @@ package zkvm
 
 import (
 	"errors"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -278,18 +276,16 @@ func TestJournalGrowsLinearly(t *testing.T) {
 }
 
 // TestLeakageReport pins what the report counts: revealed records. An
-// opened leaf gives away its whole block — a format-v3 exec leaf, every
-// row it expands to, not the one row it carries whole — so the count is
-// the records of the distinct opened leaves: what format v2 exposed with
-// the same leaves opened, and in format v1, where a leaf is a record,
-// the number of leaves.
+// opened leaf gives away its whole block — an exec leaf, every row it
+// expands to, not the one row it carries whole — so the count is the
+// records of the distinct opened leaves.
 func TestLeakageReport(t *testing.T) {
 	_, r := proveSum(t, 32)
 	rep := Leakage(r)
 	if rep.TotalRows != int(r.Seal.NumRows) || rep.TotalMemEntries != int(r.Seal.NumMem) {
 		t.Fatalf("totals %d/%d, seal has %d/%d", rep.TotalRows, rep.TotalMemEntries, r.Seal.NumRows, r.Seal.NumMem)
 	}
-	leaves, want := openedRowLeaves(&r.Seal, func(o *Opening) int { return 1 + (len(o.Data)-rowBytes)/4 })
+	leaves, want := openedRowLeaves(&r.Seal)
 	if rep.OpenedRows != want {
 		t.Fatalf("opened rows %d, the %d distinct opened leaves expand to %d", rep.OpenedRows, leaves, want)
 	}
@@ -305,29 +301,13 @@ func TestLeakageReport(t *testing.T) {
 	if rep.MemFraction <= 0 || rep.MemFraction > 1 {
 		t.Fatalf("mem fraction %f", rep.MemFraction)
 	}
-
-	for name, perLeaf := range map[string]func(o *Opening) int{
-		v2ReceiptFile: func(o *Opening) int { return len(o.Data) / rowBytes },
-		v1ReceiptFile: func(*Opening) int { return 1 },
-	} {
-		stored, err := os.ReadFile(filepath.Join("testdata", name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		old, err := UnmarshalReceipt(stored)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if leaves, want := openedRowLeaves(&old.Seal, perLeaf); Leakage(old).OpenedRows != want {
-			t.Fatalf("%s: opened rows %d, the %d distinct opened leaves hold %d", name, Leakage(old).OpenedRows, leaves, want)
-		}
-	}
 }
 
 // openedRowLeaves recounts a seal's row openings by hand — FirstRow,
 // LastRow, and each exec check's one or two leaves — and returns the
-// number of distinct leaves and the rows they hold at perLeaf each.
-func openedRowLeaves(s *Seal, perLeaf func(*Opening) int) (leaves, rows int) {
+// number of distinct leaves and the rows they expand to: the head row
+// and one per witness word.
+func openedRowLeaves(s *Seal) (leaves, rows int) {
 	opened := []*Opening{&s.FirstRow, &s.LastRow}
 	for i := range s.ExecChecks {
 		for j := range s.ExecChecks[i].Rows {
@@ -336,7 +316,7 @@ func openedRowLeaves(s *Seal, perLeaf func(*Opening) int) (leaves, rows int) {
 	}
 	leafRows := map[int]int{}
 	for _, o := range opened {
-		leafRows[o.Index] = perLeaf(o)
+		leafRows[o.Index] = 1 + (len(o.Data)-rowBytes)/4
 	}
 	for _, n := range leafRows {
 		rows += n

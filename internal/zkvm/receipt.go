@@ -21,75 +21,23 @@ import (
 // bytes against two 32-byte path levels fewer).
 const leafRecords = 4
 
-// Format is the wire format of a seal. The prover emits FormatV3 only.
-// FormatV2 — exec leaves of leafRecords whole rows — and FormatV1 — one
-// record per leaf — are what receipts sealed before carry; they are
-// decoded and verified by the same code, selected by the receipt's
-// magic.
-type Format uint8
-
+// The magics of the three encodings of a seal (format v3, DESIGN.md §8)
+// and the labels its two statements open their transcripts with.
+// "zkfa" frames the farm's wire. "zkf1"–"zkf7" are retired and must
+// never be assigned again, so that no byte string ever read as one of
+// them can be read as anything else: "zkf1"–"zkf3" tagged format v1
+// (one record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of
+// whole rows), which no code decodes any more; "zkf4" (0x7a6b6634)
+// tagged the folded receipt, a prover-trusted binding rather than a
+// proof.
 const (
-	FormatV3 Format = iota // leafRecords records per leaf, exec leaves witnessed
-	FormatV2               // leafRecords whole records per leaf; verify-only
-	FormatV1               // one record per leaf; verify-only
+	magicReceipt   = 0x7a6b6638 // "zkf8"
+	magicComposite = 0x7a6b6639 // "zkf9"
+	magicSegment   = 0x7a6b6662 // "zkfb": one SegmentReceipt, standalone
+
+	sealLabel = "zkvm-seal-v3"
+	segLabel  = "zkvm-seg-v3"
 )
-
-// receiptKind indexes the three encodings a format has a magic for.
-type receiptKind int
-
-const (
-	kindReceipt   receiptKind = iota // Receipt
-	kindComposite                    // CompositeReceipt
-	kindSegment                      // one SegmentReceipt, standalone
-)
-
-// formatWire holds what differs between the formats besides the leaf
-// layout: the magics of the three encodings and the transcript labels.
-// "zkf4" (0x7a6b6634) is retired: it tagged the folded receipt, a
-// prover-trusted binding rather than a proof, which no code decodes any
-// more. It must never be assigned again, so that no byte string ever
-// read as a folded receipt can be read as anything else.
-type formatWire struct {
-	magic               [3]uint32
-	sealLabel, segLabel string
-}
-
-var formatWires = [...]formatWire{
-	FormatV3: {[3]uint32{0x7a6b6638, 0x7a6b6639, 0x7a6b6662}, "zkvm-seal-v3", "zkvm-seg-v3"}, // "zkf8", "zkf9", "zkfb" ("zkfa" frames the farm's wire)
-	FormatV2: {[3]uint32{0x7a6b6635, 0x7a6b6636, 0x7a6b6637}, "zkvm-seal-v2", "zkvm-seg-v2"}, // "zkf5".."zkf7"
-	FormatV1: {[3]uint32{0x7a6b6631, 0x7a6b6632, 0x7a6b6633}, "zkvm-seal-v1", "zkvm-seg-v1"}, // "zkf1".."zkf3"
-}
-
-func (f Format) wire() *formatWire { return &formatWires[f] }
-
-// block is the number of records per committed leaf.
-func (f Format) block() int {
-	if f == FormatV1 {
-		return 1
-	}
-	return leafRecords
-}
-
-// witnessedExec reports whether an exec leaf is its first row and one
-// witness word per further row (column.witnessed) rather than whole
-// rows.
-func (f Format) witnessedExec() bool { return f == FormatV3 }
-
-// pairsFlagged reports whether an adjacent pair says on the wire if a
-// second opening follows. At a block of one every pair straddles, so
-// format v1 always carried both and has no flag.
-func (f Format) pairsFlagged() bool { return f.block() > 1 }
-
-// formatOf returns the format whose encoding of kind k starts with
-// magic.
-func formatOf(magic uint32, k receiptKind) (Format, bool) {
-	for f := range formatWires {
-		if formatWires[f].magic[k] == magic {
-			return Format(f), true
-		}
-	}
-	return 0, false
-}
 
 // Opening is one authenticated leaf revealed by the seal: its index in
 // the tree, the payload (the leaf's records, concatenated), the
@@ -115,16 +63,15 @@ func openingsSize(os []Opening) int {
 }
 
 // column is one committed table as the verifier sees it: the root, the
-// number of records, their size, and how many share a leaf.
+// number of records and their size. leafRecords of them share a leaf.
 type column struct {
 	root     merkle.Hash
 	n        int
 	recBytes int
-	block    int
-	// witnessed marks the exec column of format v3. Its leaf carries the
-	// first of its rows whole and, for each further row, the one 32-bit
-	// word the step into it takes from outside the machine state
-	// (witnessWord); rows expands it by running the program.
+	// witnessed marks the exec column. Its leaf carries the first of its
+	// rows whole and, for each further row, the one 32-bit word the step
+	// into it takes from outside the machine state (witnessWord); rows
+	// expands it by running the program.
 	witnessed bool
 }
 
@@ -136,16 +83,16 @@ func (c column) leafBytes(count int) int {
 	return count * c.recBytes
 }
 
-// count is the number of records leaf idx holds: block of them, fewer
-// only in the last leaf.
-func (c column) count(idx int) int { return min(c.block, c.n-idx*c.block) }
+// count is the number of records leaf idx holds: leafRecords of them,
+// fewer only in the last leaf.
+func (c column) count(idx int) int { return min(leafRecords, c.n-idx*leafRecords) }
 
 // leaf authenticates o as leaf idx of the column. Everything about the
 // leaf's shape follows from the committed record count: the tree has
-// ceil(n/block) leaves, so the path has exactly that tree's depth, and
-// the payload is exactly the leaf's records.
+// ceil(n/leafRecords) leaves, so the path has exactly that tree's depth,
+// and the payload is exactly the leaf's records.
 func (c column) leaf(o *Opening, idx int) error {
-	leaves := (c.n + c.block - 1) / c.block
+	leaves := (c.n + leafRecords - 1) / leafRecords
 	if idx < 0 || idx >= leaves {
 		return fmt.Errorf("leaf %d outside a %d-leaf tree", idx, leaves)
 	}
@@ -183,9 +130,9 @@ func (c column) cover(span []Opening, lo, hi int) (first int, err error) {
 	if lo < 0 || hi < lo || hi > c.n {
 		return 0, fmt.Errorf("records [%d,%d) outside a %d-record table", lo, hi, c.n)
 	}
-	first, want := lo/c.block, 0
+	first, want := lo/leafRecords, 0
 	if hi > lo {
-		want = (hi-1)/c.block - first + 1
+		want = (hi-1)/leafRecords - first + 1
 	}
 	if len(span) != want {
 		return 0, fmt.Errorf("%d openings for records [%d,%d), want %d", len(span), lo, hi, want)
@@ -207,30 +154,17 @@ func (c column) records(span []Opening, lo, hi int) ([][]byte, error) {
 	}
 	recs := make([][]byte, hi-lo)
 	for i := lo; i < hi; i++ {
-		off := i % c.block * c.recBytes
-		recs[i-lo] = span[i/c.block-first].Data[off : off+c.recBytes]
+		off := i % leafRecords * c.recBytes
+		recs[i-lo] = span[i/leafRecords-first].Data[off : off+c.recBytes]
 	}
 	return recs, nil
 }
 
-// rows authenticates span as the leaves holding rows [lo, hi) of an
-// exec column (cover) and returns the rows. A witnessed leaf is expanded
-// whole, whichever of its rows are asked for: one that does not expand
-// to exactly its rows is not a leaf of any trace.
+// rows authenticates span as the leaves holding rows [lo, hi) of the
+// exec column (cover) and returns the rows. A leaf is expanded whole,
+// whichever of its rows are asked for: one that does not expand to
+// exactly its rows is not a leaf of any trace.
 func (c column) rows(prog *Program, span []Opening, lo, hi int) ([]Row, error) {
-	if !c.witnessed {
-		recs, err := c.records(span, lo, hi)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]Row, len(recs))
-		for i := range recs {
-			if rows[i], err = decodeRow(recs[i]); err != nil {
-				return nil, err
-			}
-		}
-		return rows, nil
-	}
 	first, err := c.cover(span, lo, hi)
 	if err != nil {
 		return nil, err
@@ -238,7 +172,7 @@ func (c column) rows(prog *Program, span []Opening, lo, hi int) ([]Row, error) {
 	rows := make([]Row, 0, hi-lo)
 	var leaf [leafRecords]Row
 	for k := range span {
-		base := (first + k) * c.block
+		base := (first + k) * leafRecords
 		got := leaf[:c.count(first+k)]
 		if err := expandExecLeaf(prog, span[k].Data, got); err != nil {
 			return nil, fmt.Errorf("leaf %d: %v", first+k, err)
@@ -277,10 +211,6 @@ type SortCheck struct {
 // openings of log-depth paths) — see EXPERIMENTS.md for how this
 // compares with the paper's constant-size Groth16-wrapped proofs.
 type Seal struct {
-	// Format is the leaf layout the trees were committed under; the
-	// zero value is the one the prover emits.
-	Format Format
-
 	NumRows uint32
 	NumMem  uint32
 
@@ -308,18 +238,18 @@ type Seal struct {
 }
 
 // The five committed tables of a seal, as the verifier addresses them.
-func (s *Seal) column(root merkle.Hash, n uint32, recBytes int) column {
-	return column{root: root, n: int(n), recBytes: recBytes, block: s.Format.block()}
+func newColumn(root merkle.Hash, n uint32, recBytes int) column {
+	return column{root: root, n: int(n), recBytes: recBytes}
 }
 func (s *Seal) execCol() column {
-	c := s.column(s.ExecRoot, s.NumRows, rowBytes)
-	c.witnessed = s.Format.witnessedExec()
+	c := newColumn(s.ExecRoot, s.NumRows, rowBytes)
+	c.witnessed = true
 	return c
 }
-func (s *Seal) memProgCol() column  { return s.column(s.MemProgRoot, s.NumMem, memBytes) }
-func (s *Seal) memSortCol() column  { return s.column(s.MemSortRoot, s.NumMem, memBytes) }
-func (s *Seal) prodProgCol() column { return s.column(s.ProdProgRoot, s.NumMem, prodBytes) }
-func (s *Seal) prodSortCol() column { return s.column(s.ProdSortRoot, s.NumMem, prodBytes) }
+func (s *Seal) memProgCol() column  { return newColumn(s.MemProgRoot, s.NumMem, memBytes) }
+func (s *Seal) memSortCol() column  { return newColumn(s.MemSortRoot, s.NumMem, memBytes) }
+func (s *Seal) prodProgCol() column { return newColumn(s.ProdProgRoot, s.NumMem, prodBytes) }
+func (s *Seal) prodSortCol() column { return newColumn(s.ProdSortRoot, s.NumMem, prodBytes) }
 
 // Size returns the encoded seal size in bytes.
 func (s *Seal) Size() int {
@@ -330,21 +260,18 @@ func (s *Seal) Size() int {
 			s.ProdProgLast.size() + s.ProdSortLast.size()
 	}
 	n += 12 // check counts
-	pairFlag := 0
-	if s.Format.pairsFlagged() {
-		pairFlag = 1
-	}
+	// Each adjacent pair carries a one-byte flag (bwriter.span).
 	for i := range s.ExecChecks {
 		c := &s.ExecChecks[i]
-		n += pairFlag + openingsSize(c.Rows) + 4 + openingsSize(c.Mem)
+		n += 1 + openingsSize(c.Rows) + 4 + openingsSize(c.Mem)
 	}
 	for i := range s.ProdChecks {
 		c := &s.ProdChecks[i]
-		n += c.Entry.size() + pairFlag + openingsSize(c.Prods)
+		n += c.Entry.size() + 1 + openingsSize(c.Prods)
 	}
 	for i := range s.SortChecks {
 		c := &s.SortChecks[i]
-		n += 2*pairFlag + openingsSize(c.Entries) + openingsSize(c.Prods)
+		n += 2 + openingsSize(c.Entries) + openingsSize(c.Prods)
 	}
 	return n
 }
@@ -375,8 +302,8 @@ func (r *Receipt) Size() int { return 4 + 32 + 4 + 4 + r.JournalSize() + r.Seal.
 // --- binary encoding ---
 
 // bwriter appends the little-endian encoding. The only thing that can
-// go wrong is a receipt assembled by hand with a span no format can
-// carry; err keeps the first such.
+// go wrong is a receipt assembled by hand with a span the encoding
+// cannot carry; err keeps the first such.
 type bwriter struct {
 	buf []byte
 	err error
@@ -422,20 +349,16 @@ func (w *bwriter) openings(os []Opening) {
 }
 
 // span writes the one or two openings of an adjacent pair: the first,
-// a flag, and the second if the flag is set. flagged is false where
-// the format always carries both and so has no flag on the wire
-// (Format.pairsFlagged).
-func (w *bwriter) span(os []Opening, flagged bool) {
-	if len(os) < 1 || len(os) > 2 || (!flagged && len(os) != 2) {
+// a flag, and the second if the flag is set.
+func (w *bwriter) span(os []Opening) {
+	if len(os) < 1 || len(os) > 2 {
 		if w.err == nil {
 			w.err = fmt.Errorf("zkvm: cannot encode a pair of %d openings", len(os))
 		}
 		return
 	}
 	w.opening(&os[0])
-	if flagged {
-		w.flag(len(os) == 2)
-	}
+	w.flag(len(os) == 2)
 	if len(os) == 2 {
 		w.opening(&os[1])
 	}
@@ -548,18 +471,16 @@ func (r *breader) openings() []Opening {
 }
 
 // span reads what bwriter.span wrote.
-func (r *breader) span(flagged bool) []Opening {
+func (r *breader) span() []Opening {
 	os := []Opening{r.opening()}
-	if !flagged || r.flag() {
+	if r.flag() {
 		os = append(os, r.opening())
 	}
 	return os
 }
 
-// writeSeal appends a seal. The layout is the same in every format but
-// for the pair flag.
+// writeSeal appends a seal.
 func writeSeal(w *bwriter, s *Seal) {
-	flagged := s.Format.pairsFlagged()
 	w.u32(s.NumRows)
 	w.u32(s.NumMem)
 	w.hash(s.ExecRoot)
@@ -580,27 +501,26 @@ func writeSeal(w *bwriter, s *Seal) {
 	w.u32(uint32(len(s.ExecChecks)))
 	for i := range s.ExecChecks {
 		c := &s.ExecChecks[i]
-		w.span(c.Rows, flagged)
+		w.span(c.Rows)
 		w.openings(c.Mem)
 	}
 	w.u32(uint32(len(s.ProdChecks)))
 	for i := range s.ProdChecks {
 		c := &s.ProdChecks[i]
 		w.opening(&c.Entry)
-		w.span(c.Prods, flagged)
+		w.span(c.Prods)
 	}
 	w.u32(uint32(len(s.SortChecks)))
 	for i := range s.SortChecks {
 		c := &s.SortChecks[i]
-		w.span(c.Entries, flagged)
-		w.span(c.Prods, flagged)
+		w.span(c.Entries)
+		w.span(c.Prods)
 	}
 }
 
-// readSeal decodes a seal of format f.
-func readSeal(rd *breader, f Format) Seal {
-	flagged := f.pairsFlagged()
-	s := Seal{Format: f}
+// readSeal decodes what writeSeal wrote.
+func readSeal(rd *breader) Seal {
+	var s Seal
 	s.NumRows = rd.u32()
 	s.NumMem = rd.u32()
 	s.ExecRoot = rd.hash()
@@ -621,28 +541,28 @@ func readSeal(rd *breader, f Format) Seal {
 	s.ExecChecks = make([]ExecCheck, rd.count(minOpeningBytes))
 	for i := range s.ExecChecks {
 		c := &s.ExecChecks[i]
-		c.Rows = rd.span(flagged)
+		c.Rows = rd.span()
 		c.Mem = rd.openings()
 	}
 	s.ProdChecks = make([]ProdCheck, rd.count(minOpeningBytes))
 	for i := range s.ProdChecks {
 		c := &s.ProdChecks[i]
 		c.Entry = rd.opening()
-		c.Prods = rd.span(flagged)
+		c.Prods = rd.span()
 	}
 	s.SortChecks = make([]SortCheck, rd.count(minOpeningBytes))
 	for i := range s.SortChecks {
 		c := &s.SortChecks[i]
-		c.Entries = rd.span(flagged)
-		c.Prods = rd.span(flagged)
+		c.Entries = rd.span()
+		c.Prods = rd.span()
 	}
 	return s
 }
 
-// MarshalBinary encodes the receipt in its seal's format.
+// MarshalBinary encodes the receipt.
 func (r *Receipt) MarshalBinary() ([]byte, error) {
 	w := &bwriter{buf: make([]byte, 0, r.Size())}
-	w.u32(r.Seal.Format.wire().magic[kindReceipt])
+	w.u32(magicReceipt)
 	w.raw(r.ImageID[:])
 	w.u32(r.ExitCode)
 	w.words(r.Journal)
@@ -650,19 +570,17 @@ func (r *Receipt) MarshalBinary() ([]byte, error) {
 	return w.buf, w.err
 }
 
-// UnmarshalReceipt decodes a receipt produced by MarshalBinary, of
-// any format.
+// UnmarshalReceipt decodes a receipt produced by MarshalBinary.
 func UnmarshalReceipt(data []byte) (*Receipt, error) {
 	rd := &breader{buf: data}
-	f, ok := formatOf(rd.u32(), kindReceipt)
-	if !ok {
+	if rd.u32() != magicReceipt {
 		return nil, errors.New("zkvm: bad receipt magic")
 	}
 	var r Receipt
 	copy(r.ImageID[:], rd.raw(32))
 	r.ExitCode = rd.u32()
 	r.Journal = rd.words()
-	r.Seal = readSeal(rd, f)
+	r.Seal = readSeal(rd)
 	if rd.err != nil {
 		return nil, rd.err
 	}

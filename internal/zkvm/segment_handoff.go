@@ -171,8 +171,7 @@ func (r *SegmentRun) Release() {
 // AssembleComposite orders independently proved segment receipts by
 // index and checks they form one coherent chain: contiguous indices
 // from zero, exactly one receipt per index, one final segment at the
-// end, a single image ID and seal format, and exit(i) == entry(i+1)
-// linkage. It does
+// end, a single image ID, and exit(i) == entry(i+1) linkage. It does
 // NOT verify the seals — callers that need cryptographic assurance run
 // VerifyComposite on the result.
 func AssembleComposite(receipts []*SegmentReceipt) (*CompositeReceipt, error) {
@@ -206,20 +205,15 @@ func AssembleComposite(receipts []*SegmentReceipt) (*CompositeReceipt, error) {
 			return nil, fmt.Errorf("zkvm: assemble: boundary %d entry/exit mismatch", i)
 		}
 	}
-	c := &CompositeReceipt{Segments: ordered}
-	if _, err := c.format(); err != nil {
-		return nil, err
-	}
-	return c, nil
+	return &CompositeReceipt{Segments: ordered}, nil
 }
 
 // MarshalSegmentReceipt encodes one segment receipt standalone — the
-// unit a farm worker ships back to the coordinator: the format's
-// segment magic, then exactly the segment's section of
-// CompositeReceipt.MarshalBinary.
+// unit a farm worker ships back to the coordinator: the segment magic,
+// then exactly the segment's section of CompositeReceipt.MarshalBinary.
 func MarshalSegmentReceipt(sr *SegmentReceipt) ([]byte, error) {
 	w := &bwriter{}
-	w.u32(sr.Seal.Format.wire().magic[kindSegment])
+	w.u32(magicSegment)
 	writeSegment(w, sr)
 	return w.buf, w.err
 }
@@ -227,11 +221,10 @@ func MarshalSegmentReceipt(sr *SegmentReceipt) ([]byte, error) {
 // UnmarshalSegmentReceipt decodes a standalone segment receipt.
 func UnmarshalSegmentReceipt(data []byte) (*SegmentReceipt, error) {
 	rd := &breader{buf: data}
-	f, ok := formatOf(rd.u32(), kindSegment)
-	if !ok {
+	if rd.u32() != magicSegment {
 		return nil, errors.New("zkvm: bad segment receipt magic")
 	}
-	sr := readSegment(rd, f)
+	sr := readSegment(rd)
 	if rd.err != nil {
 		return nil, rd.err
 	}

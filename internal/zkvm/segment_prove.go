@@ -151,7 +151,7 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 // journal therefore re-derives every sampled index and invalidates the
 // openings.
 func segmentStatement(sr *SegmentReceipt) *transcript.Transcript {
-	tr := transcript.New(sr.Seal.Format.wire().segLabel)
+	tr := transcript.New(segLabel)
 	tr.Append("image-id", sr.ImageID[:])
 	tr.AppendUint64("seg-index", uint64(sr.Index))
 	final := uint64(0)

@@ -170,21 +170,6 @@ func (c *CompositeReceipt) Size() int {
 // NumSegments returns the segment count.
 func (c *CompositeReceipt) NumSegments() int { return len(c.Segments) }
 
-// format is the format a composite is encoded in: that of its
-// segments, which all share one.
-func (c *CompositeReceipt) format() (Format, error) {
-	if len(c.Segments) == 0 {
-		return FormatV3, nil
-	}
-	f := c.Segments[0].Seal.Format
-	for i, sr := range c.Segments {
-		if sr.Seal.Format != f {
-			return f, fmt.Errorf("zkvm: segment %d is sealed in a different format from segment 0", i)
-		}
-	}
-	return f, nil
-}
-
 func (w *bwriter) state(s *SegmentState) { w.raw(encodeState(s)) }
 
 func (rd *breader) state() SegmentState {
@@ -216,20 +201,17 @@ func writeSegment(w *bwriter, sr *SegmentReceipt) {
 		w.opening(&sr.ImportChecks[i].MemProg)
 		w.opening(&sr.ImportChecks[i].Img)
 	}
-	// Whether the sorted log has an entry after the one a check looks at
-	// depends on the position, so these pairs carry their flag in every
-	// format.
 	w.u32(uint32(len(sr.ExitChecks)))
 	for i := range sr.ExitChecks {
 		e := &sr.ExitChecks[i]
 		w.opening(&e.Img)
 		w.u32(e.Pos)
-		w.span(e.Sort, true)
+		w.span(e.Sort)
 	}
 	w.u32(uint32(len(sr.CoverChecks)))
 	for i := range sr.CoverChecks {
 		cc := &sr.CoverChecks[i]
-		w.span(cc.Entries, true)
+		w.span(cc.Entries)
 		w.flag(cc.HasImg)
 		if cc.HasImg {
 			w.u32(cc.ExitIdx)
@@ -238,8 +220,8 @@ func writeSegment(w *bwriter, sr *SegmentReceipt) {
 	}
 }
 
-// readSegment decodes what writeSegment wrote, in format f.
-func readSegment(rd *breader, f Format) *SegmentReceipt {
+// readSegment decodes what writeSegment wrote.
+func readSegment(rd *breader) *SegmentReceipt {
 	sr := &SegmentReceipt{}
 	copy(sr.ImageID[:], rd.raw(32))
 	sr.Index = rd.u32()
@@ -248,7 +230,7 @@ func readSegment(rd *breader, f Format) *SegmentReceipt {
 	sr.Journal = rd.words()
 	sr.Entry = rd.state()
 	sr.Exit = rd.state()
-	sr.Seal = readSeal(rd, f)
+	sr.Seal = readSeal(rd)
 	sr.ImportChecks = make([]ImportCheck, rd.count(minOpeningBytes))
 	for i := range sr.ImportChecks {
 		sr.ImportChecks[i].MemProg = rd.opening()
@@ -259,12 +241,12 @@ func readSegment(rd *breader, f Format) *SegmentReceipt {
 		e := &sr.ExitChecks[i]
 		e.Img = rd.opening()
 		e.Pos = rd.u32()
-		e.Sort = rd.span(true)
+		e.Sort = rd.span()
 	}
 	sr.CoverChecks = make([]CoverCheck, rd.count(minOpeningBytes))
 	for i := range sr.CoverChecks {
 		cc := &sr.CoverChecks[i]
-		cc.Entries = rd.span(true)
+		cc.Entries = rd.span()
 		cc.HasImg = rd.flag()
 		if cc.HasImg {
 			cc.ExitIdx = rd.u32()
@@ -274,14 +256,10 @@ func readSegment(rd *breader, f Format) *SegmentReceipt {
 	return sr
 }
 
-// MarshalBinary encodes the composite receipt in its segments' format.
+// MarshalBinary encodes the composite receipt.
 func (c *CompositeReceipt) MarshalBinary() ([]byte, error) {
-	f, err := c.format()
-	if err != nil {
-		return nil, err
-	}
 	w := &bwriter{buf: make([]byte, 0, c.Size())}
-	w.u32(f.wire().magic[kindComposite])
+	w.u32(magicComposite)
 	w.u32(uint32(len(c.Segments)))
 	for _, sr := range c.Segments {
 		writeSegment(w, sr)
@@ -289,16 +267,16 @@ func (c *CompositeReceipt) MarshalBinary() ([]byte, error) {
 	return w.buf, w.err
 }
 
-// UnmarshalComposite decodes a composite receipt of any format.
+// UnmarshalComposite decodes a composite receipt produced by
+// MarshalBinary.
 func UnmarshalComposite(data []byte) (*CompositeReceipt, error) {
 	rd := &breader{buf: data}
-	f, ok := formatOf(rd.u32(), kindComposite)
-	if !ok {
+	if rd.u32() != magicComposite {
 		return nil, errors.New("zkvm: bad composite receipt magic")
 	}
 	c := &CompositeReceipt{Segments: make([]*SegmentReceipt, rd.count(minOpeningBytes))}
 	for si := range c.Segments {
-		c.Segments[si] = readSegment(rd, f)
+		c.Segments[si] = readSegment(rd)
 		if rd.err != nil {
 			return nil, rd.err
 		}
@@ -312,20 +290,20 @@ func UnmarshalComposite(data []byte) (*CompositeReceipt, error) {
 	return c, nil
 }
 
-// UnmarshalAnyReceipt decodes a receipt or a composite receipt of any
-// format by its magic.
+// UnmarshalAnyReceipt decodes a receipt or a composite receipt by its
+// magic.
 func UnmarshalAnyReceipt(data []byte) (AnyReceipt, error) {
 	if len(data) < 4 {
 		return nil, errTruncated
 	}
-	magic := binary.LittleEndian.Uint32(data)
-	if _, ok := formatOf(magic, kindReceipt); ok {
+	switch magic := binary.LittleEndian.Uint32(data); magic {
+	case magicReceipt:
 		return UnmarshalReceipt(data)
-	}
-	if _, ok := formatOf(magic, kindComposite); ok {
+	case magicComposite:
 		return UnmarshalComposite(data)
+	default:
+		return nil, fmt.Errorf("zkvm: unknown receipt magic %#x", magic)
 	}
-	return nil, fmt.Errorf("zkvm: unknown receipt magic %#x", magic)
 }
 
 // VerifyAny verifies a receipt or a composite receipt against the guest

@@ -402,19 +402,36 @@ func TestProveAnyDispatch(t *testing.T) {
 	}
 }
 
+// retiredMagics are the first bytes of the "zkf" magics no decoder
+// reads: "zkf1"–"zkf3" (format v1), "zkf4" (the folded receipt) and
+// "zkf5"–"zkf7" (format v2). They are retired, not free.
+var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7'}
+
 // TestUnmarshalAnyReceiptGarbage rejects unknown magics and empty
-// input without panicking.
+// input without panicking. A retired magic written over the body of a
+// valid receipt is refused as unknown, never decoded.
 func TestUnmarshalAnyReceiptGarbage(t *testing.T) {
-	for _, tc := range []struct {
+	r, err := Prove(sumProgram(), sumInput(8), ProveOptions{Checks: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	type garbage struct {
 		name    string
 		data    []byte
 		wantErr string
-	}{
+	}
+	cases := []garbage{
 		{"nil", nil, "truncated"},
 		{"garbage", []byte{1, 2, 3, 4, 5}, "unknown receipt magic"},
-		// "zkf4" tagged the folded receipt; the magic is retired, not free.
-		{"retired zkf4", append([]byte{0x34, 0x66, 0x6b, 0x7a}, make([]byte, 64)...), "unknown receipt magic"},
-	} {
+	}
+	for _, m := range retiredMagics {
+		cases = append(cases, garbage{"retired zkf" + string(m), append([]byte{m, 'f', 'k', 'z'}, body[4:]...), "unknown receipt magic"})
+	}
+	for _, tc := range cases {
 		if _, err := UnmarshalAnyReceipt(tc.data); err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 			t.Fatalf("%s: got %v, want an error mentioning %q", tc.name, err, tc.wantErr)
 		}

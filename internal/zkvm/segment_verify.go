@@ -29,9 +29,6 @@ func VerifyComposite(prog *Program, c *CompositeReceipt, opts VerifyOptions) err
 			return vErr("segment %d final flag %v in a %d-segment chain", i, sr.Final, n)
 		}
 	}
-	if _, err := c.format(); err != nil {
-		return vErr("%v", err)
-	}
 	if c.Segments[0].Entry != GenesisState() {
 		return vErr("segment 0 does not enter at the genesis state")
 	}
@@ -249,10 +246,9 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 	return nil
 }
 
-// imageCol is the boundary memory image st commits, as a column of the
-// segment's format.
-func (sr *SegmentReceipt) imageCol(st *SegmentState) column {
-	return sr.Seal.column(st.MemRoot, st.MemLen, imgBytes)
+// imageCol is the boundary memory image st commits, as a column.
+func imageCol(st *SegmentState) column {
+	return newColumn(st.MemRoot, st.MemLen, imgBytes)
 }
 
 // verifyImportCheck: program-order log entry i must be the synthetic
@@ -262,7 +258,7 @@ func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
 	if err != nil {
 		return err
 	}
-	p, err := opened(sr.imageCol(&sr.Entry), &c.Img, i, decodeImagePair)
+	p, err := opened(imageCol(&sr.Entry), &c.Img, i, decodeImagePair)
 	if err != nil {
 		return err
 	}
@@ -283,7 +279,7 @@ func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
 // follows from the opened successor having a different address, given
 // the sorted-order invariant sampled by the sort family.
 func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j int) error {
-	p, err := opened(sr.imageCol(&sr.Exit), &c.Img, j, decodeImagePair)
+	p, err := opened(imageCol(&sr.Exit), &c.Img, j, decodeImagePair)
 	if err != nil {
 		return err
 	}
@@ -319,7 +315,7 @@ func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i int) error {
 		if !c.HasImg {
 			return vErr("live word %d missing from the exit image", ei.Addr)
 		}
-		p, err := opened(sr.imageCol(&sr.Exit), &c.Img, int(c.ExitIdx), decodeImagePair)
+		p, err := opened(imageCol(&sr.Exit), &c.Img, int(c.ExitIdx), decodeImagePair)
 		if err != nil {
 			return err
 		}

@@ -21,7 +21,7 @@ const (
 	maxLeafBytes = rowBytes + 4*(leafRecords-1)
 )
 
-// execLeafBytes is the payload size of a format-v3 exec leaf of count
+// execLeafBytes is the payload size of an exec leaf of count
 // rows: the first whole, a witness word for each of the rest.
 func execLeafBytes(count int) int { return rowBytes + 4*(count-1) }
 
@@ -40,12 +40,9 @@ func encodeRowInto(b []byte, r *Row) {
 	binary.LittleEndian.PutUint32(b[off+8:], r.JPtr)
 }
 
-// decodeRow parses a serialised trace row.
-func decodeRow(b []byte) (Row, error) {
+// decodeRow parses a serialised trace row (len(b) >= rowBytes).
+func decodeRow(b []byte) Row {
 	var r Row
-	if len(b) != rowBytes {
-		return r, fmt.Errorf("zkvm: row leaf has %d bytes, want %d", len(b), rowBytes)
-	}
 	r.PC = binary.LittleEndian.Uint32(b[0:])
 	for i := range r.Regs {
 		r.Regs[i] = binary.LittleEndian.Uint32(b[4+4*i:])
@@ -54,11 +51,10 @@ func decodeRow(b []byte) (Row, error) {
 	r.MemPtr = binary.LittleEndian.Uint32(b[off:])
 	r.InPtr = binary.LittleEndian.Uint32(b[off+4:])
 	r.JPtr = binary.LittleEndian.Uint32(b[off+8:])
-	return r, nil
+	return r
 }
 
-// encodeExecLeafInto serialises consecutive trace rows as one format-v3
-// exec leaf — the first row whole, then one witness word per further
+// encodeExecLeafInto serialises consecutive trace rows as one exec leaf — the first row whole, then one witness word per further
 // row — into b (len >= maxLeafBytes) and returns the payload length.
 func encodeExecLeafInto(b []byte, prog *Program, rows []Row) int {
 	encodeRowInto(b, &rows[0])
@@ -81,7 +77,7 @@ func expandExecLeaf(prog *Program, b []byte, rows []Row) error {
 	if len(rows) == 0 || len(b) != execLeafBytes(len(rows)) {
 		return fmt.Errorf("zkvm: exec leaf of %d rows has %d bytes", len(rows), len(b))
 	}
-	rows[0], _ = decodeRow(b[:rowBytes])
+	rows[0] = decodeRow(b)
 	var env witnessEnv
 	for k := 1; k < len(rows); k++ {
 		env.word = binary.LittleEndian.Uint32(b[rowBytes+4*(k-1):])
