@@ -9,7 +9,10 @@
 // degree-(p-1) polynomial in x^(n/p)).
 package air
 
-import "zkflow/internal/field"
+import (
+	"zkflow/internal/field"
+	"zkflow/internal/poly"
+)
 
 // Boundary pins trace cell (Row, Col) to a public Value.
 type Boundary struct {
@@ -67,54 +70,8 @@ func NewPeriodic(values []field.Elem) PeriodicPoly {
 	// INTT over the size-p subgroup: values[r] sits at w_p^r, matching
 	// the trace row points g^i with x^(n/p) = w_p^i for i ≡ r (mod p)
 	// (all roots come from the same 2-adic tower).
-	inttInPlace(coeffs)
+	poly.INTT(coeffs)
 	return PeriodicPoly{coeffs: coeffs, period: p}
-}
-
-func inttInPlace(xs []field.Elem) {
-	// Local tiny INTT to avoid importing poly (keeps air leaf-level).
-	n := len(xs)
-	if n == 1 {
-		return
-	}
-	logN := 0
-	for 1<<logN < n {
-		logN++
-	}
-	// Decimation-in-time with bit reversal.
-	for i := 0; i < n; i++ {
-		j := reverseBits(i, logN)
-		if j > i {
-			xs[i], xs[j] = xs[j], xs[i]
-		}
-	}
-	root := field.Inv(field.RootOfUnity(logN))
-	for s := 1; s <= logN; s++ {
-		m := 1 << s
-		wm := field.Exp(root, uint64(n/m))
-		for k := 0; k < n; k += m {
-			w := field.One
-			for j := 0; j < m/2; j++ {
-				t := field.Mul(w, xs[k+j+m/2])
-				u := xs[k+j]
-				xs[k+j] = field.Add(u, t)
-				xs[k+j+m/2] = field.Sub(u, t)
-				w = field.Mul(w, wm)
-			}
-		}
-	}
-	nInv := field.Inv(field.New(uint64(n)))
-	for i := range xs {
-		xs[i] = field.Mul(xs[i], nInv)
-	}
-}
-
-func reverseBits(i, bits int) int {
-	out := 0
-	for b := 0; b < bits; b++ {
-		out = out<<1 | (i>>b)&1
-	}
-	return out
 }
 
 // Eval evaluates the periodic column at point x of a length-n trace.

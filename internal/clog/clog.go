@@ -1,6 +1,7 @@
 // Package clog implements the combined log (CLog) of the paper: the
 // per-flow aggregate dataset the prover maintains across aggregation
-// rounds and the Merkle tree that commits it.
+// rounds and the leaf digests of the vmtree root that commits it (the
+// root every aggregation journal carries).
 //
 // The canonical aggregation policy merges every RLog record for the
 // same 5-tuple by summing the additive counters (packets, bytes,
@@ -15,7 +16,6 @@ import (
 	"fmt"
 	"sort"
 
-	"zkflow/internal/merkle"
 	"zkflow/internal/netflow"
 	"zkflow/internal/vmtree"
 )
@@ -220,25 +220,6 @@ func EntriesWords(entries []Entry) []uint32 {
 	return out
 }
 
-// Tree builds the Merkle tree over the canonical snapshot: leaf i is
-// the wire encoding of sorted entry i.
-func (c *CLog) Tree() *merkle.Tree {
-	return TreeOf(c.Entries())
-}
-
-// TreeOf builds the Merkle tree over an explicit sorted entry slice.
-func TreeOf(entries []Entry) *merkle.Tree {
-	leaves := make([][]byte, len(entries))
-	for i := range entries {
-		leaves[i] = entries[i].Wire()
-	}
-	return merkle.Build(leaves)
-}
-
-// Root returns the Merkle root of the canonical snapshot. The root of
-// an empty CLog is the root of the empty tree.
-func (c *CLog) Root() merkle.Hash { return c.Tree().Root() }
-
 // LeafDigests hashes each entry of a sorted snapshot into its
 // guest-convention (vmtree) leaf digest — the same leaves the
 // aggregation guest commits to in its journal roots.
@@ -254,7 +235,7 @@ func LeafDigests(entries []Entry) []vmtree.Digest {
 // SubTreeRoots shards the canonical sorted entry list into aligned
 // power-of-two sub-trees of the guest-convention commitment and
 // returns each sub-tree's root. Shards can be hashed independently —
-// per goroutine, per router, or per farm worker — and merged back with
+// per goroutine or per router — and merged back with
 // MergeSubTreeRoots; the merge equals the monolithic guest root
 // (vmtree.Root over the entry words) exactly.
 func SubTreeRoots(entries []Entry, shards int) []vmtree.Digest {

@@ -169,8 +169,7 @@ func TestFarmStressWorkerChurn(t *testing.T) {
 	if got := snap.Gauges["farm.jobs_queued"]; got != 0 {
 		t.Fatalf("%d jobs still queued after the run", got)
 	}
-	t.Logf("farm stress: dispatched=%d requeued=%d steals=%d dup=%d dead=%d",
+	t.Logf("farm stress: dispatched=%d requeued=%d dup=%d dead=%d",
 		snap.Counters["farm.jobs_dispatched"], snap.Counters["farm.jobs_requeued"],
-		snap.Counters["farm.steals"], snap.Counters["farm.results_duplicate"],
-		snap.Counters["farm.workers_dead"])
+		snap.Counters["farm.results_duplicate"], snap.Counters["farm.workers_dead"])
 }

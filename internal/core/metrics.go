@@ -12,18 +12,20 @@
 //	sched.queue_depth                       gauge, submitted-not-yet-committed epochs
 //	sched.inflight_seals                    gauge, seal goroutines holding a slot
 //	sched.epochs_discarded                  counter, poisoned by an earlier failure
-//	trace.witness_seconds / trace.seal_seconds  tracer spans via obs.RegistrySink
+//	trace.witness_seconds / trace.seal_seconds  histograms, scheduler witness / seal stages
 //	prover.stage.<stage>_seconds            zkvm stage breakdown (see zkvm.Stages)
 package core
 
 import (
+	"time"
+
 	"zkflow/internal/obs"
 )
 
 // metrics bundles the prover's pre-resolved metric handles.
 type metrics struct {
-	reg    *obs.Registry
-	tracer *obs.Tracer
+	witnessSeconds *obs.Histogram
+	sealSeconds    *obs.Histogram
 
 	aggRounds     *obs.Counter
 	aggFailures   *obs.Counter
@@ -45,8 +47,8 @@ func newMetrics(reg *obs.Registry) *metrics {
 		return nil
 	}
 	return &metrics{
-		reg:    reg,
-		tracer: obs.NewTracer(obs.NewRegistrySink(reg, "trace.")),
+		witnessSeconds: reg.Histogram("trace.witness_seconds", obs.DefaultLatencyBuckets),
+		sealSeconds:    reg.Histogram("trace.seal_seconds", obs.DefaultLatencyBuckets),
 
 		aggRounds:     reg.Counter("core.agg_rounds"),
 		aggFailures:   reg.Counter("core.agg_failures"),
@@ -61,16 +63,20 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-// span opens a tracer span (inert on an unmetered prover).
-func (m *metrics) span(name string) obs.Span {
-	if m == nil {
-		return obs.Span{}
-	}
-	return m.tracer.Start(name)
-}
-
 // The helpers below are nil-receiver safe so instrumented code never
 // branches on "is metering on" itself.
+
+func (m *metrics) witnessDone(start time.Time) {
+	if m != nil {
+		m.witnessSeconds.Observe(time.Since(start).Seconds())
+	}
+}
+
+func (m *metrics) sealDone(start time.Time) {
+	if m != nil {
+		m.sealSeconds.Observe(time.Since(start).Seconds())
+	}
+}
 
 func (m *metrics) aggDone(seconds float64, err error) {
 	if m == nil {

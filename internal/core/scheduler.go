@@ -164,9 +164,9 @@ func (s *Scheduler) witnessLoop() {
 				s.p.met.sealInFlight(-1)
 				<-sealSlots
 			}()
-			span := s.p.met.span("seal")
+			start := time.Now()
 			receipt, err := s.p.opts.prove(guest.AggregationProgram(), words)
-			span.End()
+			s.p.met.sealDone(start)
 			if err != nil {
 				sealFailed.Store(true) // before the slot frees
 			}
@@ -180,9 +180,8 @@ func (s *Scheduler) witnessLoop() {
 // ledger, chained to the speculative state, and derives the CLog and
 // the journal the guest must produce — without executing it.
 func (s *Scheduler) witness(epoch uint64) (*pendingEpoch, []uint32) {
-	span := s.p.met.span("witness")
-	defer span.End()
 	pe := &pendingEpoch{epoch: epoch, start: time.Now()}
+	defer s.p.met.witnessDone(pe.start)
 	in, err := router.CollectEpoch(s.p.store, s.p.ledger, epoch)
 	if err != nil {
 		pe.err = fmt.Errorf("core: collecting epoch %d: %w", epoch, err)

@@ -1,8 +1,8 @@
 // Package obs is the stdlib-only observability layer: a metrics
 // registry (counters, gauges, fixed-bucket histograms) with
-// allocation-free atomic hot paths and a stable JSON snapshot, plus a
-// lightweight span tracer with pluggable sinks (see trace.go). The
-// prover (zkvm stage timings), the epoch pipeline (core.Scheduler),
+// allocation-free atomic hot paths and a stable JSON snapshot, plus
+// StageRecorder, which times the prover's stages into it (stage.go).
+// The prover (zkvm stage timings), the epoch pipeline (core.Scheduler),
 // and the HTTP surface (internal/api) all report here; the registry
 // snapshot is served as GET /api/v1/metrics.
 //

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -153,7 +152,7 @@ func TestConcurrentHammerAndSnapshot(t *testing.T) {
 			for i := 0; i < perWriter; i++ {
 				c.Inc()
 				g.Add(1)
-				h.Observe(float64(i%2)) // half below, half above 0.5
+				h.Observe(float64(i % 2)) // half below, half above 0.5
 				g.Add(-1)
 			}
 		}(w)
@@ -179,27 +178,6 @@ func TestConcurrentHammerAndSnapshot(t *testing.T) {
 	if h.Sum != float64(writers*perWriter/2) {
 		t.Fatalf("hist sum = %v, want %v", h.Sum, writers*perWriter/2)
 	}
-}
-
-func TestTracerSinks(t *testing.T) {
-	reg := NewRegistry()
-	var sb strings.Builder
-	tr := NewTracer(NewRegistrySink(reg, "trace."))
-	tr.AddSink(NewWriterSink(&sb))
-	sp := tr.Start("witness")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	h := reg.Snapshot().Histograms["trace.witness_seconds"]
-	if h.Count != 1 || h.Sum <= 0 {
-		t.Fatalf("registry sink missed the span: %+v", h)
-	}
-	if !strings.Contains(sb.String(), "witness") {
-		t.Fatalf("writer sink missed the span: %q", sb.String())
-	}
-	// Inert paths: nil tracer and zero-value spans must be no-ops.
-	var nilTracer *Tracer
-	nilTracer.Start("x").End()
-	Span{}.End()
 }
 
 func TestDebugHandlerServesPprofAndMetrics(t *testing.T) {

@@ -31,15 +31,16 @@ import (
 //
 // Workers dial in over TCP, register with a Hello (name, capacity) and
 // keep a heartbeat running; the coordinator dispatches proving jobs —
-// whole guest runs or individual continuation segments — from one
-// central queue, capacity-aware: a freed slot anywhere pulls the next
-// queued job, so a fast worker steals work planned for a slow one.
-// Failover is first-class: a worker that misses HeartbeatMiss
-// heartbeats or whose connection drops mid-job is declared dead, its
-// connection is closed (so late results can never race in), and its
-// in-flight jobs are re-queued at the front of the queue. Exactly-once
-// delivery is enforced at the result path: the first accepted result
-// per job wins, anything later is counted and dropped.
+// whole guest runs or individual continuation segments — from one FIFO
+// queue to the live worker with the most free slots, so a freed slot
+// anywhere pulls the next queued job and a fast worker, freeing its
+// slots sooner, takes more of them. Failover is first-class: a worker
+// that misses heartbeatMiss heartbeats or whose connection drops
+// mid-job is declared dead, its connection is closed (so late results
+// can never race in), and its in-flight jobs are re-queued at the front
+// of the queue. Exactly-once delivery is enforced at the result path:
+// the first accepted result per job wins, anything later is counted
+// and dropped.
 //
 // Determinism makes all of this safe: every job carries the master
 // salt seed, so whichever worker (re-)proves a segment produces the
@@ -52,43 +53,39 @@ type FarmConfig struct {
 	// HeartbeatEvery is the heartbeat interval workers are told to use
 	// (default DefaultHeartbeatEvery).
 	HeartbeatEvery time.Duration
-	// HeartbeatMiss is how many consecutive missed heartbeat intervals
-	// declare a worker dead (default DefaultHeartbeatMiss).
-	HeartbeatMiss int
 	// Metrics receives the farm's observability stream (nil = a
 	// private registry): farm.workers, farm.jobs_queued,
 	// farm.jobs_inflight, farm.jobs_dispatched, farm.jobs_requeued,
-	// farm.steals, farm.results_ok/err/duplicate counters, and the
-	// per-worker farm.worker.<name>.in_flight / .stolen / .requeued /
-	// .heartbeat_age_ms / .rate_milli gauges (rate_milli is the EWMA
-	// segment throughput in segments-per-second, scaled by 1000).
+	// farm.results_ok/err/duplicate, farm.bad_frames and
+	// farm.workers_dead, and the per-worker
+	// farm.worker.<name>.in_flight / .requeued / .heartbeat_age_ms gauges.
 	Metrics *obs.Registry
 }
 
-// Farm heartbeat defaults.
-const (
-	DefaultHeartbeatEvery = 500 * time.Millisecond
-	DefaultHeartbeatMiss  = 3
-)
+// DefaultHeartbeatEvery is the heartbeat interval when FarmConfig
+// names none.
+const DefaultHeartbeatEvery = 500 * time.Millisecond
+
+// heartbeatMiss is how many consecutive missed heartbeat intervals
+// declare a worker dead.
+const heartbeatMiss = 3
 
 // ErrFarmClosed reports a job submitted to (or queued on) a closed
 // coordinator.
 var ErrFarmClosed = errors.New("remote: farm coordinator closed")
 
-// farmJob is one queued or in-flight unit of proving work.
+// farmJob is one queued or in-flight unit of proving work: segment
+// segIndex of the run req asks for (0 for a whole run), proved under
+// seed.
 type farmJob struct {
 	id       uint64
-	mode     byte
 	segIndex uint32
 	seed     [32]byte
 	req      []byte
 
-	home         uint32 // planned worker at enqueue time (0 = none yet)
-	attempts     int
-	delivered    bool
-	done         chan jobOutcome // buffered(1); closed never
-	abandoned    bool            // caller gave up (ctx cancelled)
-	dispatchedAt time.Time       // last dispatch, for throughput sampling
+	delivered bool
+	done      chan jobOutcome // buffered(1); closed never
+	abandoned bool            // caller gave up (ctx cancelled)
 }
 
 type jobOutcome struct {
@@ -105,69 +102,16 @@ type farmWorker struct {
 	sendMu   sync.Mutex
 
 	inflight map[uint64]*farmJob
-	planned  int // queued jobs homed here by the enqueue planner
 	lastBeat time.Time
 	dead     bool
 
-	// rate is an EWMA of this worker's measured segment-proving
-	// throughput (segments/second), sampled on every completed segment
-	// job. Zero until the first sample lands.
-	rate float64
-
 	gInFlight *obs.Gauge
-	gStolen   *obs.Gauge
 	gRequeued *obs.Gauge
 	gBeatAge  *obs.Gauge
-	gRate     *obs.Gauge
 }
 
 // free returns the worker's free job slots.
 func (w *farmWorker) free() int { return w.capacity - len(w.inflight) }
-
-// rateAlpha is the EWMA smoothing factor for worker throughput: each
-// new sample carries 30% of the estimate, so a worker that slows down
-// loses its share within a few completions without thrashing on one
-// noisy sample.
-const rateAlpha = 0.3
-
-// observeRate folds one completed segment job's duration into the
-// worker's throughput estimate. occupancy is how many segment jobs
-// the worker was running concurrently (including this one) when it
-// finished: a capacity-C worker running C jobs completes each in ~C×
-// the single-job latency while still delivering its full throughput,
-// so the per-job wall time is scaled by occupancy to estimate
-// completions/second. Without this, expectedScore — which divides by
-// in-flight load again — would double-penalize high-capacity workers.
-func (w *farmWorker) observeRate(elapsed time.Duration, occupancy int) {
-	if elapsed <= 0 {
-		return
-	}
-	if occupancy < 1 {
-		occupancy = 1
-	}
-	sample := float64(occupancy) / elapsed.Seconds()
-	if w.rate <= 0 {
-		w.rate = sample
-	} else {
-		w.rate = rateAlpha*sample + (1-rateAlpha)*w.rate
-	}
-	if w.gRate != nil {
-		w.gRate.Set(int64(w.rate * 1000))
-	}
-}
-
-// expectedScore ranks a worker for dispatch: measured throughput
-// divided by the work already on (and planned for) it — i.e. the
-// inverse of the expected time until this job would complete there.
-// Workers with no sample yet use prior (the fleet's mean measured
-// rate), so new arrivals get work and earn a measurement.
-func (w *farmWorker) expectedScore(prior float64, extra int) float64 {
-	r := w.rate
-	if r <= 0 {
-		r = prior
-	}
-	return r / float64(len(w.inflight)+extra+1)
-}
 
 // Coordinator accepts worker registrations and dispatches proving
 // jobs. Its Prove method is a core.ProveFunc, so it drops into
@@ -193,7 +137,6 @@ type Coordinator struct {
 	gInflight    *obs.Gauge
 	cDispatched  *obs.Counter
 	cRequeued    *obs.Counter
-	cSteals      *obs.Counter
 	cResultsOK   *obs.Counter
 	cResultsErr  *obs.Counter
 	cResultsDup  *obs.Counter
@@ -206,9 +149,6 @@ type Coordinator struct {
 func NewCoordinator(cfg FarmConfig) *Coordinator {
 	if cfg.HeartbeatEvery <= 0 {
 		cfg.HeartbeatEvery = DefaultHeartbeatEvery
-	}
-	if cfg.HeartbeatMiss <= 0 {
-		cfg.HeartbeatMiss = DefaultHeartbeatMiss
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -224,7 +164,6 @@ func NewCoordinator(cfg FarmConfig) *Coordinator {
 		gInflight:    reg.Gauge("farm.jobs_inflight"),
 		cDispatched:  reg.Counter("farm.jobs_dispatched"),
 		cRequeued:    reg.Counter("farm.jobs_requeued"),
-		cSteals:      reg.Counter("farm.steals"),
 		cResultsOK:   reg.Counter("farm.results_ok"),
 		cResultsErr:  reg.Counter("farm.results_err"),
 		cResultsDup:  reg.Counter("farm.results_duplicate"),
@@ -396,10 +335,8 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 	prefix := "farm.worker." + w.name
 	w.gInFlight = c.reg.Gauge(prefix + ".in_flight")
-	w.gStolen = c.reg.Gauge(prefix + ".stolen")
 	w.gRequeued = c.reg.Gauge(prefix + ".requeued")
 	w.gBeatAge = c.reg.Gauge(prefix + ".heartbeat_age_ms")
-	w.gRate = c.reg.Gauge(prefix + ".rate_milli")
 	w.gInFlight.Set(0)
 	w.gBeatAge.Set(0)
 	c.workers[w.id] = w
@@ -408,24 +345,23 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	c.mu.Unlock()
 
 	if err := c.send(w, frameWelcome, encodeWelcome(welcomeMsg{
-		WorkerID:    w.id,
 		HeartbeatMs: uint32(c.cfg.HeartbeatEvery / time.Millisecond),
 	})); err != nil {
-		c.killWorker(w, "welcome write failed")
+		c.killWorker(w)
 		return
 	}
 
 	for {
 		typ, payload, err := readFrame(conn)
 		if err != nil {
-			c.killWorker(w, "read failed")
+			c.killWorker(w)
 			return
 		}
 		switch typ {
 		case frameHeartbeat:
-			if _, err := decodeHeartbeat(payload); err != nil {
+			if len(payload) != 0 {
 				c.cBadFrames.Inc()
-				c.killWorker(w, "malformed heartbeat")
+				c.killWorker(w)
 				return
 			}
 			c.mu.Lock()
@@ -435,13 +371,13 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 			res, err := decodeResult(payload)
 			if err != nil {
 				c.cBadFrames.Inc()
-				c.killWorker(w, "malformed result")
+				c.killWorker(w)
 				return
 			}
 			c.handleResult(w, res)
 		default:
 			c.cBadFrames.Inc()
-			c.killWorker(w, "unexpected frame")
+			c.killWorker(w)
 			return
 		}
 	}
@@ -458,7 +394,7 @@ func (c *Coordinator) send(w *farmWorker, typ byte, payload []byte) error {
 // results can never arrive), its in-flight jobs are re-queued at the
 // FRONT of the queue (ordered by segment index so re-proving follows
 // chain order), and the dispatcher is woken. Idempotent.
-func (c *Coordinator) killWorker(w *farmWorker, reason string) {
+func (c *Coordinator) killWorker(w *farmWorker) {
 	c.mu.Lock()
 	if w.dead {
 		c.mu.Unlock()
@@ -493,7 +429,6 @@ func (c *Coordinator) killWorker(w *farmWorker, reason string) {
 	c.cond.Broadcast()
 	c.mu.Unlock()
 	w.conn.Close()
-	_ = reason
 }
 
 // handleResult delivers a finished job exactly once: the result must
@@ -520,14 +455,6 @@ func (c *Coordinator) handleResult(w *farmWorker, res resultMsg) {
 	var out jobOutcome
 	if res.OK {
 		c.cResultsOK.Inc()
-		// Segment completions feed the throughput EWMA the dispatcher
-		// scores workers by. Whole runs have a different cost scale, so
-		// they do not pollute the estimate.
-		if j.mode == jobSegment && !j.dispatchedAt.IsZero() {
-			// len(w.inflight) is post-delete, so +1 counts this job in
-			// the worker's concurrent occupancy at completion time.
-			w.observeRate(time.Since(j.dispatchedAt), len(w.inflight)+1)
-		}
 		out = jobOutcome{payload: res.Payload}
 	} else {
 		c.cResultsErr.Inc()
@@ -548,10 +475,8 @@ func (c *Coordinator) deliverLocked(j *farmJob, out jobOutcome) {
 	j.done <- out // buffered(1): never blocks
 }
 
-// dispatchLoop assigns queued jobs to the worker with the most free
-// slots (ties to the lowest worker ID, so tests are deterministic).
-// Executing on a worker other than the job's planned home counts as a
-// steal.
+// dispatchLoop hands the queue head to pickWorkerLocked's worker
+// whenever one has a free slot.
 func (c *Coordinator) dispatchLoop() {
 	defer c.dispatch.Done()
 	for {
@@ -580,21 +505,7 @@ func (c *Coordinator) dispatchLoop() {
 			}
 			c.cond.Wait()
 		}
-		j.attempts++
-		if home, ok := c.workers[j.home]; ok && home.planned > 0 {
-			home.planned--
-		}
-		if j.home == 0 {
-			j.home = w.id
-		} else if j.home != w.id {
-			// Capacity-aware stealing: the job was planned for another
-			// worker (or re-queued off a dead one) and a freer worker
-			// pulled it first.
-			c.cSteals.Inc()
-			w.gStolen.Add(1)
-		}
 		w.inflight[j.id] = j
-		j.dispatchedAt = time.Now()
 		w.gInFlight.Set(int64(len(w.inflight)))
 		c.gQueued.Set(int64(len(c.queue)))
 		c.gInflight.Add(1)
@@ -602,66 +513,37 @@ func (c *Coordinator) dispatchLoop() {
 		c.mu.Unlock()
 
 		if err := c.send(w, frameJob, encodeJob(jobMsg{
-			JobID: j.id, Mode: j.mode, SegIndex: j.segIndex, Seed: j.seed, Req: j.req,
+			JobID: j.id, SegIndex: j.segIndex, Seed: j.seed, Req: j.req,
 		})); err != nil {
-			c.killWorker(w, "job write failed")
+			c.killWorker(w)
 		}
 	}
 }
 
-// meanRateLocked returns the mean measured throughput across workers
-// (0 if none has a sample yet). c.mu must be held.
-func (c *Coordinator) meanRateLocked() float64 {
-	var sum float64
-	n := 0
-	for _, w := range c.workers {
-		if w.rate > 0 {
-			sum += w.rate
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// pickWorkerLocked returns the live worker with capacity that is
-// expected to finish a new job soonest: measured throughput (EWMA of
-// segment completions) over current load. Until any throughput sample
-// exists it degrades to the most-free-slots rule; ties go to the
-// lowest worker ID so tests are deterministic. c.mu must be held.
+// pickWorkerLocked returns the live worker with the most free slots,
+// ties to the lowest ID (so tests are deterministic), or nil when every
+// slot is taken. c.mu must be held.
 func (c *Coordinator) pickWorkerLocked() *farmWorker {
-	prior := c.meanRateLocked()
 	var best *farmWorker
-	var bestScore float64
 	for _, w := range c.workers {
 		if w.free() <= 0 {
 			continue
 		}
-		if prior <= 0 {
-			// No measurements anywhere yet: most free slots wins.
-			if best == nil || w.free() > best.free() || (w.free() == best.free() && w.id < best.id) {
-				best = w
-			}
-			continue
-		}
-		score := w.expectedScore(prior, 0)
-		if best == nil || score > bestScore || (score == bestScore && w.id < best.id) {
-			best, bestScore = w, score
+		if best == nil || w.free() > best.free() || (w.free() == best.free() && w.id < best.id) {
+			best = w
 		}
 	}
 	return best
 }
 
 // monitorLoop watches heartbeats: a worker whose last heartbeat is
-// older than HeartbeatEvery*HeartbeatMiss is declared dead. It also
+// older than HeartbeatEvery*heartbeatMiss is declared dead. It also
 // refreshes the per-worker heartbeat-age gauges.
 func (c *Coordinator) monitorLoop() {
 	defer c.dispatch.Done()
 	tick := time.NewTicker(c.cfg.HeartbeatEvery)
 	defer tick.Stop()
-	deadline := time.Duration(c.cfg.HeartbeatMiss) * c.cfg.HeartbeatEvery
+	deadline := heartbeatMiss * c.cfg.HeartbeatEvery
 	for {
 		c.mu.Lock()
 		if c.closed {
@@ -679,7 +561,7 @@ func (c *Coordinator) monitorLoop() {
 		}
 		c.mu.Unlock()
 		for _, w := range stale {
-			c.killWorker(w, "missed heartbeats")
+			c.killWorker(w)
 		}
 		select {
 		case <-tick.C:
@@ -689,15 +571,8 @@ func (c *Coordinator) monitorLoop() {
 	}
 }
 
-// enqueue adds a job to the tail of the queue. The planner assigns a
-// home worker up front — the one expected to finish it soonest given
-// measured throughput and the jobs already planned for it (a static
-// throughput-weighted split; capacity-weighted until measurements
-// exist). Execution on any other worker counts as a steal; with equal
-// workers and no faults the steal count stays near zero, and it grows
-// exactly when throughput imbalance or failover makes the central
-// queue earn its keep.
-func (c *Coordinator) enqueue(mode byte, segIndex uint32, seed [32]byte, req []byte) (*farmJob, error) {
+// enqueue adds a job to the tail of the queue.
+func (c *Coordinator) enqueue(segIndex uint32, seed [32]byte, req []byte) (*farmJob, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -705,29 +580,8 @@ func (c *Coordinator) enqueue(mode byte, segIndex uint32, seed [32]byte, req []b
 	}
 	c.nextJID++
 	j := &farmJob{
-		id: c.nextJID, mode: mode, segIndex: segIndex, seed: seed, req: req,
+		id: c.nextJID, segIndex: segIndex, seed: seed, req: req,
 		done: make(chan jobOutcome, 1),
-	}
-	prior := c.meanRateLocked()
-	var home *farmWorker
-	var homeScore float64
-	for _, w := range c.workers {
-		if prior <= 0 {
-			if home == nil ||
-				w.capacity-len(w.inflight)-w.planned > home.capacity-len(home.inflight)-home.planned ||
-				(w.capacity-len(w.inflight)-w.planned == home.capacity-len(home.inflight)-home.planned && w.id < home.id) {
-				home = w
-			}
-			continue
-		}
-		score := w.expectedScore(prior, w.planned)
-		if home == nil || score > homeScore || (score == homeScore && w.id < home.id) {
-			home, homeScore = w, score
-		}
-	}
-	if home != nil {
-		j.home = home.id
-		home.planned++
 	}
 	c.queue = append(c.queue, j)
 	c.gQueued.Set(int64(len(c.queue)))
@@ -770,7 +624,7 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 		}
 		jobs := make([]*farmJob, n)
 		for i := 0; i < n; i++ {
-			j, err := c.enqueue(jobSegment, uint32(i), seed, req)
+			j, err := c.enqueue(uint32(i), seed, req)
 			if err != nil {
 				return nil, err
 			}
@@ -796,7 +650,7 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 		}
 		return c.checkReceipt(prog, comp, opts)
 	}
-	j, err := c.enqueue(jobWhole, 0, seed, req)
+	j, err := c.enqueue(0, seed, req)
 	if err != nil {
 		return nil, err
 	}
@@ -839,17 +693,12 @@ func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt, 
 	return receipt, nil
 }
 
-// ProveContext proves one guest run on the farm under a fresh random
+// Prove satisfies core.ProveFunc: ProveSeeded under a fresh random
 // master seed.
-func (c *Coordinator) ProveContext(ctx context.Context, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
+func (c *Coordinator) Prove(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
 	var seed [32]byte
 	if _, err := rand.Read(seed[:]); err != nil {
 		return nil, fmt.Errorf("remote: salt seed: %w", err)
 	}
-	return c.ProveSeeded(ctx, prog, input, opts, seed)
-}
-
-// Prove satisfies core.ProveFunc.
-func (c *Coordinator) Prove(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
-	return c.ProveContext(context.Background(), prog, input, opts)
+	return c.ProveSeeded(context.Background(), prog, input, opts, seed)
 }

@@ -383,6 +383,12 @@ func TestFarmFaultMalformedFrames(t *testing.T) {
 		conn.Write(hdr)
 		expectClosed(t, conn)
 	})
+	t.Run("heartbeat-with-payload", func(t *testing.T) {
+		conn := rawDial(t)
+		validHello(conn)
+		writeFrame(conn, frameHeartbeat, []byte{0, 0, 0, 0}) // the retired in-flight count
+		expectClosed(t, conn)
+	})
 	t.Run("unknown-frame-type", func(t *testing.T) {
 		conn := rawDial(t)
 		validHello(conn)

@@ -37,18 +37,16 @@ type WorkerConfig struct {
 	// Dial overrides connection establishment — the other
 	// fault-injection hook. nil uses net.Dial("tcp", ...).
 	Dial func(ctx context.Context, addr string) (net.Conn, error)
-	// HeartbeatEvery overrides the coordinator-announced heartbeat
-	// interval when positive. Tests use it to simulate stale workers.
-	HeartbeatEvery time.Duration
 	// SuppressHeartbeats stops the heartbeat loop entirely (fault
 	// injection: a wedged-but-connected worker).
 	SuppressHeartbeats bool
 }
 
-// WorkerJob is one decoded dispatch handed to a ProveJobFunc.
+// WorkerJob is one decoded dispatch handed to a ProveJobFunc. With
+// Opts.SegmentCycles > 0 it asks for segment SegIndex of the run;
+// otherwise for the whole run.
 type WorkerJob struct {
 	ID       uint64
-	Segment  bool // one segment of a continuation chain
 	SegIndex int
 	Seed     [32]byte
 	Prog     *zkvm.Program
@@ -57,8 +55,8 @@ type WorkerJob struct {
 }
 
 // ProveJobFunc proves one job, returning the wire payload (a
-// standalone segment receipt for segment jobs, a receipt encoding for
-// whole jobs).
+// standalone segment receipt for a segment job, a receipt encoding for
+// a whole run).
 type ProveJobFunc func(ctx context.Context, job *WorkerJob) ([]byte, error)
 
 // runCache shares SegmentRuns between segment jobs with the same
@@ -173,15 +171,13 @@ func (rc *runCache) drain() {
 }
 
 // defaultProveJob proves a job locally: segment jobs through the
-// shared run cache, whole jobs via the deterministic seeded prover.
-// The coordinator cuts every segmented run into segment jobs itself, so
-// a whole job that asks for segments is refused rather than proved.
+// shared run cache, whole runs via the deterministic seeded prover.
 // Proving stages are timed into stages.
 func defaultProveJob(cache *runCache, stages zkvm.StageObserver) ProveJobFunc {
 	return func(_ context.Context, job *WorkerJob) ([]byte, error) {
 		opts := job.Opts
 		opts.Observer = stages
-		if job.Segment {
+		if opts.SegmentCycles > 0 {
 			key := runCacheKey(EncodeRequest(job.Prog, job.Input, job.Opts), job.Seed)
 			run, err := cache.acquire(key, func() (*zkvm.SegmentRun, error) {
 				return zkvm.NewSegmentRun(job.Prog, job.Input, opts, job.Seed)
@@ -195,9 +191,6 @@ func defaultProveJob(cache *runCache, stages zkvm.StageObserver) ProveJobFunc {
 				return nil, err
 			}
 			return zkvm.MarshalSegmentReceipt(sr)
-		}
-		if opts.SegmentCycles > 0 {
-			return nil, fmt.Errorf("remote: whole job %d asks for %d-cycle segments", job.ID, opts.SegmentCycles)
 		}
 		r, err := zkvm.ProveWithSeed(job.Prog, job.Input, opts, job.Seed)
 		if err != nil {
@@ -270,13 +263,8 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 		conn.Close()
 	}()
 	var inFlight sync.WaitGroup
-	var inFlightN int64
-	var inFlightMu sync.Mutex
 
-	beat := cfg.HeartbeatEvery
-	if beat <= 0 {
-		beat = time.Duration(welcome.HeartbeatMs) * time.Millisecond
-	}
+	beat := time.Duration(welcome.HeartbeatMs) * time.Millisecond
 	if beat <= 0 {
 		beat = DefaultHeartbeatEvery
 	}
@@ -290,10 +278,7 @@ func RunWorker(ctx context.Context, addr string, cfg WorkerConfig) error {
 					return
 				case <-tick.C:
 				}
-				inFlightMu.Lock()
-				n := inFlightN
-				inFlightMu.Unlock()
-				if err := send(frameHeartbeat, encodeHeartbeat(heartbeatMsg{InFlight: uint32(n)})); err != nil {
+				if err := send(frameHeartbeat, nil); err != nil {
 					cancel()
 					return
 				}
@@ -346,23 +331,16 @@ readLoop:
 			break readLoop
 		}
 		inFlight.Add(1)
-		inFlightMu.Lock()
-		inFlightN++
-		inFlightMu.Unlock()
 		gInFlight.Add(1)
 		cJobs.Inc()
 		go func(dj *decodedJob) {
 			defer func() {
 				<-slots
-				inFlightMu.Lock()
-				inFlightN--
-				inFlightMu.Unlock()
 				gInFlight.Add(-1)
 				inFlight.Done()
 			}()
 			job := &WorkerJob{
 				ID:       dj.msg.JobID,
-				Segment:  dj.msg.Mode == jobSegment,
 				SegIndex: int(dj.msg.SegIndex),
 				Seed:     dj.msg.Seed,
 				Prog:     dj.prog,

@@ -22,7 +22,7 @@ const (
 
 	frameHello     = 0x01 // worker -> coordinator: registration
 	frameWelcome   = 0x02 // coordinator -> worker: accepted
-	frameHeartbeat = 0x03 // worker -> coordinator: liveness
+	frameHeartbeat = 0x03 // worker -> coordinator: liveness (empty)
 	frameJob       = 0x04 // coordinator -> worker: dispatch
 	frameResult    = 0x05 // worker -> coordinator: receipt or failure
 )
@@ -187,71 +187,44 @@ func decodeHello(p []byte) (helloMsg, error) {
 	return m, nil
 }
 
-// welcomeMsg accepts a registration: the assigned worker ID and the
-// heartbeat interval the coordinator expects.
+// welcomeMsg accepts a registration: the heartbeat interval the
+// coordinator expects. A heartbeat is an empty frame; its arrival is
+// the whole message.
 type welcomeMsg struct {
-	WorkerID    uint32
 	HeartbeatMs uint32
 }
 
 func encodeWelcome(m welcomeMsg) []byte {
-	out := make([]byte, 8)
-	binary.LittleEndian.PutUint32(out, m.WorkerID)
-	binary.LittleEndian.PutUint32(out[4:], m.HeartbeatMs)
-	return out
+	return binary.LittleEndian.AppendUint32(nil, m.HeartbeatMs)
 }
 
 func decodeWelcome(p []byte) (welcomeMsg, error) {
-	if len(p) != 8 {
+	if len(p) != 4 {
 		return welcomeMsg{}, ErrBadFrame
 	}
-	return welcomeMsg{
-		WorkerID:    binary.LittleEndian.Uint32(p),
-		HeartbeatMs: binary.LittleEndian.Uint32(p[4:]),
-	}, nil
+	return welcomeMsg{HeartbeatMs: binary.LittleEndian.Uint32(p)}, nil
 }
-
-// heartbeatMsg reports liveness and current load.
-type heartbeatMsg struct {
-	InFlight uint32
-}
-
-func encodeHeartbeat(m heartbeatMsg) []byte {
-	out := make([]byte, 4)
-	binary.LittleEndian.PutUint32(out, m.InFlight)
-	return out
-}
-
-func decodeHeartbeat(p []byte) (heartbeatMsg, error) {
-	if len(p) != 4 {
-		return heartbeatMsg{}, ErrBadFrame
-	}
-	return heartbeatMsg{InFlight: binary.LittleEndian.Uint32(p)}, nil
-}
-
-// Job modes: a whole guest run proved as one unit, or one segment of a
-// deterministic continuation chain.
-const (
-	jobWhole   = 0x00
-	jobSegment = 0x01
-)
 
 // jobMsg dispatches one proving job. Req is an EncodeRequest body
 // (program, input, prove options); Seed is the master salt seed the
 // job must be proved under, which is what makes independently proved
-// segments reassemble byte-identically.
+// segments reassemble byte-identically. A request with SegmentCycles >
+// 0 asks for segment SegIndex of the run; one without asks for the
+// whole run, and SegIndex is 0.
 type jobMsg struct {
 	JobID    uint64
-	Mode     byte
 	SegIndex uint32
 	Seed     [32]byte
 	Req      []byte
 }
 
+// jobHeader is the fixed prefix of a job payload: ID, segment index,
+// seed and the length of Req.
+const jobHeader = 48
+
 func encodeJob(m jobMsg) []byte {
-	out := make([]byte, 0, 49+len(m.Req))
+	out := make([]byte, 0, jobHeader+len(m.Req))
 	out = binary.LittleEndian.AppendUint64(out, m.JobID)
-	out = append(out, m.Mode)
 	out = binary.LittleEndian.AppendUint32(out, m.SegIndex)
 	out = append(out, m.Seed[:]...)
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(m.Req)))
@@ -260,26 +233,22 @@ func encodeJob(m jobMsg) []byte {
 
 func decodeJob(p []byte) (jobMsg, error) {
 	var m jobMsg
-	if len(p) < 49 {
+	if len(p) < jobHeader {
 		return m, ErrBadFrame
 	}
 	m.JobID = binary.LittleEndian.Uint64(p)
-	m.Mode = p[8]
-	if m.Mode != jobWhole && m.Mode != jobSegment {
+	m.SegIndex = binary.LittleEndian.Uint32(p[8:])
+	copy(m.Seed[:], p[12:44])
+	if int64(binary.LittleEndian.Uint32(p[44:])) != int64(len(p)-jobHeader) {
 		return m, ErrBadFrame
 	}
-	m.SegIndex = binary.LittleEndian.Uint32(p[9:])
-	copy(m.Seed[:], p[13:45])
-	if int64(binary.LittleEndian.Uint32(p[45:])) != int64(len(p)-49) {
-		return m, ErrBadFrame
-	}
-	m.Req = p[49:]
+	m.Req = p[jobHeader:]
 	return m, nil
 }
 
 // resultMsg returns a finished job. OK results carry receipt bytes
-// (a standalone segment receipt for jobSegment, a full receipt
-// encoding for jobWhole); failures carry the error text.
+// (a standalone segment receipt for a segment job, a full receipt
+// encoding for a whole run); failures carry the error text.
 type resultMsg struct {
 	JobID   uint64
 	OK      bool
@@ -327,10 +296,15 @@ type decodedJob struct {
 	opts  zkvm.ProveOptions
 }
 
+// parseJob decodes a job's request. A whole run has one spelling: its
+// segment index is 0.
 func parseJob(m jobMsg) (*decodedJob, error) {
 	prog, input, opts, err := DecodeRequest(m.Req)
 	if err != nil {
 		return nil, err
+	}
+	if opts.SegmentCycles == 0 && m.SegIndex != 0 {
+		return nil, fmt.Errorf("%w: whole-run job %d names segment %d", ErrBadFrame, m.JobID, m.SegIndex)
 	}
 	return &decodedJob{msg: m, prog: prog, input: input, opts: opts}, nil
 }

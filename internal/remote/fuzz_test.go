@@ -43,13 +43,13 @@ func FuzzDecodeRequest(f *testing.F) {
 // (canonical framing, so no frame has two spellings).
 func FuzzFarmFrames(f *testing.F) {
 	f.Add(byte(frameHello), encodeHello(helloMsg{Name: "w1", Capacity: 4}))
-	f.Add(byte(frameWelcome), encodeWelcome(welcomeMsg{WorkerID: 7, HeartbeatMs: 500}))
-	f.Add(byte(frameHeartbeat), encodeHeartbeat(heartbeatMsg{InFlight: 2}))
+	f.Add(byte(frameWelcome), encodeWelcome(welcomeMsg{HeartbeatMs: 500}))
+	f.Add(byte(frameHeartbeat), []byte{})
 	req := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6})
-	f.Add(byte(frameJob), encodeJob(jobMsg{JobID: 9, Mode: jobSegment, SegIndex: 3, Seed: [32]byte{1}, Req: req}))
-	f.Add(byte(frameJob), foldLeafFrame(req))
 	segmentedReq := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6, SegmentCycles: 64})
-	f.Add(byte(frameJob), encodeJob(jobMsg{JobID: 9, Mode: jobWhole, Seed: [32]byte{1}, Req: segmentedReq}))
+	f.Add(byte(frameJob), encodeJob(jobMsg{JobID: 9, SegIndex: 3, Seed: [32]byte{1}, Req: segmentedReq}))
+	f.Add(byte(frameJob), foldLeafFrame(req))
+	f.Add(byte(frameJob), encodeJob(jobMsg{JobID: 9, SegIndex: 1, Seed: [32]byte{1}, Req: req}))
 	f.Add(byte(frameResult), encodeResult(resultMsg{JobID: 9, OK: true, Payload: []byte("x")}))
 	f.Add(byte(frameResult), encodeResult(resultMsg{JobID: 9, OK: false, Payload: []byte("boom")}))
 	f.Add(byte(0xff), []byte{})
@@ -65,12 +65,6 @@ func FuzzFarmFrames(f *testing.F) {
 			if m, err := decodeWelcome(payload); err == nil {
 				if !bytes.Equal(encodeWelcome(m), payload) {
 					t.Fatal("welcome re-encode mismatch")
-				}
-			}
-		case frameHeartbeat:
-			if m, err := decodeHeartbeat(payload); err == nil {
-				if !bytes.Equal(encodeHeartbeat(m), payload) {
-					t.Fatal("heartbeat re-encode mismatch")
 				}
 			}
 		case frameJob:
@@ -92,32 +86,41 @@ func FuzzFarmFrames(f *testing.F) {
 	})
 }
 
-// foldLeafFrame is a job payload in the retired fold-leaf layout: mode
-// 0x02 and, after Req, a length-prefixed payload (a verification policy
-// and a segment receipt).
+// foldLeafFrame is a job payload in the retired fold-leaf layout: after
+// Req, a length-prefixed payload (a verification policy and a segment
+// receipt).
 func foldLeafFrame(req []byte) []byte {
-	p := encodeJob(jobMsg{JobID: 9, Mode: jobSegment, Seed: [32]byte{1}, Req: req})
-	p[8] = 0x02
+	p := encodeJob(jobMsg{JobID: 9, Seed: [32]byte{1}, Req: req})
 	aux := []byte{0, 6, 0, 0, 0, 0x62, 0x66, 0x6b, 0x7a}
 	p = binary.LittleEndian.AppendUint32(p, uint32(len(aux)))
 	return append(p, aux...)
 }
 
 // TestDecodeJobOneLayout: a job frame is its fixed header and Req,
-// nothing else, in one of the two modes.
+// nothing else, and a whole run (no SegmentCycles) has segment index 0.
 func TestDecodeJobOneLayout(t *testing.T) {
 	req := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6})
-	good := encodeJob(jobMsg{JobID: 9, Mode: jobWhole, Seed: [32]byte{1}, Req: req})
-	if _, err := decodeJob(good); err != nil {
+	good := encodeJob(jobMsg{JobID: 9, Seed: [32]byte{1}, Req: req})
+	m, err := decodeJob(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := parseJob(m); err != nil {
 		t.Fatal(err)
 	}
 	trailing := append(append([]byte(nil), good...), 0)
-	mode2 := append([]byte(nil), good...)
-	mode2[8] = 0x02
-	for name, p := range map[string][]byte{"fold-leaf frame": foldLeafFrame(req), "trailing byte": trailing, "mode 0x02": mode2} {
+	for name, p := range map[string][]byte{"fold-leaf frame": foldLeafFrame(req), "trailing byte": trailing, "short header": good[:jobHeader-1]} {
 		if _, err := decodeJob(p); !errors.Is(err, ErrBadFrame) {
 			t.Fatalf("%s: got %v, want ErrBadFrame", name, err)
 		}
+	}
+	m.SegIndex = 1
+	if _, err := parseJob(m); !errors.Is(err, ErrBadFrame) {
+		t.Fatalf("whole run naming segment 1: got %v, want ErrBadFrame", err)
+	}
+	segmented := EncodeRequest(simpleProgram(), []uint32{20, 22}, zkvm.ProveOptions{Checks: 6, SegmentCycles: 64})
+	if _, err := parseJob(jobMsg{JobID: 9, SegIndex: 1, Req: segmented}); err != nil {
+		t.Fatalf("segment 1 of a segmented run: %v", err)
 	}
 }
 
@@ -127,7 +130,7 @@ func TestDecodeJobOneLayout(t *testing.T) {
 // exact bytes consumed.
 func FuzzReadFrame(f *testing.F) {
 	var good bytes.Buffer
-	writeFrame(&good, frameHeartbeat, encodeHeartbeat(heartbeatMsg{InFlight: 1}))
+	writeFrame(&good, frameHeartbeat, nil)
 	writeFrame(&good, frameResult, encodeResult(resultMsg{JobID: 1, OK: true, Payload: []byte("r")}))
 	f.Add(good.Bytes())
 	f.Add(good.Bytes()[:good.Len()-2])
