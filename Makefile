@@ -87,8 +87,9 @@ guest-profile:
 	$(GO) test ./internal/guest -run='CostBudget' -count=1 -v
 
 # The prover-crew / pipeline benchmarks behind the determinism tests.
+# Crew width is GOMAXPROCS, so -cpu sets it.
 bench-parallel:
-	$(GO) test -bench='ProveParallel|PipelinedAggregation' -run=^$$ .
+	$(GO) test -bench='ProveParallel|PipelinedAggregation' -cpu 1,2,4 -run=^$$ .
 
 # Commit-path benchmarks with allocation counts: the zero-allocation
 # hash kernel, the seal's block commit (salt + encode + leaf-hash +
@@ -96,14 +97,15 @@ bench-parallel:
 # shape — exec/mem/prod/image — with SHA-256 compressions and bytes
 # hashed per record next to ns/record), the emulator alone (mono /
 # segmented / count-only, ns per trace row), the Merkle arena build, the
-# NTT kernel, and the whole prover. Compare against the allocs/op recorded in
+# NTT kernel, and the whole prover; the Merkle build and the prover run
+# at -cpu 1, the serial crew. Compare against the allocs/op recorded in
 # EXPERIMENTS.md E14.
 bench-commit:
 	$(GO) test -bench='HashLevel|Leaf2' -benchmem -run=^$$ ./internal/hashk
 	$(GO) test -bench='CommitBlock|Execute' -benchmem -run=^$$ ./internal/zkvm
-	$(GO) test -bench='BuildHashes|Build1024' -benchmem -run=^$$ ./internal/merkle
+	$(GO) test -bench='BuildHashes|Build1024' -benchmem -cpu 1 -run=^$$ ./internal/merkle
 	$(GO) test -bench='NTTInto|Butterflies' -benchmem -run=^$$ ./internal/poly ./internal/field
-	$(GO) test -bench='ProveParallel/parallelism=1' -benchmem -run=^$$ .
+	$(GO) test -bench=ProveParallel -benchmem -cpu 1 -run=^$$ .
 
 # Non-test Go lines, by the one definition ROADMAP item 4 counts with.
 loc:

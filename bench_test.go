@@ -10,7 +10,6 @@ package zkflow_test
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"testing"
 
 	"zkflow/internal/clog"
@@ -134,25 +133,16 @@ func BenchmarkReceiptSize(b *testing.B) {
 }
 
 // BenchmarkProveParallel is E5/§7 proof parallelization: the same
-// single-segment aggregation proof at crew widths 1 (fully serial),
-// 2, 4, and GOMAXPROCS. Receipts are byte-identical at every width
-// (asserted by TestParallelProveDeterminism); this benchmark shows the
-// wall-clock side of that trade.
+// single-segment aggregation proof at the crew width GOMAXPROCS sets.
+// Run it with -cpu 1,2,4 (make bench-parallel) to see the wall-clock
+// side of the trade; receipts are byte-identical at every width
+// (asserted by TestParallelProveDeterminism).
 func BenchmarkProveParallel(b *testing.B) {
-	in := genesisInput(5, 1000)
-	words := in.Words()
-	widths := []int{1, 2, 4}
-	if n := runtime.GOMAXPROCS(0); n > 4 {
-		widths = append(widths, n)
-	}
-	for _, w := range widths {
-		b.Run(fmt.Sprintf("parallelism=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := zkvm.Prove(guest.AggregationProgram(), words, zkvm.ProveOptions{Parallelism: w}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	words := genesisInput(5, 1000).Words()
+	for i := 0; i < b.N; i++ {
+		if _, err := zkvm.Prove(guest.AggregationProgram(), words, zkvm.ProveOptions{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

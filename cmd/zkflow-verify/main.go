@@ -21,6 +21,7 @@ import (
 
 	"zkflow/internal/api"
 	"zkflow/internal/core"
+	"zkflow/internal/guest"
 	"zkflow/internal/zkvm"
 )
 
@@ -65,6 +66,8 @@ func main() {
 	}
 	// The state file carries no floor: set it on a loaded verifier too.
 	verifier.SetMinChecks(zkvm.DefaultChecks)
+	image := guest.AggregationProgram().ID()
+	fmt.Printf("aggregation image %x\n", image[:])
 	for round := verifier.Rounds(); round < status.Rounds; round++ {
 		receipt, err := client.AggregationReceipt(ctx, round)
 		if err != nil {

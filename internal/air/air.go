@@ -25,8 +25,8 @@ type Boundary struct {
 //
 // EvalLocal and EvalTransition must be safe for concurrent use: the
 // STARK prover evaluates the composition polynomial chunk-parallel
-// when stark.Params.Parallelism is not 1, calling both from multiple
-// goroutines (with distinct out/row slices per goroutine).
+// whenever GOMAXPROCS is above 1, calling both from multiple goroutines
+// (with distinct out/row slices per goroutine).
 type AIR interface {
 	// NumColumns is the trace width.
 	NumColumns() int

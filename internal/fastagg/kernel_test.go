@@ -2,6 +2,7 @@ package fastagg
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"zkflow/internal/field"
@@ -9,16 +10,14 @@ import (
 )
 
 // TestProveByteDeterministicAcrossParallelism pins the chain prover to
-// the serial formulation at every worker width — the property the fold
-// (and any farm of fold workers) relies on for byte-identical receipts.
+// the serial formulation at every GOMAXPROCS width.
 // It also exercises the round-constant memo under the prover's
 // concurrent composition scan (go test -race makes that a race gate).
 func TestProveByteDeterministicAcrossParallelism(t *testing.T) {
 	in := testInput()
 	prove := func(workers int) *Proof {
-		params := stark.DefaultParams
-		params.Parallelism = workers
-		p, err := Prove(in, 512, params)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		p, err := Prove(in, 512, stark.DefaultParams)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

@@ -30,12 +30,6 @@ type Params struct {
 	// FinalDegree is the degree bound below which the prover sends
 	// the polynomial in the clear instead of folding further.
 	FinalDegree int
-	// Parallelism bounds the prover-side worker fan-out for layer
-	// hashing and folding (0 = GOMAXPROCS, 1 = serial). It is a pure
-	// throughput knob: folds are exact arithmetic over disjoint index
-	// ranges, so the proof bytes are identical at every width. Verify
-	// ignores it.
-	Parallelism int
 }
 
 // DefaultParams are demo-grade parameters.
@@ -111,7 +105,7 @@ func (p *Proof) Size() int {
 // into the tree's arena leaf level (chunk-parallel for wide layers).
 func buildLayer(evals []field.Elem, workers int) *merkle.Tree {
 	half := len(evals) / 2
-	return merkle.BuildLeavesParallel(half, workers, func(leaves []merkle.Hash) {
+	return merkle.BuildLeaves(half, func(leaves []merkle.Hash) {
 		par.ForChunks(workers, half, func(lo, hi int) {
 			var buf [16]byte
 			for j := lo; j < hi; j++ {
@@ -166,7 +160,10 @@ func Prove(evals []field.Elem, degreeBound int, shift field.Elem, tr *transcript
 		params = DefaultParams
 	}
 
-	workers := params.Parallelism
+	// Layer hashing and folding fan out across par.Workers(); folds are
+	// exact arithmetic over disjoint index ranges, so the proof bytes are
+	// identical at every width.
+	workers := par.Workers()
 
 	// Commit phase. Layer 0 is the caller's evals (never recycled or
 	// mutated); every subsequent layer lives in a pooled scratch slice

@@ -2,6 +2,7 @@ package fri
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"zkflow/internal/field"
@@ -17,9 +18,8 @@ func TestProveByteDeterministicAcrossParallelism(t *testing.T) {
 	p := randomPoly(7, 64)
 	evals := poly.CosetEval(p, testShift, 1024)
 	prove := func(workers int) *Proof {
-		params := DefaultParams
-		params.Parallelism = workers
-		proof, err := Prove(evals, 64, testShift, transcript.New("fri-par"), params)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		proof, err := Prove(evals, 64, testShift, transcript.New("fri-par"), DefaultParams)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

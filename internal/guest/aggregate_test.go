@@ -1,6 +1,7 @@
 package guest
 
 import (
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -36,6 +37,22 @@ func runAgg(t *testing.T, in *AggInput) (*zkvm.Execution, error) {
 
 func prevRootOf(entries []clog.Entry) vmtree.Digest {
 	return vmtree.Root(EntryWordsOf(entries))
+}
+
+// aggregationImage is the full image ID of AggregationProgram(). Every
+// receipt the chain holds binds it, and verifiers accept no other image,
+// so changing this constant is retiring the old guest: DESIGN.md §8's
+// rule ("Retiring this format") says how long the old image must still
+// be read.
+const aggregationImage = "b8744ad978ac8c221780ff51de79c15b2b59c2f56a61319c8420661e22d26e57"
+
+// TestAggregationImageIsPinned fails on any change to the aggregation
+// guest's encoding.
+func TestAggregationImageIsPinned(t *testing.T) {
+	id := AggregationProgram().ID()
+	if got := hex.EncodeToString(id[:]); got != aggregationImage {
+		t.Fatalf("aggregation image %s, pinned %s", got, aggregationImage)
+	}
 }
 
 func TestAggregationGenesisRound(t *testing.T) {

@@ -105,8 +105,6 @@ type Options struct {
 	Seed int64
 	// MinChecks is the receipt soundness floor (zkvm.VerifyOptions).
 	MinChecks int
-	// SkipProofCheck disables step 4 (the inclusion-proof spot check).
-	SkipProofCheck bool
 	// Metrics, when set, receives lightsync.* counters.
 	Metrics *obs.Registry
 }
@@ -249,18 +247,16 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr count
 		// Step 4: inclusion-proof spot check against the new head, on
 		// the first sampled epoch (or the first new epoch when receipt
 		// sampling came up empty).
-		if !opts.SkipProofCheck {
-			epoch := rep.NewEpochs[0]
-			if len(rep.SampledRounds) > 0 {
-				epoch = candidates[0].Epoch
-			}
-			checked, err := spotCheckProofs(ctx, c, to, epoch, verified)
-			if err != nil {
-				return nil, err
-			}
-			rep.ProofsChecked = checked
-			ctr.add(ctr.proofs, uint64(checked))
+		epoch := rep.NewEpochs[0]
+		if len(rep.SampledRounds) > 0 {
+			epoch = candidates[0].Epoch
 		}
+		checked, err := spotCheckProofs(ctx, c, to, epoch, verified)
+		if err != nil {
+			return nil, err
+		}
+		rep.ProofsChecked = checked
+		ctr.add(ctr.proofs, uint64(checked))
 	}
 
 	// All verification passed: advance the pin.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -76,7 +77,9 @@ func TestBlockBuildMatchesReference(t *testing.T) {
 		hs := testHashes(n)
 		want := refTree(hs)
 		for _, workers := range []int{1, 3} {
-			got := BuildHashesParallel(hs, workers)
+			prev := runtime.GOMAXPROCS(workers)
+			got := BuildHashes(hs)
+			runtime.GOMAXPROCS(prev)
 			sameNodes(t, n, got, want)
 			got.Release()
 		}
@@ -141,13 +144,14 @@ func TestHashZeroAllocs(t *testing.T) {
 // has none), not O(leaves), O(levels) or O(blocks): sixteen times the
 // leaves may cost one allocation more (an arena pool miss), not 60.
 func TestBuildHashesConstantAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var small, large float64
 	for _, c := range []struct {
 		n      int
 		allocs *float64
 	}{{4096, &small}, {1 << 16, &large}} {
 		hs := testHashes(c.n)
-		*c.allocs = testing.AllocsPerRun(10, func() { BuildHashesParallel(hs, 1).Release() })
+		*c.allocs = testing.AllocsPerRun(10, func() { BuildHashes(hs).Release() })
 	}
 	if small > 6 || large > small+1 {
 		t.Fatalf("serial build allocates %v per run at 4096 leaves and %v at 65536, want <= 6 and no growth", small, large)
@@ -159,16 +163,17 @@ func TestBuildHashesConstantAllocs(t *testing.T) {
 // is node-for-node identical to a fresh build, across sizes that
 // exercise the padding-fill, all-padding-block and real-node paths.
 func TestReleasedArenaReuse(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	// Seed the pool with a large dirty arena.
 	big := make([]Hash, 1<<14)
 	for i := range big {
 		big[i] = sha256.Sum256([]byte{byte(i), byte(i >> 8), 0xee})
 	}
-	BuildHashesParallel(big, 1).Release()
+	BuildHashes(big).Release()
 
 	for _, n := range []int{1, 2, 5, 100, 129, 1000, 1025, 1<<12 + 1, 1<<13 + 3} {
 		hs := testHashes(n)
-		got := BuildHashesParallel(hs, 1) // likely reuses the dirty arena
+		got := BuildHashes(hs) // likely reuses the dirty arena
 		sameNodes(t, n, got, refTree(hs))
 		got.Release()
 		got.Release() // double release is a no-op
@@ -208,7 +213,7 @@ func BenchmarkBuildHashes(b *testing.B) {
 		b.Run(fmt.Sprintf("leaves=%d", n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				_ = BuildHashesParallel(hs, 1)
+				_ = BuildHashes(hs)
 			}
 		})
 	}

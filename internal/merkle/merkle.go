@@ -140,17 +140,12 @@ func (t *Tree) Release() {
 }
 
 // Build constructs a tree over raw leaves (hashed with LeafHash).
-// Large trees are built across GOMAXPROCS workers; use BuildParallel
-// to control the worker count.
-func Build(leaves [][]byte) *Tree { return BuildParallel(leaves, 0) }
-
-// BuildParallel is Build with an explicit worker bound: 0 means
-// GOMAXPROCS, 1 forces the serial path. The resulting tree is
-// identical to the serial one — hashing is deterministic and workers
-// only split index ranges.
-func BuildParallel(leaves [][]byte, workers int) *Tree {
-	return BuildLeavesParallel(len(leaves), workers, func(hashes []Hash) {
-		par.ForChunks(workers, len(leaves), func(lo, hi int) {
+// Large trees are built across par.Workers() goroutines; the tree is
+// identical at any width — hashing is deterministic and workers only
+// split index ranges.
+func Build(leaves [][]byte) *Tree {
+	return BuildLeaves(len(leaves), func(hashes []Hash) {
+		par.ForChunks(par.Workers(), len(leaves), func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				hashes[i] = LeafHash(leaves[i])
 			}
@@ -160,26 +155,22 @@ func BuildParallel(leaves [][]byte, workers int) *Tree {
 
 // BuildHashes constructs a tree over precomputed leaf hashes.
 // An empty input produces a one-leaf tree over the empty hash.
-func BuildHashes(leafHashes []Hash) *Tree { return BuildHashesParallel(leafHashes, 0) }
-
-// BuildHashesParallel is BuildHashes with an explicit worker bound:
-// 0 means GOMAXPROCS, 1 forces the serial path.
-func BuildHashesParallel(leafHashes []Hash, workers int) *Tree {
-	return BuildLeavesParallel(len(leafHashes), workers, func(leaves []Hash) {
+func BuildHashes(leafHashes []Hash) *Tree {
+	return BuildLeaves(len(leafHashes), func(leaves []Hash) {
 		copy(leaves, leafHashes)
 	})
 }
 
-// BuildLeavesParallel constructs a tree over n leaf hashes that fill
-// writes directly into the tree's arena-backed leaf level (fill may
-// fan out across goroutines; it must fill all n entries before
-// returning), then reduces the blocks on a crew of workers. Callers
-// that can produce leaves block by block drive a Builder themselves
-// and skip the separate fill pass.
-func BuildLeavesParallel(n, workers int, fill func(leaves []Hash)) *Tree {
+// BuildLeaves constructs a tree over n leaf hashes that fill writes
+// directly into the tree's arena-backed leaf level (fill may fan out
+// across goroutines; it must fill all n entries before returning),
+// then reduces the blocks on a crew of par.Workers(). Callers that can
+// produce leaves block by block drive a Builder themselves and skip
+// the separate fill pass.
+func BuildLeaves(n int, fill func(leaves []Hash)) *Tree {
 	b := NewBuilder(n)
 	fill(b.t.levels[0][:n])
-	par.Each(workers, b.Blocks(), b.Reduce)
+	par.Each(par.Workers(), b.Blocks(), b.Reduce)
 	return b.Finish()
 }
 

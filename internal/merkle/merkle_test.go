@@ -3,6 +3,7 @@ package merkle
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -194,13 +195,17 @@ func BenchmarkProveVerify(b *testing.B) {
 }
 
 // TestParallelBuildMatchesSerial asserts the block crew produces
-// byte-identical trees: every level, every node, every proof.
+// byte-identical trees at any GOMAXPROCS: every level, every node,
+// every proof.
 func TestParallelBuildMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, n := range []int{0, 1, 2, 3, 255, 1<<blockLog - 1, 1 << blockLog, 1<<blockLog + 1, 3<<blockLog + 7} {
 		ls := leaves(n)
-		serial := BuildParallel(ls, 1)
+		runtime.GOMAXPROCS(1)
+		serial := Build(ls)
 		for _, workers := range []int{2, 3, 8, 64} {
-			par := BuildParallel(ls, workers)
+			runtime.GOMAXPROCS(workers)
+			par := Build(ls)
 			if serial.Root() != par.Root() {
 				t.Fatalf("n=%d workers=%d: root mismatch", n, workers)
 			}
@@ -218,13 +223,11 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	}
 }
 
+// BenchmarkBuildParallel builds a 32K-leaf tree; compare widths with
+// -cpu 1,4.
 func BenchmarkBuildParallel(b *testing.B) {
 	ls := leaves(1 << 15)
-	for _, workers := range []int{1, 4, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				BuildParallel(ls, workers)
-			}
-		})
+	for i := 0; i < b.N; i++ {
+		Build(ls)
 	}
 }

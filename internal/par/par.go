@@ -16,16 +16,11 @@ import (
 	"sync/atomic"
 )
 
-// Workers resolves a parallelism knob: n <= 0 means GOMAXPROCS, and
-// the result is always at least 1.
-func Workers(n int) int {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+// Workers is the width of every prover crew: GOMAXPROCS. Operators set
+// it through the GOMAXPROCS environment variable, and the determinism
+// tests through runtime.GOMAXPROCS; nothing else does.
+func Workers() int {
+	return runtime.GOMAXPROCS(0)
 }
 
 // Each runs fn(i) for every i in [0, n) on a crew of at most workers
@@ -33,10 +28,10 @@ func Workers(n int) int {
 // of them. Claim-by-index keeps the crew busy whatever the tasks cost,
 // so uneven work balances without tuning chunk sizes; which goroutine
 // runs which index is scheduling-dependent, so fn must only write
-// state owned by its index. With one worker the indices run inline in
-// order.
+// state owned by its index. With one worker (or fewer) the indices run
+// inline in order.
 func Each(workers, n int, fn func(i int)) {
-	workers = min(Workers(workers), n)
+	workers = min(workers, n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			fn(i)
@@ -60,10 +55,9 @@ func Each(workers, n int, fn func(i int)) {
 // ForChunks splits [0, n) into one contiguous chunk per worker and
 // runs fn over the chunks concurrently. Chunk boundaries depend only
 // on (n, workers), so position-indexed writes are deterministic at
-// any width. Small inputs run inline.
+// any width. Small inputs, and a width below 2, run inline.
 func ForChunks(workers, n int, fn func(lo, hi int)) {
-	workers = Workers(workers)
-	if workers == 1 || n < 2*workers {
+	if workers <= 1 || n < 2*workers {
 		if n > 0 {
 			fn(0, n)
 		}

@@ -610,11 +610,11 @@ func (c *Coordinator) await(ctx context.Context, j *farmJob) ([]byte, error) {
 // ProveSeeded proves one guest run on the farm under an explicit
 // master salt seed. With opts.SegmentCycles > 0 the coordinator plans
 // the segment count (a cheap emulator pass), dispatches one job per
-// segment, reassembles the returned segment receipts, and verifies
-// the composite; the result is byte-identical to
-// zkvm.ProveSegmentedWithSeed(prog, input, opts, seed) no matter how
-// many workers served it or which of them failed along the way.
-// Otherwise the run dispatches as one whole job.
+// segment, and puts the returned segment receipts in index order;
+// otherwise the run dispatches as one whole job. Either way the receipt
+// is verified before it is returned, and it is byte-identical to
+// zkvm.ProveSeeded(prog, input, opts, seed) no matter how many workers
+// served it or which of them failed along the way.
 func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions, seed [32]byte) (zkvm.AnyReceipt, error) {
 	req := EncodeRequest(prog, input, opts)
 	if opts.SegmentCycles > 0 {
@@ -644,11 +644,7 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 			}
 			receipts[i] = sr
 		}
-		comp, err := zkvm.AssembleComposite(receipts)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrRemote, err)
-		}
-		return c.checkReceipt(prog, comp, opts)
+		return c.checkReceipt(prog, &zkvm.CompositeReceipt{Segments: receipts})
 	}
 	j, err := c.enqueue(0, seed, req)
 	if err != nil {
@@ -662,7 +658,7 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
 	}
-	return c.checkReceipt(prog, receipt, opts)
+	return c.checkReceipt(prog, receipt)
 }
 
 // abandonJobs marks every job in jobs abandoned under the lock, so
@@ -678,17 +674,14 @@ func (c *Coordinator) abandonJobs(jobs []*farmJob) {
 
 // checkReceipt locally re-verifies a receipt a worker returned, or one
 // assembled from workers' segments, before handing it to the caller: a
-// buggy or compromised worker cannot slip an invalid receipt into the
-// aggregation chain.
-func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
+// buggy or compromised worker cannot slip an invalid receipt — nor one
+// of an aborted guest — into the aggregation chain.
+func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt) (zkvm.AnyReceipt, error) {
 	if receipt.Image() != prog.ID() {
 		return nil, fmt.Errorf("%w: farm returned a receipt for image %v", ErrRemote, receipt.Image())
 	}
-	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{AllowNonZeroExit: true}); err != nil {
+	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{}); err != nil {
 		return nil, fmt.Errorf("%w: farm receipt invalid: %v", ErrRemote, err)
-	}
-	if code := receipt.ExitStatus(); code != 0 && !opts.AllowNonZeroExit {
-		return nil, &zkvm.GuestAbortError{ExitCode: code, Journal: receipt.JournalWords()}
 	}
 	return receipt, nil
 }

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"zkflow/internal/obs"
-	"zkflow/internal/zkvm"
 )
 
 // Fault-injection harness for the prover farm. faultConn sits between a
@@ -106,10 +105,7 @@ func goldenComposite(t *testing.T) ([]byte, int) {
 	t.Helper()
 	faultGoldenOnce.Do(func() {
 		prog, input := loopProgram()
-		comp, err := zkvm.ProveSegmentedWithSeed(prog, input, farmOpts(), faultSeed())
-		if err != nil {
-			t.Fatal(err)
-		}
+		comp := localComposite(t, prog, input, farmOpts(), faultSeed())
 		faultGoldenOnce.bytes, _ = comp.MarshalBinary()
 		faultGoldenOnce.segs = comp.NumSegments()
 	})

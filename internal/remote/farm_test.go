@@ -38,7 +38,17 @@ func loopProgram() (*zkvm.Program, []uint32) {
 }
 
 func farmOpts() zkvm.ProveOptions {
-	return zkvm.ProveOptions{Checks: 4, SegmentCycles: 64, Parallelism: 1}
+	return zkvm.ProveOptions{Checks: 4, SegmentCycles: 64}
+}
+
+// localComposite is the single prover's composite for a segmented run.
+func localComposite(t *testing.T, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions, seed [32]byte) *zkvm.CompositeReceipt {
+	t.Helper()
+	r, err := zkvm.ProveSeeded(prog, input, opts, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.(*zkvm.CompositeReceipt)
 }
 
 // testFarm starts a coordinator with a fast heartbeat on a loopback
@@ -92,13 +102,13 @@ func TestFarmWholeJobByteIdentical(t *testing.T) {
 	waitWorkers(t, c, 1)
 
 	prog, input := loopProgram()
-	opts := zkvm.ProveOptions{Checks: 4, Parallelism: 1}
+	opts := zkvm.ProveOptions{Checks: 4}
 	seed := [32]byte{3, 1, 4}
 	got, err := c.ProveSeeded(context.Background(), prog, input, opts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := zkvm.ProveWithSeed(prog, input, opts, seed)
+	want, err := zkvm.ProveSeeded(prog, input, opts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,24 +129,38 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 	trap := zkvm.NewAssembler()
 	trap.ReadInput(zkvm.R2) // no input: traps
 	trap.HaltCode(0)
-	// A worker that proves some other program, and one whose receipt
-	// lost a bit on the way: both produce well-formed results.
+	// A worker that proves some other program, one whose receipt lost a
+	// bit on the way, and one that answers segment job i with segment
+	// i+1: all produce well-formed results.
 	otherImage := func(_ context.Context, job *WorkerJob) ([]byte, error) {
 		prog, input := loopProgram()
-		r, err := zkvm.ProveWithSeed(prog, input, job.Opts, job.Seed)
+		r, err := zkvm.ProveSeeded(prog, input, job.Opts, job.Seed)
 		if err != nil {
 			return nil, err
 		}
 		return r.MarshalBinary()
 	}
 	flippedSeal := func(_ context.Context, job *WorkerJob) ([]byte, error) {
-		r, err := zkvm.ProveWithSeed(job.Prog, job.Input, job.Opts, job.Seed)
+		r, err := zkvm.ProveSeeded(job.Prog, job.Input, job.Opts, job.Seed)
 		if err != nil {
 			return nil, err
 		}
-		r.Seal.ExecRoot[0] ^= 1
+		r.(*zkvm.Receipt).Seal.ExecRoot[0] ^= 1
 		return r.MarshalBinary()
 	}
+	nextSegment := func(_ context.Context, job *WorkerJob) ([]byte, error) {
+		run, err := zkvm.NewSegmentRun(job.Prog, job.Input, job.Opts, job.Seed)
+		if err != nil {
+			return nil, err
+		}
+		defer run.Release()
+		sr, err := run.ProveSegment((job.SegIndex + 1) % run.Segments())
+		if err != nil {
+			return nil, err
+		}
+		return zkvm.MarshalSegmentReceipt(sr)
+	}
+	loop, loopInput := loopProgram()
 	for _, tc := range []struct {
 		name    string
 		prog    *zkvm.Program
@@ -157,6 +181,8 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 			opts: zkvm.ProveOptions{Checks: 6}, prove: otherImage, wantErr: "receipt for image"},
 		{name: "flipped seal byte", prog: simpleProgram(), input: []uint32{20, 22},
 			opts: zkvm.ProveOptions{Checks: 6}, prove: flippedSeal, wantErr: "receipt invalid"},
+		{name: "segment i+1 for job i", prog: loop, input: loopInput,
+			opts: farmOpts(), prove: nextSegment, wantErr: "receipt invalid"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testFarm(t, nil)
@@ -276,10 +302,7 @@ func TestFarmSegmentedByteIdenticalAtAnyWorkerCount(t *testing.T) {
 	prog, input := loopProgram()
 	opts := farmOpts()
 	seed := [32]byte{7, 7, 7}
-	golden, err := zkvm.ProveSegmentedWithSeed(prog, input, opts, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := localComposite(t, prog, input, opts, seed)
 	if golden.NumSegments() < 2 {
 		t.Fatalf("want >=2 segments, got %d", golden.NumSegments())
 	}
@@ -398,10 +421,7 @@ func TestFarmCapacityAwareDispatchAndSteals(t *testing.T) {
 	prog, input := loopProgram()
 	opts := farmOpts()
 	seed := [32]byte{2}
-	golden, err := zkvm.ProveSegmentedWithSeed(prog, input, opts, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
+	golden := localComposite(t, prog, input, opts, seed)
 	resCh := make(chan error, 1)
 	var farmBytes []byte
 	go func() {

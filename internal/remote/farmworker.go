@@ -192,7 +192,7 @@ func defaultProveJob(cache *runCache, stages zkvm.StageObserver) ProveJobFunc {
 			}
 			return zkvm.MarshalSegmentReceipt(sr)
 		}
-		r, err := zkvm.ProveWithSeed(job.Prog, job.Input, opts, job.Seed)
+		r, err := zkvm.ProveSeeded(job.Prog, job.Input, opts, job.Seed)
 		if err != nil {
 			return nil, err
 		}

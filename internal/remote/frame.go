@@ -99,18 +99,19 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	}
 }
 
-// reqMagic opens a proving request, the body of every job frame.
-const reqMagic = 0x7a6b7732 // "zkw2"
+// reqMagic opens a proving request, the body of every job frame. The
+// last digit is the layout's version: a peer speaking another layout
+// fails with ErrBadRequest.
+const reqMagic = 0x7a6b7733 // "zkw3"
 
 // EncodeRequest frames a proving request: what to run (program, private
-// input) and the two prove options that change the receipt (Checks,
-// SegmentCycles). The word after Checks is reserved and zero.
+// input) and the prove options that cross the wire — every field of
+// zkvm.ProveOptions but the local Observer.
 func EncodeRequest(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) []byte {
 	progBytes := prog.Encode()
-	out := make([]byte, 0, 24+len(progBytes)+4*len(input))
+	out := make([]byte, 0, 20+len(progBytes)+4*len(input))
 	out = binary.LittleEndian.AppendUint32(out, reqMagic)
 	out = binary.LittleEndian.AppendUint32(out, uint32(opts.Checks))
-	out = binary.LittleEndian.AppendUint32(out, 0) // reserved
 	out = binary.LittleEndian.AppendUint32(out, uint32(opts.SegmentCycles))
 	out = binary.LittleEndian.AppendUint32(out, uint32(len(progBytes)))
 	out = append(out, progBytes...)
@@ -128,16 +129,16 @@ var ErrBadRequest = errors.New("remote: malformed proving request")
 // decodes re-encodes to the same bytes.
 func DecodeRequest(data []byte) (*zkvm.Program, []uint32, zkvm.ProveOptions, error) {
 	var opts zkvm.ProveOptions
-	const off = 20
-	if len(data) < off+4 || binary.LittleEndian.Uint32(data) != reqMagic || binary.LittleEndian.Uint32(data[8:]) != 0 {
+	const off = 16
+	if len(data) < off+4 || binary.LittleEndian.Uint32(data) != reqMagic {
 		return nil, nil, opts, ErrBadRequest
 	}
 	opts.Checks = int(binary.LittleEndian.Uint32(data[4:]))
-	opts.SegmentCycles = int(binary.LittleEndian.Uint32(data[12:]))
+	opts.SegmentCycles = int(binary.LittleEndian.Uint32(data[8:]))
 	// Length checks are done in int64: comparing in uint32 (or a 32-bit
 	// int) lets a huge count wrap (4*nIn overflows) and walk past the
 	// buffer.
-	progLen64 := int64(binary.LittleEndian.Uint32(data[16:]))
+	progLen64 := int64(binary.LittleEndian.Uint32(data[12:]))
 	if int64(len(data)-off-4) < progLen64 {
 		return nil, nil, opts, ErrBadRequest
 	}

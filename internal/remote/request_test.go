@@ -1,6 +1,9 @@
 package remote
 
 import (
+	"encoding/binary"
+	"errors"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -34,12 +37,39 @@ func TestRequestRoundTrip(t *testing.T) {
 		if !slices.Equal(in2, input) {
 			t.Fatalf("input %v, want %v", in2, input)
 		}
-		if o2.Checks != opts.Checks || o2.SegmentCycles != opts.SegmentCycles {
-			t.Fatalf("options lost: %+v", o2)
+		if o2 != opts {
+			t.Fatalf("options %+v, want %+v", o2, opts)
 		}
 		if _, _, _, err := DecodeRequest(req[:len(req)-2]); err == nil {
 			t.Fatal("truncated request accepted")
 		}
+	}
+}
+
+// TestRequestCarriesEveryProveOption: every zkvm.ProveOptions field but
+// the process-local Observer crosses the wire. The options are filled
+// by reflection, so a field added later that the framing drops fails
+// here.
+func TestRequestCarriesEveryProveOption(t *testing.T) {
+	var opts zkvm.ProveOptions
+	v := reflect.ValueOf(&opts).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Interface: // Observer
+		case reflect.Int:
+			f.SetInt(int64(1000 + i))
+		case reflect.Bool:
+			f.SetBool(true)
+		default:
+			t.Fatalf("ProveOptions.%s is a %v: encode it and fill it here", v.Type().Field(i).Name, f.Kind())
+		}
+	}
+	_, _, got, err := DecodeRequest(EncodeRequest(simpleProgram(), []uint32{1}, opts))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != opts {
+		t.Fatalf("decoded %+v, sent %+v", got, opts)
 	}
 }
 
@@ -49,9 +79,10 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 			t.Fatalf("accepted %d bytes of garbage", len(data))
 		}
 	}
-	good := EncodeRequest(simpleProgram(), []uint32{1}, zkvm.ProveOptions{})
-	good[8] = 2 // the reserved word
-	if _, _, _, err := DecodeRequest(good); err == nil {
-		t.Fatal("nonzero reserved word accepted: the framing is no longer canonical")
+	// A peer one layout behind (magic "zkw2") fails cleanly.
+	old := EncodeRequest(simpleProgram(), []uint32{1}, zkvm.ProveOptions{})
+	binary.LittleEndian.PutUint32(old, 0x7a6b7732)
+	if _, _, _, err := DecodeRequest(old); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("previous request layout: got %v, want ErrBadRequest", err)
 	}
 }

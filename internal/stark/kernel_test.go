@@ -2,6 +2,7 @@ package stark
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"zkflow/internal/transcript"
@@ -16,9 +17,8 @@ func TestProveByteDeterministicAcrossParallelism(t *testing.T) {
 	a := &fibAIR{final: final}
 	copy(a.start[:], trace[0])
 	prove := func(workers int) *Proof {
-		params := DefaultParams
-		params.Parallelism = workers
-		proof, err := Prove(a, trace, transcript.New("fib-par"), params)
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		proof, err := Prove(a, trace, transcript.New("fib-par"), DefaultParams)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}

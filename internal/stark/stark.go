@@ -37,13 +37,6 @@ import (
 type Params struct {
 	// FriParams configures the low-degree test.
 	FriParams fri.Params
-	// Parallelism bounds the prover worker fan-out across LDE columns,
-	// composition chunks, and FRI folding (0 = GOMAXPROCS, 1 = serial).
-	// It never changes proof bytes: every split is exact arithmetic
-	// over disjoint index ranges. When it is not 1 the AIR's EvalLocal
-	// and EvalTransition are called from multiple goroutines and must
-	// be safe for concurrent use.
-	Parallelism int
 }
 
 // DefaultParams are demo-grade parameters.
@@ -113,7 +106,10 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 	}
 	bound, domain := layout(n, a.MaxDegree())
 	step := domain / n
-	workers := params.Parallelism
+	// LDE columns, composition chunks and FRI folding fan out across
+	// par.Workers(). Proof bytes never depend on the width: every split
+	// is exact arithmetic over disjoint index ranges.
+	workers := par.Workers()
 
 	// Column-wise LDE, columns fanned out across workers. Every buffer
 	// is pooled scratch: the column coefficients are interpolated in
@@ -145,7 +141,7 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 		}
 		return out
 	}
-	traceTree := merkle.BuildLeavesParallel(domain, workers, func(leaves []merkle.Hash) {
+	traceTree := merkle.BuildLeaves(domain, func(leaves []merkle.Hash) {
 		par.ForChunks(workers, domain, func(lo, hi int) {
 			rowBuf := make([]byte, 8*cols)
 			for i := lo; i < hi; i++ {
@@ -167,11 +163,7 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 	// Composition evaluation over the LDE domain.
 	comp := composition(a, n, domain, step, alphas, bnds, lde, workers)
 
-	friParams := params.FriParams
-	if friParams.Parallelism == 0 {
-		friParams.Parallelism = params.Parallelism
-	}
-	friProof, err := fri.Prove(comp, bound, shift, tr, friParams)
+	friProof, err := fri.Prove(comp, bound, shift, tr, params.FriParams)
 	if err != nil {
 		poly.PutBuf(comp)
 		return nil, fmt.Errorf("stark: fri: %w", err)

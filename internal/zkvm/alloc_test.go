@@ -157,7 +157,7 @@ func TestCommitTablesMatchUnfused(t *testing.T) {
 					t.Fatalf("width %d, label %d, %d records: leaf %d differs from the unfused leaf", width, tab.label, tab.n, j)
 				}
 			}
-			want := merkle.BuildHashesParallel(hashes, 1)
+			want := merkle.BuildHashes(hashes)
 			if tab.tree.Root() != want.Root() {
 				t.Fatalf("width %d, %d records: fused commit root differs from unfused reference", width, tab.n)
 			}

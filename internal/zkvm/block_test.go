@@ -92,7 +92,7 @@ func TestColumnLeafShape(t *testing.T) {
 			for i := range perRecord {
 				perRecord[i] = saltedLeafHash(tab.salts.deriveSalt(tab.label, i), recordBytes(tab, i))
 			}
-			perRecordTree := merkle.BuildHashesParallel(perRecord, 1)
+			perRecordTree := merkle.BuildHashes(perRecord)
 			proof, _ := perRecordTree.Prove(2)
 			perRecordOpening := Opening{Index: 2, Salt: tab.salts.deriveSalt(tab.label, 2), Data: recordBytes(tab, 2), Path: proof.Path}
 			if !merkle.Verify(perRecordTree.Root(), saltedLeafHash(perRecordOpening.Salt, perRecordOpening.Data), proof) {
@@ -230,10 +230,10 @@ func newBlockFixtures(t testing.TB) *blockFixtures {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fx.mono, err = proveExecutionSeeded(ex, ProveOptions{Checks: 12, Parallelism: 1}, &[32]byte{0xb1, 0x0c}); err != nil {
+	if fx.mono, err = proveExecutionSeeded(ex, ProveOptions{Checks: 12}, &[32]byte{0xb1, 0x0c}); err != nil {
 		t.Fatal(err)
 	}
-	fx.comp = mustComposite(t, fx.segProg, []uint32{120, 7}, ProveOptions{Checks: 6, SegmentCycles: 512, Parallelism: 1})
+	fx.comp = mustComposite(t, fx.segProg, []uint32{120, 7}, ProveOptions{Checks: 6, SegmentCycles: 512})
 	if fx.monoBytes, err = fx.mono.MarshalBinary(); err != nil {
 		t.Fatal(err)
 	}

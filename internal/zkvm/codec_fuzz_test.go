@@ -13,7 +13,7 @@ func fuzzReceiptBytes(f *testing.F) []byte {
 	if err != nil {
 		f.Fatal(err)
 	}
-	r, err := ProveExecution(ex, ProveOptions{Checks: 4})
+	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 4}, &[32]byte{})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -43,7 +43,7 @@ func TestMonolithicIsTheGenesisFinalSegment(t *testing.T) {
 func TestOneSegmentCompositeAgreesWithMonolithic(t *testing.T) {
 	prog, input := segTestProgram(t), []uint32{40, 5}
 	opts := ProveOptions{Checks: 8, SegmentCycles: 1 << 20}
-	mono, err := ProveWithSeed(prog, input, opts, segTestSeed)
+	mono, err := proveMonoSeeded(prog, input, opts, &segTestSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -336,7 +336,7 @@ func TestStrictExecLeaves(t *testing.T) {
 	}
 	forged := word(leafAt(prog, rows, j*leafRecords, leafRecords), add%leafRecords, 1)
 	hashes[j] = saltedLeafHash(tab.salts.deriveSalt(treeExec, j), forged)
-	tree := merkle.BuildHashesParallel(hashes, 1)
+	tree := merkle.BuildHashes(hashes)
 	proof, _ := tree.Prove(j)
 	o := Opening{Index: j, Salt: tab.salts.deriveSalt(treeExec, j), Data: forged, Path: proof.Path}
 	col := column{root: tree.Root(), n: len(rows), recBytes: rowBytes, witnessed: true}
@@ -474,7 +474,7 @@ func TestTamperedWitnessCaught(t *testing.T) {
 	ex, _ = Execute(dead, nil, ExecOptions{})
 	ex.Rows[5].Regs[R6] ^= 0x10
 	ex.MemLog[1].Val ^= 0x10
-	r, err := ProveExecution(ex, ProveOptions{Checks: 3000})
+	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 3000}, &[32]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestExportedExecuteLeavesSlabPool(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))  // and a slab parked on another P is out of reach
 	prog, input := loopProgram(), []uint32{40_000}
 	prove := func() {
-		if _, err := Prove(prog, input, ProveOptions{Checks: 2, Parallelism: 1}); err != nil {
+		if _, err := Prove(prog, input, ProveOptions{Checks: 2}); err != nil {
 			t.Fatal(err)
 		}
 	}

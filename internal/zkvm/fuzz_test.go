@@ -92,7 +92,7 @@ func TestRandomProgramsProveAndVerify(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: execute: %v", trial, err)
 		}
-		r, err := ProveExecution(ex, ProveOptions{Checks: 6})
+		r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 6}, &[32]byte{})
 		if err != nil {
 			t.Fatalf("trial %d: prove: %v", trial, err)
 		}
@@ -130,7 +130,7 @@ func TestRandomTraceTamperRejected(t *testing.T) {
 			i := rng.Intn(len(ex.MemLog))
 			ex.MemLog[i].Val ^= 1 << rng.Intn(32)
 		}
-		r, err := ProveExecution(ex, ProveOptions{Checks: 3000})
+		r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 3000}, &[32]byte{})
 		if err != nil {
 			continue // some tampering already breaks sealing; fine
 		}

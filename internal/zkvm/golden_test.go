@@ -58,7 +58,7 @@ func TestGoldenReceipt(t *testing.T) {
 // import, exit and cover families).
 func TestGoldenComposite(t *testing.T) {
 	prog := segTestProgram(t)
-	c, err := ProveSegmentedWithSeed(prog, []uint32{300, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 10}, segTestSeed)
+	c, err := proveSegmentedSeeded(prog, []uint32{300, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 10}, &segTestSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

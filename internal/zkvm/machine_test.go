@@ -82,8 +82,14 @@ func checkAgainstReference(prog *Program, input []uint32, opts ExecOptions, cuts
 			return fmt.Errorf("cut %d, count-only: %d segments, exit %d, journal %v; reference %d, %d, %v",
 				cut, m.nsegs, m.exitCode(), m.journal, wantN, wantExit, wantJournal)
 		}
-		n, err := PlanSegments(prog, input, ProveOptions{SegmentCycles: cut, MaxSteps: opts.MaxSteps, AllowNonZeroExit: true})
-		if err != nil || n != len(wantSegs) {
+		// The run fit opts.MaxSteps, so it fits the prover's larger budget.
+		n, err := PlanSegments(prog, input, ProveOptions{SegmentCycles: cut})
+		if wantExit != 0 {
+			var abort *GuestAbortError
+			if !errors.As(err, &abort) || abort.ExitCode != wantExit {
+				return fmt.Errorf("cut %d: PlanSegments = %v; reference exits %d", cut, err, wantExit)
+			}
+		} else if err != nil || n != len(wantSegs) {
 			return fmt.Errorf("cut %d: PlanSegments = %d, %v; reference traced %d segments", cut, n, err, len(wantSegs))
 		}
 	}

@@ -2,6 +2,7 @@ package zkvm
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"zkflow/internal/field"
@@ -50,12 +51,13 @@ func parallelTestExecution(t testing.TB, words int) *Execution {
 
 // TestParallelProveDeterminism asserts the tentpole guarantee: for a
 // fixed salt seed, the parallel prover emits receipts byte-for-byte
-// identical to the fully serial prover at every pool width.
+// identical to the fully serial prover (GOMAXPROCS 1) at every width.
 func TestParallelProveDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	ex := parallelTestExecution(t, 96)
 	seed := [32]byte{7: 1, 13: 0xee, 31: 9}
 
-	serial, err := proveExecutionSeeded(ex, ProveOptions{Checks: 12, Parallelism: 1}, &seed)
+	serial, err := proveExecutionSeeded(ex, ProveOptions{Checks: 12}, &seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +66,8 @@ func TestParallelProveDeterminism(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 3, 4, 7, 32} {
-		r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 12, Parallelism: par}, &seed)
+		runtime.GOMAXPROCS(par)
+		r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 12}, &seed)
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -82,11 +85,11 @@ func TestParallelProveDeterminism(t *testing.T) {
 	}
 }
 
-// TestParallelProveVerifies proves with default (GOMAXPROCS) parallelism
-// through the public API and checks the receipt.
+// TestParallelProveVerifies proves at the width GOMAXPROCS sets and
+// checks the receipt.
 func TestParallelProveVerifies(t *testing.T) {
 	ex := parallelTestExecution(t, 64)
-	r, err := ProveExecution(ex, ProveOptions{Checks: 8})
+	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 8}, &[32]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func TestPlanSegmentsAbortParity(t *testing.T) {
 	a.HaltCode(7)
 	prog := a.MustAssemble()
 	input := []uint32{uint32(minSegmentCycles)}
-	opts := ProveOptions{Checks: 4, SegmentCycles: minSegmentCycles, Parallelism: 1}
+	opts := ProveOptions{Checks: 4, SegmentCycles: minSegmentCycles}
 
 	_, runErr := NewSegmentRun(prog, input, opts, [32]byte{1})
 	var want *GuestAbortError
@@ -91,7 +91,7 @@ func TestPlanSegmentsErrorParity(t *testing.T) {
 	a.ReadInput(2)
 	a.HaltCode(0)
 	starved := a.MustAssemble()
-	opts := ProveOptions{Checks: 4, SegmentCycles: minSegmentCycles, Parallelism: 1}
+	opts := ProveOptions{Checks: 4, SegmentCycles: minSegmentCycles}
 
 	_, tracedErr := executeSegmented(starved, nil, ExecOptions{}, minSegmentCycles)
 	_, planErr := PlanSegments(starved, nil, opts)
@@ -108,8 +108,9 @@ func TestPlanSegmentsErrorParity(t *testing.T) {
 	b.Label("spin")
 	b.Jal(0, "spin")
 	spin := b.MustAssemble()
-	_, planErr = PlanSegments(spin, nil, ProveOptions{MaxSteps: 1000, SegmentCycles: minSegmentCycles})
-	if !errors.Is(planErr, ErrStepLimit) {
-		t.Fatalf("want ErrStepLimit, got %v", planErr)
+	_, tracedErr = executeSegmented(spin, nil, ExecOptions{MaxSteps: 1000}, minSegmentCycles)
+	planErr = newMachine(spin, nil, minSegmentCycles, false).run(1000)
+	if !errors.Is(tracedErr, ErrStepLimit) || !errors.Is(planErr, ErrStepLimit) {
+		t.Fatalf("want ErrStepLimit from both, got traced=%v plan=%v", tracedErr, planErr)
 	}
 }

@@ -13,33 +13,20 @@ import (
 // against a prover cheating on a fraction f of rows is 1-(1-f)^k.
 const DefaultChecks = 48
 
-// ProveOptions configures proof generation.
+// ProveOptions configures proof generation. Prover width is not an
+// option: every crew is par.Workers() wide, and receipts are
+// byte-identical at any width (asserted by the determinism tests).
 type ProveOptions struct {
 	// Checks is the sampled-check count per family (default DefaultChecks).
 	Checks int
-	// Parallelism is the width of the prover's crew: the committed
-	// tables (execution-trace rows, the two memory-log orderings —
-	// which include the hash-precompile's memory rows — and the two
-	// running-product columns) are cut into leaf blocks that the crew
-	// salts, encodes, hashes and reduces, and segments of a segmented
-	// run are sealed side by side. 0 means GOMAXPROCS; 1 is the fully
-	// serial path. Every width produces byte-identical receipts
-	// (asserted by TestParallelProveDeterminism).
-	Parallelism int
 	// SegmentCycles, when positive, enables continuation-style
-	// segmented proving (ProveSegmented / ProveAny): the execution is
-	// cut every SegmentCycles steps and each slice is sealed as an
+	// segmented proving (ProveAny / ProveSeeded): the execution is cut
+	// every SegmentCycles steps and each slice is sealed as an
 	// independent segment receipt chained through committed boundary
 	// states. Values below minSegmentCycles are floored. Zero keeps
 	// the monolithic single-receipt path; Prove itself always ignores
 	// this field.
 	SegmentCycles int
-	// AllowNonZeroExit proves runs that halted with a nonzero exit
-	// code. By default such runs are treated as guest aborts and
-	// refuse to prove — the paper's "failed proof generation" signal.
-	AllowNonZeroExit bool
-	// MaxSteps bounds the guest cycle budget (0 = default).
-	MaxSteps int
 	// Observer, when non-nil, receives per-stage timings (see Stages).
 	// It never affects the receipt bytes; a nil observer costs one
 	// branch per stage.
@@ -58,13 +45,47 @@ func (e *GuestAbortError) Error() string {
 	return fmt.Sprintf("zkvm: guest aborted with exit code %d", e.ExitCode)
 }
 
-// Prove is ProveWithSeed under a fresh random salt seed.
+// Prove executes the guest over the private input and seals the whole
+// run as one receipt under a fresh random salt seed. A run that traps,
+// runs out of DefaultMaxSteps, or halts with a nonzero exit code
+// returns an error and no receipt: tampered telemetry cannot be proven.
 func Prove(prog *Program, input []uint32, opts ProveOptions) (*Receipt, error) {
 	seed, err := newSeed()
 	if err != nil {
 		return nil, err
 	}
-	return ProveWithSeed(prog, input, opts, seed)
+	return proveMonoSeeded(prog, input, opts, &seed)
+}
+
+// ProveAny is ProveSeeded under a fresh random salt seed.
+func ProveAny(prog *Program, input []uint32, opts ProveOptions) (AnyReceipt, error) {
+	seed, err := newSeed()
+	if err != nil {
+		return nil, err
+	}
+	return ProveSeeded(prog, input, opts, seed)
+}
+
+// ProveSeeded proves one guest run under a caller-supplied salt seed,
+// dispatching on opts.SegmentCycles: zero seals the whole run as one
+// *Receipt, a positive value seals a *CompositeReceipt of
+// SegmentCycles-step slices. Byte-deterministic: the same program,
+// input, options and seed produce the same receipt at any width and in
+// any process, which is what lets a prover farm split one run across
+// workers. Traps and guest aborts return an error and no receipt.
+func ProveSeeded(prog *Program, input []uint32, opts ProveOptions, seed [32]byte) (AnyReceipt, error) {
+	if opts.SegmentCycles > 0 {
+		c, err := proveSegmentedSeeded(prog, input, opts, &seed)
+		if err != nil {
+			return nil, err
+		}
+		return c, nil
+	}
+	r, err := proveMonoSeeded(prog, input, opts, &seed)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // newSeed draws a salt seed from the system's randomness.
@@ -75,13 +96,22 @@ func newSeed() (seed [32]byte, err error) {
 	return seed, err
 }
 
-// ProveExecution seals an already-traced execution.
-func ProveExecution(ex *Execution, opts ProveOptions) (*Receipt, error) {
-	seed, err := newSeed()
+// proveMonoSeeded executes the guest and seals the whole run under
+// seed, refusing a nonzero exit.
+func proveMonoSeeded(prog *Program, input []uint32, opts ProveOptions, seed *[32]byte) (*Receipt, error) {
+	execDone := stageTimer(opts.Observer, StageExecute)
+	ex, err := execute(prog, input, ExecOptions{}, true)
+	execDone()
 	if err != nil {
 		return nil, err
 	}
-	return proveExecutionSeeded(ex, opts, &seed)
+	// The execution was created here and neither the receipt nor the
+	// abort aliases its trace slabs, so they can go back to the pool.
+	defer releaseExecution(ex)
+	if ex.ExitCode != 0 {
+		return nil, &GuestAbortError{ExitCode: ex.ExitCode, Journal: ex.Journal}
+	}
+	return proveExecutionSeeded(ex, opts, seed)
 }
 
 // checks resolves the sampled-check count per family.
@@ -92,16 +122,16 @@ func (o ProveOptions) checks() int {
 	return o.Checks
 }
 
-// proveExecutionSeeded is the deterministic core of ProveExecution:
-// given the same execution, options, and salt seed it emits the same
-// receipt byte-for-byte at any Parallelism — all concurrency below is
+// proveExecutionSeeded seals an already-traced execution, whatever its
+// exit code: given the same execution, options, and salt seed it emits
+// the same receipt byte-for-byte at any width — all concurrency below is
 // index-partitioned over committed tables, never order-dependent. A
 // whole run is the segment that enters at genesis and is final, so it
 // has no boundary image to import or to leave; what a monolithic receipt
 // keeps of its own is its statement binding and its encoding.
 func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Receipt, error) {
 	seg := &segmentExecution{ex: ex, final: true, entry: GenesisState()}
-	sr, err := proveSegmentSeeded(seg, opts, seed, nil, nil, par.Workers(opts.Parallelism), monoStatement)
+	sr, err := proveSegmentSeeded(seg, opts, seed, nil, nil, par.Workers(), monoStatement)
 	if err != nil {
 		return nil, err
 	}

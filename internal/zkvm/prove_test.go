@@ -2,6 +2,8 @@ package zkvm
 
 import (
 	"errors"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -90,8 +92,14 @@ func TestVerifyRejectsTamperedJournal(t *testing.T) {
 func TestVerifyRejectsTamperedExitCode(t *testing.T) {
 	prog, r := proveSum(t, 4)
 	r.ExitCode = 1
-	if err := Verify(prog, r, VerifyOptions{AllowNonZeroExit: true}); err == nil {
+	if err := Verify(prog, r, VerifyOptions{}); err == nil {
 		t.Fatal("tampered exit code accepted")
+	}
+	// Relabelling an aborted run as a clean exit contradicts its halt row.
+	prog, aborted := abortedReceipt(t)
+	aborted.ExitCode = 0
+	if err := Verify(prog, aborted, VerifyOptions{}); err == nil {
+		t.Fatal("aborted run verified as a clean exit")
 	}
 }
 
@@ -136,19 +144,30 @@ func TestGuestAbortRefusesToProve(t *testing.T) {
 	}
 }
 
-func TestGuestAbortAllowedWhenOpted(t *testing.T) {
+// abortedReceipt seals a guest that halts with exit code 3. Prove
+// refuses such a run, so it is sealed below the abort check.
+func abortedReceipt(t *testing.T) (*Program, *Receipt) {
+	t.Helper()
 	a := NewAssembler()
 	a.HaltCode(3)
 	prog := a.MustAssemble()
-	r, err := Prove(prog, nil, ProveOptions{AllowNonZeroExit: true, Checks: 4})
+	ex, err := Execute(prog, nil, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(prog, r, VerifyOptions{}); err == nil {
-		t.Fatal("nonzero exit accepted by default verify")
+	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 4}, &[32]byte{3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := Verify(prog, r, VerifyOptions{AllowNonZeroExit: true}); err != nil {
-		t.Fatalf("opted-in verify failed: %v", err)
+	return prog, r
+}
+
+// TestNonZeroExitReceiptRejected: a receipt of an aborted guest never
+// verifies, however it was sealed.
+func TestNonZeroExitReceiptRejected(t *testing.T) {
+	prog, r := abortedReceipt(t)
+	if err := Verify(prog, r, VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "exit code 3") {
+		t.Fatalf("nonzero exit: %v", err)
 	}
 }
 
@@ -354,9 +373,11 @@ func TestSaltsHideUnopenedRows(t *testing.T) {
 }
 
 func TestProveVerifiesAtEveryWidth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	prog := sumProgram()
 	for _, width := range []int{1, 2, 4, 8} {
-		r, err := Prove(prog, sumInput(32), ProveOptions{Checks: 4, Parallelism: width})
+		runtime.GOMAXPROCS(width)
+		r, err := Prove(prog, sumInput(32), ProveOptions{Checks: 4})
 		if err != nil {
 			t.Fatalf("parallelism=%d: %v", width, err)
 		}
@@ -384,7 +405,7 @@ func TestForgedMemoryValueRejected(t *testing.T) {
 			break
 		}
 	}
-	r, err := ProveExecution(ex, ProveOptions{Checks: 400})
+	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 400}, &[32]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +425,7 @@ func TestForgedRegisterRejected(t *testing.T) {
 	ex.Rows[mid].Regs[R6] += 100
 	// Two of ~len(Rows) transitions are now inconsistent; 2000 samples
 	// make the miss probability about e^-33.
-	r, err := ProveExecution(ex, ProveOptions{Checks: 2000})
+	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 2000}, &[32]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func decodeImagePair(b []byte) (imagePair, error) {
 // genesisRoot is the root of the empty boundary image — a zero-leaf
 // tree, which is salt-independent, so every verifier can recompute it.
 var genesisRoot = sync.OnceValue(func() merkle.Hash {
-	t := merkle.BuildLeavesParallel(0, 1, func([]merkle.Hash) {})
+	t := merkle.BuildHashes(nil)
 	r := t.Root()
 	t.Release()
 	return r

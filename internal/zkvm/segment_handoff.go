@@ -19,39 +19,8 @@ import (
 // orders of magnitude under sealing cost — and (b) proves segment i
 // under the same master seed emits the exact bytes the single prover
 // would. The coordinator hands out (program, input, seed, index) tuples
-// and concatenates the returned segment receipts with AssembleComposite.
-
-// ProveSegmentedWithSeed is ProveSegmented under a caller-supplied
-// master salt seed. Byte-deterministic: same program, input, options
-// and seed produce the same composite receipt at any Parallelism (and
-// across processes). Distributed proving uses it as the golden path;
-// callers that do not need determinism should prefer ProveSegmented,
-// which draws a fresh random seed.
-func ProveSegmentedWithSeed(prog *Program, input []uint32, opts ProveOptions, seed [32]byte) (*CompositeReceipt, error) {
-	return proveSegmentedSeeded(prog, input, opts, &seed)
-}
-
-// ProveWithSeed executes the guest over the private input and seals
-// the run under a caller-supplied salt seed — byte-deterministic, the
-// whole-run counterpart of ProveSegmentedWithSeed, used for farm jobs
-// small enough to dispatch as a single unit. Trapped or aborted
-// executions return an error and no receipt: tampered telemetry cannot
-// be proven.
-func ProveWithSeed(prog *Program, input []uint32, opts ProveOptions, seed [32]byte) (*Receipt, error) {
-	execDone := stageTimer(opts.Observer, StageExecute)
-	ex, err := execute(prog, input, ExecOptions{MaxSteps: opts.MaxSteps}, true)
-	execDone()
-	if err != nil {
-		return nil, err
-	}
-	// The execution was created here and neither the receipt nor the
-	// abort aliases its trace slabs, so they can go back to the pool.
-	defer releaseExecution(ex)
-	if ex.ExitCode != 0 && !opts.AllowNonZeroExit {
-		return nil, &GuestAbortError{ExitCode: ex.ExitCode, Journal: ex.Journal}
-	}
-	return proveExecutionSeeded(ex, opts, &seed)
-}
+// and puts the returned segment receipts in index order; VerifyComposite
+// decides whether they form a chain.
 
 // PlanSegments executes the guest (emulation only, no tracing, no
 // sealing) and returns the number of segments a segmented prove with
@@ -66,13 +35,13 @@ func ProveWithSeed(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 // input cursor and the journal (needed for guest-abort parity) are
 // kept, so planning runs at raw emulation speed and allocates almost
 // nothing. Guest aborts, traps and step-limit errors surface exactly
-// as they would from ProveSegmented.
+// as they would from ProveSeeded.
 func PlanSegments(prog *Program, input []uint32, opts ProveOptions) (int, error) {
 	m := newMachine(prog, input, opts.SegmentCycles, false)
-	if err := m.run(opts.MaxSteps); err != nil {
+	if err := m.run(0); err != nil {
 		return 0, err
 	}
-	if code := m.exitCode(); code != 0 && !opts.AllowNonZeroExit {
+	if code := m.exitCode(); code != 0 {
 		return 0, &GuestAbortError{ExitCode: code, Journal: append([]uint32{}, m.journal...)}
 	}
 	return m.nsegs, nil
@@ -85,7 +54,6 @@ func PlanSegments(prog *Program, input []uint32, opts ProveOptions) (int, error)
 // slice. ProveSegment is safe for concurrent use. Call Release when
 // done to return the trace slabs to their pools.
 type SegmentRun struct {
-	prog *Program
 	opts ProveOptions
 	seed [32]byte
 
@@ -101,17 +69,15 @@ type SegmentRun struct {
 
 // NewSegmentRun executes the guest, builds the boundary-image trees
 // under the master seed, and returns a run ready to prove any segment.
-// The boundary MemRoots are fixed at construction, so concurrent
-// ProveSegment calls only read shared state.
+// A guest that halts nonzero returns *GuestAbortError and no run.
 func NewSegmentRun(prog *Program, input []uint32, opts ProveOptions, seed [32]byte) (*SegmentRun, error) {
 	execDone := stageTimer(opts.Observer, StageExecute)
-	segs, err := executeSegmented(prog, input, ExecOptions{MaxSteps: opts.MaxSteps}, opts.SegmentCycles)
+	segs, err := executeSegmented(prog, input, ExecOptions{}, opts.SegmentCycles)
 	execDone()
 	if err != nil {
 		return nil, err
 	}
-	last := segs[len(segs)-1]
-	if last.ex.ExitCode != 0 && !opts.AllowNonZeroExit {
+	if last := segs[len(segs)-1]; last.ex.ExitCode != 0 {
 		journal := make([]uint32, 0)
 		for _, s := range segs {
 			journal = append(journal, s.ex.Journal...)
@@ -119,36 +85,42 @@ func NewSegmentRun(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 		releaseSegments(segs)
 		return nil, &GuestAbortError{ExitCode: last.ex.ExitCode, Journal: journal}
 	}
+	return commitBoundaries(segs, opts, seed), nil
+}
 
-	r := &SegmentRun{prog: prog, opts: opts, seed: seed, segs: segs}
+// commitBoundaries builds the run's boundary-image trees under seed,
+// whatever the run's exit code. The boundary MemRoots are fixed here,
+// so concurrent ProveSegment calls only read shared state.
+func commitBoundaries(segs []*segmentExecution, opts ProveOptions, seed [32]byte) *SegmentRun {
+	r := &SegmentRun{opts: opts, seed: seed, segs: segs}
 	bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
 	r.bnd = make([]*table, len(segs)+1)
 	for k := 1; k < len(segs); k++ {
 		sub := deriveSubSeed(&seed, "bnd", k)
 		r.bnd[k] = imageTable(newSalter(&sub), segs[k].entryImg)
 	}
-	commitTables(par.Workers(opts.Parallelism), r.bnd[1:len(segs)]...)
+	commitTables(par.Workers(), r.bnd[1:len(segs)]...)
 	for k := 1; k < len(segs); k++ {
 		root := r.bnd[k].tree.Root()
 		segs[k].entry.MemRoot = root
 		segs[k-1].exit.MemRoot = root
 	}
 	bndDone()
-	return r, nil
+	return r
 }
 
 // Segments returns the segment count of the run.
 func (r *SegmentRun) Segments() int { return len(r.segs) }
 
 // ProveSegment seals segment index under the run's master seed. The
-// returned receipt is byte-identical to Segments[index] of
-// ProveSegmentedWithSeed(prog, input, opts, seed). Safe to call
+// returned receipt is byte-identical to Segments[index] of the
+// composite ProveSeeded(prog, input, opts, seed) returns. Safe to call
 // concurrently for different (or equal) indices.
 func (r *SegmentRun) ProveSegment(index int) (*SegmentReceipt, error) {
 	if index < 0 || index >= len(r.segs) {
 		return nil, fmt.Errorf("zkvm: segment index %d out of range [0,%d)", index, len(r.segs))
 	}
-	return r.proveSegment(index, par.Workers(r.opts.Parallelism))
+	return r.proveSegment(index, par.Workers())
 }
 
 // proveSegment seals segment index on a crew of width workers.
@@ -166,46 +138,6 @@ func (r *SegmentRun) Release() {
 		}
 		releaseSegments(r.segs)
 	})
-}
-
-// AssembleComposite orders independently proved segment receipts by
-// index and checks they form one coherent chain: contiguous indices
-// from zero, exactly one receipt per index, one final segment at the
-// end, a single image ID, and exit(i) == entry(i+1) linkage. It does
-// NOT verify the seals — callers that need cryptographic assurance run
-// VerifyComposite on the result.
-func AssembleComposite(receipts []*SegmentReceipt) (*CompositeReceipt, error) {
-	n := len(receipts)
-	if n == 0 {
-		return nil, errors.New("zkvm: assemble: no segment receipts")
-	}
-	ordered := make([]*SegmentReceipt, n)
-	for _, sr := range receipts {
-		if sr == nil {
-			return nil, errors.New("zkvm: assemble: nil segment receipt")
-		}
-		i := int(sr.Index)
-		if i >= n {
-			return nil, fmt.Errorf("zkvm: assemble: segment index %d with only %d receipts", i, n)
-		}
-		if ordered[i] != nil {
-			return nil, fmt.Errorf("zkvm: assemble: duplicate receipt for segment %d", i)
-		}
-		ordered[i] = sr
-	}
-	img := ordered[0].ImageID
-	for i, sr := range ordered {
-		if sr.ImageID != img {
-			return nil, fmt.Errorf("zkvm: assemble: segment %d image mismatch", i)
-		}
-		if sr.Final != (i == n-1) {
-			return nil, fmt.Errorf("zkvm: assemble: segment %d final flag %v in a %d-segment chain", i, sr.Final, n)
-		}
-		if i > 0 && ordered[i].Entry != ordered[i-1].Exit {
-			return nil, fmt.Errorf("zkvm: assemble: boundary %d entry/exit mismatch", i)
-		}
-	}
-	return &CompositeReceipt{Segments: ordered}, nil
 }
 
 // MarshalSegmentReceipt encodes one segment receipt standalone — the

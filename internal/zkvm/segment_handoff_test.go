@@ -25,19 +25,19 @@ func handoffProgram(t *testing.T) (*Program, []uint32) {
 }
 
 func handoffOpts() ProveOptions {
-	return ProveOptions{Checks: 4, SegmentCycles: minSegmentCycles, Parallelism: 1}
+	return ProveOptions{Checks: 4, SegmentCycles: minSegmentCycles}
 }
 
 // TestSegmentRunMatchesSingleProver is the distributed-proving
 // contract: proving each segment independently through SegmentRun and
-// assembling yields byte-identical output to ProveSegmentedWithSeed
-// under the same master seed.
+// putting the receipts in index order yields byte-identical output to
+// the single prover under the same master seed.
 func TestSegmentRunMatchesSingleProver(t *testing.T) {
 	prog, input := handoffProgram(t)
 	opts := handoffOpts()
 	seed := [32]byte{1, 2, 3, 4}
 
-	golden, err := ProveSegmentedWithSeed(prog, input, opts, seed)
+	golden, err := proveSegmentedSeeded(prog, input, opts, &seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSegmentRunMatchesSingleProver(t *testing.T) {
 
 	// Prove each segment in its own run (as distinct workers would),
 	// round-tripping through the wire codec, in scrambled order.
-	var receipts []*SegmentReceipt
+	receipts := make([]*SegmentReceipt, n)
 	for i := n - 1; i >= 0; i-- {
 		run, err := NewSegmentRun(prog, input, opts, seed)
 		if err != nil {
@@ -77,13 +77,10 @@ func TestSegmentRunMatchesSingleProver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		receipts = append(receipts, back)
+		receipts[i] = back
 		run.Release()
 	}
-	c, err := AssembleComposite(receipts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := &CompositeReceipt{Segments: receipts}
 	got, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +100,7 @@ func TestSegmentRunConcurrent(t *testing.T) {
 	opts := handoffOpts()
 	seed := [32]byte{9}
 
-	golden, err := ProveSegmentedWithSeed(prog, input, opts, seed)
+	golden, err := proveSegmentedSeeded(prog, input, opts, &seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,10 +127,7 @@ func TestSegmentRunConcurrent(t *testing.T) {
 			t.Fatalf("segment %d: %v", i, e)
 		}
 	}
-	c, err := AssembleComposite(receipts)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := &CompositeReceipt{Segments: receipts}
 	got, _ := c.MarshalBinary()
 	want, _ := golden.MarshalBinary()
 	if !bytes.Equal(got, want) {
@@ -141,65 +135,27 @@ func TestSegmentRunConcurrent(t *testing.T) {
 	}
 }
 
-// TestAssembleCompositeRejects exercises the chain-shape validation.
-func TestAssembleCompositeRejects(t *testing.T) {
+// TestProveSeededDeterministic pins the seeded prover on both of its
+// paths: the same seed gives the same bytes, whole run or segmented.
+func TestProveSeededDeterministic(t *testing.T) {
 	prog, input := handoffProgram(t)
-	opts := handoffOpts()
-	seed := [32]byte{7}
-	golden, err := ProveSegmentedWithSeed(prog, input, opts, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	segs := golden.Segments
-	if len(segs) < 3 {
-		t.Fatalf("want >=3 segments, got %d", len(segs))
-	}
-	if _, err := AssembleComposite(nil); err == nil {
-		t.Error("empty set accepted")
-	}
-	if _, err := AssembleComposite(segs[:len(segs)-1]); err == nil {
-		t.Error("missing final segment accepted")
-	}
-	if _, err := AssembleComposite([]*SegmentReceipt{segs[0], segs[1], segs[1]}); err == nil {
-		t.Error("duplicate segment accepted")
-	}
-	if _, err := AssembleComposite(segs[1:]); err == nil {
-		t.Error("chain not starting at 0 accepted")
-	}
-	// Order independence: reversed input assembles fine.
-	rev := make([]*SegmentReceipt, len(segs))
-	for i, s := range segs {
-		rev[len(segs)-1-i] = s
-	}
-	if _, err := AssembleComposite(rev); err != nil {
-		t.Errorf("reversed order rejected: %v", err)
-	}
-}
-
-// TestProveWithSeedDeterministic pins the whole-job deterministic path.
-func TestProveWithSeedDeterministic(t *testing.T) {
-	a := NewAssembler()
-	a.ReadInput(R2)
-	a.ReadInput(R3)
-	a.Add(R4, R2, R3)
-	a.WriteJournal(R4)
-	a.HaltCode(0)
-	prog := a.MustAssemble()
 	seed := [32]byte{42}
-	r1, err := ProveWithSeed(prog, []uint32{20, 22}, ProveOptions{Checks: 4}, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := ProveWithSeed(prog, []uint32{20, 22}, ProveOptions{Checks: 4}, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b1, _ := r1.MarshalBinary()
-	b2, _ := r2.MarshalBinary()
-	if !bytes.Equal(b1, b2) {
-		t.Fatal("ProveWithSeed not deterministic")
-	}
-	if err := Verify(prog, r1, VerifyOptions{}); err != nil {
-		t.Fatal(err)
+	for _, opts := range []ProveOptions{{Checks: 4}, handoffOpts()} {
+		r1, err := ProveSeeded(prog, input, opts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := ProveSeeded(prog, input, opts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b1, _ := r1.MarshalBinary()
+		b2, _ := r2.MarshalBinary()
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("SegmentCycles=%d: ProveSeeded not deterministic", opts.SegmentCycles)
+		}
+		if err := VerifyAny(prog, r1, VerifyOptions{}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -22,43 +22,20 @@ func wordsToBytes(words []uint32) []byte {
 	return out
 }
 
-// ProveSegmented executes the guest and proves it as a chain of
-// bounded-cycle segment receipts (opts.SegmentCycles steps each; 0 or
-// anything below minSegmentCycles is floored). Segments are proved
-// concurrently up to opts.Parallelism; the composite receipt is
-// byte-deterministic for a fixed salt seed regardless of parallelism,
-// because every segment and boundary derives an independent sub-seed
-// by index.
-func ProveSegmented(prog *Program, input []uint32, opts ProveOptions) (*CompositeReceipt, error) {
-	seed, err := newSeed()
-	if err != nil {
-		return nil, err
-	}
-	return proveSegmentedSeeded(prog, input, opts, &seed)
-}
-
-// ProveAny dispatches on opts.SegmentCycles: zero preserves today's
-// single-segment receipts (and their exact bytes); positive values
-// produce a composite receipt of SegmentCycles-step slices.
-func ProveAny(prog *Program, input []uint32, opts ProveOptions) (AnyReceipt, error) {
-	if opts.SegmentCycles > 0 {
-		return ProveSegmented(prog, input, opts)
-	}
-	return Prove(prog, input, opts)
-}
-
-// proveSegmentedSeeded is the deterministic core of ProveSegmented: a
-// SegmentRun whose segments are sealed side by side. A crew claims
-// them by index, each sealed under its own derived sub-seed with an
-// even share of the width, so receipt bytes never depend on widths or
-// scheduling (asserted by the determinism tests).
+// proveSegmentedSeeded executes the guest and proves it as a chain of
+// bounded-cycle segment receipts (opts.SegmentCycles steps each,
+// floored to minSegmentCycles): a SegmentRun whose segments are sealed
+// side by side. A crew claims them by index, each sealed under its own
+// derived sub-seed with an even share of the width, so receipt bytes
+// never depend on widths or scheduling (asserted by the determinism
+// tests).
 func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed *[32]byte) (*CompositeReceipt, error) {
 	run, err := NewSegmentRun(prog, input, opts, *seed)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Release()
-	n, width := run.Segments(), par.Workers(opts.Parallelism)
+	n, width := run.Segments(), par.Workers()
 	receipts := make([]*SegmentReceipt, n)
 	errs := make([]error, n)
 	par.Each(width, n, func(i int) {

@@ -3,6 +3,7 @@ package zkvm
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -69,7 +70,7 @@ func mustComposite(t testing.TB, prog *Program, input []uint32, opts ProveOption
 func TestSegmentedProveVerify(t *testing.T) {
 	prog := segTestProgram(t)
 	input := []uint32{3000, 5}
-	c := mustComposite(t, prog, input, ProveOptions{Checks: 8, SegmentCycles: 1 << 10, Parallelism: 2})
+	c := mustComposite(t, prog, input, ProveOptions{Checks: 8, SegmentCycles: 1 << 10})
 	if c.NumSegments() < 4 {
 		t.Fatalf("expected >= 4 segments, got %d", c.NumSegments())
 	}
@@ -143,9 +144,10 @@ func TestSegmentedSingleSegment(t *testing.T) {
 
 // TestSegmentedDeterminism is the tentpole guarantee: same input +
 // same SegmentCycles => byte-identical composite receipt at any
-// parallelism (for a fixed salt seed). SegmentCycles = 0 is the
+// GOMAXPROCS (for a fixed salt seed). SegmentCycles = 0 is the
 // single-receipt path, asserted through proveExecutionSeeded.
 func TestSegmentedDeterminism(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	prog := segTestProgram(t)
 	input := []uint32{3000, 5}
 	for _, segCycles := range []int{0, 1 << 10, 1 << 14} {
@@ -156,7 +158,8 @@ func TestSegmentedDeterminism(t *testing.T) {
 			}
 			var want []byte
 			for _, par := range []int{1, 2, 3, 4, 7} {
-				r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 8, Parallelism: par}, &segTestSeed)
+				runtime.GOMAXPROCS(par)
+				r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 8}, &segTestSeed)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -176,8 +179,8 @@ func TestSegmentedDeterminism(t *testing.T) {
 		var want []byte
 		var wantSegs int
 		for _, par := range []int{1, 2, 3, 4, 7} {
-			c := mustComposite(t, prog, input,
-				ProveOptions{Checks: 8, SegmentCycles: segCycles, Parallelism: par})
+			runtime.GOMAXPROCS(par)
+			c := mustComposite(t, prog, input, ProveOptions{Checks: 8, SegmentCycles: segCycles})
 			got, err := c.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
@@ -316,8 +319,9 @@ func TestCompositeAdversarial(t *testing.T) {
 	}
 }
 
-// TestSegmentedAbort: a guest that halts nonzero refuses to prove by
-// default and carries the full concatenated journal in the abort.
+// TestSegmentedAbort: a guest that halts nonzero refuses to prove and
+// carries the full concatenated journal in the abort; a composite
+// sealed from the aborted run anyway does not verify.
 func TestSegmentedAbort(t *testing.T) {
 	a := NewAssembler()
 	a.ReadInput(2)
@@ -335,7 +339,8 @@ func TestSegmentedAbort(t *testing.T) {
 		t.Fatal(err)
 	}
 	input := []uint32{400}
-	_, err = proveSegmentedSeeded(prog, input, ProveOptions{Checks: 4, SegmentCycles: 128}, &segTestSeed)
+	opts := ProveOptions{Checks: 4, SegmentCycles: 128}
+	_, err = proveSegmentedSeeded(prog, input, opts, &segTestSeed)
 	var abort *GuestAbortError
 	if !errors.As(err, &abort) {
 		t.Fatalf("expected GuestAbortError, got %v", err)
@@ -343,25 +348,33 @@ func TestSegmentedAbort(t *testing.T) {
 	if abort.ExitCode != 9 || len(abort.Journal) != 1 || abort.Journal[0] != 400 {
 		t.Fatalf("abort carries %+v", abort)
 	}
-	c, err := proveSegmentedSeeded(prog, input,
-		ProveOptions{Checks: 4, SegmentCycles: 128, AllowNonZeroExit: true}, &segTestSeed)
+
+	// Seal the run below the abort check.
+	segs, err := executeSegmented(prog, input, ExecOptions{}, opts.SegmentCycles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyComposite(prog, c, VerifyOptions{}); err == nil {
-		t.Fatal("nonzero exit verified without AllowNonZeroExit")
+	run := commitBoundaries(segs, opts, segTestSeed)
+	defer run.Release()
+	c := &CompositeReceipt{Segments: make([]*SegmentReceipt, run.Segments())}
+	for i := range c.Segments {
+		if c.Segments[i], err = run.ProveSegment(i); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := VerifyComposite(prog, c, VerifyOptions{AllowNonZeroExit: true}); err != nil {
-		t.Fatal(err)
+	if c.NumSegments() < 2 {
+		t.Fatalf("want a multi-segment chain, got %d", c.NumSegments())
+	}
+	if err := VerifyComposite(prog, c, VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "exit code 9") {
+		t.Fatalf("nonzero exit: %v", err)
 	}
 }
 
-// TestSegmentedStepLimit: MaxSteps bounds the total cycle count across
-// segments.
+// TestSegmentedStepLimit: the step budget bounds the total cycle count
+// across segments.
 func TestSegmentedStepLimit(t *testing.T) {
 	prog := segTestProgram(t)
-	_, err := proveSegmentedSeeded(prog, []uint32{3000, 5},
-		ProveOptions{Checks: 4, SegmentCycles: 1 << 10, MaxSteps: 2000}, &segTestSeed)
+	_, err := executeSegmented(prog, []uint32{3000, 5}, ExecOptions{MaxSteps: 2000}, 1<<10)
 	if !errors.Is(err, ErrStepLimit) {
 		t.Fatalf("expected ErrStepLimit, got %v", err)
 	}

@@ -62,7 +62,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 		return vErr("empty trace")
 	}
 	if sr.Final {
-		if sr.ExitCode != 0 && !opts.AllowNonZeroExit {
+		if sr.ExitCode != 0 {
 			return vErr("guest exit code %d", sr.ExitCode)
 		}
 		if sr.Exit != (SegmentState{}) {

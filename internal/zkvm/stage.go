@@ -7,8 +7,7 @@ import "time"
 // publishes (prover.stage.<name>_seconds); `go run ./bench -trace 1`
 // prints the breakdown EXPERIMENTS.md records.
 const (
-	// StageExecute is guest execution + trace recording (Prove only;
-	// ProveExecution starts from an already-traced run).
+	// StageExecute is guest execution + trace recording.
 	StageExecute = "execute"
 	// StageMemSort is the address-ordered re-sort of the memory log.
 	StageMemSort = "mem_sort"

@@ -7,12 +7,10 @@ import (
 	"zkflow/internal/field"
 )
 
-// VerifyOptions configures receipt verification.
+// VerifyOptions configures receipt verification. A receipt whose
+// guest halted with a nonzero exit code — an integrity check failed
+// inside the guest — never verifies.
 type VerifyOptions struct {
-	// AllowNonZeroExit accepts receipts of aborted guests. Off by
-	// default: a nonzero exit code means an integrity check failed
-	// inside the guest.
-	AllowNonZeroExit bool
 	// MinChecks rejects seals whose sampled-check count is below this
 	// floor. The prover chooses k, so a verifier that cares about a
 	// specific soundness level MUST set this (e.g. DefaultChecks);
