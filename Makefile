@@ -58,7 +58,7 @@ fuzz:
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
 
 # Farm lane: the prover-farm fault-injection suite, run twice — the
-# failover paths (requeue, steal, duplicate suppression) are timing
+# failover paths (requeue, redispatch, duplicate suppression) are timing
 # sensitive by nature, so one green run is not evidence enough.
 farm:
 	$(GO) test ./internal/remote -run='TestFarmFault' -count=2
@@ -107,7 +107,7 @@ bench-commit:
 	$(GO) test -bench='NTTInto|Butterflies' -benchmem -run=^$$ ./internal/poly ./internal/field
 	$(GO) test -bench=ProveParallel -benchmem -cpu 1 -run=^$$ .
 
-# Non-test Go lines, by the one definition ROADMAP item 4 counts with.
+# Non-test Go lines, by the one definition ROADMAP aim 2 counts with.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l
 

@@ -19,6 +19,7 @@ import (
 	"zkflow/internal/guest"
 	"zkflow/internal/ledger"
 	"zkflow/internal/merkle"
+	"zkflow/internal/netflow"
 	"zkflow/internal/query"
 	"zkflow/internal/router"
 	"zkflow/internal/stark"
@@ -54,11 +55,11 @@ func genesisInput(seed int64, records int) *guest.AggInput {
 }
 
 func entriesOf(in *guest.AggInput) []clog.Entry {
-	c := clog.New()
+	var batches [][]netflow.Record
 	for _, b := range in.Routers {
-		c.MergeBatch(b.Records)
+		batches = append(batches, b.Records)
 	}
-	return c.Entries()
+	return guest.ReferenceAggregate(nil, batches...)
 }
 
 // BenchmarkAggregationProof is E1/Figure 4's aggregation series.

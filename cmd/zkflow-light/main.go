@@ -37,7 +37,7 @@ func main() {
 		serverURL = flag.String("server", "http://127.0.0.1:8471", "zkflowd base URL")
 		stateFile = flag.String("state", "zkflow-light.json", "pinned checkpoint state file")
 		pinEpoch  = flag.Int64("pin-epoch", -1, "on first run, pin the checkpoint sealed for this epoch (-1 = latest)")
-		samples   = flag.Int("samples", 0, "aggregation rounds to spot-verify (0 = server suggestion, -1 = none)")
+		samples   = flag.Int("samples", 0, "aggregation rounds to spot-verify (0 = server suggestion)")
 		seed      = flag.Int64("seed", 0, "sampling seed (0 = random)")
 		minChecks = flag.Int("min-checks", zkvm.DefaultChecks, "minimum sampled checks a receipt seal must carry")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request HTTP timeout")

@@ -50,7 +50,6 @@ func main() {
 
 		ingestAddr    = flag.String("ingest-addr", "", "UDP collector listen address for NetFlow v9 / sFlow exports (empty = simulated collection)")
 		ingestShards  = flag.Int("ingest-shards", 4, "ingest worker shards (routers map to shards by ID)")
-		ingestSockets = flag.Int("ingest-sockets", 1, "SO_REUSEPORT UDP sockets on the collector port (Linux; >1 spreads datagrams across sockets)")
 		epochInterval = flag.Duration("epoch-interval", 5*time.Second, "epoch seal interval in ingest mode")
 		replayRecords = flag.Int("replay-records", 0, "self-replay this many records per router per epoch over UDP into the collector (demo/smoke mode)")
 	)
@@ -150,7 +149,6 @@ func main() {
 		pl, err := ingest.New(st, lg, ingest.Config{
 			Addr:          *ingestAddr,
 			Shards:        *ingestShards,
-			Sockets:       *ingestSockets,
 			EpochInterval: *epochInterval,
 			Metrics:       reg,
 			OnSeal: func(s ingest.Seal) {
@@ -199,7 +197,7 @@ func main() {
 				}
 			}()
 		}
-		log.Printf("ingest collector on udp://%s (%d sockets, %d shards, sealing every %v)", *ingestAddr, pl.Sockets(), *ingestShards, *epochInterval)
+		log.Printf("ingest collector on udp://%s (%d shards, sealing every %v)", pl.Addr(), *ingestShards, *epochInterval)
 	} else {
 		sim := router.NewSim(trafficgen.Config{
 			Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss,

@@ -374,9 +374,7 @@ func (s *Server) immutable(w http.ResponseWriter, r *http.Request, etag string) 
 	w.Header().Set("Cache-Control", "public, max-age=31536000, immutable")
 	if etagMatches(r.Header.Get("If-None-Match"), etag) {
 		w.WriteHeader(http.StatusNotModified)
-		if s.notModified != nil {
-			s.notModified.Inc()
-		}
+		s.notModified.Inc()
 		return true
 	}
 	return false
@@ -594,9 +592,7 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	// Counted before the body goes out, for the same reason as the
 	// status class: whoever has read the receipt must see it counted.
-	if s.receiptBytes != nil {
-		s.receiptBytes.Add(uint64(len(rec.bin)))
-	}
+	s.receiptBytes.Add(uint64(len(rec.bin)))
 	if _, err := w.Write(rec.bin); err != nil {
 		log.Printf("api: writing receipt %d: %v", n, err)
 	}

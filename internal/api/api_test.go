@@ -3,10 +3,13 @@ package api
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"zkflow/internal/core"
@@ -228,14 +231,6 @@ func TestLedgerLimitZeroIsCountOnly(t *testing.T) {
 	if over := getPage("?limit=99999"); over.Limit != MaxLedgerPageLimit {
 		t.Fatalf("oversized limit not clamped: %d", over.Limit)
 	}
-	// The client's count-only helper rides the same path.
-	n, err := New(ts.URL, WithHTTPClient(ts.Client())).LedgerTotal(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 4 {
-		t.Fatalf("LedgerTotal = %d, want 4", n)
-	}
 }
 
 // TestLedgerPagination pages a 4-commitment ledger one entry at a
@@ -274,14 +269,40 @@ func TestLedgerPagination(t *testing.T) {
 	if _, err := ledger.FromEntries(total); err != nil {
 		t.Fatal(err)
 	}
-	// The client pages transparently and still verifies the chain.
-	c := New(ts.URL, WithHTTPClient(ts.Client()), WithPageSize(1))
-	lg, err := c.Ledger(context.Background())
+	// The client pages transparently and still verifies the chain, here
+	// through a proxy that serves one entry a page whatever it is asked.
+	var (
+		mu    sync.Mutex
+		pages []string
+	)
+	onePerPage := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		q := r.URL.Query()
+		mu.Lock()
+		pages = append(pages, q.Encode())
+		mu.Unlock()
+		q.Set("limit", "1")
+		resp, err := ts.Client().Get(ts.URL + r.URL.Path + "?" + q.Encode())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		defer resp.Body.Close()
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+	}))
+	defer onePerPage.Close()
+	lg, err := New(onePerPage.URL, WithHTTPClient(onePerPage.Client())).Ledger(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, n := lg.Head(); n != 4 {
 		t.Fatalf("client synced %d entries", n)
+	}
+	want := []string{"limit=512&offset=0", "limit=512&offset=1", "limit=512&offset=2", "limit=512&offset=3", "limit=512&offset=4"}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.Equal(pages, want) {
+		t.Fatalf("client requested %q, want %q", pages, want)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"sync"
@@ -29,12 +30,11 @@ const maxReceiptBytes = 256 << 20
 // a per-request timeout (DefaultRequestTimeout unless overridden with
 // WithTimeout). A Client is safe for concurrent use.
 type Client struct {
-	base     string
-	http     *http.Client
-	timeout  time.Duration
-	pageSize int
-	retries  int
-	backoff  time.Duration
+	base    string
+	http    *http.Client
+	timeout time.Duration
+	retries int
+	backoff time.Duration
 
 	mu        sync.Mutex
 	cache     map[string]cacheEntry // nil unless WithCache
@@ -69,16 +69,6 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithPageSize overrides the page size Ledger and LedgerRange use
-// when fetching the commitment ledger.
-func WithPageSize(n int) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.pageSize = n
-		}
-	}
-}
-
 // WithRetry retries failed GETs (transport errors and 5xx responses)
 // up to n extra times with linear backoff. POSTs are never retried —
 // the v1 POST surface (query proving) is expensive and not
@@ -106,11 +96,10 @@ func WithCache() Option {
 // "http://127.0.0.1:8471").
 func New(base string, opts ...Option) *Client {
 	c := &Client{
-		base:     base,
-		http:     http.DefaultClient,
-		timeout:  DefaultRequestTimeout,
-		pageSize: DefaultLedgerPageLimit,
-		backoff:  250 * time.Millisecond,
+		base:    base,
+		http:    http.DefaultClient,
+		timeout: DefaultRequestTimeout,
+		backoff: 250 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(c)
@@ -241,37 +230,25 @@ func (c *Client) Status(ctx context.Context) (*Status, error) {
 	return &st, nil
 }
 
-// Ledger downloads and chain-verifies the public commitment ledger,
-// transparently paging through /api/v1/ledger so arbitrarily large
-// ledgers sync incrementally.
+// Ledger downloads the whole public commitment ledger through
+// LedgerRange, page by page, and chain-verifies it.
 func (c *Client) Ledger(ctx context.Context) (*ledger.Ledger, error) {
-	var entries []ledger.Commitment
-	for offset := 0; ; {
-		var page LedgerPage
-		path := fmt.Sprintf("/api/v1/ledger?offset=%d&limit=%d", offset, c.pageSize)
-		if err := c.getJSON(ctx, path, &page); err != nil {
-			return nil, err
-		}
-		entries = append(entries, page.Entries...)
-		offset += len(page.Entries)
-		if offset >= page.Total || len(page.Entries) == 0 {
-			break
-		}
+	entries, err := c.LedgerRange(ctx, 0, math.MaxInt)
+	if err != nil {
+		return nil, err
 	}
 	return ledger.FromEntries(entries)
 }
 
-// LedgerRange fetches entries [offset, offset+n) WITHOUT verifying
-// the chain — the light-client delta fetch, whose caller verifies the
-// result against a checkpoint with ledger.VerifyExtension. Short
-// reads happen only at the chain tip.
+// LedgerRange fetches entries [offset, offset+n), DefaultLedgerPageLimit
+// to a request, WITHOUT verifying the chain — the light-client delta
+// fetch, whose caller verifies the result against a checkpoint with
+// ledger.VerifyExtension. It stops early only at the chain tip, on the
+// first empty page.
 func (c *Client) LedgerRange(ctx context.Context, offset, n int) ([]ledger.Commitment, error) {
 	var out []ledger.Commitment
 	for n > 0 {
-		limit := n
-		if limit > c.pageSize {
-			limit = c.pageSize
-		}
+		limit := min(n, DefaultLedgerPageLimit)
 		var page LedgerPage
 		path := fmt.Sprintf("/api/v1/ledger?offset=%d&limit=%d", offset, limit)
 		if err := c.getJSON(ctx, path, &page); err != nil {
@@ -285,16 +262,6 @@ func (c *Client) LedgerRange(ctx context.Context, offset, n int) ([]ledger.Commi
 		n -= len(page.Entries)
 	}
 	return out, nil
-}
-
-// LedgerTotal fetches only the ledger length using an explicit
-// limit=0 page — a count-only poll that transfers no entries.
-func (c *Client) LedgerTotal(ctx context.Context) (int, error) {
-	var page LedgerPage
-	if err := c.getJSON(ctx, "/api/v1/ledger?limit=0", &page); err != nil {
-		return 0, err
-	}
-	return page.Total, nil
 }
 
 // Checkpoints fetches the checkpoint summary: how many are sealed,

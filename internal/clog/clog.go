@@ -1,20 +1,20 @@
-// Package clog implements the combined log (CLog) of the paper: the
-// per-flow aggregate dataset the prover maintains across aggregation
-// rounds and the leaf digests of the vmtree root that commits it (the
-// root every aggregation journal carries).
+// Package clog defines the entries of the combined log (CLog) of the
+// paper — the per-flow aggregate dataset the prover maintains across
+// aggregation rounds — and the leaf digests of the vmtree root that
+// commits it (the root every aggregation journal carries).
 //
-// The canonical aggregation policy merges every RLog record for the
-// same 5-tuple by summing the additive counters (packets, bytes,
-// drops, hop counts, RTT and jitter accumulate for averages) and
-// keeping maxima for the bound-style SLA metrics. The canonical CLog
-// layout — what the Merkle leaves commit and what guests consume — is
-// the entry list sorted by flow key.
+// The canonical aggregation policy (Entry.Merge) merges every RLog
+// record for the same 5-tuple by summing the additive counters
+// (packets, bytes, drops, hop counts, RTT and jitter accumulate for
+// averages) and keeping maxima for the bound-style SLA metrics. A CLog
+// is a []Entry in its canonical layout — what the Merkle leaves commit
+// and what guests consume — sorted by flow key; guest.ReferenceAggregate
+// is the one host-side model that builds it.
 package clog
 
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"zkflow/internal/netflow"
 	"zkflow/internal/vmtree"
@@ -58,14 +58,6 @@ func (e *Entry) Merge(r *netflow.Record) {
 		e.JitterMax = r.JitterMicros
 	}
 	e.Count++
-}
-
-// FromRecord creates a fresh entry from a record.
-func FromRecord(r *netflow.Record) Entry {
-	var e Entry
-	e.Key = r.Key
-	e.Merge(r)
-	return e
 }
 
 // Words returns the guest encoding: key words then counters.
@@ -117,97 +109,6 @@ func DecodeWire(b []byte) (Entry, error) {
 		w[i] = binary.LittleEndian.Uint32(b[4*i:])
 	}
 	return FromWords(w), nil
-}
-
-// CLog is the mutable aggregate dataset. The zero value is not ready;
-// use New.
-type CLog struct {
-	byKey  map[netflow.FlowKey]*Entry
-	sorted []Entry // cached canonical snapshot
-	dirty  bool
-}
-
-// New returns an empty CLog.
-func New() *CLog {
-	return &CLog{byKey: make(map[netflow.FlowKey]*Entry)}
-}
-
-// Clone deep-copies the CLog.
-func (c *CLog) Clone() *CLog {
-	out := New()
-	for k, e := range c.byKey {
-		cp := *e
-		out.byKey[k] = &cp
-	}
-	out.dirty = true
-	return out
-}
-
-// Len returns the number of aggregated flows.
-func (c *CLog) Len() int { return len(c.byKey) }
-
-// Merge folds a record into the dataset (Algorithm 1 lines 13-23,
-// host-side reference implementation).
-func (c *CLog) Merge(r *netflow.Record) {
-	if e, ok := c.byKey[r.Key]; ok {
-		e.Merge(r)
-	} else {
-		fresh := FromRecord(r)
-		c.byKey[r.Key] = &fresh
-	}
-	c.dirty = true
-}
-
-// MergeBatch folds a batch of records.
-func (c *CLog) MergeBatch(records []netflow.Record) {
-	for i := range records {
-		c.Merge(&records[i])
-	}
-}
-
-// SetEntry installs a complete entry, replacing any existing entry
-// for the same key. Used to seed a CLog from a previous round's
-// committed snapshot.
-func (c *CLog) SetEntry(e Entry) {
-	cp := e
-	c.byKey[e.Key] = &cp
-	c.dirty = true
-}
-
-// Get returns the entry for a key, if present.
-func (c *CLog) Get(key netflow.FlowKey) (Entry, bool) {
-	e, ok := c.byKey[key]
-	if !ok {
-		return Entry{}, false
-	}
-	return *e, true
-}
-
-// Entries returns the canonical key-sorted snapshot. The returned
-// slice is shared; callers must not mutate it.
-func (c *CLog) Entries() []Entry {
-	if c.dirty || c.sorted == nil {
-		c.sorted = make([]Entry, 0, len(c.byKey))
-		for _, e := range c.byKey {
-			c.sorted = append(c.sorted, *e)
-		}
-		sort.Slice(c.sorted, func(i, j int) bool {
-			return c.sorted[i].Key.Less(c.sorted[j].Key)
-		})
-		c.dirty = false
-	}
-	return c.sorted
-}
-
-// Words flattens the canonical snapshot into the guest word stream.
-func (c *CLog) Words() []uint32 {
-	entries := c.Entries()
-	out := make([]uint32, 0, len(entries)*EntryWords)
-	for i := range entries {
-		w := entries[i].Words()
-		out = append(out, w[:]...)
-	}
-	return out
 }
 
 // EntriesWords flattens an explicit entry slice (already sorted).

@@ -20,18 +20,17 @@ func rec(src uint32, rtt uint32) netflow.Record {
 	}
 }
 
+// entryOf is the entry of one flow after the given records.
+func entryOf(recs ...netflow.Record) Entry {
+	e := Entry{Key: recs[0].Key}
+	for i := range recs {
+		e.Merge(&recs[i])
+	}
+	return e
+}
+
 func TestMergeAccumulates(t *testing.T) {
-	c := New()
-	r1, r2 := rec(1, 100), rec(1, 300)
-	c.Merge(&r1)
-	c.Merge(&r2)
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
-	}
-	e, ok := c.Get(r1.Key)
-	if !ok {
-		t.Fatal("entry missing")
-	}
+	e := entryOf(rec(1, 100), rec(1, 300))
 	if e.Packets != 20 || e.Bytes != 2000 || e.Dropped != 2 || e.HopCount != 8 {
 		t.Fatalf("sums wrong: %+v", e)
 	}
@@ -43,43 +42,6 @@ func TestMergeAccumulates(t *testing.T) {
 	}
 	if e.Count != 2 {
 		t.Fatalf("count = %d", e.Count)
-	}
-}
-
-func TestDistinctKeysStayDistinct(t *testing.T) {
-	c := New()
-	for i := uint32(0); i < 10; i++ {
-		r := rec(i, 100)
-		c.Merge(&r)
-	}
-	if c.Len() != 10 {
-		t.Fatalf("len = %d", c.Len())
-	}
-}
-
-func TestEntriesSorted(t *testing.T) {
-	c := New()
-	for _, src := range []uint32{5, 1, 9, 3, 7} {
-		r := rec(src, 100)
-		c.Merge(&r)
-	}
-	es := c.Entries()
-	for i := 1; i < len(es); i++ {
-		if !es[i-1].Key.Less(es[i].Key) {
-			t.Fatalf("entries not sorted at %d", i)
-		}
-	}
-}
-
-func TestSnapshotInvalidatedByMerge(t *testing.T) {
-	c := New()
-	r := rec(1, 100)
-	c.Merge(&r)
-	_ = c.Entries()
-	r2 := rec(2, 100)
-	c.Merge(&r2)
-	if len(c.Entries()) != 2 {
-		t.Fatal("stale snapshot returned")
 	}
 }
 
@@ -105,89 +67,54 @@ func TestDecodeWireShort(t *testing.T) {
 }
 
 func TestWordsRoundTrip(t *testing.T) {
-	r := rec(3, 250)
-	e := FromRecord(&r)
+	e := entryOf(rec(3, 250))
 	if FromWords(e.Words()) != e {
 		t.Fatal("word round trip failed")
 	}
 }
 
-// root is the commitment the aggregation journal carries for c.
-func root(c *CLog) vmtree.Digest {
-	return vmtree.RootFromDigests(LeafDigests(c.Entries()))
+// root is the commitment the aggregation journal carries for entries.
+func root(entries []Entry) vmtree.Digest {
+	return vmtree.RootFromDigests(LeafDigests(entries))
 }
 
 func TestRootChangesWithData(t *testing.T) {
-	c := New()
-	r := rec(1, 100)
-	c.Merge(&r)
-	root1 := root(c)
-	r2 := rec(2, 100)
-	c.Merge(&r2)
-	if root(c) == root1 {
+	one := []Entry{entryOf(rec(1, 100))}
+	two := append(one, entryOf(rec(2, 100)))
+	if root(two) == root(one) {
 		t.Fatal("root insensitive to new flow")
 	}
-}
-
-func TestRootDeterministicAcrossInsertOrder(t *testing.T) {
-	mk := func(order []uint32) *CLog {
-		c := New()
-		for _, s := range order {
-			r := rec(s, 100)
-			c.Merge(&r)
-		}
-		return c
-	}
-	a := mk([]uint32{1, 2, 3, 4})
-	b := mk([]uint32{4, 3, 2, 1})
-	if root(a) != root(b) {
-		t.Fatal("root depends on insertion order")
-	}
-}
-
-func TestClone(t *testing.T) {
-	c := New()
-	r := rec(1, 100)
-	c.Merge(&r)
-	d := c.Clone()
-	r2 := rec(2, 100)
-	d.Merge(&r2)
-	if c.Len() != 1 || d.Len() != 2 {
-		t.Fatal("clone aliases original")
-	}
-	// Mutating the clone's entry must not affect the original.
-	r3 := rec(1, 900)
-	d.Merge(&r3)
-	e, _ := c.Get(r.Key)
-	if e.Count != 1 {
-		t.Fatal("clone shares entry pointers")
+	if root([]Entry{entryOf(rec(1, 100), rec(1, 100))}) == root(one) {
+		t.Fatal("root insensitive to a merged record")
 	}
 }
 
 func TestEmptyCLog(t *testing.T) {
-	c := New()
-	if len(c.Entries()) != 0 {
-		t.Fatal("phantom entries")
+	if len(LeafDigests(nil)) != 0 {
+		t.Fatal("phantom leaves")
 	}
-	_ = root(c) // must not panic
-	if len(c.Words()) != 0 {
+	if root(nil) != vmtree.Zero {
+		t.Fatal("empty CLog does not commit to the zero digest")
+	}
+	if len(EntriesWords(nil)) != 0 {
 		t.Fatal("phantom words")
 	}
 }
 
+// TestEntriesWordsMatchesWords: the guest's word stream is each entry's
+// words in order, and decodes back to the entries.
 func TestEntriesWordsMatchesWords(t *testing.T) {
-	c := New()
+	var entries []Entry
 	for i := uint32(0); i < 5; i++ {
-		r := rec(i, 10*i)
-		c.Merge(&r)
+		entries = append(entries, entryOf(rec(i, 10*i)))
 	}
-	a, b := c.Words(), EntriesWords(c.Entries())
-	if len(a) != len(b) {
+	words := EntriesWords(entries)
+	if len(words) != len(entries)*EntryWords {
 		t.Fatal("length mismatch")
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("content mismatch")
+	for i := range entries {
+		if FromWords([EntryWords]uint32(words[i*EntryWords:])) != entries[i] {
+			t.Fatalf("entry %d: content mismatch", i)
 		}
 	}
 }

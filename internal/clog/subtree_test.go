@@ -8,19 +8,18 @@ import (
 )
 
 func testEntries(n int) []Entry {
-	c := New()
-	for i := 0; i < n; i++ {
-		r := netflow.Record{
+	out := make([]Entry, n) // SrcIP ascends: already in key order
+	for i := range out {
+		out[i] = entryOf(netflow.Record{
 			Key: netflow.FlowKey{
 				SrcIP: 0x0a000000 + uint32(i), DstIP: 0x0a800000 + uint32(i%7),
 				SrcPort: uint16(1024 + i), DstPort: 443, Proto: 6,
 			},
 			Packets: uint32(1 + i), Bytes: uint32(40 * (i + 1)),
 			RTTMicros: uint32(100 + i), JitterMicros: uint32(i % 13),
-		}
-		c.Merge(&r)
+		})
 	}
-	return c.Entries()
+	return out
 }
 
 // TestSubTreeMergeMatchesMonolithic is the farm-sharding contract:

@@ -60,7 +60,8 @@ type Options struct {
 	// Metrics, when non-nil, receives the prover's observability
 	// stream: round/query counters and latencies, scheduler pipeline
 	// gauges, and the per-stage zkVM prover breakdown (see metrics.go
-	// for the name schema). nil runs unmetered.
+	// for the name schema). nil meters into a private registry and
+	// attaches no stage observer to the prover.
 	Metrics *obs.Registry
 }
 
@@ -114,8 +115,8 @@ type Prover struct {
 	opts       Options
 	entries    []clog.Entry // current CLog (private)
 	history    []*AggregationResult
-	pipelining bool     // an open Scheduler owns aggregation
-	met        *metrics // nil when Options.Metrics is nil
+	pipelining bool // an open Scheduler owns aggregation
+	met        *metrics
 }
 
 // NewProver creates a prover over a store and ledger.

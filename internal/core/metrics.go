@@ -1,7 +1,7 @@
 // Observability wiring for the prover and the epoch pipeline. All
 // handles are resolved once here, so the instrumented paths only
-// touch atomics; every accessor below is nil-receiver safe, so an
-// unmetered prover (Options.Metrics == nil) pays a single branch.
+// touch atomics; a prover built without Options.Metrics meters into a
+// private registry.
 //
 // Metric names (served by GET /api/v1/metrics):
 //
@@ -40,11 +40,11 @@ type metrics struct {
 }
 
 // newMetrics pre-registers every prover metric so snapshots expose
-// the full schema (at zero) before the first round. nil reg → nil
-// metrics, and every method below degrades to a no-op.
+// the full schema (at zero) before the first round; nil reg meters
+// into a private registry.
 func newMetrics(reg *obs.Registry) *metrics {
 	if reg == nil {
-		return nil
+		reg = obs.NewRegistry()
 	}
 	return &metrics{
 		witnessSeconds: reg.Histogram("trace.witness_seconds", obs.DefaultLatencyBuckets),
@@ -63,25 +63,15 @@ func newMetrics(reg *obs.Registry) *metrics {
 	}
 }
 
-// The helpers below are nil-receiver safe so instrumented code never
-// branches on "is metering on" itself.
-
 func (m *metrics) witnessDone(start time.Time) {
-	if m != nil {
-		m.witnessSeconds.Observe(time.Since(start).Seconds())
-	}
+	m.witnessSeconds.Observe(time.Since(start).Seconds())
 }
 
 func (m *metrics) sealDone(start time.Time) {
-	if m != nil {
-		m.sealSeconds.Observe(time.Since(start).Seconds())
-	}
+	m.sealSeconds.Observe(time.Since(start).Seconds())
 }
 
 func (m *metrics) aggDone(seconds float64, err error) {
-	if m == nil {
-		return
-	}
 	if err != nil {
 		m.aggFailures.Inc()
 		return
@@ -91,31 +81,10 @@ func (m *metrics) aggDone(seconds float64, err error) {
 }
 
 func (m *metrics) queryDone(seconds float64, err error) {
-	if m == nil {
-		return
-	}
 	m.queries.Inc()
 	if err != nil {
 		m.queryFailures.Inc()
 		return
 	}
 	m.querySeconds.Observe(seconds)
-}
-
-func (m *metrics) epochQueued(delta int64) {
-	if m != nil {
-		m.queueDepth.Add(delta)
-	}
-}
-
-func (m *metrics) sealInFlight(delta int64) {
-	if m != nil {
-		m.inflightSeals.Add(delta)
-	}
-}
-
-func (m *metrics) epochDiscarded() {
-	if m != nil {
-		m.discarded.Inc()
-	}
 }

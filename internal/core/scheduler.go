@@ -113,7 +113,7 @@ func NewScheduler(p *Prover, depth int) (*Scheduler, error) {
 // Submit queues an epoch for aggregation. It blocks while the
 // pipeline is full (backpressure) and must not be called after Close.
 func (s *Scheduler) Submit(epoch uint64) {
-	s.p.met.epochQueued(1)
+	s.p.met.queueDepth.Add(1)
 	s.submit <- epoch
 }
 
@@ -157,11 +157,11 @@ func (s *Scheduler) witnessLoop() {
 			continue
 		}
 		s.specEntries, s.specHash, s.specRoot = pe.next, journalHash(pe.journal), pe.parsed.NewRoot
-		s.p.met.sealInFlight(1)
+		s.p.met.inflightSeals.Add(1)
 		pe.sealed = make(chan sealOutcome, 1)
 		go func() {
 			defer func() {
-				s.p.met.sealInFlight(-1)
+				s.p.met.inflightSeals.Add(-1)
 				<-sealSlots
 			}()
 			start := time.Now()
@@ -229,13 +229,13 @@ func (s *Scheduler) commitLoop() {
 				<-pe.sealed // no seal outlives Close
 			}
 			err = fmt.Errorf("%w (%v)", ErrPipelineAborted, failed)
-			s.p.met.epochDiscarded()
+			s.p.met.discarded.Inc()
 		} else {
 			res, err = s.commit(pe)
 			s.p.met.aggDone(time.Since(pe.start).Seconds(), err)
 			failed = err
 		}
-		s.p.met.epochQueued(-1)
+		s.p.met.queueDepth.Add(-1)
 		s.results <- SchedulerResult{Epoch: pe.epoch, Result: res, Err: err}
 	}
 }

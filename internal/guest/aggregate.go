@@ -629,21 +629,33 @@ func (r *wordReader) digest(d *vmtree.Digest) {
 
 // ReferenceAggregate is the host-side model of the guest's merge: it
 // returns the new CLog entries the guest will produce for the given
-// previous entries and record batches. Used for differential testing
-// and by the prover to prepare the next round.
+// previous entries and record batches: every record folded into its
+// flow's entry (clog.Entry.Merge) in order, sorted by flow key. Used
+// for differential testing and by the prover to prepare the next round.
 func ReferenceAggregate(prev []clog.Entry, batches ...[]netflow.Record) []clog.Entry {
-	c := clog.New()
-	for i := range prev {
-		e := prev[i]
-		c.SetEntry(e)
+	out := make([]clog.Entry, 0, len(prev))
+	at := make(map[netflow.FlowKey]int, len(prev))
+	for _, e := range prev {
+		if i, ok := at[e.Key]; ok {
+			out[i] = e
+			continue
+		}
+		at[e.Key] = len(out)
+		out = append(out, e)
 	}
 	for _, b := range batches {
 		for i := range b {
-			c.Merge(&b[i])
+			r := &b[i]
+			j, ok := at[r.Key]
+			if !ok {
+				j = len(out)
+				at[r.Key] = j
+				out = append(out, clog.Entry{Key: r.Key})
+			}
+			out[j].Merge(r)
 		}
 	}
-	out := make([]clog.Entry, len(c.Entries()))
-	copy(out, c.Entries())
+	sort.Slice(out, func(i, j int) bool { return out[i].Key.Less(out[j].Key) })
 	return out
 }
 

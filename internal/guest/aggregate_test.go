@@ -3,6 +3,8 @@ package guest
 import (
 	"encoding/hex"
 	"errors"
+	"slices"
+	"sort"
 	"testing"
 
 	"zkflow/internal/clog"
@@ -328,22 +330,38 @@ func TestParseAggJournalRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestReferenceAggregateMatchesCLog checks the host model against the
+// CLog's definition, computed the slow way: one entry per distinct flow,
+// in key order, each the fold of that flow's records in arrival order.
+// Folding a round onto the previous round's entries is folding both.
 func TestReferenceAggregateMatchesCLog(t *testing.T) {
-	batches := genBatches(13, 3, 10)
-	var all [][]netflow.Record
-	c := clog.New()
-	for _, b := range batches {
-		all = append(all, b.Records)
-		c.MergeBatch(b.Records)
+	var all []netflow.Record
+	var rounds [][]netflow.Record
+	for _, b := range genBatches(13, 3, 10) {
+		all = append(all, b.Records...)
+		rounds = append(rounds, b.Records)
 	}
-	ref := ReferenceAggregate(nil, all...)
-	es := c.Entries()
-	if len(ref) != len(es) {
-		t.Fatalf("%d vs %d entries", len(ref), len(es))
-	}
-	for i := range ref {
-		if ref[i] != es[i] {
-			t.Fatalf("entry %d: %+v vs %+v", i, ref[i], es[i])
+	var want []clog.Entry
+	for _, r := range all {
+		if slices.ContainsFunc(want, func(e clog.Entry) bool { return e.Key == r.Key }) {
+			continue
 		}
+		e := clog.Entry{Key: r.Key}
+		for i := range all {
+			if all[i].Key == r.Key {
+				e.Merge(&all[i])
+			}
+		}
+		want = append(want, e)
+	}
+	if len(want) == len(all) {
+		t.Fatal("no flow has two records: nothing merges")
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i].Key.Less(want[j].Key) })
+	if got := ReferenceAggregate(nil, rounds...); !slices.Equal(got, want) {
+		t.Fatalf("one round: %d entries, want %d\n%+v\n%+v", len(got), len(want), got, want)
+	}
+	if got := ReferenceAggregate(ReferenceAggregate(nil, rounds[0]), rounds[1:]...); !slices.Equal(got, want) {
+		t.Fatal("folding onto the previous round's entries differs from folding both at once")
 	}
 }

@@ -82,13 +82,13 @@ func TestQueryCostBudget(t *testing.T) {
 	// 4 x 512 flows, 762 entries, under its six query shapes. before is
 	// the parent's n + 3.5m per entry, which no shape may exceed.
 	gens := trafficgen.PerRouter(trafficgen.Config{Seed: 1, NumFlows: 512, Routers: 4, LossRate: 0.02})
-	c := clog.New()
+	var batches [][]netflow.Record
 	for e := uint64(0); e < 2; e++ {
 		for r, g := range gens {
-			c.MergeBatch(g.Batch(uint32(r), e, 500))
+			batches = append(batches, g.Batch(uint32(r), e, 500))
 		}
 	}
-	entries := c.Entries()
+	entries := ReferenceAggregate(nil, batches...)
 	for _, shape := range []struct {
 		sql                 string
 		maxRows, maxEntries int

@@ -13,9 +13,7 @@ import (
 // sampleCLog builds a deterministic aggregated CLog.
 func sampleCLog(seed int64, n int) []clog.Entry {
 	g := trafficgen.New(trafficgen.Config{Seed: seed, NumFlows: 24, LossRate: 0.05})
-	c := clog.New()
-	c.MergeBatch(g.Batch(0, 0, n))
-	return c.Entries()
+	return ReferenceAggregate(nil, g.Batch(0, 0, n))
 }
 
 // runQuery executes a query guest over entries.

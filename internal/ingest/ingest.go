@@ -46,16 +46,6 @@ type Config struct {
 	// QueueDepth is the per-shard queue capacity in decoded batches; a
 	// full queue drops (default 1024).
 	QueueDepth int
-	// Readers is the number of UDP reader goroutines sharing each
-	// socket (default 2; ignored without Addr).
-	Readers int
-	// Sockets is the number of UDP sockets bound to Addr with
-	// SO_REUSEPORT (default 1). With more than one socket the Linux
-	// kernel hash-balances inbound datagrams across them, taking the
-	// single-socket receive lock off the line-rate path; each socket
-	// runs its own Readers goroutines. On platforms without
-	// SO_REUSEPORT the count clamps to one socket.
-	Sockets int
 	// EpochInterval seals an epoch on this period. Zero disables the
 	// internal ticker: epochs advance only on explicit Seal calls.
 	EpochInterval time.Duration
@@ -81,6 +71,9 @@ type Seal struct {
 	Records int // records committed this epoch
 	Dropped int // records dropped at commit (evicted / ledger refusal)
 }
+
+// readers is the number of goroutines reading the one UDP socket.
+const readers = 2
 
 // batch is the unit of hand-off between the decode path and a shard
 // worker: one packet's records, all from one router.
@@ -112,7 +105,7 @@ type Pipeline struct {
 	st  *store.Store
 	lg  *ledger.Ledger
 
-	conns  []net.PacketConn
+	conn   net.PacketConn // nil without Addr
 	shards []*shard
 	v9dec  *netflow.V9Decoder
 
@@ -137,8 +130,6 @@ type Pipeline struct {
 	dropLedger   *obs.Counter // ingest.records_dropped.ledger
 	epochsSealed *obs.Counter // ingest.epochs_sealed
 	v9Misses     *obs.Gauge   // ingest.v9_template_misses
-	gSockets     *obs.Gauge   // ingest.sockets
-	gReaders     *obs.Gauge   // ingest.readers
 	commitSec    *obs.Histogram
 }
 
@@ -151,12 +142,6 @@ func New(st *store.Store, lg *ledger.Ledger, cfg Config) (*Pipeline, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 1024
-	}
-	if cfg.Readers <= 0 {
-		cfg.Readers = 2
-	}
-	if cfg.Sockets <= 0 || !reusePortSupported {
-		cfg.Sockets = 1
 	}
 	reg := cfg.Metrics
 	if reg == nil {
@@ -179,8 +164,6 @@ func New(st *store.Store, lg *ledger.Ledger, cfg Config) (*Pipeline, error) {
 		dropLedger:   reg.Counter("ingest.records_dropped.ledger"),
 		epochsSealed: reg.Counter("ingest.epochs_sealed"),
 		v9Misses:     reg.Gauge("ingest.v9_template_misses"),
-		gSockets:     reg.Gauge("ingest.sockets"),
-		gReaders:     reg.Gauge("ingest.readers"),
 		commitSec:    reg.Histogram("ingest.commit_seconds", obs.DefaultLatencyBuckets),
 	}
 	for i := 0; i < cfg.Shards; i++ {
@@ -194,45 +177,23 @@ func New(st *store.Store, lg *ledger.Ledger, cfg Config) (*Pipeline, error) {
 		})
 	}
 	if cfg.Addr != "" {
-		// More than one socket needs SO_REUSEPORT set on every socket
-		// (the first included) before bind, so they all go through the
-		// reuse-port listener. A ":0" address resolves on the first bind;
-		// the rest join the concrete port it picked.
-		listen := net.ListenPacket
-		if cfg.Sockets > 1 {
-			listen = func(_, addr string) (net.PacketConn, error) { return listenReusePort(addr) }
-		}
-		first, err := listen("udp", cfg.Addr)
+		conn, err := net.ListenPacket("udp", cfg.Addr)
 		if err != nil {
 			return nil, fmt.Errorf("ingest: listen %s: %w", cfg.Addr, err)
 		}
-		p.conns = append(p.conns, first)
-		for i := 1; i < cfg.Sockets; i++ {
-			c, err := listenReusePort(first.LocalAddr().String())
-			if err != nil {
-				for _, open := range p.conns {
-					open.Close()
-				}
-				return nil, fmt.Errorf("ingest: reuseport socket %d on %s: %w", i, first.LocalAddr(), err)
-			}
-			p.conns = append(p.conns, c)
-		}
+		p.conn = conn
 	}
 	return p, nil
 }
 
 // Addr returns the bound UDP address (nil without a socket) — useful
-// with ":0" listeners. With Sockets > 1 every socket shares this
-// address.
+// with ":0" listeners.
 func (p *Pipeline) Addr() net.Addr {
-	if len(p.conns) == 0 {
+	if p.conn == nil {
 		return nil
 	}
-	return p.conns[0].LocalAddr()
+	return p.conn.LocalAddr()
 }
-
-// Sockets returns the number of bound UDP sockets (0 without Addr).
-func (p *Pipeline) Sockets() int { return len(p.conns) }
 
 // Epoch returns the epoch currently accepting records.
 func (p *Pipeline) Epoch() uint64 {
@@ -257,12 +218,10 @@ func (p *Pipeline) Start() error {
 		p.workersWG.Add(1)
 		go p.worker(s)
 	}
-	p.gSockets.Set(int64(len(p.conns)))
-	p.gReaders.Set(int64(len(p.conns) * p.cfg.Readers))
-	for _, conn := range p.conns {
-		for i := 0; i < p.cfg.Readers; i++ {
+	if p.conn != nil {
+		for i := 0; i < readers; i++ {
 			p.readersWG.Add(1)
-			go p.reader(conn)
+			go p.reader()
 		}
 	}
 	if p.cfg.EpochInterval > 0 {
@@ -285,12 +244,12 @@ func (p *Pipeline) Start() error {
 	return nil
 }
 
-// reader pulls datagrams off one socket until the conn closes.
-func (p *Pipeline) reader(conn net.PacketConn) {
+// reader pulls datagrams off the socket until it closes.
+func (p *Pipeline) reader() {
 	defer p.readersWG.Done()
 	buf := make([]byte, 1<<16)
 	for {
-		n, _, err := conn.ReadFrom(buf)
+		n, _, err := p.conn.ReadFrom(buf)
 		if n > 0 {
 			p.Inject(buf[:n])
 		}
@@ -481,10 +440,8 @@ func (p *Pipeline) Close() error {
 		close(p.tickerStop)
 		p.tickerWG.Wait()
 	}
-	if len(p.conns) > 0 {
-		for _, conn := range p.conns {
-			conn.Close()
-		}
+	if p.conn != nil {
+		p.conn.Close()
 		p.readersWG.Wait()
 	}
 	if started {

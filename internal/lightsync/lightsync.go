@@ -97,15 +97,16 @@ func (s *State) Check() error {
 // Options tunes a sync.
 type Options struct {
 	// Samples is the number of aggregation rounds to spot-verify among
-	// the newly covered epochs. 0 accepts the server's suggestion
-	// (capped by what is available); negative disables sampling.
+	// the newly covered epochs (capped by what is available); zero or
+	// less accepts the server's suggestion.
 	Samples int
 	// Seed fixes the sampling randomness for reproducible runs; 0
 	// draws a fresh seed from crypto/rand.
 	Seed int64
 	// MinChecks is the receipt soundness floor (zkvm.VerifyOptions).
 	MinChecks int
-	// Metrics, when set, receives lightsync.* counters.
+	// Metrics receives the lightsync.* counters (nil = a private
+	// registry).
 	Metrics *obs.Registry
 }
 
@@ -127,43 +128,28 @@ type entryKey struct {
 	epoch  uint64
 }
 
-// counters bundles the obs instrumentation.
-type counters struct {
-	epochs, entries, receipts, proofs, failures *obs.Counter
-}
-
-func newCounters(reg *obs.Registry) counters {
-	if reg == nil {
-		return counters{}
-	}
-	return counters{
-		epochs:   reg.Counter("lightsync.epochs_synced"),
-		entries:  reg.Counter("lightsync.entries_verified"),
-		receipts: reg.Counter("lightsync.receipts_verified"),
-		proofs:   reg.Counter("lightsync.proofs_checked"),
-		failures: reg.Counter("lightsync.sync_failures"),
-	}
-}
-
-func (c counters) add(ctr *obs.Counter, n uint64) {
-	if ctr != nil {
-		ctr.Add(n)
-	}
-}
-
 // Sync advances st to the operator's latest checkpoint, verifying
-// every step. On any error st is left unchanged.
+// every step. On any error st is left unchanged. A successful sync
+// counts what its Report says it verified; a failed one counts a
+// failure and nothing else.
 func Sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report, error) {
-	ctr := newCounters(opts.Metrics)
-	rep, err := sync(ctx, c, st, opts, ctr)
+	reg := opts.Metrics
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	rep, err := sync(ctx, c, st, opts)
 	if err != nil {
-		ctr.add(ctr.failures, 1)
+		reg.Counter("lightsync.sync_failures").Inc()
 		return nil, err
 	}
+	reg.Counter("lightsync.entries_verified").Add(uint64(rep.NewEntries))
+	reg.Counter("lightsync.epochs_synced").Add(uint64(len(rep.NewEpochs)))
+	reg.Counter("lightsync.receipts_verified").Add(uint64(len(rep.SampledRounds)))
+	reg.Counter("lightsync.proofs_checked").Add(uint64(rep.ProofsChecked))
 	return rep, nil
 }
 
-func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr counters) (*Report, error) {
+func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report, error) {
 	if err := st.Check(); err != nil {
 		return nil, err
 	}
@@ -209,12 +195,10 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr count
 			rep.NewEpochs = append(rep.NewEpochs, e.Epoch)
 		}
 	}
-	ctr.add(ctr.entries, uint64(len(delta)))
-	ctr.add(ctr.epochs, uint64(len(rep.NewEpochs)))
 
 	// Step 3: sampled receipt verification over the newly covered
 	// epochs. Hints are operator claims; the sample choice is ours.
-	if opts.Samples >= 0 && len(rep.NewEpochs) > 0 {
+	if len(rep.NewEpochs) > 0 {
 		hints, err := c.SyncHints(ctx, int64(from.Epoch))
 		if err != nil {
 			return nil, err
@@ -226,8 +210,10 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr count
 			}
 		}
 		n := opts.Samples
-		if n == 0 {
-			n = hints.SuggestedSamples
+		if n <= 0 {
+			// The suggestion is an operator claim: it may not turn
+			// receipt checking off.
+			n = max(hints.SuggestedSamples, 1)
 		}
 		if n > len(candidates) {
 			n = len(candidates)
@@ -241,7 +227,6 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr count
 				return nil, err
 			}
 			rep.SampledRounds = append(rep.SampledRounds, h.Round)
-			ctr.add(ctr.receipts, 1)
 		}
 
 		// Step 4: inclusion-proof spot check against the new head, on
@@ -256,7 +241,6 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options, ctr count
 			return nil, err
 		}
 		rep.ProofsChecked = checked
-		ctr.add(ctr.proofs, uint64(checked))
 	}
 
 	// All verification passed: advance the pin.

@@ -2,6 +2,7 @@ package lightsync
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -106,7 +107,8 @@ func TestSyncAdvancesPin(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := reg.Snapshot()
-	if snap.Counters["lightsync.receipts_verified"] != 2 || snap.Counters["lightsync.epochs_synced"] != 3 {
+	if snap.Counters["lightsync.receipts_verified"] != 2 || snap.Counters["lightsync.epochs_synced"] != 3 ||
+		snap.Counters["lightsync.entries_verified"] != 6 || snap.Counters["lightsync.proofs_checked"] != uint64(rep.ProofsChecked) {
 		t.Fatalf("counters: %+v", snap.Counters)
 	}
 
@@ -170,7 +172,7 @@ func TestSyncRejectsTamperedEntry(t *testing.T) {
 	before := st.Checkpoint.Digest()
 	entries := op.lg.Entries()
 	entries[1].Hash[0] ^= 1
-	if _, err := Sync(context.Background(), serve(entries), st, Options{Samples: -1}); err == nil {
+	if _, err := Sync(context.Background(), serve(entries), st, Options{}); err == nil {
 		t.Fatal("tampered prefix accepted")
 	}
 	if st.Checkpoint.Digest() != before {
@@ -218,7 +220,7 @@ func TestSyncRejectsRegression(t *testing.T) {
 	// A second operator stuck at epoch 1 (shorter chain).
 	op2 := newOperator(t)
 	op2.advance(t, 2)
-	_, err := Sync(context.Background(), op2.client(), st, Options{Samples: -1})
+	_, err := Sync(context.Background(), op2.client(), st, Options{})
 	if !errors.Is(err, ErrRegression) {
 		t.Fatalf("got %v", err)
 	}
@@ -239,7 +241,7 @@ func TestSyncRejectsForgedCheckpoint(t *testing.T) {
 	st2 := op.pinAt(t, 0)
 	other := newOperatorSeed(t, 99)
 	other.advance(t, 3)
-	if _, err := Sync(context.Background(), other.client(), st2, Options{Samples: -1}); err == nil {
+	if _, err := Sync(context.Background(), other.client(), st2, Options{}); err == nil {
 		t.Fatal("divergent history accepted")
 	}
 }
@@ -289,6 +291,40 @@ func TestSyncRejectsTamperedReceipt(t *testing.T) {
 		}
 		if at == 4 && !strings.Contains(err.Error(), "bound to image") {
 			t.Fatalf("image ID flipped: refused for another reason: %v", err)
+		}
+	}
+}
+
+// TestSyncAlwaysVerifiesAReceipt: no Samples value and no server
+// suggestion turns receipt checking off. An operator whose hints
+// suggest zero samples still gets one round verified.
+func TestSyncAlwaysVerifiesAReceipt(t *testing.T) {
+	op := newOperator(t)
+	op.advance(t, 3)
+	inner := op.srv.Handler()
+	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/api/v1/sync/hints" {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		inner.ServeHTTP(rec, r)
+		var hints api.SyncHints
+		if err := json.Unmarshal(rec.Body.Bytes(), &hints); err != nil {
+			t.Error(err)
+		}
+		hints.SuggestedSamples = 0
+		json.NewEncoder(w).Encode(hints)
+	}))
+	defer proxy.Close()
+	for _, samples := range []int{0, -1} {
+		st := op.pinAt(t, 0)
+		rep, err := Sync(context.Background(), api.New(proxy.URL, api.WithHTTPClient(proxy.Client())), st, Options{Samples: samples})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rep.SampledRounds) != 1 {
+			t.Fatalf("Samples %d under a zero suggestion: verified rounds %v, want one", samples, rep.SampledRounds)
 		}
 	}
 }

@@ -6,10 +6,10 @@
 //
 // Guests rebuild this tree with the SysHash precompile (the dominant
 // proving cost, as the paper reports for its in-zkVM Merkle updates);
-// the host uses this package to predict and cross-check roots and to
-// produce inclusion proofs against guest-committed roots. Domain
-// separation between leaves and nodes comes from input length: leaves
-// hash entry-width payloads, nodes hash exactly 16 words.
+// the host uses this package to predict and cross-check the roots
+// guests commit. Domain separation between leaves and nodes comes from
+// input length: leaves hash entry-width payloads, nodes hash exactly 16
+// words.
 package vmtree
 
 import (
@@ -93,16 +93,21 @@ func LeafDigests(entries [][]uint32) []Digest {
 // RootFromDigests folds leaf digests to the root: pad to a power of
 // two with Zero, then reduce pairwise. An empty input has root Zero.
 func RootFromDigests(digests []Digest) Digest {
-	n := len(digests)
-	if n == 0 {
-		return Zero
-	}
+	return foldChunk(digests, 0, padded(len(digests)))
+}
+
+// padded is the size of a leaf level of n digests: the least power of
+// two that holds them.
+func padded(n int) int {
 	size := 1
 	for size < n {
 		size <<= 1
 	}
-	level := make([]Digest, size)
-	copy(level, digests)
+	return size
+}
+
+// reduce folds a power-of-two level to its root, in place.
+func reduce(level []Digest) Digest {
 	for len(level) > 1 {
 		next := level[:len(level)/2]
 		for i := range next {
@@ -123,16 +128,11 @@ func Root(entries [][]uint32) Digest {
 // of every sub-tree. shards is clamped to a power of two no larger
 // than the padded leaf count, so the chunks are exactly the sub-trees
 // at one fixed level of the full tree and
-// MergeRoots(SubRoots(d, s)) == RootFromDigests(d) for every s.
-//
-// This is the farm's sharding primitive: per-shard CLog sub-trees can
-// be hashed (or proved) independently — on different goroutines or
-// different workers — and merged by a cheap top-level fold.
+// MergeRoots(SubRoots(d, s)) == RootFromDigests(d) for every s: the
+// sub-trees can be hashed independently, on different goroutines, and
+// merged by a cheap top-level fold.
 func SubRoots(digests []Digest, shards int) []Digest {
-	size := 1
-	for size < len(digests) {
-		size <<= 1
-	}
+	size := padded(len(digests))
 	if shards < 1 {
 		shards = 1
 	}
@@ -155,14 +155,7 @@ func foldChunk(digests []Digest, off, width int) Digest {
 	if off < len(digests) {
 		copy(level, digests[off:])
 	}
-	for len(level) > 1 {
-		next := level[:len(level)/2]
-		for i := range next {
-			next[i] = Node(level[2*i], level[2*i+1])
-		}
-		level = next
-	}
-	return level[0]
+	return reduce(level)
 }
 
 // MergeRoots folds aligned sub-tree roots (as returned by SubRoots,
@@ -171,60 +164,5 @@ func MergeRoots(roots []Digest) Digest {
 	if len(roots) == 0 {
 		return Zero
 	}
-	level := append([]Digest(nil), roots...)
-	for len(level) > 1 {
-		next := level[:len(level)/2]
-		for i := range next {
-			next[i] = Node(level[2*i], level[2*i+1])
-		}
-		level = next
-	}
-	return level[0]
-}
-
-// Proof is an inclusion proof in the vmtree convention.
-type Proof struct {
-	Index int
-	Path  []Digest
-}
-
-// Prove builds an inclusion proof for leaf index among digests.
-func Prove(digests []Digest, index int) Proof {
-	n := len(digests)
-	size := 1
-	for size < n {
-		size <<= 1
-	}
-	level := make([]Digest, size)
-	copy(level, digests)
-	p := Proof{Index: index}
-	idx := index
-	for len(level) > 1 {
-		p.Path = append(p.Path, level[idx^1])
-		next := level[:len(level)/2]
-		for i := range next {
-			next[i] = Node(level[2*i], level[2*i+1])
-		}
-		level = next
-		idx >>= 1
-	}
-	return p
-}
-
-// Verify checks that leaf is committed at p.Index under root.
-func Verify(root Digest, leaf Digest, p Proof) bool {
-	if p.Index < 0 {
-		return false
-	}
-	h := leaf
-	idx := p.Index
-	for _, sib := range p.Path {
-		if idx&1 == 0 {
-			h = Node(h, sib)
-		} else {
-			h = Node(sib, h)
-		}
-		idx >>= 1
-	}
-	return idx == 0 && h == root
+	return reduce(append([]Digest(nil), roots...))
 }

@@ -527,3 +527,78 @@ func TestExportedExecuteLeavesSlabPool(t *testing.T) {
 	}
 	runtime.KeepAlive(ex)
 }
+
+// TestOneStepForgeryFailsOneExecCheck settles what an exec check binds.
+// The prover lies about the one word a load brings in and keeps every
+// later row and the journal consistent with the lie; the memory log
+// stays honest. Of all n-1 exec checks only the one on the load fails:
+// a check on a neighbouring transition expands the same poisoned leaf,
+// but the leaf derives its rows from its own witness words, and only
+// the replay of the load reads the log. So an exec check binds one
+// transition, not the B rows of its leaf, and a forgery of one step
+// escapes k exec checks with probability (1-1/(n-1))^k.
+func TestOneStepForgeryFailsOneExecCheck(t *testing.T) {
+	prog := asm(func(a *Assembler) {
+		a.Li(R5, 77)
+		a.Sw(R5, R0, 600)
+		a.Lw(R6, R0, 600)
+		a.Addi(R7, R6, 1)
+		a.WriteJournal(R7)
+		a.HaltCode(0)
+	})
+	const lie = 1000
+	ex, err := Execute(prog, nil, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lw := stepAt(t, ex, 0, isOp(OpLw))
+	if lw/leafRecords != (lw+1)/leafRecords {
+		t.Fatalf("the load's successor (row %d) must be derived inside its leaf", lw+1)
+	}
+	for i := lw; i+1 < len(ex.Rows); i++ {
+		env := witnessEnv{word: witnessWord(prog, &ex.Rows[i], &ex.Rows[i+1])}
+		if i == lw {
+			env.word = lie
+		}
+		if _, err := step(prog, &ex.Rows[i], &ex.Rows[i+1], &env); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ex.Journal = []uint32{lie + 1}
+
+	s, tabs := sealedTables(t, ex)
+	for i := 0; i+1 < len(ex.Rows); i++ {
+		c := ExecCheck{
+			Rows: tabs.exec.openSpan(i, i+2),
+			Mem:  tabs.memProg.openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
+		}
+		err := verifyExecCheck(prog, s, &c, i, ex.Journal)
+		if i == lw && (err == nil || !strings.Contains(err.Error(), "register file mismatch")) {
+			t.Fatalf("check on the lying load (row %d): %v", i, err)
+		}
+		if i != lw && err != nil {
+			t.Fatalf("check on row %d, not the load (row %d), failed: %v", i, lw, err)
+		}
+	}
+
+	// Every other rule holds, so a seal whose sampled exec checks miss
+	// the load verifies, and one whose checks hit it fails there.
+	accepted, rejected := 0, 0
+	for seed := byte(0); seed < 32; seed++ {
+		r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 2}, &[32]byte{seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch err := Verify(prog, r, VerifyOptions{}); {
+		case err == nil:
+			accepted++
+		case strings.Contains(err.Error(), fmt.Sprintf("(row %d)", lw)):
+			rejected++
+		default:
+			t.Fatalf("seed %d: rejected by another rule: %v", seed, err)
+		}
+	}
+	if accepted == 0 || rejected == 0 {
+		t.Fatalf("%d seals accepted, %d rejected at the load: want some of each", accepted, rejected)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"zkflow/internal/clog"
 	"zkflow/internal/guest"
 	"zkflow/internal/ledger"
 	"zkflow/internal/netflow"
@@ -47,12 +46,12 @@ func guestRuns() []guestRun {
 	for _, n := range []int{8, 60, 250} {
 		in := aggregationEpoch(n)
 		runs = append(runs, guestRun{fmt.Sprintf("aggregate/%d", n), guest.AggregationProgram(), in.Words()})
-		c := clog.New()
+		var batches [][]netflow.Record
 		for _, b := range in.Routers {
-			c.MergeBatch(b.Records)
+			batches = append(batches, b.Records)
 		}
 		q := query.MustParse(`SELECT SUM(hop_count) FROM clogs WHERE src_ip = "1.1.1.1" AND dst_ip = "9.9.9.9";`)
-		runs = append(runs, guestRun{fmt.Sprintf("query/%d", n), guest.QueryProgram(q), guest.QueryInput(c.Entries())})
+		runs = append(runs, guestRun{fmt.Sprintf("query/%d", n), guest.QueryProgram(q), guest.QueryInput(guest.ReferenceAggregate(nil, batches...))})
 	}
 	// A second round: records meet, miss and pass the entries of a
 	// previous CLog whose count is no power of two, so the merge takes
