@@ -4,7 +4,7 @@ FUZZTIME ?= 10s
 # input for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
-.PHONY: build vet test race fuzz farm check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
+.PHONY: build vet test race purego fuzz farm check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
 
 build:
 	$(GO) build ./...
@@ -26,6 +26,15 @@ test:
 race:
 	$(GO) test -race ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
 
+# Stdlib-path lane: the SHA-256 compression kernel of internal/hashk
+# runs on amd64 with SHA-NI, and everywhere else the same functions call
+# sha256.Sum256. Test the packages that hash through it with the kernel
+# compiled out (the purego tag), so the fallback stays tested on a
+# SHA-NI host, and vet the arm64 build, which never has the kernel.
+purego:
+	$(GO) test -tags purego ./internal/hashk ./internal/merkle ./internal/zkvm
+	GOARCH=arm64 $(GO) vet ./...
+
 # Fuzz lane: each network/storage-facing decoder gets a short
 # randomized run on top of its committed seed + regression corpus,
 # plus the NTT round-trip property (the vectorized kernel against the
@@ -39,8 +48,10 @@ race:
 # expand), plus the aggregation guest against the host reference
 # (seeded rounds of every merge shape, monolithic and cut: the journal
 # is ReferenceAggregate's, word for word, and that of the independently
-# written guest kept as a test reference in internal/guest/testdata).
-# `go test -fuzz` takes one target per invocation, so this is thirteen
+# written guest kept as a test reference in internal/guest/testdata),
+# plus the hash kernel against sha256.Sum256 (two messages of one
+# length, one lane and two, kernel on and off).
+# `go test -fuzz` takes one target per invocation, so this is fourteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
@@ -56,6 +67,7 @@ fuzz:
 	$(GO) test ./internal/guest -run='^$$' -fuzz=FuzzAggregationMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/hashk -run='^$$' -fuzz=FuzzSumMatchesStdlib -fuzztime=$(FUZZTIME)
 
 # Farm lane: the prover-farm fault-injection suite, run twice — the
 # failover paths (requeue, redispatch, duplicate suppression) are timing
@@ -65,7 +77,7 @@ farm:
 
 # The default pre-merge gate. The fuzz lane runs last so the cheap
 # deterministic checks fail fast.
-check: build vet test race farm fuzz
+check: build vet test race purego farm fuzz
 
 # The paper's figures and the DESIGN §5 ablations, one pass each (the
 # table at the head of EXPERIMENTS.md maps entries to functions).
@@ -92,7 +104,8 @@ bench-parallel:
 	$(GO) test -bench='ProveParallel|PipelinedAggregation' -cpu 1,2,4 -run=^$$ .
 
 # Commit-path benchmarks with allocation counts: the zero-allocation
-# hash kernel, the seal's block commit (salt + encode + leaf-hash +
+# hash kernel (raw compression in ns/block, one lane and two; a tree
+# level in ns/node; a salted leaf), the seal's block commit (salt + encode + leaf-hash +
 # reduce one 1024-leaf, 4096-record block; one sub-benchmark per record
 # shape — exec/mem/prod/image — with SHA-256 compressions and bytes
 # hashed per record next to ns/record), the emulator alone (mono /
@@ -101,7 +114,7 @@ bench-parallel:
 # at -cpu 1, the serial crew. Compare against the allocs/op recorded in
 # EXPERIMENTS.md E14.
 bench-commit:
-	$(GO) test -bench='HashLevel|Leaf2' -benchmem -run=^$$ ./internal/hashk
+	$(GO) test -bench='Compress|HashLevel|Leaf2' -benchmem -run=^$$ ./internal/hashk
 	$(GO) test -bench='CommitBlock|Execute' -benchmem -run=^$$ ./internal/zkvm
 	$(GO) test -bench='BuildHashes|Build1024' -benchmem -cpu 1 -run=^$$ ./internal/merkle
 	$(GO) test -bench='NTTInto|Butterflies' -benchmem -run=^$$ ./internal/poly ./internal/field

@@ -2,34 +2,47 @@
 // Merkle commitment in the repo. Node hashing is about half of a zkVM
 // seal and leaf hashing most of the rest (EXPERIMENTS.md E21), so the
 // kernel's one job is to keep everything but the compression function
-// out of that loop:
+// out of that loop, and the compression units busy.
 //
-//   - Node/HashLevel hash internal tree nodes through a fixed-size
-//     stack buffer and sha256.Sum256, which the compiler keeps off the
-//     heap — zero allocations per node at any tree size. HashLevel
-//     reduces a whole level (or a block's slice of one) per call, so
-//     the buffer and its prefix byte are set up once per level.
+// Every message of the seal's fixed shapes — a node (65 bytes), a
+// salted zkVM leaf (at most 109), a SysHash of a CLog entry or a node
+// (64) — is at most MaxMsg bytes, so it pads in place in a 128-byte
+// stack buffer (Msg) to one or two SHA-256 blocks. On amd64 with the
+// SHA extensions those blocks go straight to a private compression
+// kernel (kernel_amd64.s, derived from the Go toolchain's own SHA-NI
+// block function) with none of the stdlib's framing: SumMsg compresses
+// one message, SumMsg2 two of the same length with their rounds
+// interleaved, which HashLevel and the zkVM's block commit feed with
+// sibling nodes and equal-length leaves two at a time. Sum is the
+// short-message entry point for callers holding a byte slice.
+//
+// The kernel runs when CPUID reports SHA, SSSE3 and SSE4.1. On any
+// other CPU, on other architectures and under the purego build tag, the
+// same functions call sha256.Sum256 instead — the stdlib function, not
+// a second SHA-256. Either way every digest is bit-for-bit SHA-256: the
+// golden receipt vectors and the determinism tests pin that on both
+// paths, and TestSumMatchesStdlib and FuzzSumMatchesStdlib compare the
+// kernel with sha256.Sum256 directly.
+//
+//   - Node/HashLevel hash internal tree nodes: zero allocations per
+//     node at any tree size. HashLevel reduces a whole level (or a
+//     block's slice of one) per call.
 //   - Leaf/Leaf2 hash a domain-prefixed leaf payload, in one or two
-//     parts, the same way: payloads under 128 bytes — every leaf the
-//     zkVM prover commits (an exec leaf's row and three witness words,
-//     108 bytes salted, is the widest), STARK rows of up to 15 columns —
-//     go through a 128-byte stack buffer, payloads up to ScratchBytes
-//     through a 512-byte one (Go zeroes a stack buffer at every
-//     declaration, so the small tier saves ~400 bytes of memclr per
-//     leaf), and only oversized leaves fall back to a streaming hash.
-//
-// The zkVM's block commit assembles its (prefix || salt || records)
-// message in place and calls sha256.Sum256 itself; Leaf2 is the same
-// hash for callers holding the two parts separately (the verifier).
+//     parts: payloads that fit a Msg after the prefix — every leaf the
+//     zkVM prover commits — take the kernel path, payloads under
+//     ScratchBytes go through a 512-byte stack buffer and
+//     sha256.Sum256 (STARK rows of up to 63 columns), and only
+//     oversized leaves fall back to a streaming hash.
 //
 // The functions are generic over ~[32]byte so merkle.Hash (and any
 // other 32-byte digest type) flows through without copies or import
-// cycles. All outputs are bit-identical to the naive sha256.New
-// formulation — the golden receipt vector and the parallel-determinism
-// tests pin that.
+// cycles.
 package hashk
 
-import "crypto/sha256"
+import (
+	"crypto/sha256"
+	"encoding/binary"
+)
 
 // Domain-separation prefixes of the merkle package's tree convention:
 // a leaf hash is SHA-256(0x00 || payload), an internal node is
@@ -40,41 +53,122 @@ const (
 	NodePrefix byte = 0x01
 )
 
-// ScratchBytes is the stack scratch size of the leaf fast path: leaf
-// payloads up to this size (after the domain prefix) hash with zero
-// allocations: STARK LDE rows (8*cols bytes) of up to 63 columns, for
-// one.
+// ScratchBytes is the stack scratch size of the leaf path for payloads
+// too long for a Msg: leaf payloads up to this size (after the domain
+// prefix) hash with zero allocations: STARK LDE rows (8*cols bytes) of
+// up to 63 columns, for one.
 const ScratchBytes = 512
 
-// smallScratchBytes is the first scratch tier (see the package
-// comment); every leaf committed in this repo fits it.
-const smallScratchBytes = 128
+// MaxMsg is the longest message a Msg holds together with its SHA-256
+// padding (a 0x80 byte, zeros, the 64-bit bit length): two blocks.
+const MaxMsg = 2*64 - 9
+
+// Msg is the kernel's message buffer: a message of up to MaxMsg bytes
+// at its start, room for its padding after.
+type Msg [128]byte
+
+// useKernel is haveKernel; tests turn it off to run the sha256.Sum256
+// path on a host that has the kernel.
+var useKernel = haveKernel
+
+// Sum returns SHA-256(msg): through a Msg and the kernel for messages
+// of up to MaxMsg bytes, sha256.Sum256 beyond.
+func Sum(msg []byte) [32]byte {
+	if len(msg) > MaxMsg {
+		return sha256.Sum256(msg)
+	}
+	var m Msg
+	copy(m[:], msg)
+	return SumMsg(&m, len(msg))
+}
+
+// SumMsg returns SHA-256(m[:n]), n <= MaxMsg. It pads the message in
+// place: the bytes of m after the first n are overwritten.
+func SumMsg(m *Msg, n int) (out [32]byte) {
+	sum1(&out, m, n, pad(m, n))
+	return out
+}
+
+// SumMsg2 is SumMsg on two messages of the same length, hashed at once.
+func SumMsg2(a, b *Msg, n int) (da, db [32]byte) {
+	blocks := pad(a, n)
+	pad(b, n)
+	sum2(&da, &db, a, b, n, blocks)
+	return da, db
+}
+
+// pad writes the SHA-256 padding of the message m[:n] after it and
+// returns the padded length in 64-byte blocks. A Msg whose message
+// length does not change need only be padded once.
+func pad(m *Msg, n int) int {
+	if uint(n) > MaxMsg {
+		panic("hashk: message longer than MaxMsg")
+	}
+	end := 64
+	if n > 64-9 {
+		end = 128
+	}
+	m[n] = 0x80
+	clear(m[n+1 : end-8])
+	binary.BigEndian.PutUint64(m[end-8:end], uint64(n)<<3)
+	return end / 64
+}
+
+// sum1 writes SHA-256(m[:n]) to out; m is padded to blocks blocks.
+// This and sum2 are the one place that picks the kernel or
+// sha256.Sum256, which ignores the padding.
+func sum1(out *[32]byte, m *Msg, n, blocks int) {
+	if !useKernel {
+		*out = sha256.Sum256(m[:n])
+		return
+	}
+	compress1(out, m, blocks)
+}
+
+// sum2 is sum1 on two padded messages of the same length.
+func sum2(outA, outB *[32]byte, a, b *Msg, n, blocks int) {
+	if !useKernel {
+		*outA, *outB = sha256.Sum256(a[:n]), sha256.Sum256(b[:n])
+		return
+	}
+	compress2(outA, outB, a, b, blocks)
+}
 
 // Node hashes two child digests with the node domain prefix:
 // SHA-256(0x01 || left || right). Zero allocations.
 func Node[H ~[32]byte](left, right H) H {
-	var buf [65]byte
-	buf[0] = NodePrefix
-	copy(buf[1:33], left[:])
-	copy(buf[33:65], right[:])
-	return H(sha256.Sum256(buf[:]))
+	var m Msg
+	m[0] = NodePrefix
+	copy(m[1:33], left[:])
+	copy(m[33:65], right[:])
+	return H(SumMsg(&m, 65))
 }
 
 // HashLevel reduces one whole tree level: dst[i] = Node(src[2i],
-// src[2i+1]). len(src) must be exactly 2*len(dst). Zero allocations
-// regardless of level width, so a full tree reduction costs no
-// allocator traffic at all. Callers fan chunks of a level out across
-// workers by slicing dst and src consistently.
+// src[2i+1]), two nodes at a time. len(src) must be exactly 2*len(dst).
+// Zero allocations regardless of level width, so a full tree reduction
+// costs no allocator traffic at all. Callers fan chunks of a level out
+// across workers by slicing dst and src consistently.
 func HashLevel[H ~[32]byte](dst, src []H) {
 	if len(src) != 2*len(dst) {
 		panic("hashk: HashLevel src must be exactly twice dst")
 	}
-	var buf [65]byte
-	buf[0] = NodePrefix
-	for i := range dst {
-		copy(buf[1:33], src[2*i][:])
-		copy(buf[33:65], src[2*i+1][:])
-		dst[i] = H(sha256.Sum256(buf[:]))
+	var a, b Msg
+	a[0], b[0] = NodePrefix, NodePrefix
+	blocks := pad(&a, 65)
+	pad(&b, 65)
+	i := 0
+	for ; i+1 < len(dst); i += 2 {
+		copy(a[1:33], src[2*i][:])
+		copy(a[33:65], src[2*i+1][:])
+		copy(b[1:33], src[2*i+2][:])
+		copy(b[33:65], src[2*i+3][:])
+		sum2((*[32]byte)(dst[i][:]), (*[32]byte)(dst[i+1][:]), &a, &b, 65, blocks)
+	}
+	if i < len(dst) {
+		copy(a[1:33], src[2*i][:])
+		copy(a[33:65], src[2*i+1][:])
+		sum1((*[32]byte)(dst[i][:]), &a, 65, blocks)
 	}
 }
 
@@ -82,11 +176,11 @@ func HashLevel[H ~[32]byte](dst, src []H) {
 // SHA-256(0x00 || data). Zero allocations for payloads up to
 // ScratchBytes-1 bytes; larger payloads stream through a heap hasher.
 func Leaf[H ~[32]byte](data []byte) H {
-	if len(data) < smallScratchBytes {
-		var buf [smallScratchBytes]byte
-		buf[0] = LeafPrefix
-		n := copy(buf[1:], data)
-		return H(sha256.Sum256(buf[:1+n]))
+	if len(data) < MaxMsg {
+		var m Msg
+		m[0] = LeafPrefix
+		copy(m[1:], data)
+		return H(SumMsg(&m, 1+len(data)))
 	}
 	if len(data) < ScratchBytes {
 		var buf [ScratchBytes]byte
@@ -100,14 +194,14 @@ func Leaf[H ~[32]byte](data []byte) H {
 // Leaf2 hashes the concatenation of two payload parts under the leaf
 // prefix: SHA-256(0x00 || a || b). This is the salted-leaf shape of
 // the zkVM commitment (salt || records) hashed without materializing
-// the concatenation. Zero allocations on the fast path.
+// the concatenation. Zero allocations on the fast paths.
 func Leaf2[H ~[32]byte](a, b []byte) H {
-	if len(a)+len(b) < smallScratchBytes {
-		var buf [smallScratchBytes]byte
-		buf[0] = LeafPrefix
-		n := 1 + copy(buf[1:], a)
-		n += copy(buf[n:], b)
-		return H(sha256.Sum256(buf[:n]))
+	if len(a)+len(b) < MaxMsg {
+		var m Msg
+		m[0] = LeafPrefix
+		n := 1 + copy(m[1:], a)
+		n += copy(m[n:], b)
+		return H(SumMsg(&m, n))
 	}
 	if len(a)+len(b) < ScratchBytes {
 		var buf [ScratchBytes]byte

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"testing"
 )
 
@@ -86,21 +87,24 @@ func TestLeafVariantsMatchReference(t *testing.T) {
 	}
 }
 
-// TestLeafSlowPathMatchesFastPath pins the fast/slow boundary: a
-// payload just under ScratchBytes (stack path) and the same bytes fed
-// through the streaming path hash identically, and oversized payloads
-// agree with the reference.
+// TestLeafSlowPathMatchesFastPath pins the boundaries between the
+// leaf paths — the kernel's Msg and the 512-byte stack buffer either
+// side of MaxMsg, the stack buffer and the streaming hasher either side
+// of ScratchBytes — and oversized payloads, against the reference, with
+// the kernel on and off.
 func TestLeafSlowPathMatchesFastPath(t *testing.T) {
-	for _, n := range []int{ScratchBytes - 2, ScratchBytes - 1, ScratchBytes, 4 * ScratchBytes} {
-		data := bytes.Repeat([]byte{0x5e}, n)
-		if got, want := Leaf[digest](data), refLeaf(data); got != want {
-			t.Fatalf("len %d: Leaf = %x, want %x", n, got, want)
+	kernelModes(t, func(mode string) {
+		for _, n := range []int{MaxMsg - 2, MaxMsg - 1, MaxMsg, ScratchBytes - 2, ScratchBytes - 1, ScratchBytes, 4 * ScratchBytes} {
+			data := bytes.Repeat([]byte{0x5e}, n)
+			if got, want := Leaf[digest](data), refLeaf(data); got != want {
+				t.Fatalf("%s: len %d: Leaf = %x, want %x", mode, n, got, want)
+			}
+			half := n / 2
+			if got, want := Leaf2[digest](data[:half], data[half:]), refLeaf(data); got != want {
+				t.Fatalf("%s: len %d: Leaf2 split = %x, want %x", mode, n, got, want)
+			}
 		}
-		half := n / 2
-		if got, want := Leaf2[digest](data[:half], data[half:]), refLeaf(data); got != want {
-			t.Fatalf("len %d: Leaf2 split = %x, want %x", n, got, want)
-		}
-	}
+	})
 }
 
 // TestKernelZeroAllocs is the allocation-regression gate for the
@@ -129,6 +133,130 @@ func TestKernelZeroAllocs(t *testing.T) {
 	}
 }
 
+// kernelModes runs f with the compression kernel off and, on a CPU
+// that has it, on.
+func kernelModes(t testing.TB, f func(mode string)) {
+	defer func(was bool) { useKernel = was }(useKernel)
+	useKernel = false
+	f("stdlib")
+	if haveKernel {
+		useKernel = true
+		f("kernel")
+	}
+}
+
+// TestSumMatchesStdlib is the kernel's differential gate: every message
+// length from empty to two blocks past the kernel's MaxMsg (one block,
+// two blocks, the sha256.Sum256 fallback), random, all-zero and
+// all-0xff content, in a Msg whose bytes past the message are stale —
+// one lane, and two lanes on equal and on different messages — must
+// hash to sha256.Sum256, with the kernel on and off.
+func TestSumMatchesStdlib(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	kernelModes(t, func(mode string) {
+		for n := 0; n <= 256; n++ {
+			random := make([]byte, n)
+			rng.Read(random)
+			other := make([]byte, n)
+			rng.Read(other)
+			for _, c := range []struct {
+				name string
+				msg  []byte
+			}{
+				{"random", random},
+				{"zero", make([]byte, n)},
+				{"ff", bytes.Repeat([]byte{0xff}, n)},
+			} {
+				want := sha256.Sum256(c.msg)
+				if got := Sum(c.msg); got != want {
+					t.Fatalf("%s: Sum(%s, %d bytes) = %x, want %x", mode, c.name, n, got, want)
+				}
+				if n > MaxMsg {
+					continue
+				}
+				a, b := staleMsg(c.msg), staleMsg(c.msg)
+				if got := SumMsg(&a, n); got != want {
+					t.Fatalf("%s: SumMsg(%s, %d bytes) = %x, want %x", mode, c.name, n, got, want)
+				}
+				a = staleMsg(c.msg)
+				if da, db := SumMsg2(&a, &b, n); da != want || db != want {
+					t.Fatalf("%s: SumMsg2(%s, %d bytes) on equal messages = %x, %x, want %x", mode, c.name, n, da, db, want)
+				}
+				a, b = staleMsg(c.msg), staleMsg(other)
+				if da, db := SumMsg2(&a, &b, n); da != want || db != sha256.Sum256(other) {
+					t.Fatalf("%s: SumMsg2(%s, %d bytes) on different messages = %x, %x", mode, c.name, n, da, db)
+				}
+			}
+		}
+	})
+}
+
+// staleMsg is msg in a Msg whose remaining bytes are not zero.
+func staleMsg(msg []byte) Msg {
+	var m Msg
+	for i := range m {
+		m[i] = byte(0xa5 + i)
+	}
+	copy(m[:], msg)
+	return m
+}
+
+func TestSumMsgRejectsLongMessage(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("SumMsg of MaxMsg+1 bytes did not panic")
+		}
+	}()
+	var m Msg
+	SumMsg(&m, MaxMsg+1)
+}
+
+// FuzzSumMatchesStdlib: two messages cut to one length hash, in one
+// lane and two, to sha256.Sum256, with the kernel on and off.
+func FuzzSumMatchesStdlib(f *testing.F) {
+	f.Add([]byte(""), []byte(""))
+	f.Add(bytes.Repeat([]byte{1}, 55), bytes.Repeat([]byte{2}, 56))
+	f.Add(bytes.Repeat([]byte{0xff}, MaxMsg), bytes.Repeat([]byte{0}, 200))
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		kernelModes(t, func(mode string) {
+			if got, want := Sum(a), sha256.Sum256(a); got != want {
+				t.Fatalf("%s: Sum(%x) = %x, want %x", mode, a, got, want)
+			}
+			n := min(len(a), len(b), MaxMsg)
+			ma, mb := staleMsg(a[:n]), staleMsg(b[:n])
+			da, db := SumMsg2(&ma, &mb, n)
+			if da != sha256.Sum256(a[:n]) || db != sha256.Sum256(b[:n]) {
+				t.Fatalf("%s: SumMsg2(%x, %x) = %x, %x", mode, a[:n], b[:n], da, db)
+			}
+		})
+	})
+}
+
+// BenchmarkCompress is the kernel's floor: ns per 64-byte block for one
+// message at a time and for two interleaved, on two-block messages (a
+// node is one).
+func BenchmarkCompress(b *testing.B) {
+	if !haveKernel {
+		b.Skip("no SHA-NI compression kernel on this CPU or build")
+	}
+	var ma, mb Msg
+	blocks := pad(&ma, 65)
+	pad(&mb, 65)
+	var da, db [32]byte
+	b.Run("lanes=1", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			compress1(&da, &ma, blocks)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+	})
+	b.Run("lanes=2", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			compress2(&da, &db, &ma, &mb, blocks)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N*blocks), "ns/block")
+	})
+}
+
 func BenchmarkHashLevel(b *testing.B) {
 	for _, n := range []int{1024, 16384} {
 		src := mkDigests(2 * n)
@@ -138,6 +266,7 @@ func BenchmarkHashLevel(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				HashLevel(dst, src)
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
 		})
 	}
 }

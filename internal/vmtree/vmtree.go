@@ -13,9 +13,9 @@
 package vmtree
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 
+	"zkflow/internal/hashk"
 	"zkflow/internal/merkle"
 )
 
@@ -65,7 +65,7 @@ func hashPacked(buf []byte, words []uint32) Digest {
 	for i, w := range words {
 		binary.LittleEndian.PutUint32(buf[4*i:], w)
 	}
-	return FromBytes(sha256.Sum256(buf))
+	return FromBytes(hashk.Sum(buf))
 }
 
 // Node hashes two child digests (16 words) with zero allocations —
@@ -78,7 +78,7 @@ func Node(l, r Digest) Digest {
 	for i, w := range r {
 		binary.LittleEndian.PutUint32(buf[32+4*i:], w)
 	}
-	return FromBytes(sha256.Sum256(buf[:]))
+	return FromBytes(hashk.Sum(buf[:]))
 }
 
 // LeafDigests hashes each entry's words into its leaf digest.

@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"sort"
+	"sync"
 
 	"zkflow/internal/field"
 	"zkflow/internal/hashk"
@@ -35,21 +36,44 @@ func newSalter(seed *[32]byte) salter {
 	return salter{block}
 }
 
-// put writes the salt of leaf index of tree label into dst[:saltBytes].
-// dst is the cipher's input and output, so it has to be heap memory
-// for the call not to allocate.
-func (s salter) put(dst []byte, label byte, index int) {
-	dst = dst[:saltBytes]
-	binary.BigEndian.PutUint64(dst, uint64(label)<<56)
-	binary.BigEndian.PutUint64(dst[8:], uint64(index))
-	s.block.Encrypt(dst, dst)
+// keystream writes the salts of leaves 0, 1, 2, … of tree label into
+// dst back to back: the CTR keystream from leaf 0's counter block,
+// which is the salt of every leaf in one pass of the cipher.
+func (s salter) keystream(dst []byte, label byte) {
+	var iv [aes.BlockSize]byte
+	iv[0] = label
+	clear(dst)
+	cipher.NewCTR(s.block, iv[:]).XORKeyStream(dst, dst)
 }
 
 // deriveSalt is the salt of one leaf, for the ~k openings.
 func (s salter) deriveSalt(label byte, index int) [saltBytes]byte {
 	salt := make([]byte, saltBytes)
-	s.put(salt, label, index)
+	binary.BigEndian.PutUint64(salt, uint64(label)<<56)
+	binary.BigEndian.PutUint64(salt[8:], uint64(index))
+	s.block.Encrypt(salt, salt)
 	return [saltBytes]byte(salt)
+}
+
+// saltSlabPool recycles the tables' salt keystreams (*[]byte).
+var saltSlabPool sync.Pool
+
+// getSaltSlab returns n bytes of slab. A pooled slab that is too small
+// is dropped, and a new one gets a power-of-two capacity, so the
+// similar-sized tables of one seal come to share one slab size.
+func getSaltSlab(n int) []byte {
+	if v := saltSlabPool.Get(); v != nil {
+		if s := *v.(*[]byte); cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]byte, n, 1<<bits.Len(uint(n)))
+}
+
+func putSaltSlab(s []byte) {
+	if cap(s) > 0 {
+		saltSlabPool.Put(&s)
+	}
 }
 
 // table is one committed column of a seal: n records, leafRecords of
@@ -61,8 +85,9 @@ func (s salter) deriveSalt(label byte, index int) [saltBytes]byte {
 // are exactly what was hashed into the leaf.
 type table struct {
 	salts    salter
-	label    byte // salt domain; also says which column below is set
-	n        int  // records
+	keys     []byte // leaf j's salt is keys[saltBytes*j:][:saltBytes]
+	label    byte   // salt domain; also says which column below is set
+	n        int    // records
 	recBytes int
 
 	rows  []Row        // treeExec
@@ -77,19 +102,35 @@ type table struct {
 }
 
 func rowTable(salts salter, prog *Program, rows []Row) *table {
-	return &table{salts: salts, label: treeExec, n: len(rows), recBytes: rowBytes, rows: rows, prog: prog}
+	return salted(&table{salts: salts, label: treeExec, n: len(rows), recBytes: rowBytes, rows: rows, prog: prog})
 }
 
 func memTable(salts salter, label byte, log []MemEntry) *table {
-	return &table{salts: salts, label: label, n: len(log), recBytes: memBytes, mem: log}
+	return salted(&table{salts: salts, label: label, n: len(log), recBytes: memBytes, mem: log})
 }
 
 func prodTable(salts salter, label byte, col []field.Elem) *table {
-	return &table{salts: salts, label: label, n: len(col), recBytes: prodBytes, prods: col}
+	return salted(&table{salts: salts, label: label, n: len(col), recBytes: prodBytes, prods: col})
 }
 
 func imageTable(salts salter, img []imagePair) *table {
-	return &table{salts: salts, label: treeBoundary, n: len(img), recBytes: imgBytes, img: img}
+	return salted(&table{salts: salts, label: treeBoundary, n: len(img), recBytes: imgBytes, img: img})
+}
+
+// salted generates the salts of all of t's leaves into a pooled slab,
+// which t.release returns.
+func salted(t *table) *table {
+	t.keys = getSaltSlab(saltBytes * t.leaves())
+	t.salts.keystream(t.keys, t.label)
+	return t
+}
+
+// release recycles the table's tree and salts; openings copied out
+// everything they keep.
+func (t *table) release() {
+	t.tree.Release()
+	putSaltSlab(t.keys)
+	t.keys = nil
 }
 
 // leaves is the number of committed leaves.
@@ -143,23 +184,37 @@ func commitTables(width int, tabs ...*table) {
 	}
 }
 
-// commitBlock salts, encodes and leaf-hashes one builder block and
-// reduces it to its subtree root while it is still in cache. The
-// block's salts are generated in one run, parked in the arena slots
-// their leaf hashes then overwrite.
+// The widest salted leaf fits the hash kernel's message buffer.
+var _ [hashk.MaxMsg - (1 + saltBytes + maxLeafBytes)]struct{}
+
+// commitBlock salts, encodes and leaf-hashes one builder block, two
+// leaves at a time (only a table's last leaf can differ in length from
+// its neighbour), and reduces it to its subtree root while it is still
+// in cache.
 func (t *table) commitBlock(block int) {
 	first, leaves := t.builder.Leaves(block)
-	for i := range leaves {
-		t.salts.put(leaves[i][:], t.label, first+i)
+	var a, b hashk.Msg
+	a[0], b[0] = hashk.LeafPrefix, hashk.LeafPrefix
+	i := 0
+	for ; i+1 < len(leaves); i += 2 {
+		na, nb := t.leafMsg(&a, first+i), t.leafMsg(&b, first+i+1)
+		if na == nb {
+			leaves[i], leaves[i+1] = hashk.SumMsg2(&a, &b, na)
+		} else {
+			leaves[i], leaves[i+1] = hashk.SumMsg(&a, na), hashk.SumMsg(&b, nb)
+		}
 	}
-	var buf [1 + saltBytes + maxLeafBytes]byte
-	buf[0] = hashk.LeafPrefix
-	for i := range leaves {
-		copy(buf[1:], leaves[i][:saltBytes])
-		n := t.encodeLeaf(first+i, buf[1+saltBytes:])
-		leaves[i] = sha256.Sum256(buf[:1+saltBytes+n])
+	if i < len(leaves) {
+		leaves[i] = hashk.SumMsg(&a, t.leafMsg(&a, first+i))
 	}
 	t.builder.Reduce(block)
+}
+
+// leafMsg writes leaf j's salt and records after the leaf prefix in m
+// and returns the message length.
+func (t *table) leafMsg(m *hashk.Msg, j int) int {
+	copy(m[1:1+saltBytes], t.keys[saltBytes*j:])
+	return 1 + saltBytes + t.encodeLeaf(j, m[1+saltBytes:])
 }
 
 // open opens leaf j. Indices are derived from committed lengths, so
@@ -205,12 +260,12 @@ func commitTrace(ex *Execution, salts salter, width int, obs StageObserver, tr *
 	sorted := sortedMemLog(ex.MemLog)
 	sortDone()
 
+	commitDone := stageTimer(obs, StageMerkleCommit)
 	c := &sealTables{ex: ex, sorted: sorted,
 		exec:    rowTable(salts, ex.Program, ex.Rows),
 		memProg: memTable(salts, treeMemProg, ex.MemLog),
 		memSort: memTable(salts, treeMemSort, sorted),
 	}
-	commitDone := stageTimer(obs, StageMerkleCommit)
 	commitTables(width, c.exec, c.memProg, c.memSort)
 	commitDone()
 	s.ExecRoot = c.exec.tree.Root()
@@ -288,6 +343,6 @@ func (c *sealTables) openChecks(tr *transcript.Transcript, checks int, s *Seal) 
 func (c *sealTables) release() {
 	putMemSlab(c.sorted)
 	for _, t := range []*table{c.exec, c.memProg, c.memSort, c.prodProg, c.prodSort} {
-		t.tree.Release()
+		t.release()
 	}
 }

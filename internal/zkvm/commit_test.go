@@ -6,8 +6,6 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"testing"
-
-	"zkflow/internal/merkle"
 )
 
 // ctrStream is the salt PRF written the textbook way: the stdlib's
@@ -28,9 +26,7 @@ func ctrStream(seed *[32]byte, label byte, first uint64, blocks int) []byte {
 
 // TestSaltsAreAESCTR pins the construction: deriveSalt(label, i) — what
 // an opening carries — is block i of the AES-CTR keystream of its
-// tree, from any starting index, and the salts parked in a block's
-// leaf slots by the bulk pass are that same stream, whatever block
-// boundaries it is cut at.
+// tree, from any starting index.
 func TestSaltsAreAESCTR(t *testing.T) {
 	seed := &[32]byte{1, 2, 3, 31: 0xfe}
 	salts := newSalter(seed)
@@ -43,21 +39,25 @@ func TestSaltsAreAESCTR(t *testing.T) {
 			}
 		}
 	}
-	// The bulk pass, over a table whose last block is partial.
-	const n = 2*1024 + 77
-	stream := ctrStream(seed, treeExec, 0, n)
-	b := merkle.NewBuilder(n)
-	for blk := 0; blk < b.Blocks(); blk++ {
-		first, leaves := b.Leaves(blk)
-		for i := range leaves {
-			salts.put(leaves[i][:], treeExec, first+i)
-			if !bytes.Equal(leaves[i][:saltBytes], stream[(first+i)*saltBytes:][:saltBytes]) {
-				t.Fatalf("bulk salt of leaf %d (block %d) is not keystream block %d", first+i, blk, first+i)
-			}
-		}
-		b.Reduce(blk)
+}
+
+// TestTableSaltsMatchDeriveSalt: the salt every leaf is committed
+// under — a table's one-pass keystream, read from a recycled slab — is
+// deriveSalt at the leaf's index, the salt its opening carries, across
+// the blocks of a table whose last block and last leaf are partial.
+func TestTableSaltsMatchDeriveSalt(t *testing.T) {
+	seed := &[32]byte{5, 31: 0x77}
+	putSaltSlab(bytes.Repeat([]byte{0xee}, 64<<10)) // a dirty slab for the table to pick up
+	tab := memTable(newSalter(seed), treeMemProg, make([]MemEntry, leafRecords*(2*1024+77)-1))
+	if tab.leaves() <= 2*1024 {
+		t.Fatalf("%d leaves is not a multi-block table", tab.leaves())
 	}
-	b.Finish().Release()
+	for j := 0; j < tab.leaves(); j++ {
+		want := tab.salts.deriveSalt(tab.label, j)
+		if got := tab.keys[saltBytes*j:][:saltBytes]; !bytes.Equal(got, want[:]) {
+			t.Fatalf("leaf %d is committed under salt %x, its opening carries %x", j, got, want)
+		}
+	}
 }
 
 // TestSaltDomains checks that no two committed leaves share a salt

@@ -1,11 +1,12 @@
 package zkvm
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
+
+	"zkflow/internal/hashk"
 )
 
 // Row is one execution-trace row: the machine state *before* the step
@@ -197,7 +198,7 @@ func hashWords(env execEnv, buf []byte, addr, n, dst uint32) error {
 		}
 		binary.LittleEndian.PutUint32(buf[4*i:], v)
 	}
-	digest := sha256.Sum256(buf)
+	digest := hashk.Sum(buf)
 	for j := uint32(0); j < 8; j++ {
 		if err := env.store(dst+j, binary.LittleEndian.Uint32(digest[4*j:])); err != nil {
 			return err

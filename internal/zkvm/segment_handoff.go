@@ -134,7 +134,7 @@ func (r *SegmentRun) proveSegment(index, width int) (*SegmentReceipt, error) {
 func (r *SegmentRun) Release() {
 	r.releaseOnce.Do(func() {
 		for _, b := range r.bnd[1:len(r.segs)] {
-			b.tree.Release()
+			b.release()
 		}
 		releaseSegments(r.segs)
 	})
