@@ -70,10 +70,14 @@ fuzz:
 	$(GO) test ./internal/hashk -run='^$$' -fuzz=FuzzSumMatchesStdlib -fuzztime=$(FUZZTIME)
 
 # Farm lane: the prover-farm fault-injection suite, run twice — the
-# failover paths (requeue, redispatch, duplicate suppression) are timing
-# sensitive by nature, so one green run is not evidence enough.
+# failover paths (requeue, redispatch, duplicate suppression) and the
+# one read deadline that judges liveness are timing sensitive by nature,
+# so one green run is not evidence enough — and the end-to-end churn
+# test, twice too: 16 epochs under worker churn, checked by the light
+# client, so a deadline that kills a healthy worker mid-epoch fails here.
 farm:
 	$(GO) test ./internal/remote -run='TestFarmFault' -count=2
+	$(GO) test ./internal/core -run='TestFarmStressWorkerChurn' -count=2
 
 # The default pre-merge gate. The fuzz lane runs last so the cheap
 # deterministic checks fail fast.

@@ -167,12 +167,16 @@ var AllErrorCodes = []string{
 }
 
 // servedReceipt is one sealed aggregation round: its wire bytes, the
-// epoch it covered, and the strong ETag the immutable route serves.
+// epoch it covered, the strong ETag the immutable route serves, and the
+// CLog size and root its journal commits to, which the status route
+// reports.
 type servedReceipt struct {
 	epoch uint64
 	bin   []byte
 	etag  string
 	kind  string
+	flows int
+	root  string // hex of all 32 bytes of the journal's NewRoot
 }
 
 // Server serves the operator's public artifacts.
@@ -210,11 +214,14 @@ func (s *Server) AddAggregationResult(res *core.AggregationResult) error {
 		return err
 	}
 	sum := sha256.Sum256(bin)
+	root := res.Journal.NewRoot.Bytes()
 	rec := servedReceipt{
 		epoch: res.Epoch,
 		bin:   bin,
 		etag:  `"agg-` + hex.EncodeToString(sum[:12]) + `"`,
 		kind:  receiptKindOf(res.Receipt),
+		flows: int(res.Journal.NewCount),
+		root:  hex.EncodeToString(root[:]),
 	}
 	s.mu.Lock()
 	s.receipts = append(s.receipts, rec)
@@ -400,19 +407,16 @@ func etagMatches(header, etag string) bool {
 	return false
 }
 
+// status describes the last served round — not a round the prover has
+// committed but not yet handed to AddAggregationResult — and the ledger.
 func (s *Server) status() Status {
-	s.mu.RLock()
-	rounds := len(s.receipts)
-	s.mu.RUnlock()
 	_, n := s.ledger.Head()
-	st := Status{
-		Rounds:      rounds,
-		Flows:       s.prover.CLogLen(),
-		LedgerLen:   n,
-		Checkpoints: len(s.ledger.Checkpoints()),
-	}
-	if hist := s.prover.History(); len(hist) > 0 {
-		st.LatestRoot = fmt.Sprintf("%x", hist[len(hist)-1].Journal.NewRoot.Bytes())
+	st := Status{LedgerLen: n, Checkpoints: len(s.ledger.Checkpoints())}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if st.Rounds = len(s.receipts); st.Rounds > 0 {
+		last := &s.receipts[st.Rounds-1]
+		st.Flows, st.LatestRoot = last.flows, last.root
 	}
 	return st
 }

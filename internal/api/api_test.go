@@ -2,6 +2,7 @@ package api
 
 import (
 	"context"
+	"encoding/hex"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -42,6 +43,46 @@ func newTestServer(t *testing.T, epochs int) (*httptest.Server, *Server) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, srv
+}
+
+// TestStatusIsTheLastServedRound: /api/v1/status describes the last
+// round the server serves, even while the prover has committed a later
+// one, and its root is all 32 bytes of that round's NewRoot.
+func TestStatusIsTheLastServedRound(t *testing.T) {
+	st := store.Open(0)
+	lg := ledger.New()
+	sim := router.NewSim(trafficgen.Config{Seed: 1, NumFlows: 32, Routers: 2}, st, lg)
+	prover := core.NewProver(st, lg, core.Options{Checks: 6})
+	srv := NewServer(prover, lg)
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	c := New(ts.URL, WithHTTPClient(ts.Client()))
+	ctx := context.Background()
+
+	var served *core.AggregationResult
+	for e := uint64(0); e < 2; e++ {
+		if _, err := sim.RunEpoch(ctx, e, 8); err != nil {
+			t.Fatal(err)
+		}
+		res, err := prover.AggregateEpoch(e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e == 0 { // epoch 1 is committed but never served
+			served = res
+			if err := srv.AddAggregationResult(res); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	got, err := c.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := served.Journal.NewRoot.Bytes()
+	if got.Rounds != 1 || got.Flows != int(served.Journal.NewCount) || got.LatestRoot != hex.EncodeToString(root[:]) {
+		t.Fatalf("status %+v, want round 1 of %d flows under root %x", got, served.Journal.NewCount, root[:])
+	}
 }
 
 func TestFullRemoteAuditFlow(t *testing.T) {

@@ -35,12 +35,12 @@ import (
 // queue to the live worker with the most free slots, so a freed slot
 // anywhere pulls the next queued job and a fast worker, freeing its
 // slots sooner, takes more of them. Failover is first-class: a worker
-// that misses heartbeatMiss heartbeats or whose connection drops
-// mid-job is declared dead, its connection is closed (so late results
-// can never race in), and its in-flight jobs are re-queued at the front
-// of the queue. Exactly-once delivery is enforced at the result path:
-// the first accepted result per job wins, anything later is counted
-// and dropped.
+// whose connection delivers no frame for heartbeatMiss heartbeat
+// intervals, or drops, is declared dead, its connection is closed (so
+// late results can never race in), and its in-flight jobs are re-queued
+// at the front of the queue. Exactly-once delivery is enforced at the
+// result path: the first accepted result per job wins, anything later
+// is counted and dropped.
 //
 // Determinism makes all of this safe: every job carries the master
 // salt seed, so whichever worker (re-)proves a segment produces the
@@ -51,14 +51,15 @@ import (
 // FarmConfig configures a Coordinator.
 type FarmConfig struct {
 	// HeartbeatEvery is the heartbeat interval workers are told to use
-	// (default DefaultHeartbeatEvery).
+	// (default DefaultHeartbeatEvery); a connection that delivers no
+	// frame for heartbeatMiss of them is dead.
 	HeartbeatEvery time.Duration
 	// Metrics receives the farm's observability stream (nil = a
 	// private registry): farm.workers, farm.jobs_queued,
 	// farm.jobs_inflight, farm.jobs_dispatched, farm.jobs_requeued,
 	// farm.results_ok/err/duplicate, farm.bad_frames and
 	// farm.workers_dead, and the per-worker
-	// farm.worker.<name>.in_flight / .requeued / .heartbeat_age_ms gauges.
+	// farm.worker.<name>.in_flight / .requeued / .last_frame_unix_ms gauges.
 	Metrics *obs.Registry
 }
 
@@ -66,8 +67,9 @@ type FarmConfig struct {
 // names none.
 const DefaultHeartbeatEvery = 500 * time.Millisecond
 
-// heartbeatMiss is how many consecutive missed heartbeat intervals
-// declare a worker dead.
+// heartbeatMiss is how many heartbeat intervals a worker connection may
+// go without delivering a frame — its hello first, then heartbeats and
+// results — before the worker is declared dead.
 const heartbeatMiss = 3
 
 // ErrFarmClosed reports a job submitted to (or queued on) a closed
@@ -102,12 +104,11 @@ type farmWorker struct {
 	sendMu   sync.Mutex
 
 	inflight map[uint64]*farmJob
-	lastBeat time.Time
 	dead     bool
 
-	gInFlight *obs.Gauge
-	gRequeued *obs.Gauge
-	gBeatAge  *obs.Gauge
+	gInFlight  *obs.Gauge
+	gRequeued  *obs.Gauge
+	gLastFrame *obs.Gauge
 }
 
 // free returns the worker's free job slots.
@@ -126,7 +127,6 @@ type Coordinator struct {
 	nextWID uint32
 	nextJID uint64
 	closed  bool
-	closeCh chan struct{}
 
 	ln       net.Listener
 	dispatch sync.WaitGroup
@@ -157,7 +157,6 @@ func NewCoordinator(cfg FarmConfig) *Coordinator {
 	c := &Coordinator{
 		cfg:          cfg,
 		workers:      make(map[uint32]*farmWorker),
-		closeCh:      make(chan struct{}),
 		reg:          reg,
 		gWorkers:     reg.Gauge("farm.workers"),
 		gQueued:      reg.Gauge("farm.jobs_queued"),
@@ -198,7 +197,7 @@ func (c *Coordinator) Addr() string {
 }
 
 // Serve accepts worker connections on ln until Close (or a listener
-// failure). It also runs the dispatcher and the heartbeat monitor.
+// failure). It also runs the dispatcher.
 func (c *Coordinator) Serve(ln net.Listener) error {
 	c.mu.Lock()
 	if c.closed {
@@ -209,9 +208,8 @@ func (c *Coordinator) Serve(ln net.Listener) error {
 	c.ln = ln
 	c.mu.Unlock()
 
-	c.dispatch.Add(2)
+	c.dispatch.Add(1)
 	go c.dispatchLoop()
-	go c.monitorLoop()
 
 	for {
 		conn, err := ln.Accept()
@@ -237,7 +235,6 @@ func (c *Coordinator) Close() error {
 		return nil
 	}
 	c.closed = true
-	close(c.closeCh)
 	ln := c.ln
 	var conns []net.Conn
 	for _, w := range c.workers {
@@ -295,13 +292,18 @@ func (c *Coordinator) WaitForWorkers(ctx context.Context, n int) error {
 }
 
 // handleConn runs one worker connection: registration, then a read
-// loop for heartbeats and results. Any malformed frame or read error
-// kills the worker and triggers failover.
+// loop for heartbeats and results. Every frame, the hello included,
+// must finish arriving within heartbeatMiss heartbeat intervals of the
+// previous one (or of the accept): that one deadline is the farm's
+// liveness rule. A missed deadline, a malformed frame or any other read
+// error kills the worker and triggers failover.
 func (c *Coordinator) handleConn(conn net.Conn) {
-	// Registration must arrive promptly; a silent dialer cannot hold a
-	// slot open forever.
-	conn.SetReadDeadline(time.Now().Add(10 * c.cfg.HeartbeatEvery))
-	typ, payload, err := readFrame(conn)
+	deadline := heartbeatMiss * c.cfg.HeartbeatEvery
+	next := func() (byte, []byte, error) {
+		conn.SetReadDeadline(time.Now().Add(deadline))
+		return readFrame(conn)
+	}
+	typ, payload, err := next()
 	if err != nil || typ != frameHello {
 		c.cBadFrames.Inc()
 		conn.Close()
@@ -313,7 +315,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		conn.Close()
 		return
 	}
-	conn.SetReadDeadline(time.Time{})
 
 	c.mu.Lock()
 	if c.closed {
@@ -328,7 +329,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 		capacity: int(hello.Capacity),
 		conn:     conn,
 		inflight: make(map[uint64]*farmJob),
-		lastBeat: time.Now(),
 	}
 	if w.name == "" {
 		w.name = fmt.Sprintf("worker-%d", w.id)
@@ -336,9 +336,9 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	prefix := "farm.worker." + w.name
 	w.gInFlight = c.reg.Gauge(prefix + ".in_flight")
 	w.gRequeued = c.reg.Gauge(prefix + ".requeued")
-	w.gBeatAge = c.reg.Gauge(prefix + ".heartbeat_age_ms")
+	w.gLastFrame = c.reg.Gauge(prefix + ".last_frame_unix_ms")
 	w.gInFlight.Set(0)
-	w.gBeatAge.Set(0)
+	w.gLastFrame.Set(time.Now().UnixMilli())
 	c.workers[w.id] = w
 	c.gWorkers.Set(int64(len(c.workers)))
 	c.cond.Broadcast()
@@ -352,11 +352,12 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 	}
 
 	for {
-		typ, payload, err := readFrame(conn)
+		typ, payload, err := next()
 		if err != nil {
 			c.killWorker(w)
 			return
 		}
+		w.gLastFrame.Set(time.Now().UnixMilli())
 		switch typ {
 		case frameHeartbeat:
 			if len(payload) != 0 {
@@ -364,9 +365,6 @@ func (c *Coordinator) handleConn(conn net.Conn) {
 				c.killWorker(w)
 				return
 			}
-			c.mu.Lock()
-			w.lastBeat = time.Now()
-			c.mu.Unlock()
 		case frameResult:
 			res, err := decodeResult(payload)
 			if err != nil {
@@ -536,41 +534,6 @@ func (c *Coordinator) pickWorkerLocked() *farmWorker {
 	return best
 }
 
-// monitorLoop watches heartbeats: a worker whose last heartbeat is
-// older than HeartbeatEvery*heartbeatMiss is declared dead. It also
-// refreshes the per-worker heartbeat-age gauges.
-func (c *Coordinator) monitorLoop() {
-	defer c.dispatch.Done()
-	tick := time.NewTicker(c.cfg.HeartbeatEvery)
-	defer tick.Stop()
-	deadline := heartbeatMiss * c.cfg.HeartbeatEvery
-	for {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return
-		}
-		var stale []*farmWorker
-		now := time.Now()
-		for _, w := range c.workers {
-			age := now.Sub(w.lastBeat)
-			w.gBeatAge.Set(age.Milliseconds())
-			if age > deadline {
-				stale = append(stale, w)
-			}
-		}
-		c.mu.Unlock()
-		for _, w := range stale {
-			c.killWorker(w)
-		}
-		select {
-		case <-tick.C:
-		case <-c.closeCh:
-			return
-		}
-	}
-}
-
 // enqueue adds a job to the tail of the queue.
 func (c *Coordinator) enqueue(segIndex uint32, seed [32]byte, req []byte) (*farmJob, error) {
 	c.mu.Lock()
@@ -609,56 +572,56 @@ func (c *Coordinator) await(ctx context.Context, j *farmJob) ([]byte, error) {
 
 // ProveSeeded proves one guest run on the farm under an explicit
 // master salt seed. With opts.SegmentCycles > 0 the coordinator plans
-// the segment count (a cheap emulator pass), dispatches one job per
-// segment, and puts the returned segment receipts in index order;
-// otherwise the run dispatches as one whole job. Either way the receipt
-// is verified before it is returned, and it is byte-identical to
-// zkvm.ProveSeeded(prog, input, opts, seed) no matter how many workers
-// served it or which of them failed along the way.
+// the segment count (a cheap emulator pass) and dispatches one job per
+// segment, each answered with a one-segment composite, and puts the
+// segments in index order; otherwise the run is one job, answered with
+// its receipt. Either way the receipt is verified before it is
+// returned, and it is byte-identical to zkvm.ProveSeeded(prog, input,
+// opts, seed) no matter how many workers served it or which of them
+// failed along the way.
 func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions, seed [32]byte) (zkvm.AnyReceipt, error) {
-	req := EncodeRequest(prog, input, opts)
+	n := 1
 	if opts.SegmentCycles > 0 {
-		n, err := zkvm.PlanSegments(prog, input, opts)
-		if err != nil {
+		var err error
+		if n, err = zkvm.PlanSegments(prog, input, opts); err != nil {
 			return nil, err // guest aborts surface before any dispatch
 		}
-		jobs := make([]*farmJob, n)
-		for i := 0; i < n; i++ {
-			j, err := c.enqueue(uint32(i), seed, req)
-			if err != nil {
-				return nil, err
-			}
-			jobs[i] = j
+	}
+	req := EncodeRequest(prog, input, opts)
+	jobs := make([]*farmJob, n)
+	for i := range jobs {
+		j, err := c.enqueue(uint32(i), seed, req)
+		if err != nil {
+			return nil, err
 		}
-		receipts := make([]*zkvm.SegmentReceipt, n)
-		for i, j := range jobs {
-			payload, err := c.await(ctx, j)
+		jobs[i] = j
+	}
+	var receipt zkvm.AnyReceipt
+	segs := make([]*zkvm.SegmentReceipt, 0, n)
+	for i, j := range jobs {
+		payload, err := c.await(ctx, j)
+		if err == nil {
+			receipt, err = zkvm.UnmarshalAnyReceipt(payload)
 			if err != nil {
-				c.abandonJobs(jobs[i+1:])
-				return nil, fmt.Errorf("remote: farm segment %d: %w", i, err)
+				err = fmt.Errorf("%w: %v", ErrRemote, err)
 			}
-			sr, err := zkvm.UnmarshalSegmentReceipt(payload)
-			if err != nil {
-				c.abandonJobs(jobs[i+1:])
-				return nil, fmt.Errorf("%w: segment %d: %v", ErrRemote, i, err)
-			}
-			receipts[i] = sr
 		}
-		return c.checkReceipt(prog, &zkvm.CompositeReceipt{Segments: receipts})
+		if err == nil && opts.SegmentCycles > 0 {
+			if comp, ok := receipt.(*zkvm.CompositeReceipt); ok && comp.NumSegments() == 1 {
+				segs = append(segs, comp.Segments[0])
+			} else {
+				err = fmt.Errorf("%w: segment job answered with a %T, not a one-segment composite", ErrRemote, receipt)
+			}
+		}
+		if err != nil {
+			c.abandonJobs(jobs[i+1:])
+			return nil, fmt.Errorf("remote: farm job %d of %d: %w", i, n, err)
+		}
 	}
-	j, err := c.enqueue(0, seed, req)
-	if err != nil {
-		return nil, err
+	if opts.SegmentCycles > 0 {
+		receipt = &zkvm.CompositeReceipt{Segments: segs}
 	}
-	payload, err := c.await(ctx, j)
-	if err != nil {
-		return nil, err
-	}
-	receipt, err := zkvm.UnmarshalAnyReceipt(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrRemote, err)
-	}
-	return c.checkReceipt(prog, receipt)
+	return c.checkReceipt(prog, receipt, opts.Checks)
 }
 
 // abandonJobs marks every job in jobs abandoned under the lock, so
@@ -675,12 +638,16 @@ func (c *Coordinator) abandonJobs(jobs []*farmJob) {
 // checkReceipt locally re-verifies a receipt a worker returned, or one
 // assembled from workers' segments, before handing it to the caller: a
 // buggy or compromised worker cannot slip an invalid receipt — nor one
-// of an aborted guest — into the aggregation chain.
-func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt) (zkvm.AnyReceipt, error) {
+// of an aborted guest, nor one with fewer sampled checks than the
+// request asked for — into the aggregation chain.
+func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt, checks int) (zkvm.AnyReceipt, error) {
 	if receipt.Image() != prog.ID() {
 		return nil, fmt.Errorf("%w: farm returned a receipt for image %v", ErrRemote, receipt.Image())
 	}
-	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{}); err != nil {
+	if checks <= 0 {
+		checks = zkvm.DefaultChecks
+	}
+	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{MinChecks: checks}); err != nil {
 		return nil, fmt.Errorf("%w: farm receipt invalid: %v", ErrRemote, err)
 	}
 	return receipt, nil

@@ -278,6 +278,38 @@ func TestFarmFaultStaleHeartbeatSuppressed(t *testing.T) {
 	}
 }
 
+// TestFarmFaultSilentDialer: a connection that never sends its hello is
+// held no longer than a registered worker that stops heartbeating —
+// heartbeatMiss intervals — and is counted as a bad frame.
+func TestFarmFaultSilentDialer(t *testing.T) {
+	const every = 100 * time.Millisecond
+	reg := obs.NewRegistry()
+	c := NewCoordinator(FarmConfig{HeartbeatEvery: every, Metrics: reg})
+	if err := c.Start("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	conn, err := net.Dial("tcp", c.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(5 * time.Second))
+	_, err = conn.Read(make([]byte, 1))
+	took := time.Since(start)
+	var nerr net.Error
+	if err == nil || (errors.As(err, &nerr) && nerr.Timeout()) {
+		t.Fatalf("silent dialer still connected after %v (read: %v)", took, err)
+	}
+	if limit := 2 * heartbeatMiss * every; took > limit {
+		t.Fatalf("silent dialer disconnected after %v, want within %v", took, limit)
+	}
+	if reg.Counter("farm.bad_frames").Value() != 1 {
+		t.Error("missing hello was not counted as a bad frame")
+	}
+}
+
 // TestFarmFaultCrashDuringMerge kills the only worker after the
 // coordinator has accepted every segment result but (potentially) before
 // assembly finishes: the merge depends only on accepted results, so the

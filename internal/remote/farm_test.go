@@ -130,8 +130,9 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 	trap.ReadInput(zkvm.R2) // no input: traps
 	trap.HaltCode(0)
 	// A worker that proves some other program, one whose receipt lost a
-	// bit on the way, and one that answers segment job i with segment
-	// i+1: all produce well-formed results.
+	// bit on the way, one that answers segment job i with segment i+1,
+	// and one that seals with a single sampled check whatever the
+	// request asked for: all produce well-formed results.
 	otherImage := func(_ context.Context, job *WorkerJob) ([]byte, error) {
 		prog, input := loopProgram()
 		r, err := zkvm.ProveSeeded(prog, input, job.Opts, job.Seed)
@@ -158,7 +159,16 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return zkvm.MarshalSegmentReceipt(sr)
+		return (&zkvm.CompositeReceipt{Segments: []*zkvm.SegmentReceipt{sr}}).MarshalBinary()
+	}
+	oneCheck := func(_ context.Context, job *WorkerJob) ([]byte, error) {
+		opts := job.Opts
+		opts.Checks = 1
+		r, err := zkvm.ProveSeeded(job.Prog, job.Input, opts, job.Seed)
+		if err != nil {
+			return nil, err
+		}
+		return r.MarshalBinary()
 	}
 	loop, loopInput := loopProgram()
 	for _, tc := range []struct {
@@ -183,6 +193,8 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 			opts: zkvm.ProveOptions{Checks: 6}, prove: flippedSeal, wantErr: "receipt invalid"},
 		{name: "segment i+1 for job i", prog: loop, input: loopInput,
 			opts: farmOpts(), prove: nextSegment, wantErr: "receipt invalid"},
+		{name: "fewer checks than asked", prog: simpleProgram(), input: []uint32{20, 22},
+			opts: zkvm.ProveOptions{Checks: 6}, prove: oneCheck, wantErr: "receipt invalid"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := testFarm(t, nil)

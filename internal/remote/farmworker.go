@@ -54,9 +54,9 @@ type WorkerJob struct {
 	Opts     zkvm.ProveOptions
 }
 
-// ProveJobFunc proves one job, returning the wire payload (a
-// standalone segment receipt for a segment job, a receipt encoding for
-// a whole run).
+// ProveJobFunc proves one job, returning the wire payload: a receipt
+// encoding — for a segment job, the one-segment composite of that
+// segment.
 type ProveJobFunc func(ctx context.Context, job *WorkerJob) ([]byte, error)
 
 // runCache shares SegmentRuns between segment jobs with the same
@@ -190,7 +190,7 @@ func defaultProveJob(cache *runCache, stages zkvm.StageObserver) ProveJobFunc {
 			if err != nil {
 				return nil, err
 			}
-			return zkvm.MarshalSegmentReceipt(sr)
+			return (&zkvm.CompositeReceipt{Segments: []*zkvm.SegmentReceipt{sr}}).MarshalBinary()
 		}
 		r, err := zkvm.ProveSeeded(job.Prog, job.Input, opts, job.Seed)
 		if err != nil {
@@ -317,7 +317,7 @@ readLoop:
 			readErr = err
 			break readLoop
 		}
-		dj, err := parseJob(msg)
+		job, err := parseJob(msg)
 		if err != nil {
 			// A job that does not decode is answered, not fatal: the
 			// coordinator built it, so tell it what went wrong.
@@ -333,20 +333,12 @@ readLoop:
 		inFlight.Add(1)
 		gInFlight.Add(1)
 		cJobs.Inc()
-		go func(dj *decodedJob) {
+		go func() {
 			defer func() {
 				<-slots
 				gInFlight.Add(-1)
 				inFlight.Done()
 			}()
-			job := &WorkerJob{
-				ID:       dj.msg.JobID,
-				SegIndex: int(dj.msg.SegIndex),
-				Seed:     dj.msg.Seed,
-				Prog:     dj.prog,
-				Input:    dj.input,
-				Opts:     dj.opts,
-			}
 			out, err := prove(wctx, job)
 			if err != nil {
 				if wctx.Err() != nil && errors.Is(err, context.Canceled) {
@@ -360,7 +352,7 @@ readLoop:
 			if err := send(frameResult, encodeResult(resultMsg{JobID: job.ID, OK: true, Payload: out})); err != nil {
 				cancel()
 			}
-		}(dj)
+		}()
 	}
 	cancel()
 	conn.Close()

@@ -102,7 +102,7 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 // reqMagic opens a proving request, the body of every job frame. The
 // last digit is the layout's version: a peer speaking another layout
 // fails with ErrBadRequest.
-const reqMagic = 0x7a6b7733 // "zkw3"
+const reqMagic = 0x7a6b7734 // "zkw4"
 
 // EncodeRequest frames a proving request: what to run (program, private
 // input) and the prove options that cross the wire — every field of
@@ -247,9 +247,9 @@ func decodeJob(p []byte) (jobMsg, error) {
 	return m, nil
 }
 
-// resultMsg returns a finished job. OK results carry receipt bytes
-// (a standalone segment receipt for a segment job, a full receipt
-// encoding for a whole run); failures carry the error text.
+// resultMsg returns a finished job. OK results carry a receipt
+// encoding (for a segment job, the one-segment composite of that
+// segment); failures carry the error text.
 type resultMsg struct {
 	JobID   uint64
 	OK      bool
@@ -289,17 +289,9 @@ func decodeResult(p []byte) (resultMsg, error) {
 	return m, nil
 }
 
-// decodedJob is a worker-side parsed dispatch.
-type decodedJob struct {
-	msg   jobMsg
-	prog  *zkvm.Program
-	input []uint32
-	opts  zkvm.ProveOptions
-}
-
 // parseJob decodes a job's request. A whole run has one spelling: its
 // segment index is 0.
-func parseJob(m jobMsg) (*decodedJob, error) {
+func parseJob(m jobMsg) (*WorkerJob, error) {
 	prog, input, opts, err := DecodeRequest(m.Req)
 	if err != nil {
 		return nil, err
@@ -307,5 +299,5 @@ func parseJob(m jobMsg) (*decodedJob, error) {
 	if opts.SegmentCycles == 0 && m.SegIndex != 0 {
 		return nil, fmt.Errorf("%w: whole-run job %d names segment %d", ErrBadFrame, m.JobID, m.SegIndex)
 	}
-	return &decodedJob{msg: m, prog: prog, input: input, opts: opts}, nil
+	return &WorkerJob{ID: m.JobID, SegIndex: int(m.SegIndex), Seed: m.Seed, Prog: prog, Input: input, Opts: opts}, nil
 }

@@ -20,7 +20,7 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(valid[:len(valid)-3])
 	f.Add(valid[:20])
 	f.Add([]byte{})
-	f.Add([]byte{0x33, 0x77, 0x6b, 0x7a}) // magic alone
+	f.Add([]byte{0x34, 0x77, 0x6b, 0x7a}) // magic alone
 	f.Add(EncodeRequest(simpleProgram(), nil, zkvm.ProveOptions{Checks: 6, SegmentCycles: 0xffffffff}))
 	huge := append([]byte(nil), valid...)
 	huge[12], huge[13], huge[14], huge[15] = 0xff, 0xff, 0xff, 0xff // program length lie

@@ -79,9 +79,10 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 			t.Fatalf("accepted %d bytes of garbage", len(data))
 		}
 	}
-	// A peer one layout behind (magic "zkw2") fails cleanly.
+	// A peer one layout behind (magic "zkw3", whose segment jobs were
+	// answered with standalone segment receipts) fails cleanly.
 	old := EncodeRequest(simpleProgram(), []uint32{1}, zkvm.ProveOptions{})
-	binary.LittleEndian.PutUint32(old, 0x7a6b7732)
+	binary.LittleEndian.PutUint32(old, 0x7a6b7733)
 	if _, _, _, err := DecodeRequest(old); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("previous request layout: got %v, want ErrBadRequest", err)
 	}

@@ -24,19 +24,46 @@ func fuzzReceiptBytes(f *testing.F) []byte {
 	return data
 }
 
-// FuzzUnmarshalReceipt drives the receipt decoder over arbitrary
-// bytes: it must never panic, and anything it accepts must re-encode
-// to exactly the input (the encoding is canonical, so accept +
-// re-encode is the round-trip identity). The magic-dispatching
-// UnmarshalAnyReceipt must not panic on the same bytes either.
+// fuzzCompositeBytes builds a two-segment composite and the payload a
+// farm worker sends for its second segment: that segment alone, as a
+// one-segment composite.
+func fuzzCompositeBytes(f *testing.F) (composite, farmSegment []byte) {
+	f.Helper()
+	c, err := proveSegmentedSeeded(sumProgram(), sumInput(8), ProveOptions{Checks: 1, SegmentCycles: minSegmentCycles}, &[32]byte{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if c.NumSegments() != 2 {
+		f.Fatalf("%d segments, want 2", c.NumSegments())
+	}
+	if composite, err = c.MarshalBinary(); err != nil {
+		f.Fatal(err)
+	}
+	if farmSegment, err = (&CompositeReceipt{Segments: c.Segments[1:]}).MarshalBinary(); err != nil {
+		f.Fatal(err)
+	}
+	return composite, farmSegment
+}
+
+// FuzzUnmarshalReceipt drives the magic-dispatching decoder — the one
+// decoder the farm coordinator runs on every result a worker sends —
+// over arbitrary bytes: it must never panic, and anything it accepts,
+// receipt or composite, must re-encode to exactly the input (the
+// encoding is canonical, so accept + re-encode is the round-trip
+// identity).
 func FuzzUnmarshalReceipt(f *testing.F) {
 	valid := fuzzReceiptBytes(f)
+	composite, farmSegment := fuzzCompositeBytes(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:4])
 	f.Add([]byte{})
-	// Every retired magic — the folded receipt's "zkf4" and formats v1
-	// and v2's "zkf1"–"zkf3", "zkf5"–"zkf7" — over a valid receipt's body.
+	f.Add(composite)
+	f.Add(farmSegment)
+	f.Add(composite[:len(composite)/2])
+	// Every retired magic — the folded receipt's "zkf4", formats v1 and
+	// v2's "zkf1"–"zkf3", "zkf5"–"zkf7", and the standalone segment's
+	// "zkfb" — over a valid receipt's body.
 	for _, m := range retiredMagics {
 		f.Add(append([]byte{m, 'f', 'k', 'z'}, valid[4:]...))
 	}
@@ -44,17 +71,16 @@ func FuzzUnmarshalReceipt(f *testing.F) {
 	mut[len(mut)/3] ^= 0xff
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		UnmarshalAnyReceipt(data)
-		r, err := UnmarshalReceipt(data)
+		r, err := UnmarshalAnyReceipt(data)
 		if err != nil {
 			return // rejected; the only requirement is no panic
 		}
 		out, err := r.MarshalBinary()
 		if err != nil {
-			t.Fatalf("accepted receipt failed to re-encode: %v", err)
+			t.Fatalf("accepted %T failed to re-encode: %v", r, err)
 		}
 		if !bytes.Equal(out, data) {
-			t.Fatalf("re-encode mismatch: %d bytes in, %d out", len(data), len(out))
+			t.Fatalf("%T re-encode mismatch: %d bytes in, %d out", r, len(data), len(out))
 		}
 	})
 }

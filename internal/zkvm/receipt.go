@@ -21,19 +21,19 @@ import (
 // bytes against two 32-byte path levels fewer).
 const leafRecords = 4
 
-// The magics of the three encodings of a seal (format v3, DESIGN.md §8)
+// The magics of the two encodings of a seal (format v3, DESIGN.md §8)
 // and the labels its two statements open their transcripts with.
-// "zkfa" frames the farm's wire. "zkf1"–"zkf7" are retired and must
-// never be assigned again, so that no byte string ever read as one of
-// them can be read as anything else: "zkf1"–"zkf3" tagged format v1
-// (one record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of
+// "zkfa" frames the farm's wire. "zkf1"–"zkf7" and "zkfb" are retired
+// and must never be assigned again, so that no byte string ever read as
+// one of them can be read as anything else: "zkf1"–"zkf3" tagged format
+// v1 (one record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of
 // whole rows), which no code decodes any more; "zkf4" (0x7a6b6634)
 // tagged the folded receipt, a prover-trusted binding rather than a
-// proof.
+// proof; "zkfb" (0x7a6b6662) tagged a standalone segment receipt, which
+// a farm worker now ships as a one-segment composite.
 const (
 	magicReceipt   = 0x7a6b6638 // "zkf8"
 	magicComposite = 0x7a6b6639 // "zkf9"
-	magicSegment   = 0x7a6b6662 // "zkfb": one SegmentReceipt, standalone
 
 	sealLabel = "zkvm-seal-v3"
 	segLabel  = "zkvm-seg-v3"

@@ -1,7 +1,6 @@
 package zkvm
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
@@ -138,30 +137,4 @@ func (r *SegmentRun) Release() {
 		}
 		releaseSegments(r.segs)
 	})
-}
-
-// MarshalSegmentReceipt encodes one segment receipt standalone — the
-// unit a farm worker ships back to the coordinator: the segment magic,
-// then exactly the segment's section of CompositeReceipt.MarshalBinary.
-func MarshalSegmentReceipt(sr *SegmentReceipt) ([]byte, error) {
-	w := &bwriter{}
-	w.u32(magicSegment)
-	writeSegment(w, sr)
-	return w.buf, w.err
-}
-
-// UnmarshalSegmentReceipt decodes a standalone segment receipt.
-func UnmarshalSegmentReceipt(data []byte) (*SegmentReceipt, error) {
-	rd := &breader{buf: data}
-	if rd.u32() != magicSegment {
-		return nil, errors.New("zkvm: bad segment receipt magic")
-	}
-	sr := readSegment(rd)
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	if rd.off != len(data) {
-		return nil, errors.New("zkvm: trailing bytes after segment receipt")
-	}
-	return sr, nil
 }

@@ -58,7 +58,8 @@ func TestSegmentRunMatchesSingleProver(t *testing.T) {
 	}
 
 	// Prove each segment in its own run (as distinct workers would),
-	// round-tripping through the wire codec, in scrambled order.
+	// round-tripping through the farm's wire form — a one-segment
+	// composite — in scrambled order.
 	receipts := make([]*SegmentReceipt, n)
 	for i := n - 1; i >= 0; i-- {
 		run, err := NewSegmentRun(prog, input, opts, seed)
@@ -69,15 +70,15 @@ func TestSegmentRunMatchesSingleProver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire, err := MarshalSegmentReceipt(sr)
+		wire, err := (&CompositeReceipt{Segments: []*SegmentReceipt{sr}}).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := UnmarshalSegmentReceipt(wire)
+		back, err := UnmarshalComposite(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
-		receipts[i] = back
+		receipts[i] = back.Segments[0]
 		run.Release()
 	}
 	c := &CompositeReceipt{Segments: receipts}

@@ -185,8 +185,9 @@ func (rd *breader) state() SegmentState {
 }
 
 // writeSegment appends one segment receipt: the unit a composite
-// repeats and a farm worker ships standalone, so an assembled composite
-// carries the same segment bytes the workers produced.
+// repeats. A farm worker ships its segment as a one-segment composite,
+// so an assembled composite carries the same segment bytes the workers
+// produced.
 func writeSegment(w *bwriter, sr *SegmentReceipt) {
 	w.raw(sr.ImageID[:])
 	w.u32(sr.Index)

@@ -416,9 +416,10 @@ func TestProveAnyDispatch(t *testing.T) {
 }
 
 // retiredMagics are the first bytes of the "zkf" magics no decoder
-// reads: "zkf1"–"zkf3" (format v1), "zkf4" (the folded receipt) and
-// "zkf5"–"zkf7" (format v2). They are retired, not free.
-var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7'}
+// reads: "zkf1"–"zkf3" (format v1), "zkf4" (the folded receipt),
+// "zkf5"–"zkf7" (format v2) and "zkfb" (the standalone segment
+// receipt). They are retired, not free.
+var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', 'b'}
 
 // TestUnmarshalAnyReceiptGarbage rejects unknown magics and empty
 // input without panicking. A retired magic written over the body of a
