@@ -1,7 +1,8 @@
 GO ?= go
 FUZZTIME ?= 10s
-# The receipt targets mutate 15-50 KB inputs; minimizing each new-coverage
-# input for go's default 60 s would eat the whole FUZZTIME.
+# The receipt targets mutate 15-50 KB inputs, and the checkpoint target
+# finds new coverage every few execs; minimizing each new-coverage input
+# for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
 .PHONY: build vet test race purego fuzz farm check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
@@ -50,8 +51,11 @@ purego:
 # is ReferenceAggregate's, word for word, and that of the independently
 # written guest kept as a test reference in internal/guest/testdata),
 # plus the hash kernel against sha256.Sum256 (two messages of one
-# length, one lane and two, kernel on and off).
-# `go test -fuzz` takes one target per invocation, so this is fourteen
+# length, one lane and two, kernel on and off), plus what a light client
+# reads of the ledger (served checkpoints, entry delta, inclusion proof:
+# every check returns promptly, and an accepted extension is the honest
+# checkpoint).
+# `go test -fuzz` takes one target per invocation, so this is fifteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
@@ -68,6 +72,7 @@ fuzz:
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hashk -run='^$$' -fuzz=FuzzSumMatchesStdlib -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/ledger -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 
 # Farm lane: the prover-farm fault-injection suite, run twice — the
 # failover paths (requeue, redispatch, duplicate suppression) and the

@@ -35,7 +35,7 @@ func main() {
 		routers  = flag.Int("routers", 4, "simulated routers")
 		records  = flag.Int("records", 50, "records per router per epoch")
 		epochs   = flag.Int("epochs", 3, "epochs to run (0 = continuous)")
-		interval = flag.Duration("interval", router.EpochSeconds*time.Second, "epoch interval in continuous mode")
+		interval = flag.Duration("interval", router.EpochSeconds*time.Second, "epoch interval: between simulated epochs in continuous mode, and the ingest seal timer")
 		checks   = flag.Int("checks", zkvm.DefaultChecks, "zkVM sampled checks per proof")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		flows    = flag.Int("flows", 256, "flow population size")
@@ -50,7 +50,6 @@ func main() {
 
 		ingestAddr    = flag.String("ingest-addr", "", "UDP collector listen address for NetFlow v9 / sFlow exports (empty = simulated collection)")
 		ingestShards  = flag.Int("ingest-shards", 4, "ingest worker shards (routers map to shards by ID)")
-		epochInterval = flag.Duration("epoch-interval", 5*time.Second, "epoch seal interval in ingest mode")
 		replayRecords = flag.Int("replay-records", 0, "self-replay this many records per router per epoch over UDP into the collector (demo/smoke mode)")
 	)
 	flag.Parse()
@@ -149,7 +148,7 @@ func main() {
 		pl, err := ingest.New(st, lg, ingest.Config{
 			Addr:          *ingestAddr,
 			Shards:        *ingestShards,
-			EpochInterval: *epochInterval,
+			EpochInterval: *interval,
 			Metrics:       reg,
 			OnSeal: func(s ingest.Seal) {
 				select {
@@ -193,11 +192,11 @@ func main() {
 						log.Printf("replay: %v", err)
 						return
 					}
-					time.Sleep(*epochInterval)
+					time.Sleep(*interval)
 				}
 			}()
 		}
-		log.Printf("ingest collector on udp://%s (%d shards, sealing every %v)", pl.Addr(), *ingestShards, *epochInterval)
+		log.Printf("ingest collector on udp://%s (%d shards, sealing every %v)", pl.Addr(), *ingestShards, *interval)
 	} else {
 		sim := router.NewSim(trafficgen.Config{
 			Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss,

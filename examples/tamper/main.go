@@ -1,6 +1,6 @@
 // Command tamper reproduces the paper's §5/§6 tamper experiment: any
 // post-commitment modification of telemetry makes proof generation
-// fail (guest abort) or verification fail (hash/Merkle/chain
+// fail (guest abort) or verification fail (hash/Merkle/receipt-chain
 // mismatch). It exercises four attack surfaces: the raw log store,
 // the published commitment ledger, a receipt's journal, and a replay
 // of stale aggregation state.
@@ -54,12 +54,14 @@ func main() {
 			fmt.Sprintf("guest abort: %v", err))
 	}
 
-	// Attack 2: rewrite a published ledger entry.
+	// Attack 2: rewrite a published ledger entry under a pinned
+	// checkpoint and serve it as the extension to the next one.
 	{
 		_, lg, _, _ := freshPipeline(2)
-		entries := lg.Entries()
-		entries[1].Hash[0] ^= 0xff
-		err := ledger.VerifyChain(entries)
+		cps := lg.Checkpoints()
+		delta := lg.Entries()[cps[0].Count:cps[1].Count]
+		delta[0].Hash[0] ^= 0xff
+		err := ledger.VerifyExtension(cps[0], delta, cps[1])
 		check("ledger history rewritten", err != nil, fmt.Sprintf("%v", err))
 	}
 

@@ -32,7 +32,6 @@ import (
 	"zkflow/internal/ledger"
 	"zkflow/internal/merkle"
 	"zkflow/internal/obs"
-	"zkflow/internal/zkvm"
 )
 
 // Status is the operator status document.
@@ -91,30 +90,12 @@ type EpochProofResponse struct {
 }
 
 // ReceiptHint names one aggregation round a light client may sample:
-// the round index to fetch, the epoch it sealed, its wire size, and
-// the receipt kind — "single" (one-segment zkvm receipt) or "composite"
-// (continuation chain, size grows with segment count). Clients
-// budgeting a sampling pass use Kind+Bytes; verification itself
-// dispatches on the receipt's own magic.
+// the round index to fetch, the epoch it sealed, and its wire size.
+// Which receipt form it is, the receipt's own magic says.
 type ReceiptHint struct {
 	Round int    `json:"round"`
 	Epoch uint64 `json:"epoch"`
 	Bytes int    `json:"bytes"`
-	Kind  string `json:"kind"`
-}
-
-// Receipt kind labels served in sync hints.
-const (
-	ReceiptKindSingle    = "single"
-	ReceiptKindComposite = "composite"
-)
-
-// receiptKindOf labels a receipt for the hints surface.
-func receiptKindOf(r zkvm.AnyReceipt) string {
-	if _, ok := r.(*zkvm.CompositeReceipt); ok {
-		return ReceiptKindComposite
-	}
-	return ReceiptKindSingle
 }
 
 // SyncHints is GET /api/v1/sync/hints: what a spot-checking client
@@ -174,7 +155,6 @@ type servedReceipt struct {
 	epoch uint64
 	bin   []byte
 	etag  string
-	kind  string
 	flows int
 	root  string // hex of all 32 bytes of the journal's NewRoot
 }
@@ -219,7 +199,6 @@ func (s *Server) AddAggregationResult(res *core.AggregationResult) error {
 		epoch: res.Epoch,
 		bin:   bin,
 		etag:  `"agg-` + hex.EncodeToString(sum[:12]) + `"`,
-		kind:  receiptKindOf(res.Receipt),
 		flows: int(res.Journal.NewCount),
 		root:  hex.EncodeToString(root[:]),
 	}
@@ -410,8 +389,7 @@ func etagMatches(header, etag string) bool {
 // status describes the last served round — not a round the prover has
 // committed but not yet handed to AddAggregationResult — and the ledger.
 func (s *Server) status() Status {
-	_, n := s.ledger.Head()
-	st := Status{LedgerLen: n, Checkpoints: len(s.ledger.Checkpoints())}
+	st := Status{LedgerLen: s.ledger.Len(), Checkpoints: len(s.ledger.Checkpoints())}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if st.Rounds = len(s.receipts); st.Rounds > 0 {
@@ -568,7 +546,7 @@ func (s *Server) handleSyncHints(w http.ResponseWriter, r *http.Request) {
 		if from >= 0 && rec.epoch <= uint64(from) {
 			continue
 		}
-		hints.Receipts = append(hints.Receipts, ReceiptHint{Round: i, Epoch: rec.epoch, Bytes: len(rec.bin), Kind: rec.kind})
+		hints.Receipts = append(hints.Receipts, ReceiptHint{Round: i, Epoch: rec.epoch, Bytes: len(rec.bin)})
 	}
 	s.mu.RUnlock()
 	// (1-0.1)^29 < 0.05: 29 uniform samples catch a >=10% tamper rate

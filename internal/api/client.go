@@ -231,7 +231,9 @@ func (c *Client) Status(ctx context.Context) (*Status, error) {
 }
 
 // Ledger downloads the whole public commitment ledger through
-// LedgerRange, page by page, and chain-verifies it.
+// LedgerRange, page by page, and rebuilds it with ledger.FromEntries.
+// That checks index order, not authenticity: an auditor trusts each
+// entry through the receipt journal that binds its hash.
 func (c *Client) Ledger(ctx context.Context) (*ledger.Ledger, error) {
 	entries, err := c.LedgerRange(ctx, 0, math.MaxInt)
 	if err != nil {
@@ -241,9 +243,9 @@ func (c *Client) Ledger(ctx context.Context) (*ledger.Ledger, error) {
 }
 
 // LedgerRange fetches entries [offset, offset+n), DefaultLedgerPageLimit
-// to a request, WITHOUT verifying the chain — the light-client delta
-// fetch, whose caller verifies the result against a checkpoint with
-// ledger.VerifyExtension. It stops early only at the chain tip, on the
+// to a request, unverified — the light-client delta fetch, whose
+// caller verifies the result against a checkpoint with
+// ledger.VerifyExtension. It stops early only at the ledger tip, on the
 // first empty page.
 func (c *Client) LedgerRange(ctx context.Context, offset, n int) ([]ledger.Commitment, error) {
 	var out []ledger.Commitment

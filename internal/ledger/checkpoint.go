@@ -1,16 +1,16 @@
 // Checkpointed ledger heads and inclusion proofs: the proof-sync
 // surface light clients pin and verify forward from.
 //
-// A Checkpoint is a bounded-size summary of a chain prefix sealed at
-// an epoch boundary: the entry count, the hash-chain head, a Merkle
-// root over the canonical entry encodings, and the O(log n) Merkle
-// frontier of that root. The frontier is what makes checkpoints
-// *advanceable* without trusting the operator: a client holding
-// checkpoint A can append the (link-verified) entries published since
-// A and recompute — not merely accept — the root and frontier of any
-// later checkpoint B. Inclusion proofs then authenticate any single
-// entry against a checkpoint the client already trusts, in
-// O(log n) hashes instead of a prefix re-download.
+// A Checkpoint is a bounded-size summary of a ledger prefix sealed at
+// an epoch boundary: the entry count and the O(log n) Merkle frontier
+// over the canonical entry encodings, which folds to the prefix's
+// Merkle root. The frontier is what makes checkpoints *advanceable*
+// without trusting the operator: a client holding checkpoint A can
+// append the entries published since A and recompute — not merely
+// accept — the root of any later checkpoint B, as a Certificate
+// Transparency tree head (RFC 6962) is extended. Inclusion proofs then
+// authenticate any single entry against a checkpoint the client
+// already trusts, in O(log n) hashes instead of a prefix re-download.
 package ledger
 
 import (
@@ -32,37 +32,35 @@ var (
 	// last sealed epoch.
 	ErrCheckpointOrder = errors.New("ledger: checkpoint epochs must advance")
 	// ErrBadCheckpoint reports a structurally invalid checkpoint
-	// (frontier inconsistent with count or root).
+	// (frontier inconsistent with count), or one that did not come
+	// from this ledger's history.
 	ErrBadCheckpoint = errors.New("ledger: malformed checkpoint")
 	// ErrStaleCheckpoint reports an inclusion proof for an entry the
 	// checkpoint does not cover (entry index >= checkpoint count).
 	ErrStaleCheckpoint = errors.New("ledger: entry not covered by checkpoint")
-	// ErrBadExtension reports a chain extension that does not connect
-	// two checkpoints: discontiguous indices, broken links, or a
-	// root/frontier that the appended entries do not reproduce.
+	// ErrBadExtension reports a ledger extension that does not connect
+	// two checkpoints: discontiguous indices, or a root that the
+	// appended entries do not reproduce.
 	ErrBadExtension = errors.New("ledger: checkpoint extension invalid")
 	// ErrProofInvalid reports an inclusion proof that does not verify.
 	ErrProofInvalid = errors.New("ledger: inclusion proof invalid")
 )
 
 // Checkpoint is a sealed, fixed-bound summary of the first Count
-// ledger entries, taken when epoch Epoch finished publishing. Head is
-// the hash-chain link of entry Count-1 (the genesis link for an empty
-// prefix); Root is the Merkle root over EntryHash of entries [0,
-// Count); Frontier is the right-edge node set of that tree (at most
-// one hash per level), from which Root is recomputable and onto which
-// later entries can be appended.
+// ledger entries, taken when epoch Epoch finished publishing. Frontier
+// is the right-edge node set of the Merkle tree over EntryHash of
+// entries [0, Count): slot l holds the completed 2^l-leaf subtree when
+// bit l of Count is set and is zero otherwise. Root folds it; later
+// entries append onto it.
 type Checkpoint struct {
 	Epoch    uint64        `json:"epoch"`
 	Count    uint64        `json:"count"`
-	Head     merkle.Hash   `json:"head"`
-	Root     merkle.Hash   `json:"root"`
 	Frontier []merkle.Hash `json:"frontier"`
 }
 
 // checkpointDomain separates checkpoint digests from every other hash
 // in the system.
-var checkpointDomain = []byte("zkflow/ledger/checkpoint/v1")
+var checkpointDomain = []byte("zkflow/ledger/checkpoint/v2")
 
 // Digest binds every checkpoint field into one hash — the value a
 // light client pins out of band.
@@ -73,8 +71,6 @@ func (c Checkpoint) Digest() merkle.Hash {
 	binary.LittleEndian.PutUint64(buf[0:], c.Epoch)
 	binary.LittleEndian.PutUint64(buf[8:], c.Count)
 	h.Write(buf[:])
-	h.Write(c.Head[:])
-	h.Write(c.Root[:])
 	for i := range c.Frontier {
 		h.Write(c.Frontier[i][:])
 	}
@@ -83,18 +79,27 @@ func (c Checkpoint) Digest() merkle.Hash {
 	return out
 }
 
-// Validate checks the checkpoint's internal consistency: the frontier
-// has exactly one slot per significant bit of Count and folds to Root.
-// It does NOT establish trust — only that the fields cohere.
+// Validate checks the checkpoint's shape: the frontier has exactly one
+// slot per significant bit of Count, and every slot whose bit is clear
+// is zero, so one ledger prefix has one digest. It does NOT establish
+// trust — only that the fields cohere.
 func (c Checkpoint) Validate() error {
 	if len(c.Frontier) != bits.Len64(c.Count) {
 		return fmt.Errorf("%w: frontier has %d slots for count %d", ErrBadCheckpoint, len(c.Frontier), c.Count)
 	}
-	f := Frontier{count: c.Count, branch: c.Frontier}
-	if f.Root() != c.Root {
-		return fmt.Errorf("%w: frontier does not reproduce root", ErrBadCheckpoint)
+	for l := range c.Frontier {
+		if c.Count>>uint(l)&1 == 0 && c.Frontier[l] != (merkle.Hash{}) {
+			return fmt.Errorf("%w: frontier slot %d set for count %d", ErrBadCheckpoint, l, c.Count)
+		}
 	}
 	return nil
+}
+
+// Root folds the frontier into the Merkle root over the first Count
+// entries. The checkpoint must be valid.
+func (c Checkpoint) Root() merkle.Hash {
+	f := Frontier{count: c.Count, branch: c.Frontier}
+	return f.Root()
 }
 
 // frontier returns the checkpoint's frontier as an appendable value
@@ -106,21 +111,18 @@ func (c Checkpoint) frontier() Frontier {
 }
 
 // entryDomain separates ledger-entry leaf encodings from other leaves.
-var entryDomain = []byte("zkflow/ledger/entry/v1")
+var entryDomain = []byte("zkflow/ledger/entry/v2")
 
 // EntryHash is the canonical Merkle leaf hash of a ledger entry: a
-// domain-separated leaf over every field, including the chain link,
-// so an inclusion proof binds the entry to both commitments (tree and
-// chain) at once.
+// domain-separated leaf over every field.
 func EntryHash(c Commitment) merkle.Hash {
-	var buf [len("zkflow/ledger/entry/v1") + 20 + 64]byte
+	var buf [len("zkflow/ledger/entry/v2") + 20 + 32]byte
 	n := copy(buf[:], entryDomain)
 	binary.LittleEndian.PutUint64(buf[n:], c.Index)
 	binary.LittleEndian.PutUint32(buf[n+8:], c.Router)
 	binary.LittleEndian.PutUint64(buf[n+12:], c.Epoch)
 	n += 20
 	n += copy(buf[n:], c.Hash[:])
-	n += copy(buf[n:], c.Link[:])
 	return merkle.LeafHash(buf[:n])
 }
 
@@ -134,16 +136,6 @@ func EntryHash(c Commitment) merkle.Hash {
 type Frontier struct {
 	count  uint64
 	branch []merkle.Hash
-}
-
-// NewFrontier reconstructs a frontier from a checkpoint's fields.
-func NewFrontier(count uint64, branch []merkle.Hash) (Frontier, error) {
-	if len(branch) != bits.Len64(count) {
-		return Frontier{}, fmt.Errorf("%w: %d slots for count %d", ErrBadCheckpoint, len(branch), count)
-	}
-	b := make([]merkle.Hash, len(branch))
-	copy(b, branch)
-	return Frontier{count: count, branch: b}, nil
 }
 
 // Count returns the number of appended leaves.
@@ -188,10 +180,9 @@ func (f *Frontier) Root() merkle.Hash {
 		// leaf hash.
 		return merkle.PaddingHash(0)
 	}
-	depth := 0
-	for uint64(1)<<depth < f.count {
-		depth++
-	}
+	// The tree is 2^depth leaves wide. bits.Len64, not a doubling
+	// loop: a count above 2^63 would wrap the shift and never end.
+	depth := bits.Len64(f.count - 1)
 	if f.count == uint64(1)<<depth {
 		return f.branch[depth]
 	}
@@ -219,17 +210,7 @@ func (l *Ledger) SealEpoch(epoch uint64) (Checkpoint, error) {
 	if n := len(l.checkpoints); n > 0 && epoch <= l.checkpoints[n-1].Epoch {
 		return Checkpoint{}, fmt.Errorf("%w: epoch %d after %d", ErrCheckpointOrder, epoch, l.checkpoints[n-1].Epoch)
 	}
-	head := genesis
-	if n := len(l.entries); n > 0 {
-		head = l.entries[n-1].Link
-	}
-	cp := Checkpoint{
-		Epoch:    epoch,
-		Count:    l.frontier.Count(),
-		Head:     head,
-		Root:     l.frontier.Root(),
-		Frontier: l.frontier.Branch(),
-	}
+	cp := Checkpoint{Epoch: epoch, Count: l.frontier.Count(), Frontier: l.frontier.Branch()}
 	l.checkpoints = append(l.checkpoints, cp)
 	return cp, nil
 }
@@ -283,6 +264,9 @@ func (l *Ledger) CheckpointByCount(count uint64) (Checkpoint, error) {
 // is cached, so serving many proofs against the same (usually latest)
 // checkpoint rebuilds nothing.
 func (l *Ledger) ProveInclusion(index uint64, cp Checkpoint) (merkle.Proof, error) {
+	if err := cp.Validate(); err != nil {
+		return merkle.Proof{}, err
+	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if index >= cp.Count {
@@ -295,7 +279,7 @@ func (l *Ledger) ProveInclusion(index uint64, cp Checkpoint) (merkle.Proof, erro
 		l.proofTree = merkle.BuildHashes(l.leafHashes[:cp.Count])
 		l.proofTreeCount = cp.Count
 	}
-	if l.proofTree.Root() != cp.Root {
+	if l.proofTree.Root() != cp.Root() {
 		// The checkpoint did not come from this ledger's history.
 		return merkle.Proof{}, fmt.Errorf("%w: root mismatch at count %d", ErrBadCheckpoint, cp.Count)
 	}
@@ -307,13 +291,16 @@ func (l *Ledger) ProveInclusion(index uint64, cp Checkpoint) (merkle.Proof, erro
 // tampered entry, or a checkpoint that does not cover the entry all
 // fail.
 func VerifyInclusion(cp Checkpoint, c Commitment, p merkle.Proof) error {
+	if err := cp.Validate(); err != nil {
+		return err
+	}
 	if c.Index >= cp.Count {
 		return fmt.Errorf("%w: entry %d, checkpoint count %d", ErrStaleCheckpoint, c.Index, cp.Count)
 	}
 	if uint64(p.Index) != c.Index {
 		return fmt.Errorf("%w: proof for index %d, entry claims %d", ErrProofInvalid, p.Index, c.Index)
 	}
-	if !merkle.Verify(cp.Root, EntryHash(c), p) {
+	if !merkle.Verify(cp.Root(), EntryHash(c), p) {
 		return fmt.Errorf("%w: entry %d under checkpoint root", ErrProofInvalid, c.Index)
 	}
 	return nil
@@ -321,12 +308,12 @@ func VerifyInclusion(cp Checkpoint, c Commitment, p merkle.Proof) error {
 
 // VerifyExtension checks, client-side, that `entries` are exactly the
 // ledger entries published between checkpoints from and to: indices
-// continue from.Count contiguously, every chain link re-derives
-// (connecting from.Head to to.Head), and appending the entries to
-// from's frontier reproduces to's root and frontier. On success the
-// caller may trust `to` (and the entries) as firmly as it trusted
-// `from`. from.Count == to.Count with equal digests verifies a
-// no-op refresh.
+// continue from.Count contiguously, and appending the entries to
+// from's frontier reproduces to's root. A valid frontier is the only
+// one over its prefix, so on success `to` is the checkpoint the honest
+// ledger sealed at to.Epoch, and the caller may trust it (and the
+// entries) as firmly as it trusted `from`. from.Count == to.Count with
+// equal digests verifies a no-op refresh.
 func VerifyExtension(from Checkpoint, entries []Commitment, to Checkpoint) error {
 	if to.Count < from.Count {
 		return fmt.Errorf("%w: checkpoint regressed from count %d to %d", ErrBadExtension, from.Count, to.Count)
@@ -337,26 +324,20 @@ func VerifyExtension(from Checkpoint, entries []Commitment, to Checkpoint) error
 	if to.Count > from.Count && to.Epoch <= from.Epoch {
 		return fmt.Errorf("%w: epoch did not advance (%d -> %d)", ErrBadExtension, from.Epoch, to.Epoch)
 	}
+	if err := from.Validate(); err != nil {
+		return err
+	}
 	if err := to.Validate(); err != nil {
 		return err
 	}
 	f := from.frontier()
-	prev := from.Head
-	for i := range entries {
-		c := &entries[i]
+	for i, c := range entries {
 		if c.Index != from.Count+uint64(i) {
 			return fmt.Errorf("%w: entry %d claims index %d", ErrBadExtension, i, c.Index)
 		}
-		if want := link(prev, c.Index, c.Router, c.Epoch, c.Hash); c.Link != want {
-			return fmt.Errorf("%w: link mismatch at index %d", ErrBadExtension, c.Index)
-		}
-		prev = c.Link
-		f.Append(EntryHash(*c))
+		f.Append(EntryHash(c))
 	}
-	if prev != to.Head {
-		return fmt.Errorf("%w: head mismatch after %d entries", ErrBadExtension, len(entries))
-	}
-	if f.Root() != to.Root {
+	if f.Root() != to.Root() {
 		return fmt.Errorf("%w: recomputed root does not match checkpoint", ErrBadExtension)
 	}
 	return nil

@@ -11,7 +11,7 @@ import (
 
 // publishN publishes n commitments (router i%4, epoch i/4) and seals
 // a checkpoint after each epoch's 4 routers.
-func publishN(t *testing.T, l *Ledger, n int) {
+func publishN(t testing.TB, l *Ledger, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if _, err := l.Publish(uint32(i%4), uint64(i/4), h(byte(i+1))); err != nil {
@@ -41,14 +41,14 @@ func TestFrontierMatchesTree(t *testing.T) {
 		if got, want := f.Root(), merkle.BuildHashes(leaves).Root(); got != want {
 			t.Fatalf("count %d: frontier root %v, tree root %v", i+1, got, want)
 		}
-		// A frontier rebuilt from the normalised branch behaves
-		// identically — what a light client does with a checkpoint.
-		g, err := NewFrontier(f.Count(), f.Branch())
-		if err != nil {
+		// A checkpoint over the normalised branch is valid and folds
+		// to the same root — what a light client does with one.
+		cp := Checkpoint{Count: f.Count(), Frontier: f.Branch()}
+		if err := cp.Validate(); err != nil {
 			t.Fatalf("count %d: %v", i+1, err)
 		}
-		if g.Root() != f.Root() {
-			t.Fatalf("count %d: rebuilt frontier root differs", i+1)
+		if cp.Root() != f.Root() {
+			t.Fatalf("count %d: checkpoint root differs", i+1)
 		}
 	}
 }
@@ -64,9 +64,8 @@ func TestSealEpochAndLookup(t *testing.T) {
 	if err != nil || latest.Epoch != 2 || latest.Count != 12 {
 		t.Fatalf("latest %+v err %v", latest, err)
 	}
-	head, n := l.Head()
-	if latest.Head != head || latest.Count != uint64(n) {
-		t.Fatal("latest checkpoint does not match chain head")
+	if latest.Count != uint64(l.Len()) {
+		t.Fatal("latest checkpoint does not cover the ledger")
 	}
 	if err := latest.Validate(); err != nil {
 		t.Fatal(err)
@@ -128,7 +127,7 @@ func TestInclusionProofRoundTrip(t *testing.T) {
 
 // TestInclusionAdversarial covers the attack surface: tampered entry
 // fields, a stale checkpoint that does not cover the entry, a proof
-// transplanted to the wrong index, and a forged checkpoint root.
+// transplanted to the wrong index, and a forged checkpoint frontier.
 func TestInclusionAdversarial(t *testing.T) {
 	l := New()
 	publishN(t, l, 16)
@@ -148,7 +147,6 @@ func TestInclusionAdversarial(t *testing.T) {
 		}
 	}
 	tamper("hash", func(c *Commitment) { c.Hash[0] ^= 1 })
-	tamper("link", func(c *Commitment) { c.Link[0] ^= 1 })
 	tamper("router", func(c *Commitment) { c.Router++ })
 	tamper("epoch", func(c *Commitment) { c.Epoch += 7 })
 
@@ -172,18 +170,24 @@ func TestInclusionAdversarial(t *testing.T) {
 		t.Fatal("re-labelled proof verified")
 	}
 
-	// Forged checkpoint: the server refuses to prove against a root it
-	// never sealed.
-	forged := cp
-	forged.Root[3] ^= 1
+	// Forged checkpoint: the server refuses to prove against a
+	// frontier it never sealed, and an honest proof does not verify
+	// under it.
+	forged := forgeFrontier(cp)
 	if _, err := l.ProveInclusion(5, forged); !errors.Is(err, ErrBadCheckpoint) {
 		t.Fatalf("forged checkpoint: %v", err)
 	}
-	// And a client refuses a checkpoint whose frontier does not
-	// reproduce its root.
-	if err := forged.Validate(); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("forged checkpoint validated: %v", err)
+	if err := VerifyInclusion(forged, entries[5], p5); !errors.Is(err, ErrProofInvalid) {
+		t.Fatalf("proof verified under a forged checkpoint: %v", err)
 	}
+}
+
+// forgeFrontier returns cp with its top frontier slot altered, a
+// well-formed checkpoint no honest ledger sealed.
+func forgeFrontier(cp Checkpoint) Checkpoint {
+	cp.Frontier = append([]merkle.Hash(nil), cp.Frontier...)
+	cp.Frontier[len(cp.Frontier)-1][0] ^= 1
+	return cp
 }
 
 func TestVerifyExtension(t *testing.T) {
@@ -201,15 +205,14 @@ func TestVerifyExtension(t *testing.T) {
 	if err := VerifyExtension(to, nil, to); err != nil {
 		t.Fatal(err)
 	}
-	// Also valid from the empty prefix... which needs a count-0
-	// checkpoint; seal one on a fresh ledger.
-	empty := New()
-	cp0, err := empty.SealEpoch(0)
+	// Also valid from the empty prefix, whose count-0 checkpoint a
+	// fresh ledger seals.
+	cp0, err := New().SealEpoch(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp0.Count != 0 || cp0.Head != genesis {
-		t.Fatalf("empty checkpoint %+v", cp0)
+	if err := VerifyExtension(cp0, entries[:from.Count], from); err != nil {
+		t.Fatalf("extension from the empty prefix: %v", err)
 	}
 
 	bad := func(name string, from Checkpoint, delta []Commitment, to Checkpoint) {
@@ -218,7 +221,7 @@ func TestVerifyExtension(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	// Tampered entry in the delta breaks the link chain.
+	// Tampered entry in the delta changes its leaf.
 	mut := make([]Commitment, len(delta))
 	copy(mut, delta)
 	mut[1].Hash[0] ^= 1
@@ -227,17 +230,12 @@ func TestVerifyExtension(t *testing.T) {
 	bad("dropped entry", from, delta[1:], to)
 	// Regressing checkpoint.
 	bad("regression", to, nil, from)
-	// Forged head.
-	forged := to
-	forged.Head[0] ^= 1
-	bad("forged head", from, delta, forged)
-	// Forged root (frontier recomputed to match would still fail the
-	// root recomputation from `from`).
-	forged = to
-	forged.Root[0] ^= 1
-	bad("forged root", from, delta, forged)
+	// Forged frontier: well formed, but not what the delta folds to.
+	bad("forged frontier", from, delta, forgeFrontier(to))
+	// A forged pin cannot be extended either.
+	bad("forged pin", forgeFrontier(from), delta, to)
 	// Epoch must advance when entries were added.
-	forged = to
+	forged := to
 	forged.Epoch = from.Epoch
 	bad("stuck epoch", from, delta, forged)
 }

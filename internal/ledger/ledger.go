@@ -1,9 +1,9 @@
 // Package ledger implements the public commitment bulletin board:
-// the append-only, hash-chained log where routers publish their
-// periodic RLog hash commitments (paper §3). Anyone holding the chain
-// head can detect retroactive insertion, deletion, or modification of
-// a published commitment — the property the tamper experiment (§5/§6)
-// relies on.
+// the append-only log where routers publish their periodic RLog hash
+// commitments (paper §3). One Merkle accumulator authenticates it
+// (checkpoint.go): anyone holding a sealed checkpoint can detect
+// retroactive insertion, deletion, or modification of a commitment it
+// covers — the property the tamper experiment (§5/§6) relies on.
 package ledger
 
 import (
@@ -19,11 +19,10 @@ import (
 
 // Commitment is one published per-router, per-epoch hash commitment.
 type Commitment struct {
-	Index  uint64 // position in the chain
+	Index  uint64 // position in the ledger
 	Router uint32
 	Epoch  uint64
 	Hash   merkle.Hash // SHA-256 over the router's wire-encoded epoch batch
-	Link   merkle.Hash // chain link: H(prevLink || index || router || epoch || hash)
 }
 
 // CommitRecords computes the canonical commitment hash of an RLog
@@ -33,33 +32,14 @@ func CommitRecords(recs []netflow.Record) merkle.Hash {
 	return sha256.Sum256(netflow.EncodeBatch(recs))
 }
 
-// link computes the chain link for a commitment given its predecessor.
-func link(prev merkle.Hash, index uint64, router uint32, epoch uint64, hash merkle.Hash) merkle.Hash {
-	h := sha256.New()
-	h.Write(prev[:])
-	var buf [20]byte
-	binary.LittleEndian.PutUint64(buf[0:], index)
-	binary.LittleEndian.PutUint32(buf[8:], router)
-	binary.LittleEndian.PutUint64(buf[12:], epoch)
-	h.Write(buf[:])
-	h.Write(hash[:])
-	var out merkle.Hash
-	h.Sum(out[:0])
-	return out
-}
-
-// genesis is the chain link before any commitment.
-var genesis = merkle.Hash(sha256.Sum256([]byte("zkflow/ledger/genesis/v1")))
-
 // Errors returned by the ledger.
 var (
 	ErrDuplicate = errors.New("ledger: commitment already published for that router/epoch")
 	ErrNotFound  = errors.New("ledger: no commitment for that router/epoch")
-	ErrBroken    = errors.New("ledger: hash chain broken")
+	ErrOrder     = errors.New("ledger: entry out of index order")
 )
 
-// Ledger is an append-only, hash-chained commitment log. Safe for
-// concurrent use.
+// Ledger is an append-only commitment log. Safe for concurrent use.
 type Ledger struct {
 	mu      sync.RWMutex
 	entries []Commitment
@@ -96,17 +76,7 @@ func (l *Ledger) Publish(router uint32, epoch uint64, hash merkle.Hash) (Commitm
 	if _, dup := l.index[k]; dup {
 		return Commitment{}, fmt.Errorf("%w: router %d epoch %d", ErrDuplicate, router, epoch)
 	}
-	prev := genesis
-	if n := len(l.entries); n > 0 {
-		prev = l.entries[n-1].Link
-	}
-	c := Commitment{
-		Index:  uint64(len(l.entries)),
-		Router: router,
-		Epoch:  epoch,
-		Hash:   hash,
-		Link:   link(prev, uint64(len(l.entries)), router, epoch, hash),
-	}
+	c := Commitment{Index: uint64(len(l.entries)), Router: router, Epoch: epoch, Hash: hash}
 	l.index[k] = len(l.entries)
 	l.entries = append(l.entries, c)
 	l.leafHashes = append(l.leafHashes, EntryHash(c))
@@ -125,18 +95,14 @@ func (l *Ledger) Lookup(router uint32, epoch uint64) (Commitment, error) {
 	return l.entries[i], nil
 }
 
-// Head returns the current chain head (genesis for an empty ledger)
-// and the chain length.
-func (l *Ledger) Head() (merkle.Hash, int) {
+// Len returns the number of published commitments.
+func (l *Ledger) Len() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if len(l.entries) == 0 {
-		return genesis, 0
-	}
-	return l.entries[len(l.entries)-1].Link, len(l.entries)
+	return len(l.entries)
 }
 
-// Entries returns a copy of the full chain.
+// Entries returns a copy of every published commitment.
 func (l *Ledger) Entries() []Commitment {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
@@ -145,37 +111,20 @@ func (l *Ledger) Entries() []Commitment {
 	return out
 }
 
-// FromEntries reconstructs a ledger from a downloaded chain after
-// verifying every link — how a remote auditor bootstraps its local
-// view of the bulletin board.
+// FromEntries rebuilds a ledger from a downloaded entry list — how a
+// remote auditor bootstraps its local view of the bulletin board. It
+// refuses an entry out of index order and a second commitment for one
+// (router, epoch); what authenticates the entries is a checkpoint
+// (VerifyExtension) or a receipt journal that binds their hashes.
 func FromEntries(entries []Commitment) (*Ledger, error) {
-	if err := VerifyChain(entries); err != nil {
-		return nil, err
-	}
 	l := New()
-	for _, c := range entries {
+	for i, c := range entries {
+		if c.Index != uint64(i) {
+			return nil, fmt.Errorf("%w: entry %d claims index %d", ErrOrder, i, c.Index)
+		}
 		if _, err := l.Publish(c.Router, c.Epoch, c.Hash); err != nil {
 			return nil, err
 		}
 	}
 	return l, nil
-}
-
-// VerifyChain re-derives every link and reports the first break — the
-// auditor-side check that the bulletin board operator has not rewritten
-// history.
-func VerifyChain(entries []Commitment) error {
-	prev := genesis
-	for i := range entries {
-		c := &entries[i]
-		if c.Index != uint64(i) {
-			return fmt.Errorf("%w: entry %d claims index %d", ErrBroken, i, c.Index)
-		}
-		want := link(prev, c.Index, c.Router, c.Epoch, c.Hash)
-		if c.Link != want {
-			return fmt.Errorf("%w: entry %d link mismatch", ErrBroken, i)
-		}
-		prev = c.Link
-	}
-	return nil
 }

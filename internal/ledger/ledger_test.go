@@ -57,58 +57,88 @@ func TestLookupMissing(t *testing.T) {
 	}
 }
 
-func TestChainVerifies(t *testing.T) {
+// TestFromEntriesRebuildsCheckpoints: a downloaded entry list rebuilds
+// a ledger whose frontier is the publisher's, and an entry out of index
+// order or a repeated (router, epoch) is refused.
+func TestFromEntriesRebuildsCheckpoints(t *testing.T) {
 	l := New()
-	for i := uint32(0); i < 20; i++ {
-		if _, err := l.Publish(i%4, uint64(i/4), h(byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := VerifyChain(l.Entries()); err != nil {
+	publishN(t, l, 20)
+	got, err := FromEntries(l.Entries())
+	if err != nil {
 		t.Fatal(err)
 	}
+	want, _ := l.LatestCheckpoint()
+	cp, err := got.SealEpoch(want.Epoch)
+	if err != nil || cp.Digest() != want.Digest() {
+		t.Fatalf("rebuilt checkpoint %+v, want %+v (err %v)", cp, want, err)
+	}
+
+	swapped := l.Entries()
+	swapped[2], swapped[3] = swapped[3], swapped[2]
+	if _, err := FromEntries(swapped); !errors.Is(err, ErrOrder) {
+		t.Fatalf("out-of-order entries accepted: %v", err)
+	}
+	dup := l.Entries()[:3]
+	dup[2].Router, dup[2].Epoch = dup[1].Router, dup[1].Epoch
+	if _, err := FromEntries(dup); !errors.Is(err, ErrDuplicate) {
+		t.Fatalf("repeated (router, epoch) accepted: %v", err)
+	}
 }
 
-func TestChainDetectsRewrite(t *testing.T) {
+// extensionFixture returns a ledger of five sealed epochs and the
+// entries between its epoch-1 checkpoint and its latest one.
+func extensionFixture(t *testing.T) (from, to Checkpoint, delta []Commitment) {
+	t.Helper()
 	l := New()
-	for i := uint32(0); i < 5; i++ {
-		if _, err := l.Publish(i, 1, h(byte(i))); err != nil {
-			t.Fatal(err)
+	publishN(t, l, 20)
+	from, _ = l.CheckpointByEpoch(1)
+	to, _ = l.LatestCheckpoint()
+	return from, to, l.Entries()[from.Count:to.Count]
+}
+
+// TestExtensionDetectsRewrite: rewriting any field of an entry under a
+// checkpoint breaks the extension to it.
+func TestExtensionDetectsRewrite(t *testing.T) {
+	from, to, delta := extensionFixture(t)
+	for name, mut := range map[string]func(*Commitment){
+		"hash":   func(c *Commitment) { c.Hash[0] ^= 1 },
+		"router": func(c *Commitment) { c.Router++ },
+		"epoch":  func(c *Commitment) { c.Epoch += 7 },
+	} {
+		rewritten := append([]Commitment(nil), delta...)
+		mut(&rewritten[2])
+		if err := VerifyExtension(from, rewritten, to); !errors.Is(err, ErrBadExtension) {
+			t.Fatalf("%s rewrite undetected: %v", name, err)
 		}
-	}
-	entries := l.Entries()
-	entries[2].Hash[0] ^= 1 // rewrite a published commitment
-	if err := VerifyChain(entries); !errors.Is(err, ErrBroken) {
-		t.Fatalf("rewrite undetected: %v", err)
 	}
 }
 
-func TestChainDetectsDeletion(t *testing.T) {
-	l := New()
-	for i := uint32(0); i < 5; i++ {
-		if _, err := l.Publish(i, 1, h(byte(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	entries := l.Entries()
-	cut := append(entries[:2], entries[3:]...)
-	if err := VerifyChain(cut); !errors.Is(err, ErrBroken) {
+// TestExtensionDetectsDeletion: dropping an entry, or swapping two,
+// breaks the extension even when the indices are renumbered to match.
+func TestExtensionDetectsDeletion(t *testing.T) {
+	from, to, delta := extensionFixture(t)
+	cut := append(append([]Commitment(nil), delta[:2]...), delta[3:]...)
+	if err := VerifyExtension(from, cut, to); !errors.Is(err, ErrBadExtension) {
 		t.Fatalf("deletion undetected: %v", err)
 	}
+	swapped := append([]Commitment(nil), delta...)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	swapped[0].Index, swapped[1].Index = swapped[1].Index, swapped[0].Index
+	if err := VerifyExtension(from, swapped, to); !errors.Is(err, ErrBadExtension) {
+		t.Fatalf("reordering undetected: %v", err)
+	}
 }
 
-func TestHeadAdvances(t *testing.T) {
+func TestLenAdvances(t *testing.T) {
 	l := New()
-	h0, n0 := l.Head()
-	if n0 != 0 {
+	if l.Len() != 0 {
 		t.Fatal("nonzero initial length")
 	}
 	if _, err := l.Publish(0, 0, h(1)); err != nil {
 		t.Fatal(err)
 	}
-	h1, n1 := l.Head()
-	if n1 != 1 || h1 == h0 {
-		t.Fatal("head did not advance")
+	if l.Len() != 1 {
+		t.Fatal("length did not advance")
 	}
 }
 
@@ -140,10 +170,10 @@ func TestConcurrentPublish(t *testing.T) {
 		}(r)
 	}
 	wg.Wait()
-	if err := VerifyChain(l.Entries()); err != nil {
+	if _, err := FromEntries(l.Entries()); err != nil {
 		t.Fatal(err)
 	}
-	if _, n := l.Head(); n != 200 {
-		t.Fatalf("chain length %d", n)
+	if n := l.Len(); n != 200 {
+		t.Fatalf("ledger length %d", n)
 	}
 }

@@ -6,19 +6,19 @@
 //
 // The trust topology, per sync:
 //
-//  1. Fetch the latest checkpoint. Refuse any head whose entry count
-//     regresses the pinned one, and any checkpoint whose Merkle
-//     frontier does not reproduce its own root.
+//  1. Fetch the latest checkpoint. Refuse any whose entry count
+//     regresses the pinned one, and any whose Merkle frontier is
+//     malformed for its count.
 //  2. Fetch only the ledger entries beyond the pinned count and run
-//     ledger.VerifyExtension: the delta must hash-chain from the
-//     pinned head to the new head, and appending its leaves to the
-//     pinned frontier must reproduce the new root. After this step
-//     the new checkpoint is exactly as trustworthy as the pinned one.
+//     ledger.VerifyExtension: the delta's indices must continue the
+//     pinned count, and appending its leaves to the pinned frontier
+//     must reproduce the new checkpoint's root. After this step the
+//     new checkpoint is exactly as trustworthy as the pinned one.
 //  3. Sample a few aggregation rounds among the newly covered epochs
 //     (client-side randomness; the server's sync hints only say what
 //     exists) and verify each receipt from scratch: guest image,
 //     proof seal, and the journal's router commitments against the
-//     chain-verified delta entries.
+//     delta entries step 2 verified.
 //  4. Spot-check the server's inclusion-proof surface for one sampled
 //     epoch against the new checkpoint.
 //
@@ -113,7 +113,7 @@ type Options struct {
 // Report describes one completed sync.
 type Report struct {
 	From, To      ledger.Checkpoint
-	NewEntries    int      // delta entries fetched and chain-verified
+	NewEntries    int      // delta entries fetched and verified
 	NewEpochs     []uint64 // epochs newly covered by the sync
 	SampledRounds []int    // aggregation rounds spot-verified
 	ProofsChecked int      // inclusion proofs verified in step 4
@@ -122,7 +122,7 @@ type Report struct {
 	UpToDate      bool     // the pin already matched the operator head
 }
 
-// entryKey addresses one chain-verified commitment.
+// entryKey addresses one verified commitment.
 type entryKey struct {
 	router uint32
 	epoch  uint64
@@ -253,7 +253,7 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 
 // verifyRound fetches and fully re-verifies one sampled aggregation
 // round: guest image, proof seal, and the journal's commitments
-// against the chain-verified ledger entries.
+// against the verified ledger entries.
 func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified map[entryKey]merkle.Hash, opts Options) error {
 	receipt, err := c.AggregationReceipt(ctx, h.Round)
 	if err != nil {
@@ -274,11 +274,11 @@ func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified
 		return fmt.Errorf("%w: round %d proves epoch %d, hint said %d", ErrReceipt, h.Round, j.Epoch, h.Epoch)
 	}
 	// Every router commitment the guest consumed must be the one the
-	// hash chain authenticated for that (router, epoch).
+	// extension authenticated for that (router, epoch).
 	for i, id := range j.RouterIDs {
 		hash, ok := verified[entryKey{id, uint64(j.Epoch)}]
 		if !ok {
-			return fmt.Errorf("%w: round %d: router %d epoch %d not on the verified chain", ErrReceipt, h.Round, id, j.Epoch)
+			return fmt.Errorf("%w: round %d: router %d epoch %d not in the verified delta", ErrReceipt, h.Round, id, j.Epoch)
 		}
 		if vmtree.FromBytes(hash) != j.Commitments[i] {
 			return fmt.Errorf("%w: round %d: router %d epoch %d commitment mismatch", ErrReceipt, h.Round, id, j.Epoch)
@@ -302,7 +302,7 @@ func spotCheckProofs(ctx context.Context, c *api.Client, cp ledger.Checkpoint, e
 			return 0, fmt.Errorf("%w: epoch %d index %d: %v", ErrProof, epoch, ep.Entry.Index, err)
 		}
 		if hash, ok := verified[entryKey{ep.Entry.Router, ep.Entry.Epoch}]; ok && hash != ep.Entry.Hash {
-			return 0, fmt.Errorf("%w: epoch %d index %d: entry diverges from verified chain", ErrProof, epoch, ep.Entry.Index)
+			return 0, fmt.Errorf("%w: epoch %d index %d: entry diverges from verified delta", ErrProof, epoch, ep.Entry.Index)
 		}
 	}
 	if len(resp.Entries) == 0 {

@@ -39,7 +39,7 @@ func TestRunEpochWritesAndCommits(t *testing.T) {
 			t.Fatalf("router %d commitment does not match stored records", id)
 		}
 	}
-	if err := ledger.VerifyChain(s.Ledger.Entries()); err != nil {
+	if _, err := ledger.FromEntries(s.Ledger.Entries()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -52,8 +52,8 @@ func TestRunEpochsMultiple(t *testing.T) {
 	if got := s.Store.Epochs(); len(got) != 3 {
 		t.Fatalf("epochs %v", got)
 	}
-	if _, n := s.Ledger.Head(); n != 12 {
-		t.Fatalf("chain length %d", n)
+	if n := s.Ledger.Len(); n != 12 {
+		t.Fatalf("ledger length %d", n)
 	}
 }
 
