@@ -5,7 +5,7 @@ FUZZTIME ?= 10s
 # for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
-.PHONY: build vet test race purego fuzz farm check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
+.PHONY: build vet test race purego fuzz farm examples check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
 
 build:
 	$(GO) build ./...
@@ -41,7 +41,7 @@ purego:
 # plus the NTT round-trip property (the vectorized kernel against the
 # retained serial reference) and the linear memory-log sort against
 # the comparison sort it replaced, plus the verify-level target: no
-# mutation of a valid receipt or composite may panic or verify,
+# mutation of a valid receipt, one segment or many, may panic or verify,
 # plus the emulator core against the map-backed loops it replaced
 # (fuzzed programs: same trace, same trap, in every mode), plus the
 # expansion of an opened exec leaf (arbitrary bytes under every guest
@@ -84,9 +84,19 @@ farm:
 	$(GO) test ./internal/remote -run='TestFarmFault' -count=2
 	$(GO) test ./internal/core -run='TestFarmStressWorkerChurn' -count=2
 
+# Examples lane: every example end to end, about a second in all. Each
+# exits nonzero when its scenario does not hold; tamper, when any of
+# its attacks goes undetected.
+examples:
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/neutrality
+	$(GO) run ./examples/sketches
+	$(GO) run ./examples/sla
+	$(GO) run ./examples/tamper
+
 # The default pre-merge gate. The fuzz lane runs last so the cheap
 # deterministic checks fail fast.
-check: build vet test race purego farm fuzz
+check: build vet test race purego farm examples fuzz
 
 # The paper's figures and the DESIGN §5 ablations, one pass each (the
 # table at the head of EXPERIMENTS.md maps entries to functions).

@@ -127,7 +127,7 @@ func BenchmarkReceiptSize(b *testing.B) {
 				_ = receipt.Size()
 			}
 			b.ReportMetric(float64(receipt.SealSize()), "seal-B")
-			b.ReportMetric(float64(receipt.JournalSize()), "journal-B")
+			b.ReportMetric(float64(4*len(receipt.JournalWords())), "journal-B")
 			b.ReportMetric(float64(receipt.Size()), "receipt-B")
 		})
 	}

@@ -74,16 +74,12 @@ func main() {
 			log.Fatalf("receipt %d: %v", round, err)
 		}
 		t0 := time.Now()
-		form := "single-segment"
-		if c, ok := receipt.(*zkvm.CompositeReceipt); ok {
-			form = fmt.Sprintf("%d-segment composite", c.NumSegments())
-		}
 		j, err := verifier.VerifyAggregation(receipt)
 		if err != nil {
 			log.Fatalf("round %d verification FAILED: %v", round, err)
 		}
-		fmt.Printf("round %d: epoch %d, %d records, %d flows, root %v — VERIFIED (%s) in %.1f ms\n",
-			round, j.Epoch, j.NumRecords, j.NewCount, j.NewRoot.Bytes(), form,
+		fmt.Printf("round %d: epoch %d, %d records, %d flows, root %v — VERIFIED (%d-segment chain) in %.1f ms\n",
+			round, j.Epoch, j.NumRecords, j.NewCount, j.NewRoot.Bytes(), receipt.NumSegments(),
 			time.Since(t0).Seconds()*1000)
 	}
 	fmt.Printf("aggregation chain VERIFIED; trusted root %v\n", verifier.TrustedRoot().Bytes())

@@ -43,7 +43,7 @@ func main() {
 		farmAddr = flag.String("farm-addr", "", "prover-farm coordinator listen address (empty = prove locally); workers dial in with zkflow-worker -farm-addr, and one worker is an off-path prover")
 		farmWait = flag.Int("workers", 0, "with -farm-addr: wait for this many farm workers before the first epoch")
 		pipeline = flag.Int("pipeline", 1, "pipeline depth: epochs sealed at once while later ones are witnessed (1 = no overlap)")
-		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = single-segment)")
+		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = one segment)")
 
 		debugAddr    = flag.String("debug-addr", "", "operator-only pprof+metrics listen address (empty = off; keep it loopback)")
 		metricsEvery = flag.Duration("metrics-every", 0, "log a metrics summary line at this interval (0 = off)")

@@ -70,7 +70,7 @@ func main() {
 	if err := zkvm.Verify(prog, receipt, zkvm.VerifyOptions{}); err != nil {
 		log.Fatalf("verify: %v", err)
 	}
-	j, err := guest.ParseSketchJournal(receipt.Journal)
+	j, err := guest.ParseSketchJournal(receipt.JournalWords())
 	if err != nil {
 		log.Fatal(err)
 	}

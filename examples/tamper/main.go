@@ -21,10 +21,15 @@ import (
 	"zkflow/internal/zkvm"
 )
 
+// missed counts the attacks that went undetected; any makes the
+// command exit 1.
+var missed int
+
 func check(name string, attackDetected bool, detail string) {
 	status := "DETECTED"
 	if !attackDetected {
 		status = "MISSED!!"
+		missed++
 	}
 	fmt.Printf("%-34s %-9s %s\n", name, status, detail)
 }
@@ -72,7 +77,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		journal := res.Receipt.(*zkvm.Receipt).Journal
+		journal := res.Receipt.(*zkvm.Receipt).Segments[0].Journal
 		journal[len(journal)-1] ^= 1 // flip a root word
 		_, err = verifier.VerifyAggregation(res.Receipt)
 		check("receipt journal falsified", err != nil, fmt.Sprintf("%v", err))
@@ -112,5 +117,8 @@ func main() {
 		}
 		fmt.Println("----------------------------------------------------------------------")
 		fmt.Println("control (no tampering): aggregation proven and verified normally")
+	}
+	if missed > 0 {
+		log.Fatalf("%d attack(s) missed", missed)
 	}
 }

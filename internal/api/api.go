@@ -184,9 +184,8 @@ func NewServer(p *core.Prover, lg *ledger.Ledger) *Server {
 func (s *Server) UseRegistry(reg *obs.Registry) { s.metrics = reg }
 
 // AddAggregationResult registers a completed round's receipt for
-// serving — single-segment or a continuation composite; the wire format
-// is the receipt's own magic-tagged binary encoding either way, served
-// under a strong ETag with immutable caching. The round's epoch keys
+// serving: the wire format is the receipt's own magic-tagged binary
+// encoding, served under a strong ETag with immutable caching. The round's epoch keys
 // the sync-hint and sampling surface.
 func (s *Server) AddAggregationResult(res *core.AggregationResult) error {
 	bin, err := res.Receipt.MarshalBinary()

@@ -315,15 +315,13 @@ func (c *Client) SyncHints(ctx context.Context, from int64) (*SyncHints, error) 
 	return &hints, nil
 }
 
-// AggregationReceipt fetches round n's receipt: a *zkvm.Receipt for
-// single-segment rounds, a *zkvm.CompositeReceipt for continuation
-// rounds — dispatched on the receipt magic.
-func (c *Client) AggregationReceipt(ctx context.Context, n int) (zkvm.AnyReceipt, error) {
+// AggregationReceipt fetches round n's receipt.
+func (c *Client) AggregationReceipt(ctx context.Context, n int) (*zkvm.Receipt, error) {
 	data, err := c.get(ctx, fmt.Sprintf("/api/v1/receipts/agg/%d", n))
 	if err != nil {
 		return nil, err
 	}
-	return zkvm.UnmarshalAnyReceipt(data)
+	return zkvm.UnmarshalReceipt(data)
 }
 
 // Query submits a SQL query and returns the operator's claimed

@@ -38,10 +38,9 @@ import (
 // ProveFunc generates a receipt for a guest run. It is the one proving
 // hook: the default is local zkvm.ProveAny, and what plugs in here is
 // off-path proving (remote.Coordinator.Prove, paper §7) or a wrapper
-// around ProveAny, such as the benchmark's tracing hook. With
-// opts.SegmentCycles > 0 the returned receipt is a
-// *zkvm.CompositeReceipt (continuation chain), otherwise a single
-// *zkvm.Receipt.
+// around ProveAny, such as the benchmark's tracing hook. The receipt is
+// a *zkvm.Receipt: a chain of opts.SegmentCycles-step segments, or one
+// segment when that is zero.
 type ProveFunc func(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error)
 
 // Options configures proof generation.
@@ -50,10 +49,10 @@ type Options struct {
 	Checks int
 	// SegmentCycles, when positive, proves aggregations as continuation
 	// chains: execution is sliced every SegmentCycles cycles and the
-	// slices are sealed concurrently into a composite receipt (see
-	// zkvm.ProveOptions.SegmentCycles). Zero keeps single-segment
-	// receipts. Query proofs always stay single-segment — they are
-	// small and latency-bound.
+	// slices are sealed concurrently (see
+	// zkvm.ProveOptions.SegmentCycles). Zero proves each run as one
+	// segment. Query proofs are always one segment — they are small and
+	// latency-bound.
 	SegmentCycles int
 	// Prove overrides the proving backend (nil = local zkvm.ProveAny).
 	Prove ProveFunc
@@ -85,8 +84,7 @@ func (o Options) prove(prog *zkvm.Program, input []uint32) (zkvm.AnyReceipt, err
 }
 
 // AggregationResult is one completed aggregation round. Receipt is a
-// *zkvm.Receipt in single-segment mode and a *zkvm.CompositeReceipt
-// when Options.SegmentCycles is set.
+// *zkvm.Receipt.
 type AggregationResult struct {
 	Epoch   uint64
 	Receipt zkvm.AnyReceipt
@@ -177,9 +175,7 @@ func (p *Prover) Query(sql string) (qres *QueryResult, err error) {
 	p.mu.Unlock()
 
 	prog := guest.QueryProgram(q)
-	// Query proofs always stay single-segment: they are small,
-	// latency-bound, and the v1 query-verification surface expects a
-	// plain receipt.
+	// Query proofs are one segment: they are small and latency-bound.
 	po := p.opts.proveOptions()
 	po.SegmentCycles = 0
 	anyReceipt, err := p.opts.proveWith(prog, guest.QueryInput(entries), po)
@@ -188,9 +184,9 @@ func (p *Prover) Query(sql string) (qres *QueryResult, err error) {
 	}
 	receipt, ok := anyReceipt.(*zkvm.Receipt)
 	if !ok {
-		return nil, fmt.Errorf("core: query proof: backend returned %T, want single-segment receipt", anyReceipt)
+		return nil, fmt.Errorf("core: query proof: backend returned %T", anyReceipt)
 	}
-	j, err := guest.ParseQueryJournal(receipt.Journal)
+	j, err := guest.ParseQueryJournal(receipt.JournalWords())
 	if err != nil {
 		return nil, fmt.Errorf("core: query journal: %w", err)
 	}
@@ -260,9 +256,8 @@ func (v *Verifier) Rounds() int {
 	return v.rounds
 }
 
-// VerifyAggregation checks one aggregation receipt — single-segment
-// or a continuation composite — and, on success, advances the
-// verifier's trusted root and chain hash.
+// VerifyAggregation checks one aggregation receipt and, on success,
+// advances the verifier's trusted root and chain hash.
 func (v *Verifier) VerifyAggregation(receipt zkvm.AnyReceipt) (*guest.AggJournal, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
@@ -309,13 +304,13 @@ func (v *Verifier) VerifyQuery(sql string, receipt *zkvm.Receipt) (*guest.QueryJ
 		return nil, err
 	}
 	prog := guest.QueryProgram(q)
-	if receipt.ImageID != prog.ID() {
-		return nil, fmt.Errorf("%w: query receipt image %v", ErrWrongProgram, receipt.ImageID)
+	if receipt.Image() != prog.ID() {
+		return nil, fmt.Errorf("%w: query receipt image %v", ErrWrongProgram, receipt.Image())
 	}
 	if err := zkvm.Verify(prog, receipt, v.verifyOpts); err != nil {
 		return nil, err
 	}
-	j, err := guest.ParseQueryJournal(receipt.Journal)
+	j, err := guest.ParseQueryJournal(receipt.JournalWords())
 	if err != nil {
 		return nil, err
 	}

@@ -191,7 +191,7 @@ func TestVerifierRejectsTamperedJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res.Receipt.(*zkvm.Receipt).Journal[20]++ // falsify a journal word
+	res.Receipt.(*zkvm.Receipt).Segments[0].Journal[20]++ // falsify a journal word
 	if _, err := v.VerifyAggregation(res.Receipt); err == nil {
 		t.Fatal("tampered journal accepted")
 	}

@@ -95,7 +95,7 @@ func LoadProver(r io.Reader, st *store.Store, lg *ledger.Ledger, opts Options) (
 		if _, err := io.ReadFull(r, bin); err != nil {
 			return nil, fmt.Errorf("%w: receipt %d: %v", ErrCheckpoint, i, err)
 		}
-		receipt, err := zkvm.UnmarshalAnyReceipt(bin)
+		receipt, err := zkvm.UnmarshalReceipt(bin)
 		if err != nil {
 			return nil, fmt.Errorf("%w: receipt %d: %v", ErrCheckpoint, i, err)
 		}

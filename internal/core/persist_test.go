@@ -17,8 +17,8 @@ func TestProverCheckpointResumesChain(t *testing.T) {
 		opts Options
 	}{
 		{"single", testOpts},
-		// A segmented prover's history holds composite receipts, which the
-		// checkpoint must read back as such.
+		// A segmented prover's history holds many-segment receipts, which
+		// the checkpoint must read back as such.
 		{"segmented", Options{Checks: testOpts.Checks, SegmentCycles: 1 << 10}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -31,8 +31,8 @@ func TestProverCheckpointResumesChain(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, composite := res.Receipt.(*zkvm.CompositeReceipt); composite != (tc.opts.SegmentCycles > 0) {
-					t.Fatalf("epoch %d sealed a %T", epoch, res.Receipt)
+				if n := res.Receipt.(*zkvm.Receipt).NumSegments(); (n > 1) != (tc.opts.SegmentCycles > 0) {
+					t.Fatalf("epoch %d sealed %d segments", epoch, n)
 				}
 				if _, err := v.VerifyAggregation(res.Receipt); err != nil {
 					t.Fatal(err)
@@ -158,9 +158,10 @@ func TestLoadVerifierRejectsGarbage(t *testing.T) {
 }
 
 // TestCheckpointStillLoads: testdata/checkpoint_v3.bin was written by
-// the prover while it sealed format-v3 receipts (seed 23, two rounds of
-// 4×6 records at Checks 6) and is never regenerated: it is the stored
-// bytes that pin LoadProver. It must still load, its receipt history
+// a prover sealing each round as one format-v3 segment (seed 23, two
+// rounds of 4×6 records at Checks 6 and SegmentCycles DefaultMaxSteps)
+// and is regenerated only when the receipt encoding changes: it is the
+// stored bytes that pin LoadProver. It must still load, its receipt history
 // must still verify, the restored prover must extend the chain, and
 // saving again must carry the stored rounds byte for byte.
 func TestCheckpointStillLoads(t *testing.T) {
@@ -187,8 +188,9 @@ func TestCheckpointStillLoads(t *testing.T) {
 	}
 	// Only the aggregation guest's own image verifies: the same receipt
 	// under any other image ID is refused before its seal is looked at.
-	forged := *res.Receipt.(*zkvm.Receipt)
-	forged.ImageID[0] ^= 1
+	seg := *res.Receipt.(*zkvm.Receipt).Segments[0]
+	seg.ImageID[0] ^= 1
+	forged := zkvm.Receipt{Segments: []*zkvm.SegmentReceipt{&seg}}
 	if _, err := v.VerifyAggregation(&forged); !errors.Is(err, ErrWrongProgram) {
 		t.Fatalf("receipt bound to an unknown image: %v, want ErrWrongProgram", err)
 	}

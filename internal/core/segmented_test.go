@@ -36,12 +36,8 @@ func TestSegmentedAggregationEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("aggregate epoch %d: %v", epoch, err)
 		}
-		comp, ok := res.Receipt.(*zkvm.CompositeReceipt)
-		if !ok {
-			t.Fatalf("epoch %d receipt is %T, want composite", epoch, res.Receipt)
-		}
-		if comp.NumSegments() < 2 {
-			t.Fatalf("epoch %d: %d segments, want continuation chain", epoch, comp.NumSegments())
+		if n := res.Receipt.(*zkvm.Receipt).NumSegments(); n < 2 {
+			t.Fatalf("epoch %d: %d segments, want continuation chain", epoch, n)
 		}
 		j, err := v.VerifyAggregation(res.Receipt)
 		if err != nil {
@@ -63,7 +59,8 @@ func TestSegmentedAggregationEndToEnd(t *testing.T) {
 
 // TestSegmentedSchedulerMatchesSerial: the pipelined scheduler with
 // continuations commits the same journal chain as the serial
-// segmented prover, and every composite verifies in order.
+// segmented prover, cuts every round into several segments, and every
+// receipt verifies in order.
 func TestSegmentedSchedulerMatchesSerial(t *testing.T) {
 	opts := Options{Checks: 6, SegmentCycles: 1 << 12}
 	serialP, _ := segPipeline(t, 32, 3, 10, opts)
@@ -82,8 +79,8 @@ func TestSegmentedSchedulerMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, res := range results {
-		if _, ok := res.Receipt.(*zkvm.CompositeReceipt); !ok {
-			t.Fatalf("round %d receipt is %T, want composite", i, res.Receipt)
+		if n := res.Receipt.(*zkvm.Receipt).NumSegments(); n < 2 {
+			t.Fatalf("round %d: %d segments, want continuation chain", i, n)
 		}
 		if !slices.Equal(res.Receipt.JournalWords(), serial[i].Receipt.JournalWords()) {
 			t.Fatalf("round %d: pipelined journal differs from serial", i)

@@ -67,12 +67,12 @@ func checkAggregation(t testing.TB, in *AggInput, cuts ...int) {
 		t.Fatalf("retired image: %v, journal of %d words differs from the current image's", err, len(old.Journal))
 	}
 	for _, cut := range cuts {
-		c, err := zkvm.ProveAny(AggregationProgram(), words, zkvm.ProveOptions{Checks: 1, SegmentCycles: cut})
+		c, err := zkvm.Prove(AggregationProgram(), words, zkvm.ProveOptions{Checks: 1, SegmentCycles: cut})
 		if err != nil {
 			t.Fatalf("cut %d: %v", cut, err)
 		}
 		if !slices.Equal(c.JournalWords(), want) {
-			t.Fatalf("cut %d: journal of %d segments differs from the reference", cut, c.(*zkvm.CompositeReceipt).NumSegments())
+			t.Fatalf("cut %d: journal of %d segments differs from the reference", cut, c.NumSegments())
 		}
 	}
 }

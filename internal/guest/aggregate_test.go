@@ -310,7 +310,7 @@ func TestAggregationProveVerify(t *testing.T) {
 	if err := zkvm.Verify(prog, r, zkvm.VerifyOptions{}); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
-	if _, err := ParseAggJournal(r.Journal); err != nil {
+	if _, err := ParseAggJournal(r.JournalWords()); err != nil {
 		t.Fatal(err)
 	}
 }

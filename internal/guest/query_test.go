@@ -151,7 +151,7 @@ func TestQueryProveVerify(t *testing.T) {
 	if err := zkvm.Verify(prog, r, zkvm.VerifyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	j, err := ParseQueryJournal(r.Journal)
+	j, err := ParseQueryJournal(r.JournalWords())
 	if err != nil {
 		t.Fatal(err)
 	}

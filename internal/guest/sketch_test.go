@@ -114,7 +114,7 @@ func TestSketchMergeProveVerify(t *testing.T) {
 	if err := zkvm.Verify(prog, r, zkvm.VerifyOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	j, err := ParseSketchJournal(r.Journal)
+	j, err := ParseSketchJournal(r.JournalWords())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,7 +263,7 @@ func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified
 	if receipt.Image() != prog.ID() {
 		return fmt.Errorf("%w: round %d bound to image %v", ErrReceipt, h.Round, receipt.Image())
 	}
-	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{MinChecks: opts.MinChecks}); err != nil {
+	if err := zkvm.Verify(prog, receipt, zkvm.VerifyOptions{MinChecks: opts.MinChecks}); err != nil {
 		return fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
 	}
 	j, err := guest.ParseAggJournal(receipt.JournalWords())

@@ -266,7 +266,8 @@ func TestSyncRejectsTamperedReceipt(t *testing.T) {
 	op := newOperator(t)
 	op.advance(t, 3)
 	inner := op.srv.Handler()
-	for _, at := range []int{4, 200} { // a byte of the image ID, of the journal
+	// The image ID follows the magic and the segment count.
+	for _, at := range []int{8, 200} { // a byte of the image ID, of the journal
 		st := op.pinAt(t, 0)
 		proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if !strings.HasPrefix(r.URL.Path, "/api/v1/receipts/agg/") {
@@ -288,7 +289,7 @@ func TestSyncRejectsTamperedReceipt(t *testing.T) {
 		if !errors.Is(err, ErrReceipt) {
 			t.Fatalf("byte %d flipped: got %v", at, err)
 		}
-		if at == 4 && !strings.Contains(err.Error(), "bound to image") {
+		if at == 8 && !strings.Contains(err.Error(), "bound to image") {
 			t.Fatalf("image ID flipped: refused for another reason: %v", err)
 		}
 	}
@@ -351,7 +352,7 @@ func TestSyncCacheRevalidation(t *testing.T) {
 
 // TestSyncCompositeReceipts: a light client syncs an operator that
 // proves its rounds as continuation chains — sampled rounds arrive as
-// composite receipts, and each verifies in full under the MinChecks
+// many-segment receipts, and each verifies in full under the MinChecks
 // floor before the pin advances.
 func TestSyncCompositeReceipts(t *testing.T) {
 	st := store.Open(0)

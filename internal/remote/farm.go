@@ -44,7 +44,7 @@ import (
 //
 // Determinism makes all of this safe: every job carries the master
 // salt seed, so whichever worker (re-)proves a segment produces the
-// same bytes, and the assembled composite is byte-identical to a
+// same bytes, and the assembled receipt is byte-identical to a
 // single prover's output at any worker count and under any failover
 // schedule.
 
@@ -77,7 +77,7 @@ const heartbeatMiss = 3
 var ErrFarmClosed = errors.New("remote: farm coordinator closed")
 
 // farmJob is one queued or in-flight unit of proving work: segment
-// segIndex of the run req asks for (0 for a whole run), proved under
+// segIndex of the run req asks for (0 for an uncut run), proved under
 // seed.
 type farmJob struct {
 	id       uint64
@@ -571,15 +571,14 @@ func (c *Coordinator) await(ctx context.Context, j *farmJob) ([]byte, error) {
 }
 
 // ProveSeeded proves one guest run on the farm under an explicit
-// master salt seed. With opts.SegmentCycles > 0 the coordinator plans
-// the segment count (a cheap emulator pass) and dispatches one job per
-// segment, each answered with a one-segment composite, and puts the
-// segments in index order; otherwise the run is one job, answered with
-// its receipt. Either way the receipt is verified before it is
-// returned, and it is byte-identical to zkvm.ProveSeeded(prog, input,
-// opts, seed) no matter how many workers served it or which of them
-// failed along the way.
-func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions, seed [32]byte) (zkvm.AnyReceipt, error) {
+// master salt seed. The coordinator dispatches one job per segment —
+// planning the count with a cheap emulator pass when opts.SegmentCycles
+// cuts the run, one segment otherwise — each answered with a
+// one-segment receipt, and puts the segments in index order. The
+// receipt is verified before it is returned, and it is byte-identical
+// to zkvm.ProveSeeded(prog, input, opts, seed) no matter how many
+// workers served it or which of them failed along the way.
+func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions, seed [32]byte) (*zkvm.Receipt, error) {
 	n := 1
 	if opts.SegmentCycles > 0 {
 		var err error
@@ -596,32 +595,24 @@ func (c *Coordinator) ProveSeeded(ctx context.Context, prog *zkvm.Program, input
 		}
 		jobs[i] = j
 	}
-	var receipt zkvm.AnyReceipt
 	segs := make([]*zkvm.SegmentReceipt, 0, n)
 	for i, j := range jobs {
 		payload, err := c.await(ctx, j)
+		var r *zkvm.Receipt
 		if err == nil {
-			receipt, err = zkvm.UnmarshalAnyReceipt(payload)
-			if err != nil {
+			if r, err = zkvm.UnmarshalReceipt(payload); err != nil {
 				err = fmt.Errorf("%w: %v", ErrRemote, err)
-			}
-		}
-		if err == nil && opts.SegmentCycles > 0 {
-			if comp, ok := receipt.(*zkvm.CompositeReceipt); ok && comp.NumSegments() == 1 {
-				segs = append(segs, comp.Segments[0])
-			} else {
-				err = fmt.Errorf("%w: segment job answered with a %T, not a one-segment composite", ErrRemote, receipt)
+			} else if r.NumSegments() != 1 {
+				err = fmt.Errorf("%w: segment job answered with %d segments", ErrRemote, r.NumSegments())
 			}
 		}
 		if err != nil {
 			c.abandonJobs(jobs[i+1:])
 			return nil, fmt.Errorf("remote: farm job %d of %d: %w", i, n, err)
 		}
+		segs = append(segs, r.Segments[0])
 	}
-	if opts.SegmentCycles > 0 {
-		receipt = &zkvm.CompositeReceipt{Segments: segs}
-	}
-	return c.checkReceipt(prog, receipt, opts.Checks)
+	return c.checkReceipt(prog, &zkvm.Receipt{Segments: segs}, opts.Checks)
 }
 
 // abandonJobs marks every job in jobs abandoned under the lock, so
@@ -640,14 +631,14 @@ func (c *Coordinator) abandonJobs(jobs []*farmJob) {
 // buggy or compromised worker cannot slip an invalid receipt — nor one
 // of an aborted guest, nor one with fewer sampled checks than the
 // request asked for — into the aggregation chain.
-func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt zkvm.AnyReceipt, checks int) (zkvm.AnyReceipt, error) {
+func (c *Coordinator) checkReceipt(prog *zkvm.Program, receipt *zkvm.Receipt, checks int) (*zkvm.Receipt, error) {
 	if receipt.Image() != prog.ID() {
 		return nil, fmt.Errorf("%w: farm returned a receipt for image %v", ErrRemote, receipt.Image())
 	}
 	if checks <= 0 {
 		checks = zkvm.DefaultChecks
 	}
-	if err := zkvm.VerifyAny(prog, receipt, zkvm.VerifyOptions{MinChecks: checks}); err != nil {
+	if err := zkvm.Verify(prog, receipt, zkvm.VerifyOptions{MinChecks: checks}); err != nil {
 		return nil, fmt.Errorf("%w: farm receipt invalid: %v", ErrRemote, err)
 	}
 	return receipt, nil
@@ -660,5 +651,9 @@ func (c *Coordinator) Prove(prog *zkvm.Program, input []uint32, opts zkvm.ProveO
 	if _, err := rand.Read(seed[:]); err != nil {
 		return nil, fmt.Errorf("remote: salt seed: %w", err)
 	}
-	return c.ProveSeeded(context.Background(), prog, input, opts, seed)
+	r, err := c.ProveSeeded(context.Background(), prog, input, opts, seed)
+	if err != nil {
+		return nil, err
+	}
+	return r, nil
 }

@@ -42,13 +42,13 @@ func farmOpts() zkvm.ProveOptions {
 }
 
 // localComposite is the single prover's composite for a segmented run.
-func localComposite(t *testing.T, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions, seed [32]byte) *zkvm.CompositeReceipt {
+func localComposite(t *testing.T, prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions, seed [32]byte) *zkvm.Receipt {
 	t.Helper()
 	r, err := zkvm.ProveSeeded(prog, input, opts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r.(*zkvm.CompositeReceipt)
+	return r
 }
 
 // testFarm starts a coordinator with a fast heartbeat on a loopback
@@ -146,7 +146,7 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		r.(*zkvm.Receipt).Seal.ExecRoot[0] ^= 1
+		r.Segments[0].Seal.ExecRoot[0] ^= 1
 		return r.MarshalBinary()
 	}
 	nextSegment := func(_ context.Context, job *WorkerJob) ([]byte, error) {
@@ -159,7 +159,7 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return (&zkvm.CompositeReceipt{Segments: []*zkvm.SegmentReceipt{sr}}).MarshalBinary()
+		return (&zkvm.Receipt{Segments: []*zkvm.SegmentReceipt{sr}}).MarshalBinary()
 	}
 	oneCheck := func(_ context.Context, job *WorkerJob) ([]byte, error) {
 		opts := job.Opts
@@ -307,6 +307,31 @@ func TestFarmWorkerMetersItsJobs(t *testing.T) {
 	}
 	if got := snap.Histograms["prover.stage.seal_seconds"].Count; got != 1 {
 		t.Fatalf("%d prover.stage.seal observations, want 1", got)
+	}
+}
+
+// TestRunCacheReleasesOneSegmentRuns: a worker keeps a cut run's
+// execution for its sibling segment jobs, but releases a one-segment
+// run as soon as its only job is sealed.
+func TestRunCacheReleasesOneSegmentRuns(t *testing.T) {
+	cache := newRunCache()
+	prove := defaultProveJob(cache, nil)
+	prog, input := loopProgram()
+	for _, tc := range []struct {
+		opts zkvm.ProveOptions
+		want int
+	}{
+		{zkvm.ProveOptions{Checks: 4}, 0},
+		{farmOpts(), 1},
+	} {
+		job := &WorkerJob{Prog: prog, Input: input, Opts: tc.opts, Seed: [32]byte{7}}
+		if _, err := prove(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		if got := len(cache.entries); got != tc.want {
+			t.Fatalf("SegmentCycles %d: %d cached runs after the job, want %d", tc.opts.SegmentCycles, got, tc.want)
+		}
+		cache.drain()
 	}
 }
 

@@ -42,9 +42,9 @@ type WorkerConfig struct {
 	SuppressHeartbeats bool
 }
 
-// WorkerJob is one decoded dispatch handed to a ProveJobFunc. With
-// Opts.SegmentCycles > 0 it asks for segment SegIndex of the run;
-// otherwise for the whole run.
+// WorkerJob is one decoded dispatch handed to a ProveJobFunc: it asks
+// for segment SegIndex of the run, which is 0 for a run proved as one
+// segment.
 type WorkerJob struct {
 	ID       uint64
 	SegIndex int
@@ -54,9 +54,8 @@ type WorkerJob struct {
 	Opts     zkvm.ProveOptions
 }
 
-// ProveJobFunc proves one job, returning the wire payload: a receipt
-// encoding — for a segment job, the one-segment composite of that
-// segment.
+// ProveJobFunc proves one job, returning the wire payload: the
+// one-segment receipt of the job's segment.
 type ProveJobFunc func(ctx context.Context, job *WorkerJob) ([]byte, error)
 
 // runCache shares SegmentRuns between segment jobs with the same
@@ -136,25 +135,21 @@ func (rc *runCache) touchLocked(key [32]byte) {
 	}
 }
 
-// evictLocked releases idle runs beyond the cache bound, oldest first.
+// evictLocked releases idle runs beyond the cache bound, oldest first,
+// and every idle one-segment run: it has no sibling job to share it with.
 func (rc *runCache) evictLocked() {
-	for len(rc.entries) > runCacheSize {
-		evicted := false
-		for i, k := range rc.order {
-			e := rc.entries[k]
-			if e.refs > 0 {
-				continue
-			}
+	over := len(rc.entries) - runCacheSize
+	order := rc.order[:0]
+	for _, k := range rc.order {
+		if e := rc.entries[k]; e.refs == 0 && (over > 0 || e.run.Segments() == 1) {
 			delete(rc.entries, k)
-			rc.order = append(rc.order[:i:i], rc.order[i+1:]...)
 			e.run.Release()
-			evicted = true
-			break
+			over--
+			continue
 		}
-		if !evicted {
-			return // everything busy; try again on next release
-		}
+		order = append(order, k)
 	}
+	rc.order = order
 }
 
 // drain releases every idle cached run (worker shutdown).
@@ -170,33 +165,26 @@ func (rc *runCache) drain() {
 	rc.order = rc.order[:0]
 }
 
-// defaultProveJob proves a job locally: segment jobs through the
-// shared run cache, whole runs via the deterministic seeded prover.
-// Proving stages are timed into stages.
+// defaultProveJob proves a job locally through the shared run cache and
+// answers with its segment as a one-segment receipt. Proving stages are
+// timed into stages.
 func defaultProveJob(cache *runCache, stages zkvm.StageObserver) ProveJobFunc {
 	return func(_ context.Context, job *WorkerJob) ([]byte, error) {
 		opts := job.Opts
 		opts.Observer = stages
-		if opts.SegmentCycles > 0 {
-			key := runCacheKey(EncodeRequest(job.Prog, job.Input, job.Opts), job.Seed)
-			run, err := cache.acquire(key, func() (*zkvm.SegmentRun, error) {
-				return zkvm.NewSegmentRun(job.Prog, job.Input, opts, job.Seed)
-			})
-			if err != nil {
-				return nil, err
-			}
-			defer cache.release(key)
-			sr, err := run.ProveSegment(job.SegIndex)
-			if err != nil {
-				return nil, err
-			}
-			return (&zkvm.CompositeReceipt{Segments: []*zkvm.SegmentReceipt{sr}}).MarshalBinary()
-		}
-		r, err := zkvm.ProveSeeded(job.Prog, job.Input, opts, job.Seed)
+		key := runCacheKey(EncodeRequest(job.Prog, job.Input, job.Opts), job.Seed)
+		run, err := cache.acquire(key, func() (*zkvm.SegmentRun, error) {
+			return zkvm.NewSegmentRun(job.Prog, job.Input, opts, job.Seed)
+		})
 		if err != nil {
 			return nil, err
 		}
-		return r.MarshalBinary()
+		defer cache.release(key)
+		sr, err := run.ProveSegment(job.SegIndex)
+		if err != nil {
+			return nil, err
+		}
+		return (&zkvm.Receipt{Segments: []*zkvm.SegmentReceipt{sr}}).MarshalBinary()
 	}
 }
 

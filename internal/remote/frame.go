@@ -102,7 +102,7 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 // reqMagic opens a proving request, the body of every job frame. The
 // last digit is the layout's version: a peer speaking another layout
 // fails with ErrBadRequest.
-const reqMagic = 0x7a6b7734 // "zkw4"
+const reqMagic = 0x7a6b7735 // "zkw5"
 
 // EncodeRequest frames a proving request: what to run (program, private
 // input) and the prove options that cross the wire — every field of
@@ -209,9 +209,9 @@ func decodeWelcome(p []byte) (welcomeMsg, error) {
 // jobMsg dispatches one proving job. Req is an EncodeRequest body
 // (program, input, prove options); Seed is the master salt seed the
 // job must be proved under, which is what makes independently proved
-// segments reassemble byte-identically. A request with SegmentCycles >
-// 0 asks for segment SegIndex of the run; one without asks for the
-// whole run, and SegIndex is 0.
+// segments reassemble byte-identically. A job asks for segment SegIndex
+// of the run; a request without SegmentCycles is one segment, so its
+// SegIndex is 0.
 type jobMsg struct {
 	JobID    uint64
 	SegIndex uint32
@@ -247,9 +247,8 @@ func decodeJob(p []byte) (jobMsg, error) {
 	return m, nil
 }
 
-// resultMsg returns a finished job. OK results carry a receipt
-// encoding (for a segment job, the one-segment composite of that
-// segment); failures carry the error text.
+// resultMsg returns a finished job. OK results carry the one-segment
+// receipt of the job's segment; failures carry the error text.
 type resultMsg struct {
 	JobID   uint64
 	OK      bool
@@ -289,15 +288,15 @@ func decodeResult(p []byte) (resultMsg, error) {
 	return m, nil
 }
 
-// parseJob decodes a job's request. A whole run has one spelling: its
-// segment index is 0.
+// parseJob decodes a job's request. A run proved as one segment has one
+// spelling: its segment index is 0.
 func parseJob(m jobMsg) (*WorkerJob, error) {
 	prog, input, opts, err := DecodeRequest(m.Req)
 	if err != nil {
 		return nil, err
 	}
 	if opts.SegmentCycles == 0 && m.SegIndex != 0 {
-		return nil, fmt.Errorf("%w: whole-run job %d names segment %d", ErrBadFrame, m.JobID, m.SegIndex)
+		return nil, fmt.Errorf("%w: uncut job %d names segment %d", ErrBadFrame, m.JobID, m.SegIndex)
 	}
 	return &WorkerJob{ID: m.JobID, SegIndex: int(m.SegIndex), Seed: m.Seed, Prog: prog, Input: input, Opts: opts}, nil
 }

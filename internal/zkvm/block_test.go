@@ -213,12 +213,13 @@ func TestSpanOpeningCounts(t *testing.T) {
 	}
 }
 
-// blockFixtures are a mono and a composite receipt sealed under fixed
-// seeds, so their bytes are the same in every run.
+// blockFixtures are a one-segment (mono) and a multi-segment (comp)
+// receipt sealed under fixed seeds, so their bytes are the same in every
+// run.
 type blockFixtures struct {
 	prog, segProg *Program
 	mono          *Receipt
-	comp          *CompositeReceipt
+	comp          *Receipt
 	monoBytes     []byte
 	compBytes     []byte
 }
@@ -233,7 +234,7 @@ func newBlockFixtures(t testing.TB) *blockFixtures {
 	if fx.mono, err = proveExecutionSeeded(ex, ProveOptions{Checks: 12}, &[32]byte{0xb1, 0x0c}); err != nil {
 		t.Fatal(err)
 	}
-	fx.comp = mustComposite(t, fx.segProg, []uint32{120, 7}, ProveOptions{Checks: 6, SegmentCycles: 512})
+	fx.comp = mustProve(t, fx.segProg, []uint32{120, 7}, ProveOptions{Checks: 6, SegmentCycles: 512})
 	if fx.monoBytes, err = fx.mono.MarshalBinary(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,11 +242,11 @@ func newBlockFixtures(t testing.TB) *blockFixtures {
 		t.Fatal(err)
 	}
 	straddling := 0
-	for i := range fx.mono.Seal.ExecChecks {
-		straddling += len(fx.mono.Seal.ExecChecks[i].Rows) - 1
+	for i := range fx.mono.Segments[0].Seal.ExecChecks {
+		straddling += len(fx.mono.Segments[0].Seal.ExecChecks[i].Rows) - 1
 	}
-	if straddling == 0 || straddling == len(fx.mono.Seal.ExecChecks) {
-		t.Fatalf("fixture has %d straddling exec pairs of %d: need both kinds", straddling, len(fx.mono.Seal.ExecChecks))
+	if straddling == 0 || straddling == len(fx.mono.Segments[0].Seal.ExecChecks) {
+		t.Fatalf("fixture has %d straddling exec pairs of %d: need both kinds", straddling, len(fx.mono.Segments[0].Seal.ExecChecks))
 	}
 	return fx
 }
@@ -258,7 +259,7 @@ func newBlockFixtures(t testing.TB) *blockFixtures {
 // such leaves when they *are* committed is TestStrictExecLeaves.
 func (fx *blockFixtures) execLeafMutants(t testing.TB) [][]byte {
 	t.Helper()
-	o := &fx.mono.Seal.ExecChecks[0].Rows[0]
+	o := &fx.mono.Segments[0].Seal.ExecChecks[0].Rows[0]
 	orig := o.Data
 	rows := make([]Row, 1+(len(orig)-rowBytes)/4)
 	if err := expandExecLeaf(fx.prog, orig, rows); err != nil {
@@ -333,7 +334,7 @@ func (fx *blockFixtures) blockBoundaryMutants(t testing.TB) [][]byte {
 	mono := func(family string, span *[]Opening) {
 		fields = append(fields, spanField{family, span, fx.mono, fx.prog})
 	}
-	s := &fx.mono.Seal
+	s := &fx.mono.Segments[0].Seal
 	for i := range s.ExecChecks {
 		mono("exec rows", &s.ExecChecks[i].Rows)
 		if len(s.ExecChecks[i].Mem) > 0 {

@@ -29,7 +29,7 @@ func fuzzReceiptBytes(f *testing.F) []byte {
 // one-segment composite.
 func fuzzCompositeBytes(f *testing.F) (composite, farmSegment []byte) {
 	f.Helper()
-	c, err := proveSegmentedSeeded(sumProgram(), sumInput(8), ProveOptions{Checks: 1, SegmentCycles: minSegmentCycles}, &[32]byte{})
+	c, err := ProveSeeded(sumProgram(), sumInput(8), ProveOptions{Checks: 1, SegmentCycles: minSegmentCycles}, [32]byte{})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func fuzzCompositeBytes(f *testing.F) (composite, farmSegment []byte) {
 	if composite, err = c.MarshalBinary(); err != nil {
 		f.Fatal(err)
 	}
-	if farmSegment, err = (&CompositeReceipt{Segments: c.Segments[1:]}).MarshalBinary(); err != nil {
+	if farmSegment, err = (&Receipt{Segments: c.Segments[1:]}).MarshalBinary(); err != nil {
 		f.Fatal(err)
 	}
 	return composite, farmSegment

@@ -44,15 +44,12 @@ func stepKind(prog *Program, cur, next *Row) string {
 	return ""
 }
 
-// checkExecLeaves runs the guest — monolithic at cut 0, else cut every
-// cut rows — and requires of every exec leaf of every segment that
+// checkExecLeaves runs the guest — uncut at cut 0, else cut every cut
+// rows — and requires of every exec leaf of every segment that
 // expanding what the prover encodes gives back exactly the rows it
 // encoded, through the column accessor the verifier uses. It reports
 // the kinds of step that were derived, not committed, somewhere.
 func checkExecLeaves(prog *Program, input []uint32, cut int) (map[string]bool, error) {
-	if cut == 0 {
-		cut = neverCut
-	}
 	segs, err := executeSegmented(prog, input, ExecOptions{}, cut)
 	if err != nil {
 		return nil, err

@@ -4,12 +4,9 @@ package zkvm
 // in-package tests — can import internal/guest without a cycle.
 
 // RunMachine runs one use of the emulator to completion, releases
-// whatever it traced, and reports the segments cut. cut == 0 is the
-// monolithic run; traced == false is the planner.
+// whatever it traced, and reports the segments cut. cut == 0 never
+// cuts; traced == false is the planner.
 func RunMachine(prog *Program, input []uint32, cut int, traced bool) (segs int, err error) {
-	if cut == 0 {
-		cut = neverCut
-	}
 	m := newMachine(prog, input, cut, traced)
 	if err := m.run(0); err != nil {
 		return 0, err

@@ -99,11 +99,11 @@ func TestRandomProgramsProveAndVerify(t *testing.T) {
 		if err := Verify(prog, r, VerifyOptions{}); err != nil {
 			t.Fatalf("trial %d: verify: %v", trial, err)
 		}
-		if len(r.Journal) != 8 {
-			t.Fatalf("trial %d: journal %d words", trial, len(r.Journal))
+		if len(r.JournalWords()) != 8 {
+			t.Fatalf("trial %d: journal %d words", trial, len(r.JournalWords()))
 		}
-		for i := range r.Journal {
-			if r.Journal[i] != ex.Journal[i] {
+		for i := range r.JournalWords() {
+			if r.JournalWords()[i] != ex.Journal[i] {
 				t.Fatalf("trial %d: journal diverged", trial)
 			}
 		}

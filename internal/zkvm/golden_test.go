@@ -11,9 +11,10 @@ import (
 var updateGolden = flag.Bool("update", false, "regenerate golden receipt vectors")
 
 const (
+	// A one-segment vector: a run proved without SegmentCycles.
 	goldenReceiptFile = "receipt_v3.bin"
-	// The segmented sealer's vector: four segments, so every continuation
-	// check family and both kinds of boundary are in it.
+	// A four-segment vector, so every continuation check family and both
+	// kinds of boundary are in it.
 	goldenCompositeFile = "composite_v3.bin"
 )
 
@@ -22,12 +23,8 @@ const (
 // across runs and machines.
 func goldenReceipt(t *testing.T) []byte {
 	t.Helper()
-	ex, err := Execute(sumProgram(), sumInput(16), ExecOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := &[32]byte{0x5a, 0x6b, 0x76, 0x31} // "Zkv1"
-	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 8}, seed)
+	seed := [32]byte{0x5a, 0x6b, 0x76, 0x31} // "Zkv1"
+	r, err := ProveSeeded(sumProgram(), sumInput(16), ProveOptions{Checks: 8}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +49,13 @@ func TestGoldenReceipt(t *testing.T) {
 	verifyStoredReceipt(t, want)
 }
 
-// TestGoldenComposite pins the segmented sealer the same way: the
-// monolithic vector alone would let the two drift apart in everything a
-// segment has and a whole run does not (sub-seeds, boundary images, the
-// import, exit and cover families).
+// TestGoldenComposite pins a many-segment run the same way: the
+// one-segment vector has no boundary, so it leaves out everything a
+// boundary brings (boundary images, the import, exit and cover
+// families).
 func TestGoldenComposite(t *testing.T) {
 	prog := segTestProgram(t)
-	c, err := proveSegmentedSeeded(prog, []uint32{300, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 10}, &segTestSeed)
+	c, err := ProveSeeded(prog, []uint32{300, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 10}, segTestSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,14 +63,14 @@ func TestGoldenComposite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored, err := UnmarshalComposite(checkGolden(t, goldenCompositeFile, got))
+	stored, err := UnmarshalReceipt(checkGolden(t, goldenCompositeFile, got))
 	if err != nil {
 		t.Fatalf("stored vector does not decode: %v", err)
 	}
 	if len(stored.Segments) != 4 {
 		t.Fatalf("stored vector has %d segments, want 4", len(stored.Segments))
 	}
-	if err := VerifyComposite(prog, stored, VerifyOptions{MinChecks: 8}); err != nil {
+	if err := Verify(prog, stored, VerifyOptions{MinChecks: 8}); err != nil {
 		t.Fatalf("stored vector does not verify: %v", err)
 	}
 }

@@ -6,7 +6,11 @@ package zkvm
 // the paper's RISC Zero backend) reveals none; this report makes our
 // substitution's leakage explicit and measurable. Unopened leaves
 // reveal nothing — every committed leaf is individually salted. An
-// opened leaf reveals its whole block of records.
+// opened leaf reveals its whole block of records. The report covers the
+// execution trace and the memory logs only: the boundary-image openings
+// of a cut run's continuation checks (ImportCheck.Img, ExitCheck.Img,
+// CoverCheck.Img) also reveal (addr, val) words of the memory image at
+// a segment boundary, and are not counted here.
 type LeakageReport struct {
 	// TotalRows and TotalMemEntries are the committed table sizes.
 	TotalRows       int
@@ -19,57 +23,61 @@ type LeakageReport struct {
 	MemFraction float64
 }
 
-// reveal marks the records the opened leaf o of column c holds — for an
-// exec leaf, the rows it expands to — numbering record i of the table
-// base+i.
-func reveal(seen map[int]bool, base int, o *Opening, c column) {
-	for k := range c.count(o.Index) { // none for a leaf past the table
-		seen[base+o.Index*leafRecords+k] = true
+// revealer returns a function that marks the records the opened
+// leaves of column c hold — for an exec leaf, the rows it expands to —
+// numbering record i of the table base+i.
+func revealer(seen map[int]bool, base int, c column) func(...Opening) {
+	return func(os ...Opening) {
+		for _, o := range os {
+			for k := range c.count(o.Index) { // none for a leaf past the table
+				seen[base+o.Index*leafRecords+k] = true
+			}
+		}
 	}
 }
 
-// Leakage computes the report for a receipt. It counts records, not
-// leaves: an opened leaf reveals every record of its block, the ones
-// the check did not ask for included.
+// Leakage computes the report for a receipt, over all its segments. It
+// counts records, not leaves: an opened leaf reveals every record of its
+// block, the ones the check did not ask for included.
 func Leakage(r *Receipt) LeakageReport {
-	s := &r.Seal
+	var rep LeakageReport
 	rows, mems := map[int]bool{}, map[int]bool{}
-	row := func(o *Opening) { reveal(rows, 0, o, s.execCol()) }
-	prog := func(o *Opening) { reveal(mems, 0, o, s.memProgCol()) }
-	// Sorted-log openings reveal the same underlying accesses in a
-	// different order; count them in the same pool.
-	sorted := func(o *Opening) { reveal(mems, int(s.NumMem), o, s.memSortCol()) }
+	for _, sr := range r.Segments {
+		s := &sr.Seal
+		row := revealer(rows, rep.TotalRows, s.execCol())
+		prog := revealer(mems, 2*rep.TotalMemEntries, s.memProgCol())
+		// Sorted-log openings reveal the same underlying accesses in a
+		// different order; count them in the same pool.
+		sorted := revealer(mems, 2*rep.TotalMemEntries+int(s.NumMem), s.memSortCol())
+		rep.TotalRows += int(s.NumRows)
+		rep.TotalMemEntries += int(s.NumMem)
 
-	row(&s.FirstRow)
-	row(&s.LastRow)
-	if s.NumMem > 0 {
-		prog(&s.MemProgFirst)
-		sorted(&s.MemSortFirst)
-	}
-	for i := range s.ExecChecks {
-		c := &s.ExecChecks[i]
-		for j := range c.Rows {
-			row(&c.Rows[j])
+		row(s.FirstRow, s.LastRow)
+		if s.NumMem > 0 {
+			prog(s.MemProgFirst)
+			sorted(s.MemSortFirst)
 		}
-		for j := range c.Mem {
-			prog(&c.Mem[j])
+		for _, c := range s.ExecChecks {
+			row(c.Rows...)
+			prog(c.Mem...)
+		}
+		for _, c := range s.ProdChecks {
+			prog(c.Entry)
+		}
+		for _, c := range s.SortChecks {
+			sorted(c.Entries...)
+		}
+		for _, c := range sr.ImportChecks {
+			prog(c.MemProg)
+		}
+		for _, c := range sr.ExitChecks {
+			sorted(c.Sort...)
+		}
+		for _, c := range sr.CoverChecks {
+			sorted(c.Entries...)
 		}
 	}
-	for i := range s.ProdChecks {
-		prog(&s.ProdChecks[i].Entry)
-	}
-	for i := range s.SortChecks {
-		c := &s.SortChecks[i]
-		for j := range c.Entries {
-			sorted(&c.Entries[j])
-		}
-	}
-	rep := LeakageReport{
-		TotalRows:        int(s.NumRows),
-		TotalMemEntries:  int(s.NumMem),
-		OpenedRows:       len(rows),
-		OpenedMemEntries: len(mems),
-	}
+	rep.OpenedRows, rep.OpenedMemEntries = len(rows), len(mems)
 	if rep.TotalRows > 0 {
 		rep.RowFraction = float64(rep.OpenedRows) / float64(rep.TotalRows)
 	}

@@ -137,7 +137,7 @@ func (pm *pagedMem) image() []imagePair {
 	return img
 }
 
-// neverCut is the segment length of a monolithic run.
+// neverCut is the segment length of a run that is one segment.
 const neverCut = math.MaxInt
 
 // machine is a TinyRISC machine mid-run. It is step's execEnv: loads
@@ -151,7 +151,7 @@ type machine struct {
 	mem     pagedMem
 	scratch []byte // SysHash message buffer, grown to the largest request
 
-	cut      int  // steps per segment; neverCut for a monolithic run
+	cut      int  // steps per segment; neverCut for a one-segment run
 	traced   bool // false: the planner, which counts segments and records nothing
 	unpooled bool // the trace outlives the package (Execute): build it on fresh slabs
 
@@ -167,9 +167,13 @@ type machine struct {
 	nsegs int                 // segments opened so far: all the planner keeps of them
 }
 
-// newMachine returns a reset machine over fresh memory. cut is floored
-// to minSegmentCycles; run opens segment 0.
+// newMachine returns a reset machine over fresh memory. A cut ≤ 0 never
+// cuts, and a positive one is floored to minSegmentCycles; run opens
+// segment 0.
 func newMachine(prog *Program, input []uint32, cut int, traced bool) *machine {
+	if cut <= 0 {
+		cut = neverCut
+	}
 	m := &machine{prog: prog, input: input, cut: max(cut, minSegmentCycles), traced: traced, mask: -1}
 	if !traced {
 		m.rows, m.mask = make([]Row, 2), 1

@@ -114,3 +114,20 @@ func TestPlanSegmentsErrorParity(t *testing.T) {
 		t.Fatalf("want ErrStepLimit from both, got traced=%v plan=%v", tracedErr, planErr)
 	}
 }
+
+// TestPlanSegmentsMatchesProve: the planner counts the segments
+// ProveSeeded seals under the same options — one when SegmentCycles is
+// zero, as many as the cut makes otherwise.
+func TestPlanSegmentsMatchesProve(t *testing.T) {
+	prog, input := segTestProgram(t), []uint32{300, 5}
+	for _, cut := range []int{0, 1 << 10} {
+		opts := ProveOptions{Checks: 2, SegmentCycles: cut}
+		n, err := PlanSegments(prog, input, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := mustProve(t, prog, input, opts); n != r.NumSegments() {
+			t.Fatalf("SegmentCycles=%d: planned %d segments, sealed %d", cut, n, r.NumSegments())
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"zkflow/internal/par"
 )
 
 // sumProgram builds a guest that reads n input words, stores them to
@@ -67,8 +69,8 @@ func TestProveVerifyRoundTrip(t *testing.T) {
 	for i := 0; i < 16; i++ {
 		want += uint32(i*7 + 1)
 	}
-	if r.Journal[0] != want {
-		t.Fatalf("journal sum %d, want %d", r.Journal[0], want)
+	if r.Segments[0].Journal[0] != want {
+		t.Fatalf("journal sum %d, want %d", r.Segments[0].Journal[0], want)
 	}
 }
 
@@ -83,7 +85,7 @@ func TestVerifyRejectsWrongProgram(t *testing.T) {
 
 func TestVerifyRejectsTamperedJournal(t *testing.T) {
 	prog, r := proveSum(t, 8)
-	r.Journal[0]++
+	r.Segments[0].Journal[0]++
 	if err := Verify(prog, r, VerifyOptions{}); err == nil {
 		t.Fatal("tampered journal accepted")
 	}
@@ -91,13 +93,13 @@ func TestVerifyRejectsTamperedJournal(t *testing.T) {
 
 func TestVerifyRejectsTamperedExitCode(t *testing.T) {
 	prog, r := proveSum(t, 4)
-	r.ExitCode = 1
+	r.Segments[0].ExitCode = 1
 	if err := Verify(prog, r, VerifyOptions{}); err == nil {
 		t.Fatal("tampered exit code accepted")
 	}
 	// Relabelling an aborted run as a clean exit contradicts its halt row.
 	prog, aborted := abortedReceipt(t)
-	aborted.ExitCode = 0
+	aborted.Segments[0].ExitCode = 0
 	if err := Verify(prog, aborted, VerifyOptions{}); err == nil {
 		t.Fatal("aborted run verified as a clean exit")
 	}
@@ -105,18 +107,38 @@ func TestVerifyRejectsTamperedExitCode(t *testing.T) {
 
 func TestVerifyRejectsTamperedRoots(t *testing.T) {
 	prog, r := proveSum(t, 4)
-	r.Seal.ExecRoot[0] ^= 1
+	r.Segments[0].Seal.ExecRoot[0] ^= 1
 	if err := Verify(prog, r, VerifyOptions{}); err == nil {
 		t.Fatal("tampered exec root accepted")
 	}
 }
 
+// TestVerifyErrorHasOnePrefix: a failure deep in a segment's seal reads
+// "zkvm: receipt verification failed: segment i: …" — the prefix once,
+// however many layers the failure passed through — and still matches
+// ErrVerify.
+func TestVerifyErrorHasOnePrefix(t *testing.T) {
+	prog := segTestProgram(t)
+	r := mustProve(t, prog, []uint32{300, 5}, ProveOptions{Checks: 4, SegmentCycles: 1 << 10})
+	r.Segments[1].Seal.ExecRoot[0] ^= 1
+	err := Verify(prog, r, VerifyOptions{})
+	if !errors.Is(err, ErrVerify) {
+		t.Fatalf("got %v, want ErrVerify", err)
+	}
+	if n := strings.Count(err.Error(), ErrVerify.Error()); n != 1 {
+		t.Fatalf("prefix appears %d times: %v", n, err)
+	}
+	if !strings.HasPrefix(err.Error(), ErrVerify.Error()+": segment 1: ") {
+		t.Fatalf("error does not name the segment: %v", err)
+	}
+}
+
 func TestVerifyRejectsTamperedOpening(t *testing.T) {
 	prog, r := proveSum(t, 4)
-	if len(r.Seal.ExecChecks) == 0 {
+	if len(r.Segments[0].Seal.ExecChecks) == 0 {
 		t.Fatal("no exec checks")
 	}
-	r.Seal.ExecChecks[0].Rows[0].Data[4]++ // mutate a register byte
+	r.Segments[0].Seal.ExecChecks[0].Rows[0].Data[4]++ // mutate a register byte
 	if err := Verify(prog, r, VerifyOptions{}); err == nil {
 		t.Fatal("tampered opening accepted")
 	}
@@ -124,7 +146,7 @@ func TestVerifyRejectsTamperedOpening(t *testing.T) {
 
 func TestVerifyRejectsTruncatedChecks(t *testing.T) {
 	prog, r := proveSum(t, 4)
-	r.Seal.ExecChecks = r.Seal.ExecChecks[:1]
+	r.Segments[0].Seal.ExecChecks = r.Segments[0].Seal.ExecChecks[:1]
 	if err := Verify(prog, r, VerifyOptions{}); err == nil {
 		t.Fatal("truncated checks accepted")
 	}
@@ -142,6 +164,20 @@ func TestGuestAbortRefusesToProve(t *testing.T) {
 	if abort.ExitCode != 3 {
 		t.Fatalf("exit code %d", abort.ExitCode)
 	}
+}
+
+// proveExecutionSeeded seals an already-traced execution, whatever its
+// exit code and however it was forged, as the one segment of a receipt:
+// under the sub-seed ProveSeeded gives segment 0, so an honest execution
+// seals to the bytes ProveSeeded(…, seed) does.
+func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Receipt, error) {
+	sub := deriveSubSeed(seed, "seg", 0)
+	seg := &segmentExecution{ex: ex, final: true, entry: GenesisState()}
+	sr, err := proveSegmentSeeded(seg, opts, &sub, nil, nil, par.Workers())
+	if err != nil {
+		return nil, err
+	}
+	return &Receipt{Segments: []*SegmentReceipt{sr}}, nil
 }
 
 // abortedReceipt seals a guest that halts with exit code 3. Prove
@@ -180,8 +216,8 @@ func TestMinimalProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Seal.NumRows != 1 || r.Seal.NumMem != 0 {
-		t.Fatalf("rows=%d mem=%d", r.Seal.NumRows, r.Seal.NumMem)
+	if r.Segments[0].Seal.NumRows != 1 || r.Segments[0].Seal.NumMem != 0 {
+		t.Fatalf("rows=%d mem=%d", r.Segments[0].Seal.NumRows, r.Segments[0].Seal.NumMem)
 	}
 	if err := Verify(prog, r, VerifyOptions{}); err != nil {
 		t.Fatalf("verify: %v", err)
@@ -200,8 +236,8 @@ func TestNoMemoryProgram(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Seal.NumMem != 0 {
-		t.Fatalf("unexpected memory log of %d", r.Seal.NumMem)
+	if r.Segments[0].Seal.NumMem != 0 {
+		t.Fatalf("unexpected memory log of %d", r.Segments[0].Seal.NumMem)
 	}
 	if err := Verify(prog, r, VerifyOptions{}); err != nil {
 		t.Fatalf("verify: %v", err)
@@ -219,8 +255,8 @@ func TestSingleMemoryEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Seal.NumMem != 1 {
-		t.Fatalf("mem entries = %d", r.Seal.NumMem)
+	if r.Segments[0].Seal.NumMem != 1 {
+		t.Fatalf("mem entries = %d", r.Segments[0].Seal.NumMem)
 	}
 	if err := Verify(prog, r, VerifyOptions{}); err != nil {
 		t.Fatalf("verify: %v", err)
@@ -289,36 +325,48 @@ func TestJournalGrowsLinearly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r100.JournalSize() != 10*r10.JournalSize() {
-		t.Fatalf("journal sizes %d vs %d", r10.JournalSize(), r100.JournalSize())
+	if len(r100.JournalWords()) != 10*len(r10.JournalWords()) {
+		t.Fatalf("journal sizes %d vs %d", len(r10.JournalWords()), len(r100.JournalWords()))
 	}
 }
 
 // TestLeakageReport pins what the report counts: revealed records. An
 // opened leaf gives away its whole block — an exec leaf, every row it
 // expands to, not the one row it carries whole — so the count is the
-// records of the distinct opened leaves.
+// records of the distinct opened leaves, summed over the segments.
 func TestLeakageReport(t *testing.T) {
-	_, r := proveSum(t, 32)
-	rep := Leakage(r)
-	if rep.TotalRows != int(r.Seal.NumRows) || rep.TotalMemEntries != int(r.Seal.NumMem) {
-		t.Fatalf("totals %d/%d, seal has %d/%d", rep.TotalRows, rep.TotalMemEntries, r.Seal.NumRows, r.Seal.NumMem)
+	_, one := proveSum(t, 32)
+	many := mustProve(t, segTestProgram(t), []uint32{300, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 10})
+	if many.NumSegments() < 2 {
+		t.Fatalf("%d segments, want several", many.NumSegments())
 	}
-	leaves, want := openedRowLeaves(&r.Seal)
-	if rep.OpenedRows != want {
-		t.Fatalf("opened rows %d, the %d distinct opened leaves expand to %d", rep.OpenedRows, leaves, want)
-	}
-	if rep.OpenedRows <= 2*leaves || rep.OpenedRows > leafRecords*leaves {
-		t.Fatalf("opened rows %d from %d leaves of up to %d rows", rep.OpenedRows, leaves, leafRecords)
-	}
-	if rep.OpenedRows > rep.TotalRows || rep.OpenedMemEntries > 2*rep.TotalMemEntries {
-		t.Fatalf("opened %d/%d of %d/%d", rep.OpenedRows, rep.OpenedMemEntries, rep.TotalRows, 2*rep.TotalMemEntries)
-	}
-	if rep.RowFraction != float64(rep.OpenedRows)/float64(rep.TotalRows) {
-		t.Fatalf("row fraction %f", rep.RowFraction)
-	}
-	if rep.MemFraction <= 0 || rep.MemFraction > 1 {
-		t.Fatalf("mem fraction %f", rep.MemFraction)
+	for name, r := range map[string]*Receipt{"one segment": one, "segmented": many} {
+		rep := Leakage(r)
+		var rows, mems, leaves, want int
+		for _, sr := range r.Segments {
+			rows += int(sr.Seal.NumRows)
+			mems += int(sr.Seal.NumMem)
+			l, w := openedRowLeaves(&sr.Seal)
+			leaves, want = leaves+l, want+w
+		}
+		if rep.TotalRows != rows || rep.TotalMemEntries != mems {
+			t.Fatalf("%s: totals %d/%d, seals have %d/%d", name, rep.TotalRows, rep.TotalMemEntries, rows, mems)
+		}
+		if rep.OpenedRows != want {
+			t.Fatalf("%s: opened rows %d, the %d distinct opened leaves expand to %d", name, rep.OpenedRows, leaves, want)
+		}
+		if rep.OpenedRows <= 2*leaves || rep.OpenedRows > leafRecords*leaves {
+			t.Fatalf("%s: opened rows %d from %d leaves of up to %d rows", name, rep.OpenedRows, leaves, leafRecords)
+		}
+		if rep.OpenedRows > rep.TotalRows || rep.OpenedMemEntries > 2*rep.TotalMemEntries {
+			t.Fatalf("%s: opened %d/%d of %d/%d", name, rep.OpenedRows, rep.OpenedMemEntries, rep.TotalRows, 2*rep.TotalMemEntries)
+		}
+		if rep.RowFraction != float64(rep.OpenedRows)/float64(rep.TotalRows) {
+			t.Fatalf("%s: row fraction %f", name, rep.RowFraction)
+		}
+		if rep.MemFraction <= 0 || rep.MemFraction > 1 {
+			t.Fatalf("%s: mem fraction %f", name, rep.MemFraction)
+		}
 	}
 }
 
@@ -362,7 +410,7 @@ func TestSaltsHideUnopenedRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Seal.ExecRoot == r2.Seal.ExecRoot {
+	if r1.Segments[0].Seal.ExecRoot == r2.Segments[0].Seal.ExecRoot {
 		t.Fatal("commitments equal across different salts/inputs")
 	}
 	for _, r := range []*Receipt{r1, r2} {

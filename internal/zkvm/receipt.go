@@ -21,22 +21,22 @@ import (
 // bytes against two 32-byte path levels fewer).
 const leafRecords = 4
 
-// The magics of the two encodings of a seal (format v3, DESIGN.md §8)
-// and the labels its two statements open their transcripts with.
-// "zkfa" frames the farm's wire. "zkf1"–"zkf7" and "zkfb" are retired
-// and must never be assigned again, so that no byte string ever read as
-// one of them can be read as anything else: "zkf1"–"zkf3" tagged format
-// v1 (one record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of
-// whole rows), which no code decodes any more; "zkf4" (0x7a6b6634)
-// tagged the folded receipt, a prover-trusted binding rather than a
-// proof; "zkfb" (0x7a6b6662) tagged a standalone segment receipt, which
-// a farm worker now ships as a one-segment composite.
+// The magic of a receipt's encoding (format v3, DESIGN.md §8) and the
+// label its segments' statements open their transcripts with. "zkfa"
+// frames the farm's wire. "zkf1"–"zkf8" and "zkfb" are retired and must
+// never be assigned again, so that no byte string ever read as one of
+// them can be read as anything else: "zkf1"–"zkf3" tagged format v1 (one
+// record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of whole
+// rows), which no code decodes any more; "zkf4" (0x7a6b6634) tagged the
+// folded receipt, a prover-trusted binding rather than a proof; "zkf8"
+// tagged a run sealed whole under its own statement, which
+// is now a one-segment receipt; "zkfb" (0x7a6b6662) tagged a standalone
+// segment receipt, which a farm worker now ships as a one-segment
+// receipt.
 const (
-	magicReceipt   = 0x7a6b6638 // "zkf8"
-	magicComposite = 0x7a6b6639 // "zkf9"
+	magicReceipt = 0x7a6b6639 // "zkf9"
 
-	sealLabel = "zkvm-seal-v3"
-	segLabel  = "zkvm-seg-v3"
+	segLabel = "zkvm-seg-v3"
 )
 
 // Opening is one authenticated leaf revealed by the seal: its index in
@@ -275,29 +275,6 @@ func (s *Seal) Size() int {
 	}
 	return n
 }
-
-// Receipt is the verifiable record of a guest execution: the public
-// journal plus the seal, bound to the guest's image ID — the same
-// shape as a RISC Zero receipt.
-type Receipt struct {
-	ImageID  ImageID
-	ExitCode uint32
-	Journal  []uint32
-	Seal     Seal
-}
-
-// JournalBytes serialises the journal words little-endian; this is
-// the byte string other protocols (aggregation chaining) hash.
-func (r *Receipt) JournalBytes() []byte { return wordsToBytes(r.Journal) }
-
-// JournalSize returns the journal size in bytes.
-func (r *Receipt) JournalSize() int { return 4 * len(r.Journal) }
-
-// SealSize returns the seal (proof) size in bytes.
-func (r *Receipt) SealSize() int { return r.Seal.Size() }
-
-// Size returns the full encoded receipt size in bytes.
-func (r *Receipt) Size() int { return 4 + 32 + 4 + 4 + r.JournalSize() + r.Seal.Size() }
 
 // --- binary encoding ---
 
@@ -557,35 +534,4 @@ func readSeal(rd *breader) Seal {
 		c.Prods = rd.span()
 	}
 	return s
-}
-
-// MarshalBinary encodes the receipt.
-func (r *Receipt) MarshalBinary() ([]byte, error) {
-	w := &bwriter{buf: make([]byte, 0, r.Size())}
-	w.u32(magicReceipt)
-	w.raw(r.ImageID[:])
-	w.u32(r.ExitCode)
-	w.words(r.Journal)
-	writeSeal(w, &r.Seal)
-	return w.buf, w.err
-}
-
-// UnmarshalReceipt decodes a receipt produced by MarshalBinary.
-func UnmarshalReceipt(data []byte) (*Receipt, error) {
-	rd := &breader{buf: data}
-	if rd.u32() != magicReceipt {
-		return nil, errors.New("zkvm: bad receipt magic")
-	}
-	var r Receipt
-	copy(r.ImageID[:], rd.raw(32))
-	r.ExitCode = rd.u32()
-	r.Journal = rd.words()
-	r.Seal = readSeal(rd)
-	if rd.err != nil {
-		return nil, rd.err
-	}
-	if rd.off != len(data) {
-		return nil, errors.New("zkvm: trailing bytes after receipt")
-	}
-	return &r, nil
 }

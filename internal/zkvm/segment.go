@@ -142,7 +142,7 @@ func GenesisState() SegmentState {
 // segmentExecution is one traced slice of a guest run. ex holds
 // segment-local rows, memory log (imports first) and journal; entry
 // and exit are the boundary states, with MemRoot filled in by the
-// composite prover once the boundary trees are built.
+// prover once the boundary trees are built.
 type segmentExecution struct {
 	ex       *Execution
 	index    int
@@ -154,7 +154,8 @@ type segmentExecution struct {
 }
 
 // executeSegmented runs the guest like Execute but cuts the trace
-// every segmentCycles steps (floored to minSegmentCycles).
+// every segmentCycles steps (floored to minSegmentCycles; zero never
+// cuts).
 func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCycles int) ([]*segmentExecution, error) {
 	m := newMachine(prog, input, segmentCycles, true)
 	if err := m.run(opts.MaxSteps); err != nil {
@@ -163,7 +164,7 @@ func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCy
 	return m.segs, nil
 }
 
-// deriveSubSeed expands the composite salt seed into an independent
+// deriveSubSeed expands the master salt seed into an independent
 // per-segment or per-boundary seed, so segment proofs can be generated
 // concurrently (or on different workers) yet stay byte-deterministic
 // for a fixed master seed.

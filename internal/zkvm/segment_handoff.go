@@ -9,21 +9,21 @@ import (
 
 // This file is the distributed-proving surface of the zkVM: everything
 // a prover farm needs to split one guest run across workers and
-// reassemble a composite receipt that is byte-identical to what a
-// single prover would have produced.
+// reassemble a receipt that is byte-identical to what a single prover
+// would have produced.
 //
-// The contract rests on determinism: proveSegmentedSeeded derives every
+// The contract rests on determinism: ProveSeeded derives every
 // per-segment and per-boundary salt seed from one master seed by index,
 // so any worker that (a) re-executes the guest — a cheap emulator pass,
 // orders of magnitude under sealing cost — and (b) proves segment i
 // under the same master seed emits the exact bytes the single prover
 // would. The coordinator hands out (program, input, seed, index) tuples
-// and puts the returned segment receipts in index order; VerifyComposite
-// decides whether they form a chain.
+// and puts the returned segment receipts in index order; Verify decides
+// whether they form a chain.
 
 // PlanSegments executes the guest (emulation only, no tracing, no
-// sealing) and returns the number of segments a segmented prove with
-// these options would produce. A farm coordinator calls this once per
+// sealing) and returns the number of segments ProveSeeded with
+// these options produce. A farm coordinator calls this once per
 // dispatched epoch just to learn how many segment indices to hand out;
 // paying the full traced execution for that — materialising tens of
 // millions of Rows and MemEntries plus a boundary image per cut, all
@@ -92,8 +92,11 @@ func NewSegmentRun(prog *Program, input []uint32, opts ProveOptions, seed [32]by
 // so concurrent ProveSegment calls only read shared state.
 func commitBoundaries(segs []*segmentExecution, opts ProveOptions, seed [32]byte) *SegmentRun {
 	r := &SegmentRun{opts: opts, seed: seed, segs: segs}
-	bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
 	r.bnd = make([]*table, len(segs)+1)
+	if len(segs) == 1 {
+		return r // no boundary to commit
+	}
+	bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
 	for k := 1; k < len(segs); k++ {
 		sub := deriveSubSeed(&seed, "bnd", k)
 		r.bnd[k] = imageTable(newSalter(&sub), segs[k].entryImg)
@@ -113,7 +116,7 @@ func (r *SegmentRun) Segments() int { return len(r.segs) }
 
 // ProveSegment seals segment index under the run's master seed. The
 // returned receipt is byte-identical to Segments[index] of the
-// composite ProveSeeded(prog, input, opts, seed) returns. Safe to call
+// receipt ProveSeeded(prog, input, opts, seed) returns. Safe to call
 // concurrently for different (or equal) indices.
 func (r *SegmentRun) ProveSegment(index int) (*SegmentReceipt, error) {
 	if index < 0 || index >= len(r.segs) {
@@ -125,7 +128,7 @@ func (r *SegmentRun) ProveSegment(index int) (*SegmentReceipt, error) {
 // proveSegment seals segment index on a crew of width workers.
 func (r *SegmentRun) proveSegment(index, width int) (*SegmentReceipt, error) {
 	segSeed := deriveSubSeed(&r.seed, "seg", index)
-	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed, r.bnd[index], r.bnd[index+1], width, segmentStatement)
+	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed, r.bnd[index], r.bnd[index+1], width)
 }
 
 // Release returns the run's trace slabs and boundary trees to their

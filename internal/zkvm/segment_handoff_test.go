@@ -37,7 +37,7 @@ func TestSegmentRunMatchesSingleProver(t *testing.T) {
 	opts := handoffOpts()
 	seed := [32]byte{1, 2, 3, 4}
 
-	golden, err := proveSegmentedSeeded(prog, input, opts, &seed)
+	golden, err := ProveSeeded(prog, input, opts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,18 +70,18 @@ func TestSegmentRunMatchesSingleProver(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wire, err := (&CompositeReceipt{Segments: []*SegmentReceipt{sr}}).MarshalBinary()
+		wire, err := (&Receipt{Segments: []*SegmentReceipt{sr}}).MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := UnmarshalComposite(wire)
+		back, err := UnmarshalReceipt(wire)
 		if err != nil {
 			t.Fatal(err)
 		}
 		receipts[i] = back.Segments[0]
 		run.Release()
 	}
-	c := &CompositeReceipt{Segments: receipts}
+	c := &Receipt{Segments: receipts}
 	got, err := c.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +89,7 @@ func TestSegmentRunMatchesSingleProver(t *testing.T) {
 	if !bytes.Equal(got, goldenBytes) {
 		t.Fatal("assembled composite differs from single-prover bytes")
 	}
-	if err := VerifyComposite(prog, c, VerifyOptions{}); err != nil {
+	if err := Verify(prog, c, VerifyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -101,7 +101,7 @@ func TestSegmentRunConcurrent(t *testing.T) {
 	opts := handoffOpts()
 	seed := [32]byte{9}
 
-	golden, err := proveSegmentedSeeded(prog, input, opts, &seed)
+	golden, err := ProveSeeded(prog, input, opts, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestSegmentRunConcurrent(t *testing.T) {
 			t.Fatalf("segment %d: %v", i, e)
 		}
 	}
-	c := &CompositeReceipt{Segments: receipts}
+	c := &Receipt{Segments: receipts}
 	got, _ := c.MarshalBinary()
 	want, _ := golden.MarshalBinary()
 	if !bytes.Equal(got, want) {

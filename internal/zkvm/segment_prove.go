@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"sort"
 
-	"zkflow/internal/par"
 	"zkflow/internal/transcript"
 )
 
@@ -22,39 +21,12 @@ func wordsToBytes(words []uint32) []byte {
 	return out
 }
 
-// proveSegmentedSeeded executes the guest and proves it as a chain of
-// bounded-cycle segment receipts (opts.SegmentCycles steps each,
-// floored to minSegmentCycles): a SegmentRun whose segments are sealed
-// side by side. A crew claims them by index, each sealed under its own
-// derived sub-seed with an even share of the width, so receipt bytes
-// never depend on widths or scheduling (asserted by the determinism
-// tests).
-func proveSegmentedSeeded(prog *Program, input []uint32, opts ProveOptions, seed *[32]byte) (*CompositeReceipt, error) {
-	run, err := NewSegmentRun(prog, input, opts, *seed)
-	if err != nil {
-		return nil, err
-	}
-	defer run.Release()
-	n, width := run.Segments(), par.Workers()
-	receipts := make([]*SegmentReceipt, n)
-	errs := make([]error, n)
-	par.Each(width, n, func(i int) {
-		receipts[i], errs[i] = run.proveSegment(i, max(1, width/n))
-	})
-	for _, e := range errs {
-		if e != nil {
-			return nil, e
-		}
-	}
-	return &CompositeReceipt{Segments: receipts}, nil
-}
-
-// proveSegmentSeeded seals one execution — the only function that
-// does: the trace commitment and its sampled checks under the statement
-// bind opens, then the import/exit/cover families over the shared
+// proveSegmentSeeded seals one segment — the only function that does:
+// the trace commitment and its sampled checks under the segment's
+// statement, then the import/exit/cover families over the shared
 // boundary-image tables (entry is nil for a segment entered at genesis,
-// exit for a final one; a whole run is both).
-func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte, entry, exit *table, width int, bind statement) (*SegmentReceipt, error) {
+// exit for a final one; a one-segment run is both).
+func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte, entry, exit *table, width int) (*SegmentReceipt, error) {
 	ex := seg.ex
 	if len(ex.Rows) == 0 {
 		return nil, fmt.Errorf("zkvm: empty execution trace")
@@ -71,7 +43,7 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	s := &sr.Seal
 	s.NumRows = uint32(len(ex.Rows))
 	s.NumMem = uint32(len(ex.MemLog))
-	tr := bind(sr)
+	tr := segmentStatement(sr)
 	tabs := commitTrace(ex, newSalter(seed), width, opts.Observer, tr, s)
 
 	defer stageTimer(opts.Observer, StageSeal)()
@@ -122,7 +94,8 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	return sr, nil
 }
 
-// segmentStatement is the statement of a segment of a composite: image,
+// segmentStatement is the statement of a segment, the one statement a
+// seal binds: image,
 // position and role in the chain, journal slice, and both boundary
 // states. Splicing a segment into a different chain position, run, or
 // journal therefore re-derives every sampled index and invalidates the

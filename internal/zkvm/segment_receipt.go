@@ -1,7 +1,6 @@
 package zkvm
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 )
@@ -36,10 +35,10 @@ type CoverCheck struct {
 	Img     Opening // the leaf holding exit-image pair ExitIdx, present iff last and val != 0
 }
 
-// SegmentReceipt proves one bounded-cycle slice of a guest run. Its
-// seal has the same shape as a single-segment receipt, with the
-// initial-state and halt rules replaced by entry/exit state binding
-// and three extra sampled-check families for the boundary images.
+// SegmentReceipt proves one bounded-cycle slice of a guest run: its
+// seal binds the slice's trace to the entry and exit states, and three
+// extra sampled-check families bind the boundary images. A segment
+// entered at genesis imports nothing, and a final one leaves no image.
 type SegmentReceipt struct {
 	ImageID  ImageID
 	Index    uint32
@@ -55,24 +54,28 @@ type SegmentReceipt struct {
 	CoverChecks  []CoverCheck
 }
 
-// CompositeReceipt chains segment receipts into a proof of the whole
-// run: exit(i) == entry(i+1), entry(0) == genesis, and the final
-// segment halts publicly. The composite journal is the concatenation
-// of the segment journals.
-type CompositeReceipt struct {
+// Receipt is the verifiable record of a guest run, the same shape as a
+// RISC Zero composite receipt: a chain of segment receipts with
+// exit(i) == entry(i+1), entry(0) == genesis, and a final segment that
+// halts publicly. A run proved without SegmentCycles is one segment.
+// The journal is the concatenation of the segment journals.
+type Receipt struct {
 	Segments []*SegmentReceipt
 }
 
-// AnyReceipt is the common surface of single-segment and composite
-// receipts: the public statement plus binary encoding. Consumers that
-// only chain journals and sizes (the ledger, the HTTP API) work with
-// either form.
+// CompositeReceipt is Receipt under the name bench/ compiles against.
+type CompositeReceipt = Receipt
+
+// AnyReceipt is the surface of a Receipt that bench/ is written
+// against — through core.ProveFunc and core.AggregationResult — the
+// public statement plus the binary encoding. *Receipt is its only
+// implementation.
 type AnyReceipt interface {
 	// Image returns the guest image the receipt attests to.
 	Image() ImageID
 	// ExitStatus returns the guest's halt exit code.
 	ExitStatus() uint32
-	// JournalWords returns the public journal (read-only).
+	// JournalWords returns the public journal.
 	JournalWords() []uint32
 	// JournalBytes serialises the journal little-endian.
 	JournalBytes() []byte
@@ -83,47 +86,35 @@ type AnyReceipt interface {
 	MarshalBinary() ([]byte, error)
 }
 
-// Image implements AnyReceipt.
-func (r *Receipt) Image() ImageID { return r.ImageID }
-
-// ExitStatus implements AnyReceipt.
-func (r *Receipt) ExitStatus() uint32 { return r.ExitCode }
-
-// JournalWords implements AnyReceipt.
-func (r *Receipt) JournalWords() []uint32 { return r.Journal }
-
-// Image implements AnyReceipt.
-func (c *CompositeReceipt) Image() ImageID {
-	if len(c.Segments) == 0 {
+// Image returns the guest image the receipt attests to.
+func (r *Receipt) Image() ImageID {
+	if len(r.Segments) == 0 {
 		return ImageID{}
 	}
-	return c.Segments[0].ImageID
+	return r.Segments[0].ImageID
 }
 
-// ExitStatus implements AnyReceipt.
-func (c *CompositeReceipt) ExitStatus() uint32 {
-	if len(c.Segments) == 0 {
+// ExitStatus returns the guest's halt exit code.
+func (r *Receipt) ExitStatus() uint32 {
+	if len(r.Segments) == 0 {
 		return 0
 	}
-	return c.Segments[len(c.Segments)-1].ExitCode
+	return r.Segments[len(r.Segments)-1].ExitCode
 }
 
-// JournalWords implements AnyReceipt: the concatenated segment
+// JournalWords returns the public journal: the concatenated segment
 // journals.
-func (c *CompositeReceipt) JournalWords() []uint32 {
-	n := 0
-	for _, s := range c.Segments {
-		n += len(s.Journal)
-	}
-	out := make([]uint32, 0, n)
-	for _, s := range c.Segments {
+func (r *Receipt) JournalWords() []uint32 {
+	var out []uint32
+	for _, s := range r.Segments {
 		out = append(out, s.Journal...)
 	}
 	return out
 }
 
-// JournalBytes implements AnyReceipt.
-func (c *CompositeReceipt) JournalBytes() []byte { return wordsToBytes(c.JournalWords()) }
+// JournalBytes serialises the journal words little-endian; this is the
+// byte string other protocols (aggregation chaining) hash.
+func (r *Receipt) JournalBytes() []byte { return wordsToBytes(r.JournalWords()) }
 
 // sealSize is the segment's proof size: the seal, the continuation
 // checks, both boundary states and the journal slice.
@@ -146,19 +137,20 @@ func (sr *SegmentReceipt) sealSize() int {
 	return n
 }
 
-// SealSize implements AnyReceipt: the sum of the segment proof sizes.
-func (c *CompositeReceipt) SealSize() int {
+// SealSize returns the proof size in bytes: the sum of the segment
+// proof sizes.
+func (r *Receipt) SealSize() int {
 	n := 0
-	for _, sr := range c.Segments {
+	for _, sr := range r.Segments {
 		n += sr.sealSize()
 	}
 	return n
 }
 
-// Size implements AnyReceipt.
-func (c *CompositeReceipt) Size() int {
+// Size returns the full encoded receipt size in bytes.
+func (r *Receipt) Size() int {
 	n := 8
-	for _, sr := range c.Segments {
+	for _, sr := range r.Segments {
 		// What sealSize leaves out of a segment's encoding: image ID,
 		// index, final flag, exit code, the journal and three check
 		// counts.
@@ -168,7 +160,7 @@ func (c *CompositeReceipt) Size() int {
 }
 
 // NumSegments returns the segment count.
-func (c *CompositeReceipt) NumSegments() int { return len(c.Segments) }
+func (r *Receipt) NumSegments() int { return len(r.Segments) }
 
 func (w *bwriter) state(s *SegmentState) { w.raw(encodeState(s)) }
 
@@ -184,9 +176,9 @@ func (rd *breader) state() SegmentState {
 	return s
 }
 
-// writeSegment appends one segment receipt: the unit a composite
-// repeats. A farm worker ships its segment as a one-segment composite,
-// so an assembled composite carries the same segment bytes the workers
+// writeSegment appends one segment receipt: the unit a receipt
+// repeats. A farm worker ships its segment as a one-segment receipt, so
+// an assembled receipt carries the same segment bytes the workers
 // produced.
 func writeSegment(w *bwriter, sr *SegmentReceipt) {
 	w.raw(sr.ImageID[:])
@@ -257,27 +249,30 @@ func readSegment(rd *breader) *SegmentReceipt {
 	return sr
 }
 
-// MarshalBinary encodes the composite receipt.
-func (c *CompositeReceipt) MarshalBinary() ([]byte, error) {
-	w := &bwriter{buf: make([]byte, 0, c.Size())}
-	w.u32(magicComposite)
-	w.u32(uint32(len(c.Segments)))
-	for _, sr := range c.Segments {
+// MarshalBinary encodes the receipt.
+func (r *Receipt) MarshalBinary() ([]byte, error) {
+	w := &bwriter{buf: make([]byte, 0, r.Size())}
+	w.u32(magicReceipt)
+	w.u32(uint32(len(r.Segments)))
+	for _, sr := range r.Segments {
 		writeSegment(w, sr)
 	}
 	return w.buf, w.err
 }
 
-// UnmarshalComposite decodes a composite receipt produced by
-// MarshalBinary.
-func UnmarshalComposite(data []byte) (*CompositeReceipt, error) {
+// UnmarshalReceipt decodes a receipt produced by MarshalBinary.
+func UnmarshalReceipt(data []byte) (*Receipt, error) {
 	rd := &breader{buf: data}
-	if rd.u32() != magicComposite {
-		return nil, errors.New("zkvm: bad composite receipt magic")
+	magic := rd.u32()
+	if rd.err != nil {
+		return nil, rd.err
 	}
-	c := &CompositeReceipt{Segments: make([]*SegmentReceipt, rd.count(minOpeningBytes))}
-	for si := range c.Segments {
-		c.Segments[si] = readSegment(rd)
+	if magic != magicReceipt {
+		return nil, fmt.Errorf("zkvm: unknown receipt magic %#x", magic)
+	}
+	r := &Receipt{Segments: make([]*SegmentReceipt, rd.count(minOpeningBytes))}
+	for i := range r.Segments {
+		r.Segments[i] = readSegment(rd)
 		if rd.err != nil {
 			return nil, rd.err
 		}
@@ -286,36 +281,23 @@ func UnmarshalComposite(data []byte) (*CompositeReceipt, error) {
 		return nil, rd.err
 	}
 	if rd.off != len(data) {
-		return nil, errors.New("zkvm: trailing bytes after composite receipt")
+		return nil, errors.New("zkvm: trailing bytes after receipt")
 	}
-	return c, nil
+	return r, nil
 }
 
-// UnmarshalAnyReceipt decodes a receipt or a composite receipt by its
-// magic.
+// UnmarshalAnyReceipt is UnmarshalReceipt behind the AnyReceipt
+// interface.
 func UnmarshalAnyReceipt(data []byte) (AnyReceipt, error) {
-	if len(data) < 4 {
-		return nil, errTruncated
+	r, err := UnmarshalReceipt(data)
+	if err != nil {
+		return nil, err
 	}
-	switch magic := binary.LittleEndian.Uint32(data); magic {
-	case magicReceipt:
-		return UnmarshalReceipt(data)
-	case magicComposite:
-		return UnmarshalComposite(data)
-	default:
-		return nil, fmt.Errorf("zkvm: unknown receipt magic %#x", magic)
-	}
+	return r, nil
 }
 
-// VerifyAny verifies a receipt or a composite receipt against the guest
-// program.
+// VerifyAny is Verify behind the AnyReceipt interface.
 func VerifyAny(prog *Program, r AnyReceipt, opts VerifyOptions) error {
-	switch t := r.(type) {
-	case *Receipt:
-		return Verify(prog, t, opts)
-	case *CompositeReceipt:
-		return VerifyComposite(prog, t, opts)
-	default:
-		return vErr("unknown receipt type %T", r)
-	}
+	rr, _ := r.(*Receipt)
+	return Verify(prog, rr, opts)
 }

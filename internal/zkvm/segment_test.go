@@ -55,9 +55,9 @@ func segTestProgram(t testing.TB) *Program {
 
 var segTestSeed = [32]byte{0x5e, 0x67, 0x5e, 0x67, 11: 0xaa, 29: 0x3c}
 
-func mustComposite(t testing.TB, prog *Program, input []uint32, opts ProveOptions) *CompositeReceipt {
+func mustProve(t testing.TB, prog *Program, input []uint32, opts ProveOptions) *Receipt {
 	t.Helper()
-	c, err := proveSegmentedSeeded(prog, input, opts, &segTestSeed)
+	c, err := ProveSeeded(prog, input, opts, segTestSeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func mustComposite(t testing.TB, prog *Program, input []uint32, opts ProveOption
 func TestSegmentedProveVerify(t *testing.T) {
 	prog := segTestProgram(t)
 	input := []uint32{3000, 5}
-	c := mustComposite(t, prog, input, ProveOptions{Checks: 8, SegmentCycles: 1 << 10})
+	c := mustProve(t, prog, input, ProveOptions{Checks: 8, SegmentCycles: 1 << 10})
 	if c.NumSegments() < 4 {
 		t.Fatalf("expected >= 4 segments, got %d", c.NumSegments())
 	}
-	if err := VerifyComposite(prog, c, VerifyOptions{}); err != nil {
+	if err := Verify(prog, c, VerifyOptions{}); err != nil {
 		t.Fatalf("composite verify: %v", err)
 	}
 	ex, err := Execute(prog, input, ExecOptions{})
@@ -102,11 +102,11 @@ func TestSegmentedProveVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := UnmarshalComposite(bin)
+	c2, err := UnmarshalReceipt(bin)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := VerifyComposite(prog, c2, VerifyOptions{MinChecks: 8}); err != nil {
+	if err := Verify(prog, c2, VerifyOptions{MinChecks: 8}); err != nil {
 		t.Fatalf("round-tripped composite verify: %v", err)
 	}
 	bin2, err := c2.MarshalBinary()
@@ -120,7 +120,7 @@ func TestSegmentedProveVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := any.(*CompositeReceipt); !ok {
+	if _, ok := any.(*Receipt); !ok {
 		t.Fatalf("UnmarshalAnyReceipt returned %T", any)
 	}
 	if err := VerifyAny(prog, any, VerifyOptions{}); err != nil {
@@ -133,54 +133,28 @@ func TestSegmentedProveVerify(t *testing.T) {
 // final halt rules).
 func TestSegmentedSingleSegment(t *testing.T) {
 	prog := segTestProgram(t)
-	c := mustComposite(t, prog, []uint32{40, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 20})
+	c := mustProve(t, prog, []uint32{40, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 20})
 	if c.NumSegments() != 1 {
 		t.Fatalf("expected 1 segment, got %d", c.NumSegments())
 	}
-	if err := VerifyComposite(prog, c, VerifyOptions{}); err != nil {
+	if err := Verify(prog, c, VerifyOptions{}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestSegmentedDeterminism is the tentpole guarantee: same input +
-// same SegmentCycles => byte-identical composite receipt at any
-// GOMAXPROCS (for a fixed salt seed). SegmentCycles = 0 is the
-// single-receipt path, asserted through proveExecutionSeeded.
+// same SegmentCycles => byte-identical receipt at any GOMAXPROCS (for a
+// fixed salt seed), one segment or many.
 func TestSegmentedDeterminism(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	prog := segTestProgram(t)
 	input := []uint32{3000, 5}
 	for _, segCycles := range []int{0, 1 << 10, 1 << 14} {
-		if segCycles == 0 {
-			ex, err := Execute(prog, input, ExecOptions{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var want []byte
-			for _, par := range []int{1, 2, 3, 4, 7} {
-				runtime.GOMAXPROCS(par)
-				r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 8}, &segTestSeed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := r.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if want == nil {
-					want = got
-				} else if !bytes.Equal(want, got) {
-					t.Fatalf("SegmentCycles=0: receipt differs at parallelism %d", par)
-				}
-			}
-			releaseExecution(ex)
-			continue
-		}
 		var want []byte
 		var wantSegs int
 		for _, par := range []int{1, 2, 3, 4, 7} {
 			runtime.GOMAXPROCS(par)
-			c := mustComposite(t, prog, input, ProveOptions{Checks: 8, SegmentCycles: segCycles})
+			c := mustProve(t, prog, input, ProveOptions{Checks: 8, SegmentCycles: segCycles})
 			got, err := c.MarshalBinary()
 			if err != nil {
 				t.Fatal(err)
@@ -205,79 +179,79 @@ func TestCompositeAdversarial(t *testing.T) {
 	prog := segTestProgram(t)
 	input := []uint32{3000, 5}
 	opts := ProveOptions{Checks: 8, SegmentCycles: 1 << 10}
-	c := mustComposite(t, prog, input, opts)
+	c := mustProve(t, prog, input, opts)
 	if c.NumSegments() < 4 {
 		t.Fatalf("need >= 4 segments, got %d", c.NumSegments())
 	}
 	// A second run over different input: same program, different
 	// journal and states, for splicing attacks.
-	other := mustComposite(t, prog, []uint32{3100, 0xdead}, opts)
+	other := mustProve(t, prog, []uint32{3100, 0xdead}, opts)
 	if other.NumSegments() < 4 {
 		t.Fatal("other run too short")
 	}
 
-	reload := func() *CompositeReceipt {
+	reload := func() *Receipt {
 		bin, err := c.MarshalBinary()
 		if err != nil {
 			t.Fatal(err)
 		}
-		cc, err := UnmarshalComposite(bin)
+		cc, err := UnmarshalReceipt(bin)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return cc
 	}
-	expectFail := func(name string, mut func(cc *CompositeReceipt)) {
+	expectFail := func(name string, mut func(cc *Receipt)) {
 		t.Helper()
 		cc := reload()
 		mut(cc)
-		if err := VerifyComposite(prog, cc, VerifyOptions{}); err == nil {
+		if err := Verify(prog, cc, VerifyOptions{}); err == nil {
 			t.Fatalf("%s: composite verified after tampering", name)
 		} else if !errors.Is(err, ErrVerify) {
 			t.Fatalf("%s: error not wrapped: %v", name, err)
 		}
 	}
 
-	expectFail("reordered segments", func(cc *CompositeReceipt) {
+	expectFail("reordered segments", func(cc *Receipt) {
 		cc.Segments[1], cc.Segments[2] = cc.Segments[2], cc.Segments[1]
 	})
-	expectFail("reordered segments with re-indexing", func(cc *CompositeReceipt) {
+	expectFail("reordered segments with re-indexing", func(cc *Receipt) {
 		cc.Segments[1], cc.Segments[2] = cc.Segments[2], cc.Segments[1]
 		cc.Segments[1].Index = 1
 		cc.Segments[2].Index = 2
 	})
-	expectFail("dropped middle segment", func(cc *CompositeReceipt) {
+	expectFail("dropped middle segment", func(cc *Receipt) {
 		cc.Segments = append(cc.Segments[:1], cc.Segments[2:]...)
 	})
-	expectFail("dropped middle segment with re-indexing", func(cc *CompositeReceipt) {
+	expectFail("dropped middle segment with re-indexing", func(cc *Receipt) {
 		cc.Segments = append(cc.Segments[:1], cc.Segments[2:]...)
 		for i, sr := range cc.Segments {
 			sr.Index = uint32(i)
 		}
 	})
-	expectFail("dropped final segment", func(cc *CompositeReceipt) {
+	expectFail("dropped final segment", func(cc *Receipt) {
 		cc.Segments = cc.Segments[:len(cc.Segments)-1]
 	})
-	expectFail("forged entry linkage", func(cc *CompositeReceipt) {
+	expectFail("forged entry linkage", func(cc *Receipt) {
 		cc.Segments[2].Entry.Regs[7]++
 	})
-	expectFail("forged exit linkage", func(cc *CompositeReceipt) {
+	expectFail("forged exit linkage", func(cc *Receipt) {
 		cc.Segments[1].Exit.Regs[7]++
 	})
-	expectFail("forged linkage on both sides", func(cc *CompositeReceipt) {
+	expectFail("forged linkage on both sides", func(cc *Receipt) {
 		// Consistent relink: chain rules pass, the segment transcripts
 		// must catch it.
 		cc.Segments[1].Exit.Regs[7]++
 		cc.Segments[2].Entry.Regs[7]++
 	})
-	expectFail("forged boundary image root", func(cc *CompositeReceipt) {
+	expectFail("forged boundary image root", func(cc *Receipt) {
 		cc.Segments[1].Exit.MemRoot[0] ^= 1
 		cc.Segments[2].Entry.MemRoot[0] ^= 1
 	})
-	expectFail("genesis bypass", func(cc *CompositeReceipt) {
+	expectFail("genesis bypass", func(cc *Receipt) {
 		cc.Segments[0].Entry.Regs[1] = 7
 	})
-	expectFail("journal spliced from another run", func(cc *CompositeReceipt) {
+	expectFail("journal spliced from another run", func(cc *Receipt) {
 		// Find a non-final segment that actually journaled something and
 		// substitute the same-index journal from the other run (same
 		// length, different words: the guest mixes the input salt into
@@ -290,7 +264,7 @@ func TestCompositeAdversarial(t *testing.T) {
 		}
 		t.Fatal("no spliceable journal segment")
 	})
-	expectFail("journal word tampered", func(cc *CompositeReceipt) {
+	expectFail("journal word tampered", func(cc *Receipt) {
 		for _, sr := range cc.Segments {
 			if len(sr.Journal) > 0 {
 				sr.Journal[0] ^= 1
@@ -299,22 +273,22 @@ func TestCompositeAdversarial(t *testing.T) {
 		}
 		t.Fatal("no journal words to tamper")
 	})
-	expectFail("segment spliced from another run", func(cc *CompositeReceipt) {
+	expectFail("segment spliced from another run", func(cc *Receipt) {
 		cc.Segments[1] = other.Segments[1]
 	})
-	expectFail("exit code forged", func(cc *CompositeReceipt) {
+	expectFail("exit code forged", func(cc *Receipt) {
 		cc.Segments[len(cc.Segments)-1].ExitCode = 1
 	})
-	expectFail("final flag forged", func(cc *CompositeReceipt) {
+	expectFail("final flag forged", func(cc *Receipt) {
 		cc.Segments[len(cc.Segments)-1].Final = false
 	})
-	expectFail("truncated to prefix with forged final", func(cc *CompositeReceipt) {
+	expectFail("truncated to prefix with forged final", func(cc *Receipt) {
 		cc.Segments = cc.Segments[:2]
 		cc.Segments[1].Final = true
 	})
 
 	// Unforged chain still verifies after all that (reload isolation).
-	if err := VerifyComposite(prog, reload(), VerifyOptions{}); err != nil {
+	if err := Verify(prog, reload(), VerifyOptions{}); err != nil {
 		t.Fatalf("control: %v", err)
 	}
 }
@@ -340,7 +314,7 @@ func TestSegmentedAbort(t *testing.T) {
 	}
 	input := []uint32{400}
 	opts := ProveOptions{Checks: 4, SegmentCycles: 128}
-	_, err = proveSegmentedSeeded(prog, input, opts, &segTestSeed)
+	_, err = ProveSeeded(prog, input, opts, segTestSeed)
 	var abort *GuestAbortError
 	if !errors.As(err, &abort) {
 		t.Fatalf("expected GuestAbortError, got %v", err)
@@ -356,7 +330,7 @@ func TestSegmentedAbort(t *testing.T) {
 	}
 	run := commitBoundaries(segs, opts, segTestSeed)
 	defer run.Release()
-	c := &CompositeReceipt{Segments: make([]*SegmentReceipt, run.Segments())}
+	c := &Receipt{Segments: make([]*SegmentReceipt, run.Segments())}
 	for i := range c.Segments {
 		if c.Segments[i], err = run.ProveSegment(i); err != nil {
 			t.Fatal(err)
@@ -365,7 +339,7 @@ func TestSegmentedAbort(t *testing.T) {
 	if c.NumSegments() < 2 {
 		t.Fatalf("want a multi-segment chain, got %d", c.NumSegments())
 	}
-	if err := VerifyComposite(prog, c, VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "exit code 9") {
+	if err := Verify(prog, c, VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "exit code 9") {
 		t.Fatalf("nonzero exit: %v", err)
 	}
 }
@@ -380,46 +354,12 @@ func TestSegmentedStepLimit(t *testing.T) {
 	}
 }
 
-// TestProveAnyDispatch: SegmentCycles selects the receipt form.
-func TestProveAnyDispatch(t *testing.T) {
-	prog := segTestProgram(t)
-	input := []uint32{300, 5}
-	r, err := ProveAny(prog, input, ProveOptions{Checks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := r.(*Receipt); !ok {
-		t.Fatalf("SegmentCycles=0 returned %T", r)
-	}
-	if err := VerifyAny(prog, r, VerifyOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	cr, err := ProveAny(prog, input, ProveOptions{Checks: 4, SegmentCycles: 128})
-	if err != nil {
-		t.Fatal(err)
-	}
-	comp, ok := cr.(*CompositeReceipt)
-	if !ok {
-		t.Fatalf("SegmentCycles>0 returned %T", cr)
-	}
-	if comp.NumSegments() < 2 {
-		t.Fatalf("expected multiple segments, got %d", comp.NumSegments())
-	}
-	if err := VerifyAny(prog, cr, VerifyOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	// The two forms attest to the same public statement.
-	if r.Image() != cr.Image() || r.ExitStatus() != cr.ExitStatus() ||
-		!bytes.Equal(r.JournalBytes(), cr.JournalBytes()) {
-		t.Fatal("single and composite receipts disagree on the public statement")
-	}
-}
-
 // retiredMagics are the first bytes of the "zkf" magics no decoder
 // reads: "zkf1"–"zkf3" (format v1), "zkf4" (the folded receipt),
-// "zkf5"–"zkf7" (format v2) and "zkfb" (the standalone segment
-// receipt). They are retired, not free.
-var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', 'b'}
+// "zkf5"–"zkf7" (format v2), "zkf8" (a run sealed whole under its own
+// statement) and "zkfb" (the standalone segment receipt). They are
+// retired, not free.
+var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', 'b'}
 
 // TestUnmarshalAnyReceiptGarbage rejects unknown magics and empty
 // input without panicking. A retired magic written over the body of a

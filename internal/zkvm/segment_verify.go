@@ -1,6 +1,8 @@
 package zkvm
 
-// VerifyComposite checks a chained continuation proof. On success the
+import "fmt"
+
+// Verify checks a receipt against the guest program. On success the
 // caller knows (up to sampling soundness, per segment) that running
 // prog over *some* private input produced exactly the concatenated
 // journal and the final exit code:
@@ -9,19 +11,19 @@ package zkvm
 //     image),
 //   - every exit(i) equals entry(i+1) — same pc, registers, cursors,
 //     and boundary-image commitment,
-//   - only the last segment is Final and it satisfies the same halt
-//     rules as a single-segment receipt,
-//   - each segment receipt independently proves its slice under its
-//     own Fiat–Shamir transcript, which absorbs the segment's index,
-//     role, journal slice, and both boundary states — so segments
-//     cannot be reordered, dropped, re-linked, or given a journal from
-//     another run without invalidating their sampled openings.
-func VerifyComposite(prog *Program, c *CompositeReceipt, opts VerifyOptions) error {
-	n := len(c.Segments)
-	if n < 1 {
-		return vErr("composite receipt with no segments")
+//   - only the last segment is Final, and it ends on a halt with exit
+//     code 0,
+//   - each segment's seal proves its slice under its own Fiat–Shamir
+//     transcript, which absorbs the segment's index, role, journal
+//     slice, and both boundary states — so segments cannot be
+//     reordered, dropped, re-linked, or given a journal from another
+//     run without invalidating their sampled openings.
+func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
+	if r == nil || len(r.Segments) == 0 {
+		return vErr("receipt with no segments")
 	}
-	for i, sr := range c.Segments {
+	n := len(r.Segments)
+	for i, sr := range r.Segments {
 		if int(sr.Index) != i {
 			return vErr("segment %d carries index %d", i, sr.Index)
 		}
@@ -29,16 +31,16 @@ func VerifyComposite(prog *Program, c *CompositeReceipt, opts VerifyOptions) err
 			return vErr("segment %d final flag %v in a %d-segment chain", i, sr.Final, n)
 		}
 	}
-	if c.Segments[0].Entry != GenesisState() {
+	if r.Segments[0].Entry != GenesisState() {
 		return vErr("segment 0 does not enter at the genesis state")
 	}
 	for i := 1; i < n; i++ {
-		if c.Segments[i].Entry != c.Segments[i-1].Exit {
+		if r.Segments[i].Entry != r.Segments[i-1].Exit {
 			return vErr("boundary %d: entry state does not match previous exit state", i)
 		}
 	}
-	for i, sr := range c.Segments {
-		if err := verifySegment(prog, sr, opts, segmentStatement); err != nil {
+	for i, sr := range r.Segments {
+		if err := verifySegment(prog, sr, opts); err != nil {
 			return vErr("segment %d: %v", i, err)
 		}
 	}
@@ -47,46 +49,45 @@ func VerifyComposite(prog *Program, c *CompositeReceipt, opts VerifyOptions) err
 
 // verifySegment checks one segment receipt in isolation: its seal
 // binds the committed trace to the entry/exit states it declares, under
-// the statement bind opens. It is the only walk over a seal's boundary
-// rows and sampled-check families; Verify runs a monolithic receipt
-// through it. Chain-level rules (genesis, linkage, indices) live in
-// VerifyComposite.
-func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind statement) error {
+// the segment's statement. It is the only walk over a seal's boundary
+// rows and sampled-check families. Chain-level rules (genesis, linkage,
+// indices) live in Verify, which also prefixes the error, once.
+func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error {
 	if prog.ID() != sr.ImageID {
-		return vErr("image ID mismatch: receipt %v, program %v", sr.ImageID, prog.ID())
+		return fmt.Errorf("image ID mismatch: receipt %v, program %v", sr.ImageID, prog.ID())
 	}
 	s := &sr.Seal
 	nRows := int(s.NumRows)
 	nMem := int(s.NumMem)
 	if nRows < 1 {
-		return vErr("empty trace")
+		return fmt.Errorf("empty trace")
 	}
 	if sr.Final {
 		if sr.ExitCode != 0 {
-			return vErr("guest exit code %d", sr.ExitCode)
+			return fmt.Errorf("guest exit code %d", sr.ExitCode)
 		}
 		if sr.Exit != (SegmentState{}) {
-			return vErr("final segment declares an exit state")
+			return fmt.Errorf("final segment declares an exit state")
 		}
 	} else {
 		if sr.ExitCode != 0 {
-			return vErr("non-final segment carries exit code %d", sr.ExitCode)
+			return fmt.Errorf("non-final segment carries exit code %d", sr.ExitCode)
 		}
 		if nRows < 2 {
-			return vErr("non-final segment with no executed step")
+			return fmt.Errorf("non-final segment with no executed step")
 		}
 		// Cumulative cursor deltas must match the segment-local counts
 		// the last row (checked below) declares.
 		if sr.Exit.JPtr-sr.Entry.JPtr != uint32(len(sr.Journal)) {
-			return vErr("journal cursor delta %d, segment journal has %d words",
+			return fmt.Errorf("journal cursor delta %d, segment journal has %d words",
 				sr.Exit.JPtr-sr.Entry.JPtr, len(sr.Journal))
 		}
 	}
 	if int(sr.Entry.MemLen) > nMem {
-		return vErr("entry image larger than the memory log")
+		return fmt.Errorf("entry image larger than the memory log")
 	}
 
-	tr := bind(sr)
+	tr := segmentStatement(sr)
 	tr.Append("exec-root", s.ExecRoot[:])
 	tr.Append("memprog-root", s.MemProgRoot[:])
 	tr.Append("memsort-root", s.MemSortRoot[:])
@@ -99,44 +100,44 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 	// exit binding (or the halt rule) replaces the final-state rule. ---
 	first, err := s.execRow(prog, &s.FirstRow, 0)
 	if err != nil {
-		return vErr("first row: %v", err)
+		return fmt.Errorf("first row: %v", err)
 	}
 	if first.PC != sr.Entry.PC || first.Regs != sr.Entry.Regs {
-		return vErr("first row does not match the entry state")
+		return fmt.Errorf("first row does not match the entry state")
 	}
 	if first.MemPtr != sr.Entry.MemLen {
-		return vErr("first row MemPtr %d, entry image has %d words", first.MemPtr, sr.Entry.MemLen)
+		return fmt.Errorf("first row MemPtr %d, entry image has %d words", first.MemPtr, sr.Entry.MemLen)
 	}
 	if first.InPtr != 0 || first.JPtr != 0 {
-		return vErr("first row cursors not rebased to the segment")
+		return fmt.Errorf("first row cursors not rebased to the segment")
 	}
 	last, err := s.execRow(prog, &s.LastRow, nRows-1)
 	if err != nil {
-		return vErr("last row: %v", err)
+		return fmt.Errorf("last row: %v", err)
 	}
 	if sr.Final {
 		if last.PC >= uint32(len(prog.Instrs)) {
-			return vErr("last row pc %d outside program", last.PC)
+			return fmt.Errorf("last row pc %d outside program", last.PC)
 		}
 		if prog.Instrs[last.PC].Op != OpHalt {
-			return vErr("last row is not a halt instruction")
+			return fmt.Errorf("last row is not a halt instruction")
 		}
 		if last.Regs[R1] != sr.ExitCode {
-			return vErr("exit code %d does not match halting r1 %d", sr.ExitCode, last.Regs[R1])
+			return fmt.Errorf("exit code %d does not match halting r1 %d", sr.ExitCode, last.Regs[R1])
 		}
 	} else {
 		if last.PC != sr.Exit.PC || last.Regs != sr.Exit.Regs {
-			return vErr("last row does not match the exit state")
+			return fmt.Errorf("last row does not match the exit state")
 		}
 		if last.InPtr != sr.Exit.InPtr-sr.Entry.InPtr {
-			return vErr("last row InPtr %d, exit cursor delta %d", last.InPtr, sr.Exit.InPtr-sr.Entry.InPtr)
+			return fmt.Errorf("last row InPtr %d, exit cursor delta %d", last.InPtr, sr.Exit.InPtr-sr.Entry.InPtr)
 		}
 	}
 	if int(last.JPtr) != len(sr.Journal) {
-		return vErr("journal length %d does not match final JPtr %d", len(sr.Journal), last.JPtr)
+		return fmt.Errorf("journal length %d does not match final JPtr %d", len(sr.Journal), last.JPtr)
 	}
 	if int(last.MemPtr) != nMem {
-		return vErr("memory log length %d does not match final MemPtr %d", nMem, last.MemPtr)
+		return fmt.Errorf("memory log length %d does not match final MemPtr %d", nMem, last.MemPtr)
 	}
 
 	if nMem > 0 {
@@ -146,7 +147,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 	} else if !sr.Final {
 		// No accesses at all: the image cannot have changed.
 		if sr.Exit.MemLen != sr.Entry.MemLen || sr.Exit.MemRoot != sr.Entry.MemRoot {
-			return vErr("memory image changed without any memory access")
+			return fmt.Errorf("memory image changed without any memory access")
 		}
 	}
 
@@ -159,13 +160,13 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 			k = n
 		}
 		if n != k {
-			return vErr("inconsistent check counts: %s has %d, want %d", name, n, k)
+			return fmt.Errorf("inconsistent check counts: %s has %d, want %d", name, n, k)
 		}
 		if n == 0 {
-			return vErr("no %s checks", name)
+			return fmt.Errorf("no %s checks", name)
 		}
 		if n < opts.MinChecks {
-			return vErr("seal has %d sampled checks, verifier requires %d", n, opts.MinChecks)
+			return fmt.Errorf("seal has %d sampled checks, verifier requires %d", n, opts.MinChecks)
 		}
 		return nil
 	}
@@ -176,11 +177,11 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 		}
 		for n, i := range tr.ChallengeIndices("exec", len(s.ExecChecks), nRows-1) {
 			if err := verifyExecCheck(prog, s, &s.ExecChecks[n], i, sr.Journal); err != nil {
-				return vErr("exec check %d (row %d): %v", n, i, err)
+				return fmt.Errorf("exec check %d (row %d): %v", n, i, err)
 			}
 		}
 	} else if len(s.ExecChecks) != 0 {
-		return vErr("unexpected execution checks")
+		return fmt.Errorf("unexpected execution checks")
 	}
 
 	if nMem >= 2 {
@@ -192,16 +193,16 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 		}
 		for n, i := range tr.ChallengeIndices("prod", len(s.ProdChecks), nMem-1) {
 			if err := verifyProdCheck(s, &s.ProdChecks[n], i, alpha, gamma); err != nil {
-				return vErr("product check %d (entry %d): %v", n, i, err)
+				return fmt.Errorf("product check %d (entry %d): %v", n, i, err)
 			}
 		}
 		for n, i := range tr.ChallengeIndices("sort", len(s.SortChecks), nMem-1) {
 			if err := verifySortCheck(s, &s.SortChecks[n], i, alpha, gamma); err != nil {
-				return vErr("sorted check %d (entry %d): %v", n, i, err)
+				return fmt.Errorf("sorted check %d (entry %d): %v", n, i, err)
 			}
 		}
 	} else if len(s.ProdChecks) != 0 || len(s.SortChecks) != 0 {
-		return vErr("unexpected memory checks")
+		return fmt.Errorf("unexpected memory checks")
 	}
 
 	// --- Continuation families. ---
@@ -211,11 +212,11 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 		}
 		for n, i := range tr.ChallengeIndices("import", len(sr.ImportChecks), int(sr.Entry.MemLen)) {
 			if err := verifyImportCheck(sr, &sr.ImportChecks[n], i); err != nil {
-				return vErr("import check %d (image word %d): %v", n, i, err)
+				return fmt.Errorf("import check %d (image word %d): %v", n, i, err)
 			}
 		}
 	} else if len(sr.ImportChecks) != 0 {
-		return vErr("unexpected import checks")
+		return fmt.Errorf("unexpected import checks")
 	}
 
 	if !sr.Final && sr.Exit.MemLen > 0 {
@@ -224,11 +225,11 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 		}
 		for n, j := range tr.ChallengeIndices("exit", len(sr.ExitChecks), int(sr.Exit.MemLen)) {
 			if err := verifyExitCheck(sr, &sr.ExitChecks[n], j); err != nil {
-				return vErr("exit check %d (image word %d): %v", n, j, err)
+				return fmt.Errorf("exit check %d (image word %d): %v", n, j, err)
 			}
 		}
 	} else if len(sr.ExitChecks) != 0 {
-		return vErr("unexpected exit checks")
+		return fmt.Errorf("unexpected exit checks")
 	}
 
 	if !sr.Final && nMem > 0 {
@@ -237,11 +238,11 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions, bind s
 		}
 		for n, i := range tr.ChallengeIndices("cover", len(sr.CoverChecks), nMem) {
 			if err := verifyCoverCheck(sr, &sr.CoverChecks[n], i); err != nil {
-				return vErr("cover check %d (sorted entry %d): %v", n, i, err)
+				return fmt.Errorf("cover check %d (sorted entry %d): %v", n, i, err)
 			}
 		}
 	} else if len(sr.CoverChecks) != 0 {
-		return vErr("unexpected cover checks")
+		return fmt.Errorf("unexpected cover checks")
 	}
 	return nil
 }
@@ -263,13 +264,13 @@ func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
 		return err
 	}
 	if !e.IsWrite || e.Step != importStep {
-		return vErr("log entry %d is not an import write", i)
+		return fmt.Errorf("log entry %d is not an import write", i)
 	}
 	if e.Seq != uint32(i) {
-		return vErr("import %d has sequence %d", i, e.Seq)
+		return fmt.Errorf("import %d has sequence %d", i, e.Seq)
 	}
 	if e.Addr != p.Addr || e.Val != p.Val {
-		return vErr("import %d does not match the entry image", i)
+		return fmt.Errorf("import %d does not match the entry image", i)
 	}
 	return nil
 }
@@ -284,21 +285,21 @@ func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j int) error {
 		return err
 	}
 	if p.Val == 0 {
-		return vErr("exit image holds a zero value")
+		return fmt.Errorf("exit image holds a zero value")
 	}
 	pos := int(c.Pos)
 	if pos >= int(sr.Seal.NumMem) {
-		return vErr("witness position %d outside the log", pos)
+		return fmt.Errorf("witness position %d outside the log", pos)
 	}
 	e, next, hasNext, err := sortedWithSuccessor(&sr.Seal, c.Sort, pos)
 	if err != nil {
 		return err
 	}
 	if e.Addr != p.Addr || e.Val != p.Val {
-		return vErr("witness access does not match the exit image")
+		return fmt.Errorf("witness access does not match the exit image")
 	}
 	if hasNext && next.Addr == e.Addr {
-		return vErr("witness access is not the last access of its address")
+		return fmt.Errorf("witness access is not the last access of its address")
 	}
 	return nil
 }
@@ -313,17 +314,17 @@ func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i int) error {
 	isLast := !hasNext || ej.Addr != ei.Addr
 	if isLast && ei.Val != 0 {
 		if !c.HasImg {
-			return vErr("live word %d missing from the exit image", ei.Addr)
+			return fmt.Errorf("live word %d missing from the exit image", ei.Addr)
 		}
 		p, err := opened(imageCol(&sr.Exit), &c.Img, int(c.ExitIdx), decodeImagePair)
 		if err != nil {
 			return err
 		}
 		if p.Addr != ei.Addr || p.Val != ei.Val {
-			return vErr("exit image entry does not cover the live word")
+			return fmt.Errorf("exit image entry does not cover the live word")
 		}
 	} else if c.HasImg {
-		return vErr("unexpected image opening")
+		return fmt.Errorf("unexpected image opening")
 	}
 	return nil
 }

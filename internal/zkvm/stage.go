@@ -22,9 +22,10 @@ const (
 	// StageBoundaryCommit commits the boundary memory images of a
 	// segmented (continuation) proof — one salted tree per segment
 	// boundary, shared by the two adjacent segment receipts. Reported
-	// once per composite proof; the per-segment stages (mem_sort,
-	// merkle_commit, grand_product, seal) are reported once per
-	// segment, so a composite proof emits N observations per stage.
+	// once per proof with a boundary, none for one segment; the
+	// per-segment stages (mem_sort, merkle_commit, grand_product, seal)
+	// are reported once per segment, so an N-segment proof emits N
+	// observations per stage.
 	StageBoundaryCommit = "boundary_commit"
 	// StageSeal assembles the receipt: boundary openings plus the
 	// Fiat–Shamir-sampled spot checks with their Merkle paths.

@@ -61,8 +61,8 @@ func TestProveReportsAllStages(t *testing.T) {
 func TestSegmentedProveReportsStages(t *testing.T) {
 	var log stageLog
 	prog := segTestProgram(t)
-	c, err := proveSegmentedSeeded(prog, []uint32{3000, 5},
-		ProveOptions{Checks: 6, SegmentCycles: 1 << 10, Observer: &log}, &segTestSeed)
+	c, err := ProveSeeded(prog, []uint32{3000, 5},
+		ProveOptions{Checks: 6, SegmentCycles: 1 << 10, Observer: &log}, segTestSeed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,29 +25,6 @@ func vErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrVerify, fmt.Sprintf(format, args...))
 }
 
-// Verify checks a receipt against the guest program. On success the
-// caller knows (up to the sampled-check soundness bound, see package
-// comment) that running prog over *some* private input produced
-// exactly this journal and exit code.
-func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
-	return verifySegment(prog, r.asSegment(), opts, monoStatement)
-}
-
-// asSegment is the segment a monolithic receipt is, but for its
-// statement binding: index 0, final, entered at genesis. It has no
-// boundary image on either side, so none of the continuation families
-// apply.
-func (r *Receipt) asSegment() *SegmentReceipt {
-	return &SegmentReceipt{
-		ImageID:  r.ImageID,
-		Final:    true,
-		ExitCode: r.ExitCode,
-		Journal:  r.Journal,
-		Entry:    GenesisState(),
-		Seal:     r.Seal,
-	}
-}
-
 // opened authenticates o as the leaf holding record i of a column and
 // decodes that record.
 func opened[T any](c column, o *Opening, i int, decode func([]byte) (T, error)) (T, error) {
@@ -112,44 +89,44 @@ func productStep(c column, span []Opening, i int, e *MemEntry, alpha, gamma fiel
 func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
 	e0, err := opened(s.memProgCol(), &s.MemProgFirst, 0, decodeMemEntry)
 	if err != nil {
-		return vErr("memprog first: %v", err)
+		return fmt.Errorf("memprog first: %v", err)
 	}
 	if e0.Seq != 0 {
-		return vErr("first program-order entry has seq %d", e0.Seq)
+		return fmt.Errorf("first program-order entry has seq %d", e0.Seq)
 	}
 	p0, err := opened(s.prodProgCol(), &s.ProdProgFirst, 0, decodeProd)
 	if err != nil {
-		return vErr("prodprog first: %v", err)
+		return fmt.Errorf("prodprog first: %v", err)
 	}
 	if p0 != field.Sub(gamma, fingerprint(&e0, alpha)) {
-		return vErr("first program-order product incorrect")
+		return fmt.Errorf("first program-order product incorrect")
 	}
 
 	s0, err := opened(s.memSortCol(), &s.MemSortFirst, 0, decodeMemEntry)
 	if err != nil {
-		return vErr("memsort first: %v", err)
+		return fmt.Errorf("memsort first: %v", err)
 	}
 	if !s0.IsWrite && s0.Val != 0 {
-		return vErr("first sorted access reads %d from fresh memory", s0.Val)
+		return fmt.Errorf("first sorted access reads %d from fresh memory", s0.Val)
 	}
 	q0, err := opened(s.prodSortCol(), &s.ProdSortFirst, 0, decodeProd)
 	if err != nil {
-		return vErr("prodsort first: %v", err)
+		return fmt.Errorf("prodsort first: %v", err)
 	}
 	if q0 != field.Sub(gamma, fingerprint(&s0, alpha)) {
-		return vErr("first sorted product incorrect")
+		return fmt.Errorf("first sorted product incorrect")
 	}
 
 	pl, err := opened(s.prodProgCol(), &s.ProdProgLast, nMem-1, decodeProd)
 	if err != nil {
-		return vErr("prodprog last: %v", err)
+		return fmt.Errorf("prodprog last: %v", err)
 	}
 	ql, err := opened(s.prodSortCol(), &s.ProdSortLast, nMem-1, decodeProd)
 	if err != nil {
-		return vErr("prodsort last: %v", err)
+		return fmt.Errorf("prodsort last: %v", err)
 	}
 	if pl != ql {
-		return vErr("memory grand products differ: logs are not multiset-equal")
+		return fmt.Errorf("memory grand products differ: logs are not multiset-equal")
 	}
 	return nil
 }
