@@ -1,11 +1,17 @@
 GO ?= go
+GOFMT ?= gofmt
 FUZZTIME ?= 10s
 # The receipt targets mutate 15-50 KB inputs, and the checkpoint target
 # finds new coverage every few execs; minimizing each new-coverage input
 # for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
-.PHONY: build vet test race purego fuzz farm examples check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
+.PHONY: fmt build vet test race purego fuzz farm examples check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
+
+# Format lane: fails, listing the files, when any Go file is not
+# gofmt-clean.
+fmt:
+	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -94,9 +100,9 @@ examples:
 	$(GO) run ./examples/sla
 	$(GO) run ./examples/tamper
 
-# The default pre-merge gate. The fuzz lane runs last so the cheap
-# deterministic checks fail fast.
-check: build vet test race purego farm examples fuzz
+# The default pre-merge gate. The format lane runs first and the fuzz
+# lane last, so the cheap deterministic checks fail fast.
+check: fmt build vet test race purego farm examples fuzz
 
 # The paper's figures and the DESIGN §5 ablations, one pass each (the
 # table at the head of EXPERIMENTS.md maps entries to functions).

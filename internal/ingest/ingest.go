@@ -49,11 +49,6 @@ type Config struct {
 	// EpochInterval seals an epoch on this period. Zero disables the
 	// internal ticker: epochs advance only on explicit Seal calls.
 	EpochInterval time.Duration
-	// StartEpoch numbers the first epoch (default 0). A daemon
-	// restarting over a persisted store should resume past the store's
-	// newest epoch, or the first flushes land outside the retention
-	// window and count as evicted drops.
-	StartEpoch uint64
 	// Metrics receives the pipeline's counters/gauges/histograms (nil
 	// = a private registry).
 	Metrics *obs.Registry
@@ -151,7 +146,6 @@ func New(st *store.Store, lg *ledger.Ledger, cfg Config) (*Pipeline, error) {
 		cfg:   cfg,
 		st:    st,
 		lg:    lg,
-		epoch: cfg.StartEpoch,
 		v9dec: netflow.NewV9Decoder(0),
 
 		datagrams:    reg.Counter("ingest.datagrams"),

@@ -304,16 +304,17 @@ func TestEpochBoundaryBatching(t *testing.T) {
 }
 
 func TestEvictedEpochCountsDrops(t *testing.T) {
-	// A daemon restarting with StartEpoch far behind a persisted
-	// store's newest epoch flushes outside the retention window: the
-	// store refuses the segment (see store.Append) and ingest accounts
-	// the refusal instead of losing the records silently.
+	// A flush to an epoch the store has already evicted (the pipeline
+	// is at epoch 0, the store's newest is 100) lands outside the
+	// retention window: the store refuses the segment (see
+	// store.Append) and ingest accounts the refusal instead of losing
+	// the records silently.
 	st := store.Open(4)
 	if _, err := st.Append(100, 1, genRecords(1, 1)); err != nil {
 		t.Fatal(err)
 	}
 	lg := ledger.New()
-	p, err := New(st, lg, Config{Shards: 2, StartEpoch: 0})
+	p, err := New(st, lg, Config{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,8 +455,8 @@ func TestStatsDroppedSums(t *testing.T) {
 // publish by pre-publishing the commitment, then verifies the ingest
 // path accounts the refused segment as dropped.
 func TestLedgerRefusalCountsDrops(t *testing.T) {
-	p, st, lg := newPipeline(t, Config{Shards: 1, StartEpoch: 5})
-	if _, err := lg.Publish(7, 5, ledger.CommitRecords(nil)); err != nil {
+	p, st, lg := newPipeline(t, Config{Shards: 1})
+	if _, err := lg.Publish(7, 0, ledger.CommitRecords(nil)); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Start(); err != nil {

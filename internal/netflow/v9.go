@@ -9,10 +9,11 @@ import (
 // This file implements a simplified NetFlow v9 export encoding
 // (RFC 3954 flavour): an export packet carries a header, an optional
 // template flowset describing field layout, and data flowsets whose
-// records follow the template. Only the single template needed for
-// zkflow's Record is supported, but the framing (flowset IDs, lengths,
-// padding) follows the specification so standard tooling recognises
-// the stream shape.
+// records follow the template. The encoder emits only the single
+// template needed for zkflow's Record, but the framing (flowset IDs,
+// lengths, padding) follows the specification so standard tooling
+// recognises the stream shape. Decoding is V9Decoder's
+// (v9template.go), which reads any template layout.
 
 // V9Version is the NetFlow export version.
 const V9Version = 9
@@ -118,93 +119,20 @@ var (
 	ErrBadTemplate = errors.New("netflow: unknown or malformed template")
 )
 
-// DecodeV9 parses an export packet produced by EncodeV9 (or any v9
-// stream using zkflow's template). Records inherit the packet's
-// SourceID as their RouterID.
+// DecodeV9 parses one self-contained export packet, such as one
+// produced by EncodeV9: every data flowset's template must ride in the
+// same packet. It decodes with a fresh V9Decoder, so it accepts any
+// template layout the exporter declares and skips options templates;
+// a data flowset without its template is ErrBadTemplate. Records
+// inherit the packet's SourceID as their RouterID.
 func DecodeV9(data []byte) (*ExportPacket, error) {
-	if len(data) < 20 {
-		return nil, fmt.Errorf("netflow: packet of %d bytes too short", len(data))
+	d := NewV9Decoder(0)
+	p, err := d.Decode(data)
+	if err != nil {
+		return nil, err
 	}
-	if binary.BigEndian.Uint16(data) != V9Version {
-		return nil, ErrBadVersion
-	}
-	p := &ExportPacket{
-		SysUptime: binary.BigEndian.Uint32(data[4:]),
-		UnixSecs:  binary.BigEndian.Uint32(data[8:]),
-		Sequence:  binary.BigEndian.Uint32(data[12:]),
-		SourceID:  binary.BigEndian.Uint32(data[16:]),
-	}
-	off := 20
-	templateSeen := false
-	for off+4 <= len(data) {
-		id := binary.BigEndian.Uint16(data[off:])
-		length := int(binary.BigEndian.Uint16(data[off+2:]))
-		if length < 4 || off+length > len(data) {
-			return nil, fmt.Errorf("netflow: flowset at %d has bad length %d", off, length)
-		}
-		body := data[off+4 : off+length]
-		switch {
-		case id == 0:
-			if err := checkTemplate(body); err != nil {
-				return nil, err
-			}
-			templateSeen = true
-		case id == TemplateID:
-			if !templateSeen {
-				return nil, fmt.Errorf("%w: data before template", ErrBadTemplate)
-			}
-			for len(body) >= v9RecordLen {
-				r := decodeV9Record(body)
-				r.RouterID = p.SourceID
-				p.Records = append(p.Records, r)
-				body = body[v9RecordLen:]
-			}
-		default:
-			return nil, fmt.Errorf("%w: flowset id %d", ErrBadTemplate, id)
-		}
-		off += length
-	}
-	if off != len(data) {
-		return nil, fmt.Errorf("netflow: %d trailing bytes", len(data)-off)
+	if d.TemplateMisses() > 0 {
+		return nil, fmt.Errorf("%w: data flowset without its template", ErrBadTemplate)
 	}
 	return p, nil
-}
-
-func checkTemplate(body []byte) error {
-	if len(body) < 4 {
-		return ErrBadTemplate
-	}
-	if binary.BigEndian.Uint16(body) != TemplateID {
-		return fmt.Errorf("%w: template id %d", ErrBadTemplate, binary.BigEndian.Uint16(body))
-	}
-	n := int(binary.BigEndian.Uint16(body[2:]))
-	if n != len(templateFields) || len(body) < 4+4*n {
-		return fmt.Errorf("%w: %d fields", ErrBadTemplate, n)
-	}
-	for i, f := range templateFields {
-		ft := binary.BigEndian.Uint16(body[4+4*i:])
-		fl := binary.BigEndian.Uint16(body[6+4*i:])
-		if ft != f[0] || fl != f[1] {
-			return fmt.Errorf("%w: field %d is (%d,%d), want (%d,%d)", ErrBadTemplate, i, ft, fl, f[0], f[1])
-		}
-	}
-	return nil
-}
-
-func decodeV9Record(b []byte) Record {
-	var r Record
-	r.Key.SrcIP = binary.BigEndian.Uint32(b[0:])
-	r.Key.DstIP = binary.BigEndian.Uint32(b[4:])
-	r.Key.SrcPort = binary.BigEndian.Uint16(b[8:])
-	r.Key.DstPort = binary.BigEndian.Uint16(b[10:])
-	r.Key.Proto = b[12]
-	r.Packets = binary.BigEndian.Uint32(b[13:])
-	r.Bytes = binary.BigEndian.Uint32(b[17:])
-	r.Dropped = binary.BigEndian.Uint32(b[21:])
-	r.HopCount = binary.BigEndian.Uint32(b[25:])
-	r.RTTMicros = binary.BigEndian.Uint32(b[29:])
-	r.JitterMicros = binary.BigEndian.Uint32(b[33:])
-	r.StartUnix = binary.BigEndian.Uint32(b[37:])
-	r.EndUnix = binary.BigEndian.Uint32(b[41:])
-	return r
 }

@@ -6,16 +6,15 @@ import (
 	"sync"
 )
 
-// Stateful NetFlow v9 decoding. The stateless DecodeV9 only accepts
-// zkflow's own template and only when it rides in the same packet; real
-// v9 exporters send templates periodically and data flowsets in
-// between, with layouts of their own choosing. V9Decoder closes that
-// gap: it learns template flowsets as they arrive, caches them per
-// (source ID, template ID) with LRU eviction, and decodes data
-// flowsets generically against whatever layout the exporter declared.
-// Fields zkflow does not model are skipped; data flowsets whose
-// template has not been seen (yet, or anymore after eviction) are
-// dropped and counted, never an error — the exporter will re-announce.
+// Stateful NetFlow v9 decoding, the one v9 decoder. Real v9 exporters
+// send templates periodically and data flowsets in between, with
+// layouts of their own choosing. V9Decoder learns template flowsets as
+// they arrive, caches them per (source ID, template ID) with LRU
+// eviction, and decodes data flowsets generically against whatever
+// layout the exporter declared. Fields zkflow does not model are
+// skipped; data flowsets whose template has not been seen (yet, or
+// anymore after eviction) are dropped and counted, never an error —
+// the exporter will re-announce.
 
 // DefaultV9Templates bounds the template cache when NewV9Decoder is
 // given a non-positive size.

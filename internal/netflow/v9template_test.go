@@ -43,35 +43,6 @@ func v9TemplateBody(tid uint16, fields [][2]uint16) []byte {
 	return out
 }
 
-// TestV9DecoderMatchesStateless pins the cached decoder against
-// DecodeV9 on zkflow's own wire format.
-func TestV9DecoderMatchesStateless(t *testing.T) {
-	pkt := &ExportPacket{
-		SysUptime: 5, UnixSecs: 6, Sequence: 7, SourceID: 42,
-		Records: []Record{
-			{Key: FlowKey{SrcIP: 0x0a000001, DstIP: 0x0a000002, SrcPort: 1234, DstPort: 80, Proto: 6},
-				Packets: 10, Bytes: 1000, HopCount: 3, RTTMicros: 250, StartUnix: 100, EndUnix: 200},
-		},
-	}
-	wire := EncodeV9(pkt)
-	want, err := DecodeV9(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := NewV9Decoder(0).Decode(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Records) != len(want.Records) {
-		t.Fatalf("got %d records, want %d", len(got.Records), len(want.Records))
-	}
-	for i := range want.Records {
-		if got.Records[i] != want.Records[i] {
-			t.Fatalf("record %d: got %+v, want %+v", i, got.Records[i], want.Records[i])
-		}
-	}
-}
-
 // TestV9DecoderNonZkflowTemplate decodes a data flowset under a
 // template zkflow did not define: different ID (400), reordered
 // fields, an unknown enterprise field to skip, and a 2-byte packet

@@ -56,8 +56,7 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 type Histogram struct {
 	bounds []float64       // sorted inclusive upper bounds
 	counts []atomic.Uint64 // len(bounds)+1, last = overflow
-	count  atomic.Uint64
-	sum    atomic.Uint64 // float64 bits, CAS-accumulated
+	sum    atomic.Uint64   // float64 bits, CAS-accumulated
 }
 
 // DefaultLatencyBuckets spans 1 ms .. 60 s — wide enough for both
@@ -79,7 +78,6 @@ func newHistogram(bounds []float64) *Histogram {
 func (h *Histogram) Observe(v float64) {
 	i := sort.SearchFloat64s(h.bounds, v)
 	h.counts[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sum.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -89,8 +87,15 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+// Count returns the number of observations: the sum of every bucket,
+// overflow included.
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the running sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
@@ -210,14 +215,16 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.histograms {
-		hs := HistogramSnapshot{Count: h.Count(), Sum: h.Sum()}
+		// Count is the cumulative total read in the same pass as the
+		// buckets, so no bucket ever exceeds it.
+		hs := HistogramSnapshot{Sum: h.Sum()}
+		for i, b := range h.bounds {
+			hs.Count += h.counts[i].Load()
+			hs.Buckets = append(hs.Buckets, Bucket{UpperBound: b, Count: hs.Count})
+		}
+		hs.Count += h.counts[len(h.bounds)].Load()
 		if hs.Count > 0 {
 			hs.Mean = hs.Sum / float64(hs.Count)
-		}
-		var cum uint64
-		for i, b := range h.bounds {
-			cum += h.counts[i].Load()
-			hs.Buckets = append(hs.Buckets, Bucket{UpperBound: b, Count: cum})
 		}
 		s.Histograms[name] = hs
 	}

@@ -8,11 +8,8 @@
 package store
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"os"
 	"sort"
 	"sync"
 
@@ -148,108 +145,4 @@ func (s *Store) Len() int {
 		n += len(recs)
 	}
 	return n
-}
-
-// storeMagic versions the persistence encoding.
-const storeMagic = 0x7a6b7374 // "zkst"
-
-// Save serialises the store (for prover restarts between rounds).
-func (s *Store) Save(w io.Writer) error {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	var hdr [16]byte
-	binary.LittleEndian.PutUint32(hdr[0:], storeMagic)
-	binary.LittleEndian.PutUint32(hdr[4:], uint32(s.retention))
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(s.segments)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	// Deterministic segment order.
-	keys := make([]segKey, 0, len(s.segments))
-	for k := range s.segments {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].epoch != keys[j].epoch {
-			return keys[i].epoch < keys[j].epoch
-		}
-		return keys[i].router < keys[j].router
-	})
-	for _, k := range keys {
-		recs := s.segments[k]
-		var seg [20]byte
-		binary.LittleEndian.PutUint64(seg[0:], k.epoch)
-		binary.LittleEndian.PutUint32(seg[8:], k.router)
-		binary.LittleEndian.PutUint64(seg[12:], uint64(len(recs)))
-		if _, err := w.Write(seg[:]); err != nil {
-			return err
-		}
-		if _, err := w.Write(netflow.EncodeBatch(recs)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Load reads a store serialised by Save.
-func Load(r io.Reader) (*Store, error) {
-	var hdr [16]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
-	}
-	if binary.LittleEndian.Uint32(hdr[0:]) != storeMagic {
-		return nil, errors.New("store: bad magic")
-	}
-	s := Open(int(binary.LittleEndian.Uint32(hdr[4:])))
-	nSegs := binary.LittleEndian.Uint64(hdr[8:])
-	for i := uint64(0); i < nSegs; i++ {
-		var seg [20]byte
-		if _, err := io.ReadFull(r, seg[:]); err != nil {
-			return nil, err
-		}
-		epoch := binary.LittleEndian.Uint64(seg[0:])
-		router := binary.LittleEndian.Uint32(seg[8:])
-		n := binary.LittleEndian.Uint64(seg[12:])
-		if n > 1<<32 {
-			return nil, fmt.Errorf("store: segment of %d records implausible", n)
-		}
-		buf := make([]byte, int(n)*netflow.WireBytes)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, err
-		}
-		recs, err := netflow.DecodeBatch(buf)
-		if err != nil {
-			return nil, err
-		}
-		// Save emits segments in ascending epoch order and only retained
-		// ones, so a well-formed file never trips the eviction refusal;
-		// a crafted or corrupted file can.
-		if _, err := s.Append(epoch, router, recs); err != nil {
-			return nil, fmt.Errorf("store: load segment %d/%d: %w", epoch, router, err)
-		}
-	}
-	return s, nil
-}
-
-// SaveFile writes the store to a file.
-func (s *Store) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := s.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a store from a file.
-func LoadFile(path string) (*Store, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

@@ -1,9 +1,7 @@
 package store
 
 import (
-	"bytes"
 	"errors"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -151,60 +149,5 @@ func TestConcurrentWriters(t *testing.T) {
 	wg.Wait()
 	if s.Len() != 8*20 {
 		t.Fatalf("len = %d", s.Len())
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	s := Open(4)
-	for e := uint64(0); e < 3; e++ {
-		for r := uint32(0); r < 2; r++ {
-			s.Append(e, r, []netflow.Record{rec(uint32(e)*10 + r), rec(uint32(e)*10 + r + 100)})
-		}
-	}
-	var buf bytes.Buffer
-	if err := s.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Load(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != s.Len() {
-		t.Fatalf("loaded %d records, want %d", s2.Len(), s.Len())
-	}
-	a, _ := s.Epoch(1, 1)
-	b, _ := s2.Epoch(1, 1)
-	if len(a) != len(b) {
-		t.Fatal("segment length mismatch")
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("garbage bytes here!!"))); err == nil {
-		t.Fatal("garbage accepted")
-	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty input accepted")
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	s := Open(0)
-	s.Append(1, 0, []netflow.Record{rec(1)})
-	path := filepath.Join(t.TempDir(), "store.bin")
-	if err := s.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Len() != 1 {
-		t.Fatalf("len = %d", s2.Len())
 	}
 }
