@@ -61,10 +61,9 @@ purego:
 # reads of the ledger (served checkpoints, entry delta, inclusion proof:
 # every check returns promptly, and an accepted extension is the honest
 # checkpoint).
-# `go test -fuzz` takes one target per invocation, so this is fifteen
+# `go test -fuzz` takes one target per invocation, so this is fourteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
-	$(GO) test ./internal/netflow -run='^$$' -fuzz=FuzzWireCodecs -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzFarmFrames -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)

@@ -39,17 +39,12 @@ func main() {
 		pinEpoch  = flag.Int64("pin-epoch", -1, "on first run, pin the checkpoint sealed for this epoch (-1 = latest)")
 		samples   = flag.Int("samples", 0, "aggregation rounds to spot-verify (0 = server suggestion)")
 		seed      = flag.Int64("seed", 0, "sampling seed (0 = random)")
-		minChecks = flag.Int("min-checks", zkvm.DefaultChecks, "minimum sampled checks a receipt seal must carry")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request HTTP timeout")
 	)
 	flag.Parse()
 	log.SetFlags(0)
 	ctx := context.Background()
-	client := api.New(*serverURL,
-		api.WithTimeout(*timeout),
-		api.WithRetry(2, 250*time.Millisecond),
-		api.WithCache(),
-	)
+	client := api.New(*serverURL, api.WithTimeout(*timeout), api.WithCache())
 
 	st, pinned, err := loadOrPin(ctx, client, *serverURL, *stateFile, *pinEpoch)
 	if err != nil {
@@ -64,7 +59,7 @@ func main() {
 	rep, err := lightsync.Sync(ctx, client, st, lightsync.Options{
 		Samples:   *samples,
 		Seed:      *seed,
-		MinChecks: *minChecks,
+		MinChecks: zkvm.DefaultChecks,
 	})
 	if err != nil {
 		log.Fatalf("SYNC FAILED: %v", err)
@@ -74,7 +69,7 @@ func main() {
 	}
 
 	if rep.UpToDate {
-		fmt.Printf("up to date at epoch %d (%d entries); nothing to verify\n", rep.To.Epoch, rep.To.Count)
+		fmt.Printf("up to date at epoch %d (%d entries): no newer round to verify\n", rep.To.Epoch, rep.To.Count)
 		return
 	}
 	fmt.Printf("SYNC VERIFIED: epoch %d -> %d (%d new entries across %d epochs)\n",

@@ -35,7 +35,7 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 	ctx := context.Background()
-	client := api.New(*serverURL, api.WithTimeout(*timeout), api.WithRetry(2, 250*time.Millisecond))
+	client := api.New(*serverURL, api.WithTimeout(*timeout))
 
 	status, err := client.Status(ctx)
 	if err != nil {

@@ -412,3 +412,39 @@ func TestTamperedServedReceiptCaughtByClientVerifier(t *testing.T) {
 		t.Fatal("corrupted served receipt accepted")
 	}
 }
+
+// TestClientRetriesGets: a GET answered 503, 503, 200 is read in three
+// requests; a POST answered 503 is sent once.
+func TestClientRetriesGets(t *testing.T) {
+	var mu sync.Mutex
+	calls := map[string]int{}
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		calls[r.Method]++
+		n := calls[r.Method]
+		mu.Unlock()
+		if r.Method == http.MethodPost || n < 3 {
+			http.Error(w, "busy", http.StatusServiceUnavailable)
+			return
+		}
+		json.NewEncoder(w).Encode(Status{Rounds: 7})
+	}))
+	t.Cleanup(ts.Close)
+	c := New(ts.URL, WithHTTPClient(ts.Client()))
+	ctx := context.Background()
+	st, err := c.Status(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Rounds != 7 {
+		t.Fatalf("status %+v", st)
+	}
+	if _, _, err := c.Query(ctx, "SELECT COUNT(*) FROM clogs;"); err == nil {
+		t.Fatal("503 query answered")
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if calls[http.MethodGet] != 3 || calls[http.MethodPost] != 1 {
+		t.Fatalf("requests %v, want 3 GETs and 1 POST", calls)
+	}
+}

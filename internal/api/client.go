@@ -24,6 +24,15 @@ const DefaultRequestTimeout = 2 * time.Minute
 // maxReceiptBytes bounds a single downloaded receipt.
 const maxReceiptBytes = 256 << 20
 
+// A failed GET (a transport error or a 5xx response) is retried
+// getRetries more times, the k-th retry after k × getBackoff. POSTs are
+// never retried: the v1 POST surface (query proving) is expensive and
+// not idempotent from the operator's point of view.
+const (
+	getRetries = 2
+	getBackoff = 250 * time.Millisecond
+)
+
 // Client talks to a zkflowd server over the v1 API. Construct with
 // New; the zero value is not usable. Every method takes a context
 // that cancels the underlying request; on top of it each request gets
@@ -33,8 +42,6 @@ type Client struct {
 	base    string
 	http    *http.Client
 	timeout time.Duration
-	retries int
-	backoff time.Duration
 
 	mu        sync.Mutex
 	cache     map[string]cacheEntry // nil unless WithCache
@@ -69,21 +76,6 @@ func WithTimeout(d time.Duration) Option {
 	return func(c *Client) { c.timeout = d }
 }
 
-// WithRetry retries failed GETs (transport errors and 5xx responses)
-// up to n extra times with linear backoff. POSTs are never retried —
-// the v1 POST surface (query proving) is expensive and not
-// idempotent from the operator's point of view.
-func WithRetry(n int, backoff time.Duration) Option {
-	return func(c *Client) {
-		if n > 0 {
-			c.retries = n
-		}
-		if backoff > 0 {
-			c.backoff = backoff
-		}
-	}
-}
-
 // WithCache enables the client-side validation cache: immutable
 // responses are stored with their ETag, revalidated with
 // If-None-Match, and replayed on 304 — the light-client sync path
@@ -99,7 +91,6 @@ func New(base string, opts ...Option) *Client {
 		base:    base,
 		http:    http.DefaultClient,
 		timeout: DefaultRequestTimeout,
-		backoff: 250 * time.Millisecond,
 	}
 	for _, o := range opts {
 		o(c)
@@ -146,12 +137,12 @@ func apiError(path string, resp *http.Response, body []byte) error {
 // the response body.
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
 	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
+	for attempt := 0; attempt <= getRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-ctx.Done():
 				return nil, ctx.Err()
-			case <-time.After(time.Duration(attempt) * c.backoff):
+			case <-time.After(time.Duration(attempt) * getBackoff):
 			}
 		}
 		body, retryable, err := c.getOnce(ctx, path)

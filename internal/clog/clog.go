@@ -13,9 +13,6 @@
 package clog
 
 import (
-	"encoding/binary"
-	"fmt"
-
 	"zkflow/internal/netflow"
 	"zkflow/internal/vmtree"
 )
@@ -34,13 +31,8 @@ type Entry struct {
 	Count     uint32 // number of records merged into this entry
 }
 
-// Entry encoding sizes.
-const (
-	// EntryWords is the guest word count of one entry.
-	EntryWords = netflow.KeyWords + 9
-	// WireBytes is the storage/commitment size of one entry.
-	WireBytes = 4 * EntryWords
-)
+// EntryWords is the guest word count of one entry.
+const EntryWords = netflow.KeyWords + 9
 
 // Merge folds one record into the entry under the canonical policy.
 // The keys must already match.
@@ -68,47 +60,6 @@ func (e *Entry) Words() [EntryWords]uint32 {
 		e.Packets, e.Bytes, e.Dropped, e.HopCount,
 		e.RTTSum, e.RTTMax, e.JitterSum, e.JitterMax, e.Count,
 	}
-}
-
-// FromWords inverts Words.
-func FromWords(w [EntryWords]uint32) Entry {
-	return Entry{
-		Key:       netflow.KeyFromWords([netflow.KeyWords]uint32{w[0], w[1], w[2], w[3]}),
-		Packets:   w[4],
-		Bytes:     w[5],
-		Dropped:   w[6],
-		HopCount:  w[7],
-		RTTSum:    w[8],
-		RTTMax:    w[9],
-		JitterSum: w[10],
-		JitterMax: w[11],
-		Count:     w[12],
-	}
-}
-
-// AppendWire appends the entry's wire encoding to dst.
-func (e *Entry) AppendWire(dst []byte) []byte {
-	w := e.Words()
-	var b [WireBytes]byte
-	for i, v := range w {
-		binary.LittleEndian.PutUint32(b[4*i:], v)
-	}
-	return append(dst, b[:]...)
-}
-
-// Wire returns the entry's wire encoding.
-func (e *Entry) Wire() []byte { return e.AppendWire(nil) }
-
-// DecodeWire parses a wire-encoded entry.
-func DecodeWire(b []byte) (Entry, error) {
-	if len(b) < WireBytes {
-		return Entry{}, fmt.Errorf("clog: entry of %d bytes, want %d", len(b), WireBytes)
-	}
-	var w [EntryWords]uint32
-	for i := range w {
-		w[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	return FromWords(w), nil
 }
 
 // EntriesWords flattens an explicit entry slice (already sorted).

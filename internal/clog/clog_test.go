@@ -2,7 +2,6 @@ package clog
 
 import (
 	"testing"
-	"testing/quick"
 
 	"zkflow/internal/netflow"
 	"zkflow/internal/vmtree"
@@ -45,34 +44,6 @@ func TestMergeAccumulates(t *testing.T) {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	f := func(a, b, cnt uint32) bool {
-		e := Entry{
-			Key:     netflow.FlowKey{SrcIP: a, DstIP: b, SrcPort: uint16(a), DstPort: uint16(b), Proto: 17},
-			Packets: a, Bytes: b, Dropped: a % 7, HopCount: b % 9,
-			RTTSum: a + b, RTTMax: a | b, JitterSum: a ^ b, JitterMax: a & b, Count: cnt,
-		}
-		got, err := DecodeWire(e.Wire())
-		return err == nil && got == e
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestDecodeWireShort(t *testing.T) {
-	if _, err := DecodeWire(make([]byte, WireBytes-1)); err == nil {
-		t.Fatal("short entry accepted")
-	}
-}
-
-func TestWordsRoundTrip(t *testing.T) {
-	e := entryOf(rec(3, 250))
-	if FromWords(e.Words()) != e {
-		t.Fatal("word round trip failed")
-	}
-}
-
 // root is the commitment the aggregation journal carries for entries.
 func root(entries []Entry) vmtree.Digest {
 	return vmtree.RootFromDigests(LeafDigests(entries))
@@ -102,7 +73,7 @@ func TestEmptyCLog(t *testing.T) {
 }
 
 // TestEntriesWordsMatchesWords: the guest's word stream is each entry's
-// words in order, and decodes back to the entries.
+// words in order.
 func TestEntriesWordsMatchesWords(t *testing.T) {
 	var entries []Entry
 	for i := uint32(0); i < 5; i++ {
@@ -113,7 +84,7 @@ func TestEntriesWordsMatchesWords(t *testing.T) {
 		t.Fatal("length mismatch")
 	}
 	for i := range entries {
-		if FromWords([EntryWords]uint32(words[i*EntryWords:])) != entries[i] {
+		if [EntryWords]uint32(words[i*EntryWords:]) != entries[i].Words() {
 			t.Fatalf("entry %d: content mismatch", i)
 		}
 	}

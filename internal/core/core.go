@@ -19,7 +19,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -28,6 +27,7 @@ import (
 	"zkflow/internal/clog"
 	"zkflow/internal/guest"
 	"zkflow/internal/ledger"
+	"zkflow/internal/merkle"
 	"zkflow/internal/obs"
 	"zkflow/internal/query"
 	"zkflow/internal/store"
@@ -256,20 +256,46 @@ func (v *Verifier) Rounds() int {
 	return v.rounds
 }
 
-// VerifyAggregation checks one aggregation receipt and, on success,
-// advances the verifier's trusted root and chain hash.
-func (v *Verifier) VerifyAggregation(receipt zkvm.AnyReceipt) (*guest.AggJournal, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-
+// VerifyRound checks one aggregation receipt on its own: it is bound to
+// the aggregation guest's image, its seal verifies under opts, and
+// every router commitment its journal carries is the one commitment
+// returns for that (router, epoch). Whether the round extends a chain
+// is the caller's check.
+func VerifyRound(receipt zkvm.AnyReceipt, opts zkvm.VerifyOptions, commitment func(router uint32, epoch uint64) (merkle.Hash, error)) (*guest.AggJournal, error) {
 	prog := guest.AggregationProgram()
 	if receipt.Image() != prog.ID() {
 		return nil, fmt.Errorf("%w: aggregation receipt image %v", ErrWrongProgram, receipt.Image())
 	}
-	if err := zkvm.VerifyAny(prog, receipt, v.verifyOpts); err != nil {
+	if err := zkvm.VerifyAny(prog, receipt, opts); err != nil {
 		return nil, err
 	}
 	j, err := guest.ParseAggJournal(receipt.JournalWords())
+	if err != nil {
+		return nil, err
+	}
+	for i, id := range j.RouterIDs {
+		hash, err := commitment(id, uint64(j.Epoch))
+		if err != nil {
+			return nil, fmt.Errorf("%w: router %d epoch %d: %v", ErrCommitmentMismatch, id, j.Epoch, err)
+		}
+		if vmtree.FromBytes(hash) != j.Commitments[i] {
+			return nil, fmt.Errorf("%w: router %d epoch %d", ErrCommitmentMismatch, id, j.Epoch)
+		}
+	}
+	return j, nil
+}
+
+// VerifyAggregation checks one aggregation receipt against the public
+// ledger (VerifyRound) and that it extends the verified chain, and on
+// success advances the verifier's trusted root and chain hash.
+func (v *Verifier) VerifyAggregation(receipt zkvm.AnyReceipt) (*guest.AggJournal, error) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+
+	j, err := VerifyRound(receipt, v.verifyOpts, func(router uint32, epoch uint64) (merkle.Hash, error) {
+		com, err := v.ledger.Lookup(router, epoch)
+		return com.Hash, err
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -279,17 +305,8 @@ func (v *Verifier) VerifyAggregation(receipt zkvm.AnyReceipt) (*guest.AggJournal
 	if j.PrevRoot != v.trustedRoot {
 		return nil, fmt.Errorf("%w: previous root mismatch at round %d", ErrChainBroken, v.rounds)
 	}
-	for i, id := range j.RouterIDs {
-		com, err := v.ledger.Lookup(id, uint64(j.Epoch))
-		if err != nil {
-			return nil, fmt.Errorf("%w: router %d epoch %d: %v", ErrCommitmentMismatch, id, j.Epoch, err)
-		}
-		if vmtree.FromBytes(com.Hash) != j.Commitments[i] {
-			return nil, fmt.Errorf("%w: router %d epoch %d", ErrCommitmentMismatch, id, j.Epoch)
-		}
-	}
 	v.trustedRoot = j.NewRoot
-	v.lastJournalHash = vmtree.FromBytes(sha256.Sum256(receipt.JournalBytes()))
+	v.lastJournalHash = vmtree.HashWords(receipt.JournalWords())
 	v.rounds++
 	return j, nil
 }

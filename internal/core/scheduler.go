@@ -15,8 +15,6 @@
 package core
 
 import (
-	"crypto/sha256"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -100,7 +98,7 @@ func NewScheduler(p *Prover, depth int) (*Scheduler, error) {
 	}
 	if n := len(p.history); n > 0 {
 		last := p.history[n-1]
-		s.specHash = journalHash(last.Receipt.JournalWords())
+		s.specHash = vmtree.HashWords(last.Receipt.JournalWords())
 		s.specRoot = last.Journal.NewRoot
 	}
 	p.mu.Unlock()
@@ -156,7 +154,7 @@ func (s *Scheduler) witnessLoop() {
 			s.pending <- pe
 			continue
 		}
-		s.specEntries, s.specHash, s.specRoot = pe.next, journalHash(pe.journal), pe.parsed.NewRoot
+		s.specEntries, s.specHash, s.specRoot = pe.next, vmtree.HashWords(pe.journal), pe.parsed.NewRoot
 		s.p.met.inflightSeals.Add(1)
 		pe.sealed = make(chan sealOutcome, 1)
 		go func() {
@@ -286,14 +284,4 @@ func (p *Prover) AggregateEpochs(epochs []uint64, depth int) ([]*AggregationResu
 	}
 	s.Close()
 	return results, firstErr
-}
-
-// journalHash is the chain hash of a journal: SHA-256 over the
-// little-endian serialisation of its words (Receipt.JournalBytes).
-func journalHash(words []uint32) vmtree.Digest {
-	b := make([]byte, 4*len(words))
-	for i, w := range words {
-		binary.LittleEndian.PutUint32(b[4*i:], w)
-	}
-	return vmtree.FromBytes(sha256.Sum256(b))
 }

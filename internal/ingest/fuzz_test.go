@@ -11,9 +11,9 @@ import (
 // FuzzDatagram drives arbitrary bytes through the complete ingest
 // path — classify, decode, validate, shard, seal — and checks the
 // accounting invariant: whatever the datagram decoded to, every
-// record is either committed or counted against a drop cause. The
-// decoders have their own codec fuzzers (netflow.FuzzWireCodecs);
-// this target covers the layer above them.
+// record is either committed or counted against a drop cause. It is
+// the fuzzer of the collector's decoders too: every datagram reaches
+// netflow's NetFlow v9 or sFlow decoder through this path.
 func FuzzDatagram(f *testing.F) {
 	g := func(router uint32, n int) []netflow.Record {
 		recs := make([]netflow.Record, n)

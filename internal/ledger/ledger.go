@@ -22,12 +22,13 @@ type Commitment struct {
 	Index  uint64 // position in the ledger
 	Router uint32
 	Epoch  uint64
-	Hash   merkle.Hash // SHA-256 over the router's wire-encoded epoch batch
+	Hash   merkle.Hash // CommitRecords of the router's epoch batch
 }
 
 // CommitRecords computes the canonical commitment hash of an RLog
-// batch: SHA-256 over the concatenated wire encodings. This must match
-// what the aggregation guest recomputes in-VM.
+// batch, H_i = SHA-256(R_i) in the paper: the SHA-256 of
+// netflow.EncodeBatch, which is the digest the aggregation guest's
+// SysHash takes of the batch's words when it recomputes H_i in-VM.
 func CommitRecords(recs []netflow.Record) merkle.Hash {
 	return sha256.Sum256(netflow.EncodeBatch(recs))
 }

@@ -7,6 +7,7 @@ import (
 
 	"zkflow/internal/merkle"
 	"zkflow/internal/netflow"
+	"zkflow/internal/vmtree"
 )
 
 func h(b byte) merkle.Hash {
@@ -151,6 +152,14 @@ func TestCommitRecordsBindsContent(t *testing.T) {
 	}
 	if CommitRecords(nil) == a {
 		t.Fatal("empty batch collides")
+	}
+	// The commitment is the digest the guest's SysHash takes of the
+	// batch's words.
+	recs = append(recs, netflow.Record{Key: netflow.FlowKey{SrcIP: 2, DstPort: 443, Proto: 6}, Bytes: 1 << 31, RouterID: 3})
+	for n := 0; n <= len(recs); n++ {
+		if CommitRecords(recs[:n]) != vmtree.HashWords(netflow.BatchWords(recs[:n])).Bytes() {
+			t.Fatalf("%d records: commitment is not the hash of the batch words", n)
+		}
 	}
 }
 

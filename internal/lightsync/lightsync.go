@@ -1,14 +1,18 @@
 // Package lightsync implements the light-client proof sync protocol:
 // a client that trusts one pinned ledger checkpoint and advances it
-// to the operator's latest head by verifying artifacts — never by
-// trusting claims — while fetching a small fraction of what a full
+// to the operator's newest proved epoch by verifying artifacts — never
+// by trusting claims — while fetching a small fraction of what a full
 // audit downloads.
 //
 // The trust topology, per sync:
 //
 //  1. Fetch the latest checkpoint. Refuse any whose entry count
 //     regresses the pinned one, and any whose Merkle frontier is
-//     malformed for its count.
+//     malformed for its count. Then fetch the sync hints once. The new
+//     checkpoint is that of the newest epoch past the pin with a served
+//     round: the head, or an earlier one while the head's epoch is
+//     still being proved. With no such round the pin stays where it is
+//     and nothing is verified.
 //  2. Fetch only the ledger entries beyond the pinned count and run
 //     ledger.VerifyExtension: the delta's indices must continue the
 //     pinned count, and appending its leaves to the pinned frontier
@@ -16,9 +20,9 @@
 //     new checkpoint is exactly as trustworthy as the pinned one.
 //  3. Sample a few aggregation rounds among the newly covered epochs
 //     (client-side randomness; the server's sync hints only say what
-//     exists) and verify each receipt from scratch: guest image,
-//     proof seal, and the journal's router commitments against the
-//     delta entries step 2 verified.
+//     exists) and verify each receipt from scratch with
+//     core.VerifyRound: guest image, proof seal, and the journal's
+//     router commitments against the delta entries step 2 verified.
 //  4. Spot-check the server's inclusion-proof surface for one sampled
 //     epoch against the new checkpoint.
 //
@@ -37,11 +41,10 @@ import (
 	mrand "math/rand"
 
 	"zkflow/internal/api"
-	"zkflow/internal/guest"
+	"zkflow/internal/core"
 	"zkflow/internal/ledger"
 	"zkflow/internal/merkle"
 	"zkflow/internal/obs"
-	"zkflow/internal/vmtree"
 	"zkflow/internal/zkvm"
 )
 
@@ -119,7 +122,7 @@ type Report struct {
 	ProofsChecked int      // inclusion proofs verified in step 4
 	Bytes         uint64   // response bytes this sync read off the wire
 	CacheHits     uint64   // requests satisfied by 304 revalidation
-	UpToDate      bool     // the pin already matched the operator head
+	UpToDate      bool     // the pin did not move: no round past it is served
 }
 
 // entryKey addresses one verified commitment.
@@ -137,11 +140,14 @@ func Sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
+	bytes0, hits0 := c.BytesRead(), c.CacheHits()
 	rep, err := sync(ctx, c, st, opts)
 	if err != nil {
 		reg.Counter("lightsync.sync_failures").Inc()
 		return nil, err
 	}
+	rep.Bytes = c.BytesRead() - bytes0
+	rep.CacheHits = c.CacheHits() - hits0
 	reg.Counter("lightsync.entries_verified").Add(uint64(rep.NewEntries))
 	reg.Counter("lightsync.epochs_synced").Add(uint64(len(rep.NewEpochs)))
 	reg.Counter("lightsync.receipts_verified").Add(uint64(len(rep.SampledRounds)))
@@ -153,10 +159,13 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 	if err := st.Check(); err != nil {
 		return nil, err
 	}
-	bytes0, hits0 := c.BytesRead(), c.CacheHits()
 	from := st.Checkpoint
+	rep := &Report{From: from, To: from, UpToDate: true}
 
-	// Step 1: the operator's head.
+	// Step 1: the operator's head, and the newest epoch up to it that
+	// has a served round. The head may be sealed before its epoch is
+	// proved; pinning past the newest round would skip it for good,
+	// because later syncs only ask for rounds past the pin.
 	cps, err := c.Checkpoints(ctx)
 	if err != nil {
 		return nil, err
@@ -164,17 +173,42 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 	if cps.Latest == nil {
 		return nil, ErrNoCheckpoint
 	}
-	to := *cps.Latest
+	head := *cps.Latest
 	switch {
-	case to.Count < from.Count:
-		return nil, fmt.Errorf("%w: pinned %d entries, served %d", ErrRegression, from.Count, to.Count)
-	case to.Count == from.Count:
-		if to.Digest() != from.Digest() {
-			return nil, fmt.Errorf("%w: same count %d, different digest", ErrEquivocation, to.Count)
+	case head.Count < from.Count:
+		return nil, fmt.Errorf("%w: pinned %d entries, served %d", ErrRegression, from.Count, head.Count)
+	case head.Count == from.Count:
+		if head.Digest() != from.Digest() {
+			return nil, fmt.Errorf("%w: same count %d, different digest", ErrEquivocation, head.Count)
+		}
+		return rep, nil
+	}
+	if err := head.Validate(); err != nil {
+		return nil, err
+	}
+	hints, err := c.SyncHints(ctx, int64(from.Epoch))
+	if err != nil {
+		return nil, err
+	}
+	var candidates []api.ReceiptHint
+	newest := from.Epoch
+	for _, h := range hints.Receipts {
+		if h.Epoch > from.Epoch && h.Epoch <= head.Epoch {
+			candidates = append(candidates, h)
+			newest = max(newest, h.Epoch)
 		}
 	}
-	if err := to.Validate(); err != nil {
-		return nil, err
+	if len(candidates) == 0 {
+		return rep, nil
+	}
+	to := head
+	if newest < head.Epoch {
+		if to, err = c.CheckpointByEpoch(ctx, newest); err != nil {
+			return nil, err
+		}
+		if to.Epoch != newest {
+			return nil, fmt.Errorf("lightsync: asked for the checkpoint of epoch %d, served epoch %d", newest, to.Epoch)
+		}
 	}
 
 	// Step 2: delta fetch + extension verification.
@@ -185,7 +219,7 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 	if err := ledger.VerifyExtension(from, delta, to); err != nil {
 		return nil, err
 	}
-	rep := &Report{From: from, To: to, NewEntries: len(delta), UpToDate: len(delta) == 0 && to.Epoch == from.Epoch}
+	rep.To, rep.NewEntries, rep.UpToDate = to, len(delta), false
 	verified := make(map[entryKey]merkle.Hash, len(delta))
 	epochSeen := make(map[uint64]bool)
 	for _, e := range delta {
@@ -196,93 +230,59 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 		}
 	}
 
-	// Step 3: sampled receipt verification over the newly covered
-	// epochs. Hints are operator claims; the sample choice is ours.
-	if len(rep.NewEpochs) > 0 {
-		hints, err := c.SyncHints(ctx, int64(from.Epoch))
-		if err != nil {
+	// Step 3: sampled receipt verification over the rounds of the newly
+	// covered epochs. Hints are operator claims; the sample choice is
+	// ours.
+	n := opts.Samples
+	if n <= 0 {
+		// The suggestion is an operator claim: it may not turn
+		// receipt checking off.
+		n = max(hints.SuggestedSamples, 1)
+	}
+	n = min(n, len(candidates))
+	rng := mrand.New(mrand.NewSource(seed(opts.Seed)))
+	rng.Shuffle(len(candidates), func(i, j int) {
+		candidates[i], candidates[j] = candidates[j], candidates[i]
+	})
+	for _, h := range candidates[:n] {
+		if err := verifyRound(ctx, c, h, verified, opts); err != nil {
 			return nil, err
 		}
-		var candidates []api.ReceiptHint
-		for _, h := range hints.Receipts {
-			if epochSeen[h.Epoch] {
-				candidates = append(candidates, h)
-			}
-		}
-		n := opts.Samples
-		if n <= 0 {
-			// The suggestion is an operator claim: it may not turn
-			// receipt checking off.
-			n = max(hints.SuggestedSamples, 1)
-		}
-		if n > len(candidates) {
-			n = len(candidates)
-		}
-		rng := mrand.New(mrand.NewSource(seed(opts.Seed)))
-		rng.Shuffle(len(candidates), func(i, j int) {
-			candidates[i], candidates[j] = candidates[j], candidates[i]
-		})
-		for _, h := range candidates[:n] {
-			if err := verifyRound(ctx, c, h, verified, opts); err != nil {
-				return nil, err
-			}
-			rep.SampledRounds = append(rep.SampledRounds, h.Round)
-		}
+		rep.SampledRounds = append(rep.SampledRounds, h.Round)
+	}
 
-		// Step 4: inclusion-proof spot check against the new head, on
-		// the first sampled epoch (or the first new epoch when receipt
-		// sampling came up empty).
-		epoch := rep.NewEpochs[0]
-		if len(rep.SampledRounds) > 0 {
-			epoch = candidates[0].Epoch
-		}
-		checked, err := spotCheckProofs(ctx, c, to, epoch, verified)
-		if err != nil {
-			return nil, err
-		}
-		rep.ProofsChecked = checked
+	// Step 4: inclusion-proof spot check against the new pin, on the
+	// first sampled epoch.
+	if rep.ProofsChecked, err = spotCheckProofs(ctx, c, to, candidates[0].Epoch, verified); err != nil {
+		return nil, err
 	}
 
 	// All verification passed: advance the pin.
 	st.Checkpoint = to
 	st.Digest = to.Digest()
-	rep.Bytes = c.BytesRead() - bytes0
-	rep.CacheHits = c.CacheHits() - hits0
 	return rep, nil
 }
 
 // verifyRound fetches and fully re-verifies one sampled aggregation
-// round: guest image, proof seal, and the journal's commitments
-// against the verified ledger entries.
+// round with core.VerifyRound, against the verified ledger delta, and
+// checks that it proves the epoch its hint named.
 func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified map[entryKey]merkle.Hash, opts Options) error {
 	receipt, err := c.AggregationReceipt(ctx, h.Round)
 	if err != nil {
-		return fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
+		return fmt.Errorf("%w: round %d: %w", ErrReceipt, h.Round, err)
 	}
-	prog := guest.AggregationProgram()
-	if receipt.Image() != prog.ID() {
-		return fmt.Errorf("%w: round %d bound to image %v", ErrReceipt, h.Round, receipt.Image())
-	}
-	if err := zkvm.Verify(prog, receipt, zkvm.VerifyOptions{MinChecks: opts.MinChecks}); err != nil {
-		return fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
-	}
-	j, err := guest.ParseAggJournal(receipt.JournalWords())
+	j, err := core.VerifyRound(receipt, zkvm.VerifyOptions{MinChecks: opts.MinChecks}, func(router uint32, epoch uint64) (merkle.Hash, error) {
+		hash, ok := verified[entryKey{router, epoch}]
+		if !ok {
+			return merkle.Hash{}, errors.New("not in the verified delta")
+		}
+		return hash, nil
+	})
 	if err != nil {
-		return fmt.Errorf("%w: round %d: %v", ErrReceipt, h.Round, err)
+		return fmt.Errorf("%w: round %d: %w", ErrReceipt, h.Round, err)
 	}
 	if uint64(j.Epoch) != h.Epoch {
 		return fmt.Errorf("%w: round %d proves epoch %d, hint said %d", ErrReceipt, h.Round, j.Epoch, h.Epoch)
-	}
-	// Every router commitment the guest consumed must be the one the
-	// extension authenticated for that (router, epoch).
-	for i, id := range j.RouterIDs {
-		hash, ok := verified[entryKey{id, uint64(j.Epoch)}]
-		if !ok {
-			return fmt.Errorf("%w: round %d: router %d epoch %d not in the verified delta", ErrReceipt, h.Round, id, j.Epoch)
-		}
-		if vmtree.FromBytes(hash) != j.Commitments[i] {
-			return fmt.Errorf("%w: round %d: router %d epoch %d commitment mismatch", ErrReceipt, h.Round, id, j.Epoch)
-		}
 	}
 	return nil
 }

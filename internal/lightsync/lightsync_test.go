@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -289,9 +290,53 @@ func TestSyncRejectsTamperedReceipt(t *testing.T) {
 		if !errors.Is(err, ErrReceipt) {
 			t.Fatalf("byte %d flipped: got %v", at, err)
 		}
-		if at == 8 && !strings.Contains(err.Error(), "bound to image") {
+		if at == 8 && !errors.Is(err, core.ErrWrongProgram) {
 			t.Fatalf("image ID flipped: refused for another reason: %v", err)
 		}
+	}
+}
+
+// TestSyncWaitsForUnprovedEpoch: the operator seals an epoch's
+// checkpoint before it proves the epoch. A sync in that window pins the
+// newest epoch that has a round, so the next sync still samples the
+// round once it is served; a sync with no new round leaves the pin and
+// verifies nothing.
+func TestSyncWaitsForUnprovedEpoch(t *testing.T) {
+	op := newOperator(t)
+	op.advance(t, 2)
+	st := op.pinAt(t, 0)
+	c := op.client()
+	// Epoch 2 is collected and checkpointed, not yet proved.
+	if _, err := op.sim.RunEpoch(context.Background(), 2, 8); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Sync(context.Background(), c, st, Options{Samples: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Checkpoint.Epoch != 1 || !slices.Equal(rep.SampledRounds, []int{1}) {
+		t.Fatalf("pinned epoch %d having sampled %v, want epoch 1 and [1]", st.Checkpoint.Epoch, rep.SampledRounds)
+	}
+	rep, err = Sync(context.Background(), c, st, Options{Samples: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.UpToDate || st.Checkpoint.Epoch != 1 || len(rep.SampledRounds) != 0 {
+		t.Fatalf("no new round: pinned epoch %d, report %+v", st.Checkpoint.Epoch, rep)
+	}
+	res, err := op.prover.AggregateEpoch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := op.srv.AddAggregationResult(res); err != nil {
+		t.Fatal(err)
+	}
+	rep, err = Sync(context.Background(), c, st, Options{Samples: 100, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Checkpoint.Epoch != 2 || !slices.Equal(rep.SampledRounds, []int{2}) {
+		t.Fatalf("pinned epoch %d having sampled %v, want epoch 2 and [2]", st.Checkpoint.Epoch, rep.SampledRounds)
 	}
 }
 

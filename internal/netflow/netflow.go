@@ -1,14 +1,14 @@
 // Package netflow models NetFlow telemetry records — the RLogs of the
-// paper — and their encodings: a fixed-size wire format used for
-// storage and hash commitments, a uint32 word format consumed by zkVM
-// guests, and a simplified NetFlow-v9-style export packet format
-// (header + template flowset + data flowset) for interoperability
-// with collectors.
+// paper — and their encodings. A record's one internal encoding is the
+// uint32 words zkVM guests consume (Words, BatchWords); a router's
+// commitment hashes those words packed little-endian (EncodeBatch). The
+// export formats a collector receives, NetFlow v9 (v9.go,
+// v9template.go) and sFlow (sflow.go), have their own encoders and
+// decoders.
 package netflow
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net/netip"
 )
@@ -111,50 +111,8 @@ type Record struct {
 	RouterID     uint32
 }
 
-// Record encoding sizes.
-const (
-	// WireBytes is the fixed wire/storage size of one record.
-	WireBytes = 52
-	// RecordWords is the guest word count of one record.
-	RecordWords = WireBytes / 4
-)
-
-// ErrShortRecord reports a truncated wire record.
-var ErrShortRecord = errors.New("netflow: short record")
-
-// ErrBadProtoWord reports a record whose proto word has bits set
-// above the low byte. Proto is a uint8; accepting such a record
-// would silently drop the high bits on re-encode, breaking the
-// canonical-encoding property the commitments rely on.
-var ErrBadProtoWord = errors.New("netflow: proto word exceeds one byte")
-
-// AppendWire appends the record's wire encoding to dst.
-func (r *Record) AppendWire(dst []byte) []byte {
-	var b [WireBytes]byte
-	w := r.Words()
-	for i, v := range w {
-		binary.LittleEndian.PutUint32(b[4*i:], v)
-	}
-	return append(dst, b[:]...)
-}
-
-// Wire returns the record's wire encoding.
-func (r *Record) Wire() []byte { return r.AppendWire(nil) }
-
-// DecodeWire parses a wire-encoded record.
-func DecodeWire(b []byte) (Record, error) {
-	if len(b) < WireBytes {
-		return Record{}, ErrShortRecord
-	}
-	var w [RecordWords]uint32
-	for i := range w {
-		w[i] = binary.LittleEndian.Uint32(b[4*i:])
-	}
-	if w[3]>>8 != 0 {
-		return Record{}, ErrBadProtoWord
-	}
-	return FromWords(w), nil
-}
+// RecordWords is the guest word count of one record.
+const RecordWords = 13
 
 // Words returns the guest encoding: key words then counters.
 func (r *Record) Words() [RecordWords]uint32 {
@@ -167,46 +125,17 @@ func (r *Record) Words() [RecordWords]uint32 {
 	}
 }
 
-// FromWords inverts Words.
-func FromWords(w [RecordWords]uint32) Record {
-	return Record{
-		Key:          KeyFromWords([KeyWords]uint32{w[0], w[1], w[2], w[3]}),
-		Packets:      w[4],
-		Bytes:        w[5],
-		Dropped:      w[6],
-		HopCount:     w[7],
-		RTTMicros:    w[8],
-		JitterMicros: w[9],
-		StartUnix:    w[10],
-		EndUnix:      w[11],
-		RouterID:     w[12],
-	}
-}
-
-// EncodeBatch concatenates the wire encodings of records; this byte
-// string is what routers hash when publishing commitments.
+// EncodeBatch packs each record's Words little-endian into one buffer.
+// These are the bytes the guest's SysHash absorbs when it recomputes a
+// router's commitment, so they are the one commitment preimage.
 func EncodeBatch(records []Record) []byte {
-	out := make([]byte, 0, len(records)*WireBytes)
+	out := make([]byte, 0, 4*RecordWords*len(records))
 	for i := range records {
-		out = records[i].AppendWire(out)
+		for _, w := range records[i].Words() {
+			out = binary.LittleEndian.AppendUint32(out, w)
+		}
 	}
 	return out
-}
-
-// DecodeBatch inverts EncodeBatch.
-func DecodeBatch(data []byte) ([]Record, error) {
-	if len(data)%WireBytes != 0 {
-		return nil, fmt.Errorf("netflow: batch of %d bytes is not a record multiple", len(data))
-	}
-	out := make([]Record, 0, len(data)/WireBytes)
-	for off := 0; off < len(data); off += WireBytes {
-		r, err := DecodeWire(data[off:])
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }
 
 // BatchWords flattens records into the guest word stream.

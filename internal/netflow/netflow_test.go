@@ -50,63 +50,13 @@ func TestKeyLessIsStrictOrder(t *testing.T) {
 	}
 }
 
-func TestWireRoundTrip(t *testing.T) {
-	r := sampleRecord(42)
-	got, err := DecodeWire(r.Wire())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != r {
-		t.Fatalf("round trip: %+v != %+v", got, r)
-	}
-}
-
-func TestWireShort(t *testing.T) {
-	if _, err := DecodeWire(make([]byte, WireBytes-1)); err != ErrShortRecord {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestWordsRoundTrip(t *testing.T) {
-	r := sampleRecord(7)
-	if FromWords(r.Words()) != r {
-		t.Fatal("word round trip failed")
-	}
-}
-
-func TestBatchRoundTrip(t *testing.T) {
-	recs := make([]Record, 20)
-	for i := range recs {
-		recs[i] = sampleRecord(uint32(i))
-	}
-	enc := EncodeBatch(recs)
-	if len(enc) != 20*WireBytes {
-		t.Fatalf("batch size %d", len(enc))
-	}
-	dec, err := DecodeBatch(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range recs {
-		if dec[i] != recs[i] {
-			t.Fatalf("record %d mismatch", i)
-		}
-	}
-}
-
-func TestBatchRejectsRagged(t *testing.T) {
-	if _, err := DecodeBatch(make([]byte, WireBytes+1)); err == nil {
-		t.Fatal("ragged batch accepted")
-	}
-}
-
 func TestBatchWordsLayout(t *testing.T) {
 	recs := []Record{sampleRecord(1), sampleRecord(2)}
 	words := BatchWords(recs)
 	if len(words) != 2*RecordWords {
 		t.Fatalf("word count %d", len(words))
 	}
-	if FromWords([RecordWords]uint32(words[RecordWords:])) != recs[1] {
+	if [RecordWords]uint32(words[RecordWords:]) != recs[1].Words() {
 		t.Fatal("second record words wrong")
 	}
 }

@@ -77,8 +77,6 @@ type AnyReceipt interface {
 	ExitStatus() uint32
 	// JournalWords returns the public journal.
 	JournalWords() []uint32
-	// JournalBytes serialises the journal little-endian.
-	JournalBytes() []byte
 	// SealSize returns the proof size in bytes.
 	SealSize() int
 	// Size returns the full encoded receipt size in bytes.
@@ -111,10 +109,6 @@ func (r *Receipt) JournalWords() []uint32 {
 	}
 	return out
 }
-
-// JournalBytes serialises the journal words little-endian; this is the
-// byte string other protocols (aggregation chaining) hash.
-func (r *Receipt) JournalBytes() []byte { return wordsToBytes(r.JournalWords()) }
 
 // sealSize is the segment's proof size: the seal, the continuation
 // checks, both boundary states and the journal slice.
