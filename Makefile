@@ -60,8 +60,10 @@ purego:
 # length, one lane and two, kernel on and off), plus what a light client
 # reads of the ledger (served checkpoints, entry delta, inclusion proof:
 # every check returns promptly, and an accepted extension is the honest
-# checkpoint).
-# `go test -fuzz` takes one target per invocation, so this is fourteen
+# checkpoint), plus the grand product (arbitrary logs and challenges:
+# both product columns and the verifier's fingerprint equal a longhand
+# serial reference).
+# `go test -fuzz` takes one target per invocation, so this is fifteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
@@ -71,6 +73,7 @@ fuzz:
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzUnmarshalReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzVerifyMutatedReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzSortedMemLog -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzGrandProduct -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExecuteMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExpandExecLeaf -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/guest -run='^$$' -fuzz=FuzzAggregationMatchesReference -fuzztime=$(FUZZTIME)

@@ -82,6 +82,11 @@ func Mul(a, b Elem) Elem {
 	return Elem(reduce128(hi, lo))
 }
 
+// Reduce128 returns the 128-bit value hi·2^64 + lo mod p, so a sum of
+// products accumulated in 128 bits (each below 2^96, say, when one
+// factor fits 32 bits) costs one reduction instead of one per term.
+func Reduce128(hi, lo uint64) Elem { return Elem(reduce128(hi, lo)) }
+
 // Square returns a^2 mod p.
 func Square(a Elem) Elem { return Mul(a, a) }
 

@@ -1,6 +1,7 @@
 package field
 
 import (
+	"math/big"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -89,6 +90,28 @@ func TestMulKnownVectors(t *testing.T) {
 		if got := Mul(New(c.a), New(c.b)); uint64(got) != c.want {
 			t.Errorf("Mul(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
 		}
+	}
+}
+
+// TestReduce128MatchesBig checks Reduce128 against big-integer
+// reduction over the whole 128-bit range, extremes included.
+func TestReduce128MatchesBig(t *testing.T) {
+	p := new(big.Int).SetUint64(Modulus)
+	check := func(hi, lo uint64) bool {
+		x := new(big.Int).Lsh(new(big.Int).SetUint64(hi), 64)
+		x.Or(x, new(big.Int).SetUint64(lo))
+		return uint64(Reduce128(hi, lo)) == x.Mod(x, p).Uint64()
+	}
+	edges := []uint64{0, 1, 0xffffffff, 1 << 32, Modulus - 1, Modulus, ^uint64(0)}
+	for _, hi := range edges {
+		for _, lo := range edges {
+			if !check(hi, lo) {
+				t.Fatalf("Reduce128(%#x, %#x) = %d", hi, lo, Reduce128(hi, lo))
+			}
+		}
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 

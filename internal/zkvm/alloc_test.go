@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"sync"
 	"testing"
+	"time"
 
 	"zkflow/internal/field"
 	"zkflow/internal/merkle"
@@ -55,7 +56,7 @@ func TestCommitTablesConstantAllocs(t *testing.T) {
 	}{{4096, &small}, {1 << 15, &large}} {
 		tab := execTable(seed, c.n)
 		*c.allocs = testing.AllocsPerRun(5, func() {
-			commitTables(1, tab)
+			commitTables(1, nil, tab)
 			tab.tree.Release()
 		})
 	}
@@ -145,7 +146,7 @@ func TestCommitTablesMatchUnfused(t *testing.T) {
 		for _, tab := range shapeTables(seed, 4099) {
 			tabs = append(tabs, tab)
 		}
-		commitTables(width, tabs...)
+		commitTables(width, nil, tabs...)
 		for _, tab := range tabs {
 			if got, want := tab.tree.Len(), (tab.n+leafRecords-1)/leafRecords; got != want {
 				t.Fatalf("width %d, %d records: %d leaves, want %d", width, tab.n, got, want)
@@ -164,6 +165,35 @@ func TestCommitTablesMatchUnfused(t *testing.T) {
 			tab.tree.Release()
 		}
 	}
+}
+
+// TestCommitTablesLeadTask pins the lead task's hand-off: a table
+// whose records the lead task supplies, its blocks waiting on ready,
+// commits to the same tree as those records present from the start, at
+// every width and beside a table that does not wait. The lead sleeps
+// first, so at width > 1 the other workers reach the waiting blocks
+// before the records are there.
+func TestCommitTablesLeadTask(t *testing.T) {
+	seed := &[32]byte{42}
+	mem := shapeTables(seed, 40_000)["mem"]
+	commitTables(1, nil, mem)
+	want := mem.tree.Root()
+	for _, width := range []int{1, 2, 3, 7} {
+		ready := make(chan struct{})
+		late := salted(&table{salts: mem.salts, label: mem.label, n: mem.n, recBytes: memBytes, ready: ready})
+		exec := execTable(seed, 20_000)
+		commitTables(width, func() {
+			time.Sleep(time.Millisecond)
+			late.mem = mem.mem
+			close(ready)
+		}, exec, late)
+		if got := late.tree.Root(); got != want {
+			t.Fatalf("width %d: the table filled by the lead task commits to a different root", width)
+		}
+		late.release()
+		exec.release()
+	}
+	mem.release()
 }
 
 // sha256Blocks is the number of compression-function calls SHA-256

@@ -34,7 +34,7 @@ type leafShape struct {
 func leafShapes(t *testing.T, n int) []*leafShape {
 	t.Helper()
 	exec, mem := execTable(&[32]byte{3}, n), shapeTables(&[32]byte{3}, n)["mem"]
-	commitTables(1, exec, mem)
+	commitTables(1, nil, exec, mem)
 	t.Cleanup(exec.tree.Release)
 	t.Cleanup(mem.tree.Release)
 	execCol := column{root: exec.tree.Root(), n: n, recBytes: rowBytes, witnessed: true}

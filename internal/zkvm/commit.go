@@ -96,6 +96,7 @@ type table struct {
 	prods []field.Elem // treeProdProg, treeProdSort
 	img   []imagePair  // treeBoundary
 
+	ready     <-chan struct{} // if set, closed once the records are in place
 	builder   *merkle.Builder // while commitTables runs
 	firstTask int             // of this table's blocks in the crew's task list
 	tree      *merkle.Tree
@@ -168,15 +169,31 @@ func (t *table) encodeLeaf(j int, dst []byte) int {
 // small ones and no worker idles while another reduces a tree alone;
 // only the levels above the block roots are hashed serially. Tasks
 // write disjoint arena ranges, so the trees are the same at any width.
-func commitTables(width int, tabs ...*table) {
+//
+// lead, when non-nil, is task 0: work the crew runs beside the blocks,
+// such as producing the records of a table whose ready channel it
+// closes. Tasks are claimed in ascending order, so a block that waits
+// on ready is only ever claimed after lead, which is already running
+// (at width 1, already done): the wait cannot deadlock.
+func commitTables(width int, lead func(), tabs ...*table) {
 	tasks := 0
+	if lead != nil {
+		tasks = 1
+	}
 	for _, t := range tabs {
 		t.builder = merkle.NewBuilder(t.leaves())
 		t.firstTask = tasks
 		tasks += t.builder.Blocks()
 	}
 	par.Each(width, tasks, func(k int) {
+		if lead != nil && k == 0 {
+			lead()
+			return
+		}
 		t := tabs[sort.Search(len(tabs), func(i int) bool { return tabs[i].firstTask > k })-1]
+		if t.ready != nil {
+			<-t.ready
+		}
 		t.commitBlock(k - t.firstTask)
 	})
 	for _, t := range tabs {
@@ -256,17 +273,23 @@ type sealTables struct {
 // the two phases. The caller has absorbed its public statement into tr
 // and releases the tables once its openings are done.
 func commitTrace(ex *Execution, salts salter, width int, obs StageObserver, tr *transcript.Transcript, s *Seal) *sealTables {
-	sortDone := stageTimer(obs, StageMemSort)
-	sorted := sortedMemLog(ex.MemLog)
-	sortDone()
-
+	// The address sort is the phase-1 crew's lead task: the exec and
+	// program-order blocks are claimed around it, and the address-order
+	// table, the log's length with no records yet, commits last, its
+	// blocks waiting for the sort.
 	commitDone := stageTimer(obs, StageMerkleCommit)
-	c := &sealTables{ex: ex, sorted: sorted,
+	sorted := make(chan struct{})
+	c := &sealTables{ex: ex,
 		exec:    rowTable(salts, ex.Program, ex.Rows),
 		memProg: memTable(salts, treeMemProg, ex.MemLog),
-		memSort: memTable(salts, treeMemSort, sorted),
+		memSort: salted(&table{salts: salts, label: treeMemSort, n: len(ex.MemLog), recBytes: memBytes, ready: sorted}),
 	}
-	commitTables(width, c.exec, c.memProg, c.memSort)
+	commitTables(width, func() {
+		defer stageTimer(obs, StageMemSort)()
+		c.sorted = sortedMemLog(ex.MemLog)
+		c.memSort.mem = c.sorted
+		close(sorted)
+	}, c.exec, c.memProg, c.memSort)
 	commitDone()
 	s.ExecRoot = c.exec.tree.Root()
 	s.MemProgRoot = c.memProg.tree.Root()
@@ -278,17 +301,12 @@ func commitTrace(ex *Execution, salts salter, width int, obs StageObserver, tr *
 	gamma := tr.ChallengeElem("gamma")
 
 	// The product columns are kept as field elements (8 bytes/row) for
-	// the openings. The two scans are independent, so they share the
-	// width; their trees then commit on one crew.
+	// the openings; their trees commit on one crew.
 	prodDone := stageTimer(obs, StageGrandProduct)
-	logs := [2][]MemEntry{ex.MemLog, sorted}
-	var prods [2][]field.Elem
-	par.Each(width, 2, func(i int) {
-		prods[i] = runningProducts(logs[i], alpha, gamma, max(1, width/2))
-	})
-	c.prodProg = prodTable(salts, treeProdProg, prods[0])
-	c.prodSort = prodTable(salts, treeProdSort, prods[1])
-	commitTables(width, c.prodProg, c.prodSort)
+	prodProg, prodSort := productColumns(ex.MemLog, c.sorted, alpha, gamma, width)
+	c.prodProg = prodTable(salts, treeProdProg, prodProg)
+	c.prodSort = prodTable(salts, treeProdSort, prodSort)
+	commitTables(width, nil, c.prodProg, c.prodSort)
 	prodDone()
 	s.ProdProgRoot = c.prodProg.tree.Root()
 	s.ProdSortRoot = c.prodSort.tree.Root()
@@ -342,6 +360,8 @@ func (c *sealTables) openChecks(tr *transcript.Transcript, checks int, s *Seal) 
 // roots and openings — was copied out of them.
 func (c *sealTables) release() {
 	putMemSlab(c.sorted)
+	putProdSlab(c.prodProg.prods)
+	putProdSlab(c.prodSort.prods)
 	for _, t := range []*table{c.exec, c.memProg, c.memSort, c.prodProg, c.prodSort} {
 		t.release()
 	}

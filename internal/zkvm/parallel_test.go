@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
-
-	"zkflow/internal/field"
 )
 
 // parallelTestExecution builds a guest with a non-trivial trace —
@@ -95,30 +93,5 @@ func TestParallelProveVerifies(t *testing.T) {
 	}
 	if err := Verify(ex.Program, r, VerifyOptions{}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunningProductsParallelScan checks the three-phase prefix scan
-// against the serial scan on widths that exercise uneven chunks.
-func TestRunningProductsParallelScan(t *testing.T) {
-	log := make([]MemEntry, 1037)
-	for i := range log {
-		log[i] = MemEntry{
-			Addr:    uint32(i % 61),
-			Val:     uint32(i * 7),
-			Seq:     uint32(i),
-			Step:    uint32(i * 3),
-			IsWrite: i%3 == 0,
-		}
-	}
-	alpha, gamma := field.New(12345), field.New(987654321)
-	want := runningProducts(log, alpha, gamma, 1)
-	for _, w := range []int{2, 3, 5, 16, 1024} {
-		got := runningProducts(log, alpha, gamma, w)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers %d: product[%d] = %v, want %v", w, i, got[i], want[i])
-			}
-		}
 	}
 }

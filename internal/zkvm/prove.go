@@ -63,10 +63,13 @@ func ProveAny(prog *Program, input []uint32, opts ProveOptions) (AnyReceipt, err
 // ProveSeeded executes the guest and proves the run, under a
 // caller-supplied salt seed, as a chain of segments of
 // opts.SegmentCycles steps each (one segment when it is zero). A crew
-// claims the segments by index, each sealed under its own derived
-// sub-seed with an even share of the width, so the receipt is
-// byte-deterministic: the same program, input, options and seed produce
-// the same receipt at any width and in any process, which is what lets
+// claims the segments by index, at most par.Workers() sealing at once,
+// and each is sealed under its own derived sub-seed on a crew of its
+// own that is par.Workers() wide too: the last segments to start still
+// keep every core busy, and the Go scheduler interleaves the crews
+// while they overlap. The receipt is byte-deterministic: the same
+// program, input, options and seed produce the same receipt at any
+// width and in any process, which is what lets
 // a prover farm split one run across workers. A run that traps, runs
 // out of DefaultMaxSteps, or halts with a nonzero exit code returns an
 // error and no receipt: tampered telemetry cannot be proven.
@@ -76,11 +79,11 @@ func ProveSeeded(prog *Program, input []uint32, opts ProveOptions, seed [32]byte
 		return nil, err
 	}
 	defer run.Release()
-	n, width := run.Segments(), par.Workers()
+	n := run.Segments()
 	receipts := make([]*SegmentReceipt, n)
 	errs := make([]error, n)
-	par.Each(width, n, func(i int) {
-		receipts[i], errs[i] = run.proveSegment(i, max(1, width/n))
+	par.Each(par.Workers(), n, func(i int) {
+		receipts[i], errs[i] = run.proveSegment(i)
 	})
 	for _, e := range errs {
 		if e != nil {

@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-
-	"zkflow/internal/par"
 )
 
 // sumProgram builds a guest that reads n input words, stores them to
@@ -173,7 +171,7 @@ func TestGuestAbortRefusesToProve(t *testing.T) {
 func proveExecutionSeeded(ex *Execution, opts ProveOptions, seed *[32]byte) (*Receipt, error) {
 	sub := deriveSubSeed(seed, "seg", 0)
 	seg := &segmentExecution{ex: ex, final: true, entry: GenesisState()}
-	sr, err := proveSegmentSeeded(seg, opts, &sub, nil, nil, par.Workers())
+	sr, err := proveSegmentSeeded(seg, opts, &sub, nil, nil)
 	if err != nil {
 		return nil, err
 	}

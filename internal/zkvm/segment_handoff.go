@@ -101,7 +101,7 @@ func commitBoundaries(segs []*segmentExecution, opts ProveOptions, seed [32]byte
 		sub := deriveSubSeed(&seed, "bnd", k)
 		r.bnd[k] = imageTable(newSalter(&sub), segs[k].entryImg)
 	}
-	commitTables(par.Workers(), r.bnd[1:len(segs)]...)
+	commitTables(par.Workers(), nil, r.bnd[1:len(segs)]...)
 	for k := 1; k < len(segs); k++ {
 		root := r.bnd[k].tree.Root()
 		segs[k].entry.MemRoot = root
@@ -122,13 +122,13 @@ func (r *SegmentRun) ProveSegment(index int) (*SegmentReceipt, error) {
 	if index < 0 || index >= len(r.segs) {
 		return nil, fmt.Errorf("zkvm: segment index %d out of range [0,%d)", index, len(r.segs))
 	}
-	return r.proveSegment(index, par.Workers())
+	return r.proveSegment(index)
 }
 
-// proveSegment seals segment index on a crew of width workers.
-func (r *SegmentRun) proveSegment(index, width int) (*SegmentReceipt, error) {
+// proveSegment seals segment index under its sub-seed.
+func (r *SegmentRun) proveSegment(index int) (*SegmentReceipt, error) {
 	segSeed := deriveSubSeed(&r.seed, "seg", index)
-	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed, r.bnd[index], r.bnd[index+1], width)
+	return proveSegmentSeeded(r.segs[index], r.opts, &segSeed, r.bnd[index], r.bnd[index+1])
 }
 
 // Release returns the run's trace slabs and boundary trees to their

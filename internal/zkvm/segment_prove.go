@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"zkflow/internal/par"
 	"zkflow/internal/transcript"
 )
 
@@ -25,8 +26,9 @@ func wordsToBytes(words []uint32) []byte {
 // the trace commitment and its sampled checks under the segment's
 // statement, then the import/exit/cover families over the shared
 // boundary-image tables (entry is nil for a segment entered at genesis,
-// exit for a final one; a one-segment run is both).
-func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte, entry, exit *table, width int) (*SegmentReceipt, error) {
+// exit for a final one; a one-segment run is both). Its crew is
+// par.Workers() wide, like every crew of the prover.
+func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte, entry, exit *table) (*SegmentReceipt, error) {
 	ex := seg.ex
 	if len(ex.Rows) == 0 {
 		return nil, fmt.Errorf("zkvm: empty execution trace")
@@ -44,7 +46,7 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	s.NumRows = uint32(len(ex.Rows))
 	s.NumMem = uint32(len(ex.MemLog))
 	tr := segmentStatement(sr)
-	tabs := commitTrace(ex, newSalter(seed), width, opts.Observer, tr, s)
+	tabs := commitTrace(ex, newSalter(seed), par.Workers(), opts.Observer, tr, s)
 
 	defer stageTimer(opts.Observer, StageSeal)()
 	checks := opts.checks()

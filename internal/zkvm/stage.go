@@ -9,15 +9,19 @@ import "time"
 const (
 	// StageExecute is guest execution + trace recording.
 	StageExecute = "execute"
-	// StageMemSort is the address-ordered re-sort of the memory log.
+	// StageMemSort is the address-ordered re-sort of the memory log. It
+	// runs inside StageMerkleCommit's window, as the lead task of the
+	// phase-1 crew: the other workers commit exec and program-order
+	// blocks meanwhile, and the address-order blocks wait for it.
 	StageMemSort = "mem_sort"
 	// StageMerkleCommit encodes and commits the three phase-1 tables
-	// (trace rows and both memory-log orderings): rows stream through
-	// per-segment scratch buffers into salted leaf hashes and the trees
-	// are built over them.
+	// (trace rows and both memory-log orderings) on one crew that also
+	// runs the mem_sort stage: rows are encoded block by block into
+	// salted leaf hashes and the trees are built over them.
 	StageMerkleCommit = "merkle_commit"
-	// StageGrandProduct scans, encodes, and commits the two
-	// running-product columns under the (alpha, gamma) challenges.
+	// StageGrandProduct fingerprints each memory-log entry once, scans
+	// the two running-product columns under the (alpha, gamma)
+	// challenges, and encodes and commits them.
 	StageGrandProduct = "grand_product"
 	// StageBoundaryCommit commits the boundary memory images of a
 	// segmented (continuation) proof — one salted tree per segment

@@ -3,6 +3,8 @@ package zkvm
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"sync"
 
 	"zkflow/internal/field"
 	"zkflow/internal/hashk"
@@ -209,59 +211,114 @@ func fingerprint(e *MemEntry, alpha field.Elem) field.Elem {
 	return fingerprintAt(e, &p)
 }
 
-// alphaPowers returns α, α², α³, α⁴ — computed once per column by the
-// prover, whose runningProducts fingerprints every log entry.
+// alphaPowers returns α, α², α³, α⁴ — computed once per seal by the
+// prover, whose productColumns fingerprints every log entry.
 func alphaPowers(alpha field.Elem) [4]field.Elem {
 	a2 := field.Mul(alpha, alpha)
 	return [4]field.Elem{alpha, a2, field.Mul(a2, alpha), field.Mul(a2, a2)}
 }
 
-// fingerprintAt is fingerprint given the powers of alpha.
+// fingerprintAt is fingerprint given the powers of alpha. A power is
+// below 2^64 and a word below 2^32, so each product is below 2^96 and
+// the whole sum below 2^98: it is accumulated in 128 bits and reduced
+// once.
 func fingerprintAt(e *MemEntry, p *[4]field.Elem) field.Elem {
-	acc := field.New(uint64(e.Addr))
-	acc = field.Add(acc, field.Mul(p[0], field.New(uint64(e.Val))))
-	acc = field.Add(acc, field.Mul(p[1], field.New(uint64(e.Seq))))
-	acc = field.Add(acc, field.Mul(p[2], field.New(uint64(e.Step))))
+	hi, lo := bits.Mul64(uint64(p[0]), uint64(e.Val))
+	h, l := bits.Mul64(uint64(p[1]), uint64(e.Seq))
+	lo, c := bits.Add64(lo, l, 0)
+	hi += h + c
+	h, l = bits.Mul64(uint64(p[2]), uint64(e.Step))
+	lo, c = bits.Add64(lo, l, 0)
+	hi += h + c
+	w := uint64(e.Addr) // + α⁴ stays below 2^64: α⁴ < p = 2^64 - 2^32 + 1
 	if e.IsWrite {
-		acc = field.Add(acc, p[3])
+		w += uint64(p[3])
 	}
-	return acc
+	lo, c = bits.Add64(lo, w, 0)
+	return field.Reduce128(hi+c, lo)
 }
 
-// runningProducts returns P with P[i] = prod_{j<=i} (gamma - f(e_j)).
-// At width > 1 it is a three-phase parallel prefix scan: per-chunk
-// local products, the (few) chunk totals multiplied up serially, then
-// a parallel rescale. Field multiplication is exactly associative, so
-// the result is bit-identical to the serial scan.
-func runningProducts(log []MemEntry, alpha, gamma field.Elem, width int) []field.Elem {
+// productColumns returns the two running-product columns of the
+// memory check under (alpha, gamma): prog[i] = prod_{j<=i} d[j] over
+// the program-order log and sort[i] = prod_{j<=i} d[sorted[j].Seq]
+// over the address-ordered one, where d[j] = gamma - f(log[j]). An
+// entry's Seq is its program-order index (sortedMemLog's contract), so
+// every entry is fingerprinted once and the address order is a gather.
+// Each column is a three-phase parallel prefix scan on one crew of
+// width workers: the chunks' local products (the program order's as
+// its chunks are fingerprinted, the address order's once every d is
+// written), then each chunk rescaled by the product of the (few) chunk
+// totals ahead of it, both columns' chunks in one pass. Field
+// multiplication is exactly associative, so the columns are
+// bit-identical to the serial scan at any width. The columns come
+// from the slab pool; sealTables.release returns them.
+func productColumns(log, sorted []MemEntry, alpha, gamma field.Elem, width int) (prog, sort []field.Elem) {
 	n := len(log)
-	out := make([]field.Elem, n)
+	d := getProdSlab(n)
+	defer putProdSlab(d)
+	cols := [2][]field.Elem{getProdSlab(n), getProdSlab(n)}
 	chunks := width
 	if n < 2*width {
 		chunks = 1
 	}
 	chunk := (n + chunks - 1) / chunks
-	totals := make([]field.Elem, chunks)
+	bounds := func(c int) (int, int) { return c * chunk, min((c+1)*chunk, n) }
+	totals := [2][]field.Elem{make([]field.Elem, chunks), make([]field.Elem, chunks)}
 	powers := alphaPowers(alpha)
 	par.Each(width, chunks, func(c int) {
-		acc := field.One
-		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
-			acc = field.Mul(acc, field.Sub(gamma, fingerprintAt(&log[i], &powers)))
+		lo, hi := bounds(c)
+		acc, out := field.One, cols[0]
+		for i := lo; i < hi; i++ {
+			d[i] = field.Sub(gamma, fingerprintAt(&log[i], &powers))
+			acc = field.Mul(acc, d[i])
 			out[i] = acc
 		}
-		totals[c] = acc
+		totals[0][c] = acc
 	})
 	par.Each(width, chunks, func(c int) {
+		lo, hi := bounds(c)
+		acc, out := field.One, cols[1]
+		for i := lo; i < hi; i++ {
+			acc = field.Mul(acc, d[sorted[i].Seq])
+			out[i] = acc
+		}
+		totals[1][c] = acc
+	})
+	par.Each(width, 2*chunks, func(k int) {
+		col, c := k%2, k/2
 		before := field.One // product of everything ahead of chunk c
-		for _, t := range totals[:c] {
+		for _, t := range totals[col][:c] {
 			before = field.Mul(before, t)
 		}
 		if before == field.One {
 			return
 		}
-		for i := c * chunk; i < min((c+1)*chunk, n); i++ {
-			out[i] = field.Mul(out[i], before)
+		lo, hi := bounds(c)
+		for i := lo; i < hi; i++ {
+			cols[col][i] = field.Mul(cols[col][i], before)
 		}
 	})
-	return out
+	return cols[0], cols[1]
+}
+
+// prodSlabPool recycles the product columns and their scratch
+// (*[]field.Elem): three 8-byte elements per memory-log entry a seal
+// would otherwise allocate, and zero, on the grand product's path.
+var prodSlabPool sync.Pool
+
+// getProdSlab returns a slab of n elements whose contents are
+// arbitrary: productColumns writes every element before reading it.
+func getProdSlab(n int) []field.Elem {
+	if v := prodSlabPool.Get(); v != nil {
+		if s := *v.(*[]field.Elem); cap(s) >= n {
+			return s[:n]
+		}
+	}
+	return make([]field.Elem, n)
+}
+
+func putProdSlab(s []field.Elem) {
+	if cap(s) > 0 {
+		prodSlabPool.Put(&s)
+	}
 }
