@@ -62,8 +62,9 @@ purego:
 # every check returns promptly, and an accepted extension is the honest
 # checkpoint), plus the grand product (arbitrary logs and challenges:
 # both product columns and the verifier's fingerprint equal a longhand
-# serial reference).
-# `go test -fuzz` takes one target per invocation, so this is fifteen
+# serial reference), plus the client's query-body decoder (arbitrary
+# bodies: no panic, and an accepted body re-marshals byte for byte).
+# `go test -fuzz` takes one target per invocation, so this is sixteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
@@ -81,6 +82,7 @@ fuzz:
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hashk -run='^$$' -fuzz=FuzzSumMatchesStdlib -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ledger -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
+	$(GO) test ./internal/api -run='^$$' -fuzz=FuzzDecodeQueryReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 
 # Farm lane: the prover-farm fault-injection suite, run twice — the
 # failover paths (requeue, redispatch, duplicate suppression) and the

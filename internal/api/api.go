@@ -17,7 +17,6 @@ package api
 
 import (
 	"crypto/sha256"
-	"encoding/base64"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -48,15 +47,15 @@ type QueryRequest struct {
 	SQL string `json:"sql"`
 }
 
-// QueryResponse carries a proven query result. The receipt is the
-// binding artifact; Result/Matched/Avg are operator claims the client
-// must check against the verified journal.
+// QueryResponse is what a query receipt claims: the client's own SQL
+// and the answer fields of the receipt's journal. POST /api/v1/query
+// serves the receipt and nothing else, so these fields are only as
+// good as the receipt, which the caller must still verify.
 type QueryResponse struct {
-	SQL     string  `json:"sql"`
-	Result  uint64  `json:"result"`
-	Matched uint32  `json:"matched"`
-	Avg     float64 `json:"avg"`
-	Receipt string  `json:"receipt"` // base64 zkvm receipt
+	SQL     string
+	Result  uint64
+	Matched uint32
+	Avg     float64
 }
 
 // LedgerPage is one page of GET /api/v1/ledger: Total lets auditors
@@ -570,15 +569,11 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 	if s.immutable(w, r, rec.etag) {
 		return
 	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	// Counted before the body goes out, for the same reason as the
-	// status class: whoever has read the receipt must see it counted.
-	s.receiptBytes.Add(uint64(len(rec.bin)))
-	if _, err := w.Write(rec.bin); err != nil {
-		log.Printf("api: writing receipt %d: %v", n, err)
-	}
+	s.writeReceipt(w, rec.bin)
 }
 
+// handleQuery proves a query and answers with the receipt's binary
+// encoding alone: the answer is the receipt's journal.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var req QueryRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
@@ -595,13 +590,21 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
 		return
 	}
-	writeJSON(w, QueryResponse{
-		SQL:     req.SQL,
-		Result:  qr.Result(),
-		Matched: qr.Journal.Matched,
-		Avg:     qr.Journal.Avg(),
-		Receipt: base64.StdEncoding.EncodeToString(bin),
-	})
+	s.writeReceipt(w, bin)
+}
+
+// writeReceipt is every receipt body the server writes: the receipt's
+// own binary encoding, with its length up front so the response is
+// never chunked.
+func (s *Server) writeReceipt(w http.ResponseWriter, bin []byte) {
+	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Length", strconv.Itoa(len(bin)))
+	// Counted before the body goes out, for the same reason as the
+	// status class: whoever has read the receipt must see it counted.
+	s.receiptBytes.Add(uint64(len(bin)))
+	if _, err := w.Write(bin); err != nil {
+		log.Printf("api: writing receipt: %v", err)
+	}
 }
 
 // queryInt parses an optional integer query parameter, writing a 400

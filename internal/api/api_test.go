@@ -1,6 +1,7 @@
 package api
 
 import (
+	"bytes"
 	"context"
 	"encoding/hex"
 	"encoding/json"
@@ -18,6 +19,7 @@ import (
 	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
+	"zkflow/internal/zkvm"
 )
 
 // newTestServer spins up a full operator with n aggregated epochs.
@@ -98,20 +100,7 @@ func TestFullRemoteAuditFlow(t *testing.T) {
 		t.Fatalf("status: %+v", st)
 	}
 
-	lg, err := c.Ledger(ctx)
-	if err != nil {
-		t.Fatalf("ledger: %v", err)
-	}
-	verifier := core.NewVerifier(lg)
-	for round := 0; round < st.Rounds; round++ {
-		receipt, err := c.AggregationReceipt(ctx, round)
-		if err != nil {
-			t.Fatalf("receipt %d: %v", round, err)
-		}
-		if _, err := verifier.VerifyAggregation(receipt); err != nil {
-			t.Fatalf("verify round %d: %v", round, err)
-		}
-	}
+	verifier := auditChain(t, c, st.Rounds)
 
 	sql := "SELECT COUNT(*) FROM clogs;"
 	qres, receipt, err := c.Query(ctx, sql)
@@ -122,8 +111,108 @@ func TestFullRemoteAuditFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qres.Result != j.Result() {
-		t.Fatalf("claimed %d, proven %d", qres.Result, j.Result())
+	want := QueryResponse{SQL: sql, Result: j.Result(), Matched: j.Matched, Avg: j.Avg()}
+	if *qres != want {
+		t.Fatalf("query response %+v, verified journal says %+v", *qres, want)
+	}
+}
+
+// auditChain downloads the ledger and verifies the first n
+// aggregation receipts in order, returning the verifier that trusts
+// their final root.
+func auditChain(t *testing.T, c *Client, n int) *core.Verifier {
+	t.Helper()
+	ctx := context.Background()
+	lg, err := c.Ledger(ctx)
+	if err != nil {
+		t.Fatalf("ledger: %v", err)
+	}
+	verifier := core.NewVerifier(lg)
+	for round := 0; round < n; round++ {
+		receipt, err := c.AggregationReceipt(ctx, round)
+		if err != nil {
+			t.Fatalf("receipt %d: %v", round, err)
+		}
+		if _, err := verifier.VerifyAggregation(receipt); err != nil {
+			t.Fatalf("verify round %d: %v", round, err)
+		}
+	}
+	return verifier
+}
+
+// postQuery sends sql to POST /api/v1/query as a raw request.
+func postQuery(t *testing.T, url, sql string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := json.Marshal(QueryRequest{SQL: sql})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/api/v1/query", "application/json", bytes.NewReader(req))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, body
+}
+
+// TestQueryServesBinaryReceipt pins the query route's wire shape: a
+// proven query answers with the receipt's binary encoding alone, its
+// length declared up front, and that body verifies.
+func TestQueryServesBinaryReceipt(t *testing.T) {
+	ts, _ := newTestServer(t, 2)
+	sql := "SELECT SUM(packets) FROM clogs;"
+	resp, body := postQuery(t, ts.URL, sql)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
+		t.Fatalf("Content-Type %q", ct)
+	}
+	if cl := resp.Header.Get("Content-Length"); cl != strconv.Itoa(len(body)) || len(resp.TransferEncoding) != 0 {
+		t.Fatalf("Content-Length %q, transfer encoding %q, body %d bytes", cl, resp.TransferEncoding, len(body))
+	}
+	receipt, err := zkvm.UnmarshalReceipt(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	verifier := auditChain(t, New(ts.URL, WithHTTPClient(ts.Client())), 2)
+	if _, err := verifier.VerifyQuery(sql, receipt); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestQueryRejectsMalformedBody: a 200 whose body is not one query
+// receipt is an error from Client.Query, never a panic or an answer.
+func TestQueryRejectsMalformedBody(t *testing.T) {
+	ts, srv := newTestServer(t, 1)
+	sql := "SELECT COUNT(*) FROM clogs;"
+	_, good := postQuery(t, ts.URL, sql)
+	if _, _, err := decodeQueryReceipt(sql, good); err != nil {
+		t.Fatalf("honest body rejected: %v", err)
+	}
+	// The route's old shape: the receipt base64-encoded inside JSON.
+	oldShape, err := json.Marshal(map[string]any{"sql": sql, "result": 1, "receipt": good})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, body := range map[string][]byte{
+		"empty":       {},
+		"truncated":   good[:len(good)/2],
+		"agg journal": srv.receipts[0].bin, // a valid receipt whose journal is not 12 words
+		"json":        oldShape,
+	} {
+		stub := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.Write(body)
+		}))
+		_, _, err := New(stub.URL, WithHTTPClient(stub.Client())).Query(context.Background(), sql)
+		stub.Close()
+		if err == nil {
+			t.Fatalf("%s body accepted", name)
+		}
 	}
 }
 

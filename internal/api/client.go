@@ -3,7 +3,6 @@ package api
 import (
 	"bytes"
 	"context"
-	"encoding/base64"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,6 +12,7 @@ import (
 	"sync"
 	"time"
 
+	"zkflow/internal/guest"
 	"zkflow/internal/ledger"
 	"zkflow/internal/zkvm"
 )
@@ -315,8 +315,8 @@ func (c *Client) AggregationReceipt(ctx context.Context, n int) (*zkvm.Receipt, 
 	return zkvm.UnmarshalReceipt(data)
 }
 
-// Query submits a SQL query and returns the operator's claimed
-// response plus the decoded receipt (which the caller must verify).
+// Query submits a SQL query and returns the decoded receipt, which the
+// caller must verify, and the answer its journal claims.
 func (c *Client) Query(ctx context.Context, sql string) (*QueryResponse, *zkvm.Receipt, error) {
 	body, err := json.Marshal(QueryRequest{SQL: sql})
 	if err != nil {
@@ -344,17 +344,20 @@ func (c *Client) Query(ctx context.Context, sql string) (*QueryResponse, *zkvm.R
 	if resp.StatusCode != http.StatusOK {
 		return nil, nil, apiError("/api/v1/query", resp, raw)
 	}
-	var qres QueryResponse
-	if err := json.Unmarshal(raw, &qres); err != nil {
+	return decodeQueryReceipt(sql, raw)
+}
+
+// decodeQueryReceipt reads a POST /api/v1/query body: one binary
+// receipt whose journal is a query journal. Decoding checks the shape
+// only; whether the receipt proves sql is the verifier's call.
+func decodeQueryReceipt(sql string, body []byte) (*QueryResponse, *zkvm.Receipt, error) {
+	receipt, err := zkvm.UnmarshalReceipt(body)
+	if err != nil {
 		return nil, nil, err
 	}
-	bin, err := base64.StdEncoding.DecodeString(qres.Receipt)
-	if err != nil {
-		return nil, nil, fmt.Errorf("api: receipt encoding: %w", err)
-	}
-	receipt, err := zkvm.UnmarshalReceipt(bin)
+	j, err := guest.ParseQueryJournal(receipt.JournalWords())
 	if err != nil {
 		return nil, nil, err
 	}
-	return &qres, receipt, nil
+	return &QueryResponse{SQL: sql, Result: j.Result(), Matched: j.Matched, Avg: j.Avg()}, receipt, nil
 }

@@ -102,9 +102,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal("prover stage histograms missing after an aggregation round")
 	}
 
+	// A query receipt is a receipt body too: the counter grows by
+	// exactly its length.
+	resp, body := postQuery(t, ts.URL, "SELECT COUNT(*) FROM clogs;")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /api/v1/query = %d: %s", resp.StatusCode, body)
+	}
+
 	// Monotone: the metrics route counts itself, so a second snapshot
 	// must show strictly more metrics-route requests.
 	s2 := getSnapshot(t, ts.URL)
+	if got, want := s2.Counters["http.receipt_bytes"]-s1.Counters["http.receipt_bytes"], uint64(len(body)); got != want {
+		t.Fatalf("receipt bytes counter grew %d across a query, receipt is %d bytes", got, want)
+	}
 	if s2.Counters["http.requests.metrics.2xx"] <= s1.Counters["http.requests.metrics.2xx"] {
 		t.Fatalf("metrics counter not monotone: %d then %d",
 			s1.Counters["http.requests.metrics.2xx"], s2.Counters["http.requests.metrics.2xx"])
