@@ -121,9 +121,11 @@ bench-e2e:
 
 # What the guests cost the seal, phase by phase: trace rows, memory-log
 # entries and n + 3.5m compressions per record for the aggregation guest
-# on the benchmark's steady-state round, and per CLog entry for the six
-# query shapes. Exact counts, the same on every host; the tests that
-# print them are the tier-1 budget gate (EXPERIMENTS.md E25).
+# on the benchmark's steady-state round (the epoch-1k guest), with that
+# round's dynamic opcode mix and its SysHash compression count, and per
+# CLog entry for the six query shapes. Exact counts, the same on every
+# host; the tests that print them are the tier-1 budget gate
+# (EXPERIMENTS.md E25).
 guest-profile:
 	$(GO) test ./internal/guest -run='CostBudget' -count=1 -v
 

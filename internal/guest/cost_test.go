@@ -2,6 +2,7 @@ package guest
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -56,6 +57,38 @@ func phaseTable(ex *zkvm.Execution, regions []zkvm.Region, units int, unit strin
 	return b.String()
 }
 
+// opcodeMix renders an execution's dynamic opcode mix, most frequent
+// first, and what its SysHash calls cost in SHA-256 compressions: a
+// message of n words is 4n bytes, padded by at least 9 to 64-byte blocks.
+func opcodeMix(prog *zkvm.Program, ex *zkvm.Execution) string {
+	counts := map[zkvm.Op]int{}
+	calls, words, compressions := 0, 0, 0
+	for _, row := range ex.Rows {
+		in := prog.Instrs[row.PC]
+		counts[in.Op]++
+		if in.Op == zkvm.OpEcall && in.Imm == zkvm.SysHash {
+			n := int(row.Regs[zkvm.R2])
+			calls, words, compressions = calls+1, words+n, compressions+(4*n+9+63)/64
+		}
+	}
+	ops := make([]zkvm.Op, 0, len(counts))
+	for op := range counts {
+		ops = append(ops, op)
+	}
+	sort.Slice(ops, func(i, j int) bool {
+		if counts[ops[i]] != counts[ops[j]] {
+			return counts[ops[i]] > counts[ops[j]]
+		}
+		return ops[i] < ops[j]
+	})
+	var b strings.Builder
+	for _, op := range ops {
+		fmt.Fprintf(&b, "%-6s %8d\n", op, counts[op])
+	}
+	fmt.Fprintf(&b, "SysHash: %d calls over %d words, %d compressions", calls, words, compressions)
+	return b.String()
+}
+
 func TestAggregationCostBudget(t *testing.T) {
 	// 4 x 250 records of 4 x 64 flows onto the 245 entries five such
 	// rounds leave. The parent of the rewrite spent 423 330 rows and
@@ -67,6 +100,7 @@ func TestAggregationCostBudget(t *testing.T) {
 		t.Fatalf("execute: %v, exit %d", err, ex.ExitCode)
 	}
 	t.Logf("aggregation, 1000 records onto %d entries:\n%s", len(in.PrevEntries), phaseTable(ex, AggregationRegions(), 1000, "rec"))
+	t.Logf("dynamic opcode mix:\n%s", opcodeMix(AggregationProgram(), ex))
 	if len(ex.Rows) > maxRows || len(ex.MemLog) > maxEntries {
 		t.Errorf("%d rows and %d entries, budget %d and %d", len(ex.Rows), len(ex.MemLog), maxRows, maxEntries)
 	}

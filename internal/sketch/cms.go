@@ -8,7 +8,7 @@
 // internal/guest's sketch-merge program).
 //
 // The row hash is a multiply-mix over the key words using only
-// operations the TinyRISC guest has (mul, xor, shift, remu), so the
+// operations the TinyRISC guest has (mul, xor, shift, andi), so the
 // in-VM implementation is instruction-for-instruction the same
 // arithmetic as this package.
 package sketch
@@ -46,8 +46,8 @@ type CMS struct {
 }
 
 // New creates an empty sketch. Width must be a power of two (the
-// guest reduces with Remu; power-of-two keeps hashing uniform) and
-// depth at most MaxDepth.
+// guest reduces a row index by masking with Andi, which is uniform only
+// at a power of two) and depth at most MaxDepth.
 func New(depth, width int) (*CMS, error) {
 	if depth <= 0 || depth > MaxDepth {
 		return nil, fmt.Errorf("sketch: depth %d out of range [1,%d]", depth, MaxDepth)

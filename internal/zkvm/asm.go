@@ -104,16 +104,6 @@ func (a *Assembler) Mul(rd, rs1, rs2 int) {
 	a.emit(Instr{Op: OpMul, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Rs2: a.checkReg(rs2)})
 }
 
-// Divu emits rd = rs1 / rs2 (unsigned; x/0 = 0xffffffff).
-func (a *Assembler) Divu(rd, rs1, rs2 int) {
-	a.emit(Instr{Op: OpDivu, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Rs2: a.checkReg(rs2)})
-}
-
-// Remu emits rd = rs1 % rs2 (unsigned; x%0 = x).
-func (a *Assembler) Remu(rd, rs1, rs2 int) {
-	a.emit(Instr{Op: OpRemu, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Rs2: a.checkReg(rs2)})
-}
-
 // And emits rd = rs1 & rs2.
 func (a *Assembler) And(rd, rs1, rs2 int) {
 	a.emit(Instr{Op: OpAnd, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Rs2: a.checkReg(rs2)})
@@ -127,16 +117,6 @@ func (a *Assembler) Or(rd, rs1, rs2 int) {
 // Xor emits rd = rs1 ^ rs2.
 func (a *Assembler) Xor(rd, rs1, rs2 int) {
 	a.emit(Instr{Op: OpXor, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Rs2: a.checkReg(rs2)})
-}
-
-// Sll emits rd = rs1 << (rs2 mod 32).
-func (a *Assembler) Sll(rd, rs1, rs2 int) {
-	a.emit(Instr{Op: OpSll, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Rs2: a.checkReg(rs2)})
-}
-
-// Srl emits rd = rs1 >> (rs2 mod 32).
-func (a *Assembler) Srl(rd, rs1, rs2 int) {
-	a.emit(Instr{Op: OpSrl, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Rs2: a.checkReg(rs2)})
 }
 
 // Sltu emits rd = (rs1 < rs2) ? 1 : 0 (unsigned).
@@ -154,11 +134,6 @@ func (a *Assembler) Addi(rd, rs1 int, imm uint32) {
 // Andi emits rd = rs1 & imm.
 func (a *Assembler) Andi(rd, rs1 int, imm uint32) {
 	a.emit(Instr{Op: OpAndi, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Imm: imm})
-}
-
-// Ori emits rd = rs1 | imm.
-func (a *Assembler) Ori(rd, rs1 int, imm uint32) {
-	a.emit(Instr{Op: OpOri, Rd: a.checkReg(rd), Rs1: a.checkReg(rs1), Imm: imm})
 }
 
 // Xori emits rd = rs1 ^ imm.
@@ -268,22 +243,6 @@ func (a *Assembler) WriteJournal(rs int) {
 		a.Mov(R1, rs)
 	}
 	a.Ecall(SysJournal)
-}
-
-// Hash emits the SHA-256 precompile call: digest of the lenReg words
-// at addrReg is written to the 8 words at dstReg. The three operands
-// are copied into r1-r3 as required by the ECALL ABI.
-func (a *Assembler) Hash(addrReg, lenReg, dstReg int) {
-	if addrReg != R1 {
-		a.Mov(R1, addrReg)
-	}
-	if lenReg != R2 {
-		a.Mov(R2, lenReg)
-	}
-	if dstReg != R3 {
-		a.Mov(R3, dstReg)
-	}
-	a.Ecall(SysHash)
 }
 
 // Assemble resolves labels and returns the program.

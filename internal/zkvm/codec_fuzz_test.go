@@ -85,17 +85,24 @@ func FuzzUnmarshalReceipt(f *testing.F) {
 	})
 }
 
-// FuzzDecodeProgram drives the instruction decoder: no panics, and
-// any accepted program re-encodes byte-for-byte.
+// FuzzDecodeProgram drives the instruction decoder: no panics, every
+// opcode of an accepted program has a name, and the program re-encodes
+// byte-for-byte.
 func FuzzDecodeProgram(f *testing.F) {
 	f.Add(sumProgram().Encode())
 	f.Add([]byte{})
-	f.Add([]byte{1, 2, 3}) // not a multiple of the instruction size
-	f.Add(make([]byte, 8)) // opcode 0 = invalid
+	f.Add([]byte{1, 2, 3})                // not a multiple of the instruction size
+	f.Add(make([]byte, 8))                // opcode 0 = invalid
+	f.Add([]byte{9, 0, 0, 0, 0, 0, 0, 0}) // opcode 9 is retired
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := DecodeProgram(data)
 		if err != nil {
 			return
+		}
+		for i, in := range p.Instrs {
+			if opNames[in.Op] == "" {
+				t.Fatalf("instr %d: unnamed opcode %d accepted", i, in.Op)
+			}
 		}
 		if !bytes.Equal(p.Encode(), data) {
 			t.Fatal("program re-encode mismatch")

@@ -180,7 +180,6 @@ type execEnv interface {
 	load(addr uint32) (uint32, error)
 	store(addr, val uint32) error
 	readInput() (uint32, error)
-	inputLen() (uint32, error)
 	writeJournal(val uint32) error
 	// hash is the SysHash service: load n words from addr, store the
 	// eight words of their SHA-256 at dst. It lives behind the env so
@@ -235,26 +234,12 @@ func step(prog *Program, cur, next *Row, env execEnv) (halted bool, err error) {
 		v = rs1 - rs2
 	case OpMul:
 		v = rs1 * rs2
-	case OpDivu:
-		v = 0xffffffff
-		if rs2 != 0 {
-			v = rs1 / rs2
-		}
-	case OpRemu:
-		v = rs1
-		if rs2 != 0 {
-			v = rs1 % rs2
-		}
 	case OpAnd:
 		v = rs1 & rs2
 	case OpOr:
 		v = rs1 | rs2
 	case OpXor:
 		v = rs1 ^ rs2
-	case OpSll:
-		v = rs1 << (rs2 & 31)
-	case OpSrl:
-		v = rs1 >> (rs2 & 31)
 	case OpSltu:
 		if rs1 < rs2 {
 			v = 1
@@ -263,8 +248,6 @@ func step(prog *Program, cur, next *Row, env execEnv) (halted bool, err error) {
 		v = rs1 + in.Imm
 	case OpAndi:
 		v = rs1 & in.Imm
-	case OpOri:
-		v = rs1 | in.Imm
 	case OpXori:
 		v = rs1 ^ in.Imm
 	case OpSlli:
@@ -346,12 +329,6 @@ func ecall(sys uint32, cur, next *Row, env execEnv) error {
 			return err
 		}
 		next.MemPtr += n + 8
-	case SysInputLen:
-		v, err := env.inputLen()
-		if err != nil {
-			return err
-		}
-		next.Regs[R1] = v
 	default:
 		return fmt.Errorf("unknown ecall %d", sys)
 	}
@@ -360,17 +337,16 @@ func ecall(sys uint32, cur, next *Row, env execEnv) error {
 
 // witnessEnv is the env a committed exec leaf is expanded under. The
 // one word a step can take from outside the machine state — the value
-// Lw loads, or what SysRead or SysInputLen puts in r1 — is the leaf's
-// witness word; what the step puts out (stores, journal words, a hash)
-// is not judged. Whether the memory log, the input tape and the journal
-// agree with the rows this yields is what the sampled replay decides
-// (replayEnv), so every service returns at once.
+// Lw loads, or what SysRead puts in r1 — is the leaf's witness word;
+// what the step puts out (stores, journal words, a hash) is not judged.
+// Whether the memory log, the input tape and the journal agree with the
+// rows this yields is what the sampled replay decides (replayEnv), so
+// every service returns at once.
 type witnessEnv struct{ word uint32 }
 
 func (e *witnessEnv) load(uint32) (uint32, error)       { return e.word, nil }
 func (e *witnessEnv) store(uint32, uint32) error        { return nil }
 func (e *witnessEnv) readInput() (uint32, error)        { return e.word, nil }
-func (e *witnessEnv) inputLen() (uint32, error)         { return e.word, nil }
 func (e *witnessEnv) writeJournal(uint32) error         { return nil }
 func (e *witnessEnv) hash(uint32, uint32, uint32) error { return nil }
 
@@ -386,7 +362,7 @@ func witnessWord(prog *Program, cur, next *Row) uint32 {
 	if in.Op == OpLw {
 		return next.Regs[in.Rd]
 	}
-	if in.Op == OpEcall && (in.Imm == SysRead || in.Imm == SysInputLen) {
+	if in.Op == OpEcall && in.Imm == SysRead {
 		return next.Regs[R1]
 	}
 	return 0

@@ -23,7 +23,7 @@ import (
 // stepKinds names the steps whose successor a leaf must be able to
 // derive: everything that takes a word from outside the machine state,
 // everything that puts one out, and both ways a branch can go.
-var stepKinds = []string{"lw", "lw-r0", "sys-read", "sys-input-len", "sys-hash", "sys-journal", "branch-taken", "branch-untaken"}
+var stepKinds = []string{"lw", "lw-r0", "sys-read", "sys-hash", "sys-journal", "branch-taken", "branch-untaken"}
 
 func stepKind(prog *Program, cur, next *Row) string {
 	in := &prog.Instrs[cur.PC]
@@ -39,7 +39,7 @@ func stepKind(prog *Program, cur, next *Row) string {
 		}
 		return "branch-taken"
 	case OpEcall:
-		return map[uint32]string{SysRead: "sys-read", SysInputLen: "sys-input-len", SysHash: "sys-hash", SysJournal: "sys-journal"}[in.Imm]
+		return map[uint32]string{SysRead: "sys-read", SysHash: "sys-hash", SysJournal: "sys-journal"}[in.Imm]
 	}
 	return ""
 }
@@ -84,7 +84,7 @@ func checkExecLeaves(prog *Program, input []uint32, cut int) (map[string]bool, e
 }
 
 // everyStepProgram takes each kind of step once per turn of a loop —
-// it reads, asks the tape's length, stores, loads (into r0 too), branches
+// it reads, stores, loads (into r0 too), branches
 // both ways, hashes and journals — behind pad no-ops, which shift where
 // in their leaves the steps fall.
 func everyStepProgram(pad int) *Program {
@@ -96,7 +96,6 @@ func everyStepProgram(pad int) *Program {
 		a.Label("loop")
 		a.Beq(R9, R0, "done") // untaken until the last turn
 		a.ReadInput(R4)
-		a.Ecall(SysInputLen)
 		a.Add(R4, R4, R1)
 		a.Li(R5, 600)
 		a.Sw(R4, R5, 0)
@@ -105,7 +104,9 @@ func everyStepProgram(pad int) *Program {
 		a.Bne(R6, R4, "done") // never taken
 		a.Li(R8, 1)
 		a.Li(R3, 700)
-		a.Hash(R5, R8, R3)
+		a.Mov(R1, R5)
+		a.Mov(R2, R8)
+		a.Ecall(SysHash)
 		a.Lw(R7, R3, 3)
 		a.WriteJournal(R7)
 		a.Addi(R9, R9, 0xffffffff)

@@ -34,3 +34,6 @@ var (
 	ExecLeaves           = execLeaves
 	CheckHostileExecLeaf = checkHostileExecLeaf
 )
+
+// OpMax is one past the highest opcode number.
+const OpMax = opMax

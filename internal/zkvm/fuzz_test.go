@@ -55,7 +55,7 @@ func randProgram(rng *rand.Rand, steps int) *Program {
 		a.Li(reg, rng.Uint32())
 	}
 	ops := []func(rd, rs1, rs2 int){
-		a.Add, a.Sub, a.Mul, a.Divu, a.Remu, a.And, a.Or, a.Xor, a.Sll, a.Srl, a.Sltu,
+		a.Add, a.Sub, a.Mul, a.And, a.Or, a.Xor, a.Sltu,
 	}
 	for i := 0; i < steps; i++ {
 		rd := R2 + rng.Intn(8)

@@ -32,8 +32,11 @@ import (
 // Op is a TinyRISC opcode.
 type Op uint8
 
-// Instruction set. Arithmetic is 32-bit wrapping; comparisons are
-// unsigned; branch and jump targets are absolute instruction indices.
+// Instruction set: the 24 opcodes the guests emit. Arithmetic is 32-bit
+// wrapping; comparisons are unsigned; branch and jump targets are
+// absolute instruction indices. Retired numbers stay reserved as blank
+// slots, so no live opcode is renumbered and no image ID moves; the
+// decoder rejects them as it rejects OpInvalid.
 const (
 	OpInvalid Op = iota
 
@@ -41,19 +44,19 @@ const (
 	OpAdd
 	OpSub
 	OpMul
-	OpDivu // division by zero yields 0xffffffff (RISC-V convention)
-	OpRemu // remainder by zero yields the dividend
+	_ // 4 and 5 are retired (divu, remu)
+	_
 	OpAnd
 	OpOr
 	OpXor
-	OpSll // shift amount is rs2 mod 32
-	OpSrl
+	_ // 9 and 10 are retired (sll, srl)
+	_
 	OpSltu // rd = 1 if rs1 < rs2 (unsigned) else 0
 
 	// Register-immediate ALU: rd = rs1 <op> imm.
 	OpAddi
 	OpAndi
-	OpOri
+	_ // 14 is retired (ori)
 	OpXori
 	OpSlli // shift amount is imm mod 32
 	OpSrli
@@ -99,15 +102,16 @@ const (
 	// (little-endian packing) and stores the 8 digest words at
 	// mem[r3..r3+8). Mirrors RISC Zero's SHA precompile.
 	SysHash uint32 = 3
-	// SysInputLen sets r1 to the number of unread input words.
-	SysInputLen uint32 = 4
+	// Service 4 is retired; like any other unknown code, it traps.
 )
 
-var opNames = [...]string{
+// opNames names every live opcode; a number it leaves unnamed is not
+// an instruction, and DecodeInstr rejects it.
+var opNames = [opMax]string{
 	OpInvalid: "invalid",
-	OpAdd:     "add", OpSub: "sub", OpMul: "mul", OpDivu: "divu", OpRemu: "remu",
-	OpAnd: "and", OpOr: "or", OpXor: "xor", OpSll: "sll", OpSrl: "srl", OpSltu: "sltu",
-	OpAddi: "addi", OpAndi: "andi", OpOri: "ori", OpXori: "xori",
+	OpAdd:     "add", OpSub: "sub", OpMul: "mul",
+	OpAnd: "and", OpOr: "or", OpXor: "xor", OpSltu: "sltu",
+	OpAddi: "addi", OpAndi: "andi", OpXori: "xori",
 	OpSlli: "slli", OpSrli: "srli", OpSltiu: "sltiu",
 	OpLi: "li", OpLw: "lw", OpSw: "sw",
 	OpBeq: "beq", OpBne: "bne", OpBltu: "bltu", OpBgeu: "bgeu",
@@ -160,7 +164,7 @@ func DecodeInstr(b [instrSize]byte) (Instr, error) {
 		Rs2: b[3],
 		Imm: binary.LittleEndian.Uint32(b[4:]),
 	}
-	if in.Op == OpInvalid || in.Op >= opMax {
+	if in.Op == OpInvalid || in.Op >= opMax || opNames[in.Op] == "" {
 		return Instr{}, fmt.Errorf("zkvm: invalid opcode %d", b[0])
 	}
 	if in.Rd >= NumRegs || in.Rs1 >= NumRegs || in.Rs2 >= NumRegs {

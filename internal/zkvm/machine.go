@@ -342,10 +342,6 @@ func (m *machine) readInput() (uint32, error) {
 	return v, nil
 }
 
-func (m *machine) inputLen() (uint32, error) {
-	return uint32(len(m.input) - m.inPtr), nil
-}
-
 func (m *machine) writeJournal(val uint32) error {
 	m.journal = append(m.journal, val)
 	return nil

@@ -98,6 +98,65 @@ func guestRuns() []guestRun {
 	return runs
 }
 
+// TestEveryOpcodeHasAGuest: TinyRISC keeps exactly the instructions and
+// host services some guest emits. Over the programs of every guest and
+// of the benchmark's six query shapes, each live opcode (one DecodeInstr
+// accepts) and each live service (one an ecall runs without a trap) is
+// emitted somewhere, and no retired opcode or service number is emitted
+// at all.
+func TestEveryOpcodeHasAGuest(t *testing.T) {
+	progs := map[string]*zkvm.Program{}
+	for _, r := range guestRuns() {
+		progs[r.name] = r.prog
+	}
+	for i, sql := range []string{ // bench/querymix.go's query shapes
+		`SELECT SUM(hop_count) FROM clogs WHERE src_ip = "1.1.1.1" AND dst_ip = "9.9.9.9";`,
+		`SELECT COUNT(*) FROM clogs WHERE dropped >= 3;`,
+		`SELECT SUM(bytes) FROM clogs WHERE proto = 6 AND packets > 10;`,
+		`SELECT AVG(rtt_sum) FROM clogs WHERE count >= 2;`,
+		`SELECT MAX(rtt_max) FROM clogs WHERE NOT (proto = 17 OR dst_port < 1024);`,
+		`SELECT SUM(packets) FROM clogs WHERE src_port BETWEEN 1000 AND 50000 AND proto IN (6, 17);`,
+	} {
+		progs[fmt.Sprintf("query-mix/%d", i)] = guest.QueryProgram(query.MustParse(sql))
+	}
+	liveOp := func(op zkvm.Op) bool {
+		_, err := zkvm.DecodeInstr(zkvm.Instr{Op: op}.Encode())
+		return err == nil
+	}
+	liveCall := func(sys uint32) bool {
+		a := zkvm.NewAssembler()
+		a.Ecall(sys)
+		a.HaltCode(0)
+		_, err := zkvm.Execute(a.MustAssemble(), []uint32{0}, zkvm.ExecOptions{})
+		return err == nil
+	}
+	ops, calls := map[zkvm.Op]bool{}, map[uint32]bool{}
+	for name, prog := range progs {
+		for pc, in := range prog.Instrs {
+			if !liveOp(in.Op) {
+				t.Errorf("%s: pc %d emits retired %v", name, pc, in.Op)
+			}
+			ops[in.Op] = true
+			if in.Op == zkvm.OpEcall {
+				if !liveCall(in.Imm) {
+					t.Errorf("%s: pc %d calls retired service %d", name, pc, in.Imm)
+				}
+				calls[in.Imm] = true
+			}
+		}
+	}
+	for op := zkvm.OpInvalid + 1; op < zkvm.OpMax; op++ {
+		if liveOp(op) && !ops[op] {
+			t.Errorf("no guest emits %v", op)
+		}
+	}
+	for sys := uint32(0); sys < 16; sys++ { // services are numbered from 1 up
+		if liveCall(sys) && !calls[sys] {
+			t.Errorf("no guest calls service %d", sys)
+		}
+	}
+}
+
 // TestMachineMatchesReference runs every guest program of
 // internal/guest, at several sizes, through the differential check of
 // machine_test.go: monolithic, segmented at the floor, mid-loop and

@@ -383,17 +383,28 @@ func TestExecuteConstantAllocs(t *testing.T) {
 	}
 }
 
+// liveOps are the opcodes opNames names, OpInvalid aside: the ones
+// DecodeInstr accepts.
+var liveOps = func() (ops []Op) {
+	for op := OpInvalid + 1; op < opMax; op++ {
+		if opNames[op] != "" {
+			ops = append(ops, op)
+		}
+	}
+	return ops
+}()
+
 // fuzzProgram decodes arbitrary bytes into a program that is always
 // well-formed (valid opcode, registers in range) and usually runs for a
-// while: control-flow targets fold into the program (or one past it,
-// the pc trap) and ecall codes onto the services and their two
-// unknown neighbours.
+// while: the first byte folds onto the live opcodes, control-flow
+// targets into the program (or one past it, the pc trap) and ecall
+// codes onto 0-5, the three services and the unknown codes 0, 4 and 5.
 func fuzzProgram(data []byte) *Program {
 	n := len(data) / instrSize
 	p := &Program{Instrs: make([]Instr, n)}
 	for i := range p.Instrs {
 		b := data[i*instrSize:]
-		in := Instr{Op: 1 + Op(b[0])%(opMax-1), Rd: b[1] % NumRegs, Rs1: b[2] % NumRegs, Rs2: b[3] % NumRegs, Imm: binary.LittleEndian.Uint32(b[4:])}
+		in := Instr{Op: liveOps[int(b[0])%len(liveOps)], Rd: b[1] % NumRegs, Rs1: b[2] % NumRegs, Rs2: b[3] % NumRegs, Imm: binary.LittleEndian.Uint32(b[4:])}
 		switch in.Op {
 		case OpBeq, OpBne, OpBltu, OpBgeu, OpJal:
 			in.Imm %= uint32(n + 1)
@@ -429,7 +440,6 @@ func FuzzExecuteMatchesReference(f *testing.F) {
 		a.Ecall(SysHash)
 		a.Lw(R1, R0, 2)
 		a.WriteJournal(R1)
-		a.Ecall(SysInputLen)
 		a.HaltCode(3)
 	}), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(seed(func(a *Assembler) { // endless loop: step limit

@@ -27,7 +27,10 @@ func parallelTestExecution(t testing.TB, words int) *Execution {
 	a.Li(5, 0)    // src addr
 	a.Li(6, 16)   // len
 	a.Li(7, 4096) // dst addr
-	a.Hash(5, 6, 7)
+	a.Mov(1, 5)
+	a.Mov(2, 6)
+	a.Mov(3, 7)
+	a.Ecall(SysHash)
 	a.Lw(8, 7, 0)
 	a.WriteJournal(8)
 	a.WriteJournal(1)

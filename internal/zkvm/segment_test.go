@@ -41,7 +41,10 @@ func segTestProgram(t testing.TB) *Program {
 	a.Li(5, 0)
 	a.Li(6, 16)
 	a.Li(8, 4096)
-	a.Hash(5, 6, 8)
+	a.Mov(1, 5)
+	a.Mov(2, 6)
+	a.Mov(3, 8)
+	a.Ecall(SysHash)
 	a.Lw(9, 8, 0)
 	a.WriteJournal(9)
 	a.WriteJournal(7)

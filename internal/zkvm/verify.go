@@ -188,8 +188,6 @@ func (e *replayEnv) store(addr, val uint32) error {
 // validation logic.
 func (e *replayEnv) readInput() (uint32, error) { return e.nextRegs[R1], nil }
 
-func (e *replayEnv) inputLen() (uint32, error) { return e.nextRegs[R1], nil }
-
 // hash allocates its message buffer — a verifier replays a handful of
 // sampled steps — but never more than the opened entries could fill.
 func (e *replayEnv) hash(addr, n, dst uint32) error {
