@@ -23,15 +23,17 @@ test:
 	$(GO) test ./...
 
 # Race lane: the packages that fan work out across goroutines — the
-# shared fan-out helpers, the prover's block-commit crew, the
-# segmented (continuation) proving crew, the epoch pipeline, the prover
+# daemon's aggregator and its collection hand-off, the shared fan-out
+# helpers, the prover's block-commit crew, the
+# segmented (continuation) proving crew, the epoch batch (its window's
+# concurrent seals and a query mid-batch), the prover
 # farm, the metrics registry, the HTTP layer, the sharded UDP ingest
 # pipeline, the checkpointing ledger plus the light-client sync that
 # reads it, and the STARK math kernel of the §7 ablation (shared
 # twiddle/ladder caches, pooled scratch, chunk-parallel
 # LDE/composition/FRI).
 race:
-	$(GO) test -race ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
+	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
 
 # Stdlib-path lane: the SHA-256 compression kernel of internal/hashk
 # runs on amd64 with SHA-NI, and everywhere else the same functions call
@@ -129,10 +131,10 @@ bench-e2e:
 guest-profile:
 	$(GO) test ./internal/guest -run='CostBudget' -count=1 -v
 
-# The prover-crew / pipeline benchmarks behind the determinism tests.
-# Crew width is GOMAXPROCS, so -cpu sets it.
+# The prover-crew / epoch-batch benchmarks behind the determinism tests.
+# Crew width, and so the batch window, is GOMAXPROCS, so -cpu sets it.
 bench-parallel:
-	$(GO) test -bench='ProveParallel|PipelinedAggregation' -cpu 1,2,4 -run=^$$ .
+	$(GO) test -bench='ProveParallel|AggregateEpochs' -cpu 1,2,4 -run=^$$ .
 
 # Commit-path benchmarks with allocation counts: the zero-allocation
 # hash kernel (raw compression in ns/block, one lane and two; a tree

@@ -147,14 +147,14 @@ func BenchmarkProveParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelinedAggregation measures the epoch pipeline end to
-// end: a 4-epoch chain aggregated through core.Scheduler at depth 1
-// (what AggregateEpoch runs) and with witness/seal overlap at depths
-// 2 and 3. Every depth commits the same journal chain (asserted by
-// TestSchedulerChainMatchesSerial).
-func BenchmarkPipelinedAggregation(b *testing.B) {
-	const epochs = 4
-	run := func(b *testing.B, depth int) {
+// BenchmarkAggregateEpochs measures the epoch path end to end on a
+// 4-epoch chain: seq makes four AggregateEpoch calls, batch one
+// AggregateEpochs call of four, which seals GOMAXPROCS epochs at a time.
+// Both commit the same journal chain (asserted by
+// TestAggregateEpochsMatchesSequential).
+func BenchmarkAggregateEpochs(b *testing.B) {
+	epochs := []uint64{0, 1, 2, 3}
+	run := func(b *testing.B, aggregate func(p *core.Prover) error) {
 		for i := 0; i < b.N; i++ {
 			b.StopTimer()
 			st := store.Open(0)
@@ -162,19 +162,32 @@ func BenchmarkPipelinedAggregation(b *testing.B) {
 			sim := router.NewSim(trafficgen.Config{
 				Seed: 21, NumFlows: 192, Routers: 4, LossRate: 0.02,
 			}, st, lg)
-			if err := sim.RunEpochs(context.Background(), 0, epochs, 64); err != nil {
+			if err := sim.RunEpochs(context.Background(), 0, len(epochs), 64); err != nil {
 				b.Fatal(err)
 			}
 			p := core.NewProver(st, lg, core.Options{Checks: 16})
 			b.StartTimer()
-			if _, err := p.AggregateEpochs([]uint64{0, 1, 2, 3}, depth); err != nil {
+			if err := aggregate(p); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	for _, depth := range []int{1, 2, 3} {
-		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) { run(b, depth) })
-	}
+	b.Run("seq", func(b *testing.B) {
+		run(b, func(p *core.Prover) error {
+			for _, e := range epochs {
+				if _, err := p.AggregateEpoch(e); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	})
+	b.Run("batch", func(b *testing.B) {
+		run(b, func(p *core.Prover) error {
+			_, err := p.AggregateEpochs(epochs)
+			return err
+		})
+	})
 }
 
 // BenchmarkFastAggVsZKVM is E6/§7 specialized proving: hashes per

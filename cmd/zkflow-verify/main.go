@@ -64,6 +64,11 @@ func main() {
 			fmt.Printf("resuming from persisted state: %d rounds already verified\n", verifier.Rounds())
 		}
 	}
+	// An operator that serves fewer rounds than were verified went
+	// backwards: nothing it serves extends the verified chain.
+	if status.Rounds < verifier.Rounds() {
+		log.Fatalf("aggregation chain REGRESSED: the operator serves %d rounds, %d already verified", status.Rounds, verifier.Rounds())
+	}
 	// The state file carries no floor: set it on a loaded verifier too.
 	verifier.SetMinChecks(zkvm.DefaultChecks)
 	image := guest.AggregationProgram().ID()

@@ -29,6 +29,9 @@ import (
 	"zkflow/internal/zkvm"
 )
 
+// retention is how many epochs the store keeps.
+const retention = 64
+
 func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:8471", "HTTP listen address")
@@ -42,7 +45,6 @@ func main() {
 		loss     = flag.Float64("loss", 0.02, "packet loss rate")
 		farmAddr = flag.String("farm-addr", "", "prover-farm coordinator listen address (empty = prove locally); workers dial in with zkflow-worker -farm-addr, and one worker is an off-path prover")
 		farmWait = flag.Int("workers", 0, "with -farm-addr: wait for this many farm workers before the first epoch")
-		pipeline = flag.Int("pipeline", 1, "pipeline depth: epochs sealed at once while later ones are witnessed (1 = no overlap)")
 		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = one segment)")
 
 		debugAddr    = flag.String("debug-addr", "", "operator-only pprof+metrics listen address (empty = off; keep it loopback)")
@@ -54,10 +56,10 @@ func main() {
 	)
 	flag.Parse()
 
-	st := store.Open(64)
+	st := store.Open(retention)
 	lg := ledger.New()
-	// One registry carries the whole daemon: zkVM stage timings,
-	// scheduler gauges, and the HTTP layer, served at /api/v1/metrics.
+	// One registry carries the whole daemon: zkVM stage timings, round
+	// counters, and the HTTP layer, served at /api/v1/metrics.
 	reg := obs.NewRegistry()
 	opts := core.Options{Checks: *checks, SegmentCycles: *segCyc, Metrics: reg}
 	if *farmAddr != "" {
@@ -104,39 +106,22 @@ func main() {
 					}
 				}
 				agg := s.Histograms["core.agg_seconds"]
-				log.Printf("metrics: rounds=%d agg_mean=%.0fms queue=%d inflight=%d failed=%d http 2xx/4xx/5xx=%d/%d/%d receipt_bytes=%d",
-					s.Counters["core.agg_rounds"], agg.Mean*1000,
-					s.Gauges["sched.queue_depth"], s.Gauges["sched.inflight_seals"],
-					s.Counters["core.agg_failures"],
+				log.Printf("metrics: rounds=%d agg_mean=%.0fms failed=%d http 2xx/4xx/5xx=%d/%d/%d receipt_bytes=%d",
+					s.Counters["core.agg_rounds"], agg.Mean*1000, s.Counters["core.agg_failures"],
 					http2xx, http4xx, http5xx, s.Counters["http.receipt_bytes"])
 			}
 		}()
 	}
 
-	// One epoch loop for both collection modes: every sealed or
-	// simulated epoch is submitted to one Scheduler, which commits rounds
-	// in strict submission order, and one goroutine serves its results.
-	sched, err := core.NewScheduler(prover, *pipeline)
-	if err != nil {
-		log.Fatalf("scheduler: %v", err)
-	}
-	drained := make(chan struct{})
-	go func() {
-		defer close(drained)
-		for r := range sched.Results() {
-			if r.Err != nil {
-				log.Printf("epoch %d failed: %v", r.Epoch, r.Err)
-				continue
-			}
-			if err := srv.AddAggregationResult(r.Result); err != nil {
-				log.Printf("epoch %d: serving receipt: %v", r.Epoch, err)
-				continue
-			}
-			res := r.Result
-			log.Printf("epoch %d: %d records -> %d flows, receipt %d B, root %v",
-				res.Epoch, res.Journal.NumRecords, res.Journal.NewCount, res.Receipt.Size(), res.Journal.NewRoot.Bytes())
+	agg := newAggregator(prover, lg, retention, func(res *core.AggregationResult) {
+		if err := srv.AddAggregationResult(res); err != nil {
+			log.Printf("epoch %d: serving receipt: %v", res.Epoch, err)
+			return
 		}
-	}()
+		log.Printf("epoch %d: %d records -> %d flows, receipt %d B, root %v",
+			res.Epoch, res.Journal.NumRecords, res.Journal.NewCount, res.Receipt.Size(), res.Journal.NewRoot.Bytes())
+	})
+	go agg.run()
 
 	mode := fmt.Sprintf("%d routers, %d records/epoch", *routers, *records)
 	if *ingestAddr != "" {
@@ -144,19 +129,17 @@ func main() {
 		// The pipeline seals epochs on a timer; each sealed epoch with
 		// records is aggregated and served exactly like a simulated one.
 		mode = "ingest mode"
-		sealed := make(chan ingest.Seal, 64)
 		pl, err := ingest.New(st, lg, ingest.Config{
 			Addr:          *ingestAddr,
 			Shards:        *ingestShards,
 			EpochInterval: *interval,
 			Metrics:       reg,
 			OnSeal: func(s ingest.Seal) {
-				select {
-				case sealed <- s:
-				default:
-					// Aggregation is behind by 64 epochs; dropping the
-					// notification loses a proof round, never records.
-					log.Printf("epoch %d sealed but aggregation backlog full", s.Epoch)
+				if s.Dropped > 0 {
+					log.Printf("epoch %d: %d records dropped at commit (see ingest.records_dropped.* metrics)", s.Epoch, s.Dropped)
+				}
+				if s.Records > 0 {
+					agg.sealedThrough(s.Epoch)
 				}
 			},
 		})
@@ -166,16 +149,6 @@ func main() {
 		if err := pl.Start(); err != nil {
 			log.Fatalf("ingest: %v", err)
 		}
-		go func() {
-			for s := range sealed {
-				if s.Dropped > 0 {
-					log.Printf("epoch %d: %d records dropped at commit (see ingest.records_dropped.* metrics)", s.Epoch, s.Dropped)
-				}
-				if s.Records > 0 {
-					sched.Submit(s.Epoch)
-				}
-			}
-		}()
 		if *replayRecords > 0 {
 			go func() {
 				cfg := trafficgen.Config{Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss}
@@ -202,21 +175,18 @@ func main() {
 			Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss,
 		}, st, lg)
 		go func() {
-			for epoch := uint64(0); ; epoch++ {
+			for epoch := uint64(0); *epochs <= 0 || epoch < uint64(*epochs); epoch++ {
+				agg.waitForRoom(epoch)
 				if _, err := sim.RunEpoch(context.Background(), epoch, *records); err != nil {
 					log.Printf("epoch %d collection failed: %v", epoch, err)
-					break
+					return
 				}
-				sched.Submit(epoch)
-				if *epochs > 0 && epoch+1 >= uint64(*epochs) {
-					break
-				}
-				if *epochs == 0 {
+				agg.sealedThrough(epoch)
+				if *epochs <= 0 {
 					time.Sleep(*interval)
 				}
 			}
-			sched.Close()
-			<-drained
+			agg.waitTried(uint64(*epochs))
 			log.Printf("finished after %d rounds; serving", prover.Round())
 		}()
 	}

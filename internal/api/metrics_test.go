@@ -64,8 +64,8 @@ func getSnapshot(t *testing.T, url string) obs.Snapshot {
 
 // TestMetricsEndpoint checks the acceptance criterion end to end:
 // after one aggregation round /api/v1/metrics serves per-route HTTP
-// metrics, scheduler gauges, and per-stage prover histograms, and its
-// own counters are monotone across two requests.
+// metrics, the prover's round counters, and per-stage prover
+// histograms, and its own counters are monotone across two requests.
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := newMeteredServer(t)
 
@@ -95,8 +95,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	if h := s1.Histograms["http.latency_seconds.status"]; h.Count != 1 {
 		t.Fatalf("status latency count = %d, want 1", h.Count)
 	}
-	if _, ok := s1.Gauges["sched.queue_depth"]; !ok {
-		t.Fatal("scheduler gauges missing from shared registry")
+	if got := s1.Counters["core.agg_rounds"]; got != 1 {
+		t.Fatalf("core.agg_rounds = %d in the shared registry, want 1", got)
 	}
 	if h := s1.Histograms["prover.stage.seal_seconds"]; h.Count == 0 {
 		t.Fatal("prover stage histograms missing after an aggregation round")

@@ -57,10 +57,10 @@ type Options struct {
 	// Prove overrides the proving backend (nil = local zkvm.ProveAny).
 	Prove ProveFunc
 	// Metrics, when non-nil, receives the prover's observability
-	// stream: round/query counters and latencies, scheduler pipeline
-	// gauges, and the per-stage zkVM prover breakdown (see metrics.go
-	// for the name schema). nil meters into a private registry and
-	// attaches no stage observer to the prover.
+	// stream: round/query counters and latencies, discarded
+	// speculative seals, and the per-stage zkVM prover breakdown (see
+	// metrics.go for the name schema). nil meters into a private
+	// registry and attaches no stage observer to the prover.
 	Metrics *obs.Registry
 }
 
@@ -104,17 +104,16 @@ func (r *QueryResult) Result() uint64 { return r.Journal.Result() }
 
 // Prover is the service-provider side: it owns the private telemetry
 // (store) and produces receipts. Safe for concurrent queries;
-// aggregation rounds run through a Scheduler, one at a time.
+// aggregation calls run one at a time.
 type Prover struct {
-	aggMu      sync.Mutex // serialises AggregateEpoch calls
-	mu         sync.Mutex
-	store      *store.Store
-	ledger     *ledger.Ledger
-	opts       Options
-	entries    []clog.Entry // current CLog (private)
-	history    []*AggregationResult
-	pipelining bool // an open Scheduler owns aggregation
-	met        *metrics
+	aggMu   sync.Mutex // serialises AggregateEpochs calls
+	mu      sync.Mutex
+	store   *store.Store
+	ledger  *ledger.Ledger
+	opts    Options
+	entries []clog.Entry // current CLog (private)
+	history []*AggregationResult
+	met     *metrics
 }
 
 // NewProver creates a prover over a store and ledger.
@@ -145,20 +144,13 @@ func (p *Prover) History() []*AggregationResult {
 }
 
 // AggregateEpoch runs one Algorithm 1 round over the given epoch's
-// store contents and ledger commitments through a depth-1 Scheduler,
-// producing a receipt and advancing the prover's CLog. Tampered inputs
-// make the guest abort, so no receipt can be produced — the error
-// carries the abort code. Concurrent calls run one after another;
-// while a Scheduler is open it owns aggregation and this returns
-// ErrPipelineActive.
+// store contents and ledger commitments, producing a receipt and
+// advancing the prover's CLog: AggregateEpochs of one epoch. Tampered
+// inputs make the guest abort, so no receipt can be produced — the
+// error carries the abort code. Concurrent calls run one after another.
 func (p *Prover) AggregateEpoch(epoch uint64) (*AggregationResult, error) {
-	p.aggMu.Lock()
-	defer p.aggMu.Unlock()
-	res, err := p.AggregateEpochs([]uint64{epoch}, 1)
-	if err != nil {
-		return nil, err
-	}
-	return res[0], nil
+	res, err := p.AggregateEpochs([]uint64{epoch})
+	return res[0], err
 }
 
 // Query compiles, executes, and proves a SQL query over the current
@@ -195,13 +187,6 @@ func (p *Prover) Query(sql string) (qres *QueryResult, err error) {
 
 // Verification errors.
 var (
-	// ErrPipelineActive reports a direct AggregateEpoch call while an
-	// open Scheduler owns the aggregation chain.
-	ErrPipelineActive = errors.New("core: a pipeline scheduler owns aggregation; close it first")
-	// ErrPipelineAborted reports an epoch discarded because an earlier
-	// epoch in the pipeline failed: its speculative chain state is
-	// unusable.
-	ErrPipelineAborted = errors.New("core: pipeline aborted by an earlier epoch failure")
 	// ErrChainBroken reports an aggregation receipt that does not
 	// extend the verifier's current state.
 	ErrChainBroken = errors.New("core: aggregation chain broken")

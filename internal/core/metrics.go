@@ -1,4 +1,4 @@
-// Observability wiring for the prover and the epoch pipeline. All
+// Observability wiring for the prover and the epoch path. All
 // handles are resolved once here, so the instrumented paths only
 // touch atomics; a prover built without Options.Metrics meters into a
 // private registry.
@@ -7,12 +7,10 @@
 //
 //	core.agg_rounds / core.agg_failures     counters, committed / failed rounds
 //	core.agg_seconds                        histogram, witness start → commit
+//	core.agg_discarded                      counter, seals discarded after an earlier seal in their window failed
 //	core.query_total / core.query_failures  counters
 //	core.query_seconds                      histogram
-//	sched.queue_depth                       gauge, submitted-not-yet-committed epochs
-//	sched.inflight_seals                    gauge, seal goroutines holding a slot
-//	sched.epochs_discarded                  counter, poisoned by an earlier failure
-//	trace.witness_seconds / trace.seal_seconds  histograms, scheduler witness / seal stages
+//	trace.witness_seconds / trace.seal_seconds  histograms, witness / seal of each round
 //	prover.stage.<stage>_seconds            zkvm stage breakdown (see zkvm.Stages)
 package core
 
@@ -30,13 +28,10 @@ type metrics struct {
 	aggRounds     *obs.Counter
 	aggFailures   *obs.Counter
 	aggSeconds    *obs.Histogram
+	discarded     *obs.Counter
 	queries       *obs.Counter
 	queryFailures *obs.Counter
 	querySeconds  *obs.Histogram
-
-	queueDepth    *obs.Gauge
-	inflightSeals *obs.Gauge
-	discarded     *obs.Counter
 }
 
 // newMetrics pre-registers every prover metric so snapshots expose
@@ -53,13 +48,10 @@ func newMetrics(reg *obs.Registry) *metrics {
 		aggRounds:     reg.Counter("core.agg_rounds"),
 		aggFailures:   reg.Counter("core.agg_failures"),
 		aggSeconds:    reg.Histogram("core.agg_seconds", obs.DefaultLatencyBuckets),
+		discarded:     reg.Counter("core.agg_discarded"),
 		queries:       reg.Counter("core.query_total"),
 		queryFailures: reg.Counter("core.query_failures"),
 		querySeconds:  reg.Histogram("core.query_seconds", obs.DefaultLatencyBuckets),
-
-		queueDepth:    reg.Gauge("sched.queue_depth"),
-		inflightSeals: reg.Gauge("sched.inflight_seals"),
-		discarded:     reg.Counter("sched.epochs_discarded"),
 	}
 }
 

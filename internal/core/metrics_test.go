@@ -8,9 +8,9 @@ import (
 	"zkflow/internal/zkvm"
 )
 
-// TestPipelineMetrics runs a metered pipeline while a reader snapshots
-// concurrently (this is the scheduler half of the -race lane), then
-// checks the final ledger of gauges, counters, and histograms.
+// TestPipelineMetrics runs a metered batch while a reader snapshots
+// concurrently (this is the epoch-path half of the -race lane), then
+// checks the final ledger of counters and histograms.
 func TestPipelineMetrics(t *testing.T) {
 	const epochs = 3
 	reg := obs.NewRegistry()
@@ -28,17 +28,17 @@ func TestPipelineMetrics(t *testing.T) {
 			default:
 			}
 			s := reg.Snapshot()
-			if d := s.Gauges["sched.queue_depth"]; d < 0 || d > epochs {
-				t.Errorf("queue depth %d out of [0,%d]", d, epochs)
+			if r := s.Counters["core.agg_rounds"]; r > epochs {
+				t.Errorf("agg_rounds %d above %d", r, epochs)
 				return
 			}
-			if f := s.Gauges["sched.inflight_seals"]; f < 0 || f > 2 {
-				t.Errorf("inflight seals %d out of [0,2]", f)
+			if d := s.Counters["core.agg_discarded"]; d != 0 {
+				t.Errorf("%d seals discarded in a batch that cannot fail", d)
 				return
 			}
 		}
 	}()
-	if _, err := p.AggregateEpochs([]uint64{0, 1, 2}, 2); err != nil {
+	if _, err := p.AggregateEpochs([]uint64{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
 	close(stop)
@@ -48,14 +48,8 @@ func TestPipelineMetrics(t *testing.T) {
 	if got := s.Counters["core.agg_rounds"]; got != epochs {
 		t.Fatalf("agg_rounds = %d, want %d", got, epochs)
 	}
-	if got := s.Counters["core.agg_failures"] + s.Counters["sched.epochs_discarded"]; got != 0 {
+	if got := s.Counters["core.agg_failures"] + s.Counters["core.agg_discarded"]; got != 0 {
 		t.Fatalf("failed+discarded = %d, want 0", got)
-	}
-	if got := s.Gauges["sched.queue_depth"]; got != 0 {
-		t.Fatalf("queue_depth = %d after drain, want 0", got)
-	}
-	if got := s.Gauges["sched.inflight_seals"]; got != 0 {
-		t.Fatalf("inflight_seals = %d after drain, want 0", got)
 	}
 	if h := s.Histograms["core.agg_seconds"]; h.Count != epochs {
 		t.Fatalf("agg_seconds count = %d, want %d", h.Count, epochs)
@@ -78,9 +72,9 @@ func TestPipelineMetrics(t *testing.T) {
 	}
 }
 
-// TestSerialAndQueryMetrics checks the unpipelined round and the query
-// path report, and that a metered prover pre-registers the scheduler
-// gauges (so /api/v1/metrics shows the full schema from round one).
+// TestSerialAndQueryMetrics checks the one-epoch round and the query
+// path report, and that a metered prover pre-registers the discard
+// counter (so /api/v1/metrics shows the full schema from round one).
 func TestSerialAndQueryMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	p, _ := pipelineWithOpts(t, 6, 1, 8, Options{Checks: 6, Metrics: reg})
@@ -116,10 +110,9 @@ func TestSerialAndQueryMetrics(t *testing.T) {
 			t.Fatalf("prover stage %q never observed", stage)
 		}
 	}
-	// Scheduler gauges are pre-registered even though no pipeline ran.
-	for _, g := range []string{"sched.queue_depth", "sched.inflight_seals"} {
-		if _, ok := s.Gauges[g]; !ok {
-			t.Fatalf("gauge %q not pre-registered", g)
-		}
+	// The discard counter is pre-registered even though nothing was
+	// discarded.
+	if _, ok := s.Counters["core.agg_discarded"]; !ok {
+		t.Fatal("core.agg_discarded not pre-registered")
 	}
 }

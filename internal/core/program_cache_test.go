@@ -6,8 +6,8 @@ import (
 	"zkflow/internal/guest"
 )
 
-// TestPipelineSharedProgramCache drives concurrent pipelined epochs —
-// every sealing slot binds its receipt to the shared aggregation
+// TestPipelineSharedProgramCache drives the concurrent seals of a
+// batch — every seal binds its receipt to the shared aggregation
 // guest's cached image commitment — and checks each committed receipt
 // carries exactly that commitment and still verifies. The interesting
 // assertion is under `make race`: concurrent ID() hits on the shared
@@ -15,7 +15,7 @@ import (
 func TestPipelineSharedProgramCache(t *testing.T) {
 	p, v := pipelineWithOpts(t, 11, 4, 8, Options{Checks: 6})
 	want := guest.AggregationProgram().ID()
-	results, err := p.AggregateEpochs([]uint64{0, 1, 2, 3}, 3)
+	results, err := p.AggregateEpochs([]uint64{0, 1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}

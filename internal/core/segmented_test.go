@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -57,11 +58,12 @@ func TestSegmentedAggregationEndToEnd(t *testing.T) {
 	}
 }
 
-// TestSegmentedSchedulerMatchesSerial: the pipelined scheduler with
+// TestSegmentedSchedulerMatchesSerial: an AggregateEpochs batch with
 // continuations commits the same journal chain as the serial
 // segmented prover, cuts every round into several segments, and every
 // receipt verifies in order.
 func TestSegmentedSchedulerMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2)) // windows {0, 1} and {2}
 	opts := Options{Checks: 6, SegmentCycles: 1 << 12}
 	serialP, _ := segPipeline(t, 32, 3, 10, opts)
 	var serial []*AggregationResult
@@ -74,7 +76,7 @@ func TestSegmentedSchedulerMatchesSerial(t *testing.T) {
 	}
 
 	p, v := segPipeline(t, 32, 3, 10, opts)
-	results, err := p.AggregateEpochs([]uint64{0, 1, 2}, 2)
+	results, err := p.AggregateEpochs([]uint64{0, 1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +85,10 @@ func TestSegmentedSchedulerMatchesSerial(t *testing.T) {
 			t.Fatalf("round %d: %d segments, want continuation chain", i, n)
 		}
 		if !slices.Equal(res.Receipt.JournalWords(), serial[i].Receipt.JournalWords()) {
-			t.Fatalf("round %d: pipelined journal differs from serial", i)
+			t.Fatalf("round %d: batch journal differs from serial", i)
 		}
 		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
-			t.Fatalf("verify pipelined round %d: %v", i, err)
+			t.Fatalf("verify batch round %d: %v", i, err)
 		}
 	}
 }

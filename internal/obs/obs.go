@@ -2,7 +2,7 @@
 // registry (counters, gauges, fixed-bucket histograms) with
 // allocation-free atomic hot paths and a stable JSON snapshot, plus
 // StageRecorder, which times the prover's stages into it (stage.go).
-// The prover (zkvm stage timings), the epoch pipeline (core.Scheduler),
+// The prover (zkvm stage timings), the epoch path (core.Prover),
 // and the HTTP surface (internal/api) all report here; the registry
 // snapshot is served as GET /api/v1/metrics.
 //

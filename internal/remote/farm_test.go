@@ -224,7 +224,7 @@ func TestFarmOfOneIsTheOffPathProver(t *testing.T) {
 // operator's prover dispatches all proving to one off-path worker and
 // the auditor notices nothing — except that tampered telemetry still
 // fails to prove, and the chain goes on from the last honest round.
-// Serial and pipelined rounds both reach the farm: one dispatched job
+// One-epoch calls and a batch both reach the farm: one dispatched job
 // per epoch proved.
 func TestFarmOfOneAggregationPipeline(t *testing.T) {
 	for _, tc := range []struct {
@@ -242,8 +242,8 @@ func TestFarmOfOneAggregationPipeline(t *testing.T) {
 			}
 			return out, nil
 		}},
-		{"depth=2", func(p *core.Prover, epochs []uint64) ([]*core.AggregationResult, error) {
-			return p.AggregateEpochs(epochs, 2)
+		{"batch", func(p *core.Prover, epochs []uint64) ([]*core.AggregationResult, error) {
+			return p.AggregateEpochs(epochs)
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
