@@ -35,13 +35,16 @@ test:
 race:
 	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
 
-# Stdlib-path lane: the SHA-256 compression kernel of internal/hashk
-# runs on amd64 with SHA-NI, and everywhere else the same functions call
-# sha256.Sum256. Test the packages that hash through it with the kernel
-# compiled out (the purego tag), so the fallback stays tested on a
-# SHA-NI host, and vet the arm64 build, which never has the kernel.
+# Fallback lane: the SHA-256 compression kernel of internal/hashk runs
+# on amd64 with SHA-NI, and everywhere else the same functions hash
+# messages through sha256.Sum256 and tree nodes through a portable block
+# function. Test the packages that hash through it with the kernel
+# compiled out (the purego tag) — the node consumers too: the ledger
+# frontier and core's stored chain — so the fallback stays checked
+# against every fixture on a SHA-NI host, and vet the arm64 build,
+# which never has the kernel.
 purego:
-	$(GO) test -tags purego ./internal/hashk ./internal/merkle ./internal/zkvm
+	$(GO) test -tags purego ./internal/hashk ./internal/merkle ./internal/zkvm ./internal/ledger ./internal/core
 	GOARCH=arm64 $(GO) vet ./...
 
 # Fuzz lane: each network/storage-facing decoder gets a short
@@ -59,14 +62,16 @@ purego:
 # is ReferenceAggregate's, word for word, and that of the independently
 # written guest kept as a test reference in internal/guest/testdata),
 # plus the hash kernel against sha256.Sum256 (two messages of one
-# length, one lane and two, kernel on and off), plus what a light client
+# length, one lane and two, kernel on and off), plus the tree node
+# against the midstate crypto/sha256 exports (Node, both HashLevel
+# lanes and the portable block function, kernel on and off), plus what a light client
 # reads of the ledger (served checkpoints, entry delta, inclusion proof:
 # every check returns promptly, and an accepted extension is the honest
 # checkpoint), plus the grand product (arbitrary logs and challenges:
 # both product columns and the verifier's fingerprint equal a longhand
 # serial reference), plus the client's query-body decoder (arbitrary
 # bodies: no panic, and an accepted body re-marshals byte for byte).
-# `go test -fuzz` takes one target per invocation, so this is sixteen
+# `go test -fuzz` takes one target per invocation, so this is seventeen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
@@ -83,6 +88,7 @@ fuzz:
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hashk -run='^$$' -fuzz=FuzzSumMatchesStdlib -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/hashk -run='^$$' -fuzz=FuzzNodeMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ledger -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/api -run='^$$' -fuzz=FuzzDecodeQueryReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 
@@ -122,7 +128,7 @@ bench-e2e:
 	$(GO) run ./bench
 
 # What the guests cost the seal, phase by phase: trace rows, memory-log
-# entries and n + 3.5m compressions per record for the aggregation guest
+# entries and 0.75n + 2.5m compressions per record for the aggregation guest
 # on the benchmark's steady-state round (the epoch-1k guest), with that
 # round's dynamic opcode mix and its SysHash compression count, and per
 # CLog entry for the six query shapes. Exact counts, the same on every

@@ -178,7 +178,7 @@ func NewServer(p *core.Prover, lg *ledger.Ledger) *Server {
 }
 
 // UseRegistry routes the server's HTTP metrics into reg, so one
-// registry carries the whole daemon (prover stages, scheduler, HTTP).
+// registry carries the whole daemon (prover stages, epoch batches, HTTP).
 // Must be called before Handler.
 func (s *Server) UseRegistry(reg *obs.Registry) { s.metrics = reg }
 
@@ -329,7 +329,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 }
 
 // handleMetrics serves the registry snapshot: per-route HTTP metrics
-// plus whatever the prover and scheduler reported into the shared
+// plus whatever the prover and its epoch batches reported into the shared
 // registry (see core/metrics.go for the name schema).
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, s.metrics.Snapshot())

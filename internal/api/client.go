@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -23,6 +24,45 @@ const DefaultRequestTimeout = 2 * time.Minute
 
 // maxReceiptBytes bounds a single downloaded receipt.
 const maxReceiptBytes = 256 << 20
+
+// maxPrealloc caps what a response's Content-Length makes readBody
+// allocate before any body byte arrives: a lying header costs a client
+// at most this much, and a longer body grows the buffer as it arrives.
+const maxPrealloc = 1 << 20
+
+// errBodyTooLarge: a response body is longer than the client reads.
+var errBodyTooLarge = errors.New("api: response body too large")
+
+// readBody reads a response body of at most limit bytes into one
+// buffer sized from contentLength (-1 when unknown), so a receipt whose
+// length the server declares costs one allocation of its size, not the
+// copies of a growing buffer. A body longer than limit is an error, not
+// a truncation.
+func readBody(r io.Reader, contentLength, limit int64) ([]byte, error) {
+	size := int64(512)
+	if contentLength >= 0 {
+		// One byte past the body, so the read that finds EOF has room.
+		size = min(contentLength, limit, maxPrealloc-1) + 1
+	}
+	buf := make([]byte, 0, size)
+	r = io.LimitReader(r, limit+1)
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if int64(len(buf)) > limit {
+			return nil, fmt.Errorf("%w: more than %d bytes", errBodyTooLarge, limit)
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+}
 
 // A failed GET (a transport error or a 5xx response) is retried
 // getRetries more times, the k-th retry after k × getBackoff. POSTs are
@@ -184,9 +224,9 @@ func (c *Client) getOnce(ctx context.Context, path string) (body []byte, retryab
 		c.mu.Unlock()
 		return cached.body, false, nil
 	}
-	body, err = io.ReadAll(io.LimitReader(resp.Body, maxReceiptBytes))
+	body, err = readBody(resp.Body, resp.ContentLength, maxReceiptBytes)
 	if err != nil {
-		return nil, true, err
+		return nil, !errors.Is(err, errBodyTooLarge), err
 	}
 	c.mu.Lock()
 	c.bytesRead += uint64(len(body))
@@ -334,7 +374,7 @@ func (c *Client) Query(ctx context.Context, sql string) (*QueryResponse, *zkvm.R
 		return nil, nil, err
 	}
 	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, maxReceiptBytes))
+	raw, err := readBody(resp.Body, resp.ContentLength, maxReceiptBytes)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -344,8 +344,8 @@ func TestAggregateEpochRefusesALyingBackend(t *testing.T) {
 }
 
 // TestConcurrentAggregateEpochSerialises: AggregateEpoch calls from two
-// goroutines run one after the other — neither sees the other's
-// depth-1 Scheduler as ErrPipelineActive.
+// goroutines run one after the other — neither fails because the
+// other is proving.
 func TestConcurrentAggregateEpochSerialises(t *testing.T) {
 	p, v := pipelineWithOpts(t, 17, 2, 6, Options{Checks: 4})
 	var wg sync.WaitGroup

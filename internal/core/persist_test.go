@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"zkflow/internal/zkvm"
 )
+
+var updateStored = flag.Bool("update", false, "rewrite testdata/checkpoint_v4.bin from a seeded run")
 
 func TestVerifierStateRoundTrip(t *testing.T) {
 	sim, p, v := pipeline(t, 24, 2, 6)
@@ -55,15 +58,22 @@ func TestLoadVerifierRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestStoredChainStillVerifies: testdata/checkpoint_v3.bin holds two
-// aggregation rounds sealed by an earlier commit, each as one format-v3
-// segment (seed 23, two rounds of 4×6 records at Checks 6). The file is
-// frozen: its layout is a 12-byte header, then per round an epoch
-// (u64), a receipt size (u64) and the receipt. Both receipts must still
-// decode and verify in order against a fresh verifier over the same
-// traffic, so receipts already served stay readable by core.Verifier.
+// TestStoredChainStillVerifies: testdata/checkpoint_v4.bin holds two
+// aggregation rounds sealed by an earlier commit, each as one format-v4
+// segment (seed 23, two rounds of 4×6 records at Checks 6). Its layout
+// is that of the prover checkpoint the repo once had: a 12-byte header
+// (magic "zkcp", the round count, a CLog entry count, here 0), then per
+// round an epoch (u64), a receipt size (u64) and the receipt. Both
+// receipts must still decode and verify in order against a fresh
+// verifier over the same traffic, so receipts already served stay
+// readable by core.Verifier. -update rewrites the file from
+// writeStoredChain's seeded run; do that only for a format change.
 func TestStoredChainStillVerifies(t *testing.T) {
-	stored, err := os.ReadFile(filepath.Join("testdata", "checkpoint_v3.bin"))
+	path := filepath.Join("testdata", "checkpoint_v4.bin")
+	if *updateStored {
+		writeStoredChain(t, path)
+	}
+	stored, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,4 +107,39 @@ func TestStoredChainStillVerifies(t *testing.T) {
 	if v.Rounds() != 2 {
 		t.Fatalf("verifier accepted %d rounds, want 2", v.Rounds())
 	}
+}
+
+// writeStoredChain proves the stored chain's two rounds under fixed salt
+// seeds, one per epoch, so the file is a function of the code, and
+// writes it to path.
+func writeStoredChain(t *testing.T, path string) {
+	t.Helper()
+	seeded := func(prog *zkvm.Program, input []uint32, po zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
+		r, err := zkvm.ProveSeeded(prog, input, po, [32]byte{'c', 'k', 'p', byte(input[epochWord])})
+		if err != nil {
+			return nil, err
+		}
+		return r, nil
+	}
+	p, _ := pipelineWithOpts(t, 23, 3, 6, Options{Checks: 6, Prove: seeded})
+	res, err := p.AggregateEpochs([]uint64{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := binary.LittleEndian.AppendUint32(nil, 0x7a6b6370) // "zkcp"
+	out = binary.LittleEndian.AppendUint32(out, uint32(len(res)))
+	out = binary.LittleEndian.AppendUint32(out, 0)
+	for _, r := range res {
+		bin, err := r.Receipt.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = binary.LittleEndian.AppendUint64(out, r.Epoch)
+		out = binary.LittleEndian.AppendUint64(out, uint64(len(bin)))
+		out = append(out, bin...)
+	}
+	if err := os.WriteFile(path, out, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d bytes to %s", len(out), path)
 }

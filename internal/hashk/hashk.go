@@ -4,25 +4,38 @@
 // kernel's one job is to keep everything but the compression function
 // out of that loop, and the compression units busy.
 //
-// Every message of the seal's fixed shapes — a node (65 bytes), a
-// salted zkVM leaf (at most 109), a SysHash of a CLog entry or a node
-// (64) — is at most MaxMsg bytes, so it pads in place in a 128-byte
-// stack buffer (Msg) to one or two SHA-256 blocks. On amd64 with the
-// SHA extensions those blocks go straight to a private compression
-// kernel (kernel_amd64.s, derived from the Go toolchain's own SHA-NI
-// block function) with none of the stdlib's framing: SumMsg compresses
-// one message, SumMsg2 two of the same length with their rounds
-// interleaved, which HashLevel and the zkVM's block commit feed with
-// sibling nodes and equal-length leaves two at a time. Sum is the
-// short-message entry point for callers holding a byte slice.
+// An internal tree node is one compression: node(l, r) is the
+// compression of the 64-byte block l || r from the node IV, SHA-256's
+// chaining value after the tag block NodePrefix || NodeTag || zero fill
+// — equivalently, the unpadded SHA-256 midstate of tag || l || r. A
+// leaf is SHA-256(0x00 || payload): its first block starts with 0x00
+// and the tag block with 0x01, so a leaf and a node share a chaining
+// input only through a collision of the compression function.
+//
+// Every other message of the seal's fixed shapes — a salted zkVM leaf
+// (at most 109 bytes), a SysHash of a CLog entry or a node (64) — is at
+// most MaxMsg bytes, so it pads in place in a 128-byte stack buffer
+// (Msg) to one or two SHA-256 blocks. On amd64 with the SHA extensions
+// those blocks, and nodes, go straight to a private compression kernel
+// (kernel_amd64.s, derived from the Go toolchain's own SHA-NI block
+// function) that takes its starting chaining value as an argument:
+// SumMsg compresses one message, SumMsg2 two of the same length with
+// their rounds interleaved, which the zkVM's block commit feeds with
+// equal-length leaves two at a time, and HashLevel feeds sibling pairs
+// two at a time straight from the level below, with no copy and no
+// padding. Sum is the short-message entry point for callers holding a
+// byte slice.
 //
 // The kernel runs when CPUID reports SHA, SSSE3 and SSE4.1. On any
-// other CPU, on other architectures and under the purego build tag, the
-// same functions call sha256.Sum256 instead — the stdlib function, not
-// a second SHA-256. Either way every digest is bit-for-bit SHA-256: the
-// golden receipt vectors and the determinism tests pin that on both
-// paths, and TestSumMatchesStdlib and FuzzSumMatchesStdlib compare the
-// kernel with sha256.Sum256 directly.
+// other CPU, on other architectures and under the purego build tag,
+// messages hash through sha256.Sum256 and nodes through a portable
+// block function (block.go) that allocates nothing. Either way every
+// message digest is bit-for-bit SHA-256 and every node the compression
+// above: the golden receipt vectors and the determinism tests pin that
+// on both paths, TestSumMatchesStdlib and FuzzSumMatchesStdlib compare
+// the kernel with sha256.Sum256 directly, and TestNodeMatchesReference
+// and FuzzNodeMatchesReference compare nodes with the midstate
+// crypto/sha256 exports.
 //
 //   - Node/HashLevel hash internal tree nodes: zero allocations per
 //     node at any tree size. HashLevel reduces a whole level (or a
@@ -44,13 +57,15 @@ import (
 	"encoding/binary"
 )
 
-// Domain-separation prefixes of the merkle package's tree convention:
-// a leaf hash is SHA-256(0x00 || payload), an internal node is
-// SHA-256(0x01 || left || right). Kept here so the kernel can hash
-// whole levels without calling back into merkle.
+// The domain separation of the merkle package's tree convention: a
+// leaf hash is SHA-256(LeafPrefix || payload), an internal node the
+// compression of left || right from the chaining value after the tag
+// block NodePrefix || NodeTag || zero fill. Kept here so the kernel can
+// hash whole levels without calling back into merkle.
 const (
 	LeafPrefix byte = 0x00
 	NodePrefix byte = 0x01
+	NodeTag         = "zkflow/merkle/node/v1"
 )
 
 // ScratchBytes is the stack scratch size of the leaf path for payloads
@@ -116,13 +131,13 @@ func pad(m *Msg, n int) int {
 
 // sum1 writes SHA-256(m[:n]) to out; m is padded to blocks blocks.
 // This and sum2 are the one place that picks the kernel or
-// sha256.Sum256, which ignores the padding.
+// sha256.Sum256 for a message, which ignores the padding.
 func sum1(out *[32]byte, m *Msg, n, blocks int) {
 	if !useKernel {
 		*out = sha256.Sum256(m[:n])
 		return
 	}
-	compress1(out, m, blocks)
+	compress1(out, &ivSHA256, &m[0], blocks)
 }
 
 // sum2 is sum1 on two padded messages of the same length.
@@ -131,44 +146,46 @@ func sum2(outA, outB *[32]byte, a, b *Msg, n, blocks int) {
 		*outA, *outB = sha256.Sum256(a[:n]), sha256.Sum256(b[:n])
 		return
 	}
-	compress2(outA, outB, a, b, blocks)
+	compress2(outA, outB, &ivSHA256, &a[0], &b[0], blocks)
 }
 
-// Node hashes two child digests with the node domain prefix:
-// SHA-256(0x01 || left || right). Zero allocations.
-func Node[H ~[32]byte](left, right H) H {
-	var m Msg
-	m[0] = NodePrefix
-	copy(m[1:33], left[:])
-	copy(m[33:65], right[:])
-	return H(SumMsg(&m, 65))
+// Node hashes two child digests into their parent: one compression of
+// left || right from the node IV. Zero allocations.
+func Node[H ~[32]byte](left, right H) (out H) {
+	var lr [64]byte
+	copy(lr[:32], left[:])
+	copy(lr[32:], right[:])
+	if !useKernel {
+		nodeBlock((*[32]byte)(out[:]), &lr)
+		return out
+	}
+	compress1((*[32]byte)(out[:]), &ivNode, &lr[0], 1)
+	return out
 }
 
 // HashLevel reduces one whole tree level: dst[i] = Node(src[2i],
 // src[2i+1]), two nodes at a time. len(src) must be exactly 2*len(dst).
-// Zero allocations regardless of level width, so a full tree reduction
-// costs no allocator traffic at all. Callers fan chunks of a level out
-// across workers by slicing dst and src consistently.
+// A sibling pair is one 64-byte block where it lies in src, so the
+// kernel reads it in place. Zero allocations regardless of level width,
+// so a full tree reduction costs no allocator traffic at all. Callers
+// fan chunks of a level out across workers by slicing dst and src
+// consistently.
 func HashLevel[H ~[32]byte](dst, src []H) {
 	if len(src) != 2*len(dst) {
 		panic("hashk: HashLevel src must be exactly twice dst")
 	}
-	var a, b Msg
-	a[0], b[0] = NodePrefix, NodePrefix
-	blocks := pad(&a, 65)
-	pad(&b, 65)
+	if !useKernel {
+		for i := range dst {
+			dst[i] = Node(src[2*i], src[2*i+1])
+		}
+		return
+	}
 	i := 0
 	for ; i+1 < len(dst); i += 2 {
-		copy(a[1:33], src[2*i][:])
-		copy(a[33:65], src[2*i+1][:])
-		copy(b[1:33], src[2*i+2][:])
-		copy(b[33:65], src[2*i+3][:])
-		sum2((*[32]byte)(dst[i][:]), (*[32]byte)(dst[i+1][:]), &a, &b, 65, blocks)
+		compress2((*[32]byte)(dst[i][:]), (*[32]byte)(dst[i+1][:]), &ivNode, &src[2*i][0], &src[2*i+2][0], 1)
 	}
 	if i < len(dst) {
-		copy(a[1:33], src[2*i][:])
-		copy(a[33:65], src[2*i+1][:])
-		sum1((*[32]byte)(dst[i][:]), &a, 65, blocks)
+		compress1((*[32]byte)(dst[i][:]), &ivNode, &src[2*i][0], 1)
 	}
 }
 

@@ -3,6 +3,8 @@ package hashk
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -10,15 +12,23 @@ import (
 
 type digest = [32]byte
 
-// refNode is the pre-kernel formulation node hashing must match.
-func refNode(l, r digest) digest {
+// refNode is the test oracle for a node: crypto/sha256's chaining value
+// after the blocks tag || l || r, read from its exported state encoding
+// ("sha\x03", then h0..h7 big-endian), never finalized.
+func refNode(t testing.TB, l, r digest) digest {
+	t.Helper()
+	var tag [64]byte
+	tag[0] = NodePrefix
+	copy(tag[1:], NodeTag)
 	h := sha256.New()
-	h.Write([]byte{NodePrefix})
+	h.Write(tag[:])
 	h.Write(l[:])
 	h.Write(r[:])
-	var out digest
-	h.Sum(out[:0])
-	return out
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil || string(state[:4]) != "sha\x03" {
+		t.Fatalf("crypto/sha256 state encoding %.8x…: %v", state, err)
+	}
+	return digest(state[4:36])
 }
 
 func refLeaf(parts ...[]byte) digest {
@@ -42,22 +52,81 @@ func mkDigests(n int) []digest {
 
 func TestNodeMatchesReference(t *testing.T) {
 	d := mkDigests(4)
-	if got, want := Node(d[0], d[1]), refNode(d[0], d[1]); got != want {
-		t.Fatalf("Node = %x, want %x", got, want)
+	kernelModes(t, func(mode string) {
+		if got, want := Node(d[0], d[1]), refNode(t, d[0], d[1]); got != want {
+			t.Fatalf("%s: Node = %x, want %x", mode, got, want)
+		}
+	})
+}
+
+// TestNodeKnownAnswer pins the node definition to vectors computed
+// outside Go (a longhand FIPS 180-4 compression function): the node IV
+// after the tag block, and node(l, r) for l = 00 01 … 1f, r = 20 … 3f
+// and for two zero children.
+func TestNodeKnownAnswer(t *testing.T) {
+	wantIV := [8]uint32{0x60dda825, 0xe52c1e03, 0x2331cf6d, 0x73b13868, 0x7b788e7b, 0x76d6b52d, 0xfb594907, 0xc9a8ad87}
+	if ivNode != wantIV {
+		t.Fatalf("node IV = %08x, want %08x", ivNode, wantIV)
 	}
+	var l, r, zero digest
+	for i := range l {
+		l[i], r[i] = byte(i), byte(32+i)
+	}
+	kernelModes(t, func(mode string) {
+		for _, c := range []struct {
+			l, r digest
+			want string
+		}{
+			{l, r, "f2ce464f1dd590b2e0be67216000fda9d916c4a2ad20895004084ce8d8656c1f"},
+			{zero, zero, "08c70d6d0205ca7fc1053c919459e1c9e97a1aa58876ded4708c8e580501f69f"},
+		} {
+			if got := Node(c.l, c.r); hex.EncodeToString(got[:]) != c.want {
+				t.Fatalf("%s: node(%x, %x) = %x, want %s", mode, c.l, c.r, got, c.want)
+			}
+		}
+	})
 }
 
 func TestHashLevelMatchesNode(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 17, 1024} {
-		src := mkDigests(2 * n)
-		dst := make([]digest, n)
-		HashLevel(dst, src)
-		for i := range dst {
-			if want := refNode(src[2*i], src[2*i+1]); dst[i] != want {
-				t.Fatalf("n=%d: level node %d = %x, want %x", n, i, dst[i], want)
+	kernelModes(t, func(mode string) {
+		for _, n := range []int{1, 2, 3, 17, 1024} {
+			src := mkDigests(2 * n)
+			dst := make([]digest, n)
+			HashLevel(dst, src)
+			for i := range dst {
+				if want := refNode(t, src[2*i], src[2*i+1]); dst[i] != want {
+					t.Fatalf("%s: n=%d: level node %d = %x, want %x", mode, n, i, dst[i], want)
+				}
 			}
 		}
-	}
+	})
+}
+
+// FuzzNodeMatchesReference: Node and both lanes of HashLevel hash a
+// fuzzed sibling pair to the oracle's midstate, with the kernel on and
+// off (off, both run the portable block function). The second
+// HashLevel lane gets the pair swapped, so the lanes see different
+// blocks.
+func FuzzNodeMatchesReference(f *testing.F) {
+	f.Add(make([]byte, 64))
+	f.Add(bytes.Repeat([]byte{0xff}, 64))
+	f.Add([]byte("short"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var lr [64]byte
+		copy(lr[:], data)
+		l, r := digest(lr[:32]), digest(lr[32:])
+		want, swapped := refNode(t, l, r), refNode(t, r, l)
+		kernelModes(t, func(mode string) {
+			if got := Node(l, r); got != want {
+				t.Fatalf("%s: Node(%x, %x) = %x, want %x", mode, l, r, got, want)
+			}
+			dst := make([]digest, 2)
+			HashLevel(dst, []digest{l, r, r, l})
+			if dst[0] != want || dst[1] != swapped {
+				t.Fatalf("%s: HashLevel lanes = %x, %x, want %x, %x", mode, dst[0], dst[1], want, swapped)
+			}
+		})
+	})
 }
 
 func TestHashLevelRejectsRaggedInput(t *testing.T) {
@@ -109,7 +178,7 @@ func TestLeafSlowPathMatchesFastPath(t *testing.T) {
 
 // TestKernelZeroAllocs is the allocation-regression gate for the
 // kernel itself: node hashing, whole-level hashing, and the leaf fast
-// paths must not touch the allocator.
+// paths must not touch the allocator, with the kernel on and off.
 func TestKernelZeroAllocs(t *testing.T) {
 	d := mkDigests(256)
 	dst := make([]digest, 128)
@@ -126,11 +195,13 @@ func TestKernelZeroAllocs(t *testing.T) {
 		{"Leaf2", func() { _ = Leaf2[digest](salt, row) }},
 		{"Leaf2/block", func() { _ = Leaf2[digest](salt, rows) }},
 	}
-	for _, tc := range cases {
-		if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
-			t.Errorf("%s allocates %v per run, want 0", tc.name, allocs)
+	kernelModes(t, func(mode string) {
+		for _, tc := range cases {
+			if allocs := testing.AllocsPerRun(100, tc.fn); allocs != 0 {
+				t.Errorf("%s: %s allocates %v per run, want 0", mode, tc.name, allocs)
+			}
 		}
-	}
+	})
 }
 
 // kernelModes runs f with the compression kernel off and, on a CPU
@@ -138,7 +209,7 @@ func TestKernelZeroAllocs(t *testing.T) {
 func kernelModes(t testing.TB, f func(mode string)) {
 	defer func(was bool) { useKernel = was }(useKernel)
 	useKernel = false
-	f("stdlib")
+	f("fallback")
 	if haveKernel {
 		useKernel = true
 		f("kernel")
@@ -234,39 +305,43 @@ func FuzzSumMatchesStdlib(f *testing.F) {
 
 // BenchmarkCompress is the kernel's floor: ns per 64-byte block for one
 // message at a time and for two interleaved, on two-block messages (a
-// node is one).
+// salted exec leaf is one).
 func BenchmarkCompress(b *testing.B) {
 	if !haveKernel {
 		b.Skip("no SHA-NI compression kernel on this CPU or build")
 	}
 	var ma, mb Msg
-	blocks := pad(&ma, 65)
-	pad(&mb, 65)
+	blocks := pad(&ma, 109)
+	pad(&mb, 109)
 	var da, db [32]byte
 	b.Run("lanes=1", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			compress1(&da, &ma, blocks)
+			compress1(&da, &ivSHA256, &ma[0], blocks)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
 	})
 	b.Run("lanes=2", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			compress2(&da, &db, &ma, &mb, blocks)
+			compress2(&da, &db, &ivSHA256, &ma[0], &mb[0], blocks)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(2*b.N*blocks), "ns/block")
 	})
 }
 
+// BenchmarkHashLevel is ns per node of a whole level, one compression
+// each, through the kernel and through the portable block function.
 func BenchmarkHashLevel(b *testing.B) {
 	for _, n := range []int{1024, 16384} {
 		src := mkDigests(2 * n)
 		dst := make([]digest, n)
-		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
-			b.SetBytes(int64(64 * n))
-			for i := 0; i < b.N; i++ {
-				HashLevel(dst, src)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
+		kernelModes(b, func(mode string) {
+			b.Run(fmt.Sprintf("%s/nodes=%d", mode, n), func(b *testing.B) {
+				b.SetBytes(int64(64 * n))
+				for i := 0; i < b.N; i++ {
+					HashLevel(dst, src)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
+			})
 		})
 	}
 }

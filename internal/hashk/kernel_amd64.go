@@ -2,17 +2,18 @@
 
 package hashk
 
-// compress1 hashes the padded message m of blocks 64-byte blocks (1 or
-// 2) from the SHA-256 IV and writes the digest to out.
+// compress1 runs the compression function from the chaining value iv
+// over the blocks 64-byte blocks (1 or 2) at p and writes the result to
+// out as big-endian bytes.
 //
 //go:noescape
-func compress1(out *[32]byte, m *Msg, blocks int)
+func compress1(out *[32]byte, iv *[8]uint32, p *byte, blocks int)
 
-// compress2 is compress1 on two messages of the same block count at
-// once, their rounds interleaved.
+// compress2 is compress1 on two inputs of the same block count from one
+// chaining value at once, their rounds interleaved.
 //
 //go:noescape
-func compress2(outA, outB *[32]byte, a, b *Msg, blocks int)
+func compress2(outA, outB *[32]byte, iv *[8]uint32, a, b *byte, blocks int)
 
 func cpuid(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 

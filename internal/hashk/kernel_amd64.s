@@ -9,8 +9,9 @@
 // Instructions Supporting the Secure Hash Algorithm on Intel®
 // Architecture Processors", July 2013.
 //
-// Changes from blockSHANI: the state starts from the SHA-256 IV instead
-// of a digest argument and ends as the big-endian digest bytes; the
+// Changes from blockSHANI: the state starts from a chaining-value
+// argument (the SHA-256 IV for a message, the node IV for a tree node)
+// and ends as the big-endian digest bytes, not in the argument; the
 // round constants are packed 16 bytes apart; every instruction is an
 // SSE encoding (SHA, SSSE3 and SSE4.1 are all the CPU needs); and
 // compress2 runs a second message through the same quad-round macros on
@@ -53,6 +54,17 @@
 	SHA256MSG2  m, t; \
 	PSHUFD      $0x0e, X0, X0; \
 	SHA256RNDS2 X0, s1, s0
+
+// Load the chaining value h0..h7 at iv into the kernel's state layout,
+// s0 = ABEF and s1 = CDGH.
+#define LOADIV(iv, s0, s1, tmp) \
+	MOVOU   (iv), s0; \
+	MOVOU   16(iv), s1; \
+	PSHUFD  $0xb1, s0, s0; \
+	PSHUFD  $0x1b, s1, s1; \
+	MOVO    s0, tmp; \
+	PALIGNR $8, s1, s0; \
+	PBLENDW $0xf0, tmp, s1
 
 // Reorder the state (ABEF, CDGH) back to (ABCD, EFGH) and store it as
 // the big-endian digest at dst.
@@ -121,14 +133,14 @@
 	RNDS(X6, 240, X1, X2); \
 	RNDS(X14, 240, X9, X10)
 
-// func compress1(out *[32]byte, m *Msg, blocks int)
-TEXT ·compress1(SB), NOSPLIT, $0-24
-	MOVQ  m+8(FP), SI
-	MOVQ  blocks+16(FP), CX
+// func compress1(out *[32]byte, iv *[8]uint32, p *byte, blocks int)
+TEXT ·compress1(SB), NOSPLIT, $0-32
+	MOVQ  iv+8(FP), DX
+	LOADIV(DX, X1, X2, X7)
+	MOVQ  p+16(FP), SI
+	MOVQ  blocks+24(FP), CX
 	LEAQ  k256<>(SB), AX
 	MOVOU flipMask<>(SB), X8
-	MOVOU iv<>+0(SB), X1
-	MOVOU iv<>+16(SB), X2
 
 loop:
 	// save the entry state for the addition after the rounds (one lane
@@ -146,17 +158,17 @@ loop:
 	STORE(X1, X2, X7, DX)
 	RET
 
-// func compress2(outA, outB *[32]byte, a, b *Msg, blocks int)
+// func compress2(outA, outB *[32]byte, iv *[8]uint32, a, b *byte, blocks int)
 //
 // Both lanes' entry states go on the frame: no register is left.
-TEXT ·compress2(SB), NOSPLIT, $64-40
-	MOVQ  a+16(FP), SI
-	MOVQ  b+24(FP), DI
-	MOVQ  blocks+32(FP), CX
+TEXT ·compress2(SB), NOSPLIT, $64-48
+	MOVQ  iv+16(FP), DX
+	LOADIV(DX, X1, X2, X7)
+	MOVQ  a+24(FP), SI
+	MOVQ  b+32(FP), DI
+	MOVQ  blocks+40(FP), CX
 	LEAQ  k256<>(SB), AX
 	MOVOU flipMask<>(SB), X8
-	MOVOU iv<>+0(SB), X1
-	MOVOU iv<>+16(SB), X2
 	MOVO  X1, X9
 	MOVO  X2, X10
 
@@ -195,18 +207,6 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL CX, ecx+16(FP)
 	MOVL DX, edx+20(FP)
 	RET
-
-// The SHA-256 IV in the kernel's state layout: X1 = ABEF, X2 = CDGH
-// (highest dword first).
-DATA iv<>+0(SB)/4, $0x9b05688c
-DATA iv<>+4(SB)/4, $0x510e527f
-DATA iv<>+8(SB)/4, $0xbb67ae85
-DATA iv<>+12(SB)/4, $0x6a09e667
-DATA iv<>+16(SB)/4, $0x5be0cd19
-DATA iv<>+20(SB)/4, $0x1f83d9ab
-DATA iv<>+24(SB)/4, $0xa54ff53a
-DATA iv<>+28(SB)/4, $0x3c6ef372
-GLOBL iv<>(SB), RODATA|NOPTR, $32
 
 // Reverses the bytes of each dword: big-endian message words in,
 // big-endian digest words out.

@@ -59,8 +59,10 @@ type Checkpoint struct {
 }
 
 // checkpointDomain separates checkpoint digests from every other hash
-// in the system.
-var checkpointDomain = []byte("zkflow/ledger/checkpoint/v2")
+// in the system. v3: frontier nodes are one compression from the node
+// IV (merkle), so a checkpoint pinned over v2's two-compression nodes
+// fails its digest instead of extending under the wrong tree.
+var checkpointDomain = []byte("zkflow/ledger/checkpoint/v3")
 
 // Digest binds every checkpoint field into one hash — the value a
 // light client pins out of band.

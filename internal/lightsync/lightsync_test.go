@@ -2,6 +2,8 @@ package lightsync
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"net/http"
@@ -77,6 +79,32 @@ func (op *operator) pinAt(t *testing.T, epoch uint64) *State {
 		t.Fatal(err)
 	}
 	return st
+}
+
+// TestStateRejectsOldDomain: a state pinned before the node hash
+// became one compression carries a digest under the checkpoint domain
+// "…/v2". It fails Check with ErrStateDigest, before any network, and
+// never extends under the current tree.
+func TestStateRejectsOldDomain(t *testing.T) {
+	op := newOperator(t)
+	op.advance(t, 1)
+	st := op.pinAt(t, 0)
+	h := sha256.New()
+	h.Write([]byte("zkflow/ledger/checkpoint/v2"))
+	var buf [16]byte
+	binary.LittleEndian.PutUint64(buf[0:], st.Checkpoint.Epoch)
+	binary.LittleEndian.PutUint64(buf[8:], st.Checkpoint.Count)
+	h.Write(buf[:])
+	for _, f := range st.Checkpoint.Frontier {
+		h.Write(f[:])
+	}
+	h.Sum(st.Digest[:0])
+	if err := st.Check(); !errors.Is(err, ErrStateDigest) {
+		t.Fatalf("state under the v2 domain: %v, want ErrStateDigest", err)
+	}
+	if _, err := Sync(context.Background(), op.client(), st, Options{}); !errors.Is(err, ErrStateDigest) {
+		t.Fatalf("sync from a v2-domain state: %v, want ErrStateDigest", err)
+	}
 }
 
 func TestSyncAdvancesPin(t *testing.T) {

@@ -2,15 +2,38 @@ package merkle
 
 import (
 	"crypto/sha256"
+	"encoding"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"runtime"
 	"testing"
+
+	"zkflow/internal/hashk"
 )
 
+// refNode is the test oracle for a node: crypto/sha256's chaining value
+// after the blocks tag || l || r (the tag block is hashk.NodePrefix ||
+// hashk.NodeTag || zero fill), read from its exported state encoding
+// ("sha\x03", then h0..h7 big-endian), never finalized.
+func refNode(l, r Hash) Hash {
+	var tag [64]byte
+	tag[0] = hashk.NodePrefix
+	copy(tag[1:], hashk.NodeTag)
+	h := sha256.New()
+	h.Write(tag[:])
+	h.Write(l[:])
+	h.Write(r[:])
+	state, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+	if err != nil || string(state[:4]) != "sha\x03" {
+		panic(fmt.Sprintf("crypto/sha256 state encoding %.8x…: %v", state, err))
+	}
+	return Hash(state[4:36])
+}
+
 // refTree is the pre-kernel tree builder (per-level allocations, every
-// padding node hashed) kept as the identity oracle for the arena +
-// padding-table build.
+// padding node hashed, every node through the oracle) kept as the
+// identity oracle for the arena + padding-table build.
 func refTree(leafHashes []Hash) [][]Hash {
 	n := len(leafHashes)
 	size := 1
@@ -26,11 +49,7 @@ func refTree(leafHashes []Hash) [][]Hash {
 	for len(level) > 1 {
 		next := make([]Hash, len(level)/2)
 		for i := range next {
-			h := sha256.New()
-			h.Write([]byte{0x01})
-			h.Write(level[2*i][:])
-			h.Write(level[2*i+1][:])
-			h.Sum(next[i][:0])
+			next[i] = refNode(level[2*i], level[2*i+1])
 		}
 		levels = append(levels, next)
 		level = next
@@ -121,6 +140,24 @@ func TestPaddingHashTable(t *testing.T) {
 		h = NodeHash(h, h)
 		if PaddingHash(l) != h {
 			t.Fatalf("PaddingHash(%d) diverges from iterated NodeHash", l)
+		}
+	}
+}
+
+// TestPaddingHashKnownAnswer pins the first padding roots to vectors
+// computed outside Go (a longhand FIPS 180-4 compression from the node
+// IV), so a change to the node definition cannot pass unnoticed.
+func TestPaddingHashKnownAnswer(t *testing.T) {
+	for l, want := range []string{
+		1: "a9fd6908d40fdbe797813ea962dd4a2c4696b57fef1d14ec71126240df4c4f09",
+		2: "df2e2a55f2d8f2b270bb5291f2f4c927cd9685e06331047932736f08b75c930b",
+		3: "36cb70fb4518b2228948b8a6fd2f6e0f3ce756589749fbf3e113182e579d6512",
+	} {
+		if l == 0 {
+			continue
+		}
+		if got := PaddingHash(l); hex.EncodeToString(got[:]) != want {
+			t.Fatalf("PaddingHash(%d) = %x, want %s", l, got, want)
 		}
 	}
 }

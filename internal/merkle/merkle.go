@@ -6,8 +6,12 @@
 // commitment, and both the aggregation and query guests check or rebuild
 // it. The same trees commit zkVM execution traces and FRI layers.
 //
-// Leaf and node hashes are domain-separated (0x00 / 0x01 prefixes) so a
-// leaf can never be confused with an internal node (second-preimage
+// A leaf hash is SHA-256(0x00 || data); an internal node is one
+// SHA-256 compression of left || right from a fixed node IV, the
+// chaining value after the tag block 0x01 || "zkflow/merkle/node/v1" ||
+// zero fill (hashk). A leaf's first block starts with 0x00 and the tag
+// block with 0x01, so a leaf can never be confused with an internal node
+// short of a compression-function collision (second-preimage
 // hardening). Leaf counts need not be powers of two; the tree pads with
 // a fixed empty hash.
 package merkle
@@ -93,8 +97,8 @@ func PaddingHash(level int) Hash { return padHashes[level] }
 // Zero-allocation for payloads under hashk.ScratchBytes.
 func LeafHash(data []byte) Hash { return hashk.Leaf[Hash](data) }
 
-// NodeHash combines two child hashes with the node domain prefix.
-// Zero-allocation.
+// NodeHash combines two child hashes into their parent: one
+// compression of left || right from the node IV. Zero-allocation.
 func NodeHash(left, right Hash) Hash { return hashk.Node(left, right) }
 
 // Tree is an immutable-by-default Merkle tree (Update mutates in place).

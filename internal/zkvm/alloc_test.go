@@ -205,10 +205,11 @@ func sha256Blocks(n int) int { return (n + 9 + 63) / 64 }
 // leaf-hash and reduce one 1024-leaf (4096-record) builder block — for
 // each committed record shape, and reports next to ns/record what the
 // format fixes: SHA-256 compressions and bytes hashed per record,
-// leaves plus the block's internal nodes (65-byte preimages, two
-// compressions each), from the length of the message the leaf really
-// hashes: an exec leaf is 109 bytes, two compressions for four rows
-// (EXPERIMENTS.md E24 has the counts of the retired leaf layouts).
+// leaves plus the block's internal nodes (one 64-byte block from the
+// node IV, one compression each), from the length of the message the
+// leaf really hashes: an exec leaf is 109 bytes, two compressions for
+// four rows (EXPERIMENTS.md E24 has the counts of the retired leaf
+// layouts, E41 those of the two-compression node).
 func BenchmarkCommitBlock(b *testing.B) {
 	const n = 1 << 15
 	tabs := shapeTables(&[32]byte{7}, n)
@@ -228,8 +229,8 @@ func BenchmarkCommitBlock(b *testing.B) {
 			var scratch [maxLeafBytes]byte
 			leafMsg, nodes := 1+saltBytes+tab.encodeLeaf(0, scratch[:]), leaves-1
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*recs), "ns/record")
-			b.ReportMetric(float64(leaves*sha256Blocks(leafMsg)+nodes*sha256Blocks(65))/recs, "compressions/record")
-			b.ReportMetric(float64(leaves*leafMsg+nodes*65)/recs, "hashedB/record")
+			b.ReportMetric(float64(leaves*sha256Blocks(leafMsg)+nodes)/recs, "compressions/record")
+			b.ReportMetric(float64(leaves*leafMsg+nodes*64)/recs, "hashedB/record")
 		})
 	}
 }

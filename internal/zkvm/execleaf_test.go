@@ -14,7 +14,7 @@ import (
 	"zkflow/internal/transcript"
 )
 
-// This file tests the format-v3 exec leaf — one row and a witness word
+// This file tests the exec leaf of formats v3 and v4 — one row and a witness word
 // per further row — from both sides: that what the prover encodes
 // expands back to the rows it stood for, that nothing else expands at
 // all, that expanding costs a step per row whatever the leaf claims, and

@@ -180,7 +180,7 @@ func DecodeInstr(b [instrSize]byte) (Instr, error) {
 type Program struct {
 	Instrs []Instr
 
-	// id memoizes the image commitment. The scheduler proves and
+	// id memoizes the image commitment. The aggregator proves and
 	// verifies the same guest every epoch, and each Prove/Verify pair
 	// recomputed SHA-256 over the full encoding; the atomic makes the
 	// cache safe under concurrent sealing slots. Benign race: two

@@ -43,8 +43,8 @@ func TestImageIDCacheKeyedByDigest(t *testing.T) {
 	}
 }
 
-// TestImageIDConcurrent hammers the memo from many goroutines — the
-// scheduler's concurrent sealing slots all call ID() on the shared
+// TestImageIDConcurrent hammers the memo from many goroutines — an
+// epoch batch's concurrent seals all call ID() on the shared
 // guest program. Run under -race in the `make race` lane.
 func TestImageIDConcurrent(t *testing.T) {
 	prog := sumProgram()

@@ -21,22 +21,24 @@ import (
 // bytes against two 32-byte path levels fewer).
 const leafRecords = 4
 
-// The magic of a receipt's encoding (format v3, DESIGN.md §8) and the
+// The magic of a receipt's encoding (format v4, DESIGN.md §8) and the
 // label its segments' statements open their transcripts with. "zkfa"
-// frames the farm's wire. "zkf1"–"zkf8" and "zkfb" are retired and must
+// frames the farm's wire. "zkf1"–"zkf9" and "zkfb" are retired and must
 // never be assigned again, so that no byte string ever read as one of
 // them can be read as anything else: "zkf1"–"zkf3" tagged format v1 (one
 // record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of whole
 // rows), which no code decodes any more; "zkf4" (0x7a6b6634) tagged the
 // folded receipt, a prover-trusted binding rather than a proof; "zkf8"
 // tagged a run sealed whole under its own statement, which
-// is now a one-segment receipt; "zkfb" (0x7a6b6662) tagged a standalone
+// is now a one-segment receipt; "zkf9" (0x7a6b6639) tagged format v3,
+// whose Merkle nodes were SHA-256(0x01 || l || r), two compressions,
+// where a v4 node is one; "zkfb" (0x7a6b6662) tagged a standalone
 // segment receipt, which a farm worker now ships as a one-segment
 // receipt.
 const (
-	magicReceipt = 0x7a6b6639 // "zkf9"
+	magicReceipt = 0x7a6b6663 // "zkfc"
 
-	segLabel = "zkvm-seg-v3"
+	segLabel = "zkvm-seg-v4"
 )
 
 // Opening is one authenticated leaf revealed by the seal: its index in
