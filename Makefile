@@ -70,8 +70,11 @@ purego:
 # checkpoint), plus the grand product (arbitrary logs and challenges:
 # both product columns and the verifier's fingerprint equal a longhand
 # serial reference), plus the client's query-body decoder (arbitrary
-# bodies: no panic, and an accepted body re-marshals byte for byte).
-# `go test -fuzz` takes one target per invocation, so this is seventeen
+# bodies: no panic, and an accepted body re-marshals byte for byte),
+# plus the Merkle multiproof (arbitrary index sets and node lists
+# against small trees: no panic, and an accepted multiproof is
+# ProveMulti's own, so none has two spellings).
+# `go test -fuzz` takes one target per invocation, so this is eighteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
 	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
@@ -89,6 +92,7 @@ fuzz:
 	$(GO) test ./internal/poly -run='^$$' -fuzz=FuzzNTTRoundTrip -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hashk -run='^$$' -fuzz=FuzzSumMatchesStdlib -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/hashk -run='^$$' -fuzz=FuzzNodeMatchesReference -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/merkle -run='^$$' -fuzz=FuzzMultiProof -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ledger -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/api -run='^$$' -fuzz=FuzzDecodeQueryReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 

@@ -23,12 +23,14 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"time"
 
 	"zkflow/internal/api"
 	"zkflow/internal/lightsync"
+	"zkflow/internal/statefile"
 	"zkflow/internal/zkvm"
 )
 
@@ -126,9 +128,8 @@ func saveState(path string, st *lightsync.State) error {
 	if err != nil {
 		return err
 	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(buf, '\n'), 0o644); err != nil {
+	return statefile.Write(path, func(w io.Writer) error {
+		_, err := w.Write(append(buf, '\n'))
 		return err
-	}
-	return os.Rename(tmp, path)
+	})
 }

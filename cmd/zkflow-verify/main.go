@@ -22,6 +22,7 @@ import (
 	"zkflow/internal/api"
 	"zkflow/internal/core"
 	"zkflow/internal/guest"
+	"zkflow/internal/statefile"
 	"zkflow/internal/zkvm"
 )
 
@@ -89,15 +90,7 @@ func main() {
 	}
 	fmt.Printf("aggregation chain VERIFIED; trusted root %v\n", verifier.TrustedRoot().Bytes())
 	if *stateFile != "" {
-		f, err := os.Create(*stateFile)
-		if err != nil {
-			log.Fatalf("state file: %v", err)
-		}
-		if err := verifier.SaveState(f); err != nil {
-			f.Close()
-			log.Fatalf("state file: %v", err)
-		}
-		if err := f.Close(); err != nil {
+		if err := statefile.Write(*stateFile, verifier.SaveState); err != nil {
 			log.Fatalf("state file: %v", err)
 		}
 		fmt.Printf("auditor state saved to %s\n", *stateFile)

@@ -1,5 +1,5 @@
-// Package merkle implements SHA-256 Merkle trees with inclusion proofs
-// and O(log n) incremental updates.
+// Package merkle implements SHA-256 Merkle trees with inclusion proofs,
+// multiproofs and O(log n) incremental updates.
 //
 // Trees are the authenticated data structure at the heart of the system
 // (paper §4.1): CLog entries are leaves, the root is a compact
@@ -22,6 +22,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"zkflow/internal/hashk"
@@ -65,7 +66,8 @@ func (h *Hash) UnmarshalJSON(data []byte) error {
 var (
 	// ErrIndexOutOfRange reports a leaf index beyond the tree.
 	ErrIndexOutOfRange = errors.New("merkle: leaf index out of range")
-	// ErrProofInvalid reports a structurally broken proof.
+	// ErrProofInvalid reports a proof that does not authenticate its
+	// leaves.
 	ErrProofInvalid = errors.New("merkle: malformed proof")
 )
 
@@ -141,20 +143,6 @@ func (t *Tree) Release() {
 	t.arena = nil
 	t.levels = nil
 	arenaPools[depth].Put(&a)
-}
-
-// Build constructs a tree over raw leaves (hashed with LeafHash).
-// Large trees are built across par.Workers() goroutines; the tree is
-// identical at any width — hashing is deterministic and workers only
-// split index ranges.
-func Build(leaves [][]byte) *Tree {
-	return BuildLeaves(len(leaves), func(hashes []Hash) {
-		par.ForChunks(par.Workers(), len(leaves), func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				hashes[i] = LeafHash(leaves[i])
-			}
-		})
-	})
 }
 
 // BuildHashes constructs a tree over precomputed leaf hashes.
@@ -284,7 +272,8 @@ func (t *Tree) Leaf(i int) (Hash, error) {
 }
 
 // Proof is an inclusion proof for a single leaf: the sibling hash at
-// each level from the leaf up to (excluding) the root.
+// each level from the leaf up to (excluding) the root — the one-leaf
+// multiproof.
 type Proof struct {
 	Index int
 	Path  []Hash
@@ -295,34 +284,131 @@ func (p Proof) Size() int { return 8 + 32*len(p.Path) }
 
 // Prove returns an inclusion proof for leaf i.
 func (t *Tree) Prove(i int) (Proof, error) {
-	if i < 0 || i >= t.nLeaves {
-		return Proof{}, ErrIndexOutOfRange
+	mp, err := t.ProveMulti([]int{i})
+	if err != nil {
+		return Proof{}, err
 	}
-	p := Proof{Index: i, Path: make([]Hash, 0, t.Depth())}
-	idx := i
-	for lvl := 0; lvl < len(t.levels)-1; lvl++ {
-		p.Path = append(p.Path, t.levels[lvl][idx^1])
-		idx >>= 1
-	}
-	return p, nil
+	return Proof{Index: i, Path: mp.Nodes}, nil
 }
 
-// Verify checks that leafHash is committed at p.Index under root.
+// Verify checks that leafHash is committed at p.Index under root: the
+// one-leaf case of VerifyMulti, in a tree as deep as the path is long.
 func Verify(root Hash, leafHash Hash, p Proof) bool {
-	if p.Index < 0 {
-		return false
+	return VerifyMulti(root, len(p.Path), []Leaf{{p.Index, leafHash}}, MultiProof{p.Path}) == nil
+}
+
+// MultiProof authenticates a set of leaves of one tree at once. Nodes
+// are the siblings the opened leaves need and do not determine
+// themselves, each once, in one canonical order: level by level from
+// the leaves up, left to right within a level. A node both of whose
+// children are opened or computed is left out; a padding sibling is
+// not, so a one-leaf multiproof is exactly that leaf's Proof.Path.
+type MultiProof struct {
+	Nodes []Hash
+}
+
+// Leaf is an opened leaf: its index and its hash.
+type Leaf struct {
+	Index int
+	Hash  Hash
+}
+
+// checkIndices requires indices to be non-empty, strictly increasing
+// and inside [0, limit).
+func checkIndices(indices []int, limit int) error {
+	if len(indices) == 0 {
+		return fmt.Errorf("%w: no leaves", ErrProofInvalid)
 	}
-	h := leafHash
-	idx := p.Index
-	for _, sib := range p.Path {
-		if idx&1 == 0 {
-			h = NodeHash(h, sib)
-		} else {
-			h = NodeHash(sib, h)
+	for i, x := range indices {
+		if x < 0 || x >= limit {
+			return ErrIndexOutOfRange
 		}
-		idx >>= 1
+		if i > 0 && x <= indices[i-1] {
+			return fmt.Errorf("%w: leaf %d after leaf %d", ErrProofInvalid, x, indices[i-1])
+		}
 	}
-	return idx == 0 && h == root
+	return nil
+}
+
+// ProveMulti returns the multiproof of the leaves at indices, which
+// must be sorted, distinct and inside the tree.
+func (t *Tree) ProveMulti(indices []int) (MultiProof, error) {
+	if err := checkIndices(indices, t.nLeaves); err != nil {
+		return MultiProof{}, err
+	}
+	cur := slices.Clone(indices)
+	nodes := make([]Hash, 0, t.Depth())
+	for lvl := 0; lvl < t.Depth(); lvl++ {
+		n := 0
+		for i := 0; i < len(cur); i++ {
+			x := cur[i]
+			if x&1 == 0 && i+1 < len(cur) && cur[i+1] == x+1 {
+				i++ // both children opened
+			} else {
+				nodes = append(nodes, t.levels[lvl][x^1])
+			}
+			cur[n] = x >> 1
+			n++
+		}
+		cur = cur[:n]
+	}
+	return MultiProof{Nodes: nodes}, nil
+}
+
+// VerifyMulti checks that leaves, sorted by index and distinct, are
+// committed under root in a tree of the given depth, and that p is
+// exactly their multiproof: a node missing or left over, an index out
+// of order, repeated or outside the tree's 2^depth leaves is an error,
+// and nodes out of order do not reach the root. So the multiproof of a
+// set of leaves has one spelling. Each level is hashed in one HashLevel
+// pass.
+func VerifyMulti(root Hash, depth int, leaves []Leaf, p MultiProof) error {
+	if depth < 0 || depth > maxDepth {
+		return fmt.Errorf("%w: depth %d", ErrProofInvalid, depth)
+	}
+	// One allocation: the level's indices, its hashes and the sibling
+	// pairs that hash into the next.
+	idx := make([]int, len(leaves))
+	hs := make([]Hash, 3*len(leaves))
+	hs, pairs := hs[:len(leaves)], hs[len(leaves):len(leaves)]
+	for i, l := range leaves {
+		idx[i], hs[i] = l.Index, l.Hash
+	}
+	if err := checkIndices(idx, 1<<depth); err != nil {
+		return err
+	}
+	nodes := p.Nodes
+	for lvl := 0; lvl < depth; lvl++ {
+		pairs = pairs[:0]
+		n := 0
+		for i := 0; i < len(idx); i++ {
+			x := idx[i]
+			switch {
+			case x&1 == 0 && i+1 < len(idx) && idx[i+1] == x+1:
+				pairs = append(pairs, hs[i], hs[i+1])
+				i++
+			case len(nodes) == 0:
+				return fmt.Errorf("%w: missing node at level %d", ErrProofInvalid, lvl)
+			case x&1 == 0:
+				pairs = append(pairs, hs[i], nodes[0])
+				nodes = nodes[1:]
+			default:
+				pairs = append(pairs, nodes[0], hs[i])
+				nodes = nodes[1:]
+			}
+			idx[n] = x >> 1
+			n++
+		}
+		idx, hs = idx[:n], hs[:n]
+		hashk.HashLevel(hs, pairs)
+	}
+	if len(nodes) != 0 {
+		return fmt.Errorf("%w: %d surplus nodes", ErrProofInvalid, len(nodes))
+	}
+	if hs[0] != root {
+		return fmt.Errorf("%w: root mismatch", ErrProofInvalid)
+	}
+	return nil
 }
 
 // Update replaces the hash of leaf i and recomputes the path to the

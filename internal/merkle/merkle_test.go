@@ -6,7 +6,21 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+
+	"zkflow/internal/par"
 )
+
+// build constructs a tree over raw leaves (hashed with LeafHash) across
+// par.Workers() goroutines.
+func build(leaves [][]byte) *Tree {
+	return BuildLeaves(len(leaves), func(hashes []Hash) {
+		par.ForChunks(par.Workers(), len(leaves), func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				hashes[i] = LeafHash(leaves[i])
+			}
+		})
+	})
+}
 
 func leaves(n int) [][]byte {
 	out := make([][]byte, n)
@@ -18,7 +32,7 @@ func leaves(n int) [][]byte {
 
 func TestBuildAndVerifyAllLeaves(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 16, 31, 33, 100} {
-		tree := Build(leaves(n))
+		tree := build(leaves(n))
 		if tree.Len() != n {
 			t.Fatalf("n=%d: Len=%d", n, tree.Len())
 		}
@@ -37,7 +51,7 @@ func TestBuildAndVerifyAllLeaves(t *testing.T) {
 }
 
 func TestVerifyRejectsWrongLeaf(t *testing.T) {
-	tree := Build(leaves(8))
+	tree := build(leaves(8))
 	p, _ := tree.Prove(3)
 	if Verify(tree.Root(), LeafHash([]byte("evil")), p) {
 		t.Fatal("forged leaf accepted")
@@ -45,7 +59,7 @@ func TestVerifyRejectsWrongLeaf(t *testing.T) {
 }
 
 func TestVerifyRejectsWrongIndex(t *testing.T) {
-	tree := Build(leaves(8))
+	tree := build(leaves(8))
 	p, _ := tree.Prove(3)
 	lh, _ := tree.Leaf(3)
 	p.Index = 5
@@ -55,7 +69,7 @@ func TestVerifyRejectsWrongIndex(t *testing.T) {
 }
 
 func TestVerifyRejectsTamperedPath(t *testing.T) {
-	tree := Build(leaves(8))
+	tree := build(leaves(8))
 	p, _ := tree.Prove(3)
 	lh, _ := tree.Leaf(3)
 	p.Path[1][0] ^= 1
@@ -65,7 +79,7 @@ func TestVerifyRejectsTamperedPath(t *testing.T) {
 }
 
 func TestVerifyRejectsNegativeIndex(t *testing.T) {
-	tree := Build(leaves(4))
+	tree := build(leaves(4))
 	p, _ := tree.Prove(0)
 	lh, _ := tree.Leaf(0)
 	p.Index = -1
@@ -75,7 +89,7 @@ func TestVerifyRejectsNegativeIndex(t *testing.T) {
 }
 
 func TestProveOutOfRange(t *testing.T) {
-	tree := Build(leaves(4))
+	tree := build(leaves(4))
 	if _, err := tree.Prove(4); err != ErrIndexOutOfRange {
 		t.Fatalf("got %v", err)
 	}
@@ -98,11 +112,11 @@ func TestLeafDomainSeparation(t *testing.T) {
 }
 
 func TestRootChangesWithAnyLeaf(t *testing.T) {
-	base := Build(leaves(16)).Root()
+	base := build(leaves(16)).Root()
 	for i := 0; i < 16; i++ {
 		ls := leaves(16)
 		ls[i] = append(ls[i], '!')
-		if Build(ls).Root() == base {
+		if build(ls).Root() == base {
 			t.Fatalf("leaf %d does not affect root", i)
 		}
 	}
@@ -110,9 +124,9 @@ func TestRootChangesWithAnyLeaf(t *testing.T) {
 
 func TestUpdateMatchesRebuild(t *testing.T) {
 	ls := leaves(13)
-	tree := Build(ls)
+	tree := build(ls)
 	ls[7] = []byte("replacement")
-	want := Build(ls).Root()
+	want := build(ls).Root()
 	if err := tree.Update(7, LeafHash(ls[7])); err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +141,7 @@ func TestUpdateMatchesRebuild(t *testing.T) {
 }
 
 func TestUpdateOutOfRange(t *testing.T) {
-	tree := Build(leaves(4))
+	tree := build(leaves(4))
 	if err := tree.Update(9, Hash{}); err != ErrIndexOutOfRange {
 		t.Fatalf("got %v", err)
 	}
@@ -145,7 +159,7 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestProofSize(t *testing.T) {
-	tree := Build(leaves(1024))
+	tree := build(leaves(1024))
 	p, _ := tree.Prove(0)
 	if p.Size() != 8+32*10 {
 		t.Fatalf("proof size = %d", p.Size())
@@ -161,7 +175,7 @@ func TestQuickRandomTrees(t *testing.T) {
 			ls[i] = make([]byte, rng.Intn(40))
 			rng.Read(ls[i])
 		}
-		tree := Build(ls)
+		tree := build(ls)
 		i := rng.Intn(n)
 		p, err := tree.Prove(i)
 		if err != nil {
@@ -178,12 +192,12 @@ func BenchmarkBuild1024(b *testing.B) {
 	ls := leaves(1024)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		Build(ls)
+		build(ls)
 	}
 }
 
 func BenchmarkProveVerify(b *testing.B) {
-	tree := Build(leaves(4096))
+	tree := build(leaves(4096))
 	lh, _ := tree.Leaf(123)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -202,10 +216,10 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 3, 255, 1<<blockLog - 1, 1 << blockLog, 1<<blockLog + 1, 3<<blockLog + 7} {
 		ls := leaves(n)
 		runtime.GOMAXPROCS(1)
-		serial := Build(ls)
+		serial := build(ls)
 		for _, workers := range []int{2, 3, 8, 64} {
 			runtime.GOMAXPROCS(workers)
-			par := Build(ls)
+			par := build(ls)
 			if serial.Root() != par.Root() {
 				t.Fatalf("n=%d workers=%d: root mismatch", n, workers)
 			}
@@ -228,6 +242,6 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 func BenchmarkBuildParallel(b *testing.B) {
 	ls := leaves(1 << 15)
 	for i := 0; i < b.N; i++ {
-		Build(ls)
+		build(ls)
 	}
 }

@@ -99,10 +99,12 @@ func readFrame(r io.Reader) (byte, []byte, error) {
 	}
 }
 
-// reqMagic opens a proving request, the body of every job frame. The
-// last digit is the layout's version: a peer speaking another layout
-// fails with ErrBadRequest.
-const reqMagic = 0x7a6b7735 // "zkw5"
+// reqMagic opens a proving request, the body of every job frame. Its
+// last digit moves with the request layout and with the seal format
+// (DESIGN.md §12): a worker speaking another layout, or sealing another
+// format, fails with ErrBadRequest before it proves anything. "zkw6"
+// asks for seal format v5; "zkw5" asked for v4.
+const reqMagic = 0x7a6b7736 // "zkw6"
 
 // EncodeRequest frames a proving request: what to run (program, private
 // input) and the prove options that cross the wire — every field of

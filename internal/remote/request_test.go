@@ -87,3 +87,18 @@ func TestDecodeRequestRejectsGarbage(t *testing.T) {
 		t.Fatalf("previous request layout: got %v, want ErrBadRequest", err)
 	}
 }
+
+// TestDecodeRequestRejectsPreviousSealFormat: a request from a
+// coordinator that wants seal format v4 (magic "zkw5", the same layout)
+// is refused at decode, so a worker never proves a job whose receipt
+// the other side cannot read.
+func TestDecodeRequestRejectsPreviousSealFormat(t *testing.T) {
+	req := EncodeRequest(simpleProgram(), []uint32{1}, zkvm.ProveOptions{Checks: 6})
+	if _, _, _, err := DecodeRequest(req); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(req, 0x7a6b7735) // "zkw5"
+	if _, _, _, err := DecodeRequest(req); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("a zkw5 request: got %v, want ErrBadRequest", err)
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"zkflow/internal/merkle"
@@ -37,8 +39,8 @@ func leafShapes(t *testing.T, n int) []*leafShape {
 	commitTables(1, nil, exec, mem)
 	t.Cleanup(exec.tree.Release)
 	t.Cleanup(mem.tree.Release)
-	execCol := column{root: exec.tree.Root(), n: n, recBytes: rowBytes, witnessed: true}
-	memCol := column{root: mem.tree.Root(), n: n, recBytes: memBytes}
+	execCol := column{root: exec.tree.Root(), n: n, recBytes: rowBytes, witnessed: true, opened: new([]*Opening)}
+	memCol := column{root: mem.tree.Root(), n: n, recBytes: memBytes, opened: new([]*Opening)}
 	return []*leafShape{
 		{"witnessed", exec, execCol, 4, func(span []Opening, lo, hi int) ([][]byte, error) {
 			rows, err := execCol.rows(exec.prog, span, lo, hi)
@@ -54,16 +56,20 @@ func leafShapes(t *testing.T, n int) []*leafShape {
 }
 
 // TestColumnLeafShape: the committed record count fixes the shape of
-// every leaf — ceil(n/B) leaves, hence the path length; B records to a
+// every leaf — ceil(n/B) leaves, hence the tree's depth; B records to a
 // leaf, fewer only in the last — and an opening of any other shape is
-// rejected even when its hash chain reaches the root.
+// rejected even when its hash chain reaches the root. What a column
+// accepts, the tree's multiproof must then authenticate: a multiproof
+// with a node too many, too few or out of order, or a leaf opened twice
+// with different contents, is rejected.
 func TestColumnLeafShape(t *testing.T) {
 	const n = 10 // leaves of 4, 4 and 2 records
 	for _, sh := range leafShapes(t, n) {
 		t.Run(sh.name, func(t *testing.T) {
 			tab, col := sh.tab, sh.col
+			op := &opener{t: tab}
 			for i := 0; i < n; i++ {
-				got, err := sh.get([]Opening{tab.openRecord(i)}, i, i+1)
+				got, err := sh.get([]Opening{op.openRecord(i)}, i, i+1)
 				if err != nil {
 					t.Fatalf("record %d: %v", i, err)
 				}
@@ -71,8 +77,33 @@ func TestColumnLeafShape(t *testing.T) {
 					t.Fatalf("record %d: wrong bytes out of leaf %d", i, i/leafRecords)
 				}
 			}
+			if err := col.authenticate(op.proof()); err != nil {
+				t.Fatalf("every leaf, opened record by record: %v", err)
+			}
 			if full, tail := len(tab.open(0).Data), len(tab.open(2).Data); full != tab.recBytes+3*sh.tailBytes || tail != tab.recBytes+sh.tailBytes {
 				t.Fatalf("leaf payloads of %d and %d bytes", full, tail)
+			}
+
+			// accepts reports whether the column takes os as leaves idx and p
+			// authenticates them.
+			accepts := func(c column, p merkle.MultiProof, idx int, os ...Opening) bool {
+				c.opened = new([]*Opening)
+				for k := range os {
+					if c.leaf(&os[k], idx) != nil {
+						return false
+					}
+				}
+				return c.authenticate(p) == nil
+			}
+			proofOf := func(leaves ...int) merkle.MultiProof {
+				p, err := tab.tree.ProveMulti(leaves)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return p
+			}
+			if !accepts(col, proofOf(1), 1, tab.open(1)) || !accepts(col, proofOf(1), 1, tab.open(1), tab.open(1)) {
+				t.Fatal("an honest leaf, opened once or twice, rejected")
 			}
 
 			// A different record count means a different leaf count: the same
@@ -81,7 +112,7 @@ func TestColumnLeafShape(t *testing.T) {
 			for _, claimed := range []int{8, 9, 11, 12, 13, 16, 17} {
 				c := col
 				c.n = claimed
-				if err := c.leaf(&tail, 2); err == nil {
+				if accepts(c, proofOf(2), 2, tail) {
 					t.Errorf("two-record tail leaf accepted in a table claiming %d records", claimed)
 				}
 			}
@@ -93,40 +124,49 @@ func TestColumnLeafShape(t *testing.T) {
 				perRecord[i] = saltedLeafHash(tab.salts.deriveSalt(tab.label, i), recordBytes(tab, i))
 			}
 			perRecordTree := merkle.BuildHashes(perRecord)
-			proof, _ := perRecordTree.Prove(2)
-			perRecordOpening := Opening{Index: 2, Salt: tab.salts.deriveSalt(tab.label, 2), Data: recordBytes(tab, 2), Path: proof.Path}
-			if !merkle.Verify(perRecordTree.Root(), saltedLeafHash(perRecordOpening.Salt, perRecordOpening.Data), proof) {
+			proof, _ := perRecordTree.ProveMulti([]int{2})
+			perRecordOpening := Opening{Index: 2, Salt: tab.salts.deriveSalt(tab.label, 2), Data: recordBytes(tab, 2)}
+			if merkle.VerifyMulti(perRecordTree.Root(), perRecordTree.Depth(), []merkle.Leaf{{Index: 2, Hash: perRecord[2]}}, proof) != nil {
 				t.Fatal("the per-record opening is not even valid in its own tree")
 			}
 			blockedOverPerRecord := col
 			blockedOverPerRecord.root = perRecordTree.Root()
-			if err := blockedOverPerRecord.leaf(&perRecordOpening, 2); err == nil {
+			if accepts(blockedOverPerRecord, proof, 2, perRecordOpening) {
 				t.Error("a 10-leaf tree accepted as the 3-leaf tree of a blocked 10-record column")
 			}
 
-			mutants := map[string]func(o *Opening){
-				"short block before the tail": func(o *Opening) { *o = tab.open(0); o.Data = o.Data[:len(o.Data)-sh.tailBytes] },
-				"tail padded to a full block": func(o *Opening) { *o = tab.open(2); o.Data = append(o.Data, make([]byte, 2*sh.tailBytes)...) },
-				"payload not whole records":   func(o *Opening) { *o = tab.open(1); o.Data = o.Data[:len(o.Data)-1] },
-				"empty payload":               func(o *Opening) { *o = tab.open(1); o.Data = nil },
-				"extra path level":            func(o *Opening) { *o = tab.open(1); o.Path = append(o.Path, merkle.PaddingHash(2)) },
-				"missing path level":          func(o *Opening) { *o = tab.open(1); o.Path = o.Path[:1] },
-				"index of another leaf":       func(o *Opening) { *o = tab.open(1); o.Index = 0 },
-				"flipped salt":                func(o *Opening) { *o = tab.open(1); o.Salt[0] ^= 1 },
-				"flipped unused record":       func(o *Opening) { *o = tab.open(1); o.Data[len(o.Data)-1] ^= 1 },
+			leaf := func(j int, edit func(o *Opening)) Opening {
+				o := tab.open(j)
+				edit(&o)
+				return o
 			}
-			for name, mutate := range mutants {
-				var o Opening
-				mutate(&o)
-				idx := o.Index
-				if name == "index of another leaf" {
-					idx = 1
-				}
-				if err := col.leaf(&o, idx); err == nil {
+			nodes := proofOf(1).Nodes
+			if len(nodes) != 2 || nodes[0] == nodes[1] {
+				t.Fatalf("leaf 1 of 3 has %d path nodes", len(nodes))
+			}
+			for name, m := range map[string]struct {
+				p   merkle.MultiProof
+				idx int
+				os  []Opening
+			}{
+				"short block before the tail":  {proofOf(0), 0, []Opening{leaf(0, func(o *Opening) { o.Data = o.Data[:len(o.Data)-sh.tailBytes] })}},
+				"tail padded to a full block":  {proofOf(2), 2, []Opening{leaf(2, func(o *Opening) { o.Data = append(o.Data, make([]byte, 2*sh.tailBytes)...) })}},
+				"payload not whole records":    {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Data = o.Data[:len(o.Data)-1] })}},
+				"empty payload":                {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Data = nil })}},
+				"surplus node":                 {merkle.MultiProof{Nodes: append(slices.Clone(nodes), merkle.PaddingHash(2))}, 1, []Opening{tab.open(1)}},
+				"missing node":                 {merkle.MultiProof{Nodes: nodes[:1]}, 1, []Opening{tab.open(1)}},
+				"out-of-order node":            {merkle.MultiProof{Nodes: []merkle.Hash{nodes[1], nodes[0]}}, 1, []Opening{tab.open(1)}},
+				"duplicated index, other data": {proofOf(1), 1, []Opening{tab.open(1), leaf(1, func(o *Opening) { o.Data[len(o.Data)-1] ^= 1 })}},
+				"duplicated index, other salt": {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Salt[0] ^= 1 }), tab.open(1)}},
+				"index of another leaf":        {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Index = 0 })}},
+				"flipped salt":                 {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Salt[0] ^= 1 })}},
+				"flipped unused record":        {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Data[len(o.Data)-1] ^= 1 })}},
+			} {
+				if accepts(col, m.p, m.idx, m.os...) {
 					t.Errorf("%s: accepted", name)
 				}
 			}
-			if err := col.leaf(&tail, 3); err == nil {
+			if accepts(col, proofOf(2), 3, tail) {
 				t.Error("leaf index past the last leaf accepted")
 			}
 			if _, err := sh.get([]Opening{tail}, n, n+1); err == nil {
@@ -153,9 +193,9 @@ func TestSpanOpeningCounts(t *testing.T) {
 	const n = 14
 	for _, sh := range leafShapes(t, n) {
 		t.Run(sh.name, func(t *testing.T) {
-			tab := sh.tab
+			tab, op := sh.tab, &opener{t: sh.tab}
 			for i := 0; i+1 < n; i++ {
-				span := tab.openSpan(i, i+2)
+				span := op.openSpan(i, i+2)
 				want := 1
 				if i%leafRecords == leafRecords-1 {
 					want = 2
@@ -189,7 +229,7 @@ func TestSpanOpeningCounts(t *testing.T) {
 			}
 			// Longer runs, as an exec check's memory entries: every leaf once.
 			for _, run := range [][2]int{{0, 0}, {5, 5}, {2, 3}, {1, 9}, {0, n}, {4, 8}, {3, 5}} {
-				span := tab.openSpan(run[0], run[1])
+				span := op.openSpan(run[0], run[1])
 				recs, err := sh.get(span, run[0], run[1])
 				if err != nil || len(recs) != run[1]-run[0] {
 					t.Fatalf("run %v: %d records, err %v", run, len(recs), err)
@@ -206,7 +246,7 @@ func TestSpanOpeningCounts(t *testing.T) {
 			if _, err := sh.get(nil, 3, 2); err == nil {
 				t.Error("backwards run accepted")
 			}
-			if _, err := sh.get(tab.openSpan(12, 14), 12, 15); err == nil {
+			if _, err := sh.get(op.openSpan(12, 14), 12, 15); err == nil {
 				t.Error("run past the table accepted")
 			}
 		})
@@ -386,6 +426,94 @@ func (fx *blockFixtures) blockBoundaryMutants(t testing.TB) [][]byte {
 	return out
 }
 
+// multiProofMutants are encodings of the fixtures with one tree's
+// multiproof spelled another way: a node too many, the last node
+// dropped, and two distinct nodes swapped, for every tree of every
+// segment whose multiproof has nodes. The in-memory form must not
+// verify either.
+func (fx *blockFixtures) multiProofMutants(t testing.TB) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, c := range []struct {
+		r    *Receipt
+		prog *Program
+	}{{fx.mono, fx.prog}, {fx.comp, fx.segProg}} {
+		for _, sr := range c.r.Segments {
+			for k := range sr.Proofs {
+				orig := sr.Proofs[k].Nodes
+				if len(orig) < 2 {
+					continue
+				}
+				swapped := slices.Clone(orig)
+				swapped[0], swapped[len(swapped)-1] = swapped[len(swapped)-1], swapped[0]
+				for _, nodes := range [][]merkle.Hash{append(slices.Clone(orig), orig[0]), orig[:len(orig)-1], swapped} {
+					sr.Proofs[k].Nodes = nodes
+					if err := Verify(c.prog, c.r, VerifyOptions{}); err == nil {
+						t.Fatalf("segment %d: %s multiproof of %d nodes where %d belong: verified", sr.Index, treeNames[k], len(nodes), len(orig))
+					}
+					b, err := c.r.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, b)
+				}
+				sr.Proofs[k].Nodes = orig
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no fixture multiproof has two nodes")
+	}
+	return out
+}
+
+// TestMultiProofMutantsRejected: a receipt whose multiproof has a
+// surplus, a missing or a reordered node is rejected, in memory and
+// after a trip through the codec, and so is a leaf that two checks of
+// one segment open with different payloads.
+func TestMultiProofMutantsRejected(t *testing.T) {
+	fx := newBlockFixtures(t)
+	for _, m := range fx.multiProofMutants(t) {
+		fx.mustNotVerify(t, "encoded multiproof mutant", m)
+	}
+	// A leaf two checks open, the second time under another salt: the
+	// check walk reads the same payload and passes, and the one
+	// multiproof cannot authenticate both copies.
+	s := &fx.mono.Segments[0].Seal
+	byTree := [][]*Opening{{&s.FirstRow, &s.LastRow}, {&s.ProdProgFirst, &s.ProdProgLast}}
+	for i := range s.ExecChecks {
+		for k := range s.ExecChecks[i].Rows {
+			byTree[0] = append(byTree[0], &s.ExecChecks[i].Rows[k])
+		}
+	}
+	for i := range s.ProdChecks {
+		for k := range s.ProdChecks[i].Prods {
+			byTree[1] = append(byTree[1], &s.ProdChecks[i].Prods[k])
+		}
+	}
+	var dup *Opening
+	for _, os := range byTree {
+		seen := map[int]bool{}
+		for _, o := range os {
+			if seen[o.Index] && dup == nil {
+				dup = o
+			}
+			seen[o.Index] = true
+		}
+	}
+	if dup == nil {
+		t.Fatal("the mono fixture opens no leaf twice")
+	}
+	dup.Salt[0] ^= 1
+	if err := Verify(fx.prog, fx.mono, VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "opened twice") {
+		t.Fatalf("a leaf opened twice under two salts: %v", err)
+	}
+	dup.Salt[0] ^= 1
+	if err := Verify(fx.prog, fx.mono, VerifyOptions{}); err != nil {
+		t.Fatalf("mono fixture no longer verifies after restoring it: %v", err)
+	}
+}
+
 // TestMiscountedSpansRejected: an extra or a missing opening in any
 // check family, mono or composite, is rejected by the verifier, and
 // again after a trip through the codec.
@@ -429,7 +557,8 @@ func TestMutatedReceiptsNeverVerify(t *testing.T) {
 // the verifier nor verify. The corpus starts from the two valid
 // encodings, the block-boundary mutants (a pair one opening short or
 // over), the exec-leaf payload mutants, and the golden vectors with one
-// bit flipped in the seal, at two places each.
+// bit flipped in the seal, at two places each, and the multiproof
+// mutants (a node over, short or out of order).
 func FuzzVerifyMutatedReceipt(f *testing.F) {
 	fx := newBlockFixtures(f)
 	f.Add(fx.monoBytes)
@@ -454,6 +583,9 @@ func FuzzVerifyMutatedReceipt(f *testing.F) {
 			mut[at] ^= 1
 			f.Add(mut)
 		}
+	}
+	for _, m := range fx.multiProofMutants(f) {
+		f.Add(m)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fx.mustNotVerify(t, "fuzzed receipt", data)

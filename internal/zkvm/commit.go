@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 
@@ -234,29 +235,54 @@ func (t *table) leafMsg(m *hashk.Msg, j int) int {
 	return 1 + saltBytes + t.encodeLeaf(j, m[1+saltBytes:])
 }
 
-// open opens leaf j. Indices are derived from committed lengths, so
-// one out of range is a prover bug.
+// open opens leaf j: its salt and its records, re-encoded.
 func (t *table) open(j int) Opening {
-	proof, err := t.tree.Prove(j)
-	if err != nil {
-		panic(fmt.Sprintf("zkvm: opening leaf %d: %v", j, err))
-	}
 	var buf [maxLeafBytes]byte
 	data := bytes.Clone(buf[:t.encodeLeaf(j, buf[:])])
-	return Opening{Index: j, Salt: t.salts.deriveSalt(t.label, j), Data: data, Path: proof.Path}
+	return Opening{Index: j, Salt: t.salts.deriveSalt(t.label, j), Data: data}
+}
+
+// opener opens leaves of one table for one segment and records which,
+// so that the segment can ship the table's multiproof. The boundary
+// image tables are shared with the neighbouring segments, which seal
+// concurrently, so the record lives here and never on the table.
+type opener struct {
+	t      *table
+	leaves []int
+}
+
+// open opens leaf j.
+func (o *opener) open(j int) Opening {
+	o.leaves = append(o.leaves, j)
+	return o.t.open(j)
 }
 
 // openRecord opens the leaf holding record i.
-func (t *table) openRecord(i int) Opening { return t.open(i / leafRecords) }
+func (o *opener) openRecord(i int) Opening { return o.open(i / leafRecords) }
 
 // openSpan opens the leaves holding records [lo, hi), each once: the
 // prover's side of column.records.
-func (t *table) openSpan(lo, hi int) []Opening {
+func (o *opener) openSpan(lo, hi int) []Opening {
 	var span []Opening
 	for j := lo / leafRecords; lo < hi && j <= (hi-1)/leafRecords; j++ {
-		span = append(span, t.open(j))
+		span = append(span, o.open(j))
 	}
 	return span
+}
+
+// proof returns the multiproof of every leaf opened so far, each once:
+// an empty one if none was. Indices are derived from committed lengths,
+// so a refusal is a prover bug.
+func (o *opener) proof() merkle.MultiProof {
+	if len(o.leaves) == 0 {
+		return merkle.MultiProof{}
+	}
+	slices.Sort(o.leaves)
+	p, err := o.t.tree.ProveMulti(slices.Compact(o.leaves))
+	if err != nil {
+		panic(fmt.Sprintf("zkvm: multiproof of %d leaves: %v", len(o.leaves), err))
+	}
+	return p
 }
 
 // sealTables is the committed core every seal shares: the execution
@@ -315,42 +341,55 @@ func commitTrace(ex *Execution, salts salter, width int, obs StageObserver, tr *
 	return c
 }
 
+// openers returns one segment's openers over its trees, indexed
+// proofExec..proofExit; entry and exit are the shared boundary-image
+// tables (nil where the segment has none).
+func (c *sealTables) openers(entry, exit *table) *[numTrees]opener {
+	return &[numTrees]opener{
+		proofExec: {t: c.exec}, proofMemProg: {t: c.memProg}, proofMemSort: {t: c.memSort},
+		proofProdProg: {t: c.prodProg}, proofProdSort: {t: c.prodSort},
+		proofEntry: {t: entry}, proofExit: {t: exit},
+	}
+}
+
 // openChecks fills in the boundary openings and the exec, prod and
 // sort check families, in the exact order the verifier derives them.
 // The sampled indices are record indices; an adjacent pair opens the
 // one leaf it lies in, or the two it straddles.
-func (c *sealTables) openChecks(tr *transcript.Transcript, checks int, s *Seal) {
+func (c *sealTables) openChecks(ops *[numTrees]opener, tr *transcript.Transcript, checks int, s *Seal) {
 	rows := c.ex.Rows
 	nRows, nMem := len(rows), len(c.sorted)
-	s.FirstRow = c.exec.openRecord(0)
-	s.LastRow = c.exec.openRecord(nRows - 1)
+	exec, memProg, memSort := &ops[proofExec], &ops[proofMemProg], &ops[proofMemSort]
+	prodProg, prodSort := &ops[proofProdProg], &ops[proofProdSort]
+	s.FirstRow = exec.openRecord(0)
+	s.LastRow = exec.openRecord(nRows - 1)
 	if nMem > 0 {
-		s.MemProgFirst = c.memProg.openRecord(0)
-		s.MemSortFirst = c.memSort.openRecord(0)
-		s.ProdProgFirst = c.prodProg.openRecord(0)
-		s.ProdSortFirst = c.prodSort.openRecord(0)
-		s.ProdProgLast = c.prodProg.openRecord(nMem - 1)
-		s.ProdSortLast = c.prodSort.openRecord(nMem - 1)
+		s.MemProgFirst = memProg.openRecord(0)
+		s.MemSortFirst = memSort.openRecord(0)
+		s.ProdProgFirst = prodProg.openRecord(0)
+		s.ProdSortFirst = prodSort.openRecord(0)
+		s.ProdProgLast = prodProg.openRecord(nMem - 1)
+		s.ProdSortLast = prodSort.openRecord(nMem - 1)
 	}
 	if nRows >= 2 {
 		for _, i := range tr.ChallengeIndices("exec", checks, nRows-1) {
 			s.ExecChecks = append(s.ExecChecks, ExecCheck{
-				Rows: c.exec.openSpan(i, i+2),
-				Mem:  c.memProg.openSpan(int(rows[i].MemPtr), int(rows[i+1].MemPtr)),
+				Rows: exec.openSpan(i, i+2),
+				Mem:  memProg.openSpan(int(rows[i].MemPtr), int(rows[i+1].MemPtr)),
 			})
 		}
 	}
 	if nMem >= 2 {
 		for _, i := range tr.ChallengeIndices("prod", checks, nMem-1) {
 			s.ProdChecks = append(s.ProdChecks, ProdCheck{
-				Entry: c.memProg.openRecord(i + 1),
-				Prods: c.prodProg.openSpan(i, i+2),
+				Entry: memProg.openRecord(i + 1),
+				Prods: prodProg.openSpan(i, i+2),
 			})
 		}
 		for _, i := range tr.ChallengeIndices("sort", checks, nMem-1) {
 			s.SortChecks = append(s.SortChecks, SortCheck{
-				Entries: c.memSort.openSpan(i, i+2),
-				Prods:   c.prodSort.openSpan(i, i+2),
+				Entries: memSort.openSpan(i, i+2),
+				Prods:   prodSort.openSpan(i, i+2),
 			})
 		}
 	}

@@ -322,7 +322,7 @@ func TestStrictExecLeaves(t *testing.T) {
 	}
 
 	// The same through the column, with the non-canonical leaf committed
-	// for real: the path verifies and the leaf is still no leaf.
+	// for real: its multiproof verifies and the leaf is still no leaf.
 	j := add / leafRecords
 	if add%leafRecords == leafRecords-1 {
 		t.Fatal("pick an ALU step that is not the last of its leaf")
@@ -335,11 +335,23 @@ func TestStrictExecLeaves(t *testing.T) {
 	forged := word(leafAt(prog, rows, j*leafRecords, leafRecords), add%leafRecords, 1)
 	hashes[j] = saltedLeafHash(tab.salts.deriveSalt(treeExec, j), forged)
 	tree := merkle.BuildHashes(hashes)
-	proof, _ := tree.Prove(j)
-	o := Opening{Index: j, Salt: tab.salts.deriveSalt(treeExec, j), Data: forged, Path: proof.Path}
-	col := column{root: tree.Root(), n: len(rows), recBytes: rowBytes, witnessed: true}
+	proof, _ := tree.ProveMulti([]int{j})
+	o := Opening{Index: j, Salt: tab.salts.deriveSalt(treeExec, j), Data: forged}
+	col := column{root: tree.Root(), n: len(rows), recBytes: rowBytes, witnessed: true, opened: new([]*Opening)}
 	if err := col.leaf(&o, j); err != nil {
+		t.Fatalf("the forged leaf is not even a leaf: %v", err)
+	}
+	if err := col.authenticate(proof); err != nil {
 		t.Fatalf("the forged leaf is not even committed: %v", err)
+	}
+	// The honest leaf beside it, at the same index, is caught by the
+	// multiproof's one-payload-per-leaf rule.
+	honestLeaf := tab.open(j)
+	if err := col.leaf(&honestLeaf, j); err != nil {
+		t.Fatal(err)
+	}
+	if err := col.authenticate(proof); err == nil || !strings.Contains(err.Error(), "opened twice") {
+		t.Fatalf("leaf %d opened with two payloads: %v", j, err)
 	}
 	if _, err := col.rows(prog, []Opening{o}, add, add+1); err == nil || !strings.Contains(err.Error(), "witness word") {
 		t.Fatalf("committed leaf with a word on an ALU step: %v", err)
@@ -398,14 +410,15 @@ func TestHostileExecLeafIsCheap(t *testing.T) {
 	}
 }
 
-// sealedTables commits ex as the prover would and returns the seal's
-// roots and lengths with the tables still open.
-func sealedTables(t *testing.T, ex *Execution) (*Seal, *sealTables) {
+// sealedTables commits ex as the prover would and returns a verifier
+// over the seal's roots and lengths, and openers over the tables, which
+// stay open.
+func sealedTables(t *testing.T, ex *Execution) (*segmentVerifier, *[numTrees]opener) {
 	t.Helper()
 	s := &Seal{NumRows: uint32(len(ex.Rows)), NumMem: uint32(len(ex.MemLog))}
 	tabs := commitTrace(ex, newSalter(&[32]byte{4}), 1, nil, transcript.New("test"), s)
 	t.Cleanup(tabs.release)
-	return s, tabs
+	return &segmentVerifier{SegmentReceipt: &SegmentReceipt{Seal: *s}}, tabs.openers(nil, nil)
 }
 
 // TestTamperedWitnessCaught: the one lie an exec leaf can tell about a
@@ -434,15 +447,15 @@ func TestTamperedWitnessCaught(t *testing.T) {
 
 	ex, _ := Execute(prog, input, ExecOptions{})
 	ex.Rows[lw+1].Regs[rd] ^= 0x10
-	s, tabs := sealedTables(t, ex)
+	v, ops := sealedTables(t, ex)
 	leafEnd := (lw/leafRecords+1)*leafRecords - 1 // the last row of the poisoned leaf
 	failed := 0
 	for i := 0; i+1 < len(ex.Rows); i++ {
 		c := ExecCheck{
-			Rows: tabs.exec.openSpan(i, i+2),
-			Mem:  tabs.memProg.openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
+			Rows: ops[proofExec].openSpan(i, i+2),
+			Mem:  ops[proofMemProg].openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
 		}
-		err := verifyExecCheck(prog, s, &c, i, ex.Journal)
+		err := verifyExecCheck(prog, v, &c, i, ex.Journal)
 		switch {
 		case i == lw && (err == nil || !strings.Contains(err.Error(), "register file mismatch")):
 			t.Fatalf("check on the load whose witness lies: %v", err)
@@ -564,13 +577,13 @@ func TestOneStepForgeryFailsOneExecCheck(t *testing.T) {
 	}
 	ex.Journal = []uint32{lie + 1}
 
-	s, tabs := sealedTables(t, ex)
+	v, ops := sealedTables(t, ex)
 	for i := 0; i+1 < len(ex.Rows); i++ {
 		c := ExecCheck{
-			Rows: tabs.exec.openSpan(i, i+2),
-			Mem:  tabs.memProg.openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
+			Rows: ops[proofExec].openSpan(i, i+2),
+			Mem:  ops[proofMemProg].openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
 		}
-		err := verifyExecCheck(prog, s, &c, i, ex.Journal)
+		err := verifyExecCheck(prog, v, &c, i, ex.Journal)
 		if i == lw && (err == nil || !strings.Contains(err.Error(), "register file mismatch")) {
 			t.Fatalf("check on the lying load (row %d): %v", i, err)
 		}

@@ -43,12 +43,12 @@ func Leakage(r *Receipt) LeakageReport {
 	var rep LeakageReport
 	rows, mems := map[int]bool{}, map[int]bool{}
 	for _, sr := range r.Segments {
-		s := &sr.Seal
-		row := revealer(rows, rep.TotalRows, s.execCol())
-		prog := revealer(mems, 2*rep.TotalMemEntries, s.memProgCol())
+		s, v := &sr.Seal, &segmentVerifier{SegmentReceipt: sr}
+		row := revealer(rows, rep.TotalRows, v.col(proofExec))
+		prog := revealer(mems, 2*rep.TotalMemEntries, v.col(proofMemProg))
 		// Sorted-log openings reveal the same underlying accesses in a
 		// different order; count them in the same pool.
-		sorted := revealer(mems, 2*rep.TotalMemEntries+int(s.NumMem), s.memSortCol())
+		sorted := revealer(mems, 2*rep.TotalMemEntries+int(s.NumMem), v.col(proofMemSort))
 		rep.TotalRows += int(s.NumRows)
 		rep.TotalMemEntries += int(s.NumMem)
 

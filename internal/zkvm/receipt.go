@@ -1,10 +1,12 @@
 package zkvm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"zkflow/internal/merkle"
 )
@@ -18,42 +20,63 @@ import (
 // program. It is a constant of the seal format, not an option: 4 is the
 // largest block at which opening one record of the 17-byte tables costs
 // no more bytes than it did at one record per leaf (51 more payload
-// bytes against two 32-byte path levels fewer).
+// bytes against two 32-byte path levels fewer), and under per-tree
+// multiproofs still the block with the smallest receipt (DESIGN.md §8,
+// "Why four").
 const leafRecords = 4
 
-// The magic of a receipt's encoding (format v4, DESIGN.md §8) and the
+// The magic of a receipt's encoding (format v5, DESIGN.md §8) and the
 // label its segments' statements open their transcripts with. "zkfa"
-// frames the farm's wire. "zkf1"–"zkf9" and "zkfb" are retired and must
-// never be assigned again, so that no byte string ever read as one of
-// them can be read as anything else: "zkf1"–"zkf3" tagged format v1 (one
-// record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of whole
-// rows), which no code decodes any more; "zkf4" (0x7a6b6634) tagged the
-// folded receipt, a prover-trusted binding rather than a proof; "zkf8"
-// tagged a run sealed whole under its own statement, which
+// frames the farm's wire. "zkf1"–"zkf9", "zkfb" and "zkfc" are retired
+// and must never be assigned again, so that no byte string ever read as
+// one of them can be read as anything else: "zkf1"–"zkf3" tagged format
+// v1 (one record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of
+// whole rows), which no code decodes any more; "zkf4" (0x7a6b6634)
+// tagged the folded receipt, a prover-trusted binding rather than a
+// proof; "zkf8" tagged a run sealed whole under its own statement, which
 // is now a one-segment receipt; "zkf9" (0x7a6b6639) tagged format v3,
 // whose Merkle nodes were SHA-256(0x01 || l || r), two compressions,
 // where a v4 node is one; "zkfb" (0x7a6b6662) tagged a standalone
 // segment receipt, which a farm worker now ships as a one-segment
-// receipt.
+// receipt; "zkfc" (0x7a6b6663) tagged format v4, whose every opening
+// carried its own authentication path, where a v5 segment carries one
+// multiproof per tree.
 const (
-	magicReceipt = 0x7a6b6663 // "zkfc"
+	magicReceipt = 0x7a6b6664 // "zkfd"
 
-	segLabel = "zkvm-seg-v4"
+	segLabel = "zkvm-seg-v5"
 )
 
-// Opening is one authenticated leaf revealed by the seal: its index in
-// the tree, the payload (the leaf's records, concatenated), the
-// blinding salt, and the Merkle path to the tree root.
+// The trees of a segment, in the order their multiproofs follow its
+// checks on the wire: the five seal tables, then the entry and exit
+// boundary images. The multiproof of a tree no check opens (the memory
+// tables of a segment with no memory access, a missing boundary image)
+// is empty.
+const (
+	proofExec = iota
+	proofMemProg
+	proofMemSort
+	proofProdProg
+	proofProdSort
+	proofEntry
+	proofExit
+	numTrees
+)
+
+var treeNames = [numTrees]string{"exec", "memprog", "memsort", "prodprog", "prodsort", "entry image", "exit image"}
+
+// Opening is one leaf revealed by the seal: its index in the tree, the
+// payload (the leaf's records, concatenated) and the blinding salt.
+// The segment's multiproof for the tree authenticates it.
 type Opening struct {
 	Index int
 	Salt  [saltBytes]byte
 	Data  []byte
-	Path  []merkle.Hash
 }
 
 // size returns the encoded byte size of the opening.
 func (o *Opening) size() int {
-	return 4 + saltBytes + 4 + len(o.Data) + 4 + 32*len(o.Path)
+	return 4 + saltBytes + 4 + len(o.Data)
 }
 
 func openingsSize(os []Opening) int {
@@ -75,6 +98,8 @@ type column struct {
 	// into it takes from outside the machine state (witnessWord); rows
 	// expands it by running the program.
 	witnessed bool
+	// opened collects every leaf the column hands out, for authenticate.
+	opened *[]*Opening
 }
 
 // leafBytes is the payload size of a leaf of count records.
@@ -89,13 +114,15 @@ func (c column) leafBytes(count int) int {
 // fewer only in the last leaf.
 func (c column) count(idx int) int { return min(leafRecords, c.n-idx*leafRecords) }
 
-// leaf authenticates o as leaf idx of the column. Everything about the
-// leaf's shape follows from the committed record count: the tree has
-// ceil(n/leafRecords) leaves, so the path has exactly that tree's depth,
-// and the payload is exactly the leaf's records.
+// leaves is the number of leaves of the column's tree.
+func (c column) leaves() int { return (c.n + leafRecords - 1) / leafRecords }
+
+// leaf accepts o as leaf idx of the column and records it for
+// authenticate. Everything about the leaf's shape follows from the
+// committed record count: the tree has ceil(n/leafRecords) leaves, and
+// the payload is exactly the leaf's records.
 func (c column) leaf(o *Opening, idx int) error {
-	leaves := (c.n + leafRecords - 1) / leafRecords
-	if idx < 0 || idx >= leaves {
+	if leaves := c.leaves(); idx < 0 || idx >= leaves {
 		return fmt.Errorf("leaf %d outside a %d-leaf tree", idx, leaves)
 	}
 	if o.Index != idx {
@@ -104,16 +131,50 @@ func (c column) leaf(o *Opening, idx int) error {
 	if want := c.leafBytes(c.count(idx)); len(o.Data) != want {
 		return fmt.Errorf("leaf %d payload %d bytes, want %d", idx, len(o.Data), want)
 	}
-	if depth := bits.Len(uint(leaves - 1)); len(o.Path) != depth {
-		return fmt.Errorf("leaf %d path has %d levels, a %d-leaf tree has %d", idx, len(o.Path), leaves, depth)
-	}
-	if !merkle.Verify(c.root, saltedLeafHash(o.Salt, o.Data), merkle.Proof{Index: idx, Path: o.Path}) {
-		return fmt.Errorf("merkle path invalid for leaf %d", idx)
-	}
+	*c.opened = append(*c.opened, o)
 	return nil
 }
 
-// record authenticates o as the leaf holding record i and returns that
+// authenticate checks every leaf the column has handed out against p,
+// its tree's multiproof: the distinct leaves, in index order, under the
+// root of a tree as deep as ceil(n/leafRecords) leaves need. A leaf
+// opened by several checks must carry the same salt and payload each
+// time, or a check could read a payload the multiproof never
+// authenticated.
+func (c column) authenticate(p merkle.MultiProof) error {
+	opened := *c.opened
+	// Leaf index (below 2^30, leaf already checked it) over position.
+	order := make([]uint64, len(opened))
+	for i, o := range opened {
+		order[i] = uint64(o.Index)<<32 | uint64(i)
+	}
+	slices.Sort(order)
+	distinct := make([]*Opening, 0, len(opened))
+	for _, k := range order {
+		o := opened[uint32(k)]
+		if n := len(distinct); n > 0 && distinct[n-1].Index == o.Index {
+			if prev := distinct[n-1]; o.Salt != prev.Salt || !bytes.Equal(o.Data, prev.Data) {
+				return fmt.Errorf("leaf %d opened twice with different contents", o.Index)
+			}
+			continue
+		}
+		distinct = append(distinct, o)
+	}
+	leaves := make([]merkle.Leaf, len(distinct))
+	for i := 0; i < len(distinct); i++ {
+		leaves[i].Index = distinct[i].Index
+		if i+1 < len(distinct) && len(distinct[i].Data) == len(distinct[i+1].Data) {
+			leaves[i+1].Index = distinct[i+1].Index
+			leaves[i].Hash, leaves[i+1].Hash = saltedLeafHash2(distinct[i], distinct[i+1])
+			i++
+		} else {
+			leaves[i].Hash = saltedLeafHash(distinct[i].Salt, distinct[i].Data)
+		}
+	}
+	return merkle.VerifyMulti(c.root, bits.Len(uint(c.leaves()-1)), leaves, p)
+}
+
+// record accepts o as the leaf holding record i and returns that
 // record's bytes.
 func (c column) record(o *Opening, i int) ([]byte, error) {
 	recs, err := c.records([]Opening{*o}, i, i+1)
@@ -123,7 +184,7 @@ func (c column) record(o *Opening, i int) ([]byte, error) {
 	return recs[0], nil
 }
 
-// cover authenticates span as the leaves holding records [lo, hi) —
+// cover accepts span as the leaves holding records [lo, hi) —
 // each distinct leaf exactly once, in order, so a run inside one block
 // is one opening and one that straddles a block boundary is two — and
 // returns the index of the first. An extra or a missing opening is an
@@ -147,7 +208,7 @@ func (c column) cover(span []Opening, lo, hi int) (first int, err error) {
 	return first, nil
 }
 
-// records authenticates span as the leaves holding records [lo, hi)
+// records accepts span as the leaves holding records [lo, hi)
 // (cover) and returns the hi-lo records' bytes.
 func (c column) records(span []Opening, lo, hi int) ([][]byte, error) {
 	first, err := c.cover(span, lo, hi)
@@ -162,7 +223,7 @@ func (c column) records(span []Opening, lo, hi int) ([][]byte, error) {
 	return recs, nil
 }
 
-// rows authenticates span as the leaves holding rows [lo, hi) of the
+// rows accepts span as the leaves holding rows [lo, hi) of the
 // exec column (cover) and returns the rows. A leaf is expanded whole,
 // whichever of its rows are asked for: one that does not expand to
 // exactly its rows is not a leaf of any trace.
@@ -209,9 +270,10 @@ type SortCheck struct {
 
 // Seal is the cryptographic proof of correct guest execution: tree
 // roots, always-opened boundary leaves, and the Fiat–Shamir-sampled
-// spot checks. Its size is polylogarithmic in the trace length (k
-// openings of log-depth paths) — see EXPERIMENTS.md for how this
-// compares with the paper's constant-size Groth16-wrapped proofs.
+// spot checks, whose leaves the segment's multiproofs authenticate. Its
+// size is polylogarithmic in the trace length (k openings and their
+// log-depth multiproofs) — see EXPERIMENTS.md for how this compares
+// with the paper's constant-size Groth16-wrapped proofs.
 type Seal struct {
 	NumRows uint32
 	NumMem  uint32
@@ -238,20 +300,6 @@ type Seal struct {
 	ProdChecks []ProdCheck
 	SortChecks []SortCheck
 }
-
-// The five committed tables of a seal, as the verifier addresses them.
-func newColumn(root merkle.Hash, n uint32, recBytes int) column {
-	return column{root: root, n: int(n), recBytes: recBytes}
-}
-func (s *Seal) execCol() column {
-	c := newColumn(s.ExecRoot, s.NumRows, rowBytes)
-	c.witnessed = true
-	return c
-}
-func (s *Seal) memProgCol() column  { return newColumn(s.MemProgRoot, s.NumMem, memBytes) }
-func (s *Seal) memSortCol() column  { return newColumn(s.MemSortRoot, s.NumMem, memBytes) }
-func (s *Seal) prodProgCol() column { return newColumn(s.ProdProgRoot, s.NumMem, prodBytes) }
-func (s *Seal) prodSortCol() column { return newColumn(s.ProdSortRoot, s.NumMem, prodBytes) }
 
 // Size returns the encoded seal size in bytes.
 func (s *Seal) Size() int {
@@ -313,8 +361,12 @@ func (w *bwriter) opening(o *Opening) {
 	w.u32(uint32(o.Index))
 	w.raw(o.Salt[:])
 	w.bytes(o.Data)
-	w.u32(uint32(len(o.Path)))
-	for _, h := range o.Path {
+}
+
+// multiproof writes a counted run of nodes.
+func (w *bwriter) multiproof(p *merkle.MultiProof) {
+	w.u32(uint32(len(p.Nodes)))
+	for _, h := range p.Nodes {
 		w.hash(h)
 	}
 }
@@ -425,20 +477,24 @@ func (r *breader) flag() bool {
 	return v == 1
 }
 
-// minOpeningBytes is the encoding of an opening with no payload and no
-// path.
-const minOpeningBytes = 4 + saltBytes + 4 + 4
+// minOpeningBytes is the encoding of an opening with no payload.
+const minOpeningBytes = 4 + saltBytes + 4
 
 func (r *breader) opening() Opening {
 	var o Opening
 	o.Index = int(r.u32())
 	copy(o.Salt[:], r.raw(saltBytes))
 	o.Data = append([]byte(nil), r.raw(r.count(1))...)
-	o.Path = make([]merkle.Hash, r.count(32))
-	for i := range o.Path {
-		o.Path[i] = r.hash()
-	}
 	return o
+}
+
+// multiproof reads what bwriter.multiproof wrote.
+func (r *breader) multiproof() merkle.MultiProof {
+	p := merkle.MultiProof{Nodes: make([]merkle.Hash, r.count(32))}
+	for i := range p.Nodes {
+		p.Nodes[i] = r.hash()
+	}
+	return p
 }
 
 func (r *breader) openings() []Opening {

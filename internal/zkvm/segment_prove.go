@@ -50,7 +50,8 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 
 	defer stageTimer(opts.Observer, StageSeal)()
 	checks := opts.checks()
-	tabs.openChecks(tr, checks, s)
+	ops := tabs.openers(entry, exit)
+	tabs.openChecks(ops, tr, checks, s)
 	sorted, nMem := tabs.sorted, len(tabs.sorted)
 
 	// Continuation families. Import: entry-image pair i materialised as
@@ -58,8 +59,8 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	if sr.Entry.MemLen > 0 {
 		for _, i := range tr.ChallengeIndices("import", checks, int(sr.Entry.MemLen)) {
 			sr.ImportChecks = append(sr.ImportChecks, ImportCheck{
-				MemProg: tabs.memProg.openRecord(i),
-				Img:     entry.openRecord(i),
+				MemProg: ops[proofMemProg].openRecord(i),
+				Img:     ops[proofEntry].openRecord(i),
 			})
 		}
 	}
@@ -71,9 +72,9 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 			// Last sorted position with this address.
 			p := sort.Search(len(sorted), func(i int) bool { return sorted[i].Addr > addr }) - 1
 			sr.ExitChecks = append(sr.ExitChecks, ExitCheck{
-				Img:  exit.openRecord(j),
+				Img:  ops[proofExit].openRecord(j),
 				Pos:  uint32(p),
-				Sort: tabs.memSort.openSpan(p, min(p+2, nMem)),
+				Sort: ops[proofMemSort].openSpan(p, min(p+2, nMem)),
 			})
 		}
 	}
@@ -81,16 +82,20 @@ func proveSegmentSeeded(seg *segmentExecution, opts ProveOptions, seed *[32]byte
 	// the exit image.
 	if !seg.final && nMem > 0 {
 		for _, i := range tr.ChallengeIndices("cover", checks, nMem) {
-			cc := CoverCheck{Entries: tabs.memSort.openSpan(i, min(i+2, nMem))}
+			cc := CoverCheck{Entries: ops[proofMemSort].openSpan(i, min(i+2, nMem))}
 			if isLast := i+1 == nMem || sorted[i+1].Addr != sorted[i].Addr; isLast && sorted[i].Val != 0 {
 				addr := sorted[i].Addr
 				j := sort.Search(len(seg.exitImg), func(k int) bool { return seg.exitImg[k].Addr >= addr })
 				cc.HasImg = true
 				cc.ExitIdx = uint32(j)
-				cc.Img = exit.openRecord(j)
+				cc.Img = ops[proofExit].openRecord(j)
 			}
 			sr.CoverChecks = append(sr.CoverChecks, cc)
 		}
+	}
+	// Every check family is open: one multiproof per tree.
+	for k := range ops {
+		sr.Proofs[k] = ops[k].proof()
 	}
 	tabs.release()
 	return sr, nil

@@ -3,6 +3,8 @@ package zkvm
 import (
 	"errors"
 	"fmt"
+
+	"zkflow/internal/merkle"
 )
 
 // ImportCheck is a sampled entry-image import check: program-order log
@@ -52,6 +54,10 @@ type SegmentReceipt struct {
 	ImportChecks []ImportCheck
 	ExitChecks   []ExitCheck
 	CoverChecks  []CoverCheck
+
+	// Proofs authenticate every leaf the checks open: one multiproof per
+	// tree, indexed proofExec..proofExit.
+	Proofs [numTrees]merkle.MultiProof
 }
 
 // Receipt is the verifiable record of a guest run, the same shape as a
@@ -111,7 +117,7 @@ func (r *Receipt) JournalWords() []uint32 {
 }
 
 // sealSize is the segment's proof size: the seal, the continuation
-// checks, both boundary states and the journal slice.
+// checks, the multiproofs, both boundary states and the journal slice.
 func (sr *SegmentReceipt) sealSize() int {
 	n := sr.Seal.Size() + 2*stateBytes + 4*len(sr.Journal)
 	for i := range sr.ImportChecks {
@@ -127,6 +133,9 @@ func (sr *SegmentReceipt) sealSize() int {
 		if cc.HasImg {
 			n += 4 + cc.Img.size()
 		}
+	}
+	for k := range sr.Proofs {
+		n += 4 + 32*len(sr.Proofs[k].Nodes)
 	}
 	return n
 }
@@ -205,6 +214,9 @@ func writeSegment(w *bwriter, sr *SegmentReceipt) {
 			w.opening(&cc.Img)
 		}
 	}
+	for k := range sr.Proofs {
+		w.multiproof(&sr.Proofs[k])
+	}
 }
 
 // readSegment decodes what writeSegment wrote.
@@ -239,6 +251,9 @@ func readSegment(rd *breader) *SegmentReceipt {
 			cc.ExitIdx = rd.u32()
 			cc.Img = rd.opening()
 		}
+	}
+	for k := range sr.Proofs {
+		sr.Proofs[k] = rd.multiproof()
 	}
 	return sr
 }

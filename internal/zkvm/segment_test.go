@@ -360,9 +360,10 @@ func TestSegmentedStepLimit(t *testing.T) {
 // retiredMagics are the first bytes of the "zkf" magics no decoder
 // reads: "zkf1"–"zkf3" (format v1), "zkf4" (the folded receipt),
 // "zkf5"–"zkf7" (format v2), "zkf8" (a run sealed whole under its own
-// statement), "zkf9" (format v3, two-compression nodes) and "zkfb" (the
-// standalone segment receipt). They are retired, not free.
-var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', '9', 'b'}
+// statement), "zkf9" (format v3, two-compression nodes), "zkfb" (the
+// standalone segment receipt) and "zkfc" (format v4, a path in every
+// opening). They are retired, not free.
+var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', '9', 'b', 'c'}
 
 // TestUnmarshalAnyReceiptGarbage rejects unknown magics and empty
 // input without panicking. A retired magic written over the body of a

@@ -1,6 +1,10 @@
 package zkvm
 
-import "fmt"
+import (
+	"fmt"
+
+	"zkflow/internal/par"
+)
 
 // Verify checks a receipt against the guest program. On success the
 // caller knows (up to sampling soundness, per segment) that running
@@ -53,6 +57,7 @@ func Verify(prog *Program, r *Receipt, opts VerifyOptions) error {
 // rows and sampled-check families. Chain-level rules (genesis, linkage,
 // indices) live in Verify, which also prefixes the error, once.
 func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error {
+	v := &segmentVerifier{SegmentReceipt: sr}
 	if prog.ID() != sr.ImageID {
 		return fmt.Errorf("image ID mismatch: receipt %v, program %v", sr.ImageID, prog.ID())
 	}
@@ -98,7 +103,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 
 	// --- Boundary rows: entry binding replaces the initial-state rule,
 	// exit binding (or the halt rule) replaces the final-state rule. ---
-	first, err := s.execRow(prog, &s.FirstRow, 0)
+	first, err := v.execRow(prog, &s.FirstRow, 0)
 	if err != nil {
 		return fmt.Errorf("first row: %v", err)
 	}
@@ -111,7 +116,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	if first.InPtr != 0 || first.JPtr != 0 {
 		return fmt.Errorf("first row cursors not rebased to the segment")
 	}
-	last, err := s.execRow(prog, &s.LastRow, nRows-1)
+	last, err := v.execRow(prog, &s.LastRow, nRows-1)
 	if err != nil {
 		return fmt.Errorf("last row: %v", err)
 	}
@@ -141,7 +146,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	}
 
 	if nMem > 0 {
-		if err := verifyMemBoundary(s, alpha, gamma, nMem); err != nil {
+		if err := verifyMemBoundary(v, alpha, gamma, nMem); err != nil {
 			return err
 		}
 	} else if !sr.Final {
@@ -176,7 +181,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 			return err
 		}
 		for n, i := range tr.ChallengeIndices("exec", len(s.ExecChecks), nRows-1) {
-			if err := verifyExecCheck(prog, s, &s.ExecChecks[n], i, sr.Journal); err != nil {
+			if err := verifyExecCheck(prog, v, &s.ExecChecks[n], i, sr.Journal); err != nil {
 				return fmt.Errorf("exec check %d (row %d): %v", n, i, err)
 			}
 		}
@@ -192,12 +197,12 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 			return err
 		}
 		for n, i := range tr.ChallengeIndices("prod", len(s.ProdChecks), nMem-1) {
-			if err := verifyProdCheck(s, &s.ProdChecks[n], i, alpha, gamma); err != nil {
+			if err := verifyProdCheck(v, &s.ProdChecks[n], i, alpha, gamma); err != nil {
 				return fmt.Errorf("product check %d (entry %d): %v", n, i, err)
 			}
 		}
 		for n, i := range tr.ChallengeIndices("sort", len(s.SortChecks), nMem-1) {
-			if err := verifySortCheck(s, &s.SortChecks[n], i, alpha, gamma); err != nil {
+			if err := verifySortCheck(v, &s.SortChecks[n], i, alpha, gamma); err != nil {
 				return fmt.Errorf("sorted check %d (entry %d): %v", n, i, err)
 			}
 		}
@@ -211,7 +216,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 			return err
 		}
 		for n, i := range tr.ChallengeIndices("import", len(sr.ImportChecks), int(sr.Entry.MemLen)) {
-			if err := verifyImportCheck(sr, &sr.ImportChecks[n], i); err != nil {
+			if err := verifyImportCheck(v, &sr.ImportChecks[n], i); err != nil {
 				return fmt.Errorf("import check %d (image word %d): %v", n, i, err)
 			}
 		}
@@ -224,7 +229,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 			return err
 		}
 		for n, j := range tr.ChallengeIndices("exit", len(sr.ExitChecks), int(sr.Exit.MemLen)) {
-			if err := verifyExitCheck(sr, &sr.ExitChecks[n], j); err != nil {
+			if err := verifyExitCheck(v, &sr.ExitChecks[n], j); err != nil {
 				return fmt.Errorf("exit check %d (image word %d): %v", n, j, err)
 			}
 		}
@@ -237,29 +242,82 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 			return err
 		}
 		for n, i := range tr.ChallengeIndices("cover", len(sr.CoverChecks), nMem) {
-			if err := verifyCoverCheck(sr, &sr.CoverChecks[n], i); err != nil {
+			if err := verifyCoverCheck(v, &sr.CoverChecks[n], i); err != nil {
 				return fmt.Errorf("cover check %d (sorted entry %d): %v", n, i, err)
 			}
 		}
 	} else if len(sr.CoverChecks) != 0 {
 		return fmt.Errorf("unexpected cover checks")
 	}
-	return nil
+	return v.authenticate()
 }
 
-// imageCol is the boundary memory image st commits, as a column.
-func imageCol(st *SegmentState) column {
-	return newColumn(st.MemRoot, st.MemLen, imgBytes)
+// segmentVerifier is one segment under verification: the receipt and,
+// per tree, the leaves its checks have read, which the tree's
+// multiproof must authenticate once the check walk is done.
+type segmentVerifier struct {
+	*SegmentReceipt
+	opened [numTrees][]*Opening
+}
+
+// col returns tree k as a column that records the leaves it hands out.
+func (v *segmentVerifier) col(k int) column {
+	s := &v.Seal
+	var c column
+	switch k {
+	case proofExec:
+		c = column{root: s.ExecRoot, n: int(s.NumRows), recBytes: rowBytes, witnessed: true}
+	case proofMemProg:
+		c = column{root: s.MemProgRoot, n: int(s.NumMem), recBytes: memBytes}
+	case proofMemSort:
+		c = column{root: s.MemSortRoot, n: int(s.NumMem), recBytes: memBytes}
+	case proofProdProg:
+		c = column{root: s.ProdProgRoot, n: int(s.NumMem), recBytes: prodBytes}
+	case proofProdSort:
+		c = column{root: s.ProdSortRoot, n: int(s.NumMem), recBytes: prodBytes}
+	case proofEntry:
+		c = column{root: v.Entry.MemRoot, n: int(v.Entry.MemLen), recBytes: imgBytes}
+	case proofExit:
+		c = column{root: v.Exit.MemRoot, n: int(v.Exit.MemLen), recBytes: imgBytes}
+	}
+	c.opened = &v.opened[k]
+	return c
+}
+
+// authenticate checks each tree's multiproof against the leaves the
+// check walk read from it; a tree no check read carries an empty one.
+// The trees are independent, so they are checked side by side on
+// par.Workers() goroutines; any failure rejects the whole segment, and
+// the first in tree order is the one reported.
+func (v *segmentVerifier) authenticate() error {
+	var errs [numTrees]error
+	par.Each(par.Workers(), numTrees, func(k int) {
+		if len(v.opened[k]) == 0 {
+			if n := len(v.Proofs[k].Nodes); n != 0 {
+				errs[k] = fmt.Errorf("%s multiproof: %d nodes and no opened leaf", treeNames[k], n)
+			}
+			return
+		}
+		if err := v.col(k).authenticate(v.Proofs[k]); err != nil {
+			errs[k] = fmt.Errorf("%s multiproof: %v", treeNames[k], err)
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // verifyImportCheck: program-order log entry i must be the synthetic
 // import write of entry-image pair i.
-func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
-	e, err := opened(sr.Seal.memProgCol(), &c.MemProg, i, decodeMemEntry)
+func verifyImportCheck(v *segmentVerifier, c *ImportCheck, i int) error {
+	e, err := opened(v.col(proofMemProg), &c.MemProg, i, decodeMemEntry)
 	if err != nil {
 		return err
 	}
-	p, err := opened(imageCol(&sr.Entry), &c.Img, i, decodeImagePair)
+	p, err := opened(v.col(proofEntry), &c.Img, i, decodeImagePair)
 	if err != nil {
 		return err
 	}
@@ -279,8 +337,8 @@ func verifyImportCheck(sr *SegmentReceipt, c *ImportCheck, i int) error {
 // last sorted-log access of its address (and nonzero). Last-ness
 // follows from the opened successor having a different address, given
 // the sorted-order invariant sampled by the sort family.
-func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j int) error {
-	p, err := opened(imageCol(&sr.Exit), &c.Img, j, decodeImagePair)
+func verifyExitCheck(v *segmentVerifier, c *ExitCheck, j int) error {
+	p, err := opened(v.col(proofExit), &c.Img, j, decodeImagePair)
 	if err != nil {
 		return err
 	}
@@ -288,10 +346,10 @@ func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j int) error {
 		return fmt.Errorf("exit image holds a zero value")
 	}
 	pos := int(c.Pos)
-	if pos >= int(sr.Seal.NumMem) {
+	if pos >= int(v.Seal.NumMem) {
 		return fmt.Errorf("witness position %d outside the log", pos)
 	}
-	e, next, hasNext, err := sortedWithSuccessor(&sr.Seal, c.Sort, pos)
+	e, next, hasNext, err := sortedWithSuccessor(v, c.Sort, pos)
 	if err != nil {
 		return err
 	}
@@ -306,8 +364,8 @@ func verifyExitCheck(sr *SegmentReceipt, c *ExitCheck, j int) error {
 
 // verifyCoverCheck: if sorted-log entry i is the last access of its
 // address and leaves a nonzero value, the exit image must contain it.
-func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i int) error {
-	ei, ej, hasNext, err := sortedWithSuccessor(&sr.Seal, c.Entries, i)
+func verifyCoverCheck(v *segmentVerifier, c *CoverCheck, i int) error {
+	ei, ej, hasNext, err := sortedWithSuccessor(v, c.Entries, i)
 	if err != nil {
 		return err
 	}
@@ -316,7 +374,7 @@ func verifyCoverCheck(sr *SegmentReceipt, c *CoverCheck, i int) error {
 		if !c.HasImg {
 			return fmt.Errorf("live word %d missing from the exit image", ei.Addr)
 		}
-		p, err := opened(imageCol(&sr.Exit), &c.Img, int(c.ExitIdx), decodeImagePair)
+		p, err := opened(v.col(proofExit), &c.Img, int(c.ExitIdx), decodeImagePair)
 		if err != nil {
 			return err
 		}

@@ -32,7 +32,7 @@ const (
 	// observations per stage.
 	StageBoundaryCommit = "boundary_commit"
 	// StageSeal assembles the receipt: boundary openings plus the
-	// Fiat–Shamir-sampled spot checks with their Merkle paths.
+	// Fiat–Shamir-sampled spot checks, and one multiproof per tree.
 	StageSeal = "seal"
 )
 

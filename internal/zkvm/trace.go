@@ -153,6 +153,24 @@ func saltedLeafHash(salt [saltBytes]byte, payload []byte) merkle.Hash {
 	return hashk.Leaf2[merkle.Hash](salt[:], payload)
 }
 
+// saltedLeafHash2 is saltedLeafHash of two openings whose payloads have
+// one length, hashed at once: the verifier's side of commitBlock.
+func saltedLeafHash2(x, y *Opening) (merkle.Hash, merkle.Hash) {
+	var a, b hashk.Msg
+	n := saltedLeafMsg(&a, x.Salt, x.Data)
+	saltedLeafMsg(&b, y.Salt, y.Data)
+	ha, hb := hashk.SumMsg2(&a, &b, n)
+	return ha, hb
+}
+
+// saltedLeafMsg writes the salted leaf message 0x00 || salt || payload
+// into m and returns its length.
+func saltedLeafMsg(m *hashk.Msg, salt [saltBytes]byte, payload []byte) int {
+	m[0] = hashk.LeafPrefix
+	copy(m[1:], salt[:])
+	return 1 + saltBytes + copy(m[1+saltBytes:], payload)
+}
+
 // Tree labels for salt domain separation.
 const (
 	treeExec byte = iota + 1

@@ -25,8 +25,8 @@ func vErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrVerify, fmt.Sprintf(format, args...))
 }
 
-// opened authenticates o as the leaf holding record i of a column and
-// decodes that record.
+// opened reads o as the leaf holding record i of a column and decodes
+// that record.
 func opened[T any](c column, o *Opening, i int, decode func([]byte) (T, error)) (T, error) {
 	b, err := c.record(o, i)
 	if err != nil {
@@ -36,21 +36,21 @@ func opened[T any](c column, o *Opening, i int, decode func([]byte) (T, error)) 
 	return decode(b)
 }
 
-// execRow authenticates o as the leaf holding row i of the trace and
-// returns that row.
-func (s *Seal) execRow(prog *Program, o *Opening, i int) (Row, error) {
-	rows, err := s.execCol().rows(prog, []Opening{*o}, i, i+1)
+// execRow reads o as the leaf holding row i of the trace and returns
+// that row.
+func (v *segmentVerifier) execRow(prog *Program, o *Opening, i int) (Row, error) {
+	rows, err := v.col(proofExec).rows(prog, []Opening{*o}, i, i+1)
 	if err != nil {
 		return Row{}, err
 	}
 	return rows[0], nil
 }
 
-// sortedWithSuccessor authenticates span as the leaves holding
-// sorted-log entry i and, when i is not the last, entry i+1, and
-// decodes them; hasNext says whether there is a successor.
-func sortedWithSuccessor(s *Seal, span []Opening, i int) (e, next MemEntry, hasNext bool, err error) {
-	recs, err := s.memSortCol().records(span, i, min(i+2, int(s.NumMem)))
+// sortedWithSuccessor reads span as the leaves holding sorted-log
+// entry i and, when i is not the last, entry i+1, and decodes them;
+// hasNext says whether there is a successor.
+func sortedWithSuccessor(v *segmentVerifier, span []Opening, i int) (e, next MemEntry, hasNext bool, err error) {
+	recs, err := v.col(proofMemSort).records(span, i, min(i+2, int(v.Seal.NumMem)))
 	if err != nil {
 		return e, next, false, err
 	}
@@ -61,7 +61,7 @@ func sortedWithSuccessor(s *Seal, span []Opening, i int) (e, next MemEntry, hasN
 	return e, next, true, err
 }
 
-// productStep authenticates span as the leaves holding running products
+// productStep reads span as the leaves holding running products
 // i and i+1 and checks P[i+1] = P[i] * (gamma - f(e)), e being entry
 // i+1 of the log the column runs over.
 func productStep(c column, span []Opening, i int, e *MemEntry, alpha, gamma field.Elem) error {
@@ -86,15 +86,16 @@ func productStep(c column, span []Opening, i int, e *MemEntry, alpha, gamma fiel
 // verifyMemBoundary checks the always-open memory-log boundary leaves:
 // the first program-order product, the sorted-log first-read rule, and
 // the grand-product equality that establishes multiset equivalence.
-func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
-	e0, err := opened(s.memProgCol(), &s.MemProgFirst, 0, decodeMemEntry)
+func verifyMemBoundary(v *segmentVerifier, alpha, gamma field.Elem, nMem int) error {
+	s := &v.Seal
+	e0, err := opened(v.col(proofMemProg), &s.MemProgFirst, 0, decodeMemEntry)
 	if err != nil {
 		return fmt.Errorf("memprog first: %v", err)
 	}
 	if e0.Seq != 0 {
 		return fmt.Errorf("first program-order entry has seq %d", e0.Seq)
 	}
-	p0, err := opened(s.prodProgCol(), &s.ProdProgFirst, 0, decodeProd)
+	p0, err := opened(v.col(proofProdProg), &s.ProdProgFirst, 0, decodeProd)
 	if err != nil {
 		return fmt.Errorf("prodprog first: %v", err)
 	}
@@ -102,14 +103,14 @@ func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
 		return fmt.Errorf("first program-order product incorrect")
 	}
 
-	s0, err := opened(s.memSortCol(), &s.MemSortFirst, 0, decodeMemEntry)
+	s0, err := opened(v.col(proofMemSort), &s.MemSortFirst, 0, decodeMemEntry)
 	if err != nil {
 		return fmt.Errorf("memsort first: %v", err)
 	}
 	if !s0.IsWrite && s0.Val != 0 {
 		return fmt.Errorf("first sorted access reads %d from fresh memory", s0.Val)
 	}
-	q0, err := opened(s.prodSortCol(), &s.ProdSortFirst, 0, decodeProd)
+	q0, err := opened(v.col(proofProdSort), &s.ProdSortFirst, 0, decodeProd)
 	if err != nil {
 		return fmt.Errorf("prodsort first: %v", err)
 	}
@@ -117,11 +118,11 @@ func verifyMemBoundary(s *Seal, alpha, gamma field.Elem, nMem int) error {
 		return fmt.Errorf("first sorted product incorrect")
 	}
 
-	pl, err := opened(s.prodProgCol(), &s.ProdProgLast, nMem-1, decodeProd)
+	pl, err := opened(v.col(proofProdProg), &s.ProdProgLast, nMem-1, decodeProd)
 	if err != nil {
 		return fmt.Errorf("prodprog last: %v", err)
 	}
-	ql, err := opened(s.prodSortCol(), &s.ProdSortLast, nMem-1, decodeProd)
+	ql, err := opened(v.col(proofProdSort), &s.ProdSortLast, nMem-1, decodeProd)
 	if err != nil {
 		return fmt.Errorf("prodsort last: %v", err)
 	}
@@ -210,8 +211,8 @@ func (e *replayEnv) writeJournal(val uint32) error {
 
 // verifyExecCheck re-executes the transition rowIdx -> rowIdx+1 over
 // the memory-log entries between the two rows' MemPtr cursors.
-func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal []uint32) error {
-	rows, err := s.execCol().rows(prog, c.Rows, rowIdx, rowIdx+2)
+func verifyExecCheck(prog *Program, v *segmentVerifier, c *ExecCheck, rowIdx int, journal []uint32) error {
+	rows, err := v.col(proofExec).rows(prog, c.Rows, rowIdx, rowIdx+2)
 	if err != nil {
 		return err
 	}
@@ -219,7 +220,7 @@ func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal [
 	if rowJ.MemPtr < rowI.MemPtr {
 		return fmt.Errorf("MemPtr runs backwards: %d after %d", rowJ.MemPtr, rowI.MemPtr)
 	}
-	mem, err := s.memProgCol().records(c.Mem, int(rowI.MemPtr), int(rowJ.MemPtr))
+	mem, err := v.col(proofMemProg).records(c.Mem, int(rowI.MemPtr), int(rowJ.MemPtr))
 	if err != nil {
 		return fmt.Errorf("mem openings: %v", err)
 	}
@@ -263,21 +264,21 @@ func verifyExecCheck(prog *Program, s *Seal, c *ExecCheck, rowIdx int, journal [
 
 // verifyProdCheck checks one program-order running-product step:
 // P[i+1] = P[i] * (gamma - f(e[i+1])).
-func verifyProdCheck(s *Seal, c *ProdCheck, i int, alpha, gamma field.Elem) error {
-	e, err := opened(s.memProgCol(), &c.Entry, i+1, decodeMemEntry)
+func verifyProdCheck(v *segmentVerifier, c *ProdCheck, i int, alpha, gamma field.Elem) error {
+	e, err := opened(v.col(proofMemProg), &c.Entry, i+1, decodeMemEntry)
 	if err != nil {
 		return err
 	}
 	if e.Seq != uint32(i+1) {
 		return fmt.Errorf("program-order entry %d has seq %d", i+1, e.Seq)
 	}
-	return productStep(s.prodProgCol(), c.Prods, i, &e, alpha, gamma)
+	return productStep(v.col(proofProdProg), c.Prods, i, &e, alpha, gamma)
 }
 
 // verifySortCheck checks sorted-log adjacency i, i+1: ordering,
 // read-consistency, and the sorted running-product step.
-func verifySortCheck(s *Seal, c *SortCheck, i int, alpha, gamma field.Elem) error {
-	ei, ej, _, err := sortedWithSuccessor(s, c.Entries, i) // i+1 < NumMem: the successor exists
+func verifySortCheck(v *segmentVerifier, c *SortCheck, i int, alpha, gamma field.Elem) error {
+	ei, ej, _, err := sortedWithSuccessor(v, c.Entries, i) // i+1 < NumMem: the successor exists
 	if err != nil {
 		return err
 	}
@@ -294,5 +295,5 @@ func verifySortCheck(s *Seal, c *SortCheck, i int, alpha, gamma field.Elem) erro
 	} else if !ej.IsWrite && ej.Val != 0 {
 		return fmt.Errorf("first access to %d reads %d from fresh memory", ej.Addr, ej.Val)
 	}
-	return productStep(s.prodSortCol(), c.Prods, i, &ej, alpha, gamma)
+	return productStep(v.col(proofProdSort), c.Prods, i, &ej, alpha, gamma)
 }
