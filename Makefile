@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
-.PHONY: fmt build vet test race purego fuzz farm examples check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
+.PHONY: fmt build vet test race purego fuzz examples check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
 
 # Format lane: fails, listing the files, when any Go file is not
 # gofmt-clean.
@@ -26,14 +26,13 @@ test:
 # daemon's aggregator and its collection hand-off, the shared fan-out
 # helpers, the prover's block-commit crew, the
 # segmented (continuation) proving crew, the epoch batch (its window's
-# concurrent seals and a query mid-batch), the prover
-# farm, the metrics registry, the HTTP layer, the sharded UDP ingest
+# concurrent seals and a query mid-batch), the metrics registry, the HTTP layer, the sharded UDP ingest
 # pipeline, the checkpointing ledger plus the light-client sync that
 # reads it, and the STARK math kernel of the §7 ablation (shared
 # twiddle/ladder caches, pooled scratch, chunk-parallel
 # LDE/composition/FRI).
 race:
-	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/remote ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
+	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
 
 # Fallback lane: the SHA-256 compression kernel of internal/hashk runs
 # on amd64 with SHA-NI, and everywhere else the same functions hash
@@ -74,12 +73,9 @@ purego:
 # plus the Merkle multiproof (arbitrary index sets and node lists
 # against small trees: no panic, and an accepted multiproof is
 # ProveMulti's own, so none has two spellings).
-# `go test -fuzz` takes one target per invocation, so this is eighteen
+# `go test -fuzz` takes one target per invocation, so this is fifteen
 # runs; budget with FUZZTIME (default 10s each).
 fuzz:
-	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzFarmFrames -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/remote -run='^$$' -fuzz=FuzzReadFrame -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzDecodeProgram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzUnmarshalReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzVerifyMutatedReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
@@ -96,16 +92,6 @@ fuzz:
 	$(GO) test ./internal/ledger -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/api -run='^$$' -fuzz=FuzzDecodeQueryReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 
-# Farm lane: the prover-farm fault-injection suite, run twice — the
-# failover paths (requeue, redispatch, duplicate suppression) and the
-# one read deadline that judges liveness are timing sensitive by nature,
-# so one green run is not evidence enough — and the end-to-end churn
-# test, twice too: 16 epochs under worker churn, checked by the light
-# client, so a deadline that kills a healthy worker mid-epoch fails here.
-farm:
-	$(GO) test ./internal/remote -run='TestFarmFault' -count=2
-	$(GO) test ./internal/core -run='TestFarmStressWorkerChurn' -count=2
-
 # Examples lane: every example end to end, about a second in all. Each
 # exits nonzero when its scenario does not hold; tamper, when any of
 # its attacks goes undetected.
@@ -118,7 +104,7 @@ examples:
 
 # The default pre-merge gate. The format lane runs first and the fuzz
 # lane last, so the cheap deterministic checks fail fast.
-check: fmt build vet test race purego farm examples fuzz
+check: fmt build vet test race purego examples fuzz
 
 # The paper's figures and the DESIGN §5 ablations, one pass each (the
 # table at the head of EXPERIMENTS.md maps entries to functions).

@@ -22,7 +22,6 @@ import (
 	"zkflow/internal/ingest"
 	"zkflow/internal/ledger"
 	"zkflow/internal/obs"
-	"zkflow/internal/remote"
 	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
@@ -43,8 +42,6 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload seed")
 		flows    = flag.Int("flows", 256, "flow population size")
 		loss     = flag.Float64("loss", 0.02, "packet loss rate")
-		farmAddr = flag.String("farm-addr", "", "prover-farm coordinator listen address (empty = prove locally); workers dial in with zkflow-worker -farm-addr, and one worker is an off-path prover")
-		farmWait = flag.Int("workers", 0, "with -farm-addr: wait for this many farm workers before the first epoch")
 		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = one segment)")
 
 		debugAddr    = flag.String("debug-addr", "", "operator-only pprof+metrics listen address (empty = off; keep it loopback)")
@@ -62,22 +59,6 @@ func main() {
 	// counters, and the HTTP layer, served at /api/v1/metrics.
 	reg := obs.NewRegistry()
 	opts := core.Options{Checks: *checks, SegmentCycles: *segCyc, Metrics: reg}
-	if *farmAddr != "" {
-		coord := remote.NewCoordinator(remote.FarmConfig{Metrics: reg})
-		if err := coord.Start(*farmAddr); err != nil {
-			log.Fatalf("farm coordinator: %v", err)
-		}
-		defer coord.Close()
-		opts.Prove = coord.Prove
-		log.Printf("farm coordinator listening on %s", coord.Addr())
-		if *farmWait > 0 {
-			log.Printf("waiting for %d farm workers", *farmWait)
-			if err := coord.WaitForWorkers(context.Background(), *farmWait); err != nil {
-				log.Fatalf("waiting for farm workers: %v", err)
-			}
-			log.Printf("%d farm workers registered", coord.Workers())
-		}
-	}
 	prover := core.NewProver(st, lg, opts)
 	srv := api.NewServer(prover, lg)
 	srv.UseRegistry(reg)

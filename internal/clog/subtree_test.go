@@ -22,7 +22,7 @@ func testEntries(n int) []Entry {
 	return out
 }
 
-// TestSubTreeMergeMatchesMonolithic is the farm-sharding contract:
+// TestSubTreeMergeMatchesMonolithic is the sharding contract:
 // splitting the CLog commitment into aligned sub-trees and merging
 // their roots reproduces the exact monolithic guest-convention root at
 // every shard count, entry count (incl. non-powers of two and empty),
@@ -45,8 +45,7 @@ func TestSubTreeMergeMatchesMonolithic(t *testing.T) {
 	}
 }
 
-// TestSubTreeRootsParallelSafe hashes shards on separate goroutines —
-// the way the core prover and farm workers use the primitive — and
+// TestSubTreeRootsParallelSafe hashes shards on separate goroutines and
 // checks the merge is independent of completion order.
 func TestSubTreeRootsParallelSafe(t *testing.T) {
 	entries := testEntries(97)

@@ -36,11 +36,10 @@ import (
 )
 
 // ProveFunc generates a receipt for a guest run. It is the one proving
-// hook: the default is local zkvm.ProveAny, and what plugs in here is
-// off-path proving (remote.Coordinator.Prove, paper §7) or a wrapper
-// around ProveAny, such as the benchmark's tracing hook. The receipt is
-// a *zkvm.Receipt: a chain of opts.SegmentCycles-step segments, or one
-// segment when that is zero.
+// hook: the default is zkvm.ProveAny, and what plugs in here is a
+// wrapper around it, such as the benchmark's tracing hook. The receipt
+// is a *zkvm.Receipt: a chain of opts.SegmentCycles-step segments, or
+// one segment when that is zero.
 type ProveFunc func(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error)
 
 // Options configures proof generation.
@@ -54,7 +53,8 @@ type Options struct {
 	// segment. Query proofs are always one segment — they are small and
 	// latency-bound.
 	SegmentCycles int
-	// Prove overrides the proving backend (nil = local zkvm.ProveAny).
+	// Prove wraps the prover (nil = zkvm.ProveAny); the benchmark's
+	// tracing hook is its one user.
 	Prove ProveFunc
 	// Metrics, when non-nil, receives the prover's observability
 	// stream: round/query counters and latencies, discarded

@@ -7,9 +7,9 @@ import (
 	"net/http/pprof"
 )
 
-// MetricsHandler serves the registry snapshot as JSON — the same body
+// metricsHandler serves the registry snapshot as JSON — the same body
 // internal/api exposes at /api/v1/metrics.
-func MetricsHandler(reg *Registry) http.Handler {
+func metricsHandler(reg *Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodGet {
 			w.Header().Set("Allow", http.MethodGet)
@@ -35,6 +35,6 @@ func DebugHandler(reg *Registry) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.Handle("/debug/metrics", MetricsHandler(reg))
+	mux.Handle("/debug/metrics", metricsHandler(reg))
 	return mux
 }

@@ -24,10 +24,10 @@ func fuzzReceiptBytes(f *testing.F) []byte {
 	return data
 }
 
-// fuzzCompositeBytes builds a two-segment composite and the payload a
-// farm worker sends for its second segment: that segment alone, as a
-// one-segment composite.
-func fuzzCompositeBytes(f *testing.F) (composite, farmSegment []byte) {
+// fuzzCompositeBytes builds a two-segment composite and its second
+// segment alone, as a one-segment composite: a chain that does not start
+// at segment 0.
+func fuzzCompositeBytes(f *testing.F) (composite, tail []byte) {
 	f.Helper()
 	c, err := ProveSeeded(sumProgram(), sumInput(8), ProveOptions{Checks: 1, SegmentCycles: minSegmentCycles}, [32]byte{})
 	if err != nil {
@@ -39,31 +39,31 @@ func fuzzCompositeBytes(f *testing.F) (composite, farmSegment []byte) {
 	if composite, err = c.MarshalBinary(); err != nil {
 		f.Fatal(err)
 	}
-	if farmSegment, err = (&Receipt{Segments: c.Segments[1:]}).MarshalBinary(); err != nil {
+	if tail, err = (&Receipt{Segments: c.Segments[1:]}).MarshalBinary(); err != nil {
 		f.Fatal(err)
 	}
-	return composite, farmSegment
+	return composite, tail
 }
 
 // FuzzUnmarshalReceipt drives the magic-dispatching decoder — the one
-// decoder the farm coordinator runs on every result a worker sends —
-// over arbitrary bytes: it must never panic, and anything it accepts,
+// decoder a client runs on every receipt it downloads — over arbitrary
+// bytes: it must never panic, and anything it accepts,
 // receipt or composite, must re-encode to exactly the input (the
 // encoding is canonical, so accept + re-encode is the round-trip
 // identity).
 func FuzzUnmarshalReceipt(f *testing.F) {
 	valid := fuzzReceiptBytes(f)
-	composite, farmSegment := fuzzCompositeBytes(f)
+	composite, tail := fuzzCompositeBytes(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:4])
 	f.Add([]byte{})
 	f.Add(composite)
-	f.Add(farmSegment)
+	f.Add(tail)
 	f.Add(composite[:len(composite)/2])
-	// Every retired magic — the folded receipt's "zkf4", formats v1 and
-	// v2's "zkf1"–"zkf3", "zkf5"–"zkf7", and the standalone segment's
-	// "zkfb" — over a valid receipt's body.
+	// Every retired magic (retiredMagics: old formats, the folded
+	// receipt, the standalone segment, the prover farm's frames) over a
+	// valid receipt's body.
 	for _, m := range retiredMagics {
 		f.Add(append([]byte{m, 'f', 'k', 'z'}, valid[4:]...))
 	}

@@ -5,7 +5,7 @@ package zkvm
 
 // RunMachine runs one use of the emulator to completion, releases
 // whatever it traced, and reports the segments cut. cut == 0 never
-// cuts; traced == false is the planner.
+// cuts; traced == false is the count-only run.
 func RunMachine(prog *Program, input []uint32, cut int, traced bool) (segs int, err error) {
 	m := newMachine(prog, input, cut, traced)
 	if err := m.run(0); err != nil {

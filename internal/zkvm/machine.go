@@ -9,7 +9,7 @@ import (
 )
 
 // This file is the emulator core: one machine, one execution loop.
-// Execute, the segmented executor and the segment planner are the same
+// Execute, the segmented executor and the count-only run are the same
 // run over different data — never cut, cut every SegmentCycles rows, or
 // cut on the same schedule while recording nothing.
 
@@ -152,19 +152,20 @@ type machine struct {
 	scratch []byte // SysHash message buffer, grown to the largest request
 
 	cut      int  // steps per segment; neverCut for a one-segment run
-	traced   bool // false: the planner, which counts segments and records nothing
+	traced   bool // false: count-only, a test and benchmark instrument that records nothing
 	unpooled bool // the trace outlives the package (Execute): build it on fresh slabs
 
 	// The open segment. rows is fully sliced (len == cap) and row n is
-	// the machine's current state; step writes row n+1 in place. The
-	// planner's rows are a two-entry ring (mask 1) and its log stays nil.
+	// the machine's current state; step writes row n+1 in place. A
+	// count-only run's rows are a two-entry ring (mask 1) and its log
+	// stays nil.
 	rows  []Row
 	mask  int
 	n     int
 	log   []MemEntry
 	seg   *segmentExecution
 	segs  []*segmentExecution // closed and open segments, in order
-	nsegs int                 // segments opened so far: all the planner keeps of them
+	nsegs int                 // segments opened so far: all a count-only run keeps of them
 }
 
 // newMachine returns a reset machine over fresh memory. A cut ≤ 0 never
@@ -205,8 +206,9 @@ func (m *machine) openSegment(b *Row, img []imagePair, room int) {
 		}
 		m.segs = append(m.segs, m.seg)
 		// A segment runs at most min(cut, room) steps, plus the successor
-		// slot step fills even on the halt row. But cut arrives off the
-		// wire and room defaults to 2^26, so the slabs are sized by what
+		// slot step fills even on the halt row. But cut is whatever
+		// -segment-cycles or ProveOptions.SegmentCycles says, unchecked,
+		// and room defaults to 2^26, so the slabs are sized by what
 		// this program is known to produce — the largest segment it has
 		// traced, or the segment this run just filled — and double from
 		// there. A cut segment's log size is a guess.

@@ -162,7 +162,7 @@ func TestEveryOpcodeHasAGuest(t *testing.T) {
 // machine_test.go: monolithic, segmented at the floor, mid-loop and
 // longer-than-most cuts, and count-only, each identical to the retained
 // map-backed loops in rows, memory log, journal, exit code, cuts,
-// boundary states and images, and PlanSegments count.
+// boundary states and images, and count-only segment count.
 func TestMachineMatchesReference(t *testing.T) {
 	for _, r := range guestRuns() {
 		t.Run(r.name, func(t *testing.T) {
@@ -221,7 +221,7 @@ func FuzzExpandExecLeaf(f *testing.F) {
 // BenchmarkExecute times the emulator alone on the 1000-record
 // aggregation guest in its three uses: the monolithic trace, the trace
 // cut every 2^17 rows (the epoch-4k-seg setting) with its boundary
-// images and import writes, and the planner's count-only pass over the
+// images and import writes, and the count-only pass over the
 // same cuts. Slabs are released every iteration, so the steady state
 // measures the loop over pooled slabs, not mallocgc.
 func BenchmarkExecute(b *testing.B) {

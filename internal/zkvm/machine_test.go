@@ -82,16 +82,6 @@ func checkAgainstReference(prog *Program, input []uint32, opts ExecOptions, cuts
 			return fmt.Errorf("cut %d, count-only: %d segments, exit %d, journal %v; reference %d, %d, %v",
 				cut, m.nsegs, m.exitCode(), m.journal, wantN, wantExit, wantJournal)
 		}
-		// The run fit opts.MaxSteps, so it fits the prover's larger budget.
-		n, err := PlanSegments(prog, input, ProveOptions{SegmentCycles: cut})
-		if wantExit != 0 {
-			var abort *GuestAbortError
-			if !errors.As(err, &abort) || abort.ExitCode != wantExit {
-				return fmt.Errorf("cut %d: PlanSegments = %v; reference exits %d", cut, err, wantExit)
-			}
-		} else if err != nil || n != len(wantSegs) {
-			return fmt.Errorf("cut %d: PlanSegments = %d, %v; reference traced %d segments", cut, n, err, len(wantSegs))
-		}
 	}
 	return nil
 }
@@ -312,8 +302,9 @@ func TestHostileMemoryCeiling(t *testing.T) {
 	}
 }
 
-// TestHostileSegmentCycles: SegmentCycles reaches the machine as a raw
-// uint32 off the wire (remote.DecodeRequest). The trace slabs are sized
+// TestHostileSegmentCycles: SegmentCycles reaches the machine unchecked,
+// from zkflowd's -segment-cycles or a caller's ProveOptions, so a cut may
+// be far longer than any run. The trace slabs are sized
 // by what the program is known to produce, never by the cut alone: the
 // largest possible cut over a two-row guest costs kilobytes, under a
 // small step budget and under the default one, and a guest that does
@@ -476,10 +467,72 @@ func FuzzExecuteMatchesReference(f *testing.F) {
 // TestMachineMatchesReferenceOnHandoffLoops sweeps loop lengths that
 // land before, exactly on, and after segment boundaries.
 func TestMachineMatchesReferenceOnHandoffLoops(t *testing.T) {
-	prog, _ := handoffProgram(t)
+	prog, _ := cutLoopProgram(t)
 	for _, loops := range []uint32{1, 5, 11, 12, 13, 40, 60, 61, 100, 250} {
 		if err := checkAgainstReference(prog, []uint32{loops}, ExecOptions{}, referenceCuts); err != nil {
 			t.Fatalf("loops=%d: %v", loops, err)
+		}
+	}
+}
+
+// cutLoopProgram is a loop long enough to split into several segments
+// at the minimum segment size, touching memory so boundary images are
+// nonempty.
+func cutLoopProgram(t *testing.T) (*Program, []uint32) {
+	t.Helper()
+	a := NewAssembler()
+	a.ReadInput(2) // r2 = loop count
+	a.Li(3, 0)     // r3 = i
+	a.Li(4, 0)     // r4 = acc
+	a.Label("loop")
+	a.Add(4, 4, 3)
+	a.Sw(4, 3, 0) // mem[i] = acc
+	a.Addi(3, 3, 1)
+	a.Bltu(3, 2, "loop")
+	a.WriteJournal(4)
+	a.HaltCode(0)
+	return a.MustAssemble(), []uint32{60}
+}
+
+func cutLoopOpts() ProveOptions {
+	return ProveOptions{Checks: 4, SegmentCycles: minSegmentCycles}
+}
+
+// TestCountSegmentsMatchesTraced sweeps loop lengths that land before,
+// exactly on, and after segment boundaries and checks the count-only
+// run agrees with the traced executor on segment count, exit code
+// and journal for every one.
+func TestCountSegmentsMatchesTraced(t *testing.T) {
+	prog, _ := cutLoopProgram(t)
+	for _, loops := range []uint32{1, 5, 11, 12, 13, 40, 60, 61, 100, 250} {
+		input := []uint32{loops}
+		segs, err := executeSegmented(prog, input, ExecOptions{}, minSegmentCycles)
+		if err != nil {
+			t.Fatalf("loops=%d: traced: %v", loops, err)
+		}
+		wantJournal := []uint32(nil)
+		for _, s := range segs {
+			wantJournal = append(wantJournal, s.ex.Journal...)
+		}
+		wantN, wantExit := len(segs), segs[len(segs)-1].ex.ExitCode
+		releaseSegments(segs)
+
+		m := newMachine(prog, input, minSegmentCycles, false)
+		if err := m.run(0); err != nil {
+			t.Fatalf("loops=%d: count: %v", loops, err)
+		}
+		n, exit, journal := m.nsegs, m.exitCode(), m.journal
+		if n != wantN || exit != wantExit {
+			t.Fatalf("loops=%d: count (%d segs, exit %d), traced (%d segs, exit %d)",
+				loops, n, exit, wantN, wantExit)
+		}
+		if len(journal) != len(wantJournal) {
+			t.Fatalf("loops=%d: journal %v, traced %v", loops, journal, wantJournal)
+		}
+		for i := range journal {
+			if journal[i] != wantJournal[i] {
+				t.Fatalf("loops=%d: journal %v, traced %v", loops, journal, wantJournal)
+			}
 		}
 	}
 }

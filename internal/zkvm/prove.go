@@ -62,28 +62,69 @@ func ProveAny(prog *Program, input []uint32, opts ProveOptions) (AnyReceipt, err
 
 // ProveSeeded executes the guest and proves the run, under a
 // caller-supplied salt seed, as a chain of segments of
-// opts.SegmentCycles steps each (one segment when it is zero). A crew
-// claims the segments by index, at most par.Workers() sealing at once,
-// and each is sealed under its own derived sub-seed on a crew of its
-// own that is par.Workers() wide too: the last segments to start still
-// keep every core busy, and the Go scheduler interleaves the crews
-// while they overlap. The receipt is byte-deterministic: the same
-// program, input, options and seed produce the same receipt at any
-// width and in any process, which is what lets
-// a prover farm split one run across workers. A run that traps, runs
-// out of DefaultMaxSteps, or halts with a nonzero exit code returns an
-// error and no receipt: tampered telemetry cannot be proven.
+// opts.SegmentCycles steps each (one segment when it is zero). The
+// receipt is byte-deterministic: the same program, input, options and
+// seed produce the same receipt at any width and in any process. A run
+// that traps, runs out of DefaultMaxSteps, or halts with a nonzero exit
+// code returns an error and no receipt: tampered telemetry cannot be
+// proven.
 func ProveSeeded(prog *Program, input []uint32, opts ProveOptions, seed [32]byte) (*Receipt, error) {
-	run, err := NewSegmentRun(prog, input, opts, seed)
+	execDone := stageTimer(opts.Observer, StageExecute)
+	segs, err := executeSegmented(prog, input, ExecOptions{}, opts.SegmentCycles)
+	execDone()
 	if err != nil {
 		return nil, err
 	}
-	defer run.Release()
-	n := run.Segments()
+	if last := segs[len(segs)-1]; last.ex.ExitCode != 0 {
+		journal := make([]uint32, 0)
+		for _, s := range segs {
+			journal = append(journal, s.ex.Journal...)
+		}
+		releaseSegments(segs)
+		return nil, &GuestAbortError{ExitCode: last.ex.ExitCode, Journal: journal}
+	}
+	return sealSegments(segs, opts, seed)
+}
+
+// sealSegments proves a traced run whatever its exit code, then returns
+// its slabs to the pools. It first commits each boundary image k —
+// segs[k]'s entry image, which is segs[k-1]'s exit image — under its
+// own sub-seed, so both adjacent segment proofs open leaves of the same
+// tree and the boundary MemRoots are fixed before any segment seals.
+// Then a crew claims the segments by index, at most par.Workers()
+// sealing at once, and seals each under its own sub-seed on a crew of
+// its own that is par.Workers() wide too: the last segments to start
+// still keep every core busy, and the Go scheduler interleaves the
+// crews while they overlap.
+func sealSegments(segs []*segmentExecution, opts ProveOptions, seed [32]byte) (*Receipt, error) {
+	n := len(segs)
+	// The run's two ends have no image: bnd[0] and bnd[n] stay nil.
+	bnd := make([]*table, n+1)
+	defer func() {
+		for _, b := range bnd[1:n] {
+			b.release()
+		}
+		releaseSegments(segs)
+	}()
+	if n > 1 {
+		bndDone := stageTimer(opts.Observer, StageBoundaryCommit)
+		for k := 1; k < n; k++ {
+			sub := deriveSubSeed(&seed, "bnd", k)
+			bnd[k] = imageTable(newSalter(&sub), segs[k].entryImg)
+		}
+		commitTables(par.Workers(), nil, bnd[1:n]...)
+		for k := 1; k < n; k++ {
+			root := bnd[k].tree.Root()
+			segs[k].entry.MemRoot = root
+			segs[k-1].exit.MemRoot = root
+		}
+		bndDone()
+	}
 	receipts := make([]*SegmentReceipt, n)
 	errs := make([]error, n)
 	par.Each(par.Workers(), n, func(i int) {
-		receipts[i], errs[i] = run.proveSegment(i)
+		sub := deriveSubSeed(&seed, "seg", i)
+		receipts[i], errs[i] = proveSegmentSeeded(segs[i], opts, &sub, bnd[i], bnd[i+1])
 	})
 	for _, e := range errs {
 		if e != nil {

@@ -1,6 +1,7 @@
 package zkvm
 
 import (
+	"bytes"
 	"errors"
 	"runtime"
 	"strings"
@@ -501,6 +502,31 @@ func BenchmarkVerifySum256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if err := Verify(prog, r, VerifyOptions{}); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestProveSeededDeterministic pins the seeded prover on both of its
+// paths: the same seed gives the same bytes, whole run or segmented.
+func TestProveSeededDeterministic(t *testing.T) {
+	prog, input := cutLoopProgram(t)
+	seed := [32]byte{42}
+	for _, opts := range []ProveOptions{{Checks: 4}, cutLoopOpts()} {
+		r1, err := ProveSeeded(prog, input, opts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r2, err := ProveSeeded(prog, input, opts, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b1, _ := r1.MarshalBinary()
+		b2, _ := r2.MarshalBinary()
+		if !bytes.Equal(b1, b2) {
+			t.Fatalf("SegmentCycles=%d: ProveSeeded not deterministic", opts.SegmentCycles)
+		}
+		if err := VerifyAny(prog, r1, VerifyOptions{}); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -26,21 +26,24 @@ import (
 const leafRecords = 4
 
 // The magic of a receipt's encoding (format v5, DESIGN.md §8) and the
-// label its segments' statements open their transcripts with. "zkfa"
-// frames the farm's wire. "zkf1"–"zkf9", "zkfb" and "zkfc" are retired
-// and must never be assigned again, so that no byte string ever read as
-// one of them can be read as anything else: "zkf1"–"zkf3" tagged format
-// v1 (one record per leaf) and "zkf5"–"zkf7" format v2 (exec leaves of
-// whole rows), which no code decodes any more; "zkf4" (0x7a6b6634)
-// tagged the folded receipt, a prover-trusted binding rather than a
-// proof; "zkf8" tagged a run sealed whole under its own statement, which
-// is now a one-segment receipt; "zkf9" (0x7a6b6639) tagged format v3,
-// whose Merkle nodes were SHA-256(0x01 || l || r), two compressions,
-// where a v4 node is one; "zkfb" (0x7a6b6662) tagged a standalone
-// segment receipt, which a farm worker now ships as a one-segment
-// receipt; "zkfc" (0x7a6b6663) tagged format v4, whose every opening
-// carried its own authentication path, where a v5 segment carries one
-// multiproof per tree.
+// label its segments' statements open their transcripts with.
+// "zkf1"–"zkfc" and the request magics "zkw2"–"zkw6" are retired and
+// must never be assigned again, so that no byte string ever read as
+// one of them can be read as anything else: "zkf1"–"zkf3" tagged
+// format v1 (one record per leaf) and "zkf5"–"zkf7" format v2 (exec
+// leaves of whole rows), which no code decodes any more; "zkf4"
+// (0x7a6b6634) tagged the folded receipt, a prover-trusted binding
+// rather than a proof; "zkf8" tagged a run sealed whole under its own
+// statement, which is now a one-segment receipt; "zkf9" (0x7a6b6639)
+// tagged format v3, whose Merkle nodes were SHA-256(0x01 || l || r),
+// two compressions, where a v4 node is one; "zkfa" (0x7a6b6661)
+// framed the prover farm's wire and "zkw2"–"zkw6" (0x7a6b7736 the
+// last) opened the proving request inside a job frame, until the farm
+// was deleted; "zkfb" (0x7a6b6662) tagged a standalone segment
+// receipt, which is now a one-segment receipt; "zkfc" (0x7a6b6663)
+// tagged format v4, whose every opening carried its own
+// authentication path, where a v5 segment carries one multiproof per
+// tree.
 const (
 	magicReceipt = 0x7a6b6664 // "zkfd"
 
@@ -174,14 +177,22 @@ func (c column) authenticate(p merkle.MultiProof) error {
 	return merkle.VerifyMulti(c.root, bits.Len(uint(c.leaves()-1)), leaves, p)
 }
 
+// holding accepts o as the leaf holding record i, checked in place.
+func (c column) holding(o *Opening, i int) error {
+	if i < 0 || i >= c.n {
+		return fmt.Errorf("records [%d,%d) outside a %d-record table", i, i+1, c.n)
+	}
+	return c.leaf(o, i/leafRecords)
+}
+
 // record accepts o as the leaf holding record i and returns that
 // record's bytes.
 func (c column) record(o *Opening, i int) ([]byte, error) {
-	recs, err := c.records([]Opening{*o}, i, i+1)
-	if err != nil {
+	if err := c.holding(o, i); err != nil {
 		return nil, err
 	}
-	return recs[0], nil
+	off := i % leafRecords * c.recBytes
+	return o.Data[off : off+c.recBytes], nil
 }
 
 // cover accepts span as the leaves holding records [lo, hi) —
@@ -236,13 +247,36 @@ func (c column) rows(prog *Program, span []Opening, lo, hi int) ([]Row, error) {
 	var leaf [leafRecords]Row
 	for k := range span {
 		base := (first + k) * leafRecords
-		got := leaf[:c.count(first+k)]
-		if err := expandExecLeaf(prog, span[k].Data, got); err != nil {
-			return nil, fmt.Errorf("leaf %d: %v", first+k, err)
+		got, err := c.expand(prog, &span[k], first+k, &leaf)
+		if err != nil {
+			return nil, err
 		}
 		rows = append(rows, got[max(lo, base)-base:min(hi, base+len(got))-base]...)
 	}
 	return rows, nil
+}
+
+// row is rows' one-leaf case: it accepts o as the leaf holding row i of
+// the exec column, checked in place, and returns that row.
+func (c column) row(prog *Program, o *Opening, i int) (Row, error) {
+	if err := c.holding(o, i); err != nil {
+		return Row{}, err
+	}
+	var leaf [leafRecords]Row
+	got, err := c.expand(prog, o, i/leafRecords, &leaf)
+	if err != nil {
+		return Row{}, err
+	}
+	return got[i%leafRecords], nil
+}
+
+// expand runs o, leaf idx of the exec column, into its rows in leaf.
+func (c column) expand(prog *Program, o *Opening, idx int, leaf *[leafRecords]Row) ([]Row, error) {
+	got := leaf[:c.count(idx)]
+	if err := expandExecLeaf(prog, o.Data, got); err != nil {
+		return nil, fmt.Errorf("leaf %d: %v", idx, err)
+	}
+	return got, nil
 }
 
 // ExecCheck is a sampled execution-transition check of rows i and i+1.

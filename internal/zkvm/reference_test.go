@@ -362,7 +362,7 @@ func refExecuteSegmented(prog *Program, input []uint32, opts ExecOptions, segmen
 
 // refCountEnv is the recording-free twin of refEmuEnv. Loads and stores hit
 // the memory map directly with no log append; the journal is still
-// accumulated because PlanSegments surfaces it on guest aborts.
+// accumulated because a count-only run keeps it, guest aborts included.
 type refCountEnv struct {
 	mem     map[uint32]uint32
 	input   []uint32

@@ -166,7 +166,7 @@ func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCy
 
 // deriveSubSeed expands the master salt seed into an independent
 // per-segment or per-boundary seed, so segment proofs can be generated
-// concurrently (or on different workers) yet stay byte-deterministic
+// concurrently yet stay byte-deterministic
 // for a fixed master seed.
 func deriveSubSeed(seed *[32]byte, kind string, index int) [32]byte {
 	h := sha256.New()

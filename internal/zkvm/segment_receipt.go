@@ -180,9 +180,7 @@ func (rd *breader) state() SegmentState {
 }
 
 // writeSegment appends one segment receipt: the unit a receipt
-// repeats. A farm worker ships its segment as a one-segment receipt, so
-// an assembled receipt carries the same segment bytes the workers
-// produced.
+// repeats.
 func writeSegment(w *bwriter, sr *SegmentReceipt) {
 	w.raw(sr.ImageID[:])
 	w.u32(sr.Index)

@@ -331,13 +331,9 @@ func TestSegmentedAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := commitBoundaries(segs, opts, segTestSeed)
-	defer run.Release()
-	c := &Receipt{Segments: make([]*SegmentReceipt, run.Segments())}
-	for i := range c.Segments {
-		if c.Segments[i], err = run.ProveSegment(i); err != nil {
-			t.Fatal(err)
-		}
+	c, err := sealSegments(segs, opts, segTestSeed)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if c.NumSegments() < 2 {
 		t.Fatalf("want a multi-segment chain, got %d", c.NumSegments())
@@ -360,10 +356,11 @@ func TestSegmentedStepLimit(t *testing.T) {
 // retiredMagics are the first bytes of the "zkf" magics no decoder
 // reads: "zkf1"–"zkf3" (format v1), "zkf4" (the folded receipt),
 // "zkf5"–"zkf7" (format v2), "zkf8" (a run sealed whole under its own
-// statement), "zkf9" (format v3, two-compression nodes), "zkfb" (the
-// standalone segment receipt) and "zkfc" (format v4, a path in every
-// opening). They are retired, not free.
-var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', '9', 'b', 'c'}
+// statement), "zkf9" (format v3, two-compression nodes), "zkfa" (the
+// frames of the deleted prover farm's wire), "zkfb" (the standalone
+// segment receipt) and "zkfc" (format v4, a path in every opening).
+// They are retired, not free.
+var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c'}
 
 // TestUnmarshalAnyReceiptGarbage rejects unknown magics and empty
 // input without panicking. A retired magic written over the body of a

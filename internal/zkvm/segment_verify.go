@@ -103,7 +103,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 
 	// --- Boundary rows: entry binding replaces the initial-state rule,
 	// exit binding (or the halt rule) replaces the final-state rule. ---
-	first, err := v.execRow(prog, &s.FirstRow, 0)
+	first, err := v.col(proofExec).row(prog, &s.FirstRow, 0)
 	if err != nil {
 		return fmt.Errorf("first row: %v", err)
 	}
@@ -116,7 +116,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	if first.InPtr != 0 || first.JPtr != 0 {
 		return fmt.Errorf("first row cursors not rebased to the segment")
 	}
-	last, err := v.execRow(prog, &s.LastRow, nRows-1)
+	last, err := v.col(proofExec).row(prog, &s.LastRow, nRows-1)
 	if err != nil {
 		return fmt.Errorf("last row: %v", err)
 	}

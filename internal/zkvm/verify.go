@@ -36,16 +36,6 @@ func opened[T any](c column, o *Opening, i int, decode func([]byte) (T, error)) 
 	return decode(b)
 }
 
-// execRow reads o as the leaf holding row i of the trace and returns
-// that row.
-func (v *segmentVerifier) execRow(prog *Program, o *Opening, i int) (Row, error) {
-	rows, err := v.col(proofExec).rows(prog, []Opening{*o}, i, i+1)
-	if err != nil {
-		return Row{}, err
-	}
-	return rows[0], nil
-}
-
 // sortedWithSuccessor reads span as the leaves holding sorted-log
 // entry i and, when i is not the last, entry i+1, and decodes them;
 // hasNext says whether there is a successor.
