@@ -49,8 +49,10 @@ purego:
 # Fuzz lane: each network/storage-facing decoder gets a short
 # randomized run on top of its committed seed + regression corpus,
 # plus the NTT round-trip property (the vectorized kernel against the
-# retained serial reference) and the linear memory-log sort against
-# the comparison sort it replaced, plus the verify-level target: no
+# retained serial reference) and the offline memory check (fuzzed
+# access sequences, whole and cut: the honest log and final table keep
+# every rule and balance, and a change to one field of one entry or
+# final record breaks a rule), plus the verify-level target: no
 # mutation of a valid receipt, one segment or many, may panic or verify,
 # plus the emulator core against the map-backed loops it replaced
 # (fuzzed programs: same trace, same trap, in every mode), plus the
@@ -66,9 +68,9 @@ purego:
 # lanes and the portable block function, kernel on and off), plus what a light client
 # reads of the ledger (served checkpoints, entry delta, inclusion proof:
 # every check returns promptly, and an accepted extension is the honest
-# checkpoint), plus the grand product (arbitrary logs and challenges:
-# both product columns and the verifier's fingerprint equal a longhand
-# serial reference), plus the client's query-body decoder (arbitrary
+# checkpoint), plus the product columns (arbitrary logs, images and
+# challenges: the log's ratio column, both image columns and every
+# tuple's factor equal a longhand serial reference), plus the client's query-body decoder (arbitrary
 # bodies: no panic, and an accepted body re-marshals byte for byte),
 # plus the Merkle multiproof (arbitrary index sets and node lists
 # against small trees: no panic, and an accepted multiproof is
@@ -79,7 +81,7 @@ fuzz:
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzDecodeProgram -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzUnmarshalReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzVerifyMutatedReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
-	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzSortedMemLog -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzMemoryCheck -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzGrandProduct -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExecuteMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExpandExecLeaf -fuzztime=$(FUZZTIME)

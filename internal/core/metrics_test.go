@@ -57,8 +57,9 @@ func TestPipelineMetrics(t *testing.T) {
 	// Per-stage prover breakdown flows through ProveOptions.Observer:
 	// the guest executes inside the prover on every path, so every
 	// sealed epoch reports execute too. (trace_encode is gone —
-	// encoding is fused into merkle_commit/grand_product.)
-	for _, stage := range []string{zkvm.StageExecute, zkvm.StageMemSort, zkvm.StageMerkleCommit, zkvm.StageGrandProduct, zkvm.StageSeal} {
+	// encoding is fused into merkle_commit/grand_product — and so is
+	// mem_sort, with the sorted log seal format v6 dropped.)
+	for _, stage := range []string{zkvm.StageExecute, zkvm.StageMerkleCommit, zkvm.StageGrandProduct, zkvm.StageSeal} {
 		if h := s.Histograms["prover.stage."+stage+"_seconds"]; h.Count < epochs {
 			t.Fatalf("prover stage %q observed %d times, want >= %d", stage, h.Count, epochs)
 		}

@@ -12,7 +12,7 @@ import (
 	"zkflow/internal/zkvm"
 )
 
-var updateStored = flag.Bool("update", false, "rewrite testdata/checkpoint_v5.bin from a seeded run")
+var updateStored = flag.Bool("update", false, "rewrite testdata/checkpoint_v6.bin from a seeded run")
 
 func TestVerifierStateRoundTrip(t *testing.T) {
 	sim, p, v := pipeline(t, 24, 2, 6)
@@ -58,8 +58,8 @@ func TestLoadVerifierRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestStoredChainStillVerifies: testdata/checkpoint_v5.bin holds two
-// aggregation rounds sealed by an earlier commit, each as one format-v5
+// TestStoredChainStillVerifies: testdata/checkpoint_v6.bin holds two
+// aggregation rounds sealed by an earlier commit, each as one format-v6
 // segment (seed 23, two rounds of 4×6 records at Checks 6). Its layout
 // is that of the prover checkpoint the repo once had: a 12-byte header
 // (magic "zkcp", the round count, a CLog entry count, here 0), then per
@@ -69,7 +69,7 @@ func TestLoadVerifierRejectsGarbage(t *testing.T) {
 // readable by core.Verifier. -update rewrites the file from
 // writeStoredChain's seeded run; do that only for a format change.
 func TestStoredChainStillVerifies(t *testing.T) {
-	path := filepath.Join("testdata", "checkpoint_v5.bin")
+	path := filepath.Join("testdata", "checkpoint_v6.bin")
 	if *updateStored {
 		writeStoredChain(t, path)
 	}

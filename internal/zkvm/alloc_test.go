@@ -83,12 +83,12 @@ func recordBytes(tab *table, i int) []byte {
 	switch tab.label {
 	case treeExec:
 		encodeRowInto(b, &tab.rows[i])
-	case treeMemProg, treeMemSort:
+	case treeMem:
 		encodeMemEntryInto(b, &tab.mem[i])
-	case treeProdProg, treeProdSort:
+	case treeLogProd, treeFinalProd, treeInitProd:
 		encodeProdInto(b, tab.prods[i])
-	case treeBoundary:
-		encodeImagePairInto(b, tab.img[i])
+	case treeImage:
+		encodeImageRecordInto(b, tab.img[i])
 	}
 	return b
 }
@@ -115,16 +115,16 @@ func shapeTables(seed *[32]byte, n int) map[string]*table {
 	salts := newSalter(seed)
 	mem := make([]MemEntry, n)
 	prods := make([]field.Elem, n)
-	img := make([]imagePair, n)
+	img := make([]imageRecord, n)
 	for i := range mem {
-		mem[i] = MemEntry{Addr: uint32(i % 61), Val: uint32(i * 7), Seq: uint32(i), Step: uint32(i * 3), IsWrite: i%3 == 0}
+		mem[i] = MemEntry{Addr: uint32(i % 61), Val: uint32(i * 7), PrevVal: uint32(i * 5), PrevTs: uint32(i / 2), IsWrite: i%3 == 0}
 		prods[i] = field.New(uint64(i) * 0x9e3779b97f4a7c15)
-		img[i] = imagePair{Addr: uint32(i), Val: uint32(i)*2654435761 + 1}
+		img[i] = imageRecord{Addr: uint32(i), Val: uint32(i)*2654435761 + 1, Ts: uint32(i * 3)}
 	}
 	return map[string]*table{
 		"exec":  execTable(seed, n),
-		"mem":   memTable(salts, treeMemSort, mem),
-		"prod":  prodTable(salts, treeProdProg, prods),
+		"mem":   memTable(salts, mem),
+		"prod":  prodTable(salts, treeLogProd, prods),
 		"image": imageTable(salts, img),
 	}
 }

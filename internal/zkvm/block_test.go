@@ -43,7 +43,7 @@ func leafShapes(t *testing.T, n int) []*leafShape {
 	memCol := column{root: mem.tree.Root(), n: n, recBytes: memBytes, opened: new([]*Opening)}
 	return []*leafShape{
 		{"witnessed", exec, execCol, 4, func(span []Opening, lo, hi int) ([][]byte, error) {
-			rows, err := execCol.rows(exec.prog, span, lo, hi)
+			rows, err := execCol.rows(nil, exec.prog, span, lo, hi)
 			recs := make([][]byte, len(rows))
 			for i := range rows {
 				recs[i] = make([]byte, rowBytes)
@@ -51,7 +51,9 @@ func leafShapes(t *testing.T, n int) []*leafShape {
 			}
 			return recs, err
 		}},
-		{"whole", mem, memCol, memBytes, memCol.records},
+		{"whole", mem, memCol, memBytes, func(span []Opening, lo, hi int) ([][]byte, error) {
+			return memCol.records(nil, span, lo, hi)
+		}},
 	}
 }
 
@@ -381,26 +383,26 @@ func (fx *blockFixtures) blockBoundaryMutants(t testing.TB) [][]byte {
 			mono("exec mem", &s.ExecChecks[i].Mem)
 		}
 	}
-	for i := range s.ProdChecks {
-		mono("prod", &s.ProdChecks[i].Prods)
+	for i := range s.MemChecks {
+		mono("mem prods", &s.MemChecks[i].Prods)
 	}
-	for i := range s.SortChecks {
-		mono("sort entries", &s.SortChecks[i].Entries)
-		mono("sort prods", &s.SortChecks[i].Prods)
+	for i := range s.FinalChecks {
+		mono("final records", &s.FinalChecks[i].Records)
+		mono("final prods", &s.FinalChecks[i].Prods)
 	}
-	exits, covers := 0, 0
+	finals, inits := 0, 0
 	for _, sr := range fx.comp.Segments {
-		for i := range sr.ExitChecks {
-			exits++
-			fields = append(fields, spanField{"exit", &sr.ExitChecks[i].Sort, fx.comp, fx.segProg})
+		for i := range sr.Seal.FinalChecks {
+			finals++
+			fields = append(fields, spanField{"final records", &sr.Seal.FinalChecks[i].Records, fx.comp, fx.segProg})
 		}
-		for i := range sr.CoverChecks {
-			covers++
-			fields = append(fields, spanField{"cover", &sr.CoverChecks[i].Entries, fx.comp, fx.segProg})
+		for i := range sr.Seal.InitChecks {
+			inits++
+			fields = append(fields, spanField{"init prods", &sr.Seal.InitChecks[i].Prods, fx.comp, fx.segProg})
 		}
 	}
-	if exits == 0 || covers == 0 {
-		t.Fatalf("composite fixture has %d exit and %d cover checks: need both", exits, covers)
+	if finals == 0 || inits == 0 {
+		t.Fatalf("composite fixture has %d final and %d init checks: need both", finals, inits)
 	}
 
 	var out [][]byte
@@ -480,15 +482,15 @@ func TestMultiProofMutantsRejected(t *testing.T) {
 	// check walk reads the same payload and passes, and the one
 	// multiproof cannot authenticate both copies.
 	s := &fx.mono.Segments[0].Seal
-	byTree := [][]*Opening{{&s.FirstRow, &s.LastRow}, {&s.ProdProgFirst, &s.ProdProgLast}}
+	byTree := [][]*Opening{{&s.FirstRow, &s.LastRow}, {&s.Log.First, &s.Log.Last}}
 	for i := range s.ExecChecks {
 		for k := range s.ExecChecks[i].Rows {
 			byTree[0] = append(byTree[0], &s.ExecChecks[i].Rows[k])
 		}
 	}
-	for i := range s.ProdChecks {
-		for k := range s.ProdChecks[i].Prods {
-			byTree[1] = append(byTree[1], &s.ProdChecks[i].Prods[k])
+	for i := range s.MemChecks {
+		for k := range s.MemChecks[i].Prods {
+			byTree[1] = append(byTree[1], &s.MemChecks[i].Prods[k])
 		}
 	}
 	var dup *Opening

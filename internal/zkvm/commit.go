@@ -91,11 +91,11 @@ type table struct {
 	n        int    // records
 	recBytes int
 
-	rows  []Row        // treeExec
-	prog  *Program     // treeExec: what derives a leaf's rows from its first
-	mem   []MemEntry   // treeMemProg, treeMemSort
-	prods []field.Elem // treeProdProg, treeProdSort
-	img   []imagePair  // treeBoundary
+	rows  []Row         // treeExec
+	prog  *Program      // treeExec: what derives a leaf's rows from its first
+	mem   []MemEntry    // treeMem
+	prods []field.Elem  // treeLogProd, treeFinalProd, treeInitProd
+	img   []imageRecord // treeImage
 
 	ready     <-chan struct{} // if set, closed once the records are in place
 	builder   *merkle.Builder // while commitTables runs
@@ -107,16 +107,16 @@ func rowTable(salts salter, prog *Program, rows []Row) *table {
 	return salted(&table{salts: salts, label: treeExec, n: len(rows), recBytes: rowBytes, rows: rows, prog: prog})
 }
 
-func memTable(salts salter, label byte, log []MemEntry) *table {
-	return salted(&table{salts: salts, label: label, n: len(log), recBytes: memBytes, mem: log})
+func memTable(salts salter, log []MemEntry) *table {
+	return salted(&table{salts: salts, label: treeMem, n: len(log), recBytes: memBytes, mem: log})
 }
 
 func prodTable(salts salter, label byte, col []field.Elem) *table {
 	return salted(&table{salts: salts, label: label, n: len(col), recBytes: prodBytes, prods: col})
 }
 
-func imageTable(salts salter, img []imagePair) *table {
-	return salted(&table{salts: salts, label: treeBoundary, n: len(img), recBytes: imgBytes, img: img})
+func imageTable(salts salter, img []imageRecord) *table {
+	return salted(&table{salts: salts, label: treeImage, n: len(img), recBytes: imgBytes, img: img})
 }
 
 // salted generates the salts of all of t's leaves into a pooled slab,
@@ -147,17 +147,17 @@ func (t *table) encodeLeaf(j int, dst []byte) int {
 	switch t.label {
 	case treeExec:
 		return encodeExecLeafInto(dst, t.prog, t.rows[lo:hi])
-	case treeMemProg, treeMemSort:
+	case treeMem:
 		for i := lo; i < hi; i++ {
 			encodeMemEntryInto(dst[(i-lo)*memBytes:], &t.mem[i])
 		}
-	case treeProdProg, treeProdSort:
+	case treeLogProd, treeFinalProd, treeInitProd:
 		for i := lo; i < hi; i++ {
 			encodeProdInto(dst[(i-lo)*prodBytes:], t.prods[i])
 		}
-	case treeBoundary:
+	case treeImage:
 		for i := lo; i < hi; i++ {
-			encodeImagePairInto(dst[(i-lo)*imgBytes:], t.img[i])
+			encodeImageRecordInto(dst[(i-lo)*imgBytes:], t.img[i])
 		}
 	}
 	return (hi - lo) * t.recBytes
@@ -285,123 +285,151 @@ func (o *opener) proof() merkle.MultiProof {
 	return p
 }
 
-// sealTables is the committed core every seal shares: the execution
-// rows, the memory log in program and address order, and the two
-// running-product columns.
+// sealTables is the committed core of a segment's seal: the execution
+// rows, the memory log, the final table and the three product columns
+// of the memory argument, with the entry image the segment reads.
 type sealTables struct {
-	ex                                         *Execution
-	sorted                                     []MemEntry
-	exec, memProg, memSort, prodProg, prodSort *table
+	ex                           *Execution
+	exec, mem, final, entry      *table // entry is nil for a segment entered at genesis
+	logProd, finalProd, initProd *table
+	ownFinal                     bool // final is the segment's own, not a shared exit image
 }
 
-// commitTrace commits the tables of ex under salts, binding their
+// commitTrace commits the tables of seg under salts, binding their
 // roots into s and tr and drawing the memory-check challenges between
-// the two phases. The caller has absorbed its public statement into tr
-// and releases the tables once its openings are done.
-func commitTrace(ex *Execution, salts salter, width int, obs StageObserver, tr *transcript.Transcript, s *Seal) *sealTables {
-	// The address sort is the phase-1 crew's lead task: the exec and
-	// program-order blocks are claimed around it, and the address-order
-	// table, the log's length with no records yet, commits last, its
-	// blocks waiting for the sort.
+// the two phases. entry and exit are the shared boundary-image tables,
+// nil at either end of the run: a final segment commits its final table
+// in its own first phase, a non-final one has it as its exit image. The
+// caller has absorbed its public statement into tr and releases the
+// tables once its openings are done.
+func commitTrace(seg *segmentExecution, salts salter, width int, obs StageObserver, tr *transcript.Transcript, s *Seal, entry, exit *table) *sealTables {
+	ex := seg.ex
 	commitDone := stageTimer(obs, StageMerkleCommit)
-	sorted := make(chan struct{})
 	c := &sealTables{ex: ex,
-		exec:    rowTable(salts, ex.Program, ex.Rows),
-		memProg: memTable(salts, treeMemProg, ex.MemLog),
-		memSort: salted(&table{salts: salts, label: treeMemSort, n: len(ex.MemLog), recBytes: memBytes, ready: sorted}),
+		exec:  rowTable(salts, ex.Program, ex.Rows),
+		mem:   memTable(salts, ex.MemLog),
+		final: exit,
+		entry: entry,
 	}
-	commitTables(width, func() {
-		defer stageTimer(obs, StageMemSort)()
-		c.sorted = sortedMemLog(ex.MemLog)
-		c.memSort.mem = c.sorted
-		close(sorted)
-	}, c.exec, c.memProg, c.memSort)
+	phase1 := []*table{c.exec, c.mem}
+	if exit == nil {
+		c.final, c.ownFinal = imageTable(salts, seg.exitImg), true
+		phase1 = append(phase1, c.final)
+	}
+	commitTables(width, nil, phase1...)
 	commitDone()
 	s.ExecRoot = c.exec.tree.Root()
-	s.MemProgRoot = c.memProg.tree.Root()
-	s.MemSortRoot = c.memSort.tree.Root()
+	s.MemRoot = c.mem.tree.Root()
+	s.FinalRoot = c.final.tree.Root()
 	tr.Append("exec-root", s.ExecRoot[:])
-	tr.Append("memprog-root", s.MemProgRoot[:])
-	tr.Append("memsort-root", s.MemSortRoot[:])
-	alpha := tr.ChallengeElem("alpha")
-	gamma := tr.ChallengeElem("gamma")
+	tr.Append("mem-root", s.MemRoot[:])
+	tr.Append("final-root", s.FinalRoot[:])
+	ch := newChallenges(tr.ChallengeElem("alpha"), tr.ChallengeElem("gamma"))
 
-	// The product columns are kept as field elements (8 bytes/row) for
-	// the openings; their trees commit on one crew.
+	// The product columns are kept as field elements (8 bytes/record)
+	// for the openings. The log's is scanned on the crew first; the
+	// scan of the two image columns is the lead task of the crew that
+	// commits all three, their blocks waiting for it while the other
+	// workers hash the log's.
 	prodDone := stageTimer(obs, StageGrandProduct)
-	prodProg, prodSort := productColumns(ex.MemLog, c.sorted, alpha, gamma, width)
-	c.prodProg = prodTable(salts, treeProdProg, prodProg)
-	c.prodSort = prodTable(salts, treeProdSort, prodSort)
-	commitTables(width, nil, c.prodProg, c.prodSort)
+	c.logProd = prodTable(salts, treeLogProd, logColumn(ex.MemLog, &ch, width))
+	ready := make(chan struct{})
+	c.finalProd = salted(&table{salts: salts, label: treeFinalProd, n: len(c.final.img), recBytes: prodBytes, ready: ready})
+	c.initProd = salted(&table{salts: salts, label: treeInitProd, n: len(seg.entryImg), recBytes: prodBytes, ready: ready})
+	commitTables(width, func() {
+		c.finalProd.prods = imageColumn(c.final.img, &ch, false)
+		c.initProd.prods = imageColumn(seg.entryImg, &ch, true)
+		close(ready)
+	}, c.logProd, c.finalProd, c.initProd)
 	prodDone()
-	s.ProdProgRoot = c.prodProg.tree.Root()
-	s.ProdSortRoot = c.prodSort.tree.Root()
-	tr.Append("prodprog-root", s.ProdProgRoot[:])
-	tr.Append("prodsort-root", s.ProdSortRoot[:])
+	s.LogProdRoot = c.logProd.tree.Root()
+	s.FinalProdRoot = c.finalProd.tree.Root()
+	s.InitProdRoot = c.initProd.tree.Root()
+	tr.Append("logprod-root", s.LogProdRoot[:])
+	tr.Append("finalprod-root", s.FinalProdRoot[:])
+	tr.Append("initprod-root", s.InitProdRoot[:])
 	return c
 }
 
-// openers returns one segment's openers over its trees, indexed
-// proofExec..proofExit; entry and exit are the shared boundary-image
-// tables (nil where the segment has none).
-func (c *sealTables) openers(entry, exit *table) *[numTrees]opener {
+// openers returns the segment's openers over its trees, indexed
+// proofExec..proofInitProd. The boundary images are shared with the
+// neighbouring segments, so what is opened is recorded here.
+func (c *sealTables) openers() *[numTrees]opener {
 	return &[numTrees]opener{
-		proofExec: {t: c.exec}, proofMemProg: {t: c.memProg}, proofMemSort: {t: c.memSort},
-		proofProdProg: {t: c.prodProg}, proofProdSort: {t: c.prodSort},
-		proofEntry: {t: entry}, proofExit: {t: exit},
+		proofExec: {t: c.exec}, proofMem: {t: c.mem}, proofLogProd: {t: c.logProd},
+		proofFinal: {t: c.final}, proofFinalProd: {t: c.finalProd},
+		proofEntry: {t: c.entry}, proofInitProd: {t: c.initProd},
 	}
 }
 
-// openChecks fills in the boundary openings and the exec, prod and
-// sort check families, in the exact order the verifier derives them.
-// The sampled indices are record indices; an adjacent pair opens the
-// one leaf it lies in, or the two it straddles.
+// openChecks fills in the always-opened leaves and the four sampled
+// check families, in the exact order the verifier derives them. The
+// sampled indices are record indices; an adjacent pair opens the one
+// leaf it lies in, or the two it straddles.
 func (c *sealTables) openChecks(ops *[numTrees]opener, tr *transcript.Transcript, checks int, s *Seal) {
 	rows := c.ex.Rows
-	nRows, nMem := len(rows), len(c.sorted)
-	exec, memProg, memSort := &ops[proofExec], &ops[proofMemProg], &ops[proofMemSort]
-	prodProg, prodSort := &ops[proofProdProg], &ops[proofProdSort]
+	nRows := len(rows)
+	exec, mem := &ops[proofExec], &ops[proofMem]
 	s.FirstRow = exec.openRecord(0)
 	s.LastRow = exec.openRecord(nRows - 1)
-	if nMem > 0 {
-		s.MemProgFirst = memProg.openRecord(0)
-		s.MemSortFirst = memSort.openRecord(0)
-		s.ProdProgFirst = prodProg.openRecord(0)
-		s.ProdSortFirst = prodSort.openRecord(0)
-		s.ProdProgLast = prodProg.openRecord(nMem - 1)
-		s.ProdSortLast = prodSort.openRecord(nMem - 1)
-	}
+	s.Log = openEnds(mem, &ops[proofLogProd])
+	s.Final = openEnds(&ops[proofFinal], &ops[proofFinalProd])
+	s.Init = openEnds(&ops[proofEntry], &ops[proofInitProd])
 	if nRows >= 2 {
 		for _, i := range tr.ChallengeIndices("exec", checks, nRows-1) {
 			s.ExecChecks = append(s.ExecChecks, ExecCheck{
 				Rows: exec.openSpan(i, i+2),
-				Mem:  memProg.openSpan(int(rows[i].MemPtr), int(rows[i+1].MemPtr)),
+				Mem:  mem.openSpan(int(rows[i].MemPtr), int(rows[i+1].MemPtr)),
 			})
 		}
 	}
-	if nMem >= 2 {
-		for _, i := range tr.ChallengeIndices("prod", checks, nMem-1) {
-			s.ProdChecks = append(s.ProdChecks, ProdCheck{
-				Entry: memProg.openRecord(i + 1),
-				Prods: prodProg.openSpan(i, i+2),
-			})
-		}
-		for _, i := range tr.ChallengeIndices("sort", checks, nMem-1) {
-			s.SortChecks = append(s.SortChecks, SortCheck{
-				Entries: memSort.openSpan(i, i+2),
-				Prods:   prodSort.openSpan(i, i+2),
+	s.MemChecks = openSteps(tr, "mem", checks, mem, &ops[proofLogProd])
+	if n := ops[proofFinalProd].t.n; n >= 2 {
+		for _, j := range tr.ChallengeIndices("final", checks, n-1) {
+			s.FinalChecks = append(s.FinalChecks, FinalCheck{
+				Records: ops[proofFinal].openSpan(j, j+2),
+				Prods:   ops[proofFinalProd].openSpan(j, j+2),
 			})
 		}
 	}
+	s.InitChecks = openSteps(tr, "init", checks, &ops[proofEntry], &ops[proofInitProd])
+}
+
+// openEnds opens the first record of a table and the first and last
+// products of its column, if the table has records.
+func openEnds(recs, prods *opener) Ends {
+	n := prods.t.n
+	if n == 0 {
+		return Ends{}
+	}
+	return Ends{Record: recs.openRecord(0), First: prods.openRecord(0), Last: prods.openRecord(n - 1)}
+}
+
+// openSteps opens the product-step family label over a table and its
+// column: record i+1 and products i and i+1 for each sampled i.
+func openSteps(tr *transcript.Transcript, label string, checks int, recs, prods *opener) []ProdCheck {
+	n := prods.t.n
+	if n < 2 {
+		return nil
+	}
+	var out []ProdCheck
+	for _, i := range tr.ChallengeIndices(label, checks, n-1) {
+		out = append(out, ProdCheck{Record: recs.openRecord(i + 1), Prods: prods.openSpan(i, i+2)})
+	}
+	return out
 }
 
 // release recycles the scratch tables: everything a receipt keeps —
-// roots and openings — was copied out of them.
+// roots and openings — was copied out of them. The boundary images
+// belong to sealSegments.
 func (c *sealTables) release() {
-	putMemSlab(c.sorted)
-	putProdSlab(c.prodProg.prods)
-	putProdSlab(c.prodSort.prods)
-	for _, t := range []*table{c.exec, c.memProg, c.memSort, c.prodProg, c.prodSort} {
+	for _, t := range []*table{c.logProd, c.finalProd, c.initProd} {
+		putProdSlab(t.prods)
 		t.release()
+	}
+	c.exec.release()
+	c.mem.release()
+	if c.ownFinal {
+		c.final.release()
 	}
 }

@@ -31,9 +31,9 @@ func TestSaltsAreAESCTR(t *testing.T) {
 	seed := &[32]byte{1, 2, 3, 31: 0xfe}
 	salts := newSalter(seed)
 	for _, first := range []int{0, 1, 1023, 1024, 397_546, 1<<32 - 2} {
-		want := ctrStream(seed, treeMemSort, uint64(first), 5)
+		want := ctrStream(seed, treeMem, uint64(first), 5)
 		for j := 0; j < 5; j++ {
-			got := salts.deriveSalt(treeMemSort, first+j)
+			got := salts.deriveSalt(treeMem, first+j)
 			if !bytes.Equal(got[:], want[j*saltBytes:(j+1)*saltBytes]) {
 				t.Fatalf("deriveSalt(%d) is not keystream block %d from %d", first+j, j, first)
 			}
@@ -48,7 +48,7 @@ func TestSaltsAreAESCTR(t *testing.T) {
 func TestTableSaltsMatchDeriveSalt(t *testing.T) {
 	seed := &[32]byte{5, 31: 0x77}
 	putSaltSlab(bytes.Repeat([]byte{0xee}, 64<<10)) // a dirty slab for the table to pick up
-	tab := memTable(newSalter(seed), treeMemProg, make([]MemEntry, leafRecords*(2*1024+77)-1))
+	tab := memTable(newSalter(seed), make([]MemEntry, leafRecords*(2*1024+77)-1))
 	if tab.leaves() <= 2*1024 {
 		t.Fatalf("%d leaves is not a multi-block table", tab.leaves())
 	}
@@ -81,7 +81,7 @@ func TestSaltDomains(t *testing.T) {
 	}
 	for name, seed := range seeds {
 		salts := newSalter(&seed)
-		for _, label := range []byte{treeExec, treeMemProg, treeMemSort, treeProdProg, treeProdSort, treeBoundary} {
+		for _, label := range []byte{treeExec, treeMem, treeLogProd, treeFinalProd, treeInitProd, treeImage} {
 			for _, i := range []int{0, 1, 255, 256, 1 << 20} {
 				note(salts.deriveSalt(label, i), name)
 			}

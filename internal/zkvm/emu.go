@@ -20,12 +20,16 @@ type Row struct {
 	JPtr   uint32 // journal words written before this step
 }
 
-// MemEntry is one entry of the memory-access log.
+// MemEntry is one entry of the memory-access log, in program order.
+// The entry at position i of a segment's log is the access at time
+// i+1: it reads the tuple (Addr, PrevVal, PrevTs) and writes
+// (Addr, Val, i+1). Which step issued it is the rows' business — a
+// row's MemPtr is the log position of its step's first access.
 type MemEntry struct {
 	Addr    uint32
-	Val     uint32
-	Seq     uint32 // position in the program-order log
-	Step    uint32 // trace row that issued the access
+	Val     uint32 // the word after the access: what a load read, what a store wrote
+	PrevVal uint32 // the word before the access
+	PrevTs  uint32 // the time of the word's last access in the segment, 0 if none
 	IsWrite bool
 }
 

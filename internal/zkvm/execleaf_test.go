@@ -353,10 +353,10 @@ func TestStrictExecLeaves(t *testing.T) {
 	if err := col.authenticate(proof); err == nil || !strings.Contains(err.Error(), "opened twice") {
 		t.Fatalf("leaf %d opened with two payloads: %v", j, err)
 	}
-	if _, err := col.rows(prog, []Opening{o}, add, add+1); err == nil || !strings.Contains(err.Error(), "witness word") {
+	if _, err := col.rows(nil, prog, []Opening{o}, add, add+1); err == nil || !strings.Contains(err.Error(), "witness word") {
 		t.Fatalf("committed leaf with a word on an ALU step: %v", err)
 	}
-	if _, err := col.rows(prog, []Opening{o}, j*leafRecords, j*leafRecords+1); err == nil {
+	if _, err := col.rows(nil, prog, []Opening{o}, j*leafRecords, j*leafRecords+1); err == nil {
 		t.Fatal("a non-canonical leaf gave up its head row")
 	}
 }
@@ -415,10 +415,11 @@ func TestHostileExecLeafIsCheap(t *testing.T) {
 // stay open.
 func sealedTables(t *testing.T, ex *Execution) (*segmentVerifier, *[numTrees]opener) {
 	t.Helper()
-	s := &Seal{NumRows: uint32(len(ex.Rows)), NumMem: uint32(len(ex.MemLog))}
-	tabs := commitTrace(ex, newSalter(&[32]byte{4}), 1, nil, transcript.New("test"), s)
+	seg := finalSegment(ex)
+	s := &Seal{NumRows: uint32(len(ex.Rows)), NumMem: uint32(len(ex.MemLog)), NumFinal: uint32(len(seg.exitImg))}
+	tabs := commitTrace(seg, newSalter(&[32]byte{4}), 1, nil, transcript.New("test"), s, nil, nil)
 	t.Cleanup(tabs.release)
-	return &segmentVerifier{SegmentReceipt: &SegmentReceipt{Seal: *s}}, tabs.openers(nil, nil)
+	return &segmentVerifier{SegmentReceipt: &SegmentReceipt{Seal: *s}}, tabs.openers()
 }
 
 // TestTamperedWitnessCaught: the one lie an exec leaf can tell about a
@@ -453,7 +454,7 @@ func TestTamperedWitnessCaught(t *testing.T) {
 	for i := 0; i+1 < len(ex.Rows); i++ {
 		c := ExecCheck{
 			Rows: ops[proofExec].openSpan(i, i+2),
-			Mem:  ops[proofMemProg].openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
+			Mem:  ops[proofMem].openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
 		}
 		err := verifyExecCheck(prog, v, &c, i, ex.Journal)
 		switch {
@@ -470,8 +471,9 @@ func TestTamperedWitnessCaught(t *testing.T) {
 	}
 
 	// The log rewritten to agree with the lie, and the loaded value dead
-	// before its leaf ends, so that every replay passes: the sorted log
-	// no longer reads what was last written.
+	// before its leaf ends, so that every replay passes: the log no
+	// longer reads what was last written, and its products do not
+	// balance against the final table.
 	dead := asm(func(a *Assembler) {
 		a.Li(R5, 600)
 		a.Li(R4, 77)
@@ -485,11 +487,12 @@ func TestTamperedWitnessCaught(t *testing.T) {
 	ex, _ = Execute(dead, nil, ExecOptions{})
 	ex.Rows[5].Regs[R6] ^= 0x10
 	ex.MemLog[1].Val ^= 0x10
+	ex.MemLog[1].PrevVal ^= 0x10
 	r, err := proveExecutionSeeded(ex, ProveOptions{Checks: 3000}, &[32]byte{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Verify(dead, r, VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "sorted check") {
+	if err := Verify(dead, r, VerifyOptions{}); err == nil || !strings.Contains(err.Error(), "do not balance") {
 		t.Fatalf("a load of a value never stored: %v", err)
 	}
 
@@ -581,7 +584,7 @@ func TestOneStepForgeryFailsOneExecCheck(t *testing.T) {
 	for i := 0; i+1 < len(ex.Rows); i++ {
 		c := ExecCheck{
 			Rows: ops[proofExec].openSpan(i, i+2),
-			Mem:  ops[proofMemProg].openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
+			Mem:  ops[proofMem].openSpan(int(ex.Rows[i].MemPtr), int(ex.Rows[i+1].MemPtr)),
 		}
 		err := verifyExecCheck(prog, v, &c, i, ex.Journal)
 		if i == lw && (err == nil || !strings.Contains(err.Error(), "register file mismatch")) {

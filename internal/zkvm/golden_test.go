@@ -12,10 +12,10 @@ var updateGolden = flag.Bool("update", false, "regenerate golden receipt vectors
 
 const (
 	// A one-segment vector: a run proved without SegmentCycles.
-	goldenReceiptFile = "receipt_v5.bin"
+	goldenReceiptFile = "receipt_v6.bin"
 	// A four-segment vector, so every continuation check family and both
 	// kinds of boundary are in it.
-	goldenCompositeFile = "composite_v5.bin"
+	goldenCompositeFile = "composite_v6.bin"
 )
 
 // goldenReceipt proves the sum program over a fixed input with a
@@ -37,7 +37,7 @@ func goldenReceipt(t *testing.T) []byte {
 
 // TestGoldenReceipt pins the receipt wire format: any change to the
 // trace layout, transcript schedule, Merkle arity, or seal encoding
-// shows up as a byte diff against testdata/receipt_v5.bin. Regenerate
+// shows up as a byte diff against testdata/receipt_v6.bin. Regenerate
 // deliberately with `go test ./internal/zkvm -run TestGolden -update`
 // and review the diff as a format change.
 func TestGoldenReceipt(t *testing.T) {
@@ -51,8 +51,8 @@ func TestGoldenReceipt(t *testing.T) {
 
 // TestGoldenComposite pins a many-segment run the same way: the
 // one-segment vector has no boundary, so it leaves out everything a
-// boundary brings (boundary images, the import, exit and cover
-// families).
+// boundary brings (boundary images as final tables and as entry images,
+// the init family).
 func TestGoldenComposite(t *testing.T) {
 	prog := segTestProgram(t)
 	c, err := ProveSeeded(prog, []uint32{300, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 10}, segTestSeed)

@@ -14,8 +14,8 @@
 // there, exactly as the paper reports for its Merkle work).
 //
 // The seal is a transparent committed-trace argument: the execution
-// trace, the memory-access log (in program order and address-sorted
-// order), and Fiat–Shamir running-product columns for the multiset
+// trace, the memory-access log in program order, the memory image it
+// leaves, and Fiat–Shamir product columns for the offline
 // memory-consistency check are committed in salted Merkle trees, and
 // the verifier re-executes k Fiat–Shamir-sampled transitions plus
 // boundary rows. See DESIGN.md §1 for the soundness/zero-knowledge

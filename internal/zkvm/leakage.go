@@ -1,16 +1,13 @@
 package zkvm
 
 // LeakageReport quantifies the zero-knowledge gap of a seal: the
-// sampled-check openings reveal a bounded number of trace rows and
-// memory-log entries to the verifier. A FRI-compiled STARK (as used by
-// the paper's RISC Zero backend) reveals none; this report makes our
-// substitution's leakage explicit and measurable. Unopened leaves
-// reveal nothing — every committed leaf is individually salted. An
-// opened leaf reveals its whole block of records. The report covers the
-// execution trace and the memory logs only: the boundary-image openings
-// of a cut run's continuation checks (ImportCheck.Img, ExitCheck.Img,
-// CoverCheck.Img) also reveal (addr, val) words of the memory image at
-// a segment boundary, and are not counted here.
+// sampled-check openings reveal a bounded number of trace rows,
+// memory-log entries and memory-image records to the verifier. A
+// FRI-compiled STARK (as used by the paper's RISC Zero backend) reveals
+// none; this report makes our substitution's leakage explicit and
+// measurable. Unopened leaves reveal nothing — every committed leaf is
+// individually salted. An opened leaf reveals its whole block of
+// records.
 type LeakageReport struct {
 	// TotalRows and TotalMemEntries are the committed table sizes.
 	TotalRows       int
@@ -21,6 +18,15 @@ type LeakageReport struct {
 	// RowFraction and MemFraction are the revealed fractions.
 	RowFraction float64
 	MemFraction float64
+	// TotalImageWords counts the records of every memory image the
+	// receipt commits: each boundary image once — a segment's exit image
+	// is the next one's entry image — and the final segment's final
+	// table. Every seal opens its final table, so every receipt reveals
+	// some (addr, val, ts) words; OpenedImageWords counts the distinct
+	// ones and ImageFraction their share.
+	TotalImageWords  int
+	OpenedImageWords int
+	ImageFraction    float64
 }
 
 // revealer returns a function that marks the records the opened
@@ -41,49 +47,55 @@ func revealer(seen map[int]bool, base int, c column) func(...Opening) {
 // block, the ones the check did not ask for included.
 func Leakage(r *Receipt) LeakageReport {
 	var rep LeakageReport
-	rows, mems := map[int]bool{}, map[int]bool{}
+	rows, mems, words := map[int]bool{}, map[int]bool{}, map[int]bool{}
 	for _, sr := range r.Segments {
 		s, v := &sr.Seal, &segmentVerifier{SegmentReceipt: sr}
 		row := revealer(rows, rep.TotalRows, v.col(proofExec))
-		prog := revealer(mems, 2*rep.TotalMemEntries, v.col(proofMemProg))
-		// Sorted-log openings reveal the same underlying accesses in a
-		// different order; count them in the same pool.
-		sorted := revealer(mems, 2*rep.TotalMemEntries+int(s.NumMem), v.col(proofMemSort))
+		mem := revealer(mems, rep.TotalMemEntries, v.col(proofMem))
+		// Image k is segment k's final table and segment k+1's entry
+		// image: the entry image's records are numbered where the last
+		// segment's final table's were.
+		entry := revealer(words, rep.TotalImageWords-int(sr.Entry.MemLen), v.col(proofEntry))
+		final := revealer(words, rep.TotalImageWords, v.col(proofFinal))
 		rep.TotalRows += int(s.NumRows)
 		rep.TotalMemEntries += int(s.NumMem)
+		rep.TotalImageWords += int(s.NumFinal)
 
 		row(s.FirstRow, s.LastRow)
 		if s.NumMem > 0 {
-			prog(s.MemProgFirst)
-			sorted(s.MemSortFirst)
+			mem(s.Log.Record)
+		}
+		if s.NumFinal > 0 {
+			final(s.Final.Record)
+		}
+		if sr.Entry.MemLen > 0 {
+			entry(s.Init.Record)
 		}
 		for _, c := range s.ExecChecks {
 			row(c.Rows...)
-			prog(c.Mem...)
+			mem(c.Mem...)
 		}
-		for _, c := range s.ProdChecks {
-			prog(c.Entry)
+		for _, c := range s.MemChecks {
+			mem(c.Record)
 		}
-		for _, c := range s.SortChecks {
-			sorted(c.Entries...)
+		for _, c := range s.FinalChecks {
+			final(c.Records...)
 		}
-		for _, c := range sr.ImportChecks {
-			prog(c.MemProg)
-		}
-		for _, c := range sr.ExitChecks {
-			sorted(c.Sort...)
-		}
-		for _, c := range sr.CoverChecks {
-			sorted(c.Entries...)
+		for _, c := range s.InitChecks {
+			entry(c.Record)
 		}
 	}
-	rep.OpenedRows, rep.OpenedMemEntries = len(rows), len(mems)
-	if rep.TotalRows > 0 {
-		rep.RowFraction = float64(rep.OpenedRows) / float64(rep.TotalRows)
-	}
-	if rep.TotalMemEntries > 0 {
-		// Sorted and program-order pools double the nominal total.
-		rep.MemFraction = float64(rep.OpenedMemEntries) / float64(2*rep.TotalMemEntries)
-	}
+	rep.OpenedRows, rep.OpenedMemEntries, rep.OpenedImageWords = len(rows), len(mems), len(words)
+	rep.RowFraction = fraction(rep.OpenedRows, rep.TotalRows)
+	rep.MemFraction = fraction(rep.OpenedMemEntries, rep.TotalMemEntries)
+	rep.ImageFraction = fraction(rep.OpenedImageWords, rep.TotalImageWords)
 	return rep
+}
+
+// fraction is part/total, zero for an empty total.
+func fraction(part, total int) float64 {
+	if total == 0 {
+		return 0
+	}
+	return float64(part) / float64(total)
 }

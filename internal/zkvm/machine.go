@@ -14,13 +14,16 @@ import (
 // cut on the same schedule while recording nothing.
 
 // Guest memory is sparse and paged: a page is pageWords consecutive
-// words, allocated on its first store, so a guest may touch any of the
-// 2^32 word addresses and pays only for pages it writes: 68 bytes, one
-// or two pointers of the page list and two to four slots of the page
-// table — at most 116 bytes live, 164 allocated with both arrays'
-// doubling garbage, under pageCostBytes per touched page. That is the
-// order of the 80-byte trace row every step already costs, so striding
-// stores across the address space buys a hostile guest nothing.
+// words, allocated on its first store (and, in a traced run, its first
+// load: the final table records every word the segment accessed), so a
+// guest may touch any of the 2^32 word addresses and pays only for
+// pages it touches: 80 bytes, one or two pointers of the page list and
+// two to four slots of the page table — at most 128 bytes live, 176
+// allocated with both arrays' doubling garbage, under pageCostBytes per
+// touched page — and, in a traced run, the page's 64 bytes of access
+// times. That is the order of the 80-byte trace row every step already
+// costs, so striding accesses across the address space buys a hostile
+// guest nothing.
 const (
 	pageBits      = 4
 	pageWords     = 1 << pageBits
@@ -31,6 +34,10 @@ const (
 type page struct {
 	no    uint32 // addr >> pageBits
 	words [pageWords]uint32
+	// ts is, in a traced run, each word's last access time in the open
+	// segment: its log position plus one, or 0 if the segment has not
+	// accessed it. A count-only run leaves it nil.
+	ts *[pageWords]uint32
 }
 
 // pagedMem is guest memory. Absent pages read as zero.
@@ -48,6 +55,9 @@ type pagedMem struct {
 	pages  []*page
 	sorted int
 	chunk  []page // the slab the next pages are carved from
+	// stamped gives every page access times, carved from tsChunk.
+	stamped bool
+	tsChunk [][pageWords]uint32
 }
 
 // find returns the page numbered no, or the empty slot it belongs in.
@@ -75,14 +85,15 @@ func (pm *pagedMem) read(addr uint32) uint32 {
 	return p.words[addr%pageWords]
 }
 
-func (pm *pagedMem) write(addr, val uint32) {
+// at returns the page holding addr, allocating it if it is absent.
+func (pm *pagedMem) at(addr uint32) *page {
 	no := addr >> pageBits
 	p := pm.tlb[no%tlbSize]
 	if p == nil || p.no != no {
 		p = pm.touch(no)
 		pm.tlb[no%tlbSize] = p
 	}
-	p.words[addr%pageWords] = val
+	return p
 }
 
 // touch returns the page numbered no, allocating it if it is absent.
@@ -99,9 +110,15 @@ func (pm *pagedMem) touch(no uint32) *page {
 		if len(pm.chunk) == 0 {
 			// Chunks grow with the page count, up to 64 pages.
 			pm.chunk = make([]page, min(len(pm.pages)+1, 64))
+			if pm.stamped {
+				pm.tsChunk = make([][pageWords]uint32, len(pm.chunk))
+			}
 		}
 		*s, pm.chunk = &pm.chunk[0], pm.chunk[1:]
 		(*s).no = no
+		if pm.stamped {
+			(*s).ts, pm.tsChunk = &pm.tsChunk[0], pm.tsChunk[1:]
+		}
 		if len(pm.pages) == cap(pm.pages) {
 			pm.pages = growDoubling(pm.pages)
 		}
@@ -110,28 +127,35 @@ func (pm *pagedMem) touch(no uint32) *page {
 	return *s
 }
 
-// image canonicalises the live memory: address-sorted (addr, val)
-// pairs with val != 0. The page list is re-sorted only when pages were
-// touched since the last image; the walk itself is in address order.
-func (pm *pagedMem) image() []imagePair {
+// image canonicalises memory as a segment's final table: in address
+// order, one record (addr, val, ts) per word whose tuple is not
+// virtual — every word the segment accessed, and every nonzero word.
+// The page list is re-sorted only when pages were touched since the
+// last image; the walk itself is in address order. restart clears the
+// access times for the next segment, which reads every word at time
+// zero.
+func (pm *pagedMem) image(restart bool) []imageRecord {
 	if pm.sorted < len(pm.pages) {
 		slices.SortFunc(pm.pages, func(a, b *page) int { return cmp.Compare(a.no, b.no) })
 		pm.sorted = len(pm.pages)
 	}
 	live := 0
 	for _, p := range pm.pages {
-		for _, v := range p.words {
-			if v != 0 {
+		for w, v := range p.words {
+			if v != 0 || p.ts[w] != 0 {
 				live++
 			}
 		}
 	}
-	img := make([]imagePair, 0, live)
+	img := make([]imageRecord, 0, live)
 	for _, p := range pm.pages {
 		for w, v := range p.words {
-			if v != 0 {
-				img = append(img, imagePair{Addr: p.no<<pageBits | uint32(w), Val: v})
+			if v != 0 || p.ts[w] != 0 {
+				img = append(img, imageRecord{Addr: p.no<<pageBits | uint32(w), Val: v, Ts: p.ts[w]})
 			}
+		}
+		if restart {
+			clear(p.ts[:])
 		}
 	}
 	return img
@@ -176,6 +200,7 @@ func newMachine(prog *Program, input []uint32, cut int, traced bool) *machine {
 		cut = neverCut
 	}
 	m := &machine{prog: prog, input: input, cut: max(cut, minSegmentCycles), traced: traced, mask: -1}
+	m.mem.stamped = traced
 	if !traced {
 		m.rows, m.mask = make([]Row, 2), 1
 	}
@@ -183,9 +208,8 @@ func newMachine(prog *Program, input []uint32, cut int, traced bool) *machine {
 }
 
 // openSegment starts the next segment at boundary state b over the
-// entry image img, synthesising one import write per live pair. room is
-// what is left of the run's step budget.
-func (m *machine) openSegment(b *Row, img []imagePair, room int) {
+// entry image img. room is what is left of the run's step budget.
+func (m *machine) openSegment(b *Row, img []imageRecord, room int) {
 	m.nsegs++
 	prev := m.n // steps of the segment just closed; 0 before the first
 	m.n = 0
@@ -215,7 +239,7 @@ func (m *machine) openSegment(b *Row, img []imagePair, room int) {
 		hintRows, mem := m.prog.traceSizeHint()
 		rows := min(m.cut, room, max(hintRows, prev, 1024)) + 1
 		if m.cut != neverCut {
-			mem = len(img) + rows/2
+			mem = rows / 2
 		}
 		if m.unpooled {
 			m.rows, m.log = make([]Row, 0, rows), make([]MemEntry, 0, mem)
@@ -223,21 +247,18 @@ func (m *machine) openSegment(b *Row, img []imagePair, room int) {
 			m.rows, m.log = getRowSlabSized(rows), getMemSlabSized(mem)
 		}
 		m.rows = m.rows[:cap(m.rows)]
-		for k, p := range img {
-			m.log = append(m.log, MemEntry{Addr: p.Addr, Val: p.Val, Seq: uint32(k), Step: importStep, IsWrite: true})
-		}
 	}
-	m.rows[0] = Row{PC: b.PC, Regs: b.Regs, MemPtr: uint32(len(img))}
+	m.rows[0] = Row{PC: b.PC, Regs: b.Regs}
 }
 
 // cutSegment closes the open segment on its current row — the row
 // step just wrote, which becomes the boundary both segments share —
-// and opens the next over the live image at this instant.
+// and opens the next over the image at this instant.
 func (m *machine) cutSegment(room int) {
 	b, prev := m.rows[m.n&m.mask], m.seg
-	var img []imagePair
+	var img []imageRecord
 	if m.traced {
-		img = m.mem.image()
+		img = m.mem.image(true)
 		m.publish()
 		m.prog.noteTraceSize(m.n+1, len(m.log))
 	}
@@ -300,6 +321,7 @@ func (m *machine) run(maxSteps int) error {
 			if m.traced {
 				m.publish()
 				m.seg.final, m.seg.ex.ExitCode = true, cur.Regs[R1]
+				m.seg.exitImg = m.mem.image(false)
 				m.prog.noteTraceSize(m.n+1, len(m.log))
 			}
 			return nil
@@ -312,27 +334,32 @@ func (m *machine) run(maxSteps int) error {
 func (m *machine) exitCode() uint32 { return m.rows[m.n&m.mask].Regs[R1] }
 
 func (m *machine) load(addr uint32) (uint32, error) {
-	v := m.mem.read(addr)
-	if m.traced {
-		m.logAccess(MemEntry{Addr: addr, Val: v})
+	if !m.traced {
+		return m.mem.read(addr), nil
 	}
+	p, w := m.mem.at(addr), addr%pageWords
+	v := p.words[w]
+	m.logAccess(MemEntry{Addr: addr, Val: v, PrevVal: v, PrevTs: p.ts[w]}, &p.ts[w])
 	return v, nil
 }
 
 func (m *machine) store(addr, val uint32) error {
-	m.mem.write(addr, val)
+	p, w := m.mem.at(addr), addr%pageWords
 	if m.traced {
-		m.logAccess(MemEntry{Addr: addr, Val: val, IsWrite: true})
+		m.logAccess(MemEntry{Addr: addr, Val: val, PrevVal: p.words[w], PrevTs: p.ts[w], IsWrite: true}, &p.ts[w])
 	}
+	p.words[w] = val
 	return nil
 }
 
-func (m *machine) logAccess(e MemEntry) {
+// logAccess appends e and stamps its word with e's time, its position
+// plus one.
+func (m *machine) logAccess(e MemEntry, ts *uint32) {
 	if len(m.log) == cap(m.log) {
 		m.log = growDoubling(m.log)
 	}
-	e.Seq, e.Step = uint32(len(m.log)), uint32(m.n)
 	m.log = append(m.log, e)
+	*ts = uint32(len(m.log))
 }
 
 func (m *machine) readInput() (uint32, error) {

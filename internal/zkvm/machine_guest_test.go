@@ -221,7 +221,7 @@ func FuzzExpandExecLeaf(f *testing.F) {
 // BenchmarkExecute times the emulator alone on the 1000-record
 // aggregation guest in its three uses: the monolithic trace, the trace
 // cut every 2^17 rows (the epoch-4k-seg setting) with its boundary
-// images and import writes, and the count-only pass over the
+// images, and the count-only pass over the
 // same cuts. Slabs are released every iteration, so the steady state
 // measures the loop over pooled slabs, not mallocgc.
 func BenchmarkExecute(b *testing.B) {

@@ -8,8 +8,9 @@ import (
 
 // parallelTestExecution builds a guest with a non-trivial trace —
 // memory stores/loads, arithmetic, the SHA-256 precompile — so every
-// committed table (exec rows, both memory orderings including the
-// precompile's rows, running products) is populated.
+// committed table (exec rows, the memory log including the
+// precompile's accesses, the final table, the product columns) is
+// populated.
 func parallelTestExecution(t testing.TB, words int) *Execution {
 	t.Helper()
 	a := NewAssembler()

@@ -25,9 +25,9 @@ import (
 // "Why four").
 const leafRecords = 4
 
-// The magic of a receipt's encoding (format v5, DESIGN.md §8) and the
+// The magic of a receipt's encoding (format v6, DESIGN.md §8) and the
 // label its segments' statements open their transcripts with.
-// "zkf1"–"zkfc" and the request magics "zkw2"–"zkw6" are retired and
+// "zkf1"–"zkfd" and the request magics "zkw2"–"zkw6" are retired and
 // must never be assigned again, so that no byte string ever read as
 // one of them can be read as anything else: "zkf1"–"zkf3" tagged
 // format v1 (one record per leaf) and "zkf5"–"zkf7" format v2 (exec
@@ -43,30 +43,33 @@ const leafRecords = 4
 // receipt, which is now a one-segment receipt; "zkfc" (0x7a6b6663)
 // tagged format v4, whose every opening carried its own
 // authentication path, where a v5 segment carries one multiproof per
-// tree.
+// tree; "zkfd" (0x7a6b6664) tagged format v5, whose memory argument
+// committed an address-sorted copy of the log, where v6 checks memory
+// offline against the final table and the boundary images.
 const (
-	magicReceipt = 0x7a6b6664 // "zkfd"
+	magicReceipt = 0x7a6b6665 // "zkfe"
 
-	segLabel = "zkvm-seg-v5"
+	segLabel = "zkvm-seg-v6"
 )
 
 // The trees of a segment, in the order their multiproofs follow its
-// checks on the wire: the five seal tables, then the entry and exit
-// boundary images. The multiproof of a tree no check opens (the memory
-// tables of a segment with no memory access, a missing boundary image)
-// is empty.
+// checks on the wire: the execution rows, the memory log and its
+// product column, the final table — a non-final segment's exit image —
+// and its column, the entry image and its column. The multiproof of a
+// tree no check opens (the log of a segment with no memory access, the
+// entry image of segment 0) is empty.
 const (
 	proofExec = iota
-	proofMemProg
-	proofMemSort
-	proofProdProg
-	proofProdSort
+	proofMem
+	proofLogProd
+	proofFinal
+	proofFinalProd
 	proofEntry
-	proofExit
+	proofInitProd
 	numTrees
 )
 
-var treeNames = [numTrees]string{"exec", "memprog", "memsort", "prodprog", "prodsort", "entry image", "exit image"}
+var treeNames = [numTrees]string{"exec", "mem", "logprod", "final", "finalprod", "entry image", "initprod"}
 
 // Opening is one leaf revealed by the seal: its index in the tree, the
 // payload (the leaf's records, concatenated) and the blinding salt.
@@ -220,40 +223,40 @@ func (c column) cover(span []Opening, lo, hi int) (first int, err error) {
 }
 
 // records accepts span as the leaves holding records [lo, hi)
-// (cover) and returns the hi-lo records' bytes.
-func (c column) records(span []Opening, lo, hi int) ([][]byte, error) {
+// (cover) and appends the hi-lo records' bytes to dst, which the caller
+// owns: a pair reads into a two-slot array on its stack.
+func (c column) records(dst [][]byte, span []Opening, lo, hi int) ([][]byte, error) {
 	first, err := c.cover(span, lo, hi)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	recs := make([][]byte, hi-lo)
 	for i := lo; i < hi; i++ {
 		off := i % leafRecords * c.recBytes
-		recs[i-lo] = span[i/leafRecords-first].Data[off : off+c.recBytes]
+		dst = append(dst, span[i/leafRecords-first].Data[off:off+c.recBytes])
 	}
-	return recs, nil
+	return dst, nil
 }
 
 // rows accepts span as the leaves holding rows [lo, hi) of the
-// exec column (cover) and returns the rows. A leaf is expanded whole,
-// whichever of its rows are asked for: one that does not expand to
-// exactly its rows is not a leaf of any trace.
-func (c column) rows(prog *Program, span []Opening, lo, hi int) ([]Row, error) {
+// exec column (cover) and appends the rows to dst, which the caller
+// owns. A leaf is expanded whole, whichever of its rows are asked for:
+// one that does not expand to exactly its rows is not a leaf of any
+// trace.
+func (c column) rows(dst []Row, prog *Program, span []Opening, lo, hi int) ([]Row, error) {
 	first, err := c.cover(span, lo, hi)
 	if err != nil {
-		return nil, err
+		return dst, err
 	}
-	rows := make([]Row, 0, hi-lo)
 	var leaf [leafRecords]Row
 	for k := range span {
 		base := (first + k) * leafRecords
 		got, err := c.expand(prog, &span[k], first+k, &leaf)
 		if err != nil {
-			return nil, err
+			return dst, err
 		}
-		rows = append(rows, got[max(lo, base)-base:min(hi, base+len(got))-base]...)
+		dst = append(dst, got[max(lo, base)-base:min(hi, base+len(got))-base]...)
 	}
-	return rows, nil
+	return dst, nil
 }
 
 // row is rows' one-leaf case: it accepts o as the leaf holding row i of
@@ -284,26 +287,56 @@ type ExecCheck struct {
 	// Rows are the leaves holding rows i and i+1: one, or two when the
 	// pair straddles a block.
 	Rows []Opening
-	// Mem are the leaves holding the program-order memory-log entries
-	// the step consumed, each leaf once.
+	// Mem are the leaves holding the memory-log entries the step
+	// consumed, each leaf once.
 	Mem []Opening
 }
 
-// ProdCheck is a sampled program-order running-product step check.
+// ProdCheck is a sampled step i of a product column over a table: the
+// column's products i and i+1 and the table's record i+1, whose factor
+// is the step. The mem family runs over the log's ratio column, the
+// init family over the entry image's.
 type ProdCheck struct {
-	Entry Opening   // the leaf holding memProg[i+1]
-	Prods []Opening // the leaves holding products i and i+1
+	Record Opening   // the leaf holding record i+1
+	Prods  []Opening // the leaves holding products i and i+1
 }
 
-// SortCheck is a sampled address-sorted adjacency check: ordering,
-// read-consistency, and the sorted running-product step.
-type SortCheck struct {
-	Entries []Opening // the leaves holding memSort[i] and memSort[i+1]
-	Prods   []Opening // the leaves holding sorted products i and i+1
+// FinalCheck is a sampled adjacency j of the final table: records j
+// and j+1 are in strictly increasing address order, and products j and
+// j+1 of its column differ by record j+1's factor.
+type FinalCheck struct {
+	Records []Opening // the leaves holding records j and j+1
+	Prods   []Opening // the leaves holding products j and j+1
 }
 
-// Seal is the cryptographic proof of correct guest execution: tree
-// roots, always-opened boundary leaves, and the Fiat–Shamir-sampled
+// Ends are the always-opened leaves of one table of the memory argument
+// and its product column: the leaves holding the table's first record
+// and the column's first and last products. They are present iff the
+// table has records.
+type Ends struct {
+	Record, First, Last Opening
+}
+
+func (e *Ends) size() int { return e.Record.size() + e.First.size() + e.Last.size() }
+
+// wireEnds returns the ends the seal carries, in wire order: the log's,
+// the final table's and the entry image's, each only if its table has
+// records; nInit is the entry image's record count.
+func (s *Seal) wireEnds(nInit uint32) []*Ends {
+	var out []*Ends
+	for _, e := range [...]struct {
+		n    uint32
+		ends *Ends
+	}{{s.NumMem, &s.Log}, {s.NumFinal, &s.Final}, {nInit, &s.Init}} {
+		if e.n > 0 {
+			out = append(out, e.ends)
+		}
+	}
+	return out
+}
+
+// Seal is the cryptographic proof of correct execution of one segment:
+// tree roots, always-opened boundary leaves, and the Fiat–Shamir-sampled
 // spot checks, whose leaves the segment's multiproofs authenticate. Its
 // size is polylogarithmic in the trace length (k openings and their
 // log-depth multiproofs) — see EXPERIMENTS.md for how this compares
@@ -311,51 +344,51 @@ type SortCheck struct {
 type Seal struct {
 	NumRows uint32
 	NumMem  uint32
+	// NumFinal and FinalRoot are the final table's: a non-final
+	// segment's exit image, a final segment's own.
+	NumFinal uint32
 
-	ExecRoot     merkle.Hash
-	MemProgRoot  merkle.Hash
-	MemSortRoot  merkle.Hash
-	ProdProgRoot merkle.Hash
-	ProdSortRoot merkle.Hash
+	ExecRoot      merkle.Hash
+	MemRoot       merkle.Hash
+	FinalRoot     merkle.Hash
+	LogProdRoot   merkle.Hash
+	FinalProdRoot merkle.Hash
+	InitProdRoot  merkle.Hash
 
 	// The leaves holding the first and the last row.
 	FirstRow Opening
 	LastRow  Opening
 
-	// Memory boundary openings; valid iff NumMem > 0.
-	MemProgFirst  Opening
-	MemSortFirst  Opening
-	ProdProgFirst Opening
-	ProdSortFirst Opening
-	ProdProgLast  Opening
-	ProdSortLast  Opening
+	// The ends of the log, the final table and the entry image.
+	Log, Final, Init Ends
 
-	ExecChecks []ExecCheck
-	ProdChecks []ProdCheck
-	SortChecks []SortCheck
+	ExecChecks  []ExecCheck
+	MemChecks   []ProdCheck
+	FinalChecks []FinalCheck
+	InitChecks  []ProdCheck
 }
 
-// Size returns the encoded seal size in bytes.
-func (s *Seal) Size() int {
-	n := 8 + 5*32 + s.FirstRow.size() + s.LastRow.size()
-	if s.NumMem > 0 {
-		n += s.MemProgFirst.size() + s.MemSortFirst.size() +
-			s.ProdProgFirst.size() + s.ProdSortFirst.size() +
-			s.ProdProgLast.size() + s.ProdSortLast.size()
+// Size returns the encoded seal size in bytes; nInit is the entry
+// image's record count, which says whether Init is on the wire.
+func (s *Seal) Size(nInit uint32) int {
+	n := 12 + 6*32 + s.FirstRow.size() + s.LastRow.size()
+	for _, e := range s.wireEnds(nInit) {
+		n += e.size()
 	}
-	n += 12 // check counts
+	n += 16 // check counts
 	// Each adjacent pair carries a one-byte flag (bwriter.span).
 	for i := range s.ExecChecks {
 		c := &s.ExecChecks[i]
 		n += 1 + openingsSize(c.Rows) + 4 + openingsSize(c.Mem)
 	}
-	for i := range s.ProdChecks {
-		c := &s.ProdChecks[i]
-		n += c.Entry.size() + 1 + openingsSize(c.Prods)
+	for _, cs := range [][]ProdCheck{s.MemChecks, s.InitChecks} {
+		for i := range cs {
+			n += cs[i].Record.size() + 1 + openingsSize(cs[i].Prods)
+		}
 	}
-	for i := range s.SortChecks {
-		c := &s.SortChecks[i]
-		n += 2 + openingsSize(c.Entries) + openingsSize(c.Prods)
+	for i := range s.FinalChecks {
+		c := &s.FinalChecks[i]
+		n += 2 + openingsSize(c.Records) + openingsSize(c.Prods)
 	}
 	return n
 }
@@ -548,24 +581,20 @@ func (r *breader) span() []Opening {
 	return os
 }
 
-// writeSeal appends a seal.
-func writeSeal(w *bwriter, s *Seal) {
+// writeSeal appends a seal whose entry image has nInit records.
+func writeSeal(w *bwriter, s *Seal, nInit uint32) {
 	w.u32(s.NumRows)
 	w.u32(s.NumMem)
-	w.hash(s.ExecRoot)
-	w.hash(s.MemProgRoot)
-	w.hash(s.MemSortRoot)
-	w.hash(s.ProdProgRoot)
-	w.hash(s.ProdSortRoot)
+	w.u32(s.NumFinal)
+	for _, h := range []merkle.Hash{s.ExecRoot, s.MemRoot, s.FinalRoot, s.LogProdRoot, s.FinalProdRoot, s.InitProdRoot} {
+		w.hash(h)
+	}
 	w.opening(&s.FirstRow)
 	w.opening(&s.LastRow)
-	if s.NumMem > 0 {
-		w.opening(&s.MemProgFirst)
-		w.opening(&s.MemSortFirst)
-		w.opening(&s.ProdProgFirst)
-		w.opening(&s.ProdSortFirst)
-		w.opening(&s.ProdProgLast)
-		w.opening(&s.ProdSortLast)
+	for _, e := range s.wireEnds(nInit) {
+		w.opening(&e.Record)
+		w.opening(&e.First)
+		w.opening(&e.Last)
 	}
 	w.u32(uint32(len(s.ExecChecks)))
 	for i := range s.ExecChecks {
@@ -573,39 +602,39 @@ func writeSeal(w *bwriter, s *Seal) {
 		w.span(c.Rows)
 		w.openings(c.Mem)
 	}
-	w.u32(uint32(len(s.ProdChecks)))
-	for i := range s.ProdChecks {
-		c := &s.ProdChecks[i]
-		w.opening(&c.Entry)
+	w.prodChecks(s.MemChecks)
+	w.u32(uint32(len(s.FinalChecks)))
+	for i := range s.FinalChecks {
+		c := &s.FinalChecks[i]
+		w.span(c.Records)
 		w.span(c.Prods)
 	}
-	w.u32(uint32(len(s.SortChecks)))
-	for i := range s.SortChecks {
-		c := &s.SortChecks[i]
-		w.span(c.Entries)
-		w.span(c.Prods)
+	w.prodChecks(s.InitChecks)
+}
+
+func (w *bwriter) prodChecks(cs []ProdCheck) {
+	w.u32(uint32(len(cs)))
+	for i := range cs {
+		w.opening(&cs[i].Record)
+		w.span(cs[i].Prods)
 	}
 }
 
 // readSeal decodes what writeSeal wrote.
-func readSeal(rd *breader) Seal {
+func readSeal(rd *breader, nInit uint32) Seal {
 	var s Seal
 	s.NumRows = rd.u32()
 	s.NumMem = rd.u32()
-	s.ExecRoot = rd.hash()
-	s.MemProgRoot = rd.hash()
-	s.MemSortRoot = rd.hash()
-	s.ProdProgRoot = rd.hash()
-	s.ProdSortRoot = rd.hash()
+	s.NumFinal = rd.u32()
+	for _, h := range []*merkle.Hash{&s.ExecRoot, &s.MemRoot, &s.FinalRoot, &s.LogProdRoot, &s.FinalProdRoot, &s.InitProdRoot} {
+		*h = rd.hash()
+	}
 	s.FirstRow = rd.opening()
 	s.LastRow = rd.opening()
-	if s.NumMem > 0 {
-		s.MemProgFirst = rd.opening()
-		s.MemSortFirst = rd.opening()
-		s.ProdProgFirst = rd.opening()
-		s.ProdSortFirst = rd.opening()
-		s.ProdProgLast = rd.opening()
-		s.ProdSortLast = rd.opening()
+	for _, e := range s.wireEnds(nInit) {
+		e.Record = rd.opening()
+		e.First = rd.opening()
+		e.Last = rd.opening()
 	}
 	s.ExecChecks = make([]ExecCheck, rd.count(minOpeningBytes))
 	for i := range s.ExecChecks {
@@ -613,17 +642,22 @@ func readSeal(rd *breader) Seal {
 		c.Rows = rd.span()
 		c.Mem = rd.openings()
 	}
-	s.ProdChecks = make([]ProdCheck, rd.count(minOpeningBytes))
-	for i := range s.ProdChecks {
-		c := &s.ProdChecks[i]
-		c.Entry = rd.opening()
+	s.MemChecks = rd.prodChecks()
+	s.FinalChecks = make([]FinalCheck, rd.count(minOpeningBytes))
+	for i := range s.FinalChecks {
+		c := &s.FinalChecks[i]
+		c.Records = rd.span()
 		c.Prods = rd.span()
 	}
-	s.SortChecks = make([]SortCheck, rd.count(minOpeningBytes))
-	for i := range s.SortChecks {
-		c := &s.SortChecks[i]
-		c.Entries = rd.span()
-		c.Prods = rd.span()
-	}
+	s.InitChecks = rd.prodChecks()
 	return s
+}
+
+func (r *breader) prodChecks() []ProdCheck {
+	cs := make([]ProdCheck, r.count(minOpeningBytes))
+	for i := range cs {
+		cs[i].Record = r.opening()
+		cs[i].Prods = r.span()
+	}
+	return cs
 }

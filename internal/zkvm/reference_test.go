@@ -6,9 +6,11 @@ package zkvm
 // opcode switch, and the three hand-copied loops (monolithic,
 // segmented, count-only). Only the names (ref…) and the slab pooling
 // (plain append here) differ from the parent commit, and the arms of
-// the retired opcodes and of the retired ecall 4 are gone with them; do
-// not "fix" or modernise this file — its value is that it does not
-// change.
+// the retired opcodes and of the retired ecall 4 are gone with them,
+// and the memory log and the boundary images are seal format v6's
+// (each access logs the word's previous value and access time, images
+// carry times, no import writes); do not "fix" or modernise this file
+// otherwise — its value is that it does not change.
 
 import (
 	"crypto/sha256"
@@ -175,8 +177,10 @@ func refStep(prog *Program, row *Row, env refExecEnv) (nextPC uint32, nextRegs [
 }
 
 // refEmuEnv is the concrete environment used during real execution.
+// ts holds each word's last access time in the open segment.
 type refEmuEnv struct {
 	mem     map[uint32]uint32
+	ts      map[uint32]uint32
 	memLog  []MemEntry
 	step    uint32
 	input   []uint32
@@ -186,13 +190,15 @@ type refEmuEnv struct {
 
 func (e *refEmuEnv) load(addr uint32) (uint32, error) {
 	v := e.mem[addr]
-	e.memLog = append(e.memLog, MemEntry{Addr: addr, Val: v, Seq: uint32(len(e.memLog)), Step: e.step})
+	e.memLog = append(e.memLog, MemEntry{Addr: addr, Val: v, PrevVal: v, PrevTs: e.ts[addr]})
+	e.ts[addr] = uint32(len(e.memLog))
 	return v, nil
 }
 
 func (e *refEmuEnv) store(addr, val uint32) error {
+	e.memLog = append(e.memLog, MemEntry{Addr: addr, Val: val, PrevVal: e.mem[addr], PrevTs: e.ts[addr], IsWrite: true})
+	e.ts[addr] = uint32(len(e.memLog))
 	e.mem[addr] = val
-	e.memLog = append(e.memLog, MemEntry{Addr: addr, Val: val, Seq: uint32(len(e.memLog)), Step: e.step, IsWrite: true})
 	return nil
 }
 
@@ -217,7 +223,7 @@ func refExecute(prog *Program, input []uint32, opts ExecOptions) (*Execution, er
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	env := &refEmuEnv{mem: make(map[uint32]uint32), input: input, memLog: nil}
+	env := &refEmuEnv{mem: make(map[uint32]uint32), ts: make(map[uint32]uint32), input: input, memLog: nil}
 	var (
 		pc   uint32
 		regs [NumRegs]uint32
@@ -247,13 +253,19 @@ func refExecute(prog *Program, input []uint32, opts ExecOptions) (*Execution, er
 	}
 }
 
-// refLiveImage canonicalises the current memory map: address-sorted
-// (addr, val) pairs with val != 0.
-func refLiveImage(mem map[uint32]uint32) []imagePair {
-	img := make([]imagePair, 0, len(mem))
+// refImage canonicalises the current memory maps as a final table:
+// address-sorted (addr, val, ts) records of every word with val != 0 or
+// ts != 0.
+func refImage(mem, ts map[uint32]uint32) []imageRecord {
+	img := make([]imageRecord, 0, len(mem))
 	for a, v := range mem {
-		if v != 0 {
-			img = append(img, imagePair{Addr: a, Val: v})
+		if v != 0 || ts[a] != 0 {
+			img = append(img, imageRecord{Addr: a, Val: v, Ts: ts[a]})
+		}
+	}
+	for a, t := range ts {
+		if _, ok := mem[a]; !ok && t != 0 {
+			img = append(img, imageRecord{Addr: a, Ts: t})
 		}
 	}
 	sort.Slice(img, func(i, j int) bool { return img[i].Addr < img[j].Addr })
@@ -273,7 +285,7 @@ func refExecuteSegmented(prog *Program, input []uint32, opts ExecOptions, segmen
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
-	env := &refEmuEnv{mem: make(map[uint32]uint32), input: input}
+	env := &refEmuEnv{mem: make(map[uint32]uint32), ts: make(map[uint32]uint32), input: input}
 	var (
 		pc       uint32
 		regs     [NumRegs]uint32
@@ -281,9 +293,8 @@ func refExecuteSegmented(prog *Program, input []uint32, opts ExecOptions, segmen
 		globalIn int // input cursor at segment entry
 		globalJ  int // journal words written before this segment
 	)
-	// newSegment starts segment index with the given entry image,
-	// synthesising one import write per live pair.
-	newSegment := func(index int, img []imagePair) *segmentExecution {
+	// newSegment starts segment index with the given entry image.
+	newSegment := func(index int, img []imageRecord) *segmentExecution {
 		s := &segmentExecution{
 			index:    index,
 			entryImg: img,
@@ -298,11 +309,6 @@ func refExecuteSegmented(prog *Program, input []uint32, opts ExecOptions, segmen
 		if index == 0 {
 			s.entry.MemRoot = genesisRoot()
 		}
-		for k, p := range img {
-			s.ex.MemLog = append(s.ex.MemLog, MemEntry{
-				Addr: p.Addr, Val: p.Val, Seq: uint32(k), Step: importStep, IsWrite: true,
-			})
-		}
 		env.memLog = s.ex.MemLog
 		env.journal = nil
 		return s
@@ -316,8 +322,10 @@ func refExecuteSegmented(prog *Program, input []uint32, opts ExecOptions, segmen
 		}
 		if len(seg.ex.Rows) == segmentCycles {
 			// Cut: the boundary row below closes this segment and opens
-			// the next. Snapshot the live image first.
-			img := refLiveImage(env.mem)
+			// the next. Snapshot the image first; the next segment reads
+			// every word at time zero.
+			img := refImage(env.mem, env.ts)
+			env.ts = make(map[uint32]uint32)
 			row := Row{PC: pc, Regs: regs,
 				MemPtr: uint32(len(env.memLog)),
 				InPtr:  uint32(env.inPtr - globalIn),
@@ -351,6 +359,7 @@ func refExecuteSegmented(prog *Program, input []uint32, opts ExecOptions, segmen
 		}
 		if halted {
 			seg.final = true
+			seg.exitImg = refImage(env.mem, env.ts)
 			seg.ex.Journal = env.journal
 			seg.ex.ExitCode = regs[R1]
 			segs = append(segs, seg)

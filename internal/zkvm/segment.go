@@ -16,35 +16,25 @@ import (
 // Zero's continuation model.
 //
 // A segment boundary is a *machine state*: pc, registers, cumulative
-// input/journal cursors, and the live memory image. The image is
-// canonicalised as the address-sorted list of (addr, value) pairs with
-// value != 0 — a zero-valued word is indistinguishable from fresh
-// memory under TinyRISC semantics (loads of unwritten words read 0),
-// so dropping zeros makes the canonical form unique.
+// input/journal cursors, and the memory image. The image is the
+// segment's final table: in address order, one (addr, val, ts) record
+// per word the segment accessed or left nonzero, ts being the word's
+// last access time in the segment (0 if it did not access it). A word
+// that reads zero at time zero is indistinguishable from fresh memory
+// under TinyRISC semantics (loads of unwritten words read 0), so its
+// virtual tuple (addr, 0, 0) needs no record.
 //
-// The key trick that keeps segment verification local: at the start of
-// every non-first segment the prover materialises the entry image as
-// synthetic *import writes* at the head of the segment's memory log
-// (Seq 0..MemLen-1, Step = importStep). Row 0 of the segment then has
-// MemPtr == MemLen, and because imports are ordinary log entries:
-//
-//   - the grand-product / sorted-log consistency argument needs no
-//     changes (imports sort first within their address, so reads see
-//     the imported value);
-//   - the exit image is a pure function of the segment's own sorted
-//     log (last access per address, value != 0), so exit-image
-//     correctness is checkable by sampled openings against the sorted
-//     log alone, with no carry-over or absence proofs.
+// What keeps segment verification local is offline memory checking
+// (Blum et al., "Checking the correctness of memories"): the next
+// segment reads its entry image at time zero, so that image is the
+// init multiset of its memory argument and this segment's final table
+// closes its own — the segment's log balances against both boundary
+// images with no replay of the image into the log (DESIGN.md §8, §9).
 //
 // Adjacent segments share their boundary row: segment i's last row is
 // byte-identical (modulo segment-local MemPtr/InPtr/JPtr rebasing) to
 // the machine state segment i+1 starts from, and the verifier checks
 // both rows against the same committed SegmentState.
-
-// importStep is the Step sentinel of synthetic import writes. Real
-// rows can never reach it: step counts are bounded by MaxSteps, which
-// is far below 2^32-1.
-const importStep = 0xffffffff
 
 // minSegmentCycles floors ProveOptions.SegmentCycles so a degenerate
 // setting cannot explode a run into millions of one-step segments.
@@ -58,9 +48,9 @@ type SegmentState struct {
 	// words consumed and journal words written before this boundary.
 	InPtr uint32
 	JPtr  uint32
-	// MemLen is the number of live (addr, val != 0) pairs in the
-	// canonical boundary memory image; MemRoot commits them in address
-	// order (salted leaves, imgBytes each).
+	// MemLen is the number of records of the boundary memory image;
+	// MemRoot commits them in address order (salted leaves, imgBytes
+	// each).
 	MemLen  uint32
 	MemRoot merkle.Hash
 }
@@ -101,27 +91,30 @@ func decodeState(b []byte) (SegmentState, error) {
 	return s, nil
 }
 
-// imagePair is one live word of a boundary memory image.
-type imagePair struct {
-	Addr, Val uint32
+// imageRecord is one record of a memory image: a word, its value and
+// the time of its last access in the segment the image closes.
+type imageRecord struct {
+	Addr, Val, Ts uint32
 }
 
-// imgBytes is the committed leaf size of a boundary-image pair.
-const imgBytes = 8
+// imgBytes is the committed leaf size of an image record.
+const imgBytes = 12
 
-func encodeImagePairInto(b []byte, p imagePair) {
-	binary.LittleEndian.PutUint32(b[0:], p.Addr)
-	binary.LittleEndian.PutUint32(b[4:], p.Val)
+func encodeImageRecordInto(b []byte, r imageRecord) {
+	binary.LittleEndian.PutUint32(b[0:], r.Addr)
+	binary.LittleEndian.PutUint32(b[4:], r.Val)
+	binary.LittleEndian.PutUint32(b[8:], r.Ts)
 }
 
-func decodeImagePair(b []byte) (imagePair, error) {
-	var p imagePair
+func decodeImageRecord(b []byte) (imageRecord, error) {
+	var r imageRecord
 	if len(b) != imgBytes {
-		return p, fmt.Errorf("zkvm: image leaf has %d bytes, want %d", len(b), imgBytes)
+		return r, fmt.Errorf("zkvm: image leaf has %d bytes, want %d", len(b), imgBytes)
 	}
-	p.Addr = binary.LittleEndian.Uint32(b[0:])
-	p.Val = binary.LittleEndian.Uint32(b[4:])
-	return p, nil
+	r.Addr = binary.LittleEndian.Uint32(b[0:])
+	r.Val = binary.LittleEndian.Uint32(b[4:])
+	r.Ts = binary.LittleEndian.Uint32(b[8:])
+	return r, nil
 }
 
 // genesisRoot is the root of the empty boundary image — a zero-leaf
@@ -140,17 +133,18 @@ func GenesisState() SegmentState {
 }
 
 // segmentExecution is one traced slice of a guest run. ex holds
-// segment-local rows, memory log (imports first) and journal; entry
-// and exit are the boundary states, with MemRoot filled in by the
-// prover once the boundary trees are built.
+// segment-local rows, memory log and journal; entry and exit are the
+// boundary states, with MemRoot filled in by the prover once the
+// boundary trees are built. exitImg is the segment's final table: the
+// exit image, or for the final segment the table its seal commits.
 type segmentExecution struct {
 	ex       *Execution
 	index    int
 	final    bool
 	entry    SegmentState
 	exit     SegmentState
-	entryImg []imagePair
-	exitImg  []imagePair
+	entryImg []imageRecord
+	exitImg  []imageRecord
 }
 
 // executeSegmented runs the guest like Execute but cuts the trace

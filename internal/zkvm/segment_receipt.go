@@ -7,40 +7,11 @@ import (
 	"zkflow/internal/merkle"
 )
 
-// ImportCheck is a sampled entry-image import check: program-order log
-// entry i must be a synthetic import write of entry-image pair i.
-type ImportCheck struct {
-	MemProg Opening // the leaf holding memProg[i]
-	Img     Opening // the leaf holding entry-image pair i
-}
-
-// ExitCheck is a sampled exit-image membership check: exit-image pair
-// j must equal the value after the last sorted-log access of its
-// address. Pos is the prover-supplied sorted-log position of that last
-// access; the entry at Pos+1 (when it exists) proves last-ness, given
-// the separately-sampled sorted-order invariant.
-type ExitCheck struct {
-	Img  Opening   // the leaf holding exit-image pair j
-	Pos  uint32    // last-access position in the sorted log
-	Sort []Opening // the leaves holding memSort[Pos] and, if Pos+1 < NumMem, memSort[Pos+1]
-}
-
-// CoverCheck is the converse sampled check: if sorted-log entry i is
-// the last access of its address and leaves a nonzero value, that
-// (addr, val) must appear in the exit image at prover-supplied index
-// ExitIdx. Together with ExitCheck this pins the exit image to exactly
-// the live nonzero words (up to sampling soundness).
-type CoverCheck struct {
-	Entries []Opening // the leaves holding memSort[i] and, if i+1 < NumMem, memSort[i+1]
-	HasImg  bool
-	ExitIdx uint32
-	Img     Opening // the leaf holding exit-image pair ExitIdx, present iff last and val != 0
-}
-
 // SegmentReceipt proves one bounded-cycle slice of a guest run: its
-// seal binds the slice's trace to the entry and exit states, and three
-// extra sampled-check families bind the boundary images. A segment
-// entered at genesis imports nothing, and a final one leaves no image.
+// seal binds the slice's trace to the entry and exit states, and its
+// memory argument balances the slice's log against both boundary
+// images. A segment entered at genesis reads an empty image, and a
+// final one closes its argument on a final table of its own.
 type SegmentReceipt struct {
 	ImageID  ImageID
 	Index    uint32
@@ -51,12 +22,8 @@ type SegmentReceipt struct {
 	Exit     SegmentState // zero value on the final segment
 	Seal     Seal
 
-	ImportChecks []ImportCheck
-	ExitChecks   []ExitCheck
-	CoverChecks  []CoverCheck
-
 	// Proofs authenticate every leaf the checks open: one multiproof per
-	// tree, indexed proofExec..proofExit.
+	// tree, indexed proofExec..proofInitProd.
 	Proofs [numTrees]merkle.MultiProof
 }
 
@@ -116,24 +83,10 @@ func (r *Receipt) JournalWords() []uint32 {
 	return out
 }
 
-// sealSize is the segment's proof size: the seal, the continuation
-// checks, the multiproofs, both boundary states and the journal slice.
+// sealSize is the segment's proof size: the seal, the multiproofs,
+// both boundary states and the journal slice.
 func (sr *SegmentReceipt) sealSize() int {
-	n := sr.Seal.Size() + 2*stateBytes + 4*len(sr.Journal)
-	for i := range sr.ImportChecks {
-		n += sr.ImportChecks[i].MemProg.size() + sr.ImportChecks[i].Img.size()
-	}
-	for i := range sr.ExitChecks {
-		e := &sr.ExitChecks[i]
-		n += e.Img.size() + 4 + 1 + openingsSize(e.Sort)
-	}
-	for i := range sr.CoverChecks {
-		cc := &sr.CoverChecks[i]
-		n += 1 + openingsSize(cc.Entries) + 1
-		if cc.HasImg {
-			n += 4 + cc.Img.size()
-		}
-	}
+	n := sr.Seal.Size(sr.Entry.MemLen) + 2*stateBytes + 4*len(sr.Journal)
 	for k := range sr.Proofs {
 		n += 4 + 32*len(sr.Proofs[k].Nodes)
 	}
@@ -155,9 +108,8 @@ func (r *Receipt) Size() int {
 	n := 8
 	for _, sr := range r.Segments {
 		// What sealSize leaves out of a segment's encoding: image ID,
-		// index, final flag, exit code, the journal and three check
-		// counts.
-		n += 32 + 4 + 1 + 4 + 4 + 3*4 + sr.sealSize()
+		// index, final flag, exit code and the journal's count.
+		n += 32 + 4 + 1 + 4 + 4 + sr.sealSize()
 	}
 	return n
 }
@@ -189,29 +141,7 @@ func writeSegment(w *bwriter, sr *SegmentReceipt) {
 	w.words(sr.Journal)
 	w.state(&sr.Entry)
 	w.state(&sr.Exit)
-	writeSeal(w, &sr.Seal)
-	w.u32(uint32(len(sr.ImportChecks)))
-	for i := range sr.ImportChecks {
-		w.opening(&sr.ImportChecks[i].MemProg)
-		w.opening(&sr.ImportChecks[i].Img)
-	}
-	w.u32(uint32(len(sr.ExitChecks)))
-	for i := range sr.ExitChecks {
-		e := &sr.ExitChecks[i]
-		w.opening(&e.Img)
-		w.u32(e.Pos)
-		w.span(e.Sort)
-	}
-	w.u32(uint32(len(sr.CoverChecks)))
-	for i := range sr.CoverChecks {
-		cc := &sr.CoverChecks[i]
-		w.span(cc.Entries)
-		w.flag(cc.HasImg)
-		if cc.HasImg {
-			w.u32(cc.ExitIdx)
-			w.opening(&cc.Img)
-		}
-	}
+	writeSeal(w, &sr.Seal, sr.Entry.MemLen)
 	for k := range sr.Proofs {
 		w.multiproof(&sr.Proofs[k])
 	}
@@ -227,29 +157,7 @@ func readSegment(rd *breader) *SegmentReceipt {
 	sr.Journal = rd.words()
 	sr.Entry = rd.state()
 	sr.Exit = rd.state()
-	sr.Seal = readSeal(rd)
-	sr.ImportChecks = make([]ImportCheck, rd.count(minOpeningBytes))
-	for i := range sr.ImportChecks {
-		sr.ImportChecks[i].MemProg = rd.opening()
-		sr.ImportChecks[i].Img = rd.opening()
-	}
-	sr.ExitChecks = make([]ExitCheck, rd.count(minOpeningBytes))
-	for i := range sr.ExitChecks {
-		e := &sr.ExitChecks[i]
-		e.Img = rd.opening()
-		e.Pos = rd.u32()
-		e.Sort = rd.span()
-	}
-	sr.CoverChecks = make([]CoverCheck, rd.count(minOpeningBytes))
-	for i := range sr.CoverChecks {
-		cc := &sr.CoverChecks[i]
-		cc.Entries = rd.span()
-		cc.HasImg = rd.flag()
-		if cc.HasImg {
-			cc.ExitIdx = rd.u32()
-			cc.Img = rd.opening()
-		}
-	}
+	sr.Seal = readSeal(rd, sr.Entry.MemLen)
 	for k := range sr.Proofs {
 		sr.Proofs[k] = rd.multiproof()
 	}

@@ -358,9 +358,10 @@ func TestSegmentedStepLimit(t *testing.T) {
 // "zkf5"–"zkf7" (format v2), "zkf8" (a run sealed whole under its own
 // statement), "zkf9" (format v3, two-compression nodes), "zkfa" (the
 // frames of the deleted prover farm's wire), "zkfb" (the standalone
-// segment receipt) and "zkfc" (format v4, a path in every opening).
-// They are retired, not free.
-var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c'}
+// segment receipt), "zkfc" (format v4, a path in every opening) and
+// "zkfd" (format v5, the address-sorted memory log). They are retired,
+// not free.
+var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c', 'd'}
 
 // TestUnmarshalAnyReceiptGarbage rejects unknown magics and empty
 // input without panicking. A retired magic written over the body of a

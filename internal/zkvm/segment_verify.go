@@ -87,19 +87,19 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 			return fmt.Errorf("journal cursor delta %d, segment journal has %d words",
 				sr.Exit.JPtr-sr.Entry.JPtr, len(sr.Journal))
 		}
-	}
-	if int(sr.Entry.MemLen) > nMem {
-		return fmt.Errorf("entry image larger than the memory log")
+		if s.NumFinal != sr.Exit.MemLen || s.FinalRoot != sr.Exit.MemRoot {
+			return fmt.Errorf("final table is not the exit image")
+		}
 	}
 
 	tr := segmentStatement(sr)
 	tr.Append("exec-root", s.ExecRoot[:])
-	tr.Append("memprog-root", s.MemProgRoot[:])
-	tr.Append("memsort-root", s.MemSortRoot[:])
-	alpha := tr.ChallengeElem("alpha")
-	gamma := tr.ChallengeElem("gamma")
-	tr.Append("prodprog-root", s.ProdProgRoot[:])
-	tr.Append("prodsort-root", s.ProdSortRoot[:])
+	tr.Append("mem-root", s.MemRoot[:])
+	tr.Append("final-root", s.FinalRoot[:])
+	ch := newChallenges(tr.ChallengeElem("alpha"), tr.ChallengeElem("gamma"))
+	tr.Append("logprod-root", s.LogProdRoot[:])
+	tr.Append("finalprod-root", s.FinalProdRoot[:])
+	tr.Append("initprod-root", s.InitProdRoot[:])
 
 	// --- Boundary rows: entry binding replaces the initial-state rule,
 	// exit binding (or the halt rule) replaces the final-state rule. ---
@@ -110,10 +110,7 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	if first.PC != sr.Entry.PC || first.Regs != sr.Entry.Regs {
 		return fmt.Errorf("first row does not match the entry state")
 	}
-	if first.MemPtr != sr.Entry.MemLen {
-		return fmt.Errorf("first row MemPtr %d, entry image has %d words", first.MemPtr, sr.Entry.MemLen)
-	}
-	if first.InPtr != 0 || first.JPtr != 0 {
+	if first.MemPtr != 0 || first.InPtr != 0 || first.JPtr != 0 {
 		return fmt.Errorf("first row cursors not rebased to the segment")
 	}
 	last, err := v.col(proofExec).row(prog, &s.LastRow, nRows-1)
@@ -144,120 +141,86 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	if int(last.MemPtr) != nMem {
 		return fmt.Errorf("memory log length %d does not match final MemPtr %d", nMem, last.MemPtr)
 	}
-
-	if nMem > 0 {
-		if err := verifyMemBoundary(v, alpha, gamma, nMem); err != nil {
-			return err
-		}
-	} else if !sr.Final {
-		// No accesses at all: the image cannot have changed.
-		if sr.Exit.MemLen != sr.Entry.MemLen || sr.Exit.MemRoot != sr.Entry.MemRoot {
-			return fmt.Errorf("memory image changed without any memory access")
-		}
+	if err := v.verifyEnds(&ch); err != nil {
+		return err
 	}
 
-	// --- Sampled checks. All applicable families share one count k
-	// (the prover uses a single Checks); derive it from whichever
-	// family is live and enforce agreement. ---
+	// --- Sampled checks: four families over the relations of exec
+	// rows, the log, the final table and the entry image. All share one
+	// count k (the prover uses a single Checks); it is derived from
+	// whichever family is live first and enforced on the rest. ---
+	check := [numFamilies]func(n, i int) error{
+		func(n, i int) error { return verifyExecCheck(prog, v, &s.ExecChecks[n], i, sr.Journal) },
+		func(n, i int) error { return v.verifyMemCheck(&s.MemChecks[n], i, &ch) },
+		func(n, j int) error { return v.verifyFinalCheck(&s.FinalChecks[n], j, &ch) },
+		func(n, j int) error { return v.verifyInitCheck(&s.InitChecks[n], j, &ch) },
+	}
 	k := 0
-	requireK := func(name string, n int) error {
+	for f, fam := range sr.families() {
+		if fam.domain < 1 {
+			if fam.checks != 0 {
+				return fmt.Errorf("unexpected %s checks", fam.name)
+			}
+			continue
+		}
 		if k == 0 {
-			k = n
+			k = fam.checks
 		}
-		if n != k {
-			return fmt.Errorf("inconsistent check counts: %s has %d, want %d", name, n, k)
+		switch {
+		case fam.checks != k:
+			return fmt.Errorf("inconsistent check counts: %s has %d, want %d", fam.name, fam.checks, k)
+		case k == 0:
+			return fmt.Errorf("no %s checks", fam.name)
+		case k < opts.MinChecks:
+			return fmt.Errorf("seal has %d sampled checks, verifier requires %d", k, opts.MinChecks)
 		}
-		if n == 0 {
-			return fmt.Errorf("no %s checks", name)
-		}
-		if n < opts.MinChecks {
-			return fmt.Errorf("seal has %d sampled checks, verifier requires %d", n, opts.MinChecks)
-		}
-		return nil
-	}
-
-	if nRows >= 2 {
-		if err := requireK("exec", len(s.ExecChecks)); err != nil {
-			return err
-		}
-		for n, i := range tr.ChallengeIndices("exec", len(s.ExecChecks), nRows-1) {
-			if err := verifyExecCheck(prog, v, &s.ExecChecks[n], i, sr.Journal); err != nil {
-				return fmt.Errorf("exec check %d (row %d): %v", n, i, err)
+		for n, i := range tr.ChallengeIndices(fam.name, k, fam.domain) {
+			if err := check[f](n, i); err != nil {
+				return fmt.Errorf("%s check %d (%s %d): %v", fam.name, n, fam.unit, i, err)
 			}
 		}
-	} else if len(s.ExecChecks) != 0 {
-		return fmt.Errorf("unexpected execution checks")
-	}
-
-	if nMem >= 2 {
-		if err := requireK("prod", len(s.ProdChecks)); err != nil {
-			return err
-		}
-		if err := requireK("sort", len(s.SortChecks)); err != nil {
-			return err
-		}
-		for n, i := range tr.ChallengeIndices("prod", len(s.ProdChecks), nMem-1) {
-			if err := verifyProdCheck(v, &s.ProdChecks[n], i, alpha, gamma); err != nil {
-				return fmt.Errorf("product check %d (entry %d): %v", n, i, err)
-			}
-		}
-		for n, i := range tr.ChallengeIndices("sort", len(s.SortChecks), nMem-1) {
-			if err := verifySortCheck(v, &s.SortChecks[n], i, alpha, gamma); err != nil {
-				return fmt.Errorf("sorted check %d (entry %d): %v", n, i, err)
-			}
-		}
-	} else if len(s.ProdChecks) != 0 || len(s.SortChecks) != 0 {
-		return fmt.Errorf("unexpected memory checks")
-	}
-
-	// --- Continuation families. ---
-	if sr.Entry.MemLen > 0 {
-		if err := requireK("import", len(sr.ImportChecks)); err != nil {
-			return err
-		}
-		for n, i := range tr.ChallengeIndices("import", len(sr.ImportChecks), int(sr.Entry.MemLen)) {
-			if err := verifyImportCheck(v, &sr.ImportChecks[n], i); err != nil {
-				return fmt.Errorf("import check %d (image word %d): %v", n, i, err)
-			}
-		}
-	} else if len(sr.ImportChecks) != 0 {
-		return fmt.Errorf("unexpected import checks")
-	}
-
-	if !sr.Final && sr.Exit.MemLen > 0 {
-		if err := requireK("exit", len(sr.ExitChecks)); err != nil {
-			return err
-		}
-		for n, j := range tr.ChallengeIndices("exit", len(sr.ExitChecks), int(sr.Exit.MemLen)) {
-			if err := verifyExitCheck(v, &sr.ExitChecks[n], j); err != nil {
-				return fmt.Errorf("exit check %d (image word %d): %v", n, j, err)
-			}
-		}
-	} else if len(sr.ExitChecks) != 0 {
-		return fmt.Errorf("unexpected exit checks")
-	}
-
-	if !sr.Final && nMem > 0 {
-		if err := requireK("cover", len(sr.CoverChecks)); err != nil {
-			return err
-		}
-		for n, i := range tr.ChallengeIndices("cover", len(sr.CoverChecks), nMem) {
-			if err := verifyCoverCheck(v, &sr.CoverChecks[n], i); err != nil {
-				return fmt.Errorf("cover check %d (sorted entry %d): %v", n, i, err)
-			}
-		}
-	} else if len(sr.CoverChecks) != 0 {
-		return fmt.Errorf("unexpected cover checks")
 	}
 	return v.authenticate()
 }
 
+// family is one sampled-check family of a segment: its transcript
+// label, what it samples (a row's transition, a product column's step),
+// the number of those relations and how many checks the seal carries.
+type family struct {
+	name, unit     string
+	domain, checks int
+}
+
+// The families, in the order the prover opens and the verifier walks
+// them.
+const numFamilies = 4
+
+// families lists the segment's sampled-check families: exec samples a
+// transition of the rows, mem a step of the log's ratio column, final
+// an adjacency of the final table with its column's step, init a step
+// of the entry image's column. A domain below one is a family with
+// nothing to sample.
+func (sr *SegmentReceipt) families() [numFamilies]family {
+	s := &sr.Seal
+	return [numFamilies]family{
+		{"exec", "row", int(s.NumRows) - 1, len(s.ExecChecks)},
+		{"mem", "step", int(s.NumMem) - 1, len(s.MemChecks)},
+		{"final", "step", int(s.NumFinal) - 1, len(s.FinalChecks)},
+		{"init", "step", int(sr.Entry.MemLen) - 1, len(s.InitChecks)},
+	}
+}
+
 // segmentVerifier is one segment under verification: the receipt and,
 // per tree, the leaves its checks have read, which the tree's
-// multiproof must authenticate once the check walk is done.
+// multiproof must authenticate once the check walk is done. recs,
+// entries and replay are the exec checks' scratch, reused check to
+// check.
 type segmentVerifier struct {
 	*SegmentReceipt
-	opened [numTrees][]*Opening
+	opened  [numTrees][]*Opening
+	recs    [][]byte
+	entries []MemEntry
+	replay  replayEnv
 }
 
 // col returns tree k as a column that records the leaves it hands out.
@@ -267,18 +230,18 @@ func (v *segmentVerifier) col(k int) column {
 	switch k {
 	case proofExec:
 		c = column{root: s.ExecRoot, n: int(s.NumRows), recBytes: rowBytes, witnessed: true}
-	case proofMemProg:
-		c = column{root: s.MemProgRoot, n: int(s.NumMem), recBytes: memBytes}
-	case proofMemSort:
-		c = column{root: s.MemSortRoot, n: int(s.NumMem), recBytes: memBytes}
-	case proofProdProg:
-		c = column{root: s.ProdProgRoot, n: int(s.NumMem), recBytes: prodBytes}
-	case proofProdSort:
-		c = column{root: s.ProdSortRoot, n: int(s.NumMem), recBytes: prodBytes}
+	case proofMem:
+		c = column{root: s.MemRoot, n: int(s.NumMem), recBytes: memBytes}
+	case proofLogProd:
+		c = column{root: s.LogProdRoot, n: int(s.NumMem), recBytes: prodBytes}
+	case proofFinal:
+		c = column{root: s.FinalRoot, n: int(s.NumFinal), recBytes: imgBytes}
+	case proofFinalProd:
+		c = column{root: s.FinalProdRoot, n: int(s.NumFinal), recBytes: prodBytes}
 	case proofEntry:
 		c = column{root: v.Entry.MemRoot, n: int(v.Entry.MemLen), recBytes: imgBytes}
-	case proofExit:
-		c = column{root: v.Exit.MemRoot, n: int(v.Exit.MemLen), recBytes: imgBytes}
+	case proofInitProd:
+		c = column{root: s.InitProdRoot, n: int(v.Entry.MemLen), recBytes: prodBytes}
 	}
 	c.opened = &v.opened[k]
 	return c
@@ -306,83 +269,6 @@ func (v *segmentVerifier) authenticate() error {
 		if err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// verifyImportCheck: program-order log entry i must be the synthetic
-// import write of entry-image pair i.
-func verifyImportCheck(v *segmentVerifier, c *ImportCheck, i int) error {
-	e, err := opened(v.col(proofMemProg), &c.MemProg, i, decodeMemEntry)
-	if err != nil {
-		return err
-	}
-	p, err := opened(v.col(proofEntry), &c.Img, i, decodeImagePair)
-	if err != nil {
-		return err
-	}
-	if !e.IsWrite || e.Step != importStep {
-		return fmt.Errorf("log entry %d is not an import write", i)
-	}
-	if e.Seq != uint32(i) {
-		return fmt.Errorf("import %d has sequence %d", i, e.Seq)
-	}
-	if e.Addr != p.Addr || e.Val != p.Val {
-		return fmt.Errorf("import %d does not match the entry image", i)
-	}
-	return nil
-}
-
-// verifyExitCheck: exit-image pair j must be the value left by the
-// last sorted-log access of its address (and nonzero). Last-ness
-// follows from the opened successor having a different address, given
-// the sorted-order invariant sampled by the sort family.
-func verifyExitCheck(v *segmentVerifier, c *ExitCheck, j int) error {
-	p, err := opened(v.col(proofExit), &c.Img, j, decodeImagePair)
-	if err != nil {
-		return err
-	}
-	if p.Val == 0 {
-		return fmt.Errorf("exit image holds a zero value")
-	}
-	pos := int(c.Pos)
-	if pos >= int(v.Seal.NumMem) {
-		return fmt.Errorf("witness position %d outside the log", pos)
-	}
-	e, next, hasNext, err := sortedWithSuccessor(v, c.Sort, pos)
-	if err != nil {
-		return err
-	}
-	if e.Addr != p.Addr || e.Val != p.Val {
-		return fmt.Errorf("witness access does not match the exit image")
-	}
-	if hasNext && next.Addr == e.Addr {
-		return fmt.Errorf("witness access is not the last access of its address")
-	}
-	return nil
-}
-
-// verifyCoverCheck: if sorted-log entry i is the last access of its
-// address and leaves a nonzero value, the exit image must contain it.
-func verifyCoverCheck(v *segmentVerifier, c *CoverCheck, i int) error {
-	ei, ej, hasNext, err := sortedWithSuccessor(v, c.Entries, i)
-	if err != nil {
-		return err
-	}
-	isLast := !hasNext || ej.Addr != ei.Addr
-	if isLast && ei.Val != 0 {
-		if !c.HasImg {
-			return fmt.Errorf("live word %d missing from the exit image", ei.Addr)
-		}
-		p, err := opened(v.col(proofExit), &c.Img, int(c.ExitIdx), decodeImagePair)
-		if err != nil {
-			return err
-		}
-		if p.Addr != ei.Addr || p.Val != ei.Val {
-			return fmt.Errorf("exit image entry does not cover the live word")
-		}
-	} else if c.HasImg {
-		return fmt.Errorf("unexpected image opening")
 	}
 	return nil
 }

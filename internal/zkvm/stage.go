@@ -9,25 +9,24 @@ import "time"
 const (
 	// StageExecute is guest execution + trace recording.
 	StageExecute = "execute"
-	// StageMemSort is the address-ordered re-sort of the memory log. It
-	// runs inside StageMerkleCommit's window, as the lead task of the
-	// phase-1 crew: the other workers commit exec and program-order
-	// blocks meanwhile, and the address-order blocks wait for it.
+	// StageMemSort named the address-ordered re-sort of the memory log,
+	// which seal format v6 no longer has: no prover reports it. The
+	// name stays for the benchmark's layer table, where it reads empty.
 	StageMemSort = "mem_sort"
-	// StageMerkleCommit encodes and commits the three phase-1 tables
-	// (trace rows and both memory-log orderings) on one crew that also
-	// runs the mem_sort stage: rows are encoded block by block into
-	// salted leaf hashes and the trees are built over them.
+	// StageMerkleCommit encodes and commits the phase-1 tables — trace
+	// rows, the memory log and a final segment's final table — block by
+	// block into salted leaf hashes, and builds the trees over them.
 	StageMerkleCommit = "merkle_commit"
-	// StageGrandProduct fingerprints each memory-log entry once, scans
-	// the two running-product columns under the (alpha, gamma)
-	// challenges, and encodes and commits them.
+	// StageGrandProduct scans the three product columns of the memory
+	// argument under the (alpha, gamma) challenges — the log's ratio
+	// column, the final table's and the entry image's — and encodes and
+	// commits them.
 	StageGrandProduct = "grand_product"
 	// StageBoundaryCommit commits the boundary memory images of a
 	// segmented (continuation) proof — one salted tree per segment
 	// boundary, shared by the two adjacent segment receipts. Reported
 	// once per proof with a boundary, none for one segment; the
-	// per-segment stages (mem_sort, merkle_commit, grand_product, seal)
+	// per-segment stages (merkle_commit, grand_product, seal)
 	// are reported once per segment, so an N-segment proof emits N
 	// observations per stage.
 	StageBoundaryCommit = "boundary_commit"
@@ -38,7 +37,7 @@ const (
 
 // Stages lists every prover stage in pipeline order.
 var Stages = []string{
-	StageExecute, StageBoundaryCommit, StageMemSort,
+	StageExecute, StageBoundaryCommit,
 	StageMerkleCommit, StageGrandProduct, StageSeal,
 }
 

@@ -15,7 +15,7 @@ import (
 // Serialized sizes of committed records.
 const (
 	rowBytes  = 4 + 4*NumRegs + 4 + 4 + 4 // PC, regs, MemPtr, InPtr, JPtr
-	memBytes  = 4 + 4 + 4 + 4 + 1         // Addr, Val, Seq, Step, IsWrite
+	memBytes  = 4 + 4 + 4 + 4 + 1         // Addr, Val, PrevVal, PrevTs, IsWrite
 	prodBytes = 8                         // one field element
 	saltBytes = 16
 	// maxLeafBytes bounds the payload of every leaf the prover commits —
@@ -102,8 +102,8 @@ func expandExecLeaf(prog *Program, b []byte, rows []Row) error {
 func encodeMemEntryInto(b []byte, e *MemEntry) {
 	binary.LittleEndian.PutUint32(b[0:], e.Addr)
 	binary.LittleEndian.PutUint32(b[4:], e.Val)
-	binary.LittleEndian.PutUint32(b[8:], e.Seq)
-	binary.LittleEndian.PutUint32(b[12:], e.Step)
+	binary.LittleEndian.PutUint32(b[8:], e.PrevVal)
+	binary.LittleEndian.PutUint32(b[12:], e.PrevTs)
 	if e.IsWrite {
 		b[16] = 1
 	} else {
@@ -111,7 +111,10 @@ func encodeMemEntryInto(b []byte, e *MemEntry) {
 	}
 }
 
-// decodeMemEntry parses a serialised memory-log entry.
+// decodeMemEntry parses a serialised memory-log entry. A load leaves
+// its word as it found it, so a load whose value is not the word's
+// previous value is no entry of any log, and is rejected wherever it
+// is opened.
 func decodeMemEntry(b []byte) (MemEntry, error) {
 	var e MemEntry
 	if len(b) != memBytes {
@@ -122,9 +125,12 @@ func decodeMemEntry(b []byte) (MemEntry, error) {
 	}
 	e.Addr = binary.LittleEndian.Uint32(b[0:])
 	e.Val = binary.LittleEndian.Uint32(b[4:])
-	e.Seq = binary.LittleEndian.Uint32(b[8:])
-	e.Step = binary.LittleEndian.Uint32(b[12:])
+	e.PrevVal = binary.LittleEndian.Uint32(b[8:])
+	e.PrevTs = binary.LittleEndian.Uint32(b[12:])
 	e.IsWrite = b[16] == 1
+	if !e.IsWrite && e.Val != e.PrevVal {
+		return e, fmt.Errorf("zkvm: load of %d reads %d, the word held %d", e.Addr, e.Val, e.PrevVal)
+	}
 	return e, nil
 }
 
@@ -171,157 +177,126 @@ func saltedLeafMsg(m *hashk.Msg, salt [saltBytes]byte, payload []byte) int {
 	return 1 + saltBytes + copy(m[1+saltBytes:], payload)
 }
 
-// Tree labels for salt domain separation.
+// Tree labels for salt domain separation. A segment's trees are
+// salted under its own seed, the boundary images under theirs; a final
+// segment's final table is an image tree under the segment's seed.
 const (
 	treeExec byte = iota + 1
-	treeMemProg
-	treeMemSort
-	treeProdProg
-	treeProdSort
+	treeMem
+	treeLogProd
+	treeFinalProd
+	treeInitProd
+	treeImage
 )
 
-// sortedMemLog returns the memory log ordered by (Addr, Seq) — the
-// layout the memory-consistency rules are checked on. The log arrives
-// in program order, Seq == index, so a stable sort on Addr alone gives
-// that strict total order: an LSD radix sort, one byte of the address
-// per pass, O(n). A pass whose byte is the same in every address moves
-// nothing and is skipped (guest memory is a few dense regions, so the
-// high bytes usually are). The result comes from the slab pool; the
-// caller releases it with putMemSlab once the openings are done.
-func sortedMemLog(log []MemEntry) []MemEntry {
+// challenges are the memory argument's Fiat–Shamir challenges: alpha
+// (and its square) weighs the fields of a tuple, gamma shifts it.
+type challenges struct{ alpha, alpha2, gamma field.Elem }
+
+func newChallenges(alpha, gamma field.Elem) challenges {
+	return challenges{alpha, field.Mul(alpha, alpha), gamma}
+}
+
+// factor is a memory tuple (addr, val, ts)'s factor in the multiset
+// products: gamma - (addr + α·val + α²·ts), or one for the virtual
+// tuple (addr, 0, 0) — a word never written reads as zero at time
+// zero, and that tuple is dropped from every multiset, so fresh memory
+// needs no init record. A power of alpha is below 2^64 and each word
+// of the tuple below 2^32, so the sum is below 2^97: it is accumulated
+// in 128 bits and reduced once.
+func (c *challenges) factor(addr, val, ts uint32) field.Elem {
+	if val == 0 && ts == 0 {
+		return field.One
+	}
+	hi, lo := bits.Mul64(uint64(c.alpha), uint64(val))
+	h, l := bits.Mul64(uint64(c.alpha2), uint64(ts))
+	lo, k := bits.Add64(lo, l, 0)
+	hi += h + k
+	lo, k = bits.Add64(lo, uint64(addr), 0)
+	return field.Sub(c.gamma, field.Reduce128(hi+k, lo))
+}
+
+// read and write are the factors of the tuples log entry e at position
+// i reads, (Addr, PrevVal, PrevTs), and writes, (Addr, Val, i+1).
+func (c *challenges) read(e *MemEntry) field.Elem { return c.factor(e.Addr, e.PrevVal, e.PrevTs) }
+func (c *challenges) write(e *MemEntry, i int) field.Elem {
+	return c.factor(e.Addr, e.Val, uint32(i+1))
+}
+
+// logColumn returns the log's ratio column under ch: col[i] =
+// prod_{j<=i} write_j/read_j. It is scanned on a crew of width workers,
+// the log in as many chunks: each chunk's products of its write and its
+// read factors first, then a serial pass over the chunk totals with one
+// inversion a chunk, then each chunk backwards, multiplying in the
+// inverse of its read products one factor at a time — four
+// multiplications an entry. Field multiplication is exactly
+// associative, so the column is the same at any width. It comes from
+// the slab pool; sealTables.release returns it.
+func logColumn(log []MemEntry, ch *challenges, width int) []field.Elem {
 	n := len(log)
-	var counts [4][256]int
-	for i := range log {
-		a := log[i].Addr
-		counts[0][byte(a)]++
-		counts[1][byte(a>>8)]++
-		counts[2][byte(a>>16)]++
-		counts[3][byte(a>>24)]++
-	}
-	src, dst := getMemSlabSized(n)[:n], getMemSlabSized(n)[:n]
-	copy(src, log)
-	for pass := range counts {
-		c, shift := &counts[pass], 8*uint(pass)
-		if n == 0 || c[byte(log[0].Addr>>shift)] == n {
-			continue
-		}
-		next := 0
-		for d, k := range c {
-			c[d], next = next, next+k
-		}
-		for i := range src {
-			d := byte(src[i].Addr >> shift)
-			dst[c[d]] = src[i]
-			c[d]++
-		}
-		src, dst = dst, src
-	}
-	putMemSlab(dst)
-	return src
-}
-
-// fingerprint maps a memory entry to a field element under the
-// Fiat–Shamir challenge alpha: addr + α·val + α²·seq + α³·step +
-// α⁴·isWrite. Two logs are multiset-equal iff the products of
-// (gamma - fingerprint) agree (w.h.p. over alpha, gamma).
-func fingerprint(e *MemEntry, alpha field.Elem) field.Elem {
-	p := alphaPowers(alpha)
-	return fingerprintAt(e, &p)
-}
-
-// alphaPowers returns α, α², α³, α⁴ — computed once per seal by the
-// prover, whose productColumns fingerprints every log entry.
-func alphaPowers(alpha field.Elem) [4]field.Elem {
-	a2 := field.Mul(alpha, alpha)
-	return [4]field.Elem{alpha, a2, field.Mul(a2, alpha), field.Mul(a2, a2)}
-}
-
-// fingerprintAt is fingerprint given the powers of alpha. A power is
-// below 2^64 and a word below 2^32, so each product is below 2^96 and
-// the whole sum below 2^98: it is accumulated in 128 bits and reduced
-// once.
-func fingerprintAt(e *MemEntry, p *[4]field.Elem) field.Elem {
-	hi, lo := bits.Mul64(uint64(p[0]), uint64(e.Val))
-	h, l := bits.Mul64(uint64(p[1]), uint64(e.Seq))
-	lo, c := bits.Add64(lo, l, 0)
-	hi += h + c
-	h, l = bits.Mul64(uint64(p[2]), uint64(e.Step))
-	lo, c = bits.Add64(lo, l, 0)
-	hi += h + c
-	w := uint64(e.Addr) // + α⁴ stays below 2^64: α⁴ < p = 2^64 - 2^32 + 1
-	if e.IsWrite {
-		w += uint64(p[3])
-	}
-	lo, c = bits.Add64(lo, w, 0)
-	return field.Reduce128(hi+c, lo)
-}
-
-// productColumns returns the two running-product columns of the
-// memory check under (alpha, gamma): prog[i] = prod_{j<=i} d[j] over
-// the program-order log and sort[i] = prod_{j<=i} d[sorted[j].Seq]
-// over the address-ordered one, where d[j] = gamma - f(log[j]). An
-// entry's Seq is its program-order index (sortedMemLog's contract), so
-// every entry is fingerprinted once and the address order is a gather.
-// Each column is a three-phase parallel prefix scan on one crew of
-// width workers: the chunks' local products (the program order's as
-// its chunks are fingerprinted, the address order's once every d is
-// written), then each chunk rescaled by the product of the (few) chunk
-// totals ahead of it, both columns' chunks in one pass. Field
-// multiplication is exactly associative, so the columns are
-// bit-identical to the serial scan at any width. The columns come
-// from the slab pool; sealTables.release returns them.
-func productColumns(log, sorted []MemEntry, alpha, gamma field.Elem, width int) (prog, sort []field.Elem) {
-	n := len(log)
-	d := getProdSlab(n)
-	defer putProdSlab(d)
-	cols := [2][]field.Elem{getProdSlab(n), getProdSlab(n)}
+	col, reads := getProdSlab(n), getProdSlab(n)
+	defer putProdSlab(reads)
 	chunks := width
 	if n < 2*width {
 		chunks = 1
 	}
-	chunk := (n + chunks - 1) / chunks
-	bounds := func(c int) (int, int) { return c * chunk, min((c+1)*chunk, n) }
-	totals := [2][]field.Elem{make([]field.Elem, chunks), make([]field.Elem, chunks)}
-	powers := alphaPowers(alpha)
+	size := (n + chunks - 1) / chunks
+	bounds := func(c int) (int, int) { return c * size, min((c+1)*size, n) }
+	// A chunk's write product, and its read product until the serial
+	// pass makes scale[c] the ratio of every chunk ahead of c over chunk
+	// c's read product: col[i] of chunk c is then scale[c] times its
+	// write products up to i times its read factors after i.
+	writes, scale := make([]field.Elem, chunks), make([]field.Elem, chunks)
 	par.Each(width, chunks, func(c int) {
 		lo, hi := bounds(c)
-		acc, out := field.One, cols[0]
+		w, r := field.One, field.One
 		for i := lo; i < hi; i++ {
-			d[i] = field.Sub(gamma, fingerprintAt(&log[i], &powers))
-			acc = field.Mul(acc, d[i])
-			out[i] = acc
+			reads[i] = ch.read(&log[i])
+			w = field.Mul(w, ch.write(&log[i], i))
+			r = field.Mul(r, reads[i])
+			col[i] = w
 		}
-		totals[0][c] = acc
+		writes[c], scale[c] = w, r
 	})
+	before := field.One
+	for c := range scale {
+		scale[c] = field.Mul(before, field.Inv(scale[c]))
+		before = field.Mul(scale[c], writes[c])
+	}
 	par.Each(width, chunks, func(c int) {
 		lo, hi := bounds(c)
-		acc, out := field.One, cols[1]
-		for i := lo; i < hi; i++ {
-			acc = field.Mul(acc, d[sorted[i].Seq])
-			out[i] = acc
-		}
-		totals[1][c] = acc
-	})
-	par.Each(width, 2*chunks, func(k int) {
-		col, c := k%2, k/2
-		before := field.One // product of everything ahead of chunk c
-		for _, t := range totals[col][:c] {
-			before = field.Mul(before, t)
-		}
-		if before == field.One {
-			return
-		}
-		lo, hi := bounds(c)
-		for i := lo; i < hi; i++ {
-			cols[col][i] = field.Mul(cols[col][i], before)
+		x := scale[c]
+		for i := hi - 1; i >= lo; i-- {
+			col[i] = field.Mul(col[i], x)
+			x = field.Mul(x, reads[i])
 		}
 	})
-	return cols[0], cols[1]
+	return col
+}
+
+// imageColumn returns the running products of the factors of img's
+// records — as the final table (under their times) or, with atZero, as
+// the entry image read at time zero — serially: commitTrace scans both
+// image columns as the lead task of the crew that hashes the log's
+// column beside them. The column comes from the slab pool.
+func imageColumn(img []imageRecord, ch *challenges, atZero bool) []field.Elem {
+	col := getProdSlab(len(img))
+	acc := field.One
+	for i := range img {
+		ts := img[i].Ts
+		if atZero {
+			ts = 0
+		}
+		acc = field.Mul(acc, ch.factor(img[i].Addr, img[i].Val, ts))
+		col[i] = acc
+	}
+	return col
 }
 
 // prodSlabPool recycles the product columns and their scratch
-// (*[]field.Elem): three 8-byte elements per memory-log entry a seal
-// would otherwise allocate, and zero, on the grand product's path.
+// (*[]field.Elem): two 8-byte elements per memory-log entry and one
+// per image record a seal would otherwise allocate, and zero, on the
+// grand product's path.
 var prodSlabPool sync.Pool
 
 // getProdSlab returns a slab of n elements whose contents are

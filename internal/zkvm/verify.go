@@ -36,26 +36,23 @@ func opened[T any](c column, o *Opening, i int, decode func([]byte) (T, error)) 
 	return decode(b)
 }
 
-// sortedWithSuccessor reads span as the leaves holding sorted-log
-// entry i and, when i is not the last, entry i+1, and decodes them;
-// hasNext says whether there is a successor.
-func sortedWithSuccessor(v *segmentVerifier, span []Opening, i int) (e, next MemEntry, hasNext bool, err error) {
-	recs, err := v.col(proofMemSort).records(span, i, min(i+2, int(v.Seal.NumMem)))
-	if err != nil {
-		return e, next, false, err
+// logEntry decodes the log entry at position pos, whose time is pos+1:
+// it may read no tuple of its own time or later, which is what rules
+// out a cycle of reads in the memory argument.
+func logEntry(b []byte, pos int) (MemEntry, error) {
+	e, err := decodeMemEntry(b)
+	if err == nil && int64(e.PrevTs) > int64(pos) {
+		err = fmt.Errorf("log entry %d reads a tuple of time %d", pos, e.PrevTs)
 	}
-	if e, err = decodeMemEntry(recs[0]); err != nil || len(recs) == 1 {
-		return e, next, false, err
-	}
-	next, err = decodeMemEntry(recs[1])
-	return e, next, true, err
+	return e, err
 }
 
-// productStep reads span as the leaves holding running products
-// i and i+1 and checks P[i+1] = P[i] * (gamma - f(e)), e being entry
-// i+1 of the log the column runs over.
-func productStep(c column, span []Opening, i int, e *MemEntry, alpha, gamma field.Elem) error {
-	recs, err := c.records(span, i, i+2)
+// productStep reads span as the leaves holding products i and i+1 of
+// column c and checks P[i+1]·den = P[i]·num: the step multiplies in
+// num/den, the factors of record i+1 of the column's table.
+func productStep(c column, span []Opening, i int, num, den field.Elem) error {
+	var pair [2][]byte
+	recs, err := c.records(pair[:0], span, i, i+2)
 	if err != nil {
 		return err
 	}
@@ -67,57 +64,68 @@ func productStep(c column, span []Opening, i int, e *MemEntry, alpha, gamma fiel
 	if err != nil {
 		return err
 	}
-	if pj != field.Mul(pi, field.Sub(gamma, fingerprint(e, alpha))) {
+	if field.Mul(pj, den) != field.Mul(pi, num) {
 		return fmt.Errorf("product step incorrect")
 	}
 	return nil
 }
 
-// verifyMemBoundary checks the always-open memory-log boundary leaves:
-// the first program-order product, the sorted-log first-read rule, and
-// the grand-product equality that establishes multiset equivalence.
-func verifyMemBoundary(v *segmentVerifier, alpha, gamma field.Elem, nMem int) error {
+// ends reads e's product openings as the first and the last product of
+// column k and checks that the first is its table's first factor,
+// num/den.
+func (v *segmentVerifier) ends(k int, e *Ends, num, den field.Elem) (last field.Elem, err error) {
+	c := v.col(k)
+	first, err := opened(c, &e.First, 0, decodeProd)
+	if err != nil {
+		return 0, err
+	}
+	if field.Mul(first, den) != num {
+		return 0, fmt.Errorf("first product incorrect")
+	}
+	return opened(c, &e.Last, c.n-1, decodeProd)
+}
+
+// verifyEnds checks the always-open leaves of the memory argument: each
+// column starts from its table's first factor, and the three columns
+// balance, ∏W·∏Init = ∏R·∏F — the log's ratio of write over read
+// tuples, times the entry image's product, is the final table's.
+// A column over no records is one.
+func (v *segmentVerifier) verifyEnds(ch *challenges) error {
 	s := &v.Seal
-	e0, err := opened(v.col(proofMemProg), &s.MemProgFirst, 0, decodeMemEntry)
-	if err != nil {
-		return fmt.Errorf("memprog first: %v", err)
+	logRatio, finalProd, initProd := field.One, field.One, field.One
+	if s.NumMem > 0 {
+		b, err := v.col(proofMem).record(&s.Log.Record, 0)
+		if err != nil {
+			return fmt.Errorf("first log entry: %v", err)
+		}
+		e, err := logEntry(b, 0)
+		if err != nil {
+			return fmt.Errorf("first log entry: %v", err)
+		}
+		if logRatio, err = v.ends(proofLogProd, &s.Log, ch.write(&e, 0), ch.read(&e)); err != nil {
+			return fmt.Errorf("log products: %v", err)
+		}
 	}
-	if e0.Seq != 0 {
-		return fmt.Errorf("first program-order entry has seq %d", e0.Seq)
+	if s.NumFinal > 0 {
+		r, err := opened(v.col(proofFinal), &s.Final.Record, 0, decodeImageRecord)
+		if err != nil {
+			return fmt.Errorf("first final record: %v", err)
+		}
+		if finalProd, err = v.ends(proofFinalProd, &s.Final, ch.factor(r.Addr, r.Val, r.Ts), field.One); err != nil {
+			return fmt.Errorf("final products: %v", err)
+		}
 	}
-	p0, err := opened(v.col(proofProdProg), &s.ProdProgFirst, 0, decodeProd)
-	if err != nil {
-		return fmt.Errorf("prodprog first: %v", err)
+	if v.Entry.MemLen > 0 {
+		r, err := opened(v.col(proofEntry), &s.Init.Record, 0, decodeImageRecord)
+		if err != nil {
+			return fmt.Errorf("first entry-image record: %v", err)
+		}
+		if initProd, err = v.ends(proofInitProd, &s.Init, ch.factor(r.Addr, r.Val, 0), field.One); err != nil {
+			return fmt.Errorf("init products: %v", err)
+		}
 	}
-	if p0 != field.Sub(gamma, fingerprint(&e0, alpha)) {
-		return fmt.Errorf("first program-order product incorrect")
-	}
-
-	s0, err := opened(v.col(proofMemSort), &s.MemSortFirst, 0, decodeMemEntry)
-	if err != nil {
-		return fmt.Errorf("memsort first: %v", err)
-	}
-	if !s0.IsWrite && s0.Val != 0 {
-		return fmt.Errorf("first sorted access reads %d from fresh memory", s0.Val)
-	}
-	q0, err := opened(v.col(proofProdSort), &s.ProdSortFirst, 0, decodeProd)
-	if err != nil {
-		return fmt.Errorf("prodsort first: %v", err)
-	}
-	if q0 != field.Sub(gamma, fingerprint(&s0, alpha)) {
-		return fmt.Errorf("first sorted product incorrect")
-	}
-
-	pl, err := opened(v.col(proofProdProg), &s.ProdProgLast, nMem-1, decodeProd)
-	if err != nil {
-		return fmt.Errorf("prodprog last: %v", err)
-	}
-	ql, err := opened(v.col(proofProdSort), &s.ProdSortLast, nMem-1, decodeProd)
-	if err != nil {
-		return fmt.Errorf("prodsort last: %v", err)
-	}
-	if pl != ql {
-		return fmt.Errorf("memory grand products differ: logs are not multiset-equal")
+	if field.Mul(logRatio, initProd) != finalProd {
+		return fmt.Errorf("memory products do not balance: the log does not read what was written")
 	}
 	return nil
 }
@@ -127,8 +135,6 @@ func verifyMemBoundary(v *segmentVerifier, alpha, gamma field.Elem, nMem int) er
 type replayEnv struct {
 	entries  []MemEntry
 	idx      int
-	baseSeq  uint32
-	stepIdx  uint32
 	nextRegs [NumRegs]uint32
 	journal  []uint32
 	jptr     uint32
@@ -145,16 +151,12 @@ func (e *replayEnv) next(wantWrite bool, addr uint32) (MemEntry, error) {
 	if m.Addr != addr {
 		return MemEntry{}, fmt.Errorf("entry %d address %d, step accesses %d", e.idx, m.Addr, addr)
 	}
-	if m.Seq != e.baseSeq+uint32(e.idx) {
-		return MemEntry{}, fmt.Errorf("entry %d sequence %d, want %d", e.idx, m.Seq, e.baseSeq+uint32(e.idx))
-	}
-	if m.Step != e.stepIdx {
-		return MemEntry{}, fmt.Errorf("entry %d step %d, want %d", e.idx, m.Step, e.stepIdx)
-	}
 	e.idx++
 	return m, nil
 }
 
+// load returns the entry's value, which decodeMemEntry has held to the
+// word's previous value.
 func (e *replayEnv) load(addr uint32) (uint32, error) {
 	m, err := e.next(false, addr)
 	if err != nil {
@@ -200,44 +202,42 @@ func (e *replayEnv) writeJournal(val uint32) error {
 }
 
 // verifyExecCheck re-executes the transition rowIdx -> rowIdx+1 over
-// the memory-log entries between the two rows' MemPtr cursors.
+// the memory-log entries between the two rows' MemPtr cursors: the
+// entries at those log positions are the step's, in order.
 func verifyExecCheck(prog *Program, v *segmentVerifier, c *ExecCheck, rowIdx int, journal []uint32) error {
-	rows, err := v.col(proofExec).rows(prog, c.Rows, rowIdx, rowIdx+2)
+	var pair [2]Row
+	rows, err := v.col(proofExec).rows(pair[:0], prog, c.Rows, rowIdx, rowIdx+2)
 	if err != nil {
 		return err
 	}
-	rowI, rowJ := rows[0], rows[1]
+	rowI, rowJ := &rows[0], &rows[1]
 	if rowJ.MemPtr < rowI.MemPtr {
 		return fmt.Errorf("MemPtr runs backwards: %d after %d", rowJ.MemPtr, rowI.MemPtr)
 	}
-	mem, err := v.col(proofMemProg).records(c.Mem, int(rowI.MemPtr), int(rowJ.MemPtr))
-	if err != nil {
+	lo := int(rowI.MemPtr)
+	if v.recs, err = v.col(proofMem).records(v.recs[:0], c.Mem, lo, int(rowJ.MemPtr)); err != nil {
 		return fmt.Errorf("mem openings: %v", err)
 	}
-	entries := make([]MemEntry, len(mem))
-	for n := range mem {
-		if entries[n], err = decodeMemEntry(mem[n]); err != nil {
+	v.entries = v.entries[:0]
+	for n, b := range v.recs {
+		e, err := logEntry(b, lo+n)
+		if err != nil {
 			return err
 		}
+		v.entries = append(v.entries, e)
 	}
-	env := &replayEnv{
-		entries:  entries,
-		baseSeq:  rowI.MemPtr,
-		stepIdx:  uint32(rowIdx),
-		nextRegs: rowJ.Regs,
-		journal:  journal,
-		jptr:     rowI.JPtr,
-	}
+	env := &v.replay
+	*env = replayEnv{entries: v.entries, nextRegs: rowJ.Regs, journal: journal, jptr: rowI.JPtr}
 	var next Row
-	halted, err := step(prog, &rowI, &next, env)
+	halted, err := step(prog, rowI, &next, env)
 	if err != nil {
 		return fmt.Errorf("replay: %v", err)
 	}
 	if halted {
 		return fmt.Errorf("halt before the final row")
 	}
-	if env.idx != len(entries) {
-		return fmt.Errorf("%d opened memory entries, step consumed %d", len(entries), env.idx)
+	if env.idx != len(v.entries) {
+		return fmt.Errorf("%d opened memory entries, step consumed %d", len(v.entries), env.idx)
 	}
 	if next.PC != rowJ.PC {
 		return fmt.Errorf("next pc %d, trace has %d", next.PC, rowJ.PC)
@@ -252,38 +252,50 @@ func verifyExecCheck(prog *Program, v *segmentVerifier, c *ExecCheck, rowIdx int
 	return nil
 }
 
-// verifyProdCheck checks one program-order running-product step:
-// P[i+1] = P[i] * (gamma - f(e[i+1])).
-func verifyProdCheck(v *segmentVerifier, c *ProdCheck, i int, alpha, gamma field.Elem) error {
-	e, err := opened(v.col(proofMemProg), &c.Entry, i+1, decodeMemEntry)
+// verifyMemCheck checks step i of the log's ratio column: entry i+1,
+// which reads no tuple of its own time or later, multiplies in its
+// write over its read tuple's factor.
+func (v *segmentVerifier) verifyMemCheck(c *ProdCheck, i int, ch *challenges) error {
+	b, err := v.col(proofMem).record(&c.Record, i+1)
 	if err != nil {
 		return err
 	}
-	if e.Seq != uint32(i+1) {
-		return fmt.Errorf("program-order entry %d has seq %d", i+1, e.Seq)
+	e, err := logEntry(b, i+1)
+	if err != nil {
+		return err
 	}
-	return productStep(v.col(proofProdProg), c.Prods, i, &e, alpha, gamma)
+	return productStep(v.col(proofLogProd), c.Prods, i, ch.write(&e, i+1), ch.read(&e))
 }
 
-// verifySortCheck checks sorted-log adjacency i, i+1: ordering,
-// read-consistency, and the sorted running-product step.
-func verifySortCheck(v *segmentVerifier, c *SortCheck, i int, alpha, gamma field.Elem) error {
-	ei, ej, _, err := sortedWithSuccessor(v, c.Entries, i) // i+1 < NumMem: the successor exists
+// verifyFinalCheck checks adjacency j of the final table — records j
+// and j+1 in strictly increasing address order, so that no word has
+// two final records — and step j of its column.
+func (v *segmentVerifier) verifyFinalCheck(c *FinalCheck, j int, ch *challenges) error {
+	var pair [2][]byte
+	recs, err := v.col(proofFinal).records(pair[:0], c.Records, j, j+2)
 	if err != nil {
 		return err
 	}
-	switch {
-	case ej.Addr < ei.Addr:
-		return fmt.Errorf("sorted log out of address order")
-	case ej.Addr == ei.Addr && ej.Seq <= ei.Seq:
-		return fmt.Errorf("sorted log out of sequence order")
+	a, err := decodeImageRecord(recs[0])
+	if err != nil {
+		return err
 	}
-	if ej.Addr == ei.Addr {
-		if !ej.IsWrite && ej.Val != ei.Val {
-			return fmt.Errorf("read of %d sees %d, last access was %d", ej.Addr, ej.Val, ei.Val)
-		}
-	} else if !ej.IsWrite && ej.Val != 0 {
-		return fmt.Errorf("first access to %d reads %d from fresh memory", ej.Addr, ej.Val)
+	b, err := decodeImageRecord(recs[1])
+	if err != nil {
+		return err
 	}
-	return productStep(v.col(proofProdSort), c.Prods, i, &ej, alpha, gamma)
+	if b.Addr <= a.Addr {
+		return fmt.Errorf("final table out of address order: %d after %d", b.Addr, a.Addr)
+	}
+	return productStep(v.col(proofFinalProd), c.Prods, j, ch.factor(b.Addr, b.Val, b.Ts), field.One)
+}
+
+// verifyInitCheck checks step j of the entry image's column: record
+// j+1, read at time zero, multiplies in its factor.
+func (v *segmentVerifier) verifyInitCheck(c *ProdCheck, j int, ch *challenges) error {
+	r, err := opened(v.col(proofEntry), &c.Record, j+1, decodeImageRecord)
+	if err != nil {
+		return err
+	}
+	return productStep(v.col(proofInitProd), c.Prods, j, ch.factor(r.Addr, r.Val, 0), field.One)
 }
