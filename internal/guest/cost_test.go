@@ -14,25 +14,30 @@ import (
 	"zkflow/internal/zkvm"
 )
 
-// A one-segment seal costs 0.75n + 1.25m + 1.25f SHA-256 compressions
-// for n trace rows, m memory-log entries and a final table of f words
-// (format v6, EXPERIMENTS.md E44; 0.75n + 2.5m under v5's sorted log,
-// E41; n + 3.5m before a Merkle node was one compression, E24), and all
-// three are properties of the guest program alone: the same input gives
-// the same counts on any host. These tests pin them, with no
-// tolerance; `make guest-profile` prints the per-phase tables they log.
+// A one-segment seal costs 0.75n + 0.875m + 0.9375f SHA-256
+// compressions for n trace rows, m memory-log entries and a final table
+// of f words (format v7, EXPERIMENTS.md E45; 0.75n + 1.25m + 1.25f
+// under v6's product element a record, E44; 0.75n + 2.5m under v5's
+// sorted log, E41; n + 3.5m before a Merkle node was one compression,
+// E24), and all three are properties of the guest program alone: the
+// same input gives the same counts on any host. These tests pin them,
+// with no tolerance; `make guest-profile` prints the per-phase tables
+// they log.
 
 // sealCost is the seal's compression count for a one-segment trace: an
-// exec row 0.75, a log entry 1.25 (0.75 for its 17 bytes, 0.5 for its
-// ratio-column product) and a final-table record 1.25 (0.75 for its 12
-// bytes, 0.5 for its product).
+// exec row 0.75, a log entry 0.875 (0.75 for its 17 bytes, 0.125 for a
+// quarter of its block's 8-byte ratio-column element) and a final-table
+// record 0.9375 (0.75 for its 12 bytes, 0.1875 for a quarter of its
+// block's 12-byte element, the product and lastAddr).
 func sealCost(rows, entries, final int) float64 {
-	return 0.75*float64(rows) + 1.25*float64(entries) + 1.25*float64(final)
+	return 0.75*float64(rows) + 0.875*float64(entries) + 0.9375*float64(final)
 }
 
-// v5Cost is the count under format v5's address-sorted log, which the
-// v6 count is compared with.
-func v5Cost(rows, entries int) float64 { return 0.75*float64(rows) + 2.5*float64(entries) }
+// v6Cost is the count under format v6's product element a record, which
+// the v7 count is compared with.
+func v6Cost(rows, entries, final int) float64 {
+	return 0.75*float64(rows) + 1.25*float64(entries) + 1.25*float64(final)
+}
 
 // v3Cost is the same count under format v3's two-compression node, the
 // unit the guest rewrite's acceptance lines below are written in.
@@ -72,17 +77,17 @@ func steadyRound(seed int64, routers, per, flows, warm int) *AggInput {
 
 // phaseTable renders an execution's rows and entries per unit of work,
 // phase by phase, and its totals: n, m, the final table's f and the
-// seal's compressions, against what v5 spent.
+// seal's compressions, against what v6 spent.
 func phaseTable(ex *zkvm.Execution, regions []zkvm.Region, units int, unit string) string {
 	var b strings.Builder
 	per := func(v int) float64 { return float64(v) / float64(units) }
-	fmt.Fprintf(&b, "%-10s %10s %12s %14s\n", "phase", "rows/"+unit, "entries/"+unit, "0.75n+1.25m/"+unit)
+	fmt.Fprintf(&b, "%-10s %10s %12s %14s\n", "phase", "rows/"+unit, "entries/"+unit, "0.75n+0.875m/"+unit)
 	for _, e := range zkvm.Profile(ex, regions) {
 		fmt.Fprintf(&b, "%-10s %10.2f %12.2f %14.2f\n", e.Name, per(e.Cycles), per(e.MemOps), sealCost(e.Cycles, e.MemOps, 0)/float64(units))
 	}
 	n, m, f := len(ex.Rows), len(ex.MemLog), finalWords(ex)
 	fmt.Fprintf(&b, "%-10s %10.2f %12.2f\n", "total", per(n), per(m))
-	fmt.Fprintf(&b, "n %d, m %d, f %d: v6 %.1f compressions (%.2f/%s), v5 %.1f", n, m, f, sealCost(n, m, f), sealCost(n, m, f)/float64(units), unit, v5Cost(n, m))
+	fmt.Fprintf(&b, "n %d, m %d, f %d: v7 %.1f compressions (%.2f/%s), v6 %.1f", n, m, f, sealCost(n, m, f), sealCost(n, m, f)/float64(units), unit, v6Cost(n, m, f))
 	return b.String()
 }
 
@@ -133,12 +138,13 @@ func TestAggregationCostBudget(t *testing.T) {
 	if len(ex.Rows) > maxRows || len(ex.MemLog) > maxEntries {
 		t.Errorf("%d rows and %d entries, budget %d and %d", len(ex.Rows), len(ex.MemLog), maxRows, maxEntries)
 	}
-	// The seal: 179 381.5 compressions under format v6, where v5's
-	// sorted log spent 244 202.8; the acceptance line of v6 is 200k.
+	// The seal: 146 038.0 compressions under format v7, where v6's
+	// product element a record spent 179 381.5 and v5's sorted log
+	// 244 202.8.
 	if f := finalWords(ex); f > maxFinal {
 		t.Errorf("final table of %d words, budget %d", f, maxFinal)
 	}
-	if cost := sealCost(len(ex.Rows), len(ex.MemLog), finalWords(ex)); cost > 179_381.5 {
+	if cost := sealCost(len(ex.Rows), len(ex.MemLog), finalWords(ex)); cost > 146_038.0 {
 		t.Errorf("the seal costs %.1f compressions", cost)
 	}
 	// The acceptance line of the rewrite: at most 200 rows per record,

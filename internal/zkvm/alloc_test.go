@@ -85,8 +85,11 @@ func recordBytes(tab *table, i int) []byte {
 		encodeRowInto(b, &tab.rows[i])
 	case treeMem:
 		encodeMemEntryInto(b, &tab.mem[i])
-	case treeLogProd, treeFinalProd, treeInitProd:
+	case treeLogProd, treeInitProd:
 		encodeProdInto(b, tab.prods[i])
+	case treeFinalProd:
+		encodeProdInto(b, tab.prods[i])
+		binary.LittleEndian.PutUint32(b[prodBytes:], tab.img[min((i+1)*leafRecords, len(tab.img))-1].Addr)
 	case treeImage:
 		encodeImageRecordInto(b, tab.img[i])
 	}
@@ -110,22 +113,28 @@ func unfusedLeaf(tab *table, j int) merkle.Hash {
 }
 
 // shapeTables is one table of each committed record shape over n
-// synthetic records.
+// synthetic records: the final table's column is over an image of 4n
+// records, so that it has n elements.
 func shapeTables(seed *[32]byte, n int) map[string]*table {
 	salts := newSalter(seed)
 	mem := make([]MemEntry, n)
 	prods := make([]field.Elem, n)
-	img := make([]imageRecord, n)
+	img := make([]imageRecord, leafRecords*n)
 	for i := range mem {
 		mem[i] = MemEntry{Addr: uint32(i % 61), Val: uint32(i * 7), PrevVal: uint32(i * 5), PrevTs: uint32(i / 2), IsWrite: i%3 == 0}
 		prods[i] = field.New(uint64(i) * 0x9e3779b97f4a7c15)
+	}
+	for i := range img {
 		img[i] = imageRecord{Addr: uint32(i), Val: uint32(i)*2654435761 + 1, Ts: uint32(i * 3)}
 	}
+	finalProd := columnTable(salts, treeFinalProd, img, nil)
+	finalProd.prods = prods
 	return map[string]*table{
-		"exec":  execTable(seed, n),
-		"mem":   memTable(salts, mem),
-		"prod":  prodTable(salts, treeLogProd, prods),
-		"image": imageTable(salts, img),
+		"exec":      execTable(seed, n),
+		"mem":       memTable(salts, mem),
+		"prod":      prodTable(salts, treeLogProd, prods),
+		"finalprod": finalProd,
+		"image":     imageTable(salts, img[:n]),
 	}
 }
 
@@ -209,11 +218,13 @@ func sha256Blocks(n int) int { return (n + 9 + 63) / 64 }
 // node IV, one compression each), from the length of the message the
 // leaf really hashes: an exec leaf is 109 bytes, two compressions for
 // four rows (EXPERIMENTS.md E24 has the counts of the retired leaf
-// layouts, E41 those of the two-compression node).
+// layouts, E41 those of the two-compression node). A product column
+// holds one element a block of four records: a "prod" or "finalprod"
+// record is an element, a quarter of the records of the table under it.
 func BenchmarkCommitBlock(b *testing.B) {
 	const n = 1 << 15
 	tabs := shapeTables(&[32]byte{7}, n)
-	for _, name := range []string{"exec", "mem", "prod", "image"} {
+	for _, name := range []string{"exec", "mem", "prod", "finalprod", "image"} {
 		tab := tabs[name]
 		b.Run(name, func(b *testing.B) {
 			tab.builder = merkle.NewBuilder(tab.leaves())

@@ -387,14 +387,13 @@ func (fx *blockFixtures) blockBoundaryMutants(t testing.TB) [][]byte {
 		mono("mem prods", &s.MemChecks[i].Prods)
 	}
 	for i := range s.FinalChecks {
-		mono("final records", &s.FinalChecks[i].Records)
 		mono("final prods", &s.FinalChecks[i].Prods)
 	}
 	finals, inits := 0, 0
 	for _, sr := range fx.comp.Segments {
 		for i := range sr.Seal.FinalChecks {
 			finals++
-			fields = append(fields, spanField{"final records", &sr.Seal.FinalChecks[i].Records, fx.comp, fx.segProg})
+			fields = append(fields, spanField{"final prods", &sr.Seal.FinalChecks[i].Prods, fx.comp, fx.segProg})
 		}
 		for i := range sr.Seal.InitChecks {
 			inits++
@@ -469,6 +468,46 @@ func (fx *blockFixtures) multiProofMutants(t testing.TB) [][]byte {
 	return out
 }
 
+// blockRecordMutants are encodings of the fixtures in which one block
+// check reads another check's block: the record leaves of two checks of
+// one family swapped, for every check of the mem, final and init
+// families of every segment whose neighbour opens a different leaf.
+// Each swapped leaf is a genuine opening of its tree, at the wrong block
+// step. The in-memory form must not verify either.
+func (fx *blockFixtures) blockRecordMutants(t testing.TB) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for _, c := range []struct {
+		r    *Receipt
+		prog *Program
+	}{{fx.mono, fx.prog}, {fx.comp, fx.segProg}} {
+		for _, sr := range c.r.Segments {
+			for _, cs := range [][]ProdCheck{sr.Seal.MemChecks, sr.Seal.FinalChecks, sr.Seal.InitChecks} {
+				for i := 0; i+1 < len(cs); i++ {
+					a, b := &cs[i].Record, &cs[i+1].Record
+					if a.Index == b.Index {
+						continue
+					}
+					*a, *b = *b, *a
+					if err := Verify(c.prog, c.r, VerifyOptions{}); err == nil {
+						t.Fatalf("segment %d: block checks %d and %d with their records swapped: verified", sr.Index, i, i+1)
+					}
+					enc, err := c.r.MarshalBinary()
+					if err != nil {
+						t.Fatal(err)
+					}
+					out = append(out, enc)
+					*a, *b = *b, *a
+				}
+			}
+		}
+	}
+	if len(out) == 0 {
+		t.Fatal("no two block checks of a fixture open different leaves")
+	}
+	return out
+}
+
 // TestMultiProofMutantsRejected: a receipt whose multiproof has a
 // surplus, a missing or a reordered node is rejected, in memory and
 // after a trip through the codec, and so is a leaf that two checks of
@@ -531,12 +570,16 @@ func TestMiscountedSpansRejected(t *testing.T) {
 }
 
 // TestMutatedReceiptsNeverVerify is the deterministic slice of
-// FuzzVerifyMutatedReceipt: the exec-leaf payload mutants, random byte
-// flips, every coarse truncation, and extensions of both fixtures.
+// FuzzVerifyMutatedReceipt: the exec-leaf payload mutants, the swapped
+// block records, random byte flips, every coarse truncation, and
+// extensions of both fixtures.
 func TestMutatedReceiptsNeverVerify(t *testing.T) {
 	fx := newBlockFixtures(t)
 	for _, m := range fx.execLeafMutants(t) {
 		fx.mustNotVerify(t, "exec leaf payload", m)
+	}
+	for _, m := range fx.blockRecordMutants(t) {
+		fx.mustNotVerify(t, "swapped block records", m)
 	}
 	rng := rand.New(rand.NewSource(13))
 	for _, valid := range [][]byte{fx.monoBytes, fx.compBytes} {
@@ -559,8 +602,8 @@ func TestMutatedReceiptsNeverVerify(t *testing.T) {
 // the verifier nor verify. The corpus starts from the two valid
 // encodings, the block-boundary mutants (a pair one opening short or
 // over), the exec-leaf payload mutants, and the golden vectors with one
-// bit flipped in the seal, at two places each, and the multiproof
-// mutants (a node over, short or out of order).
+// bit flipped in the seal, at two places each, the multiproof mutants
+// (a node over, short or out of order) and the swapped block records.
 func FuzzVerifyMutatedReceipt(f *testing.F) {
 	fx := newBlockFixtures(f)
 	f.Add(fx.monoBytes)
@@ -587,6 +630,9 @@ func FuzzVerifyMutatedReceipt(f *testing.F) {
 		}
 	}
 	for _, m := range fx.multiProofMutants(f) {
+		f.Add(m)
+	}
+	for _, m := range fx.blockRecordMutants(f) {
 		f.Add(m)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -94,8 +94,8 @@ type table struct {
 	rows  []Row         // treeExec
 	prog  *Program      // treeExec: what derives a leaf's rows from its first
 	mem   []MemEntry    // treeMem
-	prods []field.Elem  // treeLogProd, treeFinalProd, treeInitProd
-	img   []imageRecord // treeImage
+	prods []field.Elem  // treeLogProd, treeFinalProd, treeInitProd: one element a block
+	img   []imageRecord // treeImage; treeFinalProd: the table whose blocks' last addresses it carries
 
 	ready     <-chan struct{} // if set, closed once the records are in place
 	builder   *merkle.Builder // while commitTables runs
@@ -113,6 +113,18 @@ func memTable(salts salter, log []MemEntry) *table {
 
 func prodTable(salts salter, label byte, col []field.Elem) *table {
 	return salted(&table{salts: salts, label: label, n: len(col), recBytes: prodBytes, prods: col})
+}
+
+// columnTable is the table of the product column over the blocks of
+// img, with its elements still to come: element j of the final table's
+// column is the block product and lastAddr_j, the address of block j's
+// last record; an entry image's is the product alone.
+func columnTable(salts salter, label byte, img []imageRecord, ready <-chan struct{}) *table {
+	t := &table{salts: salts, label: label, n: blocks(len(img)), recBytes: prodBytes, ready: ready}
+	if label == treeFinalProd {
+		t.recBytes, t.img = finalProdBytes, img
+	}
+	return salted(t)
 }
 
 func imageTable(salts salter, img []imageRecord) *table {
@@ -136,7 +148,7 @@ func (t *table) release() {
 }
 
 // leaves is the number of committed leaves.
-func (t *table) leaves() int { return (t.n + leafRecords - 1) / leafRecords }
+func (t *table) leaves() int { return blocks(t.n) }
 
 // encodeLeaf serialises the records of leaf j back to back into dst and
 // returns their length. The calls are static so that commitBlock's
@@ -151,9 +163,15 @@ func (t *table) encodeLeaf(j int, dst []byte) int {
 		for i := lo; i < hi; i++ {
 			encodeMemEntryInto(dst[(i-lo)*memBytes:], &t.mem[i])
 		}
-	case treeLogProd, treeFinalProd, treeInitProd:
+	case treeLogProd, treeInitProd:
 		for i := lo; i < hi; i++ {
 			encodeProdInto(dst[(i-lo)*prodBytes:], t.prods[i])
+		}
+	case treeFinalProd:
+		for i := lo; i < hi; i++ {
+			b := dst[(i-lo)*finalProdBytes:]
+			encodeProdInto(b, t.prods[i])
+			binary.LittleEndian.PutUint32(b[prodBytes:], t.img[min((i+1)*leafRecords, len(t.img))-1].Addr)
 		}
 	case treeImage:
 		for i := lo; i < hi; i++ {
@@ -326,16 +344,16 @@ func commitTrace(seg *segmentExecution, salts salter, width int, obs StageObserv
 	tr.Append("final-root", s.FinalRoot[:])
 	ch := newChallenges(tr.ChallengeElem("alpha"), tr.ChallengeElem("gamma"))
 
-	// The product columns are kept as field elements (8 bytes/record)
-	// for the openings. The log's is scanned on the crew first; the
-	// scan of the two image columns is the lead task of the crew that
-	// commits all three, their blocks waiting for it while the other
-	// workers hash the log's.
+	// The product columns are kept as field elements, one a block of
+	// their table's records, for the openings. The log's is scanned on
+	// the crew first; the scan of the two image columns is the lead task
+	// of the crew that commits all three, their blocks waiting for it
+	// while the other workers hash the log's.
 	prodDone := stageTimer(obs, StageGrandProduct)
 	c.logProd = prodTable(salts, treeLogProd, logColumn(ex.MemLog, &ch, width))
 	ready := make(chan struct{})
-	c.finalProd = salted(&table{salts: salts, label: treeFinalProd, n: len(c.final.img), recBytes: prodBytes, ready: ready})
-	c.initProd = salted(&table{salts: salts, label: treeInitProd, n: len(seg.entryImg), recBytes: prodBytes, ready: ready})
+	c.finalProd = columnTable(salts, treeFinalProd, c.final.img, ready)
+	c.initProd = columnTable(salts, treeInitProd, seg.entryImg, ready)
 	commitTables(width, func() {
 		c.finalProd.prods = imageColumn(c.final.img, &ch, false)
 		c.initProd.prods = imageColumn(seg.entryImg, &ch, true)
@@ -363,9 +381,11 @@ func (c *sealTables) openers() *[numTrees]opener {
 }
 
 // openChecks fills in the always-opened leaves and the four sampled
-// check families, in the exact order the verifier derives them. The
-// sampled indices are record indices; an adjacent pair opens the one
-// leaf it lies in, or the two it straddles.
+// check families, in the exact order the verifier derives them. An exec
+// check samples a row index, and its adjacent pair opens the one leaf
+// it lies in, or the two it straddles; the other families sample a
+// block step j and open leaf j+1 of the records and column elements j
+// and j+1.
 func (c *sealTables) openChecks(ops *[numTrees]opener, tr *transcript.Transcript, checks int, s *Seal) {
 	rows := c.ex.Rows
 	nRows := len(rows)
@@ -384,44 +404,39 @@ func (c *sealTables) openChecks(ops *[numTrees]opener, tr *transcript.Transcript
 		}
 	}
 	s.MemChecks = openSteps(tr, "mem", checks, mem, &ops[proofLogProd])
-	if n := ops[proofFinalProd].t.n; n >= 2 {
-		for _, j := range tr.ChallengeIndices("final", checks, n-1) {
-			s.FinalChecks = append(s.FinalChecks, FinalCheck{
-				Records: ops[proofFinal].openSpan(j, j+2),
-				Prods:   ops[proofFinalProd].openSpan(j, j+2),
-			})
-		}
-	}
+	s.FinalChecks = openSteps(tr, "final", checks, &ops[proofFinal], &ops[proofFinalProd])
 	s.InitChecks = openSteps(tr, "init", checks, &ops[proofEntry], &ops[proofInitProd])
 }
 
-// openEnds opens the first record of a table and the first and last
-// products of its column, if the table has records.
+// openEnds opens the first block of a table — leaf 0, whose factors
+// are its column's first element — and the first and last elements of
+// its column, if the table has records.
 func openEnds(recs, prods *opener) Ends {
 	n := prods.t.n
 	if n == 0 {
 		return Ends{}
 	}
-	return Ends{Record: recs.openRecord(0), First: prods.openRecord(0), Last: prods.openRecord(n - 1)}
+	return Ends{Record: recs.open(0), First: prods.openRecord(0), Last: prods.openRecord(n - 1)}
 }
 
-// openSteps opens the product-step family label over a table and its
-// column: record i+1 and products i and i+1 for each sampled i.
+// openSteps opens the block-step family label over a table and its
+// column: leaf j+1 of the records and elements j and j+1 for each
+// sampled j.
 func openSteps(tr *transcript.Transcript, label string, checks int, recs, prods *opener) []ProdCheck {
 	n := prods.t.n
 	if n < 2 {
 		return nil
 	}
 	var out []ProdCheck
-	for _, i := range tr.ChallengeIndices(label, checks, n-1) {
-		out = append(out, ProdCheck{Record: recs.openRecord(i + 1), Prods: prods.openSpan(i, i+2)})
+	for _, j := range tr.ChallengeIndices(label, checks, n-1) {
+		out = append(out, ProdCheck{Record: recs.open(j + 1), Prods: prods.openSpan(j, j+2)})
 	}
 	return out
 }
 
 // release recycles the scratch tables: everything a receipt keeps —
 // roots and openings — was copied out of them. The boundary images
-// belong to sealSegments.
+// belong to the run's sealer.
 func (c *sealTables) release() {
 	for _, t := range []*table{c.logProd, c.finalProd, c.initProd} {
 		putProdSlab(t.prods)

@@ -397,7 +397,11 @@ func execute(prog *Program, input []uint32, opts ExecOptions, pooled bool) (*Exe
 	m := newMachine(prog, input, neverCut, true)
 	m.unpooled = !pooled
 	if err := m.run(opts.MaxSteps); err != nil {
+		if pooled {
+			releaseSegments(m.segs)
+		}
 		return nil, err
 	}
-	return m.segs[0].ex, nil
+	putImageSlab(m.seg.exitImg) // the final table of a pooled run: no caller reads it
+	return m.seg.ex, nil
 }

@@ -8,10 +8,11 @@ package zkvm
 // cuts; traced == false is the count-only run.
 func RunMachine(prog *Program, input []uint32, cut int, traced bool) (segs int, err error) {
 	m := newMachine(prog, input, cut, traced)
-	if err := m.run(0); err != nil {
+	err = m.run(0)
+	releaseSegments(m.segs)
+	if err != nil {
 		return 0, err
 	}
-	releaseSegments(m.segs)
 	return m.nsegs, nil
 }
 

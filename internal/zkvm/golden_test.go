@@ -12,10 +12,10 @@ var updateGolden = flag.Bool("update", false, "regenerate golden receipt vectors
 
 const (
 	// A one-segment vector: a run proved without SegmentCycles.
-	goldenReceiptFile = "receipt_v6.bin"
+	goldenReceiptFile = "receipt_v7.bin"
 	// A four-segment vector, so every continuation check family and both
 	// kinds of boundary are in it.
-	goldenCompositeFile = "composite_v6.bin"
+	goldenCompositeFile = "composite_v7.bin"
 )
 
 // goldenReceipt proves the sum program over a fixed input with a
@@ -37,7 +37,7 @@ func goldenReceipt(t *testing.T) []byte {
 
 // TestGoldenReceipt pins the receipt wire format: any change to the
 // trace layout, transcript schedule, Merkle arity, or seal encoding
-// shows up as a byte diff against testdata/receipt_v6.bin. Regenerate
+// shows up as a byte diff against testdata/receipt_v7.bin. Regenerate
 // deliberately with `go test ./internal/zkvm -run TestGolden -update`
 // and review the diff as a format change.
 func TestGoldenReceipt(t *testing.T) {

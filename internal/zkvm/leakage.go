@@ -79,7 +79,7 @@ func Leakage(r *Receipt) LeakageReport {
 			mem(c.Record)
 		}
 		for _, c := range s.FinalChecks {
-			final(c.Records...)
+			final(c.Record)
 		}
 		for _, c := range s.InitChecks {
 			entry(c.Record)

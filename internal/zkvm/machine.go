@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 )
 
 // This file is the emulator core: one machine, one execution loop.
@@ -29,7 +30,39 @@ const (
 	pageWords     = 1 << pageBits
 	pageCostBytes = 192
 	tlbSize       = 64
+	// tsChunkPages is how many pages' access times one pooled chunk
+	// holds: 4 KB.
+	tsChunkPages = 64
 )
+
+// tsChunk holds the access times of tsChunkPages pages.
+type tsChunk [tsChunkPages][pageWords]uint32
+
+// tsChunkPool recycles traced runs' access-time chunks (*tsChunk); a
+// chunk is cleared when it is taken.
+var tsChunkPool sync.Pool
+
+// imageSlabPool recycles the boundary images and final tables
+// (*[]imageRecord) of pooled runs.
+var imageSlabPool sync.Pool
+
+// getImageSlab returns an empty slab with room for n records. A pooled
+// slab that is too small is dropped, and a new one gets a power-of-two
+// capacity.
+func getImageSlab(n int) []imageRecord {
+	if v := imageSlabPool.Get(); v != nil {
+		if s := *v.(*[]imageRecord); cap(s) >= n {
+			return s[:0]
+		}
+	}
+	return make([]imageRecord, 0, 1<<bits.Len(uint(n)))
+}
+
+func putImageSlab(s []imageRecord) {
+	if cap(s) > 0 {
+		imageSlabPool.Put(&s)
+	}
+}
 
 type page struct {
 	no    uint32 // addr >> pageBits
@@ -55,9 +88,11 @@ type pagedMem struct {
 	pages  []*page
 	sorted int
 	chunk  []page // the slab the next pages are carved from
-	// stamped gives every page access times, carved from tsChunk.
-	stamped bool
-	tsChunk [][pageWords]uint32
+	// stamped gives every page access times, carved from tsFree, the
+	// unused rest of the last of the pooled chunks tsChunks.
+	stamped  bool
+	tsFree   [][pageWords]uint32
+	tsChunks []*tsChunk
 }
 
 // find returns the page numbered no, or the empty slot it belongs in.
@@ -110,14 +145,20 @@ func (pm *pagedMem) touch(no uint32) *page {
 		if len(pm.chunk) == 0 {
 			// Chunks grow with the page count, up to 64 pages.
 			pm.chunk = make([]page, min(len(pm.pages)+1, 64))
-			if pm.stamped {
-				pm.tsChunk = make([][pageWords]uint32, len(pm.chunk))
-			}
 		}
 		*s, pm.chunk = &pm.chunk[0], pm.chunk[1:]
 		(*s).no = no
 		if pm.stamped {
-			(*s).ts, pm.tsChunk = &pm.tsChunk[0], pm.tsChunk[1:]
+			if len(pm.tsFree) == 0 {
+				c, _ := tsChunkPool.Get().(*tsChunk)
+				if c == nil {
+					c = new(tsChunk)
+				} else {
+					clear(c[:])
+				}
+				pm.tsChunks, pm.tsFree = append(pm.tsChunks, c), c[:]
+			}
+			(*s).ts, pm.tsFree = &pm.tsFree[0], pm.tsFree[1:]
 		}
 		if len(pm.pages) == cap(pm.pages) {
 			pm.pages = growDoubling(pm.pages)
@@ -127,27 +168,18 @@ func (pm *pagedMem) touch(no uint32) *page {
 	return *s
 }
 
-// image canonicalises memory as a segment's final table: in address
-// order, one record (addr, val, ts) per word whose tuple is not
-// virtual — every word the segment accessed, and every nonzero word.
-// The page list is re-sorted only when pages were touched since the
-// last image; the walk itself is in address order. restart clears the
-// access times for the next segment, which reads every word at time
-// zero.
-func (pm *pagedMem) image(restart bool) []imageRecord {
+// image canonicalises memory as a segment's final table, appended to
+// img, which has room for every word of every page: in address order,
+// one record (addr, val, ts) per word whose tuple is not virtual — every
+// word the segment accessed, and every nonzero word. The page list is
+// re-sorted only when pages were touched since the last image; the walk
+// itself, one pass, is in address order. restart clears the access
+// times for the next segment, which reads every word at time zero.
+func (pm *pagedMem) image(restart bool, img []imageRecord) []imageRecord {
 	if pm.sorted < len(pm.pages) {
 		slices.SortFunc(pm.pages, func(a, b *page) int { return cmp.Compare(a.no, b.no) })
 		pm.sorted = len(pm.pages)
 	}
-	live := 0
-	for _, p := range pm.pages {
-		for w, v := range p.words {
-			if v != 0 || p.ts[w] != 0 {
-				live++
-			}
-		}
-	}
-	img := make([]imageRecord, 0, live)
 	for _, p := range pm.pages {
 		for w, v := range p.words {
 			if v != 0 || p.ts[w] != 0 {
@@ -159,6 +191,15 @@ func (pm *pagedMem) image(restart bool) []imageRecord {
 		}
 	}
 	return img
+}
+
+// release returns the access-time chunks to their pool once the run
+// is over: images have copied out every time they keep.
+func (pm *pagedMem) release() {
+	for _, c := range pm.tsChunks {
+		tsChunkPool.Put(c)
+	}
+	pm.tsChunks, pm.tsFree = nil, nil
 }
 
 // neverCut is the segment length of a run that is one segment.
@@ -177,7 +218,10 @@ type machine struct {
 
 	cut      int  // steps per segment; neverCut for a one-segment run
 	traced   bool // false: count-only, a test and benchmark instrument that records nothing
-	unpooled bool // the trace outlives the package (Execute): build it on fresh slabs
+	unpooled bool // the trace outlives the package (Execute, never cut): build it on fresh slabs, and no final table
+	// closed, if set, receives each segment the run cuts off, closed
+	// over its exit image, while the run goes on (ProveSeeded's sealer).
+	closed func(*segmentExecution)
 
 	// The open segment. rows is fully sliced (len == cap) and row n is
 	// the machine's current state; step writes row n+1 in place. A
@@ -258,14 +302,22 @@ func (m *machine) cutSegment(room int) {
 	b, prev := m.rows[m.n&m.mask], m.seg
 	var img []imageRecord
 	if m.traced {
-		img = m.mem.image(true)
+		img = m.image(true)
 		m.publish()
 		m.prog.noteTraceSize(m.n+1, len(m.log))
 	}
 	m.openSegment(&b, img, room)
 	if m.traced {
 		prev.exit, prev.exitImg = m.seg.entry, img
+		if m.closed != nil {
+			m.closed(prev)
+		}
 	}
+}
+
+// image reads memory off as a final table into a pooled slab.
+func (m *machine) image(restart bool) []imageRecord {
+	return m.mem.image(restart, getImageSlab(pageWords*len(m.mem.pages)))
 }
 
 // publish hands the open segment its trace: rows 0..n, the memory log,
@@ -275,18 +327,27 @@ func (m *machine) publish() {
 	ex.Rows, ex.MemLog, ex.Journal = m.rows[:m.n+1], m.log, m.journal[m.seg.entry.JPtr:j:j]
 }
 
-// releaseSegments returns every segment's slabs to the pools.
+// releaseSegments returns the slabs of a run's segments to the pools,
+// once nothing reads them: each trace, and each image once — a
+// boundary image as the entry image of the segment after it, and the
+// final segment's own final table.
 func releaseSegments(segs []*segmentExecution) {
 	for _, s := range segs {
 		releaseExecution(s.ex)
+		putImageSlab(s.entryImg)
+		if s.final {
+			putImageSlab(s.exitImg)
+		}
+		s.entryImg, s.exitImg = nil, nil
 	}
 }
 
-// fail abandons the run: the slabs go back to the pools.
+// fail abandons the run: the open segment keeps the trace it has, and
+// the caller returns the slabs to the pools (releaseSegments) once
+// nothing reads them.
 func (m *machine) fail(err error) error {
 	if m.traced {
 		m.publish()
-		releaseSegments(m.segs)
 	}
 	return err
 }
@@ -299,6 +360,7 @@ func (m *machine) run(maxSteps int) error {
 	if maxSteps == 0 {
 		maxSteps = DefaultMaxSteps
 	}
+	defer m.mem.release()
 	m.openSegment(&Row{}, nil, maxSteps)
 	for stepNo := 0; ; stepNo++ {
 		if stepNo >= maxSteps {
@@ -321,7 +383,9 @@ func (m *machine) run(maxSteps int) error {
 			if m.traced {
 				m.publish()
 				m.seg.final, m.seg.ex.ExitCode = true, cur.Regs[R1]
-				m.seg.exitImg = m.mem.image(false)
+				if !m.unpooled {
+					m.seg.exitImg = m.image(false)
+				}
 				m.prog.noteTraceSize(m.n+1, len(m.log))
 			}
 			return nil

@@ -405,9 +405,7 @@ func openedImageWords(r *Receipt) int {
 	for k, sr := range r.Segments {
 		opened := []*Opening{&sr.Seal.Final.Record}
 		for i := range sr.Seal.FinalChecks {
-			for j := range sr.Seal.FinalChecks[i].Records {
-				opened = append(opened, &sr.Seal.FinalChecks[i].Records[j])
-			}
+			opened = append(opened, &sr.Seal.FinalChecks[i].Record)
 		}
 		if k+1 < len(r.Segments) {
 			next := &r.Segments[k+1].Seal
@@ -592,8 +590,9 @@ func TestProveSeededDeterministic(t *testing.T) {
 // TestSoundnessReport pins the report's arithmetic and its families: a
 // segment reports exec, mem and final, and init when it reads an entry
 // image; each family's acceptance is (1 − 1/domain)^k over the domain
-// its verifier samples; the headline is the family with the fewest
-// bits.
+// its verifier samples — n−1 transitions of n rows, ceil(n/4)−1 block
+// steps of a table of n records; the headline is the family with the
+// fewest bits.
 func TestSoundnessReport(t *testing.T) {
 	many := mustProve(t, segTestProgram(t), []uint32{300, 5}, ProveOptions{Checks: 8, SegmentCycles: 1 << 10})
 	rep := Soundness(many)
@@ -606,11 +605,11 @@ func TestSoundnessReport(t *testing.T) {
 		case "exec":
 			domain = int(sr.Seal.NumRows) - 1
 		case "mem":
-			domain = int(sr.Seal.NumMem) - 1
+			domain = (int(sr.Seal.NumMem)+3)/4 - 1
 		case "final":
-			domain = int(sr.Seal.NumFinal) - 1
+			domain = (int(sr.Seal.NumFinal)+3)/4 - 1
 		case "init":
-			domain = int(sr.Entry.MemLen) - 1
+			domain = (int(sr.Entry.MemLen)+3)/4 - 1
 		}
 		want := math.Pow(1-1/float64(domain), 8)
 		if f.Checks != 8 || f.Domain != domain || math.Abs(f.Accept-want) > 1e-12 || math.Abs(f.Bits+math.Log2(want)) > 1e-9 {

@@ -25,9 +25,9 @@ import (
 // "Why four").
 const leafRecords = 4
 
-// The magic of a receipt's encoding (format v6, DESIGN.md §8) and the
+// The magic of a receipt's encoding (format v7, DESIGN.md §8) and the
 // label its segments' statements open their transcripts with.
-// "zkf1"–"zkfd" and the request magics "zkw2"–"zkw6" are retired and
+// "zkf1"–"zkfe" and the request magics "zkw2"–"zkw6" are retired and
 // must never be assigned again, so that no byte string ever read as
 // one of them can be read as anything else: "zkf1"–"zkf3" tagged
 // format v1 (one record per leaf) and "zkf5"–"zkf7" format v2 (exec
@@ -45,11 +45,13 @@ const leafRecords = 4
 // authentication path, where a v5 segment carries one multiproof per
 // tree; "zkfd" (0x7a6b6664) tagged format v5, whose memory argument
 // committed an address-sorted copy of the log, where v6 checks memory
-// offline against the final table and the boundary images.
+// offline against the final table and the boundary images; "zkfe"
+// (0x7a6b6665) tagged format v6, whose product columns held one element
+// a record, where a v7 column holds one a block of leafRecords records.
 const (
-	magicReceipt = 0x7a6b6665 // "zkfe"
+	magicReceipt = 0x7a6b6666 // "zkff"
 
-	segLabel = "zkvm-seg-v6"
+	segLabel = "zkvm-seg-v7"
 )
 
 // The trees of a segment, in the order their multiproofs follow its
@@ -121,7 +123,7 @@ func (c column) leafBytes(count int) int {
 func (c column) count(idx int) int { return min(leafRecords, c.n-idx*leafRecords) }
 
 // leaves is the number of leaves of the column's tree.
-func (c column) leaves() int { return (c.n + leafRecords - 1) / leafRecords }
+func (c column) leaves() int { return blocks(c.n) }
 
 // leaf accepts o as leaf idx of the column and records it for
 // authenticate. Everything about the leaf's shape follows from the
@@ -196,6 +198,18 @@ func (c column) record(o *Opening, i int) ([]byte, error) {
 	}
 	off := i % leafRecords * c.recBytes
 	return o.Data[off : off+c.recBytes], nil
+}
+
+// block accepts o as leaf j and appends the records of that block, all
+// of them, to dst, which the caller owns.
+func (c column) block(dst [][]byte, o *Opening, j int) ([][]byte, error) {
+	if err := c.leaf(o, j); err != nil {
+		return dst, err
+	}
+	for k := range c.count(j) {
+		dst = append(dst, o.Data[k*c.recBytes:(k+1)*c.recBytes])
+	}
+	return dst, nil
 }
 
 // cover accepts span as the leaves holding records [lo, hi) —
@@ -292,27 +306,21 @@ type ExecCheck struct {
 	Mem []Opening
 }
 
-// ProdCheck is a sampled step i of a product column over a table: the
-// column's products i and i+1 and the table's record i+1, whose factor
-// is the step. The mem family runs over the log's ratio column, the
+// ProdCheck is a sampled block step j of a product column over a
+// table: the column's elements j and j+1 and the table's leaf j+1,
+// whose records' factors are the step. The mem family runs over the
+// log's ratio column, the final family over the final table's — whose
+// step also checks the block's address order against lastAddr — and the
 // init family over the entry image's.
 type ProdCheck struct {
-	Record Opening   // the leaf holding record i+1
-	Prods  []Opening // the leaves holding products i and i+1
-}
-
-// FinalCheck is a sampled adjacency j of the final table: records j
-// and j+1 are in strictly increasing address order, and products j and
-// j+1 of its column differ by record j+1's factor.
-type FinalCheck struct {
-	Records []Opening // the leaves holding records j and j+1
-	Prods   []Opening // the leaves holding products j and j+1
+	Record Opening   // leaf j+1 of the table: block j+1's records
+	Prods  []Opening // the leaves holding elements j and j+1
 }
 
 // Ends are the always-opened leaves of one table of the memory argument
-// and its product column: the leaves holding the table's first record
-// and the column's first and last products. They are present iff the
-// table has records.
+// and its product column: the table's leaf 0, whose block's factors are
+// the column's first element, and the leaves holding the column's first
+// and last elements. They are present iff the table has records.
 type Ends struct {
 	Record, First, Last Opening
 }
@@ -364,7 +372,7 @@ type Seal struct {
 
 	ExecChecks  []ExecCheck
 	MemChecks   []ProdCheck
-	FinalChecks []FinalCheck
+	FinalChecks []ProdCheck
 	InitChecks  []ProdCheck
 }
 
@@ -381,14 +389,10 @@ func (s *Seal) Size(nInit uint32) int {
 		c := &s.ExecChecks[i]
 		n += 1 + openingsSize(c.Rows) + 4 + openingsSize(c.Mem)
 	}
-	for _, cs := range [][]ProdCheck{s.MemChecks, s.InitChecks} {
+	for _, cs := range [][]ProdCheck{s.MemChecks, s.FinalChecks, s.InitChecks} {
 		for i := range cs {
 			n += cs[i].Record.size() + 1 + openingsSize(cs[i].Prods)
 		}
-	}
-	for i := range s.FinalChecks {
-		c := &s.FinalChecks[i]
-		n += 2 + openingsSize(c.Records) + openingsSize(c.Prods)
 	}
 	return n
 }
@@ -603,12 +607,7 @@ func writeSeal(w *bwriter, s *Seal, nInit uint32) {
 		w.openings(c.Mem)
 	}
 	w.prodChecks(s.MemChecks)
-	w.u32(uint32(len(s.FinalChecks)))
-	for i := range s.FinalChecks {
-		c := &s.FinalChecks[i]
-		w.span(c.Records)
-		w.span(c.Prods)
-	}
+	w.prodChecks(s.FinalChecks)
 	w.prodChecks(s.InitChecks)
 }
 
@@ -643,12 +642,7 @@ func readSeal(rd *breader, nInit uint32) Seal {
 		c.Mem = rd.openings()
 	}
 	s.MemChecks = rd.prodChecks()
-	s.FinalChecks = make([]FinalCheck, rd.count(minOpeningBytes))
-	for i := range s.FinalChecks {
-		c := &s.FinalChecks[i]
-		c.Records = rd.span()
-		c.Prods = rd.span()
-	}
+	s.FinalChecks = rd.prodChecks()
 	s.InitChecks = rd.prodChecks()
 	return s
 }

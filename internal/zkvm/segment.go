@@ -147,17 +147,6 @@ type segmentExecution struct {
 	exitImg  []imageRecord
 }
 
-// executeSegmented runs the guest like Execute but cuts the trace
-// every segmentCycles steps (floored to minSegmentCycles; zero never
-// cuts).
-func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCycles int) ([]*segmentExecution, error) {
-	m := newMachine(prog, input, segmentCycles, true)
-	if err := m.run(opts.MaxSteps); err != nil {
-		return nil, err
-	}
-	return m.segs, nil
-}
-
 // deriveSubSeed expands the master salt seed into an independent
 // per-segment or per-boundary seed, so segment proofs can be generated
 // concurrently yet stay byte-deterministic

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // segTestProgram builds a loop-based guest whose step count scales
@@ -65,6 +66,126 @@ func mustProve(t testing.TB, prog *Program, input []uint32, opts ProveOptions) *
 		t.Fatal(err)
 	}
 	return c
+}
+
+// executeSegmented runs the guest like Execute but cuts the trace
+// every segmentCycles steps (floored to minSegmentCycles; zero never
+// cuts), on pooled slabs: the caller releases the segments.
+func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCycles int) ([]*segmentExecution, error) {
+	m := newMachine(prog, input, segmentCycles, true)
+	if err := m.run(opts.MaxSteps); err != nil {
+		releaseSegments(m.segs)
+		return nil, err
+	}
+	return m.segs, nil
+}
+
+// sealSegments seals a traced run whatever its exit code, after its
+// execution rather than at each cut — the order ProveSeeded overlaps —
+// and returns its slabs to the pools.
+func sealSegments(segs []*segmentExecution, opts ProveOptions, seed [32]byte) (*Receipt, error) {
+	s := newSealer(opts, seed)
+	for _, seg := range segs {
+		s.seal(seg)
+	}
+	return s.finish()
+}
+
+// settled waits briefly for the goroutines a proof started to exit and
+// fails if more than base are left: a proof that returns leaves nothing
+// running.
+func settled(t *testing.T, base int) {
+	t.Helper()
+	for range 200 {
+		if runtime.NumGoroutine() <= base {
+			return
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Fatalf("%d goroutines after the proof returned, %d before", runtime.NumGoroutine(), base)
+}
+
+// TestSealAtCutMatchesSealAfter: sealing each segment at its cut, while
+// the machine runs on, gives the bytes of sealing every segment after
+// the run, at GOMAXPROCS 1, 2, 4 and 7, for a run cut every 2^12 and
+// every 2^17 rows and for the one-segment run.
+func TestSealAtCutMatchesSealAfter(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	prog := segTestProgram(t)
+	for _, c := range []struct {
+		input []uint32
+		cut   int
+		segs  int
+	}{{[]uint32{3000, 5}, 0, 1}, {[]uint32{3000, 5}, 1 << 12, 9}, {[]uint32{22000, 5}, 1 << 17, 3}} {
+		opts := ProveOptions{Checks: 6, SegmentCycles: c.cut}
+		segs, err := executeSegmented(prog, c.input, ExecOptions{}, c.cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		after, err := sealSegments(segs, opts, segTestSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := after.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if after.NumSegments() != c.segs {
+			t.Fatalf("cut %d: %d segments, want %d", c.cut, after.NumSegments(), c.segs)
+		}
+		for _, procs := range []int{1, 2, 4, 7} {
+			runtime.GOMAXPROCS(procs)
+			got, err := mustProve(t, prog, c.input, opts).MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cut %d, GOMAXPROCS %d: sealed at the cuts, the receipt differs from the one sealed after the run", c.cut, procs)
+			}
+		}
+	}
+}
+
+// TestSegmentedFailureWhileSealing: a run that traps on a bad pc, or
+// runs out of steps, after several cuts — its earlier segments still
+// sealing — returns that error and no receipt, and leaves no goroutine
+// behind, at GOMAXPROCS 1 and 2 (make race runs it under the race
+// detector: a seal reading a slab the failure returned to a pool would
+// show there). TestSegmentedAbort covers the nonzero exit.
+func TestSegmentedFailureWhileSealing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	// 2000 turns of a store-load loop over 64 words, then a jump to pc
+	// 1<<20.
+	trap := asm(func(a *Assembler) {
+		a.Li(R2, 0)
+		a.Li(R3, 2000)
+		a.Label("loop")
+		a.Andi(R4, R2, 63)
+		a.Sw(R2, R4, 0)
+		a.Lw(R5, R4, 0)
+		a.Addi(R2, R2, 1)
+		a.Bltu(R2, R3, "loop")
+		a.Li(R6, 1<<20)
+		a.Jalr(R0, R6, 0)
+	})
+	opts := ProveOptions{Checks: 4, SegmentCycles: 1 << 12}
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		base := runtime.NumGoroutine()
+		r, err := ProveSeeded(trap, nil, opts, segTestSeed)
+		var te *TrapError
+		if !errors.As(err, &te) || r != nil || !strings.Contains(err.Error(), "outside program") {
+			t.Fatalf("GOMAXPROCS %d: bad pc after two cuts gave %v and a receipt %v", procs, err, r != nil)
+		}
+		settled(t, base)
+
+		// The step limit, 3.5 segments into segTestProgram's run.
+		r, err = proveRun(segTestProgram(t), []uint32{3000, 5}, opts, segTestSeed, 7*opts.SegmentCycles/2)
+		if !errors.Is(err, ErrStepLimit) || r != nil {
+			t.Fatalf("GOMAXPROCS %d: a run past its step budget gave %v and a receipt %v", procs, err, r != nil)
+		}
+		settled(t, base)
+	}
 }
 
 // TestSegmentedProveVerify proves a multi-segment run and checks the
@@ -358,10 +479,10 @@ func TestSegmentedStepLimit(t *testing.T) {
 // "zkf5"–"zkf7" (format v2), "zkf8" (a run sealed whole under its own
 // statement), "zkf9" (format v3, two-compression nodes), "zkfa" (the
 // frames of the deleted prover farm's wire), "zkfb" (the standalone
-// segment receipt), "zkfc" (format v4, a path in every opening) and
-// "zkfd" (format v5, the address-sorted memory log). They are retired,
-// not free.
-var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c', 'd'}
+// segment receipt), "zkfc" (format v4, a path in every opening), "zkfd"
+// (format v5, the address-sorted memory log) and "zkfe" (format v6, a
+// product element a record). They are retired, not free.
+var retiredMagics = []byte{'1', '2', '3', '4', '5', '6', '7', '8', '9', 'a', 'b', 'c', 'd', 'e'}
 
 // TestUnmarshalAnyReceiptGarbage rejects unknown magics and empty
 // input without panicking. A retired magic written over the body of a

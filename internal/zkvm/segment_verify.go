@@ -146,9 +146,10 @@ func verifySegment(prog *Program, sr *SegmentReceipt, opts VerifyOptions) error 
 	}
 
 	// --- Sampled checks: four families over the relations of exec
-	// rows, the log, the final table and the entry image. All share one
-	// count k (the prover uses a single Checks); it is derived from
-	// whichever family is live first and enforced on the rest. ---
+	// rows and the blocks of the log, the final table and the entry
+	// image. All share one count k (the prover uses a single Checks); it
+	// is derived from whichever family is live first and enforced on the
+	// rest. ---
 	check := [numFamilies]func(n, i int) error{
 		func(n, i int) error { return verifyExecCheck(prog, v, &s.ExecChecks[n], i, sr.Journal) },
 		func(n, i int) error { return v.verifyMemCheck(&s.MemChecks[n], i, &ch) },
@@ -196,17 +197,18 @@ type family struct {
 const numFamilies = 4
 
 // families lists the segment's sampled-check families: exec samples a
-// transition of the rows, mem a step of the log's ratio column, final
-// an adjacency of the final table with its column's step, init a step
-// of the entry image's column. A domain below one is a family with
-// nothing to sample.
+// transition of the rows, mem a block step of the log's ratio column,
+// final a block step of the final table's column with the block's
+// address order, init a block step of the entry image's column — a
+// table of n records has ceil(n/leafRecords) blocks and one step fewer.
+// A domain below one is a family with nothing to sample.
 func (sr *SegmentReceipt) families() [numFamilies]family {
 	s := &sr.Seal
 	return [numFamilies]family{
 		{"exec", "row", int(s.NumRows) - 1, len(s.ExecChecks)},
-		{"mem", "step", int(s.NumMem) - 1, len(s.MemChecks)},
-		{"final", "step", int(s.NumFinal) - 1, len(s.FinalChecks)},
-		{"init", "step", int(sr.Entry.MemLen) - 1, len(s.InitChecks)},
+		{"mem", "step", blocks(int(s.NumMem)) - 1, len(s.MemChecks)},
+		{"final", "step", blocks(int(s.NumFinal)) - 1, len(s.FinalChecks)},
+		{"init", "step", blocks(int(sr.Entry.MemLen)) - 1, len(s.InitChecks)},
 	}
 }
 
@@ -233,15 +235,15 @@ func (v *segmentVerifier) col(k int) column {
 	case proofMem:
 		c = column{root: s.MemRoot, n: int(s.NumMem), recBytes: memBytes}
 	case proofLogProd:
-		c = column{root: s.LogProdRoot, n: int(s.NumMem), recBytes: prodBytes}
+		c = column{root: s.LogProdRoot, n: blocks(int(s.NumMem)), recBytes: prodBytes}
 	case proofFinal:
 		c = column{root: s.FinalRoot, n: int(s.NumFinal), recBytes: imgBytes}
 	case proofFinalProd:
-		c = column{root: s.FinalProdRoot, n: int(s.NumFinal), recBytes: prodBytes}
+		c = column{root: s.FinalProdRoot, n: blocks(int(s.NumFinal)), recBytes: finalProdBytes}
 	case proofEntry:
 		c = column{root: v.Entry.MemRoot, n: int(v.Entry.MemLen), recBytes: imgBytes}
 	case proofInitProd:
-		c = column{root: s.InitProdRoot, n: int(v.Entry.MemLen), recBytes: prodBytes}
+		c = column{root: s.InitProdRoot, n: blocks(int(v.Entry.MemLen)), recBytes: prodBytes}
 	}
 	c.opened = &v.opened[k]
 	return c

@@ -7,7 +7,10 @@ import "time"
 // publishes (prover.stage.<name>_seconds); `go run ./bench -trace 1`
 // prints the breakdown EXPERIMENTS.md records.
 const (
-	// StageExecute is guest execution + trace recording.
+	// StageExecute is guest execution + trace recording. On a cut run it
+	// overlaps the per-segment stages: each segment seals while the
+	// machine executes the segments after it, so the stage sums of a
+	// segmented proof exceed its wall.
 	StageExecute = "execute"
 	// StageMemSort named the address-ordered re-sort of the memory log,
 	// which seal format v6 no longer has: no prover reports it. The
@@ -19,16 +22,16 @@ const (
 	StageMerkleCommit = "merkle_commit"
 	// StageGrandProduct scans the three product columns of the memory
 	// argument under the (alpha, gamma) challenges — the log's ratio
-	// column, the final table's and the entry image's — and encodes and
-	// commits them.
+	// column, the final table's and the entry image's, one element a
+	// block of four records — and encodes and commits them.
 	StageGrandProduct = "grand_product"
-	// StageBoundaryCommit commits the boundary memory images of a
-	// segmented (continuation) proof — one salted tree per segment
-	// boundary, shared by the two adjacent segment receipts. Reported
-	// once per proof with a boundary, none for one segment; the
-	// per-segment stages (merkle_commit, grand_product, seal)
-	// are reported once per segment, so an N-segment proof emits N
-	// observations per stage.
+	// StageBoundaryCommit commits one boundary memory image of a
+	// segmented (continuation) proof — a salted tree shared by the two
+	// adjacent segment receipts — as soon as execution passes the cut.
+	// Reported once per boundary, N−1 times for an N-segment proof and
+	// none for one segment; the per-segment stages (merkle_commit,
+	// grand_product, seal) are reported once per segment, so an
+	// N-segment proof emits N observations per stage.
 	StageBoundaryCommit = "boundary_commit"
 	// StageSeal assembles the receipt: boundary openings plus the
 	// Fiat–Shamir-sampled spot checks, and one multiproof per tree.

@@ -17,7 +17,10 @@ const (
 	rowBytes  = 4 + 4*NumRegs + 4 + 4 + 4 // PC, regs, MemPtr, InPtr, JPtr
 	memBytes  = 4 + 4 + 4 + 4 + 1         // Addr, Val, PrevVal, PrevTs, IsWrite
 	prodBytes = 8                         // one field element
-	saltBytes = 16
+	// finalProdBytes is an element of the final table's column: the
+	// product and the address of its block's last record.
+	finalProdBytes = prodBytes + 4
+	saltBytes      = 16
 	// maxLeafBytes bounds the payload of every leaf the prover commits —
 	// the widest is an exec leaf — and sizes commitBlock's stack scratch.
 	maxLeafBytes = rowBytes + 4*(leafRecords-1)
@@ -223,17 +226,25 @@ func (c *challenges) write(e *MemEntry, i int) field.Elem {
 	return c.factor(e.Addr, e.Val, uint32(i+1))
 }
 
-// logColumn returns the log's ratio column under ch: col[i] =
-// prod_{j<=i} write_j/read_j. It is scanned on a crew of width workers,
-// the log in as many chunks: each chunk's products of its write and its
-// read factors first, then a serial pass over the chunk totals with one
+// blocks is the number of leafRecords-record blocks — committed leaves —
+// of a table of n records: one product-column element each.
+func blocks(n int) int { return (n + leafRecords - 1) / leafRecords }
+
+// logColumn returns the log's ratio column under ch, one element a
+// block: col[j] = g_0·…·g_j, where g_j is block j's product of write
+// factors over its product of read factors. It is scanned on a crew of
+// width workers, the blocks in as many chunks: each chunk forward,
+// keeping every block's read product and the running product of its
+// write products, then a serial pass over the chunk totals with one
 // inversion a chunk, then each chunk backwards, multiplying in the
-// inverse of its read products one factor at a time — four
-// multiplications an entry. Field multiplication is exactly
-// associative, so the column is the same at any width. It comes from
-// the slab pool; sealTables.release returns it.
+// inverse of its read products one block at a time — Montgomery's
+// batch inversion over the blocks' read products folded into the
+// prefix pass, so about two multiplications an entry and four a block.
+// Field multiplication is exactly associative, so the column is the
+// same at any width. It comes from the slab pool; sealTables.release
+// returns it.
 func logColumn(log []MemEntry, ch *challenges, width int) []field.Elem {
-	n := len(log)
+	m, n := len(log), blocks(len(log))
 	col, reads := getProdSlab(n), getProdSlab(n)
 	defer putProdSlab(reads)
 	chunks := width
@@ -244,17 +255,22 @@ func logColumn(log []MemEntry, ch *challenges, width int) []field.Elem {
 	bounds := func(c int) (int, int) { return c * size, min((c+1)*size, n) }
 	// A chunk's write product, and its read product until the serial
 	// pass makes scale[c] the ratio of every chunk ahead of c over chunk
-	// c's read product: col[i] of chunk c is then scale[c] times its
-	// write products up to i times its read factors after i.
+	// c's read product: col[j] of chunk c is then scale[c] times its
+	// write products up to j times its read products after j.
 	writes, scale := make([]field.Elem, chunks), make([]field.Elem, chunks)
 	par.Each(width, chunks, func(c int) {
 		lo, hi := bounds(c)
 		w, r := field.One, field.One
-		for i := lo; i < hi; i++ {
-			reads[i] = ch.read(&log[i])
-			w = field.Mul(w, ch.write(&log[i], i))
-			r = field.Mul(r, reads[i])
-			col[i] = w
+		for j := lo; j < hi; j++ {
+			bw, br := field.One, field.One
+			for i := j * leafRecords; i < min((j+1)*leafRecords, m); i++ {
+				bw = field.Mul(bw, ch.write(&log[i], i))
+				br = field.Mul(br, ch.read(&log[i]))
+			}
+			reads[j] = br
+			w = field.Mul(w, bw)
+			r = field.Mul(r, br)
+			col[j] = w
 		}
 		writes[c], scale[c] = w, r
 	})
@@ -266,48 +282,54 @@ func logColumn(log []MemEntry, ch *challenges, width int) []field.Elem {
 	par.Each(width, chunks, func(c int) {
 		lo, hi := bounds(c)
 		x := scale[c]
-		for i := hi - 1; i >= lo; i-- {
-			col[i] = field.Mul(col[i], x)
-			x = field.Mul(x, reads[i])
+		for j := hi - 1; j >= lo; j-- {
+			col[j] = field.Mul(col[j], x)
+			x = field.Mul(x, reads[j])
 		}
 	})
 	return col
 }
 
-// imageColumn returns the running products of the factors of img's
-// records — as the final table (under their times) or, with atZero, as
-// the entry image read at time zero — serially: commitTrace scans both
-// image columns as the lead task of the crew that hashes the log's
-// column beside them. The column comes from the slab pool.
+// imageColumn returns the block products of img's records — as the
+// final table (under their times) or, with atZero, as the entry image
+// read at time zero — one element a block, col[j] being the product of
+// the factors of blocks 0..j, serially: commitTrace scans both image
+// columns as the lead task of the crew that hashes the log's column
+// beside them. The column comes from the slab pool.
 func imageColumn(img []imageRecord, ch *challenges, atZero bool) []field.Elem {
-	col := getProdSlab(len(img))
+	col := getProdSlab(blocks(len(img)))
 	acc := field.One
-	for i := range img {
-		ts := img[i].Ts
-		if atZero {
-			ts = 0
+	for j := range col {
+		for i := j * leafRecords; i < min((j+1)*leafRecords, len(img)); i++ {
+			ts := img[i].Ts
+			if atZero {
+				ts = 0
+			}
+			acc = field.Mul(acc, ch.factor(img[i].Addr, img[i].Val, ts))
 		}
-		acc = field.Mul(acc, ch.factor(img[i].Addr, img[i].Val, ts))
-		col[i] = acc
+		col[j] = acc
 	}
 	return col
 }
 
 // prodSlabPool recycles the product columns and their scratch
-// (*[]field.Elem): two 8-byte elements per memory-log entry and one
-// per image record a seal would otherwise allocate, and zero, on the
-// grand product's path.
+// (*[]field.Elem): two 8-byte elements per block of the memory log and
+// one per block of each image a seal would otherwise allocate, and
+// zero, on the grand product's path.
 var prodSlabPool sync.Pool
 
 // getProdSlab returns a slab of n elements whose contents are
-// arbitrary: productColumns writes every element before reading it.
+// arbitrary: every column writes each element before reading it. A
+// pooled slab that is too small is dropped, and a new one gets a
+// power-of-two capacity, as getSaltSlab's do, so the log's column, its
+// scratch and the image columns of one seal come to share slab sizes.
 func getProdSlab(n int) []field.Elem {
 	if v := prodSlabPool.Get(); v != nil {
 		if s := *v.(*[]field.Elem); cap(s) >= n {
 			return s[:n]
 		}
 	}
-	return make([]field.Elem, n)
+	return make([]field.Elem, n, 1<<bits.Len(uint(n)))
 }
 
 func putProdSlab(s []field.Elem) {

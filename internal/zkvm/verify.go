@@ -1,6 +1,7 @@
 package zkvm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 
@@ -25,17 +26,6 @@ func vErr(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrVerify, fmt.Sprintf(format, args...))
 }
 
-// opened reads o as the leaf holding record i of a column and decodes
-// that record.
-func opened[T any](c column, o *Opening, i int, decode func([]byte) (T, error)) (T, error) {
-	b, err := c.record(o, i)
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return decode(b)
-}
-
 // logEntry decodes the log entry at position pos, whose time is pos+1:
 // it may read no tuple of its own time or later, which is what rules
 // out a cycle of reads in the memory argument.
@@ -47,80 +37,145 @@ func logEntry(b []byte, pos int) (MemEntry, error) {
 	return e, err
 }
 
-// productStep reads span as the leaves holding products i and i+1 of
-// column c and checks P[i+1]·den = P[i]·num: the step multiplies in
-// num/den, the factors of record i+1 of the column's table.
-func productStep(c column, span []Opening, i int, num, den field.Elem) error {
+// productStep reads span as the leaves holding elements j and j+1 of
+// column c and checks c[j+1]·den = c[j]·num: the step multiplies in
+// num/den, the factors of block j+1 of the column's table. It returns
+// both elements' bytes, whose first prodBytes are the product.
+func productStep(c column, span []Opening, j int, num, den field.Elem) ([2][]byte, error) {
 	var pair [2][]byte
-	recs, err := c.records(pair[:0], span, i, i+2)
+	recs, err := c.records(pair[:0], span, j, j+2)
 	if err != nil {
-		return err
+		return pair, err
 	}
-	pi, err := decodeProd(recs[0])
+	pj, err := decodeProd(recs[0][:prodBytes])
 	if err != nil {
-		return err
+		return pair, err
 	}
-	pj, err := decodeProd(recs[1])
+	pk, err := decodeProd(recs[1][:prodBytes])
 	if err != nil {
-		return err
+		return pair, err
 	}
-	if field.Mul(pj, den) != field.Mul(pi, num) {
-		return fmt.Errorf("product step incorrect")
+	if field.Mul(pk, den) != field.Mul(pj, num) {
+		return pair, fmt.Errorf("product step incorrect")
 	}
-	return nil
+	return pair, nil
 }
 
-// ends reads e's product openings as the first and the last product of
-// column k and checks that the first is its table's first factor,
-// num/den.
-func (v *segmentVerifier) ends(k int, e *Ends, num, den field.Elem) (last field.Elem, err error) {
-	c := v.col(k)
-	first, err := opened(c, &e.First, 0, decodeProd)
+// lastAddr reads an element of the final table's column as the address
+// of its block's last record.
+func lastAddr(elem []byte) uint32 { return binary.LittleEndian.Uint32(elem[prodBytes:]) }
+
+// logBlock reads o as leaf j of the log — block j's entries, each of
+// which reads no tuple of its own time or later — and returns the
+// products of their write and of their read factors.
+func (v *segmentVerifier) logBlock(o *Opening, j int, ch *challenges) (num, den field.Elem, err error) {
+	var buf [leafRecords][]byte
+	recs, err := v.col(proofMem).block(buf[:0], o, j)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	if field.Mul(first, den) != num {
-		return 0, fmt.Errorf("first product incorrect")
+	num, den = field.One, field.One
+	for k, b := range recs {
+		pos := j*leafRecords + k
+		e, err := logEntry(b, pos)
+		if err != nil {
+			return 0, 0, err
+		}
+		num, den = field.Mul(num, ch.write(&e, pos)), field.Mul(den, ch.read(&e))
 	}
-	return opened(c, &e.Last, c.n-1, decodeProd)
+	return num, den, nil
+}
+
+// imageBlock reads o as leaf j of image tree k — the final table, or,
+// with atZero, the entry image, whose records are read at time zero —
+// checks that its addresses strictly increase, and returns the product
+// of its records' factors and its first and last address.
+func (v *segmentVerifier) imageBlock(k int, o *Opening, j int, ch *challenges, atZero bool) (num field.Elem, first, last uint32, err error) {
+	var buf [leafRecords][]byte
+	recs, err := v.col(k).block(buf[:0], o, j)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	num = field.One
+	for n, b := range recs {
+		r, err := decodeImageRecord(b)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		if n == 0 {
+			first = r.Addr
+		} else if r.Addr <= last {
+			return 0, 0, 0, fmt.Errorf("image out of address order: %d after %d", r.Addr, last)
+		}
+		if atZero {
+			r.Ts = 0
+		}
+		num, last = field.Mul(num, ch.factor(r.Addr, r.Val, r.Ts)), r.Addr
+	}
+	return num, first, last, nil
+}
+
+// ends reads e's column openings as the first and the last element of
+// column k and checks that the first is num/den, its table's block 0's
+// factors. It returns the last element's product and the first
+// element's bytes.
+func (v *segmentVerifier) ends(k int, e *Ends, num, den field.Elem) (last field.Elem, first []byte, err error) {
+	c := v.col(k)
+	if first, err = c.record(&e.First, 0); err != nil {
+		return 0, nil, err
+	}
+	p, err := decodeProd(first[:prodBytes])
+	if err != nil {
+		return 0, nil, err
+	}
+	if field.Mul(p, den) != num {
+		return 0, nil, fmt.Errorf("first product incorrect")
+	}
+	b, err := c.record(&e.Last, c.n-1)
+	if err != nil {
+		return 0, nil, err
+	}
+	last, err = decodeProd(b[:prodBytes])
+	return last, first, err
 }
 
 // verifyEnds checks the always-open leaves of the memory argument: each
-// column starts from its table's first factor, and the three columns
+// column starts from its table's block 0 — the final table's also from
+// that block's last address, its lastAddr — and the three columns
 // balance, ∏W·∏Init = ∏R·∏F — the log's ratio of write over read
-// tuples, times the entry image's product, is the final table's.
-// A column over no records is one.
+// tuples, times the entry image's product, is the final table's. A
+// column over no records is one.
 func (v *segmentVerifier) verifyEnds(ch *challenges) error {
 	s := &v.Seal
 	logRatio, finalProd, initProd := field.One, field.One, field.One
 	if s.NumMem > 0 {
-		b, err := v.col(proofMem).record(&s.Log.Record, 0)
+		num, den, err := v.logBlock(&s.Log.Record, 0, ch)
 		if err != nil {
-			return fmt.Errorf("first log entry: %v", err)
+			return fmt.Errorf("first log block: %v", err)
 		}
-		e, err := logEntry(b, 0)
-		if err != nil {
-			return fmt.Errorf("first log entry: %v", err)
-		}
-		if logRatio, err = v.ends(proofLogProd, &s.Log, ch.write(&e, 0), ch.read(&e)); err != nil {
+		if logRatio, _, err = v.ends(proofLogProd, &s.Log, num, den); err != nil {
 			return fmt.Errorf("log products: %v", err)
 		}
 	}
 	if s.NumFinal > 0 {
-		r, err := opened(v.col(proofFinal), &s.Final.Record, 0, decodeImageRecord)
+		num, _, last, err := v.imageBlock(proofFinal, &s.Final.Record, 0, ch, false)
 		if err != nil {
-			return fmt.Errorf("first final record: %v", err)
+			return fmt.Errorf("first final block: %v", err)
 		}
-		if finalProd, err = v.ends(proofFinalProd, &s.Final, ch.factor(r.Addr, r.Val, r.Ts), field.One); err != nil {
+		var first []byte
+		if finalProd, first, err = v.ends(proofFinalProd, &s.Final, num, field.One); err != nil {
 			return fmt.Errorf("final products: %v", err)
+		}
+		if want := lastAddr(first); last != want {
+			return fmt.Errorf("final block 0 ends at address %d, its column says %d", last, want)
 		}
 	}
 	if v.Entry.MemLen > 0 {
-		r, err := opened(v.col(proofEntry), &s.Init.Record, 0, decodeImageRecord)
+		num, _, _, err := v.imageBlock(proofEntry, &s.Init.Record, 0, ch, true)
 		if err != nil {
-			return fmt.Errorf("first entry-image record: %v", err)
+			return fmt.Errorf("first entry-image block: %v", err)
 		}
-		if initProd, err = v.ends(proofInitProd, &s.Init, ch.factor(r.Addr, r.Val, 0), field.One); err != nil {
+		if initProd, _, err = v.ends(proofInitProd, &s.Init, num, field.One); err != nil {
 			return fmt.Errorf("init products: %v", err)
 		}
 	}
@@ -252,50 +307,48 @@ func verifyExecCheck(prog *Program, v *segmentVerifier, c *ExecCheck, rowIdx int
 	return nil
 }
 
-// verifyMemCheck checks step i of the log's ratio column: entry i+1,
-// which reads no tuple of its own time or later, multiplies in its
-// write over its read tuple's factor.
-func (v *segmentVerifier) verifyMemCheck(c *ProdCheck, i int, ch *challenges) error {
-	b, err := v.col(proofMem).record(&c.Record, i+1)
+// verifyMemCheck checks block step j of the log's ratio column: the
+// entries of block j+1, each of which reads no tuple of its own time or
+// later, multiply in their write over their read factors.
+func (v *segmentVerifier) verifyMemCheck(c *ProdCheck, j int, ch *challenges) error {
+	num, den, err := v.logBlock(&c.Record, j+1, ch)
 	if err != nil {
 		return err
 	}
-	e, err := logEntry(b, i+1)
-	if err != nil {
-		return err
-	}
-	return productStep(v.col(proofLogProd), c.Prods, i, ch.write(&e, i+1), ch.read(&e))
+	_, err = productStep(v.col(proofLogProd), c.Prods, j, num, den)
+	return err
 }
 
-// verifyFinalCheck checks adjacency j of the final table — records j
-// and j+1 in strictly increasing address order, so that no word has
-// two final records — and step j of its column.
-func (v *segmentVerifier) verifyFinalCheck(c *FinalCheck, j int, ch *challenges) error {
-	var pair [2][]byte
-	recs, err := v.col(proofFinal).records(pair[:0], c.Records, j, j+2)
+// verifyFinalCheck checks block step j of the final table: block j+1's
+// addresses strictly increase, start above lastAddr_j and end at
+// lastAddr_{j+1} — so that, with block 0 checked by verifyEnds, the
+// whole table strictly increases and no word has two final records —
+// and its records' factors are the column's step.
+func (v *segmentVerifier) verifyFinalCheck(c *ProdCheck, j int, ch *challenges) error {
+	num, first, last, err := v.imageBlock(proofFinal, &c.Record, j+1, ch, false)
 	if err != nil {
 		return err
 	}
-	a, err := decodeImageRecord(recs[0])
+	pair, err := productStep(v.col(proofFinalProd), c.Prods, j, num, field.One)
 	if err != nil {
 		return err
 	}
-	b, err := decodeImageRecord(recs[1])
-	if err != nil {
-		return err
+	if prev := lastAddr(pair[0]); first <= prev {
+		return fmt.Errorf("final table out of address order: %d after %d", first, prev)
 	}
-	if b.Addr <= a.Addr {
-		return fmt.Errorf("final table out of address order: %d after %d", b.Addr, a.Addr)
+	if want := lastAddr(pair[1]); last != want {
+		return fmt.Errorf("final block %d ends at address %d, its column says %d", j+1, last, want)
 	}
-	return productStep(v.col(proofFinalProd), c.Prods, j, ch.factor(b.Addr, b.Val, b.Ts), field.One)
+	return nil
 }
 
-// verifyInitCheck checks step j of the entry image's column: record
-// j+1, read at time zero, multiplies in its factor.
+// verifyInitCheck checks block step j of the entry image's column: the
+// records of block j+1, read at time zero, multiply in their factors.
 func (v *segmentVerifier) verifyInitCheck(c *ProdCheck, j int, ch *challenges) error {
-	r, err := opened(v.col(proofEntry), &c.Record, j+1, decodeImageRecord)
+	num, _, _, err := v.imageBlock(proofEntry, &c.Record, j+1, ch, true)
 	if err != nil {
 		return err
 	}
-	return productStep(v.col(proofInitProd), c.Prods, j, ch.factor(r.Addr, r.Val, 0), field.One)
+	_, err = productStep(v.col(proofInitProd), c.Prods, j, num, field.One)
+	return err
 }
