@@ -28,11 +28,12 @@ test:
 # segmented (continuation) proving crew, the epoch batch (its window's
 # concurrent seals and a query mid-batch), the metrics registry, the HTTP layer, the sharded UDP ingest
 # pipeline, the checkpointing ledger plus the light-client sync that
-# reads it, and the STARK math kernel of the §7 ablation (shared
+# reads it, the STARK math kernel of the §7 ablation (shared
 # twiddle/ladder caches, pooled scratch, chunk-parallel
-# LDE/composition/FRI).
+# LDE/composition/FRI), and the slab pool every prover's scratch comes
+# from.
 race:
-	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg
+	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg ./internal/slab
 
 # Fallback lane: the SHA-256 compression kernel of internal/hashk runs
 # on amd64 with SHA-NI, and everywhere else the same functions hash

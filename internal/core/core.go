@@ -128,13 +128,6 @@ func (p *Prover) Round() int {
 	return len(p.history)
 }
 
-// CLogLen returns the current aggregated flow count.
-func (p *Prover) CLogLen() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.entries)
-}
-
 // History returns the aggregation receipts in order (shared slice —
 // do not mutate).
 func (p *Prover) History() []*AggregationResult {

@@ -13,6 +13,8 @@ package field
 import (
 	"fmt"
 	"math/bits"
+
+	"zkflow/internal/slab"
 )
 
 // Modulus is the Goldilocks prime p = 2^64 - 2^32 + 1.
@@ -26,6 +28,11 @@ const Generator uint64 = 7
 
 // Elem is an element of GF(p), stored in canonical form (< Modulus).
 type Elem uint64
+
+// Slabs recycles element scratch: the STARK kernel's working sets (LDE
+// columns, composition vectors, FRI layers) and the zkVM seal's product
+// columns.
+var Slabs slab.Pool[Elem]
 
 // New returns x mod p as a field element.
 func New(x uint64) Elem {
@@ -43,9 +50,6 @@ const (
 
 // Uint64 returns the canonical representative of e.
 func (e Elem) Uint64() uint64 { return uint64(e) }
-
-// IsZero reports whether e is the additive identity.
-func (e Elem) IsZero() bool { return e == 0 }
 
 // String implements fmt.Stringer.
 func (e Elem) String() string { return fmt.Sprintf("%d", uint64(e)) }
@@ -126,7 +130,7 @@ func Exp(base Elem, exp uint64) Elem {
 }
 
 // Inv returns the multiplicative inverse of a, or 0 if a is 0.
-// Callers that must reject zero should check IsZero first.
+// Callers that must reject zero check for it first.
 func Inv(a Elem) Elem {
 	if a == 0 {
 		return 0

@@ -186,7 +186,7 @@ func Prove(evals []field.Elem, degreeBound int, shift field.Elem, tr *transcript
 		proof.Roots = append(proof.Roots, root)
 		tr.Append("fri-root", root[:])
 		beta := tr.ChallengeElem("fri-beta")
-		next := poly.GetBuf(len(cur) / 2)
+		next := field.Slabs.Get(len(cur) / 2)
 		foldInto(next, cur, curShift, beta, workers)
 		cur = next
 		curShift = field.Square(curShift)
@@ -203,7 +203,7 @@ func Prove(evals []field.Elem, degreeBound int, shift field.Elem, tr *transcript
 	}
 	proof.Final = append(poly.Poly(nil), final[:bound]...)
 	if len(layers) > 0 {
-		poly.PutBuf(cur)
+		field.Slabs.Put(cur)
 	}
 	tr.AppendElems("fri-final", proof.Final...)
 
@@ -231,7 +231,7 @@ func Prove(evals []field.Elem, degreeBound int, shift field.Elem, tr *transcript
 	// every opened path, so nothing in the proof aliases them.
 	if len(layers) > 1 {
 		for _, l := range layers[1:] {
-			poly.PutBuf(l)
+			field.Slabs.Put(l)
 		}
 	}
 	for _, t := range trees {

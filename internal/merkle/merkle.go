@@ -23,10 +23,10 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"zkflow/internal/hashk"
 	"zkflow/internal/par"
+	"zkflow/internal/slab"
 )
 
 // Hash is a SHA-256 digest.
@@ -112,24 +112,16 @@ type Tree struct {
 	arena []Hash
 }
 
-// arenaPools recycles node arenas across tree builds, one pool per
-// tree depth (an arena is the 2^(depth+1)-1 nodes of a full tree), so
-// a build always gets back an arena of exactly its size and a seal's
-// large and small trees never evict each other. A build writes every
-// arena slot (real nodes are hashed or copied in, padding nodes come
-// from the padding table), so a dirty recycled arena produces a
-// node-for-node identical tree — TestReleasedArenaReuse pins that.
-// Large proofs build tens of MB of tree per seal; reusing the arena
-// keeps that out of the allocator and skips the runtime's zeroing of
-// fresh large objects.
-var arenaPools [maxDepth + 1]sync.Pool
-
-func getArena(depth int) []Hash {
-	if v := arenaPools[depth].Get(); v != nil {
-		return *v.(*[]Hash)
-	}
-	return make([]Hash, 2<<depth-1)
-}
+// arenas recycles node arenas across tree builds: an arena of
+// 2^(depth+1)-1 nodes lands in the 2^(depth+1) class, so a build gets
+// back an arena of its own size class and a seal's large and small
+// trees never evict each other. A build writes every arena slot (real
+// nodes are hashed or copied in, padding nodes come from the padding
+// table), so a dirty recycled arena produces a node-for-node identical
+// tree — TestReleasedArenaReuse pins that. Large proofs build tens of
+// MB of tree per seal; reusing the arena keeps that out of the
+// allocator and skips the runtime's zeroing of fresh large objects.
+var arenas slab.Pool[Hash]
 
 // Release returns the tree's node storage to an internal pool for
 // reuse by later builds and leaves the tree unusable (any further
@@ -139,10 +131,9 @@ func (t *Tree) Release() {
 	if t.arena == nil {
 		return
 	}
-	a, depth := t.arena, t.Depth()
+	arenas.Put(t.arena)
 	t.arena = nil
 	t.levels = nil
-	arenaPools[depth].Put(&a)
 }
 
 // BuildHashes constructs a tree over precomputed leaf hashes.
@@ -200,7 +191,7 @@ func NewBuilder(n int) *Builder {
 		size <<= 1
 		depth++
 	}
-	t := &Tree{nLeaves: n, levels: make([][]Hash, depth+1), arena: getArena(depth)}
+	t := &Tree{nLeaves: n, levels: make([][]Hash, depth+1), arena: arenas.Get(2<<depth - 1)}
 	off := 0
 	for l := range t.levels {
 		t.levels[l] = t.arena[off : off+size>>l]

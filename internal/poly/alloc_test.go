@@ -8,7 +8,7 @@ import (
 
 // TestKernelSteadyStateZeroAllocs is the allocation-regression gate
 // for the transform kernel: with warm twiddle/ladder caches and
-// caller-owned (pooled) buffers, NTT, INTT, NTTInto, CosetEvalInto,
+// caller-owned buffers, NTT, INTT, NTTInto, CosetEvalInto,
 // and the in-place interpolations must not allocate at all. Before
 // this kernel every CosetEval/Interpolate call allocated a fresh
 // domain-size slice and recomputed every root.
@@ -16,8 +16,7 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	const n = 1 << 12
 	shift := field.Elem(field.Generator)
 	p := Poly(randElems(n/4, 77))
-	buf := GetBuf(n)
-	defer PutBuf(buf)
+	buf := make([]field.Elem, n)
 
 	// Warm every cache the measured calls touch.
 	NTTInto(buf, p)
@@ -45,20 +44,5 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 		CosetInterpolateInPlace(buf, shift)
 	}); a > 0 {
 		t.Fatalf("CosetInterpolateInPlace allocates %v per run, want 0", a)
-	}
-}
-
-// TestPooledBufferReuse pins that the pool actually recycles: a
-// get/put cycle at a warm size class must not allocate.
-func TestPooledBufferReuse(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
-	PutBuf(GetBuf(1 << 10)) // warm the class
-	if a := testing.AllocsPerRun(10, func() {
-		b := GetBuf(1 << 10)
-		PutBuf(b)
-	}); a > 0 {
-		t.Fatalf("warm GetBuf/PutBuf allocates %v per run, want 0", a)
 	}
 }

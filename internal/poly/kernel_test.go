@@ -122,9 +122,9 @@ func TestIntoVariantsMatchCopying(t *testing.T) {
 
 func TestNTTIntoZeroPadsTail(t *testing.T) {
 	p := Poly(randElems(5, 44))
-	dst := GetBuf(16)
+	dst := make([]field.Elem, 16)
 	for i := range dst {
-		dst[i] = field.New(uint64(i) + 999) // dirty pooled scratch
+		dst[i] = field.New(uint64(i) + 999) // dirty scratch
 	}
 	NTTInto(dst, p)
 	want := EvalDomain(p, 16)
@@ -133,32 +133,11 @@ func TestNTTIntoZeroPadsTail(t *testing.T) {
 			t.Fatalf("NTTInto with dirty scratch diverges at %d", i)
 		}
 	}
-	PutBuf(dst)
-}
-
-func TestBufPoolRoundTrip(t *testing.T) {
-	b := GetBuf(100)
-	if len(b) != 100 {
-		t.Fatalf("GetBuf length %d", len(b))
-	}
-	if cap(b) != 128 {
-		t.Fatalf("GetBuf capacity %d, want 128", cap(b))
-	}
-	PutBuf(b)
-	// Foreign (non-power-of-two-capacity) slices are quietly dropped.
-	PutBuf(make([]field.Elem, 3, 7))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for GetBuf(0)")
-		}
-	}()
-	GetBuf(0)
 }
 
 func BenchmarkNTTInto65536(b *testing.B) {
 	p := Poly(randElems(1<<14, 45))
-	dst := GetBuf(1 << 16)
-	defer PutBuf(dst)
+	dst := make([]field.Elem, 1<<16)
 	b.SetBytes(8 << 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

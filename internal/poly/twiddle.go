@@ -1,14 +1,12 @@
 // Process-wide caches for the NTT kernel: per-size twiddle tables and
-// per-(start, ratio, size) geometric power ladders, plus a size-class
-// scratch pool. Everything here is built once and then read-only, the
-// same memoize-once discipline as zkvm.Program.ID — steady-state
-// proving does table lookups, never root recomputation, and the
-// pooled buffers make the kernel allocation-free after warm-up.
+// per-(start, ratio, size) geometric power ladders. Everything here is
+// built once and then read-only, the same memoize-once discipline as
+// zkvm.Program.ID — steady-state proving does table lookups, never root
+// recomputation.
 //
 // None of this affects proof bytes: the tables hold exactly the
 // values the retained serial reference computes with chained
-// multiplies (field arithmetic is exact), and pooling only recycles
-// memory whose contents are fully overwritten.
+// multiplies (field arithmetic is exact).
 package poly
 
 import (
@@ -103,53 +101,4 @@ func PowerLadder(start, ratio field.Elem, n int) []field.Elem {
 	}
 	actual, _ := ladderCache.LoadOrStore(key, l)
 	return actual.([]field.Elem)
-}
-
-// bufPools are size-class pools of scratch slices: class c recycles
-// slices of capacity exactly 2^c. GetBuf/PutBuf carry the kernel's
-// working sets (LDE columns, composition vectors, FRI layers) so
-// steady-state proving does zero kernel allocations. The slices are
-// pooled boxed (*[]field.Elem) and the empty boxes are themselves
-// recycled through boxPool — a naive Put(&b) would allocate a fresh
-// 24-byte header box on every recycle.
-var (
-	bufPools [field.TwoAdicity + 2]sync.Pool
-	boxPool  sync.Pool // empty *[]field.Elem headers
-)
-
-// GetBuf returns a length-n scratch slice with undefined contents
-// (callers overwrite every element or zero it explicitly). n must be
-// positive; capacity is rounded up to a power of two so the slice can
-// be pooled by size class.
-func GetBuf(n int) []field.Elem {
-	if n <= 0 {
-		panic("poly: GetBuf of non-positive size")
-	}
-	c := bits.Len(uint(n - 1)) // ceil(log2 n)
-	if v := bufPools[c].Get(); v != nil {
-		box := v.(*[]field.Elem)
-		b := (*box)[:n]
-		*box = nil
-		boxPool.Put(box)
-		return b
-	}
-	return make([]field.Elem, n, 1<<c)
-}
-
-// PutBuf recycles a slice obtained from GetBuf. Slices whose capacity
-// is not a power of two are quietly dropped, so passing a foreign
-// slice is harmless.
-func PutBuf(b []field.Elem) {
-	c := cap(b)
-	if c == 0 || c&(c-1) != 0 {
-		return
-	}
-	var box *[]field.Elem
-	if v := boxPool.Get(); v != nil {
-		box = v.(*[]field.Elem)
-	} else {
-		box = new([]field.Elem)
-	}
-	*box = b[:c]
-	bufPools[bits.TrailingZeros(uint(c))].Put(box)
 }

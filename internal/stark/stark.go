@@ -118,15 +118,15 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 	lde := make([][]field.Elem, cols) // lde[c][i]
 	par.ForChunks(workers, cols, func(clo, chi int) {
 		for c := clo; c < chi; c++ {
-			col := poly.GetBuf(n)
+			col := field.Slabs.Get(n)
 			for i := 0; i < n; i++ {
 				col[i] = trace[i][c]
 			}
 			coeffs := poly.InterpolateInPlace(col)
-			dst := poly.GetBuf(domain)
+			dst := field.Slabs.Get(domain)
 			poly.CosetEvalInto(dst, coeffs, shift)
 			lde[c] = dst
-			poly.PutBuf(col)
+			field.Slabs.Put(col)
 		}
 	})
 
@@ -165,12 +165,12 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 
 	friProof, err := fri.Prove(comp, bound, shift, tr, params.FriParams)
 	if err != nil {
-		poly.PutBuf(comp)
+		field.Slabs.Put(comp)
 		return nil, fmt.Errorf("stark: fri: %w", err)
 	}
 	// fri.Prove copies everything it keeps (roots, final coefficients,
 	// opened values), so the composition scratch can be recycled now.
-	poly.PutBuf(comp)
+	field.Slabs.Put(comp)
 
 	// Open the trace rows each FRI query needs: position p, its pair
 	// p+domain/2, and both rotations (+step).
@@ -197,7 +197,7 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 	// Recycle the LDE columns and the trace tree's arena: the opened
 	// rows were copied by rowVals and Prove copies every path.
 	for _, col := range lde {
-		poly.PutBuf(col)
+		field.Slabs.Put(col)
 	}
 	traceTree.Release()
 	return proof, nil
@@ -206,7 +206,7 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 // composition evaluates the random-linear constraint combination over
 // the whole LDE domain (prover side), chunk-parallel across workers.
 // The returned slice is pooled scratch owned by the caller (recycle
-// with poly.PutBuf). Chunks write disjoint ranges of the output and
+// with field.Slabs.Put). Chunks write disjoint ranges of the output and
 // all precomputation is exact arithmetic, so the result is
 // bit-identical at any worker count.
 func composition(a air.AIR, n, domain, step int, alphas []field.Elem, bnds []air.Boundary, lde [][]field.Elem, workers int) []field.Elem {
@@ -219,12 +219,12 @@ func composition(a air.AIR, n, domain, step int, alphas []field.Elem, bnds []air
 	// Precompute x_i (the cached, shared coset ladder), full-zerofier
 	// inverses (periodic with period step), and boundary denominators.
 	xs := poly.PowerLadder(shift, w, domain)
-	zfInv := poly.GetBuf(step)
+	zfInv := field.Slabs.Get(step)
 	for i := 0; i < step; i++ {
 		zfInv[i] = field.Sub(field.Exp(xs[i], uint64(n)), field.One)
 	}
 	field.BatchInv(zfInv)
-	lastDen := poly.GetBuf(domain)
+	lastDen := field.Slabs.Get(domain)
 	par.ForChunks(workers, domain, func(lo, hi int) {
 		field.SubScalarVec(lastDen[lo:hi], xs[lo:hi], gLast)
 	})
@@ -254,7 +254,7 @@ func composition(a air.AIR, n, domain, step int, alphas []field.Elem, bnds []air
 	bndDen := make([][]field.Elem, len(denRows))
 	for d, row := range denRows {
 		pt := field.Exp(g, uint64(row))
-		den := poly.GetBuf(domain)
+		den := field.Slabs.Get(domain)
 		par.ForChunks(workers, domain, func(lo, hi int) {
 			field.SubScalarVec(den[lo:hi], xs[lo:hi], pt)
 			field.BatchInv(den[lo:hi])
@@ -264,10 +264,10 @@ func composition(a air.AIR, n, domain, step int, alphas []field.Elem, bnds []air
 
 	nLocal, nTrans := a.NumLocal(), a.NumTransition()
 	cols := a.NumColumns()
-	comp := poly.GetBuf(domain)
+	comp := field.Slabs.Get(domain)
 	par.ForChunks(workers, domain, func(lo, hi int) {
-		curr := poly.GetBuf(cols)
-		next := poly.GetBuf(cols)
+		curr := field.Slabs.Get(cols)
+		next := field.Slabs.Get(cols)
 		localOut := make([]field.Elem, nLocal)
 		transOut := make([]field.Elem, nTrans)
 		for i := lo; i < hi; i++ {
@@ -304,13 +304,13 @@ func composition(a air.AIR, n, domain, step int, alphas []field.Elem, bnds []air
 			}
 			comp[i] = acc
 		}
-		poly.PutBuf(curr)
-		poly.PutBuf(next)
+		field.Slabs.Put(curr)
+		field.Slabs.Put(next)
 	})
-	poly.PutBuf(zfInv)
-	poly.PutBuf(lastDen)
+	field.Slabs.Put(zfInv)
+	field.Slabs.Put(lastDen)
 	for _, den := range bndDen {
-		poly.PutBuf(den)
+		field.Slabs.Put(den)
 	}
 	return comp
 }

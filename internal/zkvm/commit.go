@@ -6,15 +6,14 @@ import (
 	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
-	"math/bits"
 	"slices"
 	"sort"
-	"sync"
 
 	"zkflow/internal/field"
 	"zkflow/internal/hashk"
 	"zkflow/internal/merkle"
 	"zkflow/internal/par"
+	"zkflow/internal/slab"
 	"zkflow/internal/transcript"
 )
 
@@ -56,26 +55,8 @@ func (s salter) deriveSalt(label byte, index int) [saltBytes]byte {
 	return [saltBytes]byte(salt)
 }
 
-// saltSlabPool recycles the tables' salt keystreams (*[]byte).
-var saltSlabPool sync.Pool
-
-// getSaltSlab returns n bytes of slab. A pooled slab that is too small
-// is dropped, and a new one gets a power-of-two capacity, so the
-// similar-sized tables of one seal come to share one slab size.
-func getSaltSlab(n int) []byte {
-	if v := saltSlabPool.Get(); v != nil {
-		if s := *v.(*[]byte); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]byte, n, 1<<bits.Len(uint(n)))
-}
-
-func putSaltSlab(s []byte) {
-	if cap(s) > 0 {
-		saltSlabPool.Put(&s)
-	}
-}
+// saltSlabs recycles the tables' salt keystreams.
+var saltSlabs slab.Pool[byte]
 
 // table is one committed column of a seal: n records, leafRecords of
 // them to a leaf, leaf j being SHA-256(0x00 || salt_j || its records) —
@@ -134,7 +115,7 @@ func imageTable(salts salter, img []imageRecord) *table {
 // salted generates the salts of all of t's leaves into a pooled slab,
 // which t.release returns.
 func salted(t *table) *table {
-	t.keys = getSaltSlab(saltBytes * t.leaves())
+	t.keys = saltSlabs.Get(saltBytes * t.leaves())
 	t.salts.keystream(t.keys, t.label)
 	return t
 }
@@ -143,7 +124,7 @@ func salted(t *table) *table {
 // everything they keep.
 func (t *table) release() {
 	t.tree.Release()
-	putSaltSlab(t.keys)
+	saltSlabs.Put(t.keys)
 	t.keys = nil
 }
 
@@ -439,7 +420,7 @@ func openSteps(tr *transcript.Transcript, label string, checks int, recs, prods 
 // belong to the run's sealer.
 func (c *sealTables) release() {
 	for _, t := range []*table{c.logProd, c.finalProd, c.initProd} {
-		putProdSlab(t.prods)
+		field.Slabs.Put(t.prods)
 		t.release()
 	}
 	c.exec.release()

@@ -47,7 +47,7 @@ func TestSaltsAreAESCTR(t *testing.T) {
 // the blocks of a table whose last block and last leaf are partial.
 func TestTableSaltsMatchDeriveSalt(t *testing.T) {
 	seed := &[32]byte{5, 31: 0x77}
-	putSaltSlab(bytes.Repeat([]byte{0xee}, 64<<10)) // a dirty slab for the table to pick up
+	saltSlabs.Put(bytes.Repeat([]byte{0xee}, 64<<10)) // a dirty slab for the table to pick up
 	tab := memTable(newSalter(seed), make([]MemEntry, leafRecords*(2*1024+77)-1))
 	if tab.leaves() <= 2*1024 {
 		t.Fatalf("%d leaves is not a multi-block table", tab.leaves())

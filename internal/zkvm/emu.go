@@ -4,9 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"zkflow/internal/hashk"
+	"zkflow/internal/slab"
 )
 
 // Row is one execution-trace row: the machine state *before* the step
@@ -69,64 +70,30 @@ const maxHashWords = 1 << 24
 // proof costs the runtime a full zeroing pass plus append-growth
 // copies. Prove recycles the slabs of executions it created itself
 // (releaseExecution); an execution handed to an external caller
-// (Execute) neither comes from the pool nor returns to it.
+// (Execute) neither comes from the pools nor returns to them.
 var (
-	rowSlabPool sync.Pool // *[]Row
-	memSlabPool sync.Pool // *[]MemEntry
+	rowSlabs slab.Pool[Row]
+	memSlabs slab.Pool[MemEntry]
 )
 
-func getRowSlab() []Row {
-	if v := rowSlabPool.Get(); v != nil {
-		return (*v.(*[]Row))[:0]
-	}
-	return nil
+// traceHint is a running max of trace dimensions — rows in the high 32
+// bits, memory-log entries in the low 32 — updated by CAS; stale or zero
+// hints only cost growth, never correctness.
+type traceHint struct{ atomic.Uint64 }
+
+// anyTrace is the largest trace any program has produced: at least
+// what a pooled trace grows into (growDoubling).
+var anyTrace traceHint
+
+// load reports the largest (rows, memLog) trace noted, or zeros before
+// the first completed run.
+func (h *traceHint) load() (rows, mem int) {
+	v := h.Load()
+	return int(v >> 32), int(v & 0xffffffff)
 }
 
-func putRowSlab(s []Row) {
-	if cap(s) > 0 {
-		s = s[:0]
-		rowSlabPool.Put(&s)
-	}
-}
-
-func getMemSlab() []MemEntry {
-	if v := memSlabPool.Get(); v != nil {
-		return (*v.(*[]MemEntry))[:0]
-	}
-	return nil
-}
-
-// getRowSlabSized and getMemSlabSized return a slab with at least the
-// hinted capacity. A pooled slab that is too small (first run after a
-// pool eviction, or a bigger workload than anything seen yet) is
-// dropped on the floor so the pool converges to the steady-state size
-// instead of cycling undersized slabs back in.
-func getRowSlabSized(hint int) []Row {
-	s := getRowSlab()
-	if hint > 0 && cap(s) < hint {
-		return make([]Row, 0, hint)
-	}
-	return s
-}
-
-func getMemSlabSized(hint int) []MemEntry {
-	s := getMemSlab()
-	if hint > 0 && cap(s) < hint {
-		return make([]MemEntry, 0, hint)
-	}
-	return s
-}
-
-// traceSizeHint reports the largest (rows, memLog) trace this program
-// has produced, or zeros before the first completed run.
-func (p *Program) traceSizeHint() (rows, mem int) {
-	h := p.traceHint.Load()
-	return int(h >> 32), int(h & 0xffffffff)
-}
-
-// noteTraceSize folds a completed run's trace dimensions into the
-// program's running max.
-func (p *Program) noteTraceSize(rows, mem int) {
+// note folds a completed run's trace dimensions into the running max.
+func (h *traceHint) note(rows, mem int) {
 	nr, nm := uint64(rows), uint64(mem)
 	if nr > 0xffffffff {
 		nr = 0xffffffff
@@ -135,22 +102,15 @@ func (p *Program) noteTraceSize(rows, mem int) {
 		nm = 0xffffffff
 	}
 	for {
-		old := p.traceHint.Load()
+		old := h.Load()
 		or, om := old>>32, old&0xffffffff
 		if nr <= or && nm <= om {
 			return
 		}
 		r, m := max(nr, or), max(nm, om)
-		if p.traceHint.CompareAndSwap(old, r<<32|m) {
+		if h.CompareAndSwap(old, r<<32|m) {
 			return
 		}
-	}
-}
-
-func putMemSlab(s []MemEntry) {
-	if cap(s) > 0 {
-		s = s[:0]
-		memSlabPool.Put(&s)
 	}
 }
 
@@ -160,20 +120,31 @@ func putMemSlab(s []MemEntry) {
 // them — openings re-encode rows into fresh buffers and the journal
 // is copied.
 func releaseExecution(ex *Execution) {
-	putRowSlab(ex.Rows)
-	putMemSlab(ex.MemLog)
+	rowSlabs.Put(ex.Rows)
+	memSlabs.Put(ex.MemLog)
 	ex.Rows, ex.MemLog = nil, nil
 }
 
-// growDoubling returns s moved into a slab of twice the capacity (at
-// least 1024). The runtime grows large slices by only ~1.25x, so an
-// N-row trace built with bare append memmoves ~4N bytes through
-// growslice; doubling bounds the total copy traffic at N. Trace and
-// memory logs reach tens of MB, so this is a measurable slice of
-// serial proving time (E14).
-func growDoubling[T any](s []T) []T {
-	grown := make([]T, len(s), max(2*cap(s), 1024))
+// growDoubling returns s moved into a slab of pool of at least twice
+// the capacity (at least 1024), and puts s back. The runtime grows large
+// slices by only ~1.25x, so an N-row trace built with bare append
+// memmoves ~4N bytes through growslice; doubling bounds the total copy
+// traffic at N. Trace and memory logs reach tens of MB, so this is a
+// measurable slice of serial proving time (E14).
+//
+// From a pool the slab also holds at least least elements: the size of
+// the largest trace any program has produced. A program that has never
+// run — a freshly compiled query — then grows once, into a slab an
+// earlier run left in the pool, not up a ladder of doublings. A nil pool
+// grows into fresh memory by doubling alone.
+func growDoubling[T any](pool *slab.Pool[T], s []T, least int) []T {
+	n := max(2*cap(s), 1024)
+	if pool != nil {
+		n = max(n, least)
+	}
+	grown := pool.Get(n)[:len(s)]
 	copy(grown, s)
+	pool.Put(s)
 	return grown
 }
 
@@ -384,24 +355,15 @@ const DefaultMaxSteps = 1 << 26
 // Execute runs the guest program over the private input tape and
 // returns the full traced execution. A trap (bad pc, exhausted input,
 // unknown ecall, cycle budget) returns a *TrapError or ErrStepLimit;
-// no proof can be generated for a trapped run.
+// no proof can be generated for a trapped run. The execution never
+// comes back, so its trace is built on fresh slabs, not the pools':
+// taking the warm slabs for it would send the next Prove to freshly
+// faulted pages.
 func Execute(prog *Program, input []uint32, opts ExecOptions) (*Execution, error) {
-	return execute(prog, input, opts, false)
-}
-
-// execute is Execute. pooled says the caller hands the execution back
-// (releaseExecution), so the trace may be built on the pooled slabs; an
-// execution that leaves the package never comes back, and taking the
-// warm slabs for it would send the next Prove to freshly faulted pages.
-func execute(prog *Program, input []uint32, opts ExecOptions, pooled bool) (*Execution, error) {
 	m := newMachine(prog, input, neverCut, true)
-	m.unpooled = !pooled
+	m.rowSlabs, m.memSlabs = nil, nil
 	if err := m.run(opts.MaxSteps); err != nil {
-		if pooled {
-			releaseSegments(m.segs)
-		}
 		return nil, err
 	}
-	putImageSlab(m.seg.exitImg) // the final table of a pooled run: no caller reads it
 	return m.seg.ex, nil
 }

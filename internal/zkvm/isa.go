@@ -188,13 +188,11 @@ type Program struct {
 	id atomic.Pointer[ImageID]
 
 	// traceHint memoizes the largest trace this program has produced,
-	// whole run or one segment of a cut run (rows in the high 32 bits,
-	// memory-log entries in the low 32) so the machine can presize the
-	// slabs instead of paying capacity-doubling regrowth — the dominant
-	// term in the cold-start proving cliff (E15 in EXPERIMENTS.md). A
-	// running max updated by CAS; stale or zero hints only cost growth,
-	// never correctness.
-	traceHint atomic.Uint64
+	// whole run or one segment of a cut run, so the machine can presize
+	// the slabs instead of paying capacity-doubling regrowth — the
+	// dominant term in the cold-start proving cliff (E15 in
+	// EXPERIMENTS.md).
+	traceHint traceHint
 }
 
 // Encode serialises the program (8 bytes per instruction).

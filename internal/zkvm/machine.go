@@ -6,7 +6,8 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sync"
+
+	"zkflow/internal/slab"
 )
 
 // This file is the emulator core: one machine, one execution loop.
@@ -35,34 +36,13 @@ const (
 	tsChunkPages = 64
 )
 
-// tsChunk holds the access times of tsChunkPages pages.
-type tsChunk [tsChunkPages][pageWords]uint32
-
-// tsChunkPool recycles traced runs' access-time chunks (*tsChunk); a
-// chunk is cleared when it is taken.
-var tsChunkPool sync.Pool
-
-// imageSlabPool recycles the boundary images and final tables
-// (*[]imageRecord) of pooled runs.
-var imageSlabPool sync.Pool
-
-// getImageSlab returns an empty slab with room for n records. A pooled
-// slab that is too small is dropped, and a new one gets a power-of-two
-// capacity.
-func getImageSlab(n int) []imageRecord {
-	if v := imageSlabPool.Get(); v != nil {
-		if s := *v.(*[]imageRecord); cap(s) >= n {
-			return s[:0]
-		}
-	}
-	return make([]imageRecord, 0, 1<<bits.Len(uint(n)))
-}
-
-func putImageSlab(s []imageRecord) {
-	if cap(s) > 0 {
-		imageSlabPool.Put(&s)
-	}
-}
+// Slab pools for the boundary images and final tables of pooled runs,
+// and for traced runs' access-time chunks (a chunk is cleared when it
+// is taken).
+var (
+	imageSlabs slab.Pool[imageRecord]
+	tsSlabs    slab.Pool[[pageWords]uint32]
+)
 
 type page struct {
 	no    uint32 // addr >> pageBits
@@ -92,7 +72,7 @@ type pagedMem struct {
 	// unused rest of the last of the pooled chunks tsChunks.
 	stamped  bool
 	tsFree   [][pageWords]uint32
-	tsChunks []*tsChunk
+	tsChunks [][][pageWords]uint32
 }
 
 // find returns the page numbered no, or the empty slot it belongs in.
@@ -150,18 +130,14 @@ func (pm *pagedMem) touch(no uint32) *page {
 		(*s).no = no
 		if pm.stamped {
 			if len(pm.tsFree) == 0 {
-				c, _ := tsChunkPool.Get().(*tsChunk)
-				if c == nil {
-					c = new(tsChunk)
-				} else {
-					clear(c[:])
-				}
-				pm.tsChunks, pm.tsFree = append(pm.tsChunks, c), c[:]
+				c := tsSlabs.Get(tsChunkPages)
+				clear(c)
+				pm.tsChunks, pm.tsFree = append(pm.tsChunks, c), c
 			}
 			(*s).ts, pm.tsFree = &pm.tsFree[0], pm.tsFree[1:]
 		}
 		if len(pm.pages) == cap(pm.pages) {
-			pm.pages = growDoubling(pm.pages)
+			pm.pages = growDoubling(nil, pm.pages, 0)
 		}
 		pm.pages = append(pm.pages, *s)
 	}
@@ -197,7 +173,7 @@ func (pm *pagedMem) image(restart bool, img []imageRecord) []imageRecord {
 // is over: images have copied out every time they keep.
 func (pm *pagedMem) release() {
 	for _, c := range pm.tsChunks {
-		tsChunkPool.Put(c)
+		tsSlabs.Put(c)
 	}
 	pm.tsChunks, pm.tsFree = nil, nil
 }
@@ -216,9 +192,13 @@ type machine struct {
 	mem     pagedMem
 	scratch []byte // SysHash message buffer, grown to the largest request
 
-	cut      int  // steps per segment; neverCut for a one-segment run
-	traced   bool // false: count-only, a test and benchmark instrument that records nothing
-	unpooled bool // the trace outlives the package (Execute, never cut): build it on fresh slabs, and no final table
+	cut    int  // steps per segment; neverCut for a one-segment run
+	traced bool // false: count-only, a test and benchmark instrument that records nothing
+	// rowSlabs and memSlabs hold the trace; both are nil when it
+	// outlives the package (Execute, never cut): fresh slabs, and no
+	// final table.
+	rowSlabs *slab.Pool[Row]
+	memSlabs *slab.Pool[MemEntry]
 	// closed, if set, receives each segment the run cuts off, closed
 	// over its exit image, while the run goes on (ProveSeeded's sealer).
 	closed func(*segmentExecution)
@@ -243,7 +223,7 @@ func newMachine(prog *Program, input []uint32, cut int, traced bool) *machine {
 	if cut <= 0 {
 		cut = neverCut
 	}
-	m := &machine{prog: prog, input: input, cut: max(cut, minSegmentCycles), traced: traced, mask: -1}
+	m := &machine{prog: prog, input: input, cut: max(cut, minSegmentCycles), traced: traced, mask: -1, rowSlabs: &rowSlabs, memSlabs: &memSlabs}
 	m.mem.stamped = traced
 	if !traced {
 		m.rows, m.mask = make([]Row, 2), 1
@@ -280,16 +260,12 @@ func (m *machine) openSegment(b *Row, img []imageRecord, room int) {
 		// this program is known to produce — the largest segment it has
 		// traced, or the segment this run just filled — and double from
 		// there. A cut segment's log size is a guess.
-		hintRows, mem := m.prog.traceSizeHint()
+		hintRows, mem := m.prog.traceHint.load()
 		rows := min(m.cut, room, max(hintRows, prev, 1024)) + 1
 		if m.cut != neverCut {
 			mem = rows / 2
 		}
-		if m.unpooled {
-			m.rows, m.log = make([]Row, 0, rows), make([]MemEntry, 0, mem)
-		} else {
-			m.rows, m.log = getRowSlabSized(rows), getMemSlabSized(mem)
-		}
+		m.rows, m.log = m.rowSlabs.Get(rows), m.memSlabs.Get(mem)[:0]
 		m.rows = m.rows[:cap(m.rows)]
 	}
 	m.rows[0] = Row{PC: b.PC, Regs: b.Regs}
@@ -304,7 +280,7 @@ func (m *machine) cutSegment(room int) {
 	if m.traced {
 		img = m.image(true)
 		m.publish()
-		m.prog.noteTraceSize(m.n+1, len(m.log))
+		m.noteTrace()
 	}
 	m.openSegment(&b, img, room)
 	if m.traced {
@@ -315,9 +291,16 @@ func (m *machine) cutSegment(room int) {
 	}
 }
 
+// noteTrace folds the open segment's trace into its program's hint and
+// into anyTrace.
+func (m *machine) noteTrace() {
+	m.prog.traceHint.note(m.n+1, len(m.log))
+	anyTrace.note(m.n+1, len(m.log))
+}
+
 // image reads memory off as a final table into a pooled slab.
 func (m *machine) image(restart bool) []imageRecord {
-	return m.mem.image(restart, getImageSlab(pageWords*len(m.mem.pages)))
+	return m.mem.image(restart, imageSlabs.Get(pageWords * len(m.mem.pages))[:0])
 }
 
 // publish hands the open segment its trace: rows 0..n, the memory log,
@@ -334,9 +317,9 @@ func (m *machine) publish() {
 func releaseSegments(segs []*segmentExecution) {
 	for _, s := range segs {
 		releaseExecution(s.ex)
-		putImageSlab(s.entryImg)
+		imageSlabs.Put(s.entryImg)
 		if s.final {
-			putImageSlab(s.exitImg)
+			imageSlabs.Put(s.exitImg)
 		}
 		s.entryImg, s.exitImg = nil, nil
 	}
@@ -371,7 +354,8 @@ func (m *machine) run(maxSteps int) error {
 		}
 		i, j := m.n&m.mask, (m.n+1)&m.mask
 		if j >= len(m.rows) {
-			m.rows = growDoubling(m.rows)
+			least, _ := anyTrace.load()
+			m.rows = growDoubling(m.rowSlabs, m.rows, least+1)
 			m.rows = m.rows[:cap(m.rows)]
 		}
 		cur := &m.rows[i]
@@ -383,10 +367,10 @@ func (m *machine) run(maxSteps int) error {
 			if m.traced {
 				m.publish()
 				m.seg.final, m.seg.ex.ExitCode = true, cur.Regs[R1]
-				if !m.unpooled {
+				if m.rowSlabs != nil {
 					m.seg.exitImg = m.image(false)
 				}
-				m.prog.noteTraceSize(m.n+1, len(m.log))
+				m.noteTrace()
 			}
 			return nil
 		}
@@ -420,7 +404,8 @@ func (m *machine) store(addr, val uint32) error {
 // plus one.
 func (m *machine) logAccess(e MemEntry, ts *uint32) {
 	if len(m.log) == cap(m.log) {
-		m.log = growDoubling(m.log)
+		_, least := anyTrace.load()
+		m.log = growDoubling(m.memSlabs, m.log, least)
 	}
 	m.log = append(m.log, e)
 	*ts = uint32(len(m.log))

@@ -338,36 +338,34 @@ func TestHostileSegmentCycles(t *testing.T) {
 }
 
 // TestExecuteConstantAllocs is the allocation gate of a pooled Prove's
-// execute phase: in the steady state (slabs coming back from the pool)
-// a run costs the machine, its page table and its one segment — a
-// constant that does not grow with the rows traced.
+// execute phase, the machine driven as proveRun drives it: in the
+// steady state (slabs coming back from the pools) a run costs the
+// machine, its page table and its one segment — a constant that does
+// not grow with the rows traced.
 func TestExecuteConstantAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("slab pool misses are random under the race detector")
 	}
 	prog := loopProgram()
+	run := func(loops uint32) []*segmentExecution {
+		segs, err := executeSegmented(prog, []uint32{loops}, ExecOptions{}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return segs
+	}
 	allocs := func(loops uint32) float64 {
-		return testing.AllocsPerRun(5, func() {
-			ex, err := execute(prog, []uint32{loops}, ExecOptions{}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			releaseExecution(ex)
-		})
+		return testing.AllocsPerRun(5, func() { releaseSegments(run(loops)) })
 	}
 	large := allocs(40_000) // first, so the pooled slabs fit both sizes
 	// Sized by the program's trace hint, a rerun fits the pooled slabs —
 	// successor slot of the halt row included — and allocates neither.
-	var ex *Execution
-	var err error
-	grown := allocatedBytes(1, func() { ex, err = execute(prog, []uint32{40_000}, ExecOptions{}, true) })
-	if err != nil {
-		t.Fatal(err)
-	}
+	var segs []*segmentExecution
+	grown := allocatedBytes(1, func() { segs = run(40_000) })
 	if grown > 64<<10 {
-		t.Fatalf("a hinted, pooled %d-row run allocated %d bytes", len(ex.Rows), grown)
+		t.Fatalf("a hinted, pooled %d-row run allocated %d bytes", len(segs[0].ex.Rows), grown)
 	}
-	releaseExecution(ex)
+	releaseSegments(segs)
 	small := allocs(5_000)
 	if small > 16 || large > small+1 {
 		t.Fatalf("execute allocates %v per run at 25k rows and %v at 200k, want <= 16 and no growth", small, large)

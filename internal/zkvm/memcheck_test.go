@@ -370,7 +370,7 @@ func TestBlockStepRules(t *testing.T) {
 	}{
 		{"entry in the middle of a block", "block step 1: product step incorrect", forged, final, func(r *blockRig, _ []imageRecord) {
 			// The column steps over the honest entry 9, not the forged one.
-			putProdSlab(r.logCol)
+			field.Slabs.Put(r.logCol)
 			r.logCol = logColumn(log, &r.ch, 2)
 		}},
 		{"PrevTs at a block's last entry", "block step 0: log entry 7 reads a tuple of time 8", selfRead, selfReadFinal, nil},
@@ -461,11 +461,11 @@ func memoryRules(seg *segmentExecution, ch *challenges, width int) string {
 		return len(col) == blocks(n)
 	}
 	logCol := logColumn(ex.MemLog, ch, width)
-	defer putProdSlab(logCol)
+	defer field.Slabs.Put(logCol)
 	finalCol := imageColumn(seg.exitImg, ch, false)
-	defer putProdSlab(finalCol)
+	defer field.Slabs.Put(finalCol)
 	initCol := imageColumn(seg.entryImg, ch, true)
-	defer putProdSlab(initCol)
+	defer field.Slabs.Put(initCol)
 	if !steps(logCol, len(ex.MemLog), func(i int) (field.Elem, field.Elem) {
 		return ch.write(&ex.MemLog[i], i), ch.read(&ex.MemLog[i])
 	}) || !steps(finalCol, len(seg.exitImg), func(i int) (field.Elem, field.Elem) {

@@ -76,9 +76,9 @@ func checkProductColumns(t *testing.T, log []MemEntry, img []imageRecord, alpha,
 		}
 	}
 	logCol := logColumn(log, &ch, width)
-	defer putProdSlab(logCol)
+	defer field.Slabs.Put(logCol)
 	finalCol := imageColumn(img, &ch, false)
-	defer putProdSlab(finalCol)
+	defer field.Slabs.Put(finalCol)
 	for _, c := range []struct {
 		name      string
 		got, want []field.Elem
@@ -97,7 +97,7 @@ func checkProductColumns(t *testing.T, log []MemEntry, img []imageRecord, alpha,
 		}
 	}
 	tab := columnTable(newSalter(&[32]byte{9}), treeFinalProd, img, nil)
-	defer putSaltSlab(tab.keys)
+	defer saltSlabs.Put(tab.keys)
 	tab.prods = finalCol
 	var leaf [maxLeafBytes]byte
 	for j := range tab.leaves() {
@@ -227,8 +227,8 @@ func BenchmarkLogProduct(b *testing.B) {
 		col := logColumn(log, &ch, width)
 		t := prodTable(salts, treeLogProd, col)
 		commitTables(width, nil, t)
-		putSaltSlab(t.keys)
-		putProdSlab(col)
+		saltSlabs.Put(t.keys)
+		field.Slabs.Put(col)
 		t.tree.Release()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(log)), "ns/entry")

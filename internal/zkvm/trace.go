@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"zkflow/internal/field"
 	"zkflow/internal/hashk"
@@ -245,8 +244,8 @@ func blocks(n int) int { return (n + leafRecords - 1) / leafRecords }
 // returns it.
 func logColumn(log []MemEntry, ch *challenges, width int) []field.Elem {
 	m, n := len(log), blocks(len(log))
-	col, reads := getProdSlab(n), getProdSlab(n)
-	defer putProdSlab(reads)
+	col, reads := field.Slabs.Get(n), field.Slabs.Get(n)
+	defer field.Slabs.Put(reads)
 	chunks := width
 	if n < 2*width {
 		chunks = 1
@@ -297,7 +296,7 @@ func logColumn(log []MemEntry, ch *challenges, width int) []field.Elem {
 // columns as the lead task of the crew that hashes the log's column
 // beside them. The column comes from the slab pool.
 func imageColumn(img []imageRecord, ch *challenges, atZero bool) []field.Elem {
-	col := getProdSlab(blocks(len(img)))
+	col := field.Slabs.Get(blocks(len(img)))
 	acc := field.One
 	for j := range col {
 		for i := j * leafRecords; i < min((j+1)*leafRecords, len(img)); i++ {
@@ -310,30 +309,4 @@ func imageColumn(img []imageRecord, ch *challenges, atZero bool) []field.Elem {
 		col[j] = acc
 	}
 	return col
-}
-
-// prodSlabPool recycles the product columns and their scratch
-// (*[]field.Elem): two 8-byte elements per block of the memory log and
-// one per block of each image a seal would otherwise allocate, and
-// zero, on the grand product's path.
-var prodSlabPool sync.Pool
-
-// getProdSlab returns a slab of n elements whose contents are
-// arbitrary: every column writes each element before reading it. A
-// pooled slab that is too small is dropped, and a new one gets a
-// power-of-two capacity, as getSaltSlab's do, so the log's column, its
-// scratch and the image columns of one seal come to share slab sizes.
-func getProdSlab(n int) []field.Elem {
-	if v := prodSlabPool.Get(); v != nil {
-		if s := *v.(*[]field.Elem); cap(s) >= n {
-			return s[:n]
-		}
-	}
-	return make([]field.Elem, n, 1<<bits.Len(uint(n)))
-}
-
-func putProdSlab(s []field.Elem) {
-	if cap(s) > 0 {
-		prodSlabPool.Put(&s)
-	}
 }
