@@ -191,7 +191,9 @@ func BenchmarkAggregateEpochs(b *testing.B) {
 }
 
 // BenchmarkFastAggVsZKVM is E6/§7 specialized proving: hashes per
-// second under the three prover architectures.
+// second under the three prover architectures, each beside the bits of
+// soundness its proofs carry (zkvm.Soundness's headline, and
+// stark.Soundness for the chain AIR's degree-3 constraints).
 func BenchmarkFastAggVsZKVM(b *testing.B) {
 	var block [16]uint32
 	for i := range block {
@@ -201,23 +203,29 @@ func BenchmarkFastAggVsZKVM(b *testing.B) {
 		const hashes = 4
 		input := guest.SoftSHA256Input(hashes, block)
 		prog := guest.SoftSHA256ChainProgram()
+		var r *zkvm.Receipt
 		for i := 0; i < b.N; i++ {
-			if _, err := zkvm.Prove(prog, input, zkvm.ProveOptions{}); err != nil {
+			var err error
+			if r, err = zkvm.Prove(prog, input, zkvm.ProveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(hashes*b.N)/b.Elapsed().Seconds(), "hashes/s")
+		b.ReportMetric(zkvm.Soundness(r).Headline.Bits, "bits")
 	})
 	b.Run("zkvm-precompile", func(b *testing.B) {
 		const hashes = 1024
 		input := guest.SoftSHA256Input(hashes, block)
 		prog := guest.PrecompileHashChainProgram()
+		var r *zkvm.Receipt
 		for i := 0; i < b.N; i++ {
-			if _, err := zkvm.Prove(prog, input, zkvm.ProveOptions{}); err != nil {
+			var err error
+			if r, err = zkvm.Prove(prog, input, zkvm.ProveOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(hashes*b.N)/b.Elapsed().Seconds(), "hashes/s")
+		b.ReportMetric(zkvm.Soundness(r).Headline.Bits, "bits")
 	})
 	b.Run("specialized-stark", func(b *testing.B) {
 		var seed gperm.State
@@ -229,6 +237,7 @@ func BenchmarkFastAggVsZKVM(b *testing.B) {
 			}
 		}
 		b.ReportMetric(float64(((n-1)/gperm.Rounds)*b.N)/b.Elapsed().Seconds(), "hashes/s")
+		b.ReportMetric(stark.Soundness(stark.DefaultParams, n, 3), "bits")
 	})
 }
 

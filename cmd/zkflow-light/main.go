@@ -76,7 +76,7 @@ func main() {
 	}
 	fmt.Printf("SYNC VERIFIED: epoch %d -> %d (%d new entries across %d epochs)\n",
 		rep.From.Epoch, rep.To.Epoch, rep.NewEntries, len(rep.NewEpochs))
-	fmt.Printf("  receipts spot-verified: %d (rounds %v)\n", len(rep.SampledRounds), rep.SampledRounds)
+	fmt.Printf("  receipts spot-verified: %d (rounds %v), weakest %.3g bits\n", len(rep.SampledRounds), rep.SampledRounds, rep.SoundnessBits)
 	fmt.Printf("  inclusion proofs checked: %d\n", rep.ProofsChecked)
 	fmt.Printf("  transfer: %d bytes (%d cache revalidations)\n", rep.Bytes, rep.CacheHits)
 	d := rep.To.Digest()

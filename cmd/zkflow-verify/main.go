@@ -84,9 +84,9 @@ func main() {
 		if err != nil {
 			log.Fatalf("round %d verification FAILED: %v", round, err)
 		}
-		fmt.Printf("round %d: epoch %d, %d records, %d flows, root %v — VERIFIED (%d-segment chain) in %.1f ms\n",
+		fmt.Printf("round %d: epoch %d, %d records, %d flows, root %v — VERIFIED (%d-segment chain, %.3g bits) in %.1f ms\n",
 			round, j.Epoch, j.NumRecords, j.NewCount, j.NewRoot.Bytes(), receipt.NumSegments(),
-			time.Since(t0).Seconds()*1000)
+			zkvm.Soundness(receipt).Headline.Bits, time.Since(t0).Seconds()*1000)
 	}
 	fmt.Printf("aggregation chain VERIFIED; trusted root %v\n", verifier.TrustedRoot().Bytes())
 	if *stateFile != "" {
@@ -110,6 +110,6 @@ func main() {
 	if err != nil {
 		log.Fatalf("query verification FAILED: %v", err)
 	}
-	fmt.Printf("\n%s\n  result %d — VERIFIED (%d matched flows, %.1f ms, receipt %d B)\n",
-		*sql, j.Result(), j.Matched, time.Since(t0).Seconds()*1000, receipt.Size())
+	fmt.Printf("\n%s\n  result %d — VERIFIED (%d matched flows, %.3g bits, %.1f ms, receipt %d B)\n",
+		*sql, j.Result(), j.Matched, zkvm.Soundness(receipt).Headline.Bits, time.Since(t0).Seconds()*1000, receipt.Size())
 }

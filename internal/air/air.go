@@ -54,8 +54,7 @@ type AIR interface {
 // interpolates the period over the size-p subgroup. Evaluation costs
 // O(p) anywhere in the field — cheap for the verifier.
 type PeriodicPoly struct {
-	coeffs []field.Elem
-	period int
+	coeffs []field.Elem // one per period row
 }
 
 // NewPeriodic builds the polynomial for one period of values
@@ -71,16 +70,13 @@ func NewPeriodic(values []field.Elem) PeriodicPoly {
 	// the trace row points g^i with x^(n/p) = w_p^i for i ≡ r (mod p)
 	// (all roots come from the same 2-adic tower).
 	poly.INTT(coeffs)
-	return PeriodicPoly{coeffs: coeffs, period: p}
+	return PeriodicPoly{coeffs: coeffs}
 }
 
 // Eval evaluates the periodic column at point x of a length-n trace.
 func (pp PeriodicPoly) Eval(x field.Elem, n int) field.Elem {
-	return pp.EvalWithArg(field.Exp(x, uint64(n/pp.period)))
+	return pp.EvalWithArg(field.Exp(x, uint64(n/len(pp.coeffs))))
 }
-
-// Period returns the period length.
-func (pp PeriodicPoly) Period() int { return pp.period }
 
 // EvalWithArg evaluates given the precomputed argument x^(n/period) —
 // callers evaluating many periodic columns at one point compute the

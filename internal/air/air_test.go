@@ -30,9 +30,6 @@ func TestPeriodicPeriodOne(t *testing.T) {
 	if pp.Eval(field.New(12345), 16) != field.New(42) {
 		t.Fatal("constant periodic column broken")
 	}
-	if pp.Period() != 1 {
-		t.Fatal("period")
-	}
 }
 
 func TestPeriodicOffDomain(t *testing.T) {
@@ -42,7 +39,7 @@ func TestPeriodicOffDomain(t *testing.T) {
 	pp := NewPeriodic(values)
 	x := field.New(987654321)
 	n := 32
-	arg := field.Exp(x, uint64(n/pp.Period()))
+	arg := field.Exp(x, uint64(n/len(values)))
 	if pp.Eval(x, n) != pp.EvalWithArg(arg) {
 		t.Fatal("Eval and EvalWithArg disagree")
 	}

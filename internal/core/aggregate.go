@@ -140,7 +140,7 @@ func (p *Prover) seal(r *round) {
 // commit counts the round and, unless it failed, appends it to the
 // prover's history.
 func (p *Prover) commit(r *round) *AggregationResult {
-	p.met.aggDone(time.Since(r.start).Seconds(), r.err)
+	p.met.aggDone(time.Since(r.start).Seconds(), r.receipt, r.err)
 	if r.err != nil {
 		return nil
 	}

@@ -10,6 +10,7 @@
 //	core.agg_discarded                      counter, seals discarded after an earlier seal in their window failed
 //	core.query_total / core.query_failures  counters
 //	core.query_seconds                      histogram
+//	zkvm.soundness_bits                     histogram, each committed round's zkvm.Soundness headline bits
 //	trace.witness_seconds / trace.seal_seconds  histograms, witness / seal of each round
 //	prover.stage.<stage>_seconds            zkvm stage breakdown (see zkvm.Stages)
 package core
@@ -18,7 +19,13 @@ import (
 	"time"
 
 	"zkflow/internal/obs"
+	"zkflow/internal/zkvm"
 )
+
+// soundnessBuckets spans the headline bits a round's sampled checks
+// give: about 0.0008 at the epoch-1k round's size and the default 48
+// checks, more for smaller rounds or more checks.
+var soundnessBuckets = []float64{1e-4, 1e-3, 1e-2, 1e-1, 1, 10}
 
 // metrics bundles the prover's pre-resolved metric handles.
 type metrics struct {
@@ -32,6 +39,7 @@ type metrics struct {
 	queries       *obs.Counter
 	queryFailures *obs.Counter
 	querySeconds  *obs.Histogram
+	soundnessBits *obs.Histogram
 }
 
 // newMetrics pre-registers every prover metric so snapshots expose
@@ -52,6 +60,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		queries:       reg.Counter("core.query_total"),
 		queryFailures: reg.Counter("core.query_failures"),
 		querySeconds:  reg.Histogram("core.query_seconds", obs.DefaultLatencyBuckets),
+		soundnessBits: reg.Histogram("zkvm.soundness_bits", soundnessBuckets),
 	}
 }
 
@@ -63,13 +72,16 @@ func (m *metrics) sealDone(start time.Time) {
 	m.sealSeconds.Observe(time.Since(start).Seconds())
 }
 
-func (m *metrics) aggDone(seconds float64, err error) {
+func (m *metrics) aggDone(seconds float64, receipt zkvm.AnyReceipt, err error) {
 	if err != nil {
 		m.aggFailures.Inc()
 		return
 	}
 	m.aggRounds.Inc()
 	m.aggSeconds.Observe(seconds)
+	if r, ok := receipt.(*zkvm.Receipt); ok { // AnyReceipt's one implementation
+		m.soundnessBits.Observe(zkvm.Soundness(r).Headline.Bits)
+	}
 }
 
 func (m *metrics) queryDone(seconds float64, err error) {

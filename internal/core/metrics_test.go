@@ -117,3 +117,19 @@ func TestSerialAndQueryMetrics(t *testing.T) {
 		t.Fatal("core.agg_discarded not pre-registered")
 	}
 }
+
+// TestSoundnessBitsMetric checks that a committed round reports its
+// receipt's zkvm.Soundness headline as zkvm.soundness_bits.
+func TestSoundnessBitsMetric(t *testing.T) {
+	reg := obs.NewRegistry()
+	p, _ := pipelineWithOpts(t, 7, 1, 8, Options{Checks: 6, Metrics: reg})
+	res, err := p.AggregateEpoch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := zkvm.Soundness(res.Receipt.(*zkvm.Receipt)).Headline.Bits
+	h := reg.Snapshot().Histograms["zkvm.soundness_bits"]
+	if h.Count != 1 || h.Sum != want || want <= 0 {
+		t.Fatalf("zkvm.soundness_bits = %d rounds summing %v bits, want 1 round of %v", h.Count, h.Sum, want)
+	}
+}

@@ -8,10 +8,7 @@
 // measures exactly this gap in our implementation.
 //
 // The statement proven is: output = GPerm-round-chain(input, n-1
-// rounds), i.e. (n-1)/gperm.Rounds sequential permutations. The
-// commit helper derives the chain input by absorbing a CLog root, so
-// the proven tag acts as a verifiable sequential-work commitment over
-// the aggregate.
+// rounds), i.e. (n-1)/gperm.Rounds sequential permutations.
 package fastagg
 
 import (
@@ -24,7 +21,6 @@ import (
 	"zkflow/internal/gperm"
 	"zkflow/internal/stark"
 	"zkflow/internal/transcript"
-	"zkflow/internal/vmtree"
 )
 
 // Trace columns: 12 state columns s_j followed by 12 cube-helper
@@ -155,9 +151,6 @@ type Statement struct {
 	N      int // trace length; N-1 rounds were applied
 }
 
-// Hashes returns the whole permutations covered by the chain.
-func (s Statement) Hashes() int { return (s.N - 1) / gperm.Rounds }
-
 // Proof is a chain proof.
 type Proof struct {
 	Stmt  Statement
@@ -239,16 +232,4 @@ func Verify(p *Proof, params stark.Params) error {
 		return fmt.Errorf("%w: %v", ErrReject, err)
 	}
 	return nil
-}
-
-// SeedFromRoot derives a chain input from a CLog root: the
-// commit-to-aggregate use of the specialized prover.
-func SeedFromRoot(root vmtree.Digest) gperm.State {
-	var s gperm.State
-	for i, w := range root {
-		s[i] = field.New(uint64(w))
-	}
-	s[gperm.Width-1] = field.New(uint64(len(root)))
-	s.Permute()
-	return s
 }

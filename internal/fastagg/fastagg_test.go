@@ -6,7 +6,6 @@ import (
 	"zkflow/internal/field"
 	"zkflow/internal/gperm"
 	"zkflow/internal/stark"
-	"zkflow/internal/vmtree"
 )
 
 func testInput() gperm.State {
@@ -104,21 +103,6 @@ func TestProveRejectsBadLength(t *testing.T) {
 	}
 	if _, err := Prove(testInput(), 1, stark.DefaultParams); err == nil {
 		t.Fatal("length 1 accepted")
-	}
-}
-
-func TestStatementHashes(t *testing.T) {
-	s := Statement{N: 257}
-	if s.Hashes() != 32 {
-		t.Fatalf("hashes = %d", s.Hashes())
-	}
-}
-
-func TestSeedFromRootDistinct(t *testing.T) {
-	var a, b vmtree.Digest
-	b[0] = 1
-	if SeedFromRoot(a) == SeedFromRoot(b) {
-		t.Fatal("different roots, same seed")
 	}
 }
 

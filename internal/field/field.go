@@ -138,9 +138,6 @@ func Inv(a Elem) Elem {
 	return Exp(a, Modulus-2)
 }
 
-// Div returns a / b mod p (0 if b is 0).
-func Div(a, b Elem) Elem { return Mul(a, Inv(b)) }
-
 // BatchInv replaces each nonzero element of xs with its inverse using
 // Montgomery's trick (one field inversion plus 3(n-1) multiplications).
 // Zero elements are left as zero.

@@ -225,19 +225,6 @@ func TestPow7(t *testing.T) {
 	}
 }
 
-func TestDiv(t *testing.T) {
-	f := func(a, b uint64) bool {
-		x, y := New(a), New(b)
-		if y == 0 {
-			return Div(x, y) == 0
-		}
-		return Mul(Div(x, y), y) == x
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func BenchmarkMul(b *testing.B) {
 	x, y := New(0x123456789abcdef0), New(0xfedcba9876543210)
 	for i := 0; i < b.N; i++ {

@@ -7,46 +7,6 @@
 // formulation — and none of them allocates.
 package field
 
-// AddVec sets dst[i] = a[i] + b[i]. The slices must have equal
-// length; dst may alias a or b.
-func AddVec(dst, a, b []Elem) {
-	n := len(dst)
-	if len(a) != n || len(b) != n {
-		panic("field: AddVec length mismatch")
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := Add(a[i], b[i])
-		d1 := Add(a[i+1], b[i+1])
-		d2 := Add(a[i+2], b[i+2])
-		d3 := Add(a[i+3], b[i+3])
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
-	}
-	for ; i < n; i++ {
-		dst[i] = Add(a[i], b[i])
-	}
-}
-
-// SubVec sets dst[i] = a[i] - b[i]. The slices must have equal
-// length; dst may alias a or b.
-func SubVec(dst, a, b []Elem) {
-	n := len(dst)
-	if len(a) != n || len(b) != n {
-		panic("field: SubVec length mismatch")
-	}
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0 := Sub(a[i], b[i])
-		d1 := Sub(a[i+1], b[i+1])
-		d2 := Sub(a[i+2], b[i+2])
-		d3 := Sub(a[i+3], b[i+3])
-		dst[i], dst[i+1], dst[i+2], dst[i+3] = d0, d1, d2, d3
-	}
-	for ; i < n; i++ {
-		dst[i] = Sub(a[i], b[i])
-	}
-}
-
 // MulVec sets dst[i] = a[i] * b[i]. The slices must have equal
 // length; dst may alias a or b.
 func MulVec(dst, a, b []Elem) {

@@ -33,18 +33,6 @@ func TestVecOpsMatchScalar(t *testing.T) {
 		c := Elem(0xdeadbeef12345)
 
 		got := make([]Elem, n)
-		AddVec(got, a, b)
-		for i := range got {
-			if got[i] != Add(a[i], b[i]) {
-				t.Fatalf("AddVec n=%d i=%d", n, i)
-			}
-		}
-		SubVec(got, a, b)
-		for i := range got {
-			if got[i] != Sub(a[i], b[i]) {
-				t.Fatalf("SubVec n=%d i=%d", n, i)
-			}
-		}
 		MulVec(got, a, b)
 		for i := range got {
 			if got[i] != Mul(a[i], b[i]) {
@@ -92,7 +80,7 @@ func TestVecOpsLengthMismatchPanics(t *testing.T) {
 			t.Fatal("no panic on length mismatch")
 		}
 	}()
-	AddVec(make([]Elem, 3), make([]Elem, 4), make([]Elem, 3))
+	MulVec(make([]Elem, 3), make([]Elem, 4), make([]Elem, 3))
 }
 
 func TestButterflyIdentity(t *testing.T) {

@@ -24,15 +24,15 @@ import (
 
 // Params configures the protocol.
 type Params struct {
-	// Queries is the number of spot-check positions (soundness
-	// ~ rate^Queries contributions; 32 is a demo-grade default).
+	// Queries is the number of spot-check positions; stark.Soundness
+	// turns a count into bits of soundness.
 	Queries int
 	// FinalDegree is the degree bound below which the prover sends
 	// the polynomial in the clear instead of folding further.
 	FinalDegree int
 }
 
-// DefaultParams are demo-grade parameters.
+// DefaultParams are the parameters the STARK proves under by default.
 var DefaultParams = Params{Queries: 32, FinalDegree: 8}
 
 // Leaf layout: position j of a layer of size n commits the pair
@@ -192,25 +192,21 @@ func Prove(evals []field.Elem, degreeBound int, shift field.Elem, tr *transcript
 		curShift = field.Square(curShift)
 		bound /= 2
 	}
-	// Final polynomial in the clear. Proof.Final must own its memory
-	// (cur may be pooled scratch), so the bound-length prefix is copied
-	// out; when folds happened the interpolation itself runs in place.
-	var final poly.Poly
-	if len(layers) > 0 {
-		final = poly.CosetInterpolateInPlace(cur, curShift)
-	} else {
-		final = poly.CosetInterpolate(cur, curShift)
+	// Final polynomial in the clear, interpolated in place in pooled
+	// scratch: cur is that scratch after a fold, and a copy of the
+	// caller's evals when no fold happened. Proof.Final owns a copy of
+	// the bound-length prefix.
+	if len(layers) == 0 {
+		cur = append(field.Slabs.Get(n)[:0], cur...)
 	}
+	final := poly.CosetInterpolateInPlace(cur, curShift)
 	proof.Final = append(poly.Poly(nil), final[:bound]...)
-	if len(layers) > 0 {
-		field.Slabs.Put(cur)
-	}
+	field.Slabs.Put(cur)
 	tr.AppendElems("fri-final", proof.Final...)
 
 	// Query phase.
-	positions := tr.ChallengeIndices("fri-query", params.Queries, n/2)
-	proof.Positions = positions
-	for _, q := range positions {
+	proof.Positions = tr.ChallengeIndices("fri-query", params.Queries, n/2)
+	for _, q := range proof.Positions {
 		var qp QueryProof
 		j := q
 		for li := range layers {
@@ -237,7 +233,7 @@ func Prove(evals []field.Elem, degreeBound int, shift field.Elem, tr *transcript
 	for _, t := range trees {
 		t.Release()
 	}
-	return &Proof{Roots: proof.Roots, Final: proof.Final, Queries: proof.Queries, Positions: positions}, nil
+	return &proof, nil
 }
 
 // ErrReject is wrapped by all verification failures.
@@ -281,10 +277,7 @@ func Verify(proof *Proof, n, degreeBound int, shift field.Elem, tr *transcript.T
 		return fmt.Errorf("%w: %d queries, want %d", ErrReject, len(proof.Queries), len(positions))
 	}
 
-	logN := 0
-	for 1<<logN < n {
-		logN++
-	}
+	logN := bits.Len(uint(n)) - 1
 	inv2 := field.Inv(field.New(2))
 	for qi, q := range positions {
 		qp := &proof.Queries[qi]

@@ -20,10 +20,18 @@ func randomPoly(seed int64, degreeBound int) poly.Poly {
 	return p
 }
 
+// cosetEval returns p's evaluations over the coset shift * <w> of the
+// given size in a fresh slice.
+func cosetEval(p poly.Poly, shift field.Elem, size int) []field.Elem {
+	out := make([]field.Elem, size)
+	poly.CosetEvalInto(out, p, shift)
+	return out
+}
+
 func proveRoundTrip(t *testing.T, seed int64, domain, degreeBound int, params Params) (*Proof, error) {
 	t.Helper()
 	p := randomPoly(seed, degreeBound)
-	evals := poly.CosetEval(p, testShift, domain)
+	evals := cosetEval(p, testShift, domain)
 	tr := transcript.New("fri-test")
 	proof, err := Prove(evals, degreeBound, testShift, tr, params)
 	if err != nil {
@@ -54,7 +62,7 @@ func TestHighDegreeRejected(t *testing.T) {
 	// Evaluations of a degree-(bound*4) polynomial claimed as bound.
 	domain, bound := 512, 16
 	p := randomPoly(2, bound*4)
-	evals := poly.CosetEval(p, testShift, domain)
+	evals := cosetEval(p, testShift, domain)
 	tr := transcript.New("fri-test")
 	proof, err := Prove(evals, bound, testShift, tr, DefaultParams)
 	if err != nil {
@@ -68,7 +76,7 @@ func TestHighDegreeRejected(t *testing.T) {
 
 func TestTamperedFinalRejected(t *testing.T) {
 	p := randomPoly(3, 32)
-	evals := poly.CosetEval(p, testShift, 256)
+	evals := cosetEval(p, testShift, 256)
 	tr := transcript.New("fri-test")
 	proof, err := Prove(evals, 32, testShift, tr, DefaultParams)
 	if err != nil {
@@ -83,7 +91,7 @@ func TestTamperedFinalRejected(t *testing.T) {
 
 func TestTamperedOpeningRejected(t *testing.T) {
 	p := randomPoly(4, 32)
-	evals := poly.CosetEval(p, testShift, 256)
+	evals := cosetEval(p, testShift, 256)
 	tr := transcript.New("fri-test")
 	proof, err := Prove(evals, 32, testShift, tr, DefaultParams)
 	if err != nil {
@@ -98,7 +106,7 @@ func TestTamperedOpeningRejected(t *testing.T) {
 
 func TestWrongRootRejected(t *testing.T) {
 	p := randomPoly(5, 32)
-	evals := poly.CosetEval(p, testShift, 256)
+	evals := cosetEval(p, testShift, 256)
 	tr := transcript.New("fri-test")
 	proof, err := Prove(evals, 32, testShift, tr, DefaultParams)
 	if err != nil {
@@ -114,7 +122,7 @@ func TestWrongRootRejected(t *testing.T) {
 func TestLayer0BindingEnforced(t *testing.T) {
 	p := randomPoly(6, 32)
 	domain := 256
-	evals := poly.CosetEval(p, testShift, domain)
+	evals := cosetEval(p, testShift, domain)
 	tr := transcript.New("fri-test")
 	proof, err := Prove(evals, 32, testShift, tr, DefaultParams)
 	if err != nil {
@@ -138,7 +146,7 @@ func TestStatementBindingViaTranscript(t *testing.T) {
 	// A proof generated under one transcript prefix must not verify
 	// under another (Fiat-Shamir statement binding).
 	p := randomPoly(7, 32)
-	evals := poly.CosetEval(p, testShift, 256)
+	evals := cosetEval(p, testShift, 256)
 	tr := transcript.New("fri-test")
 	tr.Append("statement", []byte("A"))
 	proof, err := Prove(evals, 32, testShift, tr, DefaultParams)
@@ -158,7 +166,7 @@ func TestProofSizeLogarithmic(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := randomPoly(8, 512)
-	evals := poly.CosetEval(p, testShift, 4096)
+	evals := cosetEval(p, testShift, 4096)
 	tr := transcript.New("fri-test")
 	proof, _ := Prove(evals, 512, testShift, tr, DefaultParams)
 	// A 4096-point vector is 32 KiB; the proof must be far below the
@@ -184,7 +192,7 @@ func TestProveRejectsBadInputs(t *testing.T) {
 
 func BenchmarkProve4096(b *testing.B) {
 	p := randomPoly(9, 512)
-	evals := poly.CosetEval(p, testShift, 4096)
+	evals := cosetEval(p, testShift, 4096)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tr := transcript.New("fri-bench")
@@ -196,7 +204,7 @@ func BenchmarkProve4096(b *testing.B) {
 
 func BenchmarkVerify4096(b *testing.B) {
 	p := randomPoly(10, 512)
-	evals := poly.CosetEval(p, testShift, 4096)
+	evals := cosetEval(p, testShift, 4096)
 	tr := transcript.New("fri-bench")
 	proof, err := Prove(evals, 512, testShift, tr, DefaultParams)
 	if err != nil {

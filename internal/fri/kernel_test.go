@@ -16,7 +16,7 @@ import (
 // on sizes and every split is exact arithmetic over disjoint ranges.
 func TestProveByteDeterministicAcrossParallelism(t *testing.T) {
 	p := randomPoly(7, 64)
-	evals := poly.CosetEval(p, testShift, 1024)
+	evals := cosetEval(p, testShift, 1024)
 	prove := func(workers int) *Proof {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		proof, err := Prove(evals, 64, testShift, transcript.New("fri-par"), DefaultParams)
@@ -38,7 +38,7 @@ func TestProveByteDeterministicAcrossParallelism(t *testing.T) {
 // formulation with a chained 1/x accumulator (the pre-ladder code).
 func TestFoldIntoMatchesSerial(t *testing.T) {
 	for _, n := range []int{4, 64, 512} {
-		evals := poly.CosetEval(randomPoly(int64(n), n/2), testShift, n)
+		evals := cosetEval(randomPoly(int64(n), n/2), testShift, n)
 		beta := field.New(0xfeedface)
 		half := n / 2
 		logN := 0
@@ -74,7 +74,7 @@ func TestFoldIntoMatchesSerial(t *testing.T) {
 // recycle it.
 func TestProveLeavesCallerEvalsIntact(t *testing.T) {
 	p := randomPoly(9, 32)
-	evals := poly.CosetEval(p, testShift, 512)
+	evals := cosetEval(p, testShift, 512)
 	snapshot := append([]field.Elem(nil), evals...)
 	if _, err := Prove(evals, 32, testShift, transcript.New("fri-alias"), DefaultParams); err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestProveLeavesCallerEvalsIntact(t *testing.T) {
 // pooled fold layers being recycled and reused by a later prove.
 func TestProofFinalOwnsMemory(t *testing.T) {
 	p := randomPoly(11, 64)
-	evals := poly.CosetEval(p, testShift, 1024)
+	evals := cosetEval(p, testShift, 1024)
 	proof, err := Prove(evals, 64, testShift, transcript.New("fri-own"), DefaultParams)
 	if err != nil {
 		t.Fatal(err)
@@ -98,7 +98,7 @@ func TestProofFinalOwnsMemory(t *testing.T) {
 	final := append(poly.Poly(nil), proof.Final...)
 	// Churn the pools with a second proof over different data.
 	p2 := randomPoly(12, 64)
-	evals2 := poly.CosetEval(p2, testShift, 1024)
+	evals2 := cosetEval(p2, testShift, 1024)
 	if _, err := Prove(evals2, 64, testShift, transcript.New("fri-own-2"), DefaultParams); err != nil {
 		t.Fatal(err)
 	}

@@ -119,6 +119,7 @@ type Report struct {
 	NewEntries    int      // delta entries fetched and verified
 	NewEpochs     []uint64 // epochs newly covered by the sync
 	SampledRounds []int    // aggregation rounds spot-verified
+	SoundnessBits float64  // weakest zkvm.Soundness headline over SampledRounds
 	ProofsChecked int      // inclusion proofs verified in step 4
 	Bytes         uint64   // response bytes this sync read off the wire
 	CacheHits     uint64   // requests satisfied by 304 revalidation
@@ -245,8 +246,12 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 		candidates[i], candidates[j] = candidates[j], candidates[i]
 	})
 	for _, h := range candidates[:n] {
-		if err := verifyRound(ctx, c, h, verified, opts); err != nil {
+		bits, err := verifyRound(ctx, c, h, verified, opts)
+		if err != nil {
 			return nil, err
+		}
+		if len(rep.SampledRounds) == 0 || bits < rep.SoundnessBits {
+			rep.SoundnessBits = bits
 		}
 		rep.SampledRounds = append(rep.SampledRounds, h.Round)
 	}
@@ -265,11 +270,12 @@ func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 
 // verifyRound fetches and fully re-verifies one sampled aggregation
 // round with core.VerifyRound, against the verified ledger delta, and
-// checks that it proves the epoch its hint named.
-func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified map[entryKey]merkle.Hash, opts Options) error {
+// checks that it proves the epoch its hint named. It returns the
+// receipt's zkvm.Soundness headline bits.
+func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified map[entryKey]merkle.Hash, opts Options) (float64, error) {
 	receipt, err := c.AggregationReceipt(ctx, h.Round)
 	if err != nil {
-		return fmt.Errorf("%w: round %d: %w", ErrReceipt, h.Round, err)
+		return 0, fmt.Errorf("%w: round %d: %w", ErrReceipt, h.Round, err)
 	}
 	j, err := core.VerifyRound(receipt, zkvm.VerifyOptions{MinChecks: opts.MinChecks}, func(router uint32, epoch uint64) (merkle.Hash, error) {
 		hash, ok := verified[entryKey{router, epoch}]
@@ -279,12 +285,12 @@ func verifyRound(ctx context.Context, c *api.Client, h api.ReceiptHint, verified
 		return hash, nil
 	})
 	if err != nil {
-		return fmt.Errorf("%w: round %d: %w", ErrReceipt, h.Round, err)
+		return 0, fmt.Errorf("%w: round %d: %w", ErrReceipt, h.Round, err)
 	}
 	if uint64(j.Epoch) != h.Epoch {
-		return fmt.Errorf("%w: round %d proves epoch %d, hint said %d", ErrReceipt, h.Round, j.Epoch, h.Epoch)
+		return 0, fmt.Errorf("%w: round %d proves epoch %d, hint said %d", ErrReceipt, h.Round, j.Epoch, h.Epoch)
 	}
-	return nil
+	return zkvm.Soundness(receipt).Headline.Bits, nil
 }
 
 // spotCheckProofs pulls the server's inclusion proofs for one epoch,

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -19,6 +20,7 @@ import (
 	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
+	"zkflow/internal/zkvm"
 )
 
 // operator is a full in-process operator the light client syncs from.
@@ -125,6 +127,13 @@ func TestSyncAdvancesPin(t *testing.T) {
 	}
 	if len(rep.SampledRounds) != 2 {
 		t.Fatalf("sampled %v", rep.SampledRounds)
+	}
+	want := math.Inf(1)
+	for _, r := range rep.SampledRounds {
+		want = min(want, zkvm.Soundness(op.prover.History()[r].Receipt.(*zkvm.Receipt)).Headline.Bits)
+	}
+	if rep.SoundnessBits != want {
+		t.Fatalf("SoundnessBits = %v, want the weakest sampled headline %v", rep.SoundnessBits, want)
 	}
 	if rep.ProofsChecked == 0 {
 		t.Fatal("no inclusion proofs checked")

@@ -1,7 +1,8 @@
-// Package par provides the tiny deterministic fan-out helpers shared
-// by every prover in the repo: the zkVM seal (internal/zkvm), the
-// Merkle builder (internal/merkle) and the STARK math kernel
-// (internal/poly, internal/fri, internal/stark). Width is resolved in
+// Package par provides the one deterministic fan-out shared by every
+// prover in the repo: Each, and ForChunks as a chunking of it. Its
+// callers are the zkVM seal (internal/zkvm), the Merkle builder
+// (internal/merkle) and the STARK kernel (internal/fri,
+// internal/stark). Width is resolved in
 // one place (Workers, from GOMAXPROCS). A width of 1 runs everything
 // inline in submission order, so the serial path is the degenerate
 // case of the parallel one, and task and chunk boundaries depend only
@@ -53,28 +54,18 @@ func Each(workers, n int, fn func(i int)) {
 }
 
 // ForChunks splits [0, n) into one contiguous chunk per worker and
-// runs fn over the chunks concurrently. Chunk boundaries depend only
-// on (n, workers), so position-indexed writes are deterministic at
-// any width. Small inputs, and a width below 2, run inline.
+// runs fn over the chunks as Each tasks, so Each's crew is the one
+// fan-out. Chunk boundaries depend only on (n, workers), so
+// position-indexed writes are deterministic at any width. Small
+// inputs, and a width below 2, run as one inline chunk.
 func ForChunks(workers, n int, fn func(lo, hi int)) {
 	if workers <= 1 || n < 2*workers {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
+		workers = 1
 	}
 	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	Each(workers, workers, func(c int) {
+		if lo := c * chunk; lo < n {
+			fn(lo, min(lo+chunk, n))
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
+	})
 }

@@ -8,9 +8,9 @@ import (
 
 // TestKernelSteadyStateZeroAllocs is the allocation-regression gate
 // for the transform kernel: with warm twiddle/ladder caches and
-// caller-owned buffers, NTT, INTT, NTTInto, CosetEvalInto,
-// and the in-place interpolations must not allocate at all. Before
-// this kernel every CosetEval/Interpolate call allocated a fresh
+// caller-owned buffers, NTT, INTT, CosetEvalInto and
+// CosetInterpolateInPlace must not allocate at all. Before this kernel
+// every coset evaluation and interpolation allocated a fresh
 // domain-size slice and recomputed every root.
 func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	const n = 1 << 12
@@ -19,13 +19,9 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	buf := make([]field.Elem, n)
 
 	// Warm every cache the measured calls touch.
-	NTTInto(buf, p)
 	CosetEvalInto(buf, p, shift)
 	CosetInterpolateInPlace(buf, shift)
 
-	if a := testing.AllocsPerRun(10, func() { NTTInto(buf, p) }); a > 0 {
-		t.Fatalf("NTTInto allocates %v per run, want 0", a)
-	}
 	if a := testing.AllocsPerRun(10, func() { CosetEvalInto(buf, p, shift) }); a > 0 {
 		t.Fatalf("CosetEvalInto allocates %v per run, want 0", a)
 	}
@@ -34,11 +30,6 @@ func TestKernelSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(10, func() { INTT(buf) }); a > 0 {
 		t.Fatalf("INTT allocates %v per run, want 0", a)
-	}
-	if a := testing.AllocsPerRun(10, func() {
-		InterpolateInPlace(buf)
-	}); a > 0 {
-		t.Fatalf("InterpolateInPlace allocates %v per run, want 0", a)
 	}
 	if a := testing.AllocsPerRun(10, func() {
 		CosetInterpolateInPlace(buf, shift)

@@ -8,7 +8,7 @@ import (
 
 // FuzzNTTRoundTrip drives the transform identities at fuzzer-chosen
 // sizes, shifts, and contents: INTT(NTT(p)) == p, the coset pair
-// CosetInterpolate(CosetEval(p)) == p, and the table-driven kernel
+// CosetInterpolateInPlace(CosetEvalInto(p)) == p, and the table-driven kernel
 // against the retained serial reference. Any divergence is a
 // soundness bug (wrong polynomial arithmetic means wrong proofs), so
 // all three run on every input.
@@ -36,8 +36,9 @@ func FuzzNTTRoundTrip(f *testing.F) {
 
 		// Coset round trip: evaluate over shift*<w> at 4x rate, then
 		// recover the coefficients.
-		ev := CosetEval(Poly(src), shift, 4*n)
-		rec := CosetInterpolate(ev, shift)
+		ev := make([]field.Elem, 4*n)
+		CosetEvalInto(ev, Poly(src), shift)
+		rec := CosetInterpolateInPlace(ev, shift)
 		for i := range src {
 			if rec[i] != src[i] {
 				t.Fatalf("coset round trip diverges at %d (n=%d shift=%d)", i, n, shift)

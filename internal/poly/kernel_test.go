@@ -65,82 +65,21 @@ func TestPowerLadderRejectsNonPow2(t *testing.T) {
 	PowerLadder(field.One, field.New(3), 6)
 }
 
-// TestIntoVariantsMatchCopying pins the in-place/Into entry points to
-// their copying counterparts — same values, caller-owned storage.
-func TestIntoVariantsMatchCopying(t *testing.T) {
+// TestCosetEvalIntoZeroPadsTail checks that CosetEvalInto never reads
+// its destination: the prover hands it pooled, dirty scratch.
+func TestCosetEvalIntoZeroPadsTail(t *testing.T) {
 	shift := field.Elem(field.Generator)
-	p := Poly(randElems(100, 42))
-	const size = 256
-
-	want := EvalDomain(p, size)
-	dst := make([]field.Elem, size)
-	for i := range dst {
-		dst[i] = field.New(uint64(i) + 7) // dirty scratch must not leak through
-	}
-	EvalDomainInto(dst, p)
-	for i := range dst {
-		if dst[i] != want[i] {
-			t.Fatalf("EvalDomainInto diverges at %d", i)
-		}
-	}
-
-	wantC := CosetEval(p, shift, size)
-	for i := range dst {
-		dst[i] = field.New(uint64(i) * 3)
-	}
-	CosetEvalInto(dst, p, shift)
-	for i := range dst {
-		if dst[i] != wantC[i] {
-			t.Fatalf("CosetEvalInto diverges at %d", i)
-		}
-	}
-
-	evals := randElems(size, 43)
-	wantI := Interpolate(evals)
-	gotI := InterpolateInPlace(append([]field.Elem(nil), evals...))
-	for i := range wantI {
-		if gotI[i] != wantI[i] {
-			t.Fatalf("InterpolateInPlace diverges at %d", i)
-		}
-	}
-
-	wantCI := CosetInterpolate(evals, shift)
-	gotCI := CosetInterpolateInPlace(append([]field.Elem(nil), evals...), shift)
-	for i := range wantCI {
-		if gotCI[i] != wantCI[i] {
-			t.Fatalf("CosetInterpolateInPlace diverges at %d", i)
-		}
-	}
-	// The copying variant must not have mutated its input.
-	ref := randElems(size, 43)
-	for i := range evals {
-		if evals[i] != ref[i] {
-			t.Fatalf("CosetInterpolate mutated its input at %d", i)
-		}
-	}
-}
-
-func TestNTTIntoZeroPadsTail(t *testing.T) {
 	p := Poly(randElems(5, 44))
+	want := make([]field.Elem, 16)
+	CosetEvalInto(want, p, shift)
 	dst := make([]field.Elem, 16)
 	for i := range dst {
 		dst[i] = field.New(uint64(i) + 999) // dirty scratch
 	}
-	NTTInto(dst, p)
-	want := EvalDomain(p, 16)
+	CosetEvalInto(dst, p, shift)
 	for i := range dst {
 		if dst[i] != want[i] {
-			t.Fatalf("NTTInto with dirty scratch diverges at %d", i)
+			t.Fatalf("CosetEvalInto with dirty scratch diverges at %d", i)
 		}
-	}
-}
-
-func BenchmarkNTTInto65536(b *testing.B) {
-	p := Poly(randElems(1<<14, 45))
-	dst := make([]field.Elem, 1<<16)
-	b.SetBytes(8 << 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NTTInto(dst, p)
 	}
 }

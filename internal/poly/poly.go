@@ -1,7 +1,9 @@
-// Package poly provides polynomial arithmetic over the Goldilocks field:
-// in-place radix-2 number-theoretic transforms, interpolation, coset
-// low-degree extension, and pointwise helpers. These are the building
-// blocks of the FRI commitment scheme and the STARK prover.
+// Package poly provides the polynomial transforms of the STARK prover
+// over the Goldilocks field, one entry point each: in-place radix-2
+// number-theoretic transforms over a subgroup (NTT, INTT) and over a
+// coset (CosetEvalInto, CosetInterpolateInPlace), plus Horner
+// evaluation. These are the building blocks of the FRI commitment
+// scheme and the STARK prover.
 package poly
 
 import (
@@ -15,16 +17,6 @@ import (
 // coefficient of x^i. The zero value is the zero polynomial.
 type Poly []field.Elem
 
-// Degree returns the degree of p, with -1 for the zero polynomial.
-func (p Poly) Degree() int {
-	for i := len(p) - 1; i >= 0; i-- {
-		if p[i] != 0 {
-			return i
-		}
-	}
-	return -1
-}
-
 // Eval evaluates p at x via Horner's rule.
 func (p Poly) Eval(x field.Elem) field.Elem {
 	var acc field.Elem
@@ -32,54 +24,6 @@ func (p Poly) Eval(x field.Elem) field.Elem {
 		acc = field.Add(field.Mul(acc, x), p[i])
 	}
 	return acc
-}
-
-// Add returns p + q.
-func Add(p, q Poly) Poly {
-	n := len(p)
-	if len(q) > n {
-		n = len(q)
-	}
-	out := make(Poly, n)
-	for i := range out {
-		var a, b field.Elem
-		if i < len(p) {
-			a = p[i]
-		}
-		if i < len(q) {
-			b = q[i]
-		}
-		out[i] = field.Add(a, b)
-	}
-	return out
-}
-
-// MulScalar returns c * p.
-func MulScalar(p Poly, c field.Elem) Poly {
-	out := make(Poly, len(p))
-	for i, v := range p {
-		out[i] = field.Mul(v, c)
-	}
-	return out
-}
-
-// MulNaive returns p * q by schoolbook multiplication. Intended for
-// small polynomials (constraint composition); use NTT-based convolution
-// for anything large.
-func MulNaive(p, q Poly) Poly {
-	if len(p) == 0 || len(q) == 0 {
-		return nil
-	}
-	out := make(Poly, len(p)+len(q)-1)
-	for i, a := range p {
-		if a == 0 {
-			continue
-		}
-		for j, b := range q {
-			out[i+j] = field.Add(out[i+j], field.Mul(a, b))
-		}
-	}
-	return out
 }
 
 // bitReverse permutes xs in place by bit-reversed index.
@@ -173,63 +117,8 @@ func nttSerialReference(xs []field.Elem, inverse bool) {
 	}
 }
 
-// NTTInto writes the NTT of src into dst without touching src: it
-// copies the coefficients (zero-padding up to len(dst)) and transforms
-// in place. len(dst) must be a power of two ≥ len(src). This is the
-// allocation-free entry point for callers that own a scratch buffer.
-func NTTInto(dst []field.Elem, src Poly) {
-	if len(dst) < len(src) {
-		panic("poly: NTTInto destination smaller than polynomial")
-	}
-	n := copy(dst, src)
-	clearElems(dst[n:])
-	NTT(dst)
-}
-
-// EvalDomain evaluates p over the subgroup of the given power-of-two
-// size (zero-padding coefficients), returning a fresh slice.
-func EvalDomain(p Poly, size int) []field.Elem {
-	out := make([]field.Elem, size)
-	EvalDomainInto(out, p)
-	return out
-}
-
-// EvalDomainInto is EvalDomain writing into caller-owned storage:
-// dst receives p's evaluations over the size-len(dst) subgroup.
-func EvalDomainInto(dst []field.Elem, p Poly) {
-	if len(dst) < len(p) {
-		panic("poly: domain smaller than polynomial")
-	}
-	NTTInto(dst, p)
-}
-
-// Interpolate recovers the coefficients of the unique polynomial of
-// degree < len(evals) agreeing with evals over the subgroup of that size.
-func Interpolate(evals []field.Elem) Poly {
-	out := make(Poly, len(evals))
-	copy(out, evals)
-	INTT(out)
-	return out
-}
-
-// InterpolateInPlace is Interpolate for callers that own evals and do
-// not need them afterwards: the slice is transformed to coefficient
-// form in place and returned, with no copy and no allocation.
-func InterpolateInPlace(evals []field.Elem) Poly {
-	INTT(evals)
-	return Poly(evals)
-}
-
-// CosetEval evaluates p over the coset shift * <w> of the given
-// power-of-two size: output[i] = p(shift * w^i).
-func CosetEval(p Poly, shift field.Elem, size int) []field.Elem {
-	out := make([]field.Elem, size)
-	CosetEvalInto(out, p, shift)
-	return out
-}
-
-// CosetEvalInto is CosetEval writing into caller-owned storage: dst
-// receives p's evaluations over shift * <w> of size len(dst). The
+// CosetEvalInto writes p's evaluations over the coset shift * <w> of
+// power-of-two size len(dst) into dst: dst[i] = p(shift * w^i). The
 // coefficient scaling uses the cached power ladder of shift, so the
 // steady-state cost is one MulVec plus the NTT — no allocation.
 func CosetEvalInto(dst []field.Elem, p Poly, shift field.Elem) {
@@ -239,21 +128,14 @@ func CosetEvalInto(dst []field.Elem, p Poly, shift field.Elem) {
 	}
 	ladder := PowerLadder(field.One, shift, size)
 	field.MulVec(dst[:len(p)], p, ladder[:len(p)])
-	clearElems(dst[len(p):])
+	clear(dst[len(p):])
 	NTT(dst)
 }
 
-// CosetInterpolate inverts CosetEval: it recovers coefficients of the
-// polynomial whose evaluations over shift * <w> are evals.
-func CosetInterpolate(evals []field.Elem, shift field.Elem) Poly {
-	out := make([]field.Elem, len(evals))
-	copy(out, evals)
-	return CosetInterpolateInPlace(out, shift)
-}
-
-// CosetInterpolateInPlace is CosetInterpolate for callers that own
-// evals: the slice is transformed in place and returned as the
-// coefficient form, unscaled through the cached inverse-shift ladder.
+// CosetInterpolateInPlace inverts CosetEvalInto: it transforms evals,
+// the evaluations over shift * <w>, in place into the coefficients of
+// the polynomial they determine, unscaled through the cached
+// inverse-shift ladder, and returns the slice as that polynomial.
 func CosetInterpolateInPlace(evals []field.Elem, shift field.Elem) Poly {
 	INTT(evals)
 	if len(evals) > 0 {
@@ -261,56 +143,4 @@ func CosetInterpolateInPlace(evals []field.Elem, shift field.Elem) Poly {
 		field.MulVec(evals, evals, ladder)
 	}
 	return Poly(evals)
-}
-
-// clearElems zeroes a slice (the padding tail of an Into transform).
-func clearElems(xs []field.Elem) {
-	for i := range xs {
-		xs[i] = 0
-	}
-}
-
-// ZerofierEval returns Z(x) = x^n - 1 evaluated at x, the vanishing
-// polynomial of the size-n subgroup.
-func ZerofierEval(n uint64, x field.Elem) field.Elem {
-	return field.Sub(field.Exp(x, n), field.One)
-}
-
-// LagrangeInterpolate returns the unique polynomial of degree < len(xs)
-// passing through the points (xs[i], ys[i]). The xs must be distinct.
-// O(n^2); intended for small point sets (FRI consistency checks, DEEP).
-func LagrangeInterpolate(xs, ys []field.Elem) Poly {
-	if len(xs) != len(ys) {
-		panic("poly: mismatched point slices")
-	}
-	n := len(xs)
-	result := make(Poly, n)
-	basis := make(Poly, 0, n)
-	for i := 0; i < n; i++ {
-		// numerator = prod_{j != i} (x - xs[j])
-		basis = append(basis[:0], field.One)
-		denom := field.One
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			basis = mulLinear(basis, field.Neg(xs[j]))
-			denom = field.Mul(denom, field.Sub(xs[i], xs[j]))
-		}
-		scale := field.Mul(ys[i], field.Inv(denom))
-		for k, c := range basis {
-			result[k] = field.Add(result[k], field.Mul(c, scale))
-		}
-	}
-	return result
-}
-
-// mulLinear multiplies p by (x + c) in place, returning the grown slice.
-func mulLinear(p Poly, c field.Elem) Poly {
-	p = append(p, 0)
-	for i := len(p) - 1; i >= 1; i-- {
-		p[i] = field.Add(field.Mul(p[i], c), p[i-1])
-	}
-	p[0] = field.Mul(p[0], c)
-	return p
 }

@@ -3,7 +3,6 @@ package poly
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"zkflow/internal/field"
 )
@@ -14,18 +13,6 @@ func randPoly(rng *rand.Rand, n int) Poly {
 		p[i] = field.New(rng.Uint64())
 	}
 	return p
-}
-
-func TestDegree(t *testing.T) {
-	if (Poly{}).Degree() != -1 {
-		t.Error("empty poly degree")
-	}
-	if (Poly{0, 0}).Degree() != -1 {
-		t.Error("zero poly degree")
-	}
-	if (Poly{1, 2, 0}).Degree() != 1 {
-		t.Error("trailing zero degree")
-	}
 }
 
 func TestEvalHorner(t *testing.T) {
@@ -56,7 +43,8 @@ func TestNTTMatchesDirectEval(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n := 16
 	p := randPoly(rng, n)
-	evals := EvalDomain(p, n)
+	evals := append([]field.Elem(nil), p...)
+	NTT(evals)
 	w := field.RootOfUnity(4)
 	x := field.One
 	for i := 0; i < n; i++ {
@@ -80,8 +68,9 @@ func TestCosetEvalRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	p := randPoly(rng, 32)
 	shift := field.Elem(field.Generator)
-	evals := CosetEval(p, shift, 64)
-	q := CosetInterpolate(evals, shift)
+	evals := make([]field.Elem, 64)
+	CosetEvalInto(evals, p, shift)
+	q := CosetInterpolateInPlace(evals, shift)
 	for i := range p {
 		if q[i] != p[i] {
 			t.Fatalf("coset round trip mismatch at %d", i)
@@ -98,7 +87,8 @@ func TestCosetEvalMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := randPoly(rng, 8)
 	shift := field.New(3)
-	evals := CosetEval(p, shift, 16)
+	evals := make([]field.Elem, 16)
+	CosetEvalInto(evals, p, shift)
 	w := field.RootOfUnity(4)
 	x := shift
 	for i := range evals {
@@ -106,78 +96,6 @@ func TestCosetEvalMatchesDirect(t *testing.T) {
 			t.Fatalf("coset eval mismatch at %d", i)
 		}
 		x = field.Mul(x, w)
-	}
-}
-
-func TestAddAndMulNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	p := randPoly(rng, 5)
-	q := randPoly(rng, 7)
-	sum := Add(p, q)
-	prod := MulNaive(p, q)
-	for i := 0; i < 20; i++ {
-		x := field.New(rng.Uint64())
-		if sum.Eval(x) != field.Add(p.Eval(x), q.Eval(x)) {
-			t.Fatal("Add disagrees with pointwise evaluation")
-		}
-		if prod.Eval(x) != field.Mul(p.Eval(x), q.Eval(x)) {
-			t.Fatal("MulNaive disagrees with pointwise evaluation")
-		}
-	}
-}
-
-func TestMulNaiveEmpty(t *testing.T) {
-	if MulNaive(nil, Poly{1}) != nil {
-		t.Error("nil * p should be nil")
-	}
-}
-
-func TestLagrangeInterpolate(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	p := randPoly(rng, 6)
-	xs := make([]field.Elem, 6)
-	ys := make([]field.Elem, 6)
-	for i := range xs {
-		xs[i] = field.New(uint64(i + 1))
-		ys[i] = p.Eval(xs[i])
-	}
-	q := LagrangeInterpolate(xs, ys)
-	for i := range p {
-		if q[i] != p[i] {
-			t.Fatalf("Lagrange coefficient %d mismatch: %v vs %v", i, q[i], p[i])
-		}
-	}
-}
-
-func TestLagrangeSinglePoint(t *testing.T) {
-	q := LagrangeInterpolate([]field.Elem{field.New(9)}, []field.Elem{field.New(4)})
-	if len(q) != 1 || q[0] != field.New(4) {
-		t.Fatalf("single point interpolation = %v", q)
-	}
-}
-
-func TestZerofierEval(t *testing.T) {
-	w := field.RootOfUnity(3)
-	for i := 0; i < 8; i++ {
-		x := field.Exp(w, uint64(i))
-		if ZerofierEval(8, x) != 0 {
-			t.Fatalf("zerofier nonzero on subgroup element %d", i)
-		}
-	}
-	if ZerofierEval(8, field.New(3)) == 0 {
-		t.Fatal("zerofier zero off subgroup")
-	}
-}
-
-func TestMulScalar(t *testing.T) {
-	f := func(a, b, c uint64) bool {
-		p := Poly{field.New(a), field.New(b)}
-		q := MulScalar(p, field.New(c))
-		x := field.New(a ^ b ^ c)
-		return q.Eval(x) == field.Mul(p.Eval(x), field.New(c))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -21,6 +21,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"math/bits"
 	"sort"
 
@@ -39,7 +40,8 @@ type Params struct {
 	FriParams fri.Params
 }
 
-// DefaultParams are demo-grade parameters.
+// DefaultParams are the parameters E6 proves under; Soundness says
+// what they give.
 var DefaultParams = Params{FriParams: fri.DefaultParams}
 
 // shift is the LDE coset shift (off the trace subgroup).
@@ -74,11 +76,26 @@ func (p *Proof) Size() int {
 func layout(n, maxDegree int) (bound, domain int) {
 	// Quotient degrees stay below maxDegree*n; round the bound up to
 	// a power of two and evaluate at rate 1/4.
-	bound = 1
-	for bound < maxDegree*n {
-		bound <<= 1
-	}
+	bound = 1 << bits.Len(uint(maxDegree*n-1))
 	return bound, 4 * bound
+}
+
+// Soundness is the soundness in bits of a proof over a trace of n rows
+// under constraints of the given degree: −log2 of the FRI query term
+// ((1+ρ)/2)^Queries plus the field term |D|/p, where ρ = bound/|D| =
+// 1/4 and |D| come from layout. (1+ρ)/2 is the per-query error FRI
+// provably has in the unique-decoding regime; the conjectured ρ per
+// query of the list-decoding regime would read about three times
+// higher and is not claimed.
+func Soundness(params Params, n, degree int) float64 {
+	bound, domain := layout(n, degree)
+	queries := params.FriParams.Queries
+	if queries <= 0 {
+		queries = fri.DefaultParams.Queries // what fri.Prove substitutes
+	}
+	rho := float64(bound) / float64(domain)
+	eps := math.Pow((1+rho)/2, float64(queries)) + float64(domain)/float64(field.Modulus)
+	return -math.Log2(eps)
 }
 
 // rowLeaf serialises one LDE row for commitment.
@@ -122,9 +139,9 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 			for i := 0; i < n; i++ {
 				col[i] = trace[i][c]
 			}
-			coeffs := poly.InterpolateInPlace(col)
+			poly.INTT(col)
 			dst := field.Slabs.Get(domain)
-			poly.CosetEvalInto(dst, coeffs, shift)
+			poly.CosetEvalInto(dst, col, shift)
 			lde[c] = dst
 			field.Slabs.Put(col)
 		}
@@ -154,14 +171,8 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 	})
 	root := traceTree.Root()
 
-	tr.Append("trace-root", root[:])
-	tr.AppendUint64("trace-n", uint64(n))
-	nLocal, nTrans := a.NumLocal(), a.NumTransition()
-	bnds := a.Boundaries(n)
-	alphas := tr.ChallengeElems("alphas", nLocal+nTrans+len(bnds))
-
 	// Composition evaluation over the LDE domain.
-	comp := composition(a, n, domain, step, alphas, bnds, lde, workers)
+	comp := composition(drawConstraints(a, n, root, tr), domain, lde, workers)
 
 	friProof, err := fri.Prove(comp, bound, shift, tr, params.FriParams)
 	if err != nil {
@@ -203,113 +214,126 @@ func Prove(a air.AIR, trace [][]field.Elem, tr *transcript.Transcript, params Pa
 	return proof, nil
 }
 
-// composition evaluates the random-linear constraint combination over
-// the whole LDE domain (prover side), chunk-parallel across workers.
-// The returned slice is pooled scratch owned by the caller (recycle
-// with field.Slabs.Put). Chunks write disjoint ranges of the output and
-// all precomputation is exact arithmetic, so the result is
-// bit-identical at any worker count.
-func composition(a air.AIR, n, domain, step int, alphas []field.Elem, bnds []air.Boundary, lde [][]field.Elem, workers int) []field.Elem {
-	logD := bits.Len(uint(domain)) - 1
-	w := field.RootOfUnity(logD)
-	logN := bits.Len(uint(n)) - 1
-	g := field.RootOfUnity(logN)
-	gLast := field.Exp(g, uint64(n-1))
+// constraints is an AIR under one draw of its combination
+// coefficients: the one constraint evaluator Prove and Verify share.
+type constraints struct {
+	a      air.AIR
+	n      int
+	nLocal int
+	g      field.Elem     // generator of the trace subgroup
+	alphas []field.Elem   // local, then transition, then boundary
+	bnds   []air.Boundary // in a.Boundaries order
+	// Boundaries pin many cells on few distinct rows (the chain AIR
+	// pins 24 cells on rows {0, n-1}), so each boundary divides by the
+	// inverse of x - g^row for its row, one inverse per distinct row:
+	// rows holds each distinct g^row, rowOf[k] boundary k's entry.
+	rows  []field.Elem
+	rowOf []int
+}
 
-	// Precompute x_i (the cached, shared coset ladder), full-zerofier
-	// inverses (periodic with period step), and boundary denominators.
-	xs := poly.PowerLadder(shift, w, domain)
+// drawConstraints binds the trace commitment into the transcript and
+// draws the combination coefficients.
+func drawConstraints(a air.AIR, n int, root merkle.Hash, tr *transcript.Transcript) *constraints {
+	tr.Append("trace-root", root[:])
+	tr.AppendUint64("trace-n", uint64(n))
+	c := &constraints{a: a, n: n, nLocal: a.NumLocal(), g: field.RootOfUnity(bits.Len(uint(n)) - 1), bnds: a.Boundaries(n)}
+	c.alphas = tr.ChallengeElems("alphas", c.nLocal+a.NumTransition()+len(c.bnds))
+	seen := map[int]int{}
+	for _, b := range c.bnds {
+		d, ok := seen[b.Row]
+		if !ok {
+			d = len(c.rows)
+			seen[b.Row] = d
+			c.rows = append(c.rows, field.Exp(c.g, uint64(b.Row)))
+		}
+		c.rowOf = append(c.rowOf, d)
+	}
+	return c
+}
+
+// gLast is g^(n-1), the trace row no transition constraint leaves.
+func (c *constraints) gLast() field.Elem { return field.Exp(c.g, uint64(c.n-1)) }
+
+// combine evaluates the random-linear constraint combination at x from
+// the trace row at x (curr) and at g·x (next), in alpha order: each
+// local value times zfInv = 1/(x^n - 1), each transition value times
+// zt = (x - g^(n-1))/(x^n - 1), and boundary k's residue times
+// rowInv[rowOf[k]] = 1/(x - g^row). out is the caller's scratch,
+// NumLocal+NumTransition long.
+func (c *constraints) combine(x field.Elem, curr, next []field.Elem, zfInv, zt field.Elem, rowInv, out []field.Elem) field.Elem {
+	c.a.EvalLocal(x, c.n, curr, out[:c.nLocal])
+	c.a.EvalTransition(x, c.n, curr, next, out[c.nLocal:])
+	var acc field.Elem
+	for i, v := range out {
+		z := zt
+		if i < c.nLocal {
+			z = zfInv
+		}
+		acc = field.Add(acc, field.Mul(c.alphas[i], field.Mul(v, z)))
+	}
+	for k, b := range c.bnds {
+		v := field.Sub(curr[b.Col], b.Value)
+		acc = field.Add(acc, field.Mul(c.alphas[len(out)+k], field.Mul(v, rowInv[c.rowOf[k]])))
+	}
+	return acc
+}
+
+// composition evaluates the constraint combination over the whole LDE
+// domain (prover side), chunk-parallel across workers, from the
+// precomputed inverses: the full-zerofier inverses (periodic with
+// period domain/n), x - g^(n-1), and one inverted domain-size vector
+// per distinct boundary row. The returned slice is pooled scratch
+// owned by the caller (recycle with field.Slabs.Put). Chunks write
+// disjoint ranges of the output and inversion is exact and unique, so
+// the result is bit-identical at any worker count.
+func composition(c *constraints, domain int, lde [][]field.Elem, workers int) []field.Elem {
+	n, step := c.n, domain/c.n
+	xs := poly.PowerLadder(shift, field.RootOfUnity(bits.Len(uint(domain))-1), domain)
 	zfInv := field.Slabs.Get(step)
 	for i := 0; i < step; i++ {
 		zfInv[i] = field.Sub(field.Exp(xs[i], uint64(n)), field.One)
 	}
 	field.BatchInv(zfInv)
 	lastDen := field.Slabs.Get(domain)
+	gLast := c.gLast()
 	par.ForChunks(workers, domain, func(lo, hi int) {
 		field.SubScalarVec(lastDen[lo:hi], xs[lo:hi], gLast)
 	})
-
-	// Boundary denominators deduplicated by row: AIRs typically pin
-	// many cells on very few distinct rows (the chain AIR pins 24
-	// cells on rows {0, n-1}), so one inverted domain-size vector per
-	// distinct row replaces one per boundary. Inversion is exact and
-	// unique, so chunked BatchInv matches the serial result bit for
-	// bit.
-	denIdx := make([]int, len(bnds))
-	var denRows []int
-	for k, b := range bnds {
-		found := -1
-		for d, r := range denRows {
-			if r == b.Row {
-				found = d
-				break
-			}
-		}
-		if found < 0 {
-			found = len(denRows)
-			denRows = append(denRows, b.Row)
-		}
-		denIdx[k] = found
-	}
-	bndDen := make([][]field.Elem, len(denRows))
-	for d, row := range denRows {
-		pt := field.Exp(g, uint64(row))
+	rowDen := make([][]field.Elem, len(c.rows))
+	for d, pt := range c.rows {
 		den := field.Slabs.Get(domain)
 		par.ForChunks(workers, domain, func(lo, hi int) {
 			field.SubScalarVec(den[lo:hi], xs[lo:hi], pt)
 			field.BatchInv(den[lo:hi])
 		})
-		bndDen[d] = den
+		rowDen[d] = den
 	}
 
-	nLocal, nTrans := a.NumLocal(), a.NumTransition()
-	cols := a.NumColumns()
+	cols := len(lde)
 	comp := field.Slabs.Get(domain)
 	par.ForChunks(workers, domain, func(lo, hi int) {
 		curr := field.Slabs.Get(cols)
 		next := field.Slabs.Get(cols)
-		localOut := make([]field.Elem, nLocal)
-		transOut := make([]field.Elem, nTrans)
+		rowInv := make([]field.Elem, len(rowDen))
+		out := make([]field.Elem, len(c.alphas)-len(c.bnds))
 		for i := lo; i < hi; i++ {
-			for c := 0; c < cols; c++ {
-				curr[c] = lde[c][i]
-			}
 			ni := (i + step) % domain
-			for c := 0; c < cols; c++ {
-				next[c] = lde[c][ni]
+			for col := range lde {
+				curr[col] = lde[col][i]
+				next[col] = lde[col][ni]
 			}
-			var acc field.Elem
-			ai := 0
-			if nLocal > 0 {
-				a.EvalLocal(xs[i], n, curr, localOut)
-				for _, v := range localOut {
-					acc = field.Add(acc, field.Mul(alphas[ai], field.Mul(v, zfInv[i%step])))
-					ai++
-				}
-			} else {
-				ai += nLocal
+			for d, den := range rowDen {
+				rowInv[d] = den[i]
 			}
-			if nTrans > 0 {
-				a.EvalTransition(xs[i], n, curr, next, transOut)
-				// 1/Z_trans = (x - g^{n-1}) / (x^n - 1).
-				zt := field.Mul(zfInv[i%step], lastDen[i])
-				for _, v := range transOut {
-					acc = field.Add(acc, field.Mul(alphas[ai], field.Mul(v, zt)))
-					ai++
-				}
-			}
-			for k, b := range bnds {
-				v := field.Sub(curr[b.Col], b.Value)
-				acc = field.Add(acc, field.Mul(alphas[ai+k], field.Mul(v, bndDen[denIdx[k]][i])))
-			}
-			comp[i] = acc
+			zf := zfInv[i%step]
+			comp[i] = c.combine(xs[i], curr, next, zf, field.Mul(zf, lastDen[i]), rowInv, out)
 		}
 		field.Slabs.Put(curr)
 		field.Slabs.Put(next)
 	})
 	field.Slabs.Put(zfInv)
 	field.Slabs.Put(lastDen)
-	for _, den := range bndDen {
+	for _, den := range rowDen {
 		field.Slabs.Put(den)
 	}
 	return comp
@@ -329,11 +353,7 @@ func Verify(a air.AIR, proof *Proof, tr *transcript.Transcript, params Params) e
 	bound, domain := layout(n, a.MaxDegree())
 	step := domain / n
 
-	tr.Append("trace-root", proof.TraceRoot[:])
-	tr.AppendUint64("trace-n", uint64(n))
-	nLocal, nTrans := a.NumLocal(), a.NumTransition()
-	bnds := a.Boundaries(n)
-	alphas := tr.ChallengeElems("alphas", nLocal+nTrans+len(bnds))
+	c := drawConstraints(a, n, proof.TraceRoot, tr)
 
 	// Authenticate the opened rows once.
 	rows := make(map[int][]field.Elem, len(proof.Rows))
@@ -349,19 +369,10 @@ func Verify(a air.AIR, proof *Proof, tr *transcript.Transcript, params Params) e
 		rows[ro.Pos] = ro.Values
 	}
 
-	logD := 0
-	for 1<<logD < domain {
-		logD++
-	}
-	w := field.RootOfUnity(logD)
-	logN := 0
-	for 1<<logN < n {
-		logN++
-	}
-	g := field.RootOfUnity(logN)
-	gLast := field.Exp(g, uint64(n-1))
-	localOut := make([]field.Elem, nLocal)
-	transOut := make([]field.Elem, nTrans)
+	w := field.RootOfUnity(bits.Len(uint(domain)) - 1)
+	gLast := c.gLast()
+	rowInv := make([]field.Elem, len(c.rows))
+	out := make([]field.Elem, len(c.alphas)-len(c.bnds))
 
 	compAt := func(pos int) (field.Elem, error) {
 		curr, ok := rows[pos]
@@ -377,33 +388,15 @@ func Verify(a air.AIR, proof *Proof, tr *transcript.Transcript, params Params) e
 		if zf == 0 {
 			return 0, fmt.Errorf("query on the trace domain")
 		}
-		zfInv := field.Inv(zf)
-		var acc field.Elem
-		ai := 0
-		if nLocal > 0 {
-			a.EvalLocal(x, n, curr, localOut)
-			for _, v := range localOut {
-				acc = field.Add(acc, field.Mul(alphas[ai], field.Mul(v, zfInv)))
-				ai++
-			}
-		}
-		if nTrans > 0 {
-			a.EvalTransition(x, n, curr, next, transOut)
-			zt := field.Mul(zfInv, field.Sub(x, gLast))
-			for _, v := range transOut {
-				acc = field.Add(acc, field.Mul(alphas[ai], field.Mul(v, zt)))
-				ai++
-			}
-		}
-		for k, b := range bnds {
-			den := field.Sub(x, field.Exp(g, uint64(b.Row)))
+		for d, pt := range c.rows {
+			den := field.Sub(x, pt)
 			if den == 0 {
 				return 0, fmt.Errorf("query on a boundary point")
 			}
-			v := field.Sub(curr[b.Col], b.Value)
-			acc = field.Add(acc, field.Mul(alphas[ai+k], field.Mul(v, field.Inv(den))))
+			rowInv[d] = field.Inv(den)
 		}
-		return acc, nil
+		zfInv := field.Inv(zf)
+		return c.combine(x, curr, next, zfInv, field.Mul(zfInv, field.Sub(x, gLast)), rowInv, out), nil
 	}
 
 	if err := fri.Verify(proof.Fri, domain, bound, shift, tr, params.FriParams, compAt); err != nil {

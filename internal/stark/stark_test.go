@@ -1,10 +1,12 @@
 package stark
 
 import (
+	"math"
 	"testing"
 
 	"zkflow/internal/air"
 	"zkflow/internal/field"
+	"zkflow/internal/fri"
 	"zkflow/internal/transcript"
 )
 
@@ -131,5 +133,21 @@ func TestProofSizeSublinear(t *testing.T) {
 	// 16x more rows must not cost anywhere near 16x proof size.
 	if large.Size() > 6*small.Size() {
 		t.Fatalf("sizes %d -> %d", small.Size(), large.Size())
+	}
+}
+
+// TestSoundnessE6 pins the figure E6's instance proves under: a
+// 2048-row chain at constraint degree 3 lays out a 32768-point domain
+// at rate 1/4, so 32 queries give -log2((5/8)^32 + 2^15/p) bits.
+func TestSoundnessE6(t *testing.T) {
+	got := Soundness(DefaultParams, 2048, 3)
+	if want := 21.6983; math.Abs(got-want) > 1e-4 {
+		t.Fatalf("Soundness = %.6f bits, want %.4f", got, want)
+	}
+	// The field term caps the figure at -log2(2^15/p) ≈ 49 bits
+	// however many queries run.
+	many := Params{FriParams: fri.Params{Queries: 1000, FinalDegree: 8}}
+	if capped := Soundness(many, 2048, 3); math.Abs(capped-49) > 1e-3 {
+		t.Fatalf("1000 queries give %.4f bits, want the 49-bit field cap", capped)
 	}
 }

@@ -82,16 +82,6 @@ func (t *Transcript) squeeze(label string) [32]byte {
 	return out
 }
 
-// ChallengeBytes derives n pseudorandom bytes.
-func (t *Transcript) ChallengeBytes(label string, n int) []byte {
-	out := make([]byte, 0, n)
-	for len(out) < n {
-		block := t.squeeze(label)
-		out = append(out, block[:]...)
-	}
-	return out[:n]
-}
-
 // ChallengeElem derives a uniform Goldilocks element by rejection
 // sampling (bias-free).
 func (t *Transcript) ChallengeElem(label string) field.Elem {

@@ -1,7 +1,6 @@
 package transcript
 
 import (
-	"bytes"
 	"testing"
 
 	"zkflow/internal/field"
@@ -11,14 +10,14 @@ func TestDeterminism(t *testing.T) {
 	a, b := New("test"), New("test")
 	a.Append("m", []byte("hello"))
 	b.Append("m", []byte("hello"))
-	if !bytes.Equal(a.ChallengeBytes("c", 16), b.ChallengeBytes("c", 16)) {
+	if a.ChallengeElem("c") != b.ChallengeElem("c") {
 		t.Fatal("same transcript, different challenges")
 	}
 }
 
 func TestLabelSeparation(t *testing.T) {
 	a, b := New("proto-a"), New("proto-b")
-	if bytes.Equal(a.ChallengeBytes("c", 16), b.ChallengeBytes("c", 16)) {
+	if a.ChallengeElem("c") == b.ChallengeElem("c") {
 		t.Fatal("different protocol labels, same challenges")
 	}
 }
@@ -27,7 +26,7 @@ func TestAbsorbChangesChallenges(t *testing.T) {
 	a, b := New("t"), New("t")
 	a.Append("m", []byte("x"))
 	b.Append("m", []byte("y"))
-	if bytes.Equal(a.ChallengeBytes("c", 16), b.ChallengeBytes("c", 16)) {
+	if a.ChallengeElem("c") == b.ChallengeElem("c") {
 		t.Fatal("absorbed data did not affect challenge")
 	}
 }
@@ -39,16 +38,16 @@ func TestMessageBoundaryBinding(t *testing.T) {
 	a.Append("m", []byte("c"))
 	b.Append("m", []byte("a"))
 	b.Append("m", []byte("bc"))
-	if bytes.Equal(a.ChallengeBytes("c", 16), b.ChallengeBytes("c", 16)) {
+	if a.ChallengeElem("c") == b.ChallengeElem("c") {
 		t.Fatal("message boundaries not bound")
 	}
 }
 
 func TestSuccessiveChallengesDiffer(t *testing.T) {
 	a := New("t")
-	c1 := a.ChallengeBytes("c", 16)
-	c2 := a.ChallengeBytes("c", 16)
-	if bytes.Equal(c1, c2) {
+	c1 := a.ChallengeElem("c")
+	c2 := a.ChallengeElem("c")
+	if c1 == c2 {
 		t.Fatal("successive challenges identical")
 	}
 }
@@ -106,9 +105,9 @@ func TestClone(t *testing.T) {
 	a.Append("m", []byte("base"))
 	b := a.Clone()
 	a.Append("m", []byte("divergent"))
-	ca := a.ChallengeBytes("c", 8)
-	cb := b.ChallengeBytes("c", 8)
-	if bytes.Equal(ca, cb) {
+	ca := a.ChallengeElem("c")
+	cb := b.ChallengeElem("c")
+	if ca == cb {
 		t.Fatal("clone tracked the original after divergence")
 	}
 }
@@ -117,7 +116,7 @@ func TestAppendUint64(t *testing.T) {
 	a, b := New("t"), New("t")
 	a.AppendUint64("n", 1)
 	b.AppendUint64("n", 2)
-	if bytes.Equal(a.ChallengeBytes("c", 8), b.ChallengeBytes("c", 8)) {
+	if a.ChallengeElem("c") == b.ChallengeElem("c") {
 		t.Fatal("uint64 value not bound")
 	}
 }

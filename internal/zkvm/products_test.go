@@ -34,7 +34,7 @@ func refLogColumn(log []MemEntry, alpha, gamma field.Elem) []field.Elem {
 		e := &log[i]
 		w := refFactor(e.Addr, e.Val, uint32(i+1), alpha, gamma)
 		r := refFactor(e.Addr, e.PrevVal, e.PrevTs, alpha, gamma)
-		acc = field.Mul(acc, field.Div(w, r))
+		acc = field.Mul(acc, field.Mul(w, field.Inv(r)))
 		if i%leafRecords == leafRecords-1 || i == len(log)-1 {
 			out = append(out, acc)
 		}
