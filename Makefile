@@ -30,10 +30,12 @@ test:
 # pipeline, the checkpointing ledger plus the light-client sync that
 # reads it, the STARK math kernel of the §7 ablation (shared
 # twiddle/ladder caches, pooled scratch, LDE/composition/FRI chunked
-# onto par.Each's crew), and the slab pool every prover's scratch comes
-# from.
+# onto par.Each's crew), the slab pool every prover's scratch comes
+# from, the record store under concurrent writers, the CLog's sub-tree
+# roots hashed in parallel, and the traffic generator's replay over a
+# socket.
 race:
-	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg ./internal/slab
+	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg ./internal/slab ./internal/store ./internal/clog ./internal/trafficgen
 
 # Fallback lane: the SHA-256 compression kernel of internal/hashk runs
 # on amd64 with SHA-NI, and everywhere else the same functions hash
@@ -56,7 +58,7 @@ purego:
 # final record breaks a rule), plus the verify-level target: no
 # mutation of a valid receipt, one segment or many, may panic or verify,
 # plus the emulator core against the map-backed loops it replaced
-# (fuzzed programs: same trace, same trap, in every mode), plus the
+# (fuzzed programs: same trace, same trap, monolithic and cut), plus the
 # expansion of an opened exec leaf (arbitrary bytes under every guest
 # program: no panic, no allocation to speak of, only canonical leaves
 # expand), plus the aggregation guest against the host reference
@@ -141,7 +143,7 @@ bench-parallel:
 # reduce one 1024-leaf, 4096-record block; one sub-benchmark per record
 # shape — exec/mem/prod/image — with SHA-256 compressions and bytes
 # hashed per record next to ns/record), the emulator alone (mono /
-# segmented / count-only, ns per trace row), the Merkle arena build, the
+# segmented, ns per trace row), the Merkle arena build, the
 # NTT kernel, and the whole prover; the Merkle build and the prover run
 # at -cpu 1, the serial crew. Compare against the allocs/op recorded in
 # EXPERIMENTS.md E14.

@@ -10,6 +10,7 @@ package zkflow_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"zkflow/internal/clog"
@@ -62,17 +63,26 @@ func entriesOf(in *guest.AggInput) []clog.Entry {
 	return guest.ReferenceAggregate(nil, batches...)
 }
 
-// BenchmarkAggregationProof is E1/Figure 4's aggregation series.
+// BenchmarkAggregationProof is E1/Figure 4's aggregation series. It
+// reports the collections per proof (gcs/op) too: whether a collection
+// falls inside the timed proofs sets how many pooled slabs are re-made,
+// so B/op reads in two modes that gcs/op tells apart.
 func BenchmarkAggregationProof(b *testing.B) {
 	for _, size := range benchSizes {
 		in := genesisInput(int64(size), size)
 		words := in.Words()
 		b.Run(fmt.Sprintf("records=%d", size), func(b *testing.B) {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := zkvm.Prove(guest.AggregationProgram(), words, zkvm.ProveOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gcs/op")
 		})
 	}
 }

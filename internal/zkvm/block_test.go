@@ -640,8 +640,8 @@ func FuzzVerifyMutatedReceipt(f *testing.F) {
 	})
 }
 
-// TestReceiptSizesMatchEncoding pins the arithmetic Size and SealSize
-// against the bytes MarshalBinary writes, for both kinds.
+// TestReceiptSizesMatchEncoding pins Size and SealSize against the
+// bytes MarshalBinary writes, for both kinds.
 func TestReceiptSizesMatchEncoding(t *testing.T) {
 	fx := newBlockFixtures(t)
 	if got := fx.mono.Size(); got != len(fx.monoBytes) {

@@ -360,7 +360,7 @@ const DefaultMaxSteps = 1 << 26
 // taking the warm slabs for it would send the next Prove to freshly
 // faulted pages.
 func Execute(prog *Program, input []uint32, opts ExecOptions) (*Execution, error) {
-	m := newMachine(prog, input, neverCut, true)
+	m := newMachine(prog, input, neverCut)
 	m.rowSlabs, m.memSlabs = nil, nil
 	if err := m.run(opts.MaxSteps); err != nil {
 		return nil, err

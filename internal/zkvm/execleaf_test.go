@@ -403,10 +403,13 @@ func TestHostileExecLeafIsCheap(t *testing.T) {
 	if b := allocatedBytes(100, expand); b > 64 {
 		t.Fatalf("expanding a leaf of two %d-word hashes allocated %d bytes", maxHashWords, b)
 	}
-	// The emulator, for scale, really does the work.
-	m := newMachine(prog, nil, neverCut, false)
-	if b := allocatedBytes(1, func() { _ = m.hash(5, maxHashWords, 5) }); b < 4*maxHashWords {
-		t.Fatalf("the machine hashed %d words in %d bytes", maxHashWords, b)
+	// The emulator, for scale, really does the work: even a hash of 2^16
+	// words, 1/256 of the leaf's, costs it more bytes than that many
+	// words — a full-size one would log 2^24 accesses.
+	const words = 1 << 16
+	m := newMachine(prog, nil, neverCut)
+	if b := allocatedBytes(1, func() { _ = m.hash(5, words, 5) }); b < 4*words {
+		t.Fatalf("the machine hashed %d words in %d bytes", words, b)
 	}
 }
 

@@ -4,16 +4,15 @@ package zkvm
 // in-package tests — can import internal/guest without a cycle.
 
 // RunMachine runs one use of the emulator to completion, releases
-// whatever it traced, and reports the segments cut. cut == 0 never
-// cuts; traced == false is the count-only run.
-func RunMachine(prog *Program, input []uint32, cut int, traced bool) (segs int, err error) {
-	m := newMachine(prog, input, cut, traced)
+// what it traced, and reports the segments cut. cut == 0 never cuts.
+func RunMachine(prog *Program, input []uint32, cut int) (segs int, err error) {
+	m := newMachine(prog, input, cut)
 	err = m.run(0)
 	releaseSegments(m.segs)
 	if err != nil {
 		return 0, err
 	}
-	return m.nsegs, nil
+	return len(m.segs), nil
 }
 
 // CheckAgainstReference exposes the differential check of

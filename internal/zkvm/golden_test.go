@@ -75,6 +75,42 @@ func TestGoldenComposite(t *testing.T) {
 	}
 }
 
+// TestGoldenSizes pins what the stored vectors cost: Size is each
+// file's length, and SealSize the proof bytes the vector held when it
+// was cut. bench/ tampers with a seal by flipping the byte SealSize/2
+// from the end of a receipt, so a SealSize that moved would move it.
+func TestGoldenSizes(t *testing.T) {
+	for _, tc := range []struct {
+		file string
+		seal int
+	}{{goldenReceiptFile, 5636}, {goldenCompositeFile, 36971}} {
+		data, err := os.ReadFile(filepath.Join("testdata", tc.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := UnmarshalReceipt(data)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.file, err)
+		}
+		if r.Size() != len(data) || r.SealSize() != tc.seal {
+			t.Errorf("%s: Size() %d, SealSize() %d; want %d and %d", tc.file, r.Size(), r.SealSize(), len(data), tc.seal)
+		}
+	}
+}
+
+// checkEncoding checks that r encodes into one buffer of exactly Size()
+// bytes.
+func checkEncoding(t testing.TB, r *Receipt) {
+	t.Helper()
+	bin, err := r.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(bin) != r.Size() || cap(bin) != len(bin) {
+		t.Fatalf("MarshalBinary wrote %d bytes into a %d-byte buffer, Size() is %d", len(bin), cap(bin), r.Size())
+	}
+}
+
 // checkGolden compares got with the stored vector (rewriting it first
 // under -update) and returns the stored bytes.
 func checkGolden(t *testing.T, name string, got []byte) []byte {

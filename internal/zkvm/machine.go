@@ -10,22 +10,22 @@ import (
 	"zkflow/internal/slab"
 )
 
-// This file is the emulator core: one machine, one execution loop.
-// Execute, the segmented executor and the count-only run are the same
-// run over different data — never cut, cut every SegmentCycles rows, or
-// cut on the same schedule while recording nothing.
+// This file is the emulator core: one machine, one execution loop, and
+// every run records its trace. Execute and the sealed run (ProveSeeded)
+// are the same run over different slabs — Execute never cuts and
+// builds its trace on fresh ones, the sealed run cuts every
+// SegmentCycles rows and takes them from the pools.
 
 // Guest memory is sparse and paged: a page is pageWords consecutive
-// words, allocated on its first store (and, in a traced run, its first
-// load: the final table records every word the segment accessed), so a
-// guest may touch any of the 2^32 word addresses and pays only for
-// pages it touches: 80 bytes, one or two pointers of the page list and
-// two to four slots of the page table — at most 128 bytes live, 176
-// allocated with both arrays' doubling garbage, under pageCostBytes per
-// touched page — and, in a traced run, the page's 64 bytes of access
-// times. That is the order of the 80-byte trace row every step already
-// costs, so striding accesses across the address space buys a hostile
-// guest nothing.
+// words, allocated on its first access (the final table records every
+// word the segment accessed), so a guest may touch any of the 2^32 word
+// addresses and pays only for pages it touches: 80 bytes, one or two
+// pointers of the page list and two to four slots of the page table —
+// at most 128 bytes live, 176 allocated with both arrays' doubling
+// garbage, under pageCostBytes per touched page — and the page's 64
+// bytes of access times, from a pooled chunk. That is the order of the
+// 80-byte trace row every step already costs, so striding accesses
+// across the address space buys a hostile guest nothing.
 const (
 	pageBits      = 4
 	pageWords     = 1 << pageBits
@@ -37,8 +37,8 @@ const (
 )
 
 // Slab pools for the boundary images and final tables of pooled runs,
-// and for traced runs' access-time chunks (a chunk is cleared when it
-// is taken).
+// and for the access-time chunks of every run (a chunk is cleared when
+// it is taken).
 var (
 	imageSlabs slab.Pool[imageRecord]
 	tsSlabs    slab.Pool[[pageWords]uint32]
@@ -47,9 +47,8 @@ var (
 type page struct {
 	no    uint32 // addr >> pageBits
 	words [pageWords]uint32
-	// ts is, in a traced run, each word's last access time in the open
-	// segment: its log position plus one, or 0 if the segment has not
-	// accessed it. A count-only run leaves it nil.
+	// ts is each word's last access time in the open segment: its log
+	// position plus one, or 0 if the segment has not accessed it.
 	ts *[pageWords]uint32
 }
 
@@ -68,9 +67,8 @@ type pagedMem struct {
 	pages  []*page
 	sorted int
 	chunk  []page // the slab the next pages are carved from
-	// stamped gives every page access times, carved from tsFree, the
-	// unused rest of the last of the pooled chunks tsChunks.
-	stamped  bool
+	// Every page's access times are carved from tsFree, the unused rest
+	// of the last of the pooled chunks tsChunks.
 	tsFree   [][pageWords]uint32
 	tsChunks [][][pageWords]uint32
 }
@@ -83,21 +81,6 @@ func (pm *pagedMem) find(no uint32) **page {
 			return s
 		}
 	}
-}
-
-func (pm *pagedMem) read(addr uint32) uint32 {
-	no := addr >> pageBits
-	p := pm.tlb[no%tlbSize]
-	if p == nil || p.no != no {
-		if len(pm.slots) == 0 {
-			return 0
-		}
-		if p = *pm.find(no); p == nil {
-			return 0
-		}
-		pm.tlb[no%tlbSize] = p
-	}
-	return p.words[addr%pageWords]
 }
 
 // at returns the page holding addr, allocating it if it is absent.
@@ -128,14 +111,12 @@ func (pm *pagedMem) touch(no uint32) *page {
 		}
 		*s, pm.chunk = &pm.chunk[0], pm.chunk[1:]
 		(*s).no = no
-		if pm.stamped {
-			if len(pm.tsFree) == 0 {
-				c := tsSlabs.Get(tsChunkPages)
-				clear(c)
-				pm.tsChunks, pm.tsFree = append(pm.tsChunks, c), c
-			}
-			(*s).ts, pm.tsFree = &pm.tsFree[0], pm.tsFree[1:]
+		if len(pm.tsFree) == 0 {
+			c := tsSlabs.Get(tsChunkPages)
+			clear(c)
+			pm.tsChunks, pm.tsFree = append(pm.tsChunks, c), c
 		}
+		(*s).ts, pm.tsFree = &pm.tsFree[0], pm.tsFree[1:]
 		if len(pm.pages) == cap(pm.pages) {
 			pm.pages = growDoubling(nil, pm.pages, 0)
 		}
@@ -182,8 +163,7 @@ func (pm *pagedMem) release() {
 const neverCut = math.MaxInt
 
 // machine is a TinyRISC machine mid-run. It is step's execEnv: loads
-// and stores go to paged memory and, when tracing, to the open
-// segment's memory log.
+// and stores go to paged memory and to the open segment's memory log.
 type machine struct {
 	prog    *Program
 	input   []uint32
@@ -192,8 +172,7 @@ type machine struct {
 	mem     pagedMem
 	scratch []byte // SysHash message buffer, grown to the largest request
 
-	cut    int  // steps per segment; neverCut for a one-segment run
-	traced bool // false: count-only, a test and benchmark instrument that records nothing
+	cut int // steps per segment; neverCut for a one-segment run
 	// rowSlabs and memSlabs hold the trace; both are nil when it
 	// outlives the package (Execute, never cut): fresh slabs, and no
 	// final table.
@@ -204,70 +183,58 @@ type machine struct {
 	closed func(*segmentExecution)
 
 	// The open segment. rows is fully sliced (len == cap) and row n is
-	// the machine's current state; step writes row n+1 in place. A
-	// count-only run's rows are a two-entry ring (mask 1) and its log
-	// stays nil.
-	rows  []Row
-	mask  int
-	n     int
-	log   []MemEntry
-	seg   *segmentExecution
-	segs  []*segmentExecution // closed and open segments, in order
-	nsegs int                 // segments opened so far: all a count-only run keeps of them
+	// the machine's current state; step writes row n+1 in place.
+	rows []Row
+	n    int
+	log  []MemEntry
+	seg  *segmentExecution
+	segs []*segmentExecution // closed and open segments, in order
 }
 
 // newMachine returns a reset machine over fresh memory. A cut ≤ 0 never
 // cuts, and a positive one is floored to minSegmentCycles; run opens
 // segment 0.
-func newMachine(prog *Program, input []uint32, cut int, traced bool) *machine {
+func newMachine(prog *Program, input []uint32, cut int) *machine {
 	if cut <= 0 {
 		cut = neverCut
 	}
-	m := &machine{prog: prog, input: input, cut: max(cut, minSegmentCycles), traced: traced, mask: -1, rowSlabs: &rowSlabs, memSlabs: &memSlabs}
-	m.mem.stamped = traced
-	if !traced {
-		m.rows, m.mask = make([]Row, 2), 1
-	}
-	return m
+	return &machine{prog: prog, input: input, cut: max(cut, minSegmentCycles), rowSlabs: &rowSlabs, memSlabs: &memSlabs}
 }
 
 // openSegment starts the next segment at boundary state b over the
 // entry image img. room is what is left of the run's step budget.
 func (m *machine) openSegment(b *Row, img []imageRecord, room int) {
-	m.nsegs++
 	prev := m.n // steps of the segment just closed; 0 before the first
 	m.n = 0
-	if m.traced {
-		m.seg = &segmentExecution{
-			index:    len(m.segs),
-			entryImg: img,
-			entry: SegmentState{
-				PC: b.PC, Regs: b.Regs,
-				InPtr:  uint32(m.inPtr),
-				JPtr:   uint32(len(m.journal)),
-				MemLen: uint32(len(img)),
-			},
-			ex: &Execution{Program: m.prog},
-		}
-		if m.seg.index == 0 {
-			m.seg.entry.MemRoot = genesisRoot()
-		}
-		m.segs = append(m.segs, m.seg)
-		// A segment runs at most min(cut, room) steps, plus the successor
-		// slot step fills even on the halt row. But cut is whatever
-		// -segment-cycles or ProveOptions.SegmentCycles says, unchecked,
-		// and room defaults to 2^26, so the slabs are sized by what
-		// this program is known to produce — the largest segment it has
-		// traced, or the segment this run just filled — and double from
-		// there. A cut segment's log size is a guess.
-		hintRows, mem := m.prog.traceHint.load()
-		rows := min(m.cut, room, max(hintRows, prev, 1024)) + 1
-		if m.cut != neverCut {
-			mem = rows / 2
-		}
-		m.rows, m.log = m.rowSlabs.Get(rows), m.memSlabs.Get(mem)[:0]
-		m.rows = m.rows[:cap(m.rows)]
+	m.seg = &segmentExecution{
+		index:    len(m.segs),
+		entryImg: img,
+		entry: SegmentState{
+			PC: b.PC, Regs: b.Regs,
+			InPtr:  uint32(m.inPtr),
+			JPtr:   uint32(len(m.journal)),
+			MemLen: uint32(len(img)),
+		},
+		ex: &Execution{Program: m.prog},
 	}
+	if m.seg.index == 0 {
+		m.seg.entry.MemRoot = genesisRoot()
+	}
+	m.segs = append(m.segs, m.seg)
+	// A segment runs at most min(cut, room) steps, plus the successor
+	// slot step fills even on the halt row. But cut is whatever
+	// -segment-cycles or ProveOptions.SegmentCycles says, unchecked,
+	// and room defaults to 2^26, so the slabs are sized by what
+	// this program is known to produce — the largest segment it has
+	// traced, or the segment this run just filled — and double from
+	// there. A cut segment's log size is a guess.
+	hintRows, mem := m.prog.traceHint.load()
+	rows := min(m.cut, room, max(hintRows, prev, 1024)) + 1
+	if m.cut != neverCut {
+		mem = rows / 2
+	}
+	m.rows, m.log = m.rowSlabs.Get(rows), m.memSlabs.Get(mem)[:0]
+	m.rows = m.rows[:cap(m.rows)]
 	m.rows[0] = Row{PC: b.PC, Regs: b.Regs}
 }
 
@@ -275,19 +242,13 @@ func (m *machine) openSegment(b *Row, img []imageRecord, room int) {
 // step just wrote, which becomes the boundary both segments share —
 // and opens the next over the image at this instant.
 func (m *machine) cutSegment(room int) {
-	b, prev := m.rows[m.n&m.mask], m.seg
-	var img []imageRecord
-	if m.traced {
-		img = m.image(true)
-		m.publish()
-		m.noteTrace()
-	}
+	b, prev, img := m.rows[m.n], m.seg, m.image(true)
+	m.publish()
+	m.noteTrace()
 	m.openSegment(&b, img, room)
-	if m.traced {
-		prev.exit, prev.exitImg = m.seg.entry, img
-		if m.closed != nil {
-			m.closed(prev)
-		}
+	prev.exit, prev.exitImg = m.seg.entry, img
+	if m.closed != nil {
+		m.closed(prev)
 	}
 }
 
@@ -329,9 +290,7 @@ func releaseSegments(segs []*segmentExecution) {
 // the caller returns the slabs to the pools (releaseSegments) once
 // nothing reads them.
 func (m *machine) fail(err error) error {
-	if m.traced {
-		m.publish()
-	}
+	m.publish()
 	return err
 }
 
@@ -352,39 +311,30 @@ func (m *machine) run(maxSteps int) error {
 		if m.n == m.cut {
 			m.cutSegment(maxSteps - stepNo)
 		}
-		i, j := m.n&m.mask, (m.n+1)&m.mask
-		if j >= len(m.rows) {
+		if m.n+1 >= len(m.rows) {
 			least, _ := anyTrace.load()
 			m.rows = growDoubling(m.rowSlabs, m.rows, least+1)
 			m.rows = m.rows[:cap(m.rows)]
 		}
-		cur := &m.rows[i]
-		halted, err := step(m.prog, cur, &m.rows[j], m)
+		cur := &m.rows[m.n]
+		halted, err := step(m.prog, cur, &m.rows[m.n+1], m)
 		if err != nil {
 			return m.fail(&TrapError{PC: cur.PC, Step: stepNo, Reason: err.Error()})
 		}
 		if halted {
-			if m.traced {
-				m.publish()
-				m.seg.final, m.seg.ex.ExitCode = true, cur.Regs[R1]
-				if m.rowSlabs != nil {
-					m.seg.exitImg = m.image(false)
-				}
-				m.noteTrace()
+			m.publish()
+			m.seg.final, m.seg.ex.ExitCode = true, cur.Regs[R1]
+			if m.rowSlabs != nil {
+				m.seg.exitImg = m.image(false)
 			}
+			m.noteTrace()
 			return nil
 		}
 		m.n++
 	}
 }
 
-// exitCode is r1 of the current row: the exit code of a halted guest.
-func (m *machine) exitCode() uint32 { return m.rows[m.n&m.mask].Regs[R1] }
-
 func (m *machine) load(addr uint32) (uint32, error) {
-	if !m.traced {
-		return m.mem.read(addr), nil
-	}
 	p, w := m.mem.at(addr), addr%pageWords
 	v := p.words[w]
 	m.logAccess(MemEntry{Addr: addr, Val: v, PrevVal: v, PrevTs: p.ts[w]}, &p.ts[w])
@@ -393,9 +343,7 @@ func (m *machine) load(addr uint32) (uint32, error) {
 
 func (m *machine) store(addr, val uint32) error {
 	p, w := m.mem.at(addr), addr%pageWords
-	if m.traced {
-		m.logAccess(MemEntry{Addr: addr, Val: val, PrevVal: p.words[w], PrevTs: p.ts[w], IsWrite: true}, &p.ts[w])
-	}
+	m.logAccess(MemEntry{Addr: addr, Val: val, PrevVal: p.words[w], PrevTs: p.ts[w], IsWrite: true}, &p.ts[w])
 	p.words[w] = val
 	return nil
 }

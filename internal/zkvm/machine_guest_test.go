@@ -159,10 +159,10 @@ func TestEveryOpcodeHasAGuest(t *testing.T) {
 
 // TestMachineMatchesReference runs every guest program of
 // internal/guest, at several sizes, through the differential check of
-// machine_test.go: monolithic, segmented at the floor, mid-loop and
-// longer-than-most cuts, and count-only, each identical to the retained
-// map-backed loops in rows, memory log, journal, exit code, cuts,
-// boundary states and images, and count-only segment count.
+// machine_test.go: monolithic, and segmented at the floor, mid-loop and
+// longer-than-most cuts, each identical to the retained map-backed
+// loops in rows, memory log, journal, exit code, cuts, segment count,
+// and boundary states and images.
 func TestMachineMatchesReference(t *testing.T) {
 	for _, r := range guestRuns() {
 		t.Run(r.name, func(t *testing.T) {
@@ -219,10 +219,9 @@ func FuzzExpandExecLeaf(f *testing.F) {
 }
 
 // BenchmarkExecute times the emulator alone on the 1000-record
-// aggregation guest in its three uses: the monolithic trace, the trace
+// aggregation guest in its two uses: the monolithic trace, and the trace
 // cut every 2^17 rows (the epoch-4k-seg setting) with its boundary
-// images, and the count-only pass over the
-// same cuts. Slabs are released every iteration, so the steady state
+// images. Slabs are released every iteration, so the steady state
 // measures the loop over pooled slabs, not mallocgc.
 func BenchmarkExecute(b *testing.B) {
 	prog, input := guest.AggregationProgram(), aggregationEpoch(1000).Words()
@@ -232,14 +231,13 @@ func BenchmarkExecute(b *testing.B) {
 	}
 	rows := len(ex.Rows) // of the monolithic trace, whatever the mode
 	for _, mode := range []struct {
-		name   string
-		cut    int
-		traced bool
-	}{{"mono", 0, true}, {"segmented", 1 << 17, true}, {"count", 1 << 17, false}} {
+		name string
+		cut  int
+	}{{"mono", 0}, {"segmented", 1 << 17}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := zkvm.RunMachine(prog, input, mode.cut, mode.traced); err != nil {
+				if _, err := zkvm.RunMachine(prog, input, mode.cut); err != nil {
 					b.Fatal(err)
 				}
 			}

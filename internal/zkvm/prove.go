@@ -80,7 +80,7 @@ func ProveSeeded(prog *Program, input []uint32, opts ProveOptions, seed [32]byte
 // proveRun is ProveSeeded within maxSteps cycles (0 = DefaultMaxSteps).
 func proveRun(prog *Program, input []uint32, opts ProveOptions, seed [32]byte, maxSteps int) (*Receipt, error) {
 	s := newSealer(opts, seed)
-	m := newMachine(prog, input, opts.SegmentCycles, true)
+	m := newMachine(prog, input, opts.SegmentCycles)
 	m.closed = s.seal
 	execDone := stageTimer(opts.Observer, StageExecute)
 	err := m.run(maxSteps)

@@ -59,6 +59,7 @@ func proveSum(t *testing.T, n int) (*Program, *Receipt) {
 	if err != nil {
 		t.Fatalf("prove: %v", err)
 	}
+	checkEncoding(t, r)
 	return prog, r
 }
 

@@ -82,19 +82,6 @@ type Opening struct {
 	Data  []byte
 }
 
-// size returns the encoded byte size of the opening.
-func (o *Opening) size() int {
-	return 4 + saltBytes + 4 + len(o.Data)
-}
-
-func openingsSize(os []Opening) int {
-	n := 0
-	for i := range os {
-		n += os[i].size()
-	}
-	return n
-}
-
 // column is one committed table as the verifier sees it: the root, the
 // number of records and their size. leafRecords of them share a leaf.
 type column struct {
@@ -325,8 +312,6 @@ type Ends struct {
 	Record, First, Last Opening
 }
 
-func (e *Ends) size() int { return e.Record.size() + e.First.size() + e.Last.size() }
-
 // wireEnds returns the ends the seal carries, in wire order: the log's,
 // the final table's and the entry image's, each only if its table has
 // records; nInit is the entry image's record count.
@@ -376,40 +361,41 @@ type Seal struct {
 	InitChecks  []ProdCheck
 }
 
-// Size returns the encoded seal size in bytes; nInit is the entry
-// image's record count, which says whether Init is on the wire.
-func (s *Seal) Size(nInit uint32) int {
-	n := 12 + 6*32 + s.FirstRow.size() + s.LastRow.size()
-	for _, e := range s.wireEnds(nInit) {
-		n += e.size()
-	}
-	n += 16 // check counts
-	// Each adjacent pair carries a one-byte flag (bwriter.span).
-	for i := range s.ExecChecks {
-		c := &s.ExecChecks[i]
-		n += 1 + openingsSize(c.Rows) + 4 + openingsSize(c.Mem)
-	}
-	for _, cs := range [][]ProdCheck{s.MemChecks, s.FinalChecks, s.InitChecks} {
-		for i := range cs {
-			n += cs[i].Record.size() + 1 + openingsSize(cs[i].Prods)
-		}
-	}
-	return n
-}
-
 // --- binary encoding ---
 
-// bwriter appends the little-endian encoding. The only thing that can
-// go wrong is a receipt assembled by hand with a span the encoding
-// cannot carry; err keeps the first such.
+// bwriter appends the little-endian encoding to buf or, counting, only
+// adds up its length in n: one description of the wire layout both
+// writes and sizes it. The only thing that can go wrong is a receipt
+// assembled by hand with a span the encoding cannot carry; err keeps
+// the first such.
 type bwriter struct {
-	buf []byte
-	err error
+	buf      []byte
+	counting bool
+	n        int // bytes so far, in either mode
+	err      error
 }
 
-func (w *bwriter) u8(v uint8)   { w.buf = append(w.buf, v) }
-func (w *bwriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *bwriter) raw(b []byte) { w.buf = append(w.buf, b...) }
+func (w *bwriter) u8(v uint8) {
+	w.n++
+	if !w.counting {
+		w.buf = append(w.buf, v)
+	}
+}
+
+func (w *bwriter) u32(v uint32) {
+	w.n += 4
+	if !w.counting {
+		w.buf = binary.LittleEndian.AppendUint32(w.buf, v)
+	}
+}
+
+func (w *bwriter) raw(b []byte) {
+	w.n += len(b)
+	if !w.counting {
+		w.buf = append(w.buf, b...)
+	}
+}
+
 func (w *bwriter) bytes(b []byte) {
 	w.u32(uint32(len(b)))
 	w.raw(b)

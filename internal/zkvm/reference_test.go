@@ -399,45 +399,3 @@ func (e *refCountEnv) writeJournal(val uint32) error {
 	e.journal = append(e.journal, val)
 	return nil
 }
-
-// refCountSegments executes the guest untraced and returns the segment
-// count a traced refExecuteSegmented run would produce under the same
-// options, plus the exit code and full journal. The loop mirrors
-// refExecuteSegmented cut for cut — a segment closes after
-// segmentCycles real rows, and the halt row belongs to whichever
-// segment is open.
-func refCountSegments(prog *Program, input []uint32, opts ExecOptions, segmentCycles int) (n int, exitCode uint32, journal []uint32, err error) {
-	if segmentCycles < minSegmentCycles {
-		segmentCycles = minSegmentCycles
-	}
-	maxSteps := opts.MaxSteps
-	if maxSteps == 0 {
-		maxSteps = DefaultMaxSteps
-	}
-	env := &refCountEnv{mem: make(map[uint32]uint32), input: input}
-	var (
-		pc      uint32
-		regs    [NumRegs]uint32
-		segRows int
-	)
-	n = 1
-	for stepNo := 0; ; stepNo++ {
-		if stepNo >= maxSteps {
-			return 0, 0, nil, ErrStepLimit
-		}
-		if segRows == segmentCycles {
-			n++
-			segRows = 0
-		}
-		row := Row{PC: pc, Regs: regs}
-		segRows++
-		nextPC, nextRegs, _, halted, stepErr := refStep(prog, &row, env)
-		if stepErr != nil {
-			return 0, 0, nil, &TrapError{PC: pc, Step: stepNo, Reason: stepErr.Error()}
-		}
-		if halted {
-			return n, regs[R1], env.journal, nil
-		}
-		pc, regs = nextPC, nextRegs
-	}
-}

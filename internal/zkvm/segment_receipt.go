@@ -46,8 +46,6 @@ type CompositeReceipt = Receipt
 type AnyReceipt interface {
 	// Image returns the guest image the receipt attests to.
 	Image() ImageID
-	// ExitStatus returns the guest's halt exit code.
-	ExitStatus() uint32
 	// JournalWords returns the public journal.
 	JournalWords() []uint32
 	// SealSize returns the proof size in bytes.
@@ -65,14 +63,6 @@ func (r *Receipt) Image() ImageID {
 	return r.Segments[0].ImageID
 }
 
-// ExitStatus returns the guest's halt exit code.
-func (r *Receipt) ExitStatus() uint32 {
-	if len(r.Segments) == 0 {
-		return 0
-	}
-	return r.Segments[len(r.Segments)-1].ExitCode
-}
-
 // JournalWords returns the public journal: the concatenated segment
 // journals.
 func (r *Receipt) JournalWords() []uint32 {
@@ -83,35 +73,20 @@ func (r *Receipt) JournalWords() []uint32 {
 	return out
 }
 
-// sealSize is the segment's proof size: the seal, the multiproofs,
-// both boundary states and the journal slice.
-func (sr *SegmentReceipt) sealSize() int {
-	n := sr.Seal.Size(sr.Entry.MemLen) + 2*stateBytes + 4*len(sr.Journal)
-	for k := range sr.Proofs {
-		n += 4 + 32*len(sr.Proofs[k].Nodes)
-	}
-	return n
-}
-
-// SealSize returns the proof size in bytes: the sum of the segment
-// proof sizes.
+// SealSize returns the proof size in bytes: the encoding less the
+// receipt's magic and segment count and, of each segment, its image ID,
+// index, final flag, exit code and journal count. What is left is each
+// segment's seal, multiproofs, boundary states and journal words.
 func (r *Receipt) SealSize() int {
-	n := 0
-	for _, sr := range r.Segments {
-		n += sr.sealSize()
-	}
-	return n
+	return r.Size() - 8 - (32+4+1+4+4)*len(r.Segments)
 }
 
-// Size returns the full encoded receipt size in bytes.
+// Size returns the full encoded receipt size in bytes: the encoding,
+// counted rather than written.
 func (r *Receipt) Size() int {
-	n := 8
-	for _, sr := range r.Segments {
-		// What sealSize leaves out of a segment's encoding: image ID,
-		// index, final flag, exit code and the journal's count.
-		n += 32 + 4 + 1 + 4 + 4 + sr.sealSize()
-	}
-	return n
+	w := &bwriter{counting: true}
+	writeReceipt(w, r)
+	return w.n
 }
 
 // NumSegments returns the segment count.
@@ -164,14 +139,21 @@ func readSegment(rd *breader) *SegmentReceipt {
 	return sr
 }
 
-// MarshalBinary encodes the receipt.
-func (r *Receipt) MarshalBinary() ([]byte, error) {
-	w := &bwriter{buf: make([]byte, 0, r.Size())}
+// writeReceipt appends the receipt: its magic, its segment count and
+// its segments.
+func writeReceipt(w *bwriter, r *Receipt) {
 	w.u32(magicReceipt)
 	w.u32(uint32(len(r.Segments)))
 	for _, sr := range r.Segments {
 		writeSegment(w, sr)
 	}
+}
+
+// MarshalBinary encodes the receipt into one buffer, allocated at the
+// exact size.
+func (r *Receipt) MarshalBinary() ([]byte, error) {
+	w := &bwriter{buf: make([]byte, 0, r.Size())}
+	writeReceipt(w, r)
 	return w.buf, w.err
 }
 

@@ -65,6 +65,7 @@ func mustProve(t testing.TB, prog *Program, input []uint32, opts ProveOptions) *
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkEncoding(t, c)
 	return c
 }
 
@@ -72,7 +73,7 @@ func mustProve(t testing.TB, prog *Program, input []uint32, opts ProveOptions) *
 // every segmentCycles steps (floored to minSegmentCycles; zero never
 // cuts), on pooled slabs: the caller releases the segments.
 func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCycles int) ([]*segmentExecution, error) {
-	m := newMachine(prog, input, segmentCycles, true)
+	m := newMachine(prog, input, segmentCycles)
 	if err := m.run(opts.MaxSteps); err != nil {
 		releaseSegments(m.segs)
 		return nil, err
@@ -215,8 +216,8 @@ func TestSegmentedProveVerify(t *testing.T) {
 			}
 		}
 	}
-	if c.ExitStatus() != 0 {
-		t.Fatalf("exit status %d", c.ExitStatus())
+	if code := c.Segments[len(c.Segments)-1].ExitCode; code != 0 {
+		t.Fatalf("exit status %d", code)
 	}
 	if c.Image() != prog.ID() {
 		t.Fatal("image mismatch")
