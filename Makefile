@@ -1,9 +1,9 @@
 GO ?= go
 GOFMT ?= gofmt
 FUZZTIME ?= 10s
-# The receipt targets mutate 15-50 KB inputs, and the checkpoint target
-# finds new coverage every few execs; minimizing each new-coverage input
-# for go's default 60 s would eat the whole FUZZTIME.
+# The receipt targets mutate 15-50 KB inputs, and the checkpoint and
+# emulator targets find new coverage every few execs; minimizing each
+# new-coverage input for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
 .PHONY: fmt build vet test race purego fuzz examples check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
@@ -86,7 +86,7 @@ fuzz:
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzVerifyMutatedReceipt -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzMemoryCheck -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzGrandProduct -fuzztime=$(FUZZTIME)
-	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExecuteMatchesReference -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExecuteMatchesReference -fuzztime=$(FUZZTIME) -fuzzminimizetime=$(FUZZMINIMIZE)
 	$(GO) test ./internal/zkvm -run='^$$' -fuzz=FuzzExpandExecLeaf -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/guest -run='^$$' -fuzz=FuzzAggregationMatchesReference -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ingest -run='^$$' -fuzz=FuzzDatagram -fuzztime=$(FUZZTIME)
@@ -139,7 +139,7 @@ bench-parallel:
 
 # Commit-path benchmarks with allocation counts: the zero-allocation
 # hash kernel (raw compression in ns/block, one lane and two; a tree
-# level in ns/node; a salted leaf), the seal's block commit (salt + encode + leaf-hash +
+# level in ns/node), the seal's block commit (salt + encode + leaf-hash +
 # reduce one 1024-leaf, 4096-record block; one sub-benchmark per record
 # shape — exec/mem/prod/image — with SHA-256 compressions and bytes
 # hashed per record next to ns/record), the emulator alone (mono /
@@ -148,7 +148,7 @@ bench-parallel:
 # at -cpu 1, the serial crew. Compare against the allocs/op recorded in
 # EXPERIMENTS.md E14.
 bench-commit:
-	$(GO) test -bench='Compress|HashLevel|Leaf2' -benchmem -run=^$$ ./internal/hashk
+	$(GO) test -bench='Compress|HashLevel' -benchmem -run=^$$ ./internal/hashk
 	$(GO) test -bench='CommitBlock|Execute' -benchmem -run=^$$ ./internal/zkvm
 	$(GO) test -bench='BuildHashes|Build1024' -benchmem -cpu 1 -run=^$$ ./internal/merkle
 	$(GO) test -bench='NTT65536|Butterflies' -benchmem -run=^$$ ./internal/poly ./internal/field

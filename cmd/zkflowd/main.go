@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"strings"
 	"time"
 
 	"zkflow/internal/api"
@@ -44,8 +43,7 @@ func main() {
 		loss     = flag.Float64("loss", 0.02, "packet loss rate")
 		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = one segment)")
 
-		debugAddr    = flag.String("debug-addr", "", "operator-only pprof+metrics listen address (empty = off; keep it loopback)")
-		metricsEvery = flag.Duration("metrics-every", 0, "log a metrics summary line at this interval (0 = off)")
+		debugAddr = flag.String("debug-addr", "", "operator-only pprof listen address (empty = off; keep it loopback)")
 
 		ingestAddr    = flag.String("ingest-addr", "", "UDP collector listen address for NetFlow v9 / sFlow exports (empty = simulated collection)")
 		ingestShards  = flag.Int("ingest-shards", 4, "ingest worker shards (routers map to shards by ID)")
@@ -67,30 +65,8 @@ func main() {
 	// heap and CPU profiles of the prover are operator-only artifacts.
 	if *debugAddr != "" {
 		go func() {
-			log.Printf("debug (pprof+metrics) listening on http://%s/debug/pprof/", *debugAddr)
-			log.Printf("debug listener failed: %v", http.ListenAndServe(*debugAddr, obs.DebugHandler(reg)))
-		}()
-	}
-	if *metricsEvery > 0 {
-		go func() {
-			for range time.Tick(*metricsEvery) {
-				s := reg.Snapshot()
-				var http2xx, http4xx, http5xx uint64
-				for name, v := range s.Counters {
-					switch {
-					case strings.HasSuffix(name, ".2xx"):
-						http2xx += v
-					case strings.HasSuffix(name, ".4xx"):
-						http4xx += v
-					case strings.HasSuffix(name, ".5xx"):
-						http5xx += v
-					}
-				}
-				agg := s.Histograms["core.agg_seconds"]
-				log.Printf("metrics: rounds=%d agg_mean=%.0fms failed=%d http 2xx/4xx/5xx=%d/%d/%d receipt_bytes=%d",
-					s.Counters["core.agg_rounds"], agg.Mean*1000, s.Counters["core.agg_failures"],
-					http2xx, http4xx, http5xx, s.Counters["http.receipt_bytes"])
-			}
+			log.Printf("debug (pprof) listening on http://%s/debug/pprof/", *debugAddr)
+			log.Printf("debug listener failed: %v", http.ListenAndServe(*debugAddr, obs.DebugHandler()))
 		}()
 	}
 

@@ -28,6 +28,7 @@ type round struct {
 	words   []uint32          // the guest's input tape; nil when the witness failed
 	journal []uint32          // the host's reference journal
 	parsed  *guest.AggJournal // parsed form of journal
+	hash    vmtree.Digest     // hash of journal, which the next round chains to
 	next    []clog.Entry      // the CLog after this epoch
 	receipt zkvm.AnyReceipt
 	err     error
@@ -75,13 +76,7 @@ func (p *Prover) AggregateEpochs(epochs []uint64) ([]*AggregationResult, error) 
 // the chain for the next one where it was.
 func (p *Prover) witness(epochs []uint64) []*round {
 	p.mu.Lock()
-	entries := p.entries
-	var prevHash, prevRoot vmtree.Digest
-	if n := len(p.history); n > 0 {
-		last := p.history[n-1]
-		prevHash = vmtree.HashWords(last.Receipt.JournalWords())
-		prevRoot = last.Journal.NewRoot
-	}
+	entries, prevHash, prevRoot := p.entries, p.lastHash, p.lastRoot
 	p.mu.Unlock()
 
 	window := make([]*round, len(epochs))
@@ -113,7 +108,8 @@ func (p *Prover) witness(epochs []uint64) []*round {
 			r.err = fmt.Errorf("core: reference journal for epoch %d: %w", epoch, err)
 		} else {
 			r.words = agg.Words()
-			entries, prevHash, prevRoot = r.next, vmtree.HashWords(r.journal), r.parsed.NewRoot
+			r.hash = vmtree.HashWords(r.journal)
+			entries, prevHash, prevRoot = r.next, r.hash, r.parsed.NewRoot
 		}
 		p.met.witnessDone(r.start)
 	}
@@ -137,8 +133,9 @@ func (p *Prover) seal(r *round) {
 	}
 }
 
-// commit counts the round and, unless it failed, appends it to the
-// prover's history.
+// commit counts the round and, unless it failed, moves the prover's
+// chain tip to it. The receipt is the seal of r.journal word for word,
+// so r.hash is its journal's hash.
 func (p *Prover) commit(r *round) *AggregationResult {
 	p.met.aggDone(time.Since(r.start).Seconds(), r.receipt, r.err)
 	if r.err != nil {
@@ -147,7 +144,8 @@ func (p *Prover) commit(r *round) *AggregationResult {
 	res := &AggregationResult{Epoch: r.epoch, Receipt: r.receipt, Journal: r.parsed}
 	p.mu.Lock()
 	p.entries = r.next
-	p.history = append(p.history, res)
+	p.rounds++
+	p.lastHash, p.lastRoot = r.hash, r.parsed.NewRoot
 	p.mu.Unlock()
 	return res
 }

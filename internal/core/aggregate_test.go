@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"zkflow/internal/guest"
 	"zkflow/internal/ledger"
@@ -18,6 +19,7 @@ import (
 	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
+	"zkflow/internal/vmtree"
 	"zkflow/internal/zkvm"
 )
 
@@ -35,6 +37,12 @@ func pipelineWithOpts(t *testing.T, seed int64, epochs, recordsPerRouter int, op
 		t.Fatal(err)
 	}
 	return NewProver(st, lg, opts), NewVerifier(lg)
+}
+
+// committedResults returns the rounds a batch committed, in order: its
+// results without the failed epochs' nils.
+func committedResults(results []*AggregationResult) []*AggregationResult {
+	return slices.DeleteFunc(slices.Clone(results), func(res *AggregationResult) bool { return res == nil })
 }
 
 // TestAggregateEpochsMatchesSequential pins the batch contract: six
@@ -81,12 +89,15 @@ func TestAggregateEpochsMatchesSequential(t *testing.T) {
 				}
 
 				seq, seqV := setup(nil)
+				var twin []*AggregationResult
 				for e := range epochs {
-					_, err := seq.AggregateEpoch(uint64(e))
+					res, err := seq.AggregateEpoch(uint64(e))
 					if e == 2 || e == 4 {
 						wantFailure(e, err)
 					} else if err != nil {
 						t.Fatalf("sequential epoch %d: %v", e, err)
+					} else {
+						twin = append(twin, res)
 					}
 				}
 
@@ -111,9 +122,10 @@ func TestAggregateEpochsMatchesSequential(t *testing.T) {
 					t.Fatalf("%d backend calls for %d epochs and %d discarded seals", calls.Load(), epochs, d)
 				}
 
-				committed, twin := batch.History(), seq.History()
-				if len(committed) != 4 || len(twin) != 4 {
-					t.Fatalf("committed %d rounds in a batch and %d one by one, want 4", len(committed), len(twin))
+				committed := committedResults(results)
+				if len(committed) != 4 || len(twin) != 4 || batch.Round() != 4 || seq.Round() != 4 {
+					t.Fatalf("committed %d (%d) rounds in a batch and %d (%d) one by one, want 4",
+						len(committed), batch.Round(), len(twin), seq.Round())
 				}
 				for i, res := range committed {
 					if res.Epoch != twin[i].Epoch || res != results[res.Epoch] {
@@ -220,7 +232,7 @@ func TestSchedulerTamperAborts(t *testing.T) {
 		t.Fatal("epoch 2 is not chained to epoch 0")
 	}
 	v := NewVerifier(lg)
-	for _, res := range p.History() {
+	for _, res := range committedResults(results) {
 		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
 			t.Fatal(err)
 		}
@@ -263,7 +275,7 @@ func TestSchedulerStopsSealingAfterAFailedSeal(t *testing.T) {
 	if p.Round() != 7 {
 		t.Fatalf("committed %d rounds, want 7", p.Round())
 	}
-	for _, res := range p.History() {
+	for _, res := range committedResults(results) {
 		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
 			t.Fatal(err)
 		}
@@ -289,22 +301,27 @@ func TestSchedulerQueriesSeeCommittedState(t *testing.T) {
 		return zkvm.ProveAny(prog, input, po)
 	}
 	p, v := pipelineWithOpts(t, 14, 3, 6, Options{Checks: 4, Prove: holdEpoch2})
+	var results []*AggregationResult
 	done := make(chan error, 1)
 	go func() {
-		_, err := p.AggregateEpochs([]uint64{0, 1, 2})
+		var err error
+		results, err = p.AggregateEpochs([]uint64{0, 1, 2})
 		done <- err
 	}()
 
 	<-held
-	committed := p.History()
-	if len(committed) != 2 {
-		t.Fatalf("%d rounds committed while epoch 2 seals, want 2", len(committed))
+	if n := p.Round(); n != 2 {
+		t.Fatalf("%d rounds committed while epoch 2 seals, want 2", n)
 	}
 	qr, err := p.Query("SELECT COUNT(*) FROM clogs")
 	unblock()
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	committed := results[:2]
 	if qr.Journal.Root != committed[1].Journal.NewRoot {
 		t.Fatal("mid-batch query did not prove against the last committed root")
 	}
@@ -316,10 +333,7 @@ func TestSchedulerQueriesSeeCommittedState(t *testing.T) {
 	if _, err := v.VerifyQuery(qr.SQL, qr.Receipt); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if _, err := v.VerifyAggregation(p.History()[2].Receipt); err != nil {
+	if _, err := v.VerifyAggregation(results[2].Receipt); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -350,11 +364,12 @@ func TestConcurrentAggregateEpochSerialises(t *testing.T) {
 	p, v := pipelineWithOpts(t, 17, 2, 6, Options{Checks: 4})
 	var wg sync.WaitGroup
 	errs := make([]error, 2)
+	results := make([]*AggregationResult, 2)
 	for i := range errs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, errs[i] = p.AggregateEpoch(uint64(i))
+			results[i], errs[i] = p.AggregateEpoch(uint64(i))
 		}()
 	}
 	wg.Wait()
@@ -366,10 +381,58 @@ func TestConcurrentAggregateEpochSerialises(t *testing.T) {
 	if p.Round() != 2 {
 		t.Fatalf("Round() = %d, want 2", p.Round())
 	}
-	// The calls may commit in either order; each extends the chain.
-	for _, res := range p.History() {
+	// The calls may commit in either order; each extends the chain, so
+	// the one chained to genesis came first.
+	if results[1].Journal.PrevJournalHash == (vmtree.Digest{}) {
+		results[0], results[1] = results[1], results[0]
+	}
+	for _, res := range results {
 		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestProverKeepsNoOldRound: the prover keeps the chain tip, not the
+// rounds behind it. Once the caller drops round 0's result, nothing in
+// the prover holds round 0's receipt, so a collection frees it — while
+// rounds 1 and 2 still chain to it and verify.
+func TestProverKeepsNoOldRound(t *testing.T) {
+	p, v := pipelineWithOpts(t, 19, 3, 6, Options{Checks: 4})
+	first, err := p.AggregateEpoch(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.VerifyAggregation(first.Receipt); err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	runtime.SetFinalizer(first.Receipt.(*zkvm.Receipt), func(*zkvm.Receipt) { close(freed) })
+	first = nil
+
+	results, err := p.AggregateEpochs([]uint64{1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
+			t.Fatal(err)
+		}
+	}
+	collected := false
+	for i := 0; i < 20 && !collected; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-time.After(50 * time.Millisecond):
+		}
+	}
+	if !collected {
+		t.Fatal("round 0's receipt is still reachable after its result was dropped")
+	}
+	// The prover stays live across the collections above.
+	if p.Round() != 3 {
+		t.Fatalf("Round() = %d, want 3", p.Round())
 	}
 }

@@ -112,8 +112,14 @@ type Prover struct {
 	ledger  *ledger.Ledger
 	opts    Options
 	entries []clog.Entry // current CLog (private)
-	history []*AggregationResult
-	met     *metrics
+	// The chain tip the next round's witness extends: the number of
+	// committed rounds, the hash of the last committed journal and that
+	// journal's new CLog root. Old rounds are not kept; serving their
+	// receipts is the API server's job.
+	rounds   int
+	lastHash vmtree.Digest
+	lastRoot vmtree.Digest
+	met      *metrics
 }
 
 // NewProver creates a prover over a store and ledger.
@@ -125,15 +131,7 @@ func NewProver(st *store.Store, lg *ledger.Ledger, opts Options) *Prover {
 func (p *Prover) Round() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.history)
-}
-
-// History returns the aggregation receipts in order (shared slice —
-// do not mutate).
-func (p *Prover) History() []*AggregationResult {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.history
+	return p.rounds
 }
 
 // AggregateEpoch runs one Algorithm 1 round over the given epoch's

@@ -40,9 +40,8 @@
 //   - Node/HashLevel hash internal tree nodes: zero allocations per
 //     node at any tree size. HashLevel reduces a whole level (or a
 //     block's slice of one) per call.
-//   - Leaf/Leaf2 hash a domain-prefixed leaf payload, in one or two
-//     parts: payloads that fit a Msg after the prefix — every leaf the
-//     zkVM prover commits — take the kernel path, payloads under
+//   - Leaf hashes a domain-prefixed leaf payload: payloads that fit a
+//     Msg after the prefix take the kernel path, payloads under
 //     ScratchBytes go through a 512-byte stack buffer and
 //     sha256.Sum256 (STARK rows of up to 63 columns), and only
 //     oversized leaves fall back to a streaming hash.
@@ -205,37 +204,14 @@ func Leaf[H ~[32]byte](data []byte) H {
 		n := copy(buf[1:], data)
 		return H(sha256.Sum256(buf[:1+n]))
 	}
-	return leafStream[H](data, nil)
-}
-
-// Leaf2 hashes the concatenation of two payload parts under the leaf
-// prefix: SHA-256(0x00 || a || b). This is the salted-leaf shape of
-// the zkVM commitment (salt || records) hashed without materializing
-// the concatenation. Zero allocations on the fast paths.
-func Leaf2[H ~[32]byte](a, b []byte) H {
-	if len(a)+len(b) < MaxMsg {
-		var m Msg
-		m[0] = LeafPrefix
-		n := 1 + copy(m[1:], a)
-		n += copy(m[n:], b)
-		return H(SumMsg(&m, n))
-	}
-	if len(a)+len(b) < ScratchBytes {
-		var buf [ScratchBytes]byte
-		buf[0] = LeafPrefix
-		n := 1 + copy(buf[1:], a)
-		n += copy(buf[n:], b)
-		return H(sha256.Sum256(buf[:n]))
-	}
-	return leafStream[H](a, b)
+	return leafStream[H](data)
 }
 
 // leafStream is the slow path for oversized leaves.
-func leafStream[H ~[32]byte](a, b []byte) H {
+func leafStream[H ~[32]byte](data []byte) H {
 	d := sha256.New()
 	d.Write([]byte{LeafPrefix})
-	d.Write(a)
-	d.Write(b)
+	d.Write(data)
 	var out H
 	d.Sum(out[:0])
 	return out

@@ -31,12 +31,10 @@ func refNode(t testing.TB, l, r digest) digest {
 	return digest(state[4:36])
 }
 
-func refLeaf(parts ...[]byte) digest {
+func refLeaf(data []byte) digest {
 	h := sha256.New()
 	h.Write([]byte{LeafPrefix})
-	for _, p := range parts {
-		h.Write(p)
-	}
+	h.Write(data)
 	var out digest
 	h.Sum(out[:0])
 	return out
@@ -139,20 +137,13 @@ func TestHashLevelRejectsRaggedInput(t *testing.T) {
 }
 
 func TestLeafVariantsMatchReference(t *testing.T) {
-	a := bytes.Repeat([]byte{0xaa}, 16)
 	b := bytes.Repeat([]byte{0xbb}, 80)
 	if got, want := Leaf[digest](b), refLeaf(b); got != want {
 		t.Fatalf("Leaf = %x, want %x", got, want)
 	}
-	if got, want := Leaf2[digest](a, b), refLeaf(a, b); got != want {
-		t.Fatalf("Leaf2 = %x, want %x", got, want)
-	}
-	// Empty payload and empty parts.
+	// Empty payload.
 	if got, want := Leaf[digest](nil), refLeaf(nil); got != want {
 		t.Fatalf("Leaf(nil) = %x, want %x", got, want)
-	}
-	if got, want := Leaf2[digest](nil, b), refLeaf(nil, b); got != want {
-		t.Fatalf("Leaf2(nil,b) = %x, want %x", got, want)
 	}
 }
 
@@ -168,10 +159,6 @@ func TestLeafSlowPathMatchesFastPath(t *testing.T) {
 			if got, want := Leaf[digest](data), refLeaf(data); got != want {
 				t.Fatalf("%s: len %d: Leaf = %x, want %x", mode, n, got, want)
 			}
-			half := n / 2
-			if got, want := Leaf2[digest](data[:half], data[half:]), refLeaf(data); got != want {
-				t.Fatalf("%s: len %d: Leaf2 split = %x, want %x", mode, n, got, want)
-			}
 		}
 	})
 }
@@ -182,9 +169,8 @@ func TestLeafSlowPathMatchesFastPath(t *testing.T) {
 func TestKernelZeroAllocs(t *testing.T) {
 	d := mkDigests(256)
 	dst := make([]digest, 128)
-	salt := make([]byte, 16)
 	row := make([]byte, 80)
-	rows := make([]byte, 4*80) // the widest committed leaf: a block of four exec rows
+	wide := make([]byte, ScratchBytes-1) // the widest payload of the stack buffer
 	cases := []struct {
 		name string
 		fn   func()
@@ -192,8 +178,7 @@ func TestKernelZeroAllocs(t *testing.T) {
 		{"Node", func() { _ = Node(d[0], d[1]) }},
 		{"HashLevel", func() { HashLevel(dst, d) }},
 		{"Leaf", func() { _ = Leaf[digest](row) }},
-		{"Leaf2", func() { _ = Leaf2[digest](salt, row) }},
-		{"Leaf2/block", func() { _ = Leaf2[digest](salt, rows) }},
+		{"Leaf/wide", func() { _ = Leaf[digest](wide) }},
 	}
 	kernelModes(t, func(mode string) {
 		for _, tc := range cases {
@@ -343,13 +328,5 @@ func BenchmarkHashLevel(b *testing.B) {
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/node")
 			})
 		})
-	}
-}
-
-func BenchmarkLeaf2(b *testing.B) {
-	salt := make([]byte, 16)
-	row := make([]byte, 80)
-	for i := 0; i < b.N; i++ {
-		_ = Leaf2[digest](salt, row)
 	}
 }

@@ -178,19 +178,15 @@ func TestConcurrentHammerAndSnapshot(t *testing.T) {
 	}
 }
 
-func TestDebugHandlerServesPprofAndMetrics(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("c").Inc()
-	ts := httptest.NewServer(DebugHandler(reg))
+func TestDebugHandlerServesPprof(t *testing.T) {
+	ts := httptest.NewServer(DebugHandler())
 	defer ts.Close()
-	for _, path := range []string{"/debug/pprof/", "/debug/metrics"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s = %d, want 200", path, resp.StatusCode)
-		}
+	resp, err := http.Get(ts.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /debug/pprof/ = %d, want 200", resp.StatusCode)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"zkflow/internal/hashk"
 	"zkflow/internal/merkle"
 )
 
@@ -155,6 +156,7 @@ func TestColumnLeafShape(t *testing.T) {
 				"tail padded to a full block":  {proofOf(2), 2, []Opening{leaf(2, func(o *Opening) { o.Data = append(o.Data, make([]byte, 2*sh.tailBytes)...) })}},
 				"payload not whole records":    {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Data = o.Data[:len(o.Data)-1] })}},
 				"empty payload":                {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Data = nil })}},
+				"payload past a hash message":  {proofOf(1), 1, []Opening{leaf(1, func(o *Opening) { o.Data = append(o.Data, make([]byte, hashk.MaxMsg)...) })}},
 				"surplus node":                 {merkle.MultiProof{Nodes: append(slices.Clone(nodes), merkle.PaddingHash(2))}, 1, []Opening{tab.open(1)}},
 				"missing node":                 {merkle.MultiProof{Nodes: nodes[:1]}, 1, []Opening{tab.open(1)}},
 				"out-of-order node":            {merkle.MultiProof{Nodes: []merkle.Hash{nodes[1], nodes[0]}}, 1, []Opening{tab.open(1)}},

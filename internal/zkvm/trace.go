@@ -154,11 +154,13 @@ func decodeProd(b []byte) (field.Elem, error) {
 	return field.Elem(v), nil
 }
 
-// saltedLeafHash is the committed hash of (salt || payload), hashed
-// without materializing the concatenation (zero allocations for every
-// committed leaf shape in this package).
+// saltedLeafHash is the committed hash of (salt || payload): one Msg
+// through the kernel, as commitBlock hashes it. Every committed leaf
+// shape fits a Msg; a verifier hashes an opening only after column.leaf
+// has checked its length.
 func saltedLeafHash(salt [saltBytes]byte, payload []byte) merkle.Hash {
-	return hashk.Leaf2[merkle.Hash](salt[:], payload)
+	var m hashk.Msg
+	return hashk.SumMsg(&m, saltedLeafMsg(&m, salt, payload))
 }
 
 // saltedLeafHash2 is saltedLeafHash of two openings whose payloads have
