@@ -32,10 +32,11 @@ test:
 # twiddle/ladder caches, pooled scratch, LDE/composition/FRI chunked
 # onto par.Each's crew), the slab pool every prover's scratch comes
 # from, the record store under concurrent writers, the CLog's sub-tree
-# roots hashed in parallel, and the traffic generator's replay over a
-# socket.
+# roots hashed in parallel, the traffic generator's replay over a
+# socket, and the NetFlow v9 template cache under concurrent decoders
+# from more exporters than it holds.
 race:
-	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/merkle ./internal/obs ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg ./internal/slab ./internal/store ./internal/clog ./internal/trafficgen
+	$(GO) test -race ./cmd/zkflowd ./internal/par ./internal/zkvm ./internal/core ./internal/api ./internal/merkle ./internal/obs ./internal/netflow ./internal/ingest ./internal/ledger ./internal/lightsync ./internal/field ./internal/poly ./internal/fri ./internal/stark ./internal/fastagg ./internal/slab ./internal/store ./internal/clog ./internal/trafficgen
 
 # Fallback lane: the SHA-256 compression kernel of internal/hashk runs
 # on amd64 with SHA-NI, and everywhere else the same functions hash

@@ -5,18 +5,21 @@
 // collector architecture the paper assumes commodity routers talk to:
 //
 //	packet → decode (NetFlow v9 / sFlow v5) → shard by router →
-//	  per-shard batch buffer → epoch tick → store.Append +
-//	  ledger.Publish(CommitRecords)
+//	  shard queue → per-router buffers → seal request (same queue) →
+//	  store.Append + ledger.Publish(CommitRecords)
 //
 // Records are sharded by RouterID so each (router, epoch) segment is
 // owned by exactly one worker — commitments publish once, with no
 // cross-shard locking on the hot path (hand-off is one buffered
-// channel send). Backpressure is explicit: a full shard queue drops
-// the batch and counts it, it never blocks the socket readers. Every
-// record is accounted for — received equals committed plus
-// dropped-by-cause once the pipeline is drained (Close), and the
-// accounting is surfaced through internal/obs (see metric names
-// below, served at /api/v1/metrics when zkflowd shares its registry).
+// channel send). A seal travels the same queue as the data, behind
+// every batch sent before it, so the queue alone orders records into
+// epochs. Backpressure is explicit: a full shard queue drops the batch
+// and counts it, it never blocks the socket readers. Every record is
+// accounted for — received equals committed plus dropped-by-cause once
+// the pipeline is drained (Close), and a datagram injected after Close
+// is a counted drop. The accounting is surfaced through internal/obs
+// (see metric names below, served at /api/v1/metrics when zkflowd
+// shares its registry).
 package ingest
 
 import (
@@ -26,6 +29,7 @@ import (
 	"net"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"zkflow/internal/ledger"
@@ -70,11 +74,20 @@ type Seal struct {
 // readers is the number of goroutines reading the one UDP socket.
 const readers = 2
 
-// batch is the unit of hand-off between the decode path and a shard
-// worker: one packet's records, all from one router.
+// batch is what a shard worker receives: one packet's records, all
+// from one router, or — when seal is set — a seal request.
 type batch struct {
 	router uint32
 	recs   []netflow.Record
+	seal   *sealReq
+}
+
+// sealReq asks every shard to flush its buffers as one epoch and answer
+// on reply. A worker returns after answering the final request.
+type sealReq struct {
+	epoch uint64
+	final bool
+	reply chan shardSeal
 }
 
 // shardSeal is one shard's flush result for an epoch.
@@ -82,13 +95,10 @@ type shardSeal struct {
 	routers, records, dropped int
 }
 
-// shard is one ingest worker: a queue, the current epoch's per-router
-// buffers, and the control channels the sealer drives it with.
+// shard is one ingest worker: its queue and the current epoch's
+// per-router buffers.
 type shard struct {
 	ch    chan batch
-	tick  chan uint64
-	ack   chan shardSeal
-	quit  chan struct{}
 	buf   map[uint32][]netflow.Record
 	depth *obs.Gauge
 }
@@ -104,10 +114,10 @@ type Pipeline struct {
 	shards []*shard
 	v9dec  *netflow.V9Decoder
 
-	mu      sync.Mutex // serialises Seal, guards epoch/started/closed
+	mu      sync.Mutex // serialises Start, Seal and Close; guards epoch/started/tickerStop
 	epoch   uint64
 	started bool
-	closed  bool
+	closed  atomic.Bool // the final seal is queued: Seal is a no-op, dispatch drops
 
 	readersWG  sync.WaitGroup
 	workersWG  sync.WaitGroup
@@ -163,9 +173,6 @@ func New(st *store.Store, lg *ledger.Ledger, cfg Config) (*Pipeline, error) {
 	for i := 0; i < cfg.Shards; i++ {
 		p.shards = append(p.shards, &shard{
 			ch:    make(chan batch, cfg.QueueDepth),
-			tick:  make(chan uint64),
-			ack:   make(chan shardSeal),
-			quit:  make(chan struct{}),
 			buf:   make(map[uint32][]netflow.Record),
 			depth: reg.Gauge(fmt.Sprintf("ingest.queue_depth.shard%d", i)),
 		})
@@ -189,13 +196,6 @@ func (p *Pipeline) Addr() net.Addr {
 	return p.conn.LocalAddr()
 }
 
-// Epoch returns the epoch currently accepting records.
-func (p *Pipeline) Epoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
-
 // Start launches the shard workers, the UDP readers, and (when
 // EpochInterval is set) the epoch ticker.
 func (p *Pipeline) Start() error {
@@ -204,7 +204,7 @@ func (p *Pipeline) Start() error {
 	if p.started {
 		return fmt.Errorf("ingest: already started")
 	}
-	if p.closed {
+	if p.closed.Load() {
 		return fmt.Errorf("ingest: closed")
 	}
 	p.started = true
@@ -219,7 +219,8 @@ func (p *Pipeline) Start() error {
 		}
 	}
 	if p.cfg.EpochInterval > 0 {
-		p.tickerStop = make(chan struct{})
+		stop := make(chan struct{})
+		p.tickerStop = stop
 		p.tickerWG.Add(1)
 		go func() {
 			defer p.tickerWG.Done()
@@ -229,7 +230,7 @@ func (p *Pipeline) Start() error {
 				select {
 				case <-t.C:
 					p.Seal()
-				case <-p.tickerStop:
+				case <-stop:
 					return
 				}
 			}
@@ -281,7 +282,8 @@ func (p *Pipeline) Inject(dgram []byte) {
 }
 
 // dispatch validates one packet's records and hands them to the
-// owning shard. A full queue drops the whole batch — never blocks.
+// owning shard. A full queue, or a closed pipeline, drops the whole
+// batch — never blocks.
 func (p *Pipeline) dispatch(router uint32, recs []netflow.Record) {
 	if len(recs) == 0 {
 		return
@@ -299,40 +301,30 @@ func (p *Pipeline) dispatch(router uint32, recs []netflow.Record) {
 		return
 	}
 	s := p.shards[router%uint32(len(p.shards))]
-	select {
-	case s.ch <- batch{router: router, recs: valid}:
-		s.depth.Add(1)
-	default:
-		p.dropQueue.Add(uint64(len(valid)))
+	if !p.closed.Load() {
+		select {
+		case s.ch <- batch{router: router, recs: valid}:
+			s.depth.Add(1)
+			return
+		default:
+		}
 	}
+	p.dropQueue.Add(uint64(len(valid)))
 }
 
-// worker owns one shard: it folds queued batches into the current
-// epoch's per-router buffers and flushes them when the sealer ticks.
+// worker owns one shard: it folds each data batch into the current
+// epoch's per-router buffers, and flushes them on a seal request —
+// which its queue delivers after every batch sent before the request.
 func (p *Pipeline) worker(s *shard) {
 	defer p.workersWG.Done()
-	absorb := func(b batch) {
-		s.depth.Add(-1)
-		s.buf[b.router] = append(s.buf[b.router], b.recs...)
-	}
-	for {
-		select {
-		case b := <-s.ch:
-			absorb(b)
-		case epoch := <-s.tick:
-			// Drain everything already queued so batches enqueued
-			// before the Seal call land in the epoch being sealed.
-			for {
-				select {
-				case b := <-s.ch:
-					absorb(b)
-					continue
-				default:
-				}
-				break
-			}
-			s.ack <- p.flush(s, epoch)
-		case <-s.quit:
+	for b := range s.ch {
+		if b.seal == nil {
+			s.depth.Add(-1)
+			s.buf[b.router] = append(s.buf[b.router], b.recs...)
+			continue
+		}
+		b.seal.reply <- p.flush(s, b.seal.epoch)
+		if b.seal.final {
 			return
 		}
 	}
@@ -378,25 +370,29 @@ func (p *Pipeline) flush(s *shard, epoch uint64) shardSeal {
 
 // Seal commits the current epoch across all shards and advances to
 // the next. It is the manual form of the EpochInterval tick; the
-// returned Seal reports what the epoch committed and dropped.
+// returned Seal reports what the epoch committed and dropped. Before
+// Start and after Close it seals nothing and returns the current epoch.
 func (p *Pipeline) Seal() Seal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.sealLocked()
+	if !p.started || p.closed.Load() {
+		return Seal{Epoch: p.epoch}
+	}
+	return p.sealLocked(false)
 }
 
-func (p *Pipeline) sealLocked() Seal {
+// sealLocked queues one seal request on every shard, then collects the
+// answers: shards flush concurrently, and the seal is a barrier at
+// epoch granularity only. The request waits for room in a full queue
+// rather than drop, and the worker drains the queue ahead of it.
+func (p *Pipeline) sealLocked(final bool) Seal {
 	info := Seal{Epoch: p.epoch}
-	if !p.started {
-		return info
-	}
-	// Fan the tick out first so shards flush concurrently, then
-	// collect: the seal is a barrier at epoch granularity only.
+	req := &sealReq{epoch: info.Epoch, final: final, reply: make(chan shardSeal, len(p.shards))}
 	for _, s := range p.shards {
-		s.tick <- info.Epoch
+		s.ch <- batch{seal: req}
 	}
-	for _, s := range p.shards {
-		r := <-s.ack
+	for range p.shards {
+		r := <-req.reply
 		info.Routers += r.routers
 		info.Records += r.records
 		info.Dropped += r.dropped
@@ -417,34 +413,34 @@ func (p *Pipeline) sealLocked() Seal {
 	return info
 }
 
-// Close stops the ticker and readers, seals whatever is buffered into
-// one final epoch, and shuts the workers down. After Close every
-// received record is accounted: received == committed + dropped.
+// Close stops the ticker and the socket readers, so that everything
+// the readers took off the socket commits in one final seal; then it
+// marks the pipeline closed, queues the final seal request behind every
+// batch, and waits for the workers to return. After Close every
+// received record is accounted: received == committed + dropped. A
+// Seal that starts after Close returns seals nothing, and an Inject
+// counts its records as records_dropped.queue_full.
 func (p *Pipeline) Close() error {
 	p.mu.Lock()
-	if p.closed {
-		p.mu.Unlock()
-		return nil
+	stop := p.tickerStop
+	p.tickerStop = nil
+	if !p.started {
+		p.closed.Store(true) // nothing to seal, and Start now fails
 	}
-	p.closed = true
-	started := p.started
 	p.mu.Unlock()
 
-	if p.tickerStop != nil {
-		close(p.tickerStop)
+	if stop != nil {
+		close(stop)
 		p.tickerWG.Wait()
 	}
 	if p.conn != nil {
 		p.conn.Close()
 		p.readersWG.Wait()
 	}
-	if started {
-		p.mu.Lock()
-		p.sealLocked()
-		p.mu.Unlock()
-		for _, s := range p.shards {
-			close(s.quit)
-		}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if !p.closed.Swap(true) {
+		p.sealLocked(true)
 		p.workersWG.Wait()
 	}
 	return nil

@@ -414,6 +414,52 @@ func TestLifecycleErrors(t *testing.T) {
 	}
 }
 
+func TestSealAfterCloseReturns(t *testing.T) {
+	// No newPipeline: its cleanup Close would wait on a hung Seal.
+	p, err := New(store.Open(0), ledger.New(), Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	p.Inject(v9Datagram(1, genRecords(1, 3)))
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan Seal, 1)
+	go func() { done <- p.Seal() }()
+	select {
+	case s := <-done:
+		// The final seal committed epoch 0; nothing is sealed after it.
+		if s.Epoch != 1 || s.Records != 0 {
+			t.Fatalf("Seal after Close = %+v, want epoch 1 and no records", s)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Seal after Close did not return")
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkAccounting(t, p)
+}
+
+func TestInjectAfterCloseIsCounted(t *testing.T) {
+	p, _, _ := newPipeline(t, Config{Shards: 1})
+	if err := p.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p.Inject(v9Datagram(1, genRecords(1, 3)))
+	s := p.Stats()
+	if s.Received != 3 || s.DroppedQueue != 3 {
+		t.Fatalf("stats %+v, want 3 received and 3 dropped at the queue", s)
+	}
+	checkAccounting(t, p)
+}
+
 func TestStatsDroppedSums(t *testing.T) {
 	s := Stats{Received: 10, Committed: 4, DroppedQueue: 1, DroppedEvict: 2, DroppedBad: 1, DroppedLedgr: 2}
 	if s.Dropped() != 6 {

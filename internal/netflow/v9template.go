@@ -32,6 +32,7 @@ type v9TemplateKey struct {
 type v9Template struct {
 	fields    [][2]uint16 // (type, length) pairs in record order
 	recordLen int
+	used      uint64 // the decoder's clock at the last learn or lookup
 }
 
 // V9Decoder decodes NetFlow v9 export streams with template state.
@@ -40,7 +41,7 @@ type V9Decoder struct {
 	mu        sync.Mutex
 	max       int
 	templates map[v9TemplateKey]*v9Template
-	order     []v9TemplateKey // LRU, oldest first
+	clock     uint64 // stamps template uses; the smallest stamp is evicted
 
 	misses    uint64
 	evictions uint64
@@ -168,39 +169,36 @@ func (d *V9Decoder) learnLocked(source uint32, body []byte) error {
 	return nil
 }
 
-// lookupLocked returns the cached template and refreshes its LRU slot.
+// lookupLocked returns the cached template and stamps it as the most
+// recently used.
 func (d *V9Decoder) lookupLocked(key v9TemplateKey) *v9Template {
-	tpl, ok := d.templates[key]
-	if !ok {
-		return nil
+	tpl := d.templates[key]
+	if tpl != nil {
+		d.clock++
+		tpl.used = d.clock
 	}
-	d.touchLocked(key)
 	return tpl
 }
 
+// insertLocked caches tpl as the most recently used template — a
+// refresh when the exporter re-announces key — and evicts the least
+// recently used one when the cache passes max.
 func (d *V9Decoder) insertLocked(key v9TemplateKey, tpl *v9Template) {
-	if _, ok := d.templates[key]; ok {
-		d.templates[key] = tpl // refresh: exporters re-announce periodically
-		d.touchLocked(key)
+	d.clock++
+	tpl.used = d.clock
+	d.templates[key] = tpl
+	if len(d.templates) <= d.max {
 		return
 	}
-	d.templates[key] = tpl
-	d.order = append(d.order, key)
-	for len(d.templates) > d.max {
-		oldest := d.order[0]
-		d.order = d.order[1:]
-		delete(d.templates, oldest)
-		d.evictions++
-	}
-}
-
-func (d *V9Decoder) touchLocked(key v9TemplateKey) {
-	for i, k := range d.order {
-		if k == key {
-			d.order = append(append(d.order[:i:i], d.order[i+1:]...), key)
-			return
+	var oldest v9TemplateKey
+	stamp := d.clock
+	for k, t := range d.templates {
+		if t.used < stamp {
+			oldest, stamp = k, t.used
 		}
 	}
+	delete(d.templates, oldest)
+	d.evictions++
 }
 
 // decodeRecord maps one record's worth of bytes through the template.

@@ -2,6 +2,8 @@ package netflow
 
 import (
 	"encoding/binary"
+	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -175,6 +177,51 @@ func TestV9DecoderLRUTouchOnUse(t *testing.T) {
 	}
 	if p, _ := d.Decode(v9Packet(1, v9Flowset(301, rec))); len(p.Records) != 0 {
 		t.Fatal("least recently used template survived")
+	}
+}
+
+// TestV9DecoderConcurrentEviction decodes from more exporters than
+// the cache holds on several goroutines at once, so that learning,
+// use stamps and eviction interleave (the race lane runs it). Every
+// packet carries its own template, so each one decodes in full,
+// whatever was evicted in between.
+func TestV9DecoderConcurrentEviction(t *testing.T) {
+	const workers, rounds, sources, cache = 4, 60, 12, 4
+	d := NewV9Decoder(cache)
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				src := uint32((w + i) % sources)
+				recs := []Record{sampleRecord(src), sampleRecord(src + 1)}
+				p, err := d.Decode(EncodeV9(&ExportPacket{SourceID: src, Records: recs}))
+				if err != nil {
+					errs <- err
+					return
+				}
+				if len(p.Records) != 2 || p.Records[1].Key != recs[1].Key || p.Records[1].RouterID != src {
+					errs <- fmt.Errorf("source %d: decoded %+v", src, p.Records)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if got := d.TemplatesCached(); got != cache {
+		t.Fatalf("cache holds %d templates, want %d", got, cache)
+	}
+	if d.TemplateMisses() != 0 {
+		t.Fatalf("%d template misses, want 0", d.TemplateMisses())
+	}
+	if got := d.TemplateEvictions(); got < sources-cache {
+		t.Fatalf("%d evictions, want at least %d", got, sources-cache)
 	}
 }
 

@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"zkflow/internal/netflow"
 )
 
 // MaxDepth bounds predicate nesting (and therefore the guest's
@@ -330,29 +332,9 @@ func (p *parser) parseCmp() (Expr, error) {
 	case ">=":
 		op = OpGe
 	}
-	vt := p.next()
-	var val uint32
-	switch vt.kind {
-	case tokInt:
-		v, err := strconv.ParseUint(vt.text, 0, 32)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad integer %q: %v", ErrParse, vt.text, err)
-		}
-		val = uint32(v)
-	case tokString:
-		if !f.IsIP {
-			return nil, fmt.Errorf("%w: field %s takes integers, not strings", ErrParse, f.Name)
-		}
-		v, err := parseIPValue(vt.text)
-		if err != nil {
-			return nil, fmt.Errorf("%w: bad IP %q: %v", ErrParse, vt.text, err)
-		}
-		val = v
-	default:
-		return nil, fmt.Errorf("%w: expected value at %d", ErrParse, vt.pos)
-	}
-	if f.IsIP && vt.kind == tokInt {
-		return nil, fmt.Errorf("%w: field %s takes a quoted IP", ErrParse, f.Name)
+	val, err := p.parseValue(f)
+	if err != nil {
+		return nil, err
 	}
 	return &Cmp{Field: f, Op: op, Value: val}, nil
 }
@@ -374,7 +356,7 @@ func (p *parser) parseValue(f Field) (uint32, error) {
 		if !f.IsIP {
 			return 0, fmt.Errorf("%w: field %s takes integers, not strings", ErrParse, f.Name)
 		}
-		v, err := parseIPValue(vt.text)
+		v, err := netflow.ParseIPv4(vt.text)
 		if err != nil {
 			return 0, fmt.Errorf("%w: bad IP %q: %v", ErrParse, vt.text, err)
 		}

@@ -15,8 +15,6 @@ package query
 import (
 	"fmt"
 	"strings"
-
-	"zkflow/internal/netflow"
 )
 
 // Field identifies one CLog entry field and how to extract it from
@@ -217,13 +215,6 @@ func exprDepth(e Expr) int {
 	return 0
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // Eval runs the query host-side over entry word slices — the
 // reference semantics the guest must reproduce. It returns the number
 // of matched entries and the 64-bit aggregate value (for MIN with no
@@ -263,9 +254,4 @@ func mask64(m uint32) uint64 {
 		return 0xffffffff
 	}
 	return uint64(m)
-}
-
-// mustIP parses an IP literal during parsing.
-func parseIPValue(s string) (uint32, error) {
-	return netflow.ParseIPv4(s)
 }
