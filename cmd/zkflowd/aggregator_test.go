@@ -6,7 +6,9 @@ import (
 	"testing"
 
 	"zkflow/internal/core"
+	"zkflow/internal/ingest"
 	"zkflow/internal/ledger"
+	"zkflow/internal/netflow"
 	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
@@ -48,6 +50,57 @@ func TestAggregatorProvesEveryEpochPastRetention(t *testing.T) {
 	}
 	want := []uint64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
 	if !slices.Equal(got, want) || prover.Round() != epochs {
+		t.Fatalf("served epochs %v (%d rounds), want %v", got, prover.Round(), want)
+	}
+}
+
+// TestIngestSealsProveInOrder drives ingest mode's epoch loop body the
+// way the daemon's clock does: v9 datagrams injected into a collector,
+// then one sealIngest per epoch. Epoch 2 gets no traffic. Every epoch
+// with records must commit, in order, and the chain must verify.
+func TestIngestSealsProveInOrder(t *testing.T) {
+	const epochs, routers = 5, 2
+	st := store.Open(retention)
+	lg := ledger.New()
+	prover := core.NewProver(st, lg, core.Options{Checks: 8})
+	served := make(chan *core.AggregationResult, epochs)
+	agg := newAggregator(prover, lg, retention, func(res *core.AggregationResult) { served <- res })
+	go agg.run()
+
+	pl, err := ingest.New(st, lg, ingest.Config{Shards: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pl.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer pl.Close()
+	gen := trafficgen.New(trafficgen.Config{Seed: 7, NumFlows: 32, Routers: routers})
+	var want []uint64
+	for e := uint64(0); e < epochs; e++ {
+		if e != 2 {
+			for r := uint32(0); r < routers; r++ {
+				pl.Inject(netflow.EncodeV9(&netflow.ExportPacket{SourceID: r, Records: gen.Batch(r, e, 16)}))
+			}
+			want = append(want, e)
+		}
+		if s := sealIngest(pl, agg); s.Epoch != e || s.Dropped != 0 {
+			t.Fatalf("seal %d = %+v", e, s)
+		}
+	}
+	agg.waitTried(epochs)
+	close(served)
+
+	v := core.NewVerifier(lg)
+	v.SetMinChecks(8)
+	var got []uint64
+	for res := range served {
+		got = append(got, res.Epoch)
+		if _, err := v.VerifyAggregation(res.Receipt); err != nil {
+			t.Fatalf("epoch %d: %v", res.Epoch, err)
+		}
+	}
+	if !slices.Equal(got, want) || prover.Round() != len(want) {
 		t.Fatalf("served epochs %v (%d rounds), want %v", got, prover.Round(), want)
 	}
 }

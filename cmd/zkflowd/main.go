@@ -36,7 +36,7 @@ func main() {
 		routers  = flag.Int("routers", 4, "simulated routers")
 		records  = flag.Int("records", 50, "records per router per epoch")
 		epochs   = flag.Int("epochs", 3, "epochs to run (0 = continuous)")
-		interval = flag.Duration("interval", router.EpochSeconds*time.Second, "epoch interval: between simulated epochs in continuous mode, and the ingest seal timer")
+		interval = flag.Duration("interval", router.EpochSeconds*time.Second, "epoch interval: between simulated epochs in continuous mode, and between ingest seals")
 		checks   = flag.Int("checks", zkvm.DefaultChecks, "zkVM sampled checks per proof")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		flows    = flag.Int("flows", 256, "flow population size")
@@ -83,49 +83,35 @@ func main() {
 	mode := fmt.Sprintf("%d routers, %d records/epoch", *routers, *records)
 	if *ingestAddr != "" {
 		// Ingest mode: real UDP collection replaces the simulated tier.
-		// The pipeline seals epochs on a timer; each sealed epoch with
-		// records is aggregated and served exactly like a simulated one.
+		// One loop owns the epoch clock: each interval it replays that
+		// interval's traffic (with -replay-records), then seals; each
+		// sealed epoch with records is aggregated and served exactly
+		// like a simulated one.
 		mode = "ingest mode"
-		pl, err := ingest.New(st, lg, ingest.Config{
-			Addr:          *ingestAddr,
-			Shards:        *ingestShards,
-			EpochInterval: *interval,
-			Metrics:       reg,
-			OnSeal: func(s ingest.Seal) {
-				if s.Dropped > 0 {
-					log.Printf("epoch %d: %d records dropped at commit (see ingest.records_dropped.* metrics)", s.Epoch, s.Dropped)
-				}
-				if s.Records > 0 {
-					agg.sealedThrough(s.Epoch)
-				}
-			},
-		})
+		pl, err := ingest.New(st, lg, ingest.Config{Addr: *ingestAddr, Shards: *ingestShards, Metrics: reg})
 		if err != nil {
 			log.Fatalf("ingest: %v", err)
 		}
 		if err := pl.Start(); err != nil {
 			log.Fatalf("ingest: %v", err)
 		}
-		if *replayRecords > 0 {
-			go func() {
-				cfg := trafficgen.Config{Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss}
-				n := *epochs
-				if n <= 0 {
-					n = 1 << 30
-				}
-				for e := 0; e < n; e++ {
+		go func() {
+			cfg := trafficgen.Config{Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss}
+			tick := time.NewTicker(*interval)
+			for e := 0; ; e++ {
+				if *replayRecords > 0 && (*epochs <= 0 || e < *epochs) {
 					if _, err := trafficgen.Replay(*ingestAddr, cfg, trafficgen.ReplayOptions{
 						Epochs:           1,
 						RecordsPerRouter: *replayRecords,
 						Protocol:         trafficgen.ProtoV9,
 					}); err != nil {
 						log.Printf("replay: %v", err)
-						return
 					}
-					time.Sleep(*interval)
 				}
-			}()
-		}
+				<-tick.C
+				sealIngest(pl, agg)
+			}
+		}()
 		log.Printf("ingest collector on udp://%s (%d shards, sealing every %v)", pl.Addr(), *ingestShards, *interval)
 	} else {
 		sim := router.NewSim(trafficgen.Config{
@@ -156,4 +142,18 @@ func main() {
 		WriteTimeout: 120 * time.Second,
 	}
 	log.Fatal(httpSrv.ListenAndServe())
+}
+
+// sealIngest is one tick of ingest mode's epoch loop: it seals the
+// collector's current epoch, logs what the seal dropped, and hands an
+// epoch with records to the aggregator.
+func sealIngest(pl *ingest.Pipeline, agg *aggregator) ingest.Seal {
+	s := pl.Seal()
+	if s.Dropped > 0 {
+		log.Printf("epoch %d: %d records dropped at commit (see ingest.records_dropped.* metrics)", s.Epoch, s.Dropped)
+	}
+	if s.Records > 0 {
+		agg.sealedThrough(s.Epoch)
+	}
+	return s
 }

@@ -13,11 +13,14 @@
 // cross-shard locking on the hot path (hand-off is one buffered
 // channel send). A seal travels the same queue as the data, behind
 // every batch sent before it, so the queue alone orders records into
-// epochs. Backpressure is explicit: a full shard queue drops the batch
-// and counts it, it never blocks the socket readers. Every record is
-// accounted for — received equals committed plus dropped-by-cause once
-// the pipeline is drained (Close), and a datagram injected after Close
-// is a counted drop. The accounting is surfaced through internal/obs
+// epochs. The pipeline keeps no clock: an epoch advances only when the
+// caller calls Seal, whose result is the one report of what the epoch
+// committed. Backpressure is explicit: a full shard queue drops the
+// batch and counts it, it never blocks the socket readers. Every record
+// is accounted for — received equals committed plus dropped-by-cause
+// once the pipeline is drained (Close, started or not), and a datagram
+// that loses the race with Close is a counted drop. The accounting is
+// surfaced through internal/obs
 // (see metric names below, served at /api/v1/metrics when zkflowd
 // shares its registry).
 package ingest
@@ -29,7 +32,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"zkflow/internal/ledger"
@@ -50,17 +52,9 @@ type Config struct {
 	// QueueDepth is the per-shard queue capacity in decoded batches; a
 	// full queue drops (default 1024).
 	QueueDepth int
-	// EpochInterval seals an epoch on this period. Zero disables the
-	// internal ticker: epochs advance only on explicit Seal calls.
-	EpochInterval time.Duration
 	// Metrics receives the pipeline's counters/gauges/histograms (nil
 	// = a private registry).
 	Metrics *obs.Registry
-	// OnSeal, when non-nil, observes every sealed epoch that committed
-	// or dropped at least one record. It runs on the sealing goroutine:
-	// long work (proof generation!) belongs on the far side of a
-	// channel, not in the callback.
-	OnSeal func(Seal)
 }
 
 // Seal summarises one sealed epoch.
@@ -114,15 +108,18 @@ type Pipeline struct {
 	shards []*shard
 	v9dec  *netflow.V9Decoder
 
-	mu      sync.Mutex // serialises Start, Seal and Close; guards epoch/started/tickerStop
+	mu      sync.Mutex // serialises Start, Seal and Close; guards epoch/started
 	epoch   uint64
 	started bool
-	closed  atomic.Bool // the final seal is queued: Seal is a no-op, dispatch drops
+	// closed is set just before the final seal request is queued: from
+	// then Seal is a no-op and dispatch drops. Close sets it holding
+	// both mu and sendMu; dispatch holds sendMu's read lock from its
+	// check to its send, so no batch can queue behind the final seal.
+	sendMu sync.RWMutex
+	closed bool
 
-	readersWG  sync.WaitGroup
-	workersWG  sync.WaitGroup
-	tickerWG   sync.WaitGroup
-	tickerStop chan struct{}
+	readersWG sync.WaitGroup
+	workersWG sync.WaitGroup
 
 	// Metric handles (resolved once; hot paths touch only atomics).
 	datagrams    *obs.Counter // ingest.datagrams
@@ -196,47 +193,33 @@ func (p *Pipeline) Addr() net.Addr {
 	return p.conn.LocalAddr()
 }
 
-// Start launches the shard workers, the UDP readers, and (when
-// EpochInterval is set) the epoch ticker.
+// Start launches the shard workers and the UDP readers.
 func (p *Pipeline) Start() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if p.closed {
+		return fmt.Errorf("ingest: closed")
+	}
 	if p.started {
 		return fmt.Errorf("ingest: already started")
 	}
-	if p.closed.Load() {
-		return fmt.Errorf("ingest: closed")
-	}
-	p.started = true
-	for _, s := range p.shards {
-		p.workersWG.Add(1)
-		go p.worker(s)
-	}
+	p.startWorkers()
 	if p.conn != nil {
 		for i := 0; i < readers; i++ {
 			p.readersWG.Add(1)
 			go p.reader()
 		}
 	}
-	if p.cfg.EpochInterval > 0 {
-		stop := make(chan struct{})
-		p.tickerStop = stop
-		p.tickerWG.Add(1)
-		go func() {
-			defer p.tickerWG.Done()
-			t := time.NewTicker(p.cfg.EpochInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					p.Seal()
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
 	return nil
+}
+
+// startWorkers launches one worker per shard. The caller holds mu.
+func (p *Pipeline) startWorkers() {
+	p.started = true
+	for _, s := range p.shards {
+		p.workersWG.Add(1)
+		go p.worker(s)
+	}
 }
 
 // reader pulls datagrams off the socket until it closes.
@@ -301,14 +284,17 @@ func (p *Pipeline) dispatch(router uint32, recs []netflow.Record) {
 		return
 	}
 	s := p.shards[router%uint32(len(p.shards))]
-	if !p.closed.Load() {
+	p.sendMu.RLock()
+	if !p.closed {
 		select {
 		case s.ch <- batch{router: router, recs: valid}:
+			p.sendMu.RUnlock()
 			s.depth.Add(1)
 			return
 		default:
 		}
 	}
+	p.sendMu.RUnlock()
 	p.dropQueue.Add(uint64(len(valid)))
 }
 
@@ -369,13 +355,13 @@ func (p *Pipeline) flush(s *shard, epoch uint64) shardSeal {
 }
 
 // Seal commits the current epoch across all shards and advances to
-// the next. It is the manual form of the EpochInterval tick; the
-// returned Seal reports what the epoch committed and dropped. Before
+// the next; it is the only way an epoch advances, and the returned Seal
+// is the one report of what the epoch committed and dropped. Before
 // Start and after Close it seals nothing and returns the current epoch.
 func (p *Pipeline) Seal() Seal {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.started || p.closed.Load() {
+	if !p.started || p.closed {
 		return Seal{Epoch: p.epoch}
 	}
 	return p.sealLocked(false)
@@ -407,42 +393,36 @@ func (p *Pipeline) sealLocked(final bool) Seal {
 			log.Printf("ingest: sealing checkpoint for epoch %d: %v", info.Epoch, err)
 		}
 	}
-	if p.cfg.OnSeal != nil && (info.Records > 0 || info.Dropped > 0) {
-		p.cfg.OnSeal(info)
-	}
 	return info
 }
 
-// Close stops the ticker and the socket readers, so that everything
-// the readers took off the socket commits in one final seal; then it
-// marks the pipeline closed, queues the final seal request behind every
-// batch, and waits for the workers to return. After Close every
-// received record is accounted: received == committed + dropped. A
-// Seal that starts after Close returns seals nothing, and an Inject
-// counts its records as records_dropped.queue_full.
+// Close stops the socket readers, so that everything they took off
+// the socket commits in one final seal; then it marks the pipeline
+// closed, queues the final seal request behind every batch, and waits
+// for the workers to return. A pipeline that never started gets its
+// workers here, so the final seal commits what was injected. After
+// Close every received record is accounted: received == committed +
+// dropped. A Seal that starts after Close seals nothing, and an Inject
+// that does not queue its batch ahead of the final seal counts its
+// records as records_dropped.queue_full.
 func (p *Pipeline) Close() error {
-	p.mu.Lock()
-	stop := p.tickerStop
-	p.tickerStop = nil
-	if !p.started {
-		p.closed.Store(true) // nothing to seal, and Start now fails
-	}
-	p.mu.Unlock()
-
-	if stop != nil {
-		close(stop)
-		p.tickerWG.Wait()
-	}
 	if p.conn != nil {
 		p.conn.Close()
 		p.readersWG.Wait()
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if !p.closed.Swap(true) {
-		p.sealLocked(true)
-		p.workersWG.Wait()
+	if p.closed {
+		return nil
 	}
+	if !p.started {
+		p.startWorkers()
+	}
+	p.sendMu.Lock()
+	p.closed = true
+	p.sendMu.Unlock()
+	p.sealLocked(true)
+	p.workersWG.Wait()
 	return nil
 }
 

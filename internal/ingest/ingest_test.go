@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"encoding/binary"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -236,8 +237,7 @@ func TestQueueOverflowDrops(t *testing.T) {
 }
 
 func TestEpochBoundaryBatching(t *testing.T) {
-	var seals []Seal
-	p, st, lg := newPipeline(t, Config{Shards: 2, OnSeal: func(s Seal) { seals = append(seals, s) }})
+	p, st, lg := newPipeline(t, Config{Shards: 2})
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +267,9 @@ func TestEpochBoundaryBatching(t *testing.T) {
 		}
 	}
 	// Three commitments (1/e0, 2/e0, 1/e1); the empty epoch publishes
-	// nothing and does not invoke OnSeal.
+	// nothing.
 	if got := len(lg.Entries()); got != 3 {
 		t.Fatalf("ledger has %d commitments, want 3", got)
-	}
-	if len(seals) != 2 {
-		t.Fatalf("OnSeal fired %d times, want 2 (empty epoch skipped)", len(seals))
 	}
 }
 
@@ -348,11 +345,26 @@ func TestMetricsRegistered(t *testing.T) {
 
 func TestConcurrentCollectorsAndSealer(t *testing.T) {
 	// Race-lane test: concurrent injectors (standing in for UDP reader
-	// goroutines) against the epoch ticker sealing underneath them.
-	p, st, lg := newPipeline(t, Config{Shards: 4, QueueDepth: 64, EpochInterval: 3 * time.Millisecond})
+	// goroutines) against a sealer on a 3 ms clock sealing underneath
+	// them, kept running across Close so Seal races Close too.
+	p, st, lg := newPipeline(t, Config{Shards: 4, QueueDepth: 64})
 	if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
+	stop, sealerDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(sealerDone)
+		tick := time.NewTicker(3 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				p.Seal()
+			case <-stop:
+				return
+			}
+		}
+	}()
 	const injectors = 4
 	const packets = 50
 	var wg sync.WaitGroup
@@ -369,6 +381,8 @@ func TestConcurrentCollectorsAndSealer(t *testing.T) {
 	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
+	close(stop)
+	<-sealerDone
 	checkAccounting(t, p)
 	s := p.Stats()
 	if s.Received != injectors*packets*2 {
@@ -442,6 +456,73 @@ func TestSealAfterCloseReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkAccounting(t, p)
+}
+
+// TestCloseUnstartedCommitsInjected: a pipeline closed without ever
+// starting still commits what was injected into it in its final seal.
+func TestCloseUnstartedCommitsInjected(t *testing.T) {
+	p, st, lg := newPipeline(t, Config{Shards: 2})
+	p.Inject(v9Datagram(1, genRecords(1, 3)))
+	if err := p.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if s := p.Stats(); s.Received != 3 || s.Committed != 3 {
+		t.Fatalf("stats %+v, want 3 received and 3 committed", s)
+	}
+	if st.Len() != 3 || len(lg.Entries()) != 1 {
+		t.Fatalf("store has %d records and ledger %d commitments, want 3 and 1", st.Len(), len(lg.Entries()))
+	}
+	checkAccounting(t, p)
+	if err := p.Start(); err == nil {
+		t.Fatal("Start after Close must fail")
+	}
+}
+
+// TestInjectRacingCloseIsAccounted: injectors keep running while Close
+// drains the pipeline. Each datagram either queues ahead of the final
+// seal and commits, or is counted as a queue drop — never neither.
+func TestInjectRacingCloseIsAccounted(t *testing.T) {
+	const trials, injectors = 2000, 4
+	var dgrams [injectors][]byte
+	for i := range dgrams {
+		dgrams[i] = v9Datagram(uint32(i), genRecords(uint32(i), 3))
+	}
+	for trial := 0; trial < trials; trial++ {
+		p, err := New(store.Open(0), ledger.New(), Config{Shards: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Start(); err != nil {
+			t.Fatal(err)
+		}
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range dgrams {
+			wg.Add(1)
+			go func(dgram []byte) {
+				defer wg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						p.Inject(dgram)
+					}
+				}
+			}(dgrams[i])
+		}
+		for p.Stats().Received == 0 {
+			runtime.Gosched()
+		}
+		if err := p.Close(); err != nil {
+			t.Fatal(err)
+		}
+		close(stop)
+		wg.Wait()
+		if s := p.Stats(); s.Unaccounted() != 0 {
+			t.Fatalf("trial %d: %d records unaccounted (stats %+v)", trial, s.Unaccounted(), s)
+		}
+	}
 }
 
 func TestInjectAfterCloseIsCounted(t *testing.T) {
