@@ -6,7 +6,7 @@ FUZZTIME ?= 10s
 # new-coverage input for go's default 60 s would eat the whole FUZZTIME.
 FUZZMINIMIZE ?= 20x
 
-.PHONY: fmt build vet test race purego fuzz examples check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
+.PHONY: fmt build vet test race purego fuzz examples smoke check bench bench-e2e bench-parallel bench-commit guest-profile loc verify
 
 # Format lane: fails, listing the files, when any Go file is not
 # gofmt-clean.
@@ -108,9 +108,29 @@ examples:
 	$(GO) run ./examples/sla
 	$(GO) run ./examples/tamper
 
+# Smoke lane: the three binaries end to end, a few seconds. It builds
+# zkflowd, zkflow-verify and zkflow-light into a temporary directory,
+# runs the daemon for three 200 ms epochs on a loopback port the kernel
+# picks (read back from its log) and waits (at most 60 s) for its three
+# rounds; then zkflow-verify, with a query, and zkflow-light, pinned at
+# epoch 0, must each exit 0. The daemon is killed on every exit.
+smoke:
+	@set -e; dir=$$(mktemp -d); pid=; trap 'kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir" ./cmd/zkflowd ./cmd/zkflow-verify ./cmd/zkflow-light; \
+	"$$dir/zkflowd" -listen 127.0.0.1:0 -epochs 3 -interval 200ms >"$$dir/zkflowd.log" 2>&1 & pid=$$!; \
+	n=0; until [ $$(grep -c ' flows, receipt ' "$$dir/zkflowd.log") -ge 3 ]; do \
+		n=$$((n+1)); if [ $$n -gt 300 ] || ! kill -0 $$pid 2>/dev/null; then \
+			echo "smoke: zkflowd did not serve three rounds"; cat "$$dir/zkflowd.log"; exit 1; fi; \
+		sleep 0.2; done; \
+	cat "$$dir/zkflowd.log"; \
+	url=$$(sed -n 's|.*zkflowd listening on \(http://[^ ]*\) .*|\1|p' "$$dir/zkflowd.log"); \
+	"$$dir/zkflow-verify" -server $$url -query 'SELECT COUNT(*) FROM clogs WHERE dropped > 0;'; \
+	"$$dir/zkflow-light" -server $$url -state "$$dir/light.json" -pin-epoch 0
+
 # The default pre-merge gate. The format lane runs first and the fuzz
-# lane last, so the cheap deterministic checks fail fast.
-check: fmt build vet test race purego examples fuzz
+# lane last, so the cheap deterministic checks fail fast; the smoke
+# lane runs the three binaries after the examples.
+check: fmt build vet test race purego examples smoke fuzz
 
 # The paper's figures and the DESIGN §5 ablations, one pass each (the
 # table at the head of EXPERIMENTS.md maps entries to functions).

@@ -46,7 +46,7 @@ func main() {
 	flag.Parse()
 	log.SetFlags(0)
 	ctx := context.Background()
-	client := api.New(*serverURL, api.WithTimeout(*timeout), api.WithCache())
+	client := api.New(*serverURL, api.WithTimeout(*timeout))
 
 	st, pinned, err := loadOrPin(ctx, client, *serverURL, *stateFile, *pinEpoch)
 	if err != nil {
@@ -78,7 +78,7 @@ func main() {
 		rep.From.Epoch, rep.To.Epoch, rep.NewEntries, len(rep.NewEpochs))
 	fmt.Printf("  receipts spot-verified: %d (rounds %v), weakest %.3g bits\n", len(rep.SampledRounds), rep.SampledRounds, rep.SoundnessBits)
 	fmt.Printf("  inclusion proofs checked: %d\n", rep.ProofsChecked)
-	fmt.Printf("  transfer: %d bytes (%d cache revalidations)\n", rep.Bytes, rep.CacheHits)
+	fmt.Printf("  transfer: %d bytes\n", rep.Bytes)
 	d := rep.To.Digest()
 	fmt.Printf("  new pin: %d entries, digest %s\n", rep.To.Count, hex.EncodeToString(d[:]))
 }

@@ -1,18 +1,18 @@
-// Command zkflowd is the prover daemon: it runs the simulated
-// collection tier (routers → store + commitment ledger), aggregates
-// every epoch under a zkVM proof, and serves the public artifacts
-// over HTTP (see internal/api) so remote clients (zkflow-verify) can
-// audit the operator.
+// Command zkflowd is the prover daemon: it runs the collector (NetFlow
+// v9 / sFlow datagrams → store + commitment ledger), fed by simulated
+// routers or, with -ingest-addr, by outside exporters over UDP;
+// aggregates every sealed epoch under a zkVM proof; and serves the
+// public artifacts over HTTP (see internal/api) so remote clients
+// (zkflow-verify) can audit the operator.
 //
 // Raw RLogs and the CLog never leave the process: everything served
 // is either public by design (ledger, receipts) or a proven result.
 package main
 
 import (
-	"context"
 	"flag"
-	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"time"
 
@@ -34,9 +34,9 @@ func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:8471", "HTTP listen address")
 		routers  = flag.Int("routers", 4, "simulated routers")
-		records  = flag.Int("records", 50, "records per router per epoch")
-		epochs   = flag.Int("epochs", 3, "epochs to run (0 = continuous)")
-		interval = flag.Duration("interval", router.EpochSeconds*time.Second, "epoch interval: between simulated epochs in continuous mode, and between ingest seals")
+		records  = flag.Int("records", 50, "records per simulated router per epoch, injected into the collector (must be 0 with -ingest-addr)")
+		epochs   = flag.Int("epochs", 3, "epochs to seal (0 = continuous)")
+		interval = flag.Duration("interval", router.EpochSeconds*time.Second, "epoch interval between collector seals")
 		checks   = flag.Int("checks", zkvm.DefaultChecks, "zkVM sampled checks per proof")
 		seed     = flag.Int64("seed", 1, "workload seed")
 		flows    = flag.Int("flows", 256, "flow population size")
@@ -45,11 +45,16 @@ func main() {
 
 		debugAddr = flag.String("debug-addr", "", "operator-only pprof listen address (empty = off; keep it loopback)")
 
-		ingestAddr    = flag.String("ingest-addr", "", "UDP collector listen address for NetFlow v9 / sFlow exports (empty = simulated collection)")
-		ingestShards  = flag.Int("ingest-shards", 4, "ingest worker shards (routers map to shards by ID)")
-		replayRecords = flag.Int("replay-records", 0, "self-replay this many records per router per epoch over UDP into the collector (demo/smoke mode)")
+		ingestAddr   = flag.String("ingest-addr", "", "UDP listen address for outside NetFlow v9 / sFlow exporters (empty = no socket)")
+		ingestShards = flag.Int("ingest-shards", 4, "ingest worker shards (routers map to shards by ID)")
 	)
 	flag.Parse()
+	if *interval <= 0 {
+		log.Fatalf("-interval must be positive, got %v", *interval)
+	}
+	if *ingestAddr != "" && *records > 0 {
+		log.Fatalf("-ingest-addr takes outside exporters only (simulated routers would share their SourceIDs); pass -records 0")
+	}
 
 	st := store.Open(retention)
 	lg := ledger.New()
@@ -70,7 +75,7 @@ func main() {
 		}()
 	}
 
-	agg := newAggregator(prover, lg, retention, func(res *core.AggregationResult) {
+	agg := newAggregator(prover, lg, func(res *core.AggregationResult) {
 		if err := srv.AddAggregationResult(res); err != nil {
 			log.Printf("epoch %d: serving receipt: %v", res.Epoch, err)
 			return
@@ -80,73 +85,66 @@ func main() {
 	})
 	go agg.run()
 
-	mode := fmt.Sprintf("%d routers, %d records/epoch", *routers, *records)
-	if *ingestAddr != "" {
-		// Ingest mode: real UDP collection replaces the simulated tier.
-		// One loop owns the epoch clock: each interval it replays that
-		// interval's traffic (with -replay-records), then seals; each
-		// sealed epoch with records is aggregated and served exactly
-		// like a simulated one.
-		mode = "ingest mode"
-		pl, err := ingest.New(st, lg, ingest.Config{Addr: *ingestAddr, Shards: *ingestShards, Metrics: reg})
-		if err != nil {
-			log.Fatalf("ingest: %v", err)
-		}
-		if err := pl.Start(); err != nil {
-			log.Fatalf("ingest: %v", err)
-		}
-		go func() {
-			cfg := trafficgen.Config{Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss}
-			tick := time.NewTicker(*interval)
-			for e := 0; ; e++ {
-				if *replayRecords > 0 && (*epochs <= 0 || e < *epochs) {
-					if _, err := trafficgen.Replay(*ingestAddr, cfg, trafficgen.ReplayOptions{
-						Epochs:           1,
-						RecordsPerRouter: *replayRecords,
-						Protocol:         trafficgen.ProtoV9,
-					}); err != nil {
-						log.Printf("replay: %v", err)
-					}
-				}
-				<-tick.C
-				sealIngest(pl, agg)
-			}
-		}()
-		log.Printf("ingest collector on udp://%s (%d shards, sealing every %v)", pl.Addr(), *ingestShards, *interval)
-	} else {
-		sim := router.NewSim(trafficgen.Config{
-			Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss,
-		}, st, lg)
-		go func() {
-			for epoch := uint64(0); *epochs <= 0 || epoch < uint64(*epochs); epoch++ {
-				agg.waitForRoom(epoch)
-				if _, err := sim.RunEpoch(context.Background(), epoch, *records); err != nil {
-					log.Printf("epoch %d collection failed: %v", epoch, err)
-					return
-				}
-				agg.sealedThrough(epoch)
-				if *epochs <= 0 {
-					time.Sleep(*interval)
-				}
-			}
-			agg.waitTried(uint64(*epochs))
-			log.Printf("finished after %d rounds; serving", prover.Round())
-		}()
+	// One collector, fed in process by the simulated routers or, with
+	// -ingest-addr, over UDP by outside exporters. One loop owns the
+	// epoch clock: each interval it injects that epoch's traffic, then
+	// seals; each sealed epoch with records is aggregated and served.
+	pl, err := ingest.New(st, lg, ingest.Config{Addr: *ingestAddr, Shards: *ingestShards, Metrics: reg})
+	if err != nil {
+		log.Fatalf("ingest: %v", err)
 	}
+	if err := pl.Start(); err != nil {
+		log.Fatalf("ingest: %v", err)
+	}
+	if pl.Addr() != nil {
+		log.Printf("ingest collector on udp://%s (%d shards)", pl.Addr(), *ingestShards)
+	}
+	gens := trafficgen.PerRouter(trafficgen.Config{Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss})
+	go func() {
+		collect(pl, agg, gens, *records, *epochs, time.NewTicker(*interval).C)
+		log.Printf("sealed %d epochs; collector closed, serving", *epochs)
+	}()
 
-	log.Printf("zkflowd listening on http://%s (%s)", *listen, mode)
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatalf("listen: %v", err)
+	}
+	log.Printf("zkflowd listening on http://%s (%d routers, %d records/epoch, sealing every %v)", ln.Addr(), *routers, *records, *interval)
 	httpSrv := &http.Server{
-		Addr:         *listen,
 		Handler:      srv.Handler(),
 		ReadTimeout:  10 * time.Second,
 		WriteTimeout: 120 * time.Second,
 	}
-	log.Fatal(httpSrv.ListenAndServe())
+	log.Fatal(httpSrv.Serve(ln))
 }
 
-// sealIngest is one tick of ingest mode's epoch loop: it seals the
-// collector's current epoch, logs what the seal dropped, and hands an
-// epoch with records to the aggregator.
+// collect is zkflowd's epoch loop. For each epoch it injects every
+// simulated router's records for that epoch into the collector as
+// NetFlow v9 datagrams, waits for the tick, and seals. After epochs
+// seals (0 runs forever) it closes the collector: the final seal
+// commits what outside exporters sent since the last tick, and every
+// later Inject counts as dropped, so received == committed + dropped
+// keeps holding.
+func collect(pl *ingest.Pipeline, agg *aggregator, gens []*trafficgen.Generator, records, epochs int, tick <-chan time.Time) {
+	var seq uint32
+	for e := 0; epochs <= 0 || e < epochs; e++ {
+		for r, g := range gens {
+			for _, d := range trafficgen.Export(trafficgen.ProtoV9, uint32(r), g.Batch(uint32(r), uint64(e), records), 0, &seq) {
+				pl.Inject(d)
+			}
+		}
+		<-tick
+		sealIngest(pl, agg)
+	}
+	pl.Close()
+	// Seal after Close seals nothing and returns the epoch after the
+	// final one, which the aggregator proves if it left a checkpoint.
+	agg.sealedThrough(pl.Seal().Epoch - 1)
+}
+
+// sealIngest is one tick of the epoch loop: it seals the collector's
+// current epoch, logs what the seal dropped, and hands an epoch with
+// records to the aggregator.
 func sealIngest(pl *ingest.Pipeline, agg *aggregator) ingest.Seal {
 	s := pl.Seal()
 	if s.Dropped > 0 {

@@ -559,13 +559,19 @@ func (s *Server) handleReceipt(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, CodeBadRequest, "round index must be an integer")
 		return
 	}
+	// Written after RUnlock: a stalled download must not hold up
+	// AddAggregationResult, nor every reader queued behind it.
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if n < 0 || n >= len(s.receipts) {
+	ok := n >= 0 && n < len(s.receipts)
+	var rec servedReceipt
+	if ok {
+		rec = s.receipts[n]
+	}
+	s.mu.RUnlock()
+	if !ok {
 		writeError(w, http.StatusNotFound, CodeNotFound, fmt.Sprintf("round %d not aggregated yet", n))
 		return
 	}
-	rec := s.receipts[n]
 	if s.immutable(w, r, rec.etag) {
 		return
 	}

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"zkflow/internal/core"
 	"zkflow/internal/ledger"
@@ -536,4 +537,52 @@ func TestClientRetriesGets(t *testing.T) {
 	if calls[http.MethodGet] != 3 || calls[http.MethodPost] != 1 {
 		t.Fatalf("requests %v, want 3 GETs and 1 POST", calls)
 	}
+}
+
+// stallWriter is a ResponseWriter whose first body write signals
+// writing and then blocks until release closes: a client that stops
+// reading mid-receipt.
+type stallWriter struct {
+	*httptest.ResponseRecorder
+	writing, release chan struct{}
+}
+
+func (w *stallWriter) Write(b []byte) (int, error) {
+	close(w.writing)
+	<-w.release
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestStalledReceiptHoldsNoLock: while one client stalls a receipt
+// download, a new round can still be registered (the server's write
+// lock is free) and /api/v1/status still answers.
+func TestStalledReceiptHoldsNoLock(t *testing.T) {
+	ts, srv := newTestServer(t, 1)
+	sw := &stallWriter{ResponseRecorder: httptest.NewRecorder(), writing: make(chan struct{}), release: make(chan struct{})}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		srv.Handler().ServeHTTP(sw, httptest.NewRequest(http.MethodGet, "/api/v1/receipts/agg/0", nil))
+	}()
+	// Unstall on every exit, so a failing run leaks no blocked goroutine.
+	t.Cleanup(func() { close(sw.release); <-served })
+	<-sw.writing
+
+	within := func(what string, f func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { f(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(time.Second):
+			t.Fatalf("%s blocked behind a stalled receipt download", what)
+		}
+	}
+	within("the server's write lock", func() { srv.mu.Lock(); srv.mu.Unlock() })
+	within("GET /api/v1/status", func() {
+		resp, err := ts.Client().Get(ts.URL + "/api/v1/status")
+		if err == nil {
+			resp.Body.Close()
+		}
+	})
 }

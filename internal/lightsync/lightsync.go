@@ -122,7 +122,6 @@ type Report struct {
 	SoundnessBits float64  // weakest zkvm.Soundness headline over SampledRounds
 	ProofsChecked int      // inclusion proofs verified in step 4
 	Bytes         uint64   // response bytes this sync read off the wire
-	CacheHits     uint64   // requests satisfied by 304 revalidation
 	UpToDate      bool     // the pin did not move: no round past it is served
 }
 
@@ -141,14 +140,13 @@ func Sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report,
 	if reg == nil {
 		reg = obs.NewRegistry()
 	}
-	bytes0, hits0 := c.BytesRead(), c.CacheHits()
+	bytes0 := c.BytesRead()
 	rep, err := sync(ctx, c, st, opts)
 	if err != nil {
 		reg.Counter("lightsync.sync_failures").Inc()
 		return nil, err
 	}
 	rep.Bytes = c.BytesRead() - bytes0
-	rep.CacheHits = c.CacheHits() - hits0
 	reg.Counter("lightsync.entries_verified").Add(uint64(rep.NewEntries))
 	reg.Counter("lightsync.epochs_synced").Add(uint64(len(rep.NewEpochs)))
 	reg.Counter("lightsync.receipts_verified").Add(uint64(len(rep.SampledRounds)))

@@ -427,11 +427,11 @@ func TestSyncCacheRevalidation(t *testing.T) {
 	}
 	// Re-sync from the same original pin with the same warm client.
 	st2 := op.pinAt(t, 0)
-	rep, err := Sync(context.Background(), c, st2, Options{Samples: 1, Seed: 9})
-	if err != nil {
+	hits := c.CacheHits()
+	if _, err := Sync(context.Background(), c, st2, Options{Samples: 1, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	if rep.CacheHits == 0 {
+	if c.CacheHits() == hits {
 		t.Fatal("no cache revalidations on a warm re-sync")
 	}
 }

@@ -8,12 +8,12 @@ import (
 	"zkflow/internal/netflow"
 )
 
-// This file adds UDP replay: instead of handing records to the caller
-// in process, the generator encodes them as NetFlow v9 export packets
-// or sFlow v5 datagrams and sends them to a collector socket — the
-// same wire format internal/ingest decodes. This is the load source
-// for end-to-end ingest tests, the benchmark's ingest-udp workload, and
-// for driving a live zkflowd without router hardware.
+// This file adds export: Export encodes a router's records as NetFlow
+// v9 export packets or sFlow v5 datagrams — the same wire format
+// internal/ingest decodes — and Replay sends them to a collector
+// socket. Replay is the load source for end-to-end ingest tests and the
+// benchmark's ingest-udp workload; zkflowd injects Export's datagrams
+// into its collector in process.
 
 // Replay protocols.
 const (
@@ -64,12 +64,6 @@ func Replay(addr string, cfg Config, opt ReplayOptions) (ReplayStats, error) {
 	if opt.RecordsPerRouter <= 0 {
 		opt.RecordsPerRouter = 100
 	}
-	if opt.RecordsPerPacket <= 0 {
-		opt.RecordsPerPacket = 30
-	}
-	if opt.RecordsPerPacket > maxV9PerPacket {
-		opt.RecordsPerPacket = maxV9PerPacket
-	}
 	switch opt.Protocol {
 	case "":
 		opt.Protocol = ProtoV9
@@ -97,29 +91,12 @@ func Replay(addr string, cfg Config, opt ReplayOptions) (ReplayStats, error) {
 					proto = ProtoSFlow
 				}
 			}
-			for off := 0; off < len(recs); off += opt.RecordsPerPacket {
-				end := off + opt.RecordsPerPacket
-				if end > len(recs) {
-					end = len(recs)
-				}
-				chunk := recs[off:end]
-				seq++
-				var dgram []byte
-				if proto == ProtoV9 {
-					dgram = netflow.EncodeV9(&netflow.ExportPacket{
-						UnixSecs: chunk[0].StartUnix,
-						Sequence: seq,
-						SourceID: uint32(router),
-						Records:  chunk,
-					})
-				} else {
-					dgram = netflow.EncodeSFlow(sflowFromRecords(uint32(router), seq, chunk))
-				}
+			stats.Records += len(recs)
+			for _, dgram := range Export(proto, uint32(router), recs, opt.RecordsPerPacket, &seq) {
 				if _, err := conn.Write(dgram); err != nil {
 					return stats, fmt.Errorf("trafficgen: send: %w", err)
 				}
 				stats.Datagrams++
-				stats.Records += len(chunk)
 				stats.Bytes += int64(len(dgram))
 				if opt.Gap > 0 {
 					time.Sleep(opt.Gap)
@@ -128,6 +105,34 @@ func Replay(addr string, cfg Config, opt ReplayOptions) (ReplayStats, error) {
 		}
 	}
 	return stats, nil
+}
+
+// Export encodes one router's batch as export datagrams in proto
+// (ProtoV9 or ProtoSFlow), perPacket records each (default 30, capped
+// so v9 framing stays within its u16 lengths). The datagrams carry the
+// router's identity (v9 SourceID / sFlow AgentIP) and are numbered on
+// from *seq, which is left at the last one.
+func Export(proto string, router uint32, recs []netflow.Record, perPacket int, seq *uint32) [][]byte {
+	if perPacket <= 0 {
+		perPacket = 30
+	}
+	perPacket = min(perPacket, maxV9PerPacket)
+	var out [][]byte
+	for off := 0; off < len(recs); off += perPacket {
+		chunk := recs[off:min(off+perPacket, len(recs))]
+		*seq++
+		if proto == ProtoSFlow {
+			out = append(out, netflow.EncodeSFlow(sflowFromRecords(router, *seq, chunk)))
+			continue
+		}
+		out = append(out, netflow.EncodeV9(&netflow.ExportPacket{
+			UnixSecs: chunk[0].StartUnix,
+			Sequence: *seq,
+			SourceID: router,
+			Records:  chunk,
+		}))
+	}
+	return out
 }
 
 // sflowFromRecords encodes records as one sample each: the sampling

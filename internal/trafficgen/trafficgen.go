@@ -103,13 +103,6 @@ func New(cfg Config) *Generator {
 	return g
 }
 
-// Flows exposes the flow population (for queries that target keys).
-func (g *Generator) Flows() []netflow.FlowKey { return g.flows }
-
-// ProviderOf returns the provider index for a flow population index,
-// or -1.
-func (g *Generator) ProviderOf(flow int) int { return g.prov[flow] }
-
 // Record produces one record observed at the given router during the
 // given epoch.
 func (g *Generator) Record(router uint32, epoch uint64) netflow.Record {

@@ -118,9 +118,9 @@ func TestProviders(t *testing.T) {
 func TestProviderOf(t *testing.T) {
 	provs := []Provider{{Name: "x", DstIP: 1}, {Name: "y", DstIP: 2}}
 	g := New(Config{Seed: 8, NumFlows: 10, Providers: provs})
-	for i := range g.Flows() {
-		if g.ProviderOf(i) != i%2 {
-			t.Fatalf("flow %d provider %d", i, g.ProviderOf(i))
+	for i, p := range g.prov {
+		if p != i%2 {
+			t.Fatalf("flow %d provider %d", i, p)
 		}
 	}
 }
