@@ -113,7 +113,11 @@ examples:
 # runs the daemon for three 200 ms epochs on a loopback port the kernel
 # picks (read back from its log) and waits (at most 60 s) for its three
 # rounds; then zkflow-verify, with a query, and zkflow-light, pinned at
-# epoch 0, must each exit 0. The daemon is killed on every exit.
+# epoch 0, must each exit 0. Then both clients' state files go through
+# a second run: zkflow-verify -state runs twice and the second must
+# resume from its persisted three rounds, and zkflow-light, run again on
+# its state, must find it up to date. The daemon is killed on every
+# exit.
 smoke:
 	@set -e; dir=$$(mktemp -d); pid=; trap 'kill $$pid 2>/dev/null; rm -rf "$$dir"' EXIT; \
 	$(GO) build -o "$$dir" ./cmd/zkflowd ./cmd/zkflow-verify ./cmd/zkflow-light; \
@@ -125,7 +129,13 @@ smoke:
 	cat "$$dir/zkflowd.log"; \
 	url=$$(sed -n 's|.*zkflowd listening on \(http://[^ ]*\) .*|\1|p' "$$dir/zkflowd.log"); \
 	"$$dir/zkflow-verify" -server $$url -query 'SELECT COUNT(*) FROM clogs WHERE dropped > 0;'; \
-	"$$dir/zkflow-light" -server $$url -state "$$dir/light.json" -pin-epoch 0
+	"$$dir/zkflow-light" -server $$url -state "$$dir/light.json" -pin-epoch 0; \
+	"$$dir/zkflow-verify" -server $$url -state "$$dir/verify.bin" >/dev/null; \
+	"$$dir/zkflow-verify" -server $$url -state "$$dir/verify.bin" | tee "$$dir/verify.log"; \
+	grep -q 'resuming from persisted state: 3 rounds already verified' "$$dir/verify.log" || \
+		{ echo "smoke: zkflow-verify did not resume from its state file"; exit 1; }; \
+	"$$dir/zkflow-light" -server $$url -state "$$dir/light.json" | tee "$$dir/light.log"; \
+	grep -q '^up to date' "$$dir/light.log" || { echo "smoke: zkflow-light is not up to date on its state file"; exit 1; }
 
 # The default pre-merge gate. The format lane runs first and the fuzz
 # lane last, so the cheap deterministic checks fail fast; the smoke

@@ -40,7 +40,6 @@ func main() {
 		stateFile = flag.String("state", "zkflow-light.json", "pinned checkpoint state file")
 		pinEpoch  = flag.Int64("pin-epoch", -1, "on first run, pin the checkpoint sealed for this epoch (-1 = latest)")
 		samples   = flag.Int("samples", 0, "aggregation rounds to spot-verify (0 = server suggestion)")
-		seed      = flag.Int64("seed", 0, "sampling seed (0 = random)")
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-request HTTP timeout")
 	)
 	flag.Parse()
@@ -60,7 +59,6 @@ func main() {
 
 	rep, err := lightsync.Sync(ctx, client, st, lightsync.Options{
 		Samples:   *samples,
-		Seed:      *seed,
 		MinChecks: zkvm.DefaultChecks,
 	})
 	if err != nil {

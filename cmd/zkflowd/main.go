@@ -24,29 +24,24 @@ import (
 	"zkflow/internal/router"
 	"zkflow/internal/store"
 	"zkflow/internal/trafficgen"
-	"zkflow/internal/zkvm"
 )
 
 // retention is how many epochs the store keeps.
 const retention = 64
 
+// simTraffic is the simulated routers' traffic: the paper's four
+// vantage points over a 256-flow population with 2% packet loss.
+var simTraffic = trafficgen.Config{Seed: 1, NumFlows: 256, Routers: 4, LossRate: 0.02}
+
 func main() {
 	var (
 		listen   = flag.String("listen", "127.0.0.1:8471", "HTTP listen address")
-		routers  = flag.Int("routers", 4, "simulated routers")
 		records  = flag.Int("records", 50, "records per simulated router per epoch, injected into the collector (must be 0 with -ingest-addr)")
 		epochs   = flag.Int("epochs", 3, "epochs to seal (0 = continuous)")
 		interval = flag.Duration("interval", router.EpochSeconds*time.Second, "epoch interval between collector seals")
-		checks   = flag.Int("checks", zkvm.DefaultChecks, "zkVM sampled checks per proof")
-		seed     = flag.Int64("seed", 1, "workload seed")
-		flows    = flag.Int("flows", 256, "flow population size")
-		loss     = flag.Float64("loss", 0.02, "packet loss rate")
-		segCyc   = flag.Int("segment-cycles", 0, "prove aggregations as continuation chains sliced every N cycles (0 = one segment)")
 
-		debugAddr = flag.String("debug-addr", "", "operator-only pprof listen address (empty = off; keep it loopback)")
-
-		ingestAddr   = flag.String("ingest-addr", "", "UDP listen address for outside NetFlow v9 / sFlow exporters (empty = no socket)")
-		ingestShards = flag.Int("ingest-shards", 4, "ingest worker shards (routers map to shards by ID)")
+		debugAddr  = flag.String("debug-addr", "", "operator-only pprof listen address (empty = off; keep it loopback)")
+		ingestAddr = flag.String("ingest-addr", "", "UDP listen address for outside NetFlow v9 / sFlow exporters (empty = no socket)")
 	)
 	flag.Parse()
 	if *interval <= 0 {
@@ -61,8 +56,9 @@ func main() {
 	// One registry carries the whole daemon: zkVM stage timings, round
 	// counters, and the HTTP layer, served at /api/v1/metrics.
 	reg := obs.NewRegistry()
-	opts := core.Options{Checks: *checks, SegmentCycles: *segCyc, Metrics: reg}
-	prover := core.NewProver(st, lg, opts)
+	// The prover seals at zkvm.DefaultChecks, the floor both clients
+	// enforce, and cuts runs where zkvm does by default.
+	prover := core.NewProver(st, lg, core.Options{Metrics: reg})
 	srv := api.NewServer(prover, lg)
 	srv.UseRegistry(reg)
 
@@ -89,7 +85,7 @@ func main() {
 	// -ingest-addr, over UDP by outside exporters. One loop owns the
 	// epoch clock: each interval it injects that epoch's traffic, then
 	// seals; each sealed epoch with records is aggregated and served.
-	pl, err := ingest.New(st, lg, ingest.Config{Addr: *ingestAddr, Shards: *ingestShards, Metrics: reg})
+	pl, err := ingest.New(st, lg, ingest.Config{Addr: *ingestAddr, Metrics: reg})
 	if err != nil {
 		log.Fatalf("ingest: %v", err)
 	}
@@ -97,9 +93,9 @@ func main() {
 		log.Fatalf("ingest: %v", err)
 	}
 	if pl.Addr() != nil {
-		log.Printf("ingest collector on udp://%s (%d shards)", pl.Addr(), *ingestShards)
+		log.Printf("ingest collector on udp://%s", pl.Addr())
 	}
-	gens := trafficgen.PerRouter(trafficgen.Config{Seed: *seed, NumFlows: *flows, Routers: *routers, LossRate: *loss})
+	gens := trafficgen.PerRouter(simTraffic)
 	go func() {
 		collect(pl, agg, gens, *records, *epochs, time.NewTicker(*interval).C)
 		log.Printf("sealed %d epochs; collector closed, serving", *epochs)
@@ -109,7 +105,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("listen: %v", err)
 	}
-	log.Printf("zkflowd listening on http://%s (%d routers, %d records/epoch, sealing every %v)", ln.Addr(), *routers, *records, *interval)
+	log.Printf("zkflowd listening on http://%s (%d routers, %d records/epoch, sealing every %v)", ln.Addr(), len(gens), *records, *interval)
 	httpSrv := &http.Server{
 		Handler:      srv.Handler(),
 		ReadTimeout:  10 * time.Second,

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"log"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -185,7 +186,8 @@ func (s *Server) UseRegistry(reg *obs.Registry) { s.metrics = reg }
 // AddAggregationResult registers a completed round's receipt for
 // serving: the wire format is the receipt's own magic-tagged binary
 // encoding, served under a strong ETag with immutable caching. The round's epoch keys
-// the sync-hint and sampling surface.
+// the sync-hint and sampling surface: rounds come in epoch order, the
+// order the prover's chain commits them.
 func (s *Server) AddAggregationResult(res *core.AggregationResult) error {
 	bin, err := res.Receipt.MarshalBinary()
 	if err != nil {
@@ -387,7 +389,8 @@ func etagMatches(header, etag string) bool {
 // status describes the last served round — not a round the prover has
 // committed but not yet handed to AddAggregationResult — and the ledger.
 func (s *Server) status() Status {
-	st := Status{LedgerLen: s.ledger.Len(), Checkpoints: len(s.ledger.Checkpoints())}
+	st := Status{LedgerLen: s.ledger.Len()}
+	st.Checkpoints, _ = s.ledger.Sealed()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if st.Rounds = len(s.receipts); st.Rounds > 0 {
@@ -424,15 +427,8 @@ func (s *Server) handleLedgerV1(w http.ResponseWriter, r *http.Request) {
 	if limit > MaxLedgerPageLimit {
 		limit = MaxLedgerPageLimit
 	}
-	entries := s.ledger.Entries()
-	page := LedgerPage{Total: len(entries), Offset: offset, Limit: limit, Entries: []ledger.Commitment{}}
-	if offset < len(entries) {
-		hi := offset + limit
-		if hi > len(entries) {
-			hi = len(entries)
-		}
-		page.Entries = entries[offset:hi]
-	}
+	page := LedgerPage{Offset: offset, Limit: limit}
+	page.Entries, page.Total = s.ledger.Page(offset, limit)
 	writeJSON(w, page)
 }
 
@@ -457,10 +453,10 @@ func (s *Server) handleCheckpoints(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, cp)
 		return
 	}
-	cps := s.ledger.Checkpoints()
-	resp := CheckpointsResponse{Total: len(cps)}
-	if len(cps) > 0 {
-		resp.Latest = &cps[len(cps)-1]
+	var resp CheckpointsResponse
+	var latest ledger.Checkpoint
+	if resp.Total, latest = s.ledger.Sealed(); resp.Total > 0 {
+		resp.Latest = &latest
 	}
 	writeJSON(w, resp)
 }
@@ -500,10 +496,7 @@ func (s *Server) handleEpochProof(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := EpochProofResponse{Epoch: epoch, Checkpoint: cp, Entries: []EntryProof{}}
-	for _, c := range s.ledger.Entries() {
-		if c.Epoch != epoch || c.Index >= cp.Count {
-			continue
-		}
+	for _, c := range s.ledger.EpochEntries(epoch, cp.Count) {
 		p, err := s.ledger.ProveInclusion(c.Index, cp)
 		if err != nil {
 			writeError(w, http.StatusInternalServerError, CodeInternal, err.Error())
@@ -540,11 +533,10 @@ func (s *Server) handleSyncHints(w http.ResponseWriter, r *http.Request) {
 	}
 	s.mu.RLock()
 	hints := SyncHints{Rounds: len(s.receipts), Receipts: []ReceiptHint{}}
-	for i, rec := range s.receipts {
-		if from >= 0 && rec.epoch <= uint64(from) {
-			continue
-		}
-		hints.Receipts = append(hints.Receipts, ReceiptHint{Round: i, Epoch: rec.epoch, Bytes: len(rec.bin)})
+	// Rounds are served in epoch order: skip to the first past from.
+	first := sort.Search(len(s.receipts), func(i int) bool { return from < 0 || s.receipts[i].epoch > uint64(from) })
+	for i, rec := range s.receipts[first:] {
+		hints.Receipts = append(hints.Receipts, ReceiptHint{Round: first + i, Epoch: rec.epoch, Bytes: len(rec.bin)})
 	}
 	s.mu.RUnlock()
 	// (1-0.1)^29 < 0.05: 29 uniform samples catch a >=10% tamper rate

@@ -38,20 +38,17 @@ import (
 // ProveFunc generates a receipt for a guest run. It is the one proving
 // hook: the default is zkvm.ProveAny, and what plugs in here is a
 // wrapper around it, such as the benchmark's tracing hook. The receipt
-// is a *zkvm.Receipt: a chain of opts.SegmentCycles-step segments, or
-// one segment when that is zero.
+// is a *zkvm.Receipt: a chain of opts.SegmentCycles-step segments
+// (zkvm.DefaultSegmentCycles when that is zero).
 type ProveFunc func(prog *zkvm.Program, input []uint32, opts zkvm.ProveOptions) (zkvm.AnyReceipt, error)
 
 // Options configures proof generation.
 type Options struct {
 	// Checks is the zkVM sampled-check count (0 = zkvm default).
 	Checks int
-	// SegmentCycles, when positive, proves aggregations as continuation
-	// chains: execution is sliced every SegmentCycles cycles and the
-	// slices are sealed concurrently (see
-	// zkvm.ProveOptions.SegmentCycles). Zero proves each run as one
-	// segment. Query proofs are always one segment — they are small and
-	// latency-bound.
+	// SegmentCycles is where aggregation and query runs are cut into
+	// continuation segments, sealed concurrently (0 =
+	// zkvm.DefaultSegmentCycles; see zkvm.ProveOptions.SegmentCycles).
 	SegmentCycles int
 	// Prove wraps the prover (nil = zkvm.ProveAny); the benchmark's
 	// tracing hook is its one user.
@@ -64,23 +61,16 @@ type Options struct {
 	Metrics *obs.Registry
 }
 
-func (o Options) proveOptions() zkvm.ProveOptions {
+// prove proves one guest run, aggregation or query, through the hook.
+func (o Options) prove(prog *zkvm.Program, input []uint32) (zkvm.AnyReceipt, error) {
 	po := zkvm.ProveOptions{Checks: o.Checks, SegmentCycles: o.SegmentCycles}
 	if o.Metrics != nil {
 		po.Observer = obs.NewStageRecorder(o.Metrics, "prover.stage.")
 	}
-	return po
-}
-
-func (o Options) proveWith(prog *zkvm.Program, input []uint32, po zkvm.ProveOptions) (zkvm.AnyReceipt, error) {
 	if o.Prove != nil {
 		return o.Prove(prog, input, po)
 	}
 	return zkvm.ProveAny(prog, input, po)
-}
-
-func (o Options) prove(prog *zkvm.Program, input []uint32) (zkvm.AnyReceipt, error) {
-	return o.proveWith(prog, input, o.proveOptions())
 }
 
 // AggregationResult is one completed aggregation round. Receipt is a
@@ -158,10 +148,7 @@ func (p *Prover) Query(sql string) (qres *QueryResult, err error) {
 	p.mu.Unlock()
 
 	prog := guest.QueryProgram(q)
-	// Query proofs are one segment: they are small and latency-bound.
-	po := p.opts.proveOptions()
-	po.SegmentCycles = 0
-	anyReceipt, err := p.opts.proveWith(prog, guest.QueryInput(entries), po)
+	anyReceipt, err := p.opts.prove(prog, guest.QueryInput(entries))
 	if err != nil {
 		return nil, fmt.Errorf("core: query proof: %w", err)
 	}

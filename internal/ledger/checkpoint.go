@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"zkflow/internal/merkle"
 )
@@ -97,21 +98,6 @@ func (c Checkpoint) Validate() error {
 	return nil
 }
 
-// Root folds the frontier into the Merkle root over the first Count
-// entries. The checkpoint must be valid.
-func (c Checkpoint) Root() merkle.Hash {
-	f := Frontier{count: c.Count, branch: c.Frontier}
-	return f.Root()
-}
-
-// frontier returns the checkpoint's frontier as an appendable value
-// (copying the branch so the checkpoint stays immutable).
-func (c Checkpoint) frontier() Frontier {
-	branch := make([]merkle.Hash, len(c.Frontier))
-	copy(branch, c.Frontier)
-	return Frontier{count: c.Count, branch: branch}
-}
-
 // entryDomain separates ledger-entry leaf encodings from other leaves.
 var entryDomain = []byte("zkflow/ledger/entry/v2")
 
@@ -128,78 +114,82 @@ func EntryHash(c Commitment) merkle.Hash {
 	return merkle.LeafHash(buf[:n])
 }
 
-// Frontier is an incremental Merkle accumulator over entry leaf
-// hashes: branch[l] holds, whenever bit l of count is set, the root
-// of the completed 2^l-leaf subtree at that position of the left-to-
-// right decomposition. Appending is O(log n) amortised and Root()
-// reproduces merkle.BuildHashes over the same leaves exactly
-// (including the empty-leaf padding), which TestFrontierMatchesTree
-// pins for every count.
-type Frontier struct {
-	count  uint64
-	branch []merkle.Hash
-}
-
-// Count returns the number of appended leaves.
-func (f *Frontier) Count() uint64 { return f.count }
-
-// Append absorbs the next leaf hash.
-func (f *Frontier) Append(leaf merkle.Hash) {
-	h := leaf
-	c := f.count
-	l := 0
-	for ; c&1 == 1; l++ {
-		h = merkle.NodeHash(f.branch[l], h)
-		c >>= 1
+// extend appends the next leaf hash to the frontier, Count included,
+// in O(log n) amortised: the carry folds the completed subtrees of the
+// set low bits into one, whose slot it fills, and clears theirs, so the
+// frontier stays the one frontier of its prefix.
+// TestFrontierMatchesTree pins it against merkle.BuildHashes for every
+// count.
+func (c *Checkpoint) extend(leaf merkle.Hash) {
+	h, l := leaf, 0
+	for ; c.Count>>l&1 == 1; l++ {
+		h = merkle.NodeHash(c.Frontier[l], h)
+		c.Frontier[l] = merkle.Hash{}
 	}
-	if l < len(f.branch) {
-		f.branch[l] = h
+	if l < len(c.Frontier) {
+		c.Frontier[l] = h
 	} else {
-		f.branch = append(f.branch, h)
+		c.Frontier = append(c.Frontier, h)
 	}
-	f.count++
+	c.Count++
 }
 
-// Branch returns the frontier's node slots with stale (unset-bit)
-// slots zeroed, so two frontiers over the same leaves are
-// byte-identical regardless of append history.
-func (f *Frontier) Branch() []merkle.Hash {
-	out := make([]merkle.Hash, bits.Len64(f.count))
-	for l := range out {
-		if f.count>>uint(l)&1 == 1 {
-			out[l] = f.branch[l]
-		}
-	}
-	return out
-}
-
-// Root folds the frontier into the root of the padded Merkle tree
-// over the appended leaves — identical to merkle.BuildHashes of the
-// same leaf hashes.
-func (f *Frontier) Root() merkle.Hash {
-	if f.count == 0 {
+// Root folds the frontier into the root of the padded Merkle tree over
+// the first Count entries — identical to merkle.BuildHashes of their
+// leaf hashes. The checkpoint must be valid.
+func (c Checkpoint) Root() merkle.Hash {
+	if c.Count == 0 {
 		// merkle.BuildHashes(nil) is a one-leaf tree over the empty
 		// leaf hash.
 		return merkle.PaddingHash(0)
 	}
 	// The tree is 2^depth leaves wide. bits.Len64, not a doubling
 	// loop: a count above 2^63 would wrap the shift and never end.
-	depth := bits.Len64(f.count - 1)
-	if f.count == uint64(1)<<depth {
-		return f.branch[depth]
+	depth := bits.Len64(c.Count - 1)
+	if c.Count == uint64(1)<<depth {
+		return c.Frontier[depth]
 	}
 	// Walk the boundary path (the node containing the first padding
 	// leaf) from the leaves up: a set bit contributes a completed
 	// subtree on the left, a clear bit pads on the right.
 	h := merkle.PaddingHash(0)
 	for l := 0; l < depth; l++ {
-		if f.count>>uint(l)&1 == 1 {
-			h = merkle.NodeHash(f.branch[l], h)
+		if c.Count>>uint(l)&1 == 1 {
+			h = merkle.NodeHash(c.Frontier[l], h)
 		} else {
 			h = merkle.NodeHash(h, merkle.PaddingHash(l))
 		}
 	}
 	return h
+}
+
+// appendLeaf adds the next entry's leaf hash to the tree, and every
+// node it completes.
+func (l *Ledger) appendLeaf(h merkle.Hash) {
+	for lvl := 0; ; lvl++ {
+		if lvl == len(l.tree) {
+			l.tree = append(l.tree, nil)
+		}
+		l.tree[lvl] = append(l.tree[lvl], h)
+		n := len(l.tree[lvl])
+		if n%2 == 1 {
+			return
+		}
+		h = merkle.NodeHash(l.tree[lvl][n-2], h)
+	}
+}
+
+// frontier reads the Frontier of the first count entries off the
+// tree: slot lvl, when bit lvl of count is set, is the completed node
+// of level lvl that ends at entry count.
+func (l *Ledger) frontier(count uint64) []merkle.Hash {
+	out := make([]merkle.Hash, bits.Len64(count))
+	for lvl := range out {
+		if count>>lvl&1 == 1 {
+			out[lvl] = l.tree[lvl][count>>lvl-1]
+		}
+	}
+	return out
 }
 
 // SealEpoch records a checkpoint covering every entry published so
@@ -212,7 +202,8 @@ func (l *Ledger) SealEpoch(epoch uint64) (Checkpoint, error) {
 	if n := len(l.checkpoints); n > 0 && epoch <= l.checkpoints[n-1].Epoch {
 		return Checkpoint{}, fmt.Errorf("%w: epoch %d after %d", ErrCheckpointOrder, epoch, l.checkpoints[n-1].Epoch)
 	}
-	cp := Checkpoint{Epoch: epoch, Count: l.frontier.Count(), Frontier: l.frontier.Branch()}
+	count := uint64(len(l.entries))
+	cp := Checkpoint{Epoch: epoch, Count: count, Frontier: l.frontier(count)}
 	l.checkpoints = append(l.checkpoints, cp)
 	return cp, nil
 }
@@ -226,14 +217,23 @@ func (l *Ledger) Checkpoints() []Checkpoint {
 	return out
 }
 
-// LatestCheckpoint returns the most recent checkpoint.
-func (l *Ledger) LatestCheckpoint() (Checkpoint, error) {
+// Sealed returns the number of sealed checkpoints and the latest one
+// (the zero Checkpoint when there is none), read together.
+func (l *Ledger) Sealed() (n int, latest Checkpoint) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	if len(l.checkpoints) == 0 {
-		return Checkpoint{}, ErrNoCheckpoint
+	if n = len(l.checkpoints); n > 0 {
+		latest = l.checkpoints[n-1]
 	}
-	return l.checkpoints[len(l.checkpoints)-1], nil
+	return n, latest
+}
+
+// LatestCheckpoint returns the most recent checkpoint.
+func (l *Ledger) LatestCheckpoint() (Checkpoint, error) {
+	if n, cp := l.Sealed(); n > 0 {
+		return cp, nil
+	}
+	return Checkpoint{}, ErrNoCheckpoint
 }
 
 // CheckpointByEpoch returns the checkpoint sealed for the given epoch.
@@ -262,30 +262,46 @@ func (l *Ledger) CheckpointByCount(count uint64) (Checkpoint, error) {
 }
 
 // ProveInclusion returns a Merkle inclusion proof for entry index
-// against checkpoint cp. The most recently proved-against prefix tree
-// is cached, so serving many proofs against the same (usually latest)
-// checkpoint rebuilds nothing.
+// against checkpoint cp, read off the ledger's tree in O(log n): the
+// proof merkle.BuildHashes over the first cp.Count leaf hashes gives.
+// A sibling whose leaves all precede entry cp.Count is a tree node, one
+// whose leaves all follow it is padding, and the one holding it is
+// folded from the frontier as Checkpoint.Root folds it.
 func (l *Ledger) ProveInclusion(index uint64, cp Checkpoint) (merkle.Proof, error) {
 	if err := cp.Validate(); err != nil {
 		return merkle.Proof{}, err
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.mu.RLock()
+	defer l.mu.RUnlock()
 	if index >= cp.Count {
 		return merkle.Proof{}, fmt.Errorf("%w: entry %d, checkpoint count %d", ErrStaleCheckpoint, index, cp.Count)
 	}
 	if cp.Count > uint64(len(l.entries)) {
 		return merkle.Proof{}, fmt.Errorf("%w: count %d beyond ledger length %d", ErrNoCheckpoint, cp.Count, len(l.entries))
 	}
-	if l.proofTree == nil || l.proofTreeCount != cp.Count {
-		l.proofTree = merkle.BuildHashes(l.leafHashes[:cp.Count])
-		l.proofTreeCount = cp.Count
-	}
-	if l.proofTree.Root() != cp.Root() {
+	if !slices.Equal(cp.Frontier, l.frontier(cp.Count)) {
 		// The checkpoint did not come from this ledger's history.
 		return merkle.Proof{}, fmt.Errorf("%w: root mismatch at count %d", ErrBadCheckpoint, cp.Count)
 	}
-	return l.proofTree.Prove(int(index))
+	c := cp.Count
+	path := make([]merkle.Hash, bits.Len64(c-1))
+	edge := merkle.PaddingHash(0) // the level's node holding entry c
+	for lvl := range path {
+		switch sib := index>>lvl ^ 1; {
+		case (sib+1)<<lvl <= c:
+			path[lvl] = l.tree[lvl][sib]
+		case sib == c>>lvl:
+			path[lvl] = edge
+		default:
+			path[lvl] = merkle.PaddingHash(lvl)
+		}
+		if c>>lvl&1 == 1 {
+			edge = merkle.NodeHash(l.tree[lvl][c>>lvl-1], edge)
+		} else {
+			edge = merkle.NodeHash(edge, merkle.PaddingHash(lvl))
+		}
+	}
+	return merkle.Proof{Index: int(index), Path: path}, nil
 }
 
 // VerifyInclusion checks, client-side, that entry c is committed at
@@ -332,12 +348,13 @@ func VerifyExtension(from Checkpoint, entries []Commitment, to Checkpoint) error
 	if err := to.Validate(); err != nil {
 		return err
 	}
-	f := from.frontier()
+	f := from
+	f.Frontier = slices.Clone(from.Frontier)
 	for i, c := range entries {
 		if c.Index != from.Count+uint64(i) {
 			return fmt.Errorf("%w: entry %d claims index %d", ErrBadExtension, i, c.Index)
 		}
-		f.Append(EntryHash(c))
+		f.extend(EntryHash(c))
 	}
 	if f.Root() != to.Root() {
 		return fmt.Errorf("%w: recomputed root does not match checkpoint", ErrBadExtension)

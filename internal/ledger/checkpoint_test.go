@@ -3,6 +3,7 @@ package ledger
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -26,29 +27,25 @@ func publishN(t testing.TB, l *Ledger, n int) {
 }
 
 // TestFrontierMatchesTree pins the frontier against the reference
-// tree builder for every count: identical roots, and Branch() is
-// history-independent.
+// tree builder for every count: identical roots, and a branch that is
+// a valid checkpoint frontier.
 func TestFrontierMatchesTree(t *testing.T) {
-	var f Frontier
+	var f Checkpoint
 	var leaves []merkle.Hash
 	if got, want := f.Root(), merkle.BuildHashes(nil).Root(); got != want {
 		t.Fatalf("empty frontier root %v, tree %v", got, want)
 	}
 	for i := 0; i < 300; i++ {
 		leaf := merkle.LeafHash([]byte{byte(i), byte(i >> 8), 0xab})
-		f.Append(leaf)
+		f.extend(leaf)
 		leaves = append(leaves, leaf)
 		if got, want := f.Root(), merkle.BuildHashes(leaves).Root(); got != want {
 			t.Fatalf("count %d: frontier root %v, tree root %v", i+1, got, want)
 		}
-		// A checkpoint over the normalised branch is valid and folds
-		// to the same root — what a light client does with one.
-		cp := Checkpoint{Count: f.Count(), Frontier: f.Branch()}
-		if err := cp.Validate(); err != nil {
+		// The extended frontier is a valid checkpoint's — what a
+		// light client does with one.
+		if err := f.Validate(); err != nil {
 			t.Fatalf("count %d: %v", i+1, err)
-		}
-		if cp.Root() != f.Root() {
-			t.Fatalf("count %d: checkpoint root differs", i+1)
 		}
 	}
 }
@@ -122,6 +119,46 @@ func TestInclusionProofRoundTrip(t *testing.T) {
 	}
 	if err := VerifyInclusion(old, entries[2], p); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestInclusionMatchesTree: with a checkpoint sealed at every count
+// 1..300, the proof of every entry under every checkpoint that covers
+// it is the one merkle.BuildHashes over that prefix gives, byte for
+// byte, and it verifies.
+func TestInclusionMatchesTree(t *testing.T) {
+	l := New()
+	var leaves []merkle.Hash
+	for e := 0; e < 300; e++ {
+		c, err := l.Publish(uint32(e%7), uint64(e), h(byte(e)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaves = append(leaves, EntryHash(c))
+		if _, err := l.SealEpoch(uint64(e)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	entries := l.Entries()
+	for _, cp := range l.Checkpoints() {
+		tree := merkle.BuildHashes(leaves[:cp.Count])
+		for i := range cp.Count {
+			got, err := l.ProveInclusion(i, cp)
+			if err != nil {
+				t.Fatalf("count %d, entry %d: %v", cp.Count, i, err)
+			}
+			want, err := tree.Prove(int(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("count %d, entry %d: proof %v, tree's %v", cp.Count, i, got, want)
+			}
+			if err := VerifyInclusion(cp, entries[i], got); err != nil {
+				t.Fatalf("count %d, entry %d: %v", cp.Count, i, err)
+			}
+		}
+		tree.Release()
 	}
 }
 

@@ -3,6 +3,7 @@ package ledger
 import (
 	"encoding/json"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,11 +123,11 @@ func FuzzCheckpoint(f *testing.F) {
 		if extErr != nil {
 			return
 		}
-		fr := c.From.frontier()
+		honest := c.From
+		honest.Epoch, honest.Frontier = c.To.Epoch, slices.Clone(c.From.Frontier)
 		for _, e := range c.Delta {
-			fr.Append(EntryHash(e))
+			honest.extend(EntryHash(e))
 		}
-		honest := Checkpoint{Epoch: c.To.Epoch, Count: fr.Count(), Frontier: fr.Branch()}
 		if c.To.Digest() != honest.Digest() {
 			t.Fatalf("accepted checkpoint %+v, honest ledger seals %+v", c.To, honest)
 		}

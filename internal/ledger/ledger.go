@@ -46,14 +46,12 @@ type Ledger struct {
 	entries []Commitment
 	index   map[[12]byte]int // (router, epoch) -> entry index
 
-	// Checkpoint state (see checkpoint.go): the per-entry Merkle leaf
-	// hashes, the incremental frontier over them, sealed checkpoints,
-	// and the cached prefix tree the inclusion-proof path serves from.
-	leafHashes     []merkle.Hash
-	frontier       Frontier
-	checkpoints    []Checkpoint
-	proofTree      *merkle.Tree
-	proofTreeCount uint64
+	// Checkpoint state (see checkpoint.go): the Merkle tree over the
+	// entries, built as they are published, and the sealed checkpoints.
+	// tree[0] holds the entry leaf hashes and tree[l] every completed
+	// node of level l, left to right.
+	tree        [][]merkle.Hash
+	checkpoints []Checkpoint
 }
 
 // New returns an empty ledger.
@@ -80,8 +78,7 @@ func (l *Ledger) Publish(router uint32, epoch uint64, hash merkle.Hash) (Commitm
 	c := Commitment{Index: uint64(len(l.entries)), Router: router, Epoch: epoch, Hash: hash}
 	l.index[k] = len(l.entries)
 	l.entries = append(l.entries, c)
-	l.leafHashes = append(l.leafHashes, EntryHash(c))
-	l.frontier.Append(l.leafHashes[len(l.leafHashes)-1])
+	l.appendLeaf(EntryHash(c))
 	return c, nil
 }
 
@@ -109,6 +106,29 @@ func (l *Ledger) Entries() []Commitment {
 	defer l.mu.RUnlock()
 	out := make([]Commitment, len(l.entries))
 	copy(out, l.entries)
+	return out
+}
+
+// Page returns a copy of the at most limit entries from offset on, and
+// the ledger's length at that instant. Both must be non-negative.
+func (l *Ledger) Page(offset, limit int) (page []Commitment, total int) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	total = len(l.entries)
+	lo := min(offset, total)
+	return append([]Commitment{}, l.entries[lo:lo+min(limit, total-lo)]...), total
+}
+
+// EpochEntries returns a copy of the entries epoch published among the
+// first count.
+func (l *Ledger) EpochEntries(epoch, count uint64) (out []Commitment) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	for _, c := range l.entries[:min(count, uint64(len(l.entries)))] {
+		if c.Epoch == epoch {
+			out = append(out, c)
+		}
+	}
 	return out
 }
 

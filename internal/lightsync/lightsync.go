@@ -44,7 +44,6 @@ import (
 	"zkflow/internal/core"
 	"zkflow/internal/ledger"
 	"zkflow/internal/merkle"
-	"zkflow/internal/obs"
 	"zkflow/internal/zkvm"
 )
 
@@ -108,9 +107,6 @@ type Options struct {
 	Seed int64
 	// MinChecks is the receipt soundness floor (zkvm.VerifyOptions).
 	MinChecks int
-	// Metrics receives the lightsync.* counters (nil = a private
-	// registry).
-	Metrics *obs.Registry
 }
 
 // Report describes one completed sync.
@@ -132,34 +128,18 @@ type entryKey struct {
 }
 
 // Sync advances st to the operator's latest checkpoint, verifying
-// every step. On any error st is left unchanged. A successful sync
-// counts what its Report says it verified; a failed one counts a
-// failure and nothing else.
-func Sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report, error) {
-	reg := opts.Metrics
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
-	bytes0 := c.BytesRead()
-	rep, err := sync(ctx, c, st, opts)
-	if err != nil {
-		reg.Counter("lightsync.sync_failures").Inc()
-		return nil, err
-	}
-	rep.Bytes = c.BytesRead() - bytes0
-	reg.Counter("lightsync.entries_verified").Add(uint64(rep.NewEntries))
-	reg.Counter("lightsync.epochs_synced").Add(uint64(len(rep.NewEpochs)))
-	reg.Counter("lightsync.receipts_verified").Add(uint64(len(rep.SampledRounds)))
-	reg.Counter("lightsync.proofs_checked").Add(uint64(rep.ProofsChecked))
-	return rep, nil
-}
-
-func sync(ctx context.Context, c *api.Client, st *State, opts Options) (*Report, error) {
+// every step. On any error st is left unchanged.
+func Sync(ctx context.Context, c *api.Client, st *State, opts Options) (rep *Report, err error) {
+	defer func(bytes0 uint64) {
+		if rep != nil {
+			rep.Bytes = c.BytesRead() - bytes0
+		}
+	}(c.BytesRead())
 	if err := st.Check(); err != nil {
 		return nil, err
 	}
 	from := st.Checkpoint
-	rep := &Report{From: from, To: from, UpToDate: true}
+	rep = &Report{From: from, To: from, UpToDate: true}
 
 	// Step 1: the operator's head, and the newest epoch up to it that
 	// has a served round. The head may be sealed before its epoch is

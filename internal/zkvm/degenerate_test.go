@@ -31,3 +31,51 @@ func TestNoCutIsACutPastTheRun(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultCut: zero options cut a run every DefaultSegmentCycles
+// steps, so a guest that runs past it proves as ⌈steps / 2^20⌉
+// segments — byte for byte the run proved with SegmentCycles set to
+// DefaultSegmentCycles.
+func TestDefaultCut(t *testing.T) {
+	// anyTrace is process-wide and this run is the package's largest:
+	// put it back, so the slab-pool gates that run later size against
+	// the traces of their own guests.
+	defer anyTrace.Store(anyTrace.Load())
+	prog := asm(func(a *Assembler) {
+		a.ReadInput(R3)
+		a.Label("loop")
+		a.Addi(R2, R2, 1)
+		a.Bltu(R2, R3, "loop")
+		a.WriteJournal(R2)
+		a.HaltCode(0)
+	})
+	input := []uint32{600_000}
+	ex, err := Execute(prog, input, ExecOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := len(ex.Rows) - 1
+	if steps <= DefaultSegmentCycles {
+		t.Fatalf("%d steps do not pass the default cut", steps)
+	}
+	want := (steps + DefaultSegmentCycles - 1) / DefaultSegmentCycles
+	var first []byte
+	for _, opts := range []ProveOptions{{}, {SegmentCycles: DefaultSegmentCycles}} {
+		r := mustProve(t, prog, input, opts)
+		if r.NumSegments() != want {
+			t.Fatalf("SegmentCycles=%d: %d segments for %d steps, want %d", opts.SegmentCycles, r.NumSegments(), steps, want)
+		}
+		if err := Verify(prog, r, VerifyOptions{MinChecks: DefaultChecks}); err != nil {
+			t.Fatalf("SegmentCycles=%d: %v", opts.SegmentCycles, err)
+		}
+		got, err := r.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == nil {
+			first = got
+		} else if !bytes.Equal(got, first) {
+			t.Fatal("SegmentCycles=DefaultSegmentCycles: bytes differ from zero options")
+		}
+	}
+}

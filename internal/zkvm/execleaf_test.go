@@ -44,10 +44,10 @@ func stepKind(prog *Program, cur, next *Row) string {
 	return ""
 }
 
-// checkExecLeaves runs the guest — uncut at cut 0, else cut every cut
-// rows — and requires of every exec leaf of every segment that
-// expanding what the prover encodes gives back exactly the rows it
-// encoded, through the column accessor the verifier uses. It reports
+// checkExecLeaves runs the guest — cut every cut rows, 0 being
+// DefaultSegmentCycles — and requires of every exec leaf of every
+// segment that expanding what the prover encodes gives back exactly
+// the rows it encoded, through the column accessor the verifier uses. It reports
 // the kinds of step that were derived, not committed, somewhere.
 func checkExecLeaves(prog *Program, input []uint32, cut int) (map[string]bool, error) {
 	segs, err := executeSegmented(prog, input, ExecOptions{}, cut)

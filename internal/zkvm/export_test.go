@@ -4,7 +4,8 @@ package zkvm
 // in-package tests — can import internal/guest without a cycle.
 
 // RunMachine runs one use of the emulator to completion, releases
-// what it traced, and reports the segments cut. cut == 0 never cuts.
+// what it traced, and reports the segments cut. cut == 0 cuts at
+// DefaultSegmentCycles.
 func RunMachine(prog *Program, input []uint32, cut int) (segs int, err error) {
 	m := newMachine(prog, input, cut)
 	err = m.run(0)

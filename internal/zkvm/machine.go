@@ -14,7 +14,8 @@ import (
 // every run records its trace. Execute and the sealed run (ProveSeeded)
 // are the same run over different slabs — Execute never cuts and
 // builds its trace on fresh ones, the sealed run cuts every
-// SegmentCycles rows and takes them from the pools.
+// SegmentCycles rows (DefaultSegmentCycles unless set) and takes them
+// from the pools.
 
 // Guest memory is sparse and paged: a page is pageWords consecutive
 // words, allocated on its first access (the final table records every
@@ -159,7 +160,8 @@ func (pm *pagedMem) release() {
 	pm.tsChunks, pm.tsFree = nil, nil
 }
 
-// neverCut is the segment length of a run that is one segment.
+// neverCut is Execute's segment length: its run is one segment,
+// however long.
 const neverCut = math.MaxInt
 
 // machine is a TinyRISC machine mid-run. It is step's execEnv: loads
@@ -172,7 +174,7 @@ type machine struct {
 	mem     pagedMem
 	scratch []byte // SysHash message buffer, grown to the largest request
 
-	cut int // steps per segment; neverCut for a one-segment run
+	cut int // steps per segment
 	// rowSlabs and memSlabs hold the trace; both are nil when it
 	// outlives the package (Execute, never cut): fresh slabs, and no
 	// final table.
@@ -191,12 +193,12 @@ type machine struct {
 	segs []*segmentExecution // closed and open segments, in order
 }
 
-// newMachine returns a reset machine over fresh memory. A cut ≤ 0 never
-// cuts, and a positive one is floored to minSegmentCycles; run opens
-// segment 0.
+// newMachine returns a reset machine over fresh memory. A cut ≤ 0 is
+// DefaultSegmentCycles, and a positive one is floored to
+// minSegmentCycles; run opens segment 0.
 func newMachine(prog *Program, input []uint32, cut int) *machine {
 	if cut <= 0 {
-		cut = neverCut
+		cut = DefaultSegmentCycles
 	}
 	return &machine{prog: prog, input: input, cut: max(cut, minSegmentCycles), rowSlabs: &rowSlabs, memSlabs: &memSlabs}
 }
@@ -223,16 +225,15 @@ func (m *machine) openSegment(b *Row, img []imageRecord, room int) {
 	m.segs = append(m.segs, m.seg)
 	// A segment runs at most min(cut, room) steps, plus the successor
 	// slot step fills even on the halt row. But cut is whatever
-	// -segment-cycles or ProveOptions.SegmentCycles says, unchecked,
-	// and room defaults to 2^26, so the slabs are sized by what
-	// this program is known to produce — the largest segment it has
-	// traced, or the segment this run just filled — and double from
-	// there. A cut segment's log size is a guess.
-	hintRows, mem := m.prog.traceHint.load()
+	// ProveOptions.SegmentCycles says, unchecked, and room defaults to
+	// 2^26, so the slabs are sized by what this program is known to
+	// produce — the largest segment it has traced, or the segment this
+	// run just filled — and double from there. The log gets the
+	// program's largest log scaled to those rows: none before its
+	// first run.
+	hintRows, hintMem := m.prog.traceHint.load()
 	rows := min(m.cut, room, max(hintRows, prev, 1024)) + 1
-	if m.cut != neverCut {
-		mem = rows / 2
-	}
+	mem := hintMem * rows / max(hintRows, 1)
 	m.rows, m.log = m.rowSlabs.Get(rows), m.memSlabs.Get(mem)[:0]
 	m.rows = m.rows[:cap(m.rows)]
 	m.rows[0] = Row{PC: b.PC, Regs: b.Regs}

@@ -13,17 +13,21 @@ import (
 // against a prover cheating on a fraction f of rows is 1-(1-f)^k.
 const DefaultChecks = 48
 
+// DefaultSegmentCycles is where a run is cut when ProveOptions leaves
+// SegmentCycles zero: RISC Zero's default segment limit. A run no
+// longer than it is a chain of one segment.
+const DefaultSegmentCycles = 1 << 20
+
 // ProveOptions configures proof generation. Prover width is not an
 // option: every crew is par.Workers() wide, and receipts are
 // byte-identical at any width (asserted by the determinism tests).
 type ProveOptions struct {
 	// Checks is the sampled-check count per family (default DefaultChecks).
 	Checks int
-	// SegmentCycles, when positive, cuts the execution every
-	// SegmentCycles steps (floored to minSegmentCycles), continuation
-	// style: each slice is sealed as a segment chained to the next
-	// through a committed boundary state. Zero never cuts: the whole run
-	// is one segment.
+	// SegmentCycles cuts the execution every SegmentCycles steps
+	// (floored to minSegmentCycles; zero = DefaultSegmentCycles),
+	// continuation style: each slice is sealed as a segment chained to
+	// the next through a committed boundary state.
 	SegmentCycles int
 	// Observer, when non-nil, receives per-stage timings (see Stages).
 	// It never affects the receipt bytes; a nil observer costs one
@@ -63,16 +67,16 @@ func ProveAny(prog *Program, input []uint32, opts ProveOptions) (AnyReceipt, err
 
 // ProveSeeded executes the guest and proves the run, under a
 // caller-supplied salt seed, as a chain of segments of
-// opts.SegmentCycles steps each (one segment when it is zero). Each
-// segment is handed to the run's sealer as soon as execution passes its
-// cut, and seals while the machine runs on; the final segment seals
-// after the halt. The receipt is byte-deterministic: the same program,
-// input, options and seed produce the same receipt at any width, in any
-// process and whatever the overlap. A run that traps, runs out of
-// DefaultMaxSteps, or halts with a nonzero exit code returns an error
-// and no receipt — once every segment in flight has sealed, so that no
-// slab goes back to a pool while a seal reads it: tampered telemetry
-// cannot be proven.
+// opts.SegmentCycles steps each (DefaultSegmentCycles when it is zero).
+// Each segment is handed to the run's sealer as soon as execution
+// passes its cut, and seals while the machine runs on; the final
+// segment seals after the halt. The receipt is byte-deterministic: the
+// same program, input, options and seed produce the same receipt at any
+// width, in any process and whatever the overlap. A run that traps,
+// runs out of DefaultMaxSteps, or halts with a nonzero exit code
+// returns an error and no receipt — once every segment in flight has
+// sealed, so that no slab goes back to a pool while a seal reads it:
+// tampered telemetry cannot be proven.
 func ProveSeeded(prog *Program, input []uint32, opts ProveOptions, seed [32]byte) (*Receipt, error) {
 	return proveRun(prog, input, opts, seed, 0)
 }

@@ -30,7 +30,7 @@ type SegmentReceipt struct {
 // Receipt is the verifiable record of a guest run, the same shape as a
 // RISC Zero composite receipt: a chain of segment receipts with
 // exit(i) == entry(i+1), entry(0) == genesis, and a final segment that
-// halts publicly. A run proved without SegmentCycles is one segment.
+// halts publicly. A run no longer than its cut is one segment.
 // The journal is the concatenation of the segment journals.
 type Receipt struct {
 	Segments []*SegmentReceipt

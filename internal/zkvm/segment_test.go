@@ -70,8 +70,8 @@ func mustProve(t testing.TB, prog *Program, input []uint32, opts ProveOptions) *
 }
 
 // executeSegmented runs the guest like Execute but cuts the trace
-// every segmentCycles steps (floored to minSegmentCycles; zero never
-// cuts), on pooled slabs: the caller releases the segments.
+// every segmentCycles steps (floored to minSegmentCycles; zero is
+// DefaultSegmentCycles), on pooled slabs: the caller releases the segments.
 func executeSegmented(prog *Program, input []uint32, opts ExecOptions, segmentCycles int) ([]*segmentExecution, error) {
 	m := newMachine(prog, input, segmentCycles)
 	if err := m.run(opts.MaxSteps); err != nil {
